@@ -19,6 +19,7 @@
 //	                                       # baselines before overwriting;
 //	                                       # exit 1 on an allocs/op regression
 //	lpbcast-bench -quick                   # reduced sizes (smoke/test mode)
+//	lpbcast-bench -cpuprofile cpu.pprof    # profile the run (also -memprofile)
 //
 // The regression gate is allocation-based on purpose: allocs/op is
 // deterministic across machines for a given Go version, while ns/op on a
@@ -39,8 +40,11 @@ import (
 	lpbcast "repro"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/membership"
+	"repro/internal/prof"
 	"repro/internal/proto"
 	"repro/internal/pubsub"
+	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
@@ -62,7 +66,8 @@ type Entry struct {
 	// AllocsPerOp and BytesPerOp are the gated quantities.
 	AllocsPerOp int64 `json:"allocs_per_op"`
 	BytesPerOp  int64 `json:"bytes_per_op"`
-	// Metrics carries benchmark-specific numbers (datagrams/op, workers).
+	// Metrics carries benchmark-specific numbers (datagrams/op, workers)
+	// and, on every entry, the cores of the host that measured it.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 	// Gate marks the entry as participating in the regression check.
 	Gate bool `json:"gate"`
@@ -80,8 +85,9 @@ type benchCase struct {
 	cleanup   func() // releases state cached across b.N scaling runs
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("lpbcast-bench", flag.ContinueOnError)
+	profiles := prof.Register(fs)
 	var (
 		suite       = fs.String("suite", "all", "benchmarks to run: executor, live, all")
 		executorOut = fs.String("executor-out", "BENCH_executor.json", "executor suite output path")
@@ -109,6 +115,11 @@ func run(args []string) error {
 	if len(jobs) == 0 {
 		return fmt.Errorf("unknown suite %q (want executor, live, or all)", *suite)
 	}
+	stopProfiles, err := profiles.Start()
+	if err != nil {
+		return err
+	}
+	defer stopProfiles(&err)
 
 	failed := false
 	for _, j := range jobs {
@@ -127,11 +138,11 @@ func run(args []string) error {
 				Gate:        c.gate,
 				MaxAllocs:   c.maxAllocs,
 			}
-			if len(res.Extra) > 0 {
-				e.Metrics = make(map[string]float64, len(res.Extra))
-				for k, v := range res.Extra {
-					e.Metrics[k] = v
-				}
+			// The core count rides on every entry, so that a two-core
+			// number is never read as a scaling result.
+			e.Metrics = map[string]float64{"cores": float64(runtime.NumCPU())}
+			for k, v := range res.Extra {
+				e.Metrics[k] = v
 			}
 			fmt.Printf("%-46s %12.0f ns/op %10d allocs/op %12d B/op\n",
 				e.Name, e.NsPerOp, e.AllocsPerOp, e.BytesPerOp)
@@ -378,6 +389,8 @@ func executorSuite(quick, big bool) []benchCase {
 		// EmissionReuse mode), matching the round executors.
 		steady(0, 2, false, false, sim.ClockEvent),
 		steady(benchWorkers(), 2, false, false, sim.ClockEvent),
+		mergeCase("absent-heavy", 25_000),
+		mergeCase("present-heavy", 20),
 		pubsubSteadyCase(quick),
 		pubsubInfectionCase(quick),
 		setupCase(infectionN),
@@ -426,6 +439,37 @@ func executorSuite(quick, big bool) []benchCase {
 		})
 	}
 	return cases
+}
+
+// mergeCase is the membership layer's cell: one op is phase 2 of gossip
+// reception (Fig. 1(a)) — membership.Manager.ApplySubs on 16 incoming
+// subscriptions at l=15 — with ids drawn from a population of universe
+// processes: 25 000 makes nearly every id new to the view (the idle process
+// of a large system), 20 nearly every id known. The ceiling is absolute:
+// the merge and both truncations run on retained buffers.
+func mergeCase(mix string, universe int) benchCase {
+	return benchCase{
+		name: "membership/merge/" + mix,
+		gate: true, maxAllocs: 0,
+		fn: func(b *testing.B) {
+			gen := rng.New(7)
+			m, err := membership.NewManager(1, membership.DefaultConfig(), gen.Split())
+			if err != nil {
+				b.Fatal(err)
+			}
+			gossips := make([][]proto.ProcessID, 64)
+			for i := range gossips {
+				gossips[i] = make([]proto.ProcessID, 16)
+				for j := range gossips[i] {
+					gossips[i][j] = proto.ProcessID(1 + gen.Intn(universe))
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.ApplySubs(gossips[i%len(gossips)])
+			}
+		},
+	}
 }
 
 // setupCase measures bulk cluster construction: one op is a full

@@ -38,6 +38,8 @@
 //
 // -golden-dir overrides the tape directory (default testdata/golden,
 // relative to the working directory — run from the repository root).
+//
+// -cpuprofile and -memprofile write pprof profiles of whatever the run did.
 package main
 
 import (
@@ -49,6 +51,7 @@ import (
 	"strings"
 
 	"repro/internal/golden"
+	"repro/internal/prof"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -60,8 +63,9 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("lpbcast-sim", flag.ContinueOnError)
+	profiles := prof.Register(fs)
 	var (
 		fig      = fs.String("fig", "all", "figure to print: 5a, 5b, 6a, 6b, 7a, 7b, crash, latency, all")
 		quick    = fs.Bool("quick", false, "use reduced repeats/rounds")
@@ -84,6 +88,11 @@ func run(args []string) error {
 		}
 		return nil
 	}
+	stopProfiles, err := profiles.Start()
+	if err != nil {
+		return err
+	}
+	defer stopProfiles(&err)
 	if *record != "" && *replay != "" {
 		return fmt.Errorf("-record and -replay are mutually exclusive")
 	}

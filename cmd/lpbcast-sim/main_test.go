@@ -25,6 +25,25 @@ func TestRunQuickFigureParallel(t *testing.T) {
 	}
 }
 
+// TestRunProfileFlags: -cpuprofile and -memprofile (internal/prof, shared
+// with lpbcast-bench) leave a non-empty pprof file each, and a path that
+// cannot be created is an error, not a silently unprofiled run.
+func TestRunProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if err := run([]string{"-fig", "5b", "-quick", "-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+		t.Fatalf("run with profiles: %v", err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Errorf("%s: missing or empty (err %v)", filepath.Base(path), err)
+		}
+	}
+	if err := run([]string{"-fig", "5b", "-quick", "-cpuprofile", filepath.Join(dir, "no", "such", "dir")}); err == nil {
+		t.Error("uncreatable -cpuprofile path: want an error")
+	}
+}
+
 func TestRunMatrix(t *testing.T) {
 	t.Parallel()
 	if err := run([]string{"-matrix", "n=60,125;f=3;rounds=6;repeats=1", "-workers", "2"}); err != nil {

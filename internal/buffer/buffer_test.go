@@ -111,15 +111,14 @@ func TestKeyedListTruncateOldest(t *testing.T) {
 	for i := uint64(1); i <= 10; i++ {
 		l.Add(pid(i))
 	}
-	removed := l.TruncateOldest(7)
-	if len(removed) != 3 || removed[0] != 1 || removed[2] != 3 {
-		t.Fatalf("removed = %v, want [1 2 3]", removed)
+	if removed := l.TruncateOldestDiscard(7); removed != 3 {
+		t.Fatalf("removed %d, want 3", removed)
 	}
-	if l.Contains(1) || !l.Contains(4) {
-		t.Fatal("wrong elements evicted")
+	if l.Contains(1) || l.Contains(3) || !l.Contains(4) || l.At(0) != 4 {
+		t.Fatalf("wrong elements evicted: left %v", l.Items())
 	}
-	if got := l.TruncateOldest(7); got != nil {
-		t.Fatalf("second truncate removed %v", got)
+	if got := l.TruncateOldestDiscard(7); got != 0 {
+		t.Fatalf("second truncate removed %d", got)
 	}
 }
 
@@ -292,11 +291,10 @@ func TestIDBufferFIFO(t *testing.T) {
 	for i := uint64(1); i <= 5; i++ {
 		b.Add(proto.EventID{Origin: 1, Seq: i})
 	}
-	evicted := b.TruncateOldest(3)
-	if len(evicted) != 2 || evicted[0].Seq != 1 || evicted[1].Seq != 2 {
-		t.Fatalf("evicted = %v", evicted)
+	if evicted := b.TruncateOldestDiscard(3); evicted != 2 {
+		t.Fatalf("evicted %d, want 2", evicted)
 	}
-	if b.Contains(proto.EventID{Origin: 1, Seq: 1}) {
+	if b.Contains(proto.EventID{Origin: 1, Seq: 1}) || b.Contains(proto.EventID{Origin: 1, Seq: 2}) {
 		t.Fatal("oldest id still present")
 	}
 	if !b.Contains(proto.EventID{Origin: 1, Seq: 5}) {
@@ -321,6 +319,27 @@ func TestArchive(t *testing.T) {
 	}
 	if got, ok := a.Lookup(e3.ID); !ok || got.ID != e3.ID {
 		t.Fatal("newest event missing")
+	}
+}
+
+// TestArchiveStoreFullAllocFree gates the delivery path: once the archive
+// is at its bound every Store evicts the oldest event, and must not copy
+// the evictee out to do so.
+func TestArchiveStoreFullAllocFree(t *testing.T) {
+	a := NewArchive(200) // core.DefaultConfig's ArchiveSize: indexed mode
+	seq := uint64(0)
+	store := func() {
+		seq++
+		a.Store(proto.Event{ID: proto.EventID{Origin: 1, Seq: seq}})
+	}
+	for i := 0; i < 400; i++ {
+		store()
+	}
+	if allocs := testing.AllocsPerRun(1000, store); allocs != 0 {
+		t.Fatalf("Store on a full archive cost %.1f allocs/op, want 0", allocs)
+	}
+	if a.Len() != 200 {
+		t.Fatalf("Len = %d, want 200", a.Len())
 	}
 }
 
@@ -457,7 +476,7 @@ func BenchmarkIDBufferAdd(b *testing.B) {
 	buf := NewIDBuffer()
 	for i := 0; i < b.N; i++ {
 		buf.Add(proto.EventID{Origin: 1, Seq: uint64(i)})
-		buf.TruncateOldest(60)
+		buf.TruncateOldestDiscard(60)
 	}
 }
 

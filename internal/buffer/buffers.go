@@ -33,6 +33,24 @@ func unsubKey(u proto.Unsubscription) proto.ProcessID { return u.Process }
 func eventKey(e proto.Event) proto.EventID            { return e.ID }
 func idKey(id proto.EventID) proto.EventID            { return id }
 
+// PIDFilter is a 256-bit, one-hash presence filter over process ids, small
+// enough to be built on the caller's stack once per received gossip: Has
+// never misses an id that was added and rules out most that were not, which
+// spares an absent id — nearly every id, in a system much larger than a
+// view — the scan that would only confirm it.
+type PIDFilter [4]uint64
+
+func (f *PIDFilter) bit(p proto.ProcessID) (word uint64, mask uint64) {
+	h := uint64(p) * 0x9e3779b97f4a7c15 >> 56
+	return h >> 6, 1 << (h & 63)
+}
+
+// Add records p.
+func (f *PIDFilter) Add(p proto.ProcessID) { w, m := f.bit(p); f[w] |= m }
+
+// Has reports whether p may have been added.
+func (f *PIDFilter) Has(p proto.ProcessID) bool { w, m := f.bit(p); return f[w]&m != 0 }
+
 // PIDList is a bounded, duplicate-free list of process identifiers — the
 // representation of the subs buffer. Unlike the generic KeyedList it is
 // backed by a plain slice with linear membership scans: a subs buffer
@@ -64,6 +82,23 @@ func (l *PIDList) Add(p proto.ProcessID) bool {
 	}
 	l.items = append(l.items, p)
 	return true
+}
+
+// Filter returns a filter holding every buffered identifier.
+func (l *PIDList) Filter() (f PIDFilter) {
+	for _, p := range l.items {
+		f.Add(p)
+	}
+	return f
+}
+
+// AddIn is Add for a caller holding f, a filter of the list's content kept
+// up to date here: an identifier the filter rules out is appended unscanned.
+func (l *PIDList) AddIn(p proto.ProcessID, f *PIDFilter) {
+	if !f.Has(p) || l.indexOf(p) < 0 {
+		l.items = append(l.items, p)
+		f.Add(p)
+	}
 }
 
 // Contains reports whether p is buffered.
@@ -117,23 +152,8 @@ func (l *PIDList) GrowIn(n int, p *Pools) {
 	}
 }
 
-// TruncateRandom removes uniformly chosen identifiers until Len() <= max,
-// returning the removed identifiers.
-func (l *PIDList) TruncateRandom(max int, r *rng.Source) []proto.ProcessID {
-	if max < 0 {
-		max = 0
-	}
-	var removed []proto.ProcessID
-	for len(l.items) > max {
-		i := r.Intn(len(l.items))
-		removed = append(removed, l.items[i])
-		l.items = append(l.items[:i], l.items[i+1:]...)
-	}
-	return removed
-}
-
 // TruncateRandomDiscard removes uniformly chosen identifiers until
-// Len() <= max, returning only the count (same draws as TruncateRandom).
+// Len() <= max ("remove random element from subs"), returning the count.
 func (l *PIDList) TruncateRandomDiscard(max int, r *rng.Source) int {
 	if max < 0 {
 		max = 0
@@ -344,15 +364,9 @@ func (b *IDBuffer) AppendIDs(dst []proto.EventID) []proto.EventID {
 	return b.inner.AppendItems(dst)
 }
 
-// TruncateOldest evicts oldest identifiers until Len() <= max ("remove
-// oldest element from eventIds"). It returns the evicted identifiers.
-func (b *IDBuffer) TruncateOldest(max int) []proto.EventID {
-	return b.inner.TruncateOldest(max)
-}
-
-// TruncateOldestDiscard evicts oldest identifiers until Len() <= max,
-// returning only the count — the allocation-free path record() runs on
-// every delivery.
+// TruncateOldestDiscard evicts oldest identifiers until Len() <= max
+// ("remove oldest element from eventIds"), returning only the count — the
+// allocation-free path record() runs on every delivery.
 func (b *IDBuffer) TruncateOldestDiscard(max int) int {
 	return b.inner.TruncateOldestDiscard(max)
 }
@@ -391,7 +405,7 @@ func (a *Archive) Store(e proto.Event) {
 		return
 	}
 	a.inner.Add(e)
-	a.inner.TruncateOldest(a.max)
+	a.inner.TruncateOldestDiscard(a.max)
 }
 
 // Lookup returns the archived event with the given id.

@@ -238,29 +238,10 @@ func (l *KeyedList[K, V]) TruncateRandomDiscard(max int, r *rng.Source) int {
 	return n
 }
 
-// TruncateOldest removes elements from the front (oldest first) until
-// Len() <= max, returning the removed elements. This is the paper's
-// "remove oldest element" truncation for eventIds.
-func (l *KeyedList[K, V]) TruncateOldest(max int) []V {
-	if max < 0 {
-		max = 0
-	}
-	if len(l.items) <= max {
-		return nil
-	}
-	n := len(l.items) - max
-	removed := append([]V(nil), l.items[:n]...)
-	for _, v := range removed {
-		delete(l.idx, l.key(v))
-	}
-	l.items = append(l.items[:0], l.items[n:]...)
-	return removed
-}
-
 // TruncateOldestDiscard removes elements from the front (oldest first)
-// until Len() <= max, returning only how many were removed — the
-// allocation-free sibling of TruncateOldest for callers that do not need
-// the evicted elements.
+// until Len() <= max — the paper's "remove oldest element" truncation for
+// eventIds — returning how many were removed. The evictees are not handed
+// back: every caller runs once per delivery and none reads them.
 func (l *KeyedList[K, V]) TruncateOldestDiscard(max int) int {
 	if max < 0 {
 		max = 0

@@ -153,6 +153,9 @@ func (m *Manager) presize(p *Pools) {
 			m.view.Add(q)
 		}
 	}
+	if len(m.keep) > 0 { // the kept-position marks exist only beside a prioritary set
+		m.view.keepBits.Grow(m.cfg.MaxView + inflow)
+	}
 }
 
 // Self returns the owning process id.
@@ -180,8 +183,8 @@ func (m *Manager) Seed(ps []proto.ProcessID) {
 	for _, p := range ps {
 		m.view.Add(p)
 	}
-	m.truncateView()
-	m.truncateSubs()
+	inSubs := m.subs.Filter()
+	m.truncate(m.view.Len(), &inSubs)
 }
 
 // ApplyUnsubs executes phase 1 of gossip reception: remove unsubscribed
@@ -213,37 +216,45 @@ func (m *Manager) ApplyUnsubs(unsubs []proto.Unsubscription, now uint64) {
 // into the view and the subs forwarding buffer, truncate the view to l
 // moving evicted members into subs, and truncate subs randomly. In the
 // Weighted policy, re-announced known processes get their awareness weight
-// bumped.
+// bumped. An incoming id costs at most one scan of the view (find and bump
+// in place, or append) and none when the filters rule it out, which in a
+// system much larger than l they nearly always do; an id buffered here is
+// not looked for again when the truncation evicts it.
 func (m *Manager) ApplySubs(subs []proto.ProcessID) {
+	v, fresh := m.view, m.view.Len()
+	var inView buffer.PIDFilter
+	for i := range v.list {
+		inView.Add(v.list[i].Process)
+	}
+	inSubs := m.subs.Filter()
 	for _, p := range subs {
 		if p == m.self || p == proto.NilProcess {
 			continue
 		}
-		if m.view.Contains(p) {
-			if m.cfg.Policy == Weighted {
-				m.view.Bump(p)
-			}
-			continue
+		i := -1
+		if inView.Has(p) {
+			i = v.indexOf(p)
 		}
-		m.view.Add(p)
-		m.subs.Add(p)
+		if i < 0 {
+			v.list = append(v.list, Entry{Process: p, Weight: 1})
+			inView.Add(p)
+			m.subs.AddIn(p, &inSubs)
+		} else if m.cfg.Policy == Weighted {
+			v.list[i].Weight++
+		}
 	}
-	m.truncateView()
-	m.truncateSubs()
+	m.truncate(fresh, &inSubs)
 }
 
-// truncateView enforces |view| <= l, moving evictees into subs so they
-// remain "eligible for being forwarded with the next gossip" (Fig. 1(a)).
-func (m *Manager) truncateView() {
-	var removed []proto.ProcessID
-	if m.cfg.Policy == Weighted {
-		removed = m.view.TruncateWeighted(m.cfg.MaxView, m.keep, m.rng)
-	} else {
-		removed = m.view.TruncateUniform(m.cfg.MaxView, m.keep, m.rng)
+// truncate enforces |view| <= l, moving evictees into subs so they remain
+// "eligible for being forwarded with the next gossip" (Fig. 1(a)), then
+// |subs| <= |subs|m. View entries from position fresh up are in subs
+// already; inSubs is a filter of subs.
+func (m *Manager) truncate(fresh int, inSubs *buffer.PIDFilter) {
+	for _, p := range m.view.truncate(m.cfg.MaxView, m.keep, m.cfg.Policy == Weighted, fresh, m.rng) {
+		m.subs.AddIn(p, inSubs)
 	}
-	for _, p := range removed {
-		m.subs.Add(p)
-	}
+	m.truncateSubs()
 }
 
 // truncateSubs enforces |subs| <= |subs|m. Under the Weighted policy,

@@ -10,9 +10,10 @@ import (
 )
 
 // Pools groups the arenas backing membership state during bulk
-// construction: view entry lists and truncation scratch, plus the
-// protocol-buffer arenas shared with the buffer layer. Like all pools it
-// is shard-local — one per construction worker, never shared.
+// construction: view entry lists (Entries), target-pick scratch (Ints), and
+// the protocol-buffer arenas shared with the buffer layer, whose PIDs also
+// back a view's evictee list. Like all pools it is shard-local — one per
+// construction worker, never shared.
 type Pools struct {
 	Buf     buffer.Pools
 	Entries pool.Arena[Entry]

@@ -36,7 +36,8 @@ type Entry struct {
 // (a few dozen entries), where a packed scan beats a hash map — and the
 // scan structure never reallocates under the per-message add/evict churn
 // the way map metadata does, which is what keeps large simulations
-// allocation-free in steady state.
+// allocation-free in steady state. Truncation needs no candidate lists:
+// it counts the evictable entries, draws once and walks to the victim.
 //
 // View is not safe for concurrent use.
 type View struct {
@@ -44,10 +45,8 @@ type View struct {
 	list  []Entry
 
 	pickScratch []int             // reused by AppendPick
-	candScratch []int             // reused by truncate (eviction candidates)
-	bestScratch []int             // reused by truncate (weighted tie set)
 	removed     []proto.ProcessID // reused by truncate (return value)
-	keepBits    idmap.Bitset      // reused by truncate (kept positions)
+	keepBits    idmap.Bitset      // reused by truncate (kept positions), prioritary sets only
 }
 
 // NewView creates an empty view owned by owner. The owner can never be
@@ -63,34 +62,19 @@ func (v *View) Init(owner proto.ProcessID) { v.owner = owner }
 // Owner returns the owning process.
 func (v *View) Owner() proto.ProcessID { return v.owner }
 
-// Grow pre-allocates the entry list and every truncation scratch buffer
-// for at least n entries. Sizing a view to its transient
+// Grow pre-allocates the entry list and the pick and eviction scratch for
+// at least n entries. Sizing a view to its transient
 // bound (l plus one gossip's subscription inflow) at construction keeps
 // the per-message ApplySubs/truncate path from ever reallocating — without
 // it, thousands of views grow their buffers toward the high-water mark one
 // append at a time, a convergence tail that dominates steady-state
 // allocation in large simulations.
-func (v *View) Grow(n int) { v.growIn(n, nil) }
+func (v *View) Grow(n int) { v.GrowIn(n, nil) }
 
-// GrowIn is Grow with every backing slice drawn from pooled arenas, so
-// pre-sizing thousands of per-process views costs amortized chunk
-// allocations instead of five heap allocations each.
-func (v *View) GrowIn(n int, p *Pools) { v.growIn(n, p) }
-
-func (v *View) growIn(n int, p *Pools) {
-	grow := func(s []int) []int {
-		if cap(s) >= n {
-			return s
-		}
-		var g []int
-		if p != nil {
-			g = p.Ints.Make(n)[:len(s)]
-		} else {
-			g = make([]int, len(s), n)
-		}
-		copy(g, s)
-		return g
-	}
+// GrowIn is Grow with every backing slice drawn from pooled arenas (a nil
+// p falls back to the heap), so pre-sizing thousands of per-process views
+// costs amortized chunk allocations instead of three heap allocations each.
+func (v *View) GrowIn(n int, p *Pools) {
 	if cap(v.list) < n {
 		var list []Entry
 		if p != nil {
@@ -101,18 +85,19 @@ func (v *View) growIn(n int, p *Pools) {
 		copy(list, v.list)
 		v.list = list
 	}
-	v.pickScratch = grow(v.pickScratch)
-	v.candScratch = grow(v.candScratch)
-	v.bestScratch = grow(v.bestScratch)
-	if cap(v.removed) < n {
-		var removed []proto.ProcessID
+	if cap(v.pickScratch) < n {
 		if p != nil {
-			removed = p.Buf.PIDs.Make(n)[:len(v.removed)]
+			v.pickScratch = p.Ints.Make(n)[:0]
 		} else {
-			removed = make([]proto.ProcessID, len(v.removed), n)
+			v.pickScratch = make([]int, 0, n)
 		}
-		copy(removed, v.removed)
-		v.removed = removed
+	}
+	if cap(v.removed) < n {
+		if p != nil {
+			v.removed = p.Buf.PIDs.Make(n)[:0]
+		} else {
+			v.removed = make([]proto.ProcessID, 0, n)
+		}
 	}
 }
 
@@ -145,15 +130,10 @@ func (v *View) Contains(p proto.ProcessID) bool { return v.indexOf(p) >= 0 }
 // Remove deletes p, reporting whether it was present.
 func (v *View) Remove(p proto.ProcessID) bool {
 	i := v.indexOf(p)
-	if i < 0 {
-		return false
+	if i >= 0 {
+		v.removeAt(i)
 	}
-	last := len(v.list) - 1
-	if i != last {
-		v.list[i] = v.list[last]
-	}
-	v.list = v.list[:last]
-	return true
+	return i >= 0
 }
 
 // Len returns the number of entries.
@@ -246,7 +226,7 @@ func (v *View) removeAt(i int) Entry {
 // scratch reused by the next truncation: consume it before calling any
 // Truncate* method again, and do not retain it.
 func (v *View) TruncateUniform(max int, keep []proto.ProcessID, r *rng.Source) []proto.ProcessID {
-	return v.truncate(max, keep, false, r)
+	return v.truncate(max, keep, false, len(v.list), r)
 }
 
 // TruncateWeighted removes the highest-weight entries first (ties broken
@@ -255,78 +235,87 @@ func (v *View) TruncateUniform(max int, keep []proto.ProcessID, r *rng.Source) [
 // evicted first. Entries in keep are never evicted. The returned slice
 // follows TruncateUniform's scratch-reuse contract.
 func (v *View) TruncateWeighted(max int, keep []proto.ProcessID, r *rng.Source) []proto.ProcessID {
-	return v.truncate(max, keep, true, r)
+	return v.truncate(max, keep, true, len(v.list), r)
 }
 
 // truncate repeatedly evicts a victim among non-kept entries — uniformly,
 // or the highest-weight entry with uniform tie-breaking when weighted is
 // set. If every entry is protected by keep, the view is left over-full
-// rather than evicting a prioritary process. All bookkeeping lives in
-// scratch retained on the View — including the position bitset marking
-// kept entries — so truncation under gossip churn, the per-message hot
-// path of a large simulation, does not allocate. Random draws are
-// independent of whether the keep set arrives empty or is consulted via
-// the bitset: candidates are always enumerated in ascending position
-// order, exactly as the historical map-based implementation did.
-func (v *View) truncate(max int, keep []proto.ProcessID, weighted bool, r *rng.Source) []proto.ProcessID {
+// rather than evicting a prioritary process. Each eviction counts its
+// candidates, draws once among them and, where a kept or lighter entry can
+// stand in the way, walks to the drawn candidate in ascending position
+// order: the draws are those of enumerating the candidates into a list and
+// indexing it (the draw-identity contract, docs/ARCHITECTURE.md), without
+// the list. Nothing here allocates: kept positions are marked in a bitset
+// retained on the View and follow the swap-removals by a bit move.
+//
+// Entries at positions fresh and up are the caller's own appends, which it
+// has buffered in subs already: they are evicted like any other but not
+// returned (a one-word position mask tracks them through the swaps; past
+// position 63 an entry is simply returned like an old one).
+func (v *View) truncate(max int, keep []proto.ProcessID, weighted bool, fresh int, r *rng.Source) []proto.ProcessID {
 	if max < 0 {
 		max = 0
 	}
 	removed := v.removed[:0]
+	kept := 0
 	if len(v.list) > max && len(keep) > 0 {
-		// Mark kept positions once; removeAt swap-removes, so the marks
-		// are maintained with a bit move per eviction instead of a rescan.
 		v.keepBits.Clear()
 		v.keepBits.Grow(len(v.list))
 		for i := range v.list {
 			for _, k := range keep {
 				if v.list[i].Process == k {
 					v.keepBits.Set(i)
+					kept++
 					break
 				}
 			}
 		}
 	}
+	var freshBits uint64 // shifts past bit 63 yield 0: such positions read as old
+	for i := fresh; i < len(v.list) && i < 64; i++ {
+		freshBits |= 1 << uint(i)
+	}
 	for len(v.list) > max {
-		cands := v.candScratch[:0]
-		if len(keep) == 0 {
+		n, best := len(v.list)-kept, 0
+		if weighted {
+			n = 0
 			for i := range v.list {
-				cands = append(cands, i)
-			}
-		} else {
-			for i := range v.list {
-				if !v.keepBits.Get(i) {
-					cands = append(cands, i)
+				if kept > 0 && v.keepBits.Get(i) {
+					continue
+				}
+				switch w := v.list[i].Weight; {
+				case n == 0 || w > best:
+					best, n = w, 1
+				case w == best:
+					n++
 				}
 			}
 		}
-		v.candScratch = cands
-		if len(cands) == 0 {
+		if n == 0 {
 			break
 		}
-		var victim int
-		if weighted {
-			best := v.bestScratch[:0]
-			best = append(best, cands[0])
-			for _, i := range cands[1:] {
-				switch w := v.list[i].Weight; {
-				case w > v.list[best[0]].Weight:
-					best = best[:1]
-					best[0] = i
-				case w == v.list[best[0]].Weight:
-					best = append(best, i)
+		victim := r.Intn(n)
+		if weighted || kept > 0 {
+			k := victim
+			for victim = 0; ; victim++ {
+				if kept > 0 && v.keepBits.Get(victim) || weighted && v.list[victim].Weight != best {
+					continue
+				}
+				if k--; k < 0 {
+					break
 				}
 			}
-			v.bestScratch = best
-			victim = best[r.Intn(len(best))]
-		} else {
-			victim = cands[r.Intn(len(cands))]
 		}
-		if len(keep) > 0 {
-			v.keepBits.Move(len(v.list)-1, victim)
+		last := len(v.list) - 1
+		if kept > 0 {
+			v.keepBits.Move(last, victim)
 		}
-		e := v.removeAt(victim)
-		removed = append(removed, e.Process)
+		wasFresh := freshBits>>uint(victim)&1 != 0
+		freshBits = freshBits&^(1<<uint(victim)) | freshBits>>uint(last)&1<<uint(victim)
+		if e := v.removeAt(victim); !wasFresh {
+			removed = append(removed, e.Process)
+		}
 	}
 	v.removed = removed
 	return removed
