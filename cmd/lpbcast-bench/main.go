@@ -38,6 +38,7 @@ import (
 	"time"
 
 	lpbcast "repro"
+	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/membership"
@@ -391,6 +392,9 @@ func executorSuite(quick, big bool) []benchCase {
 		steady(benchWorkers(), 2, false, false, sim.ClockEvent),
 		mergeCase("absent-heavy", 25_000),
 		mergeCase("present-heavy", 20),
+		digestContainsCase(),
+		archiveStoreFullCase(),
+		archiveLookupCase(),
 		pubsubSteadyCase(quick),
 		pubsubInfectionCase(quick),
 		setupCase(infectionN),
@@ -468,6 +472,93 @@ func mergeCase(mix string, universe int) benchCase {
 			for i := 0; i < b.N; i++ {
 				m.ApplySubs(gossips[i%len(gossips)])
 			}
+		},
+	}
+}
+
+// The three buffer/* cells are the delivery path's buffer operations at
+// core.DefaultConfig's sizes, under an absolute ceiling of 0 allocs/op;
+// `go test -bench 'Digest|Archive' ./internal/buffer` runs the same three.
+
+// digestContainsCase is Engine.knows under a steady load: 250 origins,
+// nine lookups in ten for an id at or below its origin's watermark, the
+// rest for the next one nobody has yet.
+func digestContainsCase() benchCase {
+	return benchCase{
+		name: "buffer/digest-contains",
+		gate: true, maxAllocs: 0,
+		fn: func(b *testing.B) {
+			d := buffer.NewCompactDigest()
+			gen := rng.New(7)
+			for o := 1; o <= 250; o++ {
+				for seq := uint64(1); seq <= 8; seq++ {
+					d.Add(proto.EventID{Origin: proto.ProcessID(o), Seq: seq})
+				}
+			}
+			ids := make([]proto.EventID, 1024)
+			for i := range ids {
+				ids[i] = proto.EventID{Origin: proto.ProcessID(1 + gen.Intn(250)), Seq: uint64(1 + gen.Intn(8))}
+				if i%10 == 0 {
+					ids[i].Seq = 9
+				}
+			}
+			hits := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if d.Contains(ids[i%len(ids)]) {
+					hits++
+				}
+			}
+			b.ReportMetric(float64(hits)/float64(b.N), "hit_ratio")
+		},
+	}
+}
+
+// archiveStoreFullCase is one delivery's Store on an archive at its bound:
+// the oldest event goes, the new one takes its place.
+func archiveStoreFullCase() benchCase {
+	return benchCase{
+		name: "buffer/archive-store-full",
+		gate: true, maxAllocs: 0,
+		fn: func(b *testing.B) {
+			a := buffer.NewArchive(200)
+			seq := uint64(0)
+			store := func() {
+				seq++
+				a.Store(proto.Event{ID: proto.EventID{Origin: proto.ProcessID(seq % 250), Seq: seq}})
+			}
+			for i := 0; i < 400; i++ {
+				store()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				store()
+			}
+		},
+	}
+}
+
+// archiveLookupCase is one id of a retransmission request served from a
+// full archive; one id in four has been evicted already.
+func archiveLookupCase() benchCase {
+	return benchCase{
+		name: "buffer/archive-lookup",
+		gate: true, maxAllocs: 0,
+		fn: func(b *testing.B) {
+			a := buffer.NewArchive(200)
+			ids := make([]proto.EventID, 256)
+			for i := range ids {
+				ids[i] = proto.EventID{Origin: proto.ProcessID(i % 250), Seq: uint64(i + 1)}
+				a.Store(proto.Event{ID: ids[i]})
+			}
+			hits := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := a.Lookup(ids[i*7%len(ids)]); ok {
+					hits++
+				}
+			}
+			b.ReportMetric(float64(hits)/float64(b.N), "hit_ratio")
 		},
 	}
 }
@@ -694,26 +785,32 @@ func liveSuite(quick bool) []benchCase {
 				for i := range burst {
 					burst[i] = proto.Message{Kind: proto.GossipMsg, From: 2, To: 1, Gossip: g}
 				}
-				// await spins until the node has consumed n more gossips;
-				// Stats takes a mutex and allocates nothing.
-				await := func(n uint64) {
-					want := node.Stats().GossipsReceived + n
-					for node.Stats().GossipsReceived < want {
+				// round sends one burst and spins until the node has consumed
+				// it; Stats takes a mutex and allocates nothing. The count to
+				// wait for is cumulative from before the first send: the node
+				// may consume part of a burst before SendBatch returns, and a
+				// baseline read after the send would then wait for gossips
+				// that never come.
+				want := node.Stats().GossipsReceived
+				round := func() {
+					if err := peer.SendBatch(burst); err != nil {
+						b.Fatal(err)
+					}
+					want += uint64(len(burst))
+					deadline := time.Now().Add(10 * time.Second)
+					for spins := 1; node.Stats().GossipsReceived < want; spins++ {
+						if spins%4096 == 0 && time.Now().After(deadline) {
+							b.Fatalf("node consumed %d of %d gossips sent", node.Stats().GossipsReceived, want)
+						}
 						runtime.Gosched()
 					}
 				}
 				for i := 0; i < 4; i++ { // warm scratch buffers
-					if err := peer.SendBatch(burst); err != nil {
-						b.Fatal(err)
-					}
-					await(uint64(len(burst)))
+					round()
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := peer.SendBatch(burst); err != nil {
-						b.Fatal(err)
-					}
-					await(uint64(len(burst)))
+					round()
 				}
 				b.StopTimer()
 				b.ReportMetric(float64(len(burst)), "messages/op")

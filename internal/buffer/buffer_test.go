@@ -65,78 +65,32 @@ func TestKeyedListRemove(t *testing.T) {
 	}
 }
 
-func TestKeyedListTruncateRandom(t *testing.T) {
+func TestKeyedListTruncateRandomDiscard(t *testing.T) {
 	t.Parallel()
 	r := rng.New(1)
 	l := NewKeyedList(func(p proto.ProcessID) proto.ProcessID { return p })
 	for i := uint64(1); i <= 20; i++ {
 		l.Add(pid(i))
 	}
-	removed := l.TruncateRandom(5, r)
-	if l.Len() != 5 {
-		t.Fatalf("Len after truncate = %d", l.Len())
+	if removed := l.TruncateRandomDiscard(5, r); removed != 15 {
+		t.Fatalf("removed %d elements", removed)
 	}
-	if len(removed) != 15 {
-		t.Fatalf("removed %d elements", len(removed))
+	// The survivors are distinct members of the original set, in their
+	// original order.
+	items := l.Items()
+	if len(items) != 5 {
+		t.Fatalf("Len after truncate = %d", len(items))
 	}
-	// No element both kept and removed; union is the original set.
-	seen := map[proto.ProcessID]bool{}
-	for _, v := range append(l.Items(), removed...) {
-		if seen[v] {
-			t.Fatalf("element %v appears twice", v)
+	for i, v := range items {
+		if v < 1 || v > 20 || !l.Contains(v) || (i > 0 && v <= items[i-1]) {
+			t.Fatalf("survivors %v", items)
 		}
-		seen[v] = true
 	}
-	if len(seen) != 20 {
-		t.Fatalf("union has %d elements", len(seen))
+	if removed := l.TruncateRandomDiscard(5, r); removed != 0 {
+		t.Fatalf("truncate at the bound removed %d", removed)
 	}
-}
-
-func TestKeyedListTruncateRandomNoop(t *testing.T) {
-	t.Parallel()
-	r := rng.New(1)
-	l := NewKeyedList(func(p proto.ProcessID) proto.ProcessID { return p })
-	l.Add(1)
-	if removed := l.TruncateRandom(5, r); removed != nil {
-		t.Fatalf("truncate below max removed %v", removed)
-	}
-	if removed := l.TruncateRandom(-1, r); len(removed) != 1 {
-		t.Fatalf("truncate to negative max removed %v", removed)
-	}
-}
-
-func TestKeyedListTruncateOldest(t *testing.T) {
-	t.Parallel()
-	l := NewKeyedList(func(p proto.ProcessID) proto.ProcessID { return p })
-	for i := uint64(1); i <= 10; i++ {
-		l.Add(pid(i))
-	}
-	if removed := l.TruncateOldestDiscard(7); removed != 3 {
-		t.Fatalf("removed %d, want 3", removed)
-	}
-	if l.Contains(1) || l.Contains(3) || !l.Contains(4) || l.At(0) != 4 {
-		t.Fatalf("wrong elements evicted: left %v", l.Items())
-	}
-	if got := l.TruncateOldestDiscard(7); got != 0 {
-		t.Fatalf("second truncate removed %d", got)
-	}
-}
-
-func TestKeyedListRemoveRandom(t *testing.T) {
-	t.Parallel()
-	r := rng.New(2)
-	l := NewKeyedList(func(p proto.ProcessID) proto.ProcessID { return p })
-	if _, ok := l.RemoveRandom(r); ok {
-		t.Fatal("RemoveRandom on empty returned ok")
-	}
-	l.Add(1)
-	l.Add(2)
-	v, ok := l.RemoveRandom(r)
-	if !ok || (v != 1 && v != 2) {
-		t.Fatalf("RemoveRandom = %v,%v", v, ok)
-	}
-	if l.Len() != 1 || l.Contains(v) {
-		t.Fatal("RemoveRandom did not remove")
+	if removed := l.TruncateRandomDiscard(-1, r); removed != 5 || l.Len() != 0 {
+		t.Fatalf("truncate to negative max removed %d, left %d", removed, l.Len())
 	}
 }
 
@@ -170,7 +124,7 @@ func TestKeyedListInvariants(t *testing.T) {
 			case 2:
 				l.Remove(p)
 			case 3:
-				l.TruncateRandom(int(op%8), r)
+				l.TruncateRandomDiscard(int(op%8), r)
 			}
 		}
 		seen := map[proto.ProcessID]bool{}
@@ -279,9 +233,8 @@ func TestEventBufferTruncateRandom(t *testing.T) {
 	for i := uint64(1); i <= 30; i++ {
 		b.Add(proto.Event{ID: proto.EventID{Origin: 1, Seq: i}})
 	}
-	removed := b.TruncateRandom(10, r)
-	if b.Len() != 10 || len(removed) != 20 {
-		t.Fatalf("truncate: kept %d removed %d", b.Len(), len(removed))
+	if removed := b.TruncateRandomDiscard(10, r); b.Len() != 10 || removed != 20 {
+		t.Fatalf("truncate: kept %d removed %d", b.Len(), removed)
 	}
 }
 
@@ -390,20 +343,6 @@ func TestCompactDigestSeqZero(t *testing.T) {
 	}
 }
 
-func TestCompactDigestForget(t *testing.T) {
-	t.Parallel()
-	d := NewCompactDigest()
-	d.Add(proto.EventID{Origin: 1, Seq: 1})
-	d.Add(proto.EventID{Origin: 2, Seq: 1})
-	d.Forget(1)
-	if d.Contains(proto.EventID{Origin: 1, Seq: 1}) {
-		t.Fatal("forgotten origin still contained")
-	}
-	if d.Origins() != 1 {
-		t.Fatalf("Origins = %d", d.Origins())
-	}
-}
-
 func TestCompactDigestSummary(t *testing.T) {
 	t.Parallel()
 	d := NewCompactDigest()
@@ -494,6 +433,79 @@ func BenchmarkKeyedListTruncateRandom(b *testing.B) {
 		for j := uint64(0); j < 40; j++ {
 			l.Add(pid(j))
 		}
-		l.TruncateRandom(30, r)
+		l.TruncateRandomDiscard(30, r)
+	}
+}
+
+// The three benchmarks below are the delivery path's buffer operations at
+// core.DefaultConfig's sizes; cmd/lpbcast-bench carries the same three as
+// its buffer/* cells.
+
+// BenchmarkDigestContains is Engine.knows under a steady load: 250 origins
+// (sim-loaded-seq's publisher set), nine lookups in ten for an id at or
+// below its origin's watermark, the rest for the next one nobody has yet.
+func BenchmarkDigestContains(b *testing.B) {
+	d := NewCompactDigest()
+	r := rng.New(7)
+	ids := make([]proto.EventID, 1024)
+	for o := 1; o <= 250; o++ {
+		for seq := uint64(1); seq <= 8; seq++ {
+			d.Add(proto.EventID{Origin: pid(uint64(o)), Seq: seq})
+		}
+	}
+	for i := range ids {
+		ids[i] = proto.EventID{Origin: pid(uint64(1 + r.Intn(250))), Seq: uint64(1 + r.Intn(8))}
+		if i%10 == 0 {
+			ids[i].Seq = 9
+		}
+	}
+	hits := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if d.Contains(ids[i%len(ids)]) {
+			hits++
+		}
+	}
+	if hits > b.N {
+		b.Fatal(hits)
+	}
+}
+
+// BenchmarkArchiveStoreFull is one delivery's Store on an archive at its
+// bound: the oldest event goes, the new one takes its place.
+func BenchmarkArchiveStoreFull(b *testing.B) {
+	a := NewArchive(200)
+	seq := uint64(0)
+	for ; seq < 400; seq++ {
+		a.Store(proto.Event{ID: proto.EventID{Origin: pid(seq % 250), Seq: seq}})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seq++
+		a.Store(proto.Event{ID: proto.EventID{Origin: pid(seq % 250), Seq: seq}})
+	}
+}
+
+// BenchmarkArchiveLookup is one id of a retransmission request served from
+// a full archive; one id in four has been evicted already.
+func BenchmarkArchiveLookup(b *testing.B) {
+	a := NewArchive(200)
+	ids := make([]proto.EventID, 256)
+	for i := range ids {
+		ids[i] = proto.EventID{Origin: pid(uint64(i % 250)), Seq: uint64(i + 1)}
+		a.Store(proto.Event{ID: ids[i]})
+	}
+	hits := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := a.Lookup(ids[i*7%len(ids)]); ok {
+			hits++
+		}
+	}
+	if hits > b.N {
+		b.Fatal(hits)
 	}
 }

@@ -232,13 +232,8 @@ func (l *UnsubList) AppendFresh(dst []proto.Unsubscription, now, ttl uint64) []p
 	return dst
 }
 
-// TruncateRandom removes random entries until Len() <= max.
-func (l *UnsubList) TruncateRandom(max int, r *rng.Source) []proto.Unsubscription {
-	return l.inner.TruncateRandom(max, r)
-}
-
 // TruncateRandomDiscard removes random entries until Len() <= max,
-// returning only the count (same draws as TruncateRandom, no allocation).
+// returning only the count.
 func (l *UnsubList) TruncateRandomDiscard(max int, r *rng.Source) int {
 	return l.inner.TruncateRandomDiscard(max, r)
 }
@@ -305,13 +300,8 @@ func (b *EventBuffer) AppendItems(dst []proto.Event) []proto.Event {
 	return b.inner.AppendItems(dst)
 }
 
-// TruncateRandom removes random events until Len() <= max.
-func (b *EventBuffer) TruncateRandom(max int, r *rng.Source) []proto.Event {
-	return b.inner.TruncateRandom(max, r)
-}
-
 // TruncateRandomDiscard removes random events until Len() <= max,
-// returning only the count (same draws as TruncateRandom, no allocation).
+// returning only the count.
 func (b *EventBuffer) TruncateRandomDiscard(max int, r *rng.Source) int {
 	return b.inner.TruncateRandomDiscard(max, r)
 }
@@ -334,7 +324,7 @@ func (b *EventBuffer) Clear() { b.inner.Clear() }
 // with oldest-first eviction. This is exactly the structure whose maximum
 // size drives the reliability measurements of Fig. 6(b).
 type IDBuffer struct {
-	inner KeyedList[proto.EventID, proto.EventID]
+	inner FIFO[proto.EventID]
 }
 
 // NewIDBuffer creates an empty IDBuffer.
@@ -356,9 +346,6 @@ func (b *IDBuffer) Contains(id proto.EventID) bool { return b.inner.Contains(id)
 // Len returns the number of buffered identifiers.
 func (b *IDBuffer) Len() int { return b.inner.Len() }
 
-// IDs returns a copy of the identifiers, oldest first.
-func (b *IDBuffer) IDs() []proto.EventID { return b.inner.Items() }
-
 // AppendIDs appends the identifiers, oldest first, to dst.
 func (b *IDBuffer) AppendIDs(dst []proto.EventID) []proto.EventID {
 	return b.inner.AppendItems(dst)
@@ -367,9 +354,7 @@ func (b *IDBuffer) AppendIDs(dst []proto.EventID) []proto.EventID {
 // TruncateOldestDiscard evicts oldest identifiers until Len() <= max
 // ("remove oldest element from eventIds"), returning only the count — the
 // allocation-free path record() runs on every delivery.
-func (b *IDBuffer) TruncateOldestDiscard(max int) int {
-	return b.inner.TruncateOldestDiscard(max)
-}
+func (b *IDBuffer) TruncateOldestDiscard(max int) int { return b.inner.TruncateOldest(max) }
 
 // Grow pre-allocates capacity for n identifiers.
 func (b *IDBuffer) Grow(n int) { b.inner.Grow(n) }
@@ -380,7 +365,7 @@ func (b *IDBuffer) GrowIn(n int, p *Pools) { b.inner.GrowIn(n, &p.IDs) }
 // Archive is the bounded store of older notifications kept "only ... to
 // satisfy retransmission requests" (§3.2). Eviction is oldest-first.
 type Archive struct {
-	inner KeyedList[proto.EventID, proto.Event]
+	inner FIFO[proto.Event]
 	max   int
 }
 
@@ -405,7 +390,7 @@ func (a *Archive) Store(e proto.Event) {
 		return
 	}
 	a.inner.Add(e)
-	a.inner.TruncateOldestDiscard(a.max)
+	a.inner.TruncateOldest(a.max)
 }
 
 // Lookup returns the archived event with the given id.

@@ -26,9 +26,11 @@ import (
 const smallMax = 64
 
 // KeyedList is an insertion-ordered, duplicate-free list of values indexed
-// by a comparable key. It is the common substrate of the protocol buffers:
-// ordered iteration for FIFO eviction plus membership tests that are
-// linear scans while small and map lookups once past smallMax.
+// by a comparable key. It is the substrate of the randomly truncated
+// buffers (events, unSubs), where an eviction can strike any position:
+// a packed slice plus membership tests that are linear scans while small
+// and map lookups once past smallMax. The lists evicted oldest-first
+// (eventIds, the archive) are FIFO rings instead.
 //
 // KeyedList is not safe for concurrent use.
 type KeyedList[K comparable, V any] struct {
@@ -156,24 +158,6 @@ func (l *KeyedList[K, V]) Clear() {
 	}
 }
 
-// TruncateRandom removes uniformly chosen elements until Len() <= max,
-// returning the removed elements. This is the paper's "remove random
-// element" truncation for subs, unSubs and events.
-func (l *KeyedList[K, V]) TruncateRandom(max int, r *rng.Source) []V {
-	if max < 0 {
-		max = 0
-	}
-	var removed []V
-	for len(l.items) > max {
-		i := r.Intn(len(l.items))
-		v := l.items[i]
-		delete(l.idx, l.key(v))
-		l.items = append(l.items[:i], l.items[i+1:]...)
-		removed = append(removed, v)
-	}
-	return removed
-}
-
 // Grow pre-allocates capacity for at least n elements, so a bounded list
 // sized to its configuration bound up front never reallocates on the hot
 // path (the long convergence tail of growing thousands of per-process
@@ -221,9 +205,9 @@ func (l *KeyedList[K, V]) growIdx(n int) {
 }
 
 // TruncateRandomDiscard removes uniformly chosen elements until
-// Len() <= max, returning only how many were removed. It consumes exactly
-// the same random draws as TruncateRandom but never materializes the
-// removed elements, keeping per-message truncation allocation-free.
+// Len() <= max — the paper's "remove random element" truncation for
+// unSubs and events — returning how many were removed. The evictees are
+// not handed back, which keeps per-message truncation allocation-free.
 func (l *KeyedList[K, V]) TruncateRandomDiscard(max int, r *rng.Source) int {
 	if max < 0 {
 		max = 0
@@ -236,37 +220,4 @@ func (l *KeyedList[K, V]) TruncateRandomDiscard(max int, r *rng.Source) int {
 		n++
 	}
 	return n
-}
-
-// TruncateOldestDiscard removes elements from the front (oldest first)
-// until Len() <= max — the paper's "remove oldest element" truncation for
-// eventIds — returning how many were removed. The evictees are not handed
-// back: every caller runs once per delivery and none reads them.
-func (l *KeyedList[K, V]) TruncateOldestDiscard(max int) int {
-	if max < 0 {
-		max = 0
-	}
-	if len(l.items) <= max {
-		return 0
-	}
-	n := len(l.items) - max
-	for _, v := range l.items[:n] {
-		delete(l.idx, l.key(v))
-	}
-	l.items = append(l.items[:0], l.items[n:]...)
-	return n
-}
-
-// RemoveRandom removes and returns one uniformly chosen element. The second
-// result is false when the list is empty.
-func (l *KeyedList[K, V]) RemoveRandom(r *rng.Source) (V, bool) {
-	if len(l.items) == 0 {
-		var zero V
-		return zero, false
-	}
-	i := r.Intn(len(l.items))
-	v := l.items[i]
-	delete(l.idx, l.key(v))
-	l.items = append(l.items[:i], l.items[i+1:]...)
-	return v, true
 }

@@ -1,0 +1,463 @@
+package buffer
+
+import (
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/proto"
+	"repro/internal/rng"
+)
+
+// The references below are the digest and the two oldest-first lists as
+// they stood before the flat table and the ring: a Go map of origins each
+// holding a Go map of sparse sequence numbers, and a KeyedList truncated
+// from the front by memmove. They are kept verbatim (only renamed) because
+// they define what the fast forms must answer — every result, every order
+// — and are trivially right. Do not optimise them.
+//
+// Mutations of the fast forms these tests were seen to catch, each with a
+// printed seed: the backward shift's range test made strict or not cyclic;
+// an evicted entry left in the index (the probe for the next free position
+// then never ends); the index not rebuilt when the ring is re-laid, or not
+// told of one Add; the small-mode scan started at position 0 instead of at
+// head; the wrapped AppendItems one entry short; the window not shifted
+// when the watermark advances; the overflow set not drained into the slid
+// window; the window one position too long in Add or too short in
+// Contains; a duplicate accepted into the overflow set; Summary's sparse
+// list out of order; an origin lost in table growth. Two that only cost
+// time pass, as they should: absorbing one position per loop turn, and
+// searching the index for a ring position from 0 instead of from its home.
+
+type refDigest struct {
+	origins map[proto.ProcessID]refOriginDigest
+}
+
+type refOriginDigest struct {
+	watermark uint64 // all seq in [1..watermark] delivered
+	sparse    map[uint64]struct{}
+}
+
+func (d *refDigest) Contains(id proto.EventID) bool {
+	od, ok := d.origins[id.Origin]
+	if !ok {
+		return false
+	}
+	if id.Seq == 0 {
+		return false
+	}
+	if id.Seq <= od.watermark {
+		return true
+	}
+	_, ok = od.sparse[id.Seq]
+	return ok
+}
+
+func (d *refDigest) Add(id proto.EventID) bool {
+	if id.Seq == 0 {
+		return false
+	}
+	od := d.origins[id.Origin] // zero value for a new origin
+	if id.Seq <= od.watermark {
+		return false
+	}
+	if _, dup := od.sparse[id.Seq]; dup {
+		return false
+	}
+	if id.Seq == od.watermark+1 {
+		od.watermark++
+		// Absorb any now-contiguous sparse entries.
+		for {
+			if _, ok := od.sparse[od.watermark+1]; !ok {
+				break
+			}
+			delete(od.sparse, od.watermark+1)
+			od.watermark++
+		}
+	} else {
+		if od.sparse == nil {
+			od.sparse = make(map[uint64]struct{})
+		}
+		od.sparse[id.Seq] = struct{}{}
+	}
+	if d.origins == nil {
+		d.origins = make(map[proto.ProcessID]refOriginDigest)
+	}
+	d.origins[id.Origin] = od
+	return true
+}
+
+func (d *refDigest) SparseLen() int {
+	n := 0
+	for _, od := range d.origins {
+		n += len(od.sparse)
+	}
+	return n
+}
+
+func (d *refDigest) Origins() int { return len(d.origins) }
+
+func (d *refDigest) Watermark(origin proto.ProcessID) uint64 {
+	return d.origins[origin].watermark
+}
+
+func (d *refDigest) Summary() []DigestEntry {
+	out := make([]DigestEntry, 0, len(d.origins))
+	for origin, od := range d.origins {
+		sp := make([]uint64, 0, len(od.sparse))
+		for s := range od.sparse {
+			sp = append(sp, s)
+		}
+		sort.Slice(sp, func(i, j int) bool { return sp[i] < sp[j] })
+		out = append(out, DigestEntry{Origin: origin, Watermark: od.watermark, Sparse: sp})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Origin < out[j].Origin })
+	return out
+}
+
+// refTruncateOldest is KeyedList.TruncateOldestDiscard as it stood.
+func refTruncateOldest[K comparable, V any](l *KeyedList[K, V], max int) int {
+	if max < 0 {
+		max = 0
+	}
+	if len(l.items) <= max {
+		return 0
+	}
+	n := len(l.items) - max
+	for _, v := range l.items[:n] {
+		delete(l.idx, l.key(v))
+	}
+	l.items = append(l.items[:0], l.items[n:]...)
+	return n
+}
+
+type refIDBuffer struct {
+	inner KeyedList[proto.EventID, proto.EventID]
+}
+
+func (b *refIDBuffer) Add(id proto.EventID) bool      { return b.inner.Add(id) }
+func (b *refIDBuffer) Contains(id proto.EventID) bool { return b.inner.Contains(id) }
+func (b *refIDBuffer) Len() int                       { return b.inner.Len() }
+func (b *refIDBuffer) AppendIDs(dst []proto.EventID) []proto.EventID {
+	return b.inner.AppendItems(dst)
+}
+func (b *refIDBuffer) TruncateOldestDiscard(max int) int { return refTruncateOldest(&b.inner, max) }
+
+type refArchive struct {
+	inner KeyedList[proto.EventID, proto.Event]
+	max   int
+}
+
+func (a *refArchive) Store(e proto.Event) {
+	if a.max <= 0 {
+		return
+	}
+	a.inner.Add(e)
+	refTruncateOldest(&a.inner, a.max)
+}
+
+func (a *refArchive) Lookup(id proto.EventID) (proto.Event, bool) { return a.inner.Get(id) }
+func (a *refArchive) Len() int                                    { return a.inner.Len() }
+
+func sameSummary(a, b []DigestEntry) bool {
+	return slices.EqualFunc(a, b, func(x, y DigestEntry) bool {
+		return x.Origin == y.Origin && x.Watermark == y.Watermark && slices.Equal(x.Sparse, y.Sparse)
+	})
+}
+
+// digestPair drives a CompactDigest and the reference in lock step.
+type digestPair struct {
+	t    *testing.T
+	seed uint64
+	op   int
+	got  CompactDigest
+	want refDigest
+}
+
+// add applies one Add to both and compares everything observable about
+// the id and its origin; whole also compares SparseLen and Summary, which
+// walk every origin.
+func (p *digestPair) add(id proto.EventID, whole bool) {
+	p.t.Helper()
+	p.op++
+	if g, w := p.got.Add(id), p.want.Add(id); g != w {
+		p.t.Fatalf("seed %d op %d: Add(%v) = %v, reference %v", p.seed, p.op, id, g, w)
+	}
+	// The id itself, its neighbours, and the edges of the window and of
+	// the overflow set around the origin's watermark.
+	wm := p.want.Watermark(id.Origin)
+	for _, seq := range []uint64{id.Seq, id.Seq - 1, id.Seq + 1, 0, 1, wm, wm + 1, wm + 2, wm + 63, wm + 64, wm + 65, wm + 66, wm + 1<<40} {
+		q := proto.EventID{Origin: id.Origin, Seq: seq}
+		if g, w := p.got.Contains(q), p.want.Contains(q); g != w {
+			p.t.Fatalf("seed %d op %d: after Add(%v) Contains(%v) = %v, reference %v", p.seed, p.op, id, q, g, w)
+		}
+	}
+	if g := p.got.Watermark(id.Origin); g != wm {
+		p.t.Fatalf("seed %d op %d: Watermark(%d) = %d, reference %d", p.seed, p.op, id.Origin, g, wm)
+	}
+	if g, w := p.got.Origins(), p.want.Origins(); g != w {
+		p.t.Fatalf("seed %d op %d: Origins = %d, reference %d", p.seed, p.op, g, w)
+	}
+	if !whole {
+		return
+	}
+	if g, w := p.got.SparseLen(), p.want.SparseLen(); g != w {
+		p.t.Fatalf("seed %d op %d: SparseLen = %d, reference %d", p.seed, p.op, g, w)
+	}
+	if g, w := p.got.Summary(), p.want.Summary(); !sameSummary(g, w) {
+		p.t.Fatalf("seed %d op %d: after Add(%v) Summary = %+v, reference %+v", p.seed, p.op, id, g, w)
+	}
+}
+
+// TestCompactDigestOracle compares the flat table against the map of maps
+// after every op of long random sequences. Sequence numbers are drawn
+// around each origin's watermark, so that in-order deliveries, window bits
+// on either side of the bitmap's last position, the overflow set, its
+// migration back into the window, duplicates of all three kinds and seq 0
+// all occur; the origin universes run from one origin (origin 0 among
+// them, and ids that share their low bits) to enough for nine table
+// doublings.
+func TestCompactDigestOracle(t *testing.T) {
+	t.Parallel()
+	offsets := []uint64{1, 1, 1, 1, 2, 2, 3, 5, 17, 63, 64, 65, 66, 130, 1 << 40}
+	for seed := uint64(1); seed <= 160; seed++ {
+		r := rng.New(seed)
+		universe := []int{1, 3, 40, 700}[seed%4]
+		origins := make([]proto.ProcessID, universe)
+		for i := range origins {
+			switch r.Intn(3) {
+			case 0:
+				origins[i] = proto.ProcessID(i) // origin 0 included
+			case 1:
+				origins[i] = proto.ProcessID(r.Uint64())
+			default:
+				origins[i] = proto.ProcessID(uint64(i) << 32) // equal low bits
+			}
+		}
+		p := digestPair{t: t, seed: seed}
+		ops := 400 + 6*universe
+		for i := 0; i < ops; i++ {
+			origin := origins[r.Intn(universe)]
+			wm := p.want.Watermark(origin)
+			var seq uint64
+			switch r.Intn(12) {
+			case 0:
+				seq = 0
+			case 1:
+				seq = 1 + uint64(r.Intn(int(wm)+70)) // anywhere up to just past the window
+			default:
+				seq = wm + offsets[r.Intn(len(offsets))]
+			}
+			p.add(proto.EventID{Origin: origin, Seq: seq}, universe <= 3 || i%(universe/8) == 0 || i == ops-1)
+		}
+	}
+}
+
+// TestCompactDigestWindowEdges walks the boundaries by hand: the window's
+// first and last positions, the first overflow position, and one absorption
+// that crosses the bitmap boundary and pulls the overflow set back in.
+func TestCompactDigestWindowEdges(t *testing.T) {
+	t.Parallel()
+	for _, origin := range []proto.ProcessID{0, 7} {
+		p := digestPair{t: t}
+		id := func(seq uint64) proto.EventID { return proto.EventID{Origin: origin, Seq: seq} }
+		p.add(id(0), true)
+		for seq := uint64(1); seq <= 10; seq++ {
+			p.add(id(seq), true) // watermark 10
+		}
+		for _, past := range []uint64{63, 64, 65, 1 << 40} {
+			p.add(id(10+past), true)
+			p.add(id(10+past), true) // duplicate in window, at its edge, in the overflow set
+		}
+		for seq := uint64(12); seq <= 10+66; seq++ {
+			p.add(id(seq), true) // fills the window and two overflow positions
+		}
+		// One delivery absorbs all 64 window positions; the slide must take
+		// 75 and 76 out of the overflow set and absorb them too.
+		p.add(id(11), true)
+		if got := p.got.Watermark(origin); got != 76 {
+			t.Fatalf("origin %d: watermark %d after the absorbing delivery, want 76", origin, got)
+		}
+		if got := p.got.SparseLen(); got != 1 { // 10 + 2^40 stays out of reach
+			t.Fatalf("origin %d: SparseLen %d, want 1", origin, got)
+		}
+	}
+}
+
+// fifoPair drives an IDBuffer and an Archive holding the same ids, and
+// their references, in lock step.
+type fifoPair struct {
+	t       *testing.T
+	seed    uint64
+	op      int
+	ids     IDBuffer
+	refIDs  refIDBuffer
+	arch    Archive
+	refArch refArchive
+	scratch []proto.EventID
+}
+
+func newFIFOPair(t *testing.T, seed uint64, archiveMax int) *fifoPair {
+	p := &fifoPair{t: t, seed: seed}
+	p.ids.Init()
+	p.refIDs.inner.Init(idKey)
+	p.arch.Init(archiveMax)
+	p.refArch.inner.Init(eventKey)
+	p.refArch.max = archiveMax
+	return p
+}
+
+func eventOf(id proto.EventID) proto.Event {
+	return proto.Event{ID: id, Payload: []byte{byte(id.Seq), byte(id.Origin)}}
+}
+
+func (p *fifoPair) add(id proto.EventID) {
+	p.t.Helper()
+	p.op++
+	if g, w := p.ids.Add(id), p.refIDs.Add(id); g != w {
+		p.t.Fatalf("seed %d op %d: IDBuffer.Add(%v) = %v, reference %v", p.seed, p.op, id, g, w)
+	}
+	p.arch.Store(eventOf(id))
+	p.refArch.Store(eventOf(id))
+	p.check(id)
+}
+
+func (p *fifoPair) truncate(max int) {
+	p.t.Helper()
+	p.op++
+	if g, w := p.ids.TruncateOldestDiscard(max), p.refIDs.TruncateOldestDiscard(max); g != w {
+		p.t.Fatalf("seed %d op %d: TruncateOldestDiscard(%d) = %d, reference %d", p.seed, p.op, max, g, w)
+	}
+	p.check(proto.EventID{})
+}
+
+// check compares lengths, full oldest-first order, and membership and
+// lookup of probe and of every id either side holds or just lost.
+func (p *fifoPair) check(probe proto.EventID) {
+	p.t.Helper()
+	if g, w := p.ids.Len(), p.refIDs.Len(); g != w {
+		p.t.Fatalf("seed %d op %d: IDBuffer.Len = %d, reference %d", p.seed, p.op, g, w)
+	}
+	if g, w := p.arch.Len(), p.refArch.Len(); g != w {
+		p.t.Fatalf("seed %d op %d: Archive.Len = %d, reference %d", p.seed, p.op, g, w)
+	}
+	before := p.scratch // the ids held before this op: the evictees are among them
+	want := p.refIDs.AppendIDs(nil)
+	if got := p.ids.AppendIDs(nil); !slices.Equal(got, want) {
+		p.t.Fatalf("seed %d op %d: AppendIDs = %v, reference %v", p.seed, p.op, got, want)
+	}
+	for i, id := range want {
+		if got := p.ids.inner.At(i); got != id {
+			p.t.Fatalf("seed %d op %d: At(%d) = %v, reference %v", p.seed, p.op, i, got, id)
+		}
+	}
+	archGot := p.arch.inner.AppendItems(nil)
+	if !slices.EqualFunc(archGot, p.refArch.inner.items, func(a, b proto.Event) bool { return a.ID == b.ID }) {
+		p.t.Fatalf("seed %d op %d: archive order = %v, reference %v", p.seed, p.op, archGot, p.refArch.inner.items)
+	}
+	probes := append(append(before, want...), probe)
+	if len(probes) > 40 && p.op%16 != 0 {
+		// A long list is probed whole every sixteenth op, otherwise at both
+		// ends of what it held and holds: the evictees and the newcomers.
+		probes = append(append(ends(before), ends(want)...), probe)
+	}
+	for _, id := range probes {
+		if g, w := p.ids.Contains(id), p.refIDs.Contains(id); g != w {
+			p.t.Fatalf("seed %d op %d: IDBuffer.Contains(%v) = %v, reference %v", p.seed, p.op, id, g, w)
+		}
+		g, gok := p.arch.Lookup(id)
+		w, wok := p.refArch.Lookup(id)
+		if gok != wok || g.ID != w.ID || !slices.Equal(g.Payload, w.Payload) {
+			p.t.Fatalf("seed %d op %d: Archive.Lookup(%v) = %v,%v, reference %v,%v", p.seed, p.op, id, g, gok, w, wok)
+		}
+	}
+	p.scratch = append(p.scratch[:0], want...)
+}
+
+// ends returns a copy of the first and last three ids of s.
+func ends(s []proto.EventID) []proto.EventID {
+	if len(s) <= 6 {
+		return slices.Clone(s)
+	}
+	return append(slices.Clone(s[:3]), s[len(s)-3:]...)
+}
+
+// TestFIFOOracle compares the ring-backed IDBuffer and Archive against
+// their KeyedList forms after every op of long random sequences: adds of
+// fresh, held and long-evicted ids; truncation to bounds on both sides of
+// the index-free mode, to zero and below; stretches without truncation
+// that grow a wrapped ring; pre-sizing in mid-life. With bounds of 1 and 2
+// the ring wraps hundreds of times per sequence, with 200 a few dozen.
+func TestFIFOOracle(t *testing.T) {
+	t.Parallel()
+	bounds := []int{-3, 0, 1, 2, 7, 9, 60, 200}
+	for seed := uint64(1); seed <= 64; seed++ {
+		r := rng.New(seed)
+		bound := bounds[seed%uint64(len(bounds))]
+		p := newFIFOPair(t, seed, bound)
+		next := uint64(0)
+		origins := 1 + r.Intn(5)
+		ops := 600
+		if bound == 200 {
+			ops = 3000
+		}
+		for i := 0; i < ops; i++ {
+			switch k := r.Intn(40); {
+			case k < 30: // the delivery path: add, then hold the bound
+				next++
+				p.add(proto.EventID{Origin: proto.ProcessID(r.Intn(origins)), Seq: next})
+				if k < 27 {
+					p.truncate(bound)
+				}
+			case k < 34: // an id added before: still held, or evicted long ago
+				p.add(proto.EventID{Origin: proto.ProcessID(r.Intn(origins)), Seq: 1 + uint64(r.Intn(int(next)+1))})
+				p.truncate(bound)
+			case k < 36:
+				p.truncate(bounds[r.Intn(len(bounds))])
+			case k < 38:
+				p.ids.Grow(r.Intn(300))
+				p.check(proto.EventID{})
+			default:
+				var pools Pools
+				p.ids.GrowIn(r.Intn(300), &pools)
+				p.check(proto.EventID{})
+			}
+		}
+	}
+}
+
+// TestFIFOIndexWrap aims at the backward-shift deletion: keys are chosen
+// by their hash so that one probe run starts in the last positions of the
+// index and wraps to its first, then every entry of the run is evicted in
+// turn while later ones must stay reachable.
+func TestFIFOIndexWrap(t *testing.T) {
+	t.Parallel()
+	const ring, idxLen = 32, 64
+	shift := 32 - 6
+	byHome := map[uint32][]proto.EventID{}
+	for seq := uint64(1); len(byHome[idxLen-1]) < 4 || len(byHome[idxLen-2]) < 4 || len(byHome[0]) < 3 || len(byHome[1]) < 3; seq++ {
+		id := proto.EventID{Origin: 5, Seq: seq}
+		h := hashID(id) >> shift
+		byHome[h] = append(byHome[h], id)
+	}
+	// Interleave the homes so that entries displaced past the table end sit
+	// between ones at home, in every eviction order the three rotations give.
+	var run []proto.EventID
+	for i := 0; i < 3; i++ {
+		run = append(run, byHome[idxLen-2][i], byHome[0][i], byHome[idxLen-1][i], byHome[1][i])
+	}
+	run = append(run, byHome[idxLen-1][3], byHome[idxLen-2][3])
+	for rot := 0; rot < 3; rot++ {
+		p := newFIFOPair(t, uint64(rot), ring)
+		p.ids.Grow(ring)
+		for i := range run {
+			p.add(run[(i+rot*5)%len(run)])
+		}
+		if len(p.ids.inner.idx) != idxLen {
+			t.Fatalf("index has %d positions, the keys were chosen for %d", len(p.ids.inner.idx), idxLen)
+		}
+		for n := len(run) - 1; n >= 0; n-- {
+			p.truncate(n)
+		}
+	}
+}

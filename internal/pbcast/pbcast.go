@@ -137,7 +137,7 @@ type Node struct {
 	cfg     Config
 	mem     *membership.Manager // nil in TotalView mode
 	total   []proto.ProcessID   // static membership in TotalView mode
-	store   *buffer.KeyedList[proto.EventID, *storedMsg]
+	store   *buffer.FIFO[*storedMsg]
 	deliver Deliverer
 	rng     *rng.Source
 
@@ -176,7 +176,7 @@ func New(self proto.ProcessID, cfg Config, deliver Deliverer, r *rng.Source) (*N
 	n := &Node{
 		self:    self,
 		cfg:     cfg,
-		store:   buffer.NewKeyedList(func(m *storedMsg) proto.EventID { return m.event.ID }),
+		store:   buffer.NewFIFO(func(m *storedMsg) proto.EventID { return m.event.ID }),
 		deliver: deliver,
 		rng:     r,
 	}
@@ -281,7 +281,7 @@ func (n *Node) receiveMessage(ev proto.Event, hops int) {
 	}
 	n.stats.MessagesDelivered++
 	n.store.Add(&storedMsg{event: ev, hops: hops})
-	n.store.TruncateOldestDiscard(n.cfg.MaxStore)
+	n.store.TruncateOldest(n.cfg.MaxStore)
 	if n.deliver != nil {
 		n.deliver(ev)
 	}
