@@ -91,9 +91,12 @@ type Config struct {
 	// request was sent is re-requested — from the Logger when one is
 	// configured, otherwise from a fresh random view member (the original
 	// digest sender may have evicted the notification from its archive).
-	// The unit is whatever `now` the driver ticks with: gossip rounds on
-	// the round clock, virtual milliseconds on the event clock. The timer
-	// fires on the periodic tick, so resolution is one gossip period; at
+	// The unit is whatever `now` the driver ticks with. The simulator ticks
+	// engines with the period number on both of its clocks, so there the
+	// unit is gossip periods — 2 means two periods on ClockEvent with
+	// PeriodMs=100 just as on ClockRounds, not 2 virtual ms; the topic bus
+	// ticks with its step, a live node with milliseconds since start. The
+	// timer fires on the periodic tick, so resolution is one gossip period; at
 	// most one re-request message is emitted per period, carrying up to
 	// MaxRetransmitPerGossip ids. 0 disables the timer (a lost request or
 	// reply then loses the pull forever, the pre-timer behavior). Requires
@@ -242,6 +245,13 @@ const maxPendingRetransmits = 1024
 // maxRetransmitAttempts bounds how many times one id is re-requested
 // before the engine gives up on pulling it.
 const maxRetransmitAttempts = 8
+
+// maxPullRoom bounds what handleGossip sets aside for a pull request on the
+// first miss. Under load nineteen pulls in twenty ask for at most four ids
+// of a digest of sixty (more than half for one), so four is where one
+// allocation replaces append's 1→2→4 at about the same bytes; room for the
+// whole digest measured 2.7 % slower on sim-loaded-seq.
+const maxPullRoom = 4
 
 // New creates an engine for process self. deliver may be nil (deliveries
 // are then only counted).
@@ -472,8 +482,12 @@ func (e *Engine) handleGossip(out []proto.Message, g proto.Gossip, now uint64) [
 		e.bufferForForwarding(ev.Clone())
 	}
 
-	// Digest: watermark entries (compact mode) then individual ids.
+	// Digest: watermark entries (compact mode) then individual ids. The
+	// request is allocated once, on the first miss, with room for the
+	// entries the digest has yet to offer (a watermark entry counts once) up
+	// to maxPullRoom; the rare larger pull grows the slice as append does.
 	var missing []proto.EventID
+	room := len(g.DigestWatermarks) + len(g.Digest)
 	seen := func(id proto.EventID) {
 		if !validID(id) || e.knows(id) {
 			return
@@ -486,9 +500,18 @@ func (e *Engine) handleGossip(out []proto.Message, g proto.Gossip, now uint64) [
 			e.deliverEvent(ev)
 			e.bufferForForwarding(ev)
 		case e.cfg.Retransmit:
-			if e.cfg.MaxRetransmitPerGossip == 0 || len(missing) < e.cfg.MaxRetransmitPerGossip {
-				missing = append(missing, id)
+			limit := e.cfg.MaxRetransmitPerGossip
+			if limit > 0 && len(missing) >= limit {
+				return
 			}
+			if missing == nil {
+				room = min(room, maxPullRoom)
+				if limit > 0 {
+					room = min(room, limit)
+				}
+				missing = make([]proto.EventID, 0, room)
+			}
+			missing = append(missing, id)
 		}
 	}
 	for _, wm := range g.DigestWatermarks {
@@ -496,9 +519,11 @@ func (e *Engine) handleGossip(out []proto.Message, g proto.Gossip, now uint64) [
 		// chase the ones we do not know, bounded to avoid unbounded loops
 		// on a hostile or corrupt watermark.
 		e.expandWatermark(wm, seen)
+		room--
 	}
 	for _, id := range g.Digest {
 		seen(id)
+		room--
 	}
 
 	if len(missing) == 0 {

@@ -116,8 +116,8 @@ func bufferPressure() Scenario {
 
 // retransmitStorm runs the gossip-pull path under ε=0.35 loss with an
 // aggressive 2-round re-request timeout: requests, serves, misses, and
-// timeout re-arms all fire heavily. RetransmitTimeout counts in "now"
-// units, so this scenario is meaningful on the round clock only.
+// timeout re-arms all fire heavily. RetransmitTimeout counts in the "now"
+// the simulator ticks engines with: periods, on either clock.
 func retransmitStorm() Scenario {
 	cfg := core.DefaultConfig()
 	cfg.Retransmit = true

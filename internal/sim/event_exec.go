@@ -58,13 +58,7 @@ const (
 // deterministic enqueue order.
 func (c *Cluster) drainArrivalsAt(at uint64, msgs []proto.Message, dests []int) ([]proto.Message, []int) {
 	c.armed[at%uint64(len(c.armed))] = false
-	for _, m := range c.fl.drain(at) {
-		if di, ok := c.arrive(m); ok {
-			msgs = append(msgs, m)
-			dests = append(dests, di)
-		}
-	}
-	return msgs, dests
+	return c.settleArrivals(at, msgs, dests)
 }
 
 // poisonInflight poisons the slot storage behind every arrival the

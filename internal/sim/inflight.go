@@ -1,6 +1,12 @@
 package sim
 
-import "repro/internal/proto"
+import (
+	"bytes"
+	"fmt"
+	"slices"
+
+	"repro/internal/proto"
+)
 
 // This file implements the deterministic in-flight queue behind the
 // network delay model: messages whose link delay is nonzero leave the
@@ -20,92 +26,121 @@ import "repro/internal/proto"
 //
 // Allocation. The engines recycle their emission buffers (emission-reuse
 // mode), so a message outlives its round only if the queue deep-copies it.
-// Storage slots — the gossip value, its backing slices, and a flat payload
-// arena — live in one queue-wide pool: enqueue loans a slot from the pool,
-// drain parks it on the spent list, and recycle (called once per round,
-// after every consumer is done with the round's arrivals) returns it.
-// Pooling matters on the event clock, where arrival instants are not
-// periodic modulo the ring size: per-bucket slot storage would keep
-// hitting fresh per-bucket occupancy maxima forever, while the pool (and
-// the queue-wide drain scratch) stabilize at the global high-water mark.
-// Slots grow during warmup; in steady state enqueue, drain, poison, and
-// recycle touch no allocator (the steady-delayed-round and
-// steady-event-round bench entries and TestDelayedRoundAllocs /
-// TestEventRoundAllocs gate this).
+// The copy has two parts. An envelope (flSlot) is per message: addressing,
+// and the request or reply a retransmission carries. A body (flBody) is per
+// gossip emission: the F envelopes one committed tick sends into the ring
+// point at one copy of its gossip, which receivers only read. Both live in
+// queue-wide pools: enqueue loans them out, drain parks an envelope on the
+// spent list — and its body too, once no envelope still in the ring points
+// at it — and recycle (called once per round, after every consumer is done
+// with the round's arrivals) returns them. Pooling matters on the event
+// clock, where arrival instants are not periodic modulo the ring size:
+// per-bucket storage would keep hitting fresh per-bucket occupancy maxima
+// forever, while the pools stabilize at the global high-water mark. They
+// grow during warmup; in steady state enqueue, drain, poison, and recycle
+// touch no allocator (the steady-delayed-round and steady-event-round
+// bench entries and TestDelayedRoundAllocs / TestEventRoundAllocs gate
+// this).
+//
+// Which envelopes share. An engine in emission-reuse mode rewrites the same
+// *proto.Gossip every tick, so the pointer alone does not name a gossip's
+// contents; the pointer and the period do, because every executor commits
+// at most one emission per engine per period (an aborted speculative
+// compose is never classified, and TestOneEmissionPerPeriod pins it on all
+// eight paths). enqueue therefore shares a body only with the envelope
+// enqueued just before it, and only when both the gossip pointer and the
+// period match. Nothing stops a foreign sim.Process from rewriting one
+// *proto.Gossip between two messages of a tick, or a future executor from
+// committing twice; under PoisonRecycled (inflightQueue.check) enqueue
+// compares the incoming gossip with the body it is about to share and
+// panics on a difference, so the invariant is checked wherever poisoning is.
 
-// flSlot is the recycled deep-copy storage for one in-flight message,
-// intrusively linked into its arrival bucket's list while loaned out.
-type flSlot struct {
-	msg     proto.Message // slot-backed envelope, valid while loaned
-	next    *flSlot
+// flBody is the recycled deep copy of one gossip emission.
+type flBody struct {
 	gossip  proto.Gossip
+	payload []byte // flat arena for the events' payload bytes
+	refs    int    // envelopes still in the ring that carry this body
+}
+
+// flSlot is the recycled storage for one in-flight envelope, intrusively
+// linked into its arrival bucket's list while loaned out.
+type flSlot struct {
+	msg     proto.Message // slot- and body-backed envelope, valid while loaned
+	next    *flSlot
+	body    *flBody // msg.Gossip's storage; nil for a request or reply
 	request []proto.EventID
 	reply   []proto.Event
 	hops    []uint32
-	payload []byte // flat arena for event payload bytes
+	payload []byte // flat arena for the reply's payload bytes
 }
 
-// copyEvents deep-copies events into dst, parking payload bytes in the
-// slot's arena. The caller has pre-sized the arena for every payload of
-// the message, so the appends below can never reallocate it (sub-slices
-// handed out earlier stay valid).
-func (s *flSlot) copyEvents(dst, src []proto.Event) []proto.Event {
+// copyEvents deep-copies src into dst, parking payload bytes in a fresh
+// use of arena, which it first sizes for all of them so that the appends
+// can never reallocate it (sub-slices handed out earlier stay valid).
+func copyEvents(arena []byte, dst, src []proto.Event) ([]byte, []proto.Event) {
+	need := 0
+	for _, e := range src {
+		need += len(e.Payload)
+	}
+	if cap(arena) < need {
+		arena = make([]byte, 0, need)
+	}
+	arena = arena[:0]
 	for _, e := range src {
 		out := proto.Event{ID: e.ID}
 		if e.Payload != nil {
-			start := len(s.payload)
-			s.payload = append(s.payload, e.Payload...)
-			out.Payload = s.payload[start:len(s.payload):len(s.payload)]
+			start := len(arena)
+			arena = append(arena, e.Payload...)
+			out.Payload = arena[start:len(arena):len(arena)]
 		}
 		dst = append(dst, out)
 	}
-	return dst
+	return arena, dst
 }
 
-// copyMessage deep-copies m into the slot's recycled storage and returns
-// the slot-backed envelope. Nothing in the result aliases caller-owned
+// copyGossip deep-copies g into the body's recycled storage.
+func (b *flBody) copyGossip(g *proto.Gossip) {
+	dst := &b.gossip
+	dst.From = g.From
+	dst.Subs = append(dst.Subs[:0], g.Subs...)
+	dst.Unsubs = append(dst.Unsubs[:0], g.Unsubs...)
+	dst.Digest = append(dst.Digest[:0], g.Digest...)
+	dst.DigestWatermarks = append(dst.DigestWatermarks[:0], g.DigestWatermarks...)
+	b.payload, dst.Events = copyEvents(b.payload, dst.Events[:0], g.Events)
+}
+
+func sameEvents(a, b []proto.Event) bool {
+	return slices.EqualFunc(a, b, func(x, y proto.Event) bool {
+		return x.ID == y.ID && bytes.Equal(x.Payload, y.Payload)
+	})
+}
+
+// sameGossip is deep equality of two gossips, an empty slice equal to a nil
+// one: recycled storage never told them apart.
+func sameGossip(g, h *proto.Gossip) bool {
+	return g.From == h.From && slices.Equal(g.Subs, h.Subs) && slices.Equal(g.Unsubs, h.Unsubs) &&
+		slices.Equal(g.Digest, h.Digest) && slices.Equal(g.DigestWatermarks, h.DigestWatermarks) &&
+		sameEvents(g.Events, h.Events)
+}
+
+// copyEnvelope makes s.msg a deep copy of everything of m but its gossip,
+// backed by the slot's recycled storage. Nothing in it aliases caller-owned
 // memory, so the original (an engine's recycled emission scratch, a
 // response span, ...) is free to be rewritten the moment the call returns.
-func (s *flSlot) copyMessage(m proto.Message) proto.Message {
-	need := 0
-	if m.Gossip != nil {
-		for _, e := range m.Gossip.Events {
-			need += len(e.Payload)
-		}
-	}
-	for _, e := range m.Reply {
-		need += len(e.Payload)
-	}
-	if cap(s.payload) < need {
-		s.payload = make([]byte, 0, need)
-	} else {
-		s.payload = s.payload[:0]
-	}
-
-	out := proto.Message{Kind: m.Kind, From: m.From, To: m.To, Subscriber: m.Subscriber}
-	if g := m.Gossip; g != nil {
-		dst := &s.gossip
-		dst.From = g.From
-		dst.Subs = append(dst.Subs[:0], g.Subs...)
-		dst.Unsubs = append(dst.Unsubs[:0], g.Unsubs...)
-		dst.Digest = append(dst.Digest[:0], g.Digest...)
-		dst.DigestWatermarks = append(dst.DigestWatermarks[:0], g.DigestWatermarks...)
-		dst.Events = s.copyEvents(dst.Events[:0], g.Events)
-		out.Gossip = dst
-	}
+func (s *flSlot) copyEnvelope(m *proto.Message) {
+	s.msg = proto.Message{Kind: m.Kind, From: m.From, To: m.To, Subscriber: m.Subscriber}
 	if m.Request != nil {
 		s.request = append(s.request[:0], m.Request...)
-		out.Request = s.request
+		s.msg.Request = s.request
 	}
 	if m.Reply != nil {
-		s.reply = s.copyEvents(s.reply[:0], m.Reply)
-		out.Reply = s.reply
+		s.payload, s.reply = copyEvents(s.payload, s.reply[:0], m.Reply)
+		s.msg.Reply = s.reply
 	}
 	if m.ReplyHops != nil {
 		s.hops = append(s.hops[:0], m.ReplyHops...)
-		out.ReplyHops = s.hops
+		s.msg.ReplyHops = s.hops
 	}
-	return out
 }
 
 // flBucket holds the messages arriving at one future round (or instant,
@@ -116,12 +151,22 @@ type flBucket struct {
 }
 
 // inflightQueue is the ring of future-round buckets plus the queue-wide
-// slot pool.
+// slot and body pools.
 type inflightQueue struct {
-	buckets []flBucket
-	pool    []*flSlot       // free slots, LIFO
-	spent   []*flSlot       // drained this round; recycled at end of round
-	scratch []proto.Message // drain's reusable result slice
+	buckets     []flBucket
+	pool        []*flSlot // free slots, LIFO
+	spent       []*flSlot // drained this round; recycled at end of round
+	bodies      []*flBody // free bodies, LIFO
+	spentBodies []*flBody // last envelope drained this round; recycled with spent
+
+	// The emission the last gossip envelope belonged to, and its body while
+	// an envelope in the ring still carries it.
+	lastGossip *proto.Gossip
+	lastPeriod uint64
+	lastBody   *flBody
+
+	// check (PoisonRecycled) makes enqueue verify every sharing decision.
+	check bool
 }
 
 // newInflight creates a ring covering delays up to maxDelay rounds.
@@ -134,17 +179,34 @@ func (q *inflightQueue) bucket(at uint64) *flBucket {
 	return &q.buckets[at%uint64(len(q.buckets))]
 }
 
-// enqueue parks a deep copy of m for arrival at round at. The caller
-// guarantees now < at <= now+maxDelay, so the target bucket can never be
-// the one currently draining.
-func (q *inflightQueue) enqueue(m proto.Message, at uint64) {
+// enqueue parks a deep copy of m, emitted in period period, for arrival at
+// round (or instant) at. The caller guarantees now < at <= now+maxDelay, so
+// the target bucket can never be the one currently draining.
+func (q *inflightQueue) enqueue(m *proto.Message, at, period uint64) {
 	var s *flSlot
 	if n := len(q.pool) - 1; n >= 0 {
 		s, q.pool = q.pool[n], q.pool[:n]
 	} else {
 		s = new(flSlot) // warmup growth only
 	}
-	s.msg = s.copyMessage(m)
+	s.copyEnvelope(m)
+	if g := m.Gossip; g != nil {
+		b := q.lastBody
+		if b == nil || g != q.lastGossip || period != q.lastPeriod {
+			if n := len(q.bodies) - 1; n >= 0 {
+				b, q.bodies = q.bodies[n], q.bodies[:n]
+			} else {
+				b = new(flBody) // warmup growth only
+			}
+			b.copyGossip(g)
+			q.lastGossip, q.lastPeriod, q.lastBody = g, period, b
+		} else if q.check && !sameGossip(&b.gossip, g) {
+			panic(fmt.Sprintf("sim: process %d sent two different gossips through one *proto.Gossip in period %d; the in-flight ring shares one copy per emission", m.From, period))
+		}
+		b.refs++
+		s.body = b
+		s.msg.Gossip = &b.gossip
+	}
 	s.next = nil
 	b := q.bucket(at)
 	if b.tail == nil {
@@ -155,39 +217,52 @@ func (q *inflightQueue) enqueue(m proto.Message, at uint64) {
 	b.tail = s
 }
 
-// drain returns the messages arriving at round now, in enqueue order, and
-// empties the bucket, parking its slots on the spent list. The returned
-// slice is the queue's recycled scratch — the next drain call overwrites
-// it — and the slot storage behind the messages stays valid until recycle
-// runs at the end of the round; consumers must finish with both within the
-// round, exactly like any other recycled round buffer. PoisonRecycled
-// enforces that by poisoning the spent slots at the end of the round.
-func (q *inflightQueue) drain(now uint64) []proto.Message {
+// drain appends the messages arriving at round now to dst, in enqueue
+// order, and empties the bucket, parking its slots — and every body whose
+// last envelope this is — on the spent lists. The storage behind the
+// messages stays valid until recycle runs at the end of the round;
+// consumers must finish with it within the round, exactly like any other
+// recycled round buffer. PoisonRecycled enforces that by poisoning the
+// spent storage at the end of the round.
+func (q *inflightQueue) drain(now uint64, dst []proto.Message) []proto.Message {
 	b := q.bucket(now)
-	q.scratch = q.scratch[:0]
 	for s := b.head; s != nil; s = s.next {
-		q.scratch = append(q.scratch, s.msg)
+		dst = append(dst, s.msg)
 		q.spent = append(q.spent, s)
+		if body := s.body; body != nil {
+			s.body = nil
+			if body.refs--; body.refs == 0 {
+				q.spentBodies = append(q.spentBodies, body)
+				if body == q.lastBody {
+					q.lastBody = nil // a later envelope of the emission copies afresh
+				}
+			}
+		}
 	}
 	b.head, b.tail = nil, nil
-	return q.scratch
+	return dst
 }
 
-// recycle returns the round's spent slots to the pool. Every executor
-// calls it exactly once per round/period, after the last consumer of the
-// round's arrivals (and any poisoning) is done.
+// recycle returns the round's spent slots and bodies to their pools. Every
+// executor calls it exactly once per round/period, after the last consumer
+// of the round's arrivals (and any poisoning) is done.
 func (q *inflightQueue) recycle() {
 	q.pool = append(q.pool, q.spent...)
 	q.spent = q.spent[:0]
+	q.bodies = append(q.bodies, q.spentBodies...)
+	q.spentBodies = q.spentBodies[:0]
 }
 
-// poisonSpent overwrites the storage of every slot drained this round with
-// sentinel values (see poisonMessages): any consumer still holding an
-// arrival past its round diverges loudly instead of reading stale data.
-// Loaned slots are untouched — their contents are live.
+// poisonSpent overwrites the storage of every slot and body spent this
+// round with sentinel values (see poisonMessages): any consumer still
+// holding an arrival past its round diverges loudly instead of reading
+// stale data. Loaned storage is untouched — its contents are live, and a
+// body stays loaned for as long as one envelope in the ring carries it.
 func (q *inflightQueue) poisonSpent() {
+	for _, b := range q.spentBodies {
+		poisonGossip(&b.gossip)
+	}
 	for _, s := range q.spent {
-		poisonGossip(&s.gossip)
 		for i := range s.request {
 			s.request[i] = poisonEventID
 		}

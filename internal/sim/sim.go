@@ -479,6 +479,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 			span = c.maxDelayMs
 		}
 		c.fl = newInflight(span)
+		c.fl.check = opts.PoisonRecycled
 		if c.clockEvent {
 			c.armed = make([]bool, span+1)
 		}
@@ -686,7 +687,7 @@ func (c *Cluster) classify(m proto.Message) (int, bool) {
 				// span). The instant is strictly after nowMs, and nowMs never
 				// trails the wheel, so the Schedule guard holds.
 				at := c.nowMs + uint64(d)*c.unitMs
-				c.fl.enqueue(m, at)
+				c.fl.enqueue(&m, at, c.now)
 				c.net.InFlight++
 				if b := at % uint64(len(c.armed)); !c.armed[b] {
 					c.armed[b] = true
@@ -694,7 +695,7 @@ func (c *Cluster) classify(m proto.Message) (int, bool) {
 				}
 				return -1, false
 			}
-			c.fl.enqueue(m, c.now+uint64(d))
+			c.fl.enqueue(&m, c.now+uint64(d), c.now)
 			c.net.InFlight++
 			return -1, false
 		}
@@ -717,15 +718,15 @@ func (c *Cluster) linkClass(src, dst proto.ProcessID) fault.LinkClass {
 // was in the air) or Delivered (+DeliveredLate). Partition, loss, and
 // unknown-destination filtering already happened at send time in classify,
 // and none of it draws randomness here, so arrivals perturb no stream.
-func (c *Cluster) arrive(m proto.Message) (int, bool) {
+func (c *Cluster) arrive(to proto.ProcessID) (int, bool) {
 	c.net.InFlight--
-	if c.crashes.Crashed(m.To, c.now) {
+	if c.crashes.Crashed(to, c.now) {
 		c.net.ToCrashed++
 		return -1, false
 	}
 	c.net.Delivered++
 	c.net.DeliveredLate++
-	di, _ := c.index.Lookup(m.To) // classified at send time, so present
+	di, _ := c.index.Lookup(to) // classified at send time, so present
 	return int(di), true
 }
 
@@ -735,13 +736,24 @@ func (c *Cluster) arrive(m proto.Message) (int, bool) {
 // dests. Both regimes and all executors drain through this one helper at
 // the top of each round/period.
 func (c *Cluster) drainArrivals(msgs []proto.Message, dests []int) ([]proto.Message, []int) {
-	for _, m := range c.fl.drain(c.now) {
-		if di, ok := c.arrive(m); ok {
-			msgs = append(msgs, m)
+	return c.settleArrivals(c.now, msgs, dests)
+}
+
+// settleArrivals drains the bucket keyed at straight onto msgs and closes
+// the gaps the messages to crashed destinations leave.
+func (c *Cluster) settleArrivals(at uint64, msgs []proto.Message, dests []int) ([]proto.Message, []int) {
+	kept := len(msgs)
+	msgs = c.fl.drain(at, msgs)
+	for k := kept; k < len(msgs); k++ {
+		if di, ok := c.arrive(msgs[k].To); ok {
+			if kept != k {
+				msgs[kept] = msgs[k]
+			}
+			kept++
 			dests = append(dests, di)
 		}
 	}
-	return msgs, dests
+	return msgs[:kept], dests
 }
 
 // dispatch delivers the round's queue (c.seqQueue), chasing same-round
