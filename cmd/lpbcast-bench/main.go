@@ -3,7 +3,7 @@
 // benchmark trajectory artifacts CI gates on.
 //
 // Two suites exist. The executor suite measures the simulator's round
-// executors (sequential reference vs sharded zero-alloc, in the
+// executor (one shard vs all cores, both zero-alloc, in the
 // synchronous-round, wavefront-async, and delayed network-model regimes)
 // and a full production-scale infection experiment; the live suite measures the
 // runtime's transport paths (UDP SendBatch packing over loopback, and an
@@ -263,10 +263,12 @@ func checkRegression(baselinePath string, fresh []Entry, tolerance float64) ([]s
 // steadyCluster builds a fully-infected, buffer-warmed cluster: after the
 // long warmup every view map, subs list, executor scratch buffer, and
 // in-flight delay bucket has reached its high-water capacity, so
-// remaining allocations are the protocol's own. Every sequential
-// ("workers=1") flavor opts into Options.EmissionReuse — the sharded
-// executor opts engines in regardless — so the zero-alloc ceiling applies
-// across the whole steady matrix. The delayed variant runs a two-cluster
+// remaining allocations are the protocol's own. The executor runs engines
+// in emission reuse whatever the shard count, so the zero-alloc ceiling
+// applies across the whole steady matrix. workers == 0 (the "workers=1"
+// cells) is the default configuration: one shard, every phase inline on
+// the caller's goroutine — the same path an explicit Workers: 1 takes.
+// The delayed variant runs a two-cluster
 // topology whose WAN link takes 1-3 rounds. The clock selects the time
 // base: on sim.ClockEvent the cluster runs the timer-wheel executors with
 // a millisecond uniform delay model, so every period exercises wheel
@@ -279,7 +281,6 @@ func steadyCluster(n, workers, warmRounds int, async, delayed bool, clock sim.Cl
 	opts.Workers = workers
 	opts.Async = async
 	opts.Clock = clock
-	opts.EmissionReuse = workers == 0
 	if clock == sim.ClockEvent {
 		opts.Delay = fault.Millis{Model: fault.UniformDelay{Min: 10, Max: 180}}
 	}
@@ -366,28 +367,26 @@ func executorSuite(quick, big bool) []benchCase {
 		}
 	}
 	cases := []benchCase{
-		// The whole steady matrix — sequential reference and sharded
-		// executor alike — runs in emission-reuse mode over retained
-		// buffers, so every cell carries the absolute zero-alloc ceiling.
+		// The whole steady matrix — one shard and many alike — runs in
+		// emission-reuse mode over retained buffers, so every cell carries
+		// the absolute zero-alloc ceiling.
 		steady(0, 2, false, false, sim.ClockRounds),
 		steady(benchWorkers(), 2, false, false, sim.ClockRounds),
-		// The async pair measures the wavefront period executor: the
-		// sequential reference, and the sharded speculative schedule under
-		// the same zero-alloc ceiling as its synchronous sibling.
+		// The async pair measures the wavefront period: the speculative
+		// schedule on one shard and on many, under the same zero-alloc
+		// ceiling as its synchronous sibling.
 		steady(0, 2, true, false, sim.ClockRounds),
 		steady(benchWorkers(), 2, true, false, sim.ClockRounds),
 		// The delayed pair routes WAN traffic through the in-flight delay
 		// ring (two-cluster topology, 1-3 round WAN delay). Both flavors
-		// carry the absolute ceiling — the sequential one runs in
-		// EmissionReuse mode — so the ring can never silently start
+		// carry the absolute ceiling, so the ring can never silently start
 		// allocating in steady state.
 		steady(0, 2, false, true, sim.ClockRounds),
 		steady(benchWorkers(), 2, false, true, sim.ClockRounds),
 		// The event pair runs the same steady state on the virtual-time
 		// scheduler: periods as timer-wheel events and a millisecond
 		// uniform delay model draining arrivals mid-period. Both flavors
-		// carry the absolute zero-alloc ceiling (the sequential one in
-		// EmissionReuse mode), matching the round executors.
+		// carry the absolute zero-alloc ceiling, matching the round clock.
 		steady(0, 2, false, false, sim.ClockEvent),
 		steady(benchWorkers(), 2, false, false, sim.ClockEvent),
 		mergeCase("absent-heavy", 25_000),

@@ -69,7 +69,7 @@ func run(args []string) (err error) {
 	var (
 		fig      = fs.String("fig", "all", "figure to print: 5a, 5b, 6a, 6b, 7a, 7b, crash, latency, all")
 		quick    = fs.Bool("quick", false, "use reduced repeats/rounds")
-		workers  = fs.Int("workers", -1, "executor shards per cluster, for synchronous rounds and async periods alike (-1 = GOMAXPROCS, 0/1 = sequential)")
+		workers  = fs.Int("workers", -1, "executor shards per cluster, for synchronous rounds and async periods alike (-1 = GOMAXPROCS, 0/1 = one shard, run inline)")
 		matrix   = fs.String("matrix", "", `scenario sweep spec, e.g. "n=500,1000;f=3,4;eps=0.05;tau=0.01;proto=lpbcast"`)
 		clock    = fs.String("clock", "rounds", "time base: rounds (lockstep) or event (virtual-time scheduler)")
 		periodMs = fs.Int("period-ms", 0, "gossip period in virtual ms on the event clock (0 = default 100)")

@@ -22,10 +22,12 @@ const tapeDir = "../../" + DefaultDir
 
 // TestGoldenTapes records every registered scenario and byte-compares the
 // tape against the checked-in golden file. For cluster scenarios it also
-// re-records under the sharded executor (Workers=GOMAXPROCS) and — where
-// the scenario is marked BothClocks — under the event clock, asserting
+// re-records on three shards and on GOMAXPROCS shards and — where the
+// scenario is marked BothClocks — under the event clock, asserting
 // byte-identical tapes: the determinism guarantees of PRs 4-8, measured
-// end to end.
+// end to end. Three is fixed so the shard merge is exercised on any
+// runner — on a single core Workers=-1 is one shard, the scenario's own
+// configuration — and odd: 200 and 100 processes split into uneven shards.
 func TestGoldenTapes(t *testing.T) {
 	for _, s := range Scenarios() {
 		s := s
@@ -57,14 +59,16 @@ func TestGoldenTapes(t *testing.T) {
 			if s.Kind != KindCluster {
 				return // the bus executor is single-threaded; no variants
 			}
-			sharded := s.Opts.RunConfig
-			sharded.Workers = -1 // GOMAXPROCS
-			gotPar, err := RecordVariant(s, sharded)
-			if err != nil {
-				t.Fatalf("record workers=max: %v", err)
-			}
-			if err := Compare(gotPar, got); err != nil {
-				t.Errorf("tape differs between Workers=1 and Workers=max: %v", err)
+			for _, workers := range []int{3, -1} { // -1: GOMAXPROCS
+				sharded := s.Opts.RunConfig
+				sharded.Workers = workers
+				gotPar, err := RecordVariant(s, sharded)
+				if err != nil {
+					t.Fatalf("record workers=%d: %v", workers, err)
+				}
+				if err := Compare(gotPar, got); err != nil {
+					t.Errorf("tape differs between the scenario's Workers and Workers=%d: %v", workers, err)
+				}
 			}
 			if s.BothClocks {
 				ev := s.Opts.RunConfig

@@ -3,11 +3,12 @@ package sim
 import "repro/internal/proto"
 
 // This file defines the deterministic wavefront schedule for asynchronous
-// gossip periods (Options.Async) and implements it sequentially; the
-// sharded parallel implementation in executor_async.go executes the exact
-// same schedule across the persistent worker pool, so the two produce
-// bit-for-bit identical results for any worker count — the async
-// counterpart of the synchronous-round equivalence guarantee.
+// gossip periods (Options.Async) and runs it on the cluster's shards. The
+// schedule itself — wave boundaries, filter order, handle order, response
+// merges — is a pure function of the simulation state, so the shard count
+// only changes *where* the work runs: results are bit-for-bit identical
+// for any worker count — the async counterpart of the synchronous-round
+// guarantee (executor.go).
 //
 // # The wavefront schedule
 //
@@ -25,31 +26,27 @@ import "repro/internal/proto"
 //  2. Ticks are composed speculatively: TickCompose builds a tick's
 //     emission without consuming the engine's buffers, for every process
 //     in a bounded lookahead window past the commit frontier. Composes
-//     touch only their own engine, so they run concurrently.
+//     touch only their own engine, so each shard composes its own
+//     processes' ticks concurrently (composeShard).
 //  3. A sequential commit walk visits positions in period order. Each
 //     clean position's tick commits (TickCommit) and its messages are
-//     filtered in emission order — the shared loss stream and the network
-//     counters draw in walk order, like the synchronous executor's
-//     sequential filter phase. A surviving delivery addressed to a process
-//     whose tick is composed but not yet committed *invalidates* that
-//     speculation: the tick is aborted (TickAbort rewinds its RNG draws)
-//     and the walk's wave ends when it reaches the first invalidated
-//     position — that tick must be re-executed against the committed
-//     state, which now includes the delivery.
-//  4. At the wave barrier the wave's surviving deliveries are handled —
-//     per-receiver work that the parallel executor fans out across shards
-//     — and same-wave responses are chased hop by hop under the maxChase
-//     cap, filtering each hop in deterministic merge order. Barrier
-//     deliveries to processes beyond the frontier invalidate their
-//     speculations the same way.
+//     filtered in emission order (asyncRoute) — the shared loss stream and
+//     the network counters draw in walk order, like the synchronous
+//     round's sequential filter phase. A surviving delivery addressed to a
+//     process whose tick is composed but not yet committed *invalidates*
+//     that speculation: the tick is aborted (TickAbort rewinds its RNG
+//     draws) and the walk's wave ends when it reaches the first
+//     invalidated position — that tick must be re-executed against the
+//     committed state, which now includes the delivery.
+//  4. At the wave barrier (asyncBarrier) the wave's surviving deliveries
+//     are handled — per-receiver work, fanned out across the shards like a
+//     synchronous round's handle phase — and same-wave responses are
+//     chased hop by hop under the maxChase cap, filtering each hop in the
+//     cursor merge's deterministic order. Barrier deliveries to processes
+//     beyond the frontier invalidate their speculations the same way.
 //  5. The next wave re-composes every invalidated or newly windowed tick
 //     and the walk resumes from the frontier, until the period commits all
 //     positions.
-//
-// Wave boundaries, filter order, handle order, and response merge order
-// are all pure functions of the simulation state, never of the worker
-// count or thread timing, so the schedule itself is deterministic; the
-// sequential implementation below simply runs it on one goroutine.
 //
 // Relative to the historical immediate-dispatch semantics, deliveries now
 // land at wave barriers instead of between individual ticks (and a wave's
@@ -57,6 +54,16 @@ import "repro/internal/proto"
 // unchanged — waves are short, so information still travels roughly two
 // hops per period — but seeded async results differ numerically from
 // pre-wavefront versions.
+//
+// Steady-state allocation mirrors the synchronous argument: engines run in
+// emission reuse (an aborted compose rewrites the same scratch on
+// re-execution, and a committed emission is fully consumed by its wave's
+// barrier — before the engine's next compose, which happens no earlier
+// than the next period), the per-process emission buffers and the
+// queue/inbox/response machinery are retained across periods, and all
+// phase closures are prebuilt, so a steady async period does not allocate
+// (see TestAsyncRoundAllocs). PoisonRecycled overwrites the recycled
+// emission and response buffers at the end of every period.
 
 // asyncLookahead bounds how far past the commit frontier ticks are
 // composed speculatively. A small window wastes less speculation (fewer
@@ -84,9 +91,7 @@ type tickComposer interface {
 // composeTick drives p's speculative emission, falling back to a plain
 // (state-mutating) tick for foreign Process implementations. The fallback
 // cannot roll back: an invalidated fallback compose is simply discarded
-// and composed again, advancing the foreign process's state twice. Both
-// executors share the helper, so even the fallback schedule is identical
-// between them.
+// and composed again, advancing the foreign process's state twice.
 func composeTick(p Process, now uint64, out []proto.Message) []proto.Message {
 	if tc, ok := p.(tickComposer); ok {
 		return tc.TickCompose(now, out)
@@ -108,61 +113,48 @@ func commitTick(p Process, now uint64) {
 	}
 }
 
-// asyncSeq is the retained scratch state of the sequential wavefront
-// executor; every buffer is reused across periods.
-//
-// composed[i] tracks whether process i has a valid speculative emission
-// outstanding. A commit consumes the emission, so it clears the flag
-// too: a position the walk has passed can never look composed again
-// (the window never moves backwards), which is exactly what the
-// invalidation check relies on.
-type asyncSeq struct {
-	order    []int             // position -> process index
-	composed []bool            // per process: valid speculative emission outstanding
-	emit     [][]proto.Message // per process: the composed emission
-	queue    []proto.Message   // current hop's surviving deliveries
-	dests    []int             // their destination process indices
-	raw      []proto.Message   // responses collected by the current handle pass
-}
-
-func newAsyncSeq(n int) *asyncSeq {
-	return &asyncSeq{
-		order:    make([]int, n),
-		composed: make([]bool, n),
-		emit:     make([][]proto.Message, n),
+// composeShard speculatively composes the ticks of shard s's processes
+// inside the current wave window. Composes touch only their own engine
+// (plus per-process executor slots), so shards race on nothing; the
+// window bounds are published before the phase starts.
+func (e *shardedExecutor) composeShard(s int) {
+	c := e.c
+	for k := e.waveFront; k < e.waveWindowEnd; k++ {
+		i := e.aOrder[k]
+		if e.shardOf[i] != s || e.aComposed[i] {
+			continue
+		}
+		if c.crashes.Crashed(c.ids[i], c.now) {
+			continue
+		}
+		e.aEmit[i] = composeTick(c.procs[i], c.now, e.aEmit[i][:0])
+		e.aComposed[i] = true
 	}
 }
 
-// runAsyncPeriodSeq advances one asynchronous gossip period through the
-// wavefront schedule on a single goroutine. Cluster.RunRound has already
-// advanced c.now.
-func (c *Cluster) runAsyncPeriodSeq() {
+// runAsyncPeriod executes one asynchronous gossip period under the
+// wavefront schedule. Cluster.RunRound has already advanced c.now.
+func (e *shardedExecutor) runAsyncPeriod() {
+	c := e.c
 	n := len(c.procs)
-	a := c.seqAsync
-	if a == nil {
-		a = newAsyncSeq(n)
-		c.seqAsync = a
-	}
 	for i := 0; i < n; i++ {
-		a.composed[i] = false
+		e.aComposed[i] = false
 	}
 	// Arrival barrier: this period's delayed arrivals are handled before
 	// any tick composes (a message arriving "between periods" is visible
 	// to every tick of its arrival period), in their deterministic
 	// in-flight enqueue order, and their same-period responses are chased
 	// through the regular wave-barrier machinery. The drain draws no
-	// randomness, so running it before the period's shuffle keeps every
-	// stream aligned with the sharded executor, which does the same.
+	// randomness, so running it before the period's shuffle perturbs no
+	// stream.
 	if c.fl != nil {
-		a.queue, a.dests = c.drainArrivals(a.queue[:0], a.dests[:0])
-		if len(a.queue) > 0 {
-			c.asyncBarrierSeq(a)
-		}
+		e.queue, c.arrivalDests = c.drainArrivals(e.queue[:0], c.arrivalDests[:0])
+		e.arrivalBarrier()
 	}
-	for i := range a.order {
-		a.order[i] = i
+	for i := range e.aOrder {
+		e.aOrder[i] = i
 	}
-	c.tickRNG.Shuffle(n, func(i, j int) { a.order[i], a.order[j] = a.order[j], a.order[i] })
+	c.tickRNG.Shuffle(n, func(i, j int) { e.aOrder[i], e.aOrder[j] = e.aOrder[j], e.aOrder[i] })
 	lookahead := asyncLookahead(n)
 
 	front := 0
@@ -171,87 +163,137 @@ func (c *Cluster) runAsyncPeriodSeq() {
 		if windowEnd > n {
 			windowEnd = n
 		}
-		// Compose phase: (re)compose every windowed tick without a valid
-		// speculation. This is the phase the parallel executor shards.
-		for k := front; k < windowEnd; k++ {
-			i := a.order[k]
-			if a.composed[i] || c.crashes.Crashed(c.ids[i], c.now) {
-				continue
-			}
-			a.emit[i] = composeTick(c.procs[i], c.now, a.emit[i][:0])
-			a.composed[i] = true
-		}
-		// Commit walk: commit clean positions in period order, filtering
-		// their messages as they commit; stop at the first invalidated
-		// speculation (it re-executes against committed state next wave).
-		a.queue, a.dests = a.queue[:0], a.dests[:0]
+		// Compose phase (parallel): (re)compose every windowed tick
+		// without a valid speculation, sharded by process ownership.
+		// aComposed[i] is cleared by the commit that consumes the emission,
+		// so a position the walk has passed can never look composed again
+		// (the window never moves backwards) — which is what the
+		// invalidation check in asyncRoute relies on.
+		e.waveFront, e.waveWindowEnd = front, windowEnd
+		e.parallel(e.composeFn)
+		// Commit walk (sequential): commit clean positions in period
+		// order, filtering their messages as they commit — the shared
+		// loss stream draws in walk order — and stop at the first
+		// invalidated speculation.
+		e.queue = e.queue[:0]
+		e.clearInboxes()
 		waveEnd := windowEnd
 		for k := front; k < windowEnd; k++ {
-			i := a.order[k]
+			i := e.aOrder[k]
 			if c.crashes.Crashed(c.ids[i], c.now) {
 				continue // a crashed position commits trivially
 			}
-			if !a.composed[i] {
+			if !e.aComposed[i] {
 				waveEnd = k
 				break
 			}
-			commitTick(c.procs[i], c.now)
-			a.composed[i] = false // consumed: no emission outstanding
-			for _, m := range a.emit[i] {
-				c.asyncFilterSeq(a, m)
-			}
+			e.commitEmission(i)
 		}
-		// Wave barrier: handle the wave's deliveries and chase responses.
-		c.asyncBarrierSeq(a)
+		// Wave barrier: sharded handle fan-out plus response chase.
+		e.asyncBarrier()
 		front = waveEnd
 	}
+	if e.poison {
+		e.poisonAsyncRecycled()
+	}
 }
 
-// asyncFilterSeq runs one message through crash/loss filtering and the
-// network counters (classify), appending survivors to the wave queue and
-// invalidating the destination's speculative tick when one is
-// outstanding. Filter calls happen in deterministic walk/merge order, so
-// the shared loss stream's draw order is schedule-defined, exactly like
-// the synchronous executor's sequential filter phase.
-func (c *Cluster) asyncFilterSeq(a *asyncSeq, m proto.Message) {
+// commitEmission commits process i's composed tick and routes its messages
+// in emission order; the survivors join the wave's queue.
+func (e *shardedExecutor) commitEmission(i int) {
+	c := e.c
+	commitTick(c.procs[i], c.now)
+	e.aComposed[i] = false // consumed: no emission outstanding
+	for _, m := range e.aEmit[i] {
+		if e.asyncRoute(len(e.queue), m) {
+			e.queue = append(e.queue, m)
+		}
+	}
+}
+
+// asyncRoute runs m, the message at (or bound for) queue position pos,
+// through crash/loss filtering and the network counters (classify) and
+// reports whether it survived; a survivor is binned into the destination
+// shard's inbox (asyncBin). Calls happen in deterministic walk/merge order, so
+// the shared loss stream's draw order is schedule-defined, exactly like the
+// synchronous round's sequential filter phase.
+func (e *shardedExecutor) asyncRoute(pos int, m proto.Message) bool {
+	c := e.c
 	di, ok := c.classify(m)
 	if !ok {
-		return
+		return false
 	}
-	if a.composed[di] {
-		// The destination's tick is composed but not committed: the
-		// speculation missed this delivery, so it re-executes.
-		abortTick(c.procs[di])
-		a.composed[di] = false
-	}
-	a.queue = append(a.queue, m)
-	a.dests = append(a.dests, di)
+	e.asyncBin(pos, di)
+	return true
 }
 
-// asyncBarrierSeq handles the wave's surviving deliveries in queue order
-// and chases same-wave responses hop by hop: each hop's responses are
-// filtered in trigger order (asyncFilterSeq) and handled in turn, up to
-// the shared maxChase cap; responses still raw when the cap hits are
-// counted as truncated, mirroring dispatch.
-func (c *Cluster) asyncBarrierSeq(a *asyncSeq) {
+// asyncBin queues the delivery at queue position pos for the shard of its
+// destination di. If di's tick is composed but not committed, the
+// speculation missed this delivery: it is aborted, and re-executes.
+func (e *shardedExecutor) asyncBin(pos, di int) {
+	if e.aComposed[di] {
+		abortTick(e.c.procs[di])
+		e.aComposed[di] = false
+	}
+	s := e.shardOf[di]
+	e.inboxes[s] = append(e.inboxes[s], routed{pos: pos, di: di})
+}
+
+// arrivalBarrier hands the arrivals just drained onto the queue (their
+// destinations in c.arrivalDests) to their shards and runs the wave
+// barrier — handle fan-out plus response chase — on them.
+func (e *shardedExecutor) arrivalBarrier() {
+	e.clearInboxes()
+	for pos, di := range e.c.arrivalDests {
+		e.asyncBin(pos, di)
+	}
+	if len(e.queue) > 0 {
+		e.asyncBarrier()
+	}
+}
+
+// asyncBarrier handles the wave's surviving deliveries — each shard
+// processes its own processes' messages in queue order — and chases
+// same-wave responses hop by hop under the shared maxChase cap: responses
+// are reassembled in trigger order by the cursor merge, filtered
+// sequentially (consuming loss draws in merge order and invalidating
+// speculations), and handled in turn. Responses still raw when the cap
+// hits are counted as truncated, mirroring dispatch.
+func (e *shardedExecutor) asyncBarrier() {
+	c := e.c
 	for hop := 0; ; hop++ {
-		a.raw = a.raw[:0]
-		for x := range a.queue {
-			a.raw = handleAppend(c.procs[a.dests[x]], a.queue[x], c.now, a.raw)
-		}
-		if len(a.raw) == 0 {
+		e.parallel(e.handleFn)
+		e.mergeResponses()
+		if len(e.next) == 0 {
 			return
 		}
 		if hop+1 >= maxChase {
-			c.net.TruncatedChase += uint64(len(a.raw))
+			c.net.TruncatedChase += uint64(len(e.next))
 			return
 		}
-		a.queue, a.dests = a.queue[:0], a.dests[:0]
-		for _, m := range a.raw {
-			c.asyncFilterSeq(a, m)
-		}
-		if len(a.queue) == 0 {
-			return
+		e.queue, e.next = e.next, e.queue
+		e.clearInboxes()
+		for pos := range e.queue {
+			e.asyncRoute(pos, e.queue[pos])
 		}
 	}
+}
+
+// poisonAsyncRecycled overwrites every buffer the period recycled — the
+// per-process composed emissions (and, through them, the shared scratch
+// gossips) plus the executor-owned queue and response slots — with
+// sentinels, the async sibling of poisonRecycled. The hop queues hold
+// copies of emissions, of responses and of arrivals, and an arrival's
+// gossip may still be in the air for another receiver: only their slots
+// are overwritten.
+func (e *shardedExecutor) poisonAsyncRecycled() {
+	for i := range e.aEmit {
+		poisonMessages(e.aEmit[i])
+	}
+	for s := 0; s < e.workers; s++ {
+		poisonMessages(e.resps[s])
+	}
+	poisonSlots(e.queue)
+	poisonSlots(e.next)
+	e.c.poisonInflight()
 }

@@ -39,9 +39,6 @@ func (c *Cluster) buildEngines(root, viewRNG *rng.Source) error {
 	}
 	c.procs = make([]Process, n)
 	w := effectiveWorkers(c.opts.Workers, n)
-	if w < 1 {
-		w = 1
-	}
 	c.pools = make([]*core.Pools, w)
 	errs := make([]error, w)
 	var wg sync.WaitGroup

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -25,8 +26,8 @@ func bigN() int {
 
 // TestParallelDelayMatchesSequentialInfection is the delay tentpole's
 // correctness oracle: with a delay model, a topology, or both in force,
-// the sharded executor must reproduce the sequential executor's infection
-// traces exactly, across protocols and delay-model kinds.
+// the executor must reproduce the sequential reference walk's infection
+// traces exactly, across protocols, delay-model kinds and shard counts.
 func TestParallelDelayMatchesSequentialInfection(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -67,8 +68,7 @@ func TestParallelDelayMatchesSequentialInfection(t *testing.T) {
 			opts.Lpbcast.AssumeFromDigest = true
 			opts.WarmupRounds = 2
 			tc.mut(&opts)
-			seq, par := runBoth(t, opts, 12, 2, 4)
-			assertIdentical(t, "delayed infection", seq, par)
+			assertMatchesRef(t, "delayed infection", opts, 12, 2, shardCounts(4)...)
 		})
 	}
 }
@@ -92,8 +92,7 @@ func TestParallelDelayMatchesSequential10k(t *testing.T) {
 	opts.Seed = 3
 	opts.Lpbcast.AssumeFromDigest = true
 	opts.Topology = wanTopologyFor(n)
-	seq, par := runBoth(t, opts, 14, 1, 4)
-	assertIdentical(t, fmt.Sprintf("delayed infection@%d", n), seq, par)
+	seq := assertMatchesRef(t, fmt.Sprintf("delayed infection@%d", n), opts, 14, 1, shardCounts(4)...)
 	// The run must actually disseminate across the delayed WAN link;
 	// otherwise equality is vacuous.
 	if last := seq.PerRound[len(seq.PerRound)-1]; last < float64(n)*0.95 {
@@ -103,7 +102,7 @@ func TestParallelDelayMatchesSequential10k(t *testing.T) {
 
 // TestParallelDelayAsyncMatchesSequential is the async-regime counterpart:
 // delayed arrivals land at the top of a period as a wave-0 barrier, and
-// the sharded wavefront executor must reproduce the sequential one exactly
+// the executor's wavefront must reproduce the sequential reference exactly
 // — at small scale across model kinds, and at acceptance scale.
 func TestParallelDelayAsyncMatchesSequential(t *testing.T) {
 	t.Parallel()
@@ -124,8 +123,7 @@ func TestParallelDelayAsyncMatchesSequential(t *testing.T) {
 			opts := asyncOpts(250, 17)
 			opts.WarmupRounds = 2
 			tc.mut(&opts)
-			seq, par := runBoth(t, opts, 10, 2, 4)
-			assertIdentical(t, "delayed async infection", seq, par)
+			assertMatchesRef(t, "delayed async infection", opts, 10, 2, shardCounts(4)...)
 		})
 	}
 }
@@ -137,8 +135,7 @@ func TestParallelDelayAsyncMatchesSequential10k(t *testing.T) {
 	n := bigN()
 	opts := asyncOpts(n, 3)
 	opts.Topology = wanTopologyFor(n)
-	seq, par := runBoth(t, opts, 10, 1, 4)
-	assertIdentical(t, fmt.Sprintf("delayed async infection@%d", n), seq, par)
+	seq := assertMatchesRef(t, fmt.Sprintf("delayed async infection@%d", n), opts, 10, 1, shardCounts(4)...)
 	if last := seq.PerRound[len(seq.PerRound)-1]; last < float64(n)*0.95 {
 		t.Errorf("only %v of %d infected; dissemination failed", last, n)
 	}
@@ -162,50 +159,27 @@ func TestParallelDelayReuseWithPoison(t *testing.T) {
 			opts.Async = async
 			opts.Lpbcast.AssumeFromDigest = true
 			opts.Topology = wanTopologyFor(n)
-			o := opts
-			o.Workers = 0
-			seq, err := InfectionExperiment(o, 10, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			o = opts
-			o.Workers = 4 // explicitly sharded, even on a single-core runner
-			o.PoisonRecycled = true
-			par, err := InfectionExperiment(o, 10, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertIdentical(t, fmt.Sprintf("delayed poisoned reuse@%d", n), seq, par)
+			opts.PoisonRecycled = true
+			// 4: explicitly sharded, even on a single-core runner.
+			assertMatchesRef(t, fmt.Sprintf("delayed poisoned reuse@%d", n), opts, 10, 1, shardCounts(4)...)
 		})
 	}
 }
 
 // TestParallelDelayWorkerCountInvariance: delayed results are independent
-// of the shard count, not just of sequential-vs-parallel.
+// of the shard count, from the default through one shard per process.
 func TestParallelDelayWorkerCountInvariance(t *testing.T) {
 	t.Parallel()
 	opts := DefaultOptions(200)
 	opts.Seed = 99
 	opts.Lpbcast.AssumeFromDigest = true
 	opts.Delay = fault.UniformDelay{Min: 0, Max: 2}
-	var results []InfectionResult
-	for _, w := range []int{0, 2, 3, 8, 200} {
-		o := opts
-		o.Workers = w
-		res, err := InfectionExperiment(o, 10, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, res)
-	}
-	for i := 1; i < len(results); i++ {
-		assertIdentical(t, fmt.Sprintf("delayed workers variant %d", i), results[0], results[i])
-	}
+	assertMatchesRef(t, "delayed infection", opts, 10, 2, 0, 1, 2, 3, 8, 200)
 }
 
 // TestParallelDelayNetStats compares the full network counters — not just
-// infection traces — between the sequential and sharded executors under
-// delay, topology, and partitions, in both regimes, and checks the
+// infection traces — between the sequential reference and the executor
+// under delay, topology, and partitions, in both regimes, and checks the
 // extended conservation invariant after every round.
 func TestParallelDelayNetStats(t *testing.T) {
 	t.Parallel()
@@ -213,35 +187,20 @@ func TestParallelDelayNetStats(t *testing.T) {
 		async := async
 		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
 			t.Parallel()
-			build := func(workers int) *Cluster {
-				opts := DefaultOptions(150)
-				opts.Seed = 5
-				opts.Async = async
-				opts.Workers = workers
-				opts.Horizon = 12
-				opts.Tau = 0.05
-				opts.Topology = wanTopologyFor(150)
-				opts.Partitions = []fault.Partition{{From: 4, To: 7, Classes: []fault.LinkClass{fault.LinkWAN}}}
-				c, err := NewCluster(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return c
-			}
-			run := func(c *Cluster) NetStats {
-				defer c.Close()
-				if _, err := c.PublishAt(0); err != nil {
-					t.Fatal(err)
-				}
-				for r := 0; r < 12; r++ {
-					c.RunRound()
-					assertConserved(t, c.NetStats())
-				}
-				return c.NetStats()
-			}
-			seq, par := run(build(0)), run(build(4))
-			if seq != par {
-				t.Errorf("net stats diverge:\nseq: %+v\npar: %+v", seq, par)
+			opts := DefaultOptions(150)
+			opts.Seed = 5
+			opts.Async = async
+			opts.Horizon = 12
+			opts.Tau = 0.05
+			opts.Topology = wanTopologyFor(150)
+			opts.Partitions = []fault.Partition{{From: 4, To: 7, Classes: []fault.LinkClass{fault.LinkWAN}}}
+			_, refNets := refTape(t, opts, 12)
+			seq := refNets[len(refNets)-1]
+			for _, workers := range shardCounts(4) {
+				o := opts
+				o.Workers = workers
+				_, nets := eventTape(t, o, 12)
+				assertIdentical(t, fmt.Sprintf("net stats workers=%d", workers), refNets, nets)
 			}
 			if seq.DeliveredLate == 0 {
 				t.Errorf("WAN delays produced no late deliveries: %+v", seq)
@@ -253,10 +212,10 @@ func TestParallelDelayNetStats(t *testing.T) {
 	}
 }
 
-// TestEmissionReuseMatchesCloneReference: Options.EmissionReuse flips the
-// sequential executors onto the recycling append paths; results must be
-// bit-for-bit identical to the cloning reference in both regimes, with and
-// without delays.
+// TestEmissionReuseMatchesCloneReference: the executor always runs the
+// engines on the recycling append paths; results must be bit-for-bit
+// identical to the cloning reference walk (seqref_test.go, emission reuse
+// off) in both regimes, with and without delays.
 func TestEmissionReuseMatchesCloneReference(t *testing.T) {
 	t.Parallel()
 	for _, async := range []bool{false, true} {
@@ -272,18 +231,7 @@ func TestEmissionReuseMatchesCloneReference(t *testing.T) {
 				if delayed {
 					opts.Topology = wanTopologyFor(200)
 				}
-				o := opts
-				clone, err := InfectionExperiment(o, 10, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				o = opts
-				o.EmissionReuse = true
-				reuse, err := InfectionExperiment(o, 10, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertIdentical(t, "emission reuse", clone, reuse)
+				assertMatchesRef(t, "emission reuse", opts, 10, 2, shardCounts(runtime.GOMAXPROCS(0))...)
 			})
 		}
 	}
@@ -466,17 +414,18 @@ func TestMatrixRejectsNegativeDelay(t *testing.T) {
 
 // TestDelayedRoundAllocs is the delay tentpole's allocation gate: with the
 // in-flight ring warmed to its high-water capacity, a steady delayed round
-// must not allocate more than twice — through the sharded executor and
-// through the sequential executor in EmissionReuse mode alike (the
-// steady-delayed-round bench entries gate the same bound in CI).
+// must not allocate more than twice — on four shards, on one, and with no
+// option set at all (the steady-delayed-round bench entries gate the same
+// bound in CI). "sequential-reuse" is the one-shard row: the name dates
+// from the sequential executor and its EmissionReuse flag.
 func TestDelayedRoundAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		workers int
-		reuse   bool
 	}{
-		{"sequential-reuse", 0, true},
-		{"sharded", 4, false},
+		{"sequential-reuse", 1},
+		{"sharded", 4},
+		{"default", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := DefaultOptions(1_000)
@@ -484,21 +433,8 @@ func TestDelayedRoundAllocs(t *testing.T) {
 			opts.Tau = 0 // a clean steady state: no crash-time variation
 			opts.Lpbcast.AssumeFromDigest = true
 			opts.Workers = tc.workers
-			opts.EmissionReuse = tc.reuse
 			opts.Topology = wanTopologyFor(1_000)
-			cluster, err := NewCluster(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cluster.Close()
-			if _, err := cluster.PublishAt(0); err != nil {
-				t.Fatal(err)
-			}
-			for r := 0; r < 300; r++ {
-				cluster.RunRound()
-			}
-			allocs := testing.AllocsPerRun(50, func() { cluster.RunRound() })
-			if allocs > 2 {
+			if allocs := steadyRoundAllocs(t, opts); allocs > 2 {
 				t.Errorf("steady-state delayed round allocates %v times, want <= 2", allocs)
 			}
 		})

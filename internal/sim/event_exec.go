@@ -2,18 +2,23 @@ package sim
 
 import "repro/internal/proto"
 
-// This file implements the sequential event-clock executors: the cluster's
-// timer wheel (internal/event) replaces the implicit "everything happens at
-// the round boundary" schedule with an explicit, totally ordered event walk
-// over millisecond virtual time. One RunRound still advances exactly one
-// gossip period — round r covers the instants ((r-1)*periodMs, r*periodMs]
-// — so the experiment runners drive both clocks identically.
+// This file implements the event clock: the cluster's timer wheel
+// (internal/event) replaces the implicit "everything happens at the round
+// boundary" schedule with an explicit, totally ordered event walk over
+// millisecond virtual time. One RunRound still advances exactly one gossip
+// period — round r covers the instants ((r-1)*periodMs, r*periodMs] — so
+// the experiment runners drive both clocks identically. The division of
+// labor is the round clock's: the wheel walk, filtering, and commit order
+// stay sequential (they are the deterministic schedule), while tick
+// emission, speculative composition, and message handling run on the
+// cluster's shards, so results are bit-for-bit identical for any worker
+// count.
 //
 // Two timer kinds exist, and their numeric order is their same-instant
-// priority: arrivals fire before ticks, matching the round executors'
+// priority: arrivals fire before ticks, matching the round clock's
 // drain-arrivals-then-tick order.
 //
-// # Synchronous mode (runEventRoundSeq)
+// # Synchronous mode (runEventRound)
 //
 // Every process's tick timer fires at each period boundary, rescheduling
 // itself; each due instant is processed as one mini-round — the instant's
@@ -22,12 +27,12 @@ import "repro/internal/proto"
 // in-order rescheduling), and the shared dispatch chases responses at that
 // instant. For round-granular delay models every arrival lands exactly on a
 // period boundary, so the walk degenerates to one mini-round per period
-// that is structurally identical to RunRound's round-clock body: the bridge
+// that is structurally identical to the round clock's runRound: the bridge
 // tests assert byte-for-byte equal results. Millisecond models
 // (fault.Millis) land arrivals between boundaries, where they are handled
 // at their true instants.
 //
-// # Asynchronous mode (runEventPeriodAsyncSeq)
+// # Asynchronous mode (runEventPeriodAsync)
 //
 // Each process ticks at a fixed per-process phase offset within every
 // period (drawn once at construction from the event stream), replacing the
@@ -39,8 +44,7 @@ import "repro/internal/proto"
 // before the wave composes, and the commit walk ends a wave early when a
 // pending arrival instant would predate the next tick. Deliveries still
 // land at (sub-)barriers and invalidate outstanding speculations exactly as
-// in async.go, so the sharded mirror (executor_event.go) reproduces the
-// walk bit-for-bit for any worker count.
+// in async.go.
 
 const (
 	// evKindArrival marks "an in-flight bucket comes due at this instant";
@@ -72,11 +76,11 @@ func (c *Cluster) poisonInflight() {
 	c.fl.poisonSpent()
 }
 
-// runEventRoundSeq advances one synchronous gossip period on the event
-// clock, sequentially. Cluster.RunRound has already advanced c.now.
-func (c *Cluster) runEventRoundSeq() {
+// runEventRound advances one synchronous gossip period on the event clock
+// across the worker shards. Cluster.RunRound has already advanced c.now.
+func (e *shardedExecutor) runEventRound() {
+	c := e.c
 	pEnd := c.now * c.periodMs
-	reuse := c.opts.EmissionReuse
 	for {
 		at, ok := c.wheel.Next()
 		if !ok || at > pEnd {
@@ -84,40 +88,48 @@ func (c *Cluster) runEventRoundSeq() {
 		}
 		batch := c.wheel.PopAt(at)
 		c.nowMs = at
-		queue := c.seqQueue[:0]
+		e.queue = e.queue[:0]
 		c.arrivalDests = c.arrivalDests[:0]
 		pre := 0
+		ticks := 0
 		for _, tm := range batch {
 			if tm.Kind == evKindArrival {
 				// At most one marker per instant (armed dedups), sorted to
 				// the batch front, so arrivals form the queue prefix.
-				queue, c.arrivalDests = c.drainArrivalsAt(at, queue, c.arrivalDests)
-				pre = len(queue)
+				e.queue, c.arrivalDests = c.drainArrivalsAt(at, e.queue, c.arrivalDests)
+				pre = len(e.queue)
 				continue
 			}
-			i := int(tm.Ref)
 			c.wheel.Schedule(at+c.periodMs, evKindTick, tm.Ref)
-			if c.crashes.Crashed(c.ids[i], c.now) {
-				continue
-			}
-			if reuse {
-				queue = tickAppend(c.procs[i], c.now, queue)
-			} else {
-				queue = append(queue, c.procs[i].Tick(c.now)...)
-			}
+			ticks++
 		}
-		c.seqQueue = queue
-		c.dispatch(pre)
+		if ticks > 0 {
+			// Synchronous ticks fire in lockstep at period boundaries, and
+			// the batch holds them in process index order (the wheel Seq
+			// invariant), so the round-clock tick fan-out — every shard
+			// emits its own index range, concatenated in shard order —
+			// is the batch's own emission order.
+			if ticks != len(c.procs) {
+				panic("sim: synchronous event ticks desynchronized")
+			}
+			e.emitTicks()
+		}
+		e.dispatch(pre)
 	}
 	c.nowMs = pEnd
+	if e.poison {
+		e.poisonRecycled()
+	}
 }
 
-// eventArrivalBarrierSeq drains every due arrival instant up to and
-// including limit, handling each instant's survivors (and their same-
-// instant response chase) at its true virtual time. An arrival addressed
-// to a process with an outstanding speculative tick invalidates it,
-// exactly like a wave delivery.
-func (c *Cluster) eventArrivalBarrierSeq(a *asyncSeq, limit uint64) {
+// eventArrivalBarrier drains every due arrival instant up to and including
+// limit: each instant's survivors are binned to their destination shards
+// and handled by the wave barrier (same-instant response chase included) at
+// their true virtual time. An arrival addressed to a process with an
+// outstanding speculative tick invalidates it, exactly like a wave
+// delivery.
+func (e *shardedExecutor) eventArrivalBarrier(limit uint64) {
+	c := e.c
 	if c.fl == nil {
 		return
 	}
@@ -128,85 +140,68 @@ func (c *Cluster) eventArrivalBarrierSeq(a *asyncSeq, limit uint64) {
 		}
 		c.wheel.PopAt(at) // async wheels hold only arrival markers
 		c.nowMs = at
-		a.queue, a.dests = c.drainArrivalsAt(at, a.queue[:0], a.dests[:0])
-		for _, di := range a.dests {
-			if a.composed[di] {
-				abortTick(c.procs[di])
-				a.composed[di] = false
-			}
-		}
-		if len(a.queue) > 0 {
-			c.asyncBarrierSeq(a)
-		}
+		e.queue, c.arrivalDests = c.drainArrivalsAt(at, e.queue[:0], c.arrivalDests[:0])
+		e.arrivalBarrier()
 	}
 }
 
-// runEventPeriodAsyncSeq advances one asynchronous gossip period on the
-// event clock, sequentially: the wavefront schedule of runAsyncPeriodSeq
+// runEventPeriodAsync advances one asynchronous gossip period on the event
+// clock across the worker shards: the wavefront schedule of runAsyncPeriod
 // over the static phase order, with arrival sub-barriers pinning every
 // arrival to its instant. Cluster.RunRound has already advanced c.now.
-func (c *Cluster) runEventPeriodAsyncSeq() {
+func (e *shardedExecutor) runEventPeriodAsync() {
+	c := e.c
 	n := len(c.procs)
-	a := c.seqAsync
-	if a == nil {
-		a = newAsyncSeq(n)
-		c.seqAsync = a
-	}
 	for i := 0; i < n; i++ {
-		a.composed[i] = false
+		e.aComposed[i] = false
 	}
 	base := (c.now - 1) * c.periodMs
-	copy(a.order, c.evOrder)
+	// e.aOrder was copied from the static phase order at construction.
 	lookahead := asyncLookahead(n)
 
 	front := 0
 	for front < n {
 		// Everything due before (or at) the front tick's instant is visible
 		// to it; drain and handle it before the wave composes.
-		c.eventArrivalBarrierSeq(a, base+c.phase[a.order[front]])
+		e.eventArrivalBarrier(base + c.phase[e.aOrder[front]])
 		windowEnd := front + lookahead
 		if windowEnd > n {
 			windowEnd = n
 		}
-		for k := front; k < windowEnd; k++ {
-			i := a.order[k]
-			if a.composed[i] || c.crashes.Crashed(c.ids[i], c.now) {
-				continue
-			}
-			a.emit[i] = composeTick(c.procs[i], c.now, a.emit[i][:0])
-			a.composed[i] = true
-		}
-		a.queue, a.dests = a.queue[:0], a.dests[:0]
+		// Compose phase (parallel): sharded by process ownership.
+		e.waveFront, e.waveWindowEnd = front, windowEnd
+		e.parallel(e.composeFn)
+		// Commit walk (sequential): a pending arrival instant at or before
+		// a tick's instant ends the wave so the arrival lands (and possibly
+		// invalidates speculations) first. The check reads only the wheel,
+		// a pure function of the simulation state.
+		e.queue = e.queue[:0]
+		e.clearInboxes()
 		waveEnd := windowEnd
 		for k := front; k < windowEnd; k++ {
-			i := a.order[k]
+			i := e.aOrder[k]
 			if c.crashes.Crashed(c.ids[i], c.now) {
 				continue
 			}
-			// End the wave before a tick whose instant a pending arrival
-			// predates: that arrival must land (and possibly invalidate
-			// speculations) first. The check reads only the wheel, a pure
-			// function of the simulation state.
 			if na, pending := c.wheel.Next(); pending && na <= base+c.phase[i] {
 				waveEnd = k
 				break
 			}
-			if !a.composed[i] {
+			if !e.aComposed[i] {
 				waveEnd = k
 				break
 			}
 			c.nowMs = base + c.phase[i]
-			commitTick(c.procs[i], c.now)
-			a.composed[i] = false // consumed: no emission outstanding
-			for _, m := range a.emit[i] {
-				c.asyncFilterSeq(a, m)
-			}
+			e.commitEmission(i)
 		}
-		c.asyncBarrierSeq(a)
+		e.asyncBarrier()
 		front = waveEnd
 	}
 	// End-of-period flush: arrivals after the last tick but inside the
 	// period land now, leaving the wheel parked at the boundary.
-	c.eventArrivalBarrierSeq(a, c.now*c.periodMs)
+	e.eventArrivalBarrier(c.now * c.periodMs)
 	c.nowMs = c.now * c.periodMs
+	if e.poison {
+		e.poisonAsyncRecycled()
+	}
 }

@@ -6,14 +6,16 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/proto"
 )
 
-// runBothClock runs the same infection experiment through the sequential
-// and the sharded executor on the event clock and returns both results.
-func runBothClock(t *testing.T, opts Options, rounds, repeats, workers int) (seq, par InfectionResult) {
-	t.Helper()
-	opts.Clock = ClockEvent
-	return runBoth(t, opts, rounds, repeats, workers)
+// stepper is what a tape needs of a cluster: the executor's own, or the
+// reference walk over one (seqRef).
+type stepper interface {
+	PublishAt(i int) (proto.Event, error)
+	RunRound()
+	DeliveredCount(id proto.EventID) int
+	NetStats() NetStats
 }
 
 // eventTape runs one cluster for rounds periods and returns the traced
@@ -26,6 +28,22 @@ func eventTape(t *testing.T, opts Options, rounds int) (tape []int, nets []NetSt
 		t.Fatal(err)
 	}
 	defer c.Close()
+	return tapeOf(t, c, rounds)
+}
+
+// refTape is eventTape with the cluster stepped by the sequential
+// reference walk.
+func refTape(t *testing.T, opts Options, rounds int) (tape []int, nets []NetStats) {
+	t.Helper()
+	c, err := newSeqRef(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tapeOf(t, c, rounds)
+}
+
+func tapeOf(t *testing.T, c stepper, rounds int) (tape []int, nets []NetStats) {
+	t.Helper()
 	ev, err := c.PublishAt(0)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +66,8 @@ func eventTape(t *testing.T, opts Options, rounds int) (tape []int, nets []NetSt
 // because every arrival and tick lands exactly on a period boundary and
 // replays the reference drain-then-tick order. Covers the zero-delay §5.1
 // network, both delay-model kinds, a delayed topology with a scheduled
-// partition, and the sharded event executor against the round reference.
+// partition, and the event clock on one shard and on four against the
+// round clock's sequential reference walk.
 func TestEventBridgeMatchesRoundClock(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -79,7 +98,7 @@ func TestEventBridgeMatchesRoundClock(t *testing.T) {
 			opts.Lpbcast.AssumeFromDigest = true
 			tc.mut(&opts)
 
-			roundTape, roundNets := eventTape(t, opts, 12)
+			roundTape, roundNets := refTape(t, opts, 12)
 
 			for _, workers := range []int{0, 4} {
 				o := opts
@@ -94,10 +113,10 @@ func TestEventBridgeMatchesRoundClock(t *testing.T) {
 	}
 }
 
-// TestEventShardedMatchesSequential is the event tentpole's correctness
-// oracle: on the event clock, the sharded executor must reproduce the
-// sequential event-queue reference bit for bit — across worker counts,
-// delay units (rounds and virtual milliseconds), and fault dimensions.
+// TestEventShardedMatchesSequential is the event clock's correctness
+// oracle: the executor must reproduce the sequential event-queue reference
+// bit for bit — across worker counts, delay units (rounds and virtual
+// milliseconds), and fault dimensions.
 func TestEventShardedMatchesSequential(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -127,27 +146,15 @@ func TestEventShardedMatchesSequential(t *testing.T) {
 			opts.WarmupRounds = 2
 			opts.Lpbcast.AssumeFromDigest = true
 			tc.mut(&opts)
-			var results []InfectionResult
-			for _, w := range []int{0, 2, 3, 8, 250} {
-				o := opts
-				o.Clock = ClockEvent
-				o.Workers = w
-				res, err := InfectionExperiment(o, 10, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				results = append(results, res)
-			}
-			for i := 1; i < len(results); i++ {
-				assertIdentical(t, fmt.Sprintf("event workers variant %d", i), results[0], results[i])
-			}
+			opts.Clock = ClockEvent
+			assertMatchesRef(t, "event infection", opts, 10, 2, 0, 1, 2, 3, 8, 250)
 		})
 	}
 }
 
 // TestEventShardedMatchesSequential10k is the acceptance-scale event run
-// (see bigN): sharded bit-identical to the sequential event reference at
-// N=10,000, with a millisecond delay model in force.
+// (see bigN): bit-identical to the sequential event reference at N=10,000,
+// with a millisecond delay model in force.
 func TestEventShardedMatchesSequential10k(t *testing.T) {
 	t.Parallel()
 	n := bigN()
@@ -157,8 +164,8 @@ func TestEventShardedMatchesSequential10k(t *testing.T) {
 	opts.Delay = fault.Millis{Model: fault.UniformDelay{Min: 10, Max: 180}}
 	// 15 periods: the paper's ~log_F(n) infection horizon plus the up-to-
 	// two periods the 10-180ms delays keep each hop in the air.
-	seq, par := runBothClock(t, opts, 15, 1, runtime.GOMAXPROCS(0))
-	assertIdentical(t, fmt.Sprintf("event infection@%d", n), seq, par)
+	opts.Clock = ClockEvent
+	seq := assertMatchesRef(t, fmt.Sprintf("event infection@%d", n), opts, 15, 1, shardCounts(runtime.GOMAXPROCS(0))...)
 	if last := seq.PerRound[len(seq.PerRound)-1]; last < float64(n)*0.95 {
 		t.Errorf("only %v of %d infected; dissemination failed", last, n)
 	}
@@ -182,20 +189,9 @@ func TestEventReuseWithPoison10k(t *testing.T) {
 			opts.Clock = ClockEvent
 			opts.Lpbcast.AssumeFromDigest = true
 			opts.Delay = fault.Millis{Model: fault.UniformDelay{Min: 10, Max: 180}}
-			o := opts
-			o.Workers = 0
-			seq, err := InfectionExperiment(o, 10, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			o = opts
-			o.Workers = 4 // explicitly sharded, even on a single-core runner
-			o.PoisonRecycled = true
-			par, err := InfectionExperiment(o, 10, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertIdentical(t, fmt.Sprintf("event poisoned reuse@%d", n), seq, par)
+			opts.PoisonRecycled = true
+			// 4: explicitly sharded, even on a single-core runner.
+			assertMatchesRef(t, fmt.Sprintf("event poisoned reuse@%d", n), opts, 10, 1, shardCounts(4)...)
 		})
 	}
 }
@@ -203,7 +199,7 @@ func TestEventReuseWithPoison10k(t *testing.T) {
 // TestEventAsyncMatchesSequential: the async event mode — per-process
 // static phase offsets inside the period, arrivals interleaved between
 // tick waves at their exact instants — must be identical between the
-// sequential walk and the sharded wavefront executor.
+// sequential reference walk and the executor's wavefront on any shard count.
 func TestEventAsyncMatchesSequential(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -224,21 +220,9 @@ func TestEventAsyncMatchesSequential(t *testing.T) {
 				opts := asyncOpts(250, seed)
 				opts.WarmupRounds = 2
 				tc.mut(&opts)
-				var results []InfectionResult
-				for _, w := range []int{0, 3, 8} {
-					o := opts
-					o.Clock = ClockEvent
-					o.Workers = w
-					res, err := InfectionExperiment(o, 10, 2)
-					if err != nil {
-						t.Fatal(err)
-					}
-					results = append(results, res)
-				}
-				for i := 1; i < len(results); i++ {
-					assertIdentical(t, fmt.Sprintf("async event seed=%d variant %d", seed, i), results[0], results[i])
-				}
-				if last := results[0].PerRound[len(results[0].PerRound)-1]; last < 250*0.9 {
+				opts.Clock = ClockEvent
+				ref := assertMatchesRef(t, fmt.Sprintf("async event seed=%d", seed), opts, 10, 2, 0, 1, 3, 8)
+				if last := ref.PerRound[len(ref.PerRound)-1]; last < 250*0.9 {
 					t.Errorf("seed=%d: only %v of 250 infected; dissemination failed", seed, last)
 				}
 			}
@@ -305,7 +289,7 @@ func TestEventLongPeriodCrossesWheelRotation(t *testing.T) {
 	opts.Lpbcast.AssumeFromDigest = true
 	opts.Delay = fault.Millis{Model: fault.UniformDelay{Min: 10, Max: 180}}
 	const rounds = 20 // 20 * 2^20 ms crosses the 2^24 boundary at period 17
-	var tapes [][]int
+	refT, refNets := refTape(t, opts, rounds)
 	for _, workers := range []int{0, 4} {
 		o := opts
 		o.Workers = workers
@@ -313,25 +297,15 @@ func TestEventLongPeriodCrossesWheelRotation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev, err := c.PublishAt(0)
-		if err != nil {
-			c.Close()
-			t.Fatal(err)
-		}
-		var tape []int
-		for r := 0; r < rounds; r++ {
-			c.RunRound()
-			tape = append(tape, c.DeliveredCount(ev.ID))
-			assertConserved(t, c.NetStats())
-		}
+		tape, nets := tapeOf(t, c, rounds)
 		if got, want := c.NowMs(), uint64(rounds)*maxPeriodMs; got != want {
 			t.Errorf("workers=%d: NowMs = %d, want %d", workers, got, want)
 		}
 		c.Close()
-		tapes = append(tapes, tape)
+		assertIdentical(t, fmt.Sprintf("rotation-crossing tape workers=%d", workers), refT, tape)
+		assertIdentical(t, fmt.Sprintf("rotation-crossing netstats workers=%d", workers), refNets, nets)
 	}
-	assertIdentical(t, "rotation-crossing tape", tapes[0], tapes[1])
-	if last := tapes[0][len(tapes[0])-1]; last < 60 {
+	if last := refT[len(refT)-1]; last < 60 {
 		t.Errorf("only %d of 64 delivered after %d long periods", last, rounds)
 	}
 }
@@ -339,8 +313,8 @@ func TestEventLongPeriodCrossesWheelRotation(t *testing.T) {
 // TestEventRoundAllocs is the event-scheduler allocation gate: once the
 // cluster reaches steady state, a synchronous event-clock round — wheel
 // pops, tick rescheduling, emission, and dispatch — must not allocate
-// more than twice, sequential and sharded alike (the steady-event-round
-// bench entries gate the same bound in CI).
+// more than twice, on one shard (no option set) and on four alike (the
+// steady-event-round bench entries gate the same bound in CI).
 func TestEventRoundAllocs(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		workers := workers
@@ -350,24 +324,31 @@ func TestEventRoundAllocs(t *testing.T) {
 			opts.Tau = 0
 			opts.Clock = ClockEvent
 			opts.Workers = workers
-			opts.EmissionReuse = workers == 0
 			opts.Lpbcast.AssumeFromDigest = true
 			opts.Delay = fault.Millis{Model: fault.UniformDelay{Min: 10, Max: 180}}
-			cluster, err := NewCluster(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cluster.Close()
-			if _, err := cluster.PublishAt(0); err != nil {
-				t.Fatal(err)
-			}
-			for r := 0; r < 300; r++ {
-				cluster.RunRound()
-			}
-			allocs := testing.AllocsPerRun(50, func() { cluster.RunRound() })
-			if allocs > 2 {
+			if allocs := steadyRoundAllocs(t, opts); allocs > 2 {
 				t.Errorf("steady-state event round allocates %v times, want <= 2", allocs)
 			}
 		})
+	}
+}
+
+// TestEventAsyncPoisonSparesBodiesInFlight: the end-of-period flush leaves
+// the last instant's arrivals on the hop queue, and an arrival's gossip is
+// the ring's body, which envelopes still in the air may share. Poisoning
+// must reach it through the ring's spent list only — never through the
+// queue. The system is small on purpose: with fewer processes than phases,
+// most periods end on an arrival rather than on a tick (at N=10,000 some
+// process always ticks at the period's last instant, and the flush finds
+// nothing).
+func TestEventAsyncPoisonSparesBodiesInFlight(t *testing.T) {
+	t.Parallel()
+	opts := asyncOpts(40, 3)
+	opts.Clock = ClockEvent
+	opts.Delay = fault.Millis{Model: fault.UniformDelay{Min: 10, Max: 180}}
+	opts.PoisonRecycled = true
+	ref := assertMatchesRef(t, "poisoned async event", opts, 12, 2, shardCounts(4)...)
+	if last := ref.PerRound[len(ref.PerRound)-1]; last < 36 {
+		t.Errorf("only %v of 40 infected; dissemination failed", last)
 	}
 }

@@ -7,10 +7,14 @@ import (
 	"repro/internal/proto"
 )
 
-// This file implements the sharded parallel round executor: the
-// synchronous-round semantics of RunRound (§5.1), executed across W worker
-// shards with results bit-for-bit identical to the sequential executor for
-// the same seed.
+// This file implements the simulator's one executor. It runs every schedule
+// — the synchronous round of RunRound (§5.1) below, the asynchronous
+// wavefront period of async.go, and both on the event clock of
+// event_exec.go — across W >= 1 shards, with results bit-for-bit identical
+// for any W and the same seed. One shard runs every phase inline on the
+// caller's goroutine: no workers, no channels, nothing to close. The
+// sequential walks these schedules were first written as survive as the
+// reference the equivalence suites compare against (seqref_test.go).
 //
 // Determinism argument. A synchronous round is two kinds of work:
 //
@@ -18,8 +22,8 @@ import (
 //     engine draws only from its own split RNG and touches only its own
 //     state, so ticks of distinct processes commute. Shards are contiguous
 //     index ranges and each shard appends into its own outbox in index
-//     order; concatenating the outboxes in shard order reproduces the
-//     sequential queue exactly.
+//     order; concatenating the outboxes in shard order yields the queue a
+//     single walk over all processes builds.
 //  2. Dispatch — the network applies crash filtering and Bernoulli loss,
 //     then receivers handle their messages, and same-round responses are
 //     chased hop by hop. The loss model draws from one shared RNG whose
@@ -28,8 +32,8 @@ import (
 //     fanned out: survivors are binned per destination shard preserving
 //     queue order, each worker handles only its own processes' messages
 //     (per-engine state again), and every response span is tagged with the
-//     triggering message's queue position so the next hop's queue can be
-//     reassembled in exactly the sequential order.
+//     triggering message's queue position so the next hop's queue is
+//     reassembled in trigger order whatever the shard count.
 //
 // Delivery recording is a commutative set-union (see recorder), so the
 // only shared mutable state touched concurrently is behind its lock.
@@ -88,16 +92,13 @@ func handleAppend(p Process, m proto.Message, now uint64, out []proto.Message) [
 	return append(out, p.HandleMessage(m, now)...)
 }
 
-// effectiveWorkers resolves the Workers option: <0 means GOMAXPROCS, and
-// the shard count never exceeds the process count.
+// effectiveWorkers resolves the Workers option to a shard count in [1, n]:
+// 0 means one shard and a negative value GOMAXPROCS.
 func effectiveWorkers(workers, n int) int {
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	return workers
+	return max(1, min(workers, n))
 }
 
 // routed is a queue message that survived filtering, bound for the process
@@ -113,10 +114,10 @@ type respSpan struct {
 	pos, start, end int
 }
 
-// workerPool owns the executor's persistent worker channels. It is a
-// separate allocation from the executor so that shutdown can be attached
-// to the Cluster as a GC cleanup: the pool must not reference the cluster,
-// or the cleanup would never fire.
+// workerPool owns the executor's persistent worker channels — none when
+// there is one shard. It is a separate allocation from the executor so
+// that shutdown can be attached to the Cluster as a GC cleanup: the pool
+// must not reference the cluster, or the cleanup would never fire.
 type workerPool struct {
 	once sync.Once
 	work []chan func(int)
@@ -143,17 +144,17 @@ func shardWorker(s int, work <-chan func(int), wg *sync.WaitGroup) {
 	}
 }
 
-// shardedExecutor runs synchronous rounds for a Cluster across worker
-// shards. All scratch buffers are retained between rounds and the engines
-// run in emission-reuse mode, so the steady state of a large experiment
-// does not allocate.
+// shardedExecutor runs a Cluster's rounds and periods across its shards.
+// All scratch buffers are retained between rounds and the engines run in
+// emission-reuse mode, so the steady state of a large experiment does not
+// allocate.
 type shardedExecutor struct {
 	c       *Cluster
 	workers int
 	lo, hi  []int // shard s owns process indices [lo[s], hi[s])
 	shardOf []int // process index -> shard
 
-	tickBufs [][]proto.Message // per-shard Tick outboxes
+	tickBufs [][]proto.Message // per-shard Tick outboxes (shard 0: see tickShard)
 	inboxes  [][]routed        // per-shard surviving messages, queue order
 	resps    [][]proto.Message // per-shard response buffers
 	spans    [][]respSpan      // per-shard response spans
@@ -167,8 +168,8 @@ type shardedExecutor struct {
 	handleFn  func(s int)
 	composeFn func(s int)
 
-	// Wavefront async state (executor_async.go); allocated when the
-	// cluster runs async periods. aComposed[i] tracks an outstanding
+	// Wavefront async state (async.go); allocated when the cluster runs
+	// async periods. aComposed[i] tracks an outstanding
 	// valid speculative emission — cleared when a commit consumes it.
 	aOrder        []int             // position -> process index
 	aComposed     []bool            // per process: valid speculative emission outstanding
@@ -180,8 +181,8 @@ type shardedExecutor struct {
 }
 
 // newShardedExecutor partitions the cluster's processes into w contiguous
-// shards and starts the persistent workers. Callers guarantee w >= 2 and
-// w <= N.
+// shards (1 <= w <= N, see effectiveWorkers) and, when there is more than
+// one, starts the persistent workers.
 func newShardedExecutor(c *Cluster, w int) *shardedExecutor {
 	e := &shardedExecutor{
 		c:        c,
@@ -194,7 +195,7 @@ func newShardedExecutor(c *Cluster, w int) *shardedExecutor {
 		resps:    make([][]proto.Message, w),
 		spans:    make([][]respSpan, w),
 		cursors:  make([]int, w),
-		pool:     &workerPool{work: make([]chan func(int), w)},
+		pool:     new(workerPool),
 		wg:       new(sync.WaitGroup),
 		poison:   c.opts.PoisonRecycled,
 	}
@@ -215,7 +216,7 @@ func newShardedExecutor(c *Cluster, w int) *shardedExecutor {
 	// Opt the engines into recycling their emission buffers: the round
 	// structure guarantees full consumption before the next tick (see the
 	// file comment), and the reuse paths consume identical RNG draws, so
-	// results stay bit-for-bit equal to the sequential executor.
+	// results stay bit-for-bit equal to the cloning reference walks.
 	for _, p := range c.procs {
 		if er, ok := p.(emissionReuser); ok {
 			er.SetEmissionReuse(true)
@@ -232,9 +233,12 @@ func newShardedExecutor(c *Cluster, w int) *shardedExecutor {
 		// round clock shuffles aOrder afresh each period (copy is a no-op).
 		copy(e.aOrder, c.evOrder)
 	}
+	if w == 1 {
+		return e // every phase runs inline: no workers, nothing to clean up
+	}
 	for s := 0; s < w; s++ {
 		ch := make(chan func(int), 1)
-		e.pool.work[s] = ch
+		e.pool.work = append(e.pool.work, ch)
 		go shardWorker(s, ch, e.wg)
 	}
 	// Backstop for clusters that are never Closed (the experiment runners
@@ -245,10 +249,15 @@ func newShardedExecutor(c *Cluster, w int) *shardedExecutor {
 	return e
 }
 
-// parallel runs fn(shard) on every worker and waits. fn must be one of the
-// prebuilt phase closures; building a closure here would put an allocation
-// on the per-round path.
+// parallel runs fn(shard) for every shard and waits: on the workers, or
+// inline on the caller's goroutine when there is one shard. fn must be one
+// of the prebuilt phase closures; building a closure here would put an
+// allocation on the per-round path.
 func (e *shardedExecutor) parallel(fn func(s int)) {
+	if e.workers == 1 {
+		fn(0)
+		return
+	}
 	e.wg.Add(e.workers)
 	for _, ch := range e.pool.work {
 		ch <- fn
@@ -256,17 +265,41 @@ func (e *shardedExecutor) parallel(fn func(s int)) {
 	e.wg.Wait()
 }
 
-// tickShard emits shard s's gossips in process index order.
+// tickShard emits shard s's gossips in process index order. Shard 0 is
+// first in merge order, so it appends straight onto the hop queue, behind
+// whatever arrivals are already there, and a one-shard round never copies
+// its emissions; the other shards touch only their own outboxes meanwhile.
+// Under PoisonRecycled shard 0 keeps an outbox too: the hop queue is
+// rewritten by the chase, and the end-of-round poisoning needs every tick
+// gossip reachable.
 func (e *shardedExecutor) tickShard(s int) {
 	c := e.c
+	direct := s == 0 && !e.poison
 	buf := e.tickBufs[s][:0]
+	if direct {
+		buf = e.queue
+	}
 	for i := e.lo[s]; i < e.hi[s]; i++ {
 		if c.crashes.Crashed(c.ids[i], c.now) {
 			continue
 		}
 		buf = tickAppend(c.procs[i], c.now, buf)
 	}
-	e.tickBufs[s] = buf
+	if direct {
+		e.queue = buf
+	} else {
+		e.tickBufs[s] = buf
+	}
+}
+
+// emitTicks runs the tick phase and leaves every alive process's gossip on
+// the hop queue in process index order (shard order), behind what the
+// queue already holds.
+func (e *shardedExecutor) emitTicks() {
+	e.parallel(e.tickFn)
+	for s := 0; s < e.workers; s++ {
+		e.queue = append(e.queue, e.tickBufs[s]...)
+	}
 }
 
 // handleShard processes shard s's surviving messages in queue order,
@@ -290,22 +323,16 @@ func (e *shardedExecutor) handleShard(s int) {
 // already advanced c.now.
 func (e *shardedExecutor) runRound() {
 	c := e.c
-	// Tick phase: each shard emits its processes' gossips in index order.
-	e.parallel(e.tickFn)
-	// Deterministic merge: this round's delayed arrivals first (in their
+	// The round's queue: this round's delayed arrivals first (in their
 	// in-flight enqueue order, with their arrival accounting applied),
-	// then shard order == process index order — the exact queue the
-	// sequential executor builds. The drain draws no randomness, so its
-	// position relative to the tick phase is unobservable.
+	// then the ticks in process index order.
 	e.queue = e.queue[:0]
 	pre := 0
 	if c.fl != nil {
 		e.queue, c.arrivalDests = c.drainArrivals(e.queue, c.arrivalDests[:0])
 		pre = len(e.queue)
 	}
-	for s := 0; s < e.workers; s++ {
-		e.queue = append(e.queue, e.tickBufs[s]...)
-	}
+	e.emitTicks()
 	e.dispatch(pre)
 	if e.poison {
 		e.poisonRecycled()
@@ -313,18 +340,16 @@ func (e *shardedExecutor) runRound() {
 }
 
 // dispatch delivers the queued messages, chasing same-round responses up
-// to maxChase hops, exactly like the sequential Cluster.dispatch. The
-// first pre messages are pre-filtered delayed arrivals: they skip
-// classify (their send-time filtering and arrival accounting already
-// happened) and are binned straight to their destination shards.
+// to maxChase hops. The first pre messages are pre-filtered delayed
+// arrivals: they skip classify (their send-time filtering and arrival
+// accounting already happened) and are binned straight to their
+// destination shards, in queue order, ahead of the round's fresh traffic.
 func (e *shardedExecutor) dispatch(pre int) {
 	c := e.c
 	for hop := 0; len(e.queue) > 0 && hop < maxChase; hop++ {
 		// Filter phase (sequential): the loss model's RNG draws must
 		// happen in queue order, and the network counters with them.
-		for s := 0; s < e.workers; s++ {
-			e.inboxes[s] = e.inboxes[s][:0]
-		}
+		e.clearInboxes()
 		for pos, m := range e.queue {
 			var di int
 			if pos < pre {
@@ -345,13 +370,21 @@ func (e *shardedExecutor) dispatch(pre int) {
 		e.queue, e.next = e.next, e.queue
 		pre = 0
 	}
-	// Mirror the sequential executor's accounting for a cut-off chase.
+	// Responses still queued when the chase cap hit would otherwise vanish
+	// without a trace; account for them so the counters stay conservative.
 	c.net.TruncatedChase += uint64(len(e.queue))
 }
 
-// mergeResponses reassembles the next hop's queue into e.next, in the
-// order the sequential executor would have produced — ascending by the
-// triggering message's queue position. Every shard's span list is already
+// clearInboxes empties every shard's inbox ahead of a filter phase.
+func (e *shardedExecutor) clearInboxes() {
+	for s := range e.inboxes {
+		e.inboxes[s] = e.inboxes[s][:0]
+	}
+}
+
+// mergeResponses reassembles the next hop's queue into e.next, ascending
+// by the triggering message's queue position — the order one walk over the
+// whole queue would have produced. Every shard's span list is already
 // sorted by pos (inboxes preserve queue order), so a cursor merge across
 // shards needs neither a sort nor scratch allocation.
 func (e *shardedExecutor) mergeResponses() {
@@ -380,8 +413,7 @@ func (e *shardedExecutor) mergeResponses() {
 
 // poisonSentinel marks poisoned buffer contents: no real process carries
 // the all-ones id, so any late consumer of a recycled buffer surfaces as a
-// loud divergence from the sequential executor instead of a silent
-// heisenbug.
+// loud divergence from the reference walk instead of a silent heisenbug.
 const poisonSentinel = proto.ProcessID(^uint64(0))
 
 // poisonEventID marks poisoned event slots.
@@ -414,6 +446,17 @@ func poisonMessages(msgs []proto.Message) {
 		if g := msgs[i].Gossip; g != nil {
 			poisonGossip(g)
 		}
+	}
+	poisonSlots(msgs)
+}
+
+// poisonSlots overwrites only the message slots of a recycled buffer. It is
+// for buffers that hold copies of envelopes: their gossips belong to
+// whoever emitted them — an engine, reached through its outbox, or the
+// in-flight ring, where a body stays live for as long as one envelope
+// still in the air carries it.
+func poisonSlots(msgs []proto.Message) {
+	for i := range msgs {
 		msgs[i] = proto.Message{From: poisonSentinel, To: poisonSentinel}
 	}
 }

@@ -17,10 +17,10 @@ func asyncOpts(n int, seed uint64) Options {
 	return opts
 }
 
-// TestParallelAsyncMatchesSequentialInfection is the wavefront tentpole's
+// TestParallelAsyncMatchesSequentialInfection is the wavefront schedule's
 // correctness oracle: for several seeds and all three protocols, the
-// sharded async executor must reproduce the sequential wavefront
-// executor's infection traces exactly.
+// executor's async period must reproduce the sequential wavefront
+// reference's infection traces exactly, on one shard, three and four.
 func TestParallelAsyncMatchesSequentialInfection(t *testing.T) {
 	t.Parallel()
 	for _, protocol := range []Protocol{Lpbcast, PbcastPartial, PbcastTotal} {
@@ -31,36 +31,21 @@ func TestParallelAsyncMatchesSequentialInfection(t *testing.T) {
 				opts := asyncOpts(250, seed)
 				opts.Protocol = protocol
 				opts.WarmupRounds = 2
-				seq, par := runBoth(t, opts, 8, 2, 4)
-				assertIdentical(t, "async infection", seq, par)
+				assertMatchesRef(t, "async infection", opts, 8, 2, shardCounts(4)...)
 			})
 		}
 	}
 }
 
 // TestParallelAsyncMatchesSequential10k is the scale acceptance criterion:
-// a 10,000-process async experiment through the parallel executor is
-// byte-identical to the sequential wavefront executor, for an explicit
-// shard count and for GOMAXPROCS.
+// a 10,000-process async experiment through the executor is byte-identical
+// to the sequential wavefront reference, for explicit shard counts and for
+// GOMAXPROCS.
 func TestParallelAsyncMatchesSequential10k(t *testing.T) {
 	t.Parallel()
 	n := bigN()
 	opts := asyncOpts(n, 3)
-	o := opts
-	o.Workers = 0
-	seq, err := InfectionExperiment(o, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		o = opts
-		o.Workers = w
-		par, err := InfectionExperiment(o, 8, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertIdentical(t, fmt.Sprintf("async infection@%d/workers=%d", n, w), seq, par)
-	}
+	seq := assertMatchesRef(t, fmt.Sprintf("async infection@%d", n), opts, 8, 1, append(shardCounts(runtime.GOMAXPROCS(0)), 4)...)
 	// The run must actually disseminate; otherwise equality is vacuous.
 	// Async covers ≈2 hops per period, so 8 periods saturate the system.
 	if last := seq.PerRound[len(seq.PerRound)-1]; last < float64(n)*0.95 {
@@ -77,19 +62,7 @@ func TestParallelAsyncMatchesSequentialReliability(t *testing.T) {
 	base.PublishRounds = 8
 	base.DrainRounds = 8
 
-	seqOpts := base
-	seqOpts.Cluster.Workers = 0
-	seq, err := ReliabilityExperiment(seqOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parOpts := base
-	parOpts.Cluster.Workers = 4
-	par, err := ReliabilityExperiment(parOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, "async reliability", seq, par)
+	seq := assertReliabilityMatchesRef(t, "async reliability", base, shardCounts(4)...)
 	if seq.Reliability <= 0 || seq.Events == 0 {
 		t.Errorf("degenerate run: %+v", seq)
 	}
@@ -97,23 +70,11 @@ func TestParallelAsyncMatchesSequentialReliability(t *testing.T) {
 
 // TestParallelAsyncWorkerCountInvariance: the wavefront schedule is a pure
 // function of the simulation state, so results are independent of the
-// shard count, not just of sequential-vs-parallel.
+// shard count, from the default through one shard per process.
 func TestParallelAsyncWorkerCountInvariance(t *testing.T) {
 	t.Parallel()
 	opts := asyncOpts(200, 99)
-	var results []InfectionResult
-	for _, w := range []int{0, 2, 3, 8, 200} {
-		o := opts
-		o.Workers = w
-		res, err := InfectionExperiment(o, 8, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, res)
-	}
-	for i := 1; i < len(results); i++ {
-		assertIdentical(t, fmt.Sprintf("async workers variant %d", i), results[0], results[i])
-	}
+	assertMatchesRef(t, "async infection", opts, 8, 2, 0, 1, 2, 3, 8, 200)
 }
 
 // TestParallelAsyncReuseNoUseAfterRecycle is the async emission-reuse
@@ -121,7 +82,7 @@ func TestParallelAsyncWorkerCountInvariance(t *testing.T) {
 // — the per-process composed emissions, their shared scratch gossips, and
 // the queue/response slots — is overwritten with sentinels at the end of
 // each period, so any consumer holding one too long diverges loudly from
-// the sequential executor. Retransmit mode exercises the longest-lived
+// the sequential reference. Retransmit mode exercises the longest-lived
 // buffers (the wave barrier's request/reply chase); the pbcast protocols
 // exercise the solicitation path and the deferred-reply flush.
 func TestParallelAsyncReuseNoUseAfterRecycle(t *testing.T) {
@@ -151,21 +112,8 @@ func TestParallelAsyncReuseNoUseAfterRecycle(t *testing.T) {
 			opts := asyncOpts(200, 77)
 			opts.WarmupRounds = 2
 			tc.mut(&opts)
-
-			o := opts
-			o.Workers = 0
-			seq, err := InfectionExperiment(o, 10, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			o = opts
-			o.Workers = 4
-			o.PoisonRecycled = true
-			par, err := InfectionExperiment(o, 10, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertIdentical(t, "async poisoned reuse", seq, par)
+			opts.PoisonRecycled = true
+			assertMatchesRef(t, "async poisoned reuse", opts, 10, 2, shardCounts(4)...)
 		})
 	}
 }
@@ -175,48 +123,26 @@ func TestParallelAsyncReuseNoUseAfterRecycle(t *testing.T) {
 func TestParallelAsyncReuseWithPoison10k(t *testing.T) {
 	t.Parallel()
 	opts := asyncOpts(bigN(), 3)
-	o := opts
-	o.Workers = 0
-	seq, err := InfectionExperiment(o, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o = opts
-	o.Workers = 4 // explicitly sharded, even on a single-core runner
-	o.PoisonRecycled = true
-	par, err := InfectionExperiment(o, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, "async poisoned reuse@10k", seq, par)
+	opts.PoisonRecycled = true
+	// 4: explicitly sharded, even on a single-core runner.
+	assertMatchesRef(t, "async poisoned reuse@10k", opts, 8, 1, shardCounts(4)...)
 }
 
 // TestAsyncRoundAllocs is the async acceptance gate: once a cluster is
 // fully infected and every scratch buffer has reached steady-state
-// capacity, a sharded async period — speculative composes, the commit
-// walk, the barrier handle fan-outs, and the response merges — must not
-// allocate more than twice.
+// capacity, an async period — speculative composes, the commit walk, the
+// barrier handle fan-outs, and the response merges — must not allocate
+// more than twice, sharded four ways or with no option set (one shard).
 func TestAsyncRoundAllocs(t *testing.T) {
-	opts := asyncOpts(1_000, 9)
-	opts.Tau = 0 // a clean steady state: no crash-time variation
-	opts.Workers = 4
-	cluster, err := NewCluster(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	if _, err := cluster.PublishAt(0); err != nil {
-		t.Fatal(err)
-	}
-	// Infect everyone and let every emission buffer, view, and executor
-	// slot reach its high-water capacity; speculation re-executions keep
-	// growing per-process buffers for a long tail of periods.
-	for r := 0; r < 300; r++ {
-		cluster.RunRound()
-	}
-	allocs := testing.AllocsPerRun(50, func() { cluster.RunRound() })
-	if allocs > 2 {
-		t.Errorf("steady-state async period allocates %v times, want <= 2", allocs)
+	for _, workers := range []int{4, 0} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			opts := asyncOpts(1_000, 9)
+			opts.Tau = 0 // a clean steady state: no crash-time variation
+			opts.Workers = workers
+			if allocs := steadyRoundAllocs(t, opts); allocs > 2 {
+				t.Errorf("steady-state async period allocates %v times, want <= 2", allocs)
+			}
+		})
 	}
 }
 

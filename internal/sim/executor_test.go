@@ -10,41 +10,23 @@ import (
 	"repro/internal/proto"
 )
 
-// runBoth runs the same infection experiment through the sequential and
-// the sharded executor and returns both results.
-func runBoth(t *testing.T, opts Options, rounds, repeats, workers int) (seq, par InfectionResult) {
-	t.Helper()
-	o := opts
-	o.Workers = 0
-	seq, err := InfectionExperiment(o, rounds, repeats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o = opts
-	o.Workers = workers
-	par, err = InfectionExperiment(o, rounds, repeats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return seq, par
-}
-
 // assertIdentical asserts structural and byte-level equality of the two
 // results: the determinism guarantee is bit-for-bit, not approximate.
 func assertIdentical(t *testing.T, label string, seq, par interface{}) {
 	t.Helper()
 	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("%s: parallel result differs from sequential\nseq: %+v\npar: %+v", label, seq, par)
+		t.Errorf("%s: executor result differs from the reference\nref: %+v\ngot: %+v", label, seq, par)
 		return
 	}
 	if sb, pb := fmt.Sprintf("%#v", seq), fmt.Sprintf("%#v", par); sb != pb {
-		t.Errorf("%s: results not byte-identical\nseq: %s\npar: %s", label, sb, pb)
+		t.Errorf("%s: results not byte-identical\nref: %s\ngot: %s", label, sb, pb)
 	}
 }
 
-// TestParallelMatchesSequentialInfection is the tentpole's correctness
-// oracle: for several seeds and all three protocols, the sharded executor
-// must reproduce the sequential executor's infection traces exactly.
+// TestParallelMatchesSequentialInfection is the executor's correctness
+// oracle: for several seeds and all three protocols, one shard, three and
+// four must reproduce the sequential reference walk's infection traces
+// exactly (seqref_test.go).
 func TestParallelMatchesSequentialInfection(t *testing.T) {
 	t.Parallel()
 	for _, protocol := range []Protocol{Lpbcast, PbcastPartial, PbcastTotal} {
@@ -57,24 +39,22 @@ func TestParallelMatchesSequentialInfection(t *testing.T) {
 				opts.Protocol = protocol
 				opts.Lpbcast.AssumeFromDigest = true
 				opts.WarmupRounds = 2
-				seq, par := runBoth(t, opts, 8, 2, 4)
-				assertIdentical(t, "infection", seq, par)
+				assertMatchesRef(t, "infection", opts, 8, 2, shardCounts(4)...)
 			})
 		}
 	}
 }
 
 // TestParallelMatchesSequential10k is the scale acceptance criterion: a
-// 10,000-process experiment through the parallel executor is byte-identical
-// to the sequential one (shrunk under -short; see bigN).
+// 10,000-process experiment through the executor is byte-identical to the
+// sequential reference (shrunk under -short; see bigN).
 func TestParallelMatchesSequential10k(t *testing.T) {
 	t.Parallel()
 	n := bigN()
 	opts := DefaultOptions(n)
 	opts.Seed = 3
 	opts.Lpbcast.AssumeFromDigest = true
-	seq, par := runBoth(t, opts, 12, 1, runtime.GOMAXPROCS(0))
-	assertIdentical(t, fmt.Sprintf("infection@%d", n), seq, par)
+	seq := assertMatchesRef(t, fmt.Sprintf("infection@%d", n), opts, 12, 1, shardCounts(runtime.GOMAXPROCS(0))...)
 	// The run must actually disseminate; otherwise equality is vacuous.
 	if last := seq.PerRound[len(seq.PerRound)-1]; last < float64(n)*0.95 {
 		t.Errorf("only %v of %d infected; dissemination failed", last, n)
@@ -92,19 +72,7 @@ func TestParallelMatchesSequentialReliability(t *testing.T) {
 	base.PublishRounds = 8
 	base.DrainRounds = 8
 
-	seqOpts := base
-	seqOpts.Cluster.Workers = 0
-	seq, err := ReliabilityExperiment(seqOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parOpts := base
-	parOpts.Cluster.Workers = 4
-	par, err := ReliabilityExperiment(parOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, "reliability", seq, par)
+	seq := assertReliabilityMatchesRef(t, "reliability", base, shardCounts(4)...)
 	if seq.Reliability <= 0 || seq.Events == 0 {
 		t.Errorf("degenerate run: %+v", seq)
 	}
@@ -116,9 +84,9 @@ func TestParallelMatchesSequentialReliability(t *testing.T) {
 // sentinels at the end of each round. If any phase (the sequential
 // loss/crash filter, a handle shard, the span merge) held a recycled
 // buffer past its round, the poisoned values would leak into views,
-// deliveries, or retransmission traffic and diverge from the sequential
-// executor. Retransmit mode is included deliberately: its request/reply
-// chase is the longest-lived consumer of round buffers.
+// deliveries, or retransmission traffic and diverge from the reference,
+// which recycles nothing. Retransmit mode is included deliberately: its
+// request/reply chase is the longest-lived consumer of round buffers.
 func TestParallelReuseNoUseAfterRecycle(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -146,21 +114,8 @@ func TestParallelReuseNoUseAfterRecycle(t *testing.T) {
 			opts.Seed = 77
 			opts.WarmupRounds = 2
 			tc.mut(&opts)
-
-			o := opts
-			o.Workers = 0
-			seq, err := InfectionExperiment(o, 10, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			o = opts
-			o.Workers = 4
-			o.PoisonRecycled = true
-			par, err := InfectionExperiment(o, 10, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertIdentical(t, "poisoned reuse", seq, par)
+			opts.PoisonRecycled = true
+			assertMatchesRef(t, "poisoned reuse", opts, 10, 2, shardCounts(4)...)
 		})
 	}
 }
@@ -168,39 +123,45 @@ func TestParallelReuseNoUseAfterRecycle(t *testing.T) {
 // TestParallelReuseWithPoison10k extends the use-after-recycle property to
 // the acceptance scale (shrunk under -short; see bigN): a poisoned
 // 10,000-process run through the reuse path must match the sequential
-// executor byte for byte.
+// reference byte for byte.
 func TestParallelReuseWithPoison10k(t *testing.T) {
 	t.Parallel()
 	opts := DefaultOptions(bigN())
 	opts.Seed = 3
 	opts.Lpbcast.AssumeFromDigest = true
-	o := opts
-	o.Workers = 0
-	seq, err := InfectionExperiment(o, 12, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o = opts
-	o.Workers = 4 // explicitly sharded, even on a single-core runner
-	o.PoisonRecycled = true
-	par, err := InfectionExperiment(o, 12, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, "poisoned reuse@10k", seq, par)
+	opts.PoisonRecycled = true
+	// 4: explicitly sharded, even on a single-core runner.
+	assertMatchesRef(t, "poisoned reuse@10k", opts, 12, 1, shardCounts(4)...)
 }
 
 // TestExecutorRoundAllocs is the acceptance gate for the zero-alloc
 // executor: once a cluster is fully infected and every scratch buffer has
-// reached steady-state capacity, a sharded round — engine emission, the
-// loss filter, the handle fan-out, and the span merge — must not allocate
-// more than twice.
+// reached steady-state capacity, a round — engine emission, the loss
+// filter, the handle fan-out, and the span merge — must not allocate more
+// than twice, sharded four ways or with no option set at all (one shard,
+// run inline).
 func TestExecutorRoundAllocs(t *testing.T) {
-	opts := DefaultOptions(1_000)
-	opts.Seed = 9
-	opts.Tau = 0 // a clean steady state: no crash-time variation
-	opts.Lpbcast.AssumeFromDigest = true
-	opts.Workers = 4
+	for _, workers := range []int{4, 0} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			opts := DefaultOptions(1_000)
+			opts.Seed = 9
+			opts.Tau = 0 // a clean steady state: no crash-time variation
+			opts.Lpbcast.AssumeFromDigest = true
+			opts.Workers = workers
+			if allocs := steadyRoundAllocs(t, opts); allocs > 2 {
+				t.Errorf("steady-state round allocates %v times, want <= 2", allocs)
+			}
+		})
+	}
+}
+
+// steadyRoundAllocs builds the cluster, publishes one event and runs 300
+// rounds — infecting everyone and letting every scratch buffer, view map,
+// emission buffer and subs list reach its high-water capacity: membership
+// churn and speculation re-executions keep growing buffers for a long tail
+// of rounds before the caps stabilize — then measures one round.
+func steadyRoundAllocs(t *testing.T, opts Options) float64 {
+	t.Helper()
 	cluster, err := NewCluster(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -209,23 +170,17 @@ func TestExecutorRoundAllocs(t *testing.T) {
 	if _, err := cluster.PublishAt(0); err != nil {
 		t.Fatal(err)
 	}
-	// Infect everyone and let every scratch buffer, view map, and subs
-	// list reach its high-water capacity: membership churn keeps growing
-	// buffers for a long tail of rounds before the caps stabilize.
 	for r := 0; r < 300; r++ {
 		cluster.RunRound()
 	}
-	allocs := testing.AllocsPerRun(50, func() { cluster.RunRound() })
-	if allocs > 2 {
-		t.Errorf("steady-state sharded round allocates %v times, want <= 2", allocs)
-	}
+	return testing.AllocsPerRun(50, func() { cluster.RunRound() })
 }
 
-// TestClusterCloseIdempotent pins the Close contract: closing twice (or
-// closing a sequential cluster) is a no-op.
+// TestClusterCloseIdempotent pins the Close contract: closing twice is a
+// no-op, and so is closing a one-shard cluster at all — it has no workers.
 func TestClusterCloseIdempotent(t *testing.T) {
 	t.Parallel()
-	for _, workers := range []int{0, 4} {
+	for _, workers := range []int{0, 1, 4} {
 		opts := DefaultOptions(64)
 		opts.Workers = workers
 		cluster, err := NewCluster(opts)
@@ -235,6 +190,9 @@ func TestClusterCloseIdempotent(t *testing.T) {
 		cluster.RunRound()
 		cluster.Close()
 		cluster.Close()
+		if workers <= 1 && len(cluster.exec.pool.work) != 0 {
+			t.Errorf("workers=%d: a one-shard cluster started %d workers", workers, len(cluster.exec.pool.work))
+		}
 	}
 }
 
@@ -248,30 +206,18 @@ func TestParallelMatchesSequentialRetransmit(t *testing.T) {
 	opts.Epsilon = 0.15 // losses create gaps for the pull path to repair
 	opts.Lpbcast.Retransmit = true
 	opts.Lpbcast.ArchiveSize = 500
-	seq, par := runBoth(t, opts, 10, 2, 5)
-	assertIdentical(t, "retransmit", seq, par)
+	assertMatchesRef(t, "retransmit", opts, 10, 2, shardCounts(5)...)
 }
 
 // TestParallelWorkerCountInvariance: the determinism guarantee is not just
-// "parallel equals sequential" but independence from the shard count.
+// "some shard count equals the reference" but independence from the shard
+// count, from the default through one shard per process.
 func TestParallelWorkerCountInvariance(t *testing.T) {
 	t.Parallel()
 	opts := DefaultOptions(200)
 	opts.Seed = 99
 	opts.Lpbcast.AssumeFromDigest = true
-	var results []InfectionResult
-	for _, w := range []int{0, 2, 3, 8, 200} {
-		o := opts
-		o.Workers = w
-		res, err := InfectionExperiment(o, 8, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, res)
-	}
-	for i := 1; i < len(results); i++ {
-		assertIdentical(t, fmt.Sprintf("workers variant %d", i), results[0], results[i])
-	}
+	assertMatchesRef(t, "infection", opts, 8, 2, 0, 1, 2, 3, 8, 200)
 }
 
 // TestParallelViewInvariants is a seeded property test: after parallel
@@ -328,8 +274,10 @@ func TestParallelViewInvariants(t *testing.T) {
 // TestEffectiveWorkers pins the Workers-option resolution rules.
 func TestEffectiveWorkers(t *testing.T) {
 	t.Parallel()
-	if got := effectiveWorkers(0, 100); got != 0 {
-		t.Errorf("effectiveWorkers(0) = %d", got)
+	for _, w := range []int{0, 1} {
+		if got := effectiveWorkers(w, 100); got != 1 {
+			t.Errorf("effectiveWorkers(%d) = %d, want one shard", w, got)
+		}
 	}
 	if got := effectiveWorkers(4, 100); got != 4 {
 		t.Errorf("effectiveWorkers(4) = %d", got)

@@ -17,8 +17,8 @@ type FigureScale struct {
 	PublishRounds int
 	DrainRounds   int
 	// RunConfig is threaded into every cluster the figures build: Workers
-	// selects the executor (0/1 sequential, >1 that many shards, <0
-	// GOMAXPROCS), Clock the time base. Results are identical for any
+	// is the shard count (0/1 one shard, run inline; <0 GOMAXPROCS), Clock
+	// the time base. Results are identical for any
 	// Workers; only the wall clock changes. The embed keeps the historical
 	// scale.Workers spelling working unchanged.
 	RunConfig

@@ -15,14 +15,14 @@ import (
 // maxDelay+1) holds exactly the messages arriving at round r — so enqueue
 // and drain are O(1) lookups and the whole structure is pre-sized once.
 //
-// Determinism. Messages are enqueued from classify, which every executor
-// (sequential and sharded, synchronous and async) calls in the same
+// Determinism. Messages are enqueued from classify, which every schedule
+// (synchronous and async, on any shard count) calls in the same
 // deterministic order — the same merge order the span merge establishes
 // for same-round responses. A bucket therefore holds its messages in an
 // order that is a pure function of the simulation state, and draining it
 // front to back at the top of the arrival round reproduces that order
-// identically in every executor: the delayed path inherits the
-// bit-for-bit guarantee instead of needing its own.
+// whatever the shard count: the delayed path inherits the bit-for-bit
+// guarantee instead of needing its own.
 //
 // Allocation. The engines recycle their emission buffers (emission-reuse
 // mode), so a message outlives its round only if the queue deep-copies it.
@@ -44,13 +44,13 @@ import (
 //
 // Which envelopes share. An engine in emission-reuse mode rewrites the same
 // *proto.Gossip every tick, so the pointer alone does not name a gossip's
-// contents; the pointer and the period do, because every executor commits
+// contents; the pointer and the period do, because every schedule commits
 // at most one emission per engine per period (an aborted speculative
 // compose is never classified, and TestOneEmissionPerPeriod pins it on all
-// eight paths). enqueue therefore shares a body only with the envelope
+// four). enqueue therefore shares a body only with the envelope
 // enqueued just before it, and only when both the gossip pointer and the
 // period match. Nothing stops a foreign sim.Process from rewriting one
-// *proto.Gossip between two messages of a tick, or a future executor from
+// *proto.Gossip between two messages of a tick, or a future schedule from
 // committing twice; under PoisonRecycled (inflightQueue.check) enqueue
 // compares the incoming gossip with the body it is about to share and
 // panics on a difference, so the invariant is checked wherever poisoning is.
@@ -243,8 +243,8 @@ func (q *inflightQueue) drain(now uint64, dst []proto.Message) []proto.Message {
 	return dst
 }
 
-// recycle returns the round's spent slots and bodies to their pools. Every
-// executor calls it exactly once per round/period, after the last consumer
+// recycle returns the round's spent slots and bodies to their pools.
+// RunRound calls it exactly once per round/period, after the last consumer
 // of the round's arrivals (and any poisoning) is done.
 func (q *inflightQueue) recycle() {
 	q.pool = append(q.pool, q.spent...)

@@ -443,10 +443,11 @@ func TestInflightSharingCheck(t *testing.T) {
 }
 
 // TestOneEmissionPerPeriod pins the invariant the ring's sharing key rests
-// on: whatever the executor — both regimes, both clocks, sequential and
-// sharded, speculation and aborts included — an engine commits at most one
+// on: whatever the schedule — both regimes, both clocks, one shard and
+// three, speculation and aborts included — an engine commits at most one
 // emission per period, so a gossip pointer and a period name one gossip's
-// contents.
+// contents. PoisonRecycled is on for both shard counts, so the ring checks
+// every sharing decision it makes.
 func TestOneEmissionPerPeriod(t *testing.T) {
 	t.Parallel()
 	for _, async := range []bool{false, true} {
@@ -457,7 +458,6 @@ func TestOneEmissionPerPeriod(t *testing.T) {
 					o := DefaultOptions(120)
 					o.Seed = 11
 					o.Async, o.Clock, o.Workers = async, clock, workers
-					o.EmissionReuse = true
 					o.PoisonRecycled = true
 					o.Lpbcast.AssumeFromDigest = false
 					o.Lpbcast.Retransmit = true

@@ -49,22 +49,23 @@ const maxPeriodMs = 1 << 20
 // RunConfig is the execution configuration shared by every simulator entry
 // point — Options (and through it Scenario), FigureScale, MatrixSpec, and
 // TopicOptions all embed it, so "how the simulation executes" is declared
-// once instead of as per-surface field copies. It selects the executor
-// (Workers), the time base (Clock, PeriodMs), and the buffer-recycling
-// debug modes; none of its fields change results, only how and how fast
+// once instead of as per-surface field copies. It selects the shard count
+// (Workers), the time base (Clock, PeriodMs), and the buffer-poisoning
+// debug mode; none of its fields change results, only how and how fast
 // they are computed (Clock changes the schedule — see its docs — but is
-// itself deterministic and executor-independent).
+// itself deterministic and independent of the shard count).
 type RunConfig struct {
-	// Workers selects the executor: 0 or 1 runs rounds (or async periods)
-	// sequentially — the reference implementations; W > 1 runs them on W
-	// sharded workers with deterministic merges, producing results
-	// bit-for-bit identical to the sequential executor for the same seed.
-	// In synchronous mode the Tick and HandleMessage phases of each round
-	// fan out; in Async mode ticks are composed speculatively and
-	// deliveries handled in parallel under the wavefront schedule
-	// (async.go). The same guarantee holds on both clocks: the event
-	// executors speculate per wavefront against the sequential event walk.
-	// A negative value selects GOMAXPROCS workers.
+	// Workers is the number of shards a round (or async period) runs on;
+	// there is one schedule per regime and clock, and results are
+	// bit-for-bit identical for any shard count and the same seed. 0 or 1
+	// is one shard: every phase runs inline on the caller's goroutine and
+	// the cluster starts no workers. W > 1 fans the per-process work out to
+	// W persistent workers with deterministic merges: in synchronous mode
+	// the Tick and HandleMessage phases of each round; in Async mode ticks
+	// are composed speculatively and deliveries handled in parallel under
+	// the wavefront schedule (async.go); likewise on the event clock
+	// (event_exec.go). A negative value selects GOMAXPROCS shards, and
+	// the count never exceeds the number of processes.
 	Workers int
 	// Clock selects the time base: round lockstep (default) or the
 	// event-driven virtual-time scheduler.
@@ -73,23 +74,21 @@ type RunConfig struct {
 	// clock (0 = defaultPeriodMs). Setting it with ClockRounds is a
 	// configuration error: the round clock has no sub-round time.
 	PeriodMs int
-	// PoisonRecycled is a debug mode of the sharded executors: at the end
-	// of every round (or async period) the recycled emission buffers (the
-	// shared tick gossips, the executor's outbox/response slots, and the
-	// drained in-flight delay buckets) are overwritten with sentinel
-	// values, so any consumer that still aliases them past the round
-	// diverges loudly from the sequential executor instead of reading
-	// stale data silently. Results must be identical with the flag on —
-	// the reuse property tests assert this. No effect when the rounds run
-	// sequentially.
+	// PoisonRecycled is a debug mode of the executor: at the end of every
+	// round (or async period) the recycled emission buffers (the shared
+	// tick gossips, the executor's outbox/response slots, and the drained
+	// in-flight delay buckets) are overwritten with sentinel values, so
+	// any consumer that still aliases them past the round diverges loudly
+	// from the cloning reference walk instead of reading stale data
+	// silently. Results must be identical with the flag on — the reuse
+	// property tests assert this.
 	PoisonRecycled bool
-	// EmissionReuse opts the sequential executors into the engines'
-	// zero-alloc append emission paths with recycled buffers — the mode
-	// the sharded executors always run in. Results are bit-for-bit
-	// identical either way (the reuse equivalence tests assert it); the
-	// default off keeps the sequential references on the independently
-	// allocating clone paths, which is what makes them a meaningful
-	// oracle for the recycling executors. Ignored when Workers > 1.
+	// EmissionReuse is ignored.
+	//
+	// Deprecated: engines always run in emission reuse — the executor opts
+	// them in, whatever the shard count — and nothing reads this field. It
+	// is still declared only because benchmark/ assigns it; it goes with
+	// the PR that may edit benchmark/.
 	EmissionReuse bool
 }
 

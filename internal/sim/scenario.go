@@ -5,8 +5,8 @@ import "fmt"
 // This file is the sim v2 front door: one validated Scenario describing
 // *what* to measure (the experiment family and its knobs) on top of the
 // cluster Options describing *the system*, and one Run entry point
-// dispatching it. Every historical combination — synchronous rounds or
-// unsynchronized periods (Options.Async), sequential or sharded execution
+// dispatching it. Every combination — synchronous rounds or
+// unsynchronized periods (Options.Async), one shard or many
 // (RunConfig.Workers), round or event clock (RunConfig.Clock) — is reached
 // from the same call; the per-family functions remain as thin deprecated
 // wrappers so existing callers keep compiling.
@@ -139,9 +139,9 @@ type Result struct {
 
 // Run executes one scenario and returns its measurement. It is the single
 // entry point over every execution mode: Options.Async picks synchronous
-// rounds or unsynchronized periods, RunConfig.Workers picks the sequential
-// or sharded executor, RunConfig.Clock the round or event time base — all
-// combinations produce results that are bit-for-bit independent of Workers.
+// rounds or unsynchronized periods, RunConfig.Workers the shard count,
+// RunConfig.Clock the round or event time base — all combinations produce
+// results that are bit-for-bit independent of Workers.
 func Run(sc Scenario) (Result, error) {
 	sc = sc.withDefaults()
 	if err := sc.Validate(); err != nil {

@@ -109,13 +109,13 @@ type Options struct {
 	// process that receives fresh information before its own tick forwards
 	// it within the same period (≈2 hops per period on average, vs exactly
 	// 1 in synchronous mode). Periods follow the deterministic wavefront
-	// schedule documented in async.go. Synchronous mode (false) matches
+	// schedule of async.go. Synchronous mode (false) matches
 	// the paper's §5.1 simulations and the Markov analysis.
 	Async bool
-	// RunConfig selects the executor (Workers), the time base (Clock,
-	// PeriodMs), and the buffer-recycling debug modes; see RunConfig. The
-	// embed keeps the historical field names (o.Workers, o.PoisonRecycled,
-	// o.EmissionReuse) working unchanged.
+	// RunConfig selects the shard count (Workers), the time base (Clock,
+	// PeriodMs), and the buffer-poisoning debug mode; see RunConfig. The
+	// embed keeps the historical field names (o.Workers, o.PoisonRecycled)
+	// working unchanged.
 	RunConfig
 	// Delay is the network delay model: how many whole rounds (periods) a
 	// surviving message spends in flight before delivery (see
@@ -142,8 +142,8 @@ type Options struct {
 	// currently emits KindDeliver — one event per first delivery, with
 	// Node set to the delivering process, EventID to the notification, and
 	// N to the current round (When stays zero: virtual time has no wall
-	// clock). The sharded executors invoke the tracer concurrently from
-	// the handle phase, so implementations must be safe for concurrent use
+	// clock). With more than one shard the tracer is invoked concurrently
+	// from the handle phase, so implementations must be safe for concurrent use
 	// (all trace sinks are). Delivery *order* within a round is executor-
 	// dependent; the per-round delivery *set* is not — consumers that need
 	// byte-stable output across Workers (internal/golden) sort each
@@ -294,16 +294,10 @@ type Cluster struct {
 	now       uint64
 	net       NetStats
 	deliverFn func(owner proto.ProcessID, ev proto.Event)
-	par       *shardedExecutor // non-nil when Workers > 1
-	seqAsync  *asyncSeq        // sequential wavefront scratch (Async, Workers <= 1)
-	// seqQueue/seqNext are the sequential synchronous executor's retained
-	// hop buffers; with EmissionReuse they make a steady round
-	// allocation-free, without it they just recycle envelope capacity.
-	seqQueue, seqNext []proto.Message
+	exec      *shardedExecutor // runs every round and period, on 1..W shards
 	// arrivalDests holds the destination indices of the current round's
 	// drained arrivals (parallel to the queue's pre-filtered prefix),
-	// retained across rounds; the sequential and sharded synchronous
-	// dispatchers both read it for positions before pre.
+	// retained across rounds; dispatch reads it for positions before pre.
 	arrivalDests []int
 	// viewIdxScratch/viewPIDScratch back uniformView: initial views are
 	// drawn one process at a time through shared scratch, so seeding n
@@ -354,8 +348,8 @@ func NewCluster(opts Options) (*Cluster, error) {
 	c.index.SetSparseOnly(forceSparseIndex)
 	c.index.Reserve(proto.ProcessID(opts.N), opts.N)
 	// Stream discipline: the root splits happen in a fixed order that
-	// depends only on the options, never on the executor, so sequential
-	// and sharded runs of the same options share every stream. The delay
+	// depends only on the options, never on the shard count, so runs of the
+	// same options share every stream whatever their Workers. The delay
 	// stream is split only when a delay model is in force, keeping
 	// zero-delay runs bit-identical to pre-delay versions.
 	if c.topo != nil {
@@ -418,17 +412,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 		}
 	}
 
-	// EmissionReuse flips the sequential executors onto the recycling
-	// append paths; the sharded executor opts engines in regardless (see
-	// newShardedExecutor), so this only matters for Workers <= 1.
-	if opts.EmissionReuse {
-		for _, p := range c.procs {
-			if er, ok := p.(emissionReuser); ok {
-				er.SetEmissionReuse(true)
-			}
-		}
-	}
-
 	if opts.Tau > 0 {
 		horizon := opts.Horizon
 		if horizon == 0 {
@@ -485,9 +468,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 		}
 	}
 
-	if w := effectiveWorkers(opts.Workers, opts.N); w > 1 {
-		c.par = newShardedExecutor(c, w)
-	}
+	c.exec = newShardedExecutor(c, effectiveWorkers(opts.Workers, opts.N))
 
 	for i := 0; i < opts.WarmupRounds; i++ {
 		c.RunRound()
@@ -521,15 +502,12 @@ func (c *Cluster) uniformView(i, l int, r *rng.Source) []proto.ProcessID {
 	return out
 }
 
-// Close releases the sharded executor's persistent worker goroutines.
-// It is idempotent, and optional: an abandoned cluster's workers are
-// reclaimed by a GC cleanup, but the experiment runners close promptly.
-// RunRound must not be called after Close.
-func (c *Cluster) Close() {
-	if c.par != nil {
-		c.par.pool.shutdown()
-	}
-}
+// Close releases the executor's persistent worker goroutines; a one-shard
+// cluster has none, and Close does nothing. It is idempotent, and
+// optional: an abandoned cluster's workers are reclaimed by a GC cleanup,
+// but the experiment runners close promptly. RunRound must not be called
+// after Close.
+func (c *Cluster) Close() { c.exec.pool.shutdown() }
 
 // Process returns the i-th process (0-based).
 func (c *Cluster) Process(i int) Process { return c.procs[i] }
@@ -574,9 +552,10 @@ const maxChase = 16
 // same period, as in the paper's unsynchronized testbed. Delayed arrivals
 // are handled at the top of the period, before any tick composes, so an
 // arrival is visible to every tick of its arrival period. Periods run the
-// deterministic wavefront schedule (async.go): sequentially for
-// Workers <= 1, sharded across the worker pool otherwise, with results
-// bit-for-bit identical either way.
+// deterministic wavefront schedule (async.go).
+//
+// There is one schedule per regime and clock, and it runs on 1..W shards
+// (RunConfig.Workers) with results bit-for-bit identical for any W.
 func (c *Cluster) RunRound() {
 	c.now++
 	c.runRoundBody()
@@ -587,56 +566,19 @@ func (c *Cluster) RunRound() {
 	}
 }
 
-// runRoundBody dispatches one period to the executor selected by the
-// clock, regime, and worker count.
+// runRoundBody runs one period of the schedule the regime and the clock
+// select.
 func (c *Cluster) runRoundBody() {
-	if c.clockEvent {
-		if c.opts.Async {
-			if c.par != nil {
-				c.par.runEventPeriodAsync()
-				return
-			}
-			c.runEventPeriodAsyncSeq()
-			return
-		}
-		if c.par != nil {
-			c.par.runEventRound()
-			return
-		}
-		c.runEventRoundSeq()
-		return
+	switch {
+	case c.clockEvent && c.opts.Async:
+		c.exec.runEventPeriodAsync()
+	case c.clockEvent:
+		c.exec.runEventRound()
+	case c.opts.Async:
+		c.exec.runAsyncPeriod()
+	default:
+		c.exec.runRound()
 	}
-	if c.opts.Async {
-		if c.par != nil {
-			c.par.runAsyncPeriod()
-			return
-		}
-		c.runAsyncPeriodSeq()
-		return
-	}
-	if c.par != nil {
-		c.par.runRound()
-		return
-	}
-	queue := c.seqQueue[:0]
-	pre := 0
-	if c.fl != nil {
-		queue, c.arrivalDests = c.drainArrivals(queue, c.arrivalDests[:0])
-		pre = len(queue)
-	}
-	reuse := c.opts.EmissionReuse
-	for i := range c.procs {
-		if c.crashes.Crashed(c.ids[i], c.now) {
-			continue
-		}
-		if reuse {
-			queue = tickAppend(c.procs[i], c.now, queue)
-		} else {
-			queue = append(queue, c.procs[i].Tick(c.now)...)
-		}
-	}
-	c.seqQueue = queue
-	c.dispatch(pre)
 }
 
 // classify runs one message through the network's partition, crash, loss,
@@ -645,9 +587,9 @@ func (c *Cluster) runRoundBody() {
 // or Delivered — or enters the in-flight delay ring and is counted in
 // InFlight until its arrival round settles it. It returns the
 // destination's process index and whether the message is deliverable right
-// now. Every executor and both regimes route messages through this single
-// helper, so the accounting (and the loss and delay streams' draw-per-
-// message discipline) cannot drift between them.
+// now. Every schedule routes messages through this single helper, so the
+// accounting (and the loss and delay streams' draw-per-message discipline)
+// cannot drift between them.
 //
 // Filter order is part of the model: a cut link swallows traffic before
 // the destination's liveness is consulted, loss applies only to traffic
@@ -733,8 +675,8 @@ func (c *Cluster) arrive(to proto.ProcessID) (int, bool) {
 // drainArrivals empties the in-flight bucket of the current round in its
 // deterministic enqueue order, settles each message's accounting, and
 // appends the survivors to msgs and their destination process indices to
-// dests. Both regimes and all executors drain through this one helper at
-// the top of each round/period.
+// dests. Both round-clock regimes drain through this one helper at the top
+// of each round/period.
 func (c *Cluster) drainArrivals(msgs []proto.Message, dests []int) ([]proto.Message, []int) {
 	return c.settleArrivals(c.now, msgs, dests)
 }
@@ -754,42 +696,6 @@ func (c *Cluster) settleArrivals(at uint64, msgs []proto.Message, dests []int) (
 		}
 	}
 	return msgs[:kept], dests
-}
-
-// dispatch delivers the round's queue (c.seqQueue), chasing same-round
-// responses. The first pre messages of the queue are this round's delayed
-// arrivals: they already passed send-time filtering and arrival
-// accounting, so they skip classify and go straight to their receivers —
-// in queue order, ahead of the round's fresh traffic, matching the
-// sharded executor's merge order exactly.
-func (c *Cluster) dispatch(pre int) {
-	queue, next := c.seqQueue, c.seqNext
-	reuse := c.opts.EmissionReuse
-	for hop := 0; len(queue) > 0 && hop < maxChase; hop++ {
-		next = next[:0]
-		for pos, m := range queue {
-			var di int
-			if pos < pre {
-				di = c.arrivalDests[pos] // pre-filtered arrival
-			} else {
-				var ok bool
-				if di, ok = c.classify(m); !ok {
-					continue
-				}
-			}
-			if reuse {
-				next = handleAppend(c.procs[di], m, c.now, next)
-			} else {
-				next = append(next, c.procs[di].HandleMessage(m, c.now)...)
-			}
-		}
-		queue, next = next, queue
-		pre = 0
-	}
-	// Responses still queued when the chase cap hit would otherwise vanish
-	// without a trace; account for them so the counters stay conservative.
-	c.net.TruncatedChase += uint64(len(queue))
-	c.seqQueue, c.seqNext = queue, next
 }
 
 // PublishAt publishes a fresh event at process index i (0-based) through
@@ -875,9 +781,9 @@ func (c *Cluster) HasDelivered(pid proto.ProcessID, id proto.EventID) bool {
 }
 
 // recorder tracks first deliveries per (event, process). record is called
-// concurrently by the sharded executor's handle phase, so it locks; the
-// resulting counts are order-independent (a set union plus cardinality),
-// which keeps parallel runs bit-identical to sequential ones.
+// concurrently by the executor's handle phase, so it locks; the resulting
+// counts are order-independent (a set union plus cardinality), which keeps
+// runs bit-identical across shard counts.
 type recorder struct {
 	mu     sync.Mutex
 	n      int
