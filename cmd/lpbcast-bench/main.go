@@ -270,9 +270,10 @@ func checkRegression(baselinePath string, fresh []Entry, tolerance float64) ([]s
 // the caller's goroutine — the same path an explicit Workers: 1 takes.
 // The delayed variant runs a two-cluster
 // topology whose WAN link takes 1-3 rounds. The clock selects the time
-// base: on sim.ClockEvent the cluster runs the timer-wheel executors with
-// a millisecond uniform delay model, so every period exercises wheel
-// pops, tick rescheduling, and mid-period arrival drains.
+// base: on sim.ClockEvent the cluster runs the same step functions at 100
+// instants per period with a millisecond uniform delay model, so every
+// period walks its arrival instants — a marker pop and a barrier each —
+// before the boundary's ticks.
 func steadyCluster(n, workers, warmRounds int, async, delayed bool, clock sim.Clock) (*sim.Cluster, error) {
 	opts := sim.DefaultOptions(n)
 	opts.Seed = 9
@@ -383,9 +384,9 @@ func executorSuite(quick, big bool) []benchCase {
 		// allocating in steady state.
 		steady(0, 2, false, true, sim.ClockRounds),
 		steady(benchWorkers(), 2, false, true, sim.ClockRounds),
-		// The event pair runs the same steady state on the virtual-time
-		// scheduler: periods as timer-wheel events and a millisecond
-		// uniform delay model draining arrivals mid-period. Both flavors
+		// The event pair runs the same steady state on millisecond virtual
+		// time: a millisecond uniform delay model lands arrivals at up to
+		// 100 instants inside each period, each its own barrier. Both flavors
 		// carry the absolute zero-alloc ceiling, matching the round clock.
 		steady(0, 2, false, false, sim.ClockEvent),
 		steady(benchWorkers(), 2, false, false, sim.ClockEvent),

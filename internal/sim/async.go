@@ -21,8 +21,13 @@ import "repro/internal/proto"
 // property — every delivery that reaches a process before its tick commits
 // is visible to that tick — while exposing parallelism:
 //
-//  1. The period's shuffled tick order is drawn up front (one Shuffle from
-//     the cluster's tick stream, exactly as before).
+//  1. The period's tick order is fixed up front. On the event clock every
+//     process ticks at its own phase offset within the period (drawn once
+//     at construction) and the order is ascending (phase, index); on the
+//     round clock, where a period is one instant and every phase is its
+//     boundary, the order is drawn afresh (one Shuffle from the cluster's
+//     tick stream) — the one difference between the clocks here, and it is
+//     the model's, not the code's.
 //  2. Ticks are composed speculatively: TickCompose builds a tick's
 //     emission without consuming the engine's buffers, for every process
 //     in a bounded lookahead window past the commit frontier. Composes
@@ -47,6 +52,14 @@ import "repro/internal/proto"
 //  5. The next wave re-composes every invalidated or newly windowed tick
 //     and the walk resumes from the frontier, until the period commits all
 //     positions.
+//  6. A tick at instant t observes exactly the delayed arrivals at
+//     instants <= t: every due instant up to the wave front's is drained
+//     and handled (arrivalBarrier) before the wave composes, and the commit
+//     walk ends a wave early at a tick that a pending arrival instant does
+//     not come after. On the round clock that is one barrier at the top of
+//     the period; on the event clock arrivals interleave with the waves at
+//     their true instants, and the period ends by flushing what is due
+//     after its last tick.
 //
 // Relative to the historical immediate-dispatch semantics, deliveries now
 // land at wave barriers instead of between individual ticks (and a wave's
@@ -137,44 +150,41 @@ func (e *shardedExecutor) composeShard(s int) {
 func (e *shardedExecutor) runAsyncPeriod() {
 	c := e.c
 	n := len(c.procs)
-	for i := 0; i < n; i++ {
-		e.aComposed[i] = false
+	clear(e.aComposed)
+	if c.opts.Clock == ClockRounds {
+		// Every phase is the boundary, so the phase order says nothing: the
+		// round clock draws the period's tick order instead, one Shuffle of
+		// the identity from the cluster's tick stream.
+		for i := range e.aOrder {
+			e.aOrder[i] = i
+		}
+		c.tickRNG.Shuffle(n, func(i, j int) { e.aOrder[i], e.aOrder[j] = e.aOrder[j], e.aOrder[i] })
 	}
-	// Arrival barrier: this period's delayed arrivals are handled before
-	// any tick composes (a message arriving "between periods" is visible
-	// to every tick of its arrival period), in their deterministic
-	// in-flight enqueue order, and their same-period responses are chased
-	// through the regular wave-barrier machinery. The drain draws no
-	// randomness, so running it before the period's shuffle perturbs no
-	// stream.
-	if c.fl != nil {
-		e.queue, c.arrivalDests = c.drainArrivals(e.queue[:0], c.arrivalDests[:0])
-		e.arrivalBarrier()
-	}
-	for i := range e.aOrder {
-		e.aOrder[i] = i
-	}
-	c.tickRNG.Shuffle(n, func(i, j int) { e.aOrder[i], e.aOrder[j] = e.aOrder[j], e.aOrder[i] })
+	pEnd := c.now * c.periodMs
+	base := pEnd - c.periodMs
 	lookahead := asyncLookahead(n)
 
 	front := 0
 	for front < n {
-		windowEnd := front + lookahead
-		if windowEnd > n {
-			windowEnd = n
-		}
+		// Everything due before (or at) the front tick's instant is visible
+		// to it; drain and handle it before the wave composes.
+		e.arrivalBarrier(base + c.phase[e.aOrder[front]])
+		windowEnd := min(front+lookahead, n)
 		// Compose phase (parallel): (re)compose every windowed tick
 		// without a valid speculation, sharded by process ownership.
 		// aComposed[i] is cleared by the commit that consumes the emission,
 		// so a position the walk has passed can never look composed again
 		// (the window never moves backwards) — which is what the
-		// invalidation check in asyncRoute relies on.
+		// invalidation check in asyncBin relies on.
 		e.waveFront, e.waveWindowEnd = front, windowEnd
 		e.parallel(e.composeFn)
 		// Commit walk (sequential): commit clean positions in period
 		// order, filtering their messages as they commit — the shared
 		// loss stream draws in walk order — and stop at the first
-		// invalidated speculation.
+		// invalidated speculation, or at a tick whose instant a pending
+		// arrival instant does not come after: the arrival lands (and
+		// possibly invalidates speculations) first. That check reads only
+		// the ring's wheel, a pure function of the simulation state.
 		e.queue = e.queue[:0]
 		e.clearInboxes()
 		waveEnd := windowEnd
@@ -183,19 +193,22 @@ func (e *shardedExecutor) runAsyncPeriod() {
 			if c.crashes.Crashed(c.ids[i], c.now) {
 				continue // a crashed position commits trivially
 			}
-			if !e.aComposed[i] {
+			at := base + c.phase[i]
+			if _, pending := c.fl.due(at); pending || !e.aComposed[i] {
 				waveEnd = k
 				break
 			}
+			c.nowMs = at
 			e.commitEmission(i)
 		}
 		// Wave barrier: sharded handle fan-out plus response chase.
 		e.asyncBarrier()
 		front = waveEnd
 	}
-	if e.poison {
-		e.poisonAsyncRecycled()
-	}
+	// End-of-period flush: arrivals after the last tick but inside the
+	// period land now.
+	e.arrivalBarrier(pEnd)
+	c.nowMs = pEnd
 }
 
 // commitEmission commits process i's composed tick and routes its messages
@@ -239,28 +252,19 @@ func (e *shardedExecutor) asyncBin(pos, di int) {
 	e.inboxes[s] = append(e.inboxes[s], routed{pos: pos, di: di})
 }
 
-// arrivalBarrier hands the arrivals just drained onto the queue (their
-// destinations in c.arrivalDests) to their shards and runs the wave
-// barrier — handle fan-out plus response chase — on them.
-func (e *shardedExecutor) arrivalBarrier() {
-	e.clearInboxes()
-	for pos, di := range e.c.arrivalDests {
-		e.asyncBin(pos, di)
-	}
-	if len(e.queue) > 0 {
-		e.asyncBarrier()
-	}
-}
-
 // asyncBarrier handles the wave's surviving deliveries — each shard
 // processes its own processes' messages in queue order — and chases
 // same-wave responses hop by hop under the shared maxChase cap: responses
 // are reassembled in trigger order by the cursor merge, filtered
 // sequentially (consuming loss draws in merge order and invalidating
 // speculations), and handled in turn. Responses still raw when the cap
-// hits are counted as truncated, mirroring dispatch.
+// hits are counted as truncated. The synchronous round's boundary and every
+// arrival instant run this same barrier; nothing queued is no barrier.
 func (e *shardedExecutor) asyncBarrier() {
 	c := e.c
+	if len(e.queue) == 0 {
+		return
+	}
 	for hop := 0; ; hop++ {
 		e.parallel(e.handleFn)
 		e.mergeResponses()
@@ -277,23 +281,4 @@ func (e *shardedExecutor) asyncBarrier() {
 			e.asyncRoute(pos, e.queue[pos])
 		}
 	}
-}
-
-// poisonAsyncRecycled overwrites every buffer the period recycled — the
-// per-process composed emissions (and, through them, the shared scratch
-// gossips) plus the executor-owned queue and response slots — with
-// sentinels, the async sibling of poisonRecycled. The hop queues hold
-// copies of emissions, of responses and of arrivals, and an arrival's
-// gossip may still be in the air for another receiver: only their slots
-// are overwritten.
-func (e *shardedExecutor) poisonAsyncRecycled() {
-	for i := range e.aEmit {
-		poisonMessages(e.aEmit[i])
-	}
-	for s := 0; s < e.workers; s++ {
-		poisonMessages(e.resps[s])
-	}
-	poisonSlots(e.queue)
-	poisonSlots(e.next)
-	e.c.poisonInflight()
 }

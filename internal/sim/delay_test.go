@@ -439,4 +439,17 @@ func TestDelayedRoundAllocs(t *testing.T) {
 			}
 		})
 	}
+	// The round clock's arrival markers go through the ring's wheel like the
+	// event clock's: one Schedule and one PopAt per pending round, out of a
+	// node arena that stops growing once MaxDelay+1 markers have been live.
+	t.Run("wheel-markers", func(t *testing.T) {
+		opts := DefaultOptions(1_000)
+		opts.Seed = 9
+		opts.Tau = 0
+		opts.Lpbcast.AssumeFromDigest = true
+		opts.Delay = fault.UniformDelay{Min: 1, Max: 4}
+		if allocs := steadyRoundAllocs(t, opts); allocs != 0 {
+			t.Errorf("steady-state delayed round through the wheel allocates %v times, want 0", allocs)
+		}
+	})
 }

@@ -5,8 +5,10 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/proto"
+	"repro/internal/rng"
 )
 
 // stepper is what a tape needs of a cluster: the executor's own, or the
@@ -16,6 +18,9 @@ type stepper interface {
 	RunRound()
 	DeliveredCount(id proto.EventID) int
 	NetStats() NetStats
+	N() int
+	Process(i int) Process
+	HasDelivered(pid proto.ProcessID, id proto.EventID) bool
 }
 
 // eventTape runs one cluster for rounds periods and returns the traced
@@ -59,15 +64,45 @@ func tapeOf(t *testing.T, c stepper, rounds int) (tape []int, nets []NetStats) {
 	return tape, nets
 }
 
-// TestEventBridgeMatchesRoundClock is the bridge oracle: a rounds-granular
-// delay model replayed through the event core — gossip periods as timer
-// events, the in-flight ring drained by arrival events — must reproduce
-// the round executor's delivery tapes and network counters byte for byte,
-// because every arrival and tick lands exactly on a period boundary and
-// replays the reference drain-then-tick order. Covers the zero-delay §5.1
-// network, both delay-model kinds, a delayed topology with a scheduled
-// partition, and the event clock on one shard and on four against the
-// round clock's sequential reference walk.
+// bridgeObs is what the bridge compares: the traced event's per-round
+// delivery tape and the per-round network counters, and after the run who
+// delivered the event and every engine's counters.
+type bridgeObs struct {
+	tape      []int
+	nets      []NetStats
+	delivered []bool
+	stats     []core.Stats
+}
+
+func bridgeRun(t *testing.T, c stepper, rounds int) bridgeObs {
+	t.Helper()
+	var o bridgeObs
+	o.tape, o.nets = tapeOf(t, c, rounds)
+	traced := proto.EventID{Origin: 1, Seq: 1} // tapeOf publishes it at process 0
+	for i := 0; i < c.N(); i++ {
+		o.delivered = append(o.delivered, c.HasDelivered(processID(i+1), traced))
+		o.stats = append(o.stats, c.Process(i).(*core.Engine).Stats())
+	}
+	if o.tape[rounds] == 0 || !o.delivered[0] {
+		t.Fatalf("the traced event %v was never delivered: tape %v", traced, o.tape)
+	}
+	return o
+}
+
+// TestEventBridgeMatchesRoundClock is the bridge oracle, and the table of
+// period-length invariance: the round clock is the event clock with one
+// instant per period, so under a rounds-granular delay model — every
+// arrival on a period boundary, arrivals before ticks — a synchronous run
+// gives the same bytes on either clock, whatever the period's length in
+// virtual milliseconds and whatever the shard count. The reference is the
+// round clock's sequential walk; against it run the executor on the round
+// clock and on the event clock at periods from one instant to the longest
+// the configuration admits (the in-flight ring is keyed by instant, so a
+// delayed row is refused once MaxDelay periods outgrow eventDelayBoundMs —
+// those combinations are skipped, and the widest period that fits runs in
+// their place), each on one shard and on three. Covers the zero-delay §5.1
+// network, both delay-model kinds, a delayed topology with and without a
+// scheduled partition, and the retransmission chase.
 func TestEventBridgeMatchesRoundClock(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -77,6 +112,8 @@ func TestEventBridgeMatchesRoundClock(t *testing.T) {
 		{"zero-delay", func(o *Options) {}},
 		{"fixed", func(o *Options) { o.Delay = fault.FixedDelay{Rounds: 2} }},
 		{"uniform", func(o *Options) { o.Delay = fault.UniformDelay{Min: 0, Max: 3} }},
+		{"uniform:1-4", func(o *Options) { o.Delay = fault.UniformDelay{Min: 1, Max: 4} }},
+		{"two-cluster", func(o *Options) { o.Topology = wanTopologyFor(o.N) }},
 		{"two-cluster/partition", func(o *Options) {
 			o.Topology = wanTopologyFor(o.N)
 			o.Partitions = []fault.Partition{{From: 3, To: 6, Classes: []fault.LinkClass{fault.LinkWAN}}}
@@ -98,18 +135,81 @@ func TestEventBridgeMatchesRoundClock(t *testing.T) {
 			opts.Lpbcast.AssumeFromDigest = true
 			tc.mut(&opts)
 
-			roundTape, roundNets := refTape(t, opts, 12)
+			ref, err := newSeqRef(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := bridgeRun(t, ref, 12)
 
-			for _, workers := range []int{0, 4} {
-				o := opts
-				o.Clock = ClockEvent
-				o.Workers = workers
-				evTape, evNets := eventTape(t, o, 12)
-				label := fmt.Sprintf("workers=%d", workers)
-				assertIdentical(t, "bridge tape "+label, roundTape, evTape)
-				assertIdentical(t, "bridge netstats "+label, roundNets, evNets)
+			ran := 0
+			for _, periodMs := range []int{0, 1, 7, 100, eventDelayBoundMs / 4, maxPeriodMs} {
+				for _, workers := range []int{1, 3} {
+					o := opts
+					o.Workers = workers
+					if periodMs > 0 { // 0: the round clock itself, through the executor
+						o.Clock, o.PeriodMs = ClockEvent, periodMs
+					}
+					if d := o.effectiveDelay(); d != nil && d.MaxDelay()*periodMs > eventDelayBoundMs {
+						continue
+					}
+					c, err := NewCluster(o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := bridgeRun(t, c, 12)
+					c.Close()
+					assertIdentical(t, fmt.Sprintf("bridge clock=%v period=%dms workers=%d", o.Clock, periodMs, workers), want, got)
+					ran++
+				}
+			}
+			if ran < 10 {
+				t.Fatalf("only %d of the table's runs were admitted", ran)
 			}
 		})
+	}
+}
+
+// wheelLagDelay is a millisecond delay model that delivers instantly
+// before round from and one millisecond late from then on.
+type wheelLagDelay struct{ from uint64 }
+
+func (d wheelLagDelay) Delay(_, _ proto.ProcessID, now uint64, _ *rng.Source) int {
+	if now < d.from {
+		return 0
+	}
+	return 1
+}
+func (wheelLagDelay) MaxDelay() int   { return 1 }
+func (wheelLagDelay) Validate() error { return nil }
+
+// TestEventWheelKeepsUpWithQuietPeriods: the ring's wheel advances when an
+// arrival pops, and a marker is scheduled relative to the wheel's own now.
+// Through a stretch of more than 2^24 virtual ms without a delayed message
+// — nineteen periods of 2^20 ms here — the wheel must follow the cluster to
+// each period boundary, or the first delayed message afterwards is "beyond
+// the horizon" of a wheel still at instant 0. On the async event clock it
+// was: the walk only read the wheel when something was pending.
+func TestEventWheelKeepsUpWithQuietPeriods(t *testing.T) {
+	t.Parallel()
+	for _, async := range []bool{false, true} {
+		opts := DefaultOptions(50)
+		opts.Seed = 3
+		opts.Async = async
+		opts.Clock = ClockEvent
+		opts.PeriodMs = maxPeriodMs
+		opts.Delay = fault.Millis{Model: wheelLagDelay{from: 20}}
+		label := fmt.Sprintf("async=%v", async)
+		refT, refNets := refTape(t, opts, 24)
+		for _, workers := range []int{1, 3} {
+			o := opts
+			o.Workers = workers
+			tape, nets := eventTape(t, o, 24)
+			assertIdentical(t, fmt.Sprintf("%s tape workers=%d", label, workers), refT, tape)
+			assertIdentical(t, fmt.Sprintf("%s netstats workers=%d", label, workers), refNets, nets)
+		}
+		if late := refNets[24].DeliveredLate; late == 0 {
+			t.Errorf("%s: no message was ever delayed: %+v", label, refNets[24])
+		}
 	}
 }
 
@@ -311,8 +411,8 @@ func TestEventLongPeriodCrossesWheelRotation(t *testing.T) {
 }
 
 // TestEventRoundAllocs is the event-scheduler allocation gate: once the
-// cluster reaches steady state, a synchronous event-clock round — wheel
-// pops, tick rescheduling, emission, and dispatch — must not allocate
+// cluster reaches steady state, a synchronous event-clock round — marker
+// pops, arrival mini-rounds, emission, and the boundary barrier — must not allocate
 // more than twice, on one shard (no option set) and on four alike (the
 // steady-event-round bench entries gate the same bound in CI).
 func TestEventRoundAllocs(t *testing.T) {

@@ -7,14 +7,23 @@ import (
 	"repro/internal/proto"
 )
 
-// This file implements the simulator's one executor. It runs every schedule
-// — the synchronous round of RunRound (§5.1) below, the asynchronous
-// wavefront period of async.go, and both on the event clock of
-// event_exec.go — across W >= 1 shards, with results bit-for-bit identical
-// for any W and the same seed. One shard runs every phase inline on the
-// caller's goroutine: no workers, no channels, nothing to close. The
-// sequential walks these schedules were first written as survive as the
-// reference the equivalence suites compare against (seqref_test.go).
+// This file implements the simulator's one executor. It runs both schedules
+// — the synchronous round of RunRound (§5.1) below and the asynchronous
+// wavefront period of async.go — across W >= 1 shards, with results
+// bit-for-bit identical for any W and the same seed. One shard runs every
+// phase inline on the caller's goroutine: no workers, no channels, nothing
+// to close. The sequential walks these schedules were first written as
+// survive as the reference the equivalence suites compare against
+// (seqref_test.go).
+//
+// Time. Both schedules walk the period's instants in order: every instant
+// with delayed arrivals pending (the in-flight ring's wheel names them) is
+// a barrier of its own, at its true virtual time, and ticks are positions
+// in that walk — the period boundary for every synchronous tick, a fixed
+// phase offset for an async one. The round clock is the same walk with one
+// instant per period, so round-granular delay models give byte-identical
+// results on either clock, whatever the period length; the bridge tests
+// assert it. Arrivals come before ticks at the same instant.
 //
 // Determinism argument. A synchronous round is two kinds of work:
 //
@@ -24,16 +33,17 @@ import (
 //     index ranges and each shard appends into its own outbox in index
 //     order; concatenating the outboxes in shard order yields the queue a
 //     single walk over all processes builds.
-//  2. Dispatch — the network applies crash filtering and Bernoulli loss,
-//     then receivers handle their messages, and same-round responses are
-//     chased hop by hop. The loss model draws from one shared RNG whose
-//     draw order is observable, so routing/filtering stays sequential (it
-//     is O(1) per message and cheap). Handling, the expensive part, is
-//     fanned out: survivors are binned per destination shard preserving
-//     queue order, each worker handles only its own processes' messages
-//     (per-engine state again), and every response span is tagged with the
-//     triggering message's queue position so the next hop's queue is
-//     reassembled in trigger order whatever the shard count.
+//  2. Barrier — the network applies crash filtering and Bernoulli loss,
+//     then receivers handle their messages, and same-instant responses are
+//     chased hop by hop (asyncBarrier, shared with the wavefront). The loss
+//     model draws from one shared RNG whose draw order is observable, so
+//     routing/filtering stays sequential (it is O(1) per message and
+//     cheap). Handling, the expensive part, is fanned out: survivors are
+//     binned per destination shard preserving queue order, each worker
+//     handles only its own processes' messages (per-engine state again),
+//     and every response span is tagged with the triggering message's queue
+//     position so the next hop's queue is reassembled in trigger order
+//     whatever the shard count.
 //
 // Delivery recording is a commutative set-union (see recorder), so the
 // only shared mutable state touched concurrently is behind its lock.
@@ -168,9 +178,10 @@ type shardedExecutor struct {
 	handleFn  func(s int)
 	composeFn func(s int)
 
-	// Wavefront async state (async.go); allocated when the cluster runs
-	// async periods. aComposed[i] tracks an outstanding
-	// valid speculative emission — cleared when a commit consumes it.
+	// Wavefront async state (async.go); but for aComposed, which every
+	// delivery consults, allocated when the cluster runs async periods.
+	// aComposed[i] tracks an outstanding valid speculative emission — cleared
+	// when a commit consumes it, never set by a synchronous round.
 	aOrder        []int             // position -> process index
 	aComposed     []bool            // per process: valid speculative emission outstanding
 	aEmit         [][]proto.Message // per process: the composed emission
@@ -185,19 +196,20 @@ type shardedExecutor struct {
 // one, starts the persistent workers.
 func newShardedExecutor(c *Cluster, w int) *shardedExecutor {
 	e := &shardedExecutor{
-		c:        c,
-		workers:  w,
-		lo:       make([]int, w),
-		hi:       make([]int, w),
-		shardOf:  make([]int, len(c.ids)),
-		tickBufs: make([][]proto.Message, w),
-		inboxes:  make([][]routed, w),
-		resps:    make([][]proto.Message, w),
-		spans:    make([][]respSpan, w),
-		cursors:  make([]int, w),
-		pool:     new(workerPool),
-		wg:       new(sync.WaitGroup),
-		poison:   c.opts.PoisonRecycled,
+		c:         c,
+		workers:   w,
+		lo:        make([]int, w),
+		hi:        make([]int, w),
+		shardOf:   make([]int, len(c.ids)),
+		tickBufs:  make([][]proto.Message, w),
+		inboxes:   make([][]routed, w),
+		resps:     make([][]proto.Message, w),
+		spans:     make([][]respSpan, w),
+		cursors:   make([]int, w),
+		aComposed: make([]bool, len(c.ids)),
+		pool:      new(workerPool),
+		wg:        new(sync.WaitGroup),
+		poison:    c.opts.PoisonRecycled,
 	}
 	n := len(c.ids)
 	base, rem := n/w, n%w
@@ -227,10 +239,9 @@ func newShardedExecutor(c *Cluster, w int) *shardedExecutor {
 	e.composeFn = e.composeShard
 	if c.opts.Async {
 		e.aOrder = make([]int, n)
-		e.aComposed = make([]bool, n)
 		e.aEmit = make([][]proto.Message, n)
 		// On the event clock the period order is the static phase order; the
-		// round clock shuffles aOrder afresh each period (copy is a no-op).
+		// round clock shuffles aOrder afresh each period.
 		copy(e.aOrder, c.evOrder)
 	}
 	if w == 1 {
@@ -319,60 +330,47 @@ func (e *shardedExecutor) handleShard(s int) {
 	e.spans[s] = spans
 }
 
-// runRound executes one synchronous gossip round. Cluster.RunRound has
+// runRound executes one synchronous gossip period. Cluster.RunRound has
 // already advanced c.now.
 func (e *shardedExecutor) runRound() {
 	c := e.c
-	// The round's queue: this round's delayed arrivals first (in their
-	// in-flight enqueue order, with their arrival accounting applied),
-	// then the ticks in process index order.
-	e.queue = e.queue[:0]
-	pre := 0
-	if c.fl != nil {
-		e.queue, c.arrivalDests = c.drainArrivals(e.queue, c.arrivalDests[:0])
-		pre = len(e.queue)
-	}
+	pEnd := c.now * c.periodMs
+	// Arrival instants inside the period are mini-rounds of their own.
+	e.arrivalBarrier(pEnd - 1)
+	// The boundary's queue: its delayed arrivals first (in their in-flight
+	// enqueue order, with their arrival accounting applied), then the ticks
+	// in process index order, filtered in queue order; one chase for both.
+	e.land(pEnd)
+	pre := len(e.queue)
 	e.emitTicks()
-	e.dispatch(pre)
-	if e.poison {
-		e.poisonRecycled()
+	for pos := pre; pos < len(e.queue); pos++ {
+		e.asyncRoute(pos, e.queue[pos])
+	}
+	e.asyncBarrier()
+}
+
+// land starts the barrier of instant at: the queue and the inboxes are
+// emptied, and the instant's delayed arrivals — already filtered at send
+// time, settled here — take the queue's first positions, binned straight
+// to their destination shards.
+func (e *shardedExecutor) land(at uint64) {
+	c := e.c
+	c.nowMs = at
+	e.clearInboxes()
+	e.queue, c.arrivalDests = c.settleArrivals(at, e.queue[:0], c.arrivalDests[:0])
+	for pos, di := range c.arrivalDests {
+		e.asyncBin(pos, di)
 	}
 }
 
-// dispatch delivers the queued messages, chasing same-round responses up
-// to maxChase hops. The first pre messages are pre-filtered delayed
-// arrivals: they skip classify (their send-time filtering and arrival
-// accounting already happened) and are binned straight to their
-// destination shards, in queue order, ahead of the round's fresh traffic.
-func (e *shardedExecutor) dispatch(pre int) {
-	c := e.c
-	for hop := 0; len(e.queue) > 0 && hop < maxChase; hop++ {
-		// Filter phase (sequential): the loss model's RNG draws must
-		// happen in queue order, and the network counters with them.
-		e.clearInboxes()
-		for pos, m := range e.queue {
-			var di int
-			if pos < pre {
-				di = c.arrivalDests[pos] // pre-filtered arrival
-			} else {
-				var ok bool
-				if di, ok = c.classify(m); !ok {
-					continue
-				}
-			}
-			s := e.shardOf[di]
-			e.inboxes[s] = append(e.inboxes[s], routed{pos: pos, di: di})
-		}
-		// Handle phase (parallel): each shard processes its own
-		// processes' messages in queue order, recording response spans.
-		e.parallel(e.handleFn)
-		e.mergeResponses()
-		e.queue, e.next = e.next, e.queue
-		pre = 0
+// arrivalBarrier walks every pending arrival instant up to and including
+// limit: each instant's survivors are handled by the wave barrier
+// (same-instant response chase included) at their true virtual time.
+func (e *shardedExecutor) arrivalBarrier(limit uint64) {
+	for at, ok := e.c.fl.due(limit); ok; at, ok = e.c.fl.due(limit) {
+		e.land(at)
+		e.asyncBarrier()
 	}
-	// Responses still queued when the chase cap hit would otherwise vanish
-	// without a trace; account for them so the counters stay conservative.
-	c.net.TruncatedChase += uint64(len(e.queue))
 }
 
 // clearInboxes empties every shard's inbox ahead of a filter phase.
@@ -461,16 +459,25 @@ func poisonSlots(msgs []proto.Message) {
 	}
 }
 
-// poisonRecycled overwrites every buffer this round recycled — the shared
-// tick gossips, the executor-owned outbox/response slots, and the delay
-// ring's just-drained arrival bucket — with sentinel values. Correct
-// phases never read them after the round, so poisoned runs must stay
-// bit-for-bit identical to unpoisoned ones; the reuse property tests
-// assert exactly that.
+// poisonRecycled overwrites every buffer this period recycled — the
+// outboxes and per-process composed emissions (and, through them, the
+// shared scratch gossips), the executor-owned response and queue slots, and
+// the delay ring's just-drained arrivals, whose spent slots stay off the
+// pool until RunRound's recycle — with sentinel values. The hop queues hold
+// copies of emissions, of responses and of arrivals, and an arrival's
+// gossip may still be in the air for another receiver: only their slots
+// are overwritten. Correct phases never read any of it after the period, so
+// poisoned runs must stay bit-for-bit identical to unpoisoned ones; the
+// reuse property tests assert exactly that.
 func (e *shardedExecutor) poisonRecycled() {
+	for i := range e.aEmit {
+		poisonMessages(e.aEmit[i])
+	}
 	for s := 0; s < e.workers; s++ {
 		poisonMessages(e.tickBufs[s])
 		poisonMessages(e.resps[s])
 	}
-	e.c.poisonInflight()
+	poisonSlots(e.queue)
+	poisonSlots(e.next)
+	e.c.fl.poisonSpent()
 }

@@ -5,15 +5,20 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/event"
 	"repro/internal/proto"
 )
 
 // This file implements the deterministic in-flight queue behind the
 // network delay model: messages whose link delay is nonzero leave the
-// current round's dispatch and are parked until the top of their arrival
-// round. The queue is a ring of future-round buckets — bucket (r mod
-// maxDelay+1) holds exactly the messages arriving at round r — so enqueue
-// and drain are O(1) lookups and the whole structure is pre-sized once.
+// current instant's barrier and are parked until their arrival instant. The
+// queue is a ring of future-instant buckets — bucket (t mod span+1) holds
+// exactly the messages arriving at instant t — so enqueue and drain are
+// O(1) lookups and the whole structure is pre-sized once. Beside the ring
+// sits the cluster's timer wheel (internal/event), which holds nothing but
+// arrival markers, one per pending instant: it is how the queue answers
+// "which instant comes due next" (due) without scanning buckets. On the
+// round clock a period is one instant and the ring is keyed by round.
 //
 // Determinism. Messages are enqueued from classify, which every schedule
 // (synchronous and async, on any shard count) calls in the same
@@ -46,8 +51,8 @@ import (
 // *proto.Gossip every tick, so the pointer alone does not name a gossip's
 // contents; the pointer and the period do, because every schedule commits
 // at most one emission per engine per period (an aborted speculative
-// compose is never classified, and TestOneEmissionPerPeriod pins it on all
-// four). enqueue therefore shares a body only with the envelope
+// compose is never classified, and TestOneEmissionPerPeriod pins it on both
+// step functions and both clocks). enqueue therefore shares a body only with the envelope
 // enqueued just before it, and only when both the gossip pointer and the
 // period match. Nothing stops a foreign sim.Process from rewriting one
 // *proto.Gossip between two messages of a tick, or a future schedule from
@@ -143,21 +148,22 @@ func (s *flSlot) copyEnvelope(m *proto.Message) {
 	}
 }
 
-// flBucket holds the messages arriving at one future round (or instant,
-// on the event clock) as an intrusive list of loaned slots in enqueue
-// (classify) order.
+// flBucket holds the messages arriving at one future instant as an
+// intrusive list of loaned slots in enqueue (classify) order.
 type flBucket struct {
 	head, tail *flSlot
 }
 
-// inflightQueue is the ring of future-round buckets plus the queue-wide
-// slot and body pools.
+// inflightQueue is the ring of future-instant buckets, the wheel of their
+// arrival markers, and the queue-wide slot and body pools. A nil queue is
+// the zero-delay network: nothing is ever pending in it.
 type inflightQueue struct {
 	buckets     []flBucket
-	pool        []*flSlot // free slots, LIFO
-	spent       []*flSlot // drained this round; recycled at end of round
-	bodies      []*flBody // free bodies, LIFO
-	spentBodies []*flBody // last envelope drained this round; recycled with spent
+	wheel       *event.Wheel // one marker per pending instant: per non-empty bucket
+	pool        []*flSlot    // free slots, LIFO
+	spent       []*flSlot    // drained this round; recycled at end of round
+	bodies      []*flBody    // free bodies, LIFO
+	spentBodies []*flBody    // last envelope drained this round; recycled with spent
 
 	// The emission the last gossip envelope belonged to, and its body while
 	// an envelope in the ring still carries it.
@@ -169,19 +175,44 @@ type inflightQueue struct {
 	check bool
 }
 
-// newInflight creates a ring covering delays up to maxDelay rounds.
-func newInflight(maxDelay int) *inflightQueue {
-	return &inflightQueue{buckets: make([]flBucket, maxDelay+1)}
+// newInflight creates a ring covering delays up to span instants.
+func newInflight(span int) *inflightQueue {
+	return &inflightQueue{buckets: make([]flBucket, span+1), wheel: event.NewWheel()}
 }
 
-// bucket returns the bucket of arrival round at.
+// bucket returns the bucket of arrival instant at.
 func (q *inflightQueue) bucket(at uint64) *flBucket {
 	return &q.buckets[at%uint64(len(q.buckets))]
 }
 
+// due reports the earliest instant with arrivals pending, if it is at or
+// before limit.
+func (q *inflightQueue) due(limit uint64) (uint64, bool) {
+	if q == nil {
+		return 0, false
+	}
+	at, ok := q.wheel.Next()
+	return at, ok && at <= limit
+}
+
+// park advances the wheel to instant at, popping the marker due there if
+// there is one. Callers walk pending instants in order (due), so nothing
+// pending predates at. Every period ends with the wheel parked at its
+// boundary: a marker is scheduled relative to the wheel's own now, which
+// must not fall a wheel horizon behind the cluster's through a long stretch
+// without delayed traffic.
+func (q *inflightQueue) park(at uint64) {
+	if q != nil && q.wheel.Now() < at {
+		q.wheel.PopAt(at)
+	}
+}
+
 // enqueue parks a deep copy of m, emitted in period period, for arrival at
-// round (or instant) at. The caller guarantees now < at <= now+maxDelay, so
-// the target bucket can never be the one currently draining.
+// instant at, and schedules the instant's marker with the first message
+// into its bucket (buckets are injective over the ring's span). The caller
+// guarantees now < at <= now+span, so the target bucket can never be the
+// one currently draining, and the wheel never runs ahead of the caller's
+// now.
 func (q *inflightQueue) enqueue(m *proto.Message, at, period uint64) {
 	var s *flSlot
 	if n := len(q.pool) - 1; n >= 0 {
@@ -211,20 +242,25 @@ func (q *inflightQueue) enqueue(m *proto.Message, at, period uint64) {
 	b := q.bucket(at)
 	if b.tail == nil {
 		b.head = s
+		q.wheel.Schedule(at, 0, 0) // markers are the wheel's one timer kind
 	} else {
 		b.tail.next = s
 	}
 	b.tail = s
 }
 
-// drain appends the messages arriving at round now to dst, in enqueue
-// order, and empties the bucket, parking its slots — and every body whose
-// last envelope this is — on the spent lists. The storage behind the
-// messages stays valid until recycle runs at the end of the round;
-// consumers must finish with it within the round, exactly like any other
-// recycled round buffer. PoisonRecycled enforces that by poisoning the
-// spent storage at the end of the round.
+// drain advances the queue to instant now (park) and appends the messages
+// arriving there to dst, in enqueue order, emptying the bucket and parking
+// its slots — and every body whose last envelope this is — on the spent
+// lists. The storage behind the messages stays valid until recycle runs at
+// the end of the period; consumers must finish with it within the period,
+// exactly like any other recycled buffer. PoisonRecycled enforces that by
+// poisoning the spent storage at the end of the period.
 func (q *inflightQueue) drain(now uint64, dst []proto.Message) []proto.Message {
+	if q == nil {
+		return dst
+	}
+	q.park(now)
 	b := q.bucket(now)
 	for s := b.head; s != nil; s = s.next {
 		dst = append(dst, s.msg)
@@ -243,10 +279,13 @@ func (q *inflightQueue) drain(now uint64, dst []proto.Message) []proto.Message {
 	return dst
 }
 
-// recycle returns the round's spent slots and bodies to their pools.
-// RunRound calls it exactly once per round/period, after the last consumer
-// of the round's arrivals (and any poisoning) is done.
+// recycle returns the period's spent slots and bodies to their pools.
+// RunRound calls it exactly once per period, after the last consumer of the
+// period's arrivals (and any poisoning) is done.
 func (q *inflightQueue) recycle() {
+	if q == nil {
+		return
+	}
 	q.pool = append(q.pool, q.spent...)
 	q.spent = q.spent[:0]
 	q.bodies = append(q.bodies, q.spentBodies...)
@@ -259,6 +298,9 @@ func (q *inflightQueue) recycle() {
 // stale data. Loaned storage is untouched — its contents are live, and a
 // body stays loaned for as long as one envelope in the ring carries it.
 func (q *inflightQueue) poisonSpent() {
+	if q == nil {
+		return
+	}
 	for _, b := range q.spentBodies {
 		poisonGossip(&b.gossip)
 	}

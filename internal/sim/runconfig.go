@@ -6,22 +6,24 @@ import "fmt"
 type Clock int
 
 const (
-	// ClockRounds is the historical round/period-lockstep base: one
-	// RunRound is one global gossip round, delays are whole-round granular,
-	// and every process ticks at every round boundary — the regime of the
-	// paper's §5.1 simulations.
+	// ClockRounds is the round-lockstep base: a gossip period is one
+	// virtual instant, so delays are whole-round granular and every process
+	// ticks at every round boundary — the regime of the paper's §5.1
+	// simulations. In Async mode each period draws a fresh tick order.
 	ClockRounds Clock = iota
-	// ClockEvent is the event-driven virtual-time base: gossip periods and
-	// per-link delays become timer events on a hierarchical timer wheel
-	// (internal/event) over millisecond virtual time. One RunRound still
-	// advances exactly one gossip period (PeriodMs of virtual time), so
-	// experiment loops are unchanged, but within the period the cluster
-	// walks a totally ordered event queue — round-granular delay models
-	// keep their semantics (and reproduce round-clock results exactly; the
-	// bridge tests assert byte-for-byte equality), while fault.Millis
-	// models land between ticks at millisecond resolution. In Async mode
-	// each process ticks at its own fixed phase offset within the period
-	// instead of at the period boundary — the unsynchronized regime with
+	// ClockEvent is the millisecond virtual-time base: a gossip period is
+	// PeriodMs instants, and the cluster walks the instants that have
+	// delayed arrivals pending — the in-flight ring's markers on a
+	// hierarchical timer wheel (internal/event) — in order, ticks at their
+	// positions in that walk. One RunRound still advances exactly one
+	// gossip period, so experiment loops are unchanged. Round-granular
+	// delay models keep their semantics (and reproduce round-clock results
+	// exactly, whatever PeriodMs; the bridge tests assert byte-for-byte
+	// equality — the round clock is this clock at one instant per period,
+	// under the same step functions), while fault.Millis models land
+	// between ticks at millisecond resolution. In Async mode each process
+	// ticks at its own fixed phase offset within the period instead of in
+	// a shuffled order at the boundary — the unsynchronized regime with
 	// real, staggered tick times.
 	ClockEvent
 )
@@ -52,23 +54,24 @@ const maxPeriodMs = 1 << 20
 // once instead of as per-surface field copies. It selects the shard count
 // (Workers), the time base (Clock, PeriodMs), and the buffer-poisoning
 // debug mode; none of its fields change results, only how and how fast
-// they are computed (Clock changes the schedule — see its docs — but is
-// itself deterministic and independent of the shard count).
+// they are computed (Clock changes what a delay model's values can mean
+// and where async ticks fall — see its docs — but is itself deterministic
+// and independent of the shard count).
 type RunConfig struct {
 	// Workers is the number of shards a round (or async period) runs on;
-	// there is one schedule per regime and clock, and results are
-	// bit-for-bit identical for any shard count and the same seed. 0 or 1
-	// is one shard: every phase runs inline on the caller's goroutine and
+	// there is one schedule per regime, the same on both clocks, and results
+	// are bit-for-bit identical for any shard count and the same seed. 0 or
+	// 1 is one shard: every phase runs inline on the caller's goroutine and
 	// the cluster starts no workers. W > 1 fans the per-process work out to
 	// W persistent workers with deterministic merges: in synchronous mode
 	// the Tick and HandleMessage phases of each round; in Async mode ticks
 	// are composed speculatively and deliveries handled in parallel under
-	// the wavefront schedule (async.go); likewise on the event clock
-	// (event_exec.go). A negative value selects GOMAXPROCS shards, and
-	// the count never exceeds the number of processes.
+	// the wavefront schedule (async.go). A negative value selects
+	// GOMAXPROCS shards, and the count never exceeds the number of
+	// processes.
 	Workers int
-	// Clock selects the time base: round lockstep (default) or the
-	// event-driven virtual-time scheduler.
+	// Clock selects the time base: one instant per period (round lockstep,
+	// the default) or PeriodMs of them.
 	Clock Clock
 	// PeriodMs is the gossip period in virtual milliseconds on the event
 	// clock (0 = defaultPeriodMs). Setting it with ClockRounds is a
@@ -108,9 +111,13 @@ func (rc RunConfig) validateRun() error {
 	return nil
 }
 
-// periodMillis resolves the effective gossip period in virtual ms.
+// periodMillis resolves the gossip period in virtual instants: one on the
+// round clock, the effective PeriodMs on the event clock.
 func (rc RunConfig) periodMillis() uint64 {
-	if rc.PeriodMs <= 0 {
+	switch {
+	case rc.Clock != ClockEvent:
+		return 1
+	case rc.PeriodMs <= 0:
 		return defaultPeriodMs
 	}
 	return uint64(rc.PeriodMs)

@@ -10,13 +10,16 @@ import (
 )
 
 // This file is the reference the executor's equivalence suites compare
-// against: the sequential walks the four schedules were first written as —
+// against: the sequential walks the schedules were first written as —
 // one goroutine, no shards, no inboxes, no span merge — kept as they were
 // when the simulator still ran them (Workers <= 1, before the one-shard
 // case of the sharded executor replaced them), on the engines' cloning
-// Tick/HandleMessage forms with emission reuse off. They share the
-// cluster's network model (classify, the in-flight ring, the wheel) and
-// nothing of the executor, so a divergence between a Workers=W run and the
+// Tick/HandleMessage forms with emission reuse off: four of them, a
+// synchronous and an async one per clock, the oracle for the executor's two
+// step functions on both. The round-clock walks know one instant per period
+// and no phases; the event-clock ones walk the ring's pending instants. They
+// share the cluster's network model (classify, the in-flight ring and its
+// wheel of arrival markers) and nothing of the executor, so a divergence between a Workers=W run and the
 // reference is a bug in the executor's shard/merge machinery or in the
 // recycling paths, whatever W is.
 
@@ -56,19 +59,22 @@ func newSeqRef(opts Options) (*seqRef, error) {
 // the four sequential bodies in place of the executor's.
 func (c *seqRef) RunRound() {
 	c.now++
+	event := c.opts.Clock == ClockEvent
+	if !event {
+		c.nowMs = c.now // the round clock: period p is instant p
+	}
 	switch {
-	case c.clockEvent && c.opts.Async:
+	case event && c.opts.Async:
 		c.runEventPeriodAsyncSeq()
-	case c.clockEvent:
+	case event:
 		c.runEventRoundSeq()
 	case c.opts.Async:
 		c.runAsyncPeriodSeq()
 	default:
 		c.runRoundSeq()
 	}
-	if c.fl != nil {
-		c.fl.recycle()
-	}
+	c.fl.park(c.nowMs)
+	c.fl.recycle()
 }
 
 // runRoundSeq is the synchronous round of the round clock.
@@ -76,7 +82,7 @@ func (c *seqRef) runRoundSeq() {
 	queue := c.seqQueue[:0]
 	pre := 0
 	if c.fl != nil {
-		queue, c.arrivalDests = c.drainArrivals(queue, c.arrivalDests[:0])
+		queue, c.arrivalDests = c.settleArrivals(c.now, queue, c.arrivalDests[:0])
 		pre = len(queue)
 	}
 	for i := range c.procs {
@@ -166,7 +172,7 @@ func (c *seqRef) runAsyncPeriodSeq() {
 	// randomness, so running it before the period's shuffle keeps every
 	// stream aligned with the sharded executor, which does the same.
 	if c.fl != nil {
-		a.queue, a.dests = c.drainArrivals(a.queue[:0], a.dests[:0])
+		a.queue, a.dests = c.settleArrivals(c.now, a.queue[:0], a.dests[:0])
 		if len(a.queue) > 0 {
 			c.asyncBarrierSeq(a)
 		}
@@ -244,7 +250,7 @@ func (c *seqRef) asyncFilterSeq(a *asyncSeq, m proto.Message) {
 // and chases same-wave responses hop by hop: each hop's responses are
 // filtered in trigger order (asyncFilterSeq) and handled in turn, up to
 // the shared maxChase cap; responses still raw when the cap hits are
-// counted as truncated, mirroring dispatch.
+// counted as truncated, mirroring dispatchSeq.
 func (c *seqRef) asyncBarrierSeq(a *asyncSeq) {
 	for hop := 0; ; hop++ {
 		a.raw = a.raw[:0]
@@ -269,29 +275,23 @@ func (c *seqRef) asyncBarrierSeq(a *asyncSeq) {
 }
 
 // runEventRoundSeq advances one synchronous gossip period on the event
-// clock, sequentially. Cluster.RunRound has already advanced c.now.
+// clock, sequentially: every pending arrival instant inside the period is
+// a mini-round of arrivals only, and the boundary's queue is its arrivals
+// and then every process's tick, in index order. Cluster.RunRound has
+// already advanced c.now.
 func (c *seqRef) runEventRoundSeq() {
 	pEnd := c.now * c.periodMs
-	for {
-		at, ok := c.wheel.Next()
-		if !ok || at > pEnd {
-			break
+	for boundary := false; !boundary; {
+		at, ok := c.fl.due(pEnd)
+		if !ok {
+			at = pEnd
 		}
-		batch := c.wheel.PopAt(at)
+		boundary = at == pEnd
 		c.nowMs = at
-		queue := c.seqQueue[:0]
-		c.arrivalDests = c.arrivalDests[:0]
-		pre := 0
-		for _, tm := range batch {
-			if tm.Kind == evKindArrival {
-				// At most one marker per instant (armed dedups), sorted to
-				// the batch front, so arrivals form the queue prefix.
-				queue, c.arrivalDests = c.drainArrivalsAt(at, queue, c.arrivalDests)
-				pre = len(queue)
-				continue
-			}
-			i := int(tm.Ref)
-			c.wheel.Schedule(at+c.periodMs, evKindTick, tm.Ref)
+		var queue []proto.Message
+		queue, c.arrivalDests = c.settleArrivals(at, c.seqQueue[:0], c.arrivalDests[:0])
+		pre := len(queue)
+		for i := 0; boundary && i < len(c.procs); i++ {
 			if c.crashes.Crashed(c.ids[i], c.now) {
 				continue
 			}
@@ -300,7 +300,6 @@ func (c *seqRef) runEventRoundSeq() {
 		c.seqQueue = queue
 		c.dispatchSeq(pre)
 	}
-	c.nowMs = pEnd
 }
 
 // eventArrivalBarrierSeq drains every due arrival instant up to and
@@ -309,17 +308,13 @@ func (c *seqRef) runEventRoundSeq() {
 // to a process with an outstanding speculative tick invalidates it,
 // exactly like a wave delivery.
 func (c *seqRef) eventArrivalBarrierSeq(a *asyncSeq, limit uint64) {
-	if c.fl == nil {
-		return
-	}
 	for {
-		at, ok := c.wheel.Next()
-		if !ok || at > limit {
+		at, ok := c.fl.due(limit)
+		if !ok {
 			return
 		}
-		c.wheel.PopAt(at) // async wheels hold only arrival markers
 		c.nowMs = at
-		a.queue, a.dests = c.drainArrivalsAt(at, a.queue[:0], a.dests[:0])
+		a.queue, a.dests = c.settleArrivals(at, a.queue[:0], a.dests[:0])
 		for _, di := range a.dests {
 			if a.composed[di] {
 				abortTick(c.procs[di])
@@ -376,9 +371,9 @@ func (c *seqRef) runEventPeriodAsyncSeq() {
 			}
 			// End the wave before a tick whose instant a pending arrival
 			// predates: that arrival must land (and possibly invalidate
-			// speculations) first. The check reads only the wheel, a pure
-			// function of the simulation state.
-			if na, pending := c.wheel.Next(); pending && na <= base+c.phase[i] {
+			// speculations) first. The check reads only the ring's wheel, a
+			// pure function of the simulation state.
+			if _, pending := c.fl.due(base + c.phase[i]); pending {
 				waveEnd = k
 				break
 			}
@@ -397,7 +392,7 @@ func (c *seqRef) runEventPeriodAsyncSeq() {
 		front = waveEnd
 	}
 	// End-of-period flush: arrivals after the last tick but inside the
-	// period land now, leaving the wheel parked at the boundary.
+	// period land now.
 	c.eventArrivalBarrierSeq(a, c.now*c.periodMs)
 	c.nowMs = c.now * c.periodMs
 }

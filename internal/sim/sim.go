@@ -24,7 +24,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/event"
 	"repro/internal/fault"
 	"repro/internal/idmap"
 	"repro/internal/membership"
@@ -295,9 +294,8 @@ type Cluster struct {
 	net       NetStats
 	deliverFn func(owner proto.ProcessID, ev proto.Event)
 	exec      *shardedExecutor // runs every round and period, on 1..W shards
-	// arrivalDests holds the destination indices of the current round's
-	// drained arrivals (parallel to the queue's pre-filtered prefix),
-	// retained across rounds; dispatch reads it for positions before pre.
+	// arrivalDests holds the destination indices of the arrivals the last
+	// settleArrivals put on the queue, retained across periods.
 	arrivalDests []int
 	// viewIdxScratch/viewPIDScratch back uniformView: initial views are
 	// drawn one process at a time through shared scratch, so seeding n
@@ -305,22 +303,20 @@ type Cluster struct {
 	viewIdxScratch []int
 	viewPIDScratch []proto.ProcessID
 
-	// Event-clock state (Clock == ClockEvent only). Virtual time runs in
-	// milliseconds: round r ends at instant r*periodMs, so period p covers
-	// the instants ((p-1)*periodMs, p*periodMs]. The wheel schedules tick
-	// timers (synchronous mode) and arrival markers — one evKindArrival per
-	// pending in-flight instant, deduplicated through armed — and the
-	// executors walk it instant by instant (event_exec.go).
-	clockEvent bool
-	periodMs   uint64 // gossip period length in virtual ms
-	nowMs      uint64 // current virtual instant
-	unitMs     uint64 // ms per delay-model unit: periodMs for rounds models, 1 for Millis
-	maxDelayMs int    // delay span in ms; the in-flight ring covers [0, maxDelayMs]
-	wheel      *event.Wheel
-	armed      []bool // per-ring-bucket: arrival marker already scheduled
-	// Async event clock: each process ticks at a fixed phase offset within
-	// every period (phase[i] ∈ [1, periodMs]); evOrder is the period walk
-	// order — ascending (phase, index) — replacing the per-period shuffle.
+	// The clock. Every cluster runs on virtual instants: round r ends at
+	// instant r*periodMs, so period p covers the instants ((p-1)*periodMs,
+	// p*periodMs]. On the event clock an instant is a millisecond; on the
+	// round clock periodMs is 1 and a period is its boundary instant. Ticks
+	// are positions in the period, not timers: synchronous ticks fire at the
+	// boundary in index order, async ones at their phase offsets. The only
+	// timers are the in-flight ring's arrival markers (inflight.go).
+	periodMs uint64 // gossip period length in instants
+	nowMs    uint64 // current virtual instant
+	unitMs   uint64 // instants per delay-model unit: periodMs for rounds models, 1 for Millis
+	// Async: each process ticks at a fixed phase offset within every period
+	// (phase[i] ∈ [1, periodMs]); evOrder is ascending (phase, index), the
+	// event clock's period walk order. The round clock's phases are all the
+	// boundary, and it draws its order afresh every period (async.go).
 	phase   []uint64
 	evOrder []int
 }
@@ -420,52 +416,29 @@ func NewCluster(opts Options) (*Cluster, error) {
 		c.crashes.SampleCrashes(c.ids, opts.Tau, horizon, root.Split())
 	}
 
-	// Event-clock setup. The async phase stream is the LAST root split and
-	// is drawn only on the async event clock, so every pre-existing stream
-	// keeps its position for round-clock runs of the same options — which is
-	// what lets the bridge tests demand byte-for-byte equal results.
-	if opts.Clock == ClockEvent {
-		c.clockEvent = true
-		c.periodMs = opts.periodMillis()
-		c.unitMs = 1
-		if c.delay != nil {
-			if fault.Unit(c.delay) == fault.UnitRounds {
-				c.unitMs = c.periodMs
-			}
-			c.maxDelayMs = c.maxDelay * int(c.unitMs)
-		}
-		c.wheel = event.NewWheel()
-		if opts.Async {
-			evRNG := root.Split()
-			c.phase = make([]uint64, opts.N)
-			c.evOrder = make([]int, opts.N)
-			for i := range c.phase {
-				c.phase[i] = 1 + uint64(evRNG.Intn(int(c.periodMs)))
-				c.evOrder[i] = i
-			}
-			sort.SliceStable(c.evOrder, func(a, b int) bool {
-				return c.phase[c.evOrder[a]] < c.phase[c.evOrder[b]]
-			})
-		} else {
-			// Synchronous ticks all fire at period boundaries; scheduling
-			// them in index order pins their wheel Seq to the process index,
-			// so every batch pops in index order forever (ticks reschedule
-			// in due order, preserving the invariant).
-			for i := 0; i < opts.N; i++ {
-				c.wheel.Schedule(c.periodMs, evKindTick, uint32(i))
-			}
-		}
-	}
+	// Clock setup. The async phase stream is the LAST root split, so every
+	// other stream keeps its position whatever the regime and the clock —
+	// which is what lets the bridge tests demand byte-for-byte equal results.
+	c.periodMs = opts.periodMillis()
+	c.unitMs = c.periodMs
 	if c.delay != nil {
-		span := c.maxDelay
-		if c.clockEvent {
-			span = c.maxDelayMs
+		if fault.Unit(c.delay) == fault.UnitMillis {
+			c.unitMs = 1
 		}
-		c.fl = newInflight(span)
+		c.fl = newInflight(c.maxDelay * int(c.unitMs))
 		c.fl.check = opts.PoisonRecycled
-		if c.clockEvent {
-			c.armed = make([]bool, span+1)
+	}
+	if opts.Async {
+		evRNG := root.Split()
+		c.phase = make([]uint64, opts.N)
+		c.evOrder = make([]int, opts.N)
+		for i := range c.phase {
+			c.phase[i] = 1 + uint64(evRNG.Intn(int(c.periodMs)))
+			c.evOrder[i] = i
 		}
+		sort.SliceStable(c.evOrder, func(a, b int) bool {
+			return c.phase[c.evOrder[a]] < c.phase[c.evOrder[b]]
+		})
 	}
 
 	c.exec = newShardedExecutor(c, effectiveWorkers(opts.Workers, opts.N))
@@ -518,8 +491,8 @@ func (c *Cluster) N() int { return c.opts.N }
 // Now returns the current round number.
 func (c *Cluster) Now() uint64 { return c.now }
 
-// NowMs returns the current virtual instant in milliseconds on the event
-// clock; on the round clock it is always 0.
+// NowMs returns the current virtual instant: milliseconds on the event
+// clock; on the round clock, whose period is one instant, the round number.
 func (c *Cluster) NowMs() uint64 { return c.nowMs }
 
 // NetStats returns the cumulative network counters.
@@ -539,44 +512,45 @@ const maxChase = 16
 // RunRound advances the simulation one gossip period.
 //
 // In synchronous mode (the default, matching §5.1 and the analysis), any
-// delayed messages due this round arrive first (drained from the in-flight
-// ring in their deterministic enqueue order); then every alive process
-// emits its periodic gossip, the network applies partition, loss, crash
-// and delay filtering, and receivers process the round's arrivals and
-// surviving same-round messages, so information travels exactly one hop
-// per round plus whatever the delay model adds. Same-round responses
-// (e.g. pbcast solicitations) are chased until the wire drains.
+// delayed messages due at the period boundary arrive first (drained from
+// the in-flight ring in their deterministic enqueue order); then every
+// alive process emits its periodic gossip, the network applies partition,
+// loss, crash and delay filtering, and receivers process the arrivals and
+// surviving same-instant messages, so information travels exactly one hop
+// per round plus whatever the delay model adds. Same-instant responses
+// (e.g. pbcast solicitations) are chased until the wire drains. Arrivals a
+// millisecond delay model lands inside the period are handled at their own
+// instants, before the boundary.
 //
-// In Async mode, processes tick once per period in a random order and a
-// receiver that has not yet ticked forwards fresh information within the
-// same period, as in the paper's unsynchronized testbed. Delayed arrivals
-// are handled at the top of the period, before any tick composes, so an
-// arrival is visible to every tick of its arrival period. Periods run the
-// deterministic wavefront schedule (async.go).
+// In Async mode, processes tick once per period — in a random order on the
+// round clock, at fixed phase offsets on the event clock — and a receiver
+// that has not yet ticked forwards fresh information within the same
+// period, as in the paper's unsynchronized testbed. An arrival is visible
+// to every tick at or after its instant. Periods run the deterministic
+// wavefront schedule (async.go).
 //
-// There is one schedule per regime and clock, and it runs on 1..W shards
-// (RunConfig.Workers) with results bit-for-bit identical for any W.
+// There is one schedule per regime, the same on both clocks, and it runs on
+// 1..W shards (RunConfig.Workers) with results bit-for-bit identical for
+// any W.
 func (c *Cluster) RunRound() {
 	c.now++
 	c.runRoundBody()
-	if c.fl != nil {
-		// The round's drained delay-ring slots go back to the pool only
-		// now, after every consumer (and any poisoning pass) is done.
-		c.fl.recycle()
+	if c.opts.PoisonRecycled {
+		c.exec.poisonRecycled()
 	}
+	// The wheel ends the period at its boundary, and the drained delay-ring
+	// slots go back to the pool only now, after every consumer (and any
+	// poisoning pass) is done.
+	c.fl.park(c.nowMs)
+	c.fl.recycle()
 }
 
-// runRoundBody runs one period of the schedule the regime and the clock
-// select.
+// runRoundBody runs one period of the regime's schedule, and leaves nowMs
+// at the period's boundary.
 func (c *Cluster) runRoundBody() {
-	switch {
-	case c.clockEvent && c.opts.Async:
-		c.exec.runEventPeriodAsync()
-	case c.clockEvent:
-		c.exec.runEventRound()
-	case c.opts.Async:
+	if c.opts.Async {
 		c.exec.runAsyncPeriod()
-	default:
+	} else {
 		c.exec.runRound()
 	}
 }
@@ -622,22 +596,9 @@ func (c *Cluster) classify(m proto.Message) (int, bool) {
 			panic(fmt.Sprintf("sim: delay %d outside the model's [0, MaxDelay=%d]", d, c.maxDelay))
 		}
 		if d > 0 {
-			if c.clockEvent {
-				// Event clock: the ring is keyed by virtual instant, and the
-				// wheel gets one arrival marker per pending instant (armed
-				// dedups by ring bucket, which is injective over the ring's
-				// span). The instant is strictly after nowMs, and nowMs never
-				// trails the wheel, so the Schedule guard holds.
-				at := c.nowMs + uint64(d)*c.unitMs
-				c.fl.enqueue(&m, at, c.now)
-				c.net.InFlight++
-				if b := at % uint64(len(c.armed)); !c.armed[b] {
-					c.armed[b] = true
-					c.wheel.Schedule(at, evKindArrival, 0)
-				}
-				return -1, false
-			}
-			c.fl.enqueue(&m, c.now+uint64(d), c.now)
+			// The ring is keyed by virtual instant; this one is strictly
+			// after nowMs, which never trails the ring's wheel.
+			c.fl.enqueue(&m, c.nowMs+uint64(d)*c.unitMs, c.now)
 			c.net.InFlight++
 			return -1, false
 		}
@@ -672,17 +633,10 @@ func (c *Cluster) arrive(to proto.ProcessID) (int, bool) {
 	return int(di), true
 }
 
-// drainArrivals empties the in-flight bucket of the current round in its
+// settleArrivals empties the in-flight bucket of instant at in its
 // deterministic enqueue order, settles each message's accounting, and
-// appends the survivors to msgs and their destination process indices to
-// dests. Both round-clock regimes drain through this one helper at the top
-// of each round/period.
-func (c *Cluster) drainArrivals(msgs []proto.Message, dests []int) ([]proto.Message, []int) {
-	return c.settleArrivals(c.now, msgs, dests)
-}
-
-// settleArrivals drains the bucket keyed at straight onto msgs and closes
-// the gaps the messages to crashed destinations leave.
+// appends the survivors to msgs — closing the gaps the messages to crashed
+// destinations leave — and their destination process indices to dests.
 func (c *Cluster) settleArrivals(at uint64, msgs []proto.Message, dests []int) ([]proto.Message, []int) {
 	kept := len(msgs)
 	msgs = c.fl.drain(at, msgs)
