@@ -393,6 +393,7 @@ func executorSuite(quick, big bool) []benchCase {
 		mergeCase("absent-heavy", 25_000),
 		mergeCase("present-heavy", 20),
 		digestContainsCase(),
+		digestScanColdCase(),
 		archiveStoreFullCase(),
 		archiveLookupCase(),
 		pubsubSteadyCase(quick),
@@ -476,9 +477,10 @@ func mergeCase(mix string, universe int) benchCase {
 	}
 }
 
-// The three buffer/* cells are the delivery path's buffer operations at
+// The buffer/* cells are the delivery path's buffer operations at
 // core.DefaultConfig's sizes, under an absolute ceiling of 0 allocs/op;
-// `go test -bench 'Digest|Archive' ./internal/buffer` runs the same three.
+// `go test -bench 'Digest|Archive' ./internal/buffer` runs the three that
+// work on one hot structure.
 
 // digestContainsCase is Engine.knows under a steady load: 250 origins,
 // nine lookups in ten for an id at or below its origin's watermark, the
@@ -510,6 +512,51 @@ func digestContainsCase() benchCase {
 				}
 			}
 			b.ReportMetric(float64(hits)/float64(b.N), "hit_ratio")
+		},
+	}
+}
+
+// digestScanColdCase is the digest scan of one gossip reception as the
+// simulator meets it: 1000 processes' digests of 250 origins each (16 MB of
+// tables, far more than the core's own caches hold) visited round-robin, one
+// batched difference over a 60-id digest each, one id in twenty new. One op
+// is one scan; id_ns is the scan over its sixty ids, to set beside
+// buffer/digest-contains, which probes one table that never leaves the
+// cache.
+func digestScanColdCase() benchCase {
+	return benchCase{
+		name: "buffer/digest-scan-cold",
+		gate: true, maxAllocs: 0,
+		fn: func(b *testing.B) {
+			const digestLen = 60
+			gen := rng.New(7)
+			digests := make([]buffer.CompactDigest, 1000)
+			for i := range digests {
+				for o := 1; o <= 250; o++ {
+					for seq := uint64(1); seq <= 8; seq++ {
+						digests[i].Add(proto.EventID{Origin: proto.ProcessID(o), Seq: seq})
+					}
+				}
+			}
+			scans := make([][]proto.EventID, 64)
+			for i := range scans {
+				scans[i] = make([]proto.EventID, digestLen)
+				for j := range scans[i] {
+					scans[i][j] = proto.EventID{Origin: proto.ProcessID(1 + gen.Intn(250)), Seq: uint64(1 + gen.Intn(8))}
+					if j%20 == 0 {
+						scans[i][j].Seq = 9
+					}
+				}
+			}
+			missing := make([]proto.EventID, 0, digestLen)
+			found := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				missing = digests[i%len(digests)].AppendMissing(missing[:0], scans[i%len(scans)])
+				found += len(missing)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/digestLen, "id_ns")
+			b.ReportMetric(float64(found)/float64(b.N), "missing_per_scan")
 		},
 	}
 }

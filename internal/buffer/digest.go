@@ -25,6 +25,14 @@ import (
 // out-of-order delivery allocates nothing. Only a sequence number more
 // than 64 past the watermark goes to a per-origin overflow set.
 //
+// There are two reads. Contains answers for one id. AppendMissing answers
+// for a gossip's whole digest, in two loops: the first loads the home slot
+// of every id and decides nothing, so the cache misses of up to 64 ids are
+// outstanding together; the second resolves the ids against what the first
+// loaded. A receiver's table is cold when a gossip arrives — a simulated
+// system holds a thousand of them — and one Contains per id waited out
+// each miss before it could issue the next.
+//
 // The zero value is an empty digest: the table materializes on the first
 // Add, so constructing a process's digest costs nothing.
 type CompactDigest struct {
@@ -49,6 +57,10 @@ func NewCompactDigest() *CompactDigest {
 	return &CompactDigest{}
 }
 
+// hashMul is the multiplicative hash's odd constant, 2^64 over the golden
+// ratio; the product's top bits index the table.
+const hashMul = 0x9e3779b97f4a7c15
+
 // find returns origin's slot, or the empty slot it would occupy; nil only
 // while the table is unallocated.
 func (d *CompactDigest) find(origin proto.ProcessID) *originSlot {
@@ -57,7 +69,7 @@ func (d *CompactDigest) find(origin proto.ProcessID) *originSlot {
 	}
 	mask := uint64(len(d.slots) - 1)
 	shift := bits.LeadingZeros64(mask) // 64 - log2(len): the hash's top bits index the table
-	for i := uint64(origin) * 0x9e3779b97f4a7c15 >> shift; ; i = (i + 1) & mask {
+	for i := uint64(origin) * hashMul >> shift; ; i = (i + 1) & mask {
 		if s := &d.slots[i]; s.origin == origin || !s.used() {
 			return s
 		}
@@ -90,6 +102,53 @@ func (d *CompactDigest) Contains(id proto.EventID) bool {
 	}
 	_, ok := s.far[id.Seq]
 	return ok
+}
+
+// missingBlock is how many ids AppendMissing resolves per pass: enough
+// independent loads to fill the core's miss queue several times over, few
+// enough that the loaded copies stay on the stack (1 KB).
+const missingBlock = 64
+
+// AppendMissing appends to dst the valid ids — a real originator, Seq >= 1 —
+// that the digest does not contain, in the order given, and returns the
+// extended slice: the batched form of one Contains per id, and like it a
+// pure read. With room in dst it allocates nothing.
+//
+// The first loop over a block loads each id's home slot and nothing else:
+// no branch hangs on what it loads, so the loads of a whole block are in
+// flight together. The second settles, against the copies the first made
+// (the loads are real data flow, nothing can elide them), the common case
+// of an id at or below its origin's watermark, and asks Contains — of a
+// table now in cache — about the rest: a home slot that is another origin's,
+// a sequence number above the watermark.
+func (d *CompactDigest) AppendMissing(dst, ids []proto.EventID) []proto.EventID {
+	var home [missingBlock]struct {
+		origin    proto.ProcessID
+		watermark uint64
+	}
+	shift := bits.LeadingZeros64(uint64(len(d.slots) - 1))
+	for len(ids) > 0 {
+		blk := ids[:min(len(ids), missingBlock)]
+		ids = ids[len(blk):]
+		if len(d.slots) != 0 { // else home stays zeroed and matches no valid id
+			for j, id := range blk {
+				s := &d.slots[uint64(id.Origin)*hashMul>>shift]
+				home[j].origin, home[j].watermark = s.origin, s.watermark
+			}
+		}
+		for j, id := range blk {
+			if id.Origin == proto.NilProcess || id.Seq == 0 {
+				continue
+			}
+			if home[j].origin == id.Origin && id.Seq <= home[j].watermark {
+				continue
+			}
+			if !d.Contains(id) {
+				dst = append(dst, id)
+			}
+		}
+	}
+	return dst
 }
 
 // Add records id, reporting whether it was new. Contiguous sparse entries

@@ -28,6 +28,17 @@ import (
 // list out of order; an origin lost in table growth. Two that only cost
 // time pass, as they should: absorbing one position per loop turn, and
 // searching the index for a ring position from 0 instead of from its home.
+//
+// Of the batched read, AppendMissing: the home slot's copy trusted without
+// comparing its origin (caught by the origins made to share a home slot);
+// the watermark compare one too generous; seq 0 or origin 0 offered as
+// missing; a block of 64 that consumes 63 ids; what dst held overwritten;
+// the unallocated table offering nothing. Three that only cost time pass,
+// as they should, since whatever a copy does not settle goes back to
+// Contains: the watermark compare made strict, the copy taken of a
+// neighbouring slot, and the later blocks of a long list resolved against
+// the first block's copies (a copy whose origin matches is that origin's
+// slot, whenever it was made).
 
 type refDigest struct {
 	origins map[proto.ProcessID]refOriginDigest
@@ -172,6 +183,64 @@ type digestPair struct {
 	op   int
 	got  CompactDigest
 	want refDigest
+
+	ids, missing, wantMissing []proto.EventID // the batched read's scratch
+}
+
+// hashMulInverse undoes the table's hash: origin hashMulInverse*h hashes to
+// h, so origins can be made to order for any home slot.
+const hashMulInverse = 0xf1de83e19937733d
+
+// sharedHome returns the k-th of a family of origins whose hashes agree in
+// their top 40 bits: they share a home slot in a table of any size.
+func sharedHome(k int) proto.ProcessID {
+	return proto.ProcessID((0xabcdef0123<<24 | uint64(k)) * hashMulInverse)
+}
+
+// probe draws n ids for the batched read: around the watermarks of known
+// origins — known, missing, in the window, past it, seq 0 — at origins the
+// digest has never seen, and, one in six, a repeat of an id drawn already.
+func (p *digestPair) probe(r *rng.Source, origins []proto.ProcessID, offsets []uint64, n int) []proto.EventID {
+	ids := p.ids[:0]
+	for len(ids) < n {
+		if len(ids) > 0 && r.Intn(6) == 0 {
+			ids = append(ids, ids[r.Intn(len(ids))])
+			continue
+		}
+		id := proto.EventID{Origin: origins[r.Intn(len(origins))]}
+		if r.Intn(8) == 0 {
+			id.Origin = proto.ProcessID(r.Uint64()) // most likely unseen
+		}
+		wm := p.want.Watermark(id.Origin)
+		switch r.Intn(4) {
+		case 0:
+			id.Seq = uint64(r.Intn(int(wm) + 2)) // at or below the watermark, 0 included
+		default:
+			id.Seq = wm + offsets[r.Intn(len(offsets))]
+		}
+		ids = append(ids, id)
+	}
+	p.ids = ids
+	return ids
+}
+
+// checkMissing compares AppendMissing over ids with one reference Contains
+// per id, and checks that what dst held stays in front.
+func (p *digestPair) checkMissing(ids []proto.EventID) {
+	p.t.Helper()
+	kept := proto.EventID{Origin: 1<<63 | 1, Seq: 1<<63 | 1}
+	p.missing = p.got.AppendMissing(append(p.missing[:0], kept), ids)
+	want := append(p.wantMissing[:0], kept)
+	for _, id := range ids {
+		if id.Origin != proto.NilProcess && id.Seq != 0 && !p.want.Contains(id) {
+			want = append(want, id)
+		}
+	}
+	p.wantMissing = want
+	if !slices.Equal(p.missing, want) {
+		p.t.Fatalf("seed %d op %d: AppendMissing over %d ids = %v, one Contains per id gives %v (ids %v)",
+			p.seed, p.op, len(ids), p.missing[1:], want[1:], ids)
+	}
 }
 
 // add applies one Add to both and compares everything observable about
@@ -215,26 +284,36 @@ func (p *digestPair) add(id proto.EventID, whole bool) {
 // on either side of the bitmap's last position, the overflow set, its
 // migration back into the window, duplicates of all three kinds and seq 0
 // all occur; the origin universes run from one origin (origin 0 among
-// them, and ids that share their low bits) to enough for nine table
-// doublings.
+// them, ids that share their low bits, and ids that share a home slot
+// whatever the table's size) to enough for nine table doublings.
+//
+// Before the first op and after every one the batched read, AppendMissing,
+// is compared with one reference Contains per id over a fresh list of ids
+// (probe) whose length walks 0, 1, 63, 64, 65 and 200 — nothing, one id, and
+// either side of one and of three blocks.
 func TestCompactDigestOracle(t *testing.T) {
 	t.Parallel()
 	offsets := []uint64{1, 1, 1, 1, 2, 2, 3, 5, 17, 63, 64, 65, 66, 130, 1 << 40}
+	lengths := []int{0, 1, 63, 64, 65, 200}
 	for seed := uint64(1); seed <= 160; seed++ {
 		r := rng.New(seed)
+		probes := rng.New(seed ^ 0x5eed) // its own stream: the ops stay what they were
 		universe := []int{1, 3, 40, 700}[seed%4]
 		origins := make([]proto.ProcessID, universe)
 		for i := range origins {
-			switch r.Intn(3) {
+			switch r.Intn(4) {
 			case 0:
 				origins[i] = proto.ProcessID(i) // origin 0 included
 			case 1:
 				origins[i] = proto.ProcessID(r.Uint64())
+			case 2:
+				origins[i] = sharedHome(i)
 			default:
 				origins[i] = proto.ProcessID(uint64(i) << 32) // equal low bits
 			}
 		}
 		p := digestPair{t: t, seed: seed}
+		p.checkMissing(p.probe(probes, origins, offsets, 65)) // the unallocated table
 		ops := 400 + 6*universe
 		for i := 0; i < ops; i++ {
 			origin := origins[r.Intn(universe)]
@@ -249,7 +328,45 @@ func TestCompactDigestOracle(t *testing.T) {
 				seq = wm + offsets[r.Intn(len(offsets))]
 			}
 			p.add(proto.EventID{Origin: origin, Seq: seq}, universe <= 3 || i%(universe/8) == 0 || i == ops-1)
+			p.checkMissing(p.probe(probes, origins, offsets, lengths[i%len(lengths)]))
 		}
+	}
+}
+
+// TestSharedHomeOrigins pins what the oracle's third kind of origin is for:
+// the family really does collide, in the smallest table and in a large one.
+func TestSharedHomeOrigins(t *testing.T) {
+	if m := uint64(hashMul); m*hashMulInverse != 1 {
+		t.Fatalf("hashMulInverse is not the inverse of hashMul")
+	}
+	for _, shift := range []int{63, 40} {
+		home := uint64(sharedHome(0)) * hashMul >> shift
+		for k := 1; k < 700; k++ {
+			if h := uint64(sharedHome(k)) * hashMul >> shift; h != home {
+				t.Fatalf("sharedHome(%d) has home slot %d at shift %d, sharedHome(0) has %d", k, h, shift, home)
+			}
+		}
+	}
+}
+
+// TestAppendMissingAllocs: with a retained dst the batched read allocates
+// nothing, whatever the digest answers.
+func TestAppendMissingAllocs(t *testing.T) {
+	var d CompactDigest
+	ids := make([]proto.EventID, 200)
+	for i := range ids {
+		ids[i] = proto.EventID{Origin: proto.ProcessID(1 + i%50), Seq: uint64(1 + i%7)}
+		if i%3 != 0 {
+			d.Add(ids[i])
+		}
+	}
+	d.Add(proto.EventID{Origin: 9, Seq: 1 << 20}) // one origin with an overflow set
+	dst := d.AppendMissing(nil, ids)
+	if len(dst) == 0 || len(dst) == len(ids) {
+		t.Fatalf("%d of %d ids missing: the list should mix both answers", len(dst), len(ids))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { dst = d.AppendMissing(dst[:0], ids) }); allocs != 0 {
+		t.Errorf("AppendMissing with a retained dst allocates %v times per call, want 0", allocs)
 	}
 }
 

@@ -237,6 +237,40 @@ func TestAssumeFromDigest(t *testing.T) {
 	}
 }
 
+// TestDigestDuplicateDeliversOnce: the digest's unknown ids are taken in one
+// batched read before any of them is acted on, so an id a hostile digest
+// repeats — or advertises under a watermark as well — is unknown twice in
+// that read; it must still be delivered, and counted, once. The second
+// digest is longer than the difference's stack room, repeats included.
+func TestDigestDuplicateDeliversOnce(t *testing.T) {
+	t.Parallel()
+	e, delivered := newEngine(t, 1, func(c *Config) { c.AssumeFromDigest = true })
+	id := proto.EventID{Origin: 2, Seq: 5}
+	gossipTo(e, proto.Gossip{From: 2, Digest: []proto.EventID{id, id}}, 1)
+	if len(*delivered) != 1 || (*delivered)[0].ID != id {
+		t.Fatalf("delivered = %v, want %v once", *delivered, id)
+	}
+	if got := e.Stats(); got.AssumedFromDigest != 1 || got.EventsDelivered != 1 {
+		t.Fatalf("stats = %+v, want one assumed delivery", got)
+	}
+
+	var long []proto.EventID
+	for seq := uint64(1); seq <= 100; seq++ {
+		long = append(long, proto.EventID{Origin: 3, Seq: seq}, proto.EventID{Origin: 3, Seq: seq})
+	}
+	gossipTo(e, proto.Gossip{From: 3, Digest: long, DigestWatermarks: []proto.EventID{{Origin: 3, Seq: 2}}}, 2)
+	if got := e.Stats(); got.AssumedFromDigest != 101 || got.EventsDelivered != 101 {
+		t.Fatalf("stats = %+v, want 101 assumed deliveries", got)
+	}
+	seen := map[proto.EventID]bool{}
+	for _, ev := range *delivered {
+		if seen[ev.ID] {
+			t.Fatalf("%v delivered twice", ev.ID)
+		}
+		seen[ev.ID] = true
+	}
+}
+
 func TestRetransmitRoundTrip(t *testing.T) {
 	t.Parallel()
 	// p2 published and archived an event; p1 sees its digest and pulls it.

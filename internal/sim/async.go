@@ -1,6 +1,10 @@
 package sim
 
-import "repro/internal/proto"
+import (
+	"sort"
+
+	"repro/internal/proto"
+)
 
 // This file defines the deterministic wavefront schedule for asynchronous
 // gossip periods (Options.Async) and runs it on the cluster's shards. The
@@ -89,6 +93,17 @@ func asyncLookahead(n int) int {
 		return l
 	}
 	return 64
+}
+
+// phaseOrder returns the process indices in ascending (phase, index) order:
+// the event clock's walk through a period.
+func phaseOrder(phase []uint64) []int {
+	order := make([]int, len(phase))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return phase[order[a]] < phase[order[b]] })
+	return order
 }
 
 // tickComposer is the speculative-emission seam of the wavefront schedule
@@ -241,7 +256,10 @@ func (e *shardedExecutor) asyncRoute(pos int, m proto.Message) bool {
 }
 
 // asyncBin queues the delivery at queue position pos for the shard of its
-// destination di. If di's tick is composed but not committed, the
+// destination di, behind what the shard's inbox already holds: an inbox is
+// in queue order, which is what lets handleShard group it by destination
+// and still hand each process its messages, and mergeResponses the spans,
+// in that order. If di's tick is composed but not committed, the
 // speculation missed this delivery: it is aborted, and re-executes.
 func (e *shardedExecutor) asyncBin(pos, di int) {
 	if e.aComposed[di] {
@@ -249,11 +267,12 @@ func (e *shardedExecutor) asyncBin(pos, di int) {
 		e.aComposed[di] = false
 	}
 	s := e.shardOf[di]
-	e.inboxes[s] = append(e.inboxes[s], routed{pos: pos, di: di})
+	e.inboxes[s] = append(e.inboxes[s], routed{pos: int32(pos), di: int32(di)})
 }
 
 // asyncBarrier handles the wave's surviving deliveries — each shard
-// processes its own processes' messages in queue order — and chases
+// processes its own processes' messages, every process's in queue order
+// (handleShard) — and chases
 // same-wave responses hop by hop under the shared maxChase cap: responses
 // are reassembled in trigger order by the cursor merge, filtered
 // sequentially (consuming loss draws in merge order and invalidating

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/proto"
@@ -43,7 +44,12 @@ import (
 //     handles only its own processes' messages (per-engine state again),
 //     and every response span is tagged with the triggering message's queue
 //     position so the next hop's queue is reassembled in trigger order
-//     whatever the shard count.
+//     whatever the shard count — and whatever order the shard handled its
+//     processes in. The handling-order contract (docs/ARCHITECTURE.md)
+//     fixes only one process's order, queue order; across processes within
+//     a hop it is unspecified, and handleShard visits a shard's inbox
+//     grouped by destination so that an engine's several gossips of one
+//     hop are handled back to back.
 //
 // Delivery recording is a commutative set-union (see recorder), so the
 // only shared mutable state touched concurrently is behind its lock.
@@ -112,10 +118,11 @@ func effectiveWorkers(workers, n int) int {
 }
 
 // routed is a queue message that survived filtering, bound for the process
-// at index di. pos is its position in the round's message queue, which
-// orders response merging across shards.
+// at index di. pos is its position in the hop's message queue, which orders
+// response merging across shards. Both fit 32 bits with room to spare: a
+// hop's queue is at most a few messages per process.
 type routed struct {
-	pos, di int
+	pos, di int32
 }
 
 // respSpan records that handling the message at queue position pos
@@ -166,6 +173,7 @@ type shardedExecutor struct {
 
 	tickBufs [][]proto.Message // per-shard Tick outboxes (shard 0: see tickShard)
 	inboxes  [][]routed        // per-shard surviving messages, queue order
+	groups   []destGroups      // per-shard scratch of handleShard's grouping
 	resps    [][]proto.Message // per-shard response buffers
 	spans    [][]respSpan      // per-shard response spans
 	cursors  []int             // span-merge read positions, one per shard
@@ -203,6 +211,7 @@ func newShardedExecutor(c *Cluster, w int) *shardedExecutor {
 		shardOf:   make([]int, len(c.ids)),
 		tickBufs:  make([][]proto.Message, w),
 		inboxes:   make([][]routed, w),
+		groups:    make([]destGroups, w),
 		resps:     make([][]proto.Message, w),
 		spans:     make([][]respSpan, w),
 		cursors:   make([]int, w),
@@ -238,11 +247,10 @@ func newShardedExecutor(c *Cluster, w int) *shardedExecutor {
 	e.handleFn = e.handleShard
 	e.composeFn = e.composeShard
 	if c.opts.Async {
-		e.aOrder = make([]int, n)
-		e.aEmit = make([][]proto.Message, n)
 		// On the event clock the period order is the static phase order; the
 		// round clock shuffles aOrder afresh each period.
-		copy(e.aOrder, c.evOrder)
+		e.aOrder = phaseOrder(c.phase)
+		e.aEmit = make([][]proto.Message, n)
 	}
 	if w == 1 {
 		return e // every phase runs inline: no workers, nothing to clean up
@@ -313,20 +321,110 @@ func (e *shardedExecutor) emitTicks() {
 	}
 }
 
-// handleShard processes shard s's surviving messages in queue order,
-// recording response spans.
+// destGroups is one shard's scratch for grouping a hop's inbox by
+// destination. Everything in it is grown on first use and retained, and
+// count is all zeros between hops — each hop clears exactly the entries it
+// touched — so a barrier costs O(len(inbox)) whatever the shard's size.
+type destGroups struct {
+	count  []int32    // per process of the shard: its messages this hop, then its group's next free place
+	firsts []int32    // the processes addressed this hop, in first-touch order
+	order  []int32    // inbox indices in handling order
+	spanAt []int32    // inbox index -> 1 + index of the span it produced
+	sorted []respSpan // the spans back in queue order; swapped with the shard's span list
+}
+
+// byDestination returns shard s's inbox indices in handling order: grouped
+// by destination process, groups in order of their first message, each
+// group in queue order. It is a counting scatter, two passes over the inbox
+// and none over the shard. A hop whose destinations are all distinct — the
+// usual arrival instant of the event clock — is handled as it is queued,
+// and the result is nil.
+func (e *shardedExecutor) byDestination(s int) []int32 {
+	inbox := e.inboxes[s]
+	if len(inbox) < 2 {
+		return nil
+	}
+	g := &e.groups[s]
+	if g.count == nil {
+		g.count = make([]int32, e.hi[s]-e.lo[s])
+	}
+	lo := int32(e.lo[s])
+	firsts := g.firsts[:0]
+	for _, r := range inbox {
+		if g.count[r.di-lo] == 0 {
+			firsts = append(firsts, r.di-lo)
+		}
+		g.count[r.di-lo]++
+	}
+	g.firsts = firsts
+	var order []int32
+	if len(firsts) < len(inbox) {
+		next := int32(0)
+		for _, k := range firsts {
+			next, g.count[k] = next+g.count[k], next
+		}
+		order = slices.Grow(g.order[:0], len(inbox))[:len(inbox)]
+		for j, r := range inbox {
+			order[g.count[r.di-lo]] = int32(j)
+			g.count[r.di-lo]++
+		}
+		g.order = order
+	}
+	for _, k := range firsts {
+		g.count[k] = 0
+	}
+	return order
+}
+
+// handleShard processes shard s's surviving messages, recording response
+// spans. The messages are handled grouped by destination (byDestination):
+// an engine that receives several gossips in one hop — F(1-ε) of them on
+// average — meets the second and third with its view, buffers and digest
+// still in cache. That is within the handling-order contract
+// (docs/ARCHITECTURE.md): one process's messages keep their queue order,
+// and processes do not observe each other within a hop. The spans, which
+// come out in handling order, go back into queue order before
+// mergeResponses reads them.
 func (e *shardedExecutor) handleShard(s int) {
 	c := e.c
+	inbox := e.inboxes[s]
+	order := e.byDestination(s)
 	resp := e.resps[s][:0]
 	spans := e.spans[s][:0]
-	for _, r := range e.inboxes[s] {
+	for j := range inbox {
+		if order != nil {
+			j = int(order[j])
+		}
+		r := inbox[j]
 		start := len(resp)
 		resp = handleAppend(c.procs[r.di], e.queue[r.pos], c.now, resp)
 		if len(resp) > start {
-			spans = append(spans, respSpan{pos: r.pos, start: start, end: len(resp)})
+			// pos holds the inbox index until the spans are back in order.
+			spans = append(spans, respSpan{pos: j, start: start, end: len(resp)})
 		}
 	}
 	e.resps[s] = resp
+	if order != nil && len(spans) > 0 {
+		// An inbox is in queue order, so ascending inbox index is ascending
+		// pos: place every span at its message's index and sweep.
+		g := &e.groups[s]
+		at := slices.Grow(g.spanAt[:0], len(inbox))[:len(inbox)]
+		clear(at)
+		for k, sp := range spans {
+			at[sp.pos] = int32(k + 1)
+		}
+		sorted := g.sorted[:0]
+		for _, k := range at {
+			if k != 0 {
+				sorted = append(sorted, spans[k-1])
+			}
+		}
+		g.spanAt = at
+		spans, g.sorted = sorted, spans
+	}
+	for k := range spans {
+		spans[k].pos = int(inbox[spans[k].pos].pos)
+	}
 	e.spans[s] = spans
 }
 
@@ -383,8 +481,9 @@ func (e *shardedExecutor) clearInboxes() {
 // mergeResponses reassembles the next hop's queue into e.next, ascending
 // by the triggering message's queue position — the order one walk over the
 // whole queue would have produced. Every shard's span list is already
-// sorted by pos (inboxes preserve queue order), so a cursor merge across
-// shards needs neither a sort nor scratch allocation.
+// sorted by pos (handleShard leaves it so, whatever order it handled the
+// inbox in), so a cursor merge across shards needs neither a sort nor
+// scratch allocation.
 func (e *shardedExecutor) mergeResponses() {
 	for s := 0; s < e.workers; s++ {
 		e.cursors[s] = 0

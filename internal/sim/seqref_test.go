@@ -342,7 +342,7 @@ func (c *seqRef) runEventPeriodAsyncSeq() {
 		a.composed[i] = false
 	}
 	base := (c.now - 1) * c.periodMs
-	copy(a.order, c.evOrder)
+	a.order = phaseOrder(c.phase)
 	lookahead := asyncLookahead(n)
 
 	front := 0

@@ -144,9 +144,11 @@ type Options struct {
 	// clock). With more than one shard the tracer is invoked concurrently
 	// from the handle phase, so implementations must be safe for concurrent use
 	// (all trace sinks are). Delivery *order* within a round is executor-
-	// dependent; the per-round delivery *set* is not — consumers that need
-	// byte-stable output across Workers (internal/golden) sort each
-	// round's events before serializing.
+	// dependent — one process handles its messages in queue order, the
+	// order across processes within a hop is unspecified on any worker
+	// count (docs/ARCHITECTURE.md, the handling-order contract); the
+	// per-round delivery *set* is not — consumers that need byte-stable
+	// output (internal/golden) sort each round's events before serializing.
 	Tracer trace.Tracer
 }
 
@@ -314,11 +316,11 @@ type Cluster struct {
 	nowMs    uint64 // current virtual instant
 	unitMs   uint64 // instants per delay-model unit: periodMs for rounds models, 1 for Millis
 	// Async: each process ticks at a fixed phase offset within every period
-	// (phase[i] ∈ [1, periodMs]); evOrder is ascending (phase, index), the
-	// event clock's period walk order. The round clock's phases are all the
-	// boundary, and it draws its order afresh every period (async.go).
-	phase   []uint64
-	evOrder []int
+	// (phase[i] ∈ [1, periodMs]), and the event clock walks a period in
+	// ascending (phase, index) order (phaseOrder). The round clock's phases
+	// are all the boundary, and it draws its order afresh every period
+	// (async.go).
+	phase []uint64
 }
 
 // forceSparseIndex is a test hook: when set, the cluster's pid table
@@ -431,14 +433,9 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if opts.Async {
 		evRNG := root.Split()
 		c.phase = make([]uint64, opts.N)
-		c.evOrder = make([]int, opts.N)
 		for i := range c.phase {
 			c.phase[i] = 1 + uint64(evRNG.Intn(int(c.periodMs)))
-			c.evOrder[i] = i
 		}
-		sort.SliceStable(c.evOrder, func(a, b int) bool {
-			return c.phase[c.evOrder[a]] < c.phase[c.evOrder[b]]
-		})
 	}
 
 	c.exec = newShardedExecutor(c, effectiveWorkers(opts.Workers, opts.N))
@@ -755,18 +752,16 @@ func newRecorder(n int) *recorder {
 
 func (r *recorder) record(owner proto.ProcessID, ev proto.Event) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	rec, ok := r.events[ev.ID]
 	if !ok {
 		rec = &eventRecord{seen: make([]bool, r.n)}
 		r.events[ev.ID] = rec
 	}
-	i := int(owner) - 1
-	if i < 0 || i >= r.n || rec.seen[i] {
-		return
+	if i := int(owner) - 1; i >= 0 && i < r.n && !rec.seen[i] {
+		rec.seen[i] = true
+		rec.count++
 	}
-	rec.seen[i] = true
-	rec.count++
+	r.mu.Unlock()
 }
 
 func (r *recorder) count(id proto.EventID) int {
