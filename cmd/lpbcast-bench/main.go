@@ -392,6 +392,7 @@ func executorSuite(quick, big bool) []benchCase {
 		steady(benchWorkers(), 2, false, false, sim.ClockEvent),
 		mergeCase("absent-heavy", 25_000),
 		mergeCase("present-heavy", 20),
+		subsTruncateCase(),
 		digestContainsCase(),
 		digestScanColdCase(),
 		archiveStoreFullCase(),
@@ -481,6 +482,36 @@ func mergeCase(mix string, universe int) benchCase {
 // core.DefaultConfig's sizes, under an absolute ceiling of 0 allocs/op;
 // `go test -bench 'Digest|Archive' ./internal/buffer` runs the three that
 // work on one hot structure.
+
+// subsTruncateCase is the end of phase 2 (Fig. 1(a)) as an idle process of
+// a large system meets it: a subs buffer of 47 identifiers — |subs|m = 15
+// plus one gossip's inflow and the view's evictees, drawn from 25 000
+// processes — truncated to 15 by 32 random evictions. One op appends 32
+// identifiers to the 15 the last one left and truncates; evict_ns is the op
+// over its evictions.
+func subsTruncateCase() benchCase {
+	return benchCase{
+		name: "buffer/subs-truncate",
+		gate: true, maxAllocs: 0,
+		fn: func(b *testing.B) {
+			const from, to = 47, 15
+			gen := rng.New(7)
+			ids := gen.Sample(25_000, 64*from) // distinct, so every append lands
+			l := buffer.NewPIDList()
+			l.Grow(from)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fill := ids[i%64*from:][:from]
+				for _, id := range fill[l.Len():] {
+					var none buffer.PIDFilter // rules the id out: a plain append
+					l.AddIn(proto.ProcessID(1+id), &none)
+				}
+				l.TruncateRandomDiscard(to, gen)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(from-to), "evict_ns")
+		},
+	}
+}
 
 // digestContainsCase is Engine.knows under a steady load: 250 origins,
 // nine lookups in ten for an id at or below its origin's watermark, the

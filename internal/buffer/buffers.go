@@ -1,6 +1,8 @@
 package buffer
 
 import (
+	"encoding/binary"
+
 	"repro/internal/pool"
 	"repro/internal/proto"
 	"repro/internal/rng"
@@ -111,9 +113,12 @@ func (l *PIDList) Remove(p proto.ProcessID) bool {
 	if i < 0 {
 		return false
 	}
-	l.items = append(l.items[:i], l.items[i+1:]...)
+	l.RemoveAt(i)
 	return true
 }
+
+// RemoveAt deletes the i-th identifier, preserving the order of the rest.
+func (l *PIDList) RemoveAt(i int) { l.items = append(l.items[:i], l.items[i+1:]...) }
 
 // Len returns the number of buffered identifiers.
 func (l *PIDList) Len() int { return len(l.items) }
@@ -152,19 +157,68 @@ func (l *PIDList) GrowIn(n int, p *Pools) {
 	}
 }
 
+// batchMax is the list length up to which TruncateRandomDiscard tracks the
+// survivors' positions in one byte each on the stack.
+const batchMax = 64
+
+// identity[i] == i: the survivors' positions before any draw.
+var identity = func() (a [batchMax]byte) {
+	for i := range a {
+		a[i] = byte(i)
+	}
+	return a
+}()
+
 // TruncateRandomDiscard removes uniformly chosen identifiers until
 // Len() <= max ("remove random element from subs"), returning the count.
+//
+// The k draws of that loop are Intn(len), Intn(len-1), …: they depend on the
+// list's length, never on its contents, so all of them are taken before an
+// identifier moves (draws before moves, docs/ARCHITECTURE.md). What they
+// delete from is a list of the survivors' original positions, and every
+// deletion is the same 64-byte shift wherever it strikes — a draw feeds
+// addresses, never a branch or a copy's size. One gather then moves each
+// survivor once. A single eviction, and a list past batchMax, keep one
+// order-preserving delete per draw; the two forms differ in cost only.
 func (l *PIDList) TruncateRandomDiscard(max int, r *rng.Source) int {
 	if max < 0 {
 		max = 0
 	}
-	n := 0
-	for len(l.items) > max {
-		i := r.Intn(len(l.items))
-		l.items = append(l.items[:i], l.items[i+1:]...)
-		n++
+	n := len(l.items)
+	k := n - max
+	if k < 2 || n > batchMax {
+		for len(l.items) > max {
+			l.RemoveAt(r.Intn(len(l.items)))
+		}
+		return n - len(l.items)
 	}
-	return n
+	// pos[w] is the original position of the w-th survivor. The upper half
+	// is never read as a position: it is what a shift at the last position
+	// pulls in.
+	var pos [2 * batchMax]byte
+	copy(pos[:], identity[:])
+	le := binary.LittleEndian
+	for j := 0; j < k; j++ {
+		i := r.Intn(n-j) & (batchMax - 1) // the mask changes nothing; it bounds i for the compiler
+		src, dst := pos[i+1:i+1+batchMax], pos[i:i+batchMax]
+		a, b, c, d := le.Uint64(src[0:]), le.Uint64(src[8:]), le.Uint64(src[16:]), le.Uint64(src[24:])
+		e, f, g, h := le.Uint64(src[32:]), le.Uint64(src[40:]), le.Uint64(src[48:]), le.Uint64(src[56:])
+		le.PutUint64(dst[0:], a)
+		le.PutUint64(dst[8:], b)
+		le.PutUint64(dst[16:], c)
+		le.PutUint64(dst[24:], d)
+		le.PutUint64(dst[32:], e)
+		le.PutUint64(dst[40:], f)
+		le.PutUint64(dst[48:], g)
+		le.PutUint64(dst[56:], h)
+	}
+	// pos ascends and pos[w] >= w, so a slot is read before it is written.
+	items := l.items
+	for w := range items[:max] {
+		items[w] = items[pos[w]]
+	}
+	l.items = items[:max]
+	return k
 }
 
 // UnsubList is a bounded, duplicate-free list of unsubscriptions keyed by
@@ -291,6 +345,9 @@ func (b *EventBuffer) Contains(id proto.EventID) bool { return b.inner.Contains(
 
 // Len returns the number of buffered events.
 func (b *EventBuffer) Len() int { return b.inner.Len() }
+
+// At returns the i-th buffered event in insertion order.
+func (b *EventBuffer) At(i int) proto.Event { return b.inner.At(i) }
 
 // Items returns a copy of the buffered events in insertion order.
 func (b *EventBuffer) Items() []proto.Event { return b.inner.Items() }

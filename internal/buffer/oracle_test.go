@@ -401,6 +401,80 @@ func TestCompactDigestWindowEdges(t *testing.T) {
 	}
 }
 
+// refTruncateRandom is PIDList.TruncateRandomDiscard as it stood: one draw,
+// one order-preserving delete, until the bound holds. Kept verbatim; it
+// defines the draws, the victims and the order the batched form must leave.
+func refTruncateRandom(items []proto.ProcessID, max int, r *rng.Source) ([]proto.ProcessID, int) {
+	if max < 0 {
+		max = 0
+	}
+	n := 0
+	for len(items) > max {
+		i := r.Intn(len(items))
+		items = append(items[:i], items[i+1:]...)
+		n++
+	}
+	return items, n
+}
+
+// TestPIDListTruncateOracle compares the draws-first truncation with the
+// per-eviction loop on every length from 0 to 130 — both sides of batchMax,
+// so both of its paths — against every bound from -1 to one past the length:
+// what is left, in which order, the count returned and the stream's position
+// after each call. The same list is then refilled and truncated again, so a
+// call also meets whatever the one before left past the list's end.
+//
+// Mutations seen caught, each printing its seed, length and bound: the batch
+// taken at 65 entries (the bound at batchMax+1); a draw taken with Intn(n) or
+// Intn(n-j-1) instead of Intn(n-j); the shift one word short, its last word
+// loaded from the wrong offset, or the whole shift taken from pos[i:] (nothing
+// deleted); the last survivor swapped into the hole instead of the rest
+// shifted (order lost); the survivors gathered from the last to the first, so
+// that a slot is read after it was written; the count returned as max. Two
+// pass, as they should, since they cost time only: the bound at batchMax-1,
+// and a single eviction sent through the batch.
+func TestPIDListTruncateOracle(t *testing.T) {
+	t.Parallel()
+	for seed := uint64(1); seed <= 6; seed++ {
+		gen := rng.New(seed)
+		var l PIDList
+		for length := 0; length <= 130; length++ {
+			for max := -1; max <= length+1; max++ {
+				l.items = l.items[:0]
+				for i := 0; i < length; i++ {
+					l.items = append(l.items, proto.ProcessID(1+gen.Intn(25000))<<8|proto.ProcessID(i))
+				}
+				want := slices.Clone(l.items)
+				state := gen.Uint64()
+				r, ref := rng.New(state), rng.New(state)
+				got := l.TruncateRandomDiscard(max, r)
+				want, wantN := refTruncateRandom(want, max, ref)
+				if got != wantN || !slices.Equal(l.items, want) || r.State() != ref.State() {
+					t.Fatalf("seed %d length %d max %d: removed %d leaving %v at rng state %#x, reference removed %d leaving %v at %#x",
+						seed, length, max, got, l.items, r.State(), wantN, want, ref.State())
+				}
+			}
+		}
+	}
+}
+
+// TestPIDListTruncateAllocs: neither path of the truncation allocates.
+func TestPIDListTruncateAllocs(t *testing.T) {
+	for _, length := range []int{47, batchMax, batchMax + 1, 130} {
+		var l PIDList
+		l.Grow(length)
+		r := rng.New(uint64(length))
+		if allocs := testing.AllocsPerRun(100, func() {
+			for i := l.Len(); i < length; i++ {
+				l.items = append(l.items, proto.ProcessID(i+1))
+			}
+			l.TruncateRandomDiscard(15, r)
+		}); allocs != 0 {
+			t.Errorf("TruncateRandomDiscard from %d entries allocates %v times per call, want 0", length, allocs)
+		}
+	}
+}
+
 // fifoPair drives an IDBuffer and an Archive holding the same ids, and
 // their references, in lock step.
 type fifoPair struct {

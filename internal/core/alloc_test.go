@@ -118,3 +118,39 @@ func TestTickCompatWrapperClones(t *testing.T) {
 		}
 	}
 }
+
+// TestWeightedEventEvictionZeroAlloc: with the events buffer at its bound
+// under WeightedEventEviction, receiving one more fresh notification — a
+// delivery and the eviction of the heaviest buffered one, found by walking
+// the buffer where it lies — allocates nothing, with or without duplicate
+// counts on record.
+func TestWeightedEventEvictionZeroAlloc(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.WeightedEventEviction = true
+	cfg.MaxEvents = 8
+	e := allocEngine(t, cfg)
+	g := &proto.Gossip{From: 2, Subs: []proto.ProcessID{2}, Events: make([]proto.Event, 1)}
+	msg := proto.Message{Kind: proto.GossipMsg, From: 2, To: 1, Gossip: g}
+	var out []proto.Message
+	seq := uint64(0)
+	receive := func() {
+		seq++
+		g.Events[0].ID = proto.EventID{Origin: 2, Seq: seq}
+		out = e.HandleMessageAppend(msg, 1, out[:0])
+	}
+	for i := 0; i < 4*cfg.MaxEvents; i++ {
+		receive()
+	}
+	for _, duplicates := range []bool{false, true} {
+		if duplicates {
+			e.noteDuplicate(proto.EventID{Origin: 2, Seq: seq}) // makes the weight map
+		}
+		before := e.Stats().EventsOverflowed
+		if allocs := testing.AllocsPerRun(200, receive); allocs != 0 {
+			t.Errorf("duplicates on record %v: a reception that evicts the heaviest event allocates %v times, want 0", duplicates, allocs)
+		}
+		if got := e.Stats().EventsOverflowed - before; got != 201 { // AllocsPerRun warms up once
+			t.Errorf("duplicates on record %v: %d evictions over 201 receptions, want one each", duplicates, got)
+		}
+	}
+}

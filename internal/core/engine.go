@@ -397,19 +397,19 @@ func (e *Engine) bufferForForwarding(ev proto.Event) {
 // evictHeaviestEvent removes the buffered notification with the highest
 // duplicate count, breaking ties uniformly.
 func (e *Engine) evictHeaviestEvent() {
-	items := e.events.Items()
-	victim := items[0].ID
+	victim := e.events.At(0).ID
 	best := e.eventWeights[victim]
 	ties := 1
-	for _, it := range items[1:] {
-		w := e.eventWeights[it.ID]
+	for i, ln := 1, e.events.Len(); i < ln; i++ {
+		id := e.events.At(i).ID
+		w := e.eventWeights[id]
 		switch {
 		case w > best:
-			victim, best, ties = it.ID, w, 1
+			victim, best, ties = id, w, 1
 		case w == best:
 			ties++
 			if e.rng.Intn(ties) == 0 {
-				victim = it.ID
+				victim = id
 			}
 		}
 	}

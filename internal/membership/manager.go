@@ -260,29 +260,36 @@ func (m *Manager) truncate(fresh int, inSubs *buffer.PIDFilter) {
 // truncateSubs enforces |subs| <= |subs|m. Under the Weighted policy,
 // high-weight (well known) entries are dropped first so that outgoing subs
 // favour poorly-known processes (§6.1); under Uniform, victims are random.
+// The view does not change while subs is truncated, so each entry's weight is
+// read once, into a side list that loses the victim's position as subs does.
 func (m *Manager) truncateSubs() {
 	if m.cfg.Policy != Weighted {
 		m.subs.TruncateRandomDiscard(m.cfg.MaxSubs, m.rng)
 		return
 	}
-	for m.subs.Len() > m.cfg.MaxSubs {
-		victim := m.subs.At(0)
-		best := m.view.Weight(victim)
-		ties := 1
-		for i, ln := 1, m.subs.Len(); i < ln; i++ {
-			p := m.subs.At(i)
-			w := m.view.Weight(p)
-			switch {
+	if m.subs.Len() <= m.cfg.MaxSubs {
+		return
+	}
+	var onStack [128]int // past it (|subs|m + l beyond ~60) the list moves to the heap
+	weights := onStack[:0]
+	for i, ln := 0, m.subs.Len(); i < ln; i++ {
+		weights = append(weights, m.view.Weight(m.subs.At(i)))
+	}
+	for len(weights) > m.cfg.MaxSubs {
+		victim, ties := 0, 1
+		for i, w := range weights[1:] {
+			switch best := weights[victim]; {
 			case w > best:
-				victim, best, ties = p, w, 1
+				victim, ties = i+1, 1
 			case w == best:
 				ties++
 				if m.rng.Intn(ties) == 0 {
-					victim = p
+					victim = i + 1
 				}
 			}
 		}
-		m.subs.Remove(victim)
+		m.subs.RemoveAt(victim)
+		weights = append(weights[:victim], weights[victim+1:]...)
 	}
 }
 

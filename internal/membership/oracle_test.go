@@ -17,6 +17,14 @@ import (
 // (docs/ARCHITECTURE.md): Manager may find a victim any way it likes, but
 // it must consume the draws this code consumes, in this order, and leave
 // view, weights and subs in this order. Do not optimise it.
+//
+// Mutations of the Weighted truncateSubs (weights read once per call into a
+// side list) seen caught, each printing seed and config: the victim's weight
+// left in the side list, or deleted by a swap with the last; ties not reset
+// when a heavier entry takes over; the victim's position off by one; a draw
+// taken where a heavier entry takes over; an equal weight taking over without
+// a draw; the weights read for the wrong entries; the weights read for the
+// first 128 entries only (caught by the one config whose subs passes 128).
 
 type oracleView struct {
 	owner       proto.ProcessID
@@ -305,21 +313,28 @@ func (m *oracleManager) Unsubscribe(now uint64) error {
 // oracleConfigs spans both policies, with and without a prioritary set,
 // over the paper's bounds, bounds small enough that every call truncates
 // both buffers, and bounds whose transient view passes 64 positions (where
-// a position bitmask of one word runs out).
+// a position bitmask of one word runs out, and where the batched subs
+// truncation hands over to the per-eviction loop). The last, Weighted only,
+// lets subs pass 128 entries before it is truncated: the weights read once
+// per call then outgrow their place on the stack.
 func oracleConfigs() []Config {
+	mk := func(view, subs int, pol Policy, prio []proto.ProcessID) Config {
+		cfg := DefaultConfig()
+		cfg.MaxView, cfg.MaxSubs, cfg.MaxUnsubs = view, subs, 4
+		cfg.UnsubTTL, cfg.UnsubRefusalLen = 20, 3
+		cfg.Policy, cfg.Prioritary = pol, prio
+		return cfg
+	}
 	var out []Config
 	for _, b := range [][2]int{{15, 15}, {4, 3}, {30, 36}} {
 		for _, pol := range []Policy{Uniform, Weighted} {
 			for _, prio := range [][]proto.ProcessID{nil, {2, 3}} {
-				cfg := DefaultConfig()
-				cfg.MaxView, cfg.MaxSubs, cfg.MaxUnsubs = b[0], b[1], 4
-				cfg.UnsubTTL, cfg.UnsubRefusalLen = 20, 3
-				cfg.Policy, cfg.Prioritary = pol, prio
-				out = append(out, cfg)
+				out = append(out, mk(b[0], b[1], pol, prio))
 			}
 		}
 	}
-	return out
+	// One row only: the reference scans the view per entry per eviction.
+	return append(out, mk(60, 70, Weighted, nil))
 }
 
 // diffOracle reports the first difference between the manager and the

@@ -13,7 +13,10 @@
 // without sharing state between streams.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // golden is the 64-bit golden-ratio increment used by SplitMix64.
 const golden = 0x9e3779b97f4a7c15
@@ -89,26 +92,15 @@ func (s *Source) Intn(n int) int {
 	}
 	// Lemire's nearly-divisionless bounded generation.
 	x := s.Uint64()
-	hi, lo := mulHiLo(x, uint64(n))
+	hi, lo := bits.Mul64(x, uint64(n))
 	if lo < uint64(n) {
 		thresh := -uint64(n) % uint64(n)
 		for lo < thresh {
 			x = s.Uint64()
-			hi, lo = mulHiLo(x, uint64(n))
+			hi, lo = bits.Mul64(x, uint64(n))
 		}
 	}
 	return int(hi)
-}
-
-// mulHiLo returns the 128-bit product of a and b as (hi, lo).
-func mulHiLo(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	aLo, aHi := a&mask32, a>>32
-	bLo, bHi := b&mask32, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	lo = a * b
-	hi = aHi*bHi + (t >> 32) + (aLo*bHi+t&mask32)>>32
-	return hi, lo
 }
 
 // Float64 returns a uniform float64 in [0, 1).
