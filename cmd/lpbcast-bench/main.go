@@ -548,12 +548,13 @@ func digestContainsCase() benchCase {
 }
 
 // digestScanColdCase is the digest scan of one gossip reception as the
-// simulator meets it: 1000 processes' digests of 250 origins each (16 MB of
+// simulator meets it: 1000 processes' digests of 250 origins each (9 MB of
 // tables, far more than the core's own caches hold) visited round-robin, one
 // batched difference over a 60-id digest each, one id in twenty new. One op
 // is one scan; id_ns is the scan over its sixty ids, to set beside
 // buffer/digest-contains, which probes one table that never leaves the
-// cache.
+// cache. table_bytes is the live heap of one such digest, grow_allocs and
+// grow_bytes what it allocated on the way, outgrown tables included.
 func digestScanColdCase() benchCase {
 	return benchCase{
 		name: "buffer/digest-scan-cold",
@@ -562,6 +563,7 @@ func digestScanColdCase() benchCase {
 			const digestLen = 60
 			gen := rng.New(7)
 			digests := make([]buffer.CompactDigest, 1000)
+			before := readHeap()
 			for i := range digests {
 				for o := 1; o <= 250; o++ {
 					for seq := uint64(1); seq <= 8; seq++ {
@@ -569,6 +571,7 @@ func digestScanColdCase() benchCase {
 					}
 				}
 			}
+			built := readHeap()
 			scans := make([][]proto.EventID, 64)
 			for i := range scans {
 				scans[i] = make([]proto.EventID, digestLen)
@@ -588,17 +591,29 @@ func digestScanColdCase() benchCase {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/digestLen, "id_ns")
 			b.ReportMetric(float64(found)/float64(b.N), "missing_per_scan")
+			b.ReportMetric(float64(built.HeapAlloc-before.HeapAlloc)/float64(len(digests)), "table_bytes")
+			b.ReportMetric(float64(built.Mallocs-before.Mallocs)/float64(len(digests)), "grow_allocs")
+			b.ReportMetric(float64(built.TotalAlloc-before.TotalAlloc)/float64(len(digests)), "grow_bytes")
 		},
 	}
 }
 
+// readHeap returns the heap's counters after a collection.
+func readHeap() (ms runtime.MemStats) {
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms
+}
+
 // archiveStoreFullCase is one delivery's Store on an archive at its bound:
-// the oldest event goes, the new one takes its place.
+// the oldest event goes, the new one takes its place. table_bytes is the
+// full archive's live heap, ring and index (these events carry no payload).
 func archiveStoreFullCase() benchCase {
 	return benchCase{
 		name: "buffer/archive-store-full",
 		gate: true, maxAllocs: 0,
 		fn: func(b *testing.B) {
+			before := readHeap()
 			a := buffer.NewArchive(200)
 			seq := uint64(0)
 			store := func() {
@@ -608,10 +623,12 @@ func archiveStoreFullCase() benchCase {
 			for i := 0; i < 400; i++ {
 				store()
 			}
+			full := readHeap()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				store()
 			}
+			b.ReportMetric(float64(full.HeapAlloc-before.HeapAlloc), "table_bytes")
 		},
 	}
 }
@@ -657,9 +674,8 @@ func setupCase(n int) benchCase {
 			o.Seed = 3
 			o.Workers = benchWorkers()
 			o.Lpbcast.AssumeFromDigest = true
-			var m0, m1 runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&m0)
+			var m1 runtime.MemStats
+			m0 := readHeap()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c, err := sim.NewCluster(o)

@@ -3,6 +3,7 @@ package buffer
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/proto"
 	"repro/internal/rng"
@@ -293,6 +294,41 @@ func TestArchiveStoreFullAllocFree(t *testing.T) {
 	}
 	if a.Len() != 200 {
 		t.Fatalf("Len = %d, want 200", a.Len())
+	}
+}
+
+// TestArchiveRingIsBounded: a full archive holds its events in a ring one
+// slot longer than its bound (Store adds before it evicts) and an index of
+// twice that, not in the next powers of two.
+func TestArchiveRingIsBounded(t *testing.T) {
+	a := NewArchive(200)
+	for seq := uint64(1); seq <= 1000; seq++ {
+		a.Store(proto.Event{ID: proto.EventID{Origin: pid(seq % 250), Seq: seq}})
+	}
+	if a.Len() != 200 || len(a.inner.ring) != 201 || len(a.inner.idx) > 2*201 {
+		t.Fatalf("%d events in a ring of %d slots and an index of %d entries, want 200 in 201 and at most 402",
+			a.Len(), len(a.inner.ring), len(a.inner.idx))
+	}
+}
+
+// TestDigestBytesPerOrigin: the table costs at most 44 bytes per tracked
+// origin at 64, 250 and 1000 origins — 24-byte slots, a quarter step, then
+// whatever the allocator's size class adds: 36, 38 and 41 bytes, where the
+// doubling table of 32-byte slots took 64, 66 and 66.
+func TestDigestBytesPerOrigin(t *testing.T) {
+	if size := unsafe.Sizeof(originSlot{}); size != 24 {
+		t.Fatalf("an origin's slot takes %d bytes, want 24", size)
+	}
+	d := NewCompactDigest()
+	for o := uint64(1); o <= 1000; o++ {
+		d.Add(proto.EventID{Origin: pid(o << 20), Seq: 1})
+		if o == 64 || o == 250 || o == 1000 {
+			bytes := len(d.slots) * int(unsafe.Sizeof(originSlot{}))
+			if bytes > 44*int(o) || 4*int(o) > 3*len(d.slots) {
+				t.Errorf("%d origins in %d slots: %d bytes, %.1f per origin, want at most 44 at a load of at most 3/4",
+					o, len(d.slots), bytes, float64(bytes)/float64(o))
+			}
+		}
 	}
 }
 

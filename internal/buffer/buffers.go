@@ -446,7 +446,7 @@ func (a *Archive) Store(e proto.Event) {
 	if a.max <= 0 {
 		return
 	}
-	a.inner.Add(e)
+	a.inner.AddBounded(e, a.max+1) // one past the bound until the truncation below
 	a.inner.TruncateOldest(a.max)
 }
 

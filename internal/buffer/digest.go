@@ -23,7 +23,9 @@ import (
 // sparse set is a 64-bit window just above its watermark, so Contains is
 // one multiplicative hash and, almost always, one cache line, and an
 // out-of-order delivery allocates nothing. Only a sequence number more
-// than 64 past the watermark goes to a per-origin overflow set.
+// than 64 past the watermark goes to a per-origin overflow set, kept beside
+// the table so that a slot carries no pointer. The table takes any length (a
+// home slot is the high word of hash × length) and grows by a quarter.
 //
 // There are two reads. Contains answers for one id. AppendMissing answers
 // for a gossip's whole digest, in two loops: the first loads the home slot
@@ -36,21 +38,19 @@ import (
 // The zero value is an empty digest: the table materializes on the first
 // Add, so constructing a process's digest costs nothing.
 type CompactDigest struct {
-	slots []originSlot // linear probing; len is zero or a power of two >= 2
+	slots []originSlot // linear probing, any length
 	n     int          // tracked origins, at most 3/4 of len(slots)
+	// far holds, per origin, the delivered seqs past watermark+64; nil almost always.
+	far map[proto.ProcessID]map[uint64]struct{}
 }
 
-// originSlot is one origin's state. A slot is in use exactly when it
-// records a delivery — watermark, window or far is non-zero — which Add
-// guarantees for every origin it inserts; nothing is ever removed.
+// originSlot is one origin's state. A slot is in use exactly when its origin
+// is not NilProcess, which Add refuses; nothing is ever removed.
 type originSlot struct {
 	origin    proto.ProcessID
-	watermark uint64              // all seq in [1..watermark] delivered
-	window    uint64              // bit i: seq watermark+1+i delivered; bit 0 stays clear
-	far       map[uint64]struct{} // delivered seqs past watermark+64; nil almost always
+	watermark uint64 // all seq in [1..watermark] delivered
+	window    uint64 // bit i: seq watermark+1+i delivered; bit 0 stays clear
 }
-
-func (s *originSlot) used() bool { return s.watermark|s.window != 0 || s.far != nil }
 
 // NewCompactDigest creates an empty digest.
 func NewCompactDigest() *CompactDigest {
@@ -58,8 +58,14 @@ func NewCompactDigest() *CompactDigest {
 }
 
 // hashMul is the multiplicative hash's odd constant, 2^64 over the golden
-// ratio; the product's top bits index the table.
+// ratio.
 const hashMul = 0x9e3779b97f4a7c15
+
+// homeSlot scales origin's hash from [0, 2^64) to a table's [0, n).
+func homeSlot(origin proto.ProcessID, n int) uint64 {
+	hi, _ := bits.Mul64(uint64(origin)*hashMul, uint64(n))
+	return hi
+}
 
 // find returns origin's slot, or the empty slot it would occupy; nil only
 // while the table is unallocated.
@@ -67,21 +73,24 @@ func (d *CompactDigest) find(origin proto.ProcessID) *originSlot {
 	if len(d.slots) == 0 {
 		return nil
 	}
-	mask := uint64(len(d.slots) - 1)
-	shift := bits.LeadingZeros64(mask) // 64 - log2(len): the hash's top bits index the table
-	for i := uint64(origin) * hashMul >> shift; ; i = (i + 1) & mask {
-		if s := &d.slots[i]; s.origin == origin || !s.used() {
+	for i := homeSlot(origin, len(d.slots)); ; {
+		if s := &d.slots[i]; s.origin == origin || s.origin == proto.NilProcess {
 			return s
+		}
+		if i++; i == uint64(len(d.slots)) {
+			i = 0
 		}
 	}
 }
 
-// grow doubles the table and reinserts every origin.
+// grow lengthens the table by a quarter — and by what the allocator's size
+// class adds, which append returns as capacity — and reinserts every origin.
 func (d *CompactDigest) grow() {
 	old := d.slots
-	d.slots = make([]originSlot, max(2, 2*len(old)))
+	d.slots = append([]originSlot(nil), make([]originSlot, len(old)+len(old)/4+2)...)
+	d.slots = d.slots[:cap(d.slots)]
 	for i := range old {
-		if old[i].used() {
+		if old[i].origin != proto.NilProcess {
 			*d.find(old[i].origin) = old[i]
 		}
 	}
@@ -100,7 +109,7 @@ func (d *CompactDigest) Contains(id proto.EventID) bool {
 	if off := id.Seq - s.watermark - 1; off < 64 {
 		return s.window>>off&1 != 0
 	}
-	_, ok := s.far[id.Seq]
+	_, ok := d.far[id.Origin][id.Seq]
 	return ok
 }
 
@@ -126,13 +135,12 @@ func (d *CompactDigest) AppendMissing(dst, ids []proto.EventID) []proto.EventID 
 		origin    proto.ProcessID
 		watermark uint64
 	}
-	shift := bits.LeadingZeros64(uint64(len(d.slots) - 1))
 	for len(ids) > 0 {
 		blk := ids[:min(len(ids), missingBlock)]
 		ids = ids[len(blk):]
 		if len(d.slots) != 0 { // else home stays zeroed and matches no valid id
 			for j, id := range blk {
-				s := &d.slots[uint64(id.Origin)*hashMul>>shift]
+				s := &d.slots[homeSlot(id.Origin, len(d.slots))]
 				home[j].origin, home[j].watermark = s.origin, s.watermark
 			}
 		}
@@ -152,13 +160,13 @@ func (d *CompactDigest) AppendMissing(dst, ids []proto.EventID) []proto.EventID 
 }
 
 // Add records id, reporting whether it was new. Contiguous sparse entries
-// are absorbed into the watermark.
+// are absorbed into the watermark. Seq 0 and NilProcess make no id.
 func (d *CompactDigest) Add(id proto.EventID) bool {
-	if id.Seq == 0 {
+	if id.Seq == 0 || id.Origin == proto.NilProcess {
 		return false
 	}
 	s := d.find(id.Origin)
-	if s == nil || !s.used() {
+	if s == nil || s.origin == proto.NilProcess {
 		// A new origin: any seq >= 1 is new to it, so the insert is certain.
 		if (d.n+1)*4 > len(d.slots)*3 {
 			d.grow()
@@ -170,19 +178,24 @@ func (d *CompactDigest) Add(id proto.EventID) bool {
 	if id.Seq <= s.watermark {
 		return false
 	}
+	far := d.far[id.Origin] // this origin's overflow set
 	if off := id.Seq - s.watermark - 1; off < 64 {
 		if s.window>>off&1 != 0 {
 			return false
 		}
 		s.window |= 1 << off
 	} else {
-		if _, dup := s.far[id.Seq]; dup {
+		if _, dup := far[id.Seq]; dup {
 			return false
 		}
-		if s.far == nil {
-			s.far = make(map[uint64]struct{})
+		if far == nil {
+			if d.far == nil {
+				d.far = make(map[proto.ProcessID]map[uint64]struct{})
+			}
+			far = make(map[uint64]struct{})
+			d.far[id.Origin] = far
 		}
-		s.far[id.Seq] = struct{}{}
+		far[id.Seq] = struct{}{}
 	}
 	// Absorb the now-contiguous run into the watermark; the window slides
 	// with it and takes in what the overflow set held for its new range.
@@ -190,10 +203,10 @@ func (d *CompactDigest) Add(id proto.EventID) bool {
 		run := bits.TrailingZeros64(^s.window)
 		s.watermark += uint64(run)
 		s.window >>= run
-		for seq := range s.far {
+		for seq := range far {
 			if off := seq - s.watermark - 1; off < 64 {
 				s.window |= 1 << off
-				delete(s.far, seq)
+				delete(far, seq)
 			}
 		}
 	}
@@ -206,7 +219,10 @@ func (d *CompactDigest) Add(id proto.EventID) bool {
 func (d *CompactDigest) SparseLen() int {
 	n := 0
 	for i := range d.slots {
-		n += bits.OnesCount64(d.slots[i].window) + len(d.slots[i].far)
+		n += bits.OnesCount64(d.slots[i].window)
+	}
+	for _, far := range d.far {
+		n += len(far)
 	}
 	return n
 }
@@ -228,17 +244,18 @@ func (d *CompactDigest) Summary() []DigestEntry {
 	out := make([]DigestEntry, 0, d.n)
 	for i := range d.slots {
 		s := &d.slots[i]
-		if !s.used() {
+		if s.origin == proto.NilProcess {
 			continue
 		}
-		sp := make([]uint64, 0, bits.OnesCount64(s.window)+len(s.far))
+		far := d.far[s.origin]
+		sp := make([]uint64, 0, bits.OnesCount64(s.window)+len(far))
 		for w := s.window; w != 0; w &= w - 1 {
 			sp = append(sp, s.watermark+1+uint64(bits.TrailingZeros64(w)))
 		}
-		for seq := range s.far {
+		for seq := range far {
 			sp = append(sp, seq)
 		}
-		slices.Sort(sp[len(sp)-len(s.far):]) // every far seq lies past the window
+		slices.Sort(sp[len(sp)-len(far):]) // every far seq lies past the window
 		out = append(out, DigestEntry{Origin: s.origin, Watermark: s.watermark, Sparse: sp})
 	}
 	slices.SortFunc(out, func(a, b DigestEntry) int { return cmp.Compare(a.Origin, b.Origin) })

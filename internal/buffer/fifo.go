@@ -21,10 +21,12 @@ const fifoSmall = 8
 // to its ring position, so membership and lookup never scan. A ring
 // position is stable for the life of its entry.
 //
+// Ring and index take any length, so AddBounded can stop a ring at its bound.
+//
 // FIFO is not safe for concurrent use.
 type FIFO[V any] struct {
 	key  func(V) proto.EventID
-	ring []V       // len is zero or a power of two; entry i is ring[(head+i)&mask]
+	ring []V       // entry i, oldest first, is ring[pos(i)]
 	idx  []fifoRef // linear probing, len 2*len(ring); nil while small
 	head uint32    // ring position of the oldest entry
 	n    uint32
@@ -52,66 +54,74 @@ func hashID(id proto.EventID) uint32 {
 	return uint32((uint64(id.Origin)*0x9e3779b97f4a7c15 ^ id.Seq*0xc2b2ae3d27d4eb4f) >> 32)
 }
 
-// idxShift turns a hash into its home position: the top log2(len(idx)) bits.
-func (f *FIFO[V]) idxShift() int { return bits.LeadingZeros32(uint32(len(f.idx) - 1)) }
-
-// find returns the ring position of the entry with key k, or -1.
-func (f *FIFO[V]) find(k proto.EventID) int {
-	if f.idx == nil {
-		mask := uint32(len(f.ring) - 1)
-		for i := uint32(0); i < f.n; i++ {
-			if p := (f.head + i) & mask; f.key(f.ring[p]) == k {
-				return int(p)
-			}
-		}
-		return -1
+// pos returns the ring position of entry i <= len(ring), oldest first.
+func (f *FIFO[V]) pos(i uint32) uint32 {
+	p := f.head + i
+	if l := uint32(len(f.ring)); p >= l {
+		p -= l
 	}
-	h, mask := hashID(k), uint32(len(f.idx)-1)
-	for i := h >> f.idxShift(); ; i = (i + 1) & mask {
-		e := f.idx[i]
-		if e.pos == 0 {
-			return -1
-		}
-		if e.hash == h && f.key(f.ring[e.pos-1]) == k {
-			return int(e.pos - 1)
-		}
-	}
+	return p
 }
 
-// index records that the entry with hash h sits at ring position p.
-func (f *FIFO[V]) index(h, p uint32) {
-	mask := uint32(len(f.idx) - 1)
-	i := h >> f.idxShift()
-	for f.idx[i].pos != 0 {
-		i = (i + 1) & mask
+// idxHome scales a hash from [0, 2^32) to its home position in the index.
+func (f *FIFO[V]) idxHome(h uint32) uint32 {
+	return uint32(uint64(h) * uint64(len(f.idx)) >> 32)
+}
+
+// next returns the index position after i.
+func (f *FIFO[V]) next(i uint32) uint32 {
+	if i++; i == uint32(len(f.idx)) {
+		return 0
 	}
-	f.idx[i] = fifoRef{hash: h, pos: p + 1}
+	return i
+}
+
+// find returns the ring position of the entry with key k and hash h, or -1
+// and, given an index, the empty entry ending k's probe run: where k's goes.
+func (f *FIFO[V]) find(k proto.EventID, h uint32) (held int, at uint32) {
+	if f.idx == nil {
+		for i := uint32(0); i < f.n; i++ {
+			if p := f.pos(i); f.key(f.ring[p]) == k {
+				return int(p), 0
+			}
+		}
+		return -1, 0
+	}
+	for i := f.idxHome(h); ; i = f.next(i) {
+		e := f.idx[i]
+		if e.pos == 0 {
+			return -1, i
+		}
+		if e.hash == h && f.key(f.ring[e.pos-1]) == k {
+			return int(e.pos - 1), i
+		}
+	}
 }
 
 // unindex drops the index entry of ring position p, closing the gap by
 // backward shift: every later entry of the probe run whose home lies at or
 // before the gap moves into it, so no lookup ever meets a hole.
 func (f *FIFO[V]) unindex(p uint32) {
-	mask, shift := uint32(len(f.idx)-1), f.idxShift()
-	i := hashID(f.key(f.ring[p])) >> shift
-	for f.idx[i].pos != p+1 {
-		i = (i + 1) & mask
+	gap := f.idxHome(hashID(f.key(f.ring[p])))
+	for f.idx[gap].pos != p+1 {
+		gap = f.next(gap)
 	}
-	for j := (i + 1) & mask; f.idx[j].pos != 0; j = (j + 1) & mask {
-		if e := f.idx[j]; (j-e.hash>>shift)&mask >= (j-i)&mask {
-			f.idx[i] = e
-			i = j
+	for j := f.next(gap); f.idx[j].pos != 0; j = f.next(j) {
+		// Distances back from j to e's home and to the gap: uint32 wraps at
+		// 2^32, not at len(idx), but compares positions below it alike.
+		if e := f.idx[j]; j-f.idxHome(e.hash) >= j-gap {
+			f.idx[gap] = e
+			gap = j
 		}
 	}
-	f.idx[i] = fifoRef{}
+	f.idx[gap] = fifoRef{}
 }
 
-// resize moves the entries, oldest first, to the front of ring (whose
-// length is a power of two no smaller than Len) and rebuilds the index.
+// resize moves the entries, oldest first, to the front of ring (no shorter
+// than Len) and rebuilds the index.
 func (f *FIFO[V]) resize(ring []V) {
-	mask := uint32(len(f.ring) - 1)
 	for i := uint32(0); i < f.n; i++ {
-		ring[i] = f.ring[(f.head+i)&mask]
+		ring[i] = f.ring[f.pos(i)]
 	}
 	f.ring, f.head = ring, 0
 	if f.idx != nil {
@@ -121,28 +131,41 @@ func (f *FIFO[V]) resize(ring []V) {
 
 func (f *FIFO[V]) buildIdx() {
 	f.idx = make([]fifoRef, 2*len(f.ring))
-	mask := uint32(len(f.ring) - 1)
 	for i := uint32(0); i < f.n; i++ {
-		p := (f.head + i) & mask
-		f.index(hashID(f.key(f.ring[p])), p)
+		p := f.pos(i)
+		k := f.key(f.ring[p])
+		_, at := f.find(k, hashID(k))
+		f.idx[at] = fifoRef{hash: hashID(k), pos: p + 1}
 	}
 }
 
 // Add appends v unless an element with the same key is present. It reports
 // whether the element was added.
-func (f *FIFO[V]) Add(v V) bool {
+func (f *FIFO[V]) Add(v V) bool { return f.AddBounded(v, 0) }
+
+// AddBounded is Add for a caller that truncates to under bound before it
+// adds again: a full ring doubles, but not past bound slots, where it then
+// stays. A caller that overfills its bound all the same gets Add's doubling.
+func (f *FIFO[V]) AddBounded(v V, bound int) bool {
 	k := f.key(v)
-	if f.find(k) >= 0 {
+	h := hashID(k)
+	held, at := f.find(k, h)
+	if held >= 0 {
 		return false
 	}
 	if int(f.n) == len(f.ring) {
-		f.resize(make([]V, max(1, 2*len(f.ring))))
+		grown := max(1, 2*len(f.ring))
+		if len(f.ring) < bound && bound < grown {
+			grown = bound
+		}
+		f.resize(make([]V, grown))
+		_, at = f.find(k, h) // the index was rebuilt
 	}
-	p := (f.head + f.n) & uint32(len(f.ring)-1)
+	p := f.pos(f.n)
 	f.ring[p] = v
 	f.n++
 	if f.idx != nil {
-		f.index(hashID(k), p)
+		f.idx[at] = fifoRef{hash: h, pos: p + 1}
 	} else if f.n > fifoSmall {
 		f.buildIdx()
 	}
@@ -150,11 +173,14 @@ func (f *FIFO[V]) Add(v V) bool {
 }
 
 // Contains reports whether an element with key k is present.
-func (f *FIFO[V]) Contains(k proto.EventID) bool { return f.find(k) >= 0 }
+func (f *FIFO[V]) Contains(k proto.EventID) bool {
+	p, _ := f.find(k, hashID(k))
+	return p >= 0
+}
 
 // Get returns the element with key k.
 func (f *FIFO[V]) Get(k proto.EventID) (V, bool) {
-	if p := f.find(k); p >= 0 {
+	if p, _ := f.find(k, hashID(k)); p >= 0 {
 		return f.ring[p], true
 	}
 	var zero V
@@ -165,7 +191,7 @@ func (f *FIFO[V]) Get(k proto.EventID) (V, bool) {
 func (f *FIFO[V]) Len() int { return int(f.n) }
 
 // At returns the i-th element, oldest first.
-func (f *FIFO[V]) At(i int) V { return f.ring[(f.head+uint32(i))&uint32(len(f.ring)-1)] }
+func (f *FIFO[V]) At(i int) V { return f.ring[f.pos(uint32(i))] }
 
 // AppendItems appends the elements, oldest first, to dst.
 func (f *FIFO[V]) AppendItems(dst []V) []V {
@@ -179,15 +205,14 @@ func (f *FIFO[V]) AppendItems(dst []V) []V {
 // TruncateOldest evicts elements oldest first until Len() <= max — the
 // paper's "remove oldest element" truncation for eventIds — returning how
 // many were evicted.
-func (f *FIFO[V]) TruncateOldest(max int) int {
-	mask, evicted := uint32(len(f.ring)-1), 0
+func (f *FIFO[V]) TruncateOldest(max int) (evicted int) {
 	for ; f.n > 0 && int(f.n) > max; evicted++ {
 		if f.idx != nil {
 			f.unindex(f.head)
 		}
 		var zero V
 		f.ring[f.head] = zero // an evicted event's payload is garbage from here on
-		f.head = (f.head + 1) & mask
+		f.head = f.pos(1)
 		f.n--
 	}
 	return evicted
@@ -197,11 +222,11 @@ func (f *FIFO[V]) TruncateOldest(max int) int {
 // to its configuration bound up front never reallocates on the hot path.
 func (f *FIFO[V]) Grow(n int) {
 	if len(f.ring) < n {
-		f.resize(make([]V, ringLen(n)))
+		f.resize(make([]V, n))
 	}
 }
 
-// GrowIn is Grow with the ring drawn from a size-classed arena.
+// GrowIn is Grow with the ring a whole class, a power of two, of a sized arena.
 func (f *FIFO[V]) GrowIn(n int, a *pool.Arena[V]) {
 	if len(f.ring) < n {
 		f.resize(a.Make(ringLen(n)))

@@ -39,6 +39,26 @@ import (
 // neighbouring slot, and the later blocks of a long list resolved against
 // the first block's copies (a copy whose origin matches is that origin's
 // slot, whenever it was made).
+//
+// Of the tables of any length (the digest's slots, the FIFO's ring and
+// index): a home computed with the shift that suited a power of two, in
+// find or in AppendMissing alone (an index past the table's end at the
+// first length that is no power of two: 7 slots, 30 index entries); the
+// probe's wrap off by one in either direction, in the digest, in the
+// index's find and in unindex (past the end, or the last position never
+// probed); pos wrapping at p > len; the overflow set looked up for another
+// origin than the id's in Add, Contains or Summary, or drained for every
+// origin when one absorbs (twoFarSets: the idle origin's set moves);
+// NilProcess accepted; the load bound raised to 7/8 (TestDigestBytesPerOrigin);
+// unindex's distance compare made strict, made linear instead of cyclic, or
+// dropped (TestFIFOIndexWrap at 30 and 402 entries: an entry displaced past
+// the index's end becomes unreachable); AddBounded's bound applied to a ring
+// already at it, so clamped below Len (TestFIFOBounded: two entries in one
+// slot), ignored, or passed as max instead of max+1 (TestArchiveRingIsBounded:
+// 256 or 400 slots for 200 events); the index entry not looked up again
+// after a growth rebuilt the index (the next probe never ends). One that
+// only costs time passes, as it should: AppendMissing loading the slot
+// after the home slot.
 
 type refDigest struct {
 	origins map[proto.ProcessID]refOriginDigest
@@ -249,6 +269,14 @@ func (p *digestPair) checkMissing(ids []proto.EventID) {
 func (p *digestPair) add(id proto.EventID, whole bool) {
 	p.t.Helper()
 	p.op++
+	if id.Origin == proto.NilProcess {
+		// No id, as seq 0 is none: the table refuses it, and the reference,
+		// which predates the rule and would take it, is not asked.
+		if p.got.Add(id) || p.got.Contains(id) || p.got.Watermark(id.Origin) != 0 {
+			p.t.Fatalf("seed %d op %d: Add(%v) recorded an id of no process", p.seed, p.op, id)
+		}
+		return
+	}
 	if g, w := p.got.Add(id), p.want.Add(id); g != w {
 		p.t.Fatalf("seed %d op %d: Add(%v) = %v, reference %v", p.seed, p.op, id, g, w)
 	}
@@ -283,9 +311,16 @@ func (p *digestPair) add(id proto.EventID, whole bool) {
 // around each origin's watermark, so that in-order deliveries, window bits
 // on either side of the bitmap's last position, the overflow set, its
 // migration back into the window, duplicates of all three kinds and seq 0
-// all occur; the origin universes run from one origin (origin 0 among
-// them, ids that share their low bits, and ids that share a home slot
-// whatever the table's size) to enough for nine table doublings.
+// all occur; the origin universes run from one origin (origin 0, which is
+// refused, among them, ids that share their low bits, and ids that share a
+// home slot whatever the table's length) to enough to cross every growth
+// step up to a thousand tracked origins. A new origin's first id is past
+// the window four times in fifteen, so origins whose only record sits in
+// the overflow set are carried through those steps too.
+//
+// A scripted sequence comes first: two origins sharing a home slot both hold
+// ids past their windows, one of them absorbs its way up to them, and the
+// other's set must not move.
 //
 // Before the first op and after every one the batched read, AppendMissing,
 // is compared with one reference Contains per id over a fresh list of ids
@@ -295,10 +330,11 @@ func TestCompactDigestOracle(t *testing.T) {
 	t.Parallel()
 	offsets := []uint64{1, 1, 1, 1, 2, 2, 3, 5, 17, 63, 64, 65, 66, 130, 1 << 40}
 	lengths := []int{0, 1, 63, 64, 65, 200}
+	twoFarSets(t)
 	for seed := uint64(1); seed <= 160; seed++ {
 		r := rng.New(seed)
 		probes := rng.New(seed ^ 0x5eed) // its own stream: the ops stay what they were
-		universe := []int{1, 3, 40, 700}[seed%4]
+		universe := []int{1, 3, 40, 1100}[seed%4]
 		origins := make([]proto.ProcessID, universe)
 		for i := range origins {
 			switch r.Intn(4) {
@@ -333,17 +369,52 @@ func TestCompactDigestOracle(t *testing.T) {
 	}
 }
 
+// twoFarSets is the oracle's scripted sequence. Origins a and b share a home
+// slot; both record ids 70, 71 and 2^40 before anything else, so each is an
+// origin whose only record is its overflow set. Then a delivers 1..7: at
+// watermark 6 its window reaches 70, at 7 it reaches 71, and both leave a's
+// set while b's, compared in full after every op, stays as it was. Thirty
+// more origins then grow the table, from 4 slots to 58, around both.
+func twoFarSets(t *testing.T) {
+	t.Helper()
+	p := digestPair{t: t}
+	a, b := sharedHome(1), sharedHome(2)
+	for _, seq := range []uint64{70, 71, 1 << 40} {
+		p.add(proto.EventID{Origin: a, Seq: seq}, true)
+		p.add(proto.EventID{Origin: b, Seq: seq}, true)
+	}
+	for seq := uint64(1); seq <= 7; seq++ {
+		p.add(proto.EventID{Origin: a, Seq: seq}, true)
+	}
+	for k := 3; k < 33; k++ {
+		p.add(proto.EventID{Origin: sharedHome(k), Seq: 1}, true)
+	}
+	far := map[proto.ProcessID]int{}
+	for origin, set := range p.got.far {
+		far[origin] = len(set)
+	}
+	if len(far) != 2 || far[a] != 1 || far[b] != 3 || p.got.SparseLen() != 6 {
+		t.Fatalf("overflow sets hold %v ids (SparseLen %d), want 1 for a (%d), 3 for b (%d), SparseLen 6", far, p.got.SparseLen(), a, b)
+	}
+}
+
 // TestSharedHomeOrigins pins what the oracle's third kind of origin is for:
-// the family really does collide, in the smallest table and in a large one.
+// the family really does collide, in a table of every length up to 4096
+// slots — past what a thousand origins grow it to. Hashes that agree in
+// their top 40 bits scale to the same slot unless a slot boundary falls
+// between them, which for these lengths and this prefix none does.
 func TestSharedHomeOrigins(t *testing.T) {
 	if m := uint64(hashMul); m*hashMulInverse != 1 {
 		t.Fatalf("hashMulInverse is not the inverse of hashMul")
 	}
-	for _, shift := range []int{63, 40} {
-		home := uint64(sharedHome(0)) * hashMul >> shift
-		for k := 1; k < 700; k++ {
-			if h := uint64(sharedHome(k)) * hashMul >> shift; h != home {
-				t.Fatalf("sharedHome(%d) has home slot %d at shift %d, sharedHome(0) has %d", k, h, shift, home)
+	for n := 1; n <= 4096; n++ {
+		home := homeSlot(sharedHome(0), n)
+		if home >= uint64(n) {
+			t.Fatalf("home slot %d in a table of %d", home, n)
+		}
+		for k := 1; k < 1100; k++ {
+			if h := homeSlot(sharedHome(k), n); h != home {
+				t.Fatalf("sharedHome(%d) has home slot %d of %d, sharedHome(0) has %d", k, h, n, home)
 			}
 		}
 	}
@@ -375,7 +446,7 @@ func TestAppendMissingAllocs(t *testing.T) {
 // that crosses the bitmap boundary and pulls the overflow set back in.
 func TestCompactDigestWindowEdges(t *testing.T) {
 	t.Parallel()
-	for _, origin := range []proto.ProcessID{0, 7} {
+	for _, origin := range []proto.ProcessID{sharedHome(0), 7} {
 		p := digestPair{t: t}
 		id := func(seq uint64) proto.EventID { return proto.EventID{Origin: origin, Seq: seq} }
 		p.add(id(0), true)
@@ -577,8 +648,11 @@ func ends(s []proto.EventID) []proto.EventID {
 // their KeyedList forms after every op of long random sequences: adds of
 // fresh, held and long-evicted ids; truncation to bounds on both sides of
 // the index-free mode, to zero and below; stretches without truncation
-// that grow a wrapped ring; pre-sizing in mid-life. With bounds of 1 and 2
-// the ring wraps hundreds of times per sequence, with 200 a few dozen.
+// that grow a wrapped ring; pre-sizing in mid-life, to any length. With
+// bounds of 1 and 2 the ring wraps hundreds of times per sequence, with 200
+// a few dozen. The archive's ring is one slot longer than its bound — 2, 3,
+// 8 (the power of two), 10, 61 and 201 slots, the index twice that — and the
+// id window's is whatever doubling and Grow left.
 func TestFIFOOracle(t *testing.T) {
 	t.Parallel()
 	bounds := []int{-3, 0, 1, 2, 7, 9, 60, 200}
@@ -614,41 +688,114 @@ func TestFIFOOracle(t *testing.T) {
 				p.check(proto.EventID{})
 			}
 		}
+		if got := len(p.arch.inner.ring); bound > 0 && got != bound+1 {
+			t.Fatalf("seed %d: archive bounded at %d ends in a ring of %d slots, want %d", seed, bound, got, bound+1)
+		}
+	}
+}
+
+// TestFIFOBounded drives AddBounded directly against the reference list at
+// ring lengths 1, 3, 64 and 201. While the caller keeps its promise — Len
+// back under the bound before the next Add — the ring never outgrows the
+// bound and wraps at it many times over; then the caller breaks it, adding
+// without truncating, and the list must fall back to doubling with every
+// entry kept, in order.
+func TestFIFOBounded(t *testing.T) {
+	t.Parallel()
+	for _, bound := range []int{1, 3, 64, 201} {
+		var f FIFO[proto.EventID]
+		f.Init(idKey)
+		var ref refIDBuffer
+		ref.inner.Init(idKey)
+		check := func(op string, seq uint64) {
+			t.Helper()
+			want := ref.AppendIDs(nil)
+			if got := f.AppendItems(nil); !slices.Equal(got, want) {
+				t.Fatalf("bound %d, %s %d: holds %v, reference %v", bound, op, seq, got, want)
+			}
+			for back := uint64(0); back <= seq && back < 2*uint64(bound)+4; back += 1 + back/8 {
+				id := proto.EventID{Origin: 3, Seq: seq - back}
+				if g, w := f.Contains(id), ref.Contains(id); g != w {
+					t.Fatalf("bound %d, %s %d: Contains(%v) = %v, reference %v", bound, op, seq, id, g, w)
+				}
+			}
+		}
+		seq := uint64(0)
+		for ; seq < uint64(5*bound+20); seq++ {
+			id := proto.EventID{Origin: 3, Seq: seq + 1}
+			if g, w := f.AddBounded(id, bound), ref.Add(id); g != w {
+				t.Fatalf("bound %d: AddBounded(%v) = %v, reference %v", bound, id, g, w)
+			}
+			if f.AddBounded(id, bound) {
+				t.Fatalf("bound %d: AddBounded(%v) twice", bound, id)
+			}
+			if len(f.ring) > bound {
+				t.Fatalf("bound %d: ring of %d slots while the promise was kept", bound, len(f.ring))
+			}
+			check("add", seq)
+			f.TruncateOldest(bound - 1)
+			ref.TruncateOldestDiscard(bound - 1)
+			check("truncate", seq)
+		}
+		if len(f.ring) != bound {
+			t.Fatalf("bound %d: ring of %d slots after %d adds", bound, len(f.ring), seq)
+		}
+		for grown := bound; seq < uint64(8*bound+40); seq++ {
+			id := proto.EventID{Origin: 3, Seq: seq + 1}
+			if !f.AddBounded(id, bound) || !ref.Add(id) {
+				t.Fatalf("bound %d: a fresh id refused", bound)
+			}
+			if f.Len() > grown {
+				grown *= 2
+			}
+			if len(f.ring) != grown {
+				t.Fatalf("bound %d: ring of %d slots holding %d entries, doubling from the bound gives %d", bound, len(f.ring), f.Len(), grown)
+			}
+			check("overfill", seq)
+		}
 	}
 }
 
 // TestFIFOIndexWrap aims at the backward-shift deletion: keys are chosen
 // by their hash so that one probe run starts in the last positions of the
 // index and wraps to its first, then every entry of the run is evicted in
-// turn while later ones must stay reachable.
+// turn while later ones must stay reachable — in an index of 30, 64 and 402
+// entries (rings of 15, 32 and 201 slots: the archive's at its default).
 func TestFIFOIndexWrap(t *testing.T) {
 	t.Parallel()
-	const ring, idxLen = 32, 64
-	shift := 32 - 6
-	byHome := map[uint32][]proto.EventID{}
-	for seq := uint64(1); len(byHome[idxLen-1]) < 4 || len(byHome[idxLen-2]) < 4 || len(byHome[0]) < 3 || len(byHome[1]) < 3; seq++ {
-		id := proto.EventID{Origin: 5, Seq: seq}
-		h := hashID(id) >> shift
-		byHome[h] = append(byHome[h], id)
-	}
-	// Interleave the homes so that entries displaced past the table end sit
-	// between ones at home, in every eviction order the three rotations give.
-	var run []proto.EventID
-	for i := 0; i < 3; i++ {
-		run = append(run, byHome[idxLen-2][i], byHome[0][i], byHome[idxLen-1][i], byHome[1][i])
-	}
-	run = append(run, byHome[idxLen-1][3], byHome[idxLen-2][3])
-	for rot := 0; rot < 3; rot++ {
-		p := newFIFOPair(t, uint64(rot), ring)
-		p.ids.Grow(ring)
-		for i := range run {
-			p.add(run[(i+rot*5)%len(run)])
+	for _, ring := range []int{15, 32, 201} {
+		idxLen := uint32(2 * ring)
+		sized := FIFO[proto.EventID]{idx: make([]fifoRef, idxLen)} // lends idxHome its length
+		byHome := map[uint32][]proto.EventID{}
+		for seq := uint64(1); len(byHome[idxLen-1]) < 4 || len(byHome[idxLen-2]) < 4 || len(byHome[0]) < 3 || len(byHome[1]) < 3; seq++ {
+			id := proto.EventID{Origin: 5, Seq: seq}
+			h := sized.idxHome(hashID(id))
+			byHome[h] = append(byHome[h], id)
 		}
-		if len(p.ids.inner.idx) != idxLen {
-			t.Fatalf("index has %d positions, the keys were chosen for %d", len(p.ids.inner.idx), idxLen)
+		// Interleave the homes so that entries displaced past the table end sit
+		// between ones at home, in every eviction order the three rotations give.
+		var run []proto.EventID
+		for i := 0; i < 3; i++ {
+			run = append(run, byHome[idxLen-2][i], byHome[0][i], byHome[idxLen-1][i], byHome[1][i])
 		}
-		for n := len(run) - 1; n >= 0; n-- {
-			p.truncate(n)
+		run = append(run, byHome[idxLen-1][3], byHome[idxLen-2][3])
+		for rot := 0; rot < 3; rot++ {
+			p := newFIFOPair(t, uint64(rot), ring)
+			p.ids.Grow(ring)
+			for i := range run {
+				p.add(run[(i+rot*5)%len(run)])
+			}
+			if len(p.ids.inner.idx) != int(idxLen) {
+				t.Fatalf("index has %d positions, the keys were chosen for %d", len(p.ids.inner.idx), idxLen)
+			}
+			if !slices.ContainsFunc(p.ids.inner.idx[:len(run)], func(e fifoRef) bool {
+				return e.pos != 0 && p.ids.inner.idxHome(e.hash) >= idxLen-2
+			}) {
+				t.Fatalf("ring %d: no entry homed at the index's end was displaced to its start", ring)
+			}
+			for n := len(run) - 1; n >= 0; n-- {
+				p.truncate(n)
+			}
 		}
 	}
 }
