@@ -241,10 +241,11 @@ func checkRegression(baselinePath string, fresh []Entry, tolerance float64) ([]s
 				"%s: %d allocs/op vs baseline %d (limit %d)",
 				e.Name, e.AllocsPerOp, base.AllocsPerOp, limit))
 		}
-		// Gated allocation metrics (setup_allocs_per_op) are held to the
-		// same relative headroom as allocs/op: construction cost is as
-		// machine-independent as steady-state cost.
-		for _, key := range []string{"setup_allocs_per_op"} {
+		// Gated construction and footprint metrics are held to the same
+		// relative headroom as allocs/op: what a cluster allocates to be
+		// built, and what a process holds once built and once infected,
+		// are as machine-independent as steady-state cost.
+		for _, key := range []string{"setup_allocs_per_op", "bytes_per_process", "heap_bytes_per_process"} {
 			fv, fok := e.Metrics[key]
 			bv, bok := base.Metrics[key]
 			if !fok || !bok {
@@ -400,49 +401,12 @@ func executorSuite(quick, big bool) []benchCase {
 		pubsubSteadyCase(quick),
 		pubsubInfectionCase(quick),
 		setupCase(infectionN),
-		{
-			name: fmt.Sprintf("executor/infection/n=%d/workers=max", infectionN),
-			gate: true, maxAllocs: -1,
-			fn: func(b *testing.B) {
-				var infected float64
-				for i := 0; i < b.N; i++ {
-					o := sim.DefaultOptions(infectionN)
-					o.Seed = 3
-					o.Workers = benchWorkers()
-					o.Lpbcast.AssumeFromDigest = true
-					res, err := sim.InfectionExperiment(o, 12, 1)
-					if err != nil {
-						b.Fatal(err)
-					}
-					infected = res.PerRound[len(res.PerRound)-1]
-				}
-				b.ReportMetric(infected, "infected@round12")
-			},
-		},
+		infectionCase(fmt.Sprintf("executor/infection/n=%d/workers=max", infectionN), infectionN),
 	}
 	if big {
-		cases = append(cases, benchCase{
-			// The million-process scale cell: pooled construction plus 12
-			// gossip rounds at n=1,000,000. Gated relative to its own
-			// baseline; runs only under -big (nightly).
-			name: "executor/infection/n=1000000",
-			gate: true, maxAllocs: -1,
-			fn: func(b *testing.B) {
-				var infected float64
-				for i := 0; i < b.N; i++ {
-					o := sim.DefaultOptions(1_000_000)
-					o.Seed = 3
-					o.Workers = benchWorkers()
-					o.Lpbcast.AssumeFromDigest = true
-					res, err := sim.InfectionExperiment(o, 12, 1)
-					if err != nil {
-						b.Fatal(err)
-					}
-					infected = res.PerRound[len(res.PerRound)-1]
-				}
-				b.ReportMetric(infected, "infected@round12")
-			},
-		})
+		// The million-process scale cell, gated relative to its own
+		// baseline; runs only under -big (nightly).
+		cases = append(cases, infectionCase("executor/infection/n=1000000", 1_000_000))
 	}
 	return cases
 }
@@ -658,13 +622,53 @@ func archiveLookupCase() benchCase {
 	}
 }
 
+// infectionCase is a full infection experiment at scale: one op is pooled
+// construction of n processes, one publish and 12 gossip rounds.
+// heap_bytes_per_process — gated — is the live heap the last op's cluster
+// holds at the end, every process infected, over n.
+func infectionCase(name string, n int) benchCase {
+	return benchCase{
+		name: name,
+		gate: true, maxAllocs: -1,
+		fn: func(b *testing.B) {
+			o := sim.DefaultOptions(n)
+			o.Seed = 3
+			o.Workers = benchWorkers()
+			o.Lpbcast.AssumeFromDigest = true
+			o.Horizon = 12
+			m0 := readHeap()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c, err := sim.NewCluster(o)
+				if err != nil {
+					b.Fatal(err)
+				}
+				traced, err := c.PublishAt(0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for r := 0; r < 12; r++ {
+					c.RunRound()
+				}
+				if i == b.N-1 {
+					b.StopTimer()
+					b.ReportMetric(float64(c.DeliveredCount(traced.ID)), "infected@round12")
+					b.ReportMetric((float64(readHeap().HeapAlloc)-float64(m0.HeapAlloc))/float64(n), "heap_bytes_per_process")
+				}
+				c.Close()
+			}
+		},
+	}
+}
+
 // setupCase measures bulk cluster construction: one op is a full
 // NewCluster at the infection scale, and setup_allocs_per_op — the gated
 // metric — is the heap allocation count of that construction, measured
 // with runtime.MemStats around the timed loop (testing's allocs/op is
 // reported too, but the explicit metric survives name-independent
 // regression comparison). setup_allocs_per_proc is the per-process view,
-// the identity layer's headline number.
+// the identity layer's headline number. bytes_per_process, gated too, is
+// the live heap of one built cluster that has not run a round, over n.
 func setupCase(n int) benchCase {
 	return benchCase{
 		name: fmt.Sprintf("executor/setup/n=%d", n),
@@ -689,6 +693,13 @@ func setupCase(n int) benchCase {
 			perOp := float64(m1.Mallocs-m0.Mallocs) / float64(b.N)
 			b.ReportMetric(perOp, "setup_allocs_per_op")
 			b.ReportMetric(perOp/float64(n), "setup_allocs_per_proc")
+			empty := readHeap()
+			c, err := sim.NewCluster(o)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric((float64(readHeap().HeapAlloc)-float64(empty.HeapAlloc))/float64(n), "bytes_per_process")
+			c.Close()
 		},
 	}
 }

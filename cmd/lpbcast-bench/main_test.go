@@ -70,7 +70,7 @@ func TestCheckRegression(t *testing.T) {
 		{Name: "relative", AllocsPerOp: 100, Gate: true, MaxAllocs: -1},
 		{Name: "ungated", AllocsPerOp: 10, Gate: false, MaxAllocs: -1},
 		{Name: "setup", AllocsPerOp: 1000, Gate: true, MaxAllocs: -1,
-			Metrics: map[string]float64{"setup_allocs_per_op": 1000}},
+			Metrics: map[string]float64{"setup_allocs_per_op": 1000, "bytes_per_process": 3000}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -103,6 +103,12 @@ func TestCheckRegression(t *testing.T) {
 		{"setup metric regression", []Entry{
 			{Name: "setup", AllocsPerOp: 1100, Gate: true, MaxAllocs: -1,
 				Metrics: map[string]float64{"setup_allocs_per_op": 2000}},
+		}, 1},
+		{"footprint metric within headroom, then past it", []Entry{
+			{Name: "setup", AllocsPerOp: 1000, Gate: true, MaxAllocs: -1,
+				Metrics: map[string]float64{"bytes_per_process": 3700}},
+			{Name: "setup", AllocsPerOp: 1000, Gate: true, MaxAllocs: -1,
+				Metrics: map[string]float64{"bytes_per_process": 3800}},
 		}, 1},
 	}
 	for _, tc := range cases {

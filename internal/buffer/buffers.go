@@ -8,27 +8,6 @@ import (
 	"repro/internal/rng"
 )
 
-// Pools groups the size-classed arenas that back the protocol buffers'
-// slices during bulk construction. A Pools value is shard-local: it is
-// not safe for concurrent use, and a sharded build gives each worker its
-// own (see pool package docs).
-type Pools struct {
-	PIDs   pool.Arena[proto.ProcessID]
-	Events pool.Arena[proto.Event]
-	IDs    pool.Arena[proto.EventID]
-	Unsubs pool.Arena[proto.Unsubscription]
-}
-
-// Stats aggregates the arenas' counters.
-func (p *Pools) Stats() pool.Stats {
-	var s pool.Stats
-	s.Add(p.PIDs.Stats())
-	s.Add(p.Events.Stats())
-	s.Add(p.IDs.Stats())
-	s.Add(p.Unsubs.Stats())
-	return s
-}
-
 // Static key functions shared by every buffer instance (a capture-free
 // func literal would also be static, but naming them makes that explicit).
 func unsubKey(u proto.Unsubscription) proto.ProcessID { return u.Process }
@@ -139,22 +118,27 @@ func (l *PIDList) AppendItems(dst []proto.ProcessID) []proto.ProcessID {
 	return append(dst, l.items...)
 }
 
-// Grow pre-allocates capacity for n identifiers.
-func (l *PIDList) Grow(n int) {
-	if cap(l.items) < n {
-		items := make([]proto.ProcessID, len(l.items), n)
-		copy(items, l.items)
-		l.items = items
-	}
-}
+// Grow pre-allocates capacity for n identifiers. Of the protocol's lists
+// only subs (and the view beside it) is sized at construction: it is full
+// from the first round and every reception appends to it; the others start
+// empty and grow on demand toward a bound they may never come near.
+func (l *PIDList) Grow(n int) { l.GrowIn(n, nil) }
 
-// GrowIn pre-allocates capacity for n identifiers from a pooled arena.
-func (l *PIDList) GrowIn(n int, p *Pools) {
-	if cap(l.items) < n {
-		items := p.PIDs.Make(n)[:len(l.items)]
-		copy(items, l.items)
-		l.items = items
+// GrowIn is Grow with the backing array drawn from a size-classed arena (a
+// nil a falls back to the heap), so pre-sizing thousands of per-process
+// buffers costs amortized chunk allocations instead of one each.
+func (l *PIDList) GrowIn(n int, a *pool.Arena[proto.ProcessID]) {
+	if cap(l.items) >= n {
+		return
 	}
+	var items []proto.ProcessID
+	if a != nil {
+		items = a.Make(n)[:len(l.items)]
+	} else {
+		items = make([]proto.ProcessID, len(l.items), n)
+	}
+	copy(items, l.items)
+	l.items = items
 }
 
 // batchMax is the list length up to which TruncateRandomDiscard tracks the
@@ -292,12 +276,6 @@ func (l *UnsubList) TruncateRandomDiscard(max int, r *rng.Source) int {
 	return l.inner.TruncateRandomDiscard(max, r)
 }
 
-// Grow pre-allocates capacity for n entries.
-func (l *UnsubList) Grow(n int) { l.inner.Grow(n) }
-
-// GrowIn pre-allocates capacity for n entries from a pooled arena.
-func (l *UnsubList) GrowIn(n int, p *Pools) { l.inner.GrowIn(n, &p.Unsubs) }
-
 // Expire drops every unsubscription whose stamp is older than now-ttl
 // (§3.4: "After a certain time, the unsubscription becomes obsolete").
 // It returns the number of entries dropped.
@@ -340,6 +318,12 @@ func (b *EventBuffer) Init() { b.inner.Init(eventKey) }
 // Add inserts e unless already present, reporting whether it was added.
 func (b *EventBuffer) Add(e proto.Event) bool { return b.inner.Add(e) }
 
+// AddBounded is Add for a caller that truncates to under bound before it
+// adds again (KeyedList.AddBounded): storage stops growing at bound slots.
+func (b *EventBuffer) AddBounded(e proto.Event, bound int) bool {
+	return b.inner.AddBounded(e, bound)
+}
+
 // Contains reports whether the buffer holds an event with the given id.
 func (b *EventBuffer) Contains(id proto.EventID) bool { return b.inner.Contains(id) }
 
@@ -362,12 +346,6 @@ func (b *EventBuffer) AppendItems(dst []proto.Event) []proto.Event {
 func (b *EventBuffer) TruncateRandomDiscard(max int, r *rng.Source) int {
 	return b.inner.TruncateRandomDiscard(max, r)
 }
-
-// Grow pre-allocates capacity for n events.
-func (b *EventBuffer) Grow(n int) { b.inner.Grow(n) }
-
-// GrowIn pre-allocates capacity for n events from a pooled arena.
-func (b *EventBuffer) GrowIn(n int, p *Pools) { b.inner.GrowIn(n, &p.Events) }
 
 // Remove deletes the event with the given id, reporting whether it was
 // present (used by weighted eviction policies).
@@ -397,6 +375,12 @@ func (b *IDBuffer) Init() { b.inner.Init(idKey) }
 // Add inserts id unless present, reporting whether it was added.
 func (b *IDBuffer) Add(id proto.EventID) bool { return b.inner.Add(id) }
 
+// AddBounded is Add for a caller that truncates to under bound before it
+// adds again (FIFO.AddBounded): the ring stops growing at bound slots.
+func (b *IDBuffer) AddBounded(id proto.EventID, bound int) bool {
+	return b.inner.AddBounded(id, bound)
+}
+
 // Contains reports whether id is buffered.
 func (b *IDBuffer) Contains(id proto.EventID) bool { return b.inner.Contains(id) }
 
@@ -415,9 +399,6 @@ func (b *IDBuffer) TruncateOldestDiscard(max int) int { return b.inner.TruncateO
 
 // Grow pre-allocates capacity for n identifiers.
 func (b *IDBuffer) Grow(n int) { b.inner.Grow(n) }
-
-// GrowIn pre-allocates capacity for n identifiers from a pooled arena.
-func (b *IDBuffer) GrowIn(n int, p *Pools) { b.inner.GrowIn(n, &p.IDs) }
 
 // Archive is the bounded store of older notifications kept "only ... to
 // satisfy retransmission requests" (§3.2). Eviction is oldest-first.

@@ -1,10 +1,8 @@
 package buffer
 
 import (
-	"math/bits"
 	"slices"
 
-	"repro/internal/pool"
 	"repro/internal/proto"
 )
 
@@ -144,8 +142,7 @@ func (f *FIFO[V]) buildIdx() {
 func (f *FIFO[V]) Add(v V) bool { return f.AddBounded(v, 0) }
 
 // AddBounded is Add for a caller that truncates to under bound before it
-// adds again: a full ring doubles, but not past bound slots, where it then
-// stays. A caller that overfills its bound all the same gets Add's doubling.
+// adds again: the ring stops growing at bound slots (see grown).
 func (f *FIFO[V]) AddBounded(v V, bound int) bool {
 	k := f.key(v)
 	h := hashID(k)
@@ -154,11 +151,7 @@ func (f *FIFO[V]) AddBounded(v V, bound int) bool {
 		return false
 	}
 	if int(f.n) == len(f.ring) {
-		grown := max(1, 2*len(f.ring))
-		if len(f.ring) < bound && bound < grown {
-			grown = bound
-		}
-		f.resize(make([]V, grown))
+		f.resize(make([]V, grown(len(f.ring), bound)))
 		_, at = f.find(k, h) // the index was rebuilt
 	}
 	p := f.pos(f.n)
@@ -225,13 +218,3 @@ func (f *FIFO[V]) Grow(n int) {
 		f.resize(make([]V, n))
 	}
 }
-
-// GrowIn is Grow with the ring a whole class, a power of two, of a sized arena.
-func (f *FIFO[V]) GrowIn(n int, a *pool.Arena[V]) {
-	if len(f.ring) < n {
-		f.resize(a.Make(ringLen(n)))
-	}
-}
-
-// ringLen is the smallest power of two holding n elements.
-func ringLen(n int) int { return 1 << bits.Len(uint(n-1)) }

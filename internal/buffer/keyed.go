@@ -12,10 +12,7 @@
 // sequence").
 package buffer
 
-import (
-	"repro/internal/pool"
-	"repro/internal/rng"
-)
+import "repro/internal/rng"
 
 // smallMax is the list length up to which a KeyedList runs in "small
 // mode" with no hash index at all: membership is a linear scan over the
@@ -31,6 +28,12 @@ const smallMax = 64
 // a packed slice plus membership tests that are linear scans while small
 // and map lookups once past smallMax. The lists evicted oldest-first
 // (eventIds, the archive) are FIFO rings instead.
+//
+// A list holds no storage until its first Add and doubles on demand. Its
+// bound is a maximum, enforced by the caller's truncation after each inflow,
+// so growth ends once bound plus inflow fits — exactly there when the bound
+// travels with the call (AddBounded) — and a list that never meets an element
+// (events and unSubs of an idle process) costs nothing.
 //
 // KeyedList is not safe for concurrent use.
 type KeyedList[K comparable, V any] struct {
@@ -52,12 +55,11 @@ func (l *KeyedList[K, V]) Init(key func(V) K) {
 	l.key = key
 }
 
-// buildIdx leaves small mode, materializing the index from items.
-func (l *KeyedList[K, V]) buildIdx(hint int) {
-	if h := 2 * len(l.items); h > hint {
-		hint = h
-	}
-	idx := make(map[K]struct{}, hint)
+// buildIdx leaves small mode, materializing the index from items with room
+// for twice as many: at a 1x hint delete/insert churn still grows a map now
+// and then (tombstone pressure).
+func (l *KeyedList[K, V]) buildIdx() {
+	idx := make(map[K]struct{}, 2*len(l.items))
 	for _, v := range l.items {
 		idx[l.key(v)] = struct{}{}
 	}
@@ -78,18 +80,37 @@ func (l *KeyedList[K, V]) contains(k K) bool {
 	return ok
 }
 
+// grown is the one growth rule of the protocol's lists: a full list of n
+// slots doubles, but not past bound slots, where a caller that truncates to
+// under bound before it adds again then stays; one that overfills its bound
+// all the same, or names none (0), gets plain doubling.
+func grown(n, bound int) int {
+	g := max(1, 2*n)
+	if n < bound && bound < g {
+		g = bound
+	}
+	return g
+}
+
 // Add appends v unless an element with the same key is present. It reports
 // whether the element was added.
-func (l *KeyedList[K, V]) Add(v V) bool {
+func (l *KeyedList[K, V]) Add(v V) bool { return l.AddBounded(v, 0) }
+
+// AddBounded is Add for a caller that truncates to under bound before it
+// adds again: the list's storage stops growing at bound slots (see grown).
+func (l *KeyedList[K, V]) AddBounded(v V, bound int) bool {
 	k := l.key(v)
 	if l.contains(k) {
 		return false
+	}
+	if len(l.items) == cap(l.items) {
+		l.items = append(make([]V, 0, grown(cap(l.items), bound)), l.items...)
 	}
 	l.items = append(l.items, v)
 	if l.idx != nil {
 		l.idx[k] = struct{}{}
 	} else if len(l.items) > smallMax {
-		l.buildIdx(0)
+		l.buildIdx()
 	}
 	return true
 }
@@ -155,52 +176,6 @@ func (l *KeyedList[K, V]) Clear() {
 	l.items = l.items[:0]
 	for k := range l.idx {
 		delete(l.idx, k)
-	}
-}
-
-// Grow pre-allocates capacity for at least n elements, so a bounded list
-// sized to its configuration bound up front never reallocates on the hot
-// path (the long convergence tail of growing thousands of per-process
-// buffers toward their high-water marks one append at a time).
-func (l *KeyedList[K, V]) Grow(n int) {
-	l.growItems(n, nil)
-	l.growIdx(n)
-}
-
-// GrowIn is Grow with the items backing array drawn from a size-classed
-// arena, so pre-sizing thousands of per-process buffers costs amortized
-// chunk allocations instead of one heap allocation each.
-func (l *KeyedList[K, V]) GrowIn(n int, a *pool.Arena[V]) {
-	l.growItems(n, a)
-	l.growIdx(n)
-}
-
-func (l *KeyedList[K, V]) growItems(n int, a *pool.Arena[V]) {
-	if cap(l.items) >= n {
-		return
-	}
-	var items []V
-	if a != nil {
-		items = a.Make(n)[:len(l.items)]
-	} else {
-		items = make([]V, len(l.items), n)
-	}
-	copy(items, l.items)
-	l.items = items
-}
-
-func (l *KeyedList[K, V]) growIdx(n int) {
-	// A bound inside small mode needs no index at all. Past it, rebuild
-	// with twice the capacity hint: delete/insert churn at occupancy n
-	// still triggers occasional incremental map growth at a 1x hint
-	// (tombstone pressure), and across thousands of process buffers that
-	// trickle dominates steady-state allocation. The doubled hint absorbs
-	// it entirely.
-	if n <= smallMax {
-		return
-	}
-	if l.idx == nil || len(l.idx) < n {
-		l.buildIdx(2 * n)
 	}
 }
 

@@ -1,0 +1,218 @@
+package buffer
+
+import (
+	"slices"
+	"testing"
+
+	"repro/internal/proto"
+	"repro/internal/rng"
+)
+
+// refKeyedList is the randomly truncated list as a slice and a Go map, the
+// map kept from the first element on: no small mode, no lazy index, nothing
+// to get wrong. Do not optimise it.
+type refKeyedList struct {
+	idx   map[proto.EventID]struct{}
+	items []proto.Event
+}
+
+func (l *refKeyedList) Add(v proto.Event) bool {
+	if _, ok := l.idx[v.ID]; ok {
+		return false
+	}
+	if l.idx == nil {
+		l.idx = make(map[proto.EventID]struct{})
+	}
+	l.idx[v.ID] = struct{}{}
+	l.items = append(l.items, v)
+	return true
+}
+
+func (l *refKeyedList) Remove(k proto.EventID) bool {
+	if _, ok := l.idx[k]; !ok {
+		return false
+	}
+	delete(l.idx, k)
+	i := slices.IndexFunc(l.items, func(v proto.Event) bool { return v.ID == k })
+	l.items = slices.Delete(l.items, i, i+1)
+	return true
+}
+
+func (l *refKeyedList) TruncateRandomDiscard(max int, r *rng.Source) int {
+	if max < 0 {
+		max = 0
+	}
+	n := 0
+	for len(l.items) > max {
+		i := r.Intn(len(l.items))
+		delete(l.idx, l.items[i].ID)
+		l.items = slices.Delete(l.items, i, i+1)
+		n++
+	}
+	return n
+}
+
+func (l *refKeyedList) Clear() {
+	l.items = l.items[:0]
+	clear(l.idx)
+}
+
+// TestKeyedListOracle drives Add, Remove, TruncateRandomDiscard and Clear of
+// a KeyedList and of the reference with the same random op lists, the two
+// truncations drawing from twin sources, and compares every result, the
+// items in order, membership of what either side holds or just lost, and the
+// sources' positions after every op. The bounds sit on both sides of the
+// index-free mode's end at smallMax, and the inflow between two truncations
+// is up to 17 elements, so lists cross it in both directions again and
+// again. A list starts with no storage and doubles on demand: the test
+// requires a list never added to to hold none, the index to exist exactly
+// when the list has been longer than smallMax, and the bounds past 32 to
+// have been reached through at least six reallocations.
+func TestKeyedListOracle(t *testing.T) {
+	t.Parallel()
+	bounds := []int{-2, 0, 1, 7, 30, smallMax - 1, smallMax, smallMax + 1, 100, 200}
+	for seed := uint64(1); seed <= 80; seed++ {
+		bound := bounds[seed%uint64(len(bounds))]
+		gen := rng.New(seed)
+		got, want := rng.New(seed^0xabcdef), rng.New(seed^0xabcdef)
+		var l KeyedList[proto.EventID, proto.Event]
+		l.Init(eventKey)
+		var ref refKeyedList
+		if cap(l.items) != 0 || l.idx != nil {
+			t.Fatalf("a list never added to holds %d slots, index %v", cap(l.items), l.idx != nil)
+		}
+		next, op, grown, everLong := uint64(0), 0, 0, false
+		check := func(what string, probes ...proto.EventID) {
+			t.Helper()
+			if !slices.EqualFunc(l.items, ref.items, func(a, b proto.Event) bool { return a.ID == b.ID }) {
+				t.Fatalf("seed %d op %d (%s): items %v, reference %v", seed, op, what, l.items, ref.items)
+			}
+			if l.Len() != len(ref.items) {
+				t.Fatalf("seed %d op %d (%s): Len = %d, reference %d", seed, op, what, l.Len(), len(ref.items))
+			}
+			if got.State() != want.State() {
+				t.Fatalf("seed %d op %d (%s): rng at %#x, reference at %#x", seed, op, what, got.State(), want.State())
+			}
+			everLong = everLong || len(ref.items) > smallMax
+			if (l.idx != nil) != everLong {
+				t.Fatalf("seed %d op %d (%s): index present %v with %d items, ever past %d: %v", seed, op, what, l.idx != nil, l.Len(), smallMax, everLong)
+			}
+			if l.idx != nil && len(l.idx) != len(l.items) {
+				t.Fatalf("seed %d op %d (%s): index of %d keys beside %d items", seed, op, what, len(l.idx), len(l.items))
+			}
+			for _, v := range ref.items {
+				probes = append(probes, v.ID)
+			}
+			for _, k := range probes {
+				_, w := ref.idx[k]
+				if g := l.Contains(k); g != w {
+					t.Fatalf("seed %d op %d (%s): Contains(%v) = %v, reference %v", seed, op, what, k, g, w)
+				}
+				if v, g := l.Get(k); g != w || g && v.ID != k {
+					t.Fatalf("seed %d op %d (%s): Get(%v) = %v,%v, reference %v", seed, op, what, k, v, g, w)
+				}
+			}
+		}
+		add := func(id proto.EventID) {
+			op++
+			before := cap(l.items)
+			// Odd seeds name a bound, which the op list keeps on some stretches
+			// and breaks on others: what the list answers must not depend on it.
+			if g, w := l.AddBounded(proto.Event{ID: id}, int(seed%2)*(bound+18)), ref.Add(proto.Event{ID: id}); g != w {
+				t.Fatalf("seed %d op %d: Add(%v) = %v, reference %v", seed, op, id, g, w)
+			}
+			if cap(l.items) != before {
+				grown++
+			}
+			check("add", id)
+		}
+		truncate := func(max int) {
+			op++
+			held := slices.Clone(ref.items)
+			if g, w := l.TruncateRandomDiscard(max, got), ref.TruncateRandomDiscard(max, want); g != w {
+				t.Fatalf("seed %d op %d: TruncateRandomDiscard(%d) = %d, reference %d", seed, op, max, g, w)
+			}
+			lost := make([]proto.EventID, 0, len(held))
+			for _, v := range held {
+				lost = append(lost, v.ID)
+			}
+			check("truncate", lost...)
+		}
+		for i := 0; i < 400; i++ {
+			switch k := gen.Intn(20); {
+			case k < 12: // one reception: an inflow, then the bound
+				for j := 1 + gen.Intn(17); j > 0; j-- {
+					next++
+					add(proto.EventID{Origin: proto.ProcessID(1 + gen.Intn(3)), Seq: next})
+				}
+				if k < 10 {
+					truncate(bound)
+				}
+			case k < 14: // an id offered before: held, or long gone
+				add(proto.EventID{Origin: proto.ProcessID(1 + gen.Intn(3)), Seq: 1 + uint64(gen.Intn(int(next)+1))})
+			case k < 17:
+				op++
+				id := proto.EventID{Origin: proto.ProcessID(1 + gen.Intn(3)), Seq: 1 + uint64(gen.Intn(int(next)+1))}
+				if len(ref.items) > 0 && gen.Intn(2) == 0 {
+					id = ref.items[gen.Intn(len(ref.items))].ID
+				}
+				if g, w := l.Remove(id), ref.Remove(id); g != w {
+					t.Fatalf("seed %d op %d: Remove(%v) = %v, reference %v", seed, op, id, g, w)
+				}
+				check("remove", id)
+			case k < 19:
+				truncate(bounds[gen.Intn(len(bounds))])
+			default: // events ← ∅: the storage stays
+				op++
+				before := cap(l.items)
+				l.Clear()
+				ref.Clear()
+				if cap(l.items) != before {
+					t.Fatalf("seed %d op %d: Clear took the list from %d slots to %d", seed, op, before, cap(l.items))
+				}
+				check("clear")
+			}
+		}
+		if bound > 32 && grown < 6 {
+			t.Fatalf("seed %d: a list bounded at %d reached %d slots in %d reallocations, want one growth step at a time", seed, bound, cap(l.items), grown)
+		}
+	}
+}
+
+// TestKeyedListBounded is TestFIFOBounded for the randomly truncated list:
+// while the caller keeps its promise — Len back under the bound before the
+// next Add — storage doubles up to the bound and stops exactly there; when it
+// breaks it, the list falls back to doubling with every element kept.
+func TestKeyedListBounded(t *testing.T) {
+	t.Parallel()
+	for _, bound := range []int{1, 3, 31, smallMax + 1, 201} {
+		var l KeyedList[proto.EventID, proto.Event]
+		l.Init(eventKey)
+		r := rng.New(uint64(bound))
+		seq := uint64(0)
+		for ; seq < uint64(5*bound+20); seq++ {
+			ev := proto.Event{ID: proto.EventID{Origin: 3, Seq: seq + 1}}
+			if !l.AddBounded(ev, bound) || l.AddBounded(ev, bound) {
+				t.Fatalf("bound %d: AddBounded(%v) refused a fresh id or took it twice", bound, ev.ID)
+			}
+			if cap(l.items) > bound {
+				t.Fatalf("bound %d: %d slots while the promise was kept", bound, cap(l.items))
+			}
+			l.TruncateRandomDiscard(bound-1, r)
+		}
+		if cap(l.items) != bound {
+			t.Fatalf("bound %d: %d slots after %d adds", bound, cap(l.items), seq)
+		}
+		for grown, held := bound, l.Len(); seq < uint64(8*bound+40); seq++ {
+			if !l.AddBounded(proto.Event{ID: proto.EventID{Origin: 3, Seq: seq + 1}}, bound) {
+				t.Fatalf("bound %d: a fresh id refused", bound)
+			}
+			if held++; held > grown {
+				grown *= 2
+			}
+			if cap(l.items) != grown || l.Len() != held {
+				t.Fatalf("bound %d: %d slots holding %d of %d elements, doubling from the bound gives %d", bound, cap(l.items), l.Len(), held, grown)
+			}
+		}
+	}
+}

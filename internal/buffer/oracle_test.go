@@ -679,12 +679,8 @@ func TestFIFOOracle(t *testing.T) {
 				p.truncate(bound)
 			case k < 36:
 				p.truncate(bounds[r.Intn(len(bounds))])
-			case k < 38:
-				p.ids.Grow(r.Intn(300))
-				p.check(proto.EventID{})
 			default:
-				var pools Pools
-				p.ids.GrowIn(r.Intn(300), &pools)
+				p.ids.Grow(r.Intn(300))
 				p.check(proto.EventID{})
 			}
 		}

@@ -280,10 +280,8 @@ func New(self proto.ProcessID, cfg Config, deliver Deliverer, r *rng.Source) (*E
 		deliver: deliver,
 		rng:     r,
 	}
-	e.events.Grow(cfg.MaxEvents + 1)
 	if cfg.DigestMode == FlatDigest {
 		e.flat = buffer.NewIDBuffer()
-		e.flat.Grow(cfg.MaxEventIDs + 1)
 	}
 	if cfg.DigestMode == CompactDigest || cfg.DedupMemory {
 		e.compact = buffer.NewCompactDigest()
@@ -339,7 +337,7 @@ func (e *Engine) knows(id proto.EventID) bool {
 // when enabled, to the compact dedup memory.
 func (e *Engine) record(id proto.EventID) {
 	if e.flat != nil {
-		e.flat.Add(id)
+		e.flat.AddBounded(id, e.cfg.MaxEventIDs+1) // one past the bound until the truncation below
 		e.flat.TruncateOldestDiscard(e.cfg.MaxEventIDs)
 	}
 	if e.compact != nil {
@@ -382,7 +380,7 @@ func (e *Engine) deliverEvent(ev proto.Event) {
 // |events|m. Eviction is uniformly random by default; with
 // WeightedEventEviction the most-duplicated notification goes first.
 func (e *Engine) bufferForForwarding(ev proto.Event) {
-	e.events.Add(ev)
+	e.events.AddBounded(ev, e.cfg.MaxEvents+1) // one past the bound until the truncation below
 	if !e.cfg.WeightedEventEviction {
 		evicted := e.events.TruncateRandomDiscard(e.cfg.MaxEvents, e.rng)
 		e.stats.EventsOverflowed += uint64(evicted)

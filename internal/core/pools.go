@@ -30,7 +30,7 @@ type engineSlot struct {
 }
 
 // Pools holds the allocators for bulk engine construction: a slab of
-// engine slots plus the arenas their buffers pre-size from. One Pools
+// engine slots plus the arenas the view and subs pre-size from. One Pools
 // value serves one construction shard; it is not safe for concurrent use.
 type Pools struct {
 	slots pool.Slab[engineSlot]
@@ -46,7 +46,8 @@ func (p *Pools) Stats() pool.Stats {
 
 // NewIn is New with all state drawn from pools: the engine, its
 // membership manager, and every protocol buffer live in one slab record,
-// and the buffers' backing slices come from size-classed arenas. src is
+// the view's and subs' backing slices come from size-classed arenas, and
+// every other buffer starts empty and grows on demand up to its bound. src is
 // the engine's random stream, passed by value into the slot (the caller
 // typically fills it with rng.SplitInto); the membership stream is split
 // from it exactly as New splits it from r, so a pooled engine is
@@ -76,11 +77,9 @@ func NewIn(self proto.ProcessID, cfg Config, sink EventSink, src rng.Source, p *
 		sink:    sink,
 		rng:     &slot.src,
 	}
-	e.events.GrowIn(cfg.MaxEvents+1, &p.Mem.Buf)
 	if cfg.DigestMode == FlatDigest {
 		slot.flat.Init()
 		e.flat = &slot.flat
-		e.flat.GrowIn(cfg.MaxEventIDs+1, &p.Mem.Buf)
 	}
 	if cfg.DigestMode == CompactDigest || cfg.DedupMemory {
 		e.compact = &slot.compact

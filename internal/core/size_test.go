@@ -1,0 +1,142 @@
+package core
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/proto"
+	"repro/internal/rng"
+)
+
+// storage reads the backing slice of one protocol buffer through the
+// unexported fields named by path, so the size tests below need no accessor
+// outside them; a renamed field fails them loudly.
+func storage(e *Engine, path ...string) reflect.Value {
+	v := reflect.ValueOf(e)
+	for _, name := range path {
+		for v.Kind() == reflect.Pointer {
+			v = v.Elem()
+		}
+		v = v.FieldByName(name)
+	}
+	return v
+}
+
+// TestIdleEngineHoldsNoEventStorage: a bound is a maximum, not a size. Forty
+// pooled engines gossip membership for 20 rounds — every view full, every
+// reception merging and truncating — without ever meeting an event or an
+// unsubscription, and none of them holds a slot of events, eventIds or
+// unSubs storage.
+func TestIdleEngineHoldsNoEventStorage(t *testing.T) {
+	const n = 40
+	cfg := DefaultConfig()
+	root := rng.New(5)
+	var pools Pools
+	engines := make([]*Engine, n)
+	for i := range engines {
+		var src rng.Source
+		root.SplitInto(&src)
+		e, err := NewIn(proto.ProcessID(i+1), cfg, nil, src, &pools)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seeds []proto.ProcessID
+		for j := 1; j <= cfg.Membership.MaxView; j++ {
+			seeds = append(seeds, proto.ProcessID((i+j)%n+1))
+		}
+		e.Seed(seeds)
+		engines[i] = e
+	}
+	var out, replies []proto.Message
+	for round := uint64(1); round <= 20; round++ {
+		out = out[:0]
+		for _, e := range engines {
+			out = e.TickAppend(round, out)
+		}
+		for _, m := range out {
+			replies = engines[m.To-1].HandleMessageAppend(m, round, replies[:0])
+			if len(replies) != 0 {
+				t.Fatalf("round %d: an idle system produced a response %+v", round, replies[0])
+			}
+		}
+	}
+	for _, e := range engines {
+		if got := e.Stats().GossipsReceived; got == 0 {
+			t.Fatalf("%v received no gossip: the test exercised nothing", e.Self())
+		}
+		if e.ViewLen() != cfg.Membership.MaxView || e.SubsLen() != cfg.Membership.MaxSubs {
+			t.Fatalf("%v: view %d, subs %d: membership was not merged to its bounds", e.Self(), e.ViewLen(), e.SubsLen())
+		}
+		for _, buf := range []struct {
+			name string
+			path []string
+		}{
+			{"events", []string{"events", "inner", "items"}},
+			{"eventIds ring", []string{"flat", "inner", "ring"}},
+			{"eventIds index", []string{"flat", "inner", "idx"}},
+			{"unSubs", []string{"mem", "unsubs", "inner", "items"}},
+		} {
+			if c := storage(e, buf.path...).Cap(); c != 0 {
+				t.Errorf("%v: %s holds %d slots after 20 idle rounds, want 0", e.Self(), buf.name, c)
+			}
+		}
+	}
+}
+
+// TestLoadedBuffersStopAtBound: growth on demand ends at the bound. A pooled
+// engine receives 35 fresh notifications per gossip — more than |events|m —
+// until every buffer is at its high-water mark: the eventIds ring is exactly
+// |eventIds|m + 1 slots (one past the bound between Add and truncation), the
+// events list is no larger than the 32-slot class it used to be given at
+// construction, and 1 000 further receptions allocate nothing.
+func TestLoadedBuffersStopAtBound(t *testing.T) {
+	cfg := DefaultConfig()
+	var pools Pools
+	e, err := NewIn(1, cfg, nil, *rng.New(99), &pools)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seeds []proto.ProcessID
+	for p := proto.ProcessID(2); int(p) <= cfg.Membership.MaxView+1; p++ {
+		seeds = append(seeds, p)
+	}
+	e.Seed(seeds)
+	const origins = 7
+	g := &proto.Gossip{From: 2, Subs: []proto.ProcessID{2}, Events: make([]proto.Event, 35)}
+	msg := proto.Message{Kind: proto.GossipMsg, From: 2, To: 1, Gossip: g}
+	var out, ticked []proto.Message
+	seq, now := uint64(0), uint64(0)
+	receive := func() {
+		for i := range g.Events {
+			if i%origins == 0 {
+				seq++
+			}
+			g.Events[i].ID = proto.EventID{Origin: proto.ProcessID(2 + i%origins), Seq: seq}
+		}
+		out = e.HandleMessageAppend(msg, now, out[:0])
+	}
+	e.SetEmissionReuse(true)
+	for i := 0; i < 60; i++ {
+		receive()
+		if i%3 == 2 { // events ← ∅, and the emission scratch reaches its size
+			now++
+			ticked = e.TickAppend(now, ticked[:0])
+		}
+	}
+	if got, want := storage(e, "flat", "inner", "ring").Len(), cfg.MaxEventIDs+1; got != want {
+		t.Errorf("eventIds ring of %d slots after a loaded warm-up, want exactly %d", got, want)
+	}
+	if got := storage(e, "events", "inner", "items").Cap(); got < cfg.MaxEvents+1 || got > 32 {
+		t.Errorf("events holds %d slots after a loaded warm-up, want %d to 32", got, cfg.MaxEvents+1)
+	}
+	if got, want := e.archive.Len(), cfg.ArchiveSize; got != want {
+		t.Fatalf("archive holds %d events, want %d: the warm-up was too short", got, want)
+	}
+	delivered := e.Stats().EventsDelivered
+	if allocs := testing.AllocsPerRun(1000, receive); allocs != 0 {
+		t.Errorf("a loaded reception allocates %v times at the high-water mark, want 0", allocs)
+	}
+	if got := e.Stats().EventsDelivered - delivered; got != 1001*35 { // AllocsPerRun warms up once
+		t.Errorf("%d deliveries over 1001 receptions of 35 fresh events", got)
+	}
+}

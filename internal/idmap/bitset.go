@@ -1,9 +1,9 @@
 package idmap
 
-// Bitset is a plain dense bitset used for position-keyed "keep" marks in
-// view truncation. The zero value is an empty set; words grow on demand
-// and are retained across Clear so a hot loop settles to zero
-// allocations.
+// Bitset is a plain dense bitset, used for position-keyed "keep" marks in
+// view truncation and for the simulator's per-event delivery record. The
+// zero value is an empty set; words grow on demand and are retained across
+// Clear so a hot loop settles to zero allocations.
 type Bitset struct {
 	words []uint64
 	// touched tracks the high-water word index actually written since the

@@ -129,25 +129,25 @@ func NewManager(self proto.ProcessID, cfg Config, r *rng.Source) (*Manager, erro
 	return m, nil
 }
 
-// presize grows every bounded buffer to its transient high-water mark
-// (the configured bound plus one gossip's worth of inflow), so the
-// per-message view/subs churn never reallocates in steady state, and
-// installs the prioritary set.
+// presize grows the view and subs to their transient high-water mark (the
+// configured bound plus one gossip's worth of inflow) — they are full from
+// the first round and every reception churns them, so they never reallocate
+// in steady state — and installs the prioritary set. unSubs starts empty
+// like the engine's event buffers: most processes never meet an
+// unsubscription, and one that does grows the list on demand.
 func (m *Manager) presize(p *Pools) {
 	inflow := m.cfg.MaxSubs + 2
 	if p != nil {
 		m.view.GrowIn(m.cfg.MaxView+inflow, p)
-		m.subs.GrowIn(m.cfg.MaxSubs+m.cfg.MaxView+inflow, &p.Buf)
-		m.unsubs.GrowIn(m.cfg.MaxUnsubs+inflow, &p.Buf)
+		m.subs.GrowIn(m.cfg.MaxSubs+m.cfg.MaxView+inflow, &p.PIDs)
 	} else {
 		m.view.Grow(m.cfg.MaxView + inflow)
 		m.subs.Grow(m.cfg.MaxSubs + m.cfg.MaxView + inflow)
-		m.unsubs.Grow(m.cfg.MaxUnsubs + inflow)
 	}
 	for _, q := range m.cfg.Prioritary {
 		if q != m.self {
 			if p != nil && m.keep == nil {
-				m.keep = p.Buf.PIDs.Make(len(m.cfg.Prioritary))[:0]
+				m.keep = p.PIDs.Make(len(m.cfg.Prioritary))[:0]
 			}
 			m.keep = append(m.keep, q)
 			m.view.Add(q)
@@ -251,9 +251,7 @@ func (m *Manager) ApplySubs(subs []proto.ProcessID) {
 // |subs| <= |subs|m. View entries from position fresh up are in subs
 // already; inSubs is a filter of subs.
 func (m *Manager) truncate(fresh int, inSubs *buffer.PIDFilter) {
-	for _, p := range m.view.truncate(m.cfg.MaxView, m.keep, m.cfg.Policy == Weighted, fresh, m.rng) {
-		m.subs.AddIn(p, inSubs)
-	}
+	m.view.truncate(m.cfg.MaxView, m.keep, m.cfg.Policy == Weighted, fresh, m.rng, m.subs, inSubs)
 	m.truncateSubs()
 }
 

@@ -9,22 +9,19 @@ import (
 	"repro/internal/rng"
 )
 
-// Pools groups the arenas backing membership state during bulk
-// construction: view entry lists (Entries), target-pick scratch (Ints), and
-// the protocol-buffer arenas shared with the buffer layer, whose PIDs also
-// back a view's evictee list. Like all pools it is shard-local — one per
-// construction worker, never shared.
+// Pools groups the arenas backing the membership state that is sized at
+// construction: view entry lists (Entries) and subs buffers, with the
+// prioritary set beside them (PIDs). Like all pools it is shard-local — one
+// per construction worker, never shared.
 type Pools struct {
-	Buf     buffer.Pools
+	PIDs    pool.Arena[proto.ProcessID]
 	Entries pool.Arena[Entry]
-	Ints    pool.Arena[int]
 }
 
 // Stats aggregates the pools' counters.
 func (p *Pools) Stats() pool.Stats {
-	s := p.Buf.Stats()
+	s := p.PIDs.Stats()
 	s.Add(p.Entries.Stats())
-	s.Add(p.Ints.Stats())
 	return s
 }
 

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/buffer"
 	"repro/internal/idmap"
 	"repro/internal/proto"
 	"repro/internal/rng"
@@ -44,9 +45,8 @@ type View struct {
 	owner proto.ProcessID
 	list  []Entry
 
-	pickScratch []int             // reused by AppendPick
-	removed     []proto.ProcessID // reused by truncate (return value)
-	keepBits    idmap.Bitset      // reused by truncate (kept positions), prioritary sets only
+	removed  []proto.ProcessID // reused by TruncateUniform/TruncateWeighted (return value)
+	keepBits idmap.Bitset      // reused by truncate (kept positions), prioritary sets only
 }
 
 // NewView creates an empty view owned by owner. The owner can never be
@@ -62,43 +62,28 @@ func (v *View) Init(owner proto.ProcessID) { v.owner = owner }
 // Owner returns the owning process.
 func (v *View) Owner() proto.ProcessID { return v.owner }
 
-// Grow pre-allocates the entry list and the pick and eviction scratch for
-// at least n entries. Sizing a view to its transient
-// bound (l plus one gossip's subscription inflow) at construction keeps
-// the per-message ApplySubs/truncate path from ever reallocating — without
-// it, thousands of views grow their buffers toward the high-water mark one
-// append at a time, a convergence tail that dominates steady-state
-// allocation in large simulations.
+// Grow pre-allocates the entry list for at least n entries. A view is full
+// from the first round and every reception appends to it, so sizing it to
+// its transient bound (l plus one gossip's subscription inflow) at
+// construction keeps the per-message ApplySubs/truncate path from ever
+// reallocating.
 func (v *View) Grow(n int) { v.GrowIn(n, nil) }
 
-// GrowIn is Grow with every backing slice drawn from pooled arenas (a nil
-// p falls back to the heap), so pre-sizing thousands of per-process views
-// costs amortized chunk allocations instead of three heap allocations each.
+// GrowIn is Grow with the entry list drawn from a pooled arena (a nil p
+// falls back to the heap), so pre-sizing thousands of per-process views
+// costs amortized chunk allocations instead of one heap allocation each.
 func (v *View) GrowIn(n int, p *Pools) {
-	if cap(v.list) < n {
-		var list []Entry
-		if p != nil {
-			list = p.Entries.Make(n)[:len(v.list)]
-		} else {
-			list = make([]Entry, len(v.list), n)
-		}
-		copy(list, v.list)
-		v.list = list
+	if cap(v.list) >= n {
+		return
 	}
-	if cap(v.pickScratch) < n {
-		if p != nil {
-			v.pickScratch = p.Ints.Make(n)[:0]
-		} else {
-			v.pickScratch = make([]int, 0, n)
-		}
+	var list []Entry
+	if p != nil {
+		list = p.Entries.Make(n)[:len(v.list)]
+	} else {
+		list = make([]Entry, len(v.list), n)
 	}
-	if cap(v.removed) < n {
-		if p != nil {
-			v.removed = p.Buf.PIDs.Make(n)[:0]
-		} else {
-			v.removed = make([]proto.ProcessID, 0, n)
-		}
-	}
+	copy(list, v.list)
+	v.list = list
 }
 
 // indexOf returns p's position in the entry list, or -1.
@@ -194,15 +179,20 @@ func (v *View) Pick(k int, r *rng.Source) []proto.ProcessID {
 	return out
 }
 
-// AppendPick appends Pick(k, r)'s choices to dst, reusing an internal
-// index scratch so the steady-state emission path does not allocate. It
-// consumes the same random draws as Pick.
+// pickRoom is the stack room AppendPick samples into: a fanout, not a view.
+// Past it the sample spills to the heap, where rng.SampleAppend keeps its
+// bookkeeping for a k that large anyway.
+const pickRoom = 16
+
+// AppendPick appends Pick(k, r)'s choices to dst, sampling the indices into
+// room on its own stack so the steady-state emission path does not
+// allocate. It consumes the same random draws as Pick.
 func (v *View) AppendPick(dst []proto.ProcessID, k int, r *rng.Source) []proto.ProcessID {
 	if k <= 0 || len(v.list) == 0 {
 		return dst
 	}
-	v.pickScratch = r.SampleAppend(v.pickScratch[:0], len(v.list), k)
-	for _, j := range v.pickScratch {
+	var room [pickRoom]int
+	for _, j := range r.SampleAppend(room[:0], len(v.list), k) {
 		dst = append(dst, v.list[j].Process)
 	}
 	return dst
@@ -226,7 +216,9 @@ func (v *View) removeAt(i int) Entry {
 // scratch reused by the next truncation: consume it before calling any
 // Truncate* method again, and do not retain it.
 func (v *View) TruncateUniform(max int, keep []proto.ProcessID, r *rng.Source) []proto.ProcessID {
-	return v.truncate(max, keep, false, len(v.list), r)
+	v.removed = v.removed[:0]
+	v.truncate(max, keep, false, len(v.list), r, nil, nil)
+	return v.removed
 }
 
 // TruncateWeighted removes the highest-weight entries first (ties broken
@@ -235,7 +227,9 @@ func (v *View) TruncateUniform(max int, keep []proto.ProcessID, r *rng.Source) [
 // evicted first. Entries in keep are never evicted. The returned slice
 // follows TruncateUniform's scratch-reuse contract.
 func (v *View) TruncateWeighted(max int, keep []proto.ProcessID, r *rng.Source) []proto.ProcessID {
-	return v.truncate(max, keep, true, len(v.list), r)
+	v.removed = v.removed[:0]
+	v.truncate(max, keep, true, len(v.list), r, nil, nil)
+	return v.removed
 }
 
 // truncate repeatedly evicts a victim among non-kept entries — uniformly,
@@ -249,15 +243,20 @@ func (v *View) TruncateWeighted(max int, keep []proto.ProcessID, r *rng.Source) 
 // the list. Nothing here allocates: kept positions are marked in a bitset
 // retained on the View and follow the swap-removals by a bit move.
 //
+// An evictee goes straight into subs, the owner's forwarding buffer with its
+// filter inSubs (Fig. 1(a): it stays "eligible for being forwarded"); AddIn
+// draws nothing, so the draws are those of evicting first and buffering
+// after. The exported forms pass no subs and collect the evictees in the
+// slice they return, which only a view truncated that way ever grows.
+//
 // Entries at positions fresh and up are the caller's own appends, which it
 // has buffered in subs already: they are evicted like any other but not
-// returned (a one-word position mask tracks them through the swaps; past
-// position 63 an entry is simply returned like an old one).
-func (v *View) truncate(max int, keep []proto.ProcessID, weighted bool, fresh int, r *rng.Source) []proto.ProcessID {
+// buffered again (a one-word position mask tracks them through the swaps;
+// past position 63 an entry is simply handed on like an old one).
+func (v *View) truncate(max int, keep []proto.ProcessID, weighted bool, fresh int, r *rng.Source, subs *buffer.PIDList, inSubs *buffer.PIDFilter) {
 	if max < 0 {
 		max = 0
 	}
-	removed := v.removed[:0]
 	kept := 0
 	if len(v.list) > max && len(keep) > 0 {
 		v.keepBits.Clear()
@@ -313,12 +312,14 @@ func (v *View) truncate(max int, keep []proto.ProcessID, weighted bool, fresh in
 		}
 		wasFresh := freshBits>>uint(victim)&1 != 0
 		freshBits = freshBits&^(1<<uint(victim)) | freshBits>>uint(last)&1<<uint(victim)
-		if e := v.removeAt(victim); !wasFresh {
-			removed = append(removed, e.Process)
+		switch e := v.removeAt(victim); {
+		case wasFresh: // buffered by the caller already
+		case subs != nil:
+			subs.AddIn(e.Process, inSubs)
+		default:
+			v.removed = append(v.removed, e.Process)
 		}
 	}
-	v.removed = removed
-	return removed
 }
 
 // SortedProcesses returns member identifiers in ascending order — for

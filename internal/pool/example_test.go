@@ -22,16 +22,15 @@ func ExampleSlab() {
 	// Output: 0 2 1 1
 }
 
-// An Arena hands out bounded slices from size-classed chunks; Free
-// returns a slice for exact-class reuse.
+// An Arena hands out bounded slices from size-classed chunks: many Makes
+// share one backing allocation.
 func ExampleArena() {
 	var a pool.Arena[uint64]
 
-	digest := a.Make(6) // len 6, cap = 6's size class
-	a.Free(digest)
-	again := a.Make(5) // served from the same class's free list
+	view := a.Make(6) // len 6, cap = 6's size class
+	subs := a.Make(5) // the next stripe of the same chunk
 
 	st := a.Stats()
-	fmt.Println(len(again), st.Reuses >= 1)
-	// Output: 5 true
+	fmt.Println(len(view), cap(view), len(subs), st.Gets, st.Chunks)
+	// Output: 6 8 5 2 1
 }

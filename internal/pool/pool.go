@@ -1,11 +1,12 @@
-// Package pool provides size-classed, free-listed allocators for the
-// simulator's bulk state: typed slabs for fixed-size records (engine
-// blocks) and size-classed arenas for the bounded slices the protocol
-// buffers are built from. The design follows trex-emu's mbuf layer:
-// allocations are carved from large chunks, freed objects go to per-class
-// free lists for exact-size reuse, and every pool tracks its own
-// statistics so the memory footprint of a million-process experiment is
-// observable instead of folklore.
+// Package pool provides chunked allocators for the simulator's bulk state:
+// typed slabs for fixed-size records (engine blocks) and size-classed
+// arenas for the slices sized at construction (a view's entries, subs).
+// The design follows trex-emu's mbuf layer: allocations are carved from
+// large chunks, a slab's freed records go to a free list for reuse, and
+// every pool tracks its own statistics so the memory footprint of a
+// million-process experiment is observable instead of folklore. An arena
+// only hands out: what it builds lives as long as the cluster, so nothing
+// is ever returned to it.
 //
 // Pools are deliberately NOT safe for concurrent use. A concurrent
 // consumer gives each worker its own pool (shard-local allocation), which
@@ -25,7 +26,8 @@ import "unsafe"
 type Stats struct {
 	// Gets counts objects or slices handed out.
 	Gets uint64
-	// Puts counts objects or slices returned for reuse.
+	// Puts counts records returned for reuse (to a Slab; an Arena takes
+	// nothing back).
 	Puts uint64
 	// Reuses counts Gets served from a free list instead of chunk memory.
 	Reuses uint64
@@ -97,8 +99,7 @@ func (s *Slab[T]) Put(p *T) {
 func (s *Slab[T]) Stats() Stats { return s.stats }
 
 // Arena size classes are powers of two in [minClass, maxClass]. Requests
-// above maxClass fall through to plain make: they are rare, unbounded,
-// and recycling them would pin arbitrary memory.
+// above maxClass fall through to plain make: they are rare and unbounded.
 const (
 	minClassShift = 3 // 8
 	maxClassShift = 16
@@ -111,17 +112,12 @@ const arenaChunkElems = 1 << 12
 
 // Arena is a size-classed slice allocator: Make(n) returns a zeroed
 // slice with len n and cap equal to n's size class, carved from chunked
-// backing arrays; Free returns a slice for exact-class reuse. Slices from
-// the same arena share chunks, so growing thousands of bounded protocol
-// buffers costs a handful of chunk allocations.
+// backing arrays. Slices from the same arena share chunks, so sizing
+// thousands of bounded protocol buffers costs a handful of chunk
+// allocations.
 type Arena[T any] struct {
-	classes [numClasses]arenaClass[T]
-	stats   Stats
-}
-
-type arenaClass[T any] struct {
-	chunk []T
-	free  [][]T
+	chunks [numClasses][]T // the unused rest of each class's current chunk
+	stats  Stats
 }
 
 // classFor maps a request to its class index, or -1 for oversize.
@@ -150,48 +146,17 @@ func (a *Arena[T]) Make(n int) []T {
 		a.stats.Oversize++
 		return make([]T, n)
 	}
-	cl := &a.classes[c]
+	chunk := a.chunks[c]
 	classSize := 1 << (minClassShift + c)
-	if k := len(cl.free); k > 0 {
-		s := cl.free[k-1]
-		cl.free = cl.free[:k-1]
-		a.stats.Reuses++
-		s = s[:classSize]
-		var zero T
-		for i := range s {
-			s[i] = zero
-		}
-		return s[:n]
-	}
-	if len(cl.chunk) < classSize {
-		elems := arenaChunkElems
-		if elems < classSize {
-			elems = classSize
-		}
-		cl.chunk = make([]T, elems)
+	if len(chunk) < classSize {
+		elems := max(arenaChunkElems, classSize)
+		chunk = make([]T, elems)
 		a.stats.Chunks++
 		var t T
 		a.stats.ChunkBytes += uint64(elems) * uint64(sizeOf(&t))
 	}
-	s := cl.chunk[:classSize:classSize]
-	cl.chunk = cl.chunk[classSize:]
-	return s[:n]
-}
-
-// Free returns s for reuse. Only exact class-capacity slices are
-// recycled; anything else (oversize, subsliced capacity) is dropped for
-// the GC. Callers must not retain s afterwards.
-func (a *Arena[T]) Free(s []T) {
-	if cap(s) == 0 {
-		return
-	}
-	c := classFor(cap(s))
-	if c < 0 || cap(s) != 1<<(minClassShift+c) {
-		return
-	}
-	a.stats.Puts++
-	cl := &a.classes[c]
-	cl.free = append(cl.free, s[:0])
+	a.chunks[c] = chunk[classSize:]
+	return chunk[:n:classSize]
 }
 
 // Stats returns a snapshot of the arena's counters.

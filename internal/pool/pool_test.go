@@ -94,31 +94,6 @@ func TestArenaChunkAmortization(t *testing.T) {
 	}
 }
 
-func TestArenaFreeReuse(t *testing.T) {
-	var a Arena[uint64]
-	s := a.Make(10)
-	for i := range s {
-		s[i] = 7
-	}
-	base := &s[0]
-	a.Free(s)
-	r := a.Make(12) // same class (16)
-	if &r[0] != base {
-		t.Fatal("freed class slice not reused")
-	}
-	for i, v := range r {
-		if v != 0 {
-			t.Fatalf("reused slice [%d]=%d not zeroed", i, v)
-		}
-	}
-	// Subsliced-capacity and oversize frees are dropped, not recycled.
-	a.Free(r[:4:5])
-	a.Free(make([]uint64, 1<<17))
-	if got := a.Stats().Puts; got != 1 {
-		t.Fatalf("Puts = %d, want 1 (non-class frees dropped)", got)
-	}
-}
-
 func TestStatsAdd(t *testing.T) {
 	a := Stats{Gets: 1, Puts: 2, Reuses: 3, Chunks: 4, Oversize: 5, ChunkBytes: 6}
 	b := Stats{Gets: 10, Puts: 20, Reuses: 30, Chunks: 40, Oversize: 50, ChunkBytes: 60}

@@ -742,7 +742,7 @@ type recorder struct {
 }
 
 type eventRecord struct {
-	seen  []bool
+	seen  idmap.Bitset // one bit per process, for the life of the cluster
 	count int
 }
 
@@ -754,11 +754,12 @@ func (r *recorder) record(owner proto.ProcessID, ev proto.Event) {
 	r.mu.Lock()
 	rec, ok := r.events[ev.ID]
 	if !ok {
-		rec = &eventRecord{seen: make([]bool, r.n)}
+		rec = &eventRecord{}
+		rec.seen.Grow(r.n)
 		r.events[ev.ID] = rec
 	}
-	if i := int(owner) - 1; i >= 0 && i < r.n && !rec.seen[i] {
-		rec.seen[i] = true
+	if i := int(owner) - 1; i >= 0 && i < r.n && !rec.seen.Get(i) {
+		rec.seen.Set(i)
 		rec.count++
 	}
 	r.mu.Unlock()
@@ -773,7 +774,7 @@ func (r *recorder) count(id proto.EventID) int {
 
 func (r *recorder) has(i int, id proto.EventID) bool {
 	rec, ok := r.events[id]
-	return ok && i >= 0 && i < r.n && rec.seen[i]
+	return ok && i >= 0 && i < r.n && rec.seen.Get(i)
 }
 
 // eventIDs returns all recorded event ids, sorted for determinism.
