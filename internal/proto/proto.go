@@ -171,3 +171,27 @@ type Message struct {
 	// (used by the pbcast baseline's hop limit). Empty means zero hops.
 	ReplyHops []uint32
 }
+
+// Clone returns a deep copy of the message, so that nothing in it aliases
+// memory its sender goes on to reuse (an engine's recycled emission scratch,
+// a transport's decode storage).
+func (m Message) Clone() Message {
+	out := m
+	if m.Gossip != nil {
+		g := m.Gossip.Clone()
+		out.Gossip = &g
+	}
+	if len(m.Request) > 0 {
+		out.Request = append([]EventID(nil), m.Request...)
+	}
+	if len(m.Reply) > 0 {
+		out.Reply = make([]Event, len(m.Reply))
+		for i, ev := range m.Reply {
+			out.Reply[i] = ev.Clone()
+		}
+	}
+	if len(m.ReplyHops) > 0 {
+		out.ReplyHops = append([]uint32(nil), m.ReplyHops...)
+	}
+	return out
+}

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -108,5 +109,29 @@ func TestMessageKindString(t *testing.T) {
 		if got := k.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", k, got, want)
 		}
+	}
+}
+
+func TestMessageClone(t *testing.T) {
+	t.Parallel()
+	m := Message{
+		Kind:      RetransmitReplyMsg,
+		From:      1,
+		To:        2,
+		Gossip:    &Gossip{From: 1, Subs: []ProcessID{1, 2}},
+		Request:   []EventID{{1, 1}},
+		Reply:     []Event{{ID: EventID{1, 1}, Payload: []byte{5}}},
+		ReplyHops: []uint32{3},
+	}
+	c := m.Clone()
+	if !reflect.DeepEqual(m, c) {
+		t.Fatalf("Clone = %+v, want %+v", c, m)
+	}
+	c.Gossip.Subs[0], c.Request[0].Seq, c.Reply[0].Payload[0], c.ReplyHops[0] = 9, 9, 9, 9
+	if m.Gossip.Subs[0] != 1 || m.Request[0].Seq != 1 || m.Reply[0].Payload[0] != 5 || m.ReplyHops[0] != 3 {
+		t.Errorf("Clone aliased its source: %+v", m)
+	}
+	if c.Gossip == m.Gossip {
+		t.Error("Clone shares the gossip body")
 	}
 }

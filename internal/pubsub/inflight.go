@@ -32,7 +32,7 @@ func newDelayRing(maxDelay int) *delayRing {
 // hold undrained messages.
 func (q *delayRing) enqueue(m proto.Message, ts *topicState, due uint64) {
 	i := due % uint64(len(q.buckets))
-	q.buckets[i] = append(q.buckets[i], flEntry{msg: cloneMessage(m), ts: ts})
+	q.buckets[i] = append(q.buckets[i], flEntry{msg: m.Clone(), ts: ts})
 }
 
 // drain empties the current round's bucket, appending its messages and
@@ -45,27 +45,4 @@ func (q *delayRing) drain(now uint64, msgs []proto.Message, tally []*topicState)
 	}
 	q.buckets[i] = q.buckets[i][:0]
 	return msgs, tally
-}
-
-// cloneMessage deep-copies a message so nothing aliases caller-owned
-// memory (an engine's recycled emission scratch, a response span, ...).
-func cloneMessage(m proto.Message) proto.Message {
-	out := m
-	if m.Gossip != nil {
-		g := m.Gossip.Clone()
-		out.Gossip = &g
-	}
-	if len(m.Request) > 0 {
-		out.Request = append([]proto.EventID(nil), m.Request...)
-	}
-	if len(m.Reply) > 0 {
-		out.Reply = make([]proto.Event, len(m.Reply))
-		for i, ev := range m.Reply {
-			out.Reply[i] = ev.Clone()
-		}
-	}
-	if len(m.ReplyHops) > 0 {
-		out.ReplyHops = append([]uint32(nil), m.ReplyHops...)
-	}
-	return out
 }

@@ -3,6 +3,18 @@
 // substitution for the paper's two LANs of 125 workstations — see
 // DESIGN.md §3) and a real UDP transport built on the stdlib net package
 // and the internal/wire codec.
+//
+// On UDP the datagram is the unit, with one owner at a time. The
+// transport's reader goroutine decodes each datagram once into a recycled
+// *Batch — its messages and the wire.Arena they live in — and owns it until
+// the pointer is sent on RecvBatch; the receiver owns it from there until
+// Batch.Release, and may read it but neither write it nor keep anything of
+// it (engines copy the events they retain). Recv is the same stream for
+// consumers that want one message at a time, deep-copied by a pump that the
+// first call starts. Sends encode into one buffer the transport keeps,
+// under a send mutex, and write once per destination. The node's run loop
+// remains the only goroutine that touches its engine: that is what makes
+// the emission reuse a Serializer permits safe.
 package transport
 
 import (
@@ -38,7 +50,8 @@ type Transport interface {
 	// Recv returns the channel of inbound messages. The channel is closed
 	// when the transport closes. Run loops drain it in bursts: after a
 	// blocking receive, non-blocking reads empty whatever else has queued
-	// before the protocol reacts once for the whole burst.
+	// before the protocol reacts once for the whole burst. A transport may
+	// also offer whole datagrams (UDP.RecvBatch), which the node prefers.
 	Recv() <-chan proto.Message
 	// Close releases resources and closes the Recv channel.
 	Close() error

@@ -1,10 +1,10 @@
 package transport
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 
@@ -17,22 +17,91 @@ import (
 // package's size test).
 const maxDatagram = 64 * 1024
 
+// sendBudget is the cost SendBatch lets one datagram reach (see
+// wire.Packer.Budget): a datagram less headroom for the container header.
+const sendBudget = maxDatagram - 16
+
+const (
+	// inboxDatagrams is how many decoded datagrams wait for the consumer
+	// before the reader drops, as a socket buffer would: at the paper's
+	// fanout of 3 some forty gossip periods of a stalled consumer. A slot is
+	// a pointer, but every waiting datagram holds its decoded storage, so
+	// the depth is also the bound on what a stalled consumer lets the
+	// network pin.
+	inboxDatagrams = 128
+	// freeBatches is how many released batches wait for the reader: what one
+	// consumer keeps in flight when it keeps up. More would be kept warm for
+	// a burst that happened once.
+	freeBatches = 4
+)
+
+// Batch is one inbound datagram, decoded: its messages and the storage they
+// reference. The reader owns a batch until it is received from RecvBatch;
+// from then on the receiver does, until it calls Release, and may read Msgs
+// and everything they point to but not write or keep any of it — what must
+// outlive the batch is copied first, as the engines copy the events they
+// retain.
+type Batch struct {
+	// Msgs are the datagram's messages in wire order.
+	Msgs []proto.Message
+
+	arena wire.Arena
+	from  *UDP
+	held  bool
+}
+
+// Release returns the batch to its transport, which decodes a later datagram
+// into the same storage: Msgs is invalid from here on. Releasing a batch
+// twice panics.
+func (b *Batch) Release() {
+	if !b.held {
+		panic("transport: Batch released twice")
+	}
+	b.held = false
+	b.Msgs = nil
+	// Reset zeroes what it takes back, so a batch waiting on the free list
+	// references nothing of its datagram. One that a large datagram grew
+	// past a datagram's own size is left to the collector instead.
+	b.arena.Reset()
+	if b.arena.Size() > maxDatagram {
+		return
+	}
+	select {
+	case b.from.free <- b:
+	default:
+	}
+}
+
 // UDP is a Transport over a real UDP socket using the internal/wire codec.
 // Peer addresses are registered explicitly (static directory) and learned
 // automatically from inbound traffic, so one seed address suffices to
 // join a running system.
 //
+// One reader goroutine decodes every datagram, once, into a recycled Batch.
+// RecvBatch hands those over by pointer; Recv is the same stream one copied
+// message at a time. A transport is consumed through one of the two.
+//
 // UDP is safe for concurrent use.
 type UDP struct {
 	id   proto.ProcessID
 	conn *net.UDPConn
-	in   chan proto.Message
+	in   chan *Batch // decoded datagrams, inboxDatagrams deep
+	free chan *Batch // released batches, freeBatches deep
+	done chan struct{}
 
 	mu     sync.Mutex
-	peers  map[proto.ProcessID]*net.UDPAddr
+	peers  map[proto.ProcessID]netip.AddrPort
 	closed bool
 
-	readers sync.WaitGroup
+	// sendMu guards the send scratch: senders encode one at a time, each
+	// into the same buffer, and write before the next one starts.
+	sendMu sync.Mutex
+	addrs  []netip.AddrPort // SendBatch: the address of each message
+	pack   wire.Packer
+
+	pumpOnce sync.Once
+	msgs     chan proto.Message
+	readers  sync.WaitGroup
 
 	// Stats counters are atomics, not mu-guarded: concurrent SendBatch
 	// calls bump them once per message or datagram, and taking the
@@ -56,8 +125,11 @@ func NewUDP(id proto.ProcessID, bindAddr string) (*UDP, error) {
 	u := &UDP{
 		id:    id,
 		conn:  conn,
-		in:    make(chan proto.Message, 1024),
-		peers: make(map[proto.ProcessID]*net.UDPAddr),
+		in:    make(chan *Batch, inboxDatagrams),
+		free:  make(chan *Batch, freeBatches),
+		done:  make(chan struct{}),
+		peers: make(map[proto.ProcessID]netip.AddrPort),
+		pack:  wire.Packer{Budget: sendBudget},
 	}
 	u.readers.Add(1)
 	go u.readLoop()
@@ -71,6 +143,13 @@ func (u *UDP) LocalAddr() string { return u.conn.LocalAddr().String() }
 // every message into datagrams before returning.
 func (u *UDP) SerializesOnSend() {}
 
+// unmapped is ap with an IPv4-mapped IPv6 address as plain IPv4: the one
+// form both socket families accept to write to, and the form addresses are
+// compared in.
+func unmapped(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+}
+
 // AddPeer registers the address of process p.
 func (u *UDP) AddPeer(p proto.ProcessID, addr string) error {
 	ua, err := net.ResolveUDPAddr("udp", addr)
@@ -82,105 +161,107 @@ func (u *UDP) AddPeer(p proto.ProcessID, addr string) error {
 	if u.closed {
 		return ErrClosed
 	}
-	u.peers[p] = ua
+	u.peers[p] = unmapped(ua.AddrPort())
 	return nil
 }
 
-// readLoop decodes datagrams into the inbound channel and learns sender
-// addresses.
+// batch returns a released batch, or a new one.
+func (u *UDP) batch() *Batch {
+	select {
+	case b := <-u.free:
+		return b
+	default:
+		return &Batch{from: u}
+	}
+}
+
+// readLoop decodes each datagram into a batch, learns sender addresses and
+// queues the batch for the consumer. It never blocks on the consumer: a
+// full inbox loses the datagram, like a socket buffer overflow.
 func (u *UDP) readLoop() {
 	defer u.readers.Done()
+	defer close(u.in)
+	// Constant-sized and kept out of every call that would retain it, so
+	// the buffer lives on this goroutine's stack, not in the heap.
 	buf := make([]byte, maxDatagram)
-	var scratch []proto.Message
 	for {
-		n, from, err := u.conn.ReadFromUDP(buf)
+		n, from, err := u.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			u.mu.Lock()
 			closed := u.closed
 			u.mu.Unlock()
 			if closed || errors.Is(err, net.ErrClosed) {
-				close(u.in)
 				return
 			}
 			continue // transient read error: keep serving
 		}
-		msgs, err := wire.DecodeBatch(buf[:n], scratch[:0])
-		if err != nil {
+		b := u.batch()
+		b.held = true
+		if b.Msgs, err = b.arena.DecodeBatch(buf[:n]); err != nil {
 			u.decodeErrs.Add(1)
+			b.Release()
 			continue
 		}
-		scratch = msgs
-		u.mu.Lock()
-		if u.closed {
-			u.mu.Unlock()
-			close(u.in)
+		if !u.learn(b.Msgs, unmapped(from)) {
 			return
 		}
-		// Learn or refresh the sender's address.
-		for _, m := range msgs {
-			if m.From != proto.NilProcess {
-				u.peers[m.From] = from
-			}
-		}
-		u.mu.Unlock()
-		for _, m := range msgs {
-			select {
-			case u.in <- m:
-				u.received.Add(1)
-			default: // inbox full: drop like a socket buffer overflow
-				u.dropped.Add(1)
-			}
+		count := uint64(len(b.Msgs)) // b is the consumer's once sent
+		select {
+		case u.in <- b:
+			u.received.Add(count)
+		default:
+			u.dropped.Add(count)
+			b.Release()
 		}
 	}
 }
 
+// learn records from as the address of every process msgs came from, writing
+// only the entries that change. It reports false once the transport closed.
+func (u *UDP) learn(msgs []proto.Message, from netip.AddrPort) bool {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if u.closed {
+		return false
+	}
+	for i := range msgs {
+		if p := msgs[i].From; p != proto.NilProcess && u.peers[p] != from {
+			u.peers[p] = from
+		}
+	}
+	return true
+}
+
 // Send implements Transport.
 func (u *UDP) Send(m proto.Message) error {
-	if m.From == proto.NilProcess {
-		m.From = u.id
-	}
-	u.mu.Lock()
-	if u.closed {
-		u.mu.Unlock()
-		return ErrClosed
-	}
-	addr, ok := u.peers[m.To]
-	u.mu.Unlock()
-	if !ok {
-		u.dropped.Add(1)
-		return fmt.Errorf("%w: %v", ErrUnknownPeer, m.To)
-	}
-	buf, err := wire.Encode(m)
-	if err != nil {
-		u.dropped.Add(1)
-		return fmt.Errorf("transport: encode: %w", err)
-	}
-	if _, err := u.conn.WriteToUDP(buf, addr); err != nil {
-		u.dropped.Add(1)
-		return fmt.Errorf("transport: send to %v: %w", m.To, err)
-	}
-	u.sent.Add(1)
-	u.datagrams.Add(1)
-	u.bytes.Add(uint64(len(buf)))
-	return nil
+	msgs := [1]proto.Message{m}
+	return u.SendBatch(msgs[:])
 }
 
 // SendBatch implements Transport: messages sharing a destination are
 // packed into container datagrams (up to the datagram size budget), so a
 // burst costs one syscall per destination rather than one per message.
+// Destinations are served in order of first appearance, each one's messages
+// in burst order, encoded straight into the transport's send buffer.
 // Unknown peers and write failures lose their messages; the first error is
 // returned after the rest of the burst has been attempted.
 func (u *UDP) SendBatch(msgs []proto.Message) error {
 	if len(msgs) == 0 {
 		return nil
 	}
-	if len(msgs) == 1 {
-		return u.Send(msgs[0])
+	var firstErr error
+	fail := func(err error) {
+		if firstErr == nil {
+			firstErr = err
+		}
 	}
-	// Resolve every destination under one lock acquisition; encoding —
-	// the expensive part — happens after the unlock so the receive path
-	// (which needs u.mu per datagram) is never stalled behind it.
-	addrs := make([]*net.UDPAddr, len(msgs))
+	u.sendMu.Lock()
+	defer u.sendMu.Unlock()
+
+	// Resolve every destination under one acquisition of the peer table's
+	// lock, which the receive path needs per datagram; encoding and writing
+	// happen outside it. An unknown peer resolves to the zero AddrPort.
+	addrs := u.addrs[:0]
 	u.mu.Lock()
 	if u.closed {
 		u.mu.Unlock()
@@ -190,99 +271,95 @@ func (u *UDP) SendBatch(msgs []proto.Message) error {
 		if msgs[i].From == proto.NilProcess {
 			msgs[i].From = u.id
 		}
-		addrs[i] = u.peers[msgs[i].To] // nil for unknown peers
+		addrs = append(addrs, u.peers[msgs[i].To])
 	}
 	u.mu.Unlock()
-
-	type group struct {
-		to     proto.ProcessID
-		addr   *net.UDPAddr
-		frames [][]byte
-	}
-	groups := make([]*group, 0, 8)
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	for i, m := range msgs {
-		if addrs[i] == nil {
+	u.addrs = addrs
+	for i := range msgs {
+		if !addrs[i].IsValid() {
 			u.dropped.Add(1)
-			fail(fmt.Errorf("%w: %v", ErrUnknownPeer, m.To))
-			continue
+			fail(fmt.Errorf("%w: %v", ErrUnknownPeer, msgs[i].To))
 		}
-		frame, err := wire.Encode(m)
-		if err != nil {
-			u.dropped.Add(1)
-			fail(fmt.Errorf("transport: encode: %w", err))
-			continue
-		}
-		var g *group
-		for _, cand := range groups {
-			if cand.to == m.To {
-				g = cand
-				break
-			}
-		}
-		if g == nil {
-			g = &group{to: m.To, addr: addrs[i]}
-			groups = append(groups, g)
-		}
-		g.frames = append(g.frames, frame)
 	}
 
-	// One datagram per destination; oversized or overlong bursts flush in
-	// container-sized chunks.
-	const budget = maxDatagram - 16 // container header headroom
-	for _, g := range groups {
-		start, size := 0, 0
-		flush := func(end int) {
-			if end == start {
+	for i := range msgs {
+		addr, to := addrs[i], msgs[i].To
+		if !addr.IsValid() {
+			continue // unknown, or sent with an earlier message's destination
+		}
+		write := func(datagram []byte, frames int) {
+			if datagram == nil {
 				return
 			}
-			u.writeFrames(g.addr, g.to, g.frames[start:end], fail)
-			start, size = end, 0
-		}
-		for i, f := range g.frames {
-			cost := len(f) + binary.MaxVarintLen32
-			if i > start && (size+cost > budget || i-start >= wire.MaxBatchLen) {
-				flush(i)
+			if _, err := u.conn.WriteToUDPAddrPort(datagram, addr); err != nil {
+				u.dropped.Add(uint64(frames))
+				fail(fmt.Errorf("transport: send to %v: %w", to, err))
+				return
 			}
-			size += cost
+			u.sent.Add(uint64(frames))
+			u.datagrams.Add(1)
+			u.bytes.Add(uint64(len(datagram)))
 		}
-		flush(len(g.frames))
+		for j := i; j < len(msgs); j++ {
+			if msgs[j].To != to {
+				continue
+			}
+			addrs[j] = netip.AddrPort{}
+			full, frames, err := u.pack.Add(&msgs[j])
+			if err != nil {
+				u.dropped.Add(1)
+				fail(fmt.Errorf("transport: encode: %w", err))
+				continue
+			}
+			write(full, frames)
+		}
+		write(u.pack.Finish())
 	}
 	return firstErr
 }
 
-// writeFrames emits one datagram carrying frames: a raw version-1 frame
-// when alone, a container otherwise.
-func (u *UDP) writeFrames(addr *net.UDPAddr, to proto.ProcessID, frames [][]byte, fail func(error)) {
-	var datagram []byte
-	if len(frames) == 1 {
-		datagram = frames[0]
-	} else {
-		packed, err := wire.PackFrames(frames)
-		if err != nil {
-			u.dropped.Add(uint64(len(frames)))
-			fail(fmt.Errorf("transport: pack: %w", err))
+// RecvBatch returns the channel of inbound datagrams, each decoded into a
+// Batch the receiver must Release. The channel is closed when the transport
+// closes. Consumers that handle a datagram at a time (the node's run loop)
+// read here and never pay for a message copy; see Recv for the other kind.
+func (u *UDP) RecvBatch() <-chan *Batch { return u.in }
+
+// Recv implements Transport for consumers that want one message at a time:
+// the first call starts a pump that reads RecvBatch, forwards a deep copy of
+// every message and releases the batch. The channel is unbuffered — what
+// waits, waits as datagrams in the inbox, and the reader drops there.
+func (u *UDP) Recv() <-chan proto.Message {
+	u.pumpOnce.Do(func() {
+		u.msgs = make(chan proto.Message)
+		// Under mu, so that the Add is ordered before Close's Wait.
+		u.mu.Lock()
+		defer u.mu.Unlock()
+		if u.closed {
+			close(u.msgs)
 			return
 		}
-		datagram = packed
-	}
-	if _, err := u.conn.WriteToUDP(datagram, addr); err != nil {
-		u.dropped.Add(uint64(len(frames)))
-		fail(fmt.Errorf("transport: send to %v: %w", to, err))
-		return
-	}
-	u.sent.Add(uint64(len(frames)))
-	u.datagrams.Add(1)
-	u.bytes.Add(uint64(len(datagram)))
+		u.readers.Add(1)
+		go u.pump()
+	})
+	return u.msgs
 }
 
-// Recv implements Transport.
-func (u *UDP) Recv() <-chan proto.Message { return u.in }
+// pump runs until the reader closes the inbox or Close is called.
+func (u *UDP) pump() {
+	defer u.readers.Done()
+	defer close(u.msgs)
+	for b := range u.in {
+		for i := range b.Msgs {
+			select {
+			case u.msgs <- b.Msgs[i].Clone():
+			case <-u.done:
+				b.Release()
+				return
+			}
+		}
+		b.Release()
+	}
+}
 
 // Stats implements StatsProvider: messages sent/received/dropped, decode
 // failures, and wire bytes/datagrams written. It is lock-free and safe to
@@ -307,6 +384,7 @@ func (u *UDP) Close() error {
 	}
 	u.closed = true
 	u.mu.Unlock()
+	close(u.done)
 	err := u.conn.Close()
 	u.readers.Wait()
 	return err

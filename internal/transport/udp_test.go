@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -281,6 +282,25 @@ func TestUDPContainerInterop(t *testing.T) {
 	if m1.Kind != proto.SubscribeMsg || m2.Kind != proto.RetransmitRequestMsg {
 		t.Fatalf("got kinds %v, %v", m1.Kind, m2.Kind)
 	}
+
+	// The same two messages and a gossip as wire.PackFrames packed them
+	// before the in-place Packer existed, byte for byte.
+	packed := []byte{'L', 2, 3,
+		6, 'L', 1, 2, 3, 2, 3,
+		8, 'L', 1, 3, 3, 2, 1, 1, 1,
+		21, 'L', 1, 1, 3, 2, 3, 2, 3, 0xac, 2, 0, 1, 3, 1, 2, 'h', 'i', 1, 3, 1, 0}
+	if _, err := raw.Write(packed); err != nil {
+		t.Fatal(err)
+	}
+	m1, m2 = recvOne(t, b, 2*time.Second), recvOne(t, b, 2*time.Second)
+	m3 := recvOne(t, b, 2*time.Second)
+	want := proto.Gossip{From: 3, Subs: []proto.ProcessID{3, 300},
+		Events: []proto.Event{{ID: proto.EventID{Origin: 3, Seq: 1}, Payload: []byte("hi")}},
+		Digest: []proto.EventID{{Origin: 3, Seq: 1}}}
+	if m1.Kind != proto.SubscribeMsg || m2.Kind != proto.RetransmitRequestMsg ||
+		m3.Gossip == nil || !reflect.DeepEqual(*m3.Gossip, want) {
+		t.Fatalf("hand-packed container decoded as %+v, %+v, %+v", m1, m2, m3)
+	}
 }
 
 // TestUDPStatsConcurrentSendHammer drives Send, SendBatch, and Stats from
@@ -344,5 +364,238 @@ func TestUDPStatsConcurrentSendHammer(t *testing.T) {
 	}
 	if got, want := a.Stats().Sent, uint64(goroutines*iters*4); got != want {
 		t.Errorf("sent = %d messages, want exactly %d", got, want)
+	}
+}
+
+// recvBatch waits for one decoded datagram.
+func recvBatch(t *testing.T, u *UDP, timeout time.Duration) *Batch {
+	t.Helper()
+	select {
+	case b, ok := <-u.RecvBatch():
+		if !ok {
+			t.Fatal("batch channel closed")
+		}
+		return b
+	case <-time.After(timeout):
+		t.Fatal("timed out waiting for a datagram")
+		return nil
+	}
+}
+
+// longBurst is a datagram of long lists: a gossip with every list filled
+// and a retransmission reply, varied by k.
+func longBurst(k int) []proto.Message {
+	g := &proto.Gossip{From: 1}
+	for i := 0; i < 12; i++ {
+		g.Subs = append(g.Subs, proto.ProcessID(100*k+i+1))
+		g.Unsubs = append(g.Unsubs, proto.Unsubscription{Process: proto.ProcessID(i + 1), Stamp: uint64(k)})
+		g.Events = append(g.Events, proto.Event{ID: proto.EventID{Origin: 1, Seq: uint64(100*k + i + 1)}, Payload: []byte{byte(k), byte(i), 7}})
+		g.Digest = append(g.Digest, proto.EventID{Origin: 2, Seq: uint64(100*k + i + 1)})
+		g.DigestWatermarks = append(g.DigestWatermarks, proto.EventID{Origin: proto.ProcessID(i + 1), Seq: uint64(k + 1)})
+	}
+	return []proto.Message{
+		{Kind: proto.GossipMsg, From: 1, To: 2, Gossip: g},
+		{Kind: proto.RetransmitReplyMsg, From: 1, To: 2,
+			Reply:     []proto.Event{{ID: proto.EventID{Origin: 3, Seq: uint64(k + 1)}, Payload: []byte("again")}},
+			ReplyHops: []uint32{uint32(k)}},
+		{Kind: proto.RetransmitRequestMsg, From: 1, To: 2,
+			Request: []proto.EventID{{Origin: 5, Seq: uint64(k + 1)}}},
+	}
+}
+
+func cloneAll(msgs []proto.Message) []proto.Message {
+	out := make([]proto.Message, len(msgs))
+	for i := range msgs {
+		out[i] = msgs[i].Clone()
+	}
+	return out
+}
+
+// TestUDPBatchLifetime pins the ownership rule of RecvBatch. A batch the
+// consumer holds is not touched while a hundred further datagrams are
+// decoded, recycled and decoded again; a recycled batch carries nothing of
+// the datagram it held before; releasing twice panics.
+func TestUDPBatchLifetime(t *testing.T) {
+	t.Parallel()
+	a, b := newUDPPair(t)
+
+	if err := a.SendBatch(longBurst(0)); err != nil {
+		t.Fatal(err)
+	}
+	held := recvBatch(t, b, 2*time.Second)
+	if !reflect.DeepEqual(held.Msgs, longBurst(0)) {
+		t.Fatalf("first datagram decoded as %+v", held.Msgs)
+	}
+	snapshot := cloneAll(held.Msgs)
+
+	recycled := map[*Batch]bool{}
+	for k := 1; k <= 100; k++ {
+		if err := a.SendBatch(longBurst(k)); err != nil {
+			t.Fatal(err)
+		}
+		got := recvBatch(t, b, 2*time.Second)
+		if got == held {
+			t.Fatal("the reader decoded into a batch that was not released")
+		}
+		if !reflect.DeepEqual(got.Msgs, longBurst(k)) {
+			t.Fatalf("datagram %d decoded as %+v", k, got.Msgs)
+		}
+		recycled[got] = true
+		got.Release()
+	}
+	if len(recycled) > freeBatches {
+		t.Errorf("a consumer that releases before the next datagram saw %d distinct batches, want at most %d", len(recycled), freeBatches)
+	}
+	if !reflect.DeepEqual(held.Msgs, snapshot) {
+		t.Fatalf("held batch changed while later datagrams arrived:\nnow  %+v\nthen %+v", held.Msgs, snapshot)
+	}
+	held.Release()
+
+	// Shorter lists and an empty gossip into storage that held long ones.
+	short := []proto.Message{
+		{Kind: proto.GossipMsg, From: 1, To: 2, Gossip: &proto.Gossip{From: 1}},
+		{Kind: proto.SubscribeMsg, From: 1, To: 2, Subscriber: 1},
+	}
+	if err := a.SendBatch(short); err != nil {
+		t.Fatal(err)
+	}
+	got := recvBatch(t, b, 2*time.Second)
+	if !recycled[got] && got != held {
+		t.Fatal("the reader allocated a batch with released ones waiting")
+	}
+	if !reflect.DeepEqual(got.Msgs, short) {
+		t.Fatalf("recycled batch shows its previous datagram:\ngot  %+v (gossip %+v)\nwant %+v", got.Msgs, got.Msgs[0].Gossip, short)
+	}
+	got.Release()
+	if got.Msgs != nil {
+		t.Error("a released batch still shows messages")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("second Release did not panic")
+			}
+		}()
+		got.Release()
+	}()
+}
+
+// TestUDPRecvCopies: a message taken from Recv is the consumer's own — it
+// does not change when the batch it came from is decoded into again.
+func TestUDPRecvCopies(t *testing.T) {
+	t.Parallel()
+	a, b := newUDPPair(t)
+	if err := a.SendBatch(longBurst(0)); err != nil {
+		t.Fatal(err)
+	}
+	var kept []proto.Message
+	for range longBurst(0) {
+		kept = append(kept, recvOne(t, b, 2*time.Second))
+	}
+	for k := 1; k <= 20; k++ {
+		if err := a.SendBatch(longBurst(k)); err != nil {
+			t.Fatal(err)
+		}
+		for range longBurst(k) {
+			recvOne(t, b, 2*time.Second)
+		}
+	}
+	if !reflect.DeepEqual(kept, longBurst(0)) {
+		t.Fatalf("messages from Recv changed under their holder: %+v", kept)
+	}
+}
+
+// waitCounted polls until u has counted want inbound messages, received or
+// dropped.
+func waitCounted(t *testing.T, u *UDP, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		st := u.Stats()
+		if st.Received+st.Dropped >= want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("reader counted %d of %d messages: %+v", st.Received+st.Dropped, want, st)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+func closeWithin(t *testing.T, u *UDP, d time.Duration) {
+	t.Helper()
+	closed := make(chan error, 1)
+	go func() { closed <- u.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	case <-time.After(d):
+		t.Fatal("Close did not return")
+	}
+}
+
+// TestUDPInboxOverflow stalls the consumer: the inbox takes inboxDatagrams
+// datagrams, every later one is dropped and counted by its messages, the
+// reader keeps reading meanwhile, and Close returns with the inbox full.
+func TestUDPInboxOverflow(t *testing.T) {
+	t.Parallel()
+	a, b := newUDPPair(t)
+	burst := []proto.Message{subscribeMsg(1, 2), subscribeMsg(1, 2), subscribeMsg(1, 2)}
+	const extra = 40
+	for k := 1; k <= inboxDatagrams+extra; k++ {
+		if err := a.SendBatch(burst); err != nil {
+			t.Fatal(err)
+		}
+		// One at a time, so that nothing is lost ahead of the reader.
+		waitCounted(t, b, uint64(k*len(burst)))
+	}
+	st := b.Stats()
+	if want := uint64(inboxDatagrams * len(burst)); st.Received != want {
+		t.Errorf("received %d messages, want the inbox's %d", st.Received, want)
+	}
+	if want := uint64(extra * len(burst)); st.Dropped != want {
+		t.Errorf("dropped %d, want %d: every message of every dropped datagram", st.Dropped, want)
+	}
+	closeWithin(t, b, 2*time.Second)
+	queued := 0
+	for batch := range b.RecvBatch() {
+		queued++
+		batch.Release()
+	}
+	if queued != inboxDatagrams {
+		t.Errorf("closed transport handed over %d queued datagrams, want %d", queued, inboxDatagrams)
+	}
+}
+
+// TestUDPCloseWithStalledRecv: the same stall behind Recv, where the pump
+// sits on a message nobody takes. The reader still counts every datagram,
+// Close returns, and the message channel closes.
+func TestUDPCloseWithStalledRecv(t *testing.T) {
+	t.Parallel()
+	a, b := newUDPPair(t)
+	msgs := b.Recv()
+	const sent = inboxDatagrams + 20
+	for k := 1; k <= sent; k++ {
+		if err := a.Send(subscribeMsg(1, 2)); err != nil {
+			t.Fatal(err)
+		}
+		waitCounted(t, b, uint64(k))
+	}
+	if st := b.Stats(); st.Dropped == 0 || st.Received+st.Dropped != sent {
+		t.Errorf("stats = %+v, want %d messages counted and some dropped", st, sent)
+	}
+	closeWithin(t, b, 2*time.Second)
+	deadline := time.After(2 * time.Second)
+	for {
+		select {
+		case _, ok := <-msgs:
+			if !ok {
+				return
+			}
+		case <-deadline:
+			t.Fatal("Recv channel still open after Close")
+		}
 	}
 }

@@ -7,11 +7,11 @@ import (
 	"repro/internal/proto"
 )
 
-// FuzzDecode exercises the decoder with arbitrary datagrams: it must never
-// panic, and anything that decodes must re-encode and decode to the same
-// message (canonical round-trip). Seeds come from real encodings.
-func FuzzDecode(f *testing.F) {
-	seeds := []proto.Message{
+// decodeSeeds is FuzzDecode's corpus: real encodings of every message kind,
+// a container of them, and the shortest rejects.
+func decodeSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	msgs := []proto.Message{
 		{Kind: proto.SubscribeMsg, From: 1, To: 2, Subscriber: 1},
 		{Kind: proto.RetransmitRequestMsg, From: 3, To: 4,
 			Request: []proto.EventID{{Origin: 1, Seq: 2}}},
@@ -20,21 +20,66 @@ func FuzzDecode(f *testing.F) {
 			ReplyHops: []uint32{1}},
 		sampleGossip(),
 	}
-	for _, m := range seeds {
+	var seeds [][]byte
+	for _, m := range msgs {
 		buf, err := Encode(m)
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
-		f.Add(buf)
+		seeds = append(seeds, buf)
 	}
-	batch, err := EncodeBatch(seeds)
+	batch, err := EncodeBatch(msgs)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	f.Add(batch)
-	f.Add([]byte{})
-	f.Add([]byte{'L', 1, 1})
-	f.Add([]byte{'L', 2, 1})
+	return append(seeds, batch, []byte{}, []byte{'L', 1, 1}, []byte{'L', 2, 1})
+}
+
+// containerSeeds is FuzzDecodeContainer's corpus.
+func containerSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	frame := func(m proto.Message) []byte {
+		buf, err := Encode(m)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return buf
+	}
+	sub := frame(proto.Message{Kind: proto.SubscribeMsg, From: 1, To: 2, Subscriber: 1})
+	gos := frame(sampleGossip())
+	req := frame(proto.Message{Kind: proto.RetransmitRequestMsg, From: 3, To: 4,
+		Request: []proto.EventID{{Origin: 1, Seq: 2}}})
+
+	pack := func(frames ...[]byte) []byte {
+		buf, err := PackFrames(frames)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return buf
+	}
+	return [][]byte{
+		// Well-formed containers of every arity the transport produces.
+		pack(sub, gos),
+		pack(gos, req, sub),
+		pack(sub, sub, sub, sub),
+		// Hostile shapes: a container nested inside a container frame slot,
+		// a lying frame count, truncated length prefixes, and giant counts.
+		pack(pack(sub, gos), req),
+		{'L', 2, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},
+		{'L', 2, 2, 3, 'L', 1},
+		append(pack(sub, gos)[:8], 0xFF),
+		// A gossip announcing 65 535 events in eleven bytes.
+		{'L', 1, 1, 1, 2, 1, 0, 0, 0xff, 0xff, 0x03},
+	}
+}
+
+// FuzzDecode exercises the decoder with arbitrary datagrams: it must never
+// panic, and anything that decodes must re-encode and decode to the same
+// message (canonical round-trip). Seeds come from real encodings.
+func FuzzDecode(f *testing.F) {
+	for _, seed := range decodeSeeds(f) {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if m, err := Decode(data); err == nil {
@@ -80,35 +125,9 @@ func FuzzDecode(f *testing.F) {
 // accepted must round-trip canonically, and a rejected container must not
 // leave partially-decoded messages unreported.
 func FuzzDecodeContainer(f *testing.F) {
-	frame := func(m proto.Message) []byte {
-		buf, err := Encode(m)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return buf
+	for _, seed := range containerSeeds(f) {
+		f.Add(seed)
 	}
-	sub := frame(proto.Message{Kind: proto.SubscribeMsg, From: 1, To: 2, Subscriber: 1})
-	gos := frame(sampleGossip())
-	req := frame(proto.Message{Kind: proto.RetransmitRequestMsg, From: 3, To: 4,
-		Request: []proto.EventID{{Origin: 1, Seq: 2}}})
-
-	pack := func(frames ...[]byte) []byte {
-		buf, err := PackFrames(frames)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return buf
-	}
-	// Well-formed containers of every arity the transport produces.
-	f.Add(pack(sub, gos))
-	f.Add(pack(gos, req, sub))
-	f.Add(pack(sub, sub, sub, sub))
-	// Hostile shapes: a container nested inside a container frame slot, a
-	// lying frame count, truncated length prefixes, and giant counts.
-	f.Add(pack(pack(sub, gos), req))
-	f.Add([]byte{'L', 2, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
-	f.Add([]byte{'L', 2, 2, 3, 'L', 1})
-	f.Add(append(pack(sub, gos)[:8], 0xFF))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msgs, err := DecodeBatch(data, nil)
@@ -137,6 +156,44 @@ func FuzzDecodeContainer(f *testing.F) {
 		}
 		if !reflect.DeepEqual(msgs, msgs3) {
 			t.Fatalf("scratch decode diverged:\nfresh   %+v\nscratch %+v", msgs, msgs3)
+		}
+	})
+}
+
+// FuzzDecodeArena holds the arena decode to the allocating one: the same
+// messages, deep-equal, or the same error and the same messages before it;
+// and an arena that has just failed, or just held another datagram, decodes
+// the next one as a fresh arena would.
+func FuzzDecodeArena(f *testing.F) {
+	for _, seed := range append(decodeSeeds(f), containerSeeds(f)...) {
+		f.Add(seed)
+	}
+	valid, err := EncodeBatch(sampleBatch())
+	if err != nil {
+		f.Fatal(err)
+	}
+	want, err := DecodeBatch(valid, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+
+	var kept Arena // lives across inputs, as the transport's does across datagrams
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ref, refErr := DecodeBatch(data, nil)
+		var fresh Arena
+		for _, a := range []*Arena{&fresh, &kept} {
+			got, err := a.DecodeBatch(data)
+			if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
+				t.Fatalf("arena decode err = %v, allocating decode err = %v", err, refErr)
+			}
+			if len(got) != len(ref) || (len(ref) > 0 && !reflect.DeepEqual(got, ref)) {
+				t.Fatalf("arena decode diverged:\narena %+v\nheap  %+v", got, ref)
+			}
+			// Whatever data was, the arena is fit for a valid datagram.
+			got, err = a.DecodeBatch(valid)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("after %x the arena decodes the sample batch as %+v, %v", data, got, err)
+			}
 		}
 	})
 }

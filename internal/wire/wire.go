@@ -15,14 +15,25 @@
 // readable by version-1-only receivers until a burst actually forms.
 //
 // All integers are unsigned varints. Decoding is defensive: every count is
-// bounded before allocation so a corrupt or hostile datagram cannot force
-// large allocations, and all errors are reported rather than panicking.
+// checked against its limit and against the bytes the datagram has left
+// before storage is taken, so what a datagram can make a decode allocate is
+// proportional to its own length, and all errors are reported rather than
+// panicking.
+//
+// There is one encoder and one decoder. AppendEncode appends a frame to the
+// caller's buffer and a Packer builds a datagram in a buffer it keeps, so a
+// sender that holds one allocates nothing; Arena.DecodeBatch cuts every
+// list, payload and Gossip of a datagram from storage the Arena keeps, so a
+// receiver that recycles one allocates nothing either. Encode, EncodeBatch,
+// Decode and DecodeBatch are those two with fresh storage.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/proto"
 )
@@ -53,45 +64,232 @@ var ErrBadMagic = errors.New("wire: bad magic byte")
 // ErrBadVersion is returned for unsupported format versions.
 var ErrBadVersion = errors.New("wire: unsupported version")
 
-type encoder struct {
-	buf []byte
-	tmp [binary.MaxVarintLen64]byte
+// The fewest bytes one element of each list takes on the wire. A count is
+// refused as truncated when the bytes left could not hold that many.
+const (
+	minPIDLen   = 1 // one varint
+	minHopLen   = 1
+	minIDLen    = 2 // origin, seq
+	minUnsubLen = 2 // process, stamp
+	minEventLen = 3 // origin, seq, payload length
+	minFrameLen = 6 // magic, version, kind, from, to and one byte of body
+)
+
+func appendPID(dst []byte, p proto.ProcessID) []byte {
+	return binary.AppendUvarint(dst, uint64(p))
 }
 
-func (e *encoder) byte(b byte) { e.buf = append(e.buf, b) }
-
-func (e *encoder) uvarint(v uint64) {
-	n := binary.PutUvarint(e.tmp[:], v)
-	e.buf = append(e.buf, e.tmp[:n]...)
+func appendEventID(dst []byte, id proto.EventID) []byte {
+	return binary.AppendUvarint(appendPID(dst, id.Origin), id.Seq)
 }
 
-func (e *encoder) bytes(b []byte) {
-	e.uvarint(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-func (e *encoder) pid(p proto.ProcessID) { e.uvarint(uint64(p)) }
-
-func (e *encoder) eventID(id proto.EventID) {
-	e.pid(id.Origin)
-	e.uvarint(id.Seq)
-}
-
-func (e *encoder) event(ev proto.Event) {
-	e.eventID(ev.ID)
-	e.bytes(ev.Payload)
-}
-
-func (e *encoder) idList(ids []proto.EventID) {
-	e.uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		e.eventID(id)
+func appendEvents(dst []byte, evs []proto.Event) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(evs)))
+	for i := range evs {
+		dst = appendEventID(dst, evs[i].ID)
+		dst = binary.AppendUvarint(dst, uint64(len(evs[i].Payload)))
+		dst = append(dst, evs[i].Payload...)
 	}
+	return dst
 }
 
+func appendIDList(dst []byte, ids []proto.EventID) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ids)))
+	for _, id := range ids {
+		dst = appendEventID(dst, id)
+	}
+	return dst
+}
+
+// AppendEncode appends m's version-1 frame to dst and returns the extended
+// buffer. On error dst comes back at its original length.
+func AppendEncode(dst []byte, m *proto.Message) ([]byte, error) {
+	at := len(dst)
+	dst = append(dst, magic, version, byte(m.Kind))
+	dst = appendPID(dst, m.From)
+	dst = appendPID(dst, m.To)
+	switch m.Kind {
+	case proto.GossipMsg:
+		if m.Gossip == nil {
+			return dst[:at], errors.New("wire: gossip message without gossip body")
+		}
+		g := m.Gossip
+		dst = appendPID(dst, g.From)
+		dst = binary.AppendUvarint(dst, uint64(len(g.Subs)))
+		for _, p := range g.Subs {
+			dst = appendPID(dst, p)
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(g.Unsubs)))
+		for _, u := range g.Unsubs {
+			dst = binary.AppendUvarint(appendPID(dst, u.Process), u.Stamp)
+		}
+		dst = appendEvents(dst, g.Events)
+		dst = appendIDList(dst, g.Digest)
+		dst = appendIDList(dst, g.DigestWatermarks)
+	case proto.SubscribeMsg:
+		dst = appendPID(dst, m.Subscriber)
+	case proto.RetransmitRequestMsg:
+		dst = appendIDList(dst, m.Request)
+	case proto.RetransmitReplyMsg:
+		dst = appendEvents(dst, m.Reply)
+		dst = binary.AppendUvarint(dst, uint64(len(m.ReplyHops)))
+		for _, h := range m.ReplyHops {
+			dst = binary.AppendUvarint(dst, uint64(h))
+		}
+	default:
+		return dst[:at], fmt.Errorf("wire: cannot encode message kind %v", m.Kind)
+	}
+	return dst, nil
+}
+
+// Encode serializes m.
+func Encode(m proto.Message) ([]byte, error) {
+	return AppendEncode(make([]byte, 0, 256), &m)
+}
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+const (
+	// headerRoom is what a Packer keeps free ahead of a datagram's frames:
+	// magic, version, and a count of at most MaxBatchLen (two bytes).
+	headerRoom = 2 + 2
+	// frameLenRoom is what appendFrame keeps free ahead of a frame for its
+	// length: what a frame of 128 to 16 383 bytes needs.
+	frameLenRoom = 2
+)
+
+// appendFrame appends m to dst as one frame of a container — the frame's
+// length, then the bytes AppendEncode writes — and returns where those bytes
+// start. The frame is encoded in place behind frameLenRoom bytes and moved
+// by the difference when its length turns out to need fewer or more. On
+// error dst comes back at its original length.
+func appendFrame(dst []byte, m *proto.Message) ([]byte, int, error) {
+	at := len(dst)
+	var room [frameLenRoom]byte
+	dst, err := AppendEncode(append(dst, room[:]...), m)
+	if err != nil {
+		return dst[:at], 0, err
+	}
+	n := len(dst) - at - frameLenRoom
+	w := uvarintLen(uint64(n))
+	if w != frameLenRoom {
+		for len(dst) < at+w+n {
+			dst = append(dst, 0)
+		}
+		copy(dst[at+w:], dst[at+frameLenRoom:at+frameLenRoom+n])
+		dst = dst[:at+w+n]
+	}
+	binary.PutUvarint(dst[at:], uint64(n))
+	return dst, at + w, nil
+}
+
+// Packer builds the datagrams of one destination's burst in a buffer it
+// keeps: frames are encoded in place, one behind the other, and a
+// datagram's header is written into the room ahead of its first frame once
+// the number of frames is known. A datagram of one frame is that frame
+// alone, without header or length (the compatibility rule of EncodeBatch).
+//
+// A datagram closes when the next frame would take it past Budget or past
+// MaxBatchLen frames; the frame that did not fit opens the next one, whose
+// header will overwrite the closed datagram's last bytes — so a datagram
+// Add or Finish returns is valid until the next call and no longer.
+//
+// The zero value with a Budget is ready to use.
+type Packer struct {
+	// Budget bounds a datagram's cost, where a frame costs its length plus
+	// binary.MaxVarintLen32. A frame that alone exceeds it still travels,
+	// in a datagram of its own.
+	Budget int
+
+	buf   []byte
+	base  int // the open datagram's header room starts here
+	first int // where its first frame's own bytes start, past their length
+	n     int // frames in it
+	cost  int // their cost
+}
+
+// Add encodes m as the next frame. When the frame does not fit the open
+// datagram, Add closes that one and returns it with its number of frames;
+// otherwise it returns nil. On error nothing was added.
+func (p *Packer) Add(m *proto.Message) (full []byte, frames int, err error) {
+	if len(p.buf) == 0 {
+		var room [headerRoom]byte
+		p.buf = append(p.buf, room[:]...)
+	}
+	at := len(p.buf)
+	buf, body, err := appendFrame(p.buf, m)
+	if err != nil {
+		return nil, 0, err
+	}
+	p.buf = buf
+	cost := len(buf) - body + binary.MaxVarintLen32
+	if p.n > 0 && (p.cost+cost > p.Budget || p.n >= MaxBatchLen) {
+		full, frames = p.datagram(at), p.n
+		p.base, p.n, p.cost = at-headerRoom, 0, 0
+	}
+	if p.n == 0 {
+		p.first = body
+	}
+	p.n++
+	p.cost += cost
+	return full, frames, nil
+}
+
+// Finish closes the open datagram and returns it with its number of frames,
+// or nil when there is none. The Packer is then empty; a buffer that grew
+// past twice the budget (a burst of several datagrams) is not kept.
+func (p *Packer) Finish() ([]byte, int) {
+	var d []byte
+	n := p.n
+	if n > 0 {
+		d = p.datagram(len(p.buf))
+	}
+	p.buf = p.buf[:0]
+	if cap(p.buf)/2 > p.Budget {
+		p.buf = nil
+	}
+	p.base, p.n, p.cost = 0, 0, 0
+	return d, n
+}
+
+// datagram returns the open datagram, whose frames end at end.
+func (p *Packer) datagram(end int) []byte {
+	if p.n == 1 {
+		return p.buf[p.first:end]
+	}
+	h := p.base + headerRoom - 2 - uvarintLen(uint64(p.n))
+	p.buf[h], p.buf[h+1] = magic, versionBatch
+	binary.PutUvarint(p.buf[h+2:], uint64(p.n))
+	return p.buf[h:end]
+}
+
+// EncodeBatch serializes a burst of messages bound for one destination. A
+// single message keeps the plain version-1 frame (so pre-batch receivers
+// stay compatible); two or more are packed into a container frame.
+func EncodeBatch(msgs []proto.Message) ([]byte, error) {
+	if len(msgs) == 0 {
+		return nil, errors.New("wire: empty batch")
+	}
+	if len(msgs) > MaxBatchLen {
+		return nil, fmt.Errorf("wire: batch of %d frames exceeds limit %d", len(msgs), MaxBatchLen)
+	}
+	p := Packer{Budget: math.MaxInt}
+	for i := range msgs {
+		if _, _, err := p.Add(&msgs[i]); err != nil {
+			return nil, err
+		}
+	}
+	d, _ := p.Finish()
+	return d, nil
+}
+
+// decoder reads one frame or container. Its lists come from mem, or from
+// the heap when mem is nil.
 type decoder struct {
 	buf []byte
 	off int
+	mem *Arena
 }
 
 func (d *decoder) byte() (byte, error) {
@@ -112,32 +310,21 @@ func (d *decoder) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (d *decoder) count(max int) (int, error) {
+// count reads the length of a list whose elements take at least width
+// bytes each: one above limit is refused, and so is one the bytes left
+// cannot hold, before the caller takes storage for it.
+func (d *decoder) count(limit, width int) (int, error) {
 	v, err := d.uvarint()
 	if err != nil {
 		return 0, err
 	}
-	if v > uint64(max) {
-		return 0, fmt.Errorf("wire: count %d exceeds limit %d", v, max)
+	if v > uint64(limit) {
+		return 0, fmt.Errorf("wire: count %d exceeds limit %d", v, limit)
+	}
+	if v > uint64((len(d.buf)-d.off)/width) {
+		return 0, ErrTruncated
 	}
 	return int(v), nil
-}
-
-func (d *decoder) bytes() ([]byte, error) {
-	n, err := d.count(maxPayloadLen)
-	if err != nil {
-		return nil, err
-	}
-	if d.off+n > len(d.buf) {
-		return nil, ErrTruncated
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:d.off+n])
-	d.off += n
-	return out, nil
 }
 
 func (d *decoder) pid() (proto.ProcessID, error) {
@@ -157,27 +344,36 @@ func (d *decoder) eventID() (proto.EventID, error) {
 	return proto.EventID{Origin: origin, Seq: seq}, nil
 }
 
-func (d *decoder) event() (proto.Event, error) {
-	id, err := d.eventID()
-	if err != nil {
-		return proto.Event{}, err
+func (d *decoder) events() ([]proto.Event, error) {
+	n, err := d.count(maxListLen, minEventLen)
+	if err != nil || n == 0 {
+		return nil, err
 	}
-	payload, err := d.bytes()
-	if err != nil {
-		return proto.Event{}, err
+	out := d.mem.eventList(n)
+	for i := range out {
+		if out[i].ID, err = d.eventID(); err != nil {
+			return nil, err
+		}
+		size, err := d.count(maxPayloadLen, 1)
+		if err != nil {
+			return nil, err
+		}
+		out[i].Payload = nil
+		if size > 0 {
+			out[i].Payload = d.mem.byteList(size)
+			copy(out[i].Payload, d.buf[d.off:])
+			d.off += size
+		}
 	}
-	return proto.Event{ID: id, Payload: payload}, nil
+	return out, nil
 }
 
 func (d *decoder) idList() ([]proto.EventID, error) {
-	n, err := d.count(maxListLen)
-	if err != nil {
+	n, err := d.count(maxListLen, minIDLen)
+	if err != nil || n == 0 {
 		return nil, err
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]proto.EventID, n)
+	out := d.mem.idList(n)
 	for i := range out {
 		if out[i], err = d.eventID(); err != nil {
 			return nil, err
@@ -186,231 +382,148 @@ func (d *decoder) idList() ([]proto.EventID, error) {
 	return out, nil
 }
 
-// Encode serializes m.
-func Encode(m proto.Message) ([]byte, error) {
-	e := &encoder{buf: make([]byte, 0, 256)}
-	e.byte(magic)
-	e.byte(version)
-	e.byte(byte(m.Kind))
-	e.pid(m.From)
-	e.pid(m.To)
-	switch m.Kind {
-	case proto.GossipMsg:
-		if m.Gossip == nil {
-			return nil, errors.New("wire: gossip message without gossip body")
-		}
-		g := m.Gossip
-		e.pid(g.From)
-		e.uvarint(uint64(len(g.Subs)))
-		for _, p := range g.Subs {
-			e.pid(p)
-		}
-		e.uvarint(uint64(len(g.Unsubs)))
-		for _, u := range g.Unsubs {
-			e.pid(u.Process)
-			e.uvarint(u.Stamp)
-		}
-		e.uvarint(uint64(len(g.Events)))
-		for _, ev := range g.Events {
-			e.event(ev)
-		}
-		e.idList(g.Digest)
-		e.idList(g.DigestWatermarks)
-	case proto.SubscribeMsg:
-		e.pid(m.Subscriber)
-	case proto.RetransmitRequestMsg:
-		e.idList(m.Request)
-	case proto.RetransmitReplyMsg:
-		e.uvarint(uint64(len(m.Reply)))
-		for _, ev := range m.Reply {
-			e.event(ev)
-		}
-		e.uvarint(uint64(len(m.ReplyHops)))
-		for _, h := range m.ReplyHops {
-			e.uvarint(uint64(h))
-		}
-	default:
-		return nil, fmt.Errorf("wire: cannot encode message kind %v", m.Kind)
+func (d *decoder) gossip(g *proto.Gossip) (err error) {
+	if g.From, err = d.pid(); err != nil {
+		return err
 	}
-	return e.buf, nil
+	n, err := d.count(maxListLen, minPIDLen)
+	if err != nil {
+		return err
+	}
+	if n > 0 {
+		g.Subs = d.mem.pidList(n)
+		for i := range g.Subs {
+			if g.Subs[i], err = d.pid(); err != nil {
+				return err
+			}
+		}
+	}
+	if n, err = d.count(maxListLen, minUnsubLen); err != nil {
+		return err
+	}
+	if n > 0 {
+		g.Unsubs = d.mem.unsubList(n)
+		for i := range g.Unsubs {
+			if g.Unsubs[i].Process, err = d.pid(); err != nil {
+				return err
+			}
+			if g.Unsubs[i].Stamp, err = d.uvarint(); err != nil {
+				return err
+			}
+		}
+	}
+	if g.Events, err = d.events(); err != nil {
+		return err
+	}
+	if g.Digest, err = d.idList(); err != nil {
+		return err
+	}
+	g.DigestWatermarks, err = d.idList()
+	return err
 }
 
-// Decode parses a message previously produced by Encode.
-func Decode(buf []byte) (proto.Message, error) {
-	d := &decoder{buf: buf}
-	var m proto.Message
-
+// message reads the version-1 frame that is all of d.buf into m, which the
+// caller passes zeroed.
+func (d *decoder) message(m *proto.Message) error {
 	mg, err := d.byte()
 	if err != nil {
-		return m, err
+		return err
 	}
 	if mg != magic {
-		return m, ErrBadMagic
+		return ErrBadMagic
 	}
 	ver, err := d.byte()
 	if err != nil {
-		return m, err
+		return err
 	}
 	if ver != version {
-		return m, fmt.Errorf("%w: %d", ErrBadVersion, ver)
+		return fmt.Errorf("%w: %d", ErrBadVersion, ver)
 	}
 	kind, err := d.byte()
 	if err != nil {
-		return m, err
+		return err
 	}
 	m.Kind = proto.MessageKind(kind)
 	if m.From, err = d.pid(); err != nil {
-		return m, err
+		return err
 	}
 	if m.To, err = d.pid(); err != nil {
-		return m, err
+		return err
 	}
 
 	switch m.Kind {
 	case proto.GossipMsg:
-		var g proto.Gossip
-		if g.From, err = d.pid(); err != nil {
-			return m, err
+		g := d.mem.gossip()
+		if err := d.gossip(g); err != nil {
+			return err
 		}
-		n, err := d.count(maxListLen)
-		if err != nil {
-			return m, err
-		}
-		if n > 0 {
-			g.Subs = make([]proto.ProcessID, n)
-			for i := range g.Subs {
-				if g.Subs[i], err = d.pid(); err != nil {
-					return m, err
-				}
-			}
-		}
-		if n, err = d.count(maxListLen); err != nil {
-			return m, err
-		}
-		if n > 0 {
-			g.Unsubs = make([]proto.Unsubscription, n)
-			for i := range g.Unsubs {
-				if g.Unsubs[i].Process, err = d.pid(); err != nil {
-					return m, err
-				}
-				if g.Unsubs[i].Stamp, err = d.uvarint(); err != nil {
-					return m, err
-				}
-			}
-		}
-		if n, err = d.count(maxListLen); err != nil {
-			return m, err
-		}
-		if n > 0 {
-			g.Events = make([]proto.Event, n)
-			for i := range g.Events {
-				if g.Events[i], err = d.event(); err != nil {
-					return m, err
-				}
-			}
-		}
-		if g.Digest, err = d.idList(); err != nil {
-			return m, err
-		}
-		if g.DigestWatermarks, err = d.idList(); err != nil {
-			return m, err
-		}
-		m.Gossip = &g
+		m.Gossip = g
 	case proto.SubscribeMsg:
 		if m.Subscriber, err = d.pid(); err != nil {
-			return m, err
+			return err
 		}
 	case proto.RetransmitRequestMsg:
 		if m.Request, err = d.idList(); err != nil {
-			return m, err
+			return err
 		}
 	case proto.RetransmitReplyMsg:
-		n, err := d.count(maxListLen)
+		if m.Reply, err = d.events(); err != nil {
+			return err
+		}
+		n, err := d.count(maxListLen, minHopLen)
 		if err != nil {
-			return m, err
+			return err
 		}
 		if n > 0 {
-			m.Reply = make([]proto.Event, n)
-			for i := range m.Reply {
-				if m.Reply[i], err = d.event(); err != nil {
-					return m, err
-				}
-			}
-		}
-		if n, err = d.count(maxListLen); err != nil {
-			return m, err
-		}
-		if n > 0 {
-			m.ReplyHops = make([]uint32, n)
+			m.ReplyHops = d.mem.hopList(n)
 			for i := range m.ReplyHops {
 				h, err := d.uvarint()
 				if err != nil {
-					return m, err
+					return err
 				}
 				if h > 1<<31 {
-					return m, fmt.Errorf("wire: hop count %d out of range", h)
+					return fmt.Errorf("wire: hop count %d out of range", h)
 				}
 				m.ReplyHops[i] = uint32(h)
 			}
 		}
 	default:
-		return m, fmt.Errorf("wire: unknown message kind %d", kind)
+		return fmt.Errorf("wire: unknown message kind %d", kind)
 	}
-	if d.off != len(buf) {
-		return m, fmt.Errorf("wire: %d trailing bytes", len(buf)-d.off)
+	if d.off != len(d.buf) {
+		return fmt.Errorf("wire: %d trailing bytes", len(d.buf)-d.off)
 	}
-	return m, nil
+	return nil
 }
 
-// PackFrames builds a version-2 container datagram from pre-encoded
-// single-message frames. Callers that budget datagram sizes (the UDP
-// transport) encode messages individually and pack greedily.
-func PackFrames(frames [][]byte) ([]byte, error) {
-	if len(frames) == 0 {
-		return nil, errors.New("wire: empty batch")
-	}
-	if len(frames) > MaxBatchLen {
-		return nil, fmt.Errorf("wire: batch of %d frames exceeds limit %d", len(frames), MaxBatchLen)
-	}
-	size := 2
-	for _, f := range frames {
-		size += binary.MaxVarintLen32 + len(f)
-	}
-	e := &encoder{buf: make([]byte, 0, size)}
-	e.byte(magic)
-	e.byte(versionBatch)
-	e.uvarint(uint64(len(frames)))
-	for _, f := range frames {
-		e.bytes(f)
-	}
-	return e.buf, nil
-}
-
-// EncodeBatch serializes a burst of messages bound for one destination. A
-// single message keeps the plain version-1 frame (so pre-batch receivers
-// stay compatible); two or more are packed into a container frame.
-func EncodeBatch(msgs []proto.Message) ([]byte, error) {
-	switch len(msgs) {
-	case 0:
-		return nil, errors.New("wire: empty batch")
-	case 1:
-		return Encode(msgs[0])
-	}
-	frames := make([][]byte, len(msgs))
-	for i, m := range msgs {
-		f, err := Encode(m)
-		if err != nil {
-			return nil, err
-		}
-		frames[i] = f
-	}
-	return PackFrames(frames)
+// Decode parses a message previously produced by Encode.
+func Decode(buf []byte) (proto.Message, error) {
+	var m proto.Message
+	d := decoder{buf: buf}
+	err := d.message(&m)
+	return m, err
 }
 
 // DecodeBatch parses a datagram holding either a single version-1 frame or
 // a version-2 container, appending the contained messages to out. On error
 // the returned slice holds the messages decoded before the failure.
 func DecodeBatch(buf []byte, out []proto.Message) ([]proto.Message, error) {
+	return decodeBatch(buf, out, nil)
+}
+
+// appendDecoded decodes the version-1 frame f into the next slot of out.
+func appendDecoded(out []proto.Message, f []byte, mem *Arena) ([]proto.Message, error) {
+	out = append(out, proto.Message{})
+	d := decoder{buf: f, mem: mem}
+	if err := d.message(&out[len(out)-1]); err != nil {
+		out[len(out)-1] = proto.Message{}
+		return out[:len(out)-1], err
+	}
+	return out, nil
+}
+
+// decodeBatch is DecodeBatch with the storage to cut lists from.
+func decodeBatch(buf []byte, out []proto.Message, mem *Arena) ([]proto.Message, error) {
 	if len(buf) < 2 {
 		return out, ErrTruncated
 	}
@@ -418,14 +531,10 @@ func DecodeBatch(buf []byte, out []proto.Message) ([]proto.Message, error) {
 		return out, ErrBadMagic
 	}
 	if buf[1] != versionBatch {
-		m, err := Decode(buf)
-		if err != nil {
-			return out, err
-		}
-		return append(out, m), nil
+		return appendDecoded(out, buf, mem)
 	}
-	d := &decoder{buf: buf, off: 2}
-	n, err := d.count(MaxBatchLen)
+	d := decoder{buf: buf, off: 2}
+	n, err := d.count(MaxBatchLen, 1+minFrameLen)
 	if err != nil {
 		return out, err
 	}
@@ -433,19 +542,14 @@ func DecodeBatch(buf []byte, out []proto.Message) ([]proto.Message, error) {
 		return out, errors.New("wire: empty container frame")
 	}
 	for i := 0; i < n; i++ {
-		flen, err := d.count(maxPayloadLen)
+		flen, err := d.count(maxPayloadLen, 1)
 		if err != nil {
 			return out, err
 		}
-		if d.off+flen > len(d.buf) {
-			return out, ErrTruncated
-		}
-		m, err := Decode(d.buf[d.off : d.off+flen])
-		if err != nil {
+		if out, err = appendDecoded(out, d.buf[d.off:d.off+flen], mem); err != nil {
 			return out, err
 		}
 		d.off += flen
-		out = append(out, m)
 	}
 	if d.off != len(buf) {
 		return out, fmt.Errorf("wire: %d trailing bytes after container", len(buf)-d.off)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -206,34 +207,7 @@ func TestDecodeMutatedMessagesNeverPanic(t *testing.T) {
 func TestRoundTripProperty(t *testing.T) {
 	t.Parallel()
 	if err := quick.Check(func(from, to, origin uint16, seq uint64, payload []byte, subsRaw []uint16, stamps []uint32) bool {
-		subs := make([]proto.ProcessID, len(subsRaw))
-		for i, s := range subsRaw {
-			subs[i] = proto.ProcessID(s)
-		}
-		unsubs := make([]proto.Unsubscription, len(stamps))
-		for i, s := range stamps {
-			unsubs[i] = proto.Unsubscription{Process: proto.ProcessID(i + 1), Stamp: uint64(s)}
-		}
-		if len(payload) == 0 {
-			payload = nil
-		}
-		if len(subs) == 0 {
-			subs = nil
-		}
-		if len(unsubs) == 0 {
-			unsubs = nil
-		}
-		m := proto.Message{
-			Kind: proto.GossipMsg,
-			From: proto.ProcessID(from),
-			To:   proto.ProcessID(to),
-			Gossip: &proto.Gossip{
-				From:   proto.ProcessID(from),
-				Subs:   subs,
-				Unsubs: unsubs,
-				Events: []proto.Event{{ID: proto.EventID{Origin: proto.ProcessID(origin), Seq: seq}, Payload: payload}},
-			},
-		}
+		m := propertyMessage(from, to, origin, seq, payload, subsRaw, stamps)
 		buf, err := Encode(m)
 		if err != nil {
 			return false
@@ -411,6 +385,91 @@ func BenchmarkDecodeGossip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Decode(buf); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// hostileCounts are short datagrams that announce far more than they hold:
+// each list of each message kind, a payload, and a container's frames.
+func hostileCounts() [][]byte {
+	huge := []byte{0xff, 0xff, 0x03} // 65 535, under every list limit
+	gossip := []byte{'L', 1, byte(proto.GossipMsg), 1, 2, 1}
+	with := func(head []byte, tail ...byte) []byte {
+		return append(append([]byte(nil), head...), tail...)
+	}
+	return [][]byte{
+		with(gossip, huge...),                                // subs
+		with(gossip, append([]byte{0}, huge...)...),          // unsubs
+		with(gossip, append([]byte{0, 0}, huge...)...),       // events: the datagram of the report
+		with(gossip, append([]byte{0, 0, 0}, huge...)...),    // digest
+		with(gossip, append([]byte{0, 0, 0, 0}, huge...)...), // watermarks
+		with(gossip, 0, 0, 1, 1, 1, 0xff, 0xff, 0x3f),        // one event, payload of 1 MB − 1
+		with([]byte{'L', 1, byte(proto.RetransmitRequestMsg), 1, 2}, huge...),
+		with([]byte{'L', 1, byte(proto.RetransmitReplyMsg), 1, 2}, huge...),
+		with([]byte{'L', 1, byte(proto.RetransmitReplyMsg), 1, 2, 0}, huge...), // hops
+		{'L', 2, 0xff, 0x1f},                                                   // 4 095 frames
+	}
+}
+
+// TestDecodeAllocatesInProportion is aim 3 for the decoder: whatever a
+// datagram of n bytes announces, decoding it — valid or not, onto the heap
+// or into a fresh arena — allocates at most a constant times n. (The report:
+// eleven bytes announcing 65 535 events took 2.6 MB before failing.) Not
+// parallel: it reads the process's allocation counter.
+func TestDecodeAllocatesInProportion(t *testing.T) {
+	inputs := append(append(hostileCounts(), decodeSeeds(t)...), containerSeeds(t)...)
+	big, err := Encode(proto.Message{Kind: proto.RetransmitReplyMsg, From: 1, To: 2,
+		Reply: []proto.Event{{ID: proto.EventID{Origin: 1, Seq: 1}, Payload: make([]byte, 50000)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs = append(inputs, big, big[:len(big)/2])
+	r := rand.New(rand.NewSource(3))
+	base, err := EncodeBatch(sampleBatch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		buf := append([]byte(nil), base...)
+		for j := 0; j < 1+r.Intn(4); j++ {
+			buf[r.Intn(len(buf))] ^= byte(1 << r.Intn(8))
+		}
+		inputs = append(inputs, buf[:1+r.Intn(len(buf))])
+	}
+
+	// The counter is the process's: the runtime's own allocations land in
+	// it now and then, so a reading over the limit is taken again, and only
+	// what three readings in a row exceed counts.
+	allocated := func(limit uint64, f func()) uint64 {
+		var before, after runtime.MemStats
+		least := ^uint64(0)
+		for try := 0; try < 3 && least > limit; try++ {
+			runtime.ReadMemStats(&before)
+			f()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	for _, data := range inputs {
+		// 64 B a wire byte covers the costliest element (an event: 40 B for
+		// three bytes) under a doubling slice; 512 B an error's text.
+		limit := uint64(64*len(data) + 512)
+		if got := allocated(limit, func() { _, _ = DecodeBatch(data, nil) }); got > limit {
+			t.Errorf("DecodeBatch of %d bytes (% x…) allocated %d B, limit %d", len(data), data[:min(len(data), 12)], got, limit)
+		}
+		if got := allocated(limit, func() { _, _ = new(Arena).DecodeBatch(data) }); got > limit {
+			t.Errorf("Arena.DecodeBatch of %d bytes (% x…) allocated %d B, limit %d", len(data), data[:min(len(data), 12)], got, limit)
+		}
+		if len(data) >= 2 && data[1] == version {
+			if got := allocated(limit, func() { _, _ = Decode(data) }); got > limit {
+				t.Errorf("Decode of %d bytes (% x…) allocated %d B, limit %d", len(data), data[:min(len(data), 12)], got, limit)
+			}
+		}
+	}
+	for _, data := range hostileCounts() {
+		if _, err := DecodeBatch(data, nil); err == nil {
+			t.Errorf("% x decoded", data)
 		}
 	}
 }

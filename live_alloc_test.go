@@ -1,7 +1,9 @@
 package lpbcast
 
 import (
+	"runtime"
 	"testing"
+	"time"
 )
 
 // consumingTransport is a Serializer transport stub: it fully consumes
@@ -237,5 +239,109 @@ func TestDroppedDeliveriesCountsEvictions(t *testing.T) {
 	ev := <-n.Deliveries()
 	if ev.Payload[0] != byte(published-4) {
 		t.Errorf("oldest surviving delivery = %d, want %d", ev.Payload[0], published-4)
+	}
+}
+
+// udpNode binds a loopback UDP transport and builds (does not start) a node
+// on it that delivers by callback, as a long-running deployment would.
+func udpNode(t testing.TB, id ProcessID, opts ...Option) (*Node, *UDPTransport) {
+	t.Helper()
+	tr, err := NewUDPTransport(id, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	opts = append([]Option{WithDeliveryHandler(func(Event) {})}, opts...)
+	n, err := NewNode(id, tr, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	return n, tr
+}
+
+// liveHeap is the heap in use after two collections: what a sync.Pool held
+// at the first is only freed by the second.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestIdleUDPNodeHeap bounds what a node costs before it has seen traffic:
+// the socket, an inbox of pointers and an engine that holds no storage for
+// events it has not received. (The inbox used to be a channel of 1024
+// messages by value, 112 KB on its own.) Not parallel: it reads the heap.
+func TestIdleUDPNodeHeap(t *testing.T) {
+	const nodes = 8
+	before := liveHeap()
+	keep := make([]*Node, 0, nodes)
+	for i := 0; i < nodes; i++ {
+		n, _ := udpNode(t, ProcessID(i+1))
+		keep = append(keep, n)
+	}
+	per := (int64(liveHeap()) - int64(before)) / nodes
+	runtime.KeepAlive(keep)
+	t.Logf("%d B of heap per idle UDP node", per)
+	if per >= 16<<10 {
+		t.Errorf("an idle UDP node holds %d B of heap, want under 16 KB", per)
+	}
+}
+
+// TestLiveUDPRoundAllocs takes the allocation gate of
+// TestLiveNodeRoundAllocs through the real stack: two started nodes
+// gossiping over loopback sockets — encode, sendto, recvfrom, decode into a
+// recycled batch, engine, release — must settle at no more than 2
+// allocations per node-round. Not parallel: it reads the process's
+// allocation counter.
+func TestLiveUDPRoundAllocs(t *testing.T) {
+	const interval = 2 * time.Millisecond
+	a, ta := udpNode(t, 1, WithSeeds(2), WithGossipInterval(interval))
+	b, tb := udpNode(t, 2, WithSeeds(1), WithGossipInterval(interval))
+	if err := ta.AddPeer(2, tb.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.AddPeer(1, ta.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	a.Start()
+	b.Start()
+	for i := 0; i < 5; i++ {
+		if _, err := a.Publish([]byte("warm")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rounds := func() uint64 { return a.Stats().GossipsSent + b.Stats().GossipsSent }
+	waitRounds := func(target uint64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for rounds() < target {
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d of %d rounds ran", rounds(), target)
+			}
+			time.Sleep(interval)
+		}
+	}
+	waitRounds(100) // events delivered and out of the buffers, scratch at size
+	if got := b.Stats().EventsDelivered; got != 5 {
+		t.Fatalf("node 2 delivered %d of 5 events during warm-up", got)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := rounds()
+	waitRounds(start + 400)
+	ran := rounds() - start
+	runtime.ReadMemStats(&after)
+
+	if st := tb.Stats(); st.Received == 0 || st.Dropped != 0 || st.DecodeErrs != 0 {
+		t.Fatalf("transport stats %+v: the path is not live", st)
+	}
+	perRound := float64(after.Mallocs-before.Mallocs) / float64(ran)
+	t.Logf("%d allocations over %d node-rounds: %.2f per node-round", after.Mallocs-before.Mallocs, ran, perRound)
+	if perRound > 2 {
+		t.Errorf("a live UDP node-round allocates %.2f times, want <= 2", perRound)
 	}
 }

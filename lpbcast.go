@@ -328,7 +328,7 @@ type Node struct {
 	tracer     trace.Tracer
 
 	// Run-loop scratch, touched only by the run goroutine (and by
-	// benchmarks before Start).
+	// benchmarks before Start). inbox serves transports without RecvBatch.
 	out   []Message
 	inbox []Message
 
@@ -481,22 +481,48 @@ func (n *Node) Start() {
 	})
 }
 
+// batchReceiver is the optional transport fast path: inbound datagrams
+// arrive decoded, one pointer each, and go back with Release once handled
+// (see transport.UDP.RecvBatch).
+type batchReceiver interface {
+	RecvBatch() <-chan *transport.Batch
+}
+
 // run is the node's single event loop: ticks and inbound messages are
-// serialized here, so the engine needs no locking beyond the API mutex.
-// Inbound messages are drained in bursts — after one blocking receive,
-// whatever else has queued (up to maxBurst) is processed in the same
-// iteration, and all responses leave in one SendBatch.
+// serialized here, so the engine needs no locking beyond the API mutex, and
+// it stays the only periodic sender, which is what lets a serializing
+// transport hand the engine's emission buffers back for reuse.
+//
+// A transport that offers batches is read a datagram at a time: the
+// datagram's messages cross the engine under one lock acquisition, their
+// responses leave in one SendBatch, and the batch — read-only while the
+// node holds it — is released. Any other transport is drained in bursts of
+// messages: after one blocking receive, whatever else has queued (up to
+// maxBurst) is processed in the same iteration. Only one of the two
+// channels is non-nil, and a nil channel's case never fires.
 func (n *Node) run() {
 	defer n.wg.Done()
 	ticker := time.NewTicker(n.interval)
 	defer ticker.Stop()
-	recv := n.tr.Recv()
+	var recv <-chan Message
+	var batches <-chan *transport.Batch
+	if br, ok := n.tr.(batchReceiver); ok {
+		batches = br.RecvBatch()
+	} else {
+		recv = n.tr.Recv()
+	}
 	for {
 		select {
 		case <-n.cancel:
 			return
 		case <-ticker.C:
 			n.gossipRound()
+		case b, ok := <-batches:
+			if !ok {
+				return
+			}
+			n.handleBurst(b.Msgs)
+			b.Release()
 		case m, ok := <-recv:
 			if !ok {
 				return
@@ -515,6 +541,9 @@ func (n *Node) run() {
 				}
 			}
 			n.handleBurst(n.inbox)
+			// The inbox is reused; its entries must not keep their peers'
+			// gossip alive until the next burst overwrites them.
+			clear(n.inbox)
 		}
 	}
 }
