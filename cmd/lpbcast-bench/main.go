@@ -396,7 +396,8 @@ func executorSuite(quick, big bool) []benchCase {
 		subsTruncateCase(),
 		digestContainsCase(),
 		digestScanColdCase(),
-		archiveStoreFullCase(),
+		archiveStoreFullCase(0),
+		archiveStoreFullCase(64),
 		archiveLookupCase(),
 		pubsubSteadyCase(quick),
 		pubsubInfectionCase(quick),
@@ -571,18 +572,31 @@ func readHeap() (ms runtime.MemStats) {
 
 // archiveStoreFullCase is one delivery's Store on an archive at its bound:
 // the oldest event goes, the new one takes its place. table_bytes is the
-// full archive's live heap, ring and index (these events carry no payload).
-func archiveStoreFullCase() benchCase {
+// full archive's live heap: the id ring, its index and, once a payload has
+// been stored, the payloads' side ring. With payload 0 the events carry none,
+// as in the simulator; with 64 they carry 64 bytes, as in a live node, drawn
+// from a pool made beforehand, so neither the op nor table_bytes counts them.
+func archiveStoreFullCase(payload int) benchCase {
+	name := "buffer/archive-store-full"
+	if payload > 0 {
+		name += fmt.Sprintf("/payload=%d", payload)
+	}
 	return benchCase{
-		name: "buffer/archive-store-full",
+		name: name,
 		gate: true, maxAllocs: 0,
 		fn: func(b *testing.B) {
+			var payloads [256][]byte
+			if payload > 0 {
+				for i := range payloads {
+					payloads[i] = make([]byte, payload)
+				}
+			}
 			before := readHeap()
 			a := buffer.NewArchive(200)
 			seq := uint64(0)
 			store := func() {
 				seq++
-				a.Store(proto.Event{ID: proto.EventID{Origin: proto.ProcessID(seq % 250), Seq: seq}})
+				a.Store(proto.Event{ID: proto.EventID{Origin: proto.ProcessID(seq % 250), Seq: seq}, Payload: payloads[seq%256]})
 			}
 			for i := 0; i < 400; i++ {
 				store()

@@ -274,6 +274,72 @@ func TestArchive(t *testing.T) {
 	if got, ok := a.Lookup(e3.ID); !ok || got.ID != e3.ID {
 		t.Fatal("newest event missing")
 	}
+	if a.pay != nil {
+		t.Fatal("payload-less events made a side ring")
+	}
+	// Payloads: the stored slice comes back, an empty one as nil, and a
+	// duplicate id keeps the first payload.
+	body := []byte("body")
+	a.Store(proto.Event{ID: proto.EventID{Origin: 1, Seq: 4}, Payload: body})
+	a.Store(proto.Event{ID: proto.EventID{Origin: 1, Seq: 5}, Payload: []byte{}})
+	a.Store(proto.Event{ID: proto.EventID{Origin: 1, Seq: 4}, Payload: []byte("other")})
+	if got, ok := a.Lookup(proto.EventID{Origin: 1, Seq: 4}); !ok || &got.Payload[0] != &body[0] || len(got.Payload) != len(body) {
+		t.Fatalf("Lookup = %v,%v, want the stored slice %q", got, ok, body)
+	}
+	if got, ok := a.Lookup(proto.EventID{Origin: 1, Seq: 5}); !ok || got.Payload != nil {
+		t.Fatalf("Lookup of an empty payload = %#v,%v, want a nil payload", got, ok)
+	}
+}
+
+// TestArchiveServe: a request is answered once per archived id, in the
+// order it first names them, however often it repeats them; the payloads
+// are the archived slices.
+func TestArchiveServe(t *testing.T) {
+	t.Parallel()
+	a := NewArchive(200)
+	ids := make([]proto.EventID, 260)
+	for i := range ids {
+		ids[i] = proto.EventID{Origin: pid(uint64(1 + i%7)), Seq: uint64(1 + i)}
+		a.Store(proto.Event{ID: ids[i], Payload: []byte{byte(i), byte(i >> 8)}})
+	}
+	held := ids[60:]
+	if reply, misses := a.Serve(nil); reply != nil || misses != 0 {
+		t.Fatalf("an empty request served %v with %d misses", reply, misses)
+	}
+	if reply, misses := a.Serve(ids[:60]); reply != nil || misses != 60 {
+		t.Fatalf("a request of evicted ids served %d events with %d misses, want none and 60", len(reply), misses)
+	}
+	one := make([]proto.EventID, 20_000)
+	for i := range one {
+		one[i] = held[17]
+	}
+	if reply, misses := a.Serve(one); len(reply) != 1 || reply[0].ID != held[17] || misses != 0 {
+		t.Fatalf("one id named %d times served %d events with %d misses, want 1 and 0", len(one), len(reply), misses)
+	}
+	// Every held id twice, newest first, with the evicted ones between.
+	var req []proto.EventID
+	for i := len(held) - 1; i >= 0; i-- {
+		req = append(req, held[i], ids[i%60])
+	}
+	req = append(req, held...)
+	reply, misses := a.Serve(req)
+	if len(reply) != len(held) || misses != len(held) { // one evicted id per held one
+		t.Fatalf("served %d events with %d misses, want %d and %d", len(reply), misses, len(held), len(held))
+	}
+	for i, ev := range reply {
+		want, _ := a.Lookup(held[len(held)-1-i])
+		if ev.ID != want.ID || &ev.Payload[0] != &want.Payload[0] {
+			t.Fatalf("reply[%d] = %v, want the archived %v in first-mention order", i, ev, want)
+		}
+	}
+	// A ring past what the stack bitmap covers.
+	big := NewArchive(1000)
+	for _, id := range ids {
+		big.Store(proto.Event{ID: id})
+	}
+	if reply, misses := big.Serve(append(append([]proto.EventID(nil), ids...), ids...)); len(reply) != len(ids) || misses != 0 {
+		t.Fatalf("an archive of %d served %d events with %d misses for every id twice", big.Len(), len(reply), misses)
+	}
 }
 
 // TestArchiveStoreFullAllocFree gates the delivery path: once the archive
@@ -299,15 +365,40 @@ func TestArchiveStoreFullAllocFree(t *testing.T) {
 
 // TestArchiveRingIsBounded: a full archive holds its events in a ring one
 // slot longer than its bound (Store adds before it evicts) and an index of
-// twice that, not in the next powers of two.
+// twice that, not in the next powers of two. A slot is a 16-byte id, and
+// payload-less events make no side ring.
 func TestArchiveRingIsBounded(t *testing.T) {
 	a := NewArchive(200)
 	for seq := uint64(1); seq <= 1000; seq++ {
 		a.Store(proto.Event{ID: proto.EventID{Origin: pid(seq % 250), Seq: seq}})
 	}
-	if a.Len() != 200 || len(a.inner.ring) != 201 || len(a.inner.idx) > 2*201 {
+	if a.Len() != 200 || len(a.ids.ring) != 201 || len(a.ids.idx) > 2*201 {
 		t.Fatalf("%d events in a ring of %d slots and an index of %d entries, want 200 in 201 and at most 402",
-			a.Len(), len(a.inner.ring), len(a.inner.idx))
+			a.Len(), len(a.ids.ring), len(a.ids.idx))
+	}
+	if size := unsafe.Sizeof(a.ids.ring[0]); size != 16 || a.pay != nil {
+		t.Fatalf("a slot takes %d bytes and the side ring is %d long, want 16 and none", size, len(a.pay))
+	}
+}
+
+// TestArchiveEvictionReleasesPayloads: after 1 000 payload-carrying stores
+// into an archive of 200, the side ring is as long as the id ring and holds
+// a payload at every live position and nothing anywhere else, so an evicted
+// payload is garbage.
+func TestArchiveEvictionReleasesPayloads(t *testing.T) {
+	a := NewArchive(200)
+	for seq := uint64(1); seq <= 1000; seq++ {
+		a.Store(proto.Event{ID: proto.EventID{Origin: 1, Seq: seq}, Payload: make([]byte, 64)})
+	}
+	if len(a.pay) != len(a.ids.ring) {
+		t.Fatalf("side ring of %d slots beside an id ring of %d", len(a.pay), len(a.ids.ring))
+	}
+	slots := uint32(len(a.pay))
+	for p := range a.pay {
+		live := (uint32(p)+slots-a.ids.head)%slots < a.ids.n
+		if live != (a.pay[p].first != nil) {
+			t.Fatalf("side-ring position %d (head %d, %d held) live %v but holds %d bytes", p, a.ids.head, a.ids.n, live, a.pay[p].n)
+		}
 	}
 }
 

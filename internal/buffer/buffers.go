@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"encoding/binary"
+	"unsafe"
 
 	"repro/internal/pool"
 	"repro/internal/proto"
@@ -402,10 +403,29 @@ func (b *IDBuffer) Grow(n int) { b.inner.Grow(n) }
 
 // Archive is the bounded store of older notifications kept "only ... to
 // satisfy retransmission requests" (§3.2). Eviction is oldest-first.
+//
+// A notification is archived as what a pull looks it up by, its identifier,
+// in the ring of a FIFO of ids; its payload, if it has one, sits in a side
+// ring at the same position. The side ring is nil until the first non-empty
+// payload arrives, so an archive of payload-less notifications — every one
+// the simulator makes — holds 16 bytes an entry, not the 40 of an id beside
+// a slice header; one that carries payloads holds 32.
 type Archive struct {
-	inner FIFO[proto.Event]
-	max   int
+	ids FIFO[proto.EventID]
+	pay []payloadRef // pay[p] is the payload of ids.ring[p]; nil, or len(ids.ring)
+	max int
 }
+
+// payloadRef is a retained payload in 16 bytes where a slice header takes
+// 24: its first byte, which keeps the whole array alive, and its length. A
+// payload is read and forwarded, never appended to, so its capacity is not
+// kept. The zero payloadRef is no payload.
+type payloadRef struct {
+	first *byte
+	n     int
+}
+
+func (r payloadRef) bytes() []byte { return unsafe.Slice(r.first, r.n) } // nil for the zero payloadRef
 
 // NewArchive creates an archive bounded at max events; max <= 0 disables
 // archiving entirely (Lookup always misses).
@@ -417,22 +437,85 @@ func NewArchive(max int) *Archive {
 
 // Init prepares a zero-value Archive in place, allocation-free.
 func (a *Archive) Init(max int) {
-	a.inner.Init(eventKey)
+	a.ids.Init(idKey)
 	a.max = max
 }
 
 // Store retains e for future retransmission, evicting oldest entries to
-// respect the bound.
+// respect the bound. The payload is retained, not copied.
 func (a *Archive) Store(e proto.Event) {
 	if a.max <= 0 {
 		return
 	}
-	a.inner.AddBounded(e, a.max+1) // one past the bound until the truncation below
-	a.inner.TruncateOldest(a.max)
+	if !a.ids.AddBounded(e.ID, a.max+1) { // one past the bound until the truncation below
+		return
+	}
+	if a.pay != nil && len(a.pay) != len(a.ids.ring) {
+		// The ring grows only before its first eviction, so entry i is at
+		// position i before and after: the side ring grows alike.
+		pay := make([]payloadRef, len(a.ids.ring))
+		copy(pay, a.pay)
+		a.pay = pay
+	}
+	if len(e.Payload) > 0 {
+		if a.pay == nil {
+			a.pay = make([]payloadRef, len(a.ids.ring))
+		}
+		a.pay[a.ids.pos(a.ids.n-1)] = payloadRef{&e.Payload[0], len(e.Payload)}
+	}
+	if a.ids.Len() > a.max {
+		if a.pay != nil {
+			a.pay[a.ids.head] = payloadRef{} // the evicted payload is garbage from here on
+		}
+		a.ids.TruncateOldest(a.max)
+	}
 }
 
-// Lookup returns the archived event with the given id.
-func (a *Archive) Lookup(id proto.EventID) (proto.Event, bool) { return a.inner.Get(id) }
+// Lookup returns the archived event with the given id. Its payload is the
+// bytes Store retained, nil for an empty one.
+func (a *Archive) Lookup(id proto.EventID) (proto.Event, bool) {
+	p, _ := a.ids.find(id, hashID(id))
+	if p < 0 {
+		return proto.Event{}, false
+	}
+	return a.event(id, p), true
+}
+
+// event returns the archived event id, held at ring position p.
+func (a *Archive) event(id proto.EventID, p int) proto.Event {
+	if a.pay == nil {
+		return proto.Event{ID: id}
+	}
+	return proto.Event{ID: id, Payload: a.pay[p].bytes()}
+}
+
+// Serve answers a retransmission request: the archived event of every id of
+// req the archive holds, in the order req first names them and once each
+// however often it repeats them, with the number of ids it does not hold.
+// One bit per ring position marks what is served already, so the work is
+// linear in req. reply is nil when nothing is held.
+func (a *Archive) Serve(req []proto.EventID) (reply []proto.Event, misses int) {
+	var small [4]uint64 // the default archive's 201 positions
+	served := small[:]
+	if words := (len(a.ids.ring) + 63) / 64; words > len(small) {
+		served = make([]uint64, words)
+	}
+	for i, id := range req {
+		p, _ := a.ids.find(id, hashID(id))
+		if p < 0 {
+			misses++
+			continue
+		}
+		if w, bit := p/64, uint64(1)<<(p%64); served[w]&bit == 0 {
+			served[w] |= bit
+			if reply == nil {
+				reply = make([]proto.Event, 0, min(len(req)-i, a.Len()))
+			}
+			reply = append(reply, a.event(id, p))
+		}
+	}
+	return reply, misses
+}
 
 // Len returns the number of archived events.
-func (a *Archive) Len() int { return a.inner.Len() }
+func (a *Archive) Len() int { return a.ids.Len() }

@@ -204,7 +204,7 @@ func (f *FIFO[V]) TruncateOldest(max int) (evicted int) {
 			f.unindex(f.head)
 		}
 		var zero V
-		f.ring[f.head] = zero // an evicted event's payload is garbage from here on
+		f.ring[f.head] = zero // what an evicted value points to is garbage from here on
 		f.head = f.pos(1)
 		f.n--
 	}

@@ -87,3 +87,81 @@ func FuzzCompactDigest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzArchive checks the archive against the reference archive (refArchive,
+// through fifoPair) on op lists the fuzzer writes: after every Store and on
+// every Lookup, Len, oldest-first order, the slice each Lookup returns (the
+// reference's, nil for an empty payload) and the side ring — nil until the
+// first payload is accepted, then as long as the id ring and empty outside
+// the live window — SHALL agree.
+//
+// Byte 0 of the input picks the bound (archiveBounds); then come ops of two
+// bytes. Byte 0: bits 0–1 the op (0, 1 store; 2 lookup; 3 a run of 1+b%64
+// fresh stores, which grows and wraps the ring), bits 2–3 the payload (nil;
+// empty; 1+b%100 bytes), bits 4–7 the id (below 12 the next fresh one, from
+// 12 the b%seq-th one stored so far: held, or long evicted). Byte 1 is b.
+func FuzzArchive(f *testing.F) {
+	archiveBounds := []int{-1, 0, 1, 2, 3, 7, 8, 9, 60, 200}
+	const store, lookup, run = 0, 2, 3
+	const none, empty, bytes = 0, 1, 2
+	const fresh, again = 0, 12
+	op := func(kind, payload, id int, b byte) []byte { return []byte{byte(id<<4 | payload<<2 | kind), b} }
+
+	// A full archive of 200 that wraps before its first payload, then a mix.
+	wrap := []byte{9}
+	for i := 0; i < 4; i++ {
+		wrap = append(wrap, op(run, none, fresh, 63)...)
+	}
+	wrap = append(append(append(wrap, op(store, bytes, fresh, 63)...), op(run, bytes, fresh, 40)...), op(store, empty, fresh, 0)...)
+	wrap = append(append(append(wrap, op(store, bytes, again, 255)...), op(lookup, none, again, 7)...), op(run, none, fresh, 63)...)
+	f.Add(wrap)
+	// The first payload on each growth step of a ring bounded at 8 (9 slots).
+	grow := []byte{6}
+	for _, k := range []int{none, bytes, none, bytes, empty, none, bytes, none, none, bytes} {
+		grow = append(grow, op(store, k, fresh, 0)...)
+	}
+	f.Add(append(grow, op(lookup, none, again, 3)...))
+	// A bound of 1: every store evicts, repeats of held and evicted ids.
+	f.Add([]byte{2, op(store, bytes, fresh, 9)[0], 9, op(store, bytes, again, 0)[0], 0, op(run, bytes, fresh, 5)[0], 5, op(store, none, again, 1)[0], 1})
+
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		p := newFIFOPair(t, 0, archiveBounds[int(ops[0])%len(archiveBounds)])
+		next := uint64(0)
+		event := func(a, b byte, anew bool) proto.Event {
+			seq := next + 1
+			if !anew && a>>4 >= again && next > 0 {
+				seq = 1 + uint64(b)%next
+			}
+			ev := proto.Event{ID: proto.EventID{Origin: proto.ProcessID(1 + seq%3), Seq: seq}}
+			switch a >> 2 & 3 {
+			case none:
+			case empty:
+				ev.Payload = []byte{}
+			default:
+				ev.Payload = make([]byte, 1+int(b)%100)
+			}
+			return ev
+		}
+		for ops = ops[1:]; len(ops) >= 2; ops = ops[2:] {
+			a, b := ops[0], ops[1]
+			switch a & 3 {
+			case lookup:
+				p.op++
+				p.check(event(a, b, false).ID)
+			case run:
+				for i := 0; i <= int(b)%64; i++ {
+					ev := event(a, b, true)
+					next = ev.ID.Seq
+					p.store(ev)
+				}
+			default:
+				ev := event(a, b, false)
+				next = max(next, ev.ID.Seq)
+				p.store(ev)
+			}
+		}
+	})
+}

@@ -59,6 +59,14 @@ import (
 // after a growth rebuilt the index (the next probe never ends). One that
 // only costs time passes, as it should: AppendMissing loading the slot
 // after the home slot.
+//
+// Of the archive's payload side ring, against refArchive: the side ring not
+// grown with the id ring, or grown without its entries; an evicted payload
+// left in place; an empty payload with room kept (TestArchivePayloadOracle
+// draws such payloads for this); the side ring made before any payload; the
+// newcomer's payload written at the head; a payload's length one short.
+// Of Serve (TestArchiveServe): a repeated id answered again, a miss not
+// counted.
 
 type refDigest struct {
 	origins map[proto.ProcessID]refOriginDigest
@@ -556,7 +564,9 @@ type fifoPair struct {
 	refIDs  refIDBuffer
 	arch    Archive
 	refArch refArchive
-	scratch []proto.EventID
+	paid    bool // the archive has accepted a non-empty payload
+
+	heldIDs, heldArch []proto.EventID // what each held before this op
 }
 
 func newFIFOPair(t *testing.T, seed uint64, archiveMax int) *fifoPair {
@@ -579,9 +589,60 @@ func (p *fifoPair) add(id proto.EventID) {
 	if g, w := p.ids.Add(id), p.refIDs.Add(id); g != w {
 		p.t.Fatalf("seed %d op %d: IDBuffer.Add(%v) = %v, reference %v", p.seed, p.op, id, g, w)
 	}
-	p.arch.Store(eventOf(id))
-	p.refArch.Store(eventOf(id))
+	p.storeBoth(eventOf(id))
 	p.check(id)
+}
+
+// store archives ev alone.
+func (p *fifoPair) store(ev proto.Event) {
+	p.t.Helper()
+	p.op++
+	p.storeBoth(ev)
+	p.check(ev.ID)
+}
+
+// storeBoth hands the same event, payload and all, to both archives.
+func (p *fifoPair) storeBoth(ev proto.Event) {
+	p.arch.Store(ev)
+	p.refArch.Store(ev)
+	if w, ok := p.refArch.Lookup(ev.ID); ok && len(ev.Payload) > 0 && samePayload(w.Payload, ev.Payload) {
+		p.paid = true // accepted, not refused as a duplicate
+	}
+}
+
+// samePayload reports whether the archive answered with the reference's
+// bytes: as many, at the same address of the same array, or nil where the
+// reference holds an empty slice.
+func samePayload(got, want []byte) bool {
+	if len(want) == 0 {
+		return got == nil
+	}
+	return len(got) == len(want) && &got[0] == &want[0]
+}
+
+// checkSideRing: the side ring is nil until a non-empty payload is
+// accepted, then as long as the id ring, and it holds nothing outside the
+// live window.
+func (p *fifoPair) checkSideRing() {
+	p.t.Helper()
+	a := &p.arch
+	if a.pay == nil {
+		if p.paid {
+			p.t.Fatalf("seed %d op %d: a payload was archived, but there is no side ring", p.seed, p.op)
+		}
+		return
+	}
+	if !p.paid || len(a.pay) != len(a.ids.ring) {
+		p.t.Fatalf("seed %d op %d: side ring of %d slots beside an id ring of %d (a payload archived: %v)",
+			p.seed, p.op, len(a.pay), len(a.ids.ring), p.paid)
+	}
+	slots := uint32(len(a.pay))
+	for q := range a.pay {
+		if (uint32(q)+slots-a.ids.head)%slots >= a.ids.n && a.pay[q] != (payloadRef{}) {
+			p.t.Fatalf("seed %d op %d: side-ring position %d outside the live window (head %d, %d held) keeps a payload",
+				p.seed, p.op, q, a.ids.head, a.ids.n)
+		}
+	}
 }
 
 func (p *fifoPair) truncate(max int) {
@@ -603,7 +664,7 @@ func (p *fifoPair) check(probe proto.EventID) {
 	if g, w := p.arch.Len(), p.refArch.Len(); g != w {
 		p.t.Fatalf("seed %d op %d: Archive.Len = %d, reference %d", p.seed, p.op, g, w)
 	}
-	before := p.scratch // the ids held before this op: the evictees are among them
+	before, beforeArch := p.heldIDs, p.heldArch // the evictees are among them
 	want := p.refIDs.AppendIDs(nil)
 	if got := p.ids.AppendIDs(nil); !slices.Equal(got, want) {
 		p.t.Fatalf("seed %d op %d: AppendIDs = %v, reference %v", p.seed, p.op, got, want)
@@ -613,15 +674,19 @@ func (p *fifoPair) check(probe proto.EventID) {
 			p.t.Fatalf("seed %d op %d: At(%d) = %v, reference %v", p.seed, p.op, i, got, id)
 		}
 	}
-	archGot := p.arch.inner.AppendItems(nil)
-	if !slices.EqualFunc(archGot, p.refArch.inner.items, func(a, b proto.Event) bool { return a.ID == b.ID }) {
-		p.t.Fatalf("seed %d op %d: archive order = %v, reference %v", p.seed, p.op, archGot, p.refArch.inner.items)
+	archWant := make([]proto.EventID, 0, p.refArch.Len())
+	for _, ev := range p.refArch.inner.items {
+		archWant = append(archWant, ev.ID)
 	}
-	probes := append(append(before, want...), probe)
+	if archGot := p.arch.ids.AppendItems(nil); !slices.Equal(archGot, archWant) {
+		p.t.Fatalf("seed %d op %d: archive order = %v, reference %v", p.seed, p.op, archGot, archWant)
+	}
+	p.checkSideRing()
+	probes := slices.Concat(before, want, beforeArch, archWant, []proto.EventID{probe})
 	if len(probes) > 40 && p.op%16 != 0 {
 		// A long list is probed whole every sixteenth op, otherwise at both
 		// ends of what it held and holds: the evictees and the newcomers.
-		probes = append(append(ends(before), ends(want)...), probe)
+		probes = slices.Concat(ends(before), ends(want), ends(beforeArch), ends(archWant), []proto.EventID{probe})
 	}
 	for _, id := range probes {
 		if g, w := p.ids.Contains(id), p.refIDs.Contains(id); g != w {
@@ -629,11 +694,11 @@ func (p *fifoPair) check(probe proto.EventID) {
 		}
 		g, gok := p.arch.Lookup(id)
 		w, wok := p.refArch.Lookup(id)
-		if gok != wok || g.ID != w.ID || !slices.Equal(g.Payload, w.Payload) {
+		if gok != wok || g.ID != w.ID || !samePayload(g.Payload, w.Payload) {
 			p.t.Fatalf("seed %d op %d: Archive.Lookup(%v) = %v,%v, reference %v,%v", p.seed, p.op, id, g, gok, w, wok)
 		}
 	}
-	p.scratch = append(p.scratch[:0], want...)
+	p.heldIDs, p.heldArch = want, archWant
 }
 
 // ends returns a copy of the first and last three ids of s.
@@ -684,8 +749,74 @@ func TestFIFOOracle(t *testing.T) {
 				p.check(proto.EventID{})
 			}
 		}
-		if got := len(p.arch.inner.ring); bound > 0 && got != bound+1 {
+		if got := len(p.arch.ids.ring); bound > 0 && got != bound+1 {
 			t.Fatalf("seed %d: archive bounded at %d ends in a ring of %d slots, want %d", seed, bound, got, bound+1)
+		}
+	}
+}
+
+// payloadOf draws an archived payload: nil, empty (with room or without),
+// or 1 to 100 bytes.
+func payloadOf(r *rng.Source) []byte {
+	switch r.Intn(5) {
+	case 0:
+		return nil
+	case 1:
+		return []byte{}
+	case 2:
+		return make([]byte, 0, 1+r.Intn(16))
+	default:
+		return make([]byte, 1+r.Intn(100))
+	}
+}
+
+// TestArchivePayloadOracle compares the archive's payloads with the
+// reference's: Lookup must return the very slice the reference holds (nil for
+// an empty one), the side ring must appear with the first non-empty payload
+// and stay aligned with the id ring. The first payload-carrying event arrives
+// after every number of payload-less ones from 0 to 201 — on an empty
+// archive, at each growth step of the 201-slot ring and between them, on the
+// full ring — and after 260, 402 and 777, when the ring has wrapped once,
+// twice and more. From there payloads are a random mix of nil, empty and 1–100
+// bytes, and one event in eight names an id stored before: still held, so
+// refused with its payload, or evicted long ago. Every op also checks the
+// archive's order and that no side-ring slot outside the live window holds
+// a payload (fifoPair.check).
+func TestArchivePayloadOracle(t *testing.T) {
+	t.Parallel()
+	var firsts []int
+	for first := 0; first <= 201; first++ {
+		firsts = append(firsts, first)
+	}
+	firsts = append(firsts, 260, 402, 777)
+	for _, first := range firsts {
+		seed := uint64(first)
+		r := rng.New(seed)
+		p := newFIFOPair(t, seed, 200)
+		next := uint64(0)
+		for i := 0; i < first+250; i++ {
+			ev := proto.Event{ID: proto.EventID{Origin: proto.ProcessID(1 + r.Intn(3))}}
+			switch {
+			case i < first: // fresh and payload-less: the archive holds min(i, 200)
+				next++
+				ev.ID.Seq = next
+			case i == first:
+				next++
+				ev.ID.Seq = next
+				ev.Payload = []byte{byte(first)}
+			default:
+				if r.Intn(8) == 0 {
+					ev.ID.Seq = 1 + uint64(r.Intn(int(next)))
+				} else {
+					next++
+					ev.ID.Seq = next
+				}
+				ev.Payload = payloadOf(r)
+			}
+			p.store(ev)
+		}
+		if !p.paid || len(p.arch.pay) != 201 {
+			t.Fatalf("first payload after %d: side ring of %d slots, want 201", first, len(p.arch.pay))
 		}
 	}
 }

@@ -184,7 +184,9 @@ type Stats struct {
 }
 
 // Deliverer receives events exactly once each (LPB-DELIVER). Events
-// assumed from a digest (AssumeFromDigest) have a nil payload.
+// assumed from a digest (AssumeFromDigest) have a nil payload. The payload
+// is the engine's one copy, which it also archives and forwards: read it,
+// or copy it before writing to it.
 type Deliverer func(e proto.Event)
 
 // Engine is one process's lpbcast protocol state machine.
@@ -481,8 +483,9 @@ func (e *Engine) handleGossip(out []proto.Message, g proto.Gossip, now uint64) [
 			e.noteDuplicate(ev.ID)
 			continue
 		}
-		e.deliverEvent(ev.Clone())
-		e.bufferForForwarding(ev.Clone())
+		ev = ev.Clone() // the one copy delivery, archive and events share
+		e.deliverEvent(ev)
+		e.bufferForForwarding(ev)
 	}
 
 	// Digest: watermark entries (compact mode) then individual ids. The ids
@@ -713,17 +716,13 @@ func (e *Engine) handleSubscribe(p proto.ProcessID) {
 }
 
 // handleRetransmitRequest answers from the archive, appending the reply
-// message (if any) to out.
+// message (if any) to out. An id the request repeats is answered once, so a
+// reply holds at most as many events as the archive; the payloads are the
+// archived slices, which nothing writes to.
 func (e *Engine) handleRetransmitRequest(out []proto.Message, m proto.Message) []proto.Message {
-	var reply []proto.Event
-	for _, id := range m.Request {
-		if ev, ok := e.archive.Lookup(id); ok {
-			reply = append(reply, ev.Clone())
-			e.stats.RetransmitServed++
-		} else {
-			e.stats.RetransmitMisses++
-		}
-	}
+	reply, misses := e.archive.Serve(m.Request)
+	e.stats.RetransmitServed += uint64(len(reply))
+	e.stats.RetransmitMisses += uint64(misses)
 	if len(reply) == 0 {
 		return out
 	}
@@ -745,8 +744,9 @@ func (e *Engine) handleRetransmitReply(m proto.Message) {
 			e.stats.DuplicatesDropped++
 			continue
 		}
-		e.deliverEvent(ev.Clone())
-		e.bufferForForwarding(ev.Clone())
+		ev = ev.Clone()
+		e.deliverEvent(ev)
+		e.bufferForForwarding(ev)
 	}
 }
 

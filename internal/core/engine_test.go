@@ -337,6 +337,52 @@ func TestRetransmitMiss(t *testing.T) {
 	}
 }
 
+// TestRetransmitRequestRepeats: a hostile request that names archived ids
+// over and over is answered once per id, in the order the request first
+// names them, and the counters say what was sent and what was absent.
+func TestRetransmitRequestRepeats(t *testing.T) {
+	t.Parallel()
+	e, _ := newEngine(t, 1, nil)
+	archived := make([]proto.EventID, 200) // DefaultConfig's ArchiveSize
+	for i := range archived {
+		archived[i] = e.Publish(make([]byte, 64)).ID
+	}
+	serve := func(req []proto.EventID) (reply []proto.Event, served, misses uint64) {
+		t.Helper()
+		before := e.Stats()
+		out := e.HandleMessage(proto.Message{Kind: proto.RetransmitRequestMsg, From: 2, To: 1, Request: req}, 1)
+		if len(out) > 1 {
+			t.Fatalf("%d replies to one request", len(out))
+		}
+		if len(out) == 1 {
+			reply = out[0].Reply
+		}
+		after := e.Stats()
+		return reply, after.RetransmitServed - before.RetransmitServed, after.RetransmitMisses - before.RetransmitMisses
+	}
+
+	one := make([]proto.EventID, 20_000)
+	for i := range one {
+		one[i] = archived[42]
+	}
+	if reply, served, misses := serve(one); len(reply) != 1 || reply[0].ID != archived[42] || served != 1 || misses != 0 {
+		t.Fatalf("one id named %d times: %d events, served %d, missed %d; want 1, 1, 0", len(one), len(reply), served, misses)
+	}
+
+	absent := proto.EventID{Origin: 9, Seq: 9}
+	req := append(append([]proto.EventID{absent}, archived...), archived...)
+	req = append(req, absent)
+	reply, served, misses := serve(req)
+	if len(reply) != len(archived) || served != uint64(len(archived)) || misses != 2 {
+		t.Fatalf("every archived id twice and one absent twice: %d events, served %d, missed %d; want 200, 200, 2", len(reply), served, misses)
+	}
+	for i, ev := range reply {
+		if ev.ID != archived[i] || len(ev.Payload) != 64 {
+			t.Fatalf("reply[%d] = %v with %d bytes, want %v with 64 in first-mention order", i, ev.ID, len(ev.Payload), archived[i])
+		}
+	}
+}
+
 func TestSubscribeMessageJoins(t *testing.T) {
 	t.Parallel()
 	e, _ := newEngine(t, 1, nil)

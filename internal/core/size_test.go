@@ -83,13 +83,12 @@ func TestIdleEngineHoldsNoEventStorage(t *testing.T) {
 	}
 }
 
-// TestLoadedBuffersStopAtBound: growth on demand ends at the bound. A pooled
-// engine receives 35 fresh notifications per gossip — more than |events|m —
-// until every buffer is at its high-water mark: the eventIds ring is exactly
-// |eventIds|m + 1 slots (one past the bound between Add and truncation), the
-// events list is no larger than the 32-slot class it used to be given at
-// construction, and 1 000 further receptions allocate nothing.
-func TestLoadedBuffersStopAtBound(t *testing.T) {
+// loadedEngine returns a pooled engine and a reception of 35 fresh
+// notifications — more than |events|m — from seven origins, each carrying
+// payload, after enough of them, with a tick every third, to bring every
+// buffer to its high-water mark.
+func loadedEngine(t *testing.T, payload []byte) (*Engine, func()) {
+	t.Helper()
 	cfg := DefaultConfig()
 	var pools Pools
 	e, err := NewIn(1, cfg, nil, *rng.New(99), &pools)
@@ -111,7 +110,7 @@ func TestLoadedBuffersStopAtBound(t *testing.T) {
 			if i%origins == 0 {
 				seq++
 			}
-			g.Events[i].ID = proto.EventID{Origin: proto.ProcessID(2 + i%origins), Seq: seq}
+			g.Events[i] = proto.Event{ID: proto.EventID{Origin: proto.ProcessID(2 + i%origins), Seq: seq}, Payload: payload}
 		}
 		out = e.HandleMessageAppend(msg, now, out[:0])
 	}
@@ -123,14 +122,35 @@ func TestLoadedBuffersStopAtBound(t *testing.T) {
 			ticked = e.TickAppend(now, ticked[:0])
 		}
 	}
+	if got, want := e.archive.Len(), cfg.ArchiveSize; got != want {
+		t.Fatalf("archive holds %d events, want %d: the warm-up was too short", got, want)
+	}
+	return e, receive
+}
+
+// TestLoadedBuffersStopAtBound: growth on demand ends at the bound. A pooled
+// engine receives 35 fresh notifications per gossip — more than |events|m —
+// until every buffer is at its high-water mark: the eventIds ring is exactly
+// |eventIds|m + 1 slots (one past the bound between Add and truncation), the
+// events list is no larger than the 32-slot class it used to be given at
+// construction, the archive is a ring of ArchiveSize + 1 16-byte ids with no
+// side ring for the payloads these notifications do not carry, and 1 000
+// further receptions allocate nothing.
+func TestLoadedBuffersStopAtBound(t *testing.T) {
+	cfg := DefaultConfig()
+	e, receive := loadedEngine(t, nil)
 	if got, want := storage(e, "flat", "inner", "ring").Len(), cfg.MaxEventIDs+1; got != want {
 		t.Errorf("eventIds ring of %d slots after a loaded warm-up, want exactly %d", got, want)
 	}
 	if got := storage(e, "events", "inner", "items").Cap(); got < cfg.MaxEvents+1 || got > 32 {
 		t.Errorf("events holds %d slots after a loaded warm-up, want %d to 32", got, cfg.MaxEvents+1)
 	}
-	if got, want := e.archive.Len(), cfg.ArchiveSize; got != want {
-		t.Fatalf("archive holds %d events, want %d: the warm-up was too short", got, want)
+	ring := storage(e, "archive", "ids", "ring")
+	if got, want := ring.Len(), cfg.ArchiveSize+1; got != want || ring.Type().Elem().Size() != 16 {
+		t.Errorf("archive ring of %d slots of %d bytes, want %d of 16", got, ring.Type().Elem().Size(), want)
+	}
+	if !storage(e, "archive", "pay").IsNil() {
+		t.Errorf("payload-less notifications made a side ring of %d slots", storage(e, "archive", "pay").Len())
 	}
 	delivered := e.Stats().EventsDelivered
 	if allocs := testing.AllocsPerRun(1000, receive); allocs != 0 {
@@ -138,5 +158,51 @@ func TestLoadedBuffersStopAtBound(t *testing.T) {
 	}
 	if got := e.Stats().EventsDelivered - delivered; got != 1001*35 { // AllocsPerRun warms up once
 		t.Errorf("%d deliveries over 1001 receptions of 35 fresh events", got)
+	}
+}
+
+// TestOnePayloadCopyPerDelivery: at the high-water mark a reception of k
+// fresh notifications of 64 bytes allocates k times, one copy each, which
+// delivery, archive and events share; a served pull allocates its reply and
+// no payload, answering with the archived slices.
+func TestOnePayloadCopyPerDelivery(t *testing.T) {
+	e, receive := loadedEngine(t, make([]byte, 64))
+	const k = 35
+	if allocs := testing.AllocsPerRun(200, receive); allocs != k {
+		t.Errorf("a reception of %d fresh 64-byte notifications allocates %v times, want %d", k, allocs, k)
+	}
+	if got := storage(e, "archive", "pay").Len(); got != DefaultConfig().ArchiveSize+1 {
+		t.Errorf("side ring of %d slots, want one per archive ring slot", got)
+	}
+	shared := 0
+	for i := 0; i < e.events.Len(); i++ {
+		ev := e.events.At(i)
+		archived, ok := e.archive.Lookup(ev.ID)
+		if !ok || len(ev.Payload) != 64 || &archived.Payload[0] != &ev.Payload[0] {
+			t.Fatalf("%v: events and archive hold different copies of the payload", ev.ID)
+		}
+		shared++
+	}
+	if shared == 0 {
+		t.Fatal("no buffered event to compare with the archive")
+	}
+
+	req := make([]proto.EventID, 0, 4)
+	for i := 0; i < cap(req); i++ {
+		req = append(req, e.events.At(i).ID)
+	}
+	pull := proto.Message{Kind: proto.RetransmitRequestMsg, From: 2, To: 1, Request: req}
+	out := e.HandleMessageAppend(pull, 1, nil)
+	if allocs := testing.AllocsPerRun(200, func() { out = e.HandleMessageAppend(pull, 1, out[:0]) }); allocs != 1 {
+		t.Errorf("a served pull of %d ids allocates %v times, want 1 (its reply)", len(req), allocs)
+	}
+	if len(out) != 1 || len(out[0].Reply) != len(req) {
+		t.Fatalf("pull of %d ids answered by %+v", len(req), out)
+	}
+	for _, ev := range out[0].Reply {
+		archived, _ := e.archive.Lookup(ev.ID)
+		if &archived.Payload[0] != &ev.Payload[0] {
+			t.Fatalf("%v: the reply copied the archived payload", ev.ID)
+		}
 	}
 }
