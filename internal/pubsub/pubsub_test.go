@@ -1,6 +1,8 @@
 package pubsub
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -755,6 +757,26 @@ func TestBusDeterministicTape(t *testing.T) {
 		t.Errorf("partition window cut nothing: %+v", total)
 	}
 	assertBusConserved(t, b1)
+}
+
+// TestBusScenarioFingerprint pins busScenario's delivery tape and its merged
+// network counters across versions, not just across two runs of one build:
+// it is the referee for the bus's delayed path — loss, per-link delays and a
+// partition window — and for the order in which they draw. A change that
+// moves a loss or delay draw, or settles an arrival into another counter,
+// changes the digest.
+func TestBusScenarioFingerprint(t *testing.T) {
+	t.Parallel()
+	tape, b := busScenario(t, 42)
+	h := sha256.New()
+	for _, line := range tape {
+		fmt.Fprintln(h, line)
+	}
+	fmt.Fprintf(h, "%+v\n", b.TotalNetStats())
+	const want = "43798ef1323c42aefb49f60251720a845bc00789cb772b638740970627c06f22"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("busScenario(42) fingerprint %s, want %s (%d deliveries, %+v)", got, want, len(tape), b.TotalNetStats())
+	}
 }
 
 // TestBusStepAllocs gates the steady-state routing path: a warmed

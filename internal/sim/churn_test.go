@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -96,6 +97,25 @@ func TestChurnGrowthOnly(t *testing.T) {
 	}
 	if res.FinalComponents != 1 {
 		t.Errorf("growing system partitioned: %+v", res)
+	}
+}
+
+// TestChurnPinned pins one churn run's summary across versions: the loss
+// filter of the churn loop and its draw order are part of what it prints.
+func TestChurnPinned(t *testing.T) {
+	t.Parallel()
+	res, err := ChurnExperiment(DefaultChurnOptions(60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "churn(final=63 joined=40 left=37 maxComponents=1 finalComponents=1 indegree=15.0±4.6 stale=0)"
+	if got := res.String(); got != want {
+		t.Fatalf("ChurnExperiment(DefaultChurnOptions(60)) = %s, want %s", got, want)
+	}
+	// The summary rounds the in-degree; the full figures move with any draw.
+	const wantFull = "indegree 14.952380952380953±4.640842053548729"
+	if got := fmt.Sprintf("indegree %v±%v", res.FinalInDegreeMean, res.FinalInDegreeStddev); got != wantFull {
+		t.Fatalf("ChurnExperiment(DefaultChurnOptions(60)): %s, want %s", got, wantFull)
 	}
 }
 
