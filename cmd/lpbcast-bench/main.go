@@ -399,7 +399,8 @@ func executorSuite(quick, big bool) []benchCase {
 		archiveStoreFullCase(0),
 		archiveStoreFullCase(64),
 		archiveLookupCase(),
-		pubsubSteadyCase(quick),
+		pubsubSteadyCase(quick, false),
+		pubsubSteadyCase(quick, true),
 		pubsubInfectionCase(quick),
 		setupCase(infectionN),
 		infectionCase(fmt.Sprintf("executor/infection/n=%d/workers=max", infectionN), infectionN),
@@ -723,21 +724,35 @@ func setupCase(n int) benchCase {
 // through the shared routing path, and the retained queue/tally buffers
 // absorb the traffic. The absolute two-alloc ceiling is the pub/sub
 // acceptance criterion — the Bus must stay on the zero-alloc executor
-// discipline even when the round spans many topic groups.
-func pubsubSteadyCase(quick bool) benchCase {
+// discipline even when the round spans many topic groups. The wan
+// flavor splits the subscribers across a two-cluster topology with 1-2
+// round WAN delays (every topic's seed member is on the first side), so
+// the cross-site traffic goes through the in-flight ring, under the same
+// ceiling.
+func pubsubSteadyCase(quick, wan bool) benchCase {
 	topics, subs, warm := 16, 400, 40
 	if quick {
 		topics, subs, warm = 8, 80, 20
 	}
+	cfg := pubsub.Config{Seed: 7}
+	kind := ""
+	if wan {
+		cfg.Topology = fault.TwoCluster{
+			Split: proto.ProcessID(subs / 2),
+			Local: fault.LinkProfile{Epsilon: -1},
+			WAN:   fault.LinkProfile{Epsilon: -1, MinDelay: 1, MaxDelay: 2},
+		}
+		kind = "delay=wan/"
+	}
 	var bus *pubsub.Bus // built once, reused across b.N scaling runs
 	return benchCase{
-		name:      fmt.Sprintf("executor/pubsub-steady-round/topics=%d/n=%d", topics, subs),
+		name:      fmt.Sprintf("executor/pubsub-steady-round/%stopics=%d/n=%d", kind, topics, subs),
 		gate:      true,
 		maxAllocs: 2,
 		fn: func(b *testing.B) {
 			if bus == nil {
 				var err error
-				bus, err = pubsub.NewBus(pubsub.Config{Seed: 7})
+				bus, err = pubsub.NewBus(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

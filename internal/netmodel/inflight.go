@@ -1,4 +1,4 @@
-package sim
+package netmodel
 
 import (
 	"bytes"
@@ -7,58 +7,35 @@ import (
 
 	"repro/internal/event"
 	"repro/internal/proto"
+	"repro/internal/stats"
 )
 
-// This file implements the deterministic in-flight queue behind the
-// network delay model: messages whose link delay is nonzero leave the
-// current instant's barrier and are parked until their arrival instant. The
-// queue is a ring of future-instant buckets — bucket (t mod span+1) holds
-// exactly the messages arriving at instant t — so enqueue and drain are
-// O(1) lookups and the whole structure is pre-sized once. Beside the ring
-// sits the cluster's timer wheel (internal/event), which holds nothing but
-// arrival markers, one per pending instant: it is how the queue answers
-// "which instant comes due next" (due) without scanning buckets. On the
-// round clock a period is one instant and the ring is keyed by round.
+// This file implements the deterministic in-flight queue behind the delay
+// model: a ring of future-instant buckets — bucket (t mod span+1) holds
+// exactly the messages arriving at instant t — pre-sized once, beside a
+// timer wheel (internal/event) that holds one arrival marker per pending
+// instant, which is how due names the next instant without scanning
+// buckets. Classify enqueues in the harness's deterministic order and drain
+// empties a bucket front to back, so the delayed path inherits the
+// harness's determinism.
 //
-// Determinism. Messages are enqueued from classify, which every schedule
-// (synchronous and async, on any shard count) calls in the same
-// deterministic order — the same merge order the span merge establishes
-// for same-round responses. A bucket therefore holds its messages in an
-// order that is a pure function of the simulation state, and draining it
-// front to back at the top of the arrival round reproduces that order
-// whatever the shard count: the delayed path inherits the bit-for-bit
-// guarantee instead of needing its own.
-//
-// Allocation. The engines recycle their emission buffers (emission-reuse
-// mode), so a message outlives its round only if the queue deep-copies it.
-// The copy has two parts. An envelope (flSlot) is per message: addressing,
-// and the request or reply a retransmission carries. A body (flBody) is per
-// gossip emission: the F envelopes one committed tick sends into the ring
-// point at one copy of its gossip, which receivers only read. Both live in
-// queue-wide pools: enqueue loans them out, drain parks an envelope on the
-// spent list — and its body too, once no envelope still in the ring points
-// at it — and recycle (called once per round, after every consumer is done
-// with the round's arrivals) returns them. Pooling matters on the event
-// clock, where arrival instants are not periodic modulo the ring size:
-// per-bucket storage would keep hitting fresh per-bucket occupancy maxima
-// forever, while the pools stabilize at the global high-water mark. They
-// grow during warmup; in steady state enqueue, drain, poison, and recycle
-// touch no allocator (the steady-delayed-round and steady-event-round
-// bench entries and TestDelayedRoundAllocs / TestEventRoundAllocs gate
-// this).
+// Allocation. Engines recycle their emission buffers, so the queue
+// deep-copies what it parks, in two parts: an envelope (flSlot) per message —
+// addressing, ledger, a retransmission's request or reply — and a body
+// (flBody) per gossip emission, shared by the F envelopes one committed tick
+// sends into the ring; receivers only read it. Both live in queue-wide
+// pools: enqueue loans them, drain parks an envelope on the spent list (and
+// its body, once no envelope in the ring carries it), and recycle returns
+// them once per period, after every consumer is done. The pools stabilize at
+// the global high-water mark, so a steady state touches no allocator.
 //
 // Which envelopes share. An engine in emission-reuse mode rewrites the same
-// *proto.Gossip every tick, so the pointer alone does not name a gossip's
-// contents; the pointer and the period do, because every schedule commits
-// at most one emission per engine per period (an aborted speculative
-// compose is never classified, and TestOneEmissionPerPeriod pins it on both
-// step functions and both clocks). enqueue therefore shares a body only with the envelope
-// enqueued just before it, and only when both the gossip pointer and the
-// period match. Nothing stops a foreign sim.Process from rewriting one
-// *proto.Gossip between two messages of a tick, or a future schedule from
-// committing twice; under PoisonRecycled (inflightQueue.check) enqueue
-// compares the incoming gossip with the body it is about to share and
-// panics on a difference, so the invariant is checked wherever poisoning is.
+// *proto.Gossip every tick; the pointer and the period name its contents,
+// because every harness commits at most one emission per engine per period.
+// enqueue therefore shares a body only with the envelope enqueued just
+// before it, and only when both match. In the poisoning debug mode
+// (inflightQueue.check) enqueue compares the gossip with the body it is
+// about to share and panics on a difference.
 
 // flBody is the recycled deep copy of one gossip emission.
 type flBody struct {
@@ -70,7 +47,8 @@ type flBody struct {
 // flSlot is the recycled storage for one in-flight envelope, intrusively
 // linked into its arrival bucket's list while loaned out.
 type flSlot struct {
-	msg     proto.Message // slot- and body-backed envelope, valid while loaned
+	msg     proto.Message   // slot- and body-backed envelope, valid while loaned
+	ledger  *stats.NetStats // the ledger msg is counted in
 	next    *flSlot
 	body    *flBody // msg.Gossip's storage; nil for a request or reply
 	request []proto.EventID
@@ -149,7 +127,7 @@ func (s *flSlot) copyEnvelope(m *proto.Message) {
 }
 
 // flBucket holds the messages arriving at one future instant as an
-// intrusive list of loaned slots in enqueue (classify) order.
+// intrusive list of loaned slots in enqueue (Classify) order.
 type flBucket struct {
 	head, tail *flSlot
 }
@@ -207,13 +185,13 @@ func (q *inflightQueue) park(at uint64) {
 	}
 }
 
-// enqueue parks a deep copy of m, emitted in period period, for arrival at
-// instant at, and schedules the instant's marker with the first message
+// enqueue parks a deep copy of m, emitted in period period and counted in
+// ledger, for arrival at instant at, and schedules the instant's marker with the first message
 // into its bucket (buckets are injective over the ring's span). The caller
 // guarantees now < at <= now+span, so the target bucket can never be the
 // one currently draining, and the wheel never runs ahead of the caller's
 // now.
-func (q *inflightQueue) enqueue(m *proto.Message, at, period uint64) {
+func (q *inflightQueue) enqueue(m *proto.Message, ledger *stats.NetStats, at, period uint64) {
 	var s *flSlot
 	if n := len(q.pool) - 1; n >= 0 {
 		s, q.pool = q.pool[n], q.pool[:n]
@@ -221,6 +199,7 @@ func (q *inflightQueue) enqueue(m *proto.Message, at, period uint64) {
 		s = new(flSlot) // warmup growth only
 	}
 	s.copyEnvelope(m)
+	s.ledger = ledger
 	if g := m.Gossip; g != nil {
 		b := q.lastBody
 		if b == nil || g != q.lastGossip || period != q.lastPeriod {
@@ -232,7 +211,7 @@ func (q *inflightQueue) enqueue(m *proto.Message, at, period uint64) {
 			b.copyGossip(g)
 			q.lastGossip, q.lastPeriod, q.lastBody = g, period, b
 		} else if q.check && !sameGossip(&b.gossip, g) {
-			panic(fmt.Sprintf("sim: process %d sent two different gossips through one *proto.Gossip in period %d; the in-flight ring shares one copy per emission", m.From, period))
+			panic(fmt.Sprintf("netmodel: process %d sent two different gossips through one *proto.Gossip in period %d; the in-flight ring shares one copy per emission", m.From, period))
 		}
 		b.refs++
 		s.body = b
@@ -250,20 +229,23 @@ func (q *inflightQueue) enqueue(m *proto.Message, at, period uint64) {
 }
 
 // drain advances the queue to instant now (park) and appends the messages
-// arriving there to dst, in enqueue order, emptying the bucket and parking
-// its slots — and every body whose last envelope this is — on the spent
-// lists. The storage behind the messages stays valid until recycle runs at
-// the end of the period; consumers must finish with it within the period,
-// exactly like any other recycled buffer. PoisonRecycled enforces that by
-// poisoning the spent storage at the end of the period.
-func (q *inflightQueue) drain(now uint64, dst []proto.Message) []proto.Message {
+// arriving there to dst and their ledgers to ledgers, in enqueue order,
+// emptying the bucket and parking its slots — and every body whose last
+// envelope this is — on the spent lists. The storage behind the messages
+// stays valid until recycle runs at the end of the period; consumers must
+// finish with it within the period, exactly like any other recycled buffer.
+// The poisoning debug mode enforces that by poisoning the spent storage at
+// the end of the period.
+func (q *inflightQueue) drain(now uint64, dst []proto.Message, ledgers []*stats.NetStats) ([]proto.Message, []*stats.NetStats) {
 	if q == nil {
-		return dst
+		return dst, ledgers
 	}
 	q.park(now)
 	b := q.bucket(now)
 	for s := b.head; s != nil; s = s.next {
 		dst = append(dst, s.msg)
+		ledgers = append(ledgers, s.ledger)
+		s.ledger = nil
 		q.spent = append(q.spent, s)
 		if body := s.body; body != nil {
 			s.body = nil
@@ -276,11 +258,11 @@ func (q *inflightQueue) drain(now uint64, dst []proto.Message) []proto.Message {
 		}
 	}
 	b.head, b.tail = nil, nil
-	return dst
+	return dst, ledgers
 }
 
 // recycle returns the period's spent slots and bodies to their pools.
-// RunRound calls it exactly once per period, after the last consumer of the
+// EndPeriod calls it exactly once per period, after the last consumer of the
 // period's arrivals (and any poisoning) is done.
 func (q *inflightQueue) recycle() {
 	if q == nil {
@@ -293,26 +275,53 @@ func (q *inflightQueue) recycle() {
 }
 
 // poisonSpent overwrites the storage of every slot and body spent this
-// round with sentinel values (see poisonMessages): any consumer still
-// holding an arrival past its round diverges loudly instead of reading
-// stale data. Loaned storage is untouched — its contents are live, and a
+// period with sentinel values (PoisonGossip): any consumer still holding an
+// arrival past its period diverges loudly instead of reading stale data. Loaned storage is untouched — its contents are live, and a
 // body stays loaned for as long as one envelope in the ring carries it.
 func (q *inflightQueue) poisonSpent() {
 	if q == nil {
 		return
 	}
 	for _, b := range q.spentBodies {
-		poisonGossip(&b.gossip)
+		PoisonGossip(&b.gossip)
 	}
 	for _, s := range q.spent {
 		for i := range s.request {
-			s.request[i] = poisonEventID
+			s.request[i] = SentinelEventID
 		}
 		for i := range s.reply {
-			s.reply[i] = proto.Event{ID: poisonEventID}
+			s.reply[i] = proto.Event{ID: SentinelEventID}
 		}
 		for i := range s.hops {
 			s.hops[i] = ^uint32(0)
 		}
+	}
+}
+
+// Sentinel marks poisoned buffer contents: no real process carries the
+// all-ones id, so any late consumer of a recycled buffer surfaces as a loud
+// divergence from a reference run instead of a silent heisenbug.
+const Sentinel = proto.ProcessID(^uint64(0))
+
+// SentinelEventID marks poisoned event slots.
+var SentinelEventID = proto.EventID{Origin: Sentinel, Seq: ^uint64(0)}
+
+// PoisonGossip overwrites a gossip's contents with sentinels.
+func PoisonGossip(g *proto.Gossip) {
+	g.From = Sentinel
+	for j := range g.Subs {
+		g.Subs[j] = Sentinel
+	}
+	for j := range g.Unsubs {
+		g.Unsubs[j] = proto.Unsubscription{Process: Sentinel, Stamp: ^uint64(0)}
+	}
+	for j := range g.Events {
+		g.Events[j] = proto.Event{ID: SentinelEventID}
+	}
+	for j := range g.Digest {
+		g.Digest[j] = SentinelEventID
+	}
+	for j := range g.DigestWatermarks {
+		g.DigestWatermarks[j] = SentinelEventID
 	}
 }

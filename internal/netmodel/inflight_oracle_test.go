@@ -1,13 +1,12 @@
-package sim
+package netmodel
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/proto"
 	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 // refSlot is the in-flight slot as it stood before envelopes shared a
@@ -104,28 +103,39 @@ func sameMessage(a, b proto.Message) bool {
 	return slices.Equal(a.Request, b.Request) && sameEvents(a.Reply, b.Reply) && slices.Equal(a.ReplyHops, b.ReplyHops)
 }
 
+// parked is what the reference holds for one envelope: its copy and the
+// ledger the message was classified into.
+type parked struct {
+	msg    proto.Message
+	ledger *stats.NetStats
+}
+
 // ringPair drives an inflightQueue and the per-envelope reference in lock
-// step, the way a cluster does: enqueue under a period, drain by bucket
-// key, poison (PoisonRecycled) and recycle once at the end of each period.
+// step, the way a harness does: enqueue under a period, drain by bucket
+// key, poison and recycle once at the end of each period.
 type ringPair struct {
-	t      *testing.T
-	seed   uint64
-	q      *inflightQueue
-	want   map[uint64][]proto.Message // arrival key → reference copies, in enqueue order
-	slots  map[*flSlot]bool           // every slot and body the queue ever loaned
-	bodies map[*flBody]bool
+	t       *testing.T
+	seed    uint64
+	q       *inflightQueue
+	want    map[uint64][]parked // arrival key → reference copies, in enqueue order
+	slots   map[*flSlot]bool    // every slot and body the queue ever loaned
+	bodies  map[*flBody]bool
+	ledgers [2]stats.NetStats // envelopes alternate between two ledgers
+	next    int
 }
 
 func newRingPair(t *testing.T, seed uint64, span int) *ringPair {
 	q := newInflight(span)
 	q.check = true
 	return &ringPair{t: t, seed: seed, q: q,
-		want: map[uint64][]proto.Message{}, slots: map[*flSlot]bool{}, bodies: map[*flBody]bool{}}
+		want: map[uint64][]parked{}, slots: map[*flSlot]bool{}, bodies: map[*flBody]bool{}}
 }
 
 func (p *ringPair) enqueue(m proto.Message, at, period uint64) {
-	p.q.enqueue(&m, at, period)
-	p.want[at] = append(p.want[at], new(refSlot).copyMessage(m))
+	ledger := &p.ledgers[p.next%len(p.ledgers)]
+	p.next++
+	p.q.enqueue(&m, ledger, at, period)
+	p.want[at] = append(p.want[at], parked{new(refSlot).copyMessage(m), ledger})
 	s := p.q.bucket(at).tail
 	p.slots[s] = true
 	if s.body != nil {
@@ -135,15 +145,19 @@ func (p *ringPair) enqueue(m proto.Message, at, period uint64) {
 
 func (p *ringPair) drain(at uint64) {
 	p.t.Helper()
-	got, want := p.q.drain(at, nil), p.want[at]
+	got, ledgers := p.q.drain(at, nil, nil)
+	want := p.want[at]
 	delete(p.want, at)
-	if len(got) != len(want) {
-		p.t.Fatalf("seed %d: drain(%d) returned %d messages, reference %d", p.seed, at, len(got), len(want))
+	if len(got) != len(want) || len(ledgers) != len(want) {
+		p.t.Fatalf("seed %d: drain(%d) returned %d messages and %d ledgers, reference %d", p.seed, at, len(got), len(ledgers), len(want))
 	}
 	for i := range got {
-		if !sameMessage(got[i], want[i]) {
+		if !sameMessage(got[i], want[i].msg) {
 			p.t.Fatalf("seed %d: drain(%d) message %d = %+v (gossip %+v), reference %+v (gossip %+v)",
-				p.seed, at, i, got[i], got[i].Gossip, want[i], want[i].Gossip)
+				p.seed, at, i, got[i], got[i].Gossip, want[i].msg, want[i].msg.Gossip)
+		}
+		if ledgers[i] != want[i].ledger {
+			p.t.Fatalf("seed %d: drain(%d) message %d came back with ledger %p, classified into %p", p.seed, at, i, ledgers[i], want[i].ledger)
 		}
 	}
 }
@@ -170,8 +184,8 @@ func (p *ringPair) quiescent() {
 	}
 	pooled := map[*flSlot]bool{}
 	for _, s := range p.q.pool {
-		if pooled[s] || !p.slots[s] || s.body != nil {
-			p.t.Fatalf("seed %d: slot %p pooled twice, never loaned, or still holding a body", p.seed, s)
+		if pooled[s] || !p.slots[s] || s.body != nil || s.ledger != nil {
+			p.t.Fatalf("seed %d: slot %p pooled twice, never loaned, or still holding a body or a ledger", p.seed, s)
 		}
 		pooled[s] = true
 	}
@@ -237,7 +251,7 @@ func scribble(m proto.Message) {
 				e.Payload[j] ^= 0xa5
 			}
 		}
-		poisonGossip(m.Gossip)
+		PoisonGossip(m.Gossip)
 	}
 	for i := range m.Request {
 		m.Request[i] = proto.EventID{Origin: 7777, Seq: 7777}
@@ -422,7 +436,7 @@ func TestInflightSamePeriodArrival(t *testing.T) {
 }
 
 // TestInflightSharingCheck is the runtime side of the same invariant: with
-// the check on (PoisonRecycled), a sender that rewrites its *proto.Gossip
+// the check on (the poisoning debug mode), a sender that rewrites its *proto.Gossip
 // between two messages of one period panics at the second enqueue instead
 // of having it silently carry the first one's contents.
 func TestInflightSharingCheck(t *testing.T) {
@@ -431,63 +445,14 @@ func TestInflightSharingCheck(t *testing.T) {
 	q.check = true
 	g := &proto.Gossip{From: 1, Digest: []proto.EventID{{Origin: 4, Seq: 4}}}
 	m := proto.Message{Kind: proto.GossipMsg, From: 1, To: 2, Gossip: g}
-	q.enqueue(&m, 3, 1)
-	q.enqueue(&m, 4, 1) // unchanged: shares
+	var ledger stats.NetStats
+	q.enqueue(&m, &ledger, 3, 1)
+	q.enqueue(&m, &ledger, 4, 1) // unchanged: shares
 	g.Digest[0].Seq = 5
 	defer func() {
 		if recover() == nil {
 			t.Fatal("a gossip rewritten within its period was shared without a panic")
 		}
 	}()
-	q.enqueue(&m, 5, 1)
-}
-
-// TestOneEmissionPerPeriod pins the invariant the ring's sharing key rests
-// on: whatever the schedule — both regimes, both clocks, one shard and
-// three, speculation and aborts included — an engine commits at most one
-// emission per period, so a gossip pointer and a period name one gossip's
-// contents. PoisonRecycled is on for both shard counts, so the ring checks
-// every sharing decision it makes.
-func TestOneEmissionPerPeriod(t *testing.T) {
-	t.Parallel()
-	for _, async := range []bool{false, true} {
-		for _, clock := range []Clock{ClockRounds, ClockEvent} {
-			for _, workers := range []int{1, 3} {
-				t.Run(fmt.Sprintf("async=%v/clock=%v/workers=%d", async, clock, workers), func(t *testing.T) {
-					t.Parallel()
-					o := DefaultOptions(120)
-					o.Seed = 11
-					o.Async, o.Clock, o.Workers = async, clock, workers
-					o.PoisonRecycled = true
-					o.Lpbcast.AssumeFromDigest = false
-					o.Lpbcast.Retransmit = true
-					o.Lpbcast.RetransmitTimeout = 2
-					o.Topology = wanTopologyFor(o.N)
-					c, err := NewCluster(o)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sent := make([]uint64, o.N)
-					for round := 0; round < 40; round++ {
-						if _, err := c.PublishAt(round % o.N); err != nil {
-							t.Fatal(err)
-						}
-						c.RunRound()
-						for i := range sent {
-							now := c.Process(i).(*core.Engine).Stats().GossipsSent
-							if now-sent[i] > uint64(o.Lpbcast.Fanout) {
-								t.Fatalf("period %d: process %d sent %d gossips, more than one emission of F=%d",
-									c.Now(), i, now-sent[i], o.Lpbcast.Fanout)
-							}
-							sent[i] = now
-						}
-					}
-					assertConserved(t, c.NetStats())
-					if c.NetStats().DeliveredLate == 0 {
-						t.Fatalf("the run never used the ring: %+v", c.NetStats())
-					}
-				})
-			}
-		}
-	}
+	q.enqueue(&m, &ledger, 5, 1)
 }

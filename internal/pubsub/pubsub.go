@@ -7,9 +7,9 @@
 // The Bus runs on the runtime-v2 seams the simulator executors use: every
 // member engine emits through the zero-alloc append paths with emission
 // reuse, all topics share one batched routing loop, and the network
-// between members is the fault package's — Bernoulli or per-link-class
-// loss, a DelayModel with a deterministic in-flight ring, and scheduled
-// Partitions. Each topic accounts its traffic in a stats.NetStats that
+// between members is the simulator's one network model (internal/netmodel):
+// the same filter, the same in-flight ring, the same rules, on the round
+// clock. Each topic accounts its traffic in a stats.NetStats ledger that
 // satisfies the same conservation invariant as the simulator's, including
 // TruncatedChase for responses cut off by the chase cap.
 //
@@ -28,6 +28,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/idmap"
+	"repro/internal/netmodel"
 	"repro/internal/proto"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -39,11 +40,6 @@ import (
 // including on the client that is being delivered to.
 type Handler func(topic string, ev proto.Event)
 
-// maxDelayBound caps a delay model's MaxDelay, like the simulator's: the
-// in-flight ring is pre-sized to MaxDelay+1 buckets, so the bound keeps a
-// misconfigured model from allocating an absurd ring.
-const maxDelayBound = 4096
-
 // defaultMaxChase bounds the same-round response cascade (retransmit
 // requests triggering replies triggering requests, ...) as a safety valve
 // against protocol bugs; well-behaved engines drain in one or two hops.
@@ -54,25 +50,15 @@ const defaultMaxChase = 16
 type Config struct {
 	// Seed drives all randomness.
 	Seed uint64
-	// Epsilon is the per-message Bernoulli loss probability between
-	// members (the paper's ε), in [0, 1). With a Topology, link profiles
-	// with a negative Epsilon inherit it.
-	Epsilon float64
-	// Delay is the network delay model: how many whole rounds a surviving
-	// message spends in flight before delivery (fault.DelayModel). nil
-	// with no Topology means same-round delivery. When a Topology is set
-	// and Delay is nil, the topology's per-link-class delay profiles
-	// apply; an explicit Delay overrides them.
-	Delay fault.DelayModel
-	// Topology assigns every (src, dst) link a class with its own loss
-	// probability and delay range (fault.Topology). Member pids are
-	// assigned in subscription order starting at 1, so e.g. a TwoCluster
-	// split partitions early subscribers from late ones. Partition
-	// classes refer to this topology; nil means every link is LinkLocal.
-	Topology fault.Topology
-	// Partitions schedules link cuts: during each partition's [From, To)
-	// round window, messages sent across the named link classes are
-	// dropped (NetStats.DroppedInPartition); at To the partition heals.
+	// Epsilon, Delay, Topology and Partitions are the network between
+	// members, with netmodel.Config's semantics and rules on the round
+	// clock: delays count whole rounds, and a millisecond delay model is
+	// refused. Member pids are assigned in subscription order starting at
+	// 1, so e.g. a TwoCluster split partitions early subscribers from late
+	// ones.
+	Epsilon    float64
+	Delay      fault.DelayModel
+	Topology   fault.Topology
 	Partitions []fault.Partition
 	// MaxChase overrides the same-round response chase cap (0 = the
 	// default 16). Responses still queued when the cap hits are counted
@@ -92,17 +78,9 @@ type Config struct {
 	Tracer trace.Tracer
 }
 
-// effectiveDelay resolves the delay model in force, like the simulator:
-// an explicit Delay wins, a Topology with any nonzero delay profile
-// implies the topology-backed model, and nil means same-round delivery.
-func (cfg Config) effectiveDelay() fault.DelayModel {
-	if cfg.Delay != nil {
-		return cfg.Delay
-	}
-	if cfg.Topology != nil && fault.MaxLinkDelay(cfg.Topology) > 0 {
-		return fault.TopologyDelay{T: cfg.Topology}
-	}
-	return nil
+// network is the configuration's network model.
+func (cfg Config) network() netmodel.Config {
+	return netmodel.Config{Epsilon: cfg.Epsilon, Topology: cfg.Topology, Delay: cfg.Delay, Partitions: cfg.Partitions}
 }
 
 // topicState is one topic group: its member list and its network
@@ -122,14 +100,7 @@ type Bus struct {
 	mu       sync.Mutex
 	cfg      Config
 	root     *rng.Source
-	loss     fault.LossModel
-	delay    fault.DelayModel // nil: same-round fast path
-	delayRNG *rng.Source      // delay jitter stream (delay != nil only)
-	fl       *delayRing       // delayed-message ring (delay != nil only)
-	maxDelay int
-	topo     fault.Topology
-	parts    []fault.Partition
-	hasParts bool
+	network  *netmodel.Model
 	maxChase int
 	now      uint64
 	nextPID  proto.ProcessID
@@ -146,11 +117,11 @@ type Bus struct {
 	order  []proto.ProcessID
 	topics map[string]*topicState
 	// queue/next and their parallel tally slices are the retained hop
-	// buffers of the batched dispatch loop: tally[i] is the topic whose
-	// NetStats accounts queue[i]. Retention plus the engines' emission
-	// reuse makes a steady round allocation-free.
+	// buffers of the batched dispatch loop: tally[i] is the ledger — its
+	// topic's NetStats — that accounts queue[i]. Retention plus the
+	// engines' emission reuse makes a steady round allocation-free.
 	queue, next    []proto.Message
-	qTally, nTally []*topicState
+	qTally, nTally []*stats.NetStats
 	// pending is the deferred-delivery queue: engine callbacks append
 	// here under mu, and flushLocked drains it with the lock released so
 	// handlers can reenter the Bus. delivering guards against nested
@@ -180,8 +151,8 @@ type member struct {
 }
 
 // NewBus creates an empty bus, validating the configuration: the engine
-// config, the delay model (and its MaxDelay bound), the topology, and the
-// partition schedule (unbounded horizon — the Bus runs open-ended).
+// config, the chase cap, and the network (netmodel.Config.Validate on the
+// round clock, with an unbounded horizon — the Bus runs open-ended).
 func NewBus(cfg Config) (*Bus, error) {
 	if cfg.Engine.Fanout == 0 { // treat zero value as "use defaults"
 		cfg.Engine = core.DefaultConfig()
@@ -191,45 +162,18 @@ func NewBus(cfg Config) (*Bus, error) {
 	if err := cfg.Engine.Validate(); err != nil {
 		return nil, fmt.Errorf("pubsub: engine config: %w", err)
 	}
-	if cfg.Epsilon < 0 || cfg.Epsilon >= 1 {
-		return nil, fmt.Errorf("pubsub: epsilon %v out of [0,1)", cfg.Epsilon)
-	}
 	if cfg.MaxChase < 0 {
 		return nil, fmt.Errorf("pubsub: MaxChase %d must be non-negative", cfg.MaxChase)
 	}
-	if cfg.Delay != nil {
-		if err := cfg.Delay.Validate(); err != nil {
-			return nil, fmt.Errorf("pubsub: delay model: %w", err)
-		}
-	}
-	if cfg.Topology != nil {
-		if err := cfg.Topology.Validate(); err != nil {
-			return nil, fmt.Errorf("pubsub: topology: %w", err)
-		}
-	}
-	delay := cfg.effectiveDelay()
-	if delay != nil {
-		if max := delay.MaxDelay(); max < 0 || max > maxDelayBound {
-			return nil, fmt.Errorf("pubsub: delay model MaxDelay %d outside [0,%d]", max, maxDelayBound)
-		}
-	}
-	if len(cfg.Partitions) > 0 {
-		classes := 1
-		if cfg.Topology != nil {
-			classes = cfg.Topology.Classes()
-		}
-		if err := fault.ValidatePartitions(cfg.Partitions, classes, 0); err != nil {
-			return nil, fmt.Errorf("pubsub: %w", err)
-		}
+	network := cfg.network()
+	if err := network.Validate(netmodel.Clock{}); err != nil {
+		return nil, fmt.Errorf("pubsub: %w", err)
 	}
 
 	root := rng.New(cfg.Seed)
 	b := &Bus{
 		cfg:      cfg,
 		root:     root,
-		topo:     cfg.Topology,
-		parts:    cfg.Partitions,
-		hasParts: len(cfg.Partitions) > 0,
 		maxChase: cfg.MaxChase,
 		nextPID:  1,
 		topics:   make(map[string]*topicState),
@@ -243,17 +187,12 @@ func NewBus(cfg Config) (*Bus, error) {
 	// seed and the operation sequence. The delay stream is split only when
 	// a delay model is in force, keeping zero-delay buses bit-identical to
 	// pre-delay versions.
-	if b.topo != nil {
-		b.loss = fault.NewTopologyLoss(b.topo, cfg.Epsilon, root.Split())
-	} else {
-		b.loss = fault.NewBernoulli(cfg.Epsilon, root.Split())
+	lossRNG := root.Split()
+	var delayRNG *rng.Source
+	if network.EffectiveDelay() != nil {
+		delayRNG = root.Split()
 	}
-	if delay != nil {
-		b.delay = delay
-		b.delayRNG = root.Split()
-		b.maxDelay = delay.MaxDelay()
-		b.fl = newDelayRing(b.maxDelay)
-	}
+	b.network = netmodel.New(network, netmodel.Clock{}, lossRNG, delayRNG)
 	return b, nil
 }
 
@@ -338,7 +277,7 @@ func (b *Bus) join(client, topic string, h Handler) (*Subscription, error) {
 	}
 	// Every member runs the recycling emission path; the routing loop
 	// consumes each emission before the engine's next TickAppend, and the
-	// delay ring deep-copies, so the reuse contract holds.
+	// in-flight ring copies what it parks, so the reuse contract holds.
 	eng.SetEmissionReuse(true)
 	m.engine = eng
 
@@ -375,7 +314,7 @@ func (b *Bus) join(client, topic string, h Handler) (*Subscription, error) {
 		// through partition, loss, and delay filtering and is accounted
 		// to the topic.
 		b.queue = append(b.queue[:0], join)
-		b.qTally = append(b.qTally[:0], ts)
+		b.qTally = append(b.qTally[:0], &ts.net)
 		b.dispatchLocked(0)
 	}
 	if tr := b.cfg.Tracer; tr != nil {
@@ -505,7 +444,8 @@ func (s *Subscription) Cancel() error {
 // this round arrive first (in deterministic enqueue order), every member
 // emits its periodic gossip through the recycling append path, leave
 // grace periods tick down, and the batched dispatch loop routes the
-// round's traffic with bounded response chasing. Handlers run after the
+// round's traffic with bounded response chasing. The round's arrivals go
+// back to the ring's pools once it is routed. Handlers run after the
 // round's protocol work, with no locks held.
 func (b *Bus) Step() {
 	b.mu.Lock()
@@ -515,18 +455,14 @@ func (b *Bus) Step() {
 
 func (b *Bus) stepLocked() {
 	b.now++
-	queue, tally := b.queue[:0], b.qTally[:0]
-	pre := 0
-	if b.fl != nil {
-		queue, tally = b.fl.drain(b.now, queue, tally)
-		pre = len(queue)
-	}
+	queue, tally := b.network.Drain(b.now, b.queue[:0], b.qTally[:0])
+	pre := len(queue)
 	removals := b.removals[:0]
 	for _, pid := range b.order {
 		m := b.lookupMember(pid)
 		queue = m.engine.TickAppend(b.now, queue)
 		for len(tally) < len(queue) {
-			tally = append(tally, m.topic)
+			tally = append(tally, &m.topic.net)
 		}
 		if m.leaving > 0 {
 			m.leaving--
@@ -541,6 +477,7 @@ func (b *Bus) stepLocked() {
 	}
 	b.queue, b.qTally = queue, tally
 	b.dispatchLocked(pre)
+	b.network.EndPeriod(b.now)
 }
 
 // StepN advances n gossip rounds.
@@ -551,100 +488,44 @@ func (b *Bus) StepN(n int) {
 }
 
 // dispatchLocked delivers b.queue, chasing same-round responses up to the
-// chase cap. The first pre messages are this round's delayed arrivals:
-// they passed send-time filtering already, so they settle their in-flight
-// accounting and go straight to their receivers. Responses still queued
-// when the cap hits are counted per topic in TruncatedChase — the old
-// silent 8-hop drop broke conservation exactly here.
+// chase cap. Every message runs through the network model
+// (netmodel.Model.Classify) but the first pre, this round's delayed
+// arrivals: they passed the filter when sent, so they settle their
+// in-flight accounting (netmodel.Arrive) and go straight to their
+// receivers. The destination may have completed its leave while one was in
+// the air — an unknown destination now, as it is for a fresh message: views
+// keep naming members for a while after they leave, and their traffic is
+// accounted, not silently dropped. Responses still queued when the cap hits
+// are counted per topic in TruncatedChase — the old silent 8-hop drop broke
+// conservation exactly here.
 func (b *Bus) dispatchLocked(pre int) {
 	queue, next := b.queue, b.next
 	tally, ntally := b.qTally, b.nTally
 	for hop := 0; len(queue) > 0 && hop < b.maxChase; hop++ {
 		next, ntally = next[:0], ntally[:0]
 		for pos, msg := range queue {
-			ts := tally[pos]
-			var dst *member
+			dst := b.lookupMember(msg.To)
 			if pos < pre {
-				// Settle a delayed arrival: it left InFlight this round.
-				// The destination may have completed its leave while the
-				// message was in the air — that is an unknown destination
-				// now, same as the simulator's to-crashed re-check.
-				ts.net.InFlight--
-				m := b.lookupMember(msg.To)
-				if m == nil {
-					ts.net.UnknownDest++
+				if !netmodel.Arrive(tally[pos], dst != nil, true) {
 					continue
 				}
-				ts.net.Delivered++
-				ts.net.DeliveredLate++
-				dst = m
-			} else {
-				var ok bool
-				if dst, ok = b.classify(msg, ts); !ok {
-					continue
-				}
+			} else if !b.network.Classify(&msg, b.now, b.now, dst != nil, true, tally[pos]) {
+				continue
 			}
 			next = dst.engine.HandleMessageAppend(msg, b.now, next)
 			for len(ntally) < len(next) {
-				ntally = append(ntally, dst.topic)
+				ntally = append(ntally, &dst.topic.net)
 			}
 		}
 		queue, next = next, queue
 		tally, ntally = ntally, tally
 		pre = 0
 	}
-	for _, ts := range tally[:len(queue)] {
-		ts.net.TruncatedChase++
+	for _, ledger := range tally[:len(queue)] {
+		ledger.TruncatedChase++
 	}
 	b.queue, b.next = queue, next
 	b.qTally, b.nTally = tally, ntally
-}
-
-// classify runs one message through the network's partition, loss, and
-// delay filtering and updates the owning topic's counters: the message
-// lands in Sent plus exactly one of UnknownDest, DroppedInPartition,
-// Dropped, or Delivered — or enters the delay ring and is counted in
-// InFlight until its arrival round settles it. Filter order matches the
-// simulator's classify, so the two harnesses model the same network.
-func (b *Bus) classify(msg proto.Message, ts *topicState) (*member, bool) {
-	ts.net.Sent++
-	dst := b.lookupMember(msg.To)
-	if dst == nil {
-		// Views keep naming members for a while after they leave; their
-		// traffic is accounted, not silently dropped.
-		ts.net.UnknownDest++
-		return nil, false
-	}
-	if b.hasParts && fault.CutLink(b.parts, b.linkClass(msg.From, msg.To), b.now) {
-		ts.net.DroppedInPartition++
-		return nil, false
-	}
-	if b.loss.Drop(msg.From, msg.To, b.now) {
-		ts.net.Dropped++
-		return nil, false
-	}
-	if b.delay != nil {
-		d := b.delay.Delay(msg.From, msg.To, b.now, b.delayRNG)
-		if d < 0 || d > b.maxDelay {
-			panic(fmt.Sprintf("pubsub: delay %d outside the model's [0, MaxDelay=%d]", d, b.maxDelay))
-		}
-		if d > 0 {
-			b.fl.enqueue(msg, ts, b.now+uint64(d))
-			ts.net.InFlight++
-			return nil, false
-		}
-	}
-	ts.net.Delivered++
-	return dst, true
-}
-
-// linkClass resolves the class of a link under the configured topology;
-// without one, every link is LinkLocal.
-func (b *Bus) linkClass(src, dst proto.ProcessID) fault.LinkClass {
-	if b.topo != nil {
-		return b.topo.Class(src, dst)
-	}
-	return fault.LinkLocal
 }
 
 // flush acquires the bus lock and drains the deferred-delivery queue.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/membership"
+	"repro/internal/netmodel"
 	"repro/internal/proto"
 )
 
@@ -77,10 +78,16 @@ func TestNewBusValidates(t *testing.T) {
 		"epsilon": {Epsilon: 1.5},
 		"chase":   {MaxChase: -1},
 		"delay":   {Delay: fault.FixedDelay{Rounds: -2}},
-		"ring":    {Delay: fault.FixedDelay{Rounds: maxDelayBound + 1}},
+		"ring":    {Delay: fault.FixedDelay{Rounds: netmodel.MaxDelayRounds + 1}},
 		"partition overlap": {Partitions: []fault.Partition{
 			{From: 1, To: 5}, {From: 3, To: 7},
 		}},
+		// The Bus steps whole rounds: a millisecond model would wait its
+		// milliseconds out as rounds.
+		"millis": {Delay: fault.Millis{Model: fault.FixedDelay{Rounds: 30}}},
+		"millis topology": {Delay: fault.Millis{Model: fault.TopologyDelay{T: fault.TwoCluster{
+			Split: 2, WAN: fault.LinkProfile{Epsilon: -1, MinDelay: 10, MaxDelay: 40},
+		}}}},
 	}
 	for name, cfg := range cases {
 		if _, err := NewBus(cfg); err == nil {
@@ -781,27 +788,48 @@ func TestBusScenarioFingerprint(t *testing.T) {
 
 // TestBusStepAllocs gates the steady-state routing path: a warmed
 // multi-topic bus must run a whole round in at most 2 allocations —
-// the same budget as the simulator's steady rounds.
+// the same budget as the simulator's steady rounds — with its traffic
+// delivered in the round it is sent, and with half of it crossing a WAN
+// whose 1-2 round delays park it in the in-flight ring.
 func TestBusStepAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate needs unthrottled runtime")
 	}
-	bus := newTestBus(t, Config{Seed: 1})
-	for ti := 0; ti < 8; ti++ {
-		topic := string(rune('A' + ti))
-		for s := 0; s < 8; s++ {
-			cl := bus.NewClient(topic + string(rune('a'+s)))
-			if _, err := cl.Subscribe(topic, nil); err != nil {
-				t.Fatal(err)
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"same-round", Config{Seed: 1}},
+		{"delay=wan", Config{Seed: 1, Topology: fault.TwoCluster{
+			Split: 32, // members subscribe round-robin, so every topic spans the split
+			Local: fault.LinkProfile{Epsilon: -1},
+			WAN:   fault.LinkProfile{Epsilon: -1, MinDelay: 1, MaxDelay: 2},
+		}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bus := newTestBus(t, tc.cfg)
+			for s := 0; s < 8; s++ {
+				for ti := 0; ti < 8; ti++ {
+					topic := string(rune('A' + ti))
+					cl := bus.NewClient(topic + string(rune('a'+s)))
+					if _, err := cl.Subscribe(topic, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-		}
+			bus.StepN(30) // warm the retained buffers, the ring's pools and engine scratch
+			allocs := testing.AllocsPerRun(50, bus.Step)
+			t.Logf("%v allocations per Step", allocs)
+			if allocs > 2 {
+				t.Errorf("steady Step allocates %v times per round, want <= 2", allocs)
+			}
+			if s := bus.TotalNetStats(); tc.cfg.Topology != nil && s.DeliveredLate == 0 {
+				t.Errorf("the WAN delayed nothing: %+v", s)
+			}
+			assertBusConserved(t, bus)
+		})
 	}
-	bus.StepN(30) // warm the retained buffers and engine scratch
-	allocs := testing.AllocsPerRun(50, bus.Step)
-	if allocs > 2 {
-		t.Errorf("steady Step allocates %v times per round, want <= 2", allocs)
-	}
-	assertBusConserved(t, bus)
 }
 
 // TestBusDelayedDeliverySettles: messages parked in the delay ring settle
@@ -836,6 +864,33 @@ func TestBusDelayedDeliverySettles(t *testing.T) {
 	}
 	if s.DeliveredLate != s.Delivered {
 		t.Errorf("every delivery is 2 rounds late, got %d late of %d", s.DeliveredLate, s.Delivered)
+	}
+	assertBusConserved(t, b)
+}
+
+// TestBusDelayedArrivalToDepartedMember: a message still in the air when
+// its destination completes its leave settles as an unknown destination on
+// arrival — the Bus has no crashed members, so ToCrashed stays zero — and
+// the books balance.
+func TestBusDelayedArrivalToDepartedMember(t *testing.T) {
+	t.Parallel()
+	b := newTestBus(t, Config{Seed: 14, Delay: fault.FixedDelay{Rounds: 2}})
+	var subs []*Subscription
+	for i := 0; i < 6; i++ {
+		sub, err := b.NewClient(string(rune('a'+i))).Subscribe("t", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, sub)
+	}
+	b.StepN(6)
+	if err := subs[5].Cancel(); err != nil {
+		t.Fatal(err)
+	}
+	b.StepN(leaveGraceRounds + 4)
+	s := b.NetStats("t")
+	if s.UnknownDest == 0 || s.ToCrashed != 0 {
+		t.Errorf("traffic to the departed member: %+v", s)
 	}
 	assertBusConserved(t, b)
 }

@@ -209,7 +209,7 @@ func (e *shardedExecutor) runAsyncPeriod() {
 				continue // a crashed position commits trivially
 			}
 			at := base + c.phase[i]
-			if _, pending := c.fl.due(at); pending || !e.aComposed[i] {
+			if _, pending := c.network.Due(at); pending || !e.aComposed[i] {
 				waveEnd = k
 				break
 			}
@@ -240,15 +240,15 @@ func (e *shardedExecutor) commitEmission(i int) {
 }
 
 // asyncRoute runs m, the message at (or bound for) queue position pos,
-// through crash/loss filtering and the network counters (classify) and
+// through the network model and its counters (netmodel.Model.Classify) and
 // reports whether it survived; a survivor is binned into the destination
 // shard's inbox (asyncBin). Calls happen in deterministic walk/merge order, so
 // the shared loss stream's draw order is schedule-defined, exactly like the
 // synchronous round's sequential filter phase.
 func (e *shardedExecutor) asyncRoute(pos int, m proto.Message) bool {
 	c := e.c
-	di, ok := c.classify(m)
-	if !ok {
+	di, known, alive := c.verdict(m.To)
+	if !c.network.Classify(&m, c.now, c.nowMs, known, alive, &c.net) {
 		return false
 	}
 	e.asyncBin(pos, di)

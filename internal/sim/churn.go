@@ -6,8 +6,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/membership"
+	"repro/internal/netmodel"
 	"repro/internal/proto"
 	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 // ChurnOptions parameterizes a membership-churn experiment (§3.4 at
@@ -35,7 +37,7 @@ type ChurnOptions struct {
 	Seed uint64
 	// Engine configures the lpbcast engines.
 	Engine core.Config
-	// Epsilon is the per-message loss probability.
+	// Epsilon is the per-message loss probability ε (see netmodel.Config).
 	Epsilon float64
 }
 
@@ -92,7 +94,9 @@ type churnMember struct {
 
 // ChurnExperiment runs a dynamic system: joins and graceful leaves at a
 // steady rate under message loss, verifying the membership stays
-// connected, bounded and garbage-free.
+// connected, bounded and garbage-free. Gossip runs through the network
+// model (internal/netmodel) with the silenced leavers as its crashed
+// destinations.
 func ChurnExperiment(opts ChurnOptions) (ChurnResult, error) {
 	if opts.InitialN < 2 || opts.Rounds <= 0 {
 		return ChurnResult{}, errors.New("sim: invalid churn options")
@@ -100,8 +104,13 @@ func ChurnExperiment(opts ChurnOptions) (ChurnResult, error) {
 	if err := opts.Engine.Validate(); err != nil {
 		return ChurnResult{}, err
 	}
+	cfg := netmodel.Config{Epsilon: opts.Epsilon}
+	if err := cfg.Validate(netmodel.Clock{}); err != nil {
+		return ChurnResult{}, fmt.Errorf("sim: %w", err)
+	}
 	root := rng.New(opts.Seed)
-	loss := root.Split()
+	network := netmodel.New(cfg, netmodel.Clock{}, root.Split(), nil)
+	var ledger stats.NetStats
 	pick := root.Split()
 
 	members := map[proto.ProcessID]*churnMember{}
@@ -199,7 +208,7 @@ func ChurnExperiment(opts ChurnOptions) (ChurnResult, error) {
 		}
 		for _, msg := range wire {
 			dst, ok := members[msg.To]
-			if !ok || dst.silenced || loss.Bool(opts.Epsilon) {
+			if !network.Classify(&msg, round, round, ok, ok && !dst.silenced, &ledger) {
 				continue
 			}
 			// Departed-but-in-grace members still process traffic.
@@ -211,6 +220,9 @@ func ChurnExperiment(opts ChurnOptions) (ChurnResult, error) {
 		if c := len(g.Components()); c > res.MaxComponents {
 			res.MaxComponents = c
 		}
+	}
+	if err := ledger.Conserved(); err != nil {
+		return res, fmt.Errorf("sim: churn: %w", err)
 	}
 
 	g := activeGraph(members)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/netmodel"
 	"repro/internal/proto"
 )
 
@@ -342,7 +343,7 @@ func TestDelayOptionsValidate(t *testing.T) {
 		{"negative fixed delay", func(o *Options) { o.Delay = fault.FixedDelay{Rounds: -1} }, false},
 		{"negative uniform delay", func(o *Options) { o.Delay = fault.UniformDelay{Min: -2, Max: 1} }, false},
 		{"inverted uniform delay", func(o *Options) { o.Delay = fault.UniformDelay{Min: 3, Max: 1} }, false},
-		{"delay beyond ring bound", func(o *Options) { o.Delay = fault.FixedDelay{Rounds: maxDelayBound + 1} }, false},
+		{"delay beyond ring bound", func(o *Options) { o.Delay = fault.FixedDelay{Rounds: netmodel.MaxDelayRounds + 1} }, false},
 		{"topology", func(o *Options) { o.Topology = wanTopologyFor(16) }, true},
 		{"bad topology", func(o *Options) { o.Topology = fault.TwoCluster{} }, false},
 		{"negative topology delay", func(o *Options) {
@@ -453,3 +454,59 @@ func TestDelayedRoundAllocs(t *testing.T) {
 		}
 	})
 }
+
+// rewriter is a foreign Process that breaks the in-flight ring's sharing
+// key: it sends one *proto.Gossip across the WAN on its tick, then rewrites
+// that gossip and sends it again as a same-period response.
+type rewriter struct {
+	self, wan proto.ProcessID
+	g         proto.Gossip
+}
+
+func (p *rewriter) Self() proto.ProcessID { return p.self }
+
+func (p *rewriter) Tick(uint64) []proto.Message {
+	return []proto.Message{{Kind: proto.GossipMsg, From: p.self, To: p.wan, Gossip: &p.g}}
+}
+
+func (p *rewriter) HandleMessage(proto.Message, uint64) []proto.Message {
+	p.g.Digest[0].Seq++
+	return p.Tick(0)
+}
+
+// TestInflightSharingCheck: under PoisonRecycled the cluster's in-flight
+// ring verifies every body it shares, so a process that rewrites its
+// *proto.Gossip between two delayed messages of one period panics at the
+// second one instead of having it silently carry the first one's contents.
+func TestInflightSharingCheck(t *testing.T) {
+	t.Parallel()
+	opts := DefaultOptions(3)
+	opts.Epsilon, opts.Tau = 0, 0
+	opts.PoisonRecycled = true
+	opts.Topology = fault.TwoCluster{
+		Split: 2,
+		Local: fault.LinkProfile{Epsilon: -1},
+		WAN:   fault.LinkProfile{Epsilon: -1, MinDelay: 1, MaxDelay: 1},
+	}
+	c, err := NewCluster(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.procs[0] = &rewriter{self: 1, wan: 3, g: proto.Gossip{From: 1, Digest: []proto.EventID{{Origin: 1, Seq: 1}}}}
+	c.procs[1] = &chatter{self: 2, peer: 1} // its tick makes process 1 respond
+	c.procs[2] = &quiet{self: 3}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "two different gossips") {
+			t.Fatalf("a gossip rewritten within its period was shared: recovered %v", r)
+		}
+	}()
+	c.RunRound()
+}
+
+// quiet is a foreign Process that never sends.
+type quiet struct{ self proto.ProcessID }
+
+func (p *quiet) Self() proto.ProcessID                               { return p.self }
+func (p *quiet) Tick(uint64) []proto.Message                         { return nil }
+func (p *quiet) HandleMessage(proto.Message, uint64) []proto.Message { return nil }

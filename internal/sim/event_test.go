@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/netmodel"
 	"repro/internal/proto"
 	"repro/internal/rng"
 )
@@ -98,7 +99,7 @@ func bridgeRun(t *testing.T, c stepper, rounds int) bridgeObs {
 // round clock's sequential walk; against it run the executor on the round
 // clock and on the event clock at periods from one instant to the longest
 // the configuration admits (the in-flight ring is keyed by instant, so a
-// delayed row is refused once MaxDelay periods outgrow eventDelayBoundMs —
+// delayed row is refused once MaxDelay periods outgrow netmodel.MaxSpanMs —
 // those combinations are skipped, and the widest period that fits runs in
 // their place), each on one shard and on three. Covers the zero-delay §5.1
 // network, both delay-model kinds, a delayed topology with and without a
@@ -142,14 +143,14 @@ func TestEventBridgeMatchesRoundClock(t *testing.T) {
 			want := bridgeRun(t, ref, 12)
 
 			ran := 0
-			for _, periodMs := range []int{0, 1, 7, 100, eventDelayBoundMs / 4, maxPeriodMs} {
+			for _, periodMs := range []int{0, 1, 7, 100, netmodel.MaxSpanMs / 4, maxPeriodMs} {
 				for _, workers := range []int{1, 3} {
 					o := opts
 					o.Workers = workers
 					if periodMs > 0 { // 0: the round clock itself, through the executor
 						o.Clock, o.PeriodMs = ClockEvent, periodMs
 					}
-					if d := o.effectiveDelay(); d != nil && d.MaxDelay()*periodMs > eventDelayBoundMs {
+					if d := o.network().EffectiveDelay(); d != nil && d.MaxDelay()*periodMs > netmodel.MaxSpanMs {
 						continue
 					}
 					c, err := NewCluster(o)

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/netmodel"
 	"repro/internal/proto"
 )
 
@@ -465,7 +466,7 @@ func (e *shardedExecutor) land(at uint64) {
 // limit: each instant's survivors are handled by the wave barrier
 // (same-instant response chase included) at their true virtual time.
 func (e *shardedExecutor) arrivalBarrier(limit uint64) {
-	for at, ok := e.c.fl.due(limit); ok; at, ok = e.c.fl.due(limit) {
+	for at, ok := e.c.network.Due(limit); ok; at, ok = e.c.network.Due(limit) {
 		e.land(at)
 		e.asyncBarrier()
 	}
@@ -508,40 +509,14 @@ func (e *shardedExecutor) mergeResponses() {
 	}
 }
 
-// poisonSentinel marks poisoned buffer contents: no real process carries
-// the all-ones id, so any late consumer of a recycled buffer surfaces as a
-// loud divergence from the reference walk instead of a silent heisenbug.
-const poisonSentinel = proto.ProcessID(^uint64(0))
-
-// poisonEventID marks poisoned event slots.
-var poisonEventID = proto.EventID{Origin: poisonSentinel, Seq: ^uint64(0)}
-
-// poisonGossip overwrites a gossip's contents with sentinels.
-func poisonGossip(g *proto.Gossip) {
-	g.From = poisonSentinel
-	for j := range g.Subs {
-		g.Subs[j] = poisonSentinel
-	}
-	for j := range g.Unsubs {
-		g.Unsubs[j] = proto.Unsubscription{Process: poisonSentinel, Stamp: ^uint64(0)}
-	}
-	for j := range g.Events {
-		g.Events[j] = proto.Event{ID: poisonEventID}
-	}
-	for j := range g.Digest {
-		g.Digest[j] = poisonEventID
-	}
-	for j := range g.DigestWatermarks {
-		g.DigestWatermarks[j] = poisonEventID
-	}
-}
-
 // poisonMessages overwrites the message slots — and, through their shared
-// pointers, the gossip contents — of a recycled buffer with sentinels.
+// pointers, the gossip contents — of a recycled buffer with sentinels
+// (netmodel.Sentinel): any late consumer surfaces as a loud divergence from
+// the reference walk instead of a silent heisenbug.
 func poisonMessages(msgs []proto.Message) {
 	for i := range msgs {
 		if g := msgs[i].Gossip; g != nil {
-			poisonGossip(g)
+			netmodel.PoisonGossip(g)
 		}
 	}
 	poisonSlots(msgs)
@@ -554,20 +529,20 @@ func poisonMessages(msgs []proto.Message) {
 // still in the air carries it.
 func poisonSlots(msgs []proto.Message) {
 	for i := range msgs {
-		msgs[i] = proto.Message{From: poisonSentinel, To: poisonSentinel}
+		msgs[i] = proto.Message{From: netmodel.Sentinel, To: netmodel.Sentinel}
 	}
 }
 
 // poisonRecycled overwrites every buffer this period recycled — the
 // outboxes and per-process composed emissions (and, through them, the
-// shared scratch gossips), the executor-owned response and queue slots, and
-// the delay ring's just-drained arrivals, whose spent slots stay off the
-// pool until RunRound's recycle — with sentinel values. The hop queues hold
-// copies of emissions, of responses and of arrivals, and an arrival's
-// gossip may still be in the air for another receiver: only their slots
-// are overwritten. Correct phases never read any of it after the period, so
-// poisoned runs must stay bit-for-bit identical to unpoisoned ones; the
-// reuse property tests assert exactly that.
+// shared scratch gossips), and the executor-owned response and queue slots
+// — with sentinel values; the delay ring poisons its just-drained arrivals
+// itself, in RunRound's EndPeriod. The hop queues hold copies of emissions,
+// of responses and of arrivals, and an arrival's gossip may still be in the
+// air for another receiver: only their slots are overwritten. Correct
+// phases never read any of it after the period, so poisoned runs must stay
+// bit-for-bit identical to unpoisoned ones; the reuse property tests assert
+// exactly that.
 func (e *shardedExecutor) poisonRecycled() {
 	for i := range e.aEmit {
 		poisonMessages(e.aEmit[i])
@@ -578,5 +553,4 @@ func (e *shardedExecutor) poisonRecycled() {
 	}
 	poisonSlots(e.queue)
 	poisonSlots(e.next)
-	e.c.fl.poisonSpent()
 }

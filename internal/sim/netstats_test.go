@@ -239,7 +239,7 @@ func TestBurstLossWithScheduledCrashes(t *testing.T) {
 				defer c.Close()
 				// Identical burst channel and crash schedule in every
 				// executor: a bursty WAN plus twelve mid-run crashes.
-				c.loss = fault.NewBurst(0.02, 0.8, 0.02, 0.2, rng.New(77))
+				c.network.Loss = fault.NewBurst(0.02, 0.8, 0.02, 0.2, rng.New(77))
 				for i := 0; i < 12; i++ {
 					c.crashes.CrashAt(c.ids[(i*9)%120], uint64(2+i%6))
 				}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/netmodel"
 )
 
 // TestScenarioValidate is the sim v2 front-door validation table,
@@ -32,7 +33,7 @@ func TestScenarioValidate(t *testing.T) {
 		}, ""},
 		{"ms delay on round clock", func(sc *Scenario) {
 			sc.Delay = fault.Millis{Model: fault.FixedDelay{Rounds: 30}}
-		}, "requires Clock: ClockEvent"},
+		}, "requires the event clock"},
 		{"ms delay mixed with round topology delays", func(sc *Scenario) {
 			sc.Clock = ClockEvent
 			sc.Delay = fault.Millis{Model: fault.FixedDelay{Rounds: 30}}
@@ -49,7 +50,7 @@ func TestScenarioValidate(t *testing.T) {
 		}, ""},
 		{"ms delay beyond event horizon", func(sc *Scenario) {
 			sc.Clock = ClockEvent
-			sc.Delay = fault.Millis{Model: fault.FixedDelay{Rounds: eventDelayBoundMs + 1}}
+			sc.Delay = fault.Millis{Model: fault.FixedDelay{Rounds: netmodel.MaxSpanMs + 1}}
 		}, "delay"},
 		{"unknown experiment", func(sc *Scenario) { sc.Experiment = Experiment(42) }, "unknown experiment"},
 		{"negative reliability rate", func(sc *Scenario) {

@@ -18,8 +18,9 @@ import (
 // synchronous and an async one per clock, the oracle for the executor's two
 // step functions on both. The round-clock walks know one instant per period
 // and no phases; the event-clock ones walk the ring's pending instants. They
-// share the cluster's network model (classify, the in-flight ring and its
-// wheel of arrival markers) and nothing of the executor, so a divergence between a Workers=W run and the
+// share the cluster's network model (internal/netmodel: the filter, the
+// in-flight ring and its wheel of arrival markers) and nothing of the
+// executor, so a divergence between a Workers=W run and the
 // reference is a bug in the executor's shard/merge machinery or in the
 // recycling paths, whatever W is.
 
@@ -73,18 +74,14 @@ func (c *seqRef) RunRound() {
 	default:
 		c.runRoundSeq()
 	}
-	c.fl.park(c.nowMs)
-	c.fl.recycle()
+	c.network.EndPeriod(c.nowMs)
 }
 
 // runRoundSeq is the synchronous round of the round clock.
 func (c *seqRef) runRoundSeq() {
-	queue := c.seqQueue[:0]
-	pre := 0
-	if c.fl != nil {
-		queue, c.arrivalDests = c.settleArrivals(c.now, queue, c.arrivalDests[:0])
-		pre = len(queue)
-	}
+	var queue []proto.Message
+	queue, c.arrivalDests = c.settleArrivals(c.now, c.seqQueue[:0], c.arrivalDests[:0])
+	pre := len(queue)
 	for i := range c.procs {
 		if c.crashes.Crashed(c.ids[i], c.now) {
 			continue
@@ -98,7 +95,7 @@ func (c *seqRef) runRoundSeq() {
 // dispatchSeq delivers the round's queue (c.seqQueue), chasing same-round
 // responses. The first pre messages of the queue are this round's delayed
 // arrivals: they already passed send-time filtering and arrival
-// accounting, so they skip classify and go straight to their receivers —
+// accounting, so they skip the filter and go straight to their receivers —
 // in queue order, ahead of the round's fresh traffic, matching the
 // sharded executor's merge order exactly.
 func (c *seqRef) dispatchSeq(pre int) {
@@ -111,7 +108,7 @@ func (c *seqRef) dispatchSeq(pre int) {
 				di = c.arrivalDests[pos] // pre-filtered arrival
 			} else {
 				var ok bool
-				if di, ok = c.classify(m); !ok {
+				if di, ok = c.route(m); !ok {
 					continue
 				}
 			}
@@ -124,6 +121,14 @@ func (c *seqRef) dispatchSeq(pre int) {
 	// without a trace; account for them so the counters stay conservative.
 	c.net.TruncatedChase += uint64(len(queue))
 	c.seqQueue, c.seqNext = queue, next
+}
+
+// route runs m through the network model with the cluster's verdict on its
+// destination, as the executor's asyncRoute does, and returns the
+// destination's process index when m is delivered now.
+func (c *seqRef) route(m proto.Message) (int, bool) {
+	di, known, alive := c.verdict(m.To)
+	return di, c.network.Classify(&m, c.now, c.nowMs, known, alive, &c.net)
 }
 
 // asyncSeq is the retained scratch state of the sequential wavefront
@@ -171,11 +176,9 @@ func (c *seqRef) runAsyncPeriodSeq() {
 	// through the regular wave-barrier machinery. The drain draws no
 	// randomness, so running it before the period's shuffle keeps every
 	// stream aligned with the sharded executor, which does the same.
-	if c.fl != nil {
-		a.queue, a.dests = c.settleArrivals(c.now, a.queue[:0], a.dests[:0])
-		if len(a.queue) > 0 {
-			c.asyncBarrierSeq(a)
-		}
+	a.queue, a.dests = c.settleArrivals(c.now, a.queue[:0], a.dests[:0])
+	if len(a.queue) > 0 {
+		c.asyncBarrierSeq(a)
 	}
 	for i := range a.order {
 		a.order[i] = i
@@ -225,14 +228,14 @@ func (c *seqRef) runAsyncPeriodSeq() {
 	}
 }
 
-// asyncFilterSeq runs one message through crash/loss filtering and the
-// network counters (classify), appending survivors to the wave queue and
+// asyncFilterSeq runs one message through the network model and its
+// counters (route), appending survivors to the wave queue and
 // invalidating the destination's speculative tick when one is
 // outstanding. Filter calls happen in deterministic walk/merge order, so
 // the shared loss stream's draw order is schedule-defined, exactly like
 // the synchronous executor's sequential filter phase.
 func (c *seqRef) asyncFilterSeq(a *asyncSeq, m proto.Message) {
-	di, ok := c.classify(m)
+	di, ok := c.route(m)
 	if !ok {
 		return
 	}
@@ -282,7 +285,7 @@ func (c *seqRef) asyncBarrierSeq(a *asyncSeq) {
 func (c *seqRef) runEventRoundSeq() {
 	pEnd := c.now * c.periodMs
 	for boundary := false; !boundary; {
-		at, ok := c.fl.due(pEnd)
+		at, ok := c.network.Due(pEnd)
 		if !ok {
 			at = pEnd
 		}
@@ -309,7 +312,7 @@ func (c *seqRef) runEventRoundSeq() {
 // exactly like a wave delivery.
 func (c *seqRef) eventArrivalBarrierSeq(a *asyncSeq, limit uint64) {
 	for {
-		at, ok := c.fl.due(limit)
+		at, ok := c.network.Due(limit)
 		if !ok {
 			return
 		}
@@ -373,7 +376,7 @@ func (c *seqRef) runEventPeriodAsyncSeq() {
 			// predates: that arrival must land (and possibly invalidate
 			// speculations) first. The check reads only the ring's wheel, a
 			// pure function of the simulation state.
-			if _, pending := c.fl.due(base + c.phase[i]); pending {
+			if _, pending := c.network.Due(base + c.phase[i]); pending {
 				waveEnd = k
 				break
 			}

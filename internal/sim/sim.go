@@ -27,6 +27,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/idmap"
 	"repro/internal/membership"
+	"repro/internal/netmodel"
 	"repro/internal/pbcast"
 	"repro/internal/proto"
 	"repro/internal/rng"
@@ -81,7 +82,8 @@ type Options struct {
 	Lpbcast core.Config
 	// Pbcast configures the nodes for the pbcast protocols.
 	Pbcast pbcast.Config
-	// Epsilon is the per-message loss probability (paper: 0.05).
+	// Epsilon is the per-message loss probability ε (paper: 0.05); see
+	// netmodel.Config, as for Delay, Topology and Partitions.
 	Epsilon float64
 	// Tau is the crashed fraction per run (paper: 0.01). Crash times are
 	// sampled uniformly over the run's horizon.
@@ -116,25 +118,13 @@ type Options struct {
 	// embed keeps the historical field names (o.Workers, o.PoisonRecycled)
 	// working unchanged.
 	RunConfig
-	// Delay is the network delay model: how many whole rounds (periods) a
-	// surviving message spends in flight before delivery (see
-	// fault.DelayModel). nil with no Topology means every message arrives
-	// in its send round, the paper's §5.1 semantics. When a Topology is
-	// set and Delay is nil, the topology's per-link-class delay profiles
-	// apply (fault.TopologyDelay); an explicit Delay overrides them.
-	Delay fault.DelayModel
-	// Topology assigns every (src, dst) link a class with its own loss
-	// probability and delay range (fault.Topology): two-cluster LAN/WAN
-	// splits, hierarchical site structures, or Uniform. When set, it
-	// replaces the flat Bernoulli ε with per-link loss (profiles with a
-	// negative Epsilon inherit the global ε) and — unless Delay overrides
-	// — drives per-link delays. Partition classes refer to this topology.
-	Topology fault.Topology
-	// Partitions schedules link cuts: during each partition's [From, To)
-	// round window, messages sent across the named link classes are
-	// dropped (NetStats.DroppedInPartition); at To the partition heals.
-	// Windows cutting the same class must not overlap, and must start
-	// inside the horizon when one is set (Validate enforces both).
+	// Delay, Topology and Partitions are the network model beside Epsilon,
+	// with netmodel.Config's semantics and rules: nil Delay and Topology is
+	// the paper's §5.1 same-round network. A millisecond delay model needs
+	// ClockEvent, and partition windows must start inside the Horizon when
+	// one is set.
+	Delay      fault.DelayModel
+	Topology   fault.Topology
 	Partitions []fault.Partition
 	// Tracer, when set, observes protocol events during the run through
 	// the same trace.Tracer seam the live runtime uses. The simulator
@@ -152,27 +142,18 @@ type Options struct {
 	Tracer trace.Tracer
 }
 
-// maxDelayBound caps a delay model's MaxDelay: the in-flight ring is
-// pre-sized to MaxDelay+1 buckets, so the bound keeps a misconfigured
-// model from allocating an absurd ring.
-const maxDelayBound = 4096
+// network is the options' network model.
+func (o Options) network() netmodel.Config {
+	return netmodel.Config{Epsilon: o.Epsilon, Topology: o.Topology, Delay: o.Delay, Partitions: o.Partitions}
+}
 
-// eventDelayBoundMs caps the delay span in virtual milliseconds on the
-// event clock, where the in-flight ring is keyed by instant: one bucket
-// per millisecond of span.
-const eventDelayBoundMs = 1 << 16
-
-// effectiveDelay resolves the delay model in force: an explicit Delay
-// wins, a Topology with any nonzero delay profile implies the
-// topology-backed model, and nil means the zero-delay fast path.
-func (o Options) effectiveDelay() fault.DelayModel {
-	if o.Delay != nil {
-		return o.Delay
+// netClock is what the run configuration's clock means to the network.
+func (o Options) netClock() netmodel.Clock {
+	clock := netmodel.Clock{Horizon: o.Horizon}
+	if o.Clock == ClockEvent {
+		clock.PeriodMs = o.periodMillis()
 	}
-	if o.Topology != nil && fault.MaxLinkDelay(o.Topology) > 0 {
-		return fault.TopologyDelay{T: o.Topology}
-	}
-	return nil
+	return clock
 }
 
 // DefaultOptions returns the paper's standard simulation setup for n
@@ -193,9 +174,6 @@ func (o Options) Validate() error {
 	if o.N < 2 {
 		return errors.New("sim: need at least 2 processes")
 	}
-	if o.Epsilon < 0 || o.Epsilon >= 1 {
-		return fmt.Errorf("sim: epsilon %v out of [0,1)", o.Epsilon)
-	}
 	if o.Tau < 0 || o.Tau >= 1 {
 		return fmt.Errorf("sim: tau %v out of [0,1)", o.Tau)
 	}
@@ -208,53 +186,8 @@ func (o Options) Validate() error {
 	if err := o.RunConfig.validateRun(); err != nil {
 		return err
 	}
-	if o.Delay != nil {
-		if err := o.Delay.Validate(); err != nil {
-			return fmt.Errorf("sim: delay model: %w", err)
-		}
-	}
-	if o.Topology != nil {
-		if err := o.Topology.Validate(); err != nil {
-			return fmt.Errorf("sim: topology: %w", err)
-		}
-	}
-	if d := o.effectiveDelay(); d != nil {
-		// A scenario must not mix time units: millisecond-valued delay
-		// models need the event clock (the round executors would silently
-		// coerce ms to rounds), and cannot be combined with a topology
-		// whose link profiles carry their own round-granular delays.
-		if fault.Unit(d) == fault.UnitMillis {
-			if o.Clock != ClockEvent {
-				return fmt.Errorf("sim: millisecond delay model requires Clock: ClockEvent; the round clock cannot honor sub-round latencies")
-			}
-			if o.Topology != nil && fault.MaxLinkDelay(o.Topology) > 0 {
-				return fmt.Errorf("sim: scenario mixes a millisecond delay model with round-granular topology link delays; express the delays in one unit")
-			}
-		}
-		max := d.MaxDelay()
-		if max < 0 {
-			return fmt.Errorf("sim: delay model MaxDelay %d negative", max)
-		}
-		if o.Clock == ClockEvent {
-			span := uint64(max)
-			if fault.Unit(d) == fault.UnitRounds {
-				span *= o.periodMillis()
-			}
-			if span > eventDelayBoundMs {
-				return fmt.Errorf("sim: delay span %d ms exceeds the event clock's bound %d ms", span, eventDelayBoundMs)
-			}
-		} else if max > maxDelayBound {
-			return fmt.Errorf("sim: delay model MaxDelay %d outside [0,%d]", max, maxDelayBound)
-		}
-	}
-	if len(o.Partitions) > 0 {
-		classes := 1
-		if o.Topology != nil {
-			classes = o.Topology.Classes()
-		}
-		if err := fault.ValidatePartitions(o.Partitions, classes, o.Horizon); err != nil {
-			return fmt.Errorf("sim: %w", err)
-		}
+	if err := o.network().Validate(o.netClock()); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	switch o.Protocol {
 	case Lpbcast:
@@ -280,15 +213,8 @@ type Cluster struct {
 	index     idmap.Table // pid ↔ dense process index
 	sinks     []procSink  // per-process delivery sinks (lpbcast path)
 	pools     []*core.Pools
-	loss      fault.LossModel
+	network   *netmodel.Model
 	crashes   *fault.CrashSchedule
-	topo      fault.Topology    // nil: flat network, every link LinkLocal
-	delay     fault.DelayModel  // nil: zero-delay fast path
-	delayRNG  *rng.Source       // delay jitter stream (delay != nil only)
-	fl        *inflightQueue    // delayed-message ring (delay != nil only)
-	maxDelay  int               // the delay model's declared bound
-	parts     []fault.Partition // scheduled link cuts
-	hasParts  bool
 	rec       *recorder
 	tickRNG   *rng.Source
 	mcastRNG  *rng.Source
@@ -297,8 +223,10 @@ type Cluster struct {
 	deliverFn func(owner proto.ProcessID, ev proto.Event)
 	exec      *shardedExecutor // runs every round and period, on 1..W shards
 	// arrivalDests holds the destination indices of the arrivals the last
-	// settleArrivals put on the queue, retained across periods.
-	arrivalDests []int
+	// settleArrivals put on the queue, and arrivalLedgers the ledgers the
+	// ring hands out beside them; both are retained across periods.
+	arrivalDests   []int
+	arrivalLedgers []*stats.NetStats
 	// viewIdxScratch/viewPIDScratch back uniformView: initial views are
 	// drawn one process at a time through shared scratch, so seeding n
 	// processes costs two allocations total instead of two per process.
@@ -311,10 +239,9 @@ type Cluster struct {
 	// round clock periodMs is 1 and a period is its boundary instant. Ticks
 	// are positions in the period, not timers: synchronous ticks fire at the
 	// boundary in index order, async ones at their phase offsets. The only
-	// timers are the in-flight ring's arrival markers (inflight.go).
+	// timers are the in-flight ring's arrival markers (internal/netmodel).
 	periodMs uint64 // gossip period length in instants
 	nowMs    uint64 // current virtual instant
-	unitMs   uint64 // instants per delay-model unit: periodMs for rounds models, 1 for Millis
 	// Async: each process ticks at a fixed phase offset within every period
 	// (phase[i] ∈ [1, periodMs]), and the event clock walks a period in
 	// ascending (phase, index) order (phaseOrder). The round clock's phases
@@ -339,7 +266,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 	root := rng.New(opts.Seed)
 	c := &Cluster{
 		opts:    opts,
-		topo:    opts.Topology,
 		crashes: fault.NewCrashSchedule(),
 		rec:     newRecorder(opts.N),
 	}
@@ -350,20 +276,16 @@ func NewCluster(opts Options) (*Cluster, error) {
 	// same options share every stream whatever their Workers. The delay
 	// stream is split only when a delay model is in force, keeping
 	// zero-delay runs bit-identical to pre-delay versions.
-	if c.topo != nil {
-		c.loss = fault.NewTopologyLoss(c.topo, opts.Epsilon, root.Split())
-	} else {
-		c.loss = fault.NewBernoulli(opts.Epsilon, root.Split())
-	}
+	network := opts.network()
+	lossRNG := root.Split()
 	c.tickRNG = root.Split()
 	c.mcastRNG = root.Split()
-	if d := opts.effectiveDelay(); d != nil {
-		c.delay = d
-		c.delayRNG = root.Split()
-		c.maxDelay = d.MaxDelay()
+	var delayRNG *rng.Source
+	if network.EffectiveDelay() != nil {
+		delayRNG = root.Split()
 	}
-	c.parts = opts.Partitions
-	c.hasParts = len(c.parts) > 0
+	c.network = netmodel.New(network, opts.netClock(), lossRNG, delayRNG)
+	c.network.SetPoison(opts.PoisonRecycled)
 	c.deliverFn = func(owner proto.ProcessID, ev proto.Event) { c.rec.record(owner, ev) }
 	if tr := opts.Tracer; tr != nil {
 		inner := c.deliverFn
@@ -422,14 +344,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 	// other stream keeps its position whatever the regime and the clock —
 	// which is what lets the bridge tests demand byte-for-byte equal results.
 	c.periodMs = opts.periodMillis()
-	c.unitMs = c.periodMs
-	if c.delay != nil {
-		if fault.Unit(c.delay) == fault.UnitMillis {
-			c.unitMs = 1
-		}
-		c.fl = newInflight(c.maxDelay * int(c.unitMs))
-		c.fl.check = opts.PoisonRecycled
-	}
 	if opts.Async {
 		evRNG := root.Split()
 		c.phase = make([]uint64, opts.N)
@@ -535,11 +449,9 @@ func (c *Cluster) RunRound() {
 	if c.opts.PoisonRecycled {
 		c.exec.poisonRecycled()
 	}
-	// The wheel ends the period at its boundary, and the drained delay-ring
-	// slots go back to the pool only now, after every consumer (and any
-	// poisoning pass) is done.
-	c.fl.park(c.nowMs)
-	c.fl.recycle()
+	// The drained delay-ring storage goes back to the pool only now, after
+	// every consumer (and any poisoning pass) is done.
+	c.network.EndPeriod(c.nowMs)
 }
 
 // runRoundBody runs one period of the regime's schedule, and leaves nowMs
@@ -552,93 +464,27 @@ func (c *Cluster) runRoundBody() {
 	}
 }
 
-// classify runs one message through the network's partition, crash, loss,
-// and delay filtering and updates the counters: the message lands in Sent
-// plus exactly one of UnknownDest, DroppedInPartition, ToCrashed, Dropped,
-// or Delivered — or enters the in-flight delay ring and is counted in
-// InFlight until its arrival round settles it. It returns the
-// destination's process index and whether the message is deliverable right
-// now. Every schedule routes messages through this single helper, so the
-// accounting (and the loss and delay streams' draw-per-message discipline)
-// cannot drift between them.
-//
-// Filter order is part of the model: a cut link swallows traffic before
-// the destination's liveness is consulted, loss applies only to traffic
-// that could physically arrive, and only surviving messages draw a delay.
-func (c *Cluster) classify(m proto.Message) (int, bool) {
-	c.net.Sent++
-	di, ok := c.index.Lookup(m.To)
-	if !ok {
-		c.net.UnknownDest++
-		return -1, false
-	}
-	if c.hasParts && fault.CutLink(c.parts, c.linkClass(m.From, m.To), c.now) {
-		c.net.DroppedInPartition++
-		return -1, false
-	}
-	if c.crashes.Crashed(m.To, c.now) {
-		c.net.ToCrashed++
-		return -1, false
-	}
-	if c.loss.Drop(m.From, m.To, c.now) {
-		c.net.Dropped++
-		return -1, false
-	}
-	if c.delay != nil {
-		d := c.delay.Delay(m.From, m.To, c.now, c.delayRNG)
-		if d < 0 || d > c.maxDelay {
-			// A model returning a negative delay or more than its declared
-			// MaxDelay would silently skew results or corrupt the ring;
-			// fail loudly instead.
-			panic(fmt.Sprintf("sim: delay %d outside the model's [0, MaxDelay=%d]", d, c.maxDelay))
-		}
-		if d > 0 {
-			// The ring is keyed by virtual instant; this one is strictly
-			// after nowMs, which never trails the ring's wheel.
-			c.fl.enqueue(&m, c.nowMs+uint64(d)*c.unitMs, c.now)
-			c.net.InFlight++
-			return -1, false
-		}
-	}
-	c.net.Delivered++
-	return int(di), true
-}
-
-// linkClass resolves the class of a link under the configured topology;
-// without one, every link is LinkLocal.
-func (c *Cluster) linkClass(src, dst proto.ProcessID) fault.LinkClass {
-	if c.topo != nil {
-		return c.topo.Class(src, dst)
-	}
-	return fault.LinkLocal
-}
-
-// arrive settles one in-flight message at its arrival round: the message
-// leaves InFlight and lands in ToCrashed (the destination crashed while it
-// was in the air) or Delivered (+DeliveredLate). Partition, loss, and
-// unknown-destination filtering already happened at send time in classify,
-// and none of it draws randomness here, so arrivals perturb no stream.
-func (c *Cluster) arrive(to proto.ProcessID) (int, bool) {
-	c.net.InFlight--
-	if c.crashes.Crashed(to, c.now) {
-		c.net.ToCrashed++
-		return -1, false
-	}
-	c.net.Delivered++
-	c.net.DeliveredLate++
-	di, _ := c.index.Lookup(to) // classified at send time, so present
-	return int(di), true
+// verdict is the cluster's word on a message's destination for the network
+// model: its process index, whether it is a process of the cluster, and
+// whether it is alive now. Every schedule routes messages through the one
+// netmodel filter with it, so the accounting (and the loss and delay
+// streams' draw-per-message discipline) cannot drift between them.
+func (c *Cluster) verdict(to proto.ProcessID) (di int, known, alive bool) {
+	ix, known := c.index.Lookup(to)
+	return int(ix), known, known && !c.crashes.Crashed(to, c.now)
 }
 
 // settleArrivals empties the in-flight bucket of instant at in its
-// deterministic enqueue order, settles each message's accounting, and
-// appends the survivors to msgs — closing the gaps the messages to crashed
-// destinations leave — and their destination process indices to dests.
+// deterministic enqueue order, settles each message's accounting
+// (netmodel.Arrive), and appends the survivors to msgs — closing the gaps the
+// messages to crashed destinations leave — and their destination process
+// indices to dests.
 func (c *Cluster) settleArrivals(at uint64, msgs []proto.Message, dests []int) ([]proto.Message, []int) {
 	kept := len(msgs)
-	msgs = c.fl.drain(at, msgs)
+	msgs, c.arrivalLedgers = c.network.Drain(at, msgs, c.arrivalLedgers[:0])
 	for k := kept; k < len(msgs); k++ {
-		if di, ok := c.arrive(msgs[k].To); ok {
+		di, known, alive := c.verdict(msgs[k].To)
+		if netmodel.Arrive(c.arrivalLedgers[k-kept], known, alive) {
 			if kept != k {
 				msgs[kept] = msgs[k]
 			}
@@ -668,31 +514,12 @@ func (c *Cluster) PublishAt(i int) (proto.Event, error) {
 					continue
 				}
 				// Each receiver's copy of the first-phase multicast is a
-				// real message: it is counted in Sent and runs through the
-				// same partition and crash filtering and accounting as
-				// gossip traffic, with the phase's own unreliability
-				// applied first and the network loss model ε on top. Only
-				// the delay model is exempt — the first phase stands in
-				// for IP multicast and is modeled as instantaneous.
-				c.net.Sent++
-				if c.hasParts && fault.CutLink(c.parts, c.linkClass(c.ids[i], c.ids[j]), c.now) {
-					c.net.DroppedInPartition++
-					continue
+				// real message, filtered and accounted like gossip traffic
+				// but for the delay model (netmodel.Model.Multicast).
+				_, _, alive := c.verdict(c.ids[j])
+				if c.network.Multicast(c.ids[i], c.ids[j], c.now, alive, &c.net, c.mcastRNG, c.opts.FirstPhaseDelivery) {
+					node.HandleFirstPhase(ev)
 				}
-				if c.crashes.Crashed(c.ids[j], c.now) {
-					c.net.ToCrashed++
-					continue
-				}
-				if !c.mcastRNG.Bool(c.opts.FirstPhaseDelivery) {
-					c.net.Dropped++
-					continue
-				}
-				if c.loss.Drop(c.ids[i], c.ids[j], c.now) {
-					c.net.Dropped++
-					continue
-				}
-				c.net.Delivered++
-				node.HandleFirstPhase(ev)
 			}
 		}
 		return ev, nil

@@ -31,8 +31,8 @@ type TopicOptions struct {
 	Seed uint64
 	// Epsilon is the per-message Bernoulli loss probability.
 	Epsilon float64
-	// Delay, Topology, and Partitions configure the fault model exactly
-	// as on pubsub.Config.
+	// Delay, Topology, and Partitions configure the network exactly as on
+	// pubsub.Config (see netmodel.Config), on the Bus's round clock.
 	Delay      fault.DelayModel
 	Topology   fault.Topology
 	Partitions []fault.Partition
@@ -71,10 +71,6 @@ func TopicExperiment(opts TopicOptions, rounds, repeats int) (InfectionResult, e
 	}
 	if opts.Clock != ClockRounds {
 		return InfectionResult{}, fmt.Errorf("sim: topic experiments step the pubsub Bus in whole rounds; Clock must be ClockRounds")
-	}
-	if opts.Delay != nil && fault.Unit(opts.Delay) == fault.UnitMillis {
-		// The Bus would silently read millisecond values as whole rounds.
-		return InfectionResult{}, fmt.Errorf("sim: millisecond delay models are not supported by the round-stepped pubsub Bus")
 	}
 	// The workload's popularity draws use the experiment seed directly,
 	// so every repeat deploys the same population shape and only the
