@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/netmodel"
 	"repro/internal/proto"
@@ -510,3 +511,53 @@ type quiet struct{ self proto.ProcessID }
 func (p *quiet) Self() proto.ProcessID                               { return p.self }
 func (p *quiet) Tick(uint64) []proto.Message                         { return nil }
 func (p *quiet) HandleMessage(proto.Message, uint64) []proto.Message { return nil }
+
+// TestOneEmissionPerPeriod pins the invariant the ring's sharing key rests
+// on: whatever the schedule — both regimes, both clocks, one shard and
+// three, speculation and aborts included — an engine commits at most one
+// emission per period, so a gossip pointer and a period name one gossip's
+// contents. PoisonRecycled is on for both shard counts, so the ring checks
+// every sharing decision it makes.
+func TestOneEmissionPerPeriod(t *testing.T) {
+	t.Parallel()
+	for _, async := range []bool{false, true} {
+		for _, clock := range []Clock{ClockRounds, ClockEvent} {
+			for _, workers := range []int{1, 3} {
+				t.Run(fmt.Sprintf("async=%v/clock=%v/workers=%d", async, clock, workers), func(t *testing.T) {
+					t.Parallel()
+					o := DefaultOptions(120)
+					o.Seed = 11
+					o.Async, o.Clock, o.Workers = async, clock, workers
+					o.PoisonRecycled = true
+					o.Lpbcast.AssumeFromDigest = false
+					o.Lpbcast.Retransmit = true
+					o.Lpbcast.RetransmitTimeout = 2
+					o.Topology = wanTopologyFor(o.N)
+					c, err := NewCluster(o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sent := make([]uint64, o.N)
+					for round := 0; round < 40; round++ {
+						if _, err := c.PublishAt(round % o.N); err != nil {
+							t.Fatal(err)
+						}
+						c.RunRound()
+						for i := range sent {
+							now := c.Process(i).(*core.Engine).Stats().GossipsSent
+							if now-sent[i] > uint64(o.Lpbcast.Fanout) {
+								t.Fatalf("period %d: process %d sent %d gossips, more than one emission of F=%d",
+									c.Now(), i, now-sent[i], o.Lpbcast.Fanout)
+							}
+							sent[i] = now
+						}
+					}
+					assertConserved(t, c.NetStats())
+					if c.NetStats().DeliveredLate == 0 {
+						t.Fatalf("the run never used the ring: %+v", c.NetStats())
+					}
+				})
+			}
+		}
+	}
+}
