@@ -828,9 +828,9 @@ func liveSuite(quick bool) []benchCase {
 			// each of peers destinations, packed into one container
 			// datagram per destination. Exercises the lock-free stats
 			// counters on the datagram path. The sender encodes into its
-			// retained buffer and the sinks decode into recycled batches,
-			// so the steady state allocates nothing; the ceiling leaves
-			// room for the sinks' inboxes filling once (nobody reads them).
+			// retained buffer and the sinks are never served: no reader runs,
+			// their datagrams wait in (and overflow) the kernel's socket
+			// buffers, and the steady state allocates nothing.
 			name: fmt.Sprintf("live/udp-sendbatch/peers=%d", peers),
 			gate: true, maxAllocs: 2,
 			fn: func(b *testing.B) {

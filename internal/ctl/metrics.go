@@ -156,7 +156,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		v          uint64
 	}{
 		{"lpbcast_transport_sent_total", "Messages handed to the transport.", ts.Sent},
-		{"lpbcast_transport_received_total", "Messages delivered to node inboxes.", ts.Received},
+		{"lpbcast_transport_received_total", "Inbound messages handed to nodes (UDP) or queued for them (in-process fabric).", ts.Received},
 		{"lpbcast_transport_dropped_total", "Messages dropped (loss, partitions, overflow, errors).", ts.Dropped},
 		{"lpbcast_transport_dropped_in_partition_total", "Messages dropped by an active partition.", ts.DroppedInPartition},
 		{"lpbcast_transport_decode_errors_total", "Inbound datagrams that failed to decode.", ts.DecodeErrs},

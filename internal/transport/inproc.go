@@ -83,14 +83,22 @@ func NewNetwork(cfg NetworkConfig) *Network {
 	}
 }
 
-// Endpoint is one process's attachment to a Network.
+// maxBurst bounds how many queued messages one handler call receives; it
+// caps both the latency of the burst's first message and the delivery
+// goroutine's scratch.
+const maxBurst = 256
+
+// Endpoint is one process's attachment to a Network. It is consumed either
+// through Serve or through the channel Recv returns, never both.
 type Endpoint struct {
 	net *Network
 	id  proto.ProcessID
 	in  chan proto.Message
 
-	mu     sync.Mutex
-	closed bool
+	mu      sync.Mutex
+	closed  bool
+	serving bool
+	served  sync.WaitGroup // the delivery goroutine, once Serve starts it
 }
 
 // Attach creates and registers an endpoint for process id.
@@ -231,6 +239,9 @@ func (n *Network) Close() error {
 	for _, ep := range eps {
 		ep.closeLocal()
 	}
+	for _, ep := range eps {
+		ep.served.Wait()
+	}
 	return nil
 }
 
@@ -370,7 +381,48 @@ func (ep *Endpoint) SendBatch(msgs []proto.Message) error {
 	return ep.net.deliverBatch(msgs)
 }
 
-// Recv implements Transport.
+// Serve implements Transport: it starts the endpoint's delivery goroutine,
+// which drains the inbound queue in bursts — after one blocking receive,
+// whatever else has queued, up to maxBurst messages — and hands each burst
+// to h, until the endpoint closes. A second Serve panics.
+func (ep *Endpoint) Serve(h func(msgs []proto.Message)) {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	if ep.serving {
+		panic("transport: endpoint served twice")
+	}
+	ep.serving = true
+	ep.served.Add(1)
+	go ep.deliver(h)
+}
+
+func (ep *Endpoint) deliver(h func(msgs []proto.Message)) {
+	defer ep.served.Done()
+	var burst []proto.Message
+	for m := range ep.in {
+		burst = append(burst[:0], m)
+	drain:
+		for len(burst) < maxBurst {
+			select {
+			case m, ok := <-ep.in:
+				if !ok {
+					break drain
+				}
+				burst = append(burst, m)
+			default:
+				break drain
+			}
+		}
+		h(burst)
+		// The burst is reused; its entries must not keep their senders'
+		// gossip alive until the next burst overwrites them.
+		clear(burst)
+	}
+}
+
+// Recv returns the endpoint's inbound queue, for consumers that read it
+// themselves instead of serving the endpoint. It is closed when the
+// endpoint closes.
 func (ep *Endpoint) Recv() <-chan proto.Message { return ep.in }
 
 // Stats implements StatsProvider. The ledger is the fabric's — endpoints
@@ -382,12 +434,15 @@ func (ep *Endpoint) Stats() Stats { return ep.net.Stats() }
 // control plane uses for live fault injection.
 func (ep *Endpoint) Network() *Network { return ep.net }
 
-// Close implements Transport: it detaches the endpoint from the network.
+// Close implements Transport: it detaches the endpoint from the network and
+// returns once the delivery goroutine, if Serve started one, has handed over
+// what was queued and exited.
 func (ep *Endpoint) Close() error {
 	ep.net.mu.Lock()
 	delete(ep.net.eps, ep.id)
 	ep.net.mu.Unlock()
 	ep.closeLocal()
+	ep.served.Wait()
 	return nil
 }
 

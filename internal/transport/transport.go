@@ -4,17 +4,16 @@
 // DESIGN.md §3) and a real UDP transport built on the stdlib net package
 // and the internal/wire codec.
 //
-// On UDP the datagram is the unit, with one owner at a time. The
-// transport's reader goroutine decodes each datagram once into a recycled
-// *Batch — its messages and the wire.Arena they live in — and owns it until
-// the pointer is sent on RecvBatch; the receiver owns it from there until
-// Batch.Release, and may read it but neither write it nor keep anything of
-// it (engines copy the events they retain). Recv is the same stream for
-// consumers that want one message at a time, deep-copied by a pump that the
-// first call starts. Sends encode into one buffer the transport keeps,
-// under a send mutex, and write once per destination. The node's run loop
-// remains the only goroutine that touches its engine: that is what makes
-// the emission reuse a Serializer permits safe.
+// A transport calls its consumer: Serve hands every inbound datagram (on UDP)
+// or burst (in process) to a handler, one call at a time, on a goroutine the
+// transport owns. The messages and everything they reference belong to the
+// transport and are valid only until the handler returns; the handler may
+// read them but neither write nor keep any of it (engines copy the events
+// they retain). On UDP the reader decodes each datagram once into the one
+// wire.Arena it keeps and resets it after the handler returns, so nothing is
+// queued and nothing is copied between the socket and the node. Sends encode
+// into one buffer the transport keeps, under a send mutex, and write once per
+// destination.
 package transport
 
 import (
@@ -47,13 +46,13 @@ type Transport interface {
 	// Send; on error the rest of the burst is still attempted and the
 	// first error is returned. SendBatch must not retain msgs.
 	SendBatch(msgs []proto.Message) error
-	// Recv returns the channel of inbound messages. The channel is closed
-	// when the transport closes. Run loops drain it in bursts: after a
-	// blocking receive, non-blocking reads empty whatever else has queued
-	// before the protocol reacts once for the whole burst. A transport may
-	// also offer whole datagrams (UDP.RecvBatch), which the node prefers.
-	Recv() <-chan proto.Message
-	// Close releases resources and closes the Recv channel.
+	// Serve starts delivery: the transport calls h with the messages of
+	// every inbound datagram or burst, one call at a time, on a goroutine it
+	// owns, until it closes. msgs and everything they reference are valid
+	// only until h returns. Until Serve, inbound traffic waits (or is lost)
+	// where the transport keeps it; a transport is served once.
+	Serve(h func(msgs []proto.Message))
+	// Close releases resources and stops delivery.
 	Close() error
 }
 
@@ -65,10 +64,15 @@ type Stats struct {
 	// Sent counts messages handed to the transport and accepted for
 	// transmission (before any loss decision).
 	Sent uint64 `json:"sent"`
-	// Received counts messages delivered into an inbound queue.
+	// Received counts inbound messages: on UDP those handed to the handler
+	// (Serve, or the Recv adapter), in the in-process fabric those queued
+	// for the destination endpoint.
 	Received uint64 `json:"received"`
 	// Dropped counts messages lost in the fabric or on the socket: loss
-	// model, full inbound queue, or unknown destination.
+	// model, a full endpoint queue (in process) or Recv channel (UDP),
+	// unknown destination, or a failed write. A UDP node that falls behind
+	// backs up into the kernel's receive queue instead, whose overflows are
+	// not counted here.
 	Dropped uint64 `json:"dropped"`
 	// DroppedInPartition is the subset of losses caused by an injected
 	// partition cutting the message's link class at send time.

@@ -12,7 +12,13 @@ import (
 	"repro/internal/rng"
 )
 
-func recvOne(t *testing.T, tr Transport, timeout time.Duration) proto.Message {
+// receiver is what the tests read from: an Endpoint's queue, or the Recv
+// adapter of a UDP transport.
+type receiver interface {
+	Recv() <-chan proto.Message
+}
+
+func recvOne(t *testing.T, tr receiver, timeout time.Duration) proto.Message {
 	t.Helper()
 	select {
 	case m, ok := <-tr.Recv():
@@ -289,6 +295,13 @@ func TestUDPIgnoresGarbageDatagrams(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
+	got := make(chan []proto.Message, 1)
+	b.Serve(func(msgs []proto.Message) {
+		select {
+		case got <- cloneAll(msgs):
+		default:
+		}
+	})
 	conn, err := net.Dial("udp", b.LocalAddr())
 	if err != nil {
 		t.Fatal(err)
@@ -309,9 +322,12 @@ func TestUDPIgnoresGarbageDatagrams(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	select {
-	case m := <-b.Recv():
-		t.Fatalf("garbage decoded into %+v", m)
+	case msgs := <-got:
+		t.Fatalf("garbage decoded into %+v", msgs)
 	default:
+	}
+	if st := b.Stats(); st.Received != 0 {
+		t.Errorf("garbage counted as %d received messages", st.Received)
 	}
 }
 
@@ -541,4 +557,68 @@ func TestInprocTopologyDelayUnit(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
 		t.Fatalf("WAN message delivered after %v, want ≥ ~30ms", elapsed)
 	}
+}
+
+// TestInprocServe: a served endpoint hands what queued to its handler in
+// bursts, one call at a time; a second Serve panics; and Close returns only
+// once the delivery goroutine has exited, so the handler is not called
+// after it.
+func TestInprocServe(t *testing.T) {
+	t.Parallel()
+	n := NewNetwork(NetworkConfig{})
+	defer n.Close()
+	a, _ := n.Attach(1)
+	b, _ := n.Attach(2)
+	const sent = 3 * maxBurst
+	burst := make([]proto.Message, sent)
+	for i := range burst {
+		burst[i] = subscribeMsg(1, 2)
+	}
+	// Queued before Serve: the first handler calls take full bursts.
+	if err := a.SendBatch(burst); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	got, calls, largest := 0, 0, 0
+	var closed bool
+	b.Serve(func(msgs []proto.Message) {
+		mu.Lock()
+		defer mu.Unlock()
+		if closed {
+			t.Error("handler called after Close returned")
+		}
+		got += len(msgs)
+		calls++
+		largest = max(largest, len(msgs))
+	})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a second Serve did not panic")
+			}
+		}()
+		b.Serve(func([]proto.Message) {})
+	}()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		mu.Lock()
+		seen := got
+		mu.Unlock()
+		if seen == sent {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("handler saw %d of %d messages", seen, sent)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	closed = true
+	if largest != maxBurst || calls < sent/maxBurst {
+		t.Errorf("%d messages came in %d calls of at most %d, want bursts of %d", sent, calls, largest, maxBurst)
+	}
+	mu.Unlock()
 }

@@ -21,77 +21,34 @@ const maxDatagram = 64 * 1024
 // wire.Packer.Budget): a datagram less headroom for the container header.
 const sendBudget = maxDatagram - 16
 
-const (
-	// inboxDatagrams is how many decoded datagrams wait for the consumer
-	// before the reader drops, as a socket buffer would: at the paper's
-	// fanout of 3 some forty gossip periods of a stalled consumer. A slot is
-	// a pointer, but every waiting datagram holds its decoded storage, so
-	// the depth is also the bound on what a stalled consumer lets the
-	// network pin.
-	inboxDatagrams = 128
-	// freeBatches is how many released batches wait for the reader: what one
-	// consumer keeps in flight when it keeps up. More would be kept warm for
-	// a burst that happened once.
-	freeBatches = 4
-)
-
-// Batch is one inbound datagram, decoded: its messages and the storage they
-// reference. The reader owns a batch until it is received from RecvBatch;
-// from then on the receiver does, until it calls Release, and may read Msgs
-// and everything they point to but not write or keep any of it — what must
-// outlive the batch is copied first, as the engines copy the events they
-// retain.
-type Batch struct {
-	// Msgs are the datagram's messages in wire order.
-	Msgs []proto.Message
-
-	arena wire.Arena
-	from  *UDP
-	held  bool
-}
-
-// Release returns the batch to its transport, which decodes a later datagram
-// into the same storage: Msgs is invalid from here on. Releasing a batch
-// twice panics.
-func (b *Batch) Release() {
-	if !b.held {
-		panic("transport: Batch released twice")
-	}
-	b.held = false
-	b.Msgs = nil
-	// Reset zeroes what it takes back, so a batch waiting on the free list
-	// references nothing of its datagram. One that a large datagram grew
-	// past a datagram's own size is left to the collector instead.
-	b.arena.Reset()
-	if b.arena.Size() > maxDatagram {
-		return
-	}
-	select {
-	case b.from.free <- b:
-	default:
-	}
-}
+// recvQueue is how many copied messages the Recv adapter holds for a
+// consumer that has not taken them yet: a few datagrams' worth, for tests and
+// probes that read as they go. A full channel loses the rest, counted in
+// Dropped, as the kernel's buffer would.
+const recvQueue = 64
 
 // UDP is a Transport over a real UDP socket using the internal/wire codec.
 // Peer addresses are registered explicitly (static directory) and learned
 // automatically from inbound traffic, so one seed address suffices to
 // join a running system.
 //
-// One reader goroutine decodes every datagram, once, into a recycled Batch.
-// RecvBatch hands those over by pointer; Recv is the same stream one copied
-// message at a time. A transport is consumed through one of the two.
+// Serve starts the one reader goroutine, which decodes every datagram, once,
+// into the transport's arena and calls the handler with its messages; Recv is
+// the same stream one copied message at a time. Until one of the two is
+// called no reader runs and datagrams wait in the kernel's socket buffer.
 //
-// UDP is safe for concurrent use.
+// UDP is safe for concurrent use. A handler may send on its own transport:
+// the lock order is the caller's locks, then sendMu, then mu, and the reader
+// holds none of them while it calls the handler.
 type UDP struct {
 	id   proto.ProcessID
 	conn *net.UDPConn
-	in   chan *Batch // decoded datagrams, inboxDatagrams deep
-	free chan *Batch // released batches, freeBatches deep
-	done chan struct{}
 
-	mu     sync.Mutex
-	peers  map[proto.ProcessID]netip.AddrPort
-	closed bool
+	mu      sync.Mutex
+	peers   map[proto.ProcessID]netip.AddrPort
+	closed  bool
+	serving bool
+	msgs    chan proto.Message // the Recv adapter's channel, once Recv is called
 
 	// sendMu guards the send scratch: senders encode one at a time, each
 	// into the same buffer, and write before the next one starts.
@@ -99,9 +56,10 @@ type UDP struct {
 	addrs  []netip.AddrPort // SendBatch: the address of each message
 	pack   wire.Packer
 
-	pumpOnce sync.Once
-	msgs     chan proto.Message
-	readers  sync.WaitGroup
+	// arena is the storage the reader decodes every datagram into, touched
+	// by the reader goroutine alone.
+	arena  wire.Arena
+	reader sync.WaitGroup
 
 	// Stats counters are atomics, not mu-guarded: concurrent SendBatch
 	// calls bump them once per message or datagram, and taking the
@@ -112,7 +70,7 @@ type UDP struct {
 }
 
 // NewUDP binds a UDP transport for process id at bindAddr (e.g.
-// "127.0.0.1:0"). The reader goroutine runs until Close.
+// "127.0.0.1:0"). It reads nothing until Serve or Recv.
 func NewUDP(id proto.ProcessID, bindAddr string) (*UDP, error) {
 	addr, err := net.ResolveUDPAddr("udp", bindAddr)
 	if err != nil {
@@ -122,18 +80,12 @@ func NewUDP(id proto.ProcessID, bindAddr string) (*UDP, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %q: %w", bindAddr, err)
 	}
-	u := &UDP{
+	return &UDP{
 		id:    id,
 		conn:  conn,
-		in:    make(chan *Batch, inboxDatagrams),
-		free:  make(chan *Batch, freeBatches),
-		done:  make(chan struct{}),
 		peers: make(map[proto.ProcessID]netip.AddrPort),
 		pack:  wire.Packer{Budget: sendBudget},
-	}
-	u.readers.Add(1)
-	go u.readLoop()
-	return u, nil
+	}, nil
 }
 
 // LocalAddr returns the bound address (useful with port 0).
@@ -165,22 +117,36 @@ func (u *UDP) AddPeer(p proto.ProcessID, addr string) error {
 	return nil
 }
 
-// batch returns a released batch, or a new one.
-func (u *UDP) batch() *Batch {
-	select {
-	case b := <-u.free:
-		return b
-	default:
-		return &Batch{from: u}
-	}
+// Serve implements Transport: it starts the reader, which calls h with the
+// messages of every datagram that decodes, in wire order, until Close. A
+// transport is served once: a second Serve, or Serve after Recv, panics.
+// Serve on a closed transport starts nothing.
+func (u *UDP) Serve(h func(msgs []proto.Message)) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	u.serveLocked(h)
 }
 
-// readLoop decodes each datagram into a batch, learns sender addresses and
-// queues the batch for the consumer. It never blocks on the consumer: a
-// full inbox loses the datagram, like a socket buffer overflow.
-func (u *UDP) readLoop() {
-	defer u.readers.Done()
-	defer close(u.in)
+// serveLocked starts the reader, under mu so that the reader's Add is ordered
+// before Close's Wait.
+func (u *UDP) serveLocked(h func(msgs []proto.Message)) {
+	if u.serving {
+		panic("transport: UDP served twice")
+	}
+	u.serving = true
+	if u.closed {
+		return
+	}
+	u.reader.Add(1)
+	go u.read(h)
+}
+
+// read decodes each datagram into the arena, learns the sender's address,
+// counts the messages and hands them to h; once h returns the arena is taken
+// back for the next datagram. A datagram that fails to decode is counted and
+// skipped.
+func (u *UDP) read(h func(msgs []proto.Message)) {
+	defer u.reader.Done()
 	// Constant-sized and kept out of every call that would retain it, so
 	// the buffer lives on this goroutine's stack, not in the heap.
 	buf := make([]byte, maxDatagram)
@@ -195,23 +161,22 @@ func (u *UDP) readLoop() {
 			}
 			continue // transient read error: keep serving
 		}
-		b := u.batch()
-		b.held = true
-		if b.Msgs, err = b.arena.DecodeBatch(buf[:n]); err != nil {
+		msgs, err := u.arena.DecodeBatch(buf[:n])
+		if err != nil {
 			u.decodeErrs.Add(1)
-			b.Release()
 			continue
 		}
-		if !u.learn(b.Msgs, unmapped(from)) {
+		if !u.learn(msgs, unmapped(from)) {
 			return
 		}
-		count := uint64(len(b.Msgs)) // b is the consumer's once sent
-		select {
-		case u.in <- b:
-			u.received.Add(count)
-		default:
-			u.dropped.Add(count)
-			b.Release()
+		u.received.Add(uint64(len(msgs)))
+		h(msgs)
+		// Reset zeroes what the arena handed out, so between datagrams it
+		// references nothing of the last one. An arena a large datagram grew
+		// past a datagram's own size is left to the collector.
+		u.arena.Reset()
+		if u.arena.Size() > maxDatagram {
+			u.arena = wire.Arena{}
 		}
 	}
 }
@@ -318,46 +283,33 @@ func (u *UDP) SendBatch(msgs []proto.Message) error {
 	return firstErr
 }
 
-// RecvBatch returns the channel of inbound datagrams, each decoded into a
-// Batch the receiver must Release. The channel is closed when the transport
-// closes. Consumers that handle a datagram at a time (the node's run loop)
-// read here and never pay for a message copy; see Recv for the other kind.
-func (u *UDP) RecvBatch() <-chan *Batch { return u.in }
-
-// Recv implements Transport for consumers that want one message at a time:
-// the first call starts a pump that reads RecvBatch, forwards a deep copy of
-// every message and releases the batch. The channel is unbuffered — what
-// waits, waits as datagrams in the inbox, and the reader drops there.
+// Recv serves the transport for consumers that want one message at a time
+// (tests, probes): the first call starts the reader with a handler that
+// deep-copies every message onto a channel of recvQueue. A message that finds
+// the channel full is dropped and counted in Dropped. The channel is closed
+// when the transport closes. Recv after Serve panics.
 func (u *UDP) Recv() <-chan proto.Message {
-	u.pumpOnce.Do(func() {
-		u.msgs = make(chan proto.Message)
-		// Under mu, so that the Add is ordered before Close's Wait.
-		u.mu.Lock()
-		defer u.mu.Unlock()
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if u.msgs == nil {
+		u.msgs = make(chan proto.Message, recvQueue)
 		if u.closed {
 			close(u.msgs)
-			return
+		} else {
+			u.serveLocked(u.forward)
 		}
-		u.readers.Add(1)
-		go u.pump()
-	})
+	}
 	return u.msgs
 }
 
-// pump runs until the reader closes the inbox or Close is called.
-func (u *UDP) pump() {
-	defer u.readers.Done()
-	defer close(u.msgs)
-	for b := range u.in {
-		for i := range b.Msgs {
-			select {
-			case u.msgs <- b.Msgs[i].Clone():
-			case <-u.done:
-				b.Release()
-				return
-			}
+// forward is the Recv adapter's handler.
+func (u *UDP) forward(msgs []proto.Message) {
+	for i := range msgs {
+		select {
+		case u.msgs <- msgs[i].Clone():
+		default:
+			u.dropped.Add(1)
 		}
-		b.Release()
 	}
 }
 
@@ -383,9 +335,12 @@ func (u *UDP) Close() error {
 		return nil
 	}
 	u.closed = true
+	msgs := u.msgs
 	u.mu.Unlock()
-	close(u.done)
 	err := u.conn.Close()
-	u.readers.Wait()
+	u.reader.Wait()
+	if msgs != nil {
+		close(msgs) // the reader, its only sender, is gone
+	}
 	return err
 }

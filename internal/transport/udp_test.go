@@ -367,21 +367,6 @@ func TestUDPStatsConcurrentSendHammer(t *testing.T) {
 	}
 }
 
-// recvBatch waits for one decoded datagram.
-func recvBatch(t *testing.T, u *UDP, timeout time.Duration) *Batch {
-	t.Helper()
-	select {
-	case b, ok := <-u.RecvBatch():
-		if !ok {
-			t.Fatal("batch channel closed")
-		}
-		return b
-	case <-time.After(timeout):
-		t.Fatal("timed out waiting for a datagram")
-		return nil
-	}
-}
-
 // longBurst is a datagram of long lists: a gossip with every list filled
 // and a retransmission reply, varied by k.
 func longBurst(k int) []proto.Message {
@@ -411,77 +396,129 @@ func cloneAll(msgs []proto.Message) []proto.Message {
 	return out
 }
 
-// TestUDPBatchLifetime pins the ownership rule of RecvBatch. A batch the
-// consumer holds is not touched while a hundred further datagrams are
-// decoded, recycled and decoded again; a recycled batch carries nothing of
-// the datagram it held before; releasing twice panics.
-func TestUDPBatchLifetime(t *testing.T) {
+// TestUDPServeLifetime pins the contract of Serve. The handler sees each
+// datagram's messages as they were sent; a Clone it takes is its own and
+// does not change while a hundred further datagrams are decoded; the reader
+// decodes all of them into one arena, which stops growing; and a datagram of
+// short lists decoded where long ones were shows nothing of them.
+func TestUDPServeLifetime(t *testing.T) {
 	t.Parallel()
 	a, b := newUDPPair(t)
 
-	if err := a.SendBatch(longBurst(0)); err != nil {
-		t.Fatal(err)
+	type seen struct {
+		msgs []proto.Message // cloned inside the handler
+		ok   bool            // the messages equalled what was sent
+		size int             // the arena's size while the handler ran
 	}
-	held := recvBatch(t, b, 2*time.Second)
-	if !reflect.DeepEqual(held.Msgs, longBurst(0)) {
-		t.Fatalf("first datagram decoded as %+v", held.Msgs)
-	}
-	snapshot := cloneAll(held.Msgs)
-
-	recycled := map[*Batch]bool{}
-	for k := 1; k <= 100; k++ {
-		if err := a.SendBatch(longBurst(k)); err != nil {
-			t.Fatal(err)
-		}
-		got := recvBatch(t, b, 2*time.Second)
-		if got == held {
-			t.Fatal("the reader decoded into a batch that was not released")
-		}
-		if !reflect.DeepEqual(got.Msgs, longBurst(k)) {
-			t.Fatalf("datagram %d decoded as %+v", k, got.Msgs)
-		}
-		recycled[got] = true
-		got.Release()
-	}
-	if len(recycled) > freeBatches {
-		t.Errorf("a consumer that releases before the next datagram saw %d distinct batches, want at most %d", len(recycled), freeBatches)
-	}
-	if !reflect.DeepEqual(held.Msgs, snapshot) {
-		t.Fatalf("held batch changed while later datagrams arrived:\nnow  %+v\nthen %+v", held.Msgs, snapshot)
-	}
-	held.Release()
-
-	// Shorter lists and an empty gossip into storage that held long ones.
+	const datagrams = 101
 	short := []proto.Message{
 		{Kind: proto.GossipMsg, From: 1, To: 2, Gossip: &proto.Gossip{From: 1}},
 		{Kind: proto.SubscribeMsg, From: 1, To: 2, Subscriber: 1},
 	}
+	calls := 0
+	handled := make(chan seen)
+	b.Serve(func(msgs []proto.Message) {
+		want := short
+		if calls < datagrams {
+			want = longBurst(calls)
+		}
+		calls++
+		handled <- seen{msgs: cloneAll(msgs), ok: reflect.DeepEqual(msgs, want), size: b.arena.Size()}
+	})
+	next := func() seen {
+		t.Helper()
+		select {
+		case s := <-handled:
+			return s
+		case <-time.After(2 * time.Second):
+			t.Fatal("timed out waiting for a datagram")
+			return seen{}
+		}
+	}
+
+	var first, second, last seen
+	for k := 0; k < datagrams; k++ {
+		if err := a.SendBatch(longBurst(k)); err != nil {
+			t.Fatal(err)
+		}
+		got := next()
+		if !got.ok {
+			t.Fatalf("datagram %d decoded as %+v", k, got.msgs)
+		}
+		switch k {
+		case 0:
+			first = got
+		case 1:
+			second = got
+		}
+		last = got
+	}
+	if !reflect.DeepEqual(first.msgs, longBurst(0)) {
+		t.Fatalf("a clone taken in the handler changed while later datagrams arrived: %+v", first.msgs)
+	}
+	if last.size != second.size {
+		t.Errorf("the arena grew from %d to %d B over datagrams of one shape", second.size, last.size)
+	}
+
+	// Shorter lists and an empty gossip into storage that held long ones.
 	if err := a.SendBatch(short); err != nil {
 		t.Fatal(err)
 	}
-	got := recvBatch(t, b, 2*time.Second)
-	if !recycled[got] && got != held {
-		t.Fatal("the reader allocated a batch with released ones waiting")
+	if got := next(); !got.ok {
+		t.Fatalf("the arena shows its previous datagram:\ngot  %+v (gossip %+v)\nwant %+v", got.msgs, got.msgs[0].Gossip, short)
 	}
-	if !reflect.DeepEqual(got.Msgs, short) {
-		t.Fatalf("recycled batch shows its previous datagram:\ngot  %+v (gossip %+v)\nwant %+v", got.Msgs, got.Msgs[0].Gossip, short)
+	if st := b.Stats(); st.Received != uint64(datagrams*len(longBurst(0))+len(short)) {
+		t.Errorf("received %d messages, want every one handed to the handler", st.Received)
 	}
-	got.Release()
-	if got.Msgs != nil {
-		t.Error("a released batch still shows messages")
-	}
-	func() {
+}
+
+// TestUDPServeOnce: a transport is served once and closes whether or not it
+// was served.
+func TestUDPServeOnce(t *testing.T) {
+	t.Parallel()
+	mustPanic := func(name string, f func()) {
+		t.Helper()
 		defer func() {
 			if recover() == nil {
-				t.Error("second Release did not panic")
+				t.Errorf("%s did not panic", name)
 			}
 		}()
-		got.Release()
-	}()
+		f()
+	}
+	idle, err := NewUDP(1, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeWithin(t, idle, 2*time.Second) // never served
+
+	served, err := NewUDP(2, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served.Serve(func([]proto.Message) {})
+	mustPanic("a second Serve", func() { served.Serve(func([]proto.Message) {}) })
+	mustPanic("Recv after Serve", func() { served.Recv() })
+	closeWithin(t, served, 2*time.Second)
+
+	recv, err := NewUDP(3, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv.Recv()
+	mustPanic("Serve after Recv", func() { recv.Serve(func([]proto.Message) {}) })
+	closeWithin(t, recv, 2*time.Second)
+
+	// Serve on a closed transport starts no reader.
+	closed, err := NewUDP(4, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeWithin(t, closed, 2*time.Second)
+	closed.Serve(func([]proto.Message) { t.Error("a closed transport called its handler") })
 }
 
 // TestUDPRecvCopies: a message taken from Recv is the consumer's own — it
-// does not change when the batch it came from is decoded into again.
+// does not change when the arena it was decoded in is decoded into again.
 func TestUDPRecvCopies(t *testing.T) {
 	t.Parallel()
 	a, b := newUDPPair(t)
@@ -505,18 +542,13 @@ func TestUDPRecvCopies(t *testing.T) {
 	}
 }
 
-// waitCounted polls until u has counted want inbound messages, received or
-// dropped.
-func waitCounted(t *testing.T, u *UDP, want uint64) {
+// eventually polls cond until it holds, failing after two seconds.
+func eventually(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for {
-		st := u.Stats()
-		if st.Received+st.Dropped >= want {
-			return
-		}
+	for !cond() {
 		if time.Now().After(deadline) {
-			t.Fatalf("reader counted %d of %d messages: %+v", st.Received+st.Dropped, want, st)
+			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -536,64 +568,39 @@ func closeWithin(t *testing.T, u *UDP, d time.Duration) {
 	}
 }
 
-// TestUDPInboxOverflow stalls the consumer: the inbox takes inboxDatagrams
-// datagrams, every later one is dropped and counted by its messages, the
-// reader keeps reading meanwhile, and Close returns with the inbox full.
-func TestUDPInboxOverflow(t *testing.T) {
-	t.Parallel()
-	a, b := newUDPPair(t)
-	burst := []proto.Message{subscribeMsg(1, 2), subscribeMsg(1, 2), subscribeMsg(1, 2)}
-	const extra = 40
-	for k := 1; k <= inboxDatagrams+extra; k++ {
-		if err := a.SendBatch(burst); err != nil {
-			t.Fatal(err)
-		}
-		// One at a time, so that nothing is lost ahead of the reader.
-		waitCounted(t, b, uint64(k*len(burst)))
-	}
-	st := b.Stats()
-	if want := uint64(inboxDatagrams * len(burst)); st.Received != want {
-		t.Errorf("received %d messages, want the inbox's %d", st.Received, want)
-	}
-	if want := uint64(extra * len(burst)); st.Dropped != want {
-		t.Errorf("dropped %d, want %d: every message of every dropped datagram", st.Dropped, want)
-	}
-	closeWithin(t, b, 2*time.Second)
-	queued := 0
-	for batch := range b.RecvBatch() {
-		queued++
-		batch.Release()
-	}
-	if queued != inboxDatagrams {
-		t.Errorf("closed transport handed over %d queued datagrams, want %d", queued, inboxDatagrams)
-	}
-}
-
-// TestUDPCloseWithStalledRecv: the same stall behind Recv, where the pump
-// sits on a message nobody takes. The reader still counts every datagram,
-// Close returns, and the message channel closes.
+// TestUDPCloseWithStalledRecv stalls the consumer of the Recv adapter: its
+// channel takes recvQueue messages, every later one is handed to the adapter
+// and dropped there, counted in Dropped; the reader keeps reading meanwhile,
+// Close returns, and the channel yields what it held and closes.
 func TestUDPCloseWithStalledRecv(t *testing.T) {
 	t.Parallel()
 	a, b := newUDPPair(t)
 	msgs := b.Recv()
-	const sent = inboxDatagrams + 20
-	for k := 1; k <= sent; k++ {
+	const extra = 20
+	for k := 1; k <= recvQueue+extra; k++ {
 		if err := a.Send(subscribeMsg(1, 2)); err != nil {
 			t.Fatal(err)
 		}
-		waitCounted(t, b, uint64(k))
+		// One at a time, so that nothing is lost ahead of the reader.
+		eventually(t, "the reader", func() bool { return b.Stats().Received >= uint64(k) })
 	}
-	if st := b.Stats(); st.Dropped == 0 || st.Received+st.Dropped != sent {
-		t.Errorf("stats = %+v, want %d messages counted and some dropped", st, sent)
+	eventually(t, "the drops", func() bool { return b.Stats().Dropped >= extra })
+	if st := b.Stats(); st.Received != recvQueue+extra || st.Dropped != extra {
+		t.Errorf("stats = %+v, want %d received and %d dropped", st, recvQueue+extra, extra)
 	}
 	closeWithin(t, b, 2*time.Second)
+	queued := 0
 	deadline := time.After(2 * time.Second)
 	for {
 		select {
 		case _, ok := <-msgs:
 			if !ok {
+				if queued != recvQueue {
+					t.Errorf("closed transport handed over %d queued messages, want %d", queued, recvQueue)
+				}
 				return
 			}
+			queued++
 		case <-deadline:
 			t.Fatal("Recv channel still open after Close")
 		}

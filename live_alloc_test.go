@@ -12,14 +12,11 @@ import (
 // measure the node's own round path — engine tick, burst handling, batch
 // send — without socket noise.
 type consumingTransport struct {
-	recv     chan Message
 	messages int
 	batches  int
 }
 
-func newConsumingTransport() *consumingTransport {
-	return &consumingTransport{recv: make(chan Message, 64)}
-}
+func newConsumingTransport() *consumingTransport { return &consumingTransport{} }
 
 func (t *consumingTransport) Send(m Message) error { t.messages++; return nil }
 
@@ -29,9 +26,10 @@ func (t *consumingTransport) SendBatch(msgs []Message) error {
 	return nil
 }
 
-func (t *consumingTransport) Recv() <-chan Message { return t.recv }
-func (t *consumingTransport) Close() error         { return nil }
-func (t *consumingTransport) SerializesOnSend()    {}
+// Serve starts nothing: the tests call the node's handler themselves.
+func (t *consumingTransport) Serve(func([]Message)) {}
+func (t *consumingTransport) Close() error          { return nil }
+func (t *consumingTransport) SerializesOnSend()     {}
 
 // steadyNode builds an unstarted node with a warmed view of 15 peers over
 // a consuming transport, then runs a few rounds so every scratch buffer
@@ -271,9 +269,11 @@ func liveHeap() uint64 {
 }
 
 // TestIdleUDPNodeHeap bounds what a node costs before it has seen traffic:
-// the socket, an inbox of pointers and an engine that holds no storage for
-// events it has not received. (The inbox used to be a channel of 1024
-// messages by value, 112 KB on its own.) Not parallel: it reads the heap.
+// the socket and an engine that holds no storage for events it has not
+// received. Nothing queues between the socket and the node, and the one
+// arena the reader decodes into grows only with traffic. (The node's inbox
+// was once a channel of 1024 messages by value, 112 KB on its own; then 128
+// pointers to recycled batches.) Not parallel: it reads the heap.
 func TestIdleUDPNodeHeap(t *testing.T) {
 	const nodes = 8
 	before := liveHeap()
@@ -285,15 +285,15 @@ func TestIdleUDPNodeHeap(t *testing.T) {
 	per := (int64(liveHeap()) - int64(before)) / nodes
 	runtime.KeepAlive(keep)
 	t.Logf("%d B of heap per idle UDP node", per)
-	if per >= 16<<10 {
-		t.Errorf("an idle UDP node holds %d B of heap, want under 16 KB", per)
+	if per >= 8<<10 {
+		t.Errorf("an idle UDP node holds %d B of heap, want under 8 KB", per)
 	}
 }
 
 // TestLiveUDPRoundAllocs takes the allocation gate of
 // TestLiveNodeRoundAllocs through the real stack: two started nodes
-// gossiping over loopback sockets — encode, sendto, recvfrom, decode into a
-// recycled batch, engine, release — must settle at no more than 2
+// gossiping over loopback sockets — encode, sendto, recvfrom, decode into the
+// reader's arena, handler, engine, reset — must settle at no more than 2
 // allocations per node-round. Not parallel: it reads the process's
 // allocation counter.
 func TestLiveUDPRoundAllocs(t *testing.T) {

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/rng"
 )
 
 // udpMesh binds n loopback transports that know every other's address.
@@ -229,5 +233,96 @@ func TestDeliveredPayloadOutlivesDatagram(t *testing.T) {
 		if want := payload(i + 1); !bytes.Equal(p, want) {
 			t.Fatalf("kept payload %d reads %v after later datagrams, want %v", i+1, p, want)
 		}
+	}
+}
+
+// watchedEngine is the default engine with its two driven entry points
+// counted once the test has marked the node closed.
+type watchedEngine struct {
+	Engine
+	closed *atomic.Bool
+	late   *atomic.Int64
+}
+
+func (e watchedEngine) TickAppend(now uint64, out []Message) []Message {
+	if e.closed.Load() {
+		e.late.Add(1)
+	}
+	return e.Engine.TickAppend(now, out)
+}
+
+func (e watchedEngine) HandleMessageAppend(m Message, now uint64, out []Message) []Message {
+	if e.closed.Load() {
+		e.late.Add(1)
+	}
+	return e.Engine.HandleMessageAppend(m, now, out)
+}
+
+// TestNodeCloseUnderFlood closes a UDP node while a peer floods its socket
+// with fresh events. Close returns although the transport's goroutine keeps
+// calling the node's handler, and from then on the engine is not entered
+// and the delivery handler is not called.
+func TestNodeCloseUnderFlood(t *testing.T) {
+	t.Parallel()
+	trs := udpMesh(t, 2)
+	var closed atomic.Bool
+	var late, delivered atomic.Int64
+	n, err := NewNode(1, trs[0],
+		WithGossipInterval(time.Millisecond),
+		WithSeeds(2),
+		WithEngine(func(id ProcessID, deliver func(Event), seed uint64) (Engine, error) {
+			eng, err := core.New(id, defaultNodeConfig(id).engine, deliver, rng.New(seed))
+			return watchedEngine{Engine: eng, closed: &closed, late: &late}, err
+		}),
+		WithDeliveryHandler(func(Event) {
+			delivered.Add(1)
+			if closed.Load() {
+				late.Add(1)
+			}
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Start()
+
+	stop := make(chan struct{})
+	flooded := make(chan struct{})
+	go func() {
+		defer close(flooded)
+		for seq := uint64(1); ; seq++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ev := Event{ID: EventID{Origin: 2, Seq: seq}, Payload: []byte("flood")}
+			g := &Gossip{From: 2, Subs: []ProcessID{2}, Events: []Event{ev}, Digest: []EventID{ev.ID}}
+			_ = trs[1].Send(Message{Kind: GossipMsgKind, From: 2, To: 1, Gossip: g})
+		}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for delivered.Load() < 100 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d flooded events delivered", delivered.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	done := make(chan error, 1)
+	go func() { done <- n.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return under a flood")
+	}
+	closed.Store(true)
+	time.Sleep(50 * time.Millisecond) // the flood goes on, and the ticker would have fired
+	close(stop)
+	<-flooded
+	if got := late.Load(); got != 0 {
+		t.Errorf("%d engine or delivery calls after Close returned", got)
 	}
 }

@@ -192,8 +192,10 @@ func WithSeeds(ids ...ProcessID) Option {
 	}
 }
 
-// WithDeliveryHandler delivers events by callback (on the node's run-loop
-// goroutine) instead of the Deliveries channel. The handler must not block.
+// WithDeliveryHandler delivers events by callback instead of the Deliveries
+// channel. The handler runs with the node's lock held, on whichever
+// goroutine drove the engine (the transport's, or Publish's caller): it must
+// not block or call back into the node.
 func WithDeliveryHandler(h func(Event)) Option {
 	return func(c *config) { c.handler = h }
 }
@@ -213,7 +215,8 @@ func WithRNGSeed(seed uint64) Option {
 // WithTracer streams protocol events (gossip emission/reception,
 // deliveries, retransmissions, membership changes) into tr. Use
 // NewTraceRing for a debugging buffer or NewTraceCounters for metrics;
-// nodes without a tracer pay no tracing cost.
+// nodes without a tracer pay no tracing cost. The tracer is called with the
+// node's lock held and must not call back into the node.
 func WithTracer(tr Tracer) Option {
 	return func(c *config) { c.tracer = tr }
 }
@@ -299,18 +302,16 @@ type emissionReuser interface {
 	SetEmissionReuse(on bool)
 }
 
-// maxBurst bounds how many queued inbound messages one run-loop iteration
-// drains before reacting; it caps both latency and the scratch buffer.
-const maxBurst = 256
-
 // Node is a live lpbcast process: the protocol engine, a transport, and a
 // gossip timer. Create with NewNode, launch with Start, stop with Close.
 //
-// Node's run loop is built for sustained load: inbound messages are
-// drained from the transport in bursts, the engine's append-style API
-// reuses per-node scratch buffers, and all emissions of a burst leave in
-// one Transport.SendBatch call — the steady-state gossip round performs no
-// per-round allocation (see BenchmarkLiveNodeRound).
+// Node has two triggers, as the paper's process does: the transport calls
+// it with every inbound datagram or burst (Transport.Serve), and a ticker
+// goroutine runs the periodic emission. Both hold the node's lock across
+// the engine call and the SendBatch of its emissions, and the engine's
+// append-style API reuses per-node scratch buffers, so the steady-state
+// gossip round performs no per-round allocation (see
+// BenchmarkLiveNodeRound).
 type Node struct {
 	id       ProcessID
 	tr       Transport
@@ -327,10 +328,9 @@ type Node struct {
 	dropped    uint64
 	tracer     trace.Tracer
 
-	// Run-loop scratch, touched only by the run goroutine (and by
-	// benchmarks before Start). inbox serves transports without RecvBatch.
-	out   []Message
-	inbox []Message
+	// out is the emission scratch, guarded by mu: a tick or a burst holds
+	// the lock from the engine call until out has been sent.
+	out []Message
 
 	cancel chan struct{}
 	wg     sync.WaitGroup
@@ -472,131 +472,84 @@ func (n *Node) now() uint64 {
 	return uint64(time.Since(n.start) / time.Millisecond)
 }
 
-// Start launches the gossip and receive loops. It is idempotent.
+// Start hands the node to its transport as the inbound handler and launches
+// the gossip ticker. It is idempotent.
 func (n *Node) Start() {
 	n.once.Do(func() {
 		n.start = time.Now()
+		n.tr.Serve(n.handleBurst)
 		n.wg.Add(1)
 		go n.run()
 	})
 }
 
-// batchReceiver is the optional transport fast path: inbound datagrams
-// arrive decoded, one pointer each, and go back with Release once handled
-// (see transport.UDP.RecvBatch).
-type batchReceiver interface {
-	RecvBatch() <-chan *transport.Batch
-}
-
-// run is the node's single event loop: ticks and inbound messages are
-// serialized here, so the engine needs no locking beyond the API mutex, and
-// it stays the only periodic sender, which is what lets a serializing
-// transport hand the engine's emission buffers back for reuse.
-//
-// A transport that offers batches is read a datagram at a time: the
-// datagram's messages cross the engine under one lock acquisition, their
-// responses leave in one SendBatch, and the batch — read-only while the
-// node holds it — is released. Any other transport is drained in bursts of
-// messages: after one blocking receive, whatever else has queued (up to
-// maxBurst) is processed in the same iteration. Only one of the two
-// channels is non-nil, and a nil channel's case never fires.
+// run is the node's ticker loop: one periodic emission per interval, until
+// Close.
 func (n *Node) run() {
 	defer n.wg.Done()
 	ticker := time.NewTicker(n.interval)
 	defer ticker.Stop()
-	var recv <-chan Message
-	var batches <-chan *transport.Batch
-	if br, ok := n.tr.(batchReceiver); ok {
-		batches = br.RecvBatch()
-	} else {
-		recv = n.tr.Recv()
-	}
 	for {
 		select {
 		case <-n.cancel:
 			return
 		case <-ticker.C:
 			n.gossipRound()
-		case b, ok := <-batches:
-			if !ok {
-				return
-			}
-			n.handleBurst(b.Msgs)
-			b.Release()
-		case m, ok := <-recv:
-			if !ok {
-				return
-			}
-			n.inbox = append(n.inbox[:0], m)
-		drain:
-			for len(n.inbox) < maxBurst {
-				select {
-				case m, ok := <-recv:
-					if !ok {
-						break drain
-					}
-					n.inbox = append(n.inbox, m)
-				default:
-					break drain
-				}
-			}
-			n.handleBurst(n.inbox)
-			// The inbox is reused; its entries must not keep their peers'
-			// gossip alive until the next burst overwrites them.
-			clear(n.inbox)
 		}
 	}
 }
 
 // gossipRound performs one periodic emission into the node's scratch
 // buffer and flushes it as a single batch.
+//
+// The engine may reuse its emission buffers when the transport serializes
+// on send (SetEmissionReuse): the *Gossip a tick emits is overwritten by the
+// next one. That is safe because the lock is held from the tick to the end
+// of its SendBatch, so nothing can tick or handle in between, on either of
+// the two goroutines that drive the engine.
 func (n *Node) gossipRound() {
 	now := n.now()
 	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return
+	}
 	n.out = n.engine.TickAppend(now, n.out[:0])
-	n.mu.Unlock()
 	if len(n.out) > 0 {
 		n.record(trace.KindGossipSent, NilProcess, EventID{}, len(n.out))
 	}
 	n.flush()
 }
 
-// handleBurst feeds a burst of inbound messages through the engine and
-// flushes every response as a single batch. Untraced nodes take the fast
-// path: the whole burst crosses the engine under one lock acquisition.
-// Traced nodes process per message so every trace event carries exact
-// provenance (which peer's gossip changed the view, which message
-// triggered which retransmission).
+// handleBurst is the node's inbound handler (see Transport.Serve): it feeds
+// one datagram's or burst's messages through the engine and flushes every
+// response as a single batch, all under one lock acquisition. msgs belong
+// to the transport and are read, never kept; engines copy what they retain.
+// Traced nodes record per message so every trace event carries exact
+// provenance (which peer's gossip changed the view, which message triggered
+// which retransmission). A closed node handles nothing.
 func (n *Node) handleBurst(msgs []Message) {
 	now := n.now()
-	if n.tracer == nil {
-		n.mu.Lock()
-		n.out = n.out[:0]
-		for _, m := range msgs {
-			if m.To != n.id && m.To != NilProcess {
-				continue // not addressed to us; stray datagram
-			}
-			n.out = n.engine.HandleMessageAppend(m, now, n.out)
-		}
-		n.mu.Unlock()
-		n.flush()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
 		return
 	}
 	n.out = n.out[:0]
 	for _, m := range msgs {
 		if m.To != n.id && m.To != NilProcess {
+			continue // not addressed to us; stray datagram
+		}
+		if n.tracer == nil {
+			n.out = n.engine.HandleMessageAppend(m, now, n.out)
 			continue
 		}
-		start := len(n.out)
-		n.mu.Lock()
-		before := n.engine.ViewLen()
+		start, before := len(n.out), n.engine.ViewLen()
 		n.out = n.engine.HandleMessageAppend(m, now, n.out)
-		after := n.engine.ViewLen()
-		n.mu.Unlock()
 		if m.Kind == GossipMsgKind {
 			n.record(trace.KindGossipReceived, m.From, EventID{}, 0)
 		}
-		if before != after {
+		if after := n.engine.ViewLen(); after != before {
 			n.record(trace.KindViewChange, m.From, EventID{}, after)
 		}
 		for _, o := range n.out[start:] {
@@ -612,7 +565,7 @@ func (n *Node) handleBurst(msgs []Message) {
 }
 
 // flush transmits the scratch buffer as one batch, tolerating transport
-// errors (loss is part of the model).
+// errors (loss is part of the model). Called with mu held.
 func (n *Node) flush() {
 	if len(n.out) == 0 {
 		return
@@ -637,6 +590,10 @@ func (n *Node) Publish(payload []byte) (Event, error) {
 // few gossip periods (the paper's timeout-and-retry).
 func (n *Node) Join(contact ProcessID) error {
 	n.mu.Lock()
+	if n.closed {
+		n.mu.Unlock()
+		return errors.New("lpbcast: node closed")
+	}
 	msg, err := n.engine.JoinVia(contact)
 	n.mu.Unlock()
 	if err != nil {
@@ -717,7 +674,11 @@ func (n *Node) DroppedDeliveries() uint64 {
 	return n.dropped
 }
 
-// Close stops the node's goroutines. It does not close the transport.
+// Close stops the node: once it returns, the engine is not called and no
+// delivery is made, whatever still arrives on the transport (the handler
+// returns at once). It waits for the ticker, never while holding the lock,
+// which the transport's goroutine may be waiting for inside the handler. It
+// does not close the transport.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	if n.closed {
