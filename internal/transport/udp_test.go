@@ -568,10 +568,61 @@ func closeWithin(t *testing.T, u *UDP, d time.Duration) {
 	}
 }
 
-// TestUDPCloseWithStalledRecv stalls the consumer of the Recv adapter: its
-// channel takes recvQueue messages, every later one is handed to the adapter
-// and dropped there, counted in Dropped; the reader keeps reading meanwhile,
-// Close returns, and the channel yields what it held and closes.
+// drainClosed takes what msgs still holds and fails unless it closes within
+// two seconds; it returns how many messages it took.
+func drainClosed(t *testing.T, msgs <-chan proto.Message) int {
+	t.Helper()
+	queued := 0
+	deadline := time.After(2 * time.Second)
+	for {
+		select {
+		case _, ok := <-msgs:
+			if !ok {
+				return queued
+			}
+			queued++
+		case <-deadline:
+			t.Fatal("Recv channel still open after Close")
+			return queued
+		}
+	}
+}
+
+// TestUDPInboxOverflow stalls the consumer of the Recv adapter, whose channel
+// is the only inbox the UDP transport keeps: it takes recvQueue messages, and
+// every message of every later datagram is counted in Received and dropped,
+// counted in Dropped. After Close the channel hands over what it held.
+func TestUDPInboxOverflow(t *testing.T) {
+	t.Parallel()
+	a, b := newUDPPair(t)
+	msgs := b.Recv()
+	// Four messages a datagram, so the full channel falls on a datagram edge.
+	burst := []proto.Message{subscribeMsg(1, 2), subscribeMsg(1, 2), subscribeMsg(1, 2), subscribeMsg(1, 2)}
+	const extra = 10
+	kept := recvQueue / len(burst)
+	for k := 1; k <= kept+extra; k++ {
+		if err := a.SendBatch(burst); err != nil {
+			t.Fatal(err)
+		}
+		// One at a time, so that nothing is lost ahead of the reader.
+		eventually(t, "the reader", func() bool { return b.Stats().Received >= uint64(k*len(burst)) })
+	}
+	want := uint64(extra * len(burst))
+	eventually(t, "the drops", func() bool { return b.Stats().Dropped >= want })
+	if st := b.Stats(); st.Received != uint64((kept+extra)*len(burst)) || st.Dropped != want {
+		t.Errorf("stats = %+v, want %d received and %d dropped: every message of every late datagram",
+			st, (kept+extra)*len(burst), want)
+	}
+	closeWithin(t, b, 2*time.Second)
+	if queued := drainClosed(t, msgs); queued != recvQueue {
+		t.Errorf("closed transport handed over %d queued messages, want %d", queued, recvQueue)
+	}
+}
+
+// TestUDPCloseWithStalledRecv stalls the consumer of the Recv adapter with
+// one message a datagram: every message past recvQueue is dropped and counted
+// in Dropped; the reader keeps reading meanwhile, Close returns, and the
+// channel yields what it held and closes.
 func TestUDPCloseWithStalledRecv(t *testing.T) {
 	t.Parallel()
 	a, b := newUDPPair(t)
@@ -589,20 +640,7 @@ func TestUDPCloseWithStalledRecv(t *testing.T) {
 		t.Errorf("stats = %+v, want %d received and %d dropped", st, recvQueue+extra, extra)
 	}
 	closeWithin(t, b, 2*time.Second)
-	queued := 0
-	deadline := time.After(2 * time.Second)
-	for {
-		select {
-		case _, ok := <-msgs:
-			if !ok {
-				if queued != recvQueue {
-					t.Errorf("closed transport handed over %d queued messages, want %d", queued, recvQueue)
-				}
-				return
-			}
-			queued++
-		case <-deadline:
-			t.Fatal("Recv channel still open after Close")
-		}
+	if queued := drainClosed(t, msgs); queued != recvQueue {
+		t.Errorf("closed transport handed over %d queued messages, want %d", queued, recvQueue)
 	}
 }
