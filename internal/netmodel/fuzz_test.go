@@ -9,15 +9,19 @@ import (
 	"repro/internal/stats"
 )
 
-// FuzzNet drives a Model through op lists the fuzzer writes: Classify with
-// random senders, destinations, verdicts and ledgers, and the end of a round
-// (every due instant drained, each arrival settled by Arrive under a random
-// verdict, EndPeriod). After every op each ledger must be conserved and the
-// ledgers' InFlight must add up to the envelopes parked in the ring; a
-// message stopped by an unknown, partitioned or crashed destination must
-// leave the loss and delay streams where they were, one that reaches the
-// loss step must take exactly one loss draw, and only a survivor of the
-// loss step may draw a delay.
+// FuzzNet drives a Model through op lists the fuzzer writes, once on the
+// round clock and once on an event clock whose 25 ms delay span is no
+// multiple of its 10 ms period, so that the ring's generations are worked
+// out from a period length other than 1: Classify with random senders,
+// destinations, verdicts and ledgers at an instant that moves forward
+// through the period (every arrival due before it drained first), and the
+// end of a round (every due instant drained, each arrival settled by Arrive
+// under a random verdict, EndPeriod). After every op each ledger must be
+// conserved and the ledgers' InFlight must add up to the envelopes parked
+// in the ring; a message stopped by an unknown, partitioned or crashed
+// destination must leave the loss and delay streams where they were, one
+// that reaches the loss step must take exactly one loss draw, and only a
+// survivor of the loss step may draw a delay.
 func FuzzNet(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 0, 0, 9, 9, 9, 2, 0, 2, 0})
@@ -29,7 +33,10 @@ func FuzzNet(f *testing.F) {
 		}
 		f.Add(ops)
 	}
-	f.Fuzz(checkNet)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		checkNet(t, ops, Clock{})
+		checkNet(t, ops, Clock{PeriodMs: 10})
+	})
 }
 
 // netGossips are the emissions the fuzzed senders carry: one gossip per
@@ -47,7 +54,7 @@ func netGossips() []*proto.Gossip {
 	return gs
 }
 
-func checkNet(t *testing.T, ops []byte) {
+func checkNet(t *testing.T, ops []byte, clock Clock) {
 	lossRNG, delayRNG := rng.New(11), rng.New(12)
 	cfg := Config{
 		Epsilon:  0.25,
@@ -58,14 +65,20 @@ func checkNet(t *testing.T, ops []byte) {
 			{From: 9, To: 11},
 		},
 	}
-	if err := cfg.Validate(Clock{}); err != nil {
+	period := max(clock.PeriodMs, 1)
+	if period > 1 { // the same draws, in milliseconds, on links that do not delay
+		cfg.Topology = fault.TwoCluster{Split: 4, Local: wan.Local, WAN: fault.LinkProfile{Epsilon: wan.WAN.Epsilon}}
+		cfg.Delay = fault.Millis{Model: fault.UniformDelay{Min: 0, Max: 25}}
+	}
+	if err := cfg.Validate(clock); err != nil {
 		t.Fatal(err)
 	}
-	m := New(cfg, Clock{}, lossRNG, delayRNG)
+	m := New(cfg, clock, lossRNG, delayRNG)
 	m.SetPoison(true)
 	gossips := netGossips()
 	var ledgers [3]stats.NetStats
-	now := uint64(1)
+	// The round, and the instant within it that the next Classify runs at.
+	now, instant := uint64(1), uint64(1)
 	next := func() byte { // the op list's next byte; 0 once it runs out
 		if len(ops) == 0 {
 			return 0
@@ -87,16 +100,20 @@ func checkNet(t *testing.T, ops []byte) {
 			t.Fatalf("round %d, after %s: ledgers count %d in flight, the ring holds %d", now, op, inFlight, parked)
 		}
 	}
-	endRound := func(verdicts byte) {
-		for at, ok := m.Due(now); ok; at, ok = m.Due(now) {
+	settle := func(limit uint64, verdicts byte) {
+		for at, ok := m.Due(limit); ok; at, ok = m.Due(limit) {
 			msgs, owners := m.Drain(at, nil, nil)
 			for i := range msgs {
 				v := verdicts >> (i % 4 * 2)
 				Arrive(owners[i], v&1 == 0, v&2 == 0)
 			}
 		}
-		m.EndPeriod(now)
+	}
+	endRound := func(verdicts byte) {
+		settle(now*period, verdicts)
+		m.EndPeriod(now * period)
 		now++
+		instant = now*period - period + 1
 	}
 	for len(ops) > 0 {
 		b := next()
@@ -108,6 +125,8 @@ func checkNet(t *testing.T, ops []byte) {
 		from, to := proto.ProcessID(1+next()%8), proto.ProcessID(1+next()%8)
 		v := next()
 		known, alive := v%8 != 0, v%8 != 0 && v%8 != 1
+		instant = min(instant+uint64(b>>4), now*period)
+		settle(instant-1, v)
 		msg := proto.Message{Kind: proto.RetransmitRequestMsg, From: from, To: to, Request: []proto.EventID{{Origin: from, Seq: now}}}
 		if b%4 == 0 {
 			msg = proto.Message{Kind: proto.GossipMsg, From: from, To: to, Gossip: gossips[from]}
@@ -118,7 +137,7 @@ func checkNet(t *testing.T, ops []byte) {
 		oneDraw.Uint64() // where one loss draw leaves the stream
 		ledger := &ledgers[int(v>>3)%len(ledgers)]
 		before := *ledger
-		delivered := m.Classify(&msg, now, now, known, alive, ledger)
+		delivered := m.Classify(&msg, now, instant, known, alive, ledger)
 		after := *ledger
 		lost := after.Dropped > before.Dropped
 		switch {

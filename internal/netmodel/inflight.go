@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/event"
+	"repro/internal/pool"
 	"repro/internal/proto"
 	"repro/internal/stats"
 )
@@ -19,15 +20,16 @@ import (
 // empties a bucket front to back, so the delayed path inherits the
 // harness's determinism.
 //
-// Allocation. Engines recycle their emission buffers, so the queue
-// deep-copies what it parks, in two parts: an envelope (flSlot) per message —
+// Storage. Engines recycle their emission buffers, so the queue deep-copies
+// what it parks, in two parts: an envelope (flSlot) per message —
 // addressing, ledger, a retransmission's request or reply — and a body
 // (flBody) per gossip emission, shared by the F envelopes one committed tick
-// sends into the ring; receivers only read it. Both live in queue-wide
-// pools: enqueue loans them, drain parks an envelope on the spent list (and
-// its body, once no envelope in the ring carries it), and recycle returns
-// them once per period, after every consumer is done. The pools stabilize at
-// the global high-water mark, so a steady state touches no allocator.
+// sends into the ring; receivers only read it. Period p copies into
+// generation p mod G, a set of pool.Bump slabs, G = ceil(span / period
+// length) + 1: a message sent in period p arrives by period p + G - 1,
+// whose end resets the generation for period p + G. The ring keeps what its
+// busiest periods needed, not its largest message, and allocates nothing in
+// a steady state.
 //
 // Which envelopes share. An engine in emission-reuse mode rewrites the same
 // *proto.Gossip every tick; the pointer and the period name its contents,
@@ -37,59 +39,66 @@ import (
 // (inflightQueue.check) enqueue compares the gossip with the body it is
 // about to share and panics on a difference.
 
-// flBody is the recycled deep copy of one gossip emission.
+// flBody is the deep copy of one gossip emission.
 type flBody struct {
-	gossip  proto.Gossip
-	payload []byte // flat arena for the events' payload bytes
-	refs    int    // envelopes still in the ring that carry this body
+	gossip proto.Gossip
+	refs   int // envelopes still in the ring that carry this body
 }
 
-// flSlot is the recycled storage for one in-flight envelope, intrusively
-// linked into its arrival bucket's list while loaned out.
+// flSlot is one envelope, intrusively linked into its arrival bucket.
 type flSlot struct {
-	msg     proto.Message   // slot- and body-backed envelope, valid while loaned
-	ledger  *stats.NetStats // the ledger msg is counted in
-	next    *flSlot
-	body    *flBody // msg.Gossip's storage; nil for a request or reply
-	request []proto.EventID
-	reply   []proto.Event
-	hops    []uint32
-	payload []byte // flat arena for the reply's payload bytes
+	msg    proto.Message   // generation-backed envelope
+	ledger *stats.NetStats // the ledger msg is counted in
+	next   *flSlot
+	body   *flBody // msg.Gossip's storage; nil for a request or reply
 }
 
-// copyEvents deep-copies src into dst, parking payload bytes in a fresh
-// use of arena, which it first sizes for all of them so that the appends
-// can never reallocate it (sub-slices handed out earlier stay valid).
-func copyEvents(arena []byte, dst, src []proto.Event) ([]byte, []proto.Event) {
+// generation holds everything the ring copies in one period.
+type generation struct {
+	slots   pool.Bump[flSlot]
+	bodies  pool.Bump[flBody]
+	pids    pool.Bump[proto.ProcessID]
+	unsubs  pool.Bump[proto.Unsubscription]
+	ids     pool.Bump[proto.EventID]
+	events  pool.Bump[proto.Event]
+	hops    pool.Bump[uint32]
+	payload pool.Bump[byte]
+}
+
+func (g *generation) reset() {
+	for _, b := range [...]interface{ Reset() }{&g.slots, &g.bodies, &g.pids, &g.unsubs, &g.ids, &g.events, &g.hops, &g.payload} {
+		b.Reset()
+	}
+}
+
+// copyRun copies src into a run of b; nil stays nil.
+func copyRun[T any](b *pool.Bump[T], src []T) []T {
+	if src == nil {
+		return nil
+	}
+	dst := b.Cut(len(src))
+	copy(dst, src)
+	return dst
+}
+
+// copyEvents deep-copies src, its payload bytes into one run.
+func (g *generation) copyEvents(src []proto.Event) []proto.Event {
+	if src == nil {
+		return nil
+	}
 	need := 0
 	for _, e := range src {
 		need += len(e.Payload)
 	}
-	if cap(arena) < need {
-		arena = make([]byte, 0, need)
-	}
-	arena = arena[:0]
-	for _, e := range src {
-		out := proto.Event{ID: e.ID}
+	payload, dst := g.payload.Cut(need), g.events.Cut(len(src))
+	for i, e := range src {
+		dst[i].ID = e.ID
 		if e.Payload != nil {
-			start := len(arena)
-			arena = append(arena, e.Payload...)
-			out.Payload = arena[start:len(arena):len(arena)]
+			n := copy(payload, e.Payload)
+			dst[i].Payload, payload = payload[:n:n], payload[n:]
 		}
-		dst = append(dst, out)
 	}
-	return arena, dst
-}
-
-// copyGossip deep-copies g into the body's recycled storage.
-func (b *flBody) copyGossip(g *proto.Gossip) {
-	dst := &b.gossip
-	dst.From = g.From
-	dst.Subs = append(dst.Subs[:0], g.Subs...)
-	dst.Unsubs = append(dst.Unsubs[:0], g.Unsubs...)
-	dst.Digest = append(dst.Digest[:0], g.Digest...)
-	dst.DigestWatermarks = append(dst.DigestWatermarks[:0], g.DigestWatermarks...)
-	b.payload, dst.Events = copyEvents(b.payload, dst.Events[:0], g.Events)
+	return dst
 }
 
 func sameEvents(a, b []proto.Event) bool {
@@ -106,56 +115,37 @@ func sameGossip(g, h *proto.Gossip) bool {
 		sameEvents(g.Events, h.Events)
 }
 
-// copyEnvelope makes s.msg a deep copy of everything of m but its gossip,
-// backed by the slot's recycled storage. Nothing in it aliases caller-owned
-// memory, so the original (an engine's recycled emission scratch, a
-// response span, ...) is free to be rewritten the moment the call returns.
-func (s *flSlot) copyEnvelope(m *proto.Message) {
-	s.msg = proto.Message{Kind: m.Kind, From: m.From, To: m.To, Subscriber: m.Subscriber}
-	if m.Request != nil {
-		s.request = append(s.request[:0], m.Request...)
-		s.msg.Request = s.request
-	}
-	if m.Reply != nil {
-		s.payload, s.reply = copyEvents(s.payload, s.reply[:0], m.Reply)
-		s.msg.Reply = s.reply
-	}
-	if m.ReplyHops != nil {
-		s.hops = append(s.hops[:0], m.ReplyHops...)
-		s.msg.ReplyHops = s.hops
-	}
-}
-
 // flBucket holds the messages arriving at one future instant as an
-// intrusive list of loaned slots in enqueue (Classify) order.
+// intrusive list of envelopes in enqueue (Classify) order.
 type flBucket struct {
 	head, tail *flSlot
 }
 
 // inflightQueue is the ring of future-instant buckets, the wheel of their
-// arrival markers, and the queue-wide slot and body pools. A nil queue is
-// the zero-delay network: nothing is ever pending in it.
+// arrival markers, and the generations their storage is cut from. A nil
+// queue is the zero-delay network: nothing is ever pending in it.
 type inflightQueue struct {
-	buckets     []flBucket
-	wheel       *event.Wheel // one marker per pending instant: per non-empty bucket
-	pool        []*flSlot    // free slots, LIFO
-	spent       []*flSlot    // drained this round; recycled at end of round
-	bodies      []*flBody    // free bodies, LIFO
-	spentBodies []*flBody    // last envelope drained this round; recycled with spent
+	buckets   []flBucket
+	wheel     *event.Wheel // one marker per pending instant: per non-empty bucket
+	gens      []generation // period p copies into gens[p mod len(gens)]
+	periodLen uint64       // instants per period
 
-	// The emission the last gossip envelope belonged to, and its body while
-	// an envelope in the ring still carries it.
+	// The emission the last gossip envelope belonged to, and its body.
 	lastGossip *proto.Gossip
 	lastPeriod uint64
 	lastBody   *flBody
 
-	// check (PoisonRecycled) makes enqueue verify every sharing decision.
+	// check (PoisonRecycled) makes enqueue verify every sharing decision,
+	// and drain keep the period's envelopes for poisonSpent.
 	check bool
+	spent []*flSlot
 }
 
-// newInflight creates a ring covering delays up to span instants.
-func newInflight(span int) *inflightQueue {
-	return &inflightQueue{buckets: make([]flBucket, span+1), wheel: event.NewWheel()}
+// newInflight creates a ring covering delays up to span instants, on a clock
+// of periodLen instants per period.
+func newInflight(span, periodLen int) *inflightQueue {
+	return &inflightQueue{buckets: make([]flBucket, span+1), wheel: event.NewWheel(),
+		gens: make([]generation, (span+periodLen-1)/periodLen+1), periodLen: uint64(periodLen)}
 }
 
 // bucket returns the bucket of arrival instant at.
@@ -185,30 +175,23 @@ func (q *inflightQueue) park(at uint64) {
 	}
 }
 
-// enqueue parks a deep copy of m, emitted in period period and counted in
-// ledger, for arrival at instant at, and schedules the instant's marker with the first message
-// into its bucket (buckets are injective over the ring's span). The caller
-// guarantees now < at <= now+span, so the target bucket can never be the
-// one currently draining, and the wheel never runs ahead of the caller's
-// now.
+// enqueue parks a deep copy of m (the caller may rewrite m once it returns),
+// emitted in period period and counted in ledger, for arrival at instant at,
+// scheduling the instant's marker with the first message into its bucket
+// (buckets are injective over the ring's span). The caller guarantees
+// now < at <= now+span, so the target bucket is never the one draining.
 func (q *inflightQueue) enqueue(m *proto.Message, ledger *stats.NetStats, at, period uint64) {
-	var s *flSlot
-	if n := len(q.pool) - 1; n >= 0 {
-		s, q.pool = q.pool[n], q.pool[:n]
-	} else {
-		s = new(flSlot) // warmup growth only
-	}
-	s.copyEnvelope(m)
+	gen := &q.gens[period%uint64(len(q.gens))]
+	s := &gen.slots.Cut(1)[0]
+	s.msg = proto.Message{Kind: m.Kind, From: m.From, To: m.To, Subscriber: m.Subscriber,
+		Request: copyRun(&gen.ids, m.Request), Reply: gen.copyEvents(m.Reply), ReplyHops: copyRun(&gen.hops, m.ReplyHops)}
 	s.ledger = ledger
 	if g := m.Gossip; g != nil {
 		b := q.lastBody
 		if b == nil || g != q.lastGossip || period != q.lastPeriod {
-			if n := len(q.bodies) - 1; n >= 0 {
-				b, q.bodies = q.bodies[n], q.bodies[:n]
-			} else {
-				b = new(flBody) // warmup growth only
-			}
-			b.copyGossip(g)
+			b = &gen.bodies.Cut(1)[0]
+			b.gossip = proto.Gossip{From: g.From, Subs: copyRun(&gen.pids, g.Subs), Unsubs: copyRun(&gen.unsubs, g.Unsubs),
+				Events: gen.copyEvents(g.Events), Digest: copyRun(&gen.ids, g.Digest), DigestWatermarks: copyRun(&gen.ids, g.DigestWatermarks)}
 			q.lastGossip, q.lastPeriod, q.lastBody = g, period, b
 		} else if q.check && !sameGossip(&b.gossip, g) {
 			panic(fmt.Sprintf("netmodel: process %d sent two different gossips through one *proto.Gossip in period %d; the in-flight ring shares one copy per emission", m.From, period))
@@ -217,7 +200,6 @@ func (q *inflightQueue) enqueue(m *proto.Message, ledger *stats.NetStats, at, pe
 		s.body = b
 		s.msg.Gossip = &b.gossip
 	}
-	s.next = nil
 	b := q.bucket(at)
 	if b.tail == nil {
 		b.head = s
@@ -230,12 +212,9 @@ func (q *inflightQueue) enqueue(m *proto.Message, ledger *stats.NetStats, at, pe
 
 // drain advances the queue to instant now (park) and appends the messages
 // arriving there to dst and their ledgers to ledgers, in enqueue order,
-// emptying the bucket and parking its slots — and every body whose last
-// envelope this is — on the spent lists. The storage behind the messages
-// stays valid until recycle runs at the end of the period; consumers must
-// finish with it within the period, exactly like any other recycled buffer.
-// The poisoning debug mode enforces that by poisoning the spent storage at
-// the end of the period.
+// emptying the bucket. The storage behind the messages stays valid until
+// the period ends; consumers must finish with it within the period, exactly
+// like any other recycled buffer, and the poisoning debug mode enforces it.
 func (q *inflightQueue) drain(now uint64, dst []proto.Message, ledgers []*stats.NetStats) ([]proto.Message, []*stats.NetStats) {
 	if q == nil {
 		return dst, ledgers
@@ -245,57 +224,44 @@ func (q *inflightQueue) drain(now uint64, dst []proto.Message, ledgers []*stats.
 	for s := b.head; s != nil; s = s.next {
 		dst = append(dst, s.msg)
 		ledgers = append(ledgers, s.ledger)
-		s.ledger = nil
-		q.spent = append(q.spent, s)
-		if body := s.body; body != nil {
-			s.body = nil
-			if body.refs--; body.refs == 0 {
-				q.spentBodies = append(q.spentBodies, body)
-				if body == q.lastBody {
-					q.lastBody = nil // a later envelope of the emission copies afresh
-				}
-			}
+		if s.body != nil {
+			s.body.refs--
+		}
+		if q.check {
+			q.spent = append(q.spent, s)
 		}
 	}
 	b.head, b.tail = nil, nil
 	return dst, ledgers
 }
 
-// recycle returns the period's spent slots and bodies to their pools.
-// EndPeriod calls it exactly once per period, after the last consumer of the
-// period's arrivals (and any poisoning) is done.
-func (q *inflightQueue) recycle() {
-	if q == nil {
-		return
+// endPeriod closes the period whose last instant is at, once every consumer
+// of its arrivals is done: it poisons what the period spent (in the debug
+// mode), parks the wheel at at, and resets the generation the next period
+// copies into — every message of the period that last used it has arrived
+// by now.
+func (q *inflightQueue) endPeriod(at uint64) {
+	if q.check {
+		q.poisonSpent()
 	}
-	q.pool = append(q.pool, q.spent...)
-	q.spent = q.spent[:0]
-	q.bodies = append(q.bodies, q.spentBodies...)
-	q.spentBodies = q.spentBodies[:0]
+	q.park(at)
+	q.gens[((at+q.periodLen-1)/q.periodLen+1)%uint64(len(q.gens))].reset()
 }
 
-// poisonSpent overwrites the storage of every slot and body spent this
-// period with sentinel values (PoisonGossip): any consumer still holding an
-// arrival past its period diverges loudly instead of reading stale data. Loaned storage is untouched — its contents are live, and a
-// body stays loaned for as long as one envelope in the ring carries it.
+// poisonSpent overwrites the storage of every envelope drained this period,
+// and of its body once no envelope in the ring carries it, with sentinel
+// values (PoisonGossip): any consumer still holding an arrival past its
+// period diverges loudly instead of reading stale data.
 func (q *inflightQueue) poisonSpent() {
-	if q == nil {
-		return
-	}
-	for _, b := range q.spentBodies {
-		PoisonGossip(&b.gossip)
-	}
 	for _, s := range q.spent {
-		for i := range s.request {
-			s.request[i] = SentinelEventID
+		if s.body != nil && s.body.refs == 0 {
+			PoisonGossip(&s.body.gossip)
 		}
-		for i := range s.reply {
-			s.reply[i] = proto.Event{ID: SentinelEventID}
-		}
-		for i := range s.hops {
-			s.hops[i] = ^uint32(0)
-		}
+		fill(s.msg.Request, SentinelEventID)
+		fill(s.msg.Reply, proto.Event{ID: SentinelEventID})
+		fill(s.msg.ReplyHops, ^uint32(0))
 	}
+	q.spent = q.spent[:0]
 }
 
 // Sentinel marks poisoned buffer contents: no real process carries the
@@ -309,19 +275,15 @@ var SentinelEventID = proto.EventID{Origin: Sentinel, Seq: ^uint64(0)}
 // PoisonGossip overwrites a gossip's contents with sentinels.
 func PoisonGossip(g *proto.Gossip) {
 	g.From = Sentinel
-	for j := range g.Subs {
-		g.Subs[j] = Sentinel
-	}
-	for j := range g.Unsubs {
-		g.Unsubs[j] = proto.Unsubscription{Process: Sentinel, Stamp: ^uint64(0)}
-	}
-	for j := range g.Events {
-		g.Events[j] = proto.Event{ID: SentinelEventID}
-	}
-	for j := range g.Digest {
-		g.Digest[j] = SentinelEventID
-	}
-	for j := range g.DigestWatermarks {
-		g.DigestWatermarks[j] = SentinelEventID
+	fill(g.Subs, Sentinel)
+	fill(g.Unsubs, proto.Unsubscription{Process: Sentinel, Stamp: ^uint64(0)})
+	fill(g.Events, proto.Event{ID: SentinelEventID})
+	fill(g.Digest, SentinelEventID)
+	fill(g.DigestWatermarks, SentinelEventID)
+}
+
+func fill[T any](s []T, v T) {
+	for i := range s {
+		s[i] = v
 	}
 }

@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -18,14 +19,13 @@ import (
 //
 // Mutations of the ring these tests were seen to catch: a body shared on
 // the gossip pointer alone (the next period's emission then reads the last
-// one's contents); a body shared on the period alone; the body poisoned, or
-// returned to the pool, with its first drained envelope instead of its last
-// (the later arrivals read sentinels, or the next emission's contents); the
-// shared-emission cache kept after its body's last envelope drained (an
-// envelope enqueued later in the period is recycled from under the ring);
-// refs not counted for the first envelope, or spent bodies never returned
-// (the quiescence count fails). One that only costs memory passes, as it
-// should: a payload arena not rewound between uses.
+// one's contents); a body shared on the period alone; a ring one generation
+// short (a generation is reset under messages still in the air or still
+// being consumed); the body poisoned with its first drained envelope
+// instead of its last (the later arrivals read sentinels); refs not counted
+// for the first envelope (the quiescence check fails). A generation never
+// reset only costs memory, so the oracle passes it; TestInflightBodyLifetime
+// and TestRetainedBytesFollowTraffic do not.
 type refSlot struct {
 	gossip  proto.Gossip
 	request []proto.EventID
@@ -112,23 +112,27 @@ type parked struct {
 
 // ringPair drives an inflightQueue and the per-envelope reference in lock
 // step, the way a harness does: enqueue under a period, drain by bucket
-// key, poison and recycle once at the end of each period.
+// key, and end each period at its last instant. What a period drained must
+// still match the reference when the period ends — the storage stays valid
+// until then — and is poisoned, or taken back by a generation's reset, after.
 type ringPair struct {
 	t       *testing.T
 	seed    uint64
 	q       *inflightQueue
 	want    map[uint64][]parked // arrival key → reference copies, in enqueue order
-	slots   map[*flSlot]bool    // every slot and body the queue ever loaned
-	bodies  map[*flBody]bool
-	ledgers [2]stats.NetStats // envelopes alternate between two ledgers
+	drained []proto.Message     // this period's arrivals, beside their references
+	refs    []parked
+	bodies  map[*proto.Gossip]*flBody // every body the queue ever handed out, by its gossip
+	ledgers [2]stats.NetStats         // envelopes alternate between two ledgers
 	next    int
 }
 
-func newRingPair(t *testing.T, seed uint64, span int) *ringPair {
-	q := newInflight(span)
+// newRingPair creates a ring of span instants on a clock of period instants
+// per period, in the poisoning debug mode.
+func newRingPair(t *testing.T, seed uint64, span, period int) *ringPair {
+	q := newInflight(span, period)
 	q.check = true
-	return &ringPair{t: t, seed: seed, q: q,
-		want: map[uint64][]parked{}, slots: map[*flSlot]bool{}, bodies: map[*flBody]bool{}}
+	return &ringPair{t: t, seed: seed, q: q, want: map[uint64][]parked{}, bodies: map[*proto.Gossip]*flBody{}}
 }
 
 func (p *ringPair) enqueue(m proto.Message, at, period uint64) {
@@ -136,10 +140,8 @@ func (p *ringPair) enqueue(m proto.Message, at, period uint64) {
 	p.next++
 	p.q.enqueue(&m, ledger, at, period)
 	p.want[at] = append(p.want[at], parked{new(refSlot).copyMessage(m), ledger})
-	s := p.q.bucket(at).tail
-	p.slots[s] = true
-	if s.body != nil {
-		p.bodies[s.body] = true
+	if b := p.q.bucket(at).tail.body; b != nil {
+		p.bodies[&b.gossip] = b
 	}
 }
 
@@ -152,23 +154,47 @@ func (p *ringPair) drain(at uint64) {
 		p.t.Fatalf("seed %d: drain(%d) returned %d messages and %d ledgers, reference %d", p.seed, at, len(got), len(ledgers), len(want))
 	}
 	for i := range got {
-		if !sameMessage(got[i], want[i].msg) {
-			p.t.Fatalf("seed %d: drain(%d) message %d = %+v (gossip %+v), reference %+v (gossip %+v)",
-				p.seed, at, i, got[i], got[i].Gossip, want[i].msg, want[i].msg.Gossip)
-		}
+		p.compare(fmt.Sprintf("drain(%d) message %d", at, i), got[i], want[i].msg)
 		if ledgers[i] != want[i].ledger {
 			p.t.Fatalf("seed %d: drain(%d) message %d came back with ledger %p, classified into %p", p.seed, at, i, ledgers[i], want[i].ledger)
 		}
 	}
+	p.drained = append(p.drained, got...)
+	p.refs = append(p.refs, want...)
 }
 
-func (p *ringPair) endPeriod() {
-	p.q.poisonSpent()
-	p.q.recycle()
+func (p *ringPair) compare(what string, got, want proto.Message) {
+	p.t.Helper()
+	if !sameMessage(got, want) {
+		p.t.Fatalf("seed %d: %s = %+v (gossip %+v), reference %+v (gossip %+v)", p.seed, what, got, got.Gossip, want, want.Gossip)
+	}
 }
 
-// quiescent requires an empty ring with every slot and body back in its
-// pool, once each, and no reference count left standing.
+// endPeriod ends the period whose last instant is at: its arrivals must
+// have kept their contents until now, and are poisoned or zeroed after.
+func (p *ringPair) endPeriod(at uint64) {
+	p.t.Helper()
+	for i, m := range p.drained {
+		p.compare(fmt.Sprintf("arrival %d at the end of the period ending at %d", i, at), m, p.refs[i].msg)
+	}
+	p.q.endPeriod(at)
+	spent := func(id proto.EventID) bool { return id == SentinelEventID || id == proto.EventID{} }
+	for _, m := range p.drained {
+		intact := m.Gossip != nil && m.Gossip.From != Sentinel && m.Gossip.From != 0
+		if intact && p.bodies[m.Gossip].refs == 0 ||
+			!all(m.Request, spent) || !all(m.Reply, func(e proto.Event) bool { return spent(e.ID) }) {
+			p.t.Fatalf("seed %d: an arrival of the period ending at %d kept its contents past the period: %+v", p.seed, at, m)
+		}
+	}
+	p.drained, p.refs = p.drained[:0], p.refs[:0]
+}
+
+func all[T any](s []T, f func(T) bool) bool {
+	return !slices.ContainsFunc(s, func(x T) bool { return !f(x) })
+}
+
+// quiescent requires an empty ring with no body reference left standing and
+// nothing kept for poisoning.
 func (p *ringPair) quiescent() {
 	p.t.Helper()
 	if len(p.want) != 0 {
@@ -176,29 +202,16 @@ func (p *ringPair) quiescent() {
 	}
 	for i, b := range p.q.buckets {
 		if b.head != nil || b.tail != nil {
-			p.t.Fatalf("seed %d: bucket %d still holds a slot", p.seed, i)
+			p.t.Fatalf("seed %d: bucket %d still holds an envelope", p.seed, i)
 		}
 	}
-	if len(p.q.spent) != 0 || len(p.q.spentBodies) != 0 {
-		p.t.Fatalf("seed %d: %d slots and %d bodies still spent after recycle", p.seed, len(p.q.spent), len(p.q.spentBodies))
-	}
-	pooled := map[*flSlot]bool{}
-	for _, s := range p.q.pool {
-		if pooled[s] || !p.slots[s] || s.body != nil || s.ledger != nil {
-			p.t.Fatalf("seed %d: slot %p pooled twice, never loaned, or still holding a body or a ledger", p.seed, s)
+	for _, b := range p.bodies {
+		if b.refs != 0 {
+			p.t.Fatalf("seed %d: body %p still counts %d envelopes", p.seed, b, b.refs)
 		}
-		pooled[s] = true
 	}
-	free := map[*flBody]bool{}
-	for _, b := range p.q.bodies {
-		if free[b] || !p.bodies[b] || b.refs != 0 {
-			p.t.Fatalf("seed %d: body %p pooled twice, never loaned, or with %d references", p.seed, b, b.refs)
-		}
-		free[b] = true
-	}
-	if len(pooled) != len(p.slots) || len(free) != len(p.bodies) {
-		p.t.Fatalf("seed %d: %d of %d slots and %d of %d bodies are back in their pools",
-			p.seed, len(pooled), len(p.slots), len(free), len(p.bodies))
+	if len(p.q.spent) != 0 {
+		p.t.Fatalf("seed %d: %d envelopes still kept for poisoning", p.seed, len(p.q.spent))
 	}
 }
 
@@ -295,7 +308,11 @@ func ringOracle(t *testing.T, seed uint64, eventKeys bool) {
 	if eventKeys {
 		span = 1 + r.Intn(35) // ms: up to three and a half periods
 	}
-	p := newRingPair(t, seed, span)
+	period := 1
+	if eventKeys {
+		period = periodMs
+	}
+	p := newRingPair(t, seed, span, period)
 	engines := make([]*proto.Gossip, 1+r.Intn(5))
 	phase := make([]uint64, len(engines)) // event clock: an engine's one tick instant within every period
 	for i := range engines {
@@ -357,19 +374,25 @@ func ringOracle(t *testing.T, seed uint64, eventKeys bool) {
 				}
 			}
 		}
-		p.endPeriod()
+		p.endPeriod(instants[len(instants)-1])
 	}
 	p.quiescent()
 }
 
-// TestInflightBodyLifetime walks one body by hand: three envelopes of one
-// emission arrive in three different periods, and the body must outlive the
-// first two recycles — with poisoning on — and return to its pool with the
-// third. Meanwhile the same gossip pointer emits the next period's
-// different contents, which must get a body of their own.
+// TestInflightBodyLifetime walks one body by hand, on the round clock with
+// a span of 3 (four generations): three envelopes of one emission arrive in
+// three different periods, and the body must outlive the first two period
+// ends intact — with poisoning on — be poisoned at the end of the period its
+// last envelope arrives in, and go back with its generation's reset at the
+// end of period 4, the last one a message of period 1 can arrive in.
+// Meanwhile the same gossip pointer emits the next period's different
+// contents, which must get a body of their own.
 func TestInflightBodyLifetime(t *testing.T) {
 	t.Parallel()
-	p := newRingPair(t, 0, 3)
+	p := newRingPair(t, 0, 3, 1)
+	if len(p.q.gens) != 4 {
+		t.Fatalf("a span of 3 periods has %d generations, want 4", len(p.q.gens))
+	}
 	g := new(proto.Gossip)
 	first := proto.Gossip{From: 1, Subs: []proto.ProcessID{1, 2}, Digest: []proto.EventID{{Origin: 1, Seq: 1}},
 		Events: []proto.Event{{ID: proto.EventID{Origin: 1, Seq: 2}, Payload: []byte("first")}}}
@@ -383,7 +406,8 @@ func TestInflightBodyLifetime(t *testing.T) {
 	if len(p.bodies) != 1 {
 		t.Fatalf("three envelopes of one emission took %d bodies, want 1", len(p.bodies))
 	}
-	p.endPeriod()
+	body := p.q.bucket(2).head.body
+	p.endPeriod(1)
 
 	p.drain(2) // period 2: the first envelope arrives
 	fillGossip(g, second)
@@ -391,47 +415,52 @@ func TestInflightBodyLifetime(t *testing.T) {
 	if len(p.bodies) != 2 {
 		t.Fatalf("the next period's emission through the same pointer shares the old body (%d bodies)", len(p.bodies))
 	}
+	next := p.q.bucket(3).tail.body
 	scribble(proto.Message{Gossip: g})
-	p.endPeriod()
-	if len(p.q.bodies) != 0 {
-		t.Fatalf("a body went back to the pool while envelopes in the ring still carry it")
-	}
+	p.endPeriod(2)
 
 	p.drain(3) // period 3: the second envelope, and the second emission's only one
-	p.endPeriod()
-	if len(p.q.bodies) != 1 {
-		t.Fatalf("%d bodies pooled after period 3, want the second emission's", len(p.q.bodies))
+	p.endPeriod(3)
+	if body.gossip.From != 1 || next.gossip.From != Sentinel {
+		t.Fatalf("after period 3 the body still carried reads From %d (want 1), the spent one %d (want the sentinel)", body.gossip.From, next.gossip.From)
 	}
 
 	p.drain(4) // period 4: the last envelope of the first emission
-	if got := p.q.spentBodies; len(got) != 1 || got[0].refs != 0 {
-		t.Fatalf("the last envelope's drain left %d spent bodies", len(got))
+	if body.refs != 0 {
+		t.Fatalf("the last envelope's drain left the body counting %d envelopes", body.refs)
 	}
-	p.endPeriod()
+	p.endPeriod(4)
+	if body.gossip.Subs != nil || next.gossip.From != Sentinel {
+		t.Fatalf("period 1's generation was not taken back at the end of period 4, or period 2's was")
+	}
 	p.quiescent()
 }
 
 // TestInflightSamePeriodArrival is the event clock's corner: an envelope
-// drained in the period that sent it releases the body before the period
-// ends, and a later envelope of the same emission must then copy afresh
-// rather than revive a body already on its way back to the pool.
+// drained in the period that sent it leaves no envelope carrying the body
+// before the period ends, and a later envelope of the same emission shares
+// the body again, which must still hold the emission's contents and must
+// not be poisoned at the period's end.
 func TestInflightSamePeriodArrival(t *testing.T) {
 	t.Parallel()
-	p := newRingPair(t, 0, 20)
+	p := newRingPair(t, 0, 20, 10)
 	g := &proto.Gossip{From: 1, Digest: []proto.EventID{{Origin: 4, Seq: 4}}}
 	m := proto.Message{Kind: proto.GossipMsg, From: 1, To: 2, Gossip: g}
 	p.enqueue(m, 3, 1)
 	p.drain(3)
-	p.enqueue(m, 15, 1) // same pointer, same period, the first body spent
-	p.endPeriod()
+	p.enqueue(m, 15, 1) // same pointer, same period, no envelope carrying the body
+	if len(p.bodies) != 1 {
+		t.Fatalf("a later envelope of the emission took a body of its own")
+	}
+	p.endPeriod(10)
 	g.Digest[0] = proto.EventID{Origin: 5, Seq: 5}
 	p.enqueue(m, 16, 2)
 	p.drain(15)
 	p.drain(16)
-	p.endPeriod()
+	p.endPeriod(20)
 	p.quiescent()
 	if len(p.bodies) != 2 {
-		t.Fatalf("%d bodies in all, want 2: the spent one must not be revived, and is reused once pooled", len(p.bodies))
+		t.Fatalf("%d bodies in all, want 2: one per emission", len(p.bodies))
 	}
 }
 
@@ -441,7 +470,7 @@ func TestInflightSamePeriodArrival(t *testing.T) {
 // of having it silently carry the first one's contents.
 func TestInflightSharingCheck(t *testing.T) {
 	t.Parallel()
-	q := newInflight(8)
+	q := newInflight(8, 1)
 	q.check = true
 	g := &proto.Gossip{From: 1, Digest: []proto.EventID{{Origin: 4, Seq: 4}}}
 	m := proto.Message{Kind: proto.GossipMsg, From: 1, To: 2, Gossip: g}

@@ -160,7 +160,7 @@ func New(cfg Config, clock Clock, loss, delay *rng.Source) *Model {
 		if fault.Unit(d) == fault.UnitMillis {
 			m.unitMs = 1
 		}
-		m.fl = newInflight(m.maxDelay * int(m.unitMs))
+		m.fl = newInflight(m.maxDelay*int(m.unitMs), int(max(clock.PeriodMs, 1)))
 	}
 	return m
 }
@@ -290,15 +290,11 @@ func (m *Model) Drain(at uint64, msgs []proto.Message, ledgers []*stats.NetStats
 
 // EndPeriod closes a gossip period whose last instant is at, once every
 // consumer of the period's arrivals is done: it poisons their storage (in
-// SetPoison's debug mode), advances the ring's wheel to at, and returns the
-// storage to the ring's pools. A harness calls it exactly once per period.
+// SetPoison's debug mode), advances the ring's wheel to at, and takes back
+// the storage of the oldest period's messages, which have all arrived. A
+// harness calls it exactly once per period.
 func (m *Model) EndPeriod(at uint64) {
-	if m.fl == nil {
-		return
+	if m.fl != nil {
+		m.fl.endPeriod(at)
 	}
-	if m.fl.check {
-		m.fl.poisonSpent()
-	}
-	m.fl.park(at)
-	m.fl.recycle()
 }

@@ -1,10 +1,12 @@
 package netmodel
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/pool"
 	"repro/internal/proto"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -144,4 +146,64 @@ func TestMulticastFilter(t *testing.T) {
 	if err := s.Conserved(); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestRetainedBytesFollowTraffic states ROADMAP item 5's contract for the
+// network model. For any message the ring carries, however long, the
+// storage the ring keeps once 2·G quiet periods have passed SHALL be within
+// one chunk per slab (pool.BumpChunkBytes for each of a generation's eight)
+// of what a ring that never carried it keeps: the ring follows the traffic,
+// not the largest message. The message here is one 10⁴-event reply with
+// 64-byte payloads (about 1 MB) beside the same gossip traffic in both
+// rings, measured as the live heap each ring keeps.
+func TestRetainedBytesFollowTraffic(t *testing.T) {
+	retained := func(reply bool) int64 {
+		m := New(Config{Delay: fault.FixedDelay{Rounds: 2}}, Clock{}, rng.New(1), rng.New(2))
+		gens := uint64(len(m.fl.gens))
+		g := &proto.Gossip{From: 1, Subs: []proto.ProcessID{2, 3},
+			Events: []proto.Event{{ID: proto.EventID{Origin: 1, Seq: 1}, Payload: make([]byte, 64)}}}
+		big := proto.Message{Kind: proto.RetransmitReplyMsg, From: 1, To: 2, Reply: make([]proto.Event, 10_000)}
+		for i := range big.Reply {
+			big.Reply[i] = proto.Event{ID: proto.EventID{Origin: 1, Seq: uint64(i)}, Payload: make([]byte, 64)}
+		}
+		var ledger stats.NetStats
+		for round := uint64(1); round <= 3*gens; round++ {
+			if round <= gens { // traffic, then 2·G quiet periods
+				for to := proto.ProcessID(2); to < 10; to++ {
+					m.Classify(&proto.Message{Kind: proto.GossipMsg, From: 1, To: to, Gossip: g}, round, round, true, true, &ledger)
+				}
+				if reply && round == 1 {
+					m.Classify(&big, round, round, true, true, &ledger)
+				}
+			}
+			for at, ok := m.Due(round); ok; at, ok = m.Due(round) {
+				_, ledgers := m.Drain(at, nil, nil)
+				for _, l := range ledgers {
+					Arrive(l, true, true)
+				}
+			}
+			m.EndPeriod(round)
+		}
+		if ledger.InFlight != 0 || ledger.Delivered != ledger.Sent {
+			t.Fatalf("ledger %+v: not every message arrived", ledger)
+		}
+		big = proto.Message{}
+		with := heapAlloc()
+		runtime.KeepAlive(m)
+		m = nil
+		return int64(with) - int64(heapAlloc())
+	}
+	retained(false) // the first run also pays for what the runtime sets up once
+	without, with := retained(false), retained(true)
+	t.Logf("the ring keeps %d B, and %d B once it carried the reply", without, with)
+	if limit := int64(8 * pool.BumpChunkBytes); with-without > limit {
+		t.Fatalf("a ring that carried one 10⁴-event reply keeps %d B more than one that did not, past one chunk per slab (%d B)", with-without, limit)
+	}
+}
+
+func heapAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

@@ -8,6 +8,10 @@
 // only hands out: what it builds lives as long as the cluster, so nothing
 // is ever returned to it.
 //
+// A Bump hands out runs taken back all at once by Reset (a decoded
+// datagram, a generation of the in-flight ring) and keeps what the busiest
+// stretch between resets needed, never the longest run.
+//
 // Pools are deliberately NOT safe for concurrent use. A concurrent
 // consumer gives each worker its own pool (shard-local allocation), which
 // both avoids locks and keeps chunk locality per shard — this is how the

@@ -145,7 +145,7 @@ func TestParallelDelayAsyncMatchesSequential10k(t *testing.T) {
 
 // TestParallelDelayReuseWithPoison extends the poisoned-reuse property
 // through the delay queue at acceptance scale, in both regimes: with
-// PoisonRecycled on, the drained in-flight bucket's recycled slots are
+// PoisonRecycled on, the envelopes drained from the in-flight ring are
 // overwritten with sentinels at the end of every round, so an arrival
 // aliased past its round diverges loudly. Byte-identical results prove no
 // consumer holds delayed messages (or their deep-copy storage) too long.

@@ -449,8 +449,8 @@ func (c *Cluster) RunRound() {
 	if c.opts.PoisonRecycled {
 		c.exec.poisonRecycled()
 	}
-	// The drained delay-ring storage goes back to the pool only now, after
-	// every consumer (and any poisoning pass) is done.
+	// The delay ring poisons what the period drained, and takes back its
+	// oldest generation, only now, after every consumer is done.
 	c.network.EndPeriod(c.nowMs)
 }
 
