@@ -455,11 +455,11 @@ func BenchmarkAblationPrioritary(b *testing.B) {
 		for round := uint64(1); round <= 30; round++ {
 			var wire []proto.Message
 			for _, e := range engines {
-				wire = append(wire, e.Tick(round)...)
+				wire = append(wire, e.TickAppend(round, nil)...)
 			}
 			for _, m := range wire {
 				if int(m.To) >= 1 && int(m.To) <= len(engines) {
-					engines[m.To-1].HandleMessage(m, round)
+					engines[m.To-1].HandleMessageAppend(m, round, nil)
 				}
 			}
 		}

@@ -59,12 +59,12 @@ func TestHandleMessageAppendZeroAllocDuplicate(t *testing.T) {
 	cfg := DefaultConfig()
 	e := allocEngine(t, cfg)
 	ev := proto.Event{ID: proto.EventID{Origin: 2, Seq: 1}}
-	e.HandleMessage(proto.Message{
+	e.HandleMessageAppend(proto.Message{
 		Kind:   proto.GossipMsg,
 		From:   2,
 		To:     1,
 		Gossip: &proto.Gossip{From: 2, Events: []proto.Event{ev}},
-	}, 1)
+	}, 1, nil)
 	if !e.Knows(ev.ID) {
 		t.Fatal("setup: event not delivered")
 	}
@@ -92,23 +92,11 @@ func TestHandleMessageAppendZeroAllocDuplicate(t *testing.T) {
 	}
 }
 
-// TestTickCompatWrapperClones pins the compatibility contract: Tick must
-// hand every target an independent deep copy, unlike TickAppend's shared
-// gossip.
-func TestTickCompatWrapperClones(t *testing.T) {
+// TestTickAppendSharesGossip pins the emission contract: every target of
+// one TickAppend is handed the same read-only gossip, not a copy.
+func TestTickAppendSharesGossip(t *testing.T) {
 	e := allocEngine(t, DefaultConfig())
-	msgs := e.Tick(1)
-	if len(msgs) < 2 {
-		t.Fatalf("got %d messages, want >= 2", len(msgs))
-	}
-	for i := 1; i < len(msgs); i++ {
-		if msgs[i].Gossip == msgs[0].Gossip {
-			t.Fatal("Tick messages share a gossip; the wrapper must clone")
-		}
-	}
-
-	e2 := allocEngine(t, DefaultConfig())
-	shared := e2.TickAppend(1, nil)
+	shared := e.TickAppend(1, nil)
 	if len(shared) < 2 {
 		t.Fatalf("got %d messages, want >= 2", len(shared))
 	}

@@ -31,12 +31,12 @@ func twinEngines(t *testing.T, mutate func(*Config)) (*Engine, *Engine) {
 		}
 		e.Seed([]proto.ProcessID{2, 3, 4, 5, 6})
 		e.Publish([]byte("x"))
-		e.HandleMessage(proto.Message{Kind: proto.GossipMsg, From: 2, To: 1, Gossip: &proto.Gossip{
+		e.HandleMessageAppend(proto.Message{Kind: proto.GossipMsg, From: 2, To: 1, Gossip: &proto.Gossip{
 			From:   2,
 			Subs:   []proto.ProcessID{7, 8},
 			Unsubs: []proto.Unsubscription{{Process: 6, Stamp: 1}},
 			Events: []proto.Event{{ID: proto.EventID{Origin: 2, Seq: 1}}},
-		}}, 1)
+		}}, 1, nil)
 		return e
 	}
 	return build(), build()
@@ -84,8 +84,8 @@ func TestTickComposeCommitEqualsTickAppend(t *testing.T) {
 				}
 				// Keep both buffers busy between ticks.
 				g := proto.Gossip{From: 3, Events: []proto.Event{{ID: proto.EventID{Origin: 3, Seq: now}}}}
-				a.HandleMessage(proto.Message{Kind: proto.GossipMsg, From: 3, To: 1, Gossip: &g}, now)
-				b.HandleMessage(proto.Message{Kind: proto.GossipMsg, From: 3, To: 1, Gossip: &g}, now)
+				a.HandleMessageAppend(proto.Message{Kind: proto.GossipMsg, From: 3, To: 1, Gossip: &g}, now, nil)
+				b.HandleMessageAppend(proto.Message{Kind: proto.GossipMsg, From: 3, To: 1, Gossip: &g}, now, nil)
 			}
 			if a.Stats() != b.Stats() {
 				t.Errorf("stats diverged: %+v vs %+v", a.Stats(), b.Stats())
@@ -110,8 +110,8 @@ func TestTickComposeAbortLeavesNoTrace(t *testing.T) {
 			// both engines see it at the same point in their op order.
 			g := proto.Gossip{From: 4, Digest: []proto.EventID{{Origin: 4, Seq: now*10 + uint64(spec)}}}
 			m := proto.Message{Kind: proto.GossipMsg, From: 4, To: 1, Gossip: &g}
-			a.HandleMessage(m, now)
-			b.HandleMessage(m, now)
+			a.HandleMessageAppend(m, now, nil)
+			b.HandleMessageAppend(m, now, nil)
 		}
 		got := a.TickCompose(now, nil)
 		a.TickCommit(now)

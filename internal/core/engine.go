@@ -430,15 +430,6 @@ func (e *Engine) noteDuplicate(id proto.EventID) {
 	}
 }
 
-// HandleMessage processes one incoming protocol message and returns any
-// messages to transmit in response (retransmission traffic only — gossip
-// emission is driven by Tick). It is a thin wrapper over
-// HandleMessageAppend that allocates a fresh slice per call; hot paths
-// (the simulator's sharded executor) use HandleMessageAppend directly.
-func (e *Engine) HandleMessage(m proto.Message, now uint64) []proto.Message {
-	return e.HandleMessageAppend(m, now, nil)
-}
-
 // HandleMessageAppend processes one incoming protocol message, appending
 // any response messages to out and returning the extended slice. When out
 // has sufficient capacity, the call performs no per-message allocation.
@@ -448,7 +439,7 @@ func (e *Engine) HandleMessageAppend(m proto.Message, now uint64, out []proto.Me
 		if m.Gossip == nil {
 			return out
 		}
-		return e.handleGossip(out, *m.Gossip, now)
+		return e.handleGossip(out, m.Gossip, now)
 	case proto.SubscribeMsg:
 		e.handleSubscribe(m.Subscriber)
 		return out
@@ -464,7 +455,7 @@ func (e *Engine) HandleMessageAppend(m proto.Message, now uint64, out []proto.Me
 
 // handleGossip runs the three reception phases of Fig. 1(a) plus digest
 // processing, appending any retransmission request to out.
-func (e *Engine) handleGossip(out []proto.Message, g proto.Gossip, now uint64) []proto.Message {
+func (e *Engine) handleGossip(out []proto.Message, g *proto.Gossip, now uint64) []proto.Message {
 	e.stats.GossipsReceived++
 
 	// Phase 1: unsubscriptions update view and unSubs.
@@ -757,35 +748,17 @@ func validID(id proto.EventID) bool {
 	return id.Origin != proto.NilProcess && id.Seq > 0
 }
 
-// Tick performs one periodic gossip emission (Fig. 1(b)): build the gossip
-// message, send it to F random view members, then clear events. Gossiping
-// happens even with no fresh notifications, keeping digests and membership
-// information flowing. now is the current deployment time (rounds or ms).
-//
-// Tick is a compatibility wrapper over TickAppend that gives every
-// returned message its own deep copy of the gossip, so callers may retain
-// or mutate messages independently.
-func (e *Engine) Tick(now uint64) []proto.Message {
-	msgs := e.TickAppend(now, nil)
-	for i := range msgs {
-		if msgs[i].Gossip != nil {
-			gc := msgs[i].Gossip.Clone()
-			msgs[i].Gossip = &gc
-		}
-		if msgs[i].Request != nil {
-			msgs[i].Request = append([]proto.EventID(nil), msgs[i].Request...)
-		}
-	}
-	return msgs
-}
-
-// TickAppend performs one periodic gossip emission like Tick, but appends
-// the outgoing messages to out and returns the extended slice. All
-// appended messages share one read-only *proto.Gossip (its slices are
-// freshly built and never mutated by the engine afterwards), so the call
-// does not allocate per emitted message: receivers must treat the gossip
-// as immutable, which every driver in this repository does — engines copy
-// events before retaining them and only read membership piggyback.
+// TickAppend performs one periodic gossip emission (Fig. 1(b)): build the
+// gossip message, send it to F random view members, then clear events.
+// Gossiping happens even with no fresh notifications, keeping digests and
+// membership information flowing. now is the current deployment time
+// (rounds or ms). The outgoing messages are appended to out and the
+// extended slice returned. All appended messages share one read-only
+// *proto.Gossip (its slices are freshly built and never mutated by the
+// engine afterwards), so the call does not allocate per emitted message:
+// receivers must treat the gossip as immutable, which every driver in this
+// repository does — engines copy events before retaining them and only
+// read membership piggyback.
 //
 // TickAppend is TickCompose followed immediately by TickCommit; drivers
 // that never speculate use it directly.

@@ -22,7 +22,7 @@ func newEngine(t *testing.T, self proto.ProcessID, mutate func(*Config)) (*Engin
 }
 
 func gossipTo(e *Engine, g proto.Gossip, now uint64) []proto.Message {
-	return e.HandleMessage(proto.Message{Kind: proto.GossipMsg, From: g.From, To: e.Self(), Gossip: &g}, now)
+	return e.HandleMessageAppend(proto.Message{Kind: proto.GossipMsg, From: g.From, To: e.Self(), Gossip: &g}, now, nil)
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -128,12 +128,12 @@ func TestGossipPhasesUpdateMembership(t *testing.T) {
 func TestTickEmitsToFanoutTargets(t *testing.T) {
 	t.Parallel()
 	e, _ := newEngine(t, 1, nil)
-	if msgs := e.Tick(1); msgs != nil {
+	if msgs := e.TickAppend(1, nil); msgs != nil {
 		t.Fatalf("tick with empty view emitted %v", msgs)
 	}
 	e.Seed([]proto.ProcessID{2, 3, 4, 5, 6})
 	ev := e.Publish([]byte("x"))
-	msgs := e.Tick(2)
+	msgs := e.TickAppend(2, nil)
 	if len(msgs) != 3 {
 		t.Fatalf("emitted %d messages, want fanout 3", len(msgs))
 	}
@@ -171,28 +171,12 @@ func TestTickEmitsToFanoutTargets(t *testing.T) {
 		}
 	}
 	// events cleared: next tick has no notifications.
-	msgs = e.Tick(3)
+	msgs = e.TickAppend(3, nil)
 	if len(msgs[0].Gossip.Events) != 0 {
 		t.Fatal("events not cleared after emission")
 	}
 	if e.PendingEvents() != 0 {
 		t.Fatal("PendingEvents != 0 after tick")
-	}
-}
-
-func TestTickGossipsAreIndependentClones(t *testing.T) {
-	t.Parallel()
-	e, _ := newEngine(t, 1, nil)
-	e.Seed([]proto.ProcessID{2, 3, 4, 5})
-	e.Publish([]byte("x"))
-	msgs := e.Tick(1)
-	if len(msgs) < 2 {
-		t.Fatalf("need >=2 messages, got %d", len(msgs))
-	}
-	msgs[0].Gossip.Subs[0] = 99
-	msgs[0].Gossip.Events[0].Payload[0] = 'z'
-	if msgs[1].Gossip.Subs[0] == 99 || msgs[1].Gossip.Events[0].Payload[0] == 'z' {
-		t.Fatal("gossip clones share memory")
 	}
 }
 
@@ -202,11 +186,11 @@ func TestForwardedEventsAreGossipedAtMostOnce(t *testing.T) {
 	e.Seed([]proto.ProcessID{2, 3, 4})
 	ev := proto.Event{ID: proto.EventID{Origin: 2, Seq: 1}}
 	gossipTo(e, proto.Gossip{From: 2, Events: []proto.Event{ev}}, 1)
-	first := e.Tick(2)
+	first := e.TickAppend(2, nil)
 	if len(first[0].Gossip.Events) != 1 {
 		t.Fatal("received event not forwarded")
 	}
-	second := e.Tick(3)
+	second := e.TickAppend(3, nil)
 	if len(second[0].Gossip.Events) != 0 {
 		t.Fatal("event forwarded twice")
 	}
@@ -231,7 +215,7 @@ func TestAssumeFromDigest(t *testing.T) {
 	}
 	// The assumed notification is forwarded like a real one.
 	e.Seed([]proto.ProcessID{3, 4, 5})
-	msgs := e.Tick(2)
+	msgs := e.TickAppend(2, nil)
 	if len(msgs[0].Gossip.Events) != 1 || msgs[0].Gossip.Events[0].ID != id {
 		t.Fatal("assumed notification not forwarded")
 	}
@@ -277,7 +261,7 @@ func TestRetransmitRoundTrip(t *testing.T) {
 	p2, _ := newEngine(t, 2, nil)
 	ev := p2.Publish([]byte("payload"))
 	p2.Seed([]proto.ProcessID{1, 3, 4})
-	gossips := p2.Tick(1)
+	gossips := p2.TickAppend(1, nil)
 
 	p1, delivered := newEngine(t, 1, func(c *Config) { c.Retransmit = true })
 	// Deliver only the digest (simulate the events list having been lost by
@@ -288,11 +272,11 @@ func TestRetransmitRoundTrip(t *testing.T) {
 	if len(reqs) != 1 || reqs[0].Kind != proto.RetransmitRequestMsg || reqs[0].To != 2 {
 		t.Fatalf("requests = %+v", reqs)
 	}
-	replies := p2.HandleMessage(reqs[0], 3)
+	replies := p2.HandleMessageAppend(reqs[0], 3, nil)
 	if len(replies) != 1 || replies[0].Kind != proto.RetransmitReplyMsg || replies[0].To != 1 {
 		t.Fatalf("replies = %+v", replies)
 	}
-	p1.HandleMessage(replies[0], 4)
+	p1.HandleMessageAppend(replies[0], 4, nil)
 	if len(*delivered) != 1 || string((*delivered)[0].Payload) != "payload" {
 		t.Fatalf("delivered = %v", *delivered)
 	}
@@ -323,12 +307,12 @@ func TestRetransmitRequestCap(t *testing.T) {
 func TestRetransmitMiss(t *testing.T) {
 	t.Parallel()
 	e, _ := newEngine(t, 1, nil)
-	out := e.HandleMessage(proto.Message{
+	out := e.HandleMessageAppend(proto.Message{
 		Kind:    proto.RetransmitRequestMsg,
 		From:    2,
 		To:      1,
 		Request: []proto.EventID{{Origin: 9, Seq: 9}},
-	}, 1)
+	}, 1, nil)
 	if out != nil {
 		t.Fatalf("miss produced reply %v", out)
 	}
@@ -350,7 +334,7 @@ func TestRetransmitRequestRepeats(t *testing.T) {
 	serve := func(req []proto.EventID) (reply []proto.Event, served, misses uint64) {
 		t.Helper()
 		before := e.Stats()
-		out := e.HandleMessage(proto.Message{Kind: proto.RetransmitRequestMsg, From: 2, To: 1, Request: req}, 1)
+		out := e.HandleMessageAppend(proto.Message{Kind: proto.RetransmitRequestMsg, From: 2, To: 1, Request: req}, 1, nil)
 		if len(out) > 1 {
 			t.Fatalf("%d replies to one request", len(out))
 		}
@@ -386,13 +370,13 @@ func TestRetransmitRequestRepeats(t *testing.T) {
 func TestSubscribeMessageJoins(t *testing.T) {
 	t.Parallel()
 	e, _ := newEngine(t, 1, nil)
-	e.HandleMessage(proto.Message{Kind: proto.SubscribeMsg, From: 9, To: 1, Subscriber: 9}, 1)
+	e.HandleMessageAppend(proto.Message{Kind: proto.SubscribeMsg, From: 9, To: 1, Subscriber: 9}, 1, nil)
 	if !e.Membership().ViewContains(9) {
 		t.Fatal("subscriber not in view")
 	}
 	// The subscription is forwarded with the next gossip.
 	e.Seed([]proto.ProcessID{2, 3, 4})
-	msgs := e.Tick(2)
+	msgs := e.TickAppend(2, nil)
 	found := false
 	for _, p := range msgs[0].Gossip.Subs {
 		if p == 9 {
@@ -432,7 +416,7 @@ func TestUnsubscribeSpreads(t *testing.T) {
 	if err := e.Unsubscribe(10); err != nil {
 		t.Fatalf("Unsubscribe: %v", err)
 	}
-	msgs := e.Tick(11)
+	msgs := e.TickAppend(11, nil)
 	g := msgs[0].Gossip
 	if len(g.Unsubs) != 1 || g.Unsubs[0].Process != 1 {
 		t.Fatalf("unsubs = %v", g.Unsubs)
@@ -485,7 +469,7 @@ func TestFlatDigestWindowEviction(t *testing.T) {
 	}
 	// The advertised digest only contains the 3 newest ids.
 	e.Seed([]proto.ProcessID{3, 4, 5})
-	msgs := e.Tick(10)
+	msgs := e.TickAppend(10, nil)
 	if got := len(msgs[0].Gossip.Digest); got != 3 {
 		t.Fatalf("advertised digest has %d ids, want 3", got)
 	}
@@ -535,7 +519,7 @@ func TestCompactDigestMode(t *testing.T) {
 	}
 	// Outgoing gossip advertises a watermark instead of 100 ids.
 	e.Seed([]proto.ProcessID{3, 4, 5})
-	msgs := e.Tick(200)
+	msgs := e.TickAppend(200, nil)
 	g := msgs[0].Gossip
 	if len(g.Digest) != 0 {
 		t.Fatalf("compact mode emitted %d sparse ids", len(g.Digest))
@@ -580,13 +564,13 @@ func TestWatermarkExpansionBounded(t *testing.T) {
 func TestHandleMessageIgnoresMalformed(t *testing.T) {
 	t.Parallel()
 	e, _ := newEngine(t, 1, nil)
-	if out := e.HandleMessage(proto.Message{Kind: proto.GossipMsg}, 1); out != nil {
+	if out := e.HandleMessageAppend(proto.Message{Kind: proto.GossipMsg}, 1, nil); out != nil {
 		t.Fatal("nil gossip produced output")
 	}
-	if out := e.HandleMessage(proto.Message{Kind: proto.MessageKind(99)}, 1); out != nil {
+	if out := e.HandleMessageAppend(proto.Message{Kind: proto.MessageKind(99)}, 1, nil); out != nil {
 		t.Fatal("unknown kind produced output")
 	}
-	e.HandleMessage(proto.Message{Kind: proto.SubscribeMsg, Subscriber: 1}, 1) // self-subscribe: no-op
+	e.HandleMessageAppend(proto.Message{Kind: proto.SubscribeMsg, Subscriber: 1}, 1, nil) // self-subscribe: no-op
 	if e.Membership().ViewLen() != 0 {
 		t.Fatal("self-subscription entered view")
 	}
@@ -614,13 +598,13 @@ func TestTwoEngineConvergence(t *testing.T) {
 	for now := uint64(1); now <= 3; now++ {
 		var wire []proto.Message
 		for _, e := range engines {
-			wire = append(wire, e.Tick(now)...)
+			wire = append(wire, e.TickAppend(now, nil)...)
 		}
 		for len(wire) > 0 {
 			m := wire[0]
 			wire = wire[1:]
 			if dst, ok := engines[m.To]; ok {
-				wire = append(wire, dst.HandleMessage(m, now)...)
+				wire = append(wire, dst.HandleMessageAppend(m, now, nil)...)
 			}
 		}
 	}
@@ -656,7 +640,7 @@ func BenchmarkHandleGossip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		gg := g
 		gg.Events = []proto.Event{{ID: proto.EventID{Origin: 2, Seq: uint64(i + 1)}}}
-		e.HandleMessage(proto.Message{Kind: proto.GossipMsg, From: 2, To: 1, Gossip: &gg}, uint64(i))
+		e.HandleMessageAppend(proto.Message{Kind: proto.GossipMsg, From: 2, To: 1, Gossip: &gg}, uint64(i), nil)
 	}
 }
 
@@ -668,7 +652,7 @@ func BenchmarkTick(b *testing.B) {
 	e.Seed([]proto.ProcessID{2, 3, 4, 5, 6, 7, 8})
 	for i := 0; i < b.N; i++ {
 		e.Publish([]byte("payload"))
-		_ = e.Tick(uint64(i))
+		_ = e.TickAppend(uint64(i), nil)
 	}
 }
 
@@ -678,7 +662,7 @@ func TestMembershipEvery(t *testing.T) {
 	e.Seed([]proto.ProcessID{2, 3, 4, 5})
 	withMembership := 0
 	for tick := uint64(1); tick <= 6; tick++ {
-		msgs := e.Tick(tick)
+		msgs := e.TickAppend(tick, nil)
 		if len(msgs[0].Gossip.Subs) > 0 {
 			withMembership++
 		}
@@ -725,11 +709,11 @@ func TestLoggerThirdPhase(t *testing.T) {
 	if len(reqs) != 1 || reqs[0].To != 9 {
 		t.Fatalf("request went to %v, want the logger p9", reqs)
 	}
-	replies := logger.HandleMessage(reqs[0], 3)
+	replies := logger.HandleMessageAppend(reqs[0], 3, nil)
 	if len(replies) != 1 {
 		t.Fatalf("logger replies = %v", replies)
 	}
-	p1.HandleMessage(replies[0], 4)
+	p1.HandleMessageAppend(replies[0], 4, nil)
 	if len(*delivered) != 1 || string((*delivered)[0].Payload) != "logged" {
 		t.Fatalf("delivered = %v", *delivered)
 	}
@@ -767,7 +751,7 @@ func TestWeightedEventEviction(t *testing.T) {
 		t.Fatalf("pending = %d", e.PendingEvents())
 	}
 	e.Seed([]proto.ProcessID{5, 6, 7})
-	msgs := e.Tick(10)
+	msgs := e.TickAppend(10, nil)
 	for _, ev := range msgs[0].Gossip.Events {
 		if ev.ID.Seq == 1 {
 			t.Fatal("most-duplicated event survived weighted eviction")

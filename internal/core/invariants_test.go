@@ -117,11 +117,11 @@ func TestEngineInvariantsUnderRandomTraffic(t *testing.T) {
 				case 0:
 					e.Publish([]byte{byte(step)})
 				case 1:
-					_ = e.Tick(now)
+					_ = e.TickAppend(now, nil)
 				case 2:
 					e.Seed([]proto.ProcessID{proto.ProcessID(r.Intn(12))})
 				default:
-					_ = e.HandleMessage(randomMessage(r), now)
+					_ = e.HandleMessageAppend(randomMessage(r), now, nil)
 				}
 				checkInvariants(t, e)
 			}
@@ -143,9 +143,9 @@ func TestDeliveryExactlyOnceUnderRandomTraffic(t *testing.T) {
 	}
 	r := rng.New(0xabcd)
 	for step := 0; step < 5000; step++ {
-		_ = e.HandleMessage(randomMessage(r), uint64(step))
+		_ = e.HandleMessageAppend(randomMessage(r), uint64(step), nil)
 		if step%100 == 0 {
-			_ = e.Tick(uint64(step))
+			_ = e.TickAppend(uint64(step), nil)
 		}
 	}
 	for id, n := range seen {
@@ -175,7 +175,7 @@ func TestEngineQuickProperty(t *testing.T) {
 			id := proto.EventID{Origin: 2, Seq: uint64(s%50) + 1}
 			sent[id] = true
 			g := proto.Gossip{From: 2, Events: []proto.Event{{ID: id, Payload: []byte{payloadByte}}}}
-			e.HandleMessage(proto.Message{Kind: proto.GossipMsg, From: 2, To: 1, Gossip: &g}, uint64(i))
+			e.HandleMessageAppend(proto.Message{Kind: proto.GossipMsg, From: 2, To: 1, Gossip: &g}, uint64(i), nil)
 		}
 		for _, ev := range delivered {
 			if !sent[ev.ID] {

@@ -70,7 +70,7 @@ func TestRetransmitTimeoutReRequests(t *testing.T) {
 	requestMissing(t, e, 2, id, 10)
 
 	// Before the deadline (10+3) the timer stays quiet.
-	if reqs := retransmitRequests(e.Tick(11)); len(reqs) != 0 {
+	if reqs := retransmitRequests(e.TickAppend(11, nil)); len(reqs) != 0 {
 		t.Fatalf("tick before deadline re-requested %v", reqs)
 	}
 	if got := e.Stats().RetransmitTimeouts; got != 0 {
@@ -79,7 +79,7 @@ func TestRetransmitTimeoutReRequests(t *testing.T) {
 
 	// At the deadline the tick emits exactly one re-request to a view
 	// member, carrying the missing id.
-	reqs := retransmitRequests(e.Tick(13))
+	reqs := retransmitRequests(e.TickAppend(13, nil))
 	if len(reqs) != 1 {
 		t.Fatalf("tick at deadline emitted %d re-requests, want 1", len(reqs))
 	}
@@ -95,14 +95,14 @@ func TestRetransmitTimeoutReRequests(t *testing.T) {
 
 	// The re-request re-armed the deadline to 13+3; a reply before then
 	// retires the entry, and later ticks stay quiet for good.
-	e.HandleMessage(proto.Message{
+	e.HandleMessageAppend(proto.Message{
 		Kind:  proto.RetransmitReplyMsg,
 		From:  3,
 		To:    e.Self(),
 		Reply: []proto.Event{{ID: id, Payload: []byte("x")}},
-	}, 14)
+	}, 14, nil)
 	for now := uint64(16); now < 40; now += 3 {
-		if reqs := retransmitRequests(e.Tick(now)); len(reqs) != 0 {
+		if reqs := retransmitRequests(e.TickAppend(now, nil)); len(reqs) != 0 {
 			t.Fatalf("tick at %d re-requested %v after the reply arrived", now, reqs)
 		}
 	}
@@ -121,7 +121,7 @@ func TestRetransmitTimeoutGivesUp(t *testing.T) {
 
 	total := 0
 	for now := uint64(1); now < 100; now++ {
-		total += len(retransmitRequests(e.Tick(now)))
+		total += len(retransmitRequests(e.TickAppend(now, nil)))
 	}
 	if total != maxRetransmitAttempts {
 		t.Fatalf("unanswerable id re-requested %d times, want %d", total, maxRetransmitAttempts)
@@ -137,7 +137,7 @@ func TestRetransmitTimeoutLogger(t *testing.T) {
 	t.Parallel()
 	e := timeoutEngine(t, 2, func(c *Config) { c.Logger = 4 })
 	requestMissing(t, e, 2, proto.EventID{Origin: 9, Seq: 1}, 0)
-	reqs := retransmitRequests(e.Tick(5))
+	reqs := retransmitRequests(e.TickAppend(5, nil))
 	if len(reqs) != 1 || reqs[0].To != 4 {
 		t.Fatalf("logger re-request = %v, want one request to process 4", reqs)
 	}
@@ -153,13 +153,13 @@ func TestRetransmitTimeoutCap(t *testing.T) {
 	for seq := uint64(1); seq <= 3; seq++ {
 		requestMissing(t, e, 2, proto.EventID{Origin: 9, Seq: seq}, 0)
 	}
-	first := retransmitRequests(e.Tick(2))
+	first := retransmitRequests(e.TickAppend(2, nil))
 	want := []proto.EventID{{Origin: 9, Seq: 1}, {Origin: 9, Seq: 2}}
 	if len(first) != 1 || len(first[0].Request) != 2 ||
 		first[0].Request[0] != want[0] || first[0].Request[1] != want[1] {
 		t.Fatalf("capped re-request = %v, want one request with ids %v", first, want)
 	}
-	second := retransmitRequests(e.Tick(3))
+	second := retransmitRequests(e.TickAppend(3, nil))
 	if len(second) != 1 || len(second[0].Request) == 0 ||
 		second[0].Request[0] != (proto.EventID{Origin: 9, Seq: 3}) {
 		t.Fatalf("follow-up re-request = %v, want the starved id p9#3 first", second)

@@ -30,10 +30,10 @@ func twinNodes(t *testing.T, mutate func(*Config)) (*Node, *Node) {
 		n.Seed([]proto.ProcessID{2, 3, 4, 5, 6})
 		ev := n.Publish([]byte("m"))
 		// A solicitation queues a reply that must ride the next tick.
-		n.HandleMessage(proto.Message{
+		n.HandleMessageAppend(proto.Message{
 			Kind: proto.RetransmitRequestMsg, From: 7, To: 1,
 			Request: []proto.EventID{ev.ID},
-		}, 1)
+		}, 1, nil)
 		return n
 	}
 	return build(), build()
@@ -107,8 +107,8 @@ func TestNodeComposeAbortLeavesNoTrace(t *testing.T) {
 			// Traffic lands between the abort and the re-execution.
 			g := proto.Gossip{From: 3, Digest: []proto.EventID{{Origin: 3, Seq: now}}}
 			m := proto.Message{Kind: proto.GossipMsg, From: 3, To: 1, Gossip: &g}
-			a.HandleMessage(m, now)
-			b.HandleMessage(m, now)
+			a.HandleMessageAppend(m, now, nil)
+			b.HandleMessageAppend(m, now, nil)
 		}
 		got := a.TickCompose(now, nil)
 		a.TickCommit(now)

@@ -141,7 +141,7 @@ type Node struct {
 	deliver Deliverer
 	rng     *rng.Source
 
-	pendingReplies []proto.Message // solicited retransmissions, flushed on next Tick
+	pendingReplies []proto.Message // solicited retransmissions, flushed on the next tick
 	nextSeq        uint64
 	stats          Stats
 
@@ -328,30 +328,14 @@ func (n *Node) appendTargets(dst []proto.ProcessID) []proto.ProcessID {
 	return dst
 }
 
-// Tick performs one anti-entropy round: flush replies solicited during the
-// previous round, then gossip a digest of advertisable messages to Fanout
-// targets. Solicited retransmissions ride the next Tick, which models the
-// one-period pull latency pbcast pays per hop.
-//
-// Tick is a compatibility wrapper over TickAppend that gives every
-// returned gossip message its own deep copy, so callers may retain or
-// mutate messages independently.
-func (n *Node) Tick(now uint64) []proto.Message {
-	msgs := n.TickAppend(now, nil)
-	for i := range msgs {
-		if msgs[i].Gossip != nil {
-			gc := msgs[i].Gossip.Clone()
-			msgs[i].Gossip = &gc
-		}
-	}
-	return msgs
-}
-
-// TickAppend performs one anti-entropy round like Tick, but appends the
-// outgoing messages to out and returns the extended slice. All appended
-// digest gossips share one read-only *proto.Gossip, so the call does not
-// allocate per emitted message; receivers must treat the gossip as
-// immutable.
+// TickAppend performs one anti-entropy round: flush replies solicited
+// during the previous round, then gossip a digest of advertisable messages
+// to Fanout targets. Solicited retransmissions ride the next tick, which
+// models the one-period pull latency pbcast pays per hop. The outgoing
+// messages are appended to out and the extended slice returned. All
+// appended digest gossips share one read-only *proto.Gossip, so the call
+// does not allocate per emitted message; receivers must treat the gossip
+// as immutable.
 //
 // TickAppend is TickCompose followed immediately by TickCommit; drivers
 // that never speculate use it directly.
@@ -452,22 +436,16 @@ func (n *Node) TickCommit(now uint64) {
 	}
 }
 
-// HandleMessage processes one incoming message, returning solicitations
-// (replies are deferred to the next Tick). It is a thin wrapper over
-// HandleMessageAppend.
-func (n *Node) HandleMessage(m proto.Message, now uint64) []proto.Message {
-	return n.HandleMessageAppend(m, now, nil)
-}
-
 // HandleMessageAppend processes one incoming message, appending any
-// solicitations to out and returning the extended slice.
+// solicitations to out and returning the extended slice (replies are
+// deferred to the next tick).
 func (n *Node) HandleMessageAppend(m proto.Message, now uint64, out []proto.Message) []proto.Message {
 	switch m.Kind {
 	case proto.GossipMsg:
 		if m.Gossip == nil {
 			return out
 		}
-		return n.handleGossip(out, *m.Gossip, now)
+		return n.handleGossip(out, m.Gossip, now)
 	case proto.RetransmitRequestMsg:
 		n.queueRetransmissions(m)
 		return out
@@ -492,7 +470,7 @@ func (n *Node) HandleMessageAppend(m proto.Message, now uint64, out []proto.Mess
 
 // handleGossip applies membership piggyback, then solicits any missing
 // messages from the digest sender, appending the solicitation to out.
-func (n *Node) handleGossip(out []proto.Message, g proto.Gossip, now uint64) []proto.Message {
+func (n *Node) handleGossip(out []proto.Message, g *proto.Gossip, now uint64) []proto.Message {
 	n.stats.GossipsReceived++
 	if n.mem != nil {
 		n.mem.ApplyUnsubs(g.Unsubs, now)
@@ -517,7 +495,7 @@ func (n *Node) handleGossip(out []proto.Message, g proto.Gossip, now uint64) []p
 }
 
 // queueRetransmissions serves a solicitation from the local store; the
-// reply is flushed with the next Tick (one gossip period of latency).
+// reply is flushed with the next tick (one gossip period of latency).
 func (n *Node) queueRetransmissions(m proto.Message) {
 	var reply []proto.Event
 	var hops []uint32

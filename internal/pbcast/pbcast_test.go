@@ -99,7 +99,7 @@ func TestTickGossipsDigest(t *testing.T) {
 	n, _ := newNode(t, 1, nil)
 	n.Seed([]proto.ProcessID{2, 3, 4, 5, 6})
 	ev := n.Publish([]byte("x"))
-	msgs := n.Tick(1)
+	msgs := n.TickAppend(1, nil)
 	if len(msgs) != 5 {
 		t.Fatalf("sent %d gossips, want fanout 5", len(msgs))
 	}
@@ -133,14 +133,14 @@ func TestTotalViewTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msgs := n.Tick(1); msgs != nil {
+	if msgs := n.TickAppend(1, nil); msgs != nil {
 		t.Fatalf("tick without view emitted %v", msgs)
 	}
 	n.SetTotalView([]proto.ProcessID{1, 2, 3, 4, 5})
 	if len(n.View()) != 4 {
 		t.Fatalf("view = %v (self must be excluded)", n.View())
 	}
-	msgs := n.Tick(2)
+	msgs := n.TickAppend(2, nil)
 	if len(msgs) != 3 {
 		t.Fatalf("sent %d gossips", len(msgs))
 	}
@@ -163,24 +163,24 @@ func TestPullRoundTripTakesOneTick(t *testing.T) {
 	p2.Seed([]proto.ProcessID{1})
 	ev := p1.Publish([]byte("pull me"))
 
-	gossips := p1.Tick(1)
+	gossips := p1.TickAppend(1, nil)
 	var requests []proto.Message
 	for _, g := range gossips {
 		if g.To == 2 {
-			requests = append(requests, p2.HandleMessage(g, 1)...)
+			requests = append(requests, p2.HandleMessageAppend(g, 1, nil)...)
 		}
 	}
 	if len(requests) != 1 || requests[0].Kind != proto.RetransmitRequestMsg {
 		t.Fatalf("requests = %+v", requests)
 	}
-	if out := p1.HandleMessage(requests[0], 1); out != nil {
+	if out := p1.HandleMessageAppend(requests[0], 1, nil); out != nil {
 		t.Fatalf("request answered synchronously: %+v", out)
 	}
 	if len(*delivered) != 0 {
 		t.Fatal("delivered before the reply tick")
 	}
 	// The reply is flushed with p1's next tick.
-	next := p1.Tick(2)
+	next := p1.TickAppend(2, nil)
 	var reply *proto.Message
 	for i := range next {
 		if next[i].Kind == proto.RetransmitReplyMsg {
@@ -193,7 +193,7 @@ func TestPullRoundTripTakesOneTick(t *testing.T) {
 	if len(reply.ReplyHops) != 1 || reply.ReplyHops[0] != 1 {
 		t.Fatalf("reply hops = %v", reply.ReplyHops)
 	}
-	p2.HandleMessage(*reply, 2)
+	p2.HandleMessageAppend(*reply, 2, nil)
 	if len(*delivered) != 1 || (*delivered)[0].ID != ev.ID {
 		t.Fatalf("delivered = %v", *delivered)
 	}
@@ -204,30 +204,30 @@ func TestHopLimitRefusesService(t *testing.T) {
 	n, _ := newNode(t, 1, func(c *Config) { c.HopLimit = 2 })
 	ev := proto.Event{ID: proto.EventID{Origin: 9, Seq: 1}}
 	// Receive the message at the hop limit.
-	n.HandleMessage(proto.Message{
+	n.HandleMessageAppend(proto.Message{
 		Kind:      proto.RetransmitReplyMsg,
 		From:      3,
 		To:        1,
 		Reply:     []proto.Event{ev},
 		ReplyHops: []uint32{2},
-	}, 1)
+	}, 1, nil)
 	if !n.Delivered(ev.ID) {
 		t.Fatal("message at hop limit not delivered")
 	}
 	// It must not be advertised...
 	n.Seed([]proto.ProcessID{2, 3, 4, 5, 6})
-	msgs := n.Tick(2)
+	msgs := n.TickAppend(2, nil)
 	if len(msgs[0].Gossip.Digest) != 0 {
 		t.Fatalf("hop-limited message advertised: %v", msgs[0].Gossip.Digest)
 	}
 	// ...nor served.
-	n.HandleMessage(proto.Message{
+	n.HandleMessageAppend(proto.Message{
 		Kind:    proto.RetransmitRequestMsg,
 		From:    2,
 		To:      1,
 		Request: []proto.EventID{ev.ID},
-	}, 3)
-	if got := n.Tick(4); len(got) != 5 { // only the 5 digests, no reply
+	}, 3, nil)
+	if got := n.TickAppend(4, nil); len(got) != 5 { // only the 5 digests, no reply
 		for _, m := range got {
 			if m.Kind == proto.RetransmitReplyMsg {
 				t.Fatal("hop-limited message served")
@@ -245,12 +245,12 @@ func TestRepetitionLimitStopsAdvertising(t *testing.T) {
 	n.Seed([]proto.ProcessID{2, 3, 4, 5, 6})
 	n.Publish([]byte("x"))
 	for round := uint64(1); round <= 2; round++ {
-		msgs := n.Tick(round)
+		msgs := n.TickAppend(round, nil)
 		if len(msgs[0].Gossip.Digest) != 1 {
 			t.Fatalf("round %d: digest = %v", round, msgs[0].Gossip.Digest)
 		}
 	}
-	msgs := n.Tick(3)
+	msgs := n.TickAppend(3, nil)
 	if len(msgs[0].Gossip.Digest) != 0 {
 		t.Fatal("message advertised beyond repetition limit")
 	}
@@ -262,7 +262,7 @@ func TestUnlimitedWhenZero(t *testing.T) {
 	n.Seed([]proto.ProcessID{2, 3, 4, 5, 6})
 	n.Publish([]byte("x"))
 	for round := uint64(1); round <= 10; round++ {
-		msgs := n.Tick(round)
+		msgs := n.TickAppend(round, nil)
 		if len(msgs[0].Gossip.Digest) != 1 {
 			t.Fatalf("round %d: unlimited message not advertised", round)
 		}
@@ -284,13 +284,13 @@ func TestStoreEviction(t *testing.T) {
 		t.Fatal("newest message evicted")
 	}
 	// A solicitation for an evicted message goes unanswered.
-	n.HandleMessage(proto.Message{
+	n.HandleMessageAppend(proto.Message{
 		Kind:    proto.RetransmitRequestMsg,
 		From:    2,
 		To:      1,
 		Request: []proto.EventID{ids[0]},
-	}, 1)
-	for _, m := range n.Tick(2) {
+	}, 1, nil)
+	for _, m := range n.TickAppend(2, nil) {
 		if m.Kind == proto.RetransmitReplyMsg {
 			t.Fatal("evicted message served")
 		}
@@ -300,25 +300,25 @@ func TestStoreEviction(t *testing.T) {
 func TestMembershipPiggybackUpdatesView(t *testing.T) {
 	t.Parallel()
 	n, _ := newNode(t, 1, nil)
-	n.HandleMessage(proto.Message{Kind: proto.GossipMsg, From: 2, To: 1, Gossip: &proto.Gossip{
+	n.HandleMessageAppend(proto.Message{Kind: proto.GossipMsg, From: 2, To: 1, Gossip: &proto.Gossip{
 		From: 2,
 		Subs: []proto.ProcessID{2, 3},
-	}}, 1)
+	}}, 1, nil)
 	view := n.View()
 	if len(view) != 2 {
 		t.Fatalf("view = %v", view)
 	}
-	n.HandleMessage(proto.Message{Kind: proto.GossipMsg, From: 2, To: 1, Gossip: &proto.Gossip{
+	n.HandleMessageAppend(proto.Message{Kind: proto.GossipMsg, From: 2, To: 1, Gossip: &proto.Gossip{
 		From:   2,
 		Unsubs: []proto.Unsubscription{{Process: 3, Stamp: 2}},
-	}}, 2)
+	}}, 2, nil)
 	for _, p := range n.View() {
 		if p == 3 {
 			t.Fatal("unsubscribed process still in view")
 		}
 	}
 	// Subscribe messages too.
-	n.HandleMessage(proto.Message{Kind: proto.SubscribeMsg, From: 7, To: 1, Subscriber: 7}, 3)
+	n.HandleMessageAppend(proto.Message{Kind: proto.SubscribeMsg, From: 7, To: 1, Subscriber: 7}, 3, nil)
 	found := false
 	for _, p := range n.View() {
 		if p == 7 {
@@ -333,10 +333,10 @@ func TestMembershipPiggybackUpdatesView(t *testing.T) {
 func TestMalformedMessagesIgnored(t *testing.T) {
 	t.Parallel()
 	n, _ := newNode(t, 1, nil)
-	if out := n.HandleMessage(proto.Message{Kind: proto.GossipMsg}, 1); out != nil {
+	if out := n.HandleMessageAppend(proto.Message{Kind: proto.GossipMsg}, 1, nil); out != nil {
 		t.Fatal("nil gossip produced output")
 	}
-	if out := n.HandleMessage(proto.Message{Kind: proto.MessageKind(88)}, 1); out != nil {
+	if out := n.HandleMessageAppend(proto.Message{Kind: proto.MessageKind(88)}, 1, nil); out != nil {
 		t.Fatal("unknown kind produced output")
 	}
 }
@@ -372,13 +372,13 @@ func TestSmallClusterConverges(t *testing.T) {
 	for round := uint64(1); round <= 12; round++ {
 		var wire []proto.Message
 		for _, node := range nodes {
-			wire = append(wire, node.Tick(round)...)
+			wire = append(wire, node.TickAppend(round, nil)...)
 		}
 		for len(wire) > 0 {
 			m := wire[0]
 			wire = wire[1:]
 			if m.To >= 1 && int(m.To) <= n {
-				wire = append(wire, nodes[m.To-1].HandleMessage(m, round)...)
+				wire = append(wire, nodes[m.To-1].HandleMessageAppend(m, round, nil)...)
 			}
 		}
 	}
@@ -400,6 +400,6 @@ func BenchmarkTickWithStore(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = n.Tick(uint64(i))
+		_ = n.TickAppend(uint64(i), nil)
 	}
 }

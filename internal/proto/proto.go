@@ -76,7 +76,7 @@ type Unsubscription struct {
 // shared by all fanout targets of a round, so receivers must treat an
 // incoming Gossip (and everything it references) as read-only and Clone
 // events before retaining them. Callers that need independently mutable
-// messages use the Tick wrappers, which deep-copy via Clone.
+// messages deep-copy them with Clone.
 type Gossip struct {
 	// From is the sending process. The sender always includes itself in
 	// Subs as well (Fig. 1(b)); From additionally lets receivers answer

@@ -106,41 +106,6 @@ func phaseOrder(phase []uint64) []int {
 	return order
 }
 
-// tickComposer is the speculative-emission seam of the wavefront schedule
-// (core.Engine and pbcast.Node both implement it): TickCompose builds an
-// emission without consuming it, TickAbort discards it rewinding the RNG
-// draws, and TickCommit applies the deferred buffer consumption.
-type tickComposer interface {
-	TickCompose(now uint64, out []proto.Message) []proto.Message
-	TickAbort()
-	TickCommit(now uint64)
-}
-
-// composeTick drives p's speculative emission, falling back to a plain
-// (state-mutating) tick for foreign Process implementations. The fallback
-// cannot roll back: an invalidated fallback compose is simply discarded
-// and composed again, advancing the foreign process's state twice.
-func composeTick(p Process, now uint64, out []proto.Message) []proto.Message {
-	if tc, ok := p.(tickComposer); ok {
-		return tc.TickCompose(now, out)
-	}
-	return append(out, p.Tick(now)...)
-}
-
-// abortTick invalidates p's outstanding speculative emission.
-func abortTick(p Process) {
-	if tc, ok := p.(tickComposer); ok {
-		tc.TickAbort()
-	}
-}
-
-// commitTick commits p's outstanding speculative emission.
-func commitTick(p Process, now uint64) {
-	if tc, ok := p.(tickComposer); ok {
-		tc.TickCommit(now)
-	}
-}
-
 // composeShard speculatively composes the ticks of shard s's processes
 // inside the current wave window. Composes touch only their own engine
 // (plus per-process executor slots), so shards race on nothing; the
@@ -155,7 +120,7 @@ func (e *shardedExecutor) composeShard(s int) {
 		if c.crashes.Crashed(c.ids[i], c.now) {
 			continue
 		}
-		e.aEmit[i] = composeTick(c.procs[i], c.now, e.aEmit[i][:0])
+		e.aEmit[i] = c.procs[i].TickCompose(c.now, e.aEmit[i][:0])
 		e.aComposed[i] = true
 	}
 }
@@ -230,7 +195,7 @@ func (e *shardedExecutor) runAsyncPeriod() {
 // in emission order; the survivors join the wave's queue.
 func (e *shardedExecutor) commitEmission(i int) {
 	c := e.c
-	commitTick(c.procs[i], c.now)
+	c.procs[i].TickCommit(c.now)
 	e.aComposed[i] = false // consumed: no emission outstanding
 	for _, m := range e.aEmit[i] {
 		if e.asyncRoute(len(e.queue), m) {
@@ -263,7 +228,7 @@ func (e *shardedExecutor) asyncRoute(pos int, m proto.Message) bool {
 // speculation missed this delivery: it is aborted, and re-executes.
 func (e *shardedExecutor) asyncBin(pos, di int) {
 	if e.aComposed[di] {
-		abortTick(e.c.procs[di])
+		e.c.procs[di].TickAbort()
 		e.aComposed[di] = false
 	}
 	s := e.shardOf[di]

@@ -55,6 +55,7 @@ func (c *Cluster) buildEngines(root, viewRNG *rng.Source) error {
 					errs[s] = fmt.Errorf("sim: process %v: %w", c.ids[i], err)
 					return
 				}
+				eng.SetEmissionReuse(true) // see the executor's allocation argument
 				c.procs[i] = eng
 			}
 		}(s, lo, hi, p)

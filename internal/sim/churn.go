@@ -176,7 +176,7 @@ func ChurnExperiment(opts ChurnOptions) (ChurnResult, error) {
 			if err != nil {
 				return res, err
 			}
-			members[contact].engine.HandleMessage(joinMsg, round)
+			members[contact].engine.HandleMessageAppend(joinMsg, round, nil)
 			res.Joined++
 		}
 		// Leaves: random active members (not just joined this round).
@@ -204,7 +204,7 @@ func ChurnExperiment(opts ChurnOptions) (ChurnResult, error) {
 				m.silenced = true
 				continue
 			}
-			wire = append(wire, m.engine.Tick(round)...)
+			wire = m.engine.TickAppend(round, wire)
 		}
 		for _, msg := range wire {
 			dst, ok := members[msg.To]
@@ -212,7 +212,7 @@ func ChurnExperiment(opts ChurnOptions) (ChurnResult, error) {
 				continue
 			}
 			// Departed-but-in-grace members still process traffic.
-			dst.engine.HandleMessage(msg, round)
+			dst.engine.HandleMessageAppend(msg, round, nil)
 		}
 
 		// Connectivity among active members.

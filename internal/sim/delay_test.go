@@ -399,7 +399,7 @@ func TestDelayOptionsValidate(t *testing.T) {
 // name) instead of silently sweeping a flat zero-delay network.
 func TestMatrixRejectsNegativeDelay(t *testing.T) {
 	t.Parallel()
-	cells, err := RunMatrix(MatrixSpec{Ns: []int{50}, Delays: []int{-2}, Rounds: 4, Repeats: 1})
+	cells, err := RunMatrix(MatrixSpec{Ns: []int{50}, DelaySpecs: []string{"-2"}, Rounds: 4, Repeats: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,19 +460,20 @@ func TestDelayedRoundAllocs(t *testing.T) {
 // key: it sends one *proto.Gossip across the WAN on its tick, then rewrites
 // that gossip and sends it again as a same-period response.
 type rewriter struct {
+	fakeProcess
 	self, wan proto.ProcessID
 	g         proto.Gossip
 }
 
 func (p *rewriter) Self() proto.ProcessID { return p.self }
 
-func (p *rewriter) Tick(uint64) []proto.Message {
-	return []proto.Message{{Kind: proto.GossipMsg, From: p.self, To: p.wan, Gossip: &p.g}}
+func (p *rewriter) TickCompose(_ uint64, out []proto.Message) []proto.Message {
+	return append(out, proto.Message{Kind: proto.GossipMsg, From: p.self, To: p.wan, Gossip: &p.g})
 }
 
-func (p *rewriter) HandleMessage(proto.Message, uint64) []proto.Message {
+func (p *rewriter) HandleMessageAppend(_ proto.Message, _ uint64, out []proto.Message) []proto.Message {
 	p.g.Digest[0].Seq++
-	return p.Tick(0)
+	return p.TickCompose(0, out)
 }
 
 // TestInflightSharingCheck: under PoisonRecycled the cluster's in-flight
@@ -506,11 +507,18 @@ func TestInflightSharingCheck(t *testing.T) {
 }
 
 // quiet is a foreign Process that never sends.
-type quiet struct{ self proto.ProcessID }
+type quiet struct {
+	fakeProcess
+	self proto.ProcessID
+}
 
-func (p *quiet) Self() proto.ProcessID                               { return p.self }
-func (p *quiet) Tick(uint64) []proto.Message                         { return nil }
-func (p *quiet) HandleMessage(proto.Message, uint64) []proto.Message { return nil }
+func (p *quiet) Self() proto.ProcessID { return p.self }
+
+func (p *quiet) TickCompose(_ uint64, out []proto.Message) []proto.Message { return out }
+
+func (p *quiet) HandleMessageAppend(_ proto.Message, _ uint64, out []proto.Message) []proto.Message {
+	return out
+}
 
 // TestOneEmissionPerPeriod pins the invariant the ring's sharing key rests
 // on: whatever the schedule — both regimes, both clocks, one shard and

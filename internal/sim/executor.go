@@ -55,11 +55,11 @@ import (
 // Delivery recording is a commutative set-union (see recorder), so the
 // only shared mutable state touched concurrently is behind its lock.
 //
-// Steady-state allocation argument. The executor opts every engine into
+// Steady-state allocation argument. NewCluster builds every engine in
 // emission reuse (the same seam the live node uses over Serializer
-// transports): TickAppend recycles one gossip and its backing slices per
+// transports): TickCompose recycles one gossip and its backing slices per
 // engine. Recycling is safe here because an engine's scratch is only
-// rewritten by its next TickAppend, which cannot run before the next
+// rewritten by its next TickCompose, which cannot run before the next
 // round's tick phase — and by then the current round's outbox has been
 // fully consumed: the sequential loss/crash filter has routed it, every
 // handle phase has read it, and the span merge has drained the response
@@ -70,44 +70,6 @@ import (
 // TestExecutorRoundAllocs). PoisonRecycled overwrites the recycled
 // buffers with sentinels at the end of every round to catch any future
 // consumer that holds them longer than the round.
-
-// tickAppender is implemented by engines that support the zero-alloc
-// append emission path (core.Engine and pbcast.Node both do).
-type tickAppender interface {
-	TickAppend(now uint64, out []proto.Message) []proto.Message
-}
-
-// messageAppender is the matching receive-side interface.
-type messageAppender interface {
-	HandleMessageAppend(m proto.Message, now uint64, out []proto.Message) []proto.Message
-}
-
-// emissionReuser is the explicit reuse-mode seam (core.Engine and
-// pbcast.Node implement it): the executor — which guarantees every emitted
-// message is consumed before the engine's next tick — opts engines into
-// recycling their per-round emission buffers. The seam mirrors the live
-// node's transport.Serializer opt-in.
-type emissionReuser interface {
-	SetEmissionReuse(on bool)
-}
-
-// tickAppend drives p's emission through the append path when available,
-// falling back to the allocating wrapper for foreign Process
-// implementations (tests).
-func tickAppend(p Process, now uint64, out []proto.Message) []proto.Message {
-	if ta, ok := p.(tickAppender); ok {
-		return ta.TickAppend(now, out)
-	}
-	return append(out, p.Tick(now)...)
-}
-
-// handleAppend is the receive-side equivalent of tickAppend.
-func handleAppend(p Process, m proto.Message, now uint64, out []proto.Message) []proto.Message {
-	if ma, ok := p.(messageAppender); ok {
-		return ma.HandleMessageAppend(m, now, out)
-	}
-	return append(out, p.HandleMessage(m, now)...)
-}
 
 // effectiveWorkers resolves the Workers option to a shard count in [1, n]:
 // 0 means one shard and a negative value GOMAXPROCS.
@@ -134,8 +96,8 @@ type respSpan struct {
 
 // workerPool owns the executor's persistent worker channels — none when
 // there is one shard. It is a separate allocation from the executor so
-// that shutdown can be attached to the Cluster as a GC cleanup: the pool
-// must not reference the cluster, or the cleanup would never fire.
+// that its shutdown can hang off the cluster's poolToken: the pool must not
+// reference the cluster, or the finalizer would never fire.
 type workerPool struct {
 	once sync.Once
 	work []chan func(int)
@@ -149,6 +111,19 @@ func (p *workerPool) shutdown() {
 			close(ch)
 		}
 	})
+}
+
+// poolToken carries a cluster's worker pool to its finalizer. Only the
+// Cluster references it, so it becomes unreachable with the cluster. The
+// finalizer cannot sit on the Cluster itself: the cluster and its executor
+// reference each other, and Go does not run finalizers on cyclic garbage.
+type poolToken struct{ pool *workerPool }
+
+// poolCleanup arranges for the worker pool to shut down once the cluster
+// becomes unreachable — the backstop for clusters that are never Closed.
+func poolCleanup(c *Cluster, pool *workerPool) {
+	c.poolToken = &poolToken{pool}
+	runtime.SetFinalizer(c.poolToken, func(t *poolToken) { t.pool.shutdown() })
 }
 
 // shardWorker runs phase functions for shard s until its work channel
@@ -172,7 +147,7 @@ type shardedExecutor struct {
 	lo, hi  []int // shard s owns process indices [lo[s], hi[s])
 	shardOf []int // process index -> shard
 
-	tickBufs [][]proto.Message // per-shard Tick outboxes (shard 0: see tickShard)
+	tickBufs [][]proto.Message // per-shard tick outboxes (shard 0: see tickShard)
 	inboxes  [][]routed        // per-shard surviving messages, queue order
 	groups   []destGroups      // per-shard scratch of handleShard's grouping
 	resps    [][]proto.Message // per-shard response buffers
@@ -235,15 +210,6 @@ func newShardedExecutor(c *Cluster, w int) *shardedExecutor {
 		}
 		start += size
 	}
-	// Opt the engines into recycling their emission buffers: the round
-	// structure guarantees full consumption before the next tick (see the
-	// file comment), and the reuse paths consume identical RNG draws, so
-	// results stay bit-for-bit equal to the cloning reference walks.
-	for _, p := range c.procs {
-		if er, ok := p.(emissionReuser); ok {
-			er.SetEmissionReuse(true)
-		}
-	}
 	e.tickFn = e.tickShard
 	e.handleFn = e.handleShard
 	e.composeFn = e.composeShard
@@ -263,8 +229,6 @@ func newShardedExecutor(c *Cluster, w int) *shardedExecutor {
 	}
 	// Backstop for clusters that are never Closed (the experiment runners
 	// do close): once the cluster is collectable, release the workers.
-	// poolCleanup is build-tagged: AddCleanup on Go 1.24+, a finalizer on
-	// the 1.23 toolchain of the CI version matrix.
 	poolCleanup(c, e.pool)
 	return e
 }
@@ -303,7 +267,9 @@ func (e *shardedExecutor) tickShard(s int) {
 		if c.crashes.Crashed(c.ids[i], c.now) {
 			continue
 		}
-		buf = tickAppend(c.procs[i], c.now, buf)
+		p := c.procs[i]
+		buf = p.TickCompose(c.now, buf)
+		p.TickCommit(c.now)
 	}
 	if direct {
 		e.queue = buf
@@ -398,7 +364,7 @@ func (e *shardedExecutor) handleShard(s int) {
 		}
 		r := inbox[j]
 		start := len(resp)
-		resp = handleAppend(c.procs[r.di], e.queue[r.pos], c.now, resp)
+		resp = c.procs[r.di].HandleMessageAppend(e.queue[r.pos], c.now, resp)
 		if len(resp) > start {
 			// pos holds the inbox index until the spans are back in order.
 			spans = append(spans, respSpan{pos: j, start: start, end: len(resp)})

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/proto"
@@ -193,6 +194,32 @@ func TestClusterCloseIdempotent(t *testing.T) {
 		if workers <= 1 && len(cluster.exec.pool.work) != 0 {
 			t.Errorf("workers=%d: a one-shard cluster started %d workers", workers, len(cluster.exec.pool.work))
 		}
+	}
+}
+
+// TestAbandonedClusterReleasesWorkers: a multi-shard cluster that is never
+// Closed gives its worker goroutines back once it is garbage. The cluster
+// and its executor reference each other, and Go runs no finalizer on
+// cyclic garbage, so this holds only while the cleanup sits on an object
+// outside that cycle. Not parallel: it counts the process's goroutines.
+func TestAbandonedClusterReleasesWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	func() {
+		opts := DefaultOptions(64)
+		opts.Workers = 4
+		cluster, err := NewCluster(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cluster.RunRound()
+	}()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 5 s after the cluster was dropped, %d before it was built",
+				runtime.NumGoroutine(), base)
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

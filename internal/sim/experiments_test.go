@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/fault"
 )
 
 func TestInfectionExperimentValidation(t *testing.T) {
@@ -17,6 +18,27 @@ func TestInfectionExperimentValidation(t *testing.T) {
 	bad := DefaultOptions(1)
 	if _, err := InfectionExperiment(bad, 5, 1); err == nil {
 		t.Error("invalid options accepted")
+	}
+}
+
+// TestInfectionEventClockMsDelay runs an infection trace end to end on the
+// event clock, four shards, under a millisecond delay model, and checks
+// the trace disseminates.
+func TestInfectionEventClockMsDelay(t *testing.T) {
+	t.Parallel()
+	opts := DefaultOptions(125)
+	opts.Seed = 9
+	opts.Clock = ClockEvent
+	opts.PeriodMs = 200
+	opts.Workers = 4
+	opts.Lpbcast.AssumeFromDigest = true
+	opts.Delay = fault.Millis{Model: fault.UniformDelay{Min: 10, Max: 400}}
+	res, err := InfectionExperiment(opts, 12, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := res.PerRound[len(res.PerRound)-1]; last < 125*0.9 {
+		t.Errorf("event-clock trace infected only %v of 125", last)
 	}
 }
 

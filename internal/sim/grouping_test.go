@@ -14,23 +14,26 @@ import (
 // multiple of three, two responses each, so that the spans of a grouped hop
 // come out of queue order.
 type handleProbe struct {
+	fakeProcess
 	id    proto.ProcessID
 	got   []int  // tags handled, in order
 	shard *[]int // destination indices handled by the shard, in order
 	di    int
 }
 
-func (p *handleProbe) Self() proto.ProcessID       { return p.id }
-func (p *handleProbe) Tick(uint64) []proto.Message { return nil }
-func (p *handleProbe) HandleMessage(m proto.Message, _ uint64) []proto.Message {
+func (p *handleProbe) Self() proto.ProcessID { return p.id }
+
+func (p *handleProbe) TickCompose(_ uint64, out []proto.Message) []proto.Message { return out }
+
+func (p *handleProbe) HandleMessageAppend(m proto.Message, _ uint64, out []proto.Message) []proto.Message {
 	tag := int(m.Subscriber)
 	p.got = append(p.got, tag)
 	*p.shard = append(*p.shard, p.di)
 	if !answered(tag) {
-		return nil
+		return out
 	}
 	reply := proto.Message{From: p.id, Subscriber: m.Subscriber}
-	return []proto.Message{reply, reply}
+	return append(out, reply, reply)
 }
 
 func answered(tag int) bool { return tag%3 == 0 }

@@ -55,9 +55,6 @@ func (r InfectionResult) MeanDeliveryRound() float64 {
 //
 // The publisher is process 1. For lpbcast the event propagates by push;
 // for the pbcast protocols by digest gossip + pull.
-//
-// Deprecated: new code should call Run with an ExpInfection Scenario; this
-// entry point remains for existing callers and behaves identically.
 func InfectionExperiment(opts Options, rounds, repeats int) (InfectionResult, error) {
 	if rounds <= 0 || repeats <= 0 {
 		return InfectionResult{}, errors.New("sim: rounds and repeats must be positive")

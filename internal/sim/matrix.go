@@ -33,12 +33,6 @@ type MatrixSpec struct {
 	// "ms:uniform:10-40" (virtual milliseconds — the cell automatically
 	// runs on the event clock). Default: {""}.
 	DelaySpecs []string
-	// Delays are fixed per-message delivery delays in whole rounds.
-	//
-	// Deprecated: the bare-int form survives for existing sweeps and maps
-	// onto DelaySpecs ("2" ≡ "fixed:2"); new code should set DelaySpecs.
-	// Setting both is a configuration error.
-	Delays []int
 	// Topics is the pub/sub dimension: cells with Topics > 1 run a
 	// TopicExperiment — N subscribers spread over that many topic groups
 	// by a Zipf(1) popularity draw on a pubsub.Bus — instead of a flat
@@ -81,18 +75,7 @@ func (s MatrixSpec) withDefaults() MatrixSpec {
 		s.Protocols = []Protocol{Lpbcast}
 	}
 	if len(s.DelaySpecs) == 0 {
-		// The deprecated whole-round ints map onto the spec grammar; 0
-		// becomes the empty (zero-delay) spec so cell names are unchanged.
-		for _, d := range s.Delays {
-			if d == 0 {
-				s.DelaySpecs = append(s.DelaySpecs, "")
-			} else {
-				s.DelaySpecs = append(s.DelaySpecs, fmt.Sprintf("%d", d))
-			}
-		}
-		if len(s.DelaySpecs) == 0 {
-			s.DelaySpecs = []string{""}
-		}
+		s.DelaySpecs = []string{""}
 	}
 	if len(s.Topics) == 0 {
 		s.Topics = []int{1}
@@ -209,9 +192,6 @@ func runTopicCell(spec MatrixSpec, cell MatrixCell, idx int) (InfectionResult, e
 func RunMatrix(spec MatrixSpec) ([]MatrixCell, error) {
 	if len(spec.Ns) == 0 {
 		return nil, errors.New("sim: matrix needs at least one system size")
-	}
-	if len(spec.DelaySpecs) > 0 && len(spec.Delays) > 0 {
-		return nil, errors.New("sim: set DelaySpecs or the deprecated Delays, not both")
 	}
 	spec = spec.withDefaults()
 

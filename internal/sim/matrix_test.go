@@ -127,46 +127,6 @@ func TestMatrixDelaySpecs(t *testing.T) {
 	}
 }
 
-// TestMatrixDeprecatedDelaysMapOntoSpecs: a sweep spelled with the
-// deprecated whole-round ints is bit-identical to the same sweep in
-// spec-string form — including the cell names, so existing tables keep
-// their series labels.
-func TestMatrixDeprecatedDelaysMapOntoSpecs(t *testing.T) {
-	t.Parallel()
-	base := MatrixSpec{Ns: []int{60}, Rounds: 5, Repeats: 1, Seed: 9}
-	oldSpec := base
-	oldSpec.Delays = []int{0, 2}
-	newSpec := base
-	newSpec.DelaySpecs = []string{"", "2"}
-	old, err := RunMatrix(oldSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recent, err := RunMatrix(newSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(old, recent) {
-		t.Errorf("deprecated Delays sweep differs from DelaySpecs sweep:\nold: %+v\nnew: %+v", old, recent)
-	}
-}
-
-// TestMatrixRejectsBothDelayForms: setting Delays and DelaySpecs together
-// is ambiguous and fails the whole sweep up front.
-func TestMatrixRejectsBothDelayForms(t *testing.T) {
-	t.Parallel()
-	_, err := RunMatrix(MatrixSpec{
-		Ns:         []int{60},
-		Delays:     []int{1},
-		DelaySpecs: []string{"fixed:1"},
-		Rounds:     3,
-		Repeats:    1,
-	})
-	if err == nil || !strings.Contains(err.Error(), "not both") {
-		t.Fatalf("both delay forms accepted: err=%v", err)
-	}
-}
-
 // TestMatrixRejectsMalformedSpec: an unparsable delay spec fails its cells
 // loudly, with the spec visible in the cell name.
 func TestMatrixRejectsMalformedSpec(t *testing.T) {

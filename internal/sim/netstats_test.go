@@ -30,17 +30,18 @@ func assertConserved(t *testing.T, s NetStats) {
 // message, so a round's response cascade never drains and the maxChase
 // safety valve must fire.
 type chatter struct {
+	fakeProcess
 	self, peer proto.ProcessID
 }
 
 func (p *chatter) Self() proto.ProcessID { return p.self }
 
-func (p *chatter) Tick(now uint64) []proto.Message {
-	return []proto.Message{{Kind: proto.GossipMsg, From: p.self, To: p.peer}}
+func (p *chatter) TickCompose(_ uint64, out []proto.Message) []proto.Message {
+	return append(out, proto.Message{Kind: proto.GossipMsg, From: p.self, To: p.peer})
 }
 
-func (p *chatter) HandleMessage(m proto.Message, now uint64) []proto.Message {
-	return []proto.Message{{Kind: proto.GossipMsg, From: p.self, To: m.From}}
+func (p *chatter) HandleMessageAppend(m proto.Message, _ uint64, out []proto.Message) []proto.Message {
+	return append(out, proto.Message{Kind: proto.GossipMsg, From: p.self, To: m.From})
 }
 
 // chatterCluster builds a cluster whose processes all ping-pong forever.

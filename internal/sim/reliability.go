@@ -62,9 +62,6 @@ type ReliabilityResult struct {
 
 // ReliabilityExperiment publishes Rate events per round for PublishRounds
 // rounds at uniformly chosen processes, drains, and measures reliability.
-//
-// Deprecated: new code should call Run with an ExpReliability Scenario;
-// this entry point remains for existing callers and behaves identically.
 func ReliabilityExperiment(opts ReliabilityOptions) (ReliabilityResult, error) {
 	if opts.Rate <= 0 || opts.PublishRounds <= 0 || opts.DrainRounds < 0 {
 		return ReliabilityResult{}, errors.New("sim: invalid reliability options")

@@ -10,23 +10,26 @@ import (
 
 // advertiser is a foreign Process that, in period 1 only, gossips process 1
 // a digest naming a notification nobody holds, and never answers anything —
-// so the pull it provokes can only time out. Tick keeps no state: the async
-// executors may compose a tick more than once.
+// so the pull it provokes can only time out. TickCompose keeps no state:
+// the async executors may compose a tick more than once.
 type advertiser struct {
+	fakeProcess
 	self proto.ProcessID
 }
 
 func (p *advertiser) Self() proto.ProcessID { return p.self }
 
-func (p *advertiser) Tick(now uint64) []proto.Message {
+func (p *advertiser) TickCompose(now uint64, out []proto.Message) []proto.Message {
 	if now != 1 || p.self != 2 {
-		return nil
+		return out
 	}
-	return []proto.Message{{Kind: proto.GossipMsg, From: p.self, To: 1, Gossip: &proto.Gossip{
-		From: p.self, Digest: []proto.EventID{{Origin: 77, Seq: 1}}}}}
+	return append(out, proto.Message{Kind: proto.GossipMsg, From: p.self, To: 1, Gossip: &proto.Gossip{
+		From: p.self, Digest: []proto.EventID{{Origin: 77, Seq: 1}}}})
 }
 
-func (p *advertiser) HandleMessage(proto.Message, uint64) []proto.Message { return nil }
+func (p *advertiser) HandleMessageAppend(_ proto.Message, _ uint64, out []proto.Message) []proto.Message {
+	return out
+}
 
 // TestRetransmitTimeoutCountsPeriods pins the unit of
 // core.Config.RetransmitTimeout under the simulator: engines are ticked

@@ -49,7 +49,7 @@ const defaultPeriodMs = 100
 const maxPeriodMs = 1 << 20
 
 // RunConfig is the execution configuration shared by every simulator entry
-// point — Options (and through it Scenario), FigureScale, MatrixSpec, and
+// point — Options, FigureScale, MatrixSpec, and
 // TopicOptions all embed it, so "how the simulation executes" is declared
 // once instead of as per-surface field copies. It selects the shard count
 // (Workers), the time base (Clock, PeriodMs), and the buffer-poisoning
@@ -64,7 +64,7 @@ type RunConfig struct {
 	// 1 is one shard: every phase runs inline on the caller's goroutine and
 	// the cluster starts no workers. W > 1 fans the per-process work out to
 	// W persistent workers with deterministic merges: in synchronous mode
-	// the Tick and HandleMessage phases of each round; in Async mode ticks
+	// the tick and handle phases of each round; in Async mode ticks
 	// are composed speculatively and deliveries handled in parallel under
 	// the wavefront schedule (async.go). A negative value selects
 	// GOMAXPROCS shards, and the count never exceeds the number of
@@ -88,7 +88,7 @@ type RunConfig struct {
 	PoisonRecycled bool
 	// EmissionReuse is ignored.
 	//
-	// Deprecated: engines always run in emission reuse — the executor opts
+	// Deprecated: engines always run in emission reuse — NewCluster opts
 	// them in, whatever the shard count — and nothing reads this field. It
 	// is still declared only because benchmark/ assigns it; it goes with
 	// the PR that may edit benchmark/.

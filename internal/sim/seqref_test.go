@@ -13,8 +13,8 @@ import (
 // against: the sequential walks the schedules were first written as —
 // one goroutine, no shards, no inboxes, no span merge — kept as they were
 // when the simulator still ran them (Workers <= 1, before the one-shard
-// case of the sharded executor replaced them), on the engines' cloning
-// Tick/HandleMessage forms with emission reuse off: four of them, a
+// case of the sharded executor replaced them), on the cloning tick
+// (tickClone) with emission reuse off: four of them, a
 // synchronous and an async one per clock, the oracle for the executor's two
 // step functions on both. The round-clock walks know one instant per period
 // and no phases; the event-clock ones walk the ring's pending instants. They
@@ -45,9 +45,7 @@ func newSeqRef(opts Options) (*seqRef, error) {
 		return nil, err
 	}
 	for _, p := range c.procs {
-		if er, ok := p.(emissionReuser); ok {
-			er.SetEmissionReuse(false)
-		}
+		p.(interface{ SetEmissionReuse(bool) }).SetEmissionReuse(false)
 	}
 	r := &seqRef{Cluster: c}
 	for i := 0; i < warmup; i++ {
@@ -86,10 +84,29 @@ func (c *seqRef) runRoundSeq() {
 		if c.crashes.Crashed(c.ids[i], c.now) {
 			continue
 		}
-		queue = append(queue, c.procs[i].Tick(c.now)...)
+		queue = append(queue, tickClone(c.procs[i], c.now)...)
 	}
 	c.seqQueue = queue
 	c.dispatchSeq(pre)
+}
+
+// tickClone is the cloning tick the reference walks were written on: a
+// synchronous tick (TickCompose, then TickCommit) whose every message
+// carries its own deep copy of the gossip and of the request, so nothing a
+// walk queues aliases an engine's buffers.
+func tickClone(p Process, now uint64) []proto.Message {
+	msgs := p.TickCompose(now, nil)
+	p.TickCommit(now)
+	for i := range msgs {
+		if msgs[i].Gossip != nil {
+			gc := msgs[i].Gossip.Clone()
+			msgs[i].Gossip = &gc
+		}
+		if msgs[i].Request != nil {
+			msgs[i].Request = append([]proto.EventID(nil), msgs[i].Request...)
+		}
+	}
+	return msgs
 }
 
 // dispatchSeq delivers the round's queue (c.seqQueue), chasing same-round
@@ -112,7 +129,7 @@ func (c *seqRef) dispatchSeq(pre int) {
 					continue
 				}
 			}
-			next = append(next, c.procs[di].HandleMessage(m, c.now)...)
+			next = c.procs[di].HandleMessageAppend(m, c.now, next)
 		}
 		queue, next = next, queue
 		pre = 0
@@ -199,7 +216,7 @@ func (c *seqRef) runAsyncPeriodSeq() {
 			if a.composed[i] || c.crashes.Crashed(c.ids[i], c.now) {
 				continue
 			}
-			a.emit[i] = composeTick(c.procs[i], c.now, a.emit[i][:0])
+			a.emit[i] = c.procs[i].TickCompose(c.now, a.emit[i][:0])
 			a.composed[i] = true
 		}
 		// Commit walk: commit clean positions in period order, filtering
@@ -216,7 +233,7 @@ func (c *seqRef) runAsyncPeriodSeq() {
 				waveEnd = k
 				break
 			}
-			commitTick(c.procs[i], c.now)
+			c.procs[i].TickCommit(c.now)
 			a.composed[i] = false // consumed: no emission outstanding
 			for _, m := range a.emit[i] {
 				c.asyncFilterSeq(a, m)
@@ -242,7 +259,7 @@ func (c *seqRef) asyncFilterSeq(a *asyncSeq, m proto.Message) {
 	if a.composed[di] {
 		// The destination's tick is composed but not committed: the
 		// speculation missed this delivery, so it re-executes.
-		abortTick(c.procs[di])
+		c.procs[di].TickAbort()
 		a.composed[di] = false
 	}
 	a.queue = append(a.queue, m)
@@ -258,7 +275,7 @@ func (c *seqRef) asyncBarrierSeq(a *asyncSeq) {
 	for hop := 0; ; hop++ {
 		a.raw = a.raw[:0]
 		for x := range a.queue {
-			a.raw = handleAppend(c.procs[a.dests[x]], a.queue[x], c.now, a.raw)
+			a.raw = c.procs[a.dests[x]].HandleMessageAppend(a.queue[x], c.now, a.raw)
 		}
 		if len(a.raw) == 0 {
 			return
@@ -298,7 +315,7 @@ func (c *seqRef) runEventRoundSeq() {
 			if c.crashes.Crashed(c.ids[i], c.now) {
 				continue
 			}
-			queue = append(queue, c.procs[i].Tick(c.now)...)
+			queue = append(queue, tickClone(c.procs[i], c.now)...)
 		}
 		c.seqQueue = queue
 		c.dispatchSeq(pre)
@@ -320,7 +337,7 @@ func (c *seqRef) eventArrivalBarrierSeq(a *asyncSeq, limit uint64) {
 		a.queue, a.dests = c.settleArrivals(at, a.queue[:0], a.dests[:0])
 		for _, di := range a.dests {
 			if a.composed[di] {
-				abortTick(c.procs[di])
+				c.procs[di].TickAbort()
 				a.composed[di] = false
 			}
 		}
@@ -362,7 +379,7 @@ func (c *seqRef) runEventPeriodAsyncSeq() {
 			if a.composed[i] || c.crashes.Crashed(c.ids[i], c.now) {
 				continue
 			}
-			a.emit[i] = composeTick(c.procs[i], c.now, a.emit[i][:0])
+			a.emit[i] = c.procs[i].TickCompose(c.now, a.emit[i][:0])
 			a.composed[i] = true
 		}
 		a.queue, a.dests = a.queue[:0], a.dests[:0]
@@ -385,7 +402,7 @@ func (c *seqRef) runEventPeriodAsyncSeq() {
 				break
 			}
 			c.nowMs = base + c.phase[i]
-			commitTick(c.procs[i], c.now)
+			c.procs[i].TickCommit(c.now)
 			a.composed[i] = false // consumed: no emission outstanding
 			for _, m := range a.emit[i] {
 				c.asyncFilterSeq(a, m)

@@ -35,12 +35,19 @@ import (
 	"repro/internal/trace"
 )
 
-// Process is the engine-side contract the simulator drives. Both
-// core.Engine and pbcast.Node satisfy it.
+// Process is the engine-side contract the simulator drives: the paper's
+// process does two things (Fig. 1), handle a gossip it receives and emit one
+// gossip per period. Emission is split for the wavefront schedule
+// (async.go): TickCompose builds an emission without consuming it,
+// TickAbort discards it and rewinds its RNG draws, and TickCommit applies
+// the deferred buffer consumption. A synchronous tick is TickCompose
+// followed by TickCommit. Both core.Engine and pbcast.Node satisfy it.
 type Process interface {
 	Self() proto.ProcessID
-	Tick(now uint64) []proto.Message
-	HandleMessage(m proto.Message, now uint64) []proto.Message
+	TickCompose(now uint64, out []proto.Message) []proto.Message
+	TickAbort()
+	TickCommit(now uint64)
+	HandleMessageAppend(m proto.Message, now uint64, out []proto.Message) []proto.Message
 }
 
 // Protocol selects which broadcast algorithm a cluster runs.
@@ -222,6 +229,7 @@ type Cluster struct {
 	net       NetStats
 	deliverFn func(owner proto.ProcessID, ev proto.Event)
 	exec      *shardedExecutor // runs every round and period, on 1..W shards
+	poolToken *poolToken       // finalized with the cluster; see poolCleanup
 	// arrivalDests holds the destination indices of the arrivals the last
 	// settleArrivals put on the queue, and arrivalLedgers the ledgers the
 	// ring hands out beside them; both are retained across periods.
@@ -328,6 +336,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sim: process %v: %w", pid, err)
 			}
+			node.SetEmissionReuse(true)
 			c.procs = append(c.procs, node)
 		}
 	}

@@ -1,30 +1,78 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
+	"repro/internal/netmodel"
+	"repro/internal/pbcast"
 	"repro/internal/proto"
 )
 
+var (
+	_ Process = (*core.Engine)(nil)
+	_ Process = (*pbcast.Node)(nil)
+)
+
+// fakeProcess is the base of the test fakes that stand in for an engine.
+// A fake builds its whole emission in TickCompose and defers nothing, so
+// it has nothing to commit or abort.
+type fakeProcess struct{}
+
+func (fakeProcess) TickAbort()        {}
+func (fakeProcess) TickCommit(uint64) {}
+
+// TestOptionsValidate is the cluster options' validation table, including
+// the unit-mixing rule: options mixing millisecond and round-granular delay
+// expressions are rejected loudly instead of silently coercing units.
 func TestOptionsValidate(t *testing.T) {
 	t.Parallel()
-	if err := DefaultOptions(125).Validate(); err != nil {
-		t.Fatalf("default options invalid: %v", err)
-	}
 	cases := []struct {
-		name   string
-		mutate func(*Options)
+		name    string
+		mutate  func(*Options)
+		wantErr string // "" = valid
 	}{
-		{"tiny", func(o *Options) { o.N = 1 }},
-		{"bad epsilon", func(o *Options) { o.Epsilon = 1 }},
-		{"bad tau", func(o *Options) { o.Tau = -0.1 }},
-		{"bad protocol", func(o *Options) { o.Protocol = Protocol(9) }},
-		{"bad lpbcast", func(o *Options) { o.Lpbcast.Fanout = 0 }},
-		{"bad pbcast", func(o *Options) { o.Protocol = PbcastPartial; o.Pbcast.Fanout = 0 }},
-		{"first phase above 1", func(o *Options) { o.FirstPhaseDelivery = 1.5 }},
-		{"first phase negative", func(o *Options) { o.FirstPhaseDelivery = -0.1 }},
-		{"negative warmup", func(o *Options) { o.WarmupRounds = -1 }},
+		{"minimal", func(o *Options) {}, ""},
+		{"tiny", func(o *Options) { o.N = 1 }, "at least 2"},
+		{"bad epsilon", func(o *Options) { o.Epsilon = 1 }, "epsilon"},
+		{"bad tau", func(o *Options) { o.Tau = -0.1 }, "tau"},
+		{"bad protocol", func(o *Options) { o.Protocol = Protocol(9) }, "unknown protocol"},
+		{"bad lpbcast", func(o *Options) { o.Lpbcast.Fanout = 0 }, "core: Fanout"},
+		{"bad pbcast", func(o *Options) { o.Protocol = PbcastPartial; o.Pbcast.Fanout = 0 }, "pbcast: Fanout"},
+		{"first phase above 1", func(o *Options) { o.FirstPhaseDelivery = 1.5 }, "FirstPhaseDelivery"},
+		{"first phase negative", func(o *Options) { o.FirstPhaseDelivery = -0.1 }, "FirstPhaseDelivery"},
+		{"negative warmup", func(o *Options) { o.WarmupRounds = -1 }, "WarmupRounds"},
+		{"event clock", func(o *Options) { o.Clock = ClockEvent }, ""},
+		{"unknown clock", func(o *Options) { o.Clock = Clock(9) }, "unknown clock"},
+		{"negative period", func(o *Options) { o.PeriodMs = -1 }, "PeriodMs"},
+		{"period on round clock", func(o *Options) { o.PeriodMs = 50 }, "PeriodMs"},
+		{"ms delay on event clock", func(o *Options) {
+			o.Clock = ClockEvent
+			o.Delay = fault.Millis{Model: fault.FixedDelay{Rounds: 30}}
+		}, ""},
+		{"ms delay on round clock", func(o *Options) {
+			o.Delay = fault.Millis{Model: fault.FixedDelay{Rounds: 30}}
+		}, "requires the event clock"},
+		{"ms delay mixed with round topology delays", func(o *Options) {
+			o.Clock = ClockEvent
+			o.Delay = fault.Millis{Model: fault.FixedDelay{Rounds: 30}}
+			o.Topology = wanTopologyFor(o.N)
+		}, "mixes"},
+		{"ms delay with zero-delay topology", func(o *Options) {
+			o.Clock = ClockEvent
+			o.Delay = fault.Millis{Model: fault.FixedDelay{Rounds: 30}}
+			o.Topology = fault.TwoCluster{
+				Split: processID(o.N / 2),
+				Local: fault.LinkProfile{Epsilon: -1},
+				WAN:   fault.LinkProfile{Epsilon: 0.1},
+			}
+		}, ""},
+		{"ms delay beyond event horizon", func(o *Options) {
+			o.Clock = ClockEvent
+			o.Delay = fault.Millis{Model: fault.FixedDelay{Rounds: netmodel.MaxSpanMs + 1}}
+		}, "delay"},
 	}
 	for _, c := range cases {
 		c := c
@@ -32,8 +80,14 @@ func TestOptionsValidate(t *testing.T) {
 			t.Parallel()
 			o := DefaultOptions(125)
 			c.mutate(&o)
-			if err := o.Validate(); err == nil {
-				t.Error("Validate succeeded, want error")
+			err := o.Validate()
+			switch {
+			case c.wantErr == "" && err != nil:
+				t.Fatalf("Validate: unexpected error %v", err)
+			case c.wantErr != "" && err == nil:
+				t.Fatalf("Validate succeeded, want error containing %q", c.wantErr)
+			case err != nil && !strings.Contains(err.Error(), c.wantErr):
+				t.Fatalf("Validate error %q does not contain %q", err, c.wantErr)
 			}
 		})
 	}

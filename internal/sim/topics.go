@@ -56,9 +56,6 @@ type TopicOptions struct {
 // PerRound[0] == 1 (the publisher). The result's Population is the hot
 // topic's subscriber count, the natural 100% target for round-to-reach
 // readings.
-//
-// Deprecated: new code should call Run with an ExpTopics Scenario; this
-// entry point remains for existing callers and behaves identically.
 func TopicExperiment(opts TopicOptions, rounds, repeats int) (InfectionResult, error) {
 	if rounds <= 0 || repeats <= 0 {
 		return InfectionResult{}, errors.New("sim: rounds and repeats must be positive")

@@ -183,9 +183,9 @@ func BenchmarkLiveNodeRound(b *testing.B) {
 	}
 }
 
-// BenchmarkLiveNodeRoundLegacy is the pre-v2 shape for comparison: the
-// cloning Tick API and one Send per message, as the run loop worked before
-// the batched redesign.
+// BenchmarkLiveNodeRoundLegacy is the pre-v2 shape for comparison: a fresh
+// emission slice per tick and one Send per message, as the run loop worked
+// before the batched redesign.
 func BenchmarkLiveNodeRoundLegacy(b *testing.B) {
 	n, tr := steadyNode(b)
 	burst := steadyBurst(b, n)
