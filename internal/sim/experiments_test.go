@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -18,6 +19,58 @@ func TestInfectionExperimentValidation(t *testing.T) {
 	bad := DefaultOptions(1)
 	if _, err := InfectionExperiment(bad, 5, 1); err == nil {
 		t.Error("invalid options accepted")
+	}
+}
+
+// TestScenarioValidate checks the per-experiment parameters of a run: the
+// rounds, rate and clock that each experiment family's entry point
+// validates on top of the cluster Options (those rows live in
+// TestOptionsValidate).
+func TestScenarioValidate(t *testing.T) {
+	t.Parallel()
+	topics := func() TopicOptions {
+		return TopicOptions{Subscribers: 40, Topics: 4, ZipfS: 1, Seed: 1}
+	}
+	cases := []struct {
+		name    string
+		run     func() error
+		wantErr string // "" = valid
+	}{
+		{"negative reliability rate", func() error {
+			opts := DefaultReliabilityOptions(64)
+			opts.Rate = -1
+			_, err := ReliabilityExperiment(opts)
+			return err
+		}, "reliability"},
+		{"topics", func() error {
+			_, err := TopicExperiment(topics(), 3, 1)
+			return err
+		}, ""},
+		{"topics on event clock", func() error {
+			opts := topics()
+			opts.Clock = ClockEvent
+			_, err := TopicExperiment(opts, 3, 1)
+			return err
+		}, "ClockRounds"},
+		{"negative rounds", func() error {
+			_, err := InfectionExperiment(DefaultOptions(64), -1, 1)
+			return err
+		}, "rounds"},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			err := tc.run()
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("unexpected error %v", err)
+			case tc.wantErr != "" && err == nil:
+				t.Fatalf("accepted, want error containing %q", tc.wantErr)
+			case err != nil && !strings.Contains(err.Error(), tc.wantErr):
+				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
+			}
+		})
 	}
 }
 

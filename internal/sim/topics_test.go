@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -25,11 +24,6 @@ func TestTopicExperimentValidation(t *testing.T) {
 	bad.WarmupRounds = -1
 	if _, err := TopicExperiment(bad, 5, 1); err == nil {
 		t.Error("negative warmup accepted")
-	}
-	bad = good
-	bad.Clock = ClockEvent
-	if _, err := TopicExperiment(bad, 5, 1); err == nil || !strings.Contains(err.Error(), "ClockRounds") {
-		t.Errorf("topics on the event clock: got %v, want the ClockRounds error", err)
 	}
 }
 
