@@ -1,8 +1,9 @@
 // Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (see DESIGN.md §4 for the experiment index) plus the
-// ablations of DESIGN.md §5. Each benchmark regenerates its figure's data
-// and reports the headline quantity via b.ReportMetric; run with -v to see
-// the full gnuplot-style tables:
+// evaluation (§5; cmd/lpbcast-sim -fig names the same figures) plus
+// ablations of the §4 and §6.1 design choices (the BenchmarkAblation*
+// functions at the end of this file). Each benchmark regenerates its
+// figure's data and reports the headline quantity via b.ReportMetric; run
+// with -v to see the full gnuplot-style tables:
 //
 //	go test -bench=Figure -benchtime=1x -v
 //
@@ -330,7 +331,7 @@ func BenchmarkFigure7bPbcastReliability(b *testing.B) {
 	logTable(b, tbl)
 }
 
-// --- Ablations (DESIGN.md §5) -------------------------------------------
+// --- Ablations of the §4 and §6.1 design choices ----------------------
 
 // mixViews runs gossip-only mixing over n engines with the given policy
 // and returns the final in-degree stddev (0 = perfectly uniform views).

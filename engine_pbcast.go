@@ -91,8 +91,8 @@ func (p *pbcastEngine) Seed(ps []ProcessID) { p.n.Seed(ps) }
 
 func (p *pbcastEngine) Knows(id EventID) bool { return p.n.Delivered(id) }
 
-// SetEmissionReuse forwards the reuse-mode seam, so a pbcast engine behind
-// a Serializer transport runs the same zero-alloc emission path as lpbcast.
+// SetEmissionReuse forwards the reuse-mode seam, so a pbcast engine on a
+// live node runs the same zero-alloc emission path as lpbcast.
 func (p *pbcastEngine) SetEmissionReuse(on bool) { p.n.SetEmissionReuse(on) }
 
 // Stats maps the pbcast counters onto the shared Broadcaster counters so

@@ -312,10 +312,9 @@ func (e *Engine) ViewCap() int { return e.cfg.Membership.MaxView }
 // SetEmissionReuse switches TickAppend to recycle one gossip message and
 // its backing slices across rounds, making the steady-state emission path
 // allocation-free. It is only safe when the driver serializes or fully
-// consumes every emitted message before the next TickAppend call — the UDP
-// transport encodes datagrams inside SendBatch, so the live node enables
-// this; the in-process network shares gossip pointers with receiver queues
-// of unbounded drain latency, so it must not.
+// consumes every emitted message before the next TickAppend call — both
+// live transports encode datagrams inside SendBatch, so the live node
+// enables this.
 func (e *Engine) SetEmissionReuse(on bool) { e.reuseEmission = on }
 
 // Membership exposes the membership manager for diagnostics and tests.

@@ -152,15 +152,16 @@ func (s *Server) handleLoss(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"loss": installed, "epsilon": req.Epsilon})
 }
 
-// profileRequest is the wire form of a fault.LinkProfile.
+// profileRequest is the wire form of a fault.LinkProfile: its loss rate,
+// which per-link loss (POST /faults/loss with per_link) draws from. The live
+// fabric's delays are set when it is built, so a request naming per-class
+// delays is refused as an unknown field.
 type profileRequest struct {
-	Epsilon  float64 `json:"epsilon"`
-	MinDelay int     `json:"min_delay"`
-	MaxDelay int     `json:"max_delay"`
+	Epsilon float64 `json:"epsilon"`
 }
 
 func (p profileRequest) profile() fault.LinkProfile {
-	return fault.LinkProfile{Epsilon: p.Epsilon, MinDelay: p.MinDelay, MaxDelay: p.MaxDelay}
+	return fault.LinkProfile{Epsilon: p.Epsilon}
 }
 
 // topologyRequest installs a link-class topology on the live network.

@@ -76,9 +76,8 @@ func TestHandleMessageAppendZeroAllocKnownDigest(t *testing.T) {
 }
 
 // TestTickAppendReuseZeroAlloc: in emission-reuse mode (the seam the
-// simulator's sharded executor and Serializer-transport live nodes opt
-// into), a steady-state tick recycles the gossip and every backing slice —
-// zero allocations.
+// simulator's sharded executor and the live node opt into), a steady-state
+// tick recycles the gossip and every backing slice — zero allocations.
 func TestTickAppendReuseZeroAlloc(t *testing.T) {
 	n := totalNode(t, DefaultConfig())
 	n.SetEmissionReuse(true)

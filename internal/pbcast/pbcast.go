@@ -211,8 +211,8 @@ func (n *Node) SetTotalView(all []proto.ProcessID) {
 // its backing slices across rounds, making the steady-state emission path
 // allocation-free — the same seam core.Engine exposes. It is only safe
 // when the driver serializes or fully consumes every emitted message
-// before the next TickAppend call (the live node's Serializer transports;
-// the simulator's synchronous round executor).
+// before the next TickAppend call (the live node, whose transports encode
+// inside SendBatch; the simulator's synchronous round executor).
 func (n *Node) SetEmissionReuse(on bool) { n.reuseEmission = on }
 
 // Seed bootstraps the partial view (PartialView mode).

@@ -98,8 +98,8 @@ func ResilienceExperiment(opts Options, crashFraction float64, crashRound uint64
 }
 
 // ResilienceSweep tabulates survivor reliability against the crash
-// fraction — an extension experiment (DESIGN.md §5) demonstrating
-// graceful degradation.
+// fraction — an extension experiment beyond the paper's figures
+// demonstrating graceful degradation.
 func ResilienceSweep(fractions []float64, seed uint64) (*stats.Table, error) {
 	s := &stats.Series{Name: "survivor reliability"}
 	for _, frac := range fractions {

@@ -9,42 +9,36 @@ import (
 	"repro/internal/fault"
 	"repro/internal/proto"
 	"repro/internal/rng"
+	"repro/internal/wire"
 )
 
-// NetworkConfig shapes an in-process network.
+// NetworkConfig shapes an in-process network. Topology and partitions are
+// set while it runs (SetTopology, AddPartition).
 type NetworkConfig struct {
 	// Loss drops messages; nil means no loss. The model is consulted under
 	// the fabric lock, so it needs no internal synchronization.
 	Loss fault.LossModel
-	// Topology assigns every directed link a class (see SetTopology). It
-	// drives partition cuts and, when DelayUnit is set, per-class delays.
-	// Nil means every link is fault.LinkLocal.
-	Topology fault.Topology
-	// Partitions are scheduled link-class cuts, with windows in
-	// milliseconds of fabric time (see NowMillis). More can be injected at
-	// runtime with AddPartition.
-	Partitions []fault.Partition
 	// MinDelay/MaxDelay bound the uniformly distributed per-message
 	// delivery latency. Zero values deliver immediately.
 	MinDelay, MaxDelay time.Duration
-	// DelayUnit converts the topology's round-granular link delays to wall
-	// time: a link profile delay of d adds d×DelayUnit (plus jitter drawn
-	// between the profile bounds) on top of MinDelay/MaxDelay. Zero
-	// ignores profile delays.
-	DelayUnit time.Duration
-	// QueueLen is each endpoint's inbound buffer; a full buffer drops new
-	// messages (like a UDP socket buffer). Default 1024.
-	QueueLen int
-	// Seed drives the latency/loss randomness.
+	// Seed drives the latency randomness.
 	Seed uint64
 }
 
+// inboxLen is how many datagrams an endpoint's queue holds for its delivery
+// goroutine, as a socket's receive buffer would: a datagram that finds it
+// full is dropped, and each of its messages counted in Dropped. Each queued
+// datagram holds a buffer, so the depth bounds what a stalled consumer lets
+// the fabric pin (about 40 gossip periods at fanout 3), as UDP's inbox did.
+const inboxLen = 128
+
 // Network is an in-process message fabric connecting Endpoints. It
-// replaces the paper's physical testbed: one goroutine per process, channel
-// queues standing in for Fast Ethernet, with the simulator's fault
-// abstractions — LossModel, Topology link classes, scheduled Partitions —
-// injected at the fabric, mutable while the cluster runs (the control
-// plane's fault-injection endpoints mutate them over HTTP).
+// replaces the paper's physical testbed: one goroutine per process, a queue
+// of wire datagrams per endpoint standing in for Fast Ethernet, with the
+// simulator's fault abstractions — LossModel, Topology link classes,
+// scheduled Partitions — injected at the fabric, mutable while the cluster
+// runs (the control plane's fault-injection endpoints mutate them over
+// HTTP).
 //
 // Network is safe for concurrent use.
 type Network struct {
@@ -62,43 +56,44 @@ type Network struct {
 	topo  fault.Topology
 	parts []fault.Partition
 
+	// The send scratch, guarded by mu: the endpoint each message of a burst
+	// goes to, and the packer its datagrams are built in.
+	dsts []*Endpoint
+	pack wire.Packer
+
+	// bufs recycles the datagram buffers the endpoints' queues carry:
+	// senders fill them, delivery goroutines give them back.
+	bufs   sync.Pool
 	timers sync.WaitGroup
 
-	stats Stats
+	counters // the fabric-wide ledger its Stats reports
 }
 
 // NewNetwork creates an empty network.
 func NewNetwork(cfg NetworkConfig) *Network {
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 1024
-	}
 	return &Network{
 		cfg:   cfg,
 		start: time.Now(),
 		rng:   rng.New(cfg.Seed),
 		eps:   make(map[proto.ProcessID]*Endpoint),
 		loss:  cfg.Loss,
-		topo:  cfg.Topology,
-		parts: append([]fault.Partition(nil), cfg.Partitions...),
+		pack:  wire.Packer{Budget: sendBudget},
+		bufs:  sync.Pool{New: func() any { return new([]byte) }},
 	}
 }
-
-// maxBurst bounds how many queued messages one handler call receives; it
-// caps both the latency of the burst's first message and the delivery
-// goroutine's scratch.
-const maxBurst = 256
 
 // Endpoint is one process's attachment to a Network. It is consumed either
 // through Serve or through the channel Recv returns, never both.
 type Endpoint struct {
 	net *Network
 	id  proto.ProcessID
-	in  chan proto.Message
+	// in queues datagrams for the delivery goroutine. The fabric sends on it
+	// under net.mu while the endpoint is attached, and stop closes it.
+	in chan *[]byte
 
-	mu      sync.Mutex
-	closed  bool
-	serving bool
-	served  sync.WaitGroup // the delivery goroutine, once Serve starts it
+	mu     sync.Mutex
+	closed bool
+	d      delivery // the delivery goroutine, and the Recv adapter's channel
 }
 
 // Attach creates and registers an endpoint for process id.
@@ -111,16 +106,9 @@ func (n *Network) Attach(id proto.ProcessID) (*Endpoint, error) {
 	if _, dup := n.eps[id]; dup {
 		return nil, fmt.Errorf("transport: process %v already attached", id)
 	}
-	ep := &Endpoint{net: n, id: id, in: make(chan proto.Message, n.cfg.QueueLen)}
+	ep := &Endpoint{net: n, id: id, in: make(chan *[]byte, inboxLen)}
 	n.eps[id] = ep
 	return ep, nil
-}
-
-// Stats implements StatsProvider: the fabric-wide counter ledger.
-func (n *Network) Stats() Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stats
 }
 
 // NowMillis is the fabric clock: milliseconds since the network was
@@ -150,13 +138,9 @@ func (n *Network) SetTopology(t fault.Topology) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.topo = t
-	classes := 1
-	if t != nil {
-		classes = t.Classes()
-	}
 	kept := n.parts[:0]
 	for _, p := range n.parts {
-		if partitionFitsClasses(p, classes) {
+		if partitionFits(p, t) {
 			kept = append(kept, p)
 		}
 	}
@@ -181,12 +165,8 @@ func (n *Network) AddPartition(p fault.Partition) error {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	classes := 1
-	if n.topo != nil {
-		classes = n.topo.Classes()
-	}
-	if !partitionFitsClasses(p, classes) {
-		return fmt.Errorf("transport: partition %v references a link class outside [0,%d)", p, classes)
+	if !partitionFits(p, n.topo) {
+		return fmt.Errorf("transport: partition %v references a link class the topology lacks", p)
 	}
 	n.parts = append(n.parts, p)
 	return nil
@@ -209,9 +189,13 @@ func (n *Network) Partitions() []fault.Partition {
 	return append([]fault.Partition(nil), n.parts...)
 }
 
-// partitionFitsClasses reports whether every class the partition names
-// exists among the topology's classes.
-func partitionFitsClasses(p fault.Partition, classes int) bool {
+// partitionFits reports whether every class the partition names exists in
+// topology t (one class when t is nil).
+func partitionFits(p fault.Partition, t fault.Topology) bool {
+	classes := 1
+	if t != nil {
+		classes = t.Classes()
+	}
 	for _, c := range p.Classes {
 		if c < 0 || int(c) >= classes {
 			return false
@@ -220,8 +204,9 @@ func partitionFitsClasses(p fault.Partition, classes int) bool {
 	return true
 }
 
-// Close shuts the fabric down: all endpoints close and in-flight delayed
-// messages are flushed or discarded.
+// Close shuts the fabric down: delayed datagrams still in flight reach
+// their endpoints, then every endpoint closes, its delivery goroutine, if
+// any, handing over what was queued.
 func (n *Network) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -237,138 +222,139 @@ func (n *Network) Close() error {
 
 	n.timers.Wait() // let delayed deliveries settle
 	for _, ep := range eps {
-		ep.closeLocal()
-	}
-	for _, ep := range eps {
-		ep.served.Wait()
+		ep.stop()
 	}
 	return nil
 }
 
-// deliver routes m to its destination endpoint, applying loss and latency.
-func (n *Network) deliver(m proto.Message) error {
-	buf := [1]proto.Message{m}
-	return n.deliverBatch(buf[:])
-}
-
-// deliverBatch routes a burst of messages under a single lock acquisition:
-// partition cuts, loss, latency, and routing for every message are decided
-// while the fabric lock is held once, and zero-delay messages are enqueued
-// inline (buffered channel sends never block). Lock order is always n.mu
-// then ep.mu; no path acquires them in reverse.
+// deliverBatch routes a burst under one acquisition of the fabric lock. Each
+// message in turn passes the fabric's filter — unknown destination,
+// partition cut, loss — and then draws its delay; a delayed message leaves
+// as a datagram of its own (sendLater), the rest are packed per destination
+// (packBatch) and queued at once. Lock order is the caller's locks, then
+// n.mu; no path holds n.mu while it calls a handler.
 func (n *Network) deliverBatch(msgs []proto.Message) error {
 	now := n.NowMillis()
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.closed {
-		n.mu.Unlock()
 		return ErrClosed
 	}
-	n.stats.Datagrams++
-	for _, m := range msgs {
-		n.stats.Sent++
-		dst, ok := n.eps[m.To]
-		if !ok {
-			n.stats.Dropped++
-			continue // unknown peers lose messages silently, like UDP
-		}
-		class := fault.LinkLocal
-		if n.topo != nil {
-			class = n.topo.Class(m.From, m.To)
-		}
-		if fault.CutLink(n.parts, class, now) {
-			n.stats.Dropped++
-			n.stats.DroppedInPartition++
-			continue
-		}
-		if n.loss != nil && n.loss.Drop(m.From, m.To, now) {
-			n.stats.Dropped++
-			continue
-		}
-		delay := n.drawDelay(class)
-		if delay <= 0 {
-			if delivered, overflow := dst.tryEnqueue(m); delivered {
-				n.stats.Received++
-			} else if overflow {
-				n.stats.Dropped++
+	n.sent.Add(uint64(len(msgs)))
+	var firstErr error
+	dsts := n.dsts[:0]
+	for i := range msgs {
+		m := &msgs[i]
+		dst := n.eps[m.To]
+		if dst == nil {
+			n.dropped.Add(1) // unknown peers lose messages silently, like UDP
+		} else if fault.CutLink(n.parts, n.class(m), now) {
+			n.dropped.Add(1)
+			n.droppedInPartition.Add(1)
+			dst = nil
+		} else if n.loss != nil && n.loss.Drop(m.From, m.To, now) {
+			n.dropped.Add(1)
+			dst = nil
+		} else if delay := n.drawDelay(); delay > 0 {
+			if err := n.sendLater(dst, m, delay); err != nil && firstErr == nil {
+				firstErr = err
 			}
-			continue
+			dst = nil
 		}
-		m := m
-		n.timers.Add(1)
-		time.AfterFunc(delay, func() {
-			defer n.timers.Done()
-			dst.enqueue(m, n)
-		})
+		dsts = append(dsts, dst)
 	}
-	n.mu.Unlock()
-	return nil
+	n.dsts = dsts // packBatch leaves every entry nil: the scratch pins nothing
+	if err := packBatch(&n.pack, &n.counters, msgs, dsts, n.enqueue); firstErr == nil {
+		firstErr = err
+	}
+	return firstErr
 }
 
-// drawDelay picks a message's delivery latency: the configured uniform
-// MinDelay/MaxDelay band, plus the link-class profile delay scaled by
-// DelayUnit when a topology with DelayUnit is in force. Called with n.mu
-// held (it consumes the fabric RNG).
-func (n *Network) drawDelay(class fault.LinkClass) time.Duration {
-	var delay time.Duration
-	if n.cfg.MaxDelay > 0 {
-		span := n.cfg.MaxDelay - n.cfg.MinDelay
-		delay = n.cfg.MinDelay
-		if span > 0 {
-			delay += time.Duration(n.rng.Intn(int(span)))
-		}
+// class is the link class m travels on. Called with n.mu held.
+func (n *Network) class(m *proto.Message) fault.LinkClass {
+	if n.topo == nil {
+		return fault.LinkLocal
 	}
-	if n.cfg.DelayUnit > 0 && n.topo != nil {
-		p := n.topo.Profile(class)
-		units := p.MinDelay
-		if p.MaxDelay > p.MinDelay {
-			units += n.rng.Intn(p.MaxDelay - p.MinDelay + 1)
-		}
-		delay += time.Duration(units) * n.cfg.DelayUnit
+	return n.topo.Class(m.From, m.To)
+}
+
+// drawDelay picks a message's delivery latency, uniform in
+// [MinDelay, MaxDelay). Called with n.mu held (it consumes the fabric RNG).
+func (n *Network) drawDelay() time.Duration {
+	if n.cfg.MaxDelay <= 0 {
+		return 0
+	}
+	delay := n.cfg.MinDelay
+	if span := n.cfg.MaxDelay - n.cfg.MinDelay; span > 0 {
+		delay += time.Duration(n.rng.Intn(int(span)))
 	}
 	return delay
 }
 
-// tryEnqueue places m in the endpoint's inbox. It reports whether the
-// message was delivered, and — when it was not — whether the loss was an
-// inbox overflow. Sends to a closed endpoint vanish without counting as
-// drops (the process is gone, not the network).
-func (ep *Endpoint) tryEnqueue(m proto.Message) (delivered, overflow bool) {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if ep.closed {
-		return false, false
+// enqueue copies datagram into a recycled buffer and queues it for ep.
+// Called with n.mu held.
+func (n *Network) enqueue(ep *Endpoint, datagram []byte, frames int) {
+	b := n.bufs.Get().(*[]byte)
+	*b = append((*b)[:0], datagram...)
+	n.queue(ep, b, frames)
+}
+
+// sendLater encodes m as a datagram of its own and queues it for dst once
+// delay has passed, if dst is still attached then; a datagram for an
+// endpoint that has gone vanishes without counting as a drop (the process
+// is gone, not the network). Called with n.mu held.
+func (n *Network) sendLater(dst *Endpoint, m *proto.Message, delay time.Duration) error {
+	b := n.bufs.Get().(*[]byte)
+	d, err := wire.AppendEncode((*b)[:0], m)
+	if err != nil {
+		n.dropped.Add(1)
+		n.recycle(b)
+		return fmt.Errorf("transport: encode: %w", err)
 	}
+	*b = d
+	n.timers.Add(1)
+	time.AfterFunc(delay, func() {
+		defer n.timers.Done()
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		if n.eps[dst.id] != dst {
+			n.recycle(b)
+			return
+		}
+		n.queue(dst, b, 1)
+	})
+	return nil
+}
+
+// queue hands the datagram in b, of frames messages, to ep's delivery
+// goroutine, or drops it when ep's queue is full. Called with n.mu held.
+func (n *Network) queue(ep *Endpoint, b *[]byte, frames int) {
+	n.datagrams.Add(1)
+	n.bytes.Add(uint64(len(*b)))
 	select {
-	case ep.in <- m:
-		return true, false
-	default: // inbox full: drop, like a saturated socket buffer
-		return false, true
+	case ep.in <- b:
+	default: // queue full: drop, like a saturated socket buffer
+		n.dropped.Add(uint64(frames))
+		n.recycle(b)
 	}
 }
 
-// enqueue places m in the endpoint's inbox, counting the outcome. Only
-// called without n.mu held (the delayed-delivery timers).
-func (ep *Endpoint) enqueue(m proto.Message, n *Network) {
-	delivered, overflow := ep.tryEnqueue(m)
-	n.mu.Lock()
-	if delivered {
-		n.stats.Received++
-	} else if overflow {
-		n.stats.Dropped++
+// recycle gives a datagram buffer back, unless a large datagram grew it.
+func (n *Network) recycle(b *[]byte) {
+	if cap(*b) <= maxDatagram {
+		n.bufs.Put(b)
 	}
-	n.mu.Unlock()
 }
 
 // Send implements Transport.
 func (ep *Endpoint) Send(m proto.Message) error {
-	if m.From == proto.NilProcess {
-		m.From = ep.id
-	}
-	return ep.net.deliver(m)
+	msgs := [1]proto.Message{m}
+	return ep.SendBatch(msgs[:])
 }
 
 // SendBatch implements Transport: the whole burst crosses the fabric under
-// one lock acquisition.
+// one lock acquisition, one datagram per destination (more for a burst past
+// the datagram budget), and none of it is retained.
 func (ep *Endpoint) SendBatch(msgs []proto.Message) error {
 	if len(msgs) == 0 {
 		return nil
@@ -382,48 +368,32 @@ func (ep *Endpoint) SendBatch(msgs []proto.Message) error {
 }
 
 // Serve implements Transport: it starts the endpoint's delivery goroutine,
-// which drains the inbound queue in bursts — after one blocking receive,
-// whatever else has queued, up to maxBurst messages — and hands each burst
-// to h, until the endpoint closes. A second Serve panics.
+// which runs serveDatagram on every datagram queued for the endpoint, until
+// the endpoint closes and its queue is empty. A second Serve, or Serve after
+// Recv, panics.
 func (ep *Endpoint) Serve(h func(msgs []proto.Message)) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	if ep.serving {
-		panic("transport: endpoint served twice")
-	}
-	ep.serving = true
-	ep.served.Add(1)
-	go ep.deliver(h)
+	ep.d.serve(ep.closed, ep.deliver, h)
 }
 
+// deliver is the delivery goroutine's loop.
 func (ep *Endpoint) deliver(h func(msgs []proto.Message)) {
-	defer ep.served.Done()
-	var burst []proto.Message
-	for m := range ep.in {
-		burst = append(burst[:0], m)
-	drain:
-		for len(burst) < maxBurst {
-			select {
-			case m, ok := <-ep.in:
-				if !ok {
-					break drain
-				}
-				burst = append(burst, m)
-			default:
-				break drain
-			}
-		}
-		h(burst)
-		// The burst is reused; its entries must not keep their senders'
-		// gossip alive until the next burst overwrites them.
-		clear(burst)
+	var arena wire.Arena
+	for b := range ep.in {
+		serveDatagram(&arena, &ep.net.counters, *b, h)
+		ep.net.recycle(b)
 	}
 }
 
-// Recv returns the endpoint's inbound queue, for consumers that read it
-// themselves instead of serving the endpoint. It is closed when the
-// endpoint closes.
-func (ep *Endpoint) Recv() <-chan proto.Message { return ep.in }
+// Recv serves the endpoint for consumers that want one message at a time
+// (tests, probes), through the Recv adapter: a channel of deep copies, closed
+// when the endpoint closes. Recv after Serve panics.
+func (ep *Endpoint) Recv() <-chan proto.Message {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	return ep.d.recvAdapter(ep.closed, &ep.net.counters, ep.deliver)
+}
 
 // Stats implements StatsProvider. The ledger is the fabric's — endpoints
 // share one network, so a node mounted on an Endpoint observes the whole
@@ -435,24 +405,28 @@ func (ep *Endpoint) Stats() Stats { return ep.net.Stats() }
 func (ep *Endpoint) Network() *Network { return ep.net }
 
 // Close implements Transport: it detaches the endpoint from the network and
-// returns once the delivery goroutine, if Serve started one, has handed over
+// returns once the delivery goroutine, if one was started, has handed over
 // what was queued and exited.
 func (ep *Endpoint) Close() error {
 	ep.net.mu.Lock()
-	delete(ep.net.eps, ep.id)
+	if ep.net.eps[ep.id] == ep {
+		delete(ep.net.eps, ep.id)
+	}
 	ep.net.mu.Unlock()
-	ep.closeLocal()
-	ep.served.Wait()
+	ep.stop()
 	return nil
 }
 
-func (ep *Endpoint) closeLocal() {
+// stop closes the endpoint's queue, once the fabric no longer sends on it,
+// and waits for the delivery goroutine.
+func (ep *Endpoint) stop() {
 	ep.mu.Lock()
-	defer ep.mu.Unlock()
 	if !ep.closed {
 		ep.closed = true
 		close(ep.in)
 	}
+	ep.mu.Unlock()
+	ep.d.done.Wait()
 }
 
 // ID returns the endpoint's process id.

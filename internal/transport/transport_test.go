@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,10 +13,43 @@ import (
 	"repro/internal/rng"
 )
 
-// receiver is what the tests read from: an Endpoint's queue, or the Recv
-// adapter of a UDP transport.
+// receiver is what the tests read from: the Recv adapter of either
+// transport.
 type receiver interface {
 	Recv() <-chan proto.Message
+}
+
+// endpoint is what the contract tests drive: either transport.
+type endpoint interface {
+	Transport
+	StatsProvider
+	receiver
+}
+
+// transports builds, for each transport, two endpoints of processes 1 and 2
+// that reach each other. The contract tests run against both.
+var transports = []struct {
+	name string
+	pair func(t *testing.T) (endpoint, endpoint)
+}{
+	{"udp", func(t *testing.T) (endpoint, endpoint) { a, b := newUDPPair(t); return a, b }},
+	{"inproc", func(t *testing.T) (endpoint, endpoint) { a, b := newInprocPair(t); return a, b }},
+}
+
+// newInprocPair attaches processes 1 and 2 to a network of their own.
+func newInprocPair(t *testing.T) (*Endpoint, *Endpoint) {
+	t.Helper()
+	n := NewNetwork(NetworkConfig{})
+	t.Cleanup(func() { n.Close() })
+	a, err := n.Attach(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := n.Attach(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, b
 }
 
 func recvOne(t *testing.T, tr receiver, timeout time.Duration) proto.Message {
@@ -139,20 +173,27 @@ func TestInprocLatency(t *testing.T) {
 	}
 }
 
+// TestInprocQueueOverflow: an endpoint no one serves queues inboxLen
+// datagrams, and every message of each later datagram is dropped and counted
+// as SendBatch returns. Served, the endpoint hands over what it queued.
 func TestInprocQueueOverflow(t *testing.T) {
 	t.Parallel()
-	n := NewNetwork(NetworkConfig{QueueLen: 2})
-	defer n.Close()
-	a, _ := n.Attach(1)
-	n.Attach(2)
-	for i := 0; i < 5; i++ {
-		if err := a.Send(subscribeMsg(1, 2)); err != nil {
+	a, b := newInprocPair(t)
+	burst := []proto.Message{subscribeMsg(1, 2), subscribeMsg(1, 2)} // one datagram
+	const extra = 3
+	for k := 0; k < inboxLen+extra; k++ {
+		if err := a.SendBatch(burst); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := n.Stats(); st.Dropped != 3 {
-		t.Fatalf("dropped = %d, want 3", st.Dropped)
+	if st := a.Stats(); st.Datagrams != inboxLen+extra || st.Dropped != extra*uint64(len(burst)) {
+		t.Fatalf("stats = %+v, want %d datagrams and the %d messages of the last %d dropped",
+			st, inboxLen+extra, extra*len(burst), extra)
 	}
+	var got atomic.Int64
+	b.Serve(func(msgs []proto.Message) { got.Add(int64(len(msgs))) })
+	want := int64(inboxLen * len(burst))
+	eventually(t, "the queued datagrams", func() bool { return got.Load() == want })
 }
 
 func TestInprocCloseEndpoint(t *testing.T) {
@@ -195,12 +236,18 @@ func TestInprocNetworkClose(t *testing.T) {
 	}
 }
 
+// TestInprocConcurrentSenders: bursts from concurrent senders to one
+// endpoint each cross as one datagram, and every message arrives.
 func TestInprocConcurrentSenders(t *testing.T) {
 	t.Parallel()
-	n := NewNetwork(NetworkConfig{QueueLen: 4096})
+	n := NewNetwork(NetworkConfig{})
 	defer n.Close()
 	dst, _ := n.Attach(100)
-	const senders, per = 8, 100
+	var got atomic.Int64
+	dst.Serve(func(msgs []proto.Message) { got.Add(int64(len(msgs))) })
+	// 80 datagrams in all: fewer than the queue holds, so none is lost
+	// however far the delivery goroutine falls behind.
+	const senders, bursts, per = 8, 10, 10
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
 		ep, err := n.Attach(proto.ProcessID(s + 1))
@@ -210,22 +257,21 @@ func TestInprocConcurrentSenders(t *testing.T) {
 		wg.Add(1)
 		go func(ep *Endpoint) {
 			defer wg.Done()
-			for i := 0; i < per; i++ {
-				_ = ep.Send(subscribeMsg(ep.ID(), 100))
+			burst := make([]proto.Message, per)
+			for i := 0; i < bursts; i++ {
+				for j := range burst {
+					burst[j] = subscribeMsg(ep.ID(), 100)
+				}
+				_ = ep.SendBatch(burst)
 			}
 		}(ep)
 	}
 	wg.Wait()
-	got := 0
-	deadline := time.After(2 * time.Second)
-	for got < senders*per {
-		select {
-		case <-dst.Recv():
-			got++
-		case <-deadline:
-			t.Fatalf("received %d of %d", got, senders*per)
-		}
+	if st := n.Stats(); st.Sent != senders*bursts*per || st.Datagrams != senders*bursts || st.Dropped != 0 {
+		t.Fatalf("stats = %+v, want %d messages sent in %d datagrams, none dropped",
+			st, senders*bursts*per, senders*bursts)
 	}
+	eventually(t, "every message", func() bool { return got.Load() == senders*bursts*per })
 }
 
 func TestUDPRoundTrip(t *testing.T) {
@@ -389,8 +435,8 @@ func TestInprocSendBatch(t *testing.T) {
 	}
 	recvOne(t, b, time.Second)
 	recvOne(t, c, time.Second)
-	if st := n.Stats(); st.Sent != 4 || st.Dropped != 1 {
-		t.Errorf("stats = %d sent, %d dropped; want 4, 1", st.Sent, st.Dropped)
+	if st := n.Stats(); st.Sent != 4 || st.Dropped != 1 || st.Datagrams != 2 || st.Bytes == 0 {
+		t.Errorf("stats = %+v; want 4 sent, 1 dropped, one datagram per destination", st)
 	}
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
@@ -430,10 +476,11 @@ func TestInprocSendBatchLossAndLatency(t *testing.T) {
 // traffic alone, and heals on ClearPartitions.
 func TestInprocPartitionCutsAndHeals(t *testing.T) {
 	t.Parallel()
-	n := NewNetwork(NetworkConfig{
-		Topology: fault.TwoCluster{Split: 1, Local: fault.LinkProfile{}, WAN: fault.LinkProfile{}},
-	})
+	n := NewNetwork(NetworkConfig{})
 	defer n.Close()
+	if err := n.SetTopology(fault.TwoCluster{Split: 1, Local: fault.LinkProfile{}, WAN: fault.LinkProfile{}}); err != nil {
+		t.Fatal(err)
+	}
 	a, _ := n.Attach(1)
 	b, _ := n.Attach(2) // other side of the split: link class WAN
 	if err := n.AddPartition(fault.Partition{From: 0, To: ForeverMillis, Classes: []fault.LinkClass{fault.LinkWAN}}); err != nil {
@@ -534,49 +581,49 @@ func TestInprocSetLossAtRuntime(t *testing.T) {
 	}
 }
 
-// TestInprocTopologyDelayUnit: link-class profile delays scale by
-// DelayUnit on the live fabric.
-func TestInprocTopologyDelayUnit(t *testing.T) {
+// TestInprocCodecRefusal: a message the codec refuses is dropped, counted
+// and reported, and the rest of its burst still arrives.
+func TestInprocCodecRefusal(t *testing.T) {
 	t.Parallel()
-	n := NewNetwork(NetworkConfig{
-		Topology: fault.TwoCluster{
-			Split: 1,
-			Local: fault.LinkProfile{},
-			WAN:   fault.LinkProfile{MinDelay: 3, MaxDelay: 3},
-		},
-		DelayUnit: 10 * time.Millisecond,
+	a, b := newInprocPair(t)
+	err := a.SendBatch([]proto.Message{
+		{Kind: proto.GossipMsg, From: 1, To: 2}, // no gossip body
+		subscribeMsg(1, 2),
 	})
-	defer n.Close()
-	a, _ := n.Attach(1)
-	b, _ := n.Attach(2)
-	start := time.Now()
-	if err := a.Send(subscribeMsg(1, 2)); err != nil {
-		t.Fatal(err)
+	if err == nil {
+		t.Error("a message the codec refuses was not reported")
 	}
-	recvOne(t, b, time.Second)
-	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
-		t.Fatalf("WAN message delivered after %v, want ≥ ~30ms", elapsed)
+	if st := a.Stats(); st.Sent != 2 || st.Dropped != 1 || st.Datagrams != 1 {
+		t.Errorf("stats = %+v, want 2 sent, 1 dropped, 1 datagram", st)
+	}
+	if m := recvOne(t, b, time.Second); m.Kind != proto.SubscribeMsg {
+		t.Fatalf("got %+v", m)
 	}
 }
 
-// TestInprocServe: a served endpoint hands what queued to its handler in
-// bursts, one call at a time; a second Serve panics; and Close returns only
-// once the delivery goroutine has exited, so the handler is not called
-// after it.
+// TestInprocServe: a served endpoint hands each datagram queued for it to its
+// handler, one call per datagram and one call at a time; a second Serve
+// panics; and Close returns only once the delivery goroutine has exited, so
+// the handler is not called after it.
 func TestInprocServe(t *testing.T) {
 	t.Parallel()
 	n := NewNetwork(NetworkConfig{})
 	defer n.Close()
 	a, _ := n.Attach(1)
 	b, _ := n.Attach(2)
-	const sent = 3 * maxBurst
-	burst := make([]proto.Message, sent)
+	const datagrams, per = 3, 256
+	burst := make([]proto.Message, per)
 	for i := range burst {
 		burst[i] = subscribeMsg(1, 2)
 	}
-	// Queued before Serve: the first handler calls take full bursts.
-	if err := a.SendBatch(burst); err != nil {
-		t.Fatal(err)
+	// Queued before Serve: each burst is one datagram.
+	for k := 0; k < datagrams; k++ {
+		if err := a.SendBatch(burst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := n.Stats(); st.Datagrams != datagrams {
+		t.Fatalf("%d bursts crossed as %d datagrams, want one each", datagrams, st.Datagrams)
 	}
 	var mu sync.Mutex
 	got, calls, largest := 0, 0, 0
@@ -599,26 +646,19 @@ func TestInprocServe(t *testing.T) {
 		}()
 		b.Serve(func([]proto.Message) {})
 	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
+	eventually(t, "every message", func() bool {
 		mu.Lock()
-		seen := got
-		mu.Unlock()
-		if seen == sent {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("handler saw %d of %d messages", seen, sent)
-		}
-		time.Sleep(time.Millisecond)
-	}
+		defer mu.Unlock()
+		return got == datagrams*per
+	})
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	closed = true
-	if largest != maxBurst || calls < sent/maxBurst {
-		t.Errorf("%d messages came in %d calls of at most %d, want bursts of %d", sent, calls, largest, maxBurst)
+	if calls != datagrams || largest != per {
+		t.Errorf("%d messages came in %d calls of at most %d, want one call of %d per datagram",
+			datagrams*per, calls, largest, per)
 	}
 	mu.Unlock()
 }

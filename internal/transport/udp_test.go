@@ -472,73 +472,73 @@ func TestUDPServeLifetime(t *testing.T) {
 	}
 }
 
-// TestUDPServeOnce: a transport is served once and closes whether or not it
-// was served.
+// TestUDPServeOnce: a transport is served once, through Serve or through
+// Recv, and closes whether it was served or not; once closed, Serve starts
+// nothing and Recv's channel is closed. Both transports.
 func TestUDPServeOnce(t *testing.T) {
 	t.Parallel()
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
+	for _, tc := range transports {
+		t.Run(tc.name, func(t *testing.T) {
+			mustPanic := func(name string, f func()) {
+				t.Helper()
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s did not panic", name)
+					}
+				}()
+				f()
 			}
-		}()
-		f()
-	}
-	idle, err := NewUDP(1, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	closeWithin(t, idle, 2*time.Second) // never served
+			idle, _ := tc.pair(t)
+			closeWithin(t, idle, 2*time.Second) // never served
 
-	served, err := NewUDP(2, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	served.Serve(func([]proto.Message) {})
-	mustPanic("a second Serve", func() { served.Serve(func([]proto.Message) {}) })
-	mustPanic("Recv after Serve", func() { served.Recv() })
-	closeWithin(t, served, 2*time.Second)
+			served, recv := tc.pair(t)
+			served.Serve(func([]proto.Message) {})
+			mustPanic("a second Serve", func() { served.Serve(func([]proto.Message) {}) })
+			mustPanic("Recv after Serve", func() { served.Recv() })
+			closeWithin(t, served, 2*time.Second)
 
-	recv, err := NewUDP(3, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	recv.Recv()
-	mustPanic("Serve after Recv", func() { recv.Serve(func([]proto.Message) {}) })
-	closeWithin(t, recv, 2*time.Second)
+			recv.Recv()
+			mustPanic("Serve after Recv", func() { recv.Serve(func([]proto.Message) {}) })
+			closeWithin(t, recv, 2*time.Second)
 
-	// Serve on a closed transport starts no reader.
-	closed, err := NewUDP(4, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+			closed, late := tc.pair(t)
+			closeWithin(t, closed, 2*time.Second)
+			closed.Serve(func([]proto.Message) { t.Error("a closed transport called its handler") })
+			closeWithin(t, late, 2*time.Second)
+			if _, ok := <-late.Recv(); ok {
+				t.Error("Recv after Close returned an open channel")
+			}
+		})
 	}
-	closeWithin(t, closed, 2*time.Second)
-	closed.Serve(func([]proto.Message) { t.Error("a closed transport called its handler") })
 }
 
 // TestUDPRecvCopies: a message taken from Recv is the consumer's own — it
 // does not change when the arena it was decoded in is decoded into again.
+// Both transports.
 func TestUDPRecvCopies(t *testing.T) {
 	t.Parallel()
-	a, b := newUDPPair(t)
-	if err := a.SendBatch(longBurst(0)); err != nil {
-		t.Fatal(err)
-	}
-	var kept []proto.Message
-	for range longBurst(0) {
-		kept = append(kept, recvOne(t, b, 2*time.Second))
-	}
-	for k := 1; k <= 20; k++ {
-		if err := a.SendBatch(longBurst(k)); err != nil {
-			t.Fatal(err)
-		}
-		for range longBurst(k) {
-			recvOne(t, b, 2*time.Second)
-		}
-	}
-	if !reflect.DeepEqual(kept, longBurst(0)) {
-		t.Fatalf("messages from Recv changed under their holder: %+v", kept)
+	for _, tc := range transports {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := tc.pair(t)
+			if err := a.SendBatch(longBurst(0)); err != nil {
+				t.Fatal(err)
+			}
+			var kept []proto.Message
+			for range longBurst(0) {
+				kept = append(kept, recvOne(t, b, 2*time.Second))
+			}
+			for k := 1; k <= 20; k++ {
+				if err := a.SendBatch(longBurst(k)); err != nil {
+					t.Fatal(err)
+				}
+				for range longBurst(k) {
+					recvOne(t, b, 2*time.Second)
+				}
+			}
+			if !reflect.DeepEqual(kept, longBurst(0)) {
+				t.Fatalf("messages from Recv changed under their holder: %+v", kept)
+			}
+		})
 	}
 }
 
@@ -554,7 +554,7 @@ func eventually(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-func closeWithin(t *testing.T, u *UDP, d time.Duration) {
+func closeWithin(t *testing.T, u interface{ Close() error }, d time.Duration) {
 	t.Helper()
 	closed := make(chan error, 1)
 	go func() { closed <- u.Close() }()
@@ -588,59 +588,67 @@ func drainClosed(t *testing.T, msgs <-chan proto.Message) int {
 	}
 }
 
-// TestUDPInboxOverflow stalls the consumer of the Recv adapter, whose channel
-// is the only inbox the UDP transport keeps: it takes recvQueue messages, and
-// every message of every later datagram is counted in Received and dropped,
-// counted in Dropped. After Close the channel hands over what it held.
+// TestUDPInboxOverflow stalls the consumer of the Recv adapter: its channel
+// takes recvQueue messages, and every message of every later datagram is
+// counted in Received and dropped, counted in Dropped. After Close the
+// channel hands over what it held. Both transports.
 func TestUDPInboxOverflow(t *testing.T) {
 	t.Parallel()
-	a, b := newUDPPair(t)
-	msgs := b.Recv()
-	// Four messages a datagram, so the full channel falls on a datagram edge.
-	burst := []proto.Message{subscribeMsg(1, 2), subscribeMsg(1, 2), subscribeMsg(1, 2), subscribeMsg(1, 2)}
-	const extra = 10
-	kept := recvQueue / len(burst)
-	for k := 1; k <= kept+extra; k++ {
-		if err := a.SendBatch(burst); err != nil {
-			t.Fatal(err)
-		}
-		// One at a time, so that nothing is lost ahead of the reader.
-		eventually(t, "the reader", func() bool { return b.Stats().Received >= uint64(k*len(burst)) })
-	}
-	want := uint64(extra * len(burst))
-	eventually(t, "the drops", func() bool { return b.Stats().Dropped >= want })
-	if st := b.Stats(); st.Received != uint64((kept+extra)*len(burst)) || st.Dropped != want {
-		t.Errorf("stats = %+v, want %d received and %d dropped: every message of every late datagram",
-			st, (kept+extra)*len(burst), want)
-	}
-	closeWithin(t, b, 2*time.Second)
-	if queued := drainClosed(t, msgs); queued != recvQueue {
-		t.Errorf("closed transport handed over %d queued messages, want %d", queued, recvQueue)
+	for _, tc := range transports {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := tc.pair(t)
+			msgs := b.Recv()
+			// Four messages a datagram, so the full channel falls on a datagram edge.
+			burst := []proto.Message{subscribeMsg(1, 2), subscribeMsg(1, 2), subscribeMsg(1, 2), subscribeMsg(1, 2)}
+			const extra = 10
+			kept := recvQueue / len(burst)
+			for k := 1; k <= kept+extra; k++ {
+				if err := a.SendBatch(burst); err != nil {
+					t.Fatal(err)
+				}
+				// One at a time, so that nothing is lost ahead of the reader.
+				eventually(t, "the reader", func() bool { return b.Stats().Received >= uint64(k*len(burst)) })
+			}
+			want := uint64(extra * len(burst))
+			eventually(t, "the drops", func() bool { return b.Stats().Dropped >= want })
+			if st := b.Stats(); st.Received != uint64((kept+extra)*len(burst)) || st.Dropped != want {
+				t.Errorf("stats = %+v, want %d received and %d dropped: every message of every late datagram",
+					st, (kept+extra)*len(burst), want)
+			}
+			closeWithin(t, b, 2*time.Second)
+			if queued := drainClosed(t, msgs); queued != recvQueue {
+				t.Errorf("closed transport handed over %d queued messages, want %d", queued, recvQueue)
+			}
+		})
 	}
 }
 
 // TestUDPCloseWithStalledRecv stalls the consumer of the Recv adapter with
 // one message a datagram: every message past recvQueue is dropped and counted
 // in Dropped; the reader keeps reading meanwhile, Close returns, and the
-// channel yields what it held and closes.
+// channel yields what it held and closes. Both transports.
 func TestUDPCloseWithStalledRecv(t *testing.T) {
 	t.Parallel()
-	a, b := newUDPPair(t)
-	msgs := b.Recv()
-	const extra = 20
-	for k := 1; k <= recvQueue+extra; k++ {
-		if err := a.Send(subscribeMsg(1, 2)); err != nil {
-			t.Fatal(err)
-		}
-		// One at a time, so that nothing is lost ahead of the reader.
-		eventually(t, "the reader", func() bool { return b.Stats().Received >= uint64(k) })
-	}
-	eventually(t, "the drops", func() bool { return b.Stats().Dropped >= extra })
-	if st := b.Stats(); st.Received != recvQueue+extra || st.Dropped != extra {
-		t.Errorf("stats = %+v, want %d received and %d dropped", st, recvQueue+extra, extra)
-	}
-	closeWithin(t, b, 2*time.Second)
-	if queued := drainClosed(t, msgs); queued != recvQueue {
-		t.Errorf("closed transport handed over %d queued messages, want %d", queued, recvQueue)
+	for _, tc := range transports {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := tc.pair(t)
+			msgs := b.Recv()
+			const extra = 20
+			for k := 1; k <= recvQueue+extra; k++ {
+				if err := a.Send(subscribeMsg(1, 2)); err != nil {
+					t.Fatal(err)
+				}
+				// One at a time, so that nothing is lost ahead of the reader.
+				eventually(t, "the reader", func() bool { return b.Stats().Received >= uint64(k) })
+			}
+			eventually(t, "the drops", func() bool { return b.Stats().Dropped >= extra })
+			if st := b.Stats(); st.Received != recvQueue+extra || st.Dropped != extra {
+				t.Errorf("stats = %+v, want %d received and %d dropped", st, recvQueue+extra, extra)
+			}
+			closeWithin(t, b, 2*time.Second)
+			if queued := drainClosed(t, msgs); queued != recvQueue {
+				t.Errorf("closed transport handed over %d queued messages, want %d", queued, recvQueue)
+			}
+		})
 	}
 }

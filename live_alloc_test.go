@@ -6,11 +6,10 @@ import (
 	"time"
 )
 
-// consumingTransport is a Serializer transport stub: it fully consumes
-// messages before returning (like the UDP transport, which encodes
-// datagrams synchronously) and counts what it saw. It lets the alloc gate
-// measure the node's own round path — engine tick, burst handling, batch
-// send — without socket noise.
+// consumingTransport is a transport stub: like every transport it keeps
+// nothing of a message once Send or SendBatch returns, and it counts what it
+// saw. It lets the alloc gate measure the node's own round path — engine
+// tick, burst handling, batch send — without socket noise.
 type consumingTransport struct {
 	messages int
 	batches  int
@@ -29,7 +28,6 @@ func (t *consumingTransport) SendBatch(msgs []Message) error {
 // Serve starts nothing: the tests call the node's handler themselves.
 func (t *consumingTransport) Serve(func([]Message)) {}
 func (t *consumingTransport) Close() error          { return nil }
-func (t *consumingTransport) SerializesOnSend()     {}
 
 // steadyNode builds an unstarted node with a warmed view of 15 peers over
 // a consuming transport, then runs a few rounds so every scratch buffer
@@ -240,24 +238,6 @@ func TestDroppedDeliveriesCountsEvictions(t *testing.T) {
 	}
 }
 
-// udpNode binds a loopback UDP transport and builds (does not start) a node
-// on it that delivers by callback, as a long-running deployment would.
-func udpNode(t testing.TB, id ProcessID, opts ...Option) (*Node, *UDPTransport) {
-	t.Helper()
-	tr, err := NewUDPTransport(id, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { tr.Close() })
-	opts = append([]Option{WithDeliveryHandler(func(Event) {})}, opts...)
-	n, err := NewNode(id, tr, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { n.Close() })
-	return n, tr
-}
-
 // liveHeap is the heap in use after two collections: what a sync.Pool held
 // at the first is only freed by the second.
 func liveHeap() uint64 {
@@ -268,44 +248,63 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// TestIdleUDPNodeHeap bounds what a node costs before it has seen traffic:
-// the socket and an engine that holds no storage for events it has not
-// received. Nothing queues between the socket and the node, and the one
-// arena the reader decodes into grows only with traffic. (The node's inbox
-// was once a channel of 1024 messages by value, 112 KB on its own; then 128
-// pointers to recycled batches.) Not parallel: it reads the heap.
+// TestIdleUDPNodeHeap bounds what a node costs before it has seen traffic,
+// on either transport: the socket or the endpoint's queue of datagram
+// pointers, and an engine that holds no storage for events it has not
+// received. Nothing queues messages by value between the transport and the
+// node, and the one arena a transport decodes into grows only with traffic.
+// (The node's inbox was once a channel of 1024 messages by value, 112 KB on
+// its own; then 128 pointers to recycled batches.) Not parallel: it reads
+// the heap.
 func TestIdleUDPNodeHeap(t *testing.T) {
-	const nodes = 8
-	before := liveHeap()
-	keep := make([]*Node, 0, nodes)
-	for i := 0; i < nodes; i++ {
-		n, _ := udpNode(t, ProcessID(i+1))
-		keep = append(keep, n)
-	}
-	per := (int64(liveHeap()) - int64(before)) / nodes
-	runtime.KeepAlive(keep)
-	t.Logf("%d B of heap per idle UDP node", per)
-	if per >= 8<<10 {
-		t.Errorf("an idle UDP node holds %d B of heap, want under 8 KB", per)
+	for _, tc := range liveTransports {
+		t.Run(tc.name, func(t *testing.T) {
+			const nodes = 8
+			before := liveHeap()
+			keep := make([]*Node, 0, nodes)
+			for i, tr := range tc.mesh(t, nodes) {
+				n, err := NewNode(ProcessID(i+1), tr, WithDeliveryHandler(func(Event) {}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { n.Close() })
+				keep = append(keep, n)
+			}
+			per := (int64(liveHeap()) - int64(before)) / nodes
+			runtime.KeepAlive(keep)
+			t.Logf("%d B of heap per idle %s node", per, tc.name)
+			if per >= 8<<10 {
+				t.Errorf("an idle %s node holds %d B of heap, want under 8 KB", tc.name, per)
+			}
+		})
 	}
 }
 
 // TestLiveUDPRoundAllocs takes the allocation gate of
-// TestLiveNodeRoundAllocs through the real stack: two started nodes
-// gossiping over loopback sockets — encode, sendto, recvfrom, decode into the
-// reader's arena, handler, engine, reset — must settle at no more than 2
-// allocations per node-round. Not parallel: it reads the process's
-// allocation counter.
+// TestLiveNodeRoundAllocs through the real stack, on either transport: two
+// started nodes gossiping — encode, sendto or the endpoint's queue, recvfrom,
+// decode into the delivery goroutine's arena, handler, engine, reset — must
+// settle at no more than 2 allocations per node-round. Not parallel: it reads
+// the process's allocation counter.
 func TestLiveUDPRoundAllocs(t *testing.T) {
+	for _, tc := range liveTransports {
+		t.Run(tc.name, func(t *testing.T) { liveRoundAllocs(t, tc.mesh(t, 2)) })
+	}
+}
+
+func liveRoundAllocs(t *testing.T, trs []Transport) {
 	const interval = 2 * time.Millisecond
-	a, ta := udpNode(t, 1, WithSeeds(2), WithGossipInterval(interval))
-	b, tb := udpNode(t, 2, WithSeeds(1), WithGossipInterval(interval))
-	if err := ta.AddPeer(2, tb.LocalAddr()); err != nil {
-		t.Fatal(err)
+	nodes := make([]*Node, len(trs))
+	for i, tr := range trs {
+		n, err := NewNode(ProcessID(i+1), tr, WithSeeds(ProcessID(2-i)), WithGossipInterval(interval),
+			WithDeliveryHandler(func(Event) {}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		nodes[i] = n
 	}
-	if err := tb.AddPeer(1, ta.LocalAddr()); err != nil {
-		t.Fatal(err)
-	}
+	a, b := nodes[0], nodes[1]
 	a.Start()
 	b.Start()
 	for i := 0; i < 5; i++ {
@@ -336,12 +335,12 @@ func TestLiveUDPRoundAllocs(t *testing.T) {
 	ran := rounds() - start
 	runtime.ReadMemStats(&after)
 
-	if st := tb.Stats(); st.Received == 0 || st.Dropped != 0 || st.DecodeErrs != 0 {
+	if st, _ := b.TransportStats(); st.Received == 0 || st.Dropped != 0 || st.DecodeErrs != 0 {
 		t.Fatalf("transport stats %+v: the path is not live", st)
 	}
 	perRound := float64(after.Mallocs-before.Mallocs) / float64(ran)
 	t.Logf("%d allocations over %d node-rounds: %.2f per node-round", after.Mallocs-before.Mallocs, ran, perRound)
 	if perRound > 2 {
-		t.Errorf("a live UDP node-round allocates %.2f times, want <= 2", perRound)
+		t.Errorf("a live node-round allocates %.2f times, want <= 2", perRound)
 	}
 }

@@ -13,9 +13,9 @@ import (
 )
 
 // udpMesh binds n loopback transports that know every other's address.
-func udpMesh(t *testing.T, n int) []*UDPTransport {
+func udpMesh(t testing.TB, n int) []Transport {
 	t.Helper()
-	trs := make([]*UDPTransport, n)
+	trs := make([]Transport, n)
 	for i := range trs {
 		tr, err := NewUDPTransport(ProcessID(i+1), "127.0.0.1:0")
 		if err != nil {
@@ -27,7 +27,7 @@ func udpMesh(t *testing.T, n int) []*UDPTransport {
 	for i, tr := range trs {
 		for j, peer := range trs {
 			if i != j {
-				if err := tr.AddPeer(ProcessID(j+1), peer.LocalAddr()); err != nil {
+				if err := tr.(*UDPTransport).AddPeer(ProcessID(j+1), peer.(*UDPTransport).LocalAddr()); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -36,20 +36,52 @@ func udpMesh(t *testing.T, n int) []*UDPTransport {
 	return trs
 }
 
-// TestLiveUDPRaceHammer drives four UDP nodes at a 1 ms interval while other
-// goroutines publish, read views and counters, re-join and, once, leave.
-// Under -race it checks that the engine is only ever entered under the
-// node's lock, from the ticker, the socket and the API alike; and every
-// event published by a node that stays is delivered exactly once at every
-// node that stays.
+// inprocMesh attaches n processes to an in-process network of their own.
+func inprocMesh(t testing.TB, n int) []Transport {
+	t.Helper()
+	network := NewInprocNetwork(InprocConfig{})
+	t.Cleanup(func() { network.Close() })
+	trs := make([]Transport, n)
+	for i := range trs {
+		ep, err := network.Attach(ProcessID(i + 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		trs[i] = ep
+	}
+	return trs
+}
+
+// liveTransports are the transports the live node tests run over: each
+// makes the transports of processes 1..n, all reaching one another.
+var liveTransports = []struct {
+	name string
+	mesh func(t testing.TB, n int) []Transport
+}{
+	{"udp", udpMesh},
+	{"inproc", inprocMesh},
+}
+
+// TestLiveUDPRaceHammer drives four nodes at a 1 ms interval, on either
+// transport, while other goroutines publish, read views and counters,
+// re-join and, once, leave. Under -race it checks that the engine is only
+// ever entered under the node's lock, from the ticker, the transport and the
+// API alike, with emissions recycled once sent; and every event published by
+// a node that stays is delivered exactly once at every node that stays.
 func TestLiveUDPRaceHammer(t *testing.T) {
+	for _, tc := range liveTransports {
+		t.Run(tc.name, func(t *testing.T) { raceHammer(t, tc.mesh) })
+	}
+}
+
+func raceHammer(t *testing.T, mesh func(testing.TB, int) []Transport) {
 	const (
 		nodes    = 4
 		leaver   = 4 // neither publishes nor is checked for deliveries
 		perNode  = 8
 		interval = time.Millisecond
 	)
-	trs := udpMesh(t, nodes)
+	trs := mesh(t, nodes)
 	var mu sync.Mutex
 	counts := make([]map[EventID]int, nodes)
 	ns := make([]*Node, nodes)
@@ -181,10 +213,16 @@ func TestLiveUDPRaceHammer(t *testing.T) {
 // TestDeliveredPayloadOutlivesDatagram: a delivery handler may keep
 // ev.Payload. The bytes it keeps are the engine's copy, not the storage the
 // transport decoded the datagram into, so they read the same after a
-// hundred further datagrams have been decoded where the first one was.
+// hundred further datagrams have been decoded where the first one was. Both
+// transports.
 func TestDeliveredPayloadOutlivesDatagram(t *testing.T) {
 	t.Parallel()
-	trs := udpMesh(t, 2)
+	for _, tc := range liveTransports {
+		t.Run(tc.name, func(t *testing.T) { payloadOutlivesDatagram(t, tc.mesh(t, 2)) })
+	}
+}
+
+func payloadOutlivesDatagram(t *testing.T, trs []Transport) {
 	const datagrams = 101
 	var mu sync.Mutex
 	var kept [][]byte

@@ -295,18 +295,11 @@ func WithEngine(f EngineFactory) Option {
 	return func(c *config) { c.engineFactory = f }
 }
 
-// emissionReuser is the optional engine fast path: when the transport
-// serializes messages on send, the node lets the engine recycle its
-// per-round emission buffers (see core.Engine.SetEmissionReuse).
-type emissionReuser interface {
-	SetEmissionReuse(on bool)
-}
-
 // Node is a live lpbcast process: the protocol engine, a transport, and a
 // gossip timer. Create with NewNode, launch with Start, stop with Close.
 //
 // Node has two triggers, as the paper's process does: the transport calls
-// it with every inbound datagram or burst (Transport.Serve), and a ticker
+// it with every inbound datagram (Transport.Serve), and a ticker
 // goroutine runs the periodic emission. Both hold the node's lock across
 // the engine call and the SendBatch of its emissions, and the engine's
 // append-style API reuses per-node scratch buffers, so the steady-state
@@ -328,7 +321,7 @@ type Node struct {
 	dropped    uint64
 	tracer     trace.Tracer
 
-	// out is the emission scratch, guarded by mu: a tick or a burst holds
+	// out is the emission scratch, guarded by mu: a tick or a datagram holds
 	// the lock from the engine call until out has been sent.
 	out []Message
 
@@ -406,13 +399,12 @@ func NewNode(id ProcessID, tr Transport, opts ...Option) (*Node, error) {
 		eng.Seed(cfg.seeds)
 	}
 	n.maxView = eng.ViewCap()
-	// When the transport serializes messages before Send/SendBatch return,
-	// the engine may recycle its per-round emission buffers: together with
-	// the node's scratch slices this makes the gossip round allocation-free.
-	if _, ok := tr.(transport.Serializer); ok {
-		if r, ok := eng.(emissionReuser); ok {
-			r.SetEmissionReuse(true)
-		}
+	// A transport keeps nothing of a message once SendBatch returns, so an
+	// engine that can may recycle its per-round emission buffers (see
+	// core.Engine.SetEmissionReuse): together with the node's scratch slices
+	// this makes the gossip round allocation-free.
+	if r, ok := eng.(interface{ SetEmissionReuse(on bool) }); ok {
+		r.SetEmissionReuse(true)
 	}
 	n.engine = eng
 	return n, nil
@@ -502,11 +494,11 @@ func (n *Node) run() {
 // gossipRound performs one periodic emission into the node's scratch
 // buffer and flushes it as a single batch.
 //
-// The engine may reuse its emission buffers when the transport serializes
-// on send (SetEmissionReuse): the *Gossip a tick emits is overwritten by the
-// next one. That is safe because the lock is held from the tick to the end
-// of its SendBatch, so nothing can tick or handle in between, on either of
-// the two goroutines that drive the engine.
+// The engine may reuse its emission buffers (SetEmissionReuse): the *Gossip
+// a tick emits is overwritten by the next one. That is safe because the
+// transport keeps nothing of it once SendBatch returns and the lock is held
+// from the tick to the end of its SendBatch, so nothing can tick or handle in
+// between, on either of the two goroutines that drive the engine.
 func (n *Node) gossipRound() {
 	now := n.now()
 	n.mu.Lock()
@@ -522,7 +514,7 @@ func (n *Node) gossipRound() {
 }
 
 // handleBurst is the node's inbound handler (see Transport.Serve): it feeds
-// one datagram's or burst's messages through the engine and flushes every
+// one datagram's messages through the engine and flushes every
 // response as a single batch, all under one lock acquisition. msgs belong
 // to the transport and are read, never kept; engines copy what they retain.
 // Traced nodes record per message so every trace event carries exact
