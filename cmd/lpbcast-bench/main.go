@@ -399,6 +399,8 @@ func executorSuite(quick, big bool) []benchCase {
 		archiveStoreFullCase(0),
 		archiveStoreFullCase(64),
 		archiveLookupCase(),
+		archiveServeCase("pull=3", 3),
+		archiveServeCase("hostile=20000", 20_000),
 		pubsubSteadyCase(quick, false),
 		pubsubSteadyCase(quick, true),
 		pubsubInfectionCase(quick),
@@ -633,6 +635,45 @@ func archiveLookupCase() benchCase {
 				}
 			}
 			b.ReportMetric(float64(hits)/float64(b.N), "hit_ratio")
+		},
+	}
+}
+
+// archiveServeCase is one retransmission request served from a full archive
+// of 200 at core.DefaultConfig's sizes. A pull of 3 names ids among the
+// newest 60, as a pull of ids its target has just advertised does, so it is
+// answered by a scan from the newest end; a hostile request of 20 000 names
+// ids evicted long ago and, last, one held id, so it is resolved against
+// the window's table. The reply is the op's one allocation.
+func archiveServeCase(name string, ids int) benchCase {
+	return benchCase{
+		name: "buffer/archive-serve/" + name,
+		gate: true, maxAllocs: 1,
+		fn: func(b *testing.B) {
+			a := buffer.NewArchive(200)
+			const stored = 30_000
+			for seq := uint64(1); seq <= stored; seq++ {
+				a.Store(proto.Event{ID: proto.EventID{Origin: proto.ProcessID(seq % 250), Seq: seq}})
+			}
+			gen := rng.New(7)
+			reqs := make([][]proto.EventID, 64)
+			for i := range reqs {
+				reqs[i] = make([]proto.EventID, ids)
+				for j := range reqs[i] {
+					seq := uint64(stored - gen.Intn(60)) // among the newest 60
+					if ids > 3 && j < ids-1 {
+						seq = uint64(1 + gen.Intn(stored-200)) // evicted
+					}
+					reqs[i][j] = proto.EventID{Origin: proto.ProcessID(seq % 250), Seq: seq}
+				}
+			}
+			served := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				reply, _ := a.Serve(reqs[i%len(reqs)])
+				served += len(reply)
+			}
+			b.ReportMetric(float64(served)/float64(b.N), "served_per_op")
 		},
 	}
 }

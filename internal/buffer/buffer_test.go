@@ -1,6 +1,8 @@
 package buffer
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -277,17 +279,57 @@ func TestArchive(t *testing.T) {
 	if a.pay != nil {
 		t.Fatal("payload-less events made a side ring")
 	}
-	// Payloads: the stored slice comes back, an empty one as nil, and a
-	// duplicate id keeps the first payload.
-	body := []byte("body")
+	// Payloads: the stored slice comes back, an empty one as nil, and an id
+	// stored again is appended, so Lookup answers its newer copy.
+	body, other := []byte("body"), []byte("other")
 	a.Store(proto.Event{ID: proto.EventID{Origin: 1, Seq: 4}, Payload: body})
-	a.Store(proto.Event{ID: proto.EventID{Origin: 1, Seq: 5}, Payload: []byte{}})
-	a.Store(proto.Event{ID: proto.EventID{Origin: 1, Seq: 4}, Payload: []byte("other")})
 	if got, ok := a.Lookup(proto.EventID{Origin: 1, Seq: 4}); !ok || &got.Payload[0] != &body[0] || len(got.Payload) != len(body) {
 		t.Fatalf("Lookup = %v,%v, want the stored slice %q", got, ok, body)
 	}
+	a.Store(proto.Event{ID: proto.EventID{Origin: 1, Seq: 4}, Payload: other})
+	if got, ok := a.Lookup(proto.EventID{Origin: 1, Seq: 4}); !ok || &got.Payload[0] != &other[0] || len(got.Payload) != len(other) {
+		t.Fatalf("Lookup after a second Store = %v,%v, want the newer slice %q", got, ok, other)
+	}
+	a.Store(proto.Event{ID: proto.EventID{Origin: 1, Seq: 5}, Payload: []byte{}})
 	if got, ok := a.Lookup(proto.EventID{Origin: 1, Seq: 5}); !ok || got.Payload != nil {
 		t.Fatalf("Lookup of an empty payload = %#v,%v, want a nil payload", got, ok)
+	}
+	if got := a.AppendNewest(nil, 2); !slices.Equal(got, []proto.EventID{{Origin: 1, Seq: 4}, {Origin: 1, Seq: 5}}) {
+		t.Fatalf("AppendNewest(2) = %v, want 1:4 then 1:5", got)
+	}
+}
+
+// TestArchiveWindows: an archive that serves its newest 2 and holds its
+// newest 4 reads all 4 as a window, but answers pulls from 2.
+func TestArchiveWindows(t *testing.T) {
+	t.Parallel()
+	var a Archive
+	a.Init(2, 4)
+	ids := make([]proto.EventID, 6)
+	for i := range ids {
+		ids[i] = proto.EventID{Origin: 1, Seq: uint64(i + 1)}
+		a.Store(proto.Event{ID: ids[i]})
+	}
+	if got := a.AppendNewest(nil, 60); a.Len() != 4 || !slices.Equal(got, ids[2:]) {
+		t.Fatalf("holds %d, window %v; want 4, %v", a.Len(), got, ids[2:])
+	}
+	if !a.ContainsNewest(ids[2], 4) || a.ContainsNewest(ids[2], 3) || a.ContainsNewest(ids[1], 60) {
+		t.Fatal("ContainsNewest reads the wrong window")
+	}
+	if _, ok := a.Lookup(ids[3]); ok {
+		t.Fatal("Lookup answered from past the serving window")
+	}
+	if reply, misses := a.Serve(ids); len(reply) != 2 || reply[0].ID != ids[4] || misses != 4 {
+		t.Fatalf("Serve = %v with %d misses, want the newest 2 and 4", reply, misses)
+	}
+	var none Archive
+	none.Init(0, 3) // an engine with ArchiveSize 0 and the flat digest
+	none.Store(proto.Event{ID: ids[0]})
+	if !none.ContainsNewest(ids[0], 3) {
+		t.Fatal("an archive that serves nothing dropped the window")
+	}
+	if reply, misses := none.Serve(ids[:1]); reply != nil || misses != 1 {
+		t.Fatalf("an archive that serves nothing served %v", reply)
 	}
 }
 
@@ -332,7 +374,7 @@ func TestArchiveServe(t *testing.T) {
 			t.Fatalf("reply[%d] = %v, want the archived %v in first-mention order", i, ev, want)
 		}
 	}
-	// A ring past what the stack bitmap covers.
+	// A ring past what the stack table covers.
 	big := NewArchive(1000)
 	for _, id := range ids {
 		big.Store(proto.Event{ID: id})
@@ -346,7 +388,7 @@ func TestArchiveServe(t *testing.T) {
 // is at its bound every Store evicts the oldest event, and must not copy
 // the evictee out to do so.
 func TestArchiveStoreFullAllocFree(t *testing.T) {
-	a := NewArchive(200) // core.DefaultConfig's ArchiveSize: indexed mode
+	a := NewArchive(200) // core.DefaultConfig's ArchiveSize
 	seq := uint64(0)
 	store := func() {
 		seq++
@@ -363,41 +405,49 @@ func TestArchiveStoreFullAllocFree(t *testing.T) {
 	}
 }
 
-// TestArchiveRingIsBounded: a full archive holds its events in a ring one
-// slot longer than its bound (Store adds before it evicts) and an index of
-// twice that, not in the next powers of two. A slot is a 16-byte id, and
-// payload-less events make no side ring.
+// TestArchiveRingIsBounded: a full archive holds its events in a ring of
+// exactly its bound (Store writes over the oldest), not in the next power of
+// two, and keeps no index beside it: its only slices are the ring and the
+// side ring. A slot is a 16-byte id, and payload-less events make no side
+// ring.
 func TestArchiveRingIsBounded(t *testing.T) {
 	a := NewArchive(200)
 	for seq := uint64(1); seq <= 1000; seq++ {
 		a.Store(proto.Event{ID: proto.EventID{Origin: pid(seq % 250), Seq: seq}})
 	}
-	if a.Len() != 200 || len(a.ids.ring) != 201 || len(a.ids.idx) > 2*201 {
-		t.Fatalf("%d events in a ring of %d slots and an index of %d entries, want 200 in 201 and at most 402",
-			a.Len(), len(a.ids.ring), len(a.ids.idx))
+	if a.Len() != 200 || len(a.ring) != 200 {
+		t.Fatalf("%d events in a ring of %d slots, want 200 in 200", a.Len(), len(a.ring))
 	}
-	if size := unsafe.Sizeof(a.ids.ring[0]); size != 16 || a.pay != nil {
+	if size := unsafe.Sizeof(a.ring[0]); size != 16 || a.pay != nil {
 		t.Fatalf("a slot takes %d bytes and the side ring is %d long, want 16 and none", size, len(a.pay))
+	}
+	for i, typ := 0, reflect.TypeOf(*a); i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Name != "ring" && f.Name != "pay" && f.Type.Kind() != reflect.Int && f.Type.Kind() != reflect.Uint32 {
+			t.Errorf("Archive.%s (%v) is storage beside the two rings", f.Name, f.Type)
+		}
 	}
 }
 
 // TestArchiveEvictionReleasesPayloads: after 1 000 payload-carrying stores
-// into an archive of 200, the side ring is as long as the id ring and holds
-// a payload at every live position and nothing anywhere else, so an evicted
+// into an archive of 200 and then 50 payload-less ones, the side ring is as
+// long as the id ring and holds a payload at the position of each of the
+// older 150 and nothing at the 50 the newest overwrote, so an evicted
 // payload is garbage.
 func TestArchiveEvictionReleasesPayloads(t *testing.T) {
 	a := NewArchive(200)
-	for seq := uint64(1); seq <= 1000; seq++ {
-		a.Store(proto.Event{ID: proto.EventID{Origin: 1, Seq: seq}, Payload: make([]byte, 64)})
+	for seq := uint64(1); seq <= 1050; seq++ {
+		ev := proto.Event{ID: proto.EventID{Origin: 1, Seq: seq}}
+		if seq <= 1000 {
+			ev.Payload = make([]byte, 64)
+		}
+		a.Store(ev)
 	}
-	if len(a.pay) != len(a.ids.ring) {
-		t.Fatalf("side ring of %d slots beside an id ring of %d", len(a.pay), len(a.ids.ring))
+	if len(a.pay) != len(a.ring) {
+		t.Fatalf("side ring of %d slots beside an id ring of %d", len(a.pay), len(a.ring))
 	}
-	slots := uint32(len(a.pay))
 	for p := range a.pay {
-		live := (uint32(p)+slots-a.ids.head)%slots < a.ids.n
-		if live != (a.pay[p].first != nil) {
-			t.Fatalf("side-ring position %d (head %d, %d held) live %v but holds %d bytes", p, a.ids.head, a.ids.n, live, a.pay[p].n)
+		if paid := a.ring[p].Seq <= 1000; paid != (a.pay[p].first != nil) {
+			t.Fatalf("side-ring position %d (id %v, head %d) holds %d bytes", p, a.ring[p], a.head, a.pay[p].n)
 		}
 	}
 }

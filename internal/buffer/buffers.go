@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"encoding/binary"
+	"slices"
 	"unsafe"
 
 	"repro/internal/pool"
@@ -355,10 +356,11 @@ func (b *EventBuffer) Remove(id proto.EventID) bool { return b.inner.Remove(id) 
 // Clear empties the buffer ("events ← ∅" after each gossip emission).
 func (b *EventBuffer) Clear() { b.inner.Clear() }
 
-// IDBuffer is the flat representation of eventIds: an insertion-ordered,
+// IDBuffer is a standalone eventIds window: an insertion-ordered,
 // duplicate-free list of notification identifiers bounded by |eventIds|m
-// with oldest-first eviction. This is exactly the structure whose maximum
-// size drives the reliability measurements of Fig. 6(b).
+// with oldest-first eviction, indexed past a few entries. The engine does
+// not use it — its window is the newest |eventIds|m entries of the Archive's
+// ring — and it remains for the benchmark probes that time the keyed FIFO.
 type IDBuffer struct {
 	inner FIFO[proto.EventID]
 }
@@ -376,12 +378,6 @@ func (b *IDBuffer) Init() { b.inner.Init(idKey) }
 // Add inserts id unless present, reporting whether it was added.
 func (b *IDBuffer) Add(id proto.EventID) bool { return b.inner.Add(id) }
 
-// AddBounded is Add for a caller that truncates to under bound before it
-// adds again (FIFO.AddBounded): the ring stops growing at bound slots.
-func (b *IDBuffer) AddBounded(id proto.EventID, bound int) bool {
-	return b.inner.AddBounded(id, bound)
-}
-
 // Contains reports whether id is buffered.
 func (b *IDBuffer) Contains(id proto.EventID) bool { return b.inner.Contains(id) }
 
@@ -394,26 +390,40 @@ func (b *IDBuffer) AppendIDs(dst []proto.EventID) []proto.EventID {
 }
 
 // TruncateOldestDiscard evicts oldest identifiers until Len() <= max
-// ("remove oldest element from eventIds"), returning only the count — the
-// allocation-free path record() runs on every delivery.
+// ("remove oldest element from eventIds"), returning only the count, so
+// it allocates nothing.
 func (b *IDBuffer) TruncateOldestDiscard(max int) int { return b.inner.TruncateOldest(max) }
 
 // Grow pre-allocates capacity for n identifiers.
 func (b *IDBuffer) Grow(n int) { b.inner.Grow(n) }
 
-// Archive is the bounded store of older notifications kept "only ... to
-// satisfy retransmission requests" (§3.2). Eviction is oldest-first.
+// Archive is the ring of a process's delivered notifications, newest last:
+// the eventIds window of the flat digest is its newest |eventIds|m entries,
+// and the store of older notifications kept "only ... to satisfy
+// retransmission requests" (§3.2) is its newest ArchiveSize. Both are
+// oldest-first windows over the same delivery sequence, so one ring of
+// max(ArchiveSize, |eventIds|m) ids holds them both, and Store writes each
+// delivery over the oldest entry.
 //
-// A notification is archived as what a pull looks it up by, its identifier,
-// in the ring of a FIFO of ids; its payload, if it has one, sits in a side
-// ring at the same position. The side ring is nil until the first non-empty
-// payload arrives, so an archive of payload-less notifications — every one
-// the simulator makes — holds 16 bytes an entry, not the 40 of an id beside
-// a slice header; one that carries payloads holds 32.
+// The ring keeps no index and makes no membership test: whether an id is
+// new is decided before it is delivered (the engine's dedup digest). A pull
+// names ids its target has just advertised, which a scan from the newest
+// end finds among the newest |eventIds|m entries; a long request is resolved
+// against a table Serve builds in one pass over the window.
+//
+// A payload, if the notification has one, sits in a side ring at the id's
+// position. The side ring is nil until the first non-empty payload arrives,
+// so an archive of payload-less notifications — every one the simulator
+// makes — holds 16 bytes an entry; one that carries payloads holds 32.
+//
+// Archive is not safe for concurrent use.
 type Archive struct {
-	ids FIFO[proto.EventID]
-	pay []payloadRef // pay[p] is the payload of ids.ring[p]; nil, or len(ids.ring)
-	max int
+	ring  []proto.EventID // entry i, oldest first, is ring[pos(i)]
+	pay   []payloadRef    // pay[p] is the payload of ring[p]; nil, or len(ring)
+	head  uint32          // ring position of the oldest entry; 0 until the ring first wraps
+	n     uint32
+	serve int // Lookup and Serve answer from the newest serve entries
+	hold  int // the ring's bound, max(serve, the other window)
 }
 
 // payloadRef is a retained payload in 16 bytes where a slice header takes
@@ -427,54 +437,122 @@ type payloadRef struct {
 
 func (r payloadRef) bytes() []byte { return unsafe.Slice(r.first, r.n) } // nil for the zero payloadRef
 
-// NewArchive creates an archive bounded at max events; max <= 0 disables
-// archiving entirely (Lookup always misses).
+// NewArchive creates an archive that holds and serves the newest max
+// notifications; max <= 0 disables archiving entirely (Lookup always
+// misses).
 func NewArchive(max int) *Archive {
 	a := &Archive{}
-	a.Init(max)
+	a.Init(max, 0)
 	return a
 }
 
-// Init prepares a zero-value Archive in place, allocation-free.
-func (a *Archive) Init(max int) {
-	a.ids.Init(idKey)
-	a.max = max
+// Init prepares a zero-value Archive in place, allocation-free: Lookup and
+// Serve answer from the newest serve notifications (none if serve <= 0),
+// and the ring holds max(serve, window) of them, so the newest window ids
+// can be read as well (AppendNewest, ContainsNewest).
+func (a *Archive) Init(serve, window int) {
+	*a = Archive{serve: serve, hold: max(serve, window)}
 }
 
-// Store retains e for future retransmission, evicting oldest entries to
-// respect the bound. The payload is retained, not copied.
+// pos returns the ring position of entry i <= len(ring), oldest first.
+func (a *Archive) pos(i uint32) uint32 {
+	p := a.head + i
+	if l := uint32(len(a.ring)); p >= l {
+		p -= l
+	}
+	return p
+}
+
+// Store appends e's id as the newest entry, writing over the oldest once the
+// ring is full. It makes no membership test: an id the ring still holds is
+// appended again, and the windows answer for its newest copy. The payload
+// is retained, not copied. The ring grows on demand and stops at its bound
+// (see grown), so an archive that never stores holds nothing.
 func (a *Archive) Store(e proto.Event) {
-	if a.max <= 0 {
+	if a.hold <= 0 {
 		return
 	}
-	if !a.ids.AddBounded(e.ID, a.max+1) { // one past the bound until the truncation below
-		return
+	var p uint32
+	if int(a.n) < a.hold {
+		if int(a.n) == len(a.ring) {
+			a.grow()
+		}
+		p = a.n // nothing is overwritten before the ring is full, so head is 0
+		a.n++
+	} else {
+		p = a.head
+		a.head = a.pos(1)
 	}
-	if a.pay != nil && len(a.pay) != len(a.ids.ring) {
-		// The ring grows only before its first eviction, so entry i is at
-		// position i before and after: the side ring grows alike.
-		pay := make([]payloadRef, len(a.ids.ring))
+	a.ring[p] = e.ID
+	if len(e.Payload) > 0 {
+		if a.pay == nil {
+			a.pay = make([]payloadRef, len(a.ring))
+		}
+		a.pay[p] = payloadRef{&e.Payload[0], len(e.Payload)}
+	} else if a.pay != nil {
+		a.pay[p] = payloadRef{} // the overwritten payload is garbage from here on
+	}
+}
+
+// grow enlarges a full ring toward its bound. Entry i is at position i
+// before and after, and the side ring grows alike.
+func (a *Archive) grow() {
+	n := grown(len(a.ring), a.hold)
+	ring := make([]proto.EventID, n)
+	copy(ring, a.ring)
+	a.ring = ring
+	if a.pay != nil {
+		pay := make([]payloadRef, n)
 		copy(pay, a.pay)
 		a.pay = pay
 	}
-	if len(e.Payload) > 0 {
-		if a.pay == nil {
-			a.pay = make([]payloadRef, len(a.ids.ring))
-		}
-		a.pay[a.ids.pos(a.ids.n-1)] = payloadRef{&e.Payload[0], len(e.Payload)}
-	}
-	if a.ids.Len() > a.max {
-		if a.pay != nil {
-			a.pay[a.ids.head] = payloadRef{} // the evicted payload is garbage from here on
-		}
-		a.ids.TruncateOldest(a.max)
-	}
 }
 
-// Lookup returns the archived event with the given id. Its payload is the
-// bytes Store retained, nil for an empty one.
+// find returns the ring position of the newest copy of id among the newest w
+// entries, or -1, scanning from the newest end.
+func (a *Archive) find(id proto.EventID, w int) int {
+	w = min(w, int(a.n))
+	if w <= 0 {
+		return -1
+	}
+	top := int(a.head) + int(a.n) // one past the newest entry, unwrapped
+	if top > len(a.ring) {
+		top -= len(a.ring)
+	}
+	for p := top - 1; p >= max(0, top-w); p-- {
+		if a.ring[p] == id {
+			return p
+		}
+	}
+	for p := len(a.ring) - 1; p >= len(a.ring)-(w-top); p-- { // the wrapped rest, if any
+		if a.ring[p] == id {
+			return p
+		}
+	}
+	return -1
+}
+
+// ContainsNewest reports whether id is among the newest w entries.
+func (a *Archive) ContainsNewest(id proto.EventID, w int) bool { return a.find(id, w) >= 0 }
+
+// AppendNewest appends the newest w entries, oldest first, to dst.
+func (a *Archive) AppendNewest(dst []proto.EventID, w int) []proto.EventID {
+	w = min(w, int(a.n))
+	if w <= 0 {
+		return dst
+	}
+	start := int(a.pos(a.n - uint32(w)))
+	if end := start + w; end > len(a.ring) {
+		dst = slices.Grow(dst, w) // one allocation at most, though the ring wraps
+		return append(append(dst, a.ring[start:]...), a.ring[:end-len(a.ring)]...)
+	}
+	return append(dst, a.ring[start:start+w]...)
+}
+
+// Lookup returns the newest archived copy of the event with the given id.
+// Its payload is the bytes Store retained, nil for an empty one.
 func (a *Archive) Lookup(id proto.EventID) (proto.Event, bool) {
-	p, _ := a.ids.find(id, hashID(id))
+	p := a.find(id, a.serve)
 	if p < 0 {
 		return proto.Event{}, false
 	}
@@ -489,33 +567,89 @@ func (a *Archive) event(id proto.EventID, p int) proto.Event {
 	return proto.Event{ID: id, Payload: a.pay[p].bytes()}
 }
 
+// serveScanMax is the request length up to which Serve finds each id by a
+// scan from the newest end, as Lookup does. Past it a scan per id would
+// make Serve's work the request's length times the window's, so the window
+// is indexed once instead.
+const serveScanMax = 8
+
+// serveTableSmall is the length of Serve's stack table: twice the default
+// window of 200 fits.
+const serveTableSmall = 512
+
+// served marks a table entry whose id Serve has answered.
+const served = 1 << 31
+
 // Serve answers a retransmission request: the archived event of every id of
-// req the archive holds, in the order req first names them and once each
-// however often it repeats them, with the number of ids it does not hold.
-// One bit per ring position marks what is served already, so the work is
-// linear in req. reply is nil when nothing is held.
+// req the serving window holds, in the order req first names them and once
+// each however often it repeats them, with the number of ids it does not
+// hold. The work is linear in req: a request longer than serveScanMax is
+// resolved against an open-addressed table of the window's newest copies,
+// built in one pass and kept on the stack for the default window. reply is
+// nil when nothing is held.
 func (a *Archive) Serve(req []proto.EventID) (reply []proto.Event, misses int) {
-	var small [4]uint64 // the default archive's 201 positions
-	served := small[:]
-	if words := (len(a.ids.ring) + 63) / 64; words > len(small) {
-		served = make([]uint64, words)
+	w := min(a.serve, int(a.n))
+	if w <= 0 {
+		return nil, len(req)
 	}
-	for i, id := range req {
-		p, _ := a.ids.find(id, hashID(id))
-		if p < 0 {
-			misses++
-			continue
-		}
-		if w, bit := p/64, uint64(1)<<(p%64); served[w]&bit == 0 {
-			served[w] |= bit
+	if len(req) <= serveScanMax {
+		for i, id := range req {
+			p := a.find(id, w)
+			if p < 0 {
+				misses++
+				continue
+			}
+			if slices.ContainsFunc(reply, func(e proto.Event) bool { return e.ID == id }) {
+				continue
+			}
 			if reply == nil {
-				reply = make([]proto.Event, 0, min(len(req)-i, a.Len()))
+				reply = make([]proto.Event, 0, min(len(req)-i, w))
 			}
 			reply = append(reply, a.event(id, p))
+		}
+		return reply, misses
+	}
+	var small [serveTableSmall]uint32
+	t := small[:]
+	if 2*w > len(small) {
+		t = make([]uint32, 2*w)
+	}
+	// t[i] is a ring position + 1, 0 for an empty entry, with the served bit.
+	home := func(id proto.EventID) int { return int(uint64(hashID(id)) * uint64(len(t)) >> 32) }
+	next := func(j int) int {
+		if j++; j == len(t) {
+			return 0
+		}
+		return j
+	}
+	for i := 0; i < w; i++ { // newest first, so an older copy finds its id taken
+		p := a.pos(a.n - 1 - uint32(i))
+		id := a.ring[p]
+		j := home(id)
+		for ; t[j] != 0 && a.ring[t[j]-1] != id; j = next(j) {
+		}
+		if t[j] == 0 {
+			t[j] = p + 1
+		}
+	}
+	for i, id := range req {
+		j := home(id)
+		for ; t[j] != 0 && a.ring[t[j]&^served-1] != id; j = next(j) {
+		}
+		switch e := t[j]; {
+		case e == 0:
+			misses++
+		case e&served == 0:
+			t[j] |= served
+			if reply == nil {
+				reply = make([]proto.Event, 0, min(len(req)-i, w))
+			}
+			reply = append(reply, a.event(id, int(e-1)))
 		}
 	}
 	return reply, misses
 }
 
-// Len returns the number of archived events.
-func (a *Archive) Len() int { return a.ids.Len() }
+// Len returns the number of ids the ring holds: at most max(serve, window)
+// of Init, the newest of them served.
+func (a *Archive) Len() int { return int(a.n) }

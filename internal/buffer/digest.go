@@ -16,7 +16,7 @@ import (
 // <= W has been delivered — plus the sparse set of delivered sequence
 // numbers above W.
 //
-// Compared to the flat IDBuffer, membership information about an in-order
+// Compared to the flat window, membership information about an in-order
 // prefix of each origin's stream costs O(1) instead of O(prefix length).
 //
 // The origins live inline in one open-addressed table, and an origin's

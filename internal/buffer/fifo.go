@@ -12,9 +12,8 @@ import (
 const fifoSmall = 8
 
 // FIFO is an insertion-ordered, duplicate-free list of values keyed by
-// event identifier, with oldest-first eviction — the common substrate of
-// the eventIds window, the retransmission archive and pbcast's message
-// store. The values sit in a ring, so evicting the oldest is a head
+// event identifier, with oldest-first eviction — the substrate of pbcast's
+// message store and of IDBuffer. The values sit in a ring, so evicting the oldest is a head
 // increment, and past fifoSmall entries an open-addressed index maps a key
 // to its ring position, so membership and lookup never scan. A ring
 // position is stable for the life of its entry.

@@ -88,20 +88,25 @@ func FuzzCompactDigest(f *testing.F) {
 	})
 }
 
-// FuzzArchive checks the archive against the reference archive (refArchive,
-// through fifoPair) on op lists the fuzzer writes: after every Store and on
-// every Lookup, Len, oldest-first order, the slice each Lookup returns (the
-// reference's, nil for an empty payload) and the side ring — nil until the
-// first payload is accepted, then as long as the id ring and empty outside
-// the live window — SHALL agree.
+// FuzzArchive checks the archive against the slice that defines it
+// (refArchive, through fifoPair) on op lists the fuzzer writes: a repeated
+// Store appends a newer copy. After every Store and on every Lookup, Len,
+// oldest-first order, the window reads (AppendNewest, ContainsNewest) at
+// both windows and beside them, the event each Lookup returns (the
+// reference's newest copy, its very payload, nil for an empty one), Serve of
+// every id held or just lost, one at a time and all at once past
+// serveScanMax, and the side ring — nil until the first payload is
+// accepted, then as long as the id ring and empty outside the live
+// window — SHALL agree.
 //
-// Byte 0 of the input picks the bound (archiveBounds); then come ops of two
-// bytes. Byte 0: bits 0–1 the op (0, 1 store; 2 lookup; 3 a run of 1+b%64
+// Byte 0 of the input picks the serving bound (archiveBounds, b%10) and the
+// other window (archiveWindows, b/10%4); then come ops of two bytes. Byte 0: bits 0–1 the op (0, 1 store; 2 lookup; 3 a run of 1+b%64
 // fresh stores, which grows and wraps the ring), bits 2–3 the payload (nil;
 // empty; 1+b%100 bytes), bits 4–7 the id (below 12 the next fresh one, from
 // 12 the b%seq-th one stored so far: held, or long evicted). Byte 1 is b.
 func FuzzArchive(f *testing.F) {
 	archiveBounds := []int{-1, 0, 1, 2, 3, 7, 8, 9, 60, 200}
+	archiveWindows := []int{0, 3, 60, 300}
 	const store, lookup, run = 0, 2, 3
 	const none, empty, bytes = 0, 1, 2
 	const fresh, again = 0, 12
@@ -128,7 +133,8 @@ func FuzzArchive(f *testing.F) {
 		if len(ops) == 0 {
 			return
 		}
-		p := newFIFOPair(t, 0, archiveBounds[int(ops[0])%len(archiveBounds)])
+		b0 := int(ops[0])
+		p := newFIFOPair(t, 0, archiveBounds[b0%len(archiveBounds)], archiveWindows[b0/len(archiveBounds)%len(archiveWindows)])
 		next := uint64(0)
 		event := func(a, b byte, anew bool) proto.Event {
 			seq := next + 1

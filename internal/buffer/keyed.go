@@ -5,14 +5,19 @@
 // removal for subs/unSubs/events, oldest-first removal for eventIds.
 //
 // The package also provides the paper's two digest representations: a flat
-// FIFO identifier buffer (what the measurements in §5.2 bound by
-// |eventIds|m) and the per-sender sequence-compacted digest the paper
+// window of the newest delivered identifiers (what the measurements in §5.2
+// bound by |eventIds|m; the newest end of the Archive's ring) and the
+// per-sender sequence-compacted digest the paper
 // sketches as an optimization ("only retaining for each sender the
 // identifiers of notifications delivered since the last one delivered in
 // sequence").
 package buffer
 
-import "repro/internal/rng"
+import (
+	"math/bits"
+
+	"repro/internal/rng"
+)
 
 // smallMax is the list length up to which a KeyedList runs in "small
 // mode" with no hash index at all: membership is a linear scan over the
@@ -27,7 +32,7 @@ const smallMax = 64
 // buffers (events, unSubs), where an eviction can strike any position:
 // a packed slice plus membership tests that are linear scans while small
 // and map lookups once past smallMax. The lists evicted oldest-first
-// (eventIds, the archive) are FIFO rings instead.
+// (eventIds and the archive, one ring) are rings instead.
 //
 // A list holds no storage until its first Add and doubles on demand. Its
 // bound is a maximum, enforced by the caller's truncation after each inflow,
@@ -183,16 +188,88 @@ func (l *KeyedList[K, V]) Clear() {
 // Len() <= max — the paper's "remove random element" truncation for
 // unSubs and events — returning how many were removed. The evictees are
 // not handed back, which keeps per-message truncation allocation-free.
+//
+// The k draws are Intn(len), Intn(len-1), …, each naming a position among
+// the elements still held. A single eviction, or a list of at most batchMax
+// elements, deletes at each draw. Past that, deleting at each draw would
+// cost k moves of the list — quadratic in one hostile gossip's unSubs — so
+// all k draws are taken first, each mapped to the element it names by a
+// Fenwick tree over the held positions, and one pass then moves each
+// survivor once: the same draws, the same survivors, in O(n log n).
+// Afterwards a list cut back to smallMax or under drops its index, and one
+// whose storage is more than four times what it holds and past 2·smallMax
+// gives the excess back, so a hostile inflow leaves nothing behind; a list
+// within its configured bounds never meets either rule.
 func (l *KeyedList[K, V]) TruncateRandomDiscard(max int, r *rng.Source) int {
 	if max < 0 {
 		max = 0
 	}
-	n := 0
-	for len(l.items) > max {
-		i := r.Intn(len(l.items))
-		delete(l.idx, l.key(l.items[i]))
-		l.items = append(l.items[:i], l.items[i+1:]...)
-		n++
+	n := len(l.items)
+	k := n - max
+	if k <= 0 {
+		return 0
 	}
-	return n
+	if k == 1 || n <= batchMax {
+		for len(l.items) > max {
+			i := r.Intn(len(l.items))
+			delete(l.idx, l.key(l.items[i]))
+			l.items = append(l.items[:i], l.items[i+1:]...)
+		}
+	} else {
+		l.truncateBatch(max, r)
+	}
+	if l.idx != nil && len(l.items) <= smallMax {
+		l.idx = nil
+	}
+	if c := cap(l.items); c > 2*smallMax && c > 4*len(l.items) {
+		l.items = append([]V(nil), l.items...)
+	}
+	return k
+}
+
+// fenwickSmall is the list length up to which truncateBatch keeps its tree
+// and its marks on the stack.
+const fenwickSmall = 256
+
+// truncateBatch is TruncateRandomDiscard's path for a long list: tree is a
+// Fenwick tree over positions 1..n holding 1 for every element not yet
+// drawn, so the element a draw names — the (i+1)-th still held — is found by
+// descending it, and gone marks the drawn positions for the one pass that
+// moves the survivors.
+func (l *KeyedList[K, V]) truncateBatch(max int, r *rng.Source) {
+	n := len(l.items)
+	var treeSmall [fenwickSmall + 1]int32
+	var goneSmall [fenwickSmall / 64]uint64
+	tree, gone := treeSmall[:], goneSmall[:]
+	if n > fenwickSmall {
+		tree, gone = make([]int32, n+1), make([]uint64, (n+63)/64)
+	}
+	for j := 1; j <= n; j++ {
+		tree[j] = int32(j & -j)
+	}
+	top := 1 << (bits.Len(uint(n)) - 1) // the descent's first step
+	for held := n; held > max; held-- {
+		rank := int32(r.Intn(held)) + 1
+		p := 0
+		for step := top; step > 0; step >>= 1 {
+			if q := p + step; q <= n && tree[q] < rank {
+				p, rank = q, rank-tree[q]
+			}
+		}
+		gone[p/64] |= 1 << (p % 64) // p is the 0-based position drawn
+		for j := p + 1; j <= n; j += j & -j {
+			tree[j]--
+		}
+	}
+	w := 0
+	for i, v := range l.items {
+		if gone[i/64]&(1<<(i%64)) != 0 {
+			delete(l.idx, l.key(v))
+			continue
+		}
+		l.items[w] = v
+		w++
+	}
+	clear(l.items[w:]) // what an evictee points to is garbage from here on
+	l.items = l.items[:w]
 }

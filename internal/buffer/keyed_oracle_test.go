@@ -64,10 +64,13 @@ func (l *refKeyedList) Clear() {
 // sources' positions after every op. The bounds sit on both sides of the
 // index-free mode's end at smallMax, and the inflow between two truncations
 // is up to 17 elements, so lists cross it in both directions again and
-// again. A list starts with no storage and doubles on demand: the test
+// again; one reception in sixteen brings up to 400, past the truncation's
+// stack tree. A list starts with no storage and doubles on demand: the test
 // requires a list never added to to hold none, the index to exist exactly
-// when the list has been longer than smallMax, and the bounds past 32 to
-// have been reached through at least six reallocations.
+// when the list has been longer than smallMax since a truncation last cut it
+// to smallMax or under, a truncation that removes something to leave no
+// more than max(2·smallMax, 4·Len) slots, and the bounds past 32 to have been reached through at least
+// six reallocations.
 func TestKeyedListOracle(t *testing.T) {
 	t.Parallel()
 	bounds := []int{-2, 0, 1, 7, 30, smallMax - 1, smallMax, smallMax + 1, 100, 200}
@@ -100,7 +103,11 @@ func TestKeyedListOracle(t *testing.T) {
 			if l.idx != nil && len(l.idx) != len(l.items) {
 				t.Fatalf("seed %d op %d (%s): index of %d keys beside %d items", seed, op, what, len(l.idx), len(l.items))
 			}
-			for _, v := range ref.items {
+			held := ref.items
+			if len(held) > 2*smallMax && op%32 != 0 {
+				held = slices.Concat(held[:3], held[len(held)-3:]) // a long list is probed whole now and then
+			}
+			for _, v := range held {
 				probes = append(probes, v.ID)
 			}
 			for _, k := range probes {
@@ -136,12 +143,22 @@ func TestKeyedListOracle(t *testing.T) {
 			for _, v := range held {
 				lost = append(lost, v.ID)
 			}
+			if cut := len(held) > len(ref.items); cut {
+				everLong = everLong && len(ref.items) > smallMax
+				if c := cap(l.items); c > 2*smallMax && c > 4*l.Len() {
+					t.Fatalf("seed %d op %d: a truncation to %d left %d slots", seed, op, l.Len(), c)
+				}
+			}
 			check("truncate", lost...)
 		}
 		for i := 0; i < 400; i++ {
 			switch k := gen.Intn(20); {
 			case k < 12: // one reception: an inflow, then the bound
-				for j := 1 + gen.Intn(17); j > 0; j-- {
+				inflow := 1 + gen.Intn(17)
+				if gen.Intn(16) == 0 {
+					inflow = 1 + gen.Intn(400)
+				}
+				for j := inflow; j > 0; j-- {
 					next++
 					add(proto.EventID{Origin: proto.ProcessID(1 + gen.Intn(3)), Seq: next})
 				}

@@ -9,12 +9,13 @@ import (
 	"repro/internal/rng"
 )
 
-// The references below are the digest and the two oldest-first lists as
-// they stood before the flat table and the ring: a Go map of origins each
-// holding a Go map of sparse sequence numbers, and a KeyedList truncated
-// from the front by memmove. They are kept verbatim (only renamed) because
-// they define what the fast forms must answer — every result, every order
-// — and are trivially right. Do not optimise them.
+// The references below are the digest and the IDBuffer as they stood before
+// the flat table and the ring — a Go map of origins each holding a Go map of
+// sparse sequence numbers, and a KeyedList truncated from the front by
+// memmove, kept verbatim (only renamed) — and the archive's contract as a
+// plain slice of events. They define what the fast forms must answer —
+// every result, every order — and are trivially right. Do not optimise
+// them.
 //
 // Mutations of the fast forms these tests were seen to catch, each with a
 // printed seed: the backward shift's range test made strict or not cyclic;
@@ -54,19 +55,27 @@ import (
 // dropped (TestFIFOIndexWrap at 30 and 402 entries: an entry displaced past
 // the index's end becomes unreachable); AddBounded's bound applied to a ring
 // already at it, so clamped below Len (TestFIFOBounded: two entries in one
-// slot), ignored, or passed as max instead of max+1 (TestArchiveRingIsBounded:
-// 256 or 400 slots for 200 events); the index entry not looked up again
+// slot), or ignored; the index entry not looked up again
 // after a growth rebuilt the index (the next probe never ends). One that
 // only costs time passes, as it should: AppendMissing loading the slot
 // after the home slot.
 //
-// Of the archive's payload side ring, against refArchive: the side ring not
-// grown with the id ring, or grown without its entries; an evicted payload
-// left in place; an empty payload with room kept (TestArchivePayloadOracle
-// draws such payloads for this); the side ring made before any payload; the
-// newcomer's payload written at the head; a payload's length one short.
-// Of Serve (TestArchiveServe): a repeated id answered again, a miss not
-// counted.
+// Of the archive, against refArchive: the wrapped rest of the ring not
+// scanned (TestArchiveServe); Serve's table keeping the older copy of an id
+// stored twice; the served mark not set in the table, or the short path's
+// repeat check dropped; AppendNewest one short; Lookup or Serve reading the
+// whole ring where the serving window is shorter (TestArchiveWindows); the
+// side ring grown without its entries; a payload left at a position a
+// payload-less event overwrote (TestArchiveEvictionReleasesPayloads). In
+// internal/core, TestEngineWindowsMatchReference catches the digest one id
+// long, the flat window's membership one id short, and the ring built
+// without the eventIds window.
+//
+// Of KeyedList's batched truncation (TestKeyedListOracle): the Fenwick
+// descent comparing with <=, the tree not updated after a draw, an evictee
+// left in the index, and the index kept after a cut to smallMax or under;
+// TestHostileUnsubsLeaveNothing (internal/membership) catches the excess
+// capacity kept.
 
 type refDigest struct {
 	origins map[proto.ProcessID]refOriginDigest
@@ -182,21 +191,71 @@ func (b *refIDBuffer) AppendIDs(dst []proto.EventID) []proto.EventID {
 }
 func (b *refIDBuffer) TruncateOldestDiscard(max int) int { return refTruncateOldest(&b.inner, max) }
 
+// refArchive is the archive's contract as a slice of events: every Store
+// appends, held id or not; the slice keeps its newest hold entries; Lookup
+// answers with the newest copy among the newest serve; Serve is one Lookup
+// per id of the request, each id answered once and each miss counted.
 type refArchive struct {
-	inner KeyedList[proto.EventID, proto.Event]
-	max   int
+	events      []proto.Event
+	serve, hold int
 }
 
 func (a *refArchive) Store(e proto.Event) {
-	if a.max <= 0 {
+	if a.hold <= 0 {
 		return
 	}
-	a.inner.Add(e)
-	refTruncateOldest(&a.inner, a.max)
+	a.events = append(a.events, e)
+	if len(a.events) > a.hold {
+		a.events = slices.Delete(a.events, 0, 1)
+	}
 }
 
-func (a *refArchive) Lookup(id proto.EventID) (proto.Event, bool) { return a.inner.Get(id) }
-func (a *refArchive) Len() int                                    { return a.inner.Len() }
+// newest returns the newest w events, oldest first.
+func (a *refArchive) newest(w int) []proto.Event {
+	return a.events[len(a.events)-max(0, min(w, len(a.events))):]
+}
+
+func (a *refArchive) ContainsNewest(id proto.EventID, w int) bool {
+	return slices.ContainsFunc(a.newest(w), func(e proto.Event) bool { return e.ID == id })
+}
+
+func (a *refArchive) AppendNewest(dst []proto.EventID, w int) []proto.EventID {
+	for _, e := range a.newest(w) {
+		dst = append(dst, e.ID)
+	}
+	return dst
+}
+
+func (a *refArchive) Lookup(id proto.EventID) (proto.Event, bool) {
+	win := a.newest(a.serve)
+	for i := len(win) - 1; i >= 0; i-- {
+		if win[i].ID == id {
+			e := win[i]
+			if len(e.Payload) == 0 {
+				e.Payload = nil
+			}
+			return e, true
+		}
+	}
+	return proto.Event{}, false
+}
+
+func (a *refArchive) Serve(req []proto.EventID) (reply []proto.Event, misses int) {
+	answered := map[proto.EventID]bool{}
+	for _, id := range req {
+		e, ok := a.Lookup(id)
+		switch {
+		case !ok:
+			misses++
+		case !answered[id]:
+			answered[id] = true
+			reply = append(reply, e)
+		}
+	}
+	return reply, misses
+}
+
+func (a *refArchive) Len() int { return len(a.events) }
 
 func sameSummary(a, b []DigestEntry) bool {
 	return slices.EqualFunc(a, b, func(x, y DigestEntry) bool {
@@ -554,8 +613,8 @@ func TestPIDListTruncateAllocs(t *testing.T) {
 	}
 }
 
-// fifoPair drives an IDBuffer and an Archive holding the same ids, and
-// their references, in lock step.
+// fifoPair drives an IDBuffer and an Archive fed the same ids, and their
+// references, in lock step.
 type fifoPair struct {
 	t       *testing.T
 	seed    uint64
@@ -564,18 +623,20 @@ type fifoPair struct {
 	refIDs  refIDBuffer
 	arch    Archive
 	refArch refArchive
+	window  int  // the archive's second window (Init's window), read as eventIds is
 	paid    bool // the archive has accepted a non-empty payload
 
 	heldIDs, heldArch []proto.EventID // what each held before this op
 }
 
-func newFIFOPair(t *testing.T, seed uint64, archiveMax int) *fifoPair {
-	p := &fifoPair{t: t, seed: seed}
+// newFIFOPair pairs an IDBuffer with an archive that serves its newest serve
+// notifications and holds the newest max(serve, window).
+func newFIFOPair(t *testing.T, seed uint64, serve, window int) *fifoPair {
+	p := &fifoPair{t: t, seed: seed, window: window}
 	p.ids.Init()
 	p.refIDs.inner.Init(idKey)
-	p.arch.Init(archiveMax)
-	p.refArch.inner.Init(eventKey)
-	p.refArch.max = archiveMax
+	p.arch.Init(serve, window)
+	p.refArch.serve, p.refArch.hold = serve, max(serve, window)
 	return p
 }
 
@@ -583,6 +644,8 @@ func eventOf(id proto.EventID) proto.Event {
 	return proto.Event{ID: id, Payload: []byte{byte(id.Seq), byte(id.Origin)}}
 }
 
+// add offers id to the IDBuffer, which refuses one it holds, and stores it
+// in the archive, which appends it all the same.
 func (p *fifoPair) add(id proto.EventID) {
 	p.t.Helper()
 	p.op++
@@ -605,8 +668,8 @@ func (p *fifoPair) store(ev proto.Event) {
 func (p *fifoPair) storeBoth(ev proto.Event) {
 	p.arch.Store(ev)
 	p.refArch.Store(ev)
-	if w, ok := p.refArch.Lookup(ev.ID); ok && len(ev.Payload) > 0 && samePayload(w.Payload, ev.Payload) {
-		p.paid = true // accepted, not refused as a duplicate
+	if p.refArch.hold > 0 && len(ev.Payload) > 0 {
+		p.paid = true
 	}
 }
 
@@ -618,6 +681,11 @@ func samePayload(got, want []byte) bool {
 		return got == nil
 	}
 	return len(got) == len(want) && &got[0] == &want[0]
+}
+
+// sameEvent reports whether an archive answered with the reference's event.
+func sameEvent(got, want proto.Event) bool {
+	return got.ID == want.ID && samePayload(got.Payload, want.Payload)
 }
 
 // checkSideRing: the side ring is nil until a non-empty payload is
@@ -632,15 +700,15 @@ func (p *fifoPair) checkSideRing() {
 		}
 		return
 	}
-	if !p.paid || len(a.pay) != len(a.ids.ring) {
+	if !p.paid || len(a.pay) != len(a.ring) {
 		p.t.Fatalf("seed %d op %d: side ring of %d slots beside an id ring of %d (a payload archived: %v)",
-			p.seed, p.op, len(a.pay), len(a.ids.ring), p.paid)
+			p.seed, p.op, len(a.pay), len(a.ring), p.paid)
 	}
 	slots := uint32(len(a.pay))
 	for q := range a.pay {
-		if (uint32(q)+slots-a.ids.head)%slots >= a.ids.n && a.pay[q] != (payloadRef{}) {
+		if (uint32(q)+slots-a.head)%slots >= a.n && a.pay[q] != (payloadRef{}) {
 			p.t.Fatalf("seed %d op %d: side-ring position %d outside the live window (head %d, %d held) keeps a payload",
-				p.seed, p.op, q, a.ids.head, a.ids.n)
+				p.seed, p.op, q, a.head, a.n)
 		}
 	}
 }
@@ -654,8 +722,11 @@ func (p *fifoPair) truncate(max int) {
 	p.check(proto.EventID{})
 }
 
-// check compares lengths, full oldest-first order, and membership and
-// lookup of probe and of every id either side holds or just lost.
+// check compares lengths, full oldest-first order, the archive's window
+// reads at both of its windows and on either side of them, and membership,
+// lookup of probe and of every id either side holds or just lost, and
+// their service: in one request, twice over, which is past serveScanMax
+// once anything is held, and a few of them alone.
 func (p *fifoPair) check(probe proto.EventID) {
 	p.t.Helper()
 	if g, w := p.ids.Len(), p.refIDs.Len(); g != w {
@@ -674,31 +745,53 @@ func (p *fifoPair) check(probe proto.EventID) {
 			p.t.Fatalf("seed %d op %d: At(%d) = %v, reference %v", p.seed, p.op, i, got, id)
 		}
 	}
-	archWant := make([]proto.EventID, 0, p.refArch.Len())
-	for _, ev := range p.refArch.inner.items {
-		archWant = append(archWant, ev.ID)
-	}
-	if archGot := p.arch.ids.AppendItems(nil); !slices.Equal(archGot, archWant) {
-		p.t.Fatalf("seed %d op %d: archive order = %v, reference %v", p.seed, p.op, archGot, archWant)
+	archWant := p.refArch.AppendNewest(nil, p.refArch.hold)
+	windows := []int{-1, 0, 1, p.refArch.serve - 1, p.refArch.serve, p.window, p.window + 1, p.refArch.hold}
+	for _, w := range windows {
+		if got, want := p.arch.AppendNewest(nil, w), p.refArch.AppendNewest(nil, w); !slices.Equal(got, want) {
+			p.t.Fatalf("seed %d op %d: AppendNewest(%d) = %v, reference %v", p.seed, p.op, w, got, want)
+		}
 	}
 	p.checkSideRing()
 	probes := slices.Concat(before, want, beforeArch, archWant, []proto.EventID{probe})
-	if len(probes) > 40 && p.op%16 != 0 {
-		// A long list is probed whole every sixteenth op, otherwise at both
-		// ends of what it held and holds: the evictees and the newcomers.
+	if len(probes) > 40 && p.op%64 != 0 {
+		// A long list is probed whole every 64th op, otherwise at both ends
+		// of what it held and holds: the evictees and the newcomers.
 		probes = slices.Concat(ends(before), ends(want), ends(beforeArch), ends(archWant), []proto.EventID{probe})
 	}
 	for _, id := range probes {
 		if g, w := p.ids.Contains(id), p.refIDs.Contains(id); g != w {
 			p.t.Fatalf("seed %d op %d: IDBuffer.Contains(%v) = %v, reference %v", p.seed, p.op, id, g, w)
 		}
+		for _, win := range windows[4:6] { // the serving window and the other
+			if g, w := p.arch.ContainsNewest(id, win), p.refArch.ContainsNewest(id, win); g != w {
+				p.t.Fatalf("seed %d op %d: ContainsNewest(%v, %d) = %v, reference %v", p.seed, p.op, id, win, g, w)
+			}
+		}
 		g, gok := p.arch.Lookup(id)
 		w, wok := p.refArch.Lookup(id)
-		if gok != wok || g.ID != w.ID || !samePayload(g.Payload, w.Payload) {
+		if gok != wok || !sameEvent(g, w) {
 			p.t.Fatalf("seed %d op %d: Archive.Lookup(%v) = %v,%v, reference %v,%v", p.seed, p.op, id, g, gok, w, wok)
 		}
 	}
+	for _, id := range ends(probes) {
+		p.checkServe([]proto.EventID{id, probe, id})
+	}
+	p.checkServe(slices.Concat(probes, probes))
 	p.heldIDs, p.heldArch = want, archWant
+}
+
+// checkServe compares the archive's answer to req with the reference's: the
+// same events in the same order, each payload the very bytes, and the same
+// number of misses.
+func (p *fifoPair) checkServe(req []proto.EventID) {
+	p.t.Helper()
+	got, gotMisses := p.arch.Serve(req)
+	want, wantMisses := p.refArch.Serve(req)
+	if gotMisses != wantMisses || !slices.EqualFunc(got, want, sameEvent) {
+		p.t.Fatalf("seed %d op %d: Serve of %d ids = %v with %d misses, reference %v with %d",
+			p.seed, p.op, len(req), got, gotMisses, want, wantMisses)
+	}
 }
 
 // ends returns a copy of the first and last three ids of s.
@@ -709,22 +802,26 @@ func ends(s []proto.EventID) []proto.EventID {
 	return append(slices.Clone(s[:3]), s[len(s)-3:]...)
 }
 
-// TestFIFOOracle compares the ring-backed IDBuffer and Archive against
-// their KeyedList forms after every op of long random sequences: adds of
-// fresh, held and long-evicted ids; truncation to bounds on both sides of
-// the index-free mode, to zero and below; stretches without truncation
-// that grow a wrapped ring; pre-sizing in mid-life, to any length. With
-// bounds of 1 and 2 the ring wraps hundreds of times per sequence, with 200
-// a few dozen. The archive's ring is one slot longer than its bound — 2, 3,
-// 8 (the power of two), 10, 61 and 201 slots, the index twice that — and the
-// id window's is whatever doubling and Grow left.
+// TestFIFOOracle compares the ring-backed IDBuffer against its KeyedList
+// form, and the archive fed the same ids against the slice that defines
+// it, after every op of long random sequences: adds of fresh, held and
+// long-evicted ids (which the IDBuffer refuses while it holds them and the
+// archive appends again); truncation of the IDBuffer to bounds on both
+// sides of the index-free mode, to zero and below; stretches without
+// truncation that grow a wrapped ring; pre-sizing in mid-life, to any
+// length. With bounds of 1 and 2 the rings wrap hundreds of times per
+// sequence, with 200 a few dozen. The archive serves its newest bound
+// entries and holds max(bound, window) for windows of 0, 1, 60 and 300, so
+// the serving window is shorter than, equal to and longer than the other.
 func TestFIFOOracle(t *testing.T) {
 	t.Parallel()
 	bounds := []int{-3, 0, 1, 2, 7, 9, 60, 200}
+	windows := []int{0, 1, 60, 300}
 	for seed := uint64(1); seed <= 64; seed++ {
 		r := rng.New(seed)
 		bound := bounds[seed%uint64(len(bounds))]
-		p := newFIFOPair(t, seed, bound)
+		window := windows[seed/uint64(len(bounds))%uint64(len(windows))]
+		p := newFIFOPair(t, seed, bound, window)
 		next := uint64(0)
 		origins := 1 + r.Intn(5)
 		ops := 600
@@ -749,8 +846,8 @@ func TestFIFOOracle(t *testing.T) {
 				p.check(proto.EventID{})
 			}
 		}
-		if got := len(p.arch.ids.ring); bound > 0 && got != bound+1 {
-			t.Fatalf("seed %d: archive bounded at %d ends in a ring of %d slots, want %d", seed, bound, got, bound+1)
+		if got, hold := len(p.arch.ring), max(bound, window); hold > 0 && got != hold {
+			t.Fatalf("seed %d: archive holding %d ends in a ring of %d slots, want %d", seed, hold, got, hold)
 		}
 	}
 }
@@ -771,28 +868,34 @@ func payloadOf(r *rng.Source) []byte {
 }
 
 // TestArchivePayloadOracle compares the archive's payloads with the
-// reference's: Lookup must return the very slice the reference holds (nil for
-// an empty one), the side ring must appear with the first non-empty payload
-// and stay aligned with the id ring. The first payload-carrying event arrives
-// after every number of payload-less ones from 0 to 201 — on an empty
-// archive, at each growth step of the 201-slot ring and between them, on the
-// full ring — and after 260, 402 and 777, when the ring has wrapped once,
-// twice and more. From there payloads are a random mix of nil, empty and 1–100
-// bytes, and one event in eight names an id stored before: still held, so
-// refused with its payload, or evicted long ago. Every op also checks the
-// archive's order and that no side-ring slot outside the live window holds
-// a payload (fifoPair.check).
+// reference's: Lookup and Serve must return the very slice the reference
+// holds (nil for an empty one), the side ring must appear with the first
+// non-empty payload and stay aligned with the id ring. The first
+// payload-carrying event arrives after every number of payload-less ones
+// from 0 to 200 — on an empty archive, at each growth step of the 200-slot
+// ring and between them, on the full ring — and after 260, 402 and 777, when
+// the ring has wrapped once, twice and more. From there payloads are a
+// random mix of nil, empty and 1–100 bytes, and one event in eight names an
+// id stored before: still held, so stored again as the newer copy with its
+// own payload, or evicted long ago. Every op also checks the archive's
+// order and that no side-ring slot outside the live window holds a payload
+// (fifoPair.check). Odd runs serve the newest 60 of the 200 held, as an
+// engine with ArchiveSize 60 and |eventIds|m 200 would.
 func TestArchivePayloadOracle(t *testing.T) {
 	t.Parallel()
 	var firsts []int
-	for first := 0; first <= 201; first++ {
+	for first := 0; first <= 200; first++ {
 		firsts = append(firsts, first)
 	}
 	firsts = append(firsts, 260, 402, 777)
 	for _, first := range firsts {
 		seed := uint64(first)
 		r := rng.New(seed)
-		p := newFIFOPair(t, seed, 200)
+		serve := 200
+		if first%2 == 1 {
+			serve = 60
+		}
+		p := newFIFOPair(t, seed, serve, 200)
 		next := uint64(0)
 		for i := 0; i < first+250; i++ {
 			ev := proto.Event{ID: proto.EventID{Origin: proto.ProcessID(1 + r.Intn(3))}}
@@ -815,8 +918,8 @@ func TestArchivePayloadOracle(t *testing.T) {
 			}
 			p.store(ev)
 		}
-		if !p.paid || len(p.arch.pay) != 201 {
-			t.Fatalf("first payload after %d: side ring of %d slots, want 201", first, len(p.arch.pay))
+		if !p.paid || len(p.arch.pay) != 200 {
+			t.Fatalf("first payload after %d: side ring of %d slots, want 200", first, len(p.arch.pay))
 		}
 	}
 }
@@ -907,7 +1010,7 @@ func TestFIFOIndexWrap(t *testing.T) {
 		}
 		run = append(run, byHome[idxLen-1][3], byHome[idxLen-2][3])
 		for rot := 0; rot < 3; rot++ {
-			p := newFIFOPair(t, uint64(rot), ring)
+			p := newFIFOPair(t, uint64(rot), ring, 0)
 			p.ids.Grow(ring)
 			for i := range run {
 				p.add(run[(i+rot*5)%len(run)])

@@ -22,8 +22,8 @@ import (
 type DigestMode int
 
 const (
-	// FlatDigest is the plain bounded FIFO of identifiers whose size
-	// |eventIds|m the paper's measurements vary (Fig. 6(b)).
+	// FlatDigest is the plain bounded window of the newest identifiers
+	// whose size |eventIds|m the paper's measurements vary (Fig. 6(b)).
 	FlatDigest DigestMode = iota
 	// CompactDigest is the §3.2 optimization: per originator, a contiguous
 	// delivered watermark plus the sparse out-of-order identifiers.
@@ -197,9 +197,8 @@ type Engine struct {
 	cfg     Config
 	mem     *membership.Manager
 	events  *buffer.EventBuffer
-	flat    *buffer.IDBuffer
 	compact *buffer.CompactDigest
-	archive *buffer.Archive
+	archive *buffer.Archive // delivered ids, newest last: the flat digest and the retransmission store
 	deliver Deliverer
 	sink    EventSink // interface alternative to deliver (see NewIn)
 	rng     *rng.Source
@@ -278,13 +277,11 @@ func New(self proto.ProcessID, cfg Config, deliver Deliverer, r *rng.Source) (*E
 		cfg:     cfg,
 		mem:     mem,
 		events:  buffer.NewEventBuffer(),
-		archive: buffer.NewArchive(cfg.ArchiveSize),
+		archive: new(buffer.Archive),
 		deliver: deliver,
 		rng:     r,
 	}
-	if cfg.DigestMode == FlatDigest {
-		e.flat = buffer.NewIDBuffer()
-	}
+	e.archive.Init(cfg.ArchiveSize, cfg.flatWindow())
 	if cfg.DigestMode == CompactDigest || cfg.DedupMemory {
 		e.compact = buffer.NewCompactDigest()
 	}
@@ -324,26 +321,24 @@ func (e *Engine) Membership() *membership.Manager { return e.mem }
 // gossip arrives, e.g. from a static seed list).
 func (e *Engine) Seed(ps []proto.ProcessID) { e.mem.Seed(ps) }
 
+// flatWindow is |eventIds|m with the flat digest, whose window is the
+// newest deliveries of the archive's ring, and 0 without it.
+func (c Config) flatWindow() int {
+	if c.DigestMode == FlatDigest {
+		return c.MaxEventIDs
+	}
+	return 0
+}
+
 // knows reports whether id has been delivered (is in eventIds). With
 // DedupMemory the compact structure remembers every delivery; otherwise
-// only the bounded flat window does, and old identifiers are forgotten.
+// only the flat window — the newest |eventIds|m entries of the archive's
+// ring, scanned — does, and old identifiers are forgotten.
 func (e *Engine) knows(id proto.EventID) bool {
 	if e.compact != nil {
 		return e.compact.Contains(id)
 	}
-	return e.flat.Contains(id)
-}
-
-// record adds id to eventIds: to the advertised flat window (bounded) and,
-// when enabled, to the compact dedup memory.
-func (e *Engine) record(id proto.EventID) {
-	if e.flat != nil {
-		e.flat.AddBounded(id, e.cfg.MaxEventIDs+1) // one past the bound until the truncation below
-		e.flat.TruncateOldestDiscard(e.cfg.MaxEventIDs)
-	}
-	if e.compact != nil {
-		e.compact.Add(id)
-	}
+	return e.archive.ContainsNewest(id, e.cfg.MaxEventIDs)
 }
 
 // Knows reports whether the engine currently remembers delivering id.
@@ -365,10 +360,14 @@ func (e *Engine) Publish(payload []byte) proto.Event {
 	return ev
 }
 
-// deliverEvent hands ev to the application and records its id.
+// deliverEvent hands ev to the application and records its id: in the
+// archive's ring, whose newest entries are the flat eventIds window, and,
+// when enabled, in the compact dedup memory.
 func (e *Engine) deliverEvent(ev proto.Event) {
 	e.stats.EventsDelivered++
-	e.record(ev.ID)
+	if e.compact != nil {
+		e.compact.Add(ev.ID)
+	}
 	e.archive.Store(ev)
 	if e.deliver != nil {
 		e.deliver(ev)
@@ -886,7 +885,7 @@ func (e *Engine) appendDigestIDs(dst []proto.EventID) []proto.EventID {
 		}
 		return dst
 	}
-	return e.flat.AppendIDs(dst)
+	return e.archive.AppendNewest(dst, e.cfg.MaxEventIDs)
 }
 
 // appendWatermarks appends the compact digest's per-origin watermarks to
@@ -931,7 +930,7 @@ func (e *Engine) DigestLen() int {
 	if e.cfg.DigestMode == CompactDigest {
 		return e.compact.SparseLen()
 	}
-	return e.flat.Len()
+	return min(e.archive.Len(), e.cfg.MaxEventIDs)
 }
 
 // SubsLen returns the current subs buffer occupancy (diagnostics).

@@ -22,7 +22,6 @@ type engineSlot struct {
 	eng     Engine
 	mgr     membership.ManagerBlock
 	events  buffer.EventBuffer
-	flat    buffer.IDBuffer
 	compact buffer.CompactDigest
 	archive buffer.Archive
 	src     rng.Source // engine stream
@@ -66,7 +65,7 @@ func NewIn(self proto.ProcessID, cfg Config, sink EventSink, src rng.Source, p *
 		return nil, err
 	}
 	slot.events.Init()
-	slot.archive.Init(cfg.ArchiveSize)
+	slot.archive.Init(cfg.ArchiveSize, cfg.flatWindow())
 	e := &slot.eng
 	*e = Engine{
 		self:    self,
@@ -76,10 +75,6 @@ func NewIn(self proto.ProcessID, cfg Config, sink EventSink, src rng.Source, p *
 		archive: &slot.archive,
 		sink:    sink,
 		rng:     &slot.src,
-	}
-	if cfg.DigestMode == FlatDigest {
-		slot.flat.Init()
-		e.flat = &slot.flat
 	}
 	if cfg.DigestMode == CompactDigest || cfg.DedupMemory {
 		e.compact = &slot.compact

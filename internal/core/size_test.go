@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/buffer"
 	"repro/internal/proto"
 	"repro/internal/rng"
 )
@@ -25,8 +26,8 @@ func storage(e *Engine, path ...string) reflect.Value {
 // TestIdleEngineHoldsNoEventStorage: a bound is a maximum, not a size. Forty
 // pooled engines gossip membership for 20 rounds — every view full, every
 // reception merging and truncating — without ever meeting an event or an
-// unsubscription, and none of them holds a slot of events, eventIds or
-// unSubs storage.
+// unsubscription, and none of them holds a slot of events, unSubs or the
+// ring of delivered ids that is both eventIds and the archive.
 func TestIdleEngineHoldsNoEventStorage(t *testing.T) {
 	const n = 40
 	cfg := DefaultConfig()
@@ -72,8 +73,8 @@ func TestIdleEngineHoldsNoEventStorage(t *testing.T) {
 			path []string
 		}{
 			{"events", []string{"events", "inner", "items"}},
-			{"eventIds ring", []string{"flat", "inner", "ring"}},
-			{"eventIds index", []string{"flat", "inner", "idx"}},
+			{"eventIds and archive ring", []string{"archive", "ring"}},
+			{"archive payloads", []string{"archive", "pay"}},
 			{"unSubs", []string{"mem", "unsubs", "inner", "items"}},
 		} {
 			if c := storage(e, buf.path...).Cap(); c != 0 {
@@ -130,23 +131,25 @@ func loadedEngine(t *testing.T, payload []byte) (*Engine, func()) {
 
 // TestLoadedBuffersStopAtBound: growth on demand ends at the bound. A pooled
 // engine receives 35 fresh notifications per gossip — more than |events|m —
-// until every buffer is at its high-water mark: the eventIds ring is exactly
-// |eventIds|m + 1 slots (one past the bound between Add and truncation), the
-// events list is no larger than the 32-slot class it used to be given at
-// construction, the archive is a ring of ArchiveSize + 1 16-byte ids with no
-// side ring for the payloads these notifications do not carry, and 1 000
-// further receptions allocate nothing.
+// until every buffer is at its high-water mark: the events list is no larger
+// than the 32-slot class it used to be given at construction; eventIds and
+// the archive are one ring of max(ArchiveSize, |eventIds|m) 16-byte ids, with
+// no side ring for the payloads these notifications do not carry and no
+// other store of delivered ids beside it; and 1 000 further receptions
+// allocate nothing.
 func TestLoadedBuffersStopAtBound(t *testing.T) {
 	cfg := DefaultConfig()
 	e, receive := loadedEngine(t, nil)
-	if got, want := storage(e, "flat", "inner", "ring").Len(), cfg.MaxEventIDs+1; got != want {
-		t.Errorf("eventIds ring of %d slots after a loaded warm-up, want exactly %d", got, want)
+	for i, engine := 0, reflect.TypeOf(*e); i < engine.NumField(); i++ {
+		if f := engine.Field(i); f.Type == reflect.TypeOf(&buffer.IDBuffer{}) || f.Type == reflect.TypeOf(&buffer.FIFO[proto.EventID]{}) {
+			t.Errorf("Engine.%s is a second store of delivered ids beside the archive", f.Name)
+		}
 	}
 	if got := storage(e, "events", "inner", "items").Cap(); got < cfg.MaxEvents+1 || got > 32 {
 		t.Errorf("events holds %d slots after a loaded warm-up, want %d to 32", got, cfg.MaxEvents+1)
 	}
-	ring := storage(e, "archive", "ids", "ring")
-	if got, want := ring.Len(), cfg.ArchiveSize+1; got != want || ring.Type().Elem().Size() != 16 {
+	ring := storage(e, "archive", "ring")
+	if got, want := ring.Len(), max(cfg.ArchiveSize, cfg.MaxEventIDs); got != want || ring.Type().Elem().Size() != 16 {
 		t.Errorf("archive ring of %d slots of %d bytes, want %d of 16", got, ring.Type().Elem().Size(), want)
 	}
 	if !storage(e, "archive", "pay").IsNil() {
@@ -171,7 +174,7 @@ func TestOnePayloadCopyPerDelivery(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, receive); allocs != k {
 		t.Errorf("a reception of %d fresh 64-byte notifications allocates %v times, want %d", k, allocs, k)
 	}
-	if got := storage(e, "archive", "pay").Len(); got != DefaultConfig().ArchiveSize+1 {
+	if got := storage(e, "archive", "pay").Len(); got != DefaultConfig().ArchiveSize {
 		t.Errorf("side ring of %d slots, want one per archive ring slot", got)
 	}
 	shared := 0

@@ -2,6 +2,7 @@ package membership
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/proto"
@@ -358,4 +359,41 @@ func TestRemoveFromView(t *testing.T) {
 	if !m.RemoveFromView(2) || m.RemoveFromView(2) {
 		t.Fatal("RemoveFromView behaviour wrong")
 	}
+}
+
+// TestHostileUnsubsLeaveNothing: one gossip carrying 10⁴ or 3·10⁴ fresh
+// unsubscriptions — far past |unSubs|m — leaves the buffer at its bound and
+// the process holding under 16 KB more than before it (a few hundred bytes
+// of it the buffer's, the rest slack for the runtime's own), not the index
+// and the backing array the inflow grew (393 KB and 1.2 MB when a
+// truncation kept them). Not parallel: it reads the heap.
+func TestHostileUnsubsLeaveNothing(t *testing.T) {
+	cfg := DefaultConfig()
+	for _, n := range []int{10_000, 30_000} {
+		m := newTestManager(t, cfg)
+		m.Seed([]proto.ProcessID{2, 3, 4})
+		unsubs := make([]proto.Unsubscription, n)
+		for i := range unsubs {
+			unsubs[i] = proto.Unsubscription{Process: proto.ProcessID(100 + i), Stamp: 5}
+		}
+		before := liveHeap()
+		m.ApplyUnsubs(unsubs, 5)
+		retained := int64(liveHeap()) - int64(before)
+		if m.UnsubsLen() != cfg.MaxUnsubs {
+			t.Fatalf("%d unsubscriptions left %d buffered, want %d", n, m.UnsubsLen(), cfg.MaxUnsubs)
+		}
+		if retained > 16<<10 {
+			t.Errorf("%d unsubscriptions in one gossip left %d bytes retained, want under 16 KB", n, retained)
+		}
+		runtime.KeepAlive(m)
+		runtime.KeepAlive(unsubs)
+	}
+}
+
+// liveHeap returns the live heap after a collection.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
