@@ -570,7 +570,11 @@ func (a *Archive) event(id proto.EventID, p int) proto.Event {
 // serveScanMax is the request length up to which Serve finds each id by a
 // scan from the newest end, as Lookup does. Past it a scan per id would
 // make Serve's work the request's length times the window's, so the window
-// is indexed once instead.
+// is indexed once instead. Pulls are short and recent: on the benchmark's
+// sim-loaded-seq workload 97 % of requests name at most 8 ids and 99.9 % of
+// the ids named are among the newest 60, and building the table for every
+// request instead lowered its proc_rounds_per_s by about a sixth (2-core
+// x86-64 box).
 const serveScanMax = 8
 
 // serveTableSmall is the length of Serve's stack table: twice the default

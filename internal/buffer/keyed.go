@@ -190,16 +190,23 @@ func (l *KeyedList[K, V]) Clear() {
 // not handed back, which keeps per-message truncation allocation-free.
 //
 // The k draws are Intn(len), Intn(len-1), …, each naming a position among
-// the elements still held. A single eviction, or a list of at most batchMax
-// elements, deletes at each draw. Past that, deleting at each draw would
-// cost k moves of the list — quadratic in one hostile gossip's unSubs — so
-// all k draws are taken first, each mapped to the element it names by a
-// Fenwick tree over the held positions, and one pass then moves each
-// survivor once: the same draws, the same survivors, in O(n log n).
-// Afterwards a list cut back to smallMax or under drops its index, and one
-// whose storage is more than four times what it holds and past 2·smallMax
-// gives the excess back, so a hostile inflow leaves nothing behind; a list
-// within its configured bounds never meets either rule.
+// the elements still held. A truncation that removes at most batchMax
+// elements deletes at each draw, at most batchMax moves of the list. Past
+// that, deleting at each draw would cost k moves of the list — quadratic in
+// one hostile gossip's unSubs — so all k draws are taken first, each mapped
+// to the element it names by a Fenwick tree over the held positions, and
+// one pass then moves each survivor once: the same draws, the same
+// survivors, in O(n log n). Honest traffic does not take that path unless
+// |unSubs|m is above batchMax: the engine cuts events after every add, one
+// eviction at a time, and a gossip brings unSubs at most another process's
+// |unSubs|m.
+//
+// Afterwards a list whose storage is past 2·smallMax and more than four
+// times what it holds gives the excess back, its index too (a map does not
+// shrink): the index is rebuilt at the list's length, or dropped at smallMax
+// or under. So a hostile inflow leaves nothing behind. Honest traffic never
+// meets the rule: a list is cut to its bound b only after an inflow of at
+// most another process's b, so its storage stays at 4·b or under.
 func (l *KeyedList[K, V]) TruncateRandomDiscard(max int, r *rng.Source) int {
 	if max < 0 {
 		max = 0
@@ -209,7 +216,7 @@ func (l *KeyedList[K, V]) TruncateRandomDiscard(max int, r *rng.Source) int {
 	if k <= 0 {
 		return 0
 	}
-	if k == 1 || n <= batchMax {
+	if k <= batchMax {
 		for len(l.items) > max {
 			i := r.Intn(len(l.items))
 			delete(l.idx, l.key(l.items[i]))
@@ -218,11 +225,12 @@ func (l *KeyedList[K, V]) TruncateRandomDiscard(max int, r *rng.Source) int {
 	} else {
 		l.truncateBatch(max, r)
 	}
-	if l.idx != nil && len(l.items) <= smallMax {
-		l.idx = nil
-	}
 	if c := cap(l.items); c > 2*smallMax && c > 4*len(l.items) {
 		l.items = append([]V(nil), l.items...)
+		l.idx = nil
+		if len(l.items) > smallMax {
+			l.buildIdx()
+		}
 	}
 	return k
 }

@@ -65,12 +65,14 @@ func (l *refKeyedList) Clear() {
 // index-free mode's end at smallMax, and the inflow between two truncations
 // is up to 17 elements, so lists cross it in both directions again and
 // again; one reception in sixteen brings up to 400, past the truncation's
-// stack tree. A list starts with no storage and doubles on demand: the test
-// requires a list never added to to hold none, the index to exist exactly
-// when the list has been longer than smallMax since a truncation last cut it
-// to smallMax or under, a truncation that removes something to leave no
-// more than max(2·smallMax, 4·Len) slots, and the bounds past 32 to have been reached through at least
-// six reallocations.
+// stack tree, and while it arrives the list is probed at its ends with
+// every add and whole with every 32nd. A list starts with no storage and
+// doubles on demand: the test requires a list never added to to hold none,
+// a truncation that removes something to leave no more than
+// max(2·smallMax, 4·Len) slots, the index to exist exactly when the list has
+// been longer than smallMax since a truncation last gave storage back and
+// left smallMax or fewer, and the bounds past 32 to have been reached
+// through at least six reallocations.
 func TestKeyedListOracle(t *testing.T) {
 	t.Parallel()
 	bounds := []int{-2, 0, 1, 7, 30, smallMax - 1, smallMax, smallMax + 1, 100, 200}
@@ -84,7 +86,7 @@ func TestKeyedListOracle(t *testing.T) {
 		if cap(l.items) != 0 || l.idx != nil {
 			t.Fatalf("a list never added to holds %d slots, index %v", cap(l.items), l.idx != nil)
 		}
-		next, op, grown, everLong := uint64(0), 0, 0, false
+		next, op, grown, everLong, flood := uint64(0), 0, 0, false, false
 		check := func(what string, probes ...proto.EventID) {
 			t.Helper()
 			if !slices.EqualFunc(l.items, ref.items, func(a, b proto.Event) bool { return a.ID == b.ID }) {
@@ -104,8 +106,8 @@ func TestKeyedListOracle(t *testing.T) {
 				t.Fatalf("seed %d op %d (%s): index of %d keys beside %d items", seed, op, what, len(l.idx), len(l.items))
 			}
 			held := ref.items
-			if len(held) > 2*smallMax && op%32 != 0 {
-				held = slices.Concat(held[:3], held[len(held)-3:]) // a long list is probed whole now and then
+			if flood && len(held) > 6 && op%32 != 0 {
+				held = slices.Concat(held[:3], held[len(held)-3:]) // a flood is probed whole now and then
 			}
 			for _, v := range held {
 				probes = append(probes, v.ID)
@@ -135,7 +137,7 @@ func TestKeyedListOracle(t *testing.T) {
 		}
 		truncate := func(max int) {
 			op++
-			held := slices.Clone(ref.items)
+			held, slots := slices.Clone(ref.items), cap(l.items)
 			if g, w := l.TruncateRandomDiscard(max, got), ref.TruncateRandomDiscard(max, want); g != w {
 				t.Fatalf("seed %d op %d: TruncateRandomDiscard(%d) = %d, reference %d", seed, op, max, g, w)
 			}
@@ -144,7 +146,9 @@ func TestKeyedListOracle(t *testing.T) {
 				lost = append(lost, v.ID)
 			}
 			if cut := len(held) > len(ref.items); cut {
-				everLong = everLong && len(ref.items) > smallMax
+				if slots > 2*smallMax && slots > 4*len(ref.items) { // the storage given back, the index with it
+					everLong = everLong && len(ref.items) > smallMax
+				}
 				if c := cap(l.items); c > 2*smallMax && c > 4*l.Len() {
 					t.Fatalf("seed %d op %d: a truncation to %d left %d slots", seed, op, l.Len(), c)
 				}
@@ -155,13 +159,15 @@ func TestKeyedListOracle(t *testing.T) {
 			switch k := gen.Intn(20); {
 			case k < 12: // one reception: an inflow, then the bound
 				inflow := 1 + gen.Intn(17)
-				if gen.Intn(16) == 0 {
+				flood = gen.Intn(16) == 0
+				if flood {
 					inflow = 1 + gen.Intn(400)
 				}
 				for j := inflow; j > 0; j-- {
 					next++
 					add(proto.EventID{Origin: proto.ProcessID(1 + gen.Intn(3)), Seq: next})
 				}
+				flood = false
 				if k < 10 {
 					truncate(bound)
 				}

@@ -753,20 +753,22 @@ func (p *fifoPair) check(probe proto.EventID) {
 		}
 	}
 	p.checkSideRing()
-	probes := slices.Concat(before, want, beforeArch, archWant, []proto.EventID{probe})
-	if len(probes) > 40 && p.op%64 != 0 {
-		// A long list is probed whole every 64th op, otherwise at both ends
-		// of what it held and holds: the evictees and the newcomers.
-		probes = slices.Concat(ends(before), ends(want), ends(beforeArch), ends(archWant), []proto.EventID{probe})
+	all := slices.Concat(before, want, beforeArch, archWant, []proto.EventID{probe})
+	some := slices.Concat(ends(before), ends(want), ends(beforeArch), ends(archWant), []proto.EventID{probe})
+	// A long list is probed whole every sixteenth op, otherwise at both ends
+	// of what it held and holds: the evictees and the newcomers. The window
+	// reads and Serve, each a scan of a window per id in the reference, take
+	// the whole list every 64th op.
+	probes, windowProbes := all, all
+	if len(all) > 40 && p.op%16 != 0 {
+		probes = some
+	}
+	if len(all) > 40 && p.op%64 != 0 {
+		windowProbes = some
 	}
 	for _, id := range probes {
 		if g, w := p.ids.Contains(id), p.refIDs.Contains(id); g != w {
 			p.t.Fatalf("seed %d op %d: IDBuffer.Contains(%v) = %v, reference %v", p.seed, p.op, id, g, w)
-		}
-		for _, win := range windows[4:6] { // the serving window and the other
-			if g, w := p.arch.ContainsNewest(id, win), p.refArch.ContainsNewest(id, win); g != w {
-				p.t.Fatalf("seed %d op %d: ContainsNewest(%v, %d) = %v, reference %v", p.seed, p.op, id, win, g, w)
-			}
 		}
 		g, gok := p.arch.Lookup(id)
 		w, wok := p.refArch.Lookup(id)
@@ -774,10 +776,17 @@ func (p *fifoPair) check(probe proto.EventID) {
 			p.t.Fatalf("seed %d op %d: Archive.Lookup(%v) = %v,%v, reference %v,%v", p.seed, p.op, id, g, gok, w, wok)
 		}
 	}
-	for _, id := range ends(probes) {
+	for _, id := range windowProbes {
+		for _, win := range windows[4:6] { // the serving window and the other
+			if g, w := p.arch.ContainsNewest(id, win), p.refArch.ContainsNewest(id, win); g != w {
+				p.t.Fatalf("seed %d op %d: ContainsNewest(%v, %d) = %v, reference %v", p.seed, p.op, id, win, g, w)
+			}
+		}
+	}
+	for _, id := range ends(windowProbes) {
 		p.checkServe([]proto.EventID{id, probe, id})
 	}
-	p.checkServe(slices.Concat(probes, probes))
+	p.checkServe(slices.Concat(windowProbes, windowProbes))
 	p.heldIDs, p.heldArch = want, archWant
 }
 

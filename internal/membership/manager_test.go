@@ -362,14 +362,17 @@ func TestRemoveFromView(t *testing.T) {
 }
 
 // TestHostileUnsubsLeaveNothing: one gossip carrying 10⁴ or 3·10⁴ fresh
-// unsubscriptions — far past |unSubs|m — leaves the buffer at its bound and
-// the process holding under 16 KB more than before it (a few hundred bytes
-// of it the buffer's, the rest slack for the runtime's own), not the index
-// and the backing array the inflow grew (393 KB and 1.2 MB when a
-// truncation kept them). Not parallel: it reads the heap.
+// unsubscriptions — far past |unSubs|m, DefaultConfig's 15 — leaves the
+// buffer at its bound and the process holding under 16 KB more than before
+// it (a few hundred bytes of it the buffer's, the rest slack for the
+// runtime's own), not the index and the backing array the inflow grew
+// (393 KB and 1.2 MB when a truncation kept them). At |unSubs|m = 100 the
+// buffer keeps an index, which must be one of its 100 entries, not the
+// flood's. Not parallel: it reads the heap.
 func TestHostileUnsubsLeaveNothing(t *testing.T) {
-	cfg := DefaultConfig()
-	for _, n := range []int{10_000, 30_000} {
+	for _, c := range []struct{ bound, n int }{{15, 10_000}, {15, 30_000}, {100, 10_000}} {
+		cfg, n := DefaultConfig(), c.n
+		cfg.MaxUnsubs = c.bound
 		m := newTestManager(t, cfg)
 		m.Seed([]proto.ProcessID{2, 3, 4})
 		unsubs := make([]proto.Unsubscription, n)
@@ -383,7 +386,7 @@ func TestHostileUnsubsLeaveNothing(t *testing.T) {
 			t.Fatalf("%d unsubscriptions left %d buffered, want %d", n, m.UnsubsLen(), cfg.MaxUnsubs)
 		}
 		if retained > 16<<10 {
-			t.Errorf("%d unsubscriptions in one gossip left %d bytes retained, want under 16 KB", n, retained)
+			t.Errorf("%d unsubscriptions in one gossip left %d bytes retained at |unSubs|m = %d, want under 16 KB", n, retained, cfg.MaxUnsubs)
 		}
 		runtime.KeepAlive(m)
 		runtime.KeepAlive(unsubs)
