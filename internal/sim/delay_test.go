@@ -460,20 +460,19 @@ func TestDelayedRoundAllocs(t *testing.T) {
 // key: it sends one *proto.Gossip across the WAN on its tick, then rewrites
 // that gossip and sends it again as a same-period response.
 type rewriter struct {
-	fakeProcess
 	self, wan proto.ProcessID
 	g         proto.Gossip
 }
 
 func (p *rewriter) Self() proto.ProcessID { return p.self }
 
-func (p *rewriter) TickCompose(_ uint64, out []proto.Message) []proto.Message {
+func (p *rewriter) TickAppend(_ uint64, out []proto.Message) []proto.Message {
 	return append(out, proto.Message{Kind: proto.GossipMsg, From: p.self, To: p.wan, Gossip: &p.g})
 }
 
 func (p *rewriter) HandleMessageAppend(_ proto.Message, _ uint64, out []proto.Message) []proto.Message {
 	p.g.Digest[0].Seq++
-	return p.TickCompose(0, out)
+	return p.TickAppend(0, out)
 }
 
 // TestInflightSharingCheck: under PoisonRecycled the cluster's in-flight
@@ -495,9 +494,9 @@ func TestInflightSharingCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.procs[0] = &rewriter{self: 1, wan: 3, g: proto.Gossip{From: 1, Digest: []proto.EventID{{Origin: 1, Seq: 1}}}}
-	c.procs[1] = &chatter{self: 2, peer: 1} // its tick makes process 1 respond
-	c.procs[2] = &quiet{self: 3}
+	c.procs[0] = appendOnly{&rewriter{self: 1, wan: 3, g: proto.Gossip{From: 1, Digest: []proto.EventID{{Origin: 1, Seq: 1}}}}}
+	c.procs[1] = appendOnly{&chatter{self: 2, peer: 1}} // its tick makes process 1 respond
+	c.procs[2] = appendOnly{&quiet{self: 3}}
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "two different gossips") {
 			t.Fatalf("a gossip rewritten within its period was shared: recovered %v", r)
@@ -508,13 +507,12 @@ func TestInflightSharingCheck(t *testing.T) {
 
 // quiet is a foreign Process that never sends.
 type quiet struct {
-	fakeProcess
 	self proto.ProcessID
 }
 
 func (p *quiet) Self() proto.ProcessID { return p.self }
 
-func (p *quiet) TickCompose(_ uint64, out []proto.Message) []proto.Message { return out }
+func (p *quiet) TickAppend(_ uint64, out []proto.Message) []proto.Message { return out }
 
 func (p *quiet) HandleMessageAppend(_ proto.Message, _ uint64, out []proto.Message) []proto.Message {
 	return out

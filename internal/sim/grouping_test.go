@@ -14,7 +14,6 @@ import (
 // multiple of three, two responses each, so that the spans of a grouped hop
 // come out of queue order.
 type handleProbe struct {
-	fakeProcess
 	id    proto.ProcessID
 	got   []int  // tags handled, in order
 	shard *[]int // destination indices handled by the shard, in order
@@ -23,7 +22,7 @@ type handleProbe struct {
 
 func (p *handleProbe) Self() proto.ProcessID { return p.id }
 
-func (p *handleProbe) TickCompose(_ uint64, out []proto.Message) []proto.Message { return out }
+func (p *handleProbe) TickAppend(_ uint64, out []proto.Message) []proto.Message { return out }
 
 func (p *handleProbe) HandleMessageAppend(m proto.Message, _ uint64, out []proto.Message) []proto.Message {
 	tag := int(m.Subscriber)
@@ -93,7 +92,7 @@ func TestHandleShardGrouping(t *testing.T) {
 			shardLogs := make([][]int, workers)
 			for i := range probes {
 				probes[i] = &handleProbe{id: c.ids[i], di: i, shard: &shardLogs[e.shardOf[i]]}
-				c.procs[i] = probes[i]
+				c.procs[i] = appendOnly{probes[i]}
 			}
 			for _, hop := range hops {
 				for _, p := range probes {

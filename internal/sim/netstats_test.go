@@ -30,13 +30,12 @@ func assertConserved(t *testing.T, s NetStats) {
 // message, so a round's response cascade never drains and the maxChase
 // safety valve must fire.
 type chatter struct {
-	fakeProcess
 	self, peer proto.ProcessID
 }
 
 func (p *chatter) Self() proto.ProcessID { return p.self }
 
-func (p *chatter) TickCompose(_ uint64, out []proto.Message) []proto.Message {
+func (p *chatter) TickAppend(_ uint64, out []proto.Message) []proto.Message {
 	return append(out, proto.Message{Kind: proto.GossipMsg, From: p.self, To: p.peer})
 }
 
@@ -57,7 +56,7 @@ func chatterCluster(t *testing.T, n, workers int, async bool) *Cluster {
 		t.Fatal(err)
 	}
 	for i := range c.procs {
-		c.procs[i] = &chatter{self: c.ids[i], peer: c.ids[(i+1)%n]}
+		c.procs[i] = appendOnly{&chatter{self: c.ids[i], peer: c.ids[(i+1)%n]}}
 	}
 	return c
 }
@@ -116,7 +115,7 @@ func TestDispatchCountsUnknownDest(t *testing.T) {
 			for i := range c.procs {
 				// Everybody gossips into the void; nobody receives, so no
 				// chase and no responses.
-				c.procs[i] = &chatter{self: c.ids[i], peer: proto.ProcessID(9_999)}
+				c.procs[i] = appendOnly{&chatter{self: c.ids[i], peer: proto.ProcessID(9_999)}}
 			}
 			c.RunRound()
 			c.Close()

@@ -10,16 +10,14 @@ import (
 
 // advertiser is a foreign Process that, in period 1 only, gossips process 1
 // a digest naming a notification nobody holds, and never answers anything —
-// so the pull it provokes can only time out. TickCompose keeps no state:
-// the async executors may compose a tick more than once.
+// so the pull it provokes can only time out.
 type advertiser struct {
-	fakeProcess
 	self proto.ProcessID
 }
 
 func (p *advertiser) Self() proto.ProcessID { return p.self }
 
-func (p *advertiser) TickCompose(now uint64, out []proto.Message) []proto.Message {
+func (p *advertiser) TickAppend(now uint64, out []proto.Message) []proto.Message {
 	if now != 1 || p.self != 2 {
 		return out
 	}
@@ -58,7 +56,7 @@ func TestRetransmitTimeoutCountsPeriods(t *testing.T) {
 				}
 				defer c.Close()
 				for i := 1; i < o.N; i++ {
-					c.procs[i] = &advertiser{self: c.ids[i]}
+					c.procs[i] = appendOnly{&advertiser{self: c.ids[i]}}
 				}
 				eng := c.procs[0].(*core.Engine)
 				for period, want := range []uint64{0, 0, 1, 1} {

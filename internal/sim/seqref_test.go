@@ -91,12 +91,13 @@ func (c *seqRef) runRoundSeq() {
 }
 
 // tickClone is the cloning tick the reference walks were written on: a
-// synchronous tick (TickCompose, then TickCommit) whose every message
+// tick (TickAppend) whose every message
 // carries its own deep copy of the gossip and of the request, so nothing a
 // walk queues aliases an engine's buffers.
 func tickClone(p Process, now uint64) []proto.Message {
-	msgs := p.TickCompose(now, nil)
-	p.TickCommit(now)
+	msgs := p.(interface {
+		TickAppend(now uint64, out []proto.Message) []proto.Message
+	}).TickAppend(now, nil)
 	for i := range msgs {
 		if msgs[i].Gossip != nil {
 			gc := msgs[i].Gossip.Clone()
@@ -149,28 +150,24 @@ func (c *seqRef) route(m proto.Message) (int, bool) {
 }
 
 // asyncSeq is the retained scratch state of the sequential wavefront
-// executor; every buffer is reused across periods.
+// walk; every buffer is reused across periods.
 //
-// composed[i] tracks whether process i has a valid speculative emission
-// outstanding. A commit consumes the emission, so it clears the flag
-// too: a position the walk has passed can never look composed again
-// (the window never moves backwards), which is exactly what the
-// invalidation check relies on.
+// hit[i] is the number of the last commit walk that routed a delivery to
+// process i. Walks are numbered from one and never reuse a number, so
+// hit[i] == walk says exactly that the current walk reached i, and a
+// position whose process it reached ends the wave: that tick must see the
+// delivery, which lands at the wave's barrier.
 type asyncSeq struct {
-	order    []int             // position -> process index
-	composed []bool            // per process: valid speculative emission outstanding
-	emit     [][]proto.Message // per process: the composed emission
-	queue    []proto.Message   // current hop's surviving deliveries
-	dests    []int             // their destination process indices
-	raw      []proto.Message   // responses collected by the current handle pass
+	order []int           // position -> process index
+	hit   []int           // per process: the last walk that routed it a delivery
+	walk  int             // the current commit walk's number
+	queue []proto.Message // current hop's surviving deliveries
+	dests []int           // their destination process indices
+	raw   []proto.Message // responses collected by the current handle pass
 }
 
 func newAsyncSeq(n int) *asyncSeq {
-	return &asyncSeq{
-		order:    make([]int, n),
-		composed: make([]bool, n),
-		emit:     make([][]proto.Message, n),
-	}
+	return &asyncSeq{order: make([]int, n), hit: make([]int, n)}
 }
 
 // runAsyncPeriodSeq advances one asynchronous gossip period through the
@@ -183,16 +180,13 @@ func (c *seqRef) runAsyncPeriodSeq() {
 		a = newAsyncSeq(n)
 		c.seqAsync = a
 	}
-	for i := 0; i < n; i++ {
-		a.composed[i] = false
-	}
 	// Arrival barrier: this period's delayed arrivals are handled before
-	// any tick composes (a message arriving "between periods" is visible
-	// to every tick of its arrival period), in their deterministic
-	// in-flight enqueue order, and their same-period responses are chased
-	// through the regular wave-barrier machinery. The drain draws no
-	// randomness, so running it before the period's shuffle keeps every
-	// stream aligned with the sharded executor, which does the same.
+	// any tick (a message arriving "between periods" is visible to every
+	// tick of its arrival period), in their deterministic in-flight enqueue
+	// order, and their same-period responses are chased through the
+	// regular wave-barrier machinery. The drain draws no randomness, so
+	// running it before the period's shuffle keeps every stream aligned
+	// with the sharded executor, which does the same.
 	a.queue, a.dests = c.settleArrivals(c.now, a.queue[:0], a.dests[:0])
 	if len(a.queue) > 0 {
 		c.asyncBarrierSeq(a)
@@ -205,23 +199,11 @@ func (c *seqRef) runAsyncPeriodSeq() {
 
 	front := 0
 	for front < n {
-		windowEnd := front + lookahead
-		if windowEnd > n {
-			windowEnd = n
-		}
-		// Compose phase: (re)compose every windowed tick without a valid
-		// speculation. This is the phase the parallel executor shards.
-		for k := front; k < windowEnd; k++ {
-			i := a.order[k]
-			if a.composed[i] || c.crashes.Crashed(c.ids[i], c.now) {
-				continue
-			}
-			a.emit[i] = c.procs[i].TickCompose(c.now, a.emit[i][:0])
-			a.composed[i] = true
-		}
-		// Commit walk: commit clean positions in period order, filtering
-		// their messages as they commit; stop at the first invalidated
-		// speculation (it re-executes against committed state next wave).
+		windowEnd := min(front+lookahead, n)
+		// Commit walk: tick positions in period order, filtering their
+		// messages as they tick; stop at the first position this walk
+		// routed a delivery to (it ticks next wave, after the delivery).
+		a.walk++
 		a.queue, a.dests = a.queue[:0], a.dests[:0]
 		waveEnd := windowEnd
 		for k := front; k < windowEnd; k++ {
@@ -229,13 +211,11 @@ func (c *seqRef) runAsyncPeriodSeq() {
 			if c.crashes.Crashed(c.ids[i], c.now) {
 				continue // a crashed position commits trivially
 			}
-			if !a.composed[i] {
+			if a.hit[i] == a.walk {
 				waveEnd = k
 				break
 			}
-			c.procs[i].TickCommit(c.now)
-			a.composed[i] = false // consumed: no emission outstanding
-			for _, m := range a.emit[i] {
+			for _, m := range tickClone(c.procs[i], c.now) {
 				c.asyncFilterSeq(a, m)
 			}
 		}
@@ -246,22 +226,17 @@ func (c *seqRef) runAsyncPeriodSeq() {
 }
 
 // asyncFilterSeq runs one message through the network model and its
-// counters (route), appending survivors to the wave queue and
-// invalidating the destination's speculative tick when one is
-// outstanding. Filter calls happen in deterministic walk/merge order, so
-// the shared loss stream's draw order is schedule-defined, exactly like
-// the synchronous executor's sequential filter phase.
+// counters (route), appending survivors to the wave queue and marking
+// their destination as reached by the current walk. Filter calls happen
+// in deterministic walk/merge order, so the shared loss stream's draw
+// order is schedule-defined, exactly like the synchronous executor's
+// sequential filter phase.
 func (c *seqRef) asyncFilterSeq(a *asyncSeq, m proto.Message) {
 	di, ok := c.route(m)
 	if !ok {
 		return
 	}
-	if a.composed[di] {
-		// The destination's tick is composed but not committed: the
-		// speculation missed this delivery, so it re-executes.
-		c.procs[di].TickAbort()
-		a.composed[di] = false
-	}
+	a.hit[di] = a.walk
 	a.queue = append(a.queue, m)
 	a.dests = append(a.dests, di)
 }
@@ -324,9 +299,7 @@ func (c *seqRef) runEventRoundSeq() {
 
 // eventArrivalBarrierSeq drains every due arrival instant up to and
 // including limit, handling each instant's survivors (and their same-
-// instant response chase) at its true virtual time. An arrival addressed
-// to a process with an outstanding speculative tick invalidates it,
-// exactly like a wave delivery.
+// instant response chase) at its true virtual time.
 func (c *seqRef) eventArrivalBarrierSeq(a *asyncSeq, limit uint64) {
 	for {
 		at, ok := c.network.Due(limit)
@@ -335,12 +308,6 @@ func (c *seqRef) eventArrivalBarrierSeq(a *asyncSeq, limit uint64) {
 		}
 		c.nowMs = at
 		a.queue, a.dests = c.settleArrivals(at, a.queue[:0], a.dests[:0])
-		for _, di := range a.dests {
-			if a.composed[di] {
-				c.procs[di].TickAbort()
-				a.composed[di] = false
-			}
-		}
 		if len(a.queue) > 0 {
 			c.asyncBarrierSeq(a)
 		}
@@ -358,9 +325,6 @@ func (c *seqRef) runEventPeriodAsyncSeq() {
 		a = newAsyncSeq(n)
 		c.seqAsync = a
 	}
-	for i := 0; i < n; i++ {
-		a.composed[i] = false
-	}
 	base := (c.now - 1) * c.periodMs
 	a.order = phaseOrder(c.phase)
 	lookahead := asyncLookahead(n)
@@ -368,20 +332,10 @@ func (c *seqRef) runEventPeriodAsyncSeq() {
 	front := 0
 	for front < n {
 		// Everything due before (or at) the front tick's instant is visible
-		// to it; drain and handle it before the wave composes.
+		// to it; drain and handle it before the wave's walk.
 		c.eventArrivalBarrierSeq(a, base+c.phase[a.order[front]])
-		windowEnd := front + lookahead
-		if windowEnd > n {
-			windowEnd = n
-		}
-		for k := front; k < windowEnd; k++ {
-			i := a.order[k]
-			if a.composed[i] || c.crashes.Crashed(c.ids[i], c.now) {
-				continue
-			}
-			a.emit[i] = c.procs[i].TickCompose(c.now, a.emit[i][:0])
-			a.composed[i] = true
-		}
+		windowEnd := min(front+lookahead, n)
+		a.walk++
 		a.queue, a.dests = a.queue[:0], a.dests[:0]
 		waveEnd := windowEnd
 		for k := front; k < windowEnd; k++ {
@@ -390,21 +344,18 @@ func (c *seqRef) runEventPeriodAsyncSeq() {
 				continue
 			}
 			// End the wave before a tick whose instant a pending arrival
-			// predates: that arrival must land (and possibly invalidate
-			// speculations) first. The check reads only the ring's wheel, a
-			// pure function of the simulation state.
+			// predates: that arrival must land first. The check reads only
+			// the ring's wheel, a pure function of the simulation state.
 			if _, pending := c.network.Due(base + c.phase[i]); pending {
 				waveEnd = k
 				break
 			}
-			if !a.composed[i] {
+			if a.hit[i] == a.walk {
 				waveEnd = k
 				break
 			}
 			c.nowMs = base + c.phase[i]
-			c.procs[i].TickCommit(c.now)
-			a.composed[i] = false // consumed: no emission outstanding
-			for _, m := range a.emit[i] {
+			for _, m := range tickClone(c.procs[i], c.now) {
 				c.asyncFilterSeq(a, m)
 			}
 		}

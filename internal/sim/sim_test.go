@@ -16,13 +16,23 @@ var (
 	_ Process = (*pbcast.Node)(nil)
 )
 
-// fakeProcess is the base of the test fakes that stand in for an engine.
-// A fake builds its whole emission in TickCompose and defers nothing, so
-// it has nothing to commit or abort.
-type fakeProcess struct{}
+// fake is what a test fake standing in for an engine implements.
+type fake interface {
+	Self() proto.ProcessID
+	TickAppend(now uint64, out []proto.Message) []proto.Message
+	HandleMessageAppend(m proto.Message, now uint64, out []proto.Message) []proto.Message
+}
 
-func (fakeProcess) TickAbort()        {}
-func (fakeProcess) TickCommit(uint64) {}
+// appendOnly runs a fake on the speculative seam. A fake's tick keeps no
+// state, so composing it is ticking it, and there is nothing to commit or
+// abort.
+type appendOnly struct{ fake }
+
+func (p appendOnly) TickCompose(now uint64, out []proto.Message) []proto.Message {
+	return p.TickAppend(now, out)
+}
+func (appendOnly) TickAbort()        {}
+func (appendOnly) TickCommit(uint64) {}
 
 // TestOptionsValidate is the cluster options' validation table, including
 // the unit-mixing rule: options mixing millisecond and round-granular delay
