@@ -177,42 +177,6 @@ func TestUnsubListExpire(t *testing.T) {
 	}
 }
 
-func TestUnsubListAppendFreshMatchesExpire(t *testing.T) {
-	t.Parallel()
-	build := func() *UnsubList {
-		l := NewUnsubList()
-		l.Add(proto.Unsubscription{Process: 1, Stamp: 10})
-		l.Add(proto.Unsubscription{Process: 2, Stamp: 49})
-		l.Add(proto.Unsubscription{Process: 3, Stamp: 90})
-		l.Add(proto.Unsubscription{Process: 4, Stamp: 50})
-		return l
-	}
-	for _, tc := range []struct{ now, ttl uint64 }{
-		{100, 50}, // boundary: stamp 50 is exactly now-ttl and survives
-		{100, 5},
-		{10, 50}, // ttl > now: nothing obsolete
-		{100, 0}, // zero TTL: everything stale expires
-	} {
-		peek := build()
-		fresh := peek.AppendFresh(nil, tc.now, tc.ttl)
-		destructive := build()
-		destructive.Expire(tc.now, tc.ttl)
-		want := destructive.Items()
-		if len(fresh) != len(want) {
-			t.Fatalf("now=%d ttl=%d: AppendFresh %v vs Expire+Items %v", tc.now, tc.ttl, fresh, want)
-		}
-		for i := range fresh {
-			if fresh[i] != want[i] {
-				t.Fatalf("now=%d ttl=%d: AppendFresh %v vs Expire+Items %v", tc.now, tc.ttl, fresh, want)
-			}
-		}
-		// And the peeked list is untouched.
-		if peek.Len() != 4 {
-			t.Fatalf("AppendFresh mutated the list: len %d", peek.Len())
-		}
-	}
-}
-
 func TestEventBuffer(t *testing.T) {
 	t.Parallel()
 	b := NewEventBuffer()

@@ -252,26 +252,6 @@ func (l *UnsubList) AppendItems(dst []proto.Unsubscription) []proto.Unsubscripti
 	return l.inner.AppendItems(dst)
 }
 
-// AppendFresh appends the unsubscriptions that Expire(now, ttl) would keep,
-// in insertion order, without removing anything: the read-only sibling of
-// Expire-then-AppendItems for speculative emission paths that must be able
-// to roll back. The skip predicate matches Expire exactly, so AppendFresh
-// followed by Expire produces the same gossip content and final buffer as
-// the destructive order.
-func (l *UnsubList) AppendFresh(dst []proto.Unsubscription, now, ttl uint64) []proto.Unsubscription {
-	if now < ttl {
-		return l.inner.AppendItems(dst)
-	}
-	for i, ln := 0, l.inner.Len(); i < ln; i++ {
-		u := l.inner.At(i)
-		if u.Stamp < now-ttl {
-			continue
-		}
-		dst = append(dst, u)
-	}
-	return dst
-}
-
 // TruncateRandomDiscard removes random entries until Len() <= max,
 // returning only the count.
 func (l *UnsubList) TruncateRandomDiscard(max int, r *rng.Source) int {

@@ -214,21 +214,12 @@ type Engine struct {
 	scratchGossip  *proto.Gossip
 	scratchTargets []proto.ProcessID
 
-	// Speculative-emission state (TickCompose/TickAbort/TickCommit): the
-	// membership RNG position at compose time, and the deferred mutations a
-	// commit applies.
-	composeRNG         uint64
-	composedTargets    int
-	composedMembership bool
-
 	// Retransmission-timeout state (Config.RetransmitTimeout): requested
-	// ids awaiting a reply, their re-request deadlines, and the number of
-	// due ids the outstanding compose re-requested (its deferred mutation).
-	pending             []pendingRetransmit
-	composedRetransmits int
-	scratchRequest      []proto.EventID
-	scratchReqTarget    []proto.ProcessID
-	scratchRearmed      []pendingRetransmit
+	// ids awaiting a reply and their re-request deadlines.
+	pending          []pendingRetransmit
+	scratchRequest   []proto.EventID
+	scratchReqTarget []proto.ProcessID
+	scratchRearmed   []pendingRetransmit
 }
 
 // pendingRetransmit is one outstanding retransmission request: an id the
@@ -581,13 +572,15 @@ func (e *Engine) pendingContains(id proto.EventID) bool {
 	return false
 }
 
-// composeRetransmit builds the periodic re-request for timed-out pulls:
-// the due-and-still-missing ids, in request order, capped like a regular
-// pull at MaxRetransmitPerGossip. Like the rest of TickCompose it is
-// side-effect-free apart from the membership RNG (the fresh target draw),
-// which TickAbort rewinds; attempt counts and deadlines move only in
-// TickCommit.
-func (e *Engine) composeRetransmit(now uint64, out []proto.Message) []proto.Message {
+// retransmitTimedOut re-requests timed-out pulls: the due-and-still-missing
+// ids, in request order, capped like a regular pull at
+// MaxRetransmitPerGossip, go out in one request appended to out. Then the
+// table moves: answered ids leave it, and the re-requested ones advance
+// their attempt count and deadline (giving up past maxRetransmitAttempts)
+// and rotate to the back, so when the cap leaves some due entries out of a
+// period's re-request, the leftovers head the next one instead of being
+// starved by perpetually re-arming earlier entries.
+func (e *Engine) retransmitTimedOut(now uint64, out []proto.Message) []proto.Message {
 	if e.cfg.RetransmitTimeout == 0 || len(e.pending) == 0 {
 		return out
 	}
@@ -604,49 +597,33 @@ func (e *Engine) composeRetransmit(now uint64, out []proto.Message) []proto.Mess
 		req = append(req, p.id)
 	}
 	e.scratchRequest = req
-	if len(req) == 0 {
-		return out
-	}
 	// The original request went to the digest's sender, who did not answer
 	// — maybe the message was lost, maybe its archive evicted the
 	// notification. Retry against the Logger when configured, otherwise
 	// against a fresh random view member.
 	server := e.cfg.Logger
-	if server == proto.NilProcess || server == e.self {
+	if len(req) > 0 && (server == proto.NilProcess || server == e.self) {
 		e.scratchReqTarget = e.mem.AppendTargets(e.scratchReqTarget[:0], 1)
-		if len(e.scratchReqTarget) == 0 {
-			return out
+		server = proto.NilProcess
+		if len(e.scratchReqTarget) > 0 {
+			server = e.scratchReqTarget[0]
 		}
-		server = e.scratchReqTarget[0]
 	}
-	if !e.reuseEmission {
-		req = append([]proto.EventID(nil), req...)
+	requested := 0
+	if len(req) > 0 && server != proto.NilProcess {
+		if !e.reuseEmission {
+			req = append([]proto.EventID(nil), req...)
+		}
+		requested = len(req)
+		out = append(out, proto.Message{
+			Kind:    proto.RetransmitRequestMsg,
+			From:    e.self,
+			To:      server,
+			Request: req,
+		})
 	}
-	e.composedRetransmits = len(req)
-	return append(out, proto.Message{
-		Kind:    proto.RetransmitRequestMsg,
-		From:    e.self,
-		To:      server,
-		Request: req,
-	})
-}
-
-// commitRetransmit applies the deferred retransmission-timer mutations:
-// answered ids leave the table, the ids the compose re-requested advance
-// their attempt count and deadline (giving up past maxRetransmitAttempts),
-// and the stats counter moves. The walk mirrors composeRetransmit's
-// selection exactly — same order, same skip conditions — so the first
-// composedRetransmits due entries are precisely the re-requested ones.
-// Re-requested entries rotate to the back of the table, so when the
-// MaxRetransmitPerGossip cap leaves some due entries out of a period's
-// re-request, the leftovers move to the head of the next one instead of
-// being starved by perpetually re-arming earlier entries.
-func (e *Engine) commitRetransmit(now uint64) {
-	requested := e.composedRetransmits
-	e.composedRetransmits = 0
-	if e.cfg.RetransmitTimeout == 0 || len(e.pending) == 0 {
-		return
-	}
+	// The sweep's skip conditions are the selection's, so the first
+	// requested due entries are precisely the re-requested ones.
 	e.stats.RetransmitTimeouts += uint64(requested)
 	kept := e.pending[:0]
 	rearmed := e.scratchRearmed[:0]
@@ -668,6 +645,7 @@ func (e *Engine) commitRetransmit(now uint64) {
 	}
 	e.pending = append(kept, rearmed...)
 	e.scratchRearmed = rearmed
+	return out
 }
 
 // maxWatermarkExpansion bounds how many unknown sequence numbers a single
@@ -758,33 +736,11 @@ func validID(id proto.EventID) bool {
 // repository does — engines copy events before retaining them and only
 // read membership piggyback.
 //
-// TickAppend is TickCompose followed immediately by TickCommit; drivers
-// that never speculate use it directly.
+// With an empty view the period still elapses, but nothing is sent and no
+// buffer is consumed; with nobody to re-request from, the retransmission
+// timer idles too.
 func (e *Engine) TickAppend(now uint64, out []proto.Message) []proto.Message {
-	out = e.TickCompose(now, out)
-	e.TickCommit(now)
-	return out
-}
-
-// TickCompose builds the next periodic gossip emission (Fig. 1(b)) without
-// consuming it: the composed messages are appended to out, but the events
-// buffer is not cleared, the tick counter not advanced, and no obsolete
-// unsubscription is expired — those mutations are deferred to TickCommit.
-// The only engine state a compose touches is the membership RNG (target
-// selection), which TickAbort rewinds, so an aborted compose leaves the
-// engine exactly as it found it.
-//
-// The contract is the speculative schedule of the simulator's wavefront
-// async executor: at most one composed tick may be outstanding, and the
-// engine must not process any other operation between TickCompose and the
-// matching TickCommit or TickAbort. A committed compose is equivalent to a
-// plain TickAppend in both emitted gossip and final engine state.
-func (e *Engine) TickCompose(now uint64, out []proto.Message) []proto.Message {
-	e.composeRNG = e.mem.RNGState()
-	e.composedTargets = 0
-	e.composedMembership = false
-	e.composedRetransmits = 0
-	ticks := e.ticks + 1 // the tick number this emission will commit as
+	e.ticks++
 	var targets []proto.ProcessID
 	var g *proto.Gossip
 	if e.reuseEmission {
@@ -814,10 +770,9 @@ func (e *Engine) TickCompose(now uint64, out []proto.Message) []proto.Message {
 			Digest: e.digestIDs(),
 		}
 	}
-	if k := e.cfg.MembershipEvery; k <= 1 || ticks%uint64(k) == 0 {
+	if k := e.cfg.MembershipEvery; k <= 1 || e.ticks%uint64(k) == 0 {
 		g.Subs = e.mem.AppendSubs(g.Subs)
-		g.Unsubs = e.mem.PeekUnsubs(g.Unsubs, now)
-		e.composedMembership = true
+		g.Unsubs = e.mem.AppendUnsubs(g.Unsubs, now)
 	}
 	if e.cfg.DigestMode == CompactDigest {
 		g.DigestWatermarks = e.appendWatermarks(g.DigestWatermarks)
@@ -830,46 +785,12 @@ func (e *Engine) TickCompose(now uint64, out []proto.Message) []proto.Message {
 			Gossip: g,
 		})
 	}
-	e.composedTargets = len(targets)
-	return e.composeRetransmit(now, out)
-}
-
-// TickAbort discards the outstanding composed emission, rewinding the
-// membership RNG to its pre-compose position. The caller must also discard
-// the messages that compose appended.
-func (e *Engine) TickAbort() {
-	e.mem.RestoreRNGState(e.composeRNG)
-	e.composedTargets = 0
-	e.composedMembership = false
-	e.composedRetransmits = 0
-}
-
-// TickCommit applies the deferred mutations of the outstanding composed
-// emission: the tick counter advances and — when the compose actually
-// emitted — the gossip statistics are updated, obsolete unsubscriptions
-// expire, and "events ← ∅" clears the forwarding buffer (each notification
-// is gossiped at most once by this process; older copies live only in the
-// archive).
-func (e *Engine) TickCommit(now uint64) {
-	e.ticks++
-	if e.composedTargets == 0 {
-		// The compose emitted nothing (empty view): the period still
-		// elapsed, but no buffer was consumed — matching TickAppend's
-		// historical early return. With no view there is nobody to
-		// re-request from either, so the retransmission timer idles.
-		e.composedMembership = false
-		e.composedRetransmits = 0
-		return
-	}
-	e.stats.GossipsSent += uint64(e.composedTargets)
-	if e.composedMembership {
-		e.mem.ExpireUnsubs(now)
-		e.composedMembership = false
-	}
+	e.stats.GossipsSent += uint64(len(targets))
+	// "events ← ∅": each notification is gossiped at most once by this
+	// process; older copies live only in the archive.
 	e.events.Clear()
 	e.eventWeights = nil
-	e.composedTargets = 0
-	e.commitRetransmit(now)
+	return e.retransmitTimedOut(now, out)
 }
 
 // digestIDs returns the identifier digest to attach to an outgoing gossip.

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/proto"
-	"repro/internal/rng"
 )
 
 // timeoutEngine builds a Retransmit engine with the timer armed and a
@@ -163,49 +162,5 @@ func TestRetransmitTimeoutCap(t *testing.T) {
 	if len(second) != 1 || len(second[0].Request) == 0 ||
 		second[0].Request[0] != (proto.EventID{Origin: 9, Seq: 3}) {
 		t.Fatalf("follow-up re-request = %v, want the starved id p9#3 first", second)
-	}
-}
-
-// TestRetransmitTimeoutAbortSafe proves the compose scan is speculative:
-// composing a due re-request, aborting, and recomposing yields the exact
-// emission a direct compose would have, with no attempt counted.
-func TestRetransmitTimeoutAbortSafe(t *testing.T) {
-	t.Parallel()
-	build := func() *Engine {
-		cfg := DefaultConfig()
-		cfg.Retransmit = true
-		cfg.RetransmitTimeout = 1
-		e, err := New(1, cfg, nil, rng.New(77))
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		e.Seed([]proto.ProcessID{2, 3, 4, 5, 6})
-		requestMissing(t, e, 2, proto.EventID{Origin: 9, Seq: 1}, 0)
-		return e
-	}
-	speculative, direct := build(), build()
-
-	spec := speculative.TickCompose(5, nil)
-	speculative.TickAbort()
-	if got := speculative.Stats().RetransmitTimeouts; got != 0 {
-		t.Fatalf("aborted compose counted %d timeouts", got)
-	}
-	respec := speculative.TickCompose(5, nil)
-	speculative.TickCommit(5)
-	ref := direct.TickAppend(5, nil)
-
-	if len(spec) != len(respec) || len(respec) != len(ref) {
-		t.Fatalf("emission lengths diverge: compose %d, recompose %d, direct %d", len(spec), len(respec), len(ref))
-	}
-	for i := range ref {
-		if respec[i].Kind != ref[i].Kind || respec[i].To != ref[i].To {
-			t.Fatalf("message %d diverges after abort: %v vs %v", i, respec[i], ref[i])
-		}
-		if spec[i].Kind != ref[i].Kind || spec[i].To != ref[i].To {
-			t.Fatalf("aborted compose %d had already diverged: %v vs %v", i, spec[i], ref[i])
-		}
-	}
-	if got, want := speculative.Stats().RetransmitTimeouts, direct.Stats().RetransmitTimeouts; got != want {
-		t.Fatalf("RetransmitTimeouts %d after abort+commit, direct path has %d", got, want)
 	}
 }

@@ -327,39 +327,12 @@ func (m *Manager) AppendSubs(dst []proto.ProcessID) []proto.ProcessID {
 	return m.subs.AppendItems(dst)
 }
 
-// AppendUnsubs appends the current unsubscriptions to dst without
-// allocating when dst has capacity, after expiring obsolete entries —
-// the destructive convenience combining PeekUnsubs and ExpireUnsubs for
-// emission paths that never speculate.
+// AppendUnsubs expires obsolete unsubscriptions, then appends the rest to
+// dst, without allocating when dst has capacity.
 func (m *Manager) AppendUnsubs(dst []proto.Unsubscription, now uint64) []proto.Unsubscription {
-	dst = m.PeekUnsubs(dst, now)
-	m.ExpireUnsubs(now)
-	return dst
-}
-
-// PeekUnsubs appends the unsubscriptions AppendUnsubs would emit without
-// performing its expiry mutation — the read-only half of the speculative
-// emission path. PeekUnsubs followed by ExpireUnsubs is equivalent to
-// AppendUnsubs in both gossip content and final buffer state.
-func (m *Manager) PeekUnsubs(dst []proto.Unsubscription, now uint64) []proto.Unsubscription {
-	return m.unsubs.AppendFresh(dst, now, m.cfg.UnsubTTL)
-}
-
-// ExpireUnsubs drops obsolete unsubscriptions — the deferred mutation of a
-// committed speculative emission (see PeekUnsubs).
-func (m *Manager) ExpireUnsubs(now uint64) {
 	m.unsubs.Expire(now, m.cfg.UnsubTTL)
+	return m.unsubs.AppendItems(dst)
 }
-
-// RNGState captures the manager's random stream position; RestoreRNGState
-// rewinds it. A speculative gossip emission (target selection draws from
-// this stream) snapshots the state before composing and restores it when
-// the emission is aborted, so the re-execution's draws match a
-// never-speculated run exactly.
-func (m *Manager) RNGState() uint64 { return m.rng.State() }
-
-// RestoreRNGState rewinds the manager's random stream (see RNGState).
-func (m *Manager) RestoreRNGState(state uint64) { m.rng.Restore(state) }
 
 // RemoveFromView drops p (e.g. after repeated send failures in a live
 // deployment). It reports whether p was present.

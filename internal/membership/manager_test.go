@@ -118,55 +118,6 @@ func TestApplyUnsubsRemovesFromView(t *testing.T) {
 	}
 }
 
-func TestPeekUnsubsMatchesAppendUnsubs(t *testing.T) {
-	t.Parallel()
-	cfg := DefaultConfig()
-	cfg.UnsubTTL = 50
-	build := func() *Manager {
-		m := newTestManager(t, cfg)
-		m.ApplySubs([]proto.ProcessID{2, 3, 4})
-		m.ApplyUnsubs([]proto.Unsubscription{{Process: 3, Stamp: 40}, {Process: 4, Stamp: 80}}, 80)
-		return m
-	}
-	// Peek then expire must equal the destructive AppendUnsubs, in both
-	// emitted entries and final buffer state (stamp 40 is obsolete at 100).
-	peeked := build()
-	got := peeked.PeekUnsubs(nil, 100)
-	peeked.ExpireUnsubs(100)
-	destructive := build()
-	want := destructive.AppendUnsubs(nil, 100)
-	if len(got) != len(want) || len(got) != 1 || got[0] != want[0] {
-		t.Fatalf("PeekUnsubs = %v, AppendUnsubs = %v", got, want)
-	}
-	if peeked.UnsubsLen() != destructive.UnsubsLen() {
-		t.Fatalf("final lens differ: %d vs %d", peeked.UnsubsLen(), destructive.UnsubsLen())
-	}
-	// A pure peek leaves the buffer alone.
-	fresh := build()
-	fresh.PeekUnsubs(nil, 100)
-	if fresh.UnsubsLen() != 2 {
-		t.Fatalf("PeekUnsubs mutated the buffer: len %d", fresh.UnsubsLen())
-	}
-}
-
-func TestManagerRNGStateRoundTrip(t *testing.T) {
-	t.Parallel()
-	m := newTestManager(t, DefaultConfig())
-	m.ApplySubs([]proto.ProcessID{2, 3, 4, 5, 6, 7})
-	state := m.RNGState()
-	first := m.Targets(3)
-	m.RestoreRNGState(state)
-	second := m.Targets(3)
-	if len(first) != len(second) {
-		t.Fatalf("draws differ after restore: %v vs %v", first, second)
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("draws differ after restore: %v vs %v", first, second)
-		}
-	}
-}
-
 func TestApplyUnsubsObsoleteIgnored(t *testing.T) {
 	t.Parallel()
 	cfg := DefaultConfig()

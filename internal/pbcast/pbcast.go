@@ -152,15 +152,6 @@ type Node struct {
 	scratchGossip  *proto.Gossip
 	scratchTargets []proto.ProcessID
 	scratchIdxs    []int
-
-	// Speculative-emission state (TickCompose/TickAbort/TickCommit): RNG
-	// positions at compose time and the deferred mutations a commit
-	// applies — the store indices whose advertisement counters advance,
-	// and the emitted-target count.
-	composeRNG      uint64
-	composeMemRNG   uint64
-	composedAdv     []int
-	composedTargets int
 }
 
 // New creates a pbcast node. In TotalView mode, the membership is fixed at
@@ -336,32 +327,9 @@ func (n *Node) appendTargets(dst []proto.ProcessID) []proto.ProcessID {
 // appended digest gossips share one read-only *proto.Gossip, so the call
 // does not allocate per emitted message; receivers must treat the gossip
 // as immutable.
-//
-// TickAppend is TickCompose followed immediately by TickCommit; drivers
-// that never speculate use it directly.
 func (n *Node) TickAppend(now uint64, out []proto.Message) []proto.Message {
-	out = n.TickCompose(now, out)
-	n.TickCommit(now)
-	return out
-}
-
-// TickCompose builds the next anti-entropy emission — queued
-// retransmission replies plus the digest gossip — without consuming it:
-// the pending replies stay queued, advertisement counters do not advance,
-// and no obsolete unsubscription expires until TickCommit. Only the random
-// streams move (target selection), and TickAbort rewinds them, so an
-// aborted compose leaves the node exactly as it found it. The contract
-// matches core.Engine.TickCompose: at most one composed tick outstanding,
-// and no other operation between a compose and its commit or abort.
-func (n *Node) TickCompose(now uint64, out []proto.Message) []proto.Message {
-	n.composeRNG = n.rng.State()
-	if n.mem != nil {
-		n.composeMemRNG = n.mem.RNGState()
-	}
-	n.composedAdv = n.composedAdv[:0]
-	n.composedTargets = 0
-
 	out = append(out, n.pendingReplies...)
+	n.pendingReplies = n.pendingReplies[:0]
 
 	var g *proto.Gossip
 	var targets []proto.ProcessID
@@ -381,7 +349,7 @@ func (n *Node) TickCompose(now uint64, out []proto.Message) []proto.Message {
 		m := n.store.At(i)
 		if n.advertisable(m) {
 			g.Digest = append(g.Digest, m.event.ID)
-			n.composedAdv = append(n.composedAdv, i)
+			m.advertised++
 		}
 	}
 	if n.mem != nil {
@@ -390,7 +358,7 @@ func (n *Node) TickCompose(now uint64, out []proto.Message) []proto.Message {
 		} else {
 			g.Subs = n.mem.AppendSubs(nil)
 		}
-		g.Unsubs = n.mem.PeekUnsubs(g.Unsubs, now)
+		g.Unsubs = n.mem.AppendUnsubs(g.Unsubs, now)
 	}
 	if n.reuseEmission {
 		n.scratchTargets = n.appendTargets(n.scratchTargets[:0])
@@ -401,39 +369,8 @@ func (n *Node) TickCompose(now uint64, out []proto.Message) []proto.Message {
 	for _, t := range targets {
 		out = append(out, proto.Message{Kind: proto.GossipMsg, From: n.self, To: t, Gossip: g})
 	}
-	n.composedTargets = len(targets)
+	n.stats.GossipsSent += uint64(len(targets))
 	return out
-}
-
-// TickAbort discards the outstanding composed emission, rewinding the
-// node's random streams to their pre-compose positions. The caller must
-// also discard the messages that compose appended.
-func (n *Node) TickAbort() {
-	n.rng.Restore(n.composeRNG)
-	if n.mem != nil {
-		n.mem.RestoreRNGState(n.composeMemRNG)
-	}
-	n.composedAdv = n.composedAdv[:0]
-	n.composedTargets = 0
-}
-
-// TickCommit applies the deferred mutations of the outstanding composed
-// emission: the flushed replies leave the queue, every advertised
-// message's repetition counter advances, gossip statistics update, and
-// obsolete unsubscriptions expire. The store indices recorded at compose
-// time are still valid because the contract forbids any operation between
-// a compose and its commit.
-func (n *Node) TickCommit(now uint64) {
-	n.pendingReplies = n.pendingReplies[:0]
-	for _, i := range n.composedAdv {
-		n.store.At(i).advertised++
-	}
-	n.composedAdv = n.composedAdv[:0]
-	n.stats.GossipsSent += uint64(n.composedTargets)
-	n.composedTargets = 0
-	if n.mem != nil {
-		n.mem.ExpireUnsubs(now)
-	}
 }
 
 // HandleMessageAppend processes one incoming message, appending any

@@ -47,14 +47,9 @@ func (s *Source) Uint64() uint64 {
 	return mix64(s.state)
 }
 
-// State captures the stream's current position. Together with Restore it
-// supports speculative execution: a caller that may need to undo a bounded
-// computation snapshots the streams it draws from, and rolls them back so a
-// re-execution consumes exactly the draws the first attempt did.
+// State returns the stream's current position: two sources in the same
+// state draw the same values from then on.
 func (s *Source) State() uint64 { return s.state }
-
-// Restore rewinds the stream to a position previously captured by State.
-func (s *Source) Restore(state uint64) { s.state = state }
 
 // Split derives an independent child stream. The child's sequence does not
 // overlap the parent's continued sequence for any practical stream length.

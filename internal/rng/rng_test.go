@@ -31,23 +31,6 @@ func TestSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestStateRestoreReplays(t *testing.T) {
-	t.Parallel()
-	s := New(7)
-	s.Uint64()
-	state := s.State()
-	var first [8]uint64
-	for i := range first {
-		first[i] = s.Uint64()
-	}
-	s.Restore(state)
-	for i := range first {
-		if got := s.Uint64(); got != first[i] {
-			t.Fatalf("draw %d after Restore = %d, want %d", i, got, first[i])
-		}
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	t.Parallel()
 	root := New(7)

@@ -494,9 +494,9 @@ func TestInflightSharingCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.procs[0] = appendOnly{&rewriter{self: 1, wan: 3, g: proto.Gossip{From: 1, Digest: []proto.EventID{{Origin: 1, Seq: 1}}}}}
-	c.procs[1] = appendOnly{&chatter{self: 2, peer: 1}} // its tick makes process 1 respond
-	c.procs[2] = appendOnly{&quiet{self: 3}}
+	c.procs[0] = &rewriter{self: 1, wan: 3, g: proto.Gossip{From: 1, Digest: []proto.EventID{{Origin: 1, Seq: 1}}}}
+	c.procs[1] = &chatter{self: 2, peer: 1} // its tick makes process 1 respond
+	c.procs[2] = &quiet{self: 3}
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "two different gossips") {
 			t.Fatalf("a gossip rewritten within its period was shared: recovered %v", r)

@@ -57,9 +57,9 @@ import (
 //
 // Steady-state allocation argument. NewCluster builds every engine in
 // emission reuse (the same seam the live node uses over Serializer
-// transports): TickCompose recycles one gossip and its backing slices per
+// transports): TickAppend recycles one gossip and its backing slices per
 // engine. Recycling is safe here because an engine's scratch is only
-// rewritten by its next TickCompose, which cannot run before the next
+// rewritten by its next TickAppend, which cannot run before the next
 // round's tick phase — and by then the current round's outbox has been
 // fully consumed: the sequential loss/crash filter has routed it, every
 // handle phase has read it, and the span merge has drained the response
@@ -156,21 +156,16 @@ type shardedExecutor struct {
 	queue    []proto.Message   // current hop's messages
 	next     []proto.Message   // next hop's messages
 
-	pool      *workerPool
-	wg        *sync.WaitGroup // shared with the workers; reused every phase
-	tickFn    func(s int)     // built once: per-phase closures must not allocate
-	handleFn  func(s int)
-	composeFn func(s int)
+	pool     *workerPool
+	wg       *sync.WaitGroup // shared with the workers; reused every phase
+	tickFn   func(s int)     // built once: per-phase closures must not allocate
+	handleFn func(s int)
 
-	// Wavefront async state (async.go); but for aComposed, which every
-	// delivery consults, allocated when the cluster runs async periods.
-	// aComposed[i] tracks an outstanding valid speculative emission — cleared
-	// when a commit consumes it, never set by a synchronous round.
-	aOrder        []int             // position -> process index
-	aComposed     []bool            // per process: valid speculative emission outstanding
-	aEmit         [][]proto.Message // per process: the composed emission
-	waveFront     int               // compose-phase window bounds, set before each
-	waveWindowEnd int               // parallel compose phase
+	// Wavefront async state (async.go), allocated when the cluster runs
+	// async periods.
+	aOrder []int   // position -> process index
+	aHit   []int32 // per process: the wave of this period that last routed it a delivery
+	waves  int32   // waves so far in this period, the current one included
 
 	poison bool // overwrite recycled buffers with sentinels after each round
 }
@@ -180,21 +175,20 @@ type shardedExecutor struct {
 // one, starts the persistent workers.
 func newShardedExecutor(c *Cluster, w int) *shardedExecutor {
 	e := &shardedExecutor{
-		c:         c,
-		workers:   w,
-		lo:        make([]int, w),
-		hi:        make([]int, w),
-		shardOf:   make([]int, len(c.ids)),
-		tickBufs:  make([][]proto.Message, w),
-		inboxes:   make([][]routed, w),
-		groups:    make([]destGroups, w),
-		resps:     make([][]proto.Message, w),
-		spans:     make([][]respSpan, w),
-		cursors:   make([]int, w),
-		aComposed: make([]bool, len(c.ids)),
-		pool:      new(workerPool),
-		wg:        new(sync.WaitGroup),
-		poison:    c.opts.PoisonRecycled,
+		c:        c,
+		workers:  w,
+		lo:       make([]int, w),
+		hi:       make([]int, w),
+		shardOf:  make([]int, len(c.ids)),
+		tickBufs: make([][]proto.Message, w),
+		inboxes:  make([][]routed, w),
+		groups:   make([]destGroups, w),
+		resps:    make([][]proto.Message, w),
+		spans:    make([][]respSpan, w),
+		cursors:  make([]int, w),
+		pool:     new(workerPool),
+		wg:       new(sync.WaitGroup),
+		poison:   c.opts.PoisonRecycled,
 	}
 	n := len(c.ids)
 	base, rem := n/w, n%w
@@ -212,12 +206,11 @@ func newShardedExecutor(c *Cluster, w int) *shardedExecutor {
 	}
 	e.tickFn = e.tickShard
 	e.handleFn = e.handleShard
-	e.composeFn = e.composeShard
 	if c.opts.Async {
 		// On the event clock the period order is the static phase order; the
 		// round clock shuffles aOrder afresh each period.
 		e.aOrder = phaseOrder(c.phase)
-		e.aEmit = make([][]proto.Message, n)
+		e.aHit = make([]int32, n)
 	}
 	if w == 1 {
 		return e // every phase runs inline: no workers, nothing to clean up
@@ -267,9 +260,7 @@ func (e *shardedExecutor) tickShard(s int) {
 		if c.crashes.Crashed(c.ids[i], c.now) {
 			continue
 		}
-		p := c.procs[i]
-		buf = p.TickCompose(c.now, buf)
-		p.TickCommit(c.now)
+		buf = c.procs[i].TickAppend(c.now, buf)
 	}
 	if direct {
 		e.queue = buf
@@ -500,8 +491,7 @@ func poisonSlots(msgs []proto.Message) {
 }
 
 // poisonRecycled overwrites every buffer this period recycled — the
-// outboxes and per-process composed emissions (and, through them, the
-// shared scratch gossips), and the executor-owned response and queue slots
+// outboxes (and, through them, the shared scratch gossips), and the executor-owned response and queue slots
 // — with sentinel values; the delay ring poisons its just-drained arrivals
 // itself, in RunRound's EndPeriod. The hop queues hold copies of emissions,
 // of responses and of arrivals, and an arrival's gossip may still be in the
@@ -510,9 +500,6 @@ func poisonSlots(msgs []proto.Message) {
 // bit-for-bit identical to unpoisoned ones; the reuse property tests assert
 // exactly that.
 func (e *shardedExecutor) poisonRecycled() {
-	for i := range e.aEmit {
-		poisonMessages(e.aEmit[i])
-	}
 	for s := 0; s < e.workers; s++ {
 		poisonMessages(e.tickBufs[s])
 		poisonMessages(e.resps[s])

@@ -92,7 +92,7 @@ func TestHandleShardGrouping(t *testing.T) {
 			shardLogs := make([][]int, workers)
 			for i := range probes {
 				probes[i] = &handleProbe{id: c.ids[i], di: i, shard: &shardLogs[e.shardOf[i]]}
-				c.procs[i] = appendOnly{probes[i]}
+				c.procs[i] = probes[i]
 			}
 			for _, hop := range hops {
 				for _, p := range probes {

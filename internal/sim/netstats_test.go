@@ -56,7 +56,7 @@ func chatterCluster(t *testing.T, n, workers int, async bool) *Cluster {
 		t.Fatal(err)
 	}
 	for i := range c.procs {
-		c.procs[i] = appendOnly{&chatter{self: c.ids[i], peer: c.ids[(i+1)%n]}}
+		c.procs[i] = &chatter{self: c.ids[i], peer: c.ids[(i+1)%n]}
 	}
 	return c
 }
@@ -115,7 +115,7 @@ func TestDispatchCountsUnknownDest(t *testing.T) {
 			for i := range c.procs {
 				// Everybody gossips into the void; nobody receives, so no
 				// chase and no responses.
-				c.procs[i] = appendOnly{&chatter{self: c.ids[i], peer: proto.ProcessID(9_999)}}
+				c.procs[i] = &chatter{self: c.ids[i], peer: proto.ProcessID(9_999)}
 			}
 			c.RunRound()
 			c.Close()

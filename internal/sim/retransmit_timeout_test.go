@@ -56,7 +56,7 @@ func TestRetransmitTimeoutCountsPeriods(t *testing.T) {
 				}
 				defer c.Close()
 				for i := 1; i < o.N; i++ {
-					c.procs[i] = appendOnly{&advertiser{self: c.ids[i]}}
+					c.procs[i] = &advertiser{self: c.ids[i]}
 				}
 				eng := c.procs[0].(*core.Engine)
 				for period, want := range []uint64{0, 0, 1, 1} {

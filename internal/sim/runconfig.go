@@ -64,9 +64,9 @@ type RunConfig struct {
 	// 1 is one shard: every phase runs inline on the caller's goroutine and
 	// the cluster starts no workers. W > 1 fans the per-process work out to
 	// W persistent workers with deterministic merges: in synchronous mode
-	// the tick and handle phases of each round; in Async mode ticks
-	// are composed speculatively and deliveries handled in parallel under
-	// the wavefront schedule (async.go). A negative value selects
+	// the tick and handle phases of each round; in Async mode the
+	// deliveries of each wave of the wavefront schedule (async.go), whose
+	// ticks run in one sequential walk. A negative value selects
 	// GOMAXPROCS shards, and the count never exceeds the number of
 	// processes.
 	Workers int

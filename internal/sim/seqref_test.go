@@ -95,9 +95,7 @@ func (c *seqRef) runRoundSeq() {
 // carries its own deep copy of the gossip and of the request, so nothing a
 // walk queues aliases an engine's buffers.
 func tickClone(p Process, now uint64) []proto.Message {
-	msgs := p.(interface {
-		TickAppend(now uint64, out []proto.Message) []proto.Message
-	}).TickAppend(now, nil)
+	msgs := p.TickAppend(now, nil)
 	for i := range msgs {
 		if msgs[i].Gossip != nil {
 			gc := msgs[i].Gossip.Clone()

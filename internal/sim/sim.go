@@ -37,16 +37,11 @@ import (
 
 // Process is the engine-side contract the simulator drives: the paper's
 // process does two things (Fig. 1), handle a gossip it receives and emit one
-// gossip per period. Emission is split for the wavefront schedule
-// (async.go): TickCompose builds an emission without consuming it,
-// TickAbort discards it and rewinds its RNG draws, and TickCommit applies
-// the deferred buffer consumption. A synchronous tick is TickCompose
-// followed by TickCommit. Both core.Engine and pbcast.Node satisfy it.
+// gossip per period. It is the contract lpbcast.Engine gives the live node,
+// and both core.Engine and pbcast.Node satisfy it.
 type Process interface {
 	Self() proto.ProcessID
-	TickCompose(now uint64, out []proto.Message) []proto.Message
-	TickAbort()
-	TickCommit(now uint64)
+	TickAppend(now uint64, out []proto.Message) []proto.Message
 	HandleMessageAppend(m proto.Message, now uint64, out []proto.Message) []proto.Message
 }
 

@@ -16,24 +16,6 @@ var (
 	_ Process = (*pbcast.Node)(nil)
 )
 
-// fake is what a test fake standing in for an engine implements.
-type fake interface {
-	Self() proto.ProcessID
-	TickAppend(now uint64, out []proto.Message) []proto.Message
-	HandleMessageAppend(m proto.Message, now uint64, out []proto.Message) []proto.Message
-}
-
-// appendOnly runs a fake on the speculative seam. A fake's tick keeps no
-// state, so composing it is ticking it, and there is nothing to commit or
-// abort.
-type appendOnly struct{ fake }
-
-func (p appendOnly) TickCompose(now uint64, out []proto.Message) []proto.Message {
-	return p.TickAppend(now, out)
-}
-func (appendOnly) TickAbort()        {}
-func (appendOnly) TickCommit(uint64) {}
-
 // TestOptionsValidate is the cluster options' validation table, including
 // the unit-mixing rule: options mixing millisecond and round-granular delay
 // expressions are rejected loudly instead of silently coercing units.
