@@ -374,8 +374,9 @@ func executorSuite(quick, big bool) []benchCase {
 		// the absolute zero-alloc ceiling.
 		steady(0, 2, false, false, sim.ClockRounds),
 		steady(benchWorkers(), 2, false, false, sim.ClockRounds),
-		// The async pair measures the wavefront period: the speculative
-		// schedule on one shard and on many, under the same zero-alloc
+		// The async pair measures the wavefront period — ticks in one
+		// sequential walk per wave, each wave's deliveries handled on the
+		// shards — on one shard and on many, under the same zero-alloc
 		// ceiling as its synchronous sibling.
 		steady(0, 2, true, false, sim.ClockRounds),
 		steady(benchWorkers(), 2, true, false, sim.ClockRounds),

@@ -181,8 +181,8 @@ func TestEventBuffer(t *testing.T) {
 	t.Parallel()
 	b := NewEventBuffer()
 	e := proto.Event{ID: proto.EventID{Origin: 1, Seq: 1}, Payload: []byte("x")}
-	if !b.Add(e) || b.Add(e) {
-		t.Fatal("Add/dup behaviour wrong")
+	if !b.AddBounded(e, 30) || b.AddBounded(e, 30) {
+		t.Fatal("AddBounded/dup behaviour wrong")
 	}
 	if !b.Contains(e.ID) || b.Len() != 1 {
 		t.Fatal("Contains/Len wrong")
@@ -198,7 +198,7 @@ func TestEventBufferTruncateRandom(t *testing.T) {
 	r := rng.New(4)
 	b := NewEventBuffer()
 	for i := uint64(1); i <= 30; i++ {
-		b.Add(proto.Event{ID: proto.EventID{Origin: 1, Seq: i}})
+		b.AddBounded(proto.Event{ID: proto.EventID{Origin: 1, Seq: i}}, 30)
 	}
 	if removed := b.TruncateRandomDiscard(10, r); b.Len() != 10 || removed != 20 {
 		t.Fatalf("truncate: kept %d removed %d", b.Len(), removed)

@@ -238,6 +238,21 @@ func (l *UnsubList) Add(u proto.Unsubscription) bool {
 	return l.inner.Add(u)
 }
 
+// AddAll adds the unsubscriptions of us that keep accepts (it sees each
+// once, in order) as Add would one at a time; past smallMax entries in time
+// linear in the list and us (KeyedList.merge).
+func (l *UnsubList) AddAll(us []proto.Unsubscription, keep func(proto.Unsubscription) bool) {
+	if l.Len()+len(us) > smallMax {
+		l.inner.merge(us, keep, func(held, u proto.Unsubscription) bool { return u.Stamp > held.Stamp })
+		return
+	}
+	for _, u := range us {
+		if keep(u) {
+			l.Add(u)
+		}
+	}
+}
+
 // Contains reports whether an unsubscription for p is buffered.
 func (l *UnsubList) Contains(p proto.ProcessID) bool { return l.inner.Contains(p) }
 
@@ -297,11 +312,9 @@ func NewEventBuffer() *EventBuffer {
 // Init prepares a zero-value EventBuffer in place, allocation-free.
 func (b *EventBuffer) Init() { b.inner.Init(eventKey) }
 
-// Add inserts e unless already present, reporting whether it was added.
-func (b *EventBuffer) Add(e proto.Event) bool { return b.inner.Add(e) }
-
-// AddBounded is Add for a caller that truncates to under bound before it
-// adds again (KeyedList.AddBounded): storage stops growing at bound slots.
+// AddBounded inserts e unless already present, reporting whether it was
+// added, for a caller that truncates to under bound before it adds again
+// (KeyedList.AddBounded): storage stops growing at bound slots.
 func (b *EventBuffer) AddBounded(e proto.Event, bound int) bool {
 	return b.inner.AddBounded(e, bound)
 }

@@ -120,6 +120,37 @@ func (l *KeyedList[K, V]) AddBounded(v V, bound int) bool {
 	return true
 }
 
+// merge adds the elements of vs that keep accepts (it sees each once, in
+// order) as Add would one at a time, except that v replaces the held
+// element with its key, moving to the end, when newer(held, v). Every
+// element that adds or replaces is appended, and one pass then keeps each
+// key's last: linear, where removing at each refresh is quadratic in a
+// batch that names keys again.
+func (l *KeyedList[K, V]) merge(vs []V, keep func(V) bool, newer func(held, v V) bool) {
+	at := make(map[K]int, len(l.items)+len(vs)) // key -> position of its last element
+	for i, v := range l.items {
+		at[l.key(v)] = i
+	}
+	for _, v := range vs {
+		if i, ok := at[l.key(v)]; keep(v) && (!ok || newer(l.items[i], v)) {
+			at[l.key(v)] = len(l.items)
+			l.items = append(l.items, v)
+		}
+	}
+	w := 0
+	for i, v := range l.items {
+		if at[l.key(v)] == i {
+			l.items[w] = v
+			w++
+		}
+	}
+	clear(l.items[w:])
+	l.items, l.idx = l.items[:w], nil
+	if w > smallMax {
+		l.buildIdx()
+	}
+}
+
 // Contains reports whether an element with key k is present.
 func (l *KeyedList[K, V]) Contains(k K) bool {
 	return l.contains(k)

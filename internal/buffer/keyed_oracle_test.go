@@ -239,3 +239,90 @@ func TestKeyedListBounded(t *testing.T) {
 		}
 	}
 }
+
+// refUnsubList is the unSubs buffer as a plain slice, one Add at a time: a
+// process not held is appended, and one held under an older stamp is
+// deleted and appended under the newer one. Do not optimise it.
+type refUnsubList []proto.Unsubscription
+
+func (l *refUnsubList) add(u proto.Unsubscription) {
+	if i := slices.IndexFunc(*l, func(h proto.Unsubscription) bool { return h.Process == u.Process }); i >= 0 {
+		if u.Stamp <= (*l)[i].Stamp {
+			return
+		}
+		*l = slices.Delete(*l, i, i+1)
+	}
+	*l = append(*l, u)
+}
+
+// TestUnsubListAddAllOracle drives AddAll with gossips that name processes
+// again, at newer, equal and older stamps, from one entry to 400 — both
+// sides of smallMax, where AddAll leaves one Add at a time for the linear
+// merge — between expiries and truncations drawing from twin sources, and
+// compares the entries, in order, and membership with the reference's
+// after every op. keep must see every entry once, in order, and what it
+// refuses must not be added.
+func TestUnsubListAddAllOracle(t *testing.T) {
+	t.Parallel()
+	for seed := uint64(1); seed <= 60; seed++ {
+		gen := rng.New(seed)
+		got, want := rng.New(seed^0x5eed), rng.New(seed^0x5eed)
+		l := NewUnsubList()
+		var ref refUnsubList
+		now := uint64(100)
+		for op := 0; op < 200; op++ {
+			switch k := gen.Intn(10); {
+			case k < 7:
+				n := 1 + gen.Intn(20)
+				if gen.Intn(4) == 0 {
+					n = 1 + gen.Intn(400)
+				}
+				procs := 1 + gen.Intn(2*n) // a range this small names processes again
+				batch := make([]proto.Unsubscription, n)
+				for i := range batch {
+					batch[i] = proto.Unsubscription{Process: proto.ProcessID(1 + gen.Intn(procs)), Stamp: now - uint64(gen.Intn(20))}
+				}
+				refused := proto.ProcessID(1 + gen.Intn(procs))
+				var seen []proto.Unsubscription
+				l.AddAll(batch, func(u proto.Unsubscription) bool {
+					seen = append(seen, u)
+					return u.Process != refused
+				})
+				if !slices.Equal(seen, batch) {
+					t.Fatalf("seed %d op %d: keep saw %v, want %v", seed, op, seen, batch)
+				}
+				for _, u := range batch {
+					if u.Process != refused {
+						ref.add(u)
+					}
+				}
+			case k < 8:
+				l.Expire(now, 10)
+				ref = slices.DeleteFunc(ref, func(u proto.Unsubscription) bool { return u.Stamp < now-10 })
+			default:
+				max := gen.Intn(80)
+				l.TruncateRandomDiscard(max, got)
+				for len(ref) > max {
+					i := want.Intn(len(ref))
+					ref = slices.Delete(ref, i, i+1)
+				}
+			}
+			now += uint64(gen.Intn(3))
+			if items := l.Items(); !slices.Equal(items, ref) {
+				t.Fatalf("seed %d op %d: entries %v, reference %v", seed, op, items, ref)
+			}
+			if got.State() != want.State() {
+				t.Fatalf("seed %d op %d: rng at %#x, reference at %#x", seed, op, got.State(), want.State())
+			}
+			if idx := l.inner.idx; idx != nil && len(idx) != l.Len() {
+				t.Fatalf("seed %d op %d: index of %d keys beside %d entries", seed, op, len(idx), l.Len())
+			}
+			for p := proto.ProcessID(1); p <= 400; p++ {
+				held := slices.ContainsFunc(ref, func(u proto.Unsubscription) bool { return u.Process == p })
+				if l.Contains(p) != held {
+					t.Fatalf("seed %d op %d: Contains(%d) = %v, reference %v", seed, op, p, !held, held)
+				}
+			}
+		}
+	}
+}

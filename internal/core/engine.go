@@ -572,80 +572,48 @@ func (e *Engine) pendingContains(id proto.EventID) bool {
 	return false
 }
 
-// retransmitTimedOut re-requests timed-out pulls: the due-and-still-missing
-// ids, in request order, capped like a regular pull at
-// MaxRetransmitPerGossip, go out in one request appended to out. Then the
-// table moves: answered ids leave it, and the re-requested ones advance
-// their attempt count and deadline (giving up past maxRetransmitAttempts)
-// and rotate to the back, so when the cap leaves some due entries out of a
-// period's re-request, the leftovers head the next one instead of being
-// starved by perpetually re-arming earlier entries.
+// retransmitTimedOut re-requests timed-out pulls: the due ids still
+// missing, in table order and capped like a regular pull at
+// MaxRetransmitPerGossip, go out in one request — to the Logger when one is
+// configured, otherwise to a fresh random view member, since the original
+// sender did not answer. Answered ids leave the table, and re-requested ones
+// advance their attempt count and deadline (giving up past
+// maxRetransmitAttempts) and rotate to the back, so entries the cap leaves
+// out head the next re-request instead of being starved by perpetually
+// re-arming earlier ones. TickAppend calls it only with a non-empty view.
 func (e *Engine) retransmitTimedOut(now uint64, out []proto.Message) []proto.Message {
-	if e.cfg.RetransmitTimeout == 0 || len(e.pending) == 0 {
+	if e.cfg.RetransmitTimeout == 0 {
 		return out
 	}
-	req := e.scratchRequest[:0]
-	max := e.cfg.MaxRetransmitPerGossip
-	for i := range e.pending {
-		p := &e.pending[i]
-		if p.deadline > now || e.knows(p.id) {
-			continue
-		}
-		if max > 0 && len(req) >= max {
-			break
-		}
-		req = append(req, p.id)
-	}
-	e.scratchRequest = req
-	// The original request went to the digest's sender, who did not answer
-	// — maybe the message was lost, maybe its archive evicted the
-	// notification. Retry against the Logger when configured, otherwise
-	// against a fresh random view member.
-	server := e.cfg.Logger
-	if len(req) > 0 && (server == proto.NilProcess || server == e.self) {
-		e.scratchReqTarget = e.mem.AppendTargets(e.scratchReqTarget[:0], 1)
-		server = proto.NilProcess
-		if len(e.scratchReqTarget) > 0 {
-			server = e.scratchReqTarget[0]
-		}
-	}
-	requested := 0
-	if len(req) > 0 && server != proto.NilProcess {
-		if !e.reuseEmission {
-			req = append([]proto.EventID(nil), req...)
-		}
-		requested = len(req)
-		out = append(out, proto.Message{
-			Kind:    proto.RetransmitRequestMsg,
-			From:    e.self,
-			To:      server,
-			Request: req,
-		})
-	}
-	// The sweep's skip conditions are the selection's, so the first
-	// requested due entries are precisely the re-requested ones.
-	e.stats.RetransmitTimeouts += uint64(requested)
-	kept := e.pending[:0]
-	rearmed := e.scratchRearmed[:0]
+	req, max := e.scratchRequest[:0], e.cfg.MaxRetransmitPerGossip
+	kept, rearmed := e.pending[:0], e.scratchRearmed[:0]
 	for _, p := range e.pending {
-		if e.knows(p.id) {
-			continue // answered (or assumed) since the request went out
-		}
-		if p.deadline <= now && requested > 0 {
-			requested--
-			p.attempts++
-			if p.attempts >= maxRetransmitAttempts {
-				continue // give up: the id stays missing
+		switch {
+		case e.knows(p.id): // answered (or assumed) since the request went out
+		case p.deadline > now || max > 0 && len(req) >= max:
+			kept = append(kept, p)
+		default:
+			req = append(req, p.id)
+			if p.attempts++; p.attempts < maxRetransmitAttempts { // else give up: the id stays missing
+				p.deadline = now + e.cfg.RetransmitTimeout
+				rearmed = append(rearmed, p)
 			}
-			p.deadline = now + e.cfg.RetransmitTimeout
-			rearmed = append(rearmed, p)
-			continue
 		}
-		kept = append(kept, p)
 	}
-	e.pending = append(kept, rearmed...)
-	e.scratchRearmed = rearmed
-	return out
+	e.pending, e.scratchRequest, e.scratchRearmed = append(kept, rearmed...), req, rearmed
+	if len(req) == 0 {
+		return out
+	}
+	e.stats.RetransmitTimeouts += uint64(len(req))
+	server := e.cfg.Logger
+	if server == proto.NilProcess || server == e.self {
+		e.scratchReqTarget = e.mem.AppendTargets(e.scratchReqTarget[:0], 1)
+		server = e.scratchReqTarget[0]
+	}
+	if !e.reuseEmission {
+		req = append([]proto.EventID(nil), req...)
+	}
+	return append(out, proto.Message{Kind: proto.RetransmitRequestMsg, From: e.self, To: server, Request: req})
 }
 
 // maxWatermarkExpansion bounds how many unknown sequence numbers a single
@@ -735,10 +703,6 @@ func validID(id proto.EventID) bool {
 // receivers must treat the gossip as immutable, which every driver in this
 // repository does — engines copy events before retaining them and only
 // read membership piggyback.
-//
-// With an empty view the period still elapses, but nothing is sent and no
-// buffer is consumed; with nobody to re-request from, the retransmission
-// timer idles too.
 func (e *Engine) TickAppend(now uint64, out []proto.Message) []proto.Message {
 	e.ticks++
 	var targets []proto.ProcessID
@@ -747,7 +711,7 @@ func (e *Engine) TickAppend(now uint64, out []proto.Message) []proto.Message {
 		e.scratchTargets = e.mem.AppendTargets(e.scratchTargets[:0], e.cfg.Fanout)
 		targets = e.scratchTargets
 		if len(targets) == 0 {
-			return out
+			return out // an empty view: nothing is sent, nothing consumed, no timer moves
 		}
 		if e.scratchGossip == nil {
 			e.scratchGossip = new(proto.Gossip)

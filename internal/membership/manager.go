@@ -192,22 +192,20 @@ func (m *Manager) Seed(ps []proto.ProcessID) {
 // truncate the buffer randomly. Obsolete unsubscriptions (older than the
 // TTL relative to now) are ignored and expired.
 func (m *Manager) ApplyUnsubs(unsubs []proto.Unsubscription, now uint64) {
-	for _, u := range unsubs {
-		if u.Process == m.self {
-			// Somebody is circulating our own unsubscription; if we are
-			// still subscribed we do not remove ourselves, and we do not
+	m.unsubs.AddAll(unsubs, func(u proto.Unsubscription) bool {
+		if u.Process == m.self && !m.unsubscribed {
+			// Somebody is circulating our own unsubscription; we are still
+			// subscribed, so we do not remove ourselves, and we do not
 			// forward it either.
-			if !m.unsubscribed {
-				continue
-			}
+			return false
 		}
 		if m.cfg.UnsubTTL > 0 && now >= m.cfg.UnsubTTL && u.Stamp < now-m.cfg.UnsubTTL {
-			continue // obsolete
+			return false // obsolete
 		}
 		m.view.Remove(u.Process)
 		m.subs.Remove(u.Process)
-		m.unsubs.Add(u)
-	}
+		return true
+	})
 	m.unsubs.Expire(now, m.cfg.UnsubTTL)
 	m.unsubs.TruncateRandomDiscard(m.cfg.MaxUnsubs, m.rng)
 }
@@ -299,13 +297,6 @@ func (m *Manager) MakeSubs() []proto.ProcessID {
 	return m.AppendSubs(make([]proto.ProcessID, 0, m.subs.Len()+1))
 }
 
-// MakeUnsubs builds the unsubscriptions to attach to an outgoing gossip,
-// after expiring obsolete entries — the allocating wrapper over
-// AppendUnsubs.
-func (m *Manager) MakeUnsubs(now uint64) []proto.Unsubscription {
-	return m.AppendUnsubs(nil, now)
-}
-
 // Targets picks f distinct gossip targets uniformly from the view.
 func (m *Manager) Targets(f int) []proto.ProcessID {
 	return m.view.Pick(f, m.rng)
@@ -328,7 +319,8 @@ func (m *Manager) AppendSubs(dst []proto.ProcessID) []proto.ProcessID {
 }
 
 // AppendUnsubs expires obsolete unsubscriptions, then appends the rest to
-// dst, without allocating when dst has capacity.
+// dst — the unsubscriptions to attach to an outgoing gossip — without
+// allocating when dst has capacity.
 func (m *Manager) AppendUnsubs(dst []proto.Unsubscription, now uint64) []proto.Unsubscription {
 	m.unsubs.Expire(now, m.cfg.UnsubTTL)
 	return m.unsubs.AppendItems(dst)

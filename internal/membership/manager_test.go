@@ -4,6 +4,7 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/proto"
 	"repro/internal/rng"
@@ -112,9 +113,9 @@ func TestApplyUnsubsRemovesFromView(t *testing.T) {
 		t.Fatalf("unsubs len = %d, want 1", m.UnsubsLen())
 	}
 	// The unsubscription must be forwarded.
-	us := m.MakeUnsubs(10)
+	us := m.AppendUnsubs(nil, 10)
 	if len(us) != 1 || us[0].Process != 3 {
-		t.Fatalf("MakeUnsubs = %v", us)
+		t.Fatalf("AppendUnsubs = %v", us)
 	}
 }
 
@@ -140,9 +141,9 @@ func TestApplyUnsubsIgnoresOwnWhileSubscribed(t *testing.T) {
 	if m.UnsubsLen() != 0 {
 		t.Fatal("own unsubscription forwarded while still subscribed")
 	}
-	us := m.MakeUnsubs(5)
+	us := m.AppendUnsubs(nil, 5)
 	if len(us) != 0 {
-		t.Fatalf("MakeUnsubs = %v", us)
+		t.Fatalf("AppendUnsubs = %v", us)
 	}
 }
 
@@ -171,9 +172,9 @@ func TestMakeSubsAfterUnsubscribe(t *testing.T) {
 			t.Fatal("unsubscribed process still announces itself")
 		}
 	}
-	us := m.MakeUnsubs(10)
+	us := m.AppendUnsubs(nil, 10)
 	if len(us) != 1 || us[0].Process != 1 || us[0].Stamp != 10 {
-		t.Fatalf("MakeUnsubs = %v", us)
+		t.Fatalf("AppendUnsubs = %v", us)
 	}
 }
 
@@ -289,7 +290,7 @@ func TestViewNeverExceedsBoundUnderChurn(t *testing.T) {
 			}, now)
 		case 2:
 			_ = m.MakeSubs()
-			_ = m.MakeUnsubs(now)
+			_ = m.AppendUnsubs(nil, now)
 		}
 		if m.ViewLen() > cfg.MaxView {
 			t.Fatalf("step %d: view %d exceeds bound %d", step, m.ViewLen(), cfg.MaxView)
@@ -319,28 +320,63 @@ func TestRemoveFromView(t *testing.T) {
 // runtime's own), not the index and the backing array the inflow grew
 // (393 KB and 1.2 MB when a truncation kept them). At |unSubs|m = 100 the
 // buffer keeps an index, which must be one of its 100 entries, not the
-// flood's. Not parallel: it reads the heap.
+// flood's. A gossip that names every process twice, the second time under
+// a newer stamp, leaves nothing either, and takes time linear in its
+// length: 10 times the processes may take at most 30 times as long (the
+// linear merge reads about 15, refreshing one entry at a time about 80;
+// not asserted under the race detector). Not parallel: it reads the heap
+// and the clock.
 func TestHostileUnsubsLeaveNothing(t *testing.T) {
-	for _, c := range []struct{ bound, n int }{{15, 10_000}, {15, 30_000}, {100, 10_000}} {
+	took := make(map[int]time.Duration)
+	for _, c := range []struct {
+		bound, n int
+		twice    bool
+	}{{15, 10_000, false}, {15, 30_000, false}, {100, 10_000, false}, {15, 3_000, true}, {15, 30_000, true}} {
 		cfg, n := DefaultConfig(), c.n
 		cfg.MaxUnsubs = c.bound
+		unsubs := make([]proto.Unsubscription, 0, 2*n)
+		for i := 0; i < n; i++ {
+			unsubs = append(unsubs, proto.Unsubscription{Process: proto.ProcessID(100 + i), Stamp: 5})
+		}
+		if c.twice {
+			for i := 0; i < n; i++ {
+				unsubs = append(unsubs, proto.Unsubscription{Process: proto.ProcessID(100 + i), Stamp: 6})
+			}
+			// A window applies the gossip to 3·10⁴/n fresh managers in a
+			// row, so both sizes' windows do the same work on the same
+			// machine, whatever else it runs; the best of nine counts.
+			reps := 30_000 / n
+			for w := 0; w < 9; w++ {
+				ms := make([]*Manager, reps)
+				for i := range ms {
+					ms[i] = newTestManager(t, cfg)
+				}
+				runtime.GC()
+				start := time.Now()
+				for _, m := range ms {
+					m.ApplyUnsubs(unsubs, 6)
+				}
+				if d := time.Since(start) / time.Duration(reps); w == 0 || d < took[n] {
+					took[n] = d
+				}
+			}
+		}
 		m := newTestManager(t, cfg)
 		m.Seed([]proto.ProcessID{2, 3, 4})
-		unsubs := make([]proto.Unsubscription, n)
-		for i := range unsubs {
-			unsubs[i] = proto.Unsubscription{Process: proto.ProcessID(100 + i), Stamp: 5}
-		}
 		before := liveHeap()
-		m.ApplyUnsubs(unsubs, 5)
+		m.ApplyUnsubs(unsubs, 6)
 		retained := int64(liveHeap()) - int64(before)
 		if m.UnsubsLen() != cfg.MaxUnsubs {
-			t.Fatalf("%d unsubscriptions left %d buffered, want %d", n, m.UnsubsLen(), cfg.MaxUnsubs)
+			t.Fatalf("%d unsubscriptions left %d buffered, want %d", len(unsubs), m.UnsubsLen(), cfg.MaxUnsubs)
 		}
 		if retained > 16<<10 {
-			t.Errorf("%d unsubscriptions in one gossip left %d bytes retained at |unSubs|m = %d, want under 16 KB", n, retained, cfg.MaxUnsubs)
+			t.Errorf("%d unsubscriptions in one gossip left %d bytes retained at |unSubs|m = %d, want under 16 KB", len(unsubs), retained, cfg.MaxUnsubs)
 		}
 		runtime.KeepAlive(m)
 		runtime.KeepAlive(unsubs)
+	}
+	if r := float64(took[30_000]) / float64(took[3_000]); r >= 30 && !raceEnabled {
+		t.Errorf("naming 3·10⁴ processes twice took %v, 3·10³ %v: %.0f times as long, want under 30", took[30_000], took[3_000], r)
 	}
 }
 

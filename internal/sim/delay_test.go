@@ -520,7 +520,7 @@ func (p *quiet) HandleMessageAppend(_ proto.Message, _ uint64, out []proto.Messa
 
 // TestOneEmissionPerPeriod pins the invariant the ring's sharing key rests
 // on: whatever the schedule — both regimes, both clocks, one shard and
-// three, speculation and aborts included — an engine commits at most one
+// three — an engine emits at most one
 // emission per period, so a gossip pointer and a period name one gossip's
 // contents. PoisonRecycled is on for both shard counts, so the ring checks
 // every sharing decision it makes.

@@ -79,8 +79,8 @@ func TestParallelAsyncWorkerCountInvariance(t *testing.T) {
 
 // TestParallelAsyncReuseNoUseAfterRecycle is the async emission-reuse
 // property test: with PoisonRecycled on, every buffer the period recycles
-// — the per-process composed emissions, their shared scratch gossips, and
-// the queue/response slots — is overwritten with sentinels at the end of
+// — the period's emissions, their shared scratch gossips, and the
+// queue/response slots — is overwritten with sentinels at the end of
 // each period, so any consumer holding one too long diverges loudly from
 // the sequential reference. Retransmit mode exercises the longest-lived
 // buffers (the wave barrier's request/reply chase); the pbcast protocols
@@ -130,7 +130,7 @@ func TestParallelAsyncReuseWithPoison10k(t *testing.T) {
 
 // TestAsyncRoundAllocs is the async acceptance gate: once a cluster is
 // fully infected and every scratch buffer has reached steady-state
-// capacity, an async period — speculative composes, the commit walk, the
+// capacity, an async period — the commit walk and its ticks, the
 // barrier handle fan-outs, and the response merges — must not allocate
 // more than twice, sharded four ways or with no option set (one shard).
 func TestAsyncRoundAllocs(t *testing.T) {
@@ -148,11 +148,11 @@ func TestAsyncRoundAllocs(t *testing.T) {
 
 // TestAsyncForwardsWithinPeriod pins the regime's defining property under
 // the wavefront schedule: a delivery that lands before a process's tick
-// commits is forwarded by that tick in the same period, so one async
-// period spreads an event strictly further than one synchronous round
-// (where information travels exactly one hop). This is the wavefront
-// analog of the speculation story: those receivers' ticks were
-// re-executed against the committed state that includes the event.
+// is forwarded by that tick in the same period, so one async period
+// spreads an event strictly further than one synchronous round (where
+// information travels exactly one hop): a wave ends at a process it
+// delivered to, whose tick then runs, next wave, on the state that
+// includes the event.
 func TestAsyncForwardsWithinPeriod(t *testing.T) {
 	t.Parallel()
 	spread := func(async bool) float64 {

@@ -159,7 +159,7 @@ func TestExecutorRoundAllocs(t *testing.T) {
 // steadyRoundAllocs builds the cluster, publishes one event and runs 300
 // rounds — infecting everyone and letting every scratch buffer, view map,
 // emission buffer and subs list reach its high-water capacity: membership
-// churn and speculation re-executions keep growing buffers for a long tail
+// churn keeps growing buffers for a long tail
 // of rounds before the caps stabilize — then measures one round.
 func steadyRoundAllocs(t *testing.T, opts Options) float64 {
 	t.Helper()
