@@ -243,9 +243,10 @@ func checkRegression(baselinePath string, fresh []Entry, tolerance float64) ([]s
 		}
 		// Gated construction and footprint metrics are held to the same
 		// relative headroom as allocs/op: what a cluster allocates to be
-		// built, and what a process holds once built and once infected,
-		// are as machine-independent as steady-state cost.
-		for _, key := range []string{"setup_allocs_per_op", "bytes_per_process", "heap_bytes_per_process"} {
+		// built, what a process holds once built and once infected, and
+		// what one digest or archive holds full, are as machine-independent
+		// as steady-state cost.
+		for _, key := range []string{"setup_allocs_per_op", "bytes_per_process", "heap_bytes_per_process", "table_bytes"} {
 			fv, fok := e.Metrics[key]
 			bv, bok := base.Metrics[key]
 			if !fok || !bok {

@@ -71,6 +71,8 @@ func TestCheckRegression(t *testing.T) {
 		{Name: "ungated", AllocsPerOp: 10, Gate: false, MaxAllocs: -1},
 		{Name: "setup", AllocsPerOp: 1000, Gate: true, MaxAllocs: -1,
 			Metrics: map[string]float64{"setup_allocs_per_op": 1000, "bytes_per_process": 3000}},
+		{Name: "table", AllocsPerOp: 0, Gate: true, MaxAllocs: 0,
+			Metrics: map[string]float64{"table_bytes": 6144}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -109,6 +111,10 @@ func TestCheckRegression(t *testing.T) {
 				Metrics: map[string]float64{"bytes_per_process": 3700}},
 			{Name: "setup", AllocsPerOp: 1000, Gate: true, MaxAllocs: -1,
 				Metrics: map[string]float64{"bytes_per_process": 3800}},
+		}, 1},
+		{"table bytes within headroom, then past it", []Entry{
+			{Name: "table", Gate: true, MaxAllocs: 0, Metrics: map[string]float64{"table_bytes": 7600}},
+			{Name: "table", Gate: true, MaxAllocs: 0, Metrics: map[string]float64{"table_bytes": 9472}},
 		}, 1},
 	}
 	for _, tc := range cases {

@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -416,25 +417,134 @@ func TestArchiveEvictionReleasesPayloads(t *testing.T) {
 	}
 }
 
-// TestDigestBytesPerOrigin: the table costs at most 44 bytes per tracked
-// origin at 64, 250 and 1000 origins — 24-byte slots, a quarter step, then
-// whatever the allocator's size class adds: 36, 38 and 41 bytes, where the
-// doubling table of 32-byte slots took 64, 66 and 66.
+// TestDigestBytesPerOrigin: the table costs at most 30 bytes per tracked
+// origin at 64, 250 and 1000 origins — 16-byte slots, a quarter step, then
+// whatever the allocator's size class adds: 24.0, 24.6 and 24.6 bytes,
+// where 24-byte slots took 36, 38 and 41 — and the header every idle engine
+// carries stays at 40 bytes.
 func TestDigestBytesPerOrigin(t *testing.T) {
-	if size := unsafe.Sizeof(originSlot{}); size != 24 {
-		t.Fatalf("an origin's slot takes %d bytes, want 24", size)
+	if size := unsafe.Sizeof(originSlot{}); size != 16 {
+		t.Fatalf("an origin's slot takes %d bytes, want 16", size)
+	}
+	if size := unsafe.Sizeof(CompactDigest{}); size > 40 {
+		t.Fatalf("a digest's header takes %d bytes, want at most 40", size)
 	}
 	d := NewCompactDigest()
 	for o := uint64(1); o <= 1000; o++ {
 		d.Add(proto.EventID{Origin: pid(o << 20), Seq: 1})
 		if o == 64 || o == 250 || o == 1000 {
 			bytes := len(d.slots) * int(unsafe.Sizeof(originSlot{}))
-			if bytes > 44*int(o) || 4*int(o) > 3*len(d.slots) {
-				t.Errorf("%d origins in %d slots: %d bytes, %.1f per origin, want at most 44 at a load of at most 3/4",
+			if bytes > 30*int(o) || 4*int(o) > 3*len(d.slots) {
+				t.Errorf("%d origins in %d slots: %d bytes, %.1f per origin, want at most 30 at a load of at most 3/4",
 					o, len(d.slots), bytes, float64(bytes)/float64(o))
 			}
 		}
 	}
+}
+
+// TestDigestAheadEntriesLeave: an origin has a side-map entry only while it
+// has a delivery above its watermark. 10⁵ gaps, a thousand rounds of one on
+// each of 100 origins, each opened by the id after next and closed by the
+// next, leave the map empty after every round and hold what it retains
+// with all 100 gaps open under 12 KB: about 3.5 KB, at times 8.8, where
+// deleting the last entry instead of clearing the map let tombstones grow
+// it to 13.7. Not parallel: it reads the heap.
+func TestDigestAheadEntriesLeave(t *testing.T) {
+	var d CompactDigest
+	deliver := func(o int, ahead uint64) {
+		origin := pid(uint64(o))
+		if !d.Add(proto.EventID{Origin: origin, Seq: d.Watermark(origin) + ahead}) {
+			t.Fatalf("origin %d: a new id refused", o)
+		}
+	}
+	for o := 1; o <= 100; o++ {
+		deliver(o, 1)
+	}
+	before := liveHeap()
+	var retained int64
+	for round := 0; round < 1000; round++ {
+		for o := 1; o <= 100; o++ {
+			deliver(o, 2)
+		}
+		if len(d.ahead) != 100 || d.SparseLen() != 100 {
+			t.Fatalf("round %d: %d side-map entries, %d ids ahead with 100 gaps open", round, len(d.ahead), d.SparseLen())
+		}
+		if round == 999 {
+			retained = int64(liveHeap()) - int64(before)
+		}
+		for o := 1; o <= 100; o++ {
+			deliver(o, 1)
+		}
+		if len(d.ahead) != 0 || d.SparseLen() != 0 {
+			t.Fatalf("round %d: %d side-map entries, %d ids ahead after every gap closed", round, len(d.ahead), d.SparseLen())
+		}
+	}
+	if retained > 12<<10 {
+		t.Errorf("100 open gaps after 10⁵ cycles retain %d bytes, want under 12 KB", retained)
+	}
+	if w := d.Watermark(pid(1)); w != 2001 {
+		t.Fatalf("watermark %d after 1000 rounds, want 2001", w)
+	}
+	runtime.KeepAlive(&d)
+}
+
+// TestHostileFarAheadBounded: for any 10⁵ ids ahead of a watermark that
+// never moves — ascending, as a peer counting up from 2⁴⁰ sends them,
+// descending, so that each evicts the furthest, or interleaved — the digest
+// SHALL report each new, keep the maxFar nearest and retain under 12 KB for
+// them (10.5 KB: a sorted list of at most 1 280 seqs). A forgotten id is new
+// again, the redelivery §3.2's bounded eventIds allows. Not parallel: it
+// reads the heap.
+func TestHostileFarAheadBounded(t *testing.T) {
+	const n = 100_000
+	for _, order := range []string{"ascending", "descending", "interleaved"} {
+		var d CompactDigest
+		d.Add(proto.EventID{Origin: 5, Seq: 1})
+		before := liveHeap()
+		lowest := uint64(1) << 40
+		for i := uint64(0); i < n; i++ {
+			seq := uint64(1)<<40 + i
+			switch order {
+			case "descending":
+				seq = uint64(1)<<40 - i
+			case "interleaved":
+				seq = uint64(1)<<40 + i*7919%(2*n) // a permutation of [0, 2n)
+			}
+			lowest = min(lowest, seq)
+			if !d.Add(proto.EventID{Origin: 5, Seq: seq}) {
+				t.Fatalf("%s: id %d of %d refused as a duplicate", order, i, n)
+			}
+		}
+		retained := int64(liveHeap()) - int64(before)
+		if got := d.SparseLen(); got != maxFar {
+			t.Fatalf("%s: %d ids retained ahead, want %d", order, got, maxFar)
+		}
+		if retained > 12<<10 {
+			t.Errorf("%s: %d ids ahead retain %d bytes, want under 12 KB", order, n, retained)
+		}
+		kept := d.AppendSparse(nil)
+		if kept[0].Seq != lowest || !slices.IsSortedFunc(kept, compareIDs) {
+			t.Fatalf("%s: kept %v .. %v, want the %d nearest from %d", order, kept[0], kept[len(kept)-1], maxFar, lowest)
+		}
+		past := proto.EventID{Origin: 5, Seq: kept[len(kept)-1].Seq + 1}
+		if d.Contains(past) || !d.Add(past) {
+			t.Fatalf("%s: an id past the kept ones is not new again", order)
+		}
+		if d.Watermark(5) != 1 {
+			t.Fatalf("%s: watermark moved to %d", order, d.Watermark(5))
+		}
+		runtime.KeepAlive(&d)
+	}
+}
+
+// liveHeap returns the live heap after two collections: a sync.Pool's
+// victim cache outlives the first.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 func TestArchiveDisabled(t *testing.T) {

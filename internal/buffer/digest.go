@@ -19,13 +19,17 @@ import (
 // Compared to the flat window, membership information about an in-order
 // prefix of each origin's stream costs O(1) instead of O(prefix length).
 //
-// The origins live inline in one open-addressed table, and an origin's
-// sparse set is a 64-bit window just above its watermark, so Contains is
-// one multiplicative hash and, almost always, one cache line, and an
-// out-of-order delivery allocates nothing. Only a sequence number more
-// than 64 past the watermark goes to a per-origin overflow set, kept beside
-// the table so that a slot carries no pointer. The table takes any length (a
-// home slot is the high word of hash × length) and grows by a quarter.
+// The origins live inline in one open-addressed table of 16-byte slots,
+// origin and watermark, so Contains of an id at or below its watermark is
+// one multiplicative hash and, almost always, one cache line. What an
+// origin has delivered above its watermark — almost always nothing: a
+// loaded process holds such a delivery for well under one origin in a
+// hundred — sits in one side map, ahead, keyed by origin: a 64-bit window
+// just above the watermark and, for a sequence number more than 64 past
+// it, an ascending overflow list. An origin has an entry only while it
+// has such a delivery, and the map is not read at all while it is empty.
+// The table takes any length (a home slot is the high word of hash ×
+// length) and grows by a quarter.
 //
 // There are two reads. Contains answers for one id. AppendMissing answers
 // for a gossip's whole digest, in two loops: the first loads the home slot
@@ -36,12 +40,14 @@ import (
 // each miss before it could issue the next.
 //
 // The zero value is an empty digest: the table materializes on the first
-// Add, so constructing a process's digest costs nothing.
+// Add, so constructing a process's digest costs nothing. The header stays
+// at 40 bytes, because every idle engine of a large system carries one.
 type CompactDigest struct {
 	slots []originSlot // linear probing, any length
 	n     int          // tracked origins, at most 3/4 of len(slots)
-	// far holds, per origin, the delivered seqs past watermark+64; nil almost always.
-	far map[proto.ProcessID]map[uint64]struct{}
+	// ahead holds, per origin, the deliveries above its watermark; an
+	// origin has an entry only while it has one, so it is empty almost always.
+	ahead map[proto.ProcessID]aheadSet
 }
 
 // originSlot is one origin's state. A slot is in use exactly when its origin
@@ -49,8 +55,33 @@ type CompactDigest struct {
 type originSlot struct {
 	origin    proto.ProcessID
 	watermark uint64 // all seq in [1..watermark] delivered
-	window    uint64 // bit i: seq watermark+1+i delivered; bit 0 stays clear
 }
+
+// aheadSet is what one origin has delivered above its watermark; never
+// stored empty. The overflow list sits behind a pointer so that an entry of
+// the side map stays 16 bytes.
+type aheadSet struct {
+	window uint64    // bit i: seq watermark+1+i delivered; bit 0 stays clear
+	far    *[]uint64 // ascending seqs delivered past watermark+64, at most maxFar; nil when none
+}
+
+// farSeqs returns the overflow list, nil when there is none.
+func (a aheadSet) farSeqs() []uint64 {
+	if a.far == nil {
+		return nil
+	}
+	return *a.far
+}
+
+// maxFar bounds an origin's overflow list, as maxWatermarkExpansion bounds
+// what one advertised watermark fans out into: a peer that sends ids ever
+// further ahead of a watermark that never moves would otherwise grow it
+// without end. At the bound Add keeps the ids nearest the watermark and
+// forgets the furthest, the list's last, which a later copy then delivers
+// again — what §3.2's bounded eventIds allows for every id. No honest run
+// comes near it. The list is a sorted slice rather than a set because a
+// set's deletes under that churn leave it ever larger.
+const maxFar = 1024
 
 // NewCompactDigest creates an empty digest.
 func NewCompactDigest() *CompactDigest {
@@ -106,10 +137,14 @@ func (d *CompactDigest) Contains(id proto.EventID) bool {
 	if id.Seq <= s.watermark {
 		return true
 	}
-	if off := id.Seq - s.watermark - 1; off < 64 {
-		return s.window>>off&1 != 0
+	if len(d.ahead) == 0 {
+		return false
 	}
-	_, ok := d.far[id.Origin][id.Seq]
+	a := d.ahead[id.Origin]
+	if off := id.Seq - s.watermark - 1; off < 64 {
+		return a.window>>off&1 != 0
+	}
+	_, ok := slices.BinarySearch(a.farSeqs(), id.Seq)
 	return ok
 }
 
@@ -131,17 +166,13 @@ const missingBlock = 64
 // table now in cache — about the rest: a home slot that is another origin's,
 // a sequence number above the watermark.
 func (d *CompactDigest) AppendMissing(dst, ids []proto.EventID) []proto.EventID {
-	var home [missingBlock]struct {
-		origin    proto.ProcessID
-		watermark uint64
-	}
+	var home [missingBlock]originSlot
 	for len(ids) > 0 {
 		blk := ids[:min(len(ids), missingBlock)]
 		ids = ids[len(blk):]
 		if len(d.slots) != 0 { // else home stays zeroed and matches no valid id
 			for j, id := range blk {
-				s := &d.slots[homeSlot(id.Origin, len(d.slots))]
-				home[j].origin, home[j].watermark = s.origin, s.watermark
+				home[j] = d.slots[homeSlot(id.Origin, len(d.slots))]
 			}
 		}
 		for j, id := range blk {
@@ -178,37 +209,69 @@ func (d *CompactDigest) Add(id proto.EventID) bool {
 	if id.Seq <= s.watermark {
 		return false
 	}
-	far := d.far[id.Origin] // this origin's overflow set
-	if off := id.Seq - s.watermark - 1; off < 64 {
-		if s.window>>off&1 != 0 {
+	var a aheadSet
+	held := false
+	if len(d.ahead) != 0 {
+		a, held = d.ahead[id.Origin]
+	}
+	off := id.Seq - s.watermark - 1
+	if off == 0 && !held {
+		s.watermark++ // the in-order delivery: almost every Add
+		return true
+	}
+	if off < 64 {
+		if a.window>>off&1 != 0 {
 			return false
 		}
-		s.window |= 1 << off
+		a.window |= 1 << off
 	} else {
-		if _, dup := far[id.Seq]; dup {
+		far := a.farSeqs()
+		i, dup := slices.BinarySearch(far, id.Seq)
+		if dup {
 			return false
 		}
-		if far == nil {
-			if d.far == nil {
-				d.far = make(map[proto.ProcessID]map[uint64]struct{})
+		if len(far) >= maxFar {
+			if i == len(far) {
+				return true // new, but the furthest: delivered and not kept
 			}
-			far = make(map[uint64]struct{})
-			d.far[id.Origin] = far
+			far = far[:len(far)-1]
 		}
-		far[id.Seq] = struct{}{}
+		if a.far == nil {
+			a.far = new([]uint64)
+		}
+		*a.far = slices.Insert(far, i, id.Seq)
 	}
 	// Absorb the now-contiguous run into the watermark; the window slides
-	// with it and takes in what the overflow set held for its new range.
-	for s.window&1 != 0 {
-		run := bits.TrailingZeros64(^s.window)
+	// with it and takes in the front of the overflow list that its new
+	// range covers.
+	for a.window&1 != 0 {
+		run := bits.TrailingZeros64(^a.window)
 		s.watermark += uint64(run)
-		s.window >>= run
-		for seq := range far {
-			if off := seq - s.watermark - 1; off < 64 {
-				s.window |= 1 << off
-				delete(far, seq)
-			}
+		a.window >>= run
+		far := a.farSeqs()
+		k := 0
+		for ; k < len(far) && far[k]-s.watermark-1 < 64; k++ {
+			a.window |= 1 << (far[k] - s.watermark - 1)
 		}
+		if k == len(far) {
+			a.far = nil
+		} else if k > 0 {
+			*a.far = slices.Delete(far, 0, k)
+		}
+	}
+	switch {
+	case a.window != 0 || a.far != nil:
+		if d.ahead == nil {
+			d.ahead = make(map[proto.ProcessID]aheadSet)
+		}
+		d.ahead[id.Origin] = a
+	case held && len(d.ahead) == 1:
+		// The last gap closed. A delete would leave a tombstone where the
+		// map has grown past one group, and a map that fills and drains
+		// over and over would grow with them; clear resets them.
+		clear(d.ahead)
+	case held: // the gap closed
+		delete(d.ahead, id.Origin)
 	}
 	return true
 }
@@ -218,11 +281,8 @@ func (d *CompactDigest) Add(id proto.EventID) bool {
 // as the gap between this and a flat buffer's length.
 func (d *CompactDigest) SparseLen() int {
 	n := 0
-	for i := range d.slots {
-		n += bits.OnesCount64(d.slots[i].window)
-	}
-	for _, far := range d.far {
-		n += len(far)
+	for _, a := range d.ahead {
+		n += bits.OnesCount64(a.window) + len(a.farSeqs())
 	}
 	return n
 }
@@ -238,6 +298,47 @@ func (d *CompactDigest) Watermark(origin proto.ProcessID) uint64 {
 	return 0
 }
 
+// AppendSparse appends to dst every id retained above its origin's
+// watermark, ordered by origin and then sequence number — Summary's sparse
+// lists in Summary's order — and returns the extended slice. With room in
+// dst it allocates nothing.
+func (d *CompactDigest) AppendSparse(dst []proto.EventID) []proto.EventID {
+	n := len(dst)
+	for origin, a := range d.ahead {
+		next := d.find(origin).watermark + 1
+		for w := a.window; w != 0; w &= w - 1 {
+			dst = append(dst, proto.EventID{Origin: origin, Seq: next + uint64(bits.TrailingZeros64(w))})
+		}
+		for _, seq := range a.farSeqs() {
+			dst = append(dst, proto.EventID{Origin: origin, Seq: seq})
+		}
+	}
+	slices.SortFunc(dst[n:], compareIDs)
+	return dst
+}
+
+// AppendWatermarks appends to dst, for every origin with a watermark above
+// 0, the id {origin, watermark}, ordered by origin as Summary is, and
+// returns the extended slice. With room in dst it allocates nothing.
+func (d *CompactDigest) AppendWatermarks(dst []proto.EventID) []proto.EventID {
+	n := len(dst)
+	for _, s := range d.slots {
+		if s.watermark > 0 { // never so in a free slot
+			dst = append(dst, proto.EventID{Origin: s.origin, Seq: s.watermark})
+		}
+	}
+	slices.SortFunc(dst[n:], compareIDs)
+	return dst
+}
+
+// compareIDs orders ids by origin and then sequence number.
+func compareIDs(a, b proto.EventID) int {
+	if c := cmp.Compare(a.Origin, b.Origin); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
+}
+
 // Summary lists, per origin, the watermark and the ascending sparse
 // sequence numbers. The slice is ordered by origin for determinism.
 func (d *CompactDigest) Summary() []DigestEntry {
@@ -247,15 +348,13 @@ func (d *CompactDigest) Summary() []DigestEntry {
 		if s.origin == proto.NilProcess {
 			continue
 		}
-		far := d.far[s.origin]
-		sp := make([]uint64, 0, bits.OnesCount64(s.window)+len(far))
-		for w := s.window; w != 0; w &= w - 1 {
+		a := d.ahead[s.origin]
+		far := a.farSeqs()
+		sp := make([]uint64, 0, bits.OnesCount64(a.window)+len(far))
+		for w := a.window; w != 0; w &= w - 1 {
 			sp = append(sp, s.watermark+1+uint64(bits.TrailingZeros64(w)))
 		}
-		for seq := range far {
-			sp = append(sp, seq)
-		}
-		slices.Sort(sp[len(sp)-len(far):]) // every far seq lies past the window
+		sp = append(sp, far...) // ascending, and all past the window
 		out = append(out, DigestEntry{Origin: s.origin, Watermark: s.watermark, Sparse: sp})
 	}
 	slices.SortFunc(out, func(a, b DigestEntry) int { return cmp.Compare(a.Origin, b.Origin) })

@@ -12,10 +12,11 @@ import (
 // The references below are the digest and the IDBuffer as they stood before
 // the flat table and the ring — a Go map of origins each holding a Go map of
 // sparse sequence numbers, and a KeyedList truncated from the front by
-// memmove, kept verbatim (only renamed) — and the archive's contract as a
-// plain slice of events. They define what the fast forms must answer —
-// every result, every order — and are trivially right. Do not optimise
-// them.
+// memmove, kept verbatim (only renamed; the digest has since gained one
+// rule, the bound on ids far ahead, marked where it sits) — and the
+// archive's contract as a plain slice of events. They define what the fast
+// forms must answer — every result, every order — and are trivially right.
+// Do not optimise them.
 //
 // Mutations of the fast forms these tests were seen to catch, each with a
 // printed seed: the backward shift's range test made strict or not cyclic;
@@ -70,6 +71,12 @@ import (
 // internal/core, TestEngineWindowsMatchReference catches the digest one id
 // long, the flat window's membership one id short, and the ring built
 // without the eventIds window.
+//
+// Of the side map and the overflow list's bound: an origin's entry kept
+// after its gap closed (the side-map check in add); maxFar ignored, or the
+// newcomer dropped where a kept id lies further (fullFarList,
+// TestHostileFarAheadBounded); AppendWatermarks left unsorted; the map's
+// last entry deleted instead of the map cleared (TestDigestAheadEntriesLeave).
 //
 // Of KeyedList's batched truncation (TestKeyedListOracle): the Fenwick
 // descent comparing with <=, the tree not updated after a draw, an evictee
@@ -127,6 +134,18 @@ func (d *refDigest) Add(id proto.EventID) bool {
 			od.sparse = make(map[uint64]struct{})
 		}
 		od.sparse[id.Seq] = struct{}{}
+		// The one rule added since: of the ids more than 64 past the
+		// watermark at most maxFar are kept, and the furthest goes first.
+		far, top := 0, uint64(0)
+		for s := range od.sparse {
+			if s > od.watermark+64 {
+				far++
+			}
+			top = max(top, s)
+		}
+		if far > maxFar {
+			delete(od.sparse, top)
+		}
 	}
 	if d.origins == nil {
 		d.origins = make(map[proto.ProcessID]refOriginDigest)
@@ -331,8 +350,10 @@ func (p *digestPair) checkMissing(ids []proto.EventID) {
 }
 
 // add applies one Add to both and compares everything observable about
-// the id and its origin; whole also compares SparseLen and Summary, which
-// walk every origin.
+// the id and its origin, and that the origin has a side-map entry exactly
+// when it has a delivery above its watermark; whole also compares
+// SparseLen, Summary, AppendSparse and AppendWatermarks, which walk every
+// origin, and counts the side map's entries.
 func (p *digestPair) add(id proto.EventID, whole bool) {
 	p.t.Helper()
 	p.op++
@@ -362,14 +383,42 @@ func (p *digestPair) add(id proto.EventID, whole bool) {
 	if g, w := p.got.Origins(), p.want.Origins(); g != w {
 		p.t.Fatalf("seed %d op %d: Origins = %d, reference %d", p.seed, p.op, g, w)
 	}
+	_, held := p.got.ahead[id.Origin]
+	if ahead := len(p.want.origins[id.Origin].sparse) != 0; held != ahead {
+		p.t.Fatalf("seed %d op %d: after Add(%v) the side map holds the origin: %v, want %v", p.seed, p.op, id, held, ahead)
+	}
 	if !whole {
 		return
 	}
 	if g, w := p.got.SparseLen(), p.want.SparseLen(); g != w {
 		p.t.Fatalf("seed %d op %d: SparseLen = %d, reference %d", p.seed, p.op, g, w)
 	}
-	if g, w := p.got.Summary(), p.want.Summary(); !sameSummary(g, w) {
-		p.t.Fatalf("seed %d op %d: after Add(%v) Summary = %+v, reference %+v", p.seed, p.op, id, g, w)
+	summary := p.want.Summary()
+	if g := p.got.Summary(); !sameSummary(g, summary) {
+		p.t.Fatalf("seed %d op %d: after Add(%v) Summary = %+v, reference %+v", p.seed, p.op, id, g, summary)
+	}
+	kept := proto.EventID{Origin: 1<<63 | 1, Seq: 1<<63 | 1}
+	var sparse, watermarks []proto.EventID
+	ahead := 0
+	for _, e := range summary {
+		for _, seq := range e.Sparse {
+			sparse = append(sparse, proto.EventID{Origin: e.Origin, Seq: seq})
+		}
+		if e.Watermark > 0 {
+			watermarks = append(watermarks, proto.EventID{Origin: e.Origin, Seq: e.Watermark})
+		}
+		if len(e.Sparse) != 0 {
+			ahead++
+		}
+	}
+	if g := p.got.AppendSparse([]proto.EventID{kept}); g[0] != kept || !slices.Equal(g[1:], sparse) {
+		p.t.Fatalf("seed %d op %d: AppendSparse = %v, reference %v after %v", p.seed, p.op, g[1:], sparse, kept)
+	}
+	if g := p.got.AppendWatermarks([]proto.EventID{kept}); g[0] != kept || !slices.Equal(g[1:], watermarks) {
+		p.t.Fatalf("seed %d op %d: AppendWatermarks = %v, reference %v after %v", p.seed, p.op, g[1:], watermarks, kept)
+	}
+	if len(p.got.ahead) != ahead {
+		p.t.Fatalf("seed %d op %d: %d side-map entries, %d origins hold ids above their watermark", p.seed, p.op, len(p.got.ahead), ahead)
 	}
 }
 
@@ -398,6 +447,7 @@ func TestCompactDigestOracle(t *testing.T) {
 	offsets := []uint64{1, 1, 1, 1, 2, 2, 3, 5, 17, 63, 64, 65, 66, 130, 1 << 40}
 	lengths := []int{0, 1, 63, 64, 65, 200}
 	twoFarSets(t)
+	fullFarList(t)
 	for seed := uint64(1); seed <= 160; seed++ {
 		r := rng.New(seed)
 		probes := rng.New(seed ^ 0x5eed) // its own stream: the ops stay what they were
@@ -457,11 +507,40 @@ func twoFarSets(t *testing.T) {
 		p.add(proto.EventID{Origin: sharedHome(k), Seq: 1}, true)
 	}
 	far := map[proto.ProcessID]int{}
-	for origin, set := range p.got.far {
-		far[origin] = len(set)
+	for origin, a := range p.got.ahead {
+		far[origin] = len(a.farSeqs())
 	}
 	if len(far) != 2 || far[a] != 1 || far[b] != 3 || p.got.SparseLen() != 6 {
 		t.Fatalf("overflow sets hold %v ids (SparseLen %d), want 1 for a (%d), 3 for b (%d), SparseLen 6", far, p.got.SparseLen(), a, b)
+	}
+}
+
+// fullFarList is the oracle's second scripted sequence: an origin at
+// watermark 0 receives 1 100 ids from 100 to 1 199 in an order that mixes
+// near and far, so past maxFar each either evicts the furthest kept or is
+// itself the furthest and kept nowhere; every tenth is sent again, kept or
+// not. Another origin sharing its home holds two ids ahead throughout.
+// Then 1..99 arrive in order, and the window absorbs the kept list's front
+// until the watermark reaches 1 123, the nearest 1 024 all delivered, and
+// the origin leaves the side map.
+func fullFarList(t *testing.T) {
+	t.Helper()
+	p := digestPair{t: t}
+	a, b := sharedHome(3), sharedHome(4)
+	p.add(proto.EventID{Origin: b, Seq: 200}, true)
+	p.add(proto.EventID{Origin: b, Seq: 1 << 40}, true)
+	for i := 0; i < 1100; i++ {
+		id := proto.EventID{Origin: a, Seq: 100 + uint64(i*37%1100)}
+		p.add(id, i%50 == 0 || i >= 1020 && i <= 1030)
+		if i%10 == 0 {
+			p.add(id, false)
+		}
+	}
+	for seq := uint64(1); seq <= 99; seq++ {
+		p.add(proto.EventID{Origin: a, Seq: seq}, seq%10 == 0 || seq >= 97)
+	}
+	if w := p.got.Watermark(a); w != 1123 || len(p.got.ahead) != 1 {
+		t.Fatalf("after the full list: watermark %d, %d side-map entries; want 1123 and b's alone", w, len(p.got.ahead))
 	}
 }
 
@@ -505,6 +584,32 @@ func TestAppendMissingAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { dst = d.AppendMissing(dst[:0], ids) }); allocs != 0 {
 		t.Errorf("AppendMissing with a retained dst allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestDigestEmissionAllocs: with a retained dst, the two lists a compact
+// gossip carries — the ids above their watermarks and the watermarks —
+// cost no allocation, with gaps in 35 of 250 origins and an overflow id
+// present; built from Summary they cost one per origin and one more.
+func TestDigestEmissionAllocs(t *testing.T) {
+	var d CompactDigest
+	for o := 1; o <= 250; o++ {
+		for seq := uint64(1); seq <= 8; seq++ {
+			if o%7 != 0 || seq != 4 {
+				d.Add(proto.EventID{Origin: proto.ProcessID(o), Seq: seq})
+			}
+		}
+	}
+	d.Add(proto.EventID{Origin: 9, Seq: 1 << 20})
+	sparse, watermarks := d.AppendSparse(nil), d.AppendWatermarks(nil)
+	if len(sparse) != 35*4+1 || len(watermarks) != 250 {
+		t.Fatalf("%d ids ahead and %d watermarks, want 141 and 250", len(sparse), len(watermarks))
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		sparse = d.AppendSparse(sparse[:0])
+		watermarks = d.AppendWatermarks(watermarks[:0])
+	}); allocs != 0 {
+		t.Errorf("AppendSparse and AppendWatermarks with retained lists allocate %v times per call, want 0", allocs)
 	}
 }
 

@@ -739,7 +739,7 @@ func (e *Engine) TickAppend(now uint64, out []proto.Message) []proto.Message {
 		g.Unsubs = e.mem.AppendUnsubs(g.Unsubs, now)
 	}
 	if e.cfg.DigestMode == CompactDigest {
-		g.DigestWatermarks = e.appendWatermarks(g.DigestWatermarks)
+		g.DigestWatermarks = e.compact.AppendWatermarks(g.DigestWatermarks)
 	}
 	for _, t := range targets {
 		out = append(out, proto.Message{
@@ -763,25 +763,9 @@ func (e *Engine) digestIDs() []proto.EventID { return e.appendDigestIDs(nil) }
 // appendDigestIDs appends the advertised digest identifiers to dst.
 func (e *Engine) appendDigestIDs(dst []proto.EventID) []proto.EventID {
 	if e.cfg.DigestMode == CompactDigest {
-		for _, entry := range e.compact.Summary() {
-			for _, seq := range entry.Sparse {
-				dst = append(dst, proto.EventID{Origin: entry.Origin, Seq: seq})
-			}
-		}
-		return dst
+		return e.compact.AppendSparse(dst)
 	}
 	return e.archive.AppendNewest(dst, e.cfg.MaxEventIDs)
-}
-
-// appendWatermarks appends the compact digest's per-origin watermarks to
-// dst.
-func (e *Engine) appendWatermarks(dst []proto.EventID) []proto.EventID {
-	for _, entry := range e.compact.Summary() {
-		if entry.Watermark > 0 {
-			dst = append(dst, proto.EventID{Origin: entry.Origin, Seq: entry.Watermark})
-		}
-	}
-	return dst
 }
 
 // JoinVia returns the subscription request a joining process sends to a
