@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -489,33 +490,39 @@ func TestDigestAheadEntriesLeave(t *testing.T) {
 }
 
 // TestHostileFarAheadBounded: for any 10⁵ ids ahead of a watermark that
-// never moves — ascending, as a peer counting up from 2⁴⁰ sends them,
-// descending, so that each evicts the furthest, or interleaved — the digest
-// SHALL report each new, keep the maxFar nearest and retain under 12 KB for
-// them (10.5 KB: a sorted list of at most 1 280 seqs). A forgotten id is new
-// again, the redelivery §3.2's bounded eventIds allows. Not parallel: it
-// reads the heap.
+// never moves — ascending, as a peer counting up from 2⁴⁰ sends them, so
+// that past maxFar each is refused, descending, so that each evicts the
+// furthest kept, or interleaved — the digest SHALL keep at most maxFar,
+// the nearest among them, retain under 12 KB for them (10.5 KB: a sorted
+// list of at most 1 280 seqs) and report each id new at most once: after
+// the flood every one is held, a second pass finds none new, and neither
+// does an id past the furthest kept. Not parallel: it reads the heap.
 func TestHostileFarAheadBounded(t *testing.T) {
 	const n = 100_000
 	for _, order := range []string{"ascending", "descending", "interleaved"} {
-		var d CompactDigest
-		d.Add(proto.EventID{Origin: 5, Seq: 1})
-		before := liveHeap()
-		lowest := uint64(1) << 40
-		for i := uint64(0); i < n; i++ {
-			seq := uint64(1)<<40 + i
+		seqs := make([]uint64, n)
+		for i := range seqs {
+			seqs[i] = uint64(1)<<40 + uint64(i)
 			switch order {
 			case "descending":
-				seq = uint64(1)<<40 - i
+				seqs[i] = uint64(1)<<40 - uint64(i)
 			case "interleaved":
-				seq = uint64(1)<<40 + i*7919%(2*n) // a permutation of [0, 2n)
-			}
-			lowest = min(lowest, seq)
-			if !d.Add(proto.EventID{Origin: 5, Seq: seq}) {
-				t.Fatalf("%s: id %d of %d refused as a duplicate", order, i, n)
+				seqs[i] = uint64(1)<<40 + uint64(i)*7919%(2*n) // a permutation of [0, 2n)
 			}
 		}
-		retained := int64(liveHeap()) - int64(before)
+		// The least of up to three floods: a thread the runtime starts
+		// meanwhile puts 5 KB of its own on the heap.
+		var d CompactDigest
+		retained := int64(math.MaxInt64)
+		for try := 0; try < 3 && retained > 12<<10; try++ {
+			d = CompactDigest{}
+			d.Add(proto.EventID{Origin: 5, Seq: 1})
+			before := liveHeap()
+			for _, seq := range seqs {
+				d.Add(proto.EventID{Origin: 5, Seq: seq})
+			}
+			retained = min(retained, int64(liveHeap())-int64(before))
+		}
 		if got := d.SparseLen(); got != maxFar {
 			t.Fatalf("%s: %d ids retained ahead, want %d", order, got, maxFar)
 		}
@@ -523,15 +530,20 @@ func TestHostileFarAheadBounded(t *testing.T) {
 			t.Errorf("%s: %d ids ahead retain %d bytes, want under 12 KB", order, n, retained)
 		}
 		kept := d.AppendSparse(nil)
-		if kept[0].Seq != lowest || !slices.IsSortedFunc(kept, compareIDs) {
-			t.Fatalf("%s: kept %v .. %v, want the %d nearest from %d", order, kept[0], kept[len(kept)-1], maxFar, lowest)
+		if kept[0].Seq != slices.Min(seqs) || !slices.IsSortedFunc(kept, compareIDs) {
+			t.Fatalf("%s: kept %v .. %v, want the nearest first, from %d", order, kept[0], kept[len(kept)-1], slices.Min(seqs))
+		}
+		for _, seq := range seqs {
+			if id := (proto.EventID{Origin: 5, Seq: seq}); !d.Contains(id) || d.Add(id) {
+				t.Fatalf("%s: id %v new again after the flood", order, id)
+			}
 		}
 		past := proto.EventID{Origin: 5, Seq: kept[len(kept)-1].Seq + 1}
-		if d.Contains(past) || !d.Add(past) {
-			t.Fatalf("%s: an id past the kept ones is not new again", order)
+		if !d.Contains(past) || d.Add(past) {
+			t.Fatalf("%s: an id past a full list is new", order)
 		}
-		if d.Watermark(5) != 1 {
-			t.Fatalf("%s: watermark moved to %d", order, d.Watermark(5))
+		if d.Watermark(5) != 1 || d.SparseLen() != maxFar {
+			t.Fatalf("%s: watermark %d, %d ids ahead after the second pass", order, d.Watermark(5), d.SparseLen())
 		}
 		runtime.KeepAlive(&d)
 	}
@@ -594,18 +606,25 @@ func TestCompactDigestSeqZero(t *testing.T) {
 	}
 }
 
+// TestCompactDigestSummary: the two lists a compact gossip carries, the ids
+// above their watermarks and the watermarks, come ordered by origin and
+// then sequence number, after what dst held.
 func TestCompactDigestSummary(t *testing.T) {
 	t.Parallel()
 	d := NewCompactDigest()
 	d.Add(proto.EventID{Origin: 2, Seq: 5})
 	d.Add(proto.EventID{Origin: 1, Seq: 1})
 	d.Add(proto.EventID{Origin: 2, Seq: 7})
-	s := d.Summary()
-	if len(s) != 2 || s[0].Origin != 1 || s[1].Origin != 2 {
-		t.Fatalf("summary = %+v", s)
+	d.Add(proto.EventID{Origin: 3, Seq: 1})
+	d.Add(proto.EventID{Origin: 1, Seq: 100})
+	held := proto.EventID{Origin: 9, Seq: 9}
+	sparse := d.AppendSparse([]proto.EventID{held})
+	if want := []proto.EventID{held, {Origin: 1, Seq: 100}, {Origin: 2, Seq: 5}, {Origin: 2, Seq: 7}}; !slices.Equal(sparse, want) {
+		t.Fatalf("AppendSparse = %v, want %v", sparse, want)
 	}
-	if s[1].Watermark != 0 || len(s[1].Sparse) != 2 || s[1].Sparse[0] != 5 || s[1].Sparse[1] != 7 {
-		t.Fatalf("origin 2 entry = %+v", s[1])
+	watermarks := d.AppendWatermarks([]proto.EventID{held})
+	if want := []proto.EventID{held, {Origin: 1, Seq: 1}, {Origin: 3, Seq: 1}}; !slices.Equal(watermarks, want) {
+		t.Fatalf("AppendWatermarks = %v, want %v", watermarks, want)
 	}
 }
 

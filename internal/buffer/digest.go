@@ -58,29 +58,24 @@ type originSlot struct {
 }
 
 // aheadSet is what one origin has delivered above its watermark; never
-// stored empty. The overflow list sits behind a pointer so that an entry of
-// the side map stays 16 bytes.
+// stored empty.
 type aheadSet struct {
-	window uint64    // bit i: seq watermark+1+i delivered; bit 0 stays clear
-	far    *[]uint64 // ascending seqs delivered past watermark+64, at most maxFar; nil when none
-}
-
-// farSeqs returns the overflow list, nil when there is none.
-func (a aheadSet) farSeqs() []uint64 {
-	if a.far == nil {
-		return nil
-	}
-	return *a.far
+	window uint64   // bit i: seq watermark+1+i delivered; bit 0 stays clear
+	far    []uint64 // ascending seqs delivered past watermark+64, at most maxFar
 }
 
 // maxFar bounds an origin's overflow list, as maxWatermarkExpansion bounds
 // what one advertised watermark fans out into: a peer that sends ids ever
 // further ahead of a watermark that never moves would otherwise grow it
-// without end. At the bound Add keeps the ids nearest the watermark and
-// forgets the furthest, the list's last, which a later copy then delivers
-// again — what §3.2's bounded eventIds allows for every id. No honest run
-// comes near it. The list is a sorted slice rather than a set because a
-// set's deletes under that churn leave it ever larger.
+// without end. A full list refuses rather than forgets: every seq past its
+// last entry counts as delivered, so Contains answers true and Add false,
+// and a newcomer nearer than the last takes its place, which only lowers
+// that horizon. While the list is full no id is new twice; once the
+// watermark drains it below the bound, what lies past its last — refused,
+// or pushed out — is new again, so a copy comes back only as the origin's
+// stream advances, never at every receipt. No honest run comes near it.
+// The list is a sorted slice rather than a set because a set's deletes
+// under that churn leave it ever larger.
 const maxFar = 1024
 
 // NewCompactDigest creates an empty digest.
@@ -144,8 +139,8 @@ func (d *CompactDigest) Contains(id proto.EventID) bool {
 	if off := id.Seq - s.watermark - 1; off < 64 {
 		return a.window>>off&1 != 0
 	}
-	_, ok := slices.BinarySearch(a.farSeqs(), id.Seq)
-	return ok
+	i, ok := slices.BinarySearch(a.far, id.Seq)
+	return ok || i == maxFar // past a full list: refused, so held as delivered
 }
 
 // missingBlock is how many ids AppendMissing resolves per pass: enough
@@ -225,21 +220,14 @@ func (d *CompactDigest) Add(id proto.EventID) bool {
 		}
 		a.window |= 1 << off
 	} else {
-		far := a.farSeqs()
-		i, dup := slices.BinarySearch(far, id.Seq)
-		if dup {
+		i, dup := slices.BinarySearch(a.far, id.Seq)
+		if dup || i == maxFar { // held, or past a full list
 			return false
 		}
-		if len(far) >= maxFar {
-			if i == len(far) {
-				return true // new, but the furthest: delivered and not kept
-			}
-			far = far[:len(far)-1]
+		if len(a.far) == maxFar {
+			a.far = a.far[:maxFar-1] // the last now lies past the list: still held
 		}
-		if a.far == nil {
-			a.far = new([]uint64)
-		}
-		*a.far = slices.Insert(far, i, id.Seq)
+		a.far = slices.Insert(a.far, i, id.Seq)
 	}
 	// Absorb the now-contiguous run into the watermark; the window slides
 	// with it and takes in the front of the overflow list that its new
@@ -248,19 +236,18 @@ func (d *CompactDigest) Add(id proto.EventID) bool {
 		run := bits.TrailingZeros64(^a.window)
 		s.watermark += uint64(run)
 		a.window >>= run
-		far := a.farSeqs()
 		k := 0
-		for ; k < len(far) && far[k]-s.watermark-1 < 64; k++ {
-			a.window |= 1 << (far[k] - s.watermark - 1)
+		for ; k < len(a.far) && a.far[k]-s.watermark-1 < 64; k++ {
+			a.window |= 1 << (a.far[k] - s.watermark - 1)
 		}
-		if k == len(far) {
+		if k == len(a.far) {
 			a.far = nil
 		} else if k > 0 {
-			*a.far = slices.Delete(far, 0, k)
+			a.far = slices.Delete(a.far, 0, k)
 		}
 	}
 	switch {
-	case a.window != 0 || a.far != nil:
+	case a.window != 0 || len(a.far) != 0:
 		if d.ahead == nil {
 			d.ahead = make(map[proto.ProcessID]aheadSet)
 		}
@@ -282,7 +269,7 @@ func (d *CompactDigest) Add(id proto.EventID) bool {
 func (d *CompactDigest) SparseLen() int {
 	n := 0
 	for _, a := range d.ahead {
-		n += bits.OnesCount64(a.window) + len(a.farSeqs())
+		n += bits.OnesCount64(a.window) + len(a.far)
 	}
 	return n
 }
@@ -299,9 +286,8 @@ func (d *CompactDigest) Watermark(origin proto.ProcessID) uint64 {
 }
 
 // AppendSparse appends to dst every id retained above its origin's
-// watermark, ordered by origin and then sequence number — Summary's sparse
-// lists in Summary's order — and returns the extended slice. With room in
-// dst it allocates nothing.
+// watermark, ordered by origin and then sequence number, and returns the
+// extended slice. With room in dst it allocates nothing.
 func (d *CompactDigest) AppendSparse(dst []proto.EventID) []proto.EventID {
 	n := len(dst)
 	for origin, a := range d.ahead {
@@ -309,7 +295,7 @@ func (d *CompactDigest) AppendSparse(dst []proto.EventID) []proto.EventID {
 		for w := a.window; w != 0; w &= w - 1 {
 			dst = append(dst, proto.EventID{Origin: origin, Seq: next + uint64(bits.TrailingZeros64(w))})
 		}
-		for _, seq := range a.farSeqs() {
+		for _, seq := range a.far {
 			dst = append(dst, proto.EventID{Origin: origin, Seq: seq})
 		}
 	}
@@ -318,8 +304,8 @@ func (d *CompactDigest) AppendSparse(dst []proto.EventID) []proto.EventID {
 }
 
 // AppendWatermarks appends to dst, for every origin with a watermark above
-// 0, the id {origin, watermark}, ordered by origin as Summary is, and
-// returns the extended slice. With room in dst it allocates nothing.
+// 0, the id {origin, watermark}, ordered by origin, and returns the
+// extended slice. With room in dst it allocates nothing.
 func (d *CompactDigest) AppendWatermarks(dst []proto.EventID) []proto.EventID {
 	n := len(dst)
 	for _, s := range d.slots {
@@ -337,33 +323,4 @@ func compareIDs(a, b proto.EventID) int {
 		return c
 	}
 	return cmp.Compare(a.Seq, b.Seq)
-}
-
-// Summary lists, per origin, the watermark and the ascending sparse
-// sequence numbers. The slice is ordered by origin for determinism.
-func (d *CompactDigest) Summary() []DigestEntry {
-	out := make([]DigestEntry, 0, d.n)
-	for i := range d.slots {
-		s := &d.slots[i]
-		if s.origin == proto.NilProcess {
-			continue
-		}
-		a := d.ahead[s.origin]
-		far := a.farSeqs()
-		sp := make([]uint64, 0, bits.OnesCount64(a.window)+len(far))
-		for w := a.window; w != 0; w &= w - 1 {
-			sp = append(sp, s.watermark+1+uint64(bits.TrailingZeros64(w)))
-		}
-		sp = append(sp, far...) // ascending, and all past the window
-		out = append(out, DigestEntry{Origin: s.origin, Watermark: s.watermark, Sparse: sp})
-	}
-	slices.SortFunc(out, func(a, b DigestEntry) int { return cmp.Compare(a.Origin, b.Origin) })
-	return out
-}
-
-// DigestEntry is one origin's compacted digest state.
-type DigestEntry struct {
-	Origin    proto.ProcessID
-	Watermark uint64
-	Sparse    []uint64
 }

@@ -13,7 +13,8 @@ import (
 // the flat table and the ring — a Go map of origins each holding a Go map of
 // sparse sequence numbers, and a KeyedList truncated from the front by
 // memmove, kept verbatim (only renamed; the digest has since gained one
-// rule, the bound on ids far ahead, marked where it sits) — and the
+// rule, the bound on ids far ahead, marked where it sits, and lists what a
+// gossip carries, appendLists, where it had a per-origin summary) — and the
 // archive's contract as a plain slice of events. They define what the fast
 // forms must answer — every result, every order — and are trivially right.
 // Do not optimise them.
@@ -26,7 +27,7 @@ import (
 // head; the wrapped AppendItems one entry short; the window not shifted
 // when the watermark advances; the overflow set not drained into the slid
 // window; the window one position too long in Add or too short in
-// Contains; a duplicate accepted into the overflow set; Summary's sparse
+// Contains; a duplicate accepted into the overflow set; AppendSparse's
 // list out of order; an origin lost in table growth. Two that only cost
 // time pass, as they should: absorbing one position per loop turn, and
 // searching the index for a ring position from 0 instead of from its home.
@@ -49,7 +50,7 @@ import (
 // probe's wrap off by one in either direction, in the digest, in the
 // index's find and in unindex (past the end, or the last position never
 // probed); pos wrapping at p > len; the overflow set looked up for another
-// origin than the id's in Add, Contains or Summary, or drained for every
+// origin than the id's in Add, Contains or AppendSparse, or drained for every
 // origin when one absorbs (twoFarSets: the idle origin's set moves);
 // NilProcess accepted; the load bound raised to 7/8 (TestDigestBytesPerOrigin);
 // unindex's distance compare made strict, made linear instead of cyclic, or
@@ -73,9 +74,11 @@ import (
 // without the eventIds window.
 //
 // Of the side map and the overflow list's bound: an origin's entry kept
-// after its gap closed (the side-map check in add); maxFar ignored, or the
-// newcomer dropped where a kept id lies further (fullFarList,
-// TestHostileFarAheadBounded); AppendWatermarks left unsorted; the map's
+// after its gap closed (the side-map check in add); maxFar ignored, the
+// newcomer dropped where a kept id lies further, or an id past a full list
+// reported new and not kept (fullFarList, TestHostileFarAheadBounded, and
+// in internal/core TestHostileFarAheadDeliveredOnce: delivered 22 times);
+// the list's storage not reused when it evicts (TestHostileFarAheadBounded); AppendWatermarks left unsorted; the map's
 // last entry deleted instead of the map cleared (TestDigestAheadEntriesLeave).
 //
 // Of KeyedList's batched truncation (TestKeyedListOracle): the Fenwick
@@ -105,7 +108,21 @@ func (d *refDigest) Contains(id proto.EventID) bool {
 		return true
 	}
 	_, ok = od.sparse[id.Seq]
-	return ok
+	return ok || od.refuses(id.Seq)
+}
+
+// refuses is the one rule added since: while maxFar ids more than 64 past
+// the watermark are kept, every seq past the furthest of them counts as
+// delivered.
+func (od refOriginDigest) refuses(seq uint64) bool {
+	far, top := 0, uint64(0)
+	for s := range od.sparse {
+		if s > od.watermark+64 {
+			far++
+		}
+		top = max(top, s)
+	}
+	return far == maxFar && seq > top
 }
 
 func (d *refDigest) Add(id proto.EventID) bool {
@@ -117,6 +134,9 @@ func (d *refDigest) Add(id proto.EventID) bool {
 		return false
 	}
 	if _, dup := od.sparse[id.Seq]; dup {
+		return false
+	}
+	if od.refuses(id.Seq) {
 		return false
 	}
 	if id.Seq == od.watermark+1 {
@@ -134,8 +154,8 @@ func (d *refDigest) Add(id proto.EventID) bool {
 			od.sparse = make(map[uint64]struct{})
 		}
 		od.sparse[id.Seq] = struct{}{}
-		// The one rule added since: of the ids more than 64 past the
-		// watermark at most maxFar are kept, and the furthest goes first.
+		// The rule's other half: past maxFar such ids the furthest goes,
+		// and the horizon falls to the new furthest.
 		far, top := 0, uint64(0)
 		for s := range od.sparse {
 			if s > od.watermark+64 {
@@ -168,18 +188,23 @@ func (d *refDigest) Watermark(origin proto.ProcessID) uint64 {
 	return d.origins[origin].watermark
 }
 
-func (d *refDigest) Summary() []DigestEntry {
-	out := make([]DigestEntry, 0, len(d.origins))
+// appendLists appends the ids above their watermarks to sparse and the
+// non-zero watermarks, as ids, to watermarks, each ordered by origin and
+// then sequence number.
+func (d *refDigest) appendLists(sparse, watermarks []proto.EventID) ([]proto.EventID, []proto.EventID) {
+	n, m := len(sparse), len(watermarks)
 	for origin, od := range d.origins {
-		sp := make([]uint64, 0, len(od.sparse))
 		for s := range od.sparse {
-			sp = append(sp, s)
+			sparse = append(sparse, proto.EventID{Origin: origin, Seq: s})
 		}
-		sort.Slice(sp, func(i, j int) bool { return sp[i] < sp[j] })
-		out = append(out, DigestEntry{Origin: origin, Watermark: od.watermark, Sparse: sp})
+		if od.watermark > 0 {
+			watermarks = append(watermarks, proto.EventID{Origin: origin, Seq: od.watermark})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Origin < out[j].Origin })
-	return out
+	byID := func(a, b proto.EventID) bool { return a.Origin < b.Origin || a.Origin == b.Origin && a.Seq < b.Seq }
+	sort.Slice(sparse[n:], func(i, j int) bool { return byID(sparse[n+i], sparse[n+j]) })
+	sort.Slice(watermarks[m:], func(i, j int) bool { return byID(watermarks[m+i], watermarks[m+j]) })
+	return sparse, watermarks
 }
 
 // refTruncateOldest is KeyedList.TruncateOldestDiscard as it stood.
@@ -276,12 +301,6 @@ func (a *refArchive) Serve(req []proto.EventID) (reply []proto.Event, misses int
 
 func (a *refArchive) Len() int { return len(a.events) }
 
-func sameSummary(a, b []DigestEntry) bool {
-	return slices.EqualFunc(a, b, func(x, y DigestEntry) bool {
-		return x.Origin == y.Origin && x.Watermark == y.Watermark && slices.Equal(x.Sparse, y.Sparse)
-	})
-}
-
 // digestPair drives a CompactDigest and the reference in lock step.
 type digestPair struct {
 	t    *testing.T
@@ -352,8 +371,8 @@ func (p *digestPair) checkMissing(ids []proto.EventID) {
 // add applies one Add to both and compares everything observable about
 // the id and its origin, and that the origin has a side-map entry exactly
 // when it has a delivery above its watermark; whole also compares
-// SparseLen, Summary, AppendSparse and AppendWatermarks, which walk every
-// origin, and counts the side map's entries.
+// SparseLen, AppendSparse and AppendWatermarks, which walk every origin,
+// and counts the side map's entries.
 func (p *digestPair) add(id proto.EventID, whole bool) {
 	p.t.Helper()
 	p.op++
@@ -393,21 +412,11 @@ func (p *digestPair) add(id proto.EventID, whole bool) {
 	if g, w := p.got.SparseLen(), p.want.SparseLen(); g != w {
 		p.t.Fatalf("seed %d op %d: SparseLen = %d, reference %d", p.seed, p.op, g, w)
 	}
-	summary := p.want.Summary()
-	if g := p.got.Summary(); !sameSummary(g, summary) {
-		p.t.Fatalf("seed %d op %d: after Add(%v) Summary = %+v, reference %+v", p.seed, p.op, id, g, summary)
-	}
 	kept := proto.EventID{Origin: 1<<63 | 1, Seq: 1<<63 | 1}
-	var sparse, watermarks []proto.EventID
+	sparse, watermarks := p.want.appendLists(nil, nil)
 	ahead := 0
-	for _, e := range summary {
-		for _, seq := range e.Sparse {
-			sparse = append(sparse, proto.EventID{Origin: e.Origin, Seq: seq})
-		}
-		if e.Watermark > 0 {
-			watermarks = append(watermarks, proto.EventID{Origin: e.Origin, Seq: e.Watermark})
-		}
-		if len(e.Sparse) != 0 {
+	for i, id := range sparse {
+		if i == 0 || id.Origin != sparse[i-1].Origin {
 			ahead++
 		}
 	}
@@ -508,7 +517,7 @@ func twoFarSets(t *testing.T) {
 	}
 	far := map[proto.ProcessID]int{}
 	for origin, a := range p.got.ahead {
-		far[origin] = len(a.farSeqs())
+		far[origin] = len(a.far)
 	}
 	if len(far) != 2 || far[a] != 1 || far[b] != 3 || p.got.SparseLen() != 6 {
 		t.Fatalf("overflow sets hold %v ids (SparseLen %d), want 1 for a (%d), 3 for b (%d), SparseLen 6", far, p.got.SparseLen(), a, b)
@@ -517,12 +526,12 @@ func twoFarSets(t *testing.T) {
 
 // fullFarList is the oracle's second scripted sequence: an origin at
 // watermark 0 receives 1 100 ids from 100 to 1 199 in an order that mixes
-// near and far, so past maxFar each either evicts the furthest kept or is
-// itself the furthest and kept nowhere; every tenth is sent again, kept or
-// not. Another origin sharing its home holds two ids ahead throughout.
-// Then 1..99 arrive in order, and the window absorbs the kept list's front
-// until the watermark reaches 1 123, the nearest 1 024 all delivered, and
-// the origin leaves the side map.
+// near and far, so past maxFar each either evicts the furthest kept or lies
+// past the full list and is refused; every tenth is sent again. Another
+// origin sharing its home holds two ids ahead throughout. Then 1..99 arrive
+// in order, the window absorbs the kept list's front, the list falls below
+// the bound, and 100..1 199 arrive in order: whatever was refused is new
+// now, the watermark reaches 1 199, and the origin leaves the side map.
 func fullFarList(t *testing.T) {
 	t.Helper()
 	p := digestPair{t: t}
@@ -536,11 +545,15 @@ func fullFarList(t *testing.T) {
 			p.add(id, false)
 		}
 	}
-	for seq := uint64(1); seq <= 99; seq++ {
-		p.add(proto.EventID{Origin: a, Seq: seq}, seq%10 == 0 || seq >= 97)
+	if !p.got.Contains(proto.EventID{Origin: a, Seq: 1199}) || len(p.got.ahead[a].far) != maxFar {
+		t.Fatalf("after 1 100 ids ahead: %d kept, 1199 held %v; want a full list that holds 1199",
+			len(p.got.ahead[a].far), p.got.Contains(proto.EventID{Origin: a, Seq: 1199}))
 	}
-	if w := p.got.Watermark(a); w != 1123 || len(p.got.ahead) != 1 {
-		t.Fatalf("after the full list: watermark %d, %d side-map entries; want 1123 and b's alone", w, len(p.got.ahead))
+	for seq := uint64(1); seq <= 1199; seq++ {
+		p.add(proto.EventID{Origin: a, Seq: seq}, seq%50 == 0 || seq >= 97 && seq <= 101)
+	}
+	if w := p.got.Watermark(a); w != 1199 || len(p.got.ahead) != 1 {
+		t.Fatalf("after the full list: watermark %d, %d side-map entries; want 1199 and b's alone", w, len(p.got.ahead))
 	}
 }
 
@@ -590,7 +603,8 @@ func TestAppendMissingAllocs(t *testing.T) {
 // TestDigestEmissionAllocs: with a retained dst, the two lists a compact
 // gossip carries — the ids above their watermarks and the watermarks —
 // cost no allocation, with gaps in 35 of 250 origins and an overflow id
-// present; built from Summary they cost one per origin and one more.
+// present; built from a per-origin summary they cost one per origin and
+// one more.
 func TestDigestEmissionAllocs(t *testing.T) {
 	var d CompactDigest
 	for o := 1; o <= 250; o++ {

@@ -561,6 +561,58 @@ func TestWatermarkExpansionBounded(t *testing.T) {
 	}
 }
 
+// TestHostileFarAheadDeliveredOnce: one gossip of 1 100 ids of one origin,
+// each more than 64 past its watermark and each nearer than the last, so
+// that past the digest's bound of 1 024 each pushes the furthest kept out,
+// reaches one of four engines whose events buffers carry it all. Every id
+// SHALL be delivered at most once by each engine, and with nothing new
+// published the buffers SHALL drain.
+func TestHostileFarAheadDeliveredOnce(t *testing.T) {
+	t.Parallel()
+	const n = 1100
+	engines := map[proto.ProcessID]*Engine{}
+	delivered := map[proto.ProcessID]map[proto.EventID]int{}
+	for self := proto.ProcessID(1); self <= 4; self++ {
+		got := map[proto.EventID]int{}
+		e, err := New(self, func() Config { c := DefaultConfig(); c.MaxEvents = 2 * n; return c }(),
+			func(ev proto.Event) { got[ev.ID]++ }, rng.New(uint64(self)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Seed([]proto.ProcessID{1, 2, 3, 4})
+		engines[self], delivered[self] = e, got
+	}
+	flood := make([]proto.Event, n)
+	for i := range flood {
+		flood[i] = proto.Event{ID: proto.EventID{Origin: 9, Seq: 1<<40 - uint64(i)}}
+	}
+	gossipTo(engines[1], proto.Gossip{From: 9, Events: flood}, 0)
+	for now := uint64(1); now <= 8; now++ {
+		var wire []proto.Message
+		for self := proto.ProcessID(1); self <= 4; self++ {
+			wire = engines[self].TickAppend(now, wire)
+		}
+		for ; len(wire) > 0; wire = wire[1:] {
+			if dst, ok := engines[wire[0].To]; ok {
+				wire = append(wire, dst.HandleMessageAppend(wire[0], now, nil)...)
+			}
+		}
+	}
+	for self, got := range delivered {
+		if len(got) < 1024 {
+			t.Errorf("process %d delivered %d of the %d ids", self, len(got), n)
+		}
+		for id, k := range got {
+			if k > 1 {
+				t.Fatalf("process %d delivered %v %d times", self, id, k)
+			}
+		}
+		if p := engines[self].PendingEvents(); p != 0 {
+			t.Errorf("process %d still buffers %d events after 8 quiet rounds", self, p)
+		}
+	}
+}
+
 func TestHandleMessageIgnoresMalformed(t *testing.T) {
 	t.Parallel()
 	e, _ := newEngine(t, 1, nil)
