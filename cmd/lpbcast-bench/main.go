@@ -243,10 +243,11 @@ func checkRegression(baselinePath string, fresh []Entry, tolerance float64) ([]s
 		}
 		// Gated construction and footprint metrics are held to the same
 		// relative headroom as allocs/op: what a cluster allocates to be
-		// built, what a process holds once built and once infected, and
-		// what one digest or archive holds full, are as machine-independent
-		// as steady-state cost.
-		for _, key := range []string{"setup_allocs_per_op", "bytes_per_process", "heap_bytes_per_process", "table_bytes"} {
+		// built, what a process holds once built and once infected, what
+		// one digest or archive holds full, and what a loaded period's
+		// emissions keep per process, are as machine-independent as
+		// steady-state cost.
+		for _, key := range []string{"setup_allocs_per_op", "bytes_per_process", "heap_bytes_per_process", "table_bytes", "emit_bytes"} {
 			fv, fok := e.Metrics[key]
 			bv, bok := base.Metrics[key]
 			if !fok || !bok {
@@ -393,6 +394,7 @@ func executorSuite(quick, big bool) []benchCase {
 		// carry the absolute zero-alloc ceiling, matching the round clock.
 		steady(0, 2, false, false, sim.ClockEvent),
 		steady(benchWorkers(), 2, false, false, sim.ClockEvent),
+		loadedCase(quick),
 		mergeCase("absent-heavy", 25_000),
 		mergeCase("present-heavy", 20),
 		subsTruncateCase(),
@@ -415,6 +417,62 @@ func executorSuite(quick, big bool) []benchCase {
 		cases = append(cases, infectionCase("executor/infection/n=1000000", 1_000_000))
 	}
 	return cases
+}
+
+// loadedCase is the loaded regime of the repository benchmark's
+// sim-loaded-seq on one shard: four publishes a period at random processes,
+// retransmission on. One op is one period, its publishes included.
+// emit_bytes is what the cluster's per-shard emission arenas keep per
+// process once the warm-up is done — one period's gossips, a figure of the
+// traffic and not of the machine — held to the same headroom as
+// table_bytes.
+func loadedCase(quick bool) benchCase {
+	n, warm := 1000, 60
+	if quick {
+		n, warm = 200, 20
+	}
+	var cluster *sim.Cluster // built once, reused across b.N scaling runs
+	var pick *rng.Source
+	var emit float64
+	period := func(b *testing.B) {
+		for k := 0; k < 4; k++ {
+			if _, err := cluster.PublishAt(pick.Intn(n)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		cluster.RunRound()
+	}
+	return benchCase{
+		name: fmt.Sprintf("executor/loaded-round/n=%d/workers=1", n),
+		gate: true, maxAllocs: -1,
+		fn: func(b *testing.B) {
+			if cluster == nil {
+				o := sim.DefaultOptions(n)
+				o.Seed, o.Tau = 9, 0
+				o.Lpbcast.Retransmit = true
+				var err error
+				if cluster, err = sim.NewCluster(o); err != nil {
+					b.Fatal(err)
+				}
+				pick = rng.New(9)
+				for r := 0; r < warm; r++ {
+					period(b)
+				}
+				emit = float64(cluster.EmitBytes()) / float64(n)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				period(b)
+			}
+			b.StopTimer()
+			b.ReportMetric(emit, "emit_bytes")
+		},
+		cleanup: func() {
+			if cluster != nil {
+				cluster.Close()
+			}
+		},
+	}
 }
 
 // mergeCase is the membership layer's cell: one op is phase 2 of gossip

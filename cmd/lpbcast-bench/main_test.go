@@ -73,6 +73,8 @@ func TestCheckRegression(t *testing.T) {
 			Metrics: map[string]float64{"setup_allocs_per_op": 1000, "bytes_per_process": 3000}},
 		{Name: "table", AllocsPerOp: 0, Gate: true, MaxAllocs: 0,
 			Metrics: map[string]float64{"table_bytes": 6144}},
+		{Name: "loaded", AllocsPerOp: 40, Gate: true, MaxAllocs: -1,
+			Metrics: map[string]float64{"emit_bytes": 1400}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +117,10 @@ func TestCheckRegression(t *testing.T) {
 		{"table bytes within headroom, then past it", []Entry{
 			{Name: "table", Gate: true, MaxAllocs: 0, Metrics: map[string]float64{"table_bytes": 7600}},
 			{Name: "table", Gate: true, MaxAllocs: 0, Metrics: map[string]float64{"table_bytes": 9472}},
+		}, 1},
+		{"emission bytes within headroom, then past it", []Entry{
+			{Name: "loaded", AllocsPerOp: 40, Gate: true, MaxAllocs: -1, Metrics: map[string]float64{"emit_bytes": 1700}},
+			{Name: "loaded", AllocsPerOp: 40, Gate: true, MaxAllocs: -1, Metrics: map[string]float64{"emit_bytes": 1800}},
 		}, 1},
 	}
 	for _, tc := range cases {

@@ -328,9 +328,6 @@ func (b *EventBuffer) Len() int { return b.inner.Len() }
 // At returns the i-th buffered event in insertion order.
 func (b *EventBuffer) At(i int) proto.Event { return b.inner.At(i) }
 
-// Items returns a copy of the buffered events in insertion order.
-func (b *EventBuffer) Items() []proto.Event { return b.inner.Items() }
-
 // AppendItems appends the buffered events in insertion order to dst.
 func (b *EventBuffer) AppendItems(dst []proto.Event) []proto.Event {
 	return b.inner.AppendItems(dst)

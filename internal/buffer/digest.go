@@ -73,10 +73,25 @@ type aheadSet struct {
 // that horizon. While the list is full no id is new twice; once the
 // watermark drains it below the bound, what lies past its last — refused,
 // or pushed out — is new again, so a copy comes back only as the origin's
-// stream advances, never at every receipt. No honest run comes near it.
+// stream advances, never at every receipt. An honest run reaches the bound
+// only behind a hole that never fills or a stream first heard mid-way, and
+// there the list folds into the watermark (folds) before it refuses.
 // The list is a sorted slice rather than a set because a set's deletes
 // under that churn leave it ever larger.
 const maxFar = 1024
+
+// folds reports whether an origin at watermark w gives up the holes below
+// its full overflow list far: when the list starts within one window past
+// the window — a hole that never fills, with everything after it delivered
+// — or when the origin has never delivered in order, because its stream was
+// first heard past the window's reach. The watermark then rises to just
+// below the list's first entry, what it passes over counts as delivered,
+// and the list is absorbed. Without the fold either kind of origin fills the
+// list and is refused from then on: deaf to every later id. A list ever
+// further ahead of a watermark above 0 — a hostile flood — still refuses.
+func folds(w uint64, far []uint64) bool {
+	return len(far) == maxFar && (w == 0 || far[0]-w <= 2*64)
+}
 
 // NewCompactDigest creates an empty digest.
 func NewCompactDigest() *CompactDigest {
@@ -231,11 +246,9 @@ func (d *CompactDigest) Add(id proto.EventID) bool {
 	}
 	// Absorb the now-contiguous run into the watermark; the window slides
 	// with it and takes in the front of the overflow list that its new
-	// range covers.
-	for a.window&1 != 0 {
-		run := bits.TrailingZeros64(^a.window)
-		s.watermark += uint64(run)
-		a.window >>= run
+	// range covers. A full list that folds (folds) moves the watermark to
+	// just below its first entry, and the list drains into the window.
+	for {
 		k := 0
 		for ; k < len(a.far) && a.far[k]-s.watermark-1 < 64; k++ {
 			a.window |= 1 << (a.far[k] - s.watermark - 1)
@@ -244,6 +257,15 @@ func (d *CompactDigest) Add(id proto.EventID) bool {
 			a.far = nil
 		} else if k > 0 {
 			a.far = slices.Delete(a.far, 0, k)
+		}
+		if a.window&1 != 0 {
+			run := bits.TrailingZeros64(^a.window)
+			s.watermark += uint64(run)
+			a.window >>= run
+		} else if folds(s.watermark, a.far) {
+			s.watermark, a.window = a.far[0]-1, 0
+		} else {
+			break
 		}
 	}
 	switch {

@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -12,8 +13,9 @@ import (
 // The references below are the digest and the IDBuffer as they stood before
 // the flat table and the ring — a Go map of origins each holding a Go map of
 // sparse sequence numbers, and a KeyedList truncated from the front by
-// memmove, kept verbatim (only renamed; the digest has since gained one
-// rule, the bound on ids far ahead, marked where it sits, and lists what a
+// memmove, kept verbatim (only renamed; the digest has since gained two
+// rules, the bound on ids far ahead and the fold of a full list (settle),
+// marked where they sit, and lists what a
 // gossip carries, appendLists, where it had a per-origin summary) — and the
 // archive's contract as a plain slice of events. They define what the fast
 // forms must answer — every result, every order — and are trivially right.
@@ -125,6 +127,37 @@ func (od refOriginDigest) refuses(seq uint64) bool {
 	return far == maxFar && seq > top
 }
 
+// settle absorbs the sparse entries contiguous with the watermark and
+// applies the fold, the rule added last: while maxFar ids lie more than 64
+// past the watermark, and the nearest of them lies at most 128 past it or
+// the watermark is 0, the watermark moves to just below that nearest id and
+// every id under it counts as delivered.
+func (od *refOriginDigest) settle() {
+	for {
+		if _, ok := od.sparse[od.watermark+1]; ok {
+			delete(od.sparse, od.watermark+1)
+			od.watermark++
+			continue
+		}
+		far, first := 0, uint64(math.MaxUint64)
+		for s := range od.sparse {
+			if s > od.watermark+64 {
+				far++
+				first = min(first, s)
+			}
+		}
+		if far != maxFar || od.watermark != 0 && first-od.watermark > 128 {
+			return
+		}
+		for s := range od.sparse {
+			if s < first {
+				delete(od.sparse, s)
+			}
+		}
+		od.watermark = first - 1
+	}
+}
+
 func (d *refDigest) Add(id proto.EventID) bool {
 	if id.Seq == 0 {
 		return false
@@ -141,14 +174,6 @@ func (d *refDigest) Add(id proto.EventID) bool {
 	}
 	if id.Seq == od.watermark+1 {
 		od.watermark++
-		// Absorb any now-contiguous sparse entries.
-		for {
-			if _, ok := od.sparse[od.watermark+1]; !ok {
-				break
-			}
-			delete(od.sparse, od.watermark+1)
-			od.watermark++
-		}
 	} else {
 		if od.sparse == nil {
 			od.sparse = make(map[uint64]struct{})
@@ -167,6 +192,7 @@ func (d *refDigest) Add(id proto.EventID) bool {
 			delete(od.sparse, top)
 		}
 	}
+	od.settle()
 	if d.origins == nil {
 		d.origins = make(map[proto.ProcessID]refOriginDigest)
 	}
@@ -525,35 +551,111 @@ func twoFarSets(t *testing.T) {
 }
 
 // fullFarList is the oracle's second scripted sequence: an origin at
-// watermark 0 receives 1 100 ids from 100 to 1 199 in an order that mixes
+// watermark 1 receives 1 100 ids from 300 to 1 399 in an order that mixes
 // near and far, so past maxFar each either evicts the furthest kept or lies
-// past the full list and is refused; every tenth is sent again. Another
-// origin sharing its home holds two ids ahead throughout. Then 1..99 arrive
-// in order, the window absorbs the kept list's front, the list falls below
-// the bound, and 100..1 199 arrive in order: whatever was refused is new
-// now, the watermark reaches 1 199, and the origin leaves the side map.
+// past the full list and is refused; every tenth is sent again. The list
+// starts 299 past the watermark, too far to fold. Another origin sharing its
+// home holds two ids ahead throughout. Then 2..1 399 arrive in order: at
+// watermark 172 the list's first entry, 300, is one window past the window
+// and the list folds — the watermark takes in 173..299 unseen and the kept
+// list up to 1 323 — whatever was refused is new now, the watermark reaches
+// 1 399, and the origin leaves the side map.
 func fullFarList(t *testing.T) {
 	t.Helper()
 	p := digestPair{t: t}
 	a, b := sharedHome(3), sharedHome(4)
 	p.add(proto.EventID{Origin: b, Seq: 200}, true)
 	p.add(proto.EventID{Origin: b, Seq: 1 << 40}, true)
+	p.add(proto.EventID{Origin: a, Seq: 1}, true)
 	for i := 0; i < 1100; i++ {
-		id := proto.EventID{Origin: a, Seq: 100 + uint64(i*37%1100)}
+		id := proto.EventID{Origin: a, Seq: 300 + uint64(i*37%1100)}
 		p.add(id, i%50 == 0 || i >= 1020 && i <= 1030)
 		if i%10 == 0 {
 			p.add(id, false)
 		}
 	}
-	if !p.got.Contains(proto.EventID{Origin: a, Seq: 1199}) || len(p.got.ahead[a].far) != maxFar {
-		t.Fatalf("after 1 100 ids ahead: %d kept, 1199 held %v; want a full list that holds 1199",
-			len(p.got.ahead[a].far), p.got.Contains(proto.EventID{Origin: a, Seq: 1199}))
+	if !p.got.Contains(proto.EventID{Origin: a, Seq: 1399}) || len(p.got.ahead[a].far) != maxFar {
+		t.Fatalf("after 1 100 ids ahead: %d kept, 1399 held %v; want a full list that holds 1399",
+			len(p.got.ahead[a].far), p.got.Contains(proto.EventID{Origin: a, Seq: 1399}))
 	}
-	for seq := uint64(1); seq <= 1199; seq++ {
-		p.add(proto.EventID{Origin: a, Seq: seq}, seq%50 == 0 || seq >= 97 && seq <= 101)
+	for seq := uint64(2); seq <= 1399; seq++ {
+		p.add(proto.EventID{Origin: a, Seq: seq}, seq%50 == 0 || seq >= 170 && seq <= 174 || seq >= 1322 && seq <= 1326)
 	}
-	if w := p.got.Watermark(a); w != 1199 || len(p.got.ahead) != 1 {
-		t.Fatalf("after the full list: watermark %d, %d side-map entries; want 1199 and b's alone", w, len(p.got.ahead))
+	if w := p.got.Watermark(a); w != 1399 || len(p.got.ahead) != 1 {
+		t.Fatalf("after the full list: watermark %d, %d side-map entries; want 1399 and b's alone", w, len(p.got.ahead))
+	}
+}
+
+// foldStream sends origin a the ids from..to in order, each Add compared
+// with the reference, and counts the ones that were new.
+func foldStream(p *digestPair, a proto.ProcessID, from, to uint64) int {
+	p.t.Helper()
+	fresh := 0
+	for seq := from; seq <= to; seq++ {
+		id := proto.EventID{Origin: a, Seq: seq}
+		if p.got.Contains(id) {
+			p.t.Fatalf("%v held before it arrived", id)
+		}
+		g, w := p.got.Add(id), p.want.Add(id)
+		if g != w {
+			p.t.Fatalf("Add(%v) = %v, reference %v", id, g, w)
+		}
+		if g {
+			fresh++
+		}
+		p.add(id, seq%100 == 0) // the repeat: compared, and new to neither
+		if !p.got.Contains(id) || p.got.Add(id) {
+			p.t.Fatalf("%v new after it arrived", id)
+		}
+	}
+	return fresh
+}
+
+// TestCompactDigestPermanentGap: behind a hole that never fills — seq 1, or
+// seq 5 after 1..4 — every later id of 3 000 is new exactly once. Without
+// the fold the window and a full list took the first 1 087 and every later
+// one was refused: the origin went deaf. The watermark passes over the hole
+// when the list fills, and the side map is empty at the end.
+func TestCompactDigestPermanentGap(t *testing.T) {
+	t.Parallel()
+	for _, hole := range []uint64{1, 5} {
+		p := digestPair{t: t}
+		a := sharedHome(7)
+		p.add(proto.EventID{Origin: sharedHome(8), Seq: 70}, true) // a neighbour ahead throughout
+		if foldStream(&p, a, 1, hole-1) != int(hole-1) {
+			t.Fatalf("hole %d: the ids before it were not all new", hole)
+		}
+		if got := foldStream(&p, a, hole+1, hole+3000); got != 3000 {
+			t.Fatalf("hole %d: %d of the 3 000 ids after it were new", hole, got)
+		}
+		if w := p.got.Watermark(a); w != hole+3000 || len(p.got.ahead) != 1 {
+			t.Fatalf("hole %d: watermark %d, %d side-map entries; want %d and the neighbour's alone", hole, w, len(p.got.ahead), hole+3000)
+		}
+		if !p.got.Contains(proto.EventID{Origin: a, Seq: hole}) {
+			t.Fatalf("hole %d: the hole is not counted as delivered", hole)
+		}
+		p.add(proto.EventID{Origin: a, Seq: hole}, true)
+	}
+}
+
+// TestCompactDigestFirstHeardMidStream: an origin first heard at seq 500 —
+// a process that joins late — takes every later id of 3 000 exactly once.
+// Its stream fills the list from 500, far past the window's reach, and the
+// list folds at once, as the origin has never delivered in order: the
+// watermark starts just below its first id. Ids before it count as
+// delivered from then on.
+func TestCompactDigestFirstHeardMidStream(t *testing.T) {
+	t.Parallel()
+	p := digestPair{t: t}
+	a := sharedHome(9)
+	if got := foldStream(&p, a, 500, 3499); got != 3000 {
+		t.Fatalf("%d of the 3 000 ids from 500 were new", got)
+	}
+	if w := p.got.Watermark(a); w != 3499 || len(p.got.ahead) != 0 {
+		t.Fatalf("watermark %d, %d side-map entries; want 3499 and none", w, len(p.got.ahead))
+	}
+	for _, seq := range []uint64{1, 64, 499} {
+		p.add(proto.EventID{Origin: a, Seq: seq}, true)
 	}
 }
 

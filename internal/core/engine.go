@@ -208,18 +208,15 @@ type Engine struct {
 	eventWeights map[proto.EventID]int // duplicate counts (weighted eviction)
 	stats        Stats
 
-	// Emission-reuse mode (SetEmissionReuse): the per-round gossip and the
-	// target list are recycled across ticks instead of freshly allocated.
-	reuseEmission  bool
-	scratchGossip  *proto.Gossip
-	scratchTargets []proto.ProcessID
+	// emit is where TickAppend cuts its gossip, its targets and a timed-out
+	// re-request from (SetEmitArena, SetEmissionReuse).
+	emit proto.Emitter
 
 	// Retransmission-timeout state (Config.RetransmitTimeout): requested
 	// ids awaiting a reply and their re-request deadlines.
-	pending          []pendingRetransmit
-	scratchRequest   []proto.EventID
-	scratchReqTarget []proto.ProcessID
-	scratchRearmed   []pendingRetransmit
+	pending        []pendingRetransmit
+	scratchRequest []proto.EventID
+	scratchRearmed []pendingRetransmit
 }
 
 // pendingRetransmit is one outstanding retransmission request: an id the
@@ -297,13 +294,20 @@ func (e *Engine) ViewLen() int { return e.mem.ViewLen() }
 // ViewCap returns the view bound l.
 func (e *Engine) ViewCap() int { return e.cfg.Membership.MaxView }
 
-// SetEmissionReuse switches TickAppend to recycle one gossip message and
-// its backing slices across rounds, making the steady-state emission path
-// allocation-free. It is only safe when the driver serializes or fully
-// consumes every emitted message before the next TickAppend call — both
-// live transports encode datagrams inside SendBatch, so the live node
-// enables this.
-func (e *Engine) SetEmissionReuse(on bool) { e.reuseEmission = on }
+// SetEmitArena makes TickAppend cut every emission from a, which the
+// driver resets once it has consumed (or deep-copied) everything cut from
+// it — the simulator, one arena per executor shard, at the end of each
+// period. nil returns the engine to a private arena (SetEmissionReuse).
+func (e *Engine) SetEmitArena(a *proto.EmitArena) { e.emit.Bind(a) }
+
+// SetEmissionReuse governs an engine with no driver-owned arena: on, its
+// private arena is reset at each tick, making the steady-state emission
+// path allocation-free, which is only safe when the driver serializes or
+// fully consumes every emitted message before the next TickAppend call —
+// both live transports encode datagrams inside SendBatch, so the live node
+// enables this; off, each tick cuts from a fresh arena, so an emission stays
+// valid for as long as anything holds it.
+func (e *Engine) SetEmissionReuse(on bool) { e.emit.SetReuse(on) }
 
 // Membership exposes the membership manager for diagnostics and tests.
 func (e *Engine) Membership() *membership.Manager { return e.mem }
@@ -581,7 +585,7 @@ func (e *Engine) pendingContains(id proto.EventID) bool {
 // maxRetransmitAttempts) and rotate to the back, so entries the cap leaves
 // out head the next re-request instead of being starved by perpetually
 // re-arming earlier ones. TickAppend calls it only with a non-empty view.
-func (e *Engine) retransmitTimedOut(now uint64, out []proto.Message) []proto.Message {
+func (e *Engine) retransmitTimedOut(now uint64, a *proto.EmitArena, out []proto.Message) []proto.Message {
 	if e.cfg.RetransmitTimeout == 0 {
 		return out
 	}
@@ -607,13 +611,11 @@ func (e *Engine) retransmitTimedOut(now uint64, out []proto.Message) []proto.Mes
 	e.stats.RetransmitTimeouts += uint64(len(req))
 	server := e.cfg.Logger
 	if server == proto.NilProcess || server == e.self {
-		e.scratchReqTarget = e.mem.AppendTargets(e.scratchReqTarget[:0], 1)
-		server = e.scratchReqTarget[0]
+		server = e.mem.AppendTargets(a.PIDs(1)[:0], 1)[0]
 	}
-	if !e.reuseEmission {
-		req = append([]proto.EventID(nil), req...)
-	}
-	return append(out, proto.Message{Kind: proto.RetransmitRequestMsg, From: e.self, To: server, Request: req})
+	sent := a.IDs(len(req))
+	copy(sent, req)
+	return append(out, proto.Message{Kind: proto.RetransmitRequestMsg, From: e.self, To: server, Request: sent})
 }
 
 // maxWatermarkExpansion bounds how many unknown sequence numbers a single
@@ -698,48 +700,30 @@ func validID(id proto.EventID) bool {
 // membership information flowing. now is the current deployment time
 // (rounds or ms). The outgoing messages are appended to out and the
 // extended slice returned. All appended messages share one read-only
-// *proto.Gossip (its slices are freshly built and never mutated by the
-// engine afterwards), so the call does not allocate per emitted message:
-// receivers must treat the gossip as immutable, which every driver in this
-// repository does — engines copy events before retaining them and only
-// read membership piggyback.
+// *proto.Gossip, cut with each of its lists at its exact length from the
+// engine's emission arena (SetEmitArena, SetEmissionReuse) and never
+// written by the engine afterwards, so the call does not allocate per
+// emitted message: receivers must treat the gossip as immutable, which
+// every driver in this repository does — engines copy events before
+// retaining them and only read membership piggyback.
 func (e *Engine) TickAppend(now uint64, out []proto.Message) []proto.Message {
 	e.ticks++
-	var targets []proto.ProcessID
-	var g *proto.Gossip
-	if e.reuseEmission {
-		e.scratchTargets = e.mem.AppendTargets(e.scratchTargets[:0], e.cfg.Fanout)
-		targets = e.scratchTargets
-		if len(targets) == 0 {
-			return out // an empty view: nothing is sent, nothing consumed, no timer moves
-		}
-		if e.scratchGossip == nil {
-			e.scratchGossip = new(proto.Gossip)
-		}
-		g = e.scratchGossip
-		g.From = e.self
-		g.Events = e.events.AppendItems(g.Events[:0])
-		g.Digest = e.appendDigestIDs(g.Digest[:0])
-		g.Subs = g.Subs[:0]
-		g.Unsubs = g.Unsubs[:0]
-		g.DigestWatermarks = g.DigestWatermarks[:0]
-	} else {
-		targets = e.mem.Targets(e.cfg.Fanout)
-		if len(targets) == 0 {
-			return out
-		}
-		g = &proto.Gossip{
-			From:   e.self,
-			Events: e.events.Items(),
-			Digest: e.digestIDs(),
-		}
+	fanout := min(e.cfg.Fanout, e.mem.ViewLen())
+	if fanout == 0 {
+		return out // an empty view: nothing is sent, nothing consumed, no timer moves
 	}
+	a := e.emit.Tick()
+	targets := e.mem.AppendTargets(a.PIDs(fanout)[:0], fanout)
+	g := a.Gossip()
+	g.From = e.self
+	g.Events = e.events.AppendItems(a.Events(e.events.Len())[:0])
+	g.Digest = e.appendDigestIDs(a.IDs(e.DigestLen())[:0])
 	if k := e.cfg.MembershipEvery; k <= 1 || e.ticks%uint64(k) == 0 {
-		g.Subs = e.mem.AppendSubs(g.Subs)
-		g.Unsubs = e.mem.AppendUnsubs(g.Unsubs, now)
+		g.Subs = e.mem.AppendSubs(a.PIDs(e.mem.SubsLen() + 1)[:0])
+		g.Unsubs = e.mem.AppendUnsubs(a.Unsubs(e.mem.UnsubsLen())[:0], now)
 	}
 	if e.cfg.DigestMode == CompactDigest {
-		g.DigestWatermarks = e.compact.AppendWatermarks(g.DigestWatermarks)
+		g.DigestWatermarks = e.compact.AppendWatermarks(a.IDs(e.compact.Origins())[:0])
 	}
 	for _, t := range targets {
 		out = append(out, proto.Message{
@@ -754,11 +738,8 @@ func (e *Engine) TickAppend(now uint64, out []proto.Message) []proto.Message {
 	// process; older copies live only in the archive.
 	e.events.Clear()
 	e.eventWeights = nil
-	return e.retransmitTimedOut(now, out)
+	return e.retransmitTimedOut(now, a, out)
 }
-
-// digestIDs returns the identifier digest to attach to an outgoing gossip.
-func (e *Engine) digestIDs() []proto.EventID { return e.appendDigestIDs(nil) }
 
 // appendDigestIDs appends the advertised digest identifiers to dst.
 func (e *Engine) appendDigestIDs(dst []proto.EventID) []proto.EventID {

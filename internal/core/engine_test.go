@@ -613,6 +613,41 @@ func TestHostileFarAheadDeliveredOnce(t *testing.T) {
 	}
 }
 
+// TestLostFirstEventNotDeaf: with the default dedup memory, an engine that
+// never receives its origin's seq 1 still delivers each of the 3 000 later
+// ids exactly once, arriving ten to a gossip, some of them twice. Before the
+// digest's list folded, the window and a full far-ahead list took 1 087 of
+// them and every later one read as delivered: the engine was deaf to the
+// origin from then on.
+func TestLostFirstEventNotDeaf(t *testing.T) {
+	t.Parallel()
+	e, delivered := newEngine(t, 1, nil)
+	const n = 3000
+	for seq := uint64(2); seq <= n+1; seq += 10 {
+		g := proto.Gossip{From: 9}
+		for s := seq; s < seq+10 && s <= n+1; s++ {
+			g.Events = append(g.Events, proto.Event{ID: proto.EventID{Origin: 9, Seq: s}})
+		}
+		g.Events = append(g.Events, g.Events[0]) // a duplicate within the gossip
+		gossipTo(e, g, seq)
+		if seq > 2 {
+			gossipTo(e, proto.Gossip{From: 8, Events: g.Events[:3]}, seq) // and across gossips
+		}
+	}
+	got := map[proto.EventID]int{}
+	for _, ev := range *delivered {
+		got[ev.ID]++
+	}
+	if len(got) != n {
+		t.Fatalf("%d of the %d ids after the lost one delivered", len(got), n)
+	}
+	for id, k := range got {
+		if k != 1 || id.Seq < 2 {
+			t.Fatalf("%v delivered %d times", id, k)
+		}
+	}
+}
+
 func TestHandleMessageIgnoresMalformed(t *testing.T) {
 	t.Parallel()
 	e, _ := newEngine(t, 1, nil)

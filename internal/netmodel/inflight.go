@@ -20,7 +20,8 @@ import (
 // empties a bucket front to back, so the delayed path inherits the
 // harness's determinism.
 //
-// Storage. Engines recycle their emission buffers, so the queue deep-copies
+// Storage. Engines cut their emissions from arenas (proto.EmitArena) that
+// every harness resets at the end of the period, so the queue deep-copies
 // what it parks, in two parts: an envelope (flSlot) per message —
 // addressing, ledger, a retransmission's request or reply — and a body
 // (flBody) per gossip emission, shared by the F envelopes one committed tick
@@ -31,11 +32,12 @@ import (
 // busiest periods needed, not its largest message, and allocates nothing in
 // a steady state.
 //
-// Which envelopes share. An engine in emission-reuse mode rewrites the same
-// *proto.Gossip every tick; the pointer and the period name its contents,
-// because every harness commits at most one emission per engine per period.
-// enqueue therefore shares a body only with the envelope enqueued just
-// before it, and only when both match. In the poisoning debug mode
+// Which envelopes share. A tick cuts a fresh *proto.Gossip from an arena
+// that is reset only when the period ends, so within a period a pointer is
+// unique to one emission; the next period cuts from the same storage again,
+// so the pointer and the period together name a gossip's contents. enqueue
+// therefore shares a body only with the envelope enqueued just before it,
+// and only when both match. In the poisoning debug mode
 // (inflightQueue.check) enqueue compares the gossip with the body it is
 // about to share and panics on a difference.
 

@@ -145,13 +145,11 @@ type Node struct {
 	nextSeq        uint64
 	stats          Stats
 
-	// Emission-reuse mode (SetEmissionReuse): the per-round digest gossip,
-	// the target list, and the TotalView sample scratch are recycled across
-	// ticks instead of freshly allocated.
-	reuseEmission  bool
-	scratchGossip  *proto.Gossip
-	scratchTargets []proto.ProcessID
-	scratchIdxs    []int
+	// emit is where TickAppend cuts its digest gossip and targets from
+	// (SetEmitArena, SetEmissionReuse); scratchIdxs is the TotalView
+	// sample's retained scratch.
+	emit        proto.Emitter
+	scratchIdxs []int
 }
 
 // New creates a pbcast node. In TotalView mode, the membership is fixed at
@@ -198,13 +196,17 @@ func (n *Node) SetTotalView(all []proto.ProcessID) {
 	}
 }
 
-// SetEmissionReuse switches TickAppend to recycle one gossip message and
-// its backing slices across rounds, making the steady-state emission path
-// allocation-free — the same seam core.Engine exposes. It is only safe
-// when the driver serializes or fully consumes every emitted message
-// before the next TickAppend call (the live node, whose transports encode
-// inside SendBatch; the simulator's synchronous round executor).
-func (n *Node) SetEmissionReuse(on bool) { n.reuseEmission = on }
+// SetEmitArena makes TickAppend cut every emission from a, which the
+// driver resets once it has consumed everything cut from it; nil returns
+// the node to a private arena. The same seam core.Engine exposes.
+func (n *Node) SetEmitArena(a *proto.EmitArena) { n.emit.Bind(a) }
+
+// SetEmissionReuse governs a node with no driver-owned arena, as
+// core.Engine's does: on, its private arena is reset at each tick, which is
+// only safe when the driver serializes or fully consumes every emitted
+// message before the next TickAppend call (the live node, whose transports
+// encode inside SendBatch); off, each tick cuts from a fresh arena.
+func (n *Node) SetEmissionReuse(on bool) { n.emit.SetReuse(on) }
 
 // Seed bootstraps the partial view (PartialView mode).
 func (n *Node) Seed(ps []proto.ProcessID) {
@@ -289,23 +291,11 @@ func (n *Node) advertisable(m *storedMsg) bool {
 	return true
 }
 
-// targets picks the gossip targets for this round.
-func (n *Node) targets() []proto.ProcessID {
-	return n.appendTargets(nil)
-}
-
 // appendTargets appends the round's gossip targets to dst. Both membership
 // substrates consume exactly the same random draws as the allocating pick
-// they replace, so reuse mode cannot perturb deterministic schedules.
+// they replace, so the emission's storage cannot perturb deterministic
+// schedules.
 func (n *Node) appendTargets(dst []proto.ProcessID) []proto.ProcessID {
-	// One exact up-front grow, so the non-reuse path costs a single
-	// allocation independent of fanout (reuse-mode scratch already has
-	// capacity and skips this).
-	if cap(dst)-len(dst) < n.cfg.Fanout {
-		grown := make([]proto.ProcessID, len(dst), len(dst)+n.cfg.Fanout)
-		copy(grown, dst)
-		dst = grown
-	}
 	if n.mem != nil {
 		return n.mem.AppendTargets(dst, n.cfg.Fanout)
 	}
@@ -324,48 +314,35 @@ func (n *Node) appendTargets(dst []proto.ProcessID) []proto.ProcessID {
 // to Fanout targets. Solicited retransmissions ride the next tick, which
 // models the one-period pull latency pbcast pays per hop. The outgoing
 // messages are appended to out and the extended slice returned. All
-// appended digest gossips share one read-only *proto.Gossip, so the call
+// appended digest gossips share one read-only *proto.Gossip, cut with its
+// lists at their exact lengths from the node's emission arena, so the call
 // does not allocate per emitted message; receivers must treat the gossip
 // as immutable.
 func (n *Node) TickAppend(now uint64, out []proto.Message) []proto.Message {
 	out = append(out, n.pendingReplies...)
 	n.pendingReplies = n.pendingReplies[:0]
 
-	var g *proto.Gossip
-	var targets []proto.ProcessID
-	if n.reuseEmission {
-		if n.scratchGossip == nil {
-			n.scratchGossip = new(proto.Gossip)
-		}
-		g = n.scratchGossip
-		g.From = n.self
-		g.Digest = g.Digest[:0]
-		g.Subs = g.Subs[:0]
-		g.Unsubs = g.Unsubs[:0]
-	} else {
-		g = &proto.Gossip{From: n.self}
-	}
+	a := n.emit.Tick()
+	g := a.Gossip()
+	g.From = n.self
+	k := 0
 	for i, ln := 0, n.store.Len(); i < ln; i++ {
-		m := n.store.At(i)
-		if n.advertisable(m) {
+		if n.advertisable(n.store.At(i)) {
+			k++
+		}
+	}
+	g.Digest = a.IDs(k)[:0]
+	for i, ln := 0, n.store.Len(); i < ln; i++ {
+		if m := n.store.At(i); n.advertisable(m) {
 			g.Digest = append(g.Digest, m.event.ID)
 			m.advertised++
 		}
 	}
 	if n.mem != nil {
-		if n.reuseEmission {
-			g.Subs = n.mem.AppendSubs(g.Subs)
-		} else {
-			g.Subs = n.mem.AppendSubs(nil)
-		}
-		g.Unsubs = n.mem.AppendUnsubs(g.Unsubs, now)
+		g.Subs = n.mem.AppendSubs(a.PIDs(n.mem.SubsLen() + 1)[:0])
+		g.Unsubs = n.mem.AppendUnsubs(a.Unsubs(n.mem.UnsubsLen())[:0], now)
 	}
-	if n.reuseEmission {
-		n.scratchTargets = n.appendTargets(n.scratchTargets[:0])
-		targets = n.scratchTargets
-	} else {
-		targets = n.targets()
-	}
+	targets := n.appendTargets(a.PIDs(min(n.cfg.Fanout, n.ViewLen()))[:0])
 	for _, t := range targets {
 		out = append(out, proto.Message{Kind: proto.GossipMsg, From: n.self, To: t, Gossip: g})
 	}

@@ -14,10 +14,17 @@ const BumpChunkBytes = 32 << 10
 // run longer than a chunk gets a chunk of its own, which it does not keep.
 // The zero value is ready to use; a Bump is not safe for concurrent use.
 type Bump[T any] struct {
-	chunk  []T   // runs are cut from here; len: handed out
-	chunks [][]T // the fixed-size chunks, once past the cap
-	next   int   // chunks[:next] have been cut from since the reset
-	used   int   // handed out since the reset, runs of their own aside
+	chunk []T            // runs are cut from here; len: handed out
+	used  int            // handed out since the reset, runs of their own aside
+	past  *bumpChunks[T] // the fixed-size chunks, once past the cap
+}
+
+// bumpChunks holds a Bump's fixed-size chunks once it is past the cap. It
+// sits behind a pointer so that a Bump that stays below the cap — one of an
+// engine's private emission arena, say — is 40 bytes rather than 64.
+type bumpChunks[T any] struct {
+	chunks [][]T
+	next   int // chunks[:next] have been cut from since the reset
 }
 
 func bumpChunk[T any]() int {
@@ -35,11 +42,15 @@ func (s *Bump[T]) Cut(n int) []T {
 		case want <= limit:
 			s.chunk = make([]T, 0, want)
 		default:
-			if s.next == len(s.chunks) {
-				s.chunks = append(s.chunks, make([]T, 0, limit))
+			if s.past == nil {
+				s.past = new(bumpChunks[T])
 			}
-			s.chunk = s.chunks[s.next]
-			s.next++
+			p := s.past
+			if p.next == len(p.chunks) {
+				p.chunks = append(p.chunks, make([]T, 0, limit))
+			}
+			s.chunk = p.chunks[p.next]
+			p.next++
 		}
 	}
 	s.used += n
@@ -50,14 +61,15 @@ func (s *Bump[T]) Cut(n int) []T {
 
 // Reset takes back every run and zeroes the chunks it keeps.
 func (s *Bump[T]) Reset() {
-	if len(s.chunks) == 0 {
+	if s.past == nil {
 		clear(s.chunk)
 		s.chunk = s.chunk[:0]
 	} else {
-		for _, c := range s.chunks[:s.next] {
+		p := s.past
+		for _, c := range p.chunks[:p.next] {
 			clear(c[:cap(c)])
 		}
-		s.chunk, s.next = s.chunks[0], 1
+		s.chunk, p.next = p.chunks[0], 1
 	}
 	s.used = 0
 }
@@ -65,6 +77,9 @@ func (s *Bump[T]) Reset() {
 // Size is the number of bytes of storage the Bump keeps.
 func (s *Bump[T]) Size() int {
 	var zero T
-	n := max(cap(s.chunk), len(s.chunks)*bumpChunk[T]())
+	n := cap(s.chunk)
+	if s.past != nil {
+		n = len(s.past.chunks) * bumpChunk[T]()
+	}
 	return n * int(unsafe.Sizeof(zero))
 }

@@ -58,7 +58,10 @@ func checkBump(t *testing.T, ops []byte) {
 		op := next()
 		if op%8 == 7 {
 			b.Reset()
-			kept := append(slices.Clone(b.chunks), b.chunk)
+			kept := [][]elem{b.chunk}
+			if b.past != nil {
+				kept = append(kept, b.past.chunks...)
+			}
 			for _, r := range own {
 				for _, c := range kept {
 					if overlap(r, c[:cap(c)]) {

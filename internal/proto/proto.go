@@ -1,9 +1,11 @@
 // Package proto defines the protocol-level types shared by every layer of
 // the lpbcast implementation: process identifiers, event notifications,
 // subscriptions/unsubscriptions, and the gossip message itself (§3.2 of the
-// paper). Keeping these in one dependency-free package lets the membership
-// layer, the protocol engine, the wire codec, the simulator and the pbcast
-// baseline agree on vocabulary without import cycles.
+// paper), and the arena emissions are cut from (EmitArena). Keeping these in
+// one package that depends on nothing but the allocators of internal/pool
+// lets the membership layer, the protocol engine, the wire codec, the
+// simulator and the pbcast baseline agree on vocabulary without import
+// cycles.
 package proto
 
 import "fmt"
@@ -72,11 +74,12 @@ type Unsubscription struct {
 // purposes: carrying fresh notifications, a digest of delivered
 // notification identifiers, unsubscriptions, and subscriptions.
 //
-// Sharing contract: the engines' TickAppend hot path emits one Gossip
-// shared by all fanout targets of a round, so receivers must treat an
-// incoming Gossip (and everything it references) as read-only and Clone
-// events before retaining them. Callers that need independently mutable
-// messages deep-copy them with Clone.
+// Sharing contract: the engines' TickAppend emits one Gossip, cut from an
+// EmitArena, shared by all fanout targets of a round and valid until that
+// arena is reset, so receivers must treat an incoming Gossip (and everything
+// it references) as read-only and Clone events before retaining them.
+// Callers that need independently mutable or longer-lived messages deep-copy
+// them with Clone.
 type Gossip struct {
 	// From is the sending process. The sender always includes itself in
 	// Subs as well (Fig. 1(b)); From additionally lets receivers answer
@@ -173,8 +176,8 @@ type Message struct {
 }
 
 // Clone returns a deep copy of the message, so that nothing in it aliases
-// memory its sender goes on to reuse (an engine's recycled emission scratch,
-// a transport's decode storage).
+// memory its sender goes on to reuse (an engine's emission arena, a
+// transport's decode storage).
 func (m Message) Clone() Message {
 	out := m
 	if m.Gossip != nil {

@@ -5,9 +5,10 @@
 // notification through the topic's gossip.
 //
 // The Bus runs on the runtime-v2 seams the simulator executors use: every
-// member engine emits through the zero-alloc append paths with emission
-// reuse, all topics share one batched routing loop, and the network
-// between members is the simulator's one network model (internal/netmodel):
+// member engine emits through the zero-alloc append paths into one emission
+// arena the bus resets after each step, all topics share one batched
+// routing loop, and the network between members is the simulator's one
+// network model (internal/netmodel):
 // the same filter, the same in-flight ring, the same rules, on the round
 // clock. Each topic accounts its traffic in a stats.NetStats ledger that
 // satisfies the same conservation invariant as the simulator's, including
@@ -119,9 +120,12 @@ type Bus struct {
 	// queue/next and their parallel tally slices are the retained hop
 	// buffers of the batched dispatch loop: tally[i] is the ledger — its
 	// topic's NetStats — that accounts queue[i]. Retention plus the
-	// engines' emission reuse makes a steady round allocation-free.
+	// shared emission arena makes a steady round allocation-free.
 	queue, next    []proto.Message
 	qTally, nTally []*stats.NetStats
+	// emit is every member's emission arena: a Step routes all it emits
+	// (the in-flight ring deep-copies what it parks), then resets it.
+	emit proto.EmitArena
 	// pending is the deferred-delivery queue: engine callbacks append
 	// here under mu, and flushLocked drains it with the lock released so
 	// handlers can reenter the Bus. delivering guards against nested
@@ -275,10 +279,9 @@ func (b *Bus) join(client, topic string, h Handler) (*Subscription, error) {
 		b.nextPID--
 		return nil, err
 	}
-	// Every member runs the recycling emission path; the routing loop
-	// consumes each emission before the engine's next TickAppend, and the
-	// in-flight ring copies what it parks, so the reuse contract holds.
-	eng.SetEmissionReuse(true)
+	// Every member emits into the bus's arena, which Step resets once the
+	// step's routing has consumed every emission.
+	eng.SetEmitArena(&b.emit)
 	m.engine = eng
 
 	ts, ok := b.topics[topic]
@@ -442,11 +445,11 @@ func (s *Subscription) Cancel() error {
 
 // Step advances every topic group one gossip round: delayed messages due
 // this round arrive first (in deterministic enqueue order), every member
-// emits its periodic gossip through the recycling append path, leave
-// grace periods tick down, and the batched dispatch loop routes the
-// round's traffic with bounded response chasing. The round's arrivals go
-// back to the ring's pools once it is routed. Handlers run after the
-// round's protocol work, with no locks held.
+// emits its periodic gossip into the bus's emission arena, leave grace
+// periods tick down, and the batched dispatch loop routes the round's
+// traffic with bounded response chasing. The round's arrivals go back to
+// the ring's pools, and its emissions to the arena, once it is routed.
+// Handlers run after the round's protocol work, with no locks held.
 func (b *Bus) Step() {
 	b.mu.Lock()
 	b.stepLocked()
@@ -478,6 +481,7 @@ func (b *Bus) stepLocked() {
 	b.queue, b.qTally = queue, tally
 	b.dispatchLocked(pre)
 	b.network.EndPeriod(b.now)
+	b.emit.Reset()
 }
 
 // StepN advances n gossip rounds.

@@ -61,10 +61,11 @@ import (
 // hops per period — but seeded async results differ numerically from
 // pre-wavefront versions.
 //
-// Steady-state allocation mirrors the synchronous argument: engines run in
-// emission reuse (an emission is fully consumed by its wave's barrier,
-// before the engine's next tick, which happens no earlier than the next
-// period), the queue/inbox/response machinery is retained across periods,
+// Steady-state allocation mirrors the synchronous argument: engines cut
+// their emissions from their shards' arenas, which RunRound resets once the
+// period is over (an emission is fully consumed by its wave's barrier, or
+// deep-copied by the in-flight ring), the queue/inbox/response machinery is
+// retained across periods,
 // and all phase closures are prebuilt, so a steady async period does not
 // allocate (see TestAsyncRoundAllocs). PoisonRecycled keeps the period's
 // emissions in shard 0's outbox and overwrites them, with the response

@@ -23,7 +23,8 @@ type procSink struct {
 func (s *procSink) DeliverEvent(ev proto.Event) { s.c.deliverFn(s.pid, ev) }
 
 // buildEngines constructs the lpbcast engines through pooled allocation
-// (core.NewIn), sharded across the configured worker count. Determinism is
+// (core.NewIn), in the executor's shards (shardRange), and binds each to
+// its shard's emission arena while it is still in cache. Determinism is
 // preserved by phase separation: every engine stream is pre-split from the
 // root sequentially in pid order, shards then construct engines from their
 // private streams and shard-local pools (no RNG involved), and the initial
@@ -38,12 +39,12 @@ func (c *Cluster) buildEngines(root, viewRNG *rng.Source) error {
 		root.SplitInto(&srcs[i])
 	}
 	c.procs = make([]Process, n)
-	w := effectiveWorkers(c.opts.Workers, n)
+	w := len(c.emit)
 	c.pools = make([]*core.Pools, w)
 	errs := make([]error, w)
 	var wg sync.WaitGroup
 	for s := 0; s < w; s++ {
-		lo, hi := s*n/w, (s+1)*n/w
+		lo, hi := shardRange(s, w, n)
 		p := &core.Pools{}
 		c.pools[s] = p
 		wg.Add(1)
@@ -55,7 +56,7 @@ func (c *Cluster) buildEngines(root, viewRNG *rng.Source) error {
 					errs[s] = fmt.Errorf("sim: process %v: %w", c.ids[i], err)
 					return
 				}
-				eng.SetEmissionReuse(true) // see the executor's allocation argument
+				eng.SetEmitArena(&c.emit[s])
 				c.procs[i] = eng
 			}
 		}(s, lo, hi, p)
@@ -80,4 +81,14 @@ func (c *Cluster) PoolStats() pool.Stats {
 		s.Add(p.Stats())
 	}
 	return s
+}
+
+// EmitBytes is the storage the cluster's emission arenas keep, one per
+// executor shard: what the busiest period's emissions needed.
+func (c *Cluster) EmitBytes() int {
+	n := 0
+	for s := range c.emit {
+		n += c.emit[s].Size()
+	}
+	return n
 }

@@ -116,11 +116,14 @@ func ChurnExperiment(opts ChurnOptions) (ChurnResult, error) {
 	members := map[proto.ProcessID]*churnMember{}
 	var order []proto.ProcessID // deterministic iteration order
 	nextPID := proto.ProcessID(1)
+	// Every engine emits into one arena, reset once a round's wire is routed.
+	var emit proto.EmitArena
 	newEngine := func() (*core.Engine, error) {
 		e, err := core.New(nextPID, opts.Engine, nil, root.Split())
 		if err != nil {
 			return nil, err
 		}
+		e.SetEmitArena(&emit)
 		members[nextPID] = &churnMember{engine: e}
 		order = append(order, nextPID)
 		nextPID++
@@ -214,6 +217,7 @@ func ChurnExperiment(opts ChurnOptions) (ChurnResult, error) {
 			// Departed-but-in-grace members still process traffic.
 			dst.engine.HandleMessageAppend(msg, round, nil)
 		}
+		emit.Reset()
 
 		// Connectivity among active members.
 		g := activeGraph(members)

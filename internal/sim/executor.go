@@ -55,21 +55,26 @@ import (
 // Delivery recording is a commutative set-union (see recorder), so the
 // only shared mutable state touched concurrently is behind its lock.
 //
-// Steady-state allocation argument. NewCluster builds every engine in
-// emission reuse (the same seam the live node uses over Serializer
-// transports): TickAppend recycles one gossip and its backing slices per
-// engine. Recycling is safe here because an engine's scratch is only
-// rewritten by its next TickAppend, which cannot run before the next
-// round's tick phase — and by then the current round's outbox has been
-// fully consumed: the sequential loss/crash filter has routed it, every
-// handle phase has read it, and the span merge has drained the response
-// buffers. All executor buffers (outboxes, inboxes, response spans, the
-// hop queues) are retained across rounds, phase closures are built once,
-// and the workers are persistent goroutines signalled over channels, so a
-// steady-state round performs no allocation at all (see
-// TestExecutorRoundAllocs). PoisonRecycled overwrites the recycled
-// buffers with sentinels at the end of every round to catch any future
-// consumer that holds them longer than the round.
+// Steady-state allocation argument. No engine owns emission storage. Each
+// shard has one emission arena (proto.EmitArena, Cluster.emit), and every
+// engine is bound to its shard's arena as it is built, while it is still in
+// cache rather than in a second walk over every engine: construction shards
+// are executor shards (shardRange). A tick cuts its gossip header, the
+// gossip's lists and its targets, each at its exact length, from its
+// shard's arena, so the shards never share one and the tick phase needs no
+// lock. A period's emissions are dead once the period has been handled
+// (Fig. 1(b)): the sequential loss/crash filter has routed them, every
+// handle phase has read them, the span merge has drained the response
+// buffers, and the in-flight ring has deep-copied what it parks for a later
+// period. So RunRound resets the arenas last — after poisonRecycled and
+// the network's EndPeriod — and an arena keeps what its busiest period
+// needed. All executor buffers (outboxes, inboxes, response spans, the
+// hop queues, the arenas) are retained across rounds, phase closures are
+// built once, and the workers are persistent goroutines signalled over
+// channels, so a steady-state round performs no allocation at all (see
+// TestExecutorRoundAllocs). PoisonRecycled overwrites the recycled buffers
+// with sentinels at the end of every round, before the arenas are reset,
+// to catch any future consumer that holds them longer than the round.
 
 // effectiveWorkers resolves the Workers option to a shard count in [1, n]:
 // 0 means one shard and a negative value GOMAXPROCS.
@@ -138,9 +143,8 @@ func shardWorker(s int, work <-chan func(int), wg *sync.WaitGroup) {
 }
 
 // shardedExecutor runs a Cluster's rounds and periods across its shards.
-// All scratch buffers are retained between rounds and the engines run in
-// emission-reuse mode, so the steady state of a large experiment does not
-// allocate.
+// All scratch buffers and the shards' emission arenas are retained between
+// rounds, so the steady state of a large experiment does not allocate.
 type shardedExecutor struct {
 	c       *Cluster
 	workers int
@@ -170,8 +174,23 @@ type shardedExecutor struct {
 	poison bool // overwrite recycled buffers with sentinels after each round
 }
 
+// shardRange is shard s's process indices [lo, hi) when n processes are
+// cut into w contiguous shards, the first n%w of them one longer. It is the
+// one partition construction (buildEngines) and execution share, so a
+// construction shard's pools hold exactly the engines its executor shard
+// runs.
+func shardRange(s, w, n int) (lo, hi int) {
+	base, rem := n/w, n%w
+	lo = s*base + min(s, rem)
+	if hi = lo + base; s < rem {
+		hi++
+	}
+	return lo, hi
+}
+
 // newShardedExecutor partitions the cluster's processes into w contiguous
-// shards (1 <= w <= N, see effectiveWorkers) and, when there is more than
+// shards (1 <= w <= N, see effectiveWorkers) — shardRange's, the ones the
+// engines' emission arenas were bound by — and, when there is more than
 // one, starts the persistent workers.
 func newShardedExecutor(c *Cluster, w int) *shardedExecutor {
 	e := &shardedExecutor{
@@ -191,18 +210,11 @@ func newShardedExecutor(c *Cluster, w int) *shardedExecutor {
 		poison:   c.opts.PoisonRecycled,
 	}
 	n := len(c.ids)
-	base, rem := n/w, n%w
-	start := 0
 	for s := 0; s < w; s++ {
-		size := base
-		if s < rem {
-			size++
-		}
-		e.lo[s], e.hi[s] = start, start+size
-		for i := start; i < start+size; i++ {
+		e.lo[s], e.hi[s] = shardRange(s, w, n)
+		for i := e.lo[s]; i < e.hi[s]; i++ {
 			e.shardOf[i] = s
 		}
-		start += size
 	}
 	e.tickFn = e.tickShard
 	e.handleFn = e.handleShard
@@ -491,7 +503,8 @@ func poisonSlots(msgs []proto.Message) {
 }
 
 // poisonRecycled overwrites every buffer this period recycled — the
-// outboxes (and, through them, the shared scratch gossips), and the executor-owned response and queue slots
+// outboxes (and, through them, the tick gossips in the shards' arenas), and
+// the executor-owned response and queue slots
 // — with sentinel values; the delay ring poisons its just-drained arrivals
 // itself, in RunRound's EndPeriod. The hop queues hold copies of emissions,
 // of responses and of arrivals, and an arrival's gossip may still be in the

@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/proto"
+	"repro/internal/rng"
 )
 
 // assertIdentical asserts structural and byte-level equality of the two
@@ -139,10 +141,10 @@ func TestParallelReuseWithPoison10k(t *testing.T) {
 // executor: once a cluster is fully infected and every scratch buffer has
 // reached steady-state capacity, a round — engine emission, the loss
 // filter, the handle fan-out, and the span merge — must not allocate more
-// than twice, sharded four ways or with no option set at all (one shard,
-// run inline).
+// than twice, sharded four ways, two ways (each shard's emissions in its
+// own arena) or with no option set at all (one shard, run inline).
 func TestExecutorRoundAllocs(t *testing.T) {
-	for _, workers := range []int{4, 0} {
+	for _, workers := range []int{4, 2, 0} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			opts := DefaultOptions(1_000)
 			opts.Seed = 9
@@ -175,6 +177,111 @@ func steadyRoundAllocs(t *testing.T, opts Options) float64 {
 		cluster.RunRound()
 	}
 	return testing.AllocsPerRun(50, func() { cluster.RunRound() })
+}
+
+// TestTwoShardsPoisonedMatchOneShard: two shards emit into two arenas, each
+// reset only after the period has been handled and poisoned, and must
+// reproduce one unpoisoned shard byte for byte — on the round clock, and on
+// the event clock with millisecond delays, where the in-flight ring copies
+// what outlives the period. The async regime ticks in one walk while the
+// shards handle; under -race this is also the check that no shard cuts from
+// the other's arena.
+func TestTwoShardsPoisonedMatchOneShard(t *testing.T) {
+	t.Parallel()
+	for _, clock := range []Clock{ClockRounds, ClockEvent} {
+		for _, async := range []bool{false, true} {
+			clock, async := clock, async
+			t.Run(fmt.Sprintf("%v/async=%v", clock, async), func(t *testing.T) {
+				t.Parallel()
+				opts := DefaultReliabilityOptions(120)
+				opts.Cluster.Seed = 5
+				opts.Cluster.Async = async
+				opts.Cluster.Clock = clock
+				opts.Cluster.Lpbcast.AssumeFromDigest = false
+				opts.Cluster.Lpbcast.Retransmit = true
+				opts.Cluster.Lpbcast.RetransmitTimeout = 2
+				if clock == ClockEvent {
+					opts.Cluster.Delay = fault.Millis{Model: fault.UniformDelay{Min: 10, Max: 180}}
+				}
+				opts.Rate, opts.PublishRounds, opts.DrainRounds = 8, 6, 6
+				one := opts
+				one.Cluster.Workers = 1
+				want, err := ReliabilityExperiment(one)
+				if err != nil {
+					t.Fatal(err)
+				}
+				two := opts
+				two.Cluster.Workers = 2
+				two.Cluster.PoisonRecycled = true
+				got, err := ReliabilityExperiment(two)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertIdentical(t, "two poisoned shards", want, got)
+				if want.Events == 0 || want.Net.Sent == 0 {
+					t.Fatalf("degenerate run: %+v", want)
+				}
+			})
+		}
+	}
+}
+
+// TestEmitArenasPerShard: a loaded cluster — 1 000 processes, four
+// publishes a period, retransmission on — keeps its emissions in one arena
+// per executor shard, and after 50 periods the arenas hold under 1.6 KB a
+// process: one period's gossips, not every engine's largest. Each engine
+// emits into its own shard's arena: a tick's gossip is zeroed by that
+// arena's Reset and by no other's.
+func TestEmitArenasPerShard(t *testing.T) {
+	t.Parallel()
+	for _, workers := range []int{1, 2} {
+		opts := DefaultOptions(1000)
+		opts.Seed = 21
+		opts.Workers = workers
+		opts.Lpbcast.Retransmit = true
+		c, err := NewCluster(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pick := rng.New(99)
+		for r := 0; r < 50; r++ {
+			for k := 0; k < 4; k++ {
+				if _, err := c.PublishAt(pick.Intn(c.N())); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.RunRound()
+		}
+		size := 0
+		for s := range c.emit {
+			size += c.emit[s].Size()
+		}
+		per := float64(size) / float64(c.N())
+		t.Logf("workers=%d: %.0f B of emission arena a process", workers, per)
+		if per > 1600 || per == 0 {
+			t.Errorf("workers=%d: the arenas keep %.0f B a process after 50 loaded periods, want (0, 1600]", workers, per)
+		}
+		for i := 0; i < c.N(); i += 7 {
+			msgs := c.procs[i].TickAppend(c.now, nil)
+			if len(msgs) == 0 {
+				t.Fatalf("process %d emitted nothing", i)
+			}
+			g := msgs[0].Gossip
+			for s := range c.emit {
+				if s != c.exec.shardOf[i] {
+					c.emit[s].Reset()
+				}
+			}
+			if g.From != c.ids[i] {
+				t.Fatalf("workers=%d: process %d's gossip was taken back by another shard's arena", workers, i)
+			}
+			c.emit[c.exec.shardOf[i]].Reset()
+			if g.From != proto.NilProcess {
+				t.Fatalf("workers=%d: process %d's gossip is not in its shard's arena", workers, i)
+			}
+		}
+		c.Close()
+	}
 }
 
 // TestClusterCloseIdempotent pins the Close contract: closing twice is a

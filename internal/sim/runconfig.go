@@ -78,18 +78,18 @@ type RunConfig struct {
 	// configuration error: the round clock has no sub-round time.
 	PeriodMs int
 	// PoisonRecycled is a debug mode of the executor: at the end of every
-	// round (or async period) the recycled emission buffers (the shared
-	// tick gossips, the executor's outbox/response slots, and the drained
-	// in-flight delay buckets) are overwritten with sentinel values, so
-	// any consumer that still aliases them past the round diverges loudly
-	// from the cloning reference walk instead of reading stale data
-	// silently. Results must be identical with the flag on — the reuse
+	// round (or async period) the recycled emission buffers (the tick
+	// gossips in the shards' arenas, the executor's outbox/response slots,
+	// and the drained in-flight delay buckets) are overwritten with sentinel
+	// values, so any consumer that still aliases them past the round
+	// diverges loudly from the cloning reference walk instead of reading
+	// stale data silently. Results must be identical with the flag on — the reuse
 	// property tests assert this.
 	PoisonRecycled bool
 	// EmissionReuse is ignored.
 	//
-	// Deprecated: engines always run in emission reuse — NewCluster opts
-	// them in, whatever the shard count — and nothing reads this field. It
+	// Deprecated: engines always emit into the executor's per-shard arenas,
+	// whatever the shard count, and nothing reads this field. It
 	// is still declared only because benchmark/ assigns it; it goes with
 	// the PR that may edit benchmark/.
 	EmissionReuse bool

@@ -34,8 +34,9 @@ type seqRef struct {
 	seqQueue, seqNext []proto.Message
 }
 
-// newSeqRef builds the cluster opts describes, takes its engines out of
-// emission reuse, and runs the warmup rounds through the reference.
+// newSeqRef builds the cluster opts describes, unbinds its engines from the
+// executor's arenas and takes them out of emission reuse, so every tick cuts
+// from a fresh arena, and runs the warmup rounds through the reference.
 func newSeqRef(opts Options) (*seqRef, error) {
 	warmup := opts.WarmupRounds
 	opts.WarmupRounds = 0
@@ -45,6 +46,7 @@ func newSeqRef(opts Options) (*seqRef, error) {
 		return nil, err
 	}
 	for _, p := range c.procs {
+		p.(interface{ SetEmitArena(*proto.EmitArena) }).SetEmitArena(nil)
 		p.(interface{ SetEmissionReuse(bool) }).SetEmissionReuse(false)
 	}
 	r := &seqRef{Cluster: c}

@@ -225,6 +225,10 @@ type Cluster struct {
 	deliverFn func(owner proto.ProcessID, ev proto.Event)
 	exec      *shardedExecutor // runs every round and period, on 1..W shards
 	poolToken *poolToken       // finalized with the cluster; see poolCleanup
+	// emit holds one emission arena per executor shard: every engine of
+	// shard s (shardRange) cuts its emissions from emit[s], and RunRound
+	// resets them all once the period is over.
+	emit []proto.EmitArena
 	// arrivalDests holds the destination indices of the arrivals the last
 	// settleArrivals put on the queue, and arrivalLedgers the ledgers the
 	// ring hands out beside them; both are retained across periods.
@@ -305,6 +309,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 		c.index.Add(pid)
 	}
 	viewRNG := root.Split()
+	c.emit = make([]proto.EmitArena, effectiveWorkers(opts.Workers, opts.N))
 	if opts.Protocol == Lpbcast {
 		if err := c.buildEngines(root, viewRNG); err != nil {
 			return nil, err
@@ -331,8 +336,13 @@ func NewCluster(opts Options) (*Cluster, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sim: process %v: %w", pid, err)
 			}
-			node.SetEmissionReuse(true)
 			c.procs = append(c.procs, node)
+		}
+		for s := range c.emit {
+			lo, hi := shardRange(s, len(c.emit), opts.N)
+			for _, p := range c.procs[lo:hi] {
+				p.(*pbcast.Node).SetEmitArena(&c.emit[s])
+			}
 		}
 	}
 
@@ -356,7 +366,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 		}
 	}
 
-	c.exec = newShardedExecutor(c, effectiveWorkers(opts.Workers, opts.N))
+	c.exec = newShardedExecutor(c, len(c.emit))
 
 	for i := 0; i < opts.WarmupRounds; i++ {
 		c.RunRound()
@@ -454,8 +464,12 @@ func (c *Cluster) RunRound() {
 		c.exec.poisonRecycled()
 	}
 	// The delay ring poisons what the period drained, and takes back its
-	// oldest generation, only now, after every consumer is done.
+	// oldest generation, only now, after every consumer is done; then the
+	// period's emissions go back to the shards' arenas.
 	c.network.EndPeriod(c.nowMs)
+	for s := range c.emit {
+		c.emit[s].Reset()
+	}
 }
 
 // runRoundBody runs one period of the regime's schedule, and leaves nowMs

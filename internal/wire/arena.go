@@ -15,11 +15,7 @@ import (
 // used by two goroutines at once.
 type Arena struct {
 	msgs    []proto.Message
-	gossips pool.Bump[proto.Gossip]
-	pids    pool.Bump[proto.ProcessID]
-	unsubs  pool.Bump[proto.Unsubscription]
-	events  pool.Bump[proto.Event]
-	ids     pool.Bump[proto.EventID]
+	lists   proto.EmitArena // the gossips and the lists an emission also has
 	hops    pool.Bump[uint32]
 	payload pool.Bump[byte]
 }
@@ -40,11 +36,7 @@ func (a *Arena) DecodeBatch(buf []byte) ([]proto.Message, error) {
 func (a *Arena) Reset() {
 	clear(a.msgs)
 	a.msgs = a.msgs[:0]
-	a.gossips.Reset()
-	a.pids.Reset()
-	a.unsubs.Reset()
-	a.events.Reset()
-	a.ids.Reset()
+	a.lists.Reset()
 	a.hops.Reset()
 	a.payload.Reset()
 }
@@ -52,8 +44,7 @@ func (a *Arena) Reset() {
 // Size is the number of bytes of storage the arena keeps.
 func (a *Arena) Size() int {
 	return cap(a.msgs)*int(unsafe.Sizeof(proto.Message{})) +
-		a.gossips.Size() + a.pids.Size() + a.unsubs.Size() + a.events.Size() +
-		a.ids.Size() + a.hops.Size() + a.payload.Size()
+		a.lists.Size() + a.hops.Size() + a.payload.Size()
 }
 
 // The decoder's lists: n zeroed elements from the arena, or from the heap
@@ -63,35 +54,35 @@ func (a *Arena) gossip() *proto.Gossip {
 	if a == nil {
 		return new(proto.Gossip)
 	}
-	return &a.gossips.Cut(1)[0]
+	return a.lists.Gossip()
 }
 
 func (a *Arena) pidList(n int) []proto.ProcessID {
 	if a == nil {
 		return make([]proto.ProcessID, n)
 	}
-	return a.pids.Cut(n)
+	return a.lists.PIDs(n)
 }
 
 func (a *Arena) unsubList(n int) []proto.Unsubscription {
 	if a == nil {
 		return make([]proto.Unsubscription, n)
 	}
-	return a.unsubs.Cut(n)
+	return a.lists.Unsubs(n)
 }
 
 func (a *Arena) eventList(n int) []proto.Event {
 	if a == nil {
 		return make([]proto.Event, n)
 	}
-	return a.events.Cut(n)
+	return a.lists.Events(n)
 }
 
 func (a *Arena) idList(n int) []proto.EventID {
 	if a == nil {
 		return make([]proto.EventID, n)
 	}
-	return a.ids.Cut(n)
+	return a.lists.IDs(n)
 }
 
 func (a *Arena) hopList(n int) []uint32 {
