@@ -425,7 +425,10 @@ func executorSuite(quick, big bool) []benchCase {
 // emit_bytes is what the cluster's per-shard emission arenas keep per
 // process once the warm-up is done — one period's gossips, a figure of the
 // traffic and not of the machine — held to the same headroom as
-// table_bytes.
+// table_bytes. heap_bytes_per_process, gated too, is the live heap the
+// cluster holds per process after its warm-up, build included: the
+// benchmark's sim-loaded-seq figure, of which the dedup digests are the
+// largest part.
 func loadedCase(quick bool) benchCase {
 	n, warm := 1000, 60
 	if quick {
@@ -433,7 +436,7 @@ func loadedCase(quick bool) benchCase {
 	}
 	var cluster *sim.Cluster // built once, reused across b.N scaling runs
 	var pick *rng.Source
-	var emit float64
+	var emit, heap float64
 	period := func(b *testing.B) {
 		for k := 0; k < 4; k++ {
 			if _, err := cluster.PublishAt(pick.Intn(n)); err != nil {
@@ -450,6 +453,7 @@ func loadedCase(quick bool) benchCase {
 				o := sim.DefaultOptions(n)
 				o.Seed, o.Tau = 9, 0
 				o.Lpbcast.Retransmit = true
+				m0 := readHeap()
 				var err error
 				if cluster, err = sim.NewCluster(o); err != nil {
 					b.Fatal(err)
@@ -459,6 +463,7 @@ func loadedCase(quick bool) benchCase {
 					period(b)
 				}
 				emit = float64(cluster.EmitBytes()) / float64(n)
+				heap = (float64(readHeap().HeapAlloc) - float64(m0.HeapAlloc)) / float64(n)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -466,6 +471,7 @@ func loadedCase(quick bool) benchCase {
 			}
 			b.StopTimer()
 			b.ReportMetric(emit, "emit_bytes")
+			b.ReportMetric(heap, "heap_bytes_per_process")
 		},
 		cleanup: func() {
 			if cluster != nil {

@@ -418,26 +418,39 @@ func TestArchiveEvictionReleasesPayloads(t *testing.T) {
 	}
 }
 
-// TestDigestBytesPerOrigin: the table costs at most 30 bytes per tracked
-// origin at 64, 250 and 1000 origins — 16-byte slots, a quarter step, then
-// whatever the allocator's size class adds: 24.0, 24.6 and 24.6 bytes,
-// where 24-byte slots took 36, 38 and 41 — and the header every idle engine
-// carries stays at 40 bytes.
+// TestDigestBytesPerOrigin: the tables cost at most 15 bytes per tracked
+// origin below 2^32 at 64, 250 and 1000 origins — 8-byte slots, a quarter
+// step, then whatever the allocator's size class adds: 14.0, 10.8 and 10.9
+// bytes, where 16-byte slots took 24.0, 24.6 and 24.6 — and at most 30 per
+// origin past 2^32, which sit in the side's 16-byte slots, the side itself
+// counted: 24.8, 24.8 and 24.6. The header every idle engine carries stays
+// at 40 bytes.
 func TestDigestBytesPerOrigin(t *testing.T) {
-	if size := unsafe.Sizeof(originSlot{}); size != 16 {
-		t.Fatalf("an origin's slot takes %d bytes, want 16", size)
+	if size := unsafe.Sizeof(originSlot{}); size != 8 {
+		t.Fatalf("an origin's slot takes %d bytes, want 8", size)
 	}
 	if size := unsafe.Sizeof(CompactDigest{}); size > 40 {
 		t.Fatalf("a digest's header takes %d bytes, want at most 40", size)
 	}
-	d := NewCompactDigest()
-	for o := uint64(1); o <= 1000; o++ {
-		d.Add(proto.EventID{Origin: pid(o << 20), Seq: 1})
-		if o == 64 || o == 250 || o == 1000 {
-			bytes := len(d.slots) * int(unsafe.Sizeof(originSlot{}))
-			if bytes > 30*int(o) || 4*int(o) > 3*len(d.slots) {
-				t.Errorf("%d origins in %d slots: %d bytes, %.1f per origin, want at most 30 at a load of at most 3/4",
-					o, len(d.slots), bytes, float64(bytes)/float64(o))
+	for _, c := range []struct {
+		name  string
+		base  uint64
+		bound int
+	}{{"below 2^32", 0, 15}, {"past 2^32", 1 << 32, 30}} {
+		d := NewCompactDigest()
+		for o := uint64(1); o <= 1000; o++ {
+			d.Add(proto.EventID{Origin: pid(c.base + o<<20), Seq: 1})
+			if o == 64 || o == 250 || o == 1000 {
+				slots, bytes := len(d.narrow.slots), len(d.narrow.slots)*int(unsafe.Sizeof(originSlot{}))
+				if d.side != nil {
+					slots = len(d.side.wide.slots)
+					bytes += int(unsafe.Sizeof(*d.side)) + slots*int(unsafe.Sizeof(slot[uint64]{}))
+				}
+				if bytes > c.bound*int(o) || 4*int(o) > 3*slots || d.Origins() != int(o) {
+					t.Errorf("%s: %d origins (%d counted) in %d slots: %d bytes, %.1f per origin, want at most %d at a load of at most 3/4",
+						c.name, o, d.Origins(), slots, bytes, float64(bytes)/float64(o), c.bound)
+				}
+				t.Logf("%s: %d origins, %.2f bytes each", c.name, o, float64(bytes)/float64(o))
 			}
 		}
 	}
@@ -467,8 +480,8 @@ func TestDigestAheadEntriesLeave(t *testing.T) {
 		for o := 1; o <= 100; o++ {
 			deliver(o, 2)
 		}
-		if len(d.ahead) != 100 || d.SparseLen() != 100 {
-			t.Fatalf("round %d: %d side-map entries, %d ids ahead with 100 gaps open", round, len(d.ahead), d.SparseLen())
+		if len(d.aheads()) != 100 || d.SparseLen() != 100 {
+			t.Fatalf("round %d: %d side-map entries, %d ids ahead with 100 gaps open", round, len(d.aheads()), d.SparseLen())
 		}
 		if round == 999 {
 			retained = int64(liveHeap()) - int64(before)
@@ -476,8 +489,8 @@ func TestDigestAheadEntriesLeave(t *testing.T) {
 		for o := 1; o <= 100; o++ {
 			deliver(o, 1)
 		}
-		if len(d.ahead) != 0 || d.SparseLen() != 0 {
-			t.Fatalf("round %d: %d side-map entries, %d ids ahead after every gap closed", round, len(d.ahead), d.SparseLen())
+		if len(d.aheads()) != 0 || d.SparseLen() != 0 {
+			t.Fatalf("round %d: %d side-map entries, %d ids ahead after every gap closed", round, len(d.aheads()), d.SparseLen())
 		}
 	}
 	if retained > 12<<10 {
@@ -547,6 +560,43 @@ func TestHostileFarAheadBounded(t *testing.T) {
 		}
 		runtime.KeepAlive(&d)
 	}
+}
+
+// TestHostileWideOriginsBounded: a flood of 10⁴ origins past 2^32 — a node
+// with hashed 64-bit ids, or a peer that invents origins — each first heard
+// at an id 2^40 ahead, SHALL retain at most 30 bytes an origin for its wide
+// slot, the side itself included, plus 100 for its side-map entry, which
+// holds the one far id (its list never more than maxFar): 110.5 in all
+// (about 24 and 87). Each id is new once, and each origin is counted. Not
+// parallel: it reads the heap.
+func TestHostileWideOriginsBounded(t *testing.T) {
+	const n, slotBound, entryBound = 10_000, 30, 100
+	var d CompactDigest
+	ids := make([]proto.EventID, n)
+	for i := range ids {
+		ids[i] = proto.EventID{Origin: pid(1<<32 + uint64(i)*7919), Seq: 1<<40 + uint64(i)}
+	}
+	before := liveHeap()
+	for _, id := range ids {
+		if !d.Add(id) {
+			t.Fatalf("%v refused on its first receipt", id)
+		}
+	}
+	retained := int64(liveHeap()) - int64(before)
+	if retained > n*(slotBound+entryBound) {
+		t.Errorf("%d wide origins, each one id ahead, retain %d bytes, %.1f each, want at most %d",
+			n, retained, float64(retained)/n, slotBound+entryBound)
+	}
+	t.Logf("%.1f bytes an origin", float64(retained)/n)
+	if d.Origins() != n || d.SparseLen() != n || len(d.narrow.slots) != 0 {
+		t.Fatalf("%d origins, %d ids ahead, %d narrow slots; want %d, %d, 0", d.Origins(), d.SparseLen(), len(d.narrow.slots), n, n)
+	}
+	for _, id := range ids {
+		if !d.Contains(id) || d.Add(id) || d.Watermark(id.Origin) != 0 {
+			t.Fatalf("%v new again, or its watermark moved", id)
+		}
+	}
+	runtime.KeepAlive(&d)
 }
 
 // liveHeap returns the live heap after two collections: a sync.Pool's

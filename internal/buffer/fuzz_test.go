@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/proto"
@@ -9,22 +10,30 @@ import (
 // FuzzCompactDigest checks the property the oracle checks, on sequences the
 // fuzzer writes: for any list of adds, membership questions and batched
 // reads, over a few origins, with sequence numbers around the origin's
-// watermark and 2^40 past it, the table SHALL answer as the map of maps
-// does — every Add, every Contains around the id, Watermark, Origins,
-// SparseLen, Summary, and AppendMissing over every id named so far.
+// watermark, 2^40 past it and around 2^32, the table SHALL answer as the map
+// of maps does — every Add, every Contains around the id, Watermark,
+// Origins, SparseLen, AppendSparse, AppendWatermarks, and AppendMissing over
+// every id named so far.
 //
-// The input is an op list of two bytes each. Byte 0: bits 0–2 pick the
-// origin (NilProcess, which is refused, two that share a home slot, two
-// that share their low bits, the largest id), bits 3–4 the op (0, 1 add;
-// 2 contains; 3 append-missing). Byte 1 places the sequence number against
-// the origin's current watermark: below 192 it is watermark-64+b (seq 0 when
-// that would be negative), so either side of the watermark, the whole
-// window and its far edge; from 192 it is watermark+2^40+b-192, sixty-four
-// ids only the overflow set can hold, near enough each other to repeat.
+// The input is an op list of two bytes each. Byte 0: bits 0–2 and bit 5
+// pick the origin (NilProcess, which is refused, two that share a home slot
+// past 2^32, two that share their low bits, the largest id; 2^32-1, the
+// largest a narrow slot holds, two below 2^32 that share a home slot,
+// 2^32+1 and 2^32-2 either side of the edge, 2, 3 and 2^31), bits 3–4 the op (0, 1 add; 2 contains; 3
+// append-missing). Byte 1 places the sequence number against the origin's
+// current watermark: below 192 it is watermark-64+b (seq 0 when that would
+// be negative), so either side of the watermark, the whole window and its
+// far edge; from 192 it is watermark+2^40+b-192, sixty-four ids only the
+// overflow set can hold, near enough each other to repeat. With bit 6 of
+// byte 0 set it is 2^32-129+b whatever the watermark: ids either side of
+// wideMark.
 func FuzzCompactDigest(f *testing.F) {
-	origins := [8]proto.ProcessID{proto.NilProcess, 1, sharedHome(1), sharedHome(2), 1 << 32, 2 << 32, 7, ^proto.ProcessID(0)}
+	origins := [16]proto.ProcessID{
+		proto.NilProcess, 1, sharedHome(1), sharedHome(2), 1 << 32, 2 << 32, 7, ^proto.ProcessID(0),
+		math.MaxUint32, narrowHome(0), narrowHome(1), 1<<32 + 1, 1<<32 - 2, 2, 3, 1 << 31,
+	}
 	const add, contains, missing = 0, 2, 3
-	op := func(kind, origin int, b byte) []byte { return []byte{byte(kind<<3 | origin), b} }
+	op := func(kind, origin int, b byte) []byte { return []byte{byte(kind<<3 | origin&7 | origin&8<<2), b} }
 
 	// The oracle's scripted sequence (twoFarSets): two origins sharing a home
 	// hold 70, 71 and 2^40, then one delivers 1..7 and absorbs two of them.
@@ -60,12 +69,26 @@ func FuzzCompactDigest(f *testing.F) {
 	}
 	f.Add(append(grow, op(missing, 0, 0)...))
 
+	// Ids either side of wideMark at narrow and wide origins, in and past
+	// the reach of the window, then read back.
+	var edge []byte
+	for _, o := range []int{8, 9, 10, 4} {
+		for _, b := range []byte{0, 127, 128, 129, 255} {
+			edge = append(edge, op(add, o, b)...)
+			edge[len(edge)-2] |= 1 << 6
+		}
+		edge = append(edge, op(add, o, 65)...)
+	}
+	f.Add(append(edge, op(missing, 0, 0)...))
+
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		p := digestPair{t: t}
 		var named []proto.EventID
 		for ; len(ops) >= 2; ops = ops[2:] {
-			id := proto.EventID{Origin: origins[ops[0]&7]}
+			id := proto.EventID{Origin: origins[ops[0]&7|ops[0]>>2&8]}
 			switch wm, b := p.want.Watermark(id.Origin), uint64(ops[1]); {
+			case ops[0]&(1<<6) != 0:
+				id.Seq = wideMark - 128 + b
 			case b >= 192:
 				id.Seq = wm + 1<<40 + b - 192
 			case wm+b >= 64:

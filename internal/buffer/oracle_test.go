@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/proto"
@@ -343,10 +344,28 @@ type digestPair struct {
 const hashMulInverse = 0xf1de83e19937733d
 
 // sharedHome returns the k-th of a family of origins whose hashes agree in
-// their top 40 bits: they share a home slot in a table of any size.
+// their top 40 bits: they share a home slot in a table of any size. All but
+// a few are past 2^32, so they live in the side's wide table.
 func sharedHome(k int) proto.ProcessID {
 	return proto.ProcessID((0xabcdef0123<<24 | uint64(k)) * hashMulInverse)
 }
+
+// narrowHomes is a family of 1 100 origins below 2^32 found by search: the
+// smallest whose hashes have their top 12 bits set, so that each has the
+// last slot as its home in a table of any length up to 4 096, and a probe
+// from it wraps at once. The inverse that makes sharedHome gives wide ids.
+var narrowHomes = sync.OnceValue(func() []proto.ProcessID {
+	var homes []proto.ProcessID
+	for o := uint64(1); len(homes) < 1100; o++ {
+		if o*hashMul>>52 == 1<<12-1 {
+			homes = append(homes, proto.ProcessID(o))
+		}
+	}
+	return homes
+})
+
+// narrowHome returns the k-th of narrowHomes.
+func narrowHome(k int) proto.ProcessID { return narrowHomes()[k] }
 
 // probe draws n ids for the batched read: around the watermarks of known
 // origins — known, missing, in the window, past it, seq 0 — at origins the
@@ -416,7 +435,7 @@ func (p *digestPair) add(id proto.EventID, whole bool) {
 	// The id itself, its neighbours, and the edges of the window and of
 	// the overflow set around the origin's watermark.
 	wm := p.want.Watermark(id.Origin)
-	for _, seq := range []uint64{id.Seq, id.Seq - 1, id.Seq + 1, 0, 1, wm, wm + 1, wm + 2, wm + 63, wm + 64, wm + 65, wm + 66, wm + 1<<40} {
+	for _, seq := range []uint64{id.Seq, id.Seq - 1, id.Seq + 1, 0, 1, wm, wm + 1, wm + 2, wm + 63, wm + 64, wm + 65, wm + 66, wm + 1<<40, wideMark - 1, wideMark, wideMark + 1} {
 		q := proto.EventID{Origin: id.Origin, Seq: seq}
 		if g, w := p.got.Contains(q), p.want.Contains(q); g != w {
 			p.t.Fatalf("seed %d op %d: after Add(%v) Contains(%v) = %v, reference %v", p.seed, p.op, id, q, g, w)
@@ -428,9 +447,16 @@ func (p *digestPair) add(id proto.EventID, whole bool) {
 	if g, w := p.got.Origins(), p.want.Origins(); g != w {
 		p.t.Fatalf("seed %d op %d: Origins = %d, reference %d", p.seed, p.op, g, w)
 	}
-	_, held := p.got.ahead[id.Origin]
+	_, held := p.got.aheads()[id.Origin]
 	if ahead := len(p.want.origins[id.Origin].sparse) != 0; held != ahead {
 		p.t.Fatalf("seed %d op %d: after Add(%v) the side map holds the origin: %v, want %v", p.seed, p.op, id, held, ahead)
+	}
+	if _, tracked := p.want.origins[id.Origin]; tracked && id.Origin <= math.MaxUint32 {
+		// A narrow origin keeps its slot; the slot says wideMark exactly
+		// when the watermark has reached it.
+		if s := p.got.narrow.find(uint32(id.Origin)); s == nil || uint64(s.origin) != uint64(id.Origin) || (s.watermark == wideMark) != (wm >= wideMark) {
+			p.t.Fatalf("seed %d op %d: after Add(%v) origin %d's slot is %+v at watermark %d", p.seed, p.op, id, id.Origin, s, wm)
+		}
 	}
 	if !whole {
 		return
@@ -452,8 +478,8 @@ func (p *digestPair) add(id proto.EventID, whole bool) {
 	if g := p.got.AppendWatermarks([]proto.EventID{kept}); g[0] != kept || !slices.Equal(g[1:], watermarks) {
 		p.t.Fatalf("seed %d op %d: AppendWatermarks = %v, reference %v after %v", p.seed, p.op, g[1:], watermarks, kept)
 	}
-	if len(p.got.ahead) != ahead {
-		p.t.Fatalf("seed %d op %d: %d side-map entries, %d origins hold ids above their watermark", p.seed, p.op, len(p.got.ahead), ahead)
+	if len(p.got.aheads()) != ahead {
+		p.t.Fatalf("seed %d op %d: %d side-map entries, %d origins hold ids above their watermark", p.seed, p.op, len(p.got.aheads()), ahead)
 	}
 }
 
@@ -467,11 +493,17 @@ func (p *digestPair) add(id proto.EventID, whole bool) {
 // home slot whatever the table's length) to enough to cross every growth
 // step up to a thousand tracked origins. A new origin's first id is past
 // the window four times in fifteen, so origins whose only record sits in
-// the overflow set are carried through those steps too.
+// the overflow set are carried through those steps too. Seeds 1–160 draw
+// their universes mostly past 2^32, from the side's wide table; seeds
+// 161–320 draw them all below, from the digest's own table: small ids,
+// random ones, ids that share a home slot (narrowHome), and ids counting
+// down from 2^32-1 in steps that keep their low bits equal.
 //
-// A scripted sequence comes first: two origins sharing a home slot both hold
+// Scripted sequences come first: two origins sharing a home slot both hold
 // ids past their windows, one of them absorbs its way up to them, and the
-// other's set must not move.
+// other's set must not move (twoFarSets); a full overflow list that is
+// refused, then folds (fullFarList); and the edge between the two tables
+// (wideEdges).
 //
 // Before the first op and after every one the batched read, AppendMissing,
 // is compared with one reference Contains per id over a fresh list of ids
@@ -483,19 +515,27 @@ func TestCompactDigestOracle(t *testing.T) {
 	lengths := []int{0, 1, 63, 64, 65, 200}
 	twoFarSets(t)
 	fullFarList(t)
-	for seed := uint64(1); seed <= 160; seed++ {
+	wideEdges(t)
+	for seed := uint64(1); seed <= 320; seed++ {
 		r := rng.New(seed)
 		probes := rng.New(seed ^ 0x5eed) // its own stream: the ops stay what they were
 		universe := []int{1, 3, 40, 1100}[seed%4]
 		origins := make([]proto.ProcessID, universe)
+		narrow := seed > 160
 		for i := range origins {
-			switch r.Intn(4) {
-			case 0:
+			switch k := r.Intn(4); {
+			case k == 0:
 				origins[i] = proto.ProcessID(i) // origin 0 included
-			case 1:
+			case k == 1 && narrow:
+				origins[i] = proto.ProcessID(r.Uint64() >> 32)
+			case k == 1:
 				origins[i] = proto.ProcessID(r.Uint64())
-			case 2:
+			case k == 2 && narrow:
+				origins[i] = narrowHome(i)
+			case k == 2:
 				origins[i] = sharedHome(i)
+			case narrow:
+				origins[i] = proto.ProcessID(math.MaxUint32 - uint64(i)<<20) // equal low bits, 2^32-1 first
 			default:
 				origins[i] = proto.ProcessID(uint64(i) << 32) // equal low bits
 			}
@@ -542,7 +582,7 @@ func twoFarSets(t *testing.T) {
 		p.add(proto.EventID{Origin: sharedHome(k), Seq: 1}, true)
 	}
 	far := map[proto.ProcessID]int{}
-	for origin, a := range p.got.ahead {
+	for origin, a := range p.got.aheads() {
 		far[origin] = len(a.far)
 	}
 	if len(far) != 2 || far[a] != 1 || far[b] != 3 || p.got.SparseLen() != 6 {
@@ -574,15 +614,95 @@ func fullFarList(t *testing.T) {
 			p.add(id, false)
 		}
 	}
-	if !p.got.Contains(proto.EventID{Origin: a, Seq: 1399}) || len(p.got.ahead[a].far) != maxFar {
+	if !p.got.Contains(proto.EventID{Origin: a, Seq: 1399}) || len(p.got.aheads()[a].far) != maxFar {
 		t.Fatalf("after 1 100 ids ahead: %d kept, 1399 held %v; want a full list that holds 1399",
-			len(p.got.ahead[a].far), p.got.Contains(proto.EventID{Origin: a, Seq: 1399}))
+			len(p.got.aheads()[a].far), p.got.Contains(proto.EventID{Origin: a, Seq: 1399}))
 	}
 	for seq := uint64(2); seq <= 1399; seq++ {
 		p.add(proto.EventID{Origin: a, Seq: seq}, seq%50 == 0 || seq >= 170 && seq <= 174 || seq >= 1322 && seq <= 1326)
 	}
-	if w := p.got.Watermark(a); w != 1399 || len(p.got.ahead) != 1 {
-		t.Fatalf("after the full list: watermark %d, %d side-map entries; want 1399 and b's alone", w, len(p.got.ahead))
+	if w := p.got.Watermark(a); w != 1399 || len(p.got.aheads()) != 1 {
+		t.Fatalf("after the full list: watermark %d, %d side-map entries; want 1399 and b's alone", w, len(p.got.aheads()))
+	}
+}
+
+// wideEdges is the oracle's third scripted sequence, at the edge between
+// the digest's table and the side's wide one, every op compared in full:
+//
+//   - origins 2^32-1, the last a narrow slot holds, and 2^32, the first the
+//     wide table holds, side by side, each with ids in order, in its window
+//     and past it;
+//   - a narrow origin whose first 1 024 ids, 2^32-10 and then 2^32+100
+//     onwards, fill its overflow list at watermark 0: the list folds, the
+//     watermark rises to 2^32-10, just below wideMark, and ids in order
+//     then carry it across wideMark and on through the list, to 2^32+1 122;
+//   - a narrow origin sent 1 100 ids counting down from 2^40, as
+//     TestHostileFarAheadDeliveredOnce sends them: its full list folds the
+//     watermark from 0 to 2^40;
+//   - a narrow origin whose 1 024 ids in a row fold and absorb at once, to
+//     2^32-5 with nothing ahead, so that ids in order cross wideMark on
+//     Add's fast path;
+//   - narrow and wide origins interleaved by origin in AppendWatermarks and
+//     AppendSparse, and the batched read over ids either side of wideMark
+//     and of a wide origin whose low 32 bits and home slot are a narrow
+//     origin's.
+func wideEdges(t *testing.T) {
+	t.Helper()
+	p := digestPair{t: t}
+	edge, next, wide := proto.ProcessID(math.MaxUint32), proto.ProcessID(1<<32), proto.ProcessID(1<<40)
+	crosser, folded, smooth := narrowHome(0), narrowHome(1), narrowHome(2) // one home slot
+	for _, id := range []proto.EventID{
+		{Origin: edge, Seq: 1}, {Origin: next, Seq: 1}, {Origin: edge, Seq: 3}, {Origin: next, Seq: 3},
+		{Origin: next, Seq: 70}, {Origin: edge, Seq: 70}, {Origin: 5, Seq: 2}, {Origin: wide, Seq: 1},
+		{Origin: edge, Seq: 2}, {Origin: 5, Seq: 1 << 40}, {Origin: 5, Seq: 1},
+	} {
+		p.add(id, true)
+	}
+	p.add(proto.EventID{Origin: crosser, Seq: wideMark - 9}, true)
+	for k := uint64(0); k < maxFar-1; k++ {
+		p.add(proto.EventID{Origin: crosser, Seq: 1<<32 + 100 + k}, k%100 == 0 || k >= maxFar-3)
+	}
+	if w, s := p.got.Watermark(crosser), p.got.narrow.find(uint32(crosser)); w != wideMark-9 || s.watermark != wideMark-9 {
+		t.Fatalf("after the fold: watermark %d, slot %+v; want %d in the slot", w, s, wideMark-9)
+	}
+	for seq := uint64(wideMark - 8); seq <= 1<<32+99; seq++ {
+		p.add(proto.EventID{Origin: crosser, Seq: seq}, seq <= 1<<32 || seq%16 == 0)
+	}
+	if w, s := p.got.Watermark(crosser), p.got.narrow.find(uint32(crosser)); w != 1<<32+1122 || s.watermark != wideMark || p.got.side.wide.find(uint64(crosser)).watermark != w {
+		t.Fatalf("after the crossing: watermark %d, slot %+v; want %d in the wide table", w, s, uint64(1<<32+1122))
+	}
+	for i := uint64(0); i < 1100; i++ {
+		p.add(proto.EventID{Origin: folded, Seq: 1<<40 - i}, i%100 == 0 || i >= maxFar-2 && i <= maxFar)
+	}
+	if w := p.got.Watermark(folded); w != 1<<40 {
+		t.Fatalf("after the descending flood: watermark %d, want 2^40", w)
+	}
+	// 1 024 ids in a row fold and absorb at once, leaving nothing ahead, so
+	// the ids in order from 2^32-4 cross wideMark on Add's fast path.
+	for seq := uint64(1<<32 - 1028); seq < 1<<32-4; seq++ {
+		p.add(proto.EventID{Origin: smooth, Seq: seq}, false)
+	}
+	for seq := uint64(1<<32 - 4); seq <= 1<<32+4; seq++ {
+		p.add(proto.EventID{Origin: smooth, Seq: seq}, true)
+	}
+	p.add(proto.EventID{Origin: crosser, Seq: 1<<32 + 1124}, true) // one ahead of a wide watermark
+	// A wide origin whose home in the narrow table is origin 5's slot, and
+	// whose low 32 bits are 5: the batched read must not take 5's slot for it.
+	n, alias := len(p.got.narrow.slots), proto.ProcessID(5+1<<32)
+	for homeSlot(alias, n) != homeSlot(5, n) {
+		alias += 1 << 32
+	}
+	ids := []proto.EventID{{Origin: alias, Seq: 1}}
+	for _, origin := range []proto.ProcessID{edge, next, wide, crosser, folded, smooth, 5} {
+		wm := p.want.Watermark(origin)
+		for _, seq := range []uint64{1, wideMark - 1, wideMark, wideMark + 1, wm - 1, wm, wm + 1, wm + 2, wm + 70} {
+			ids = append(ids, proto.EventID{Origin: origin, Seq: seq})
+		}
+	}
+	p.checkMissing(ids)
+	want := []proto.EventID{{Origin: 5, Seq: 2}, {Origin: crosser, Seq: 1<<32 + 1122}, {Origin: folded, Seq: 1 << 40}, {Origin: smooth, Seq: 1<<32 + 4}, {Origin: edge, Seq: 3}, {Origin: next, Seq: 1}, {Origin: wide, Seq: 1}}
+	if got := p.got.AppendWatermarks(nil); !slices.Equal(got, want) {
+		t.Fatalf("AppendWatermarks = %v, want %v", got, want)
 	}
 }
 
@@ -628,8 +748,8 @@ func TestCompactDigestPermanentGap(t *testing.T) {
 		if got := foldStream(&p, a, hole+1, hole+3000); got != 3000 {
 			t.Fatalf("hole %d: %d of the 3 000 ids after it were new", hole, got)
 		}
-		if w := p.got.Watermark(a); w != hole+3000 || len(p.got.ahead) != 1 {
-			t.Fatalf("hole %d: watermark %d, %d side-map entries; want %d and the neighbour's alone", hole, w, len(p.got.ahead), hole+3000)
+		if w := p.got.Watermark(a); w != hole+3000 || len(p.got.aheads()) != 1 {
+			t.Fatalf("hole %d: watermark %d, %d side-map entries; want %d and the neighbour's alone", hole, w, len(p.got.aheads()), hole+3000)
 		}
 		if !p.got.Contains(proto.EventID{Origin: a, Seq: hole}) {
 			t.Fatalf("hole %d: the hole is not counted as delivered", hole)
@@ -651,8 +771,8 @@ func TestCompactDigestFirstHeardMidStream(t *testing.T) {
 	if got := foldStream(&p, a, 500, 3499); got != 3000 {
 		t.Fatalf("%d of the 3 000 ids from 500 were new", got)
 	}
-	if w := p.got.Watermark(a); w != 3499 || len(p.got.ahead) != 0 {
-		t.Fatalf("watermark %d, %d side-map entries; want 3499 and none", w, len(p.got.ahead))
+	if w := p.got.Watermark(a); w != 3499 || len(p.got.aheads()) != 0 {
+		t.Fatalf("watermark %d, %d side-map entries; want 3499 and none", w, len(p.got.aheads()))
 	}
 	for _, seq := range []uint64{1, 64, 499} {
 		p.add(proto.EventID{Origin: a, Seq: seq}, true)
@@ -668,16 +788,24 @@ func TestSharedHomeOrigins(t *testing.T) {
 	if m := uint64(hashMul); m*hashMulInverse != 1 {
 		t.Fatalf("hashMulInverse is not the inverse of hashMul")
 	}
-	for n := 1; n <= 4096; n++ {
-		home := homeSlot(sharedHome(0), n)
-		if home >= uint64(n) {
-			t.Fatalf("home slot %d in a table of %d", home, n)
-		}
-		for k := 1; k < 1100; k++ {
-			if h := homeSlot(sharedHome(k), n); h != home {
-				t.Fatalf("sharedHome(%d) has home slot %d of %d, sharedHome(0) has %d", k, h, n, home)
+	for _, family := range []struct {
+		name string
+		of   func(int) proto.ProcessID
+	}{{"sharedHome", sharedHome}, {"narrowHome", narrowHome}} {
+		for n := 1; n <= 4096; n++ {
+			home := homeSlot(family.of(0), n)
+			if home >= uint64(n) {
+				t.Fatalf("home slot %d in a table of %d", home, n)
+			}
+			for k := 1; k < 1100; k++ {
+				if h := homeSlot(family.of(k), n); h != home {
+					t.Fatalf("%s(%d) has home slot %d of %d, %s(0) has %d", family.name, k, h, n, family.name, home)
+				}
 			}
 		}
+	}
+	if last := narrowHome(1099); last > math.MaxUint32 || narrowHome(0) == proto.NilProcess {
+		t.Fatalf("narrowHome spans %d..%d, want origins in [1, 2^32)", narrowHome(0), last)
 	}
 }
 
