@@ -38,7 +38,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("lpbcast-node", flag.ContinueOnError)
 	var (
-		idFlag   = fs.Uint64("id", 1, "process id (unique, non-zero)")
+		idFlag   = fs.Uint64("id", 1, "process id (unique, non-zero; ids below 2^32 keep the archive at 8 bytes a delivered id)")
 		bind     = fs.String("bind", "127.0.0.1:0", "UDP bind address")
 		join     = fs.String("join", "", "bootstrap contact as id=host:port (empty for the first node)")
 		interval = fs.Duration("interval", 200*time.Millisecond, "gossip period T")

@@ -242,8 +242,8 @@ func TestArchive(t *testing.T) {
 	if got, ok := a.Lookup(e3.ID); !ok || got.ID != e3.ID {
 		t.Fatal("newest event missing")
 	}
-	if a.pay != nil {
-		t.Fatal("payload-less events made a side ring")
+	if a.side != nil {
+		t.Fatal("payload-less events with fitting ids made a side")
 	}
 	// Payloads: the stored slice comes back, an empty one as nil, and an id
 	// stored again is appended, so Lookup answers its newer copy.
@@ -373,9 +373,10 @@ func TestArchiveStoreFullAllocFree(t *testing.T) {
 
 // TestArchiveRingIsBounded: a full archive holds its events in a ring of
 // exactly its bound (Store writes over the oldest), not in the next power of
-// two, and keeps no index beside it: its only slices are the ring and the
-// side ring. A slot is a 16-byte id, and payload-less events make no side
-// ring.
+// two, and keeps no index beside it: its only storage is the ring and the
+// side behind one pointer. A slot is an 8-byte word, fitting payload-less
+// events make no side, and the header stays within the 72 bytes it took
+// with two rings of 16-byte ids and payloads.
 func TestArchiveRingIsBounded(t *testing.T) {
 	a := NewArchive(200)
 	for seq := uint64(1); seq <= 1000; seq++ {
@@ -384,12 +385,15 @@ func TestArchiveRingIsBounded(t *testing.T) {
 	if a.Len() != 200 || len(a.ring) != 200 {
 		t.Fatalf("%d events in a ring of %d slots, want 200 in 200", a.Len(), len(a.ring))
 	}
-	if size := unsafe.Sizeof(a.ring[0]); size != 16 || a.pay != nil {
-		t.Fatalf("a slot takes %d bytes and the side ring is %d long, want 16 and none", size, len(a.pay))
+	if size := unsafe.Sizeof(a.ring[0]); size != 8 || a.side != nil {
+		t.Fatalf("a slot takes %d bytes and there is a side (%v), want 8 and none", size, a.side != nil)
+	}
+	if size := unsafe.Sizeof(Archive{}); size > 72 {
+		t.Errorf("the Archive header takes %d bytes, want at most 72", size)
 	}
 	for i, typ := 0, reflect.TypeOf(*a); i < typ.NumField(); i++ {
-		if f := typ.Field(i); f.Name != "ring" && f.Name != "pay" && f.Type.Kind() != reflect.Int && f.Type.Kind() != reflect.Uint32 {
-			t.Errorf("Archive.%s (%v) is storage beside the two rings", f.Name, f.Type)
+		if f := typ.Field(i); f.Name != "ring" && f.Name != "side" && f.Type.Kind() != reflect.Int && f.Type.Kind() != reflect.Uint32 {
+			t.Errorf("Archive.%s (%v) is storage beside the ring and the side", f.Name, f.Type)
 		}
 	}
 }
@@ -408,14 +412,80 @@ func TestArchiveEvictionReleasesPayloads(t *testing.T) {
 		}
 		a.Store(ev)
 	}
-	if len(a.pay) != len(a.ring) {
-		t.Fatalf("side ring of %d slots beside an id ring of %d", len(a.pay), len(a.ring))
+	pay := a.side.pay
+	if len(pay) != len(a.ring) {
+		t.Fatalf("side ring of %d slots beside an id ring of %d", len(pay), len(a.ring))
 	}
-	for p := range a.pay {
-		if paid := a.ring[p].Seq <= 1000; paid != (a.pay[p].first != nil) {
-			t.Fatalf("side-ring position %d (id %v, head %d) holds %d bytes", p, a.ring[p], a.head, a.pay[p].n)
+	for p := range pay {
+		if paid := a.id(p).Seq <= 1000; paid != (pay[p].first != nil) {
+			t.Fatalf("side-ring position %d (id %v, head %d) holds %d bytes", p, a.id(p), a.head, pay[p].n)
 		}
 	}
+}
+
+// TestHostileWideIDsArchiveBounded: ids that do not fit a ring word cost a
+// bounded 24 bytes an entry, and only while the ring holds one. 10 000 wide
+// ids stored into an archive of 200 retain its 8-byte words and 16-byte side
+// entries — 24 bytes an entry, each ring rounded up to the allocator's size
+// class, 24.96 in all — and the header and the side; 200 fitting ids after
+// them, a full lap of the ring, drop the side, and the archive is back to
+// its 8-byte words and its header. The heap is read over 256 such archives,
+// and each may take 32 bytes more: what the runtime itself allocates during
+// a reading, up to 8 KB, is shared among them.
+func TestHostileWideIDsArchiveBounded(t *testing.T) {
+	const n, bound, archives, slack = 10_000, 200, 256, 32
+	if words, wide := unsafe.Sizeof(uint64(0)), unsafe.Sizeof(proto.EventID{}); words+wide != 24 {
+		t.Fatalf("a wide entry takes %d + %d bytes, want 24", words, wide)
+	}
+	ring, header := allocated(8*bound), allocated(int(unsafe.Sizeof(Archive{})))
+	wideRing, side := allocated(16*bound), allocated(int(unsafe.Sizeof(archiveSide{})))
+	as := make([]*Archive, archives)
+	before := liveHeap()
+	for k := range as {
+		as[k] = NewArchive(bound)
+		for i := uint64(0); i < n; i++ {
+			as[k].Store(proto.Event{ID: proto.EventID{Origin: pid(1<<32 + i%7), Seq: 1<<40 + i}})
+		}
+	}
+	retained := (int64(liveHeap()) - int64(before)) / archives
+	if want := ring + wideRing + header + side + slack; retained > want {
+		t.Errorf("%d wide ids in an archive of %d retain %d bytes, want at most %d", n, bound, retained, want)
+	}
+	allWide := float64(retained-header-side) / bound
+	for _, a := range as {
+		if a.side == nil || len(a.side.wide) != bound || len(a.ring) != bound {
+			t.Fatalf("no side ring of %d beside %d wide ids", bound, a.Len())
+		}
+		for i := uint64(0); i < bound; i++ {
+			a.Store(proto.Event{ID: proto.EventID{Origin: pid(1 + i%7), Seq: 1 + i}})
+		}
+		if a.side != nil {
+			t.Fatalf("a full lap of fitting ids left the side (wide ring of %d)", len(a.side.wide))
+		}
+	}
+	retained = (int64(liveHeap()) - int64(before)) / archives
+	if want := ring + header + slack; retained > want {
+		t.Errorf("after a lap of fitting ids an archive retains %d bytes, want at most %d", retained, want)
+	}
+	if got := as[0].AppendNewest(nil, bound); len(got) != bound || got[0] != (proto.EventID{Origin: 1, Seq: 1}) {
+		t.Fatalf("the newest %d after the lap start at %v", bound, got[0])
+	}
+	t.Logf("all wide: %.2f bytes an entry besides the headers", allWide)
+	runtime.KeepAlive(as)
+}
+
+// allocSink keeps allocated's object on the heap.
+var allocSink []byte
+
+// allocated returns the bytes the allocator hands out for an object of n
+// bytes: n rounded up to its size class.
+func allocated(n int) int64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocSink = make([]byte, n)
+	runtime.ReadMemStats(&after)
+	allocSink = nil
+	return int64(after.TotalAlloc - before.TotalAlloc)
 }
 
 // TestDigestBytesPerOrigin: the tables cost at most 15 bytes per tracked

@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"encoding/binary"
+	"math"
 	"slices"
 	"unsafe"
 
@@ -401,19 +402,49 @@ func (b *IDBuffer) Grow(n int) { b.inner.Grow(n) }
 // end finds among the newest |eventIds|m entries; a long request is resolved
 // against a table Serve builds in one pass over the window.
 //
-// A payload, if the notification has one, sits in a side ring at the id's
-// position. The side ring is nil until the first non-empty payload arrives,
-// so an archive of payload-less notifications — every one the simulator
-// makes — holds 16 bytes an entry; one that carries payloads holds 32.
+// A ring entry is one word. An id fits when its origin is below 2^32 and
+// its sequence number is from 1 to 2^32-1 — every id the simulator, the bus,
+// a cluster and the benchmark make — and is held as origin<<32 | seq, whose
+// low half is never 0. The word 0 marks a wide id, held whole at the same
+// position of a side ring. What the ring cannot hold sits behind one side
+// pointer, side, nil until first needed:
+//
+//   - pay, the payloads, nil until the first non-empty payload arrives;
+//   - wide, the wide ids, nil until the first wide id arrives, and dropped
+//     again when a lap of the ring — every position written once, ending
+//     at the last — stores none.
+//
+// One pointer for both keeps the header at 56 bytes, which every idle
+// engine of a large system carries.
+//
+// An archive of fitting, payload-less notifications — every one the
+// simulator makes — holds 8 bytes an entry; one that carries payloads
+// holds 24. Wide ids cost 16 bytes an entry more while the ring holds one:
+// an archive of wide, payload-less ids holds 24, where a ring of whole ids
+// held 16.
 //
 // Archive is not safe for concurrent use.
 type Archive struct {
-	ring  []proto.EventID // entry i, oldest first, is ring[pos(i)]
-	pay   []payloadRef    // pay[p] is the payload of ring[p]; nil, or len(ring)
-	head  uint32          // ring position of the oldest entry; 0 until the ring first wraps
+	ring  []uint64     // entry i, oldest first, is ring[pos(i)]: a packed id, or 0 for a wide one
+	side  *archiveSide // nil until a payload or a wide id is stored
+	head  uint32       // ring position of the oldest entry; 0 until the ring first wraps
 	n     uint32
 	serve int // Lookup and Serve answer from the newest serve entries
 	hold  int // the ring's bound, max(serve, the other window)
+}
+
+// MaxArchiveRing is the most ids an archive's ring holds, max(serve,
+// window) of Init: a ring position is a uint32, and Serve's table marks a
+// served entry's position + 1 with bit 31, so that must stay below 2^31.
+const MaxArchiveRing = served - 1
+
+// archiveSide is what an archive's ring cannot hold. Each of its rings is
+// nil, or as long as the id ring.
+type archiveSide struct {
+	pay  []payloadRef    // pay[p] is the payload of entry p
+	wide []proto.EventID // wide[p] is the id of entry p when ring[p] is 0
+	// lapWide says a wide id was stored in the current lap of the ring.
+	lapWide bool
 }
 
 // payloadRef is a retained payload in 16 bytes where a slice header takes
@@ -426,6 +457,15 @@ type payloadRef struct {
 }
 
 func (r payloadRef) bytes() []byte { return unsafe.Slice(r.first, r.n) } // nil for the zero payloadRef
+
+// pack returns id as a ring word, and whether it fits one: 0 and false for
+// a wide id.
+func pack(id proto.EventID) (uint64, bool) {
+	if id.Origin > math.MaxUint32 || id.Seq-1 >= math.MaxUint32 { // seq 0 wraps past the bound too
+		return 0, false
+	}
+	return uint64(id.Origin)<<32 | id.Seq, true
+}
 
 // NewArchive creates an archive that holds and serves the newest max
 // notifications; max <= 0 disables archiving entirely (Lookup always
@@ -453,6 +493,15 @@ func (a *Archive) pos(i uint32) uint32 {
 	return p
 }
 
+// id returns the id held at ring position p.
+func (a *Archive) id(p int) proto.EventID {
+	w := a.ring[p]
+	if w == 0 {
+		return a.side.wide[p]
+	}
+	return proto.EventID{Origin: proto.ProcessID(w >> 32), Seq: w & math.MaxUint32}
+}
+
 // Store appends e's id as the newest entry, writing over the oldest once the
 // ring is full. It makes no membership test: an id the ring still holds is
 // appended again, and the windows answer for its newest copy. The payload
@@ -473,36 +522,84 @@ func (a *Archive) Store(e proto.Event) {
 		p = a.head
 		a.head = a.pos(1)
 	}
-	a.ring[p] = e.ID
-	if len(e.Payload) > 0 {
-		if a.pay == nil {
-			a.pay = make([]payloadRef, len(a.ring))
+	w, fits := pack(e.ID)
+	a.ring[p] = w
+	if a.side != nil || !fits || len(e.Payload) > 0 {
+		a.storeSide(p, e, fits)
+	}
+}
+
+// storeSide writes what ring position p's word does not hold — e's id if
+// it is wide, its payload — making the side and its rings on first use, and
+// ends a lap at the ring's last position: a lap that stored no wide id
+// wrote over every one, so it drops the wide ring, and the side with it
+// once the side holds nothing.
+func (a *Archive) storeSide(p uint32, e proto.Event, fits bool) {
+	s := a.side
+	if s == nil {
+		s = &archiveSide{}
+		a.side = s
+	}
+	if !fits {
+		if s.wide == nil {
+			s.wide = make([]proto.EventID, len(a.ring))
 		}
-		a.pay[p] = payloadRef{&e.Payload[0], len(e.Payload)}
-	} else if a.pay != nil {
-		a.pay[p] = payloadRef{} // the overwritten payload is garbage from here on
+		s.wide[p] = e.ID
+		s.lapWide = true
+	}
+	if len(e.Payload) > 0 {
+		if s.pay == nil {
+			s.pay = make([]payloadRef, len(a.ring))
+		}
+		s.pay[p] = payloadRef{&e.Payload[0], len(e.Payload)}
+	} else if s.pay != nil {
+		s.pay[p] = payloadRef{} // the overwritten payload is garbage from here on
+	}
+	if int(p) == a.hold-1 { // a lap of the full ring ends
+		if !s.lapWide {
+			s.wide = nil
+		}
+		s.lapWide = false
+		if s.wide == nil && s.pay == nil {
+			a.side = nil
+		}
 	}
 }
 
 // grow enlarges a full ring toward its bound. Entry i is at position i
-// before and after, and the side ring grows alike.
+// before and after, and the side rings grow alike.
 func (a *Archive) grow() {
 	n := grown(len(a.ring), a.hold)
-	ring := make([]proto.EventID, n)
+	ring := make([]uint64, n)
 	copy(ring, a.ring)
 	a.ring = ring
-	if a.pay != nil {
-		pay := make([]payloadRef, n)
-		copy(pay, a.pay)
-		a.pay = pay
+	if s := a.side; s != nil {
+		s.pay = resized(s.pay, n)
+		s.wide = resized(s.wide, n)
 	}
 }
 
+// resized returns a copy of side ring s of length n, nil for a nil s.
+func resized[T any](s []T, n int) []T {
+	if s == nil {
+		return nil
+	}
+	t := make([]T, n)
+	copy(t, s)
+	return t
+}
+
 // find returns the ring position of the newest copy of id among the newest w
-// entries, or -1, scanning from the newest end.
+// entries, or -1, scanning from the newest end. A fitting id is one word
+// compare an entry; a wide one matches the entries that are 0 and then its
+// side-ring entry.
 func (a *Archive) find(id proto.EventID, w int) int {
 	w = min(w, int(a.n))
 	if w <= 0 {
+		return -1
+	}
+	key, fits := pack(id)
+	if !fits && (a.side == nil || a.side.wide == nil) {
 		return -1
 	}
 	top := int(a.head) + int(a.n) // one past the newest entry, unwrapped
@@ -510,12 +607,12 @@ func (a *Archive) find(id proto.EventID, w int) int {
 		top -= len(a.ring)
 	}
 	for p := top - 1; p >= max(0, top-w); p-- {
-		if a.ring[p] == id {
+		if a.ring[p] == key && (fits || a.side.wide[p] == id) {
 			return p
 		}
 	}
 	for p := len(a.ring) - 1; p >= len(a.ring)-(w-top); p-- { // the wrapped rest, if any
-		if a.ring[p] == id {
+		if a.ring[p] == key && (fits || a.side.wide[p] == id) {
 			return p
 		}
 	}
@@ -531,12 +628,15 @@ func (a *Archive) AppendNewest(dst []proto.EventID, w int) []proto.EventID {
 	if w <= 0 {
 		return dst
 	}
+	dst = slices.Grow(dst, w) // one allocation at most, though the ring wraps
 	start := int(a.pos(a.n - uint32(w)))
-	if end := start + w; end > len(a.ring) {
-		dst = slices.Grow(dst, w) // one allocation at most, though the ring wraps
-		return append(append(dst, a.ring[start:]...), a.ring[:end-len(a.ring)]...)
+	for p := start; p < min(start+w, len(a.ring)); p++ {
+		dst = append(dst, a.id(p))
 	}
-	return append(dst, a.ring[start:start+w]...)
+	for p := 0; p < start+w-len(a.ring); p++ { // the wrapped rest, if any
+		dst = append(dst, a.id(p))
+	}
+	return dst
 }
 
 // Lookup returns the newest archived copy of the event with the given id.
@@ -551,10 +651,10 @@ func (a *Archive) Lookup(id proto.EventID) (proto.Event, bool) {
 
 // event returns the archived event id, held at ring position p.
 func (a *Archive) event(id proto.EventID, p int) proto.Event {
-	if a.pay == nil {
+	if a.side == nil || a.side.pay == nil {
 		return proto.Event{ID: id}
 	}
-	return proto.Event{ID: id, Payload: a.pay[p].bytes()}
+	return proto.Event{ID: id, Payload: a.side.pay[p].bytes()}
 }
 
 // serveScanMax is the request length up to which Serve finds each id by a
@@ -618,9 +718,9 @@ func (a *Archive) Serve(req []proto.EventID) (reply []proto.Event, misses int) {
 	}
 	for i := 0; i < w; i++ { // newest first, so an older copy finds its id taken
 		p := a.pos(a.n - 1 - uint32(i))
-		id := a.ring[p]
+		id := a.id(int(p))
 		j := home(id)
-		for ; t[j] != 0 && a.ring[t[j]-1] != id; j = next(j) {
+		for ; t[j] != 0 && a.id(int(t[j]-1)) != id; j = next(j) {
 		}
 		if t[j] == 0 {
 			t[j] = p + 1
@@ -628,7 +728,7 @@ func (a *Archive) Serve(req []proto.EventID) (reply []proto.Event, misses int) {
 	}
 	for i, id := range req {
 		j := home(id)
-		for ; t[j] != 0 && a.ring[t[j]&^served-1] != id; j = next(j) {
+		for ; t[j] != 0 && a.id(int(t[j]&^served-1)) != id; j = next(j) {
 		}
 		switch e := t[j]; {
 		case e == 0:

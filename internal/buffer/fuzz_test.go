@@ -123,16 +123,21 @@ func FuzzCompactDigest(f *testing.F) {
 // window — SHALL agree.
 //
 // Byte 0 of the input picks the serving bound (archiveBounds, b%10) and the
-// other window (archiveWindows, b/10%4); then come ops of two bytes. Byte 0: bits 0–1 the op (0, 1 store; 2 lookup; 3 a run of 1+b%64
-// fresh stores, which grows and wraps the ring), bits 2–3 the payload (nil;
-// empty; 1+b%100 bytes), bits 4–7 the id (below 12 the next fresh one, from
-// 12 the b%seq-th one stored so far: held, or long evicted). Byte 1 is b.
+// other window (archiveWindows, b/10%4); then come ops of two bytes. Byte 0:
+// bits 0–1 the op (0, 1 store; 2 lookup; 3 a run of 1+b%64 fresh stores,
+// which grows and wraps the ring), bits 2–3 the payload (nil; empty;
+// 1+b%100 bytes), bits 4–7 the id: below 10 the next fresh one; 10 and 11
+// an id either side of the ring word's fit rule — in a run a fresh wide one,
+// origin 2^32 and up, otherwise the edge origin b%4 (archiveEdgeOrigins,
+// 2^63+5 moved up by b/32) with the edge seq b/4%8 (archiveEdgeSeqs); from
+// 12 the b%seq-th fitting one stored so far: held, or long evicted. Byte 1
+// is b.
 func FuzzArchive(f *testing.F) {
 	archiveBounds := []int{-1, 0, 1, 2, 3, 7, 8, 9, 60, 200}
 	archiveWindows := []int{0, 3, 60, 300}
 	const store, lookup, run = 0, 2, 3
 	const none, empty, bytes = 0, 1, 2
-	const fresh, again = 0, 12
+	const fresh, edge, again = 0, 10, 12
 	op := func(kind, payload, id int, b byte) []byte { return []byte{byte(id<<4 | payload<<2 | kind), b} }
 
 	// A full archive of 200 that wraps before its first payload, then a mix.
@@ -151,6 +156,18 @@ func FuzzArchive(f *testing.F) {
 	f.Add(append(grow, op(lookup, none, again, 3)...))
 	// A bound of 1: every store evicts, repeats of held and evicted ids.
 	f.Add([]byte{2, op(store, bytes, fresh, 9)[0], 9, op(store, bytes, again, 0)[0], 0, op(run, bytes, fresh, 5)[0], 5, op(store, none, again, 1)[0], 1})
+	// A full ring of 60 wide ids that wraps, then a full lap of fitting
+	// ones, which drops the wide ring; then the edge ids, with payloads.
+	wide := []byte{8}
+	wide = append(wide, op(run, none, edge, 63)...)
+	wide = append(wide, op(lookup, none, edge, 2)...)
+	for i := 0; i < 2; i++ { // 128 stores: from position 4 on, a lap from 0 to 59 among them
+		wide = append(wide, op(run, none, fresh, 63)...)
+	}
+	for b := 0; b < 32; b++ {
+		wide = append(append(wide, op(store, bytes, edge, byte(b*9))...), op(lookup, none, edge, byte(b*7))...)
+	}
+	f.Add(wide)
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) == 0 {
@@ -165,6 +182,17 @@ func FuzzArchive(f *testing.F) {
 				seq = 1 + uint64(b)%next
 			}
 			ev := proto.Event{ID: proto.EventID{Origin: proto.ProcessID(1 + seq%3), Seq: seq}}
+			switch k := a >> 4; {
+			case k < edge || k >= again:
+			case anew:
+				ev.ID.Origin += 1 << 32
+			default:
+				o := archiveEdgeOrigins[b%4]
+				if o > 1<<63 {
+					o += proto.ProcessID(b / 32)
+				}
+				ev.ID = proto.EventID{Origin: o, Seq: archiveEdgeSeqs[b/4%8]}
+			}
 			switch a >> 2 & 3 {
 			case none:
 			case empty:
@@ -188,7 +216,9 @@ func FuzzArchive(f *testing.F) {
 				}
 			default:
 				ev := event(a, b, false)
-				next = max(next, ev.ID.Seq)
+				if a>>4 < edge || a>>4 >= again {
+					next = max(next, ev.ID.Seq)
+				}
 				p.store(ev)
 			}
 		}

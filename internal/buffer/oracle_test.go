@@ -76,6 +76,16 @@ import (
 // long, the flat window's membership one id short, and the ring built
 // without the eventIds window.
 //
+// Of the archive's ring words and its wide ring (TestArchiveWideOracle,
+// FuzzArchive's seed of a wide lap, TestHostileWideIDsArchiveBounded), each
+// caught: an id with seq 0 packed as if it fits; seq 2^32-1 taken as wide;
+// origin 2^32 taken as fitting; a wide query matched against a narrow word
+// (the stale side entry at a position a fitting id wrote over); the wide
+// ring dropped at a lap's end while one wide entry remains, never dropped,
+// or kept because the lap's wide mark is never cleared; the lap's end taken
+// one position early; the wide ring not grown with the id ring; the side
+// kept once it holds neither ring; AppendNewest's wrapped rest one short.
+//
 // Of the side map and the overflow list's bound: an origin's entry kept
 // after its gap closed (the side-map check in add); maxFar ignored, the
 // newcomer dropped where a kept id lies further, or an id past a full list
@@ -974,6 +984,13 @@ type fifoPair struct {
 	refArch refArchive
 	window  int  // the archive's second window (Init's window), read as eventIds is
 	paid    bool // the archive has accepted a non-empty payload
+	wided   bool // the archive has accepted a wide id
+	// stores counts the archive's stores: the k-th, from 0, writes ring
+	// position k mod hold, and a lap ends at position hold-1. lapWide says
+	// the current lap stored a wide id, lapEnded that the last store ended
+	// a lap.
+	stores            int
+	lapWide, lapEnded bool
 
 	heldIDs, heldArch []proto.EventID // what each held before this op
 }
@@ -1017,9 +1034,23 @@ func (p *fifoPair) store(ev proto.Event) {
 func (p *fifoPair) storeBoth(ev proto.Event) {
 	p.arch.Store(ev)
 	p.refArch.Store(ev)
-	if p.refArch.hold > 0 && len(ev.Payload) > 0 {
-		p.paid = true
+	p.lapEnded = false
+	if hold := p.refArch.hold; hold > 0 {
+		p.paid = p.paid || len(ev.Payload) > 0
+		if !fitsWord(ev.ID) {
+			p.wided, p.lapWide = true, true
+		}
+		if p.stores%hold == hold-1 {
+			p.lapEnded = true
+		}
+		p.stores++
 	}
+}
+
+// fitsWord is the archive's fit rule: an origin below 2^32 and a sequence
+// number from 1 to 2^32-1.
+func fitsWord(id proto.EventID) bool {
+	return id.Origin < 1<<32 && id.Seq >= 1 && id.Seq < 1<<32
 }
 
 // samePayload reports whether the archive answered with the reference's
@@ -1037,26 +1068,62 @@ func sameEvent(got, want proto.Event) bool {
 	return got.ID == want.ID && samePayload(got.Payload, want.Payload)
 }
 
-// checkSideRing: the side ring is nil until a non-empty payload is
-// accepted, then as long as the id ring, and it holds nothing outside the
-// live window.
+// checkSideRing: the id ring holds each live fitting id as the word
+// origin<<32 | seq and each wide one as 0. The payload ring is nil until a
+// non-empty payload is accepted, then as long as the id ring, and it holds
+// nothing outside the live window. The wide ring is nil until a wide id is
+// accepted, then as long as the id ring; every 0 word of the live window
+// has its entry; and at the end of a lap it is there exactly when the lap
+// stored a wide id. The side is nil while both rings are.
 func (p *fifoPair) checkSideRing() {
 	p.t.Helper()
 	a := &p.arch
-	if a.pay == nil {
-		if p.paid {
-			p.t.Fatalf("seed %d op %d: a payload was archived, but there is no side ring", p.seed, p.op)
+	for i, e := range p.refArch.events {
+		w, want := a.ring[a.pos(uint32(i))], uint64(0)
+		if fitsWord(e.ID) {
+			want = uint64(e.ID.Origin)<<32 | e.ID.Seq
+		}
+		if w != want {
+			p.t.Fatalf("seed %d op %d: entry %d (%v) is the word %#x, want %#x", p.seed, p.op, i, e.ID, w, want)
+		}
+		if w == 0 && (a.side == nil || a.side.wide == nil) {
+			p.t.Fatalf("seed %d op %d: entry %d (%v) is wide, but there is no wide ring", p.seed, p.op, i, e.ID)
+		}
+	}
+	if p.lapEnded {
+		if has := a.side != nil && a.side.wide != nil; has != p.lapWide {
+			p.t.Fatalf("seed %d op %d: a lap ends with a wide ring %v, but it stored a wide id %v", p.seed, p.op, has, p.lapWide)
+		}
+		p.lapWide, p.lapEnded = false, false
+	}
+	if a.side == nil {
+		if p.paid || p.wided && p.lapWide {
+			p.t.Fatalf("seed %d op %d: no side, but a payload (%v) or a wide id this lap (%v) was archived", p.seed, p.op, p.paid, p.lapWide)
 		}
 		return
 	}
-	if !p.paid || len(a.pay) != len(a.ring) {
-		p.t.Fatalf("seed %d op %d: side ring of %d slots beside an id ring of %d (a payload archived: %v)",
-			p.seed, p.op, len(a.pay), len(a.ring), p.paid)
+	pay, wide := a.side.pay, a.side.wide
+	if pay == nil && wide == nil {
+		p.t.Fatalf("seed %d op %d: a side that holds neither ring", p.seed, p.op)
 	}
-	slots := uint32(len(a.pay))
-	for q := range a.pay {
-		if (uint32(q)+slots-a.head)%slots >= a.n && a.pay[q] != (payloadRef{}) {
-			p.t.Fatalf("seed %d op %d: side-ring position %d outside the live window (head %d, %d held) keeps a payload",
+	if wide != nil && (!p.wided || len(wide) != len(a.ring)) {
+		p.t.Fatalf("seed %d op %d: wide ring of %d slots beside an id ring of %d (a wide id archived: %v)",
+			p.seed, p.op, len(wide), len(a.ring), p.wided)
+	}
+	if pay == nil {
+		if p.paid {
+			p.t.Fatalf("seed %d op %d: a payload was archived, but there is no payload ring", p.seed, p.op)
+		}
+		return
+	}
+	if !p.paid || len(pay) != len(a.ring) {
+		p.t.Fatalf("seed %d op %d: payload ring of %d slots beside an id ring of %d (a payload archived: %v)",
+			p.seed, p.op, len(pay), len(a.ring), p.paid)
+	}
+	slots := uint32(len(pay))
+	for q := range pay {
+		if (uint32(q)+slots-a.head)%slots >= a.n && pay[q] != (payloadRef{}) {
+			p.t.Fatalf("seed %d op %d: payload-ring position %d outside the live window (head %d, %d held) keeps a payload",
 				p.seed, p.op, q, a.head, a.n)
 		}
 	}
@@ -1276,9 +1343,91 @@ func TestArchivePayloadOracle(t *testing.T) {
 			}
 			p.store(ev)
 		}
-		if !p.paid || len(p.arch.pay) != 200 {
-			t.Fatalf("first payload after %d: side ring of %d slots, want 200", first, len(p.arch.pay))
+		if !p.paid || p.arch.side == nil || len(p.arch.side.pay) != 200 {
+			t.Fatalf("first payload after %d: no payload ring of 200 slots", first)
 		}
+	}
+}
+
+// archiveEdgeOrigins and archiveEdgeSeqs make ids either side of the
+// archive's fit rule: 2^32-1, the largest origin that fits, 2^32 and 2^63+5
+// past it, and 2, a small one; seq 0, which never fits, 1 and 2^32-2 inside,
+// 2^32-1, the largest that fits, and 2^32, 2^32+1, 2^40 and 2^40+3 past it.
+// Any origin with any seq is an id: the pair 2^32-1, 2^32-1 is the last that
+// fits.
+var (
+	archiveEdgeOrigins = []proto.ProcessID{1<<32 - 1, 1 << 32, 1<<63 + 5, 2}
+	archiveEdgeSeqs    = []uint64{0, 1<<32 - 1, 1 << 32, 1 << 40, 1<<40 + 3, 1, 1<<32 - 2, 1<<32 + 1}
+)
+
+// TestArchiveWideOracle holds the archive to refArchive over ids that do
+// and do not fit a ring word (fifoPair.check, and checkSideRing's account of
+// the id ring's words and the wide ring). Each sequence runs stretches of up
+// to two laps of one kind: fresh fitting ids, fresh wide ones (origin 2^32
+// and up), the edge ids above drawn at random — repeats of them included —
+// or ids stored before, fitting or wide, held or long evicted. So the wide
+// ring is made, kept across laps that store one, dropped after a lap that
+// stores none and made again, many times per sequence, at bounds from 1 to
+// 200 and serving windows shorter than, equal to and longer than the other.
+// Odd seeds carry payloads, so the wide ring comes and goes beside a
+// payload ring that stays.
+func TestArchiveWideOracle(t *testing.T) {
+	t.Parallel()
+	bounds := []int{1, 2, 7, 60, 200}
+	windows := []int{0, 60, 300}
+	remade := 0
+	for seed := uint64(1); seed <= 30; seed++ {
+		r := rng.New(seed)
+		bound := bounds[seed%uint64(len(bounds))]
+		p := newFIFOPair(t, seed, bound, windows[seed/uint64(len(bounds))%uint64(len(windows))])
+		hold := p.refArch.hold
+		var stored []proto.EventID
+		next, made, dropped, had := uint64(0), 0, 0, false
+		for stretch := 0; p.op < max(800, 8*hold) || stretch%4 != 0; stretch++ {
+			kind, length := stretch%4, 1+r.Intn(2*hold)
+			if kind == 3 { // holds a whole lap, wherever it starts
+				length = 2 * hold
+			}
+			for i := 0; i < length; i++ {
+				var id proto.EventID
+				switch kind {
+				case 0:
+					next++
+					id = proto.EventID{Origin: proto.ProcessID(1<<32 + r.Intn(4)), Seq: next}
+				case 1:
+					id = proto.EventID{
+						Origin: archiveEdgeOrigins[r.Intn(len(archiveEdgeOrigins))],
+						Seq:    archiveEdgeSeqs[r.Intn(len(archiveEdgeSeqs))],
+					}
+				case 2:
+					id = stored[r.Intn(len(stored))]
+				default:
+					next++
+					id = proto.EventID{Origin: proto.ProcessID(r.Intn(4)), Seq: next}
+				}
+				stored = append(stored, id)
+				ev := proto.Event{ID: id}
+				if seed%2 == 1 {
+					ev.Payload = payloadOf(r)
+				}
+				p.store(ev)
+				has := p.arch.side != nil && p.arch.side.wide != nil
+				switch {
+				case has && !had:
+					made++
+				case had && !has:
+					dropped++
+				}
+				had = has
+			}
+		}
+		if dropped < 1 {
+			t.Fatalf("seed %d: wide ring made %d times and never dropped", seed, made)
+		}
+		remade += made - 1
+	}
+	if remade < 30 {
+		t.Fatalf("the wide ring was made again after a drop %d times in all, want at least 30", remade)
 	}
 }
 

@@ -71,7 +71,10 @@ type Config struct {
 	// accepts in §5.2).
 	DedupMemory bool
 	// ArchiveSize bounds the store of old notifications kept to answer
-	// retransmission requests; 0 disables retransmission serving.
+	// retransmission requests; 0 disables retransmission serving. It must
+	// not be negative, and the archive's ring, max(ArchiveSize,
+	// MaxEventIDs) with the flat digest and ArchiveSize without it, holds
+	// at most buffer.MaxArchiveRing ids.
 	ArchiveSize int
 	// AssumeFromDigest reproduces the paper's measurement methodology
 	// (§5.2): "once a gossip receiver has received the identifier of a
@@ -152,6 +155,12 @@ func (c Config) Validate() error {
 	}
 	if c.DigestMode == FlatDigest && c.MaxEventIDs <= 0 {
 		return errors.New("core: MaxEventIDs must be positive with the flat digest")
+	}
+	if c.ArchiveSize < 0 {
+		return errors.New("core: ArchiveSize must be non-negative (0 disables the archive)")
+	}
+	if ring := max(c.ArchiveSize, c.flatWindow()); ring > buffer.MaxArchiveRing {
+		return fmt.Errorf("core: an archive ring of %d ids exceeds %d (ArchiveSize, or MaxEventIDs with the flat digest)", ring, buffer.MaxArchiveRing)
 	}
 	if c.AssumeFromDigest && c.Retransmit {
 		return errors.New("core: AssumeFromDigest and Retransmit are mutually exclusive")

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/buffer"
 	"repro/internal/proto"
 	"repro/internal/rng"
 )
@@ -37,6 +38,9 @@ func TestConfigValidate(t *testing.T) {
 		{"no ids room", func(c *Config) { c.MaxEventIDs = 0 }},
 		{"assume and retransmit", func(c *Config) { c.AssumeFromDigest = true; c.Retransmit = true }},
 		{"bad membership", func(c *Config) { c.Membership.MaxView = 0 }},
+		{"negative archive", func(c *Config) { c.ArchiveSize = -1 }},
+		{"archive ring past 2^31-1", func(c *Config) { c.ArchiveSize = buffer.MaxArchiveRing + 1 }},
+		{"flat window past 2^31-1", func(c *Config) { c.MaxEventIDs = buffer.MaxArchiveRing + 1 }},
 	}
 	for _, c := range cases {
 		c := c
@@ -51,6 +55,18 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
+	}
+	for _, ok := range []func(*Config){
+		func(c *Config) { c.ArchiveSize = 0 },
+		func(c *Config) { c.ArchiveSize = buffer.MaxArchiveRing },
+		func(c *Config) { c.MaxEventIDs = buffer.MaxArchiveRing },
+		func(c *Config) { c.DigestMode = CompactDigest; c.MaxEventIDs = buffer.MaxArchiveRing + 1 }, // no flat window
+	} {
+		cfg := DefaultConfig()
+		ok(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("archive %d, MaxEventIDs %d, digest %v: %v", cfg.ArchiveSize, cfg.MaxEventIDs, cfg.DigestMode, err)
+		}
 	}
 }
 

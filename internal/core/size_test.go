@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/buffer"
 	"repro/internal/proto"
@@ -74,12 +75,14 @@ func TestIdleEngineHoldsNoEventStorage(t *testing.T) {
 		}{
 			{"events", []string{"events", "inner", "items"}},
 			{"eventIds and archive ring", []string{"archive", "ring"}},
-			{"archive payloads", []string{"archive", "pay"}},
 			{"unSubs", []string{"mem", "unsubs", "inner", "items"}},
 		} {
 			if c := storage(e, buf.path...).Cap(); c != 0 {
 				t.Errorf("%v: %s holds %d slots after 20 idle rounds, want 0", e.Self(), buf.name, c)
 			}
+		}
+		if !storage(e, "archive", "side").IsNil() {
+			t.Errorf("%v: the archive made a side after 20 idle rounds", e.Self())
 		}
 	}
 }
@@ -133,10 +136,10 @@ func loadedEngine(t *testing.T, payload []byte) (*Engine, func()) {
 // engine receives 35 fresh notifications per gossip — more than |events|m —
 // until every buffer is at its high-water mark: the events list is no larger
 // than the 32-slot class it used to be given at construction; eventIds and
-// the archive are one ring of max(ArchiveSize, |eventIds|m) 16-byte ids, with
-// no side ring for the payloads these notifications do not carry and no
-// other store of delivered ids beside it; and 1 000 further receptions
-// allocate nothing.
+// the archive are one ring of max(ArchiveSize, |eventIds|m) 8-byte words,
+// with no side for the payloads these notifications do not carry or for
+// the wide ids they do not have, and no other store of delivered ids beside
+// it; and 1 000 further receptions allocate nothing.
 func TestLoadedBuffersStopAtBound(t *testing.T) {
 	cfg := DefaultConfig()
 	e, receive := loadedEngine(t, nil)
@@ -149,11 +152,14 @@ func TestLoadedBuffersStopAtBound(t *testing.T) {
 		t.Errorf("events holds %d slots after a loaded warm-up, want %d to 32", got, cfg.MaxEvents+1)
 	}
 	ring := storage(e, "archive", "ring")
-	if got, want := ring.Len(), max(cfg.ArchiveSize, cfg.MaxEventIDs); got != want || ring.Type().Elem().Size() != 16 {
-		t.Errorf("archive ring of %d slots of %d bytes, want %d of 16", got, ring.Type().Elem().Size(), want)
+	if got, want := ring.Len(), max(cfg.ArchiveSize, cfg.MaxEventIDs); got != want || ring.Type().Elem().Size() != 8 {
+		t.Errorf("archive ring of %d slots of %d bytes, want %d of 8", got, ring.Type().Elem().Size(), want)
 	}
-	if !storage(e, "archive", "pay").IsNil() {
-		t.Errorf("payload-less notifications made a side ring of %d slots", storage(e, "archive", "pay").Len())
+	if !storage(e, "archive", "side").IsNil() {
+		t.Errorf("payload-less notifications with fitting ids made a side")
+	}
+	if size := unsafe.Sizeof(*e.archive); size > 72 {
+		t.Errorf("the archive's header takes %d bytes, want at most 72", size)
 	}
 	delivered := e.Stats().EventsDelivered
 	if allocs := testing.AllocsPerRun(1000, receive); allocs != 0 {
@@ -174,7 +180,7 @@ func TestOnePayloadCopyPerDelivery(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, receive); allocs != k {
 		t.Errorf("a reception of %d fresh 64-byte notifications allocates %v times, want %d", k, allocs, k)
 	}
-	if got := storage(e, "archive", "pay").Len(); got != DefaultConfig().ArchiveSize {
+	if got := storage(e, "archive", "side", "pay").Len(); got != DefaultConfig().ArchiveSize {
 		t.Errorf("side ring of %d slots, want one per archive ring slot", got)
 	}
 	shared := 0

@@ -240,7 +240,8 @@ func WithLogger(id ProcessID) Option {
 }
 
 // WithArchiveSize bounds the retransmission archive (default 200 events);
-// loggers want this large.
+// loggers want this large. 0 disables it. NewNode refuses a negative size,
+// and one past 2^31-1, the most ids the archive's ring holds.
 func WithArchiveSize(n int) Option {
 	return func(c *config) { c.engine.ArchiveSize = n }
 }

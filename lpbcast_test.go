@@ -31,6 +31,11 @@ func TestNewNodeValidation(t *testing.T) {
 	if _, err := NewNode(3, attach(t, n, 3), WithFanout(0)); err == nil {
 		t.Error("invalid engine config accepted")
 	}
+	for i, size := range []int{-1, 1 << 31} {
+		if _, err := NewNode(ProcessID(4+i), attach(t, n, ProcessID(4+i)), WithArchiveSize(size)); err == nil {
+			t.Errorf("archive size %d accepted", size)
+		}
+	}
 }
 
 func TestTwoNodeDelivery(t *testing.T) {
