@@ -343,6 +343,14 @@ func executorSuite(quick, big bool) []benchCase {
 		case clock == sim.ClockEvent:
 			kind = "steady-event-round"
 		}
+		// The one-shard event cell also reports what its cluster keeps once
+		// warm: every delayed gossip lives in the shard's emission arena, one
+		// generation per period it can be in flight, beside the in-flight
+		// ring's envelopes. heap_bytes_per_process, gated like
+		// executor/loaded-round's, is the live heap per process, build
+		// included; emit_bytes is the arena's share.
+		storage := workers == 0 && kind == "steady-event-round"
+		var heap, emit float64
 		var cluster *sim.Cluster // built once, reused across b.N scaling runs
 		return benchCase{
 			name:      fmt.Sprintf("executor/%s/n=%d/%s", kind, n, label),
@@ -350,10 +358,13 @@ func executorSuite(quick, big bool) []benchCase {
 			maxAllocs: maxAllocs,
 			fn: func(b *testing.B) {
 				if cluster == nil {
+					m0 := readHeap()
 					var err error
 					if cluster, err = steadyCluster(n, workers, warm, async, delayed, clock); err != nil {
 						b.Fatal(err)
 					}
+					emit = float64(cluster.EmitBytes()) / float64(n)
+					heap = (float64(readHeap().HeapAlloc) - float64(m0.HeapAlloc)) / float64(n)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -362,6 +373,10 @@ func executorSuite(quick, big bool) []benchCase {
 				b.StopTimer()
 				// After ResetTimer: it clears previously reported metrics.
 				b.ReportMetric(float64(workers), "workers")
+				if storage {
+					b.ReportMetric(emit, "emit_bytes")
+					b.ReportMetric(heap, "heap_bytes_per_process")
+				}
 			},
 			cleanup: func() {
 				if cluster != nil {

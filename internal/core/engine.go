@@ -304,9 +304,9 @@ func (e *Engine) ViewLen() int { return e.mem.ViewLen() }
 func (e *Engine) ViewCap() int { return e.cfg.Membership.MaxView }
 
 // SetEmitArena makes TickAppend cut every emission from a, which the
-// driver resets once it has consumed (or deep-copied) everything cut from
-// it — the simulator, one arena per executor shard, at the end of each
-// period. nil returns the engine to a private arena (SetEmissionReuse).
+// driver resets once it has consumed everything cut from it — the
+// simulator, one arena per executor shard of one generation per period a
+// message can be in flight, at the end of each period. nil returns the engine to a private arena (SetEmissionReuse).
 func (e *Engine) SetEmitArena(a *proto.EmitArena) { e.emit.Bind(a) }
 
 // SetEmissionReuse governs an engine with no driver-owned arena: on, its

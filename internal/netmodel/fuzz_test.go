@@ -16,12 +16,16 @@ import (
 // destinations, verdicts and ledgers at an instant that moves forward
 // through the period (every arrival due before it drained first), and the
 // end of a round (every due instant drained, each arrival settled by Arrive
-// under a random verdict, EndPeriod). After every op each ledger must be
-// conserved and the ledgers' InFlight must add up to the envelopes parked
-// in the ring; a message stopped by an unknown, partitioned or crashed
-// destination must leave the loss and delay streams where they were, one
-// that reaches the loss step must take exactly one loss draw, and only a
-// survivor of the loss step may draw a delay.
+// under a random verdict, EndPeriod). The driver keeps to the ring's
+// ownership contract the way a harness does: each gossip is cut from an
+// arena of the model's Generations(), which the end of a round rotates and
+// which poisons what it takes back, and every arrival's gossip must still
+// name its sender. After every op each ledger must be conserved and the
+// ledgers' InFlight must add up to the envelopes parked in the ring; a
+// message stopped by an unknown, partitioned or crashed destination must
+// leave the loss and delay streams where they were, one that reaches the
+// loss step must take exactly one loss draw, and only a survivor of the
+// loss step may draw a delay.
 func FuzzNet(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 0, 0, 9, 9, 9, 2, 0, 2, 0})
@@ -39,19 +43,15 @@ func FuzzNet(f *testing.F) {
 	})
 }
 
-// netGossips are the emissions the fuzzed senders carry: one gossip per
-// sender whose contents never change, so every body the ring shares is
-// shared rightly and the poisoning check stays quiet.
-func netGossips() []*proto.Gossip {
-	gs := make([]*proto.Gossip, 9)
-	for i := range gs {
-		gs[i] = &proto.Gossip{
-			From:   proto.ProcessID(i),
-			Digest: []proto.EventID{{Origin: proto.ProcessID(i), Seq: 1}},
-			Events: []proto.Event{{ID: proto.EventID{Origin: proto.ProcessID(i), Seq: 2}, Payload: []byte{byte(i), 1, 2}}},
-		}
-	}
-	return gs
+// netGossip cuts from a the gossip a fuzzed sender emits in round round.
+func netGossip(a *proto.EmitArena, from proto.ProcessID, round uint64) *proto.Gossip {
+	g := a.Gossip()
+	g.From = from
+	g.Digest = a.IDs(1)
+	g.Digest[0] = proto.EventID{Origin: from, Seq: round}
+	g.Events = a.Events(1)
+	g.Events[0] = proto.Event{ID: proto.EventID{Origin: from, Seq: round + 1}, Payload: []byte{byte(from), 1, 2}}
+	return g
 }
 
 func checkNet(t *testing.T, ops []byte, clock Clock) {
@@ -75,7 +75,9 @@ func checkNet(t *testing.T, ops []byte, clock Clock) {
 	}
 	m := New(cfg, clock, lossRNG, delayRNG)
 	m.SetPoison(true)
-	gossips := netGossips()
+	var arena proto.EmitArena
+	arena.SetGenerations(m.Generations())
+	arena.SetPoison(PoisonGossip)
 	var ledgers [3]stats.NetStats
 	// The round, and the instant within it that the next Classify runs at.
 	now, instant := uint64(1), uint64(1)
@@ -104,6 +106,10 @@ func checkNet(t *testing.T, ops []byte, clock Clock) {
 		for at, ok := m.Due(limit); ok; at, ok = m.Due(limit) {
 			msgs, owners := m.Drain(at, nil, nil)
 			for i := range msgs {
+				if g := msgs[i].Gossip; g != nil && (g.From != msgs[i].From || len(g.Digest) != 1 || g.Digest[0].Origin != g.From ||
+					g.Digest[0].Seq+uint64(m.Generations()) <= now || len(g.Events) != 1 || g.Events[0].ID.Seq != g.Digest[0].Seq+1) {
+					t.Fatalf("round %d: a gossip from %d arrived as %+v", now, msgs[i].From, g)
+				}
 				v := verdicts >> (i % 4 * 2)
 				Arrive(owners[i], v&1 == 0, v&2 == 0)
 			}
@@ -112,6 +118,7 @@ func checkNet(t *testing.T, ops []byte, clock Clock) {
 	endRound := func(verdicts byte) {
 		settle(now*period, verdicts)
 		m.EndPeriod(now * period)
+		arena.Reset()
 		now++
 		instant = now*period - period + 1
 	}
@@ -129,7 +136,7 @@ func checkNet(t *testing.T, ops []byte, clock Clock) {
 		settle(instant-1, v)
 		msg := proto.Message{Kind: proto.RetransmitRequestMsg, From: from, To: to, Request: []proto.EventID{{Origin: from, Seq: now}}}
 		if b%4 == 0 {
-			msg = proto.Message{Kind: proto.GossipMsg, From: from, To: to, Gossip: gossips[from]}
+			msg = proto.Message{Kind: proto.GossipMsg, From: from, To: to, Gossip: netGossip(&arena, from, now)}
 		}
 		cut := fault.CutLink(cfg.Partitions, wan.Class(from, to), now)
 		lossBefore, delayBefore := lossRNG.State(), delayRNG.State()

@@ -1,10 +1,6 @@
 package netmodel
 
 import (
-	"bytes"
-	"fmt"
-	"slices"
-
 	"repro/internal/event"
 	"repro/internal/pool"
 	"repro/internal/proto"
@@ -20,101 +16,26 @@ import (
 // empties a bucket front to back, so the delayed path inherits the
 // harness's determinism.
 //
-// Storage. Engines cut their emissions from arenas (proto.EmitArena) that
-// every harness resets at the end of the period, so the queue deep-copies
-// what it parks, in two parts: an envelope (flSlot) per message —
-// addressing, ledger, a retransmission's request or reply — and a body
-// (flBody) per gossip emission, shared by the F envelopes one committed tick
-// sends into the ring; receivers only read it. Period p copies into
-// generation p mod G, a set of pool.Bump slabs, G = ceil(span / period
-// length) + 1: a message sent in period p arrives by period p + G - 1,
-// whose end resets the generation for period p + G. The ring keeps what its
-// busiest periods needed, not its largest message, and allocates nothing in
-// a steady state.
+// Storage. The queue parks each message as an envelope (flSlot) — the
+// message by value, beside the ledger it is counted in — and copies nothing
+// it references. Period p's envelopes are cut from generation p mod G, a
+// pool.Bump slab, G = ceil(span / period length) + 1: a message sent in
+// period p arrives by period p + G - 1, whose end resets the generation for
+// period p + G. The ring keeps what its busiest periods needed, not its
+// largest message, and allocates nothing in a steady state.
 //
-// Which envelopes share. A tick cuts a fresh *proto.Gossip from an arena
-// that is reset only when the period ends, so within a period a pointer is
-// unique to one emission; the next period cuts from the same storage again,
-// so the pointer and the period together name a gossip's contents. enqueue
-// therefore shares a body only with the envelope enqueued just before it,
-// and only when both match. In the poisoning debug mode
-// (inflightQueue.check) enqueue compares the gossip with the body it is
-// about to share and panics on a difference.
-
-// flBody is the deep copy of one gossip emission.
-type flBody struct {
-	gossip proto.Gossip
-	refs   int // envelopes still in the ring that carry this body
-}
+// Ownership. Whatever a message classified in period p references — its
+// gossip, the gossip's lists and payloads, a retransmission's request, reply
+// and hops — belongs to its sender and must stay unchanged until period
+// p + G - 1 ends (Model.Generations): engines cut gossips and re-requests
+// from a proto.EmitArena of G generations, and a pull's request and reply
+// are fresh heap slices that nothing rewrites.
 
 // flSlot is one envelope, intrusively linked into its arrival bucket.
 type flSlot struct {
-	msg    proto.Message   // generation-backed envelope
+	msg    proto.Message   // the message as Classify received it
 	ledger *stats.NetStats // the ledger msg is counted in
 	next   *flSlot
-	body   *flBody // msg.Gossip's storage; nil for a request or reply
-}
-
-// generation holds everything the ring copies in one period.
-type generation struct {
-	slots   pool.Bump[flSlot]
-	bodies  pool.Bump[flBody]
-	pids    pool.Bump[proto.ProcessID]
-	unsubs  pool.Bump[proto.Unsubscription]
-	ids     pool.Bump[proto.EventID]
-	events  pool.Bump[proto.Event]
-	hops    pool.Bump[uint32]
-	payload pool.Bump[byte]
-}
-
-func (g *generation) reset() {
-	for _, b := range [...]interface{ Reset() }{&g.slots, &g.bodies, &g.pids, &g.unsubs, &g.ids, &g.events, &g.hops, &g.payload} {
-		b.Reset()
-	}
-}
-
-// copyRun copies src into a run of b; nil stays nil.
-func copyRun[T any](b *pool.Bump[T], src []T) []T {
-	if src == nil {
-		return nil
-	}
-	dst := b.Cut(len(src))
-	copy(dst, src)
-	return dst
-}
-
-// copyEvents deep-copies src, its payload bytes into one run.
-func (g *generation) copyEvents(src []proto.Event) []proto.Event {
-	if src == nil {
-		return nil
-	}
-	need := 0
-	for _, e := range src {
-		need += len(e.Payload)
-	}
-	payload, dst := g.payload.Cut(need), g.events.Cut(len(src))
-	for i, e := range src {
-		dst[i].ID = e.ID
-		if e.Payload != nil {
-			n := copy(payload, e.Payload)
-			dst[i].Payload, payload = payload[:n:n], payload[n:]
-		}
-	}
-	return dst
-}
-
-func sameEvents(a, b []proto.Event) bool {
-	return slices.EqualFunc(a, b, func(x, y proto.Event) bool {
-		return x.ID == y.ID && bytes.Equal(x.Payload, y.Payload)
-	})
-}
-
-// sameGossip is deep equality of two gossips, an empty slice equal to a nil
-// one: recycled storage never told them apart.
-func sameGossip(g, h *proto.Gossip) bool {
-	return g.From == h.From && slices.Equal(g.Subs, h.Subs) && slices.Equal(g.Unsubs, h.Unsubs) &&
-		slices.Equal(g.Digest, h.Digest) && slices.Equal(g.DigestWatermarks, h.DigestWatermarks) &&
-		sameEvents(g.Events, h.Events)
 }
 
 // flBucket holds the messages arriving at one future instant as an
@@ -128,17 +49,12 @@ type flBucket struct {
 // queue is the zero-delay network: nothing is ever pending in it.
 type inflightQueue struct {
 	buckets   []flBucket
-	wheel     *event.Wheel // one marker per pending instant: per non-empty bucket
-	gens      []generation // period p copies into gens[p mod len(gens)]
-	periodLen uint64       // instants per period
+	wheel     *event.Wheel        // one marker per pending instant: per non-empty bucket
+	gens      []pool.Bump[flSlot] // period p's envelopes are cut from gens[p mod len(gens)]
+	periodLen uint64              // instants per period
 
-	// The emission the last gossip envelope belonged to, and its body.
-	lastGossip *proto.Gossip
-	lastPeriod uint64
-	lastBody   *flBody
-
-	// check (PoisonRecycled) makes enqueue verify every sharing decision,
-	// and drain keep the period's envelopes for poisonSpent.
+	// check (PoisonRecycled) makes drain keep the period's envelopes for
+	// poisonSpent.
 	check bool
 	spent []*flSlot
 }
@@ -147,7 +63,7 @@ type inflightQueue struct {
 // of periodLen instants per period.
 func newInflight(span, periodLen int) *inflightQueue {
 	return &inflightQueue{buckets: make([]flBucket, span+1), wheel: event.NewWheel(),
-		gens: make([]generation, (span+periodLen-1)/periodLen+1), periodLen: uint64(periodLen)}
+		gens: make([]pool.Bump[flSlot], (span+periodLen-1)/periodLen+1), periodLen: uint64(periodLen)}
 }
 
 // bucket returns the bucket of arrival instant at.
@@ -177,31 +93,15 @@ func (q *inflightQueue) park(at uint64) {
 	}
 }
 
-// enqueue parks a deep copy of m (the caller may rewrite m once it returns),
-// emitted in period period and counted in ledger, for arrival at instant at,
-// scheduling the instant's marker with the first message into its bucket
-// (buckets are injective over the ring's span). The caller guarantees
-// now < at <= now+span, so the target bucket is never the one draining.
+// enqueue parks m, emitted in period period and counted in ledger, for
+// arrival at instant at, scheduling the instant's marker with the first
+// message into its bucket (buckets are injective over the ring's span). The
+// caller may reuse *m once it returns, but not what m references (see
+// Ownership). The caller guarantees now < at <= now+span, so the target
+// bucket is never the one draining.
 func (q *inflightQueue) enqueue(m *proto.Message, ledger *stats.NetStats, at, period uint64) {
-	gen := &q.gens[period%uint64(len(q.gens))]
-	s := &gen.slots.Cut(1)[0]
-	s.msg = proto.Message{Kind: m.Kind, From: m.From, To: m.To, Subscriber: m.Subscriber,
-		Request: copyRun(&gen.ids, m.Request), Reply: gen.copyEvents(m.Reply), ReplyHops: copyRun(&gen.hops, m.ReplyHops)}
-	s.ledger = ledger
-	if g := m.Gossip; g != nil {
-		b := q.lastBody
-		if b == nil || g != q.lastGossip || period != q.lastPeriod {
-			b = &gen.bodies.Cut(1)[0]
-			b.gossip = proto.Gossip{From: g.From, Subs: copyRun(&gen.pids, g.Subs), Unsubs: copyRun(&gen.unsubs, g.Unsubs),
-				Events: gen.copyEvents(g.Events), Digest: copyRun(&gen.ids, g.Digest), DigestWatermarks: copyRun(&gen.ids, g.DigestWatermarks)}
-			q.lastGossip, q.lastPeriod, q.lastBody = g, period, b
-		} else if q.check && !sameGossip(&b.gossip, g) {
-			panic(fmt.Sprintf("netmodel: process %d sent two different gossips through one *proto.Gossip in period %d; the in-flight ring shares one copy per emission", m.From, period))
-		}
-		b.refs++
-		s.body = b
-		s.msg.Gossip = &b.gossip
-	}
+	s := &q.gens[period%uint64(len(q.gens))].Cut(1)[0]
+	s.msg, s.ledger = *m, ledger
 	b := q.bucket(at)
 	if b.tail == nil {
 		b.head = s
@@ -214,9 +114,10 @@ func (q *inflightQueue) enqueue(m *proto.Message, ledger *stats.NetStats, at, pe
 
 // drain advances the queue to instant now (park) and appends the messages
 // arriving there to dst and their ledgers to ledgers, in enqueue order,
-// emptying the bucket. The storage behind the messages stays valid until
-// the period ends; consumers must finish with it within the period, exactly
-// like any other recycled buffer, and the poisoning debug mode enforces it.
+// emptying the bucket. Consumers must finish with what the messages
+// reference within the period: a request's, a reply's and its hops' storage
+// is poisoned at the period's end in the debug mode, and a gossip goes back
+// to its sender's arena within G - 1 periods.
 func (q *inflightQueue) drain(now uint64, dst []proto.Message, ledgers []*stats.NetStats) ([]proto.Message, []*stats.NetStats) {
 	if q == nil {
 		return dst, ledgers
@@ -226,9 +127,6 @@ func (q *inflightQueue) drain(now uint64, dst []proto.Message, ledgers []*stats.
 	for s := b.head; s != nil; s = s.next {
 		dst = append(dst, s.msg)
 		ledgers = append(ledgers, s.ledger)
-		if s.body != nil {
-			s.body.refs--
-		}
 		if q.check {
 			q.spent = append(q.spent, s)
 		}
@@ -240,25 +138,24 @@ func (q *inflightQueue) drain(now uint64, dst []proto.Message, ledgers []*stats.
 // endPeriod closes the period whose last instant is at, once every consumer
 // of its arrivals is done: it poisons what the period spent (in the debug
 // mode), parks the wheel at at, and resets the generation the next period
-// copies into — every message of the period that last used it has arrived
+// parks into — every message of the period that last used it has arrived
 // by now.
 func (q *inflightQueue) endPeriod(at uint64) {
 	if q.check {
 		q.poisonSpent()
 	}
 	q.park(at)
-	q.gens[((at+q.periodLen-1)/q.periodLen+1)%uint64(len(q.gens))].reset()
+	q.gens[((at+q.periodLen-1)/q.periodLen+1)%uint64(len(q.gens))].Reset()
 }
 
-// poisonSpent overwrites the storage of every envelope drained this period,
-// and of its body once no envelope in the ring carries it, with sentinel
-// values (PoisonGossip): any consumer still holding an arrival past its
-// period diverges loudly instead of reading stale data.
+// poisonSpent overwrites the request, reply and hops of every envelope
+// drained this period with sentinel values: any consumer still holding an
+// arrival past its period diverges loudly instead of reading stale data.
+// They are the one message's, so nothing else reads them. A gossip is
+// shared with envelopes still in the air; its sender's arena poisons it
+// when it takes it back (proto.EmitArena.SetPoison).
 func (q *inflightQueue) poisonSpent() {
 	for _, s := range q.spent {
-		if s.body != nil && s.body.refs == 0 {
-			PoisonGossip(&s.body.gossip)
-		}
 		fill(s.msg.Request, SentinelEventID)
 		fill(s.msg.Reply, proto.Event{ID: SentinelEventID})
 		fill(s.msg.ReplyHops, ^uint32(0))

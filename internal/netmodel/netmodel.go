@@ -165,23 +165,37 @@ func New(cfg Config, clock Clock, loss, delay *rng.Source) *Model {
 	return m
 }
 
-// SetPoison selects the harness's buffer-poisoning debug mode: the ring
-// verifies every body it shares (see inflightQueue), and EndPeriod poisons
-// the storage of every message drained in the period.
+// SetPoison selects the harness's buffer-poisoning debug mode: EndPeriod
+// poisons the request, reply and hops of every message drained in the
+// period (see inflightQueue.poisonSpent).
 func (m *Model) SetPoison(on bool) {
 	if m.fl != nil {
 		m.fl.check = on
 	}
 }
 
+// Generations is the number of periods a message can be in flight across,
+// the one that classified it included: it arrives by the end of period
+// p + Generations() - 1 if Classify saw it in period p, and whatever it
+// references must stay unchanged until then (a proto.EmitArena of as many
+// generations keeps it so). It is 1 with no delay model.
+func (m *Model) Generations() int {
+	if m.fl == nil {
+		return 1
+	}
+	return len(m.fl.gens)
+}
+
 // Classify runs msg, sent in round round at virtual instant instant, through
 // the network and counts it in ledger: in Sent and in exactly one of
 // UnknownDest, DroppedInPartition, ToCrashed, Dropped or Delivered — or, when
-// it draws a nonzero delay, in InFlight, with a deep copy parked in the ring
-// until Arrive settles it. known and alive are the caller's verdict on the
+// it draws a nonzero delay, in InFlight, with msg parked in the ring until
+// Arrive settles it. known and alive are the caller's verdict on the
 // destination at send time: whether it is a member, and whether it can
-// receive. Classify reports whether msg is delivered now; the caller keeps
-// ownership of msg and may rewrite it the moment Classify returns.
+// receive. Classify reports whether msg is delivered now. The caller may
+// rewrite *msg the moment Classify returns, but a parked message is kept
+// by value: what it references — its gossip and that gossip's lists, a
+// request, a reply — must stay unchanged for Generations() periods.
 func (m *Model) Classify(msg *proto.Message, round, instant uint64, known, alive bool, ledger *stats.NetStats) bool {
 	ledger.Sent++
 	if !m.reaches(msg.From, msg.To, round, known, alive, ledger) {
@@ -282,17 +296,19 @@ func (m *Model) Due(limit uint64) (uint64, bool) { return m.fl.due(limit) }
 // Drain empties the ring's bucket of instant at: it appends the messages
 // arriving there to msgs, in the order Classify parked them, and the ledger
 // each was classified into to ledgers, for Arrive. Instants must be drained
-// in order (Due names them). The messages' storage stays valid until
-// EndPeriod; consumers must be done with it by then.
+// in order (Due names them). Consumers must be done with what the messages
+// reference by EndPeriod: the debug mode poisons a request, reply and hops
+// then, and a gossip goes back to its sender's arena within Generations() - 1
+// periods.
 func (m *Model) Drain(at uint64, msgs []proto.Message, ledgers []*stats.NetStats) ([]proto.Message, []*stats.NetStats) {
 	return m.fl.drain(at, msgs, ledgers)
 }
 
 // EndPeriod closes a gossip period whose last instant is at, once every
-// consumer of the period's arrivals is done: it poisons their storage (in
-// SetPoison's debug mode), advances the ring's wheel to at, and takes back
-// the storage of the oldest period's messages, which have all arrived. A
-// harness calls it exactly once per period.
+// consumer of the period's arrivals is done: it poisons their requests and
+// replies (in SetPoison's debug mode), advances the ring's wheel to at, and
+// takes back the envelopes of the oldest period's messages, which have all
+// arrived. A harness calls it exactly once per period.
 func (m *Model) EndPeriod(at uint64) {
 	if m.fl != nil {
 		m.fl.endPeriod(at)

@@ -78,3 +78,64 @@ func TestEmitterTick(t *testing.T) {
 		t.Fatal("an unbound emitter still cuts from the driver's arena")
 	}
 }
+
+// TestEmitArenaGenerations: with G generations, a run cut in period p
+// stays intact through the next G-1 Resets — each period cutting as much
+// again — and is taken back and zeroed by the G-th. In the poisoning mode
+// every gossip header is handed to the poison function exactly once, at
+// that G-th Reset and with its contents still in place. Size counts every
+// generation.
+func TestEmitArenaGenerations(t *testing.T) {
+	t.Parallel()
+	for _, g := range []int{1, 2, 4} {
+		for _, poisoning := range []bool{false, true} {
+			var a EmitArena
+			a.SetGenerations(g)
+			poisoned := map[ProcessID]int{} // by the period that cut the gossip, its From
+			if poisoning {
+				a.SetPoison(func(x *Gossip) {
+					if x.From == NilProcess || len(x.Digest) != 2 || x.Digest[1].Seq != uint64(x.From) {
+						t.Fatalf("G=%d: a gossip was poisoned after its contents were gone: %+v", g, x)
+					}
+					poisoned[x.From]++
+					x.From = ^ProcessID(0)
+				})
+			}
+			type cut struct {
+				g   *Gossip
+				ids []EventID
+			}
+			var cuts []cut
+			for period := 1; period <= 3*g; period++ {
+				x := a.Gossip()
+				x.From = ProcessID(period)
+				x.Digest = a.IDs(2)
+				x.Digest[1] = EventID{Origin: 1, Seq: uint64(period)}
+				x.Subs = a.PIDs(3)
+				x.Subs[2] = ProcessID(period)
+				cuts = append(cuts, cut{x, x.Digest})
+				a.Reset() // the end of the period
+				for p, c := range cuts {
+					// Cut in period p+1, taken back by the Reset ending period p+g,
+					// cut from again after.
+					alive, recycled := period-p < g, period-p == g
+					switch {
+					case alive && (c.g.From != ProcessID(p+1) || c.ids[1].Seq != uint64(p+1) || c.g.Subs[2] != ProcessID(p+1)):
+						t.Fatalf("G=%d poisoning=%v: period %d's gossip changed by the end of period %d: %+v", g, poisoning, p+1, period, c.g)
+					case recycled && (c.g.From != NilProcess || c.ids[1] != EventID{}):
+						t.Fatalf("G=%d poisoning=%v: period %d's gossip was not zeroed by the end of period %d: %+v", g, poisoning, p+1, period, c.g)
+					case poisoning && poisoned[ProcessID(p+1)] != map[bool]int{true: 0, false: 1}[alive]:
+						t.Fatalf("G=%d: period %d's gossip was poisoned %d times by the end of period %d", g, p+1, poisoned[ProcessID(p+1)], period)
+					}
+				}
+			}
+			var one EmitArena
+			one.Gossip()
+			one.IDs(2)
+			one.PIDs(3)
+			if a.Size() != g*one.Size() {
+				t.Fatalf("G=%d: the arena keeps %d B, want %d: %d B a generation", g, a.Size(), g*one.Size(), one.Size())
+			}
+		}
+	}
+}

@@ -123,8 +123,10 @@ type Bus struct {
 	// shared emission arena makes a steady round allocation-free.
 	queue, next    []proto.Message
 	qTally, nTally []*stats.NetStats
-	// emit is every member's emission arena: a Step routes all it emits
-	// (the in-flight ring deep-copies what it parks), then resets it.
+	// emit is every member's emission arena, one generation per step a
+	// message can be in flight (netmodel.Model.Generations): a Step routes
+	// all it emits, the in-flight ring parks what is delayed without
+	// copying it, and the Step's end takes back the oldest generation.
 	emit proto.EmitArena
 	// pending is the deferred-delivery queue: engine callbacks append
 	// here under mu, and flushLocked drains it with the lock released so
@@ -197,6 +199,7 @@ func NewBus(cfg Config) (*Bus, error) {
 		delayRNG = root.Split()
 	}
 	b.network = netmodel.New(network, netmodel.Clock{}, lossRNG, delayRNG)
+	b.emit.SetGenerations(b.network.Generations())
 	return b, nil
 }
 
@@ -279,8 +282,8 @@ func (b *Bus) join(client, topic string, h Handler) (*Subscription, error) {
 		b.nextPID--
 		return nil, err
 	}
-	// Every member emits into the bus's arena, which Step resets once the
-	// step's routing has consumed every emission.
+	// Every member emits into the bus's arena, which Step rotates once
+	// every message cut from its oldest generation has arrived.
 	eng.SetEmitArena(&b.emit)
 	m.engine = eng
 
@@ -447,8 +450,9 @@ func (s *Subscription) Cancel() error {
 // this round arrive first (in deterministic enqueue order), every member
 // emits its periodic gossip into the bus's emission arena, leave grace
 // periods tick down, and the batched dispatch loop routes the round's
-// traffic with bounded response chasing. The round's arrivals go back to
-// the ring's pools, and its emissions to the arena, once it is routed.
+// traffic with bounded response chasing. Once it is routed, the ring takes
+// back its oldest generation of envelopes and the arena its oldest
+// generation of emissions.
 // Handlers run after the round's protocol work, with no locks held.
 func (b *Bus) Step() {
 	b.mu.Lock()

@@ -834,7 +834,8 @@ func TestBusStepAllocs(t *testing.T) {
 
 // TestBusDelayedDeliverySettles: messages parked in the delay ring settle
 // into Delivered(+Late) and the payloads survive the engines' emission
-// reuse (the ring deep-copies).
+// reuse (the bus's arena keeps one generation per step a message can be in
+// flight).
 func TestBusDelayedDeliverySettles(t *testing.T) {
 	t.Parallel()
 	b := newTestBus(t, Config{Seed: 13, Delay: fault.FixedDelay{Rounds: 2}})

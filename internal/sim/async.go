@@ -62,14 +62,12 @@ import (
 // pre-wavefront versions.
 //
 // Steady-state allocation mirrors the synchronous argument: engines cut
-// their emissions from their shards' arenas, which RunRound resets once the
-// period is over (an emission is fully consumed by its wave's barrier, or
-// deep-copied by the in-flight ring), the queue/inbox/response machinery is
-// retained across periods,
-// and all phase closures are prebuilt, so a steady async period does not
-// allocate (see TestAsyncRoundAllocs). PoisonRecycled keeps the period's
-// emissions in shard 0's outbox and overwrites them, with the response
-// buffers, at the end of every period.
+// their emissions from their shards' arenas, which RunRound rotates once the
+// period is over (an emission is consumed by its wave's barrier, or by the
+// arrivals of what the in-flight ring parked, within the arenas' G
+// generations), the queue/inbox/response machinery is retained across
+// periods, and all phase closures are prebuilt, so a steady async period
+// does not allocate (see TestAsyncRoundAllocs).
 
 // asyncLookahead caps how many positions one wave's walk visits: n/8 with
 // a floor of 64. The cap is a function of the cluster size only — never of
@@ -100,7 +98,6 @@ func (e *shardedExecutor) runAsyncPeriod() {
 	n := len(c.procs)
 	clear(e.aHit)
 	e.waves = 0
-	e.tickBufs[0] = e.tickBufs[0][:0]
 	if c.opts.Clock == ClockRounds {
 		// Every phase is the boundary, so the phase order says nothing: the
 		// round clock draws the period's tick order instead, one Shuffle of
@@ -155,17 +152,12 @@ func (e *shardedExecutor) runAsyncPeriod() {
 }
 
 // tick runs process i's tick and routes its messages in emission order;
-// the survivors join the wave's queue. The emission goes to shard 0's
-// outbox, where it stays for the period's poisoning under PoisonRecycled.
+// the survivors join the wave's queue. Shard 0's outbox is the emission's
+// scratch.
 func (e *shardedExecutor) tick(i int) {
 	c := e.c
-	emit := e.tickBufs[0]
-	if !e.poison {
-		emit = emit[:0]
-	}
-	start := len(emit)
-	emit = c.procs[i].TickAppend(c.now, emit)
-	for _, m := range emit[start:] {
+	emit := c.procs[i].TickAppend(c.now, e.tickBufs[0][:0])
+	for _, m := range emit {
 		if e.asyncRoute(len(e.queue), m) {
 			e.queue = append(e.queue, m)
 		}

@@ -84,7 +84,9 @@ func (c *Cluster) PoolStats() pool.Stats {
 }
 
 // EmitBytes is the storage the cluster's emission arenas keep, one per
-// executor shard: what the busiest period's emissions needed.
+// executor shard, every generation counted: what the emissions of the G
+// busiest periods needed, G being the periods a message can be in flight
+// (one with no delay model).
 func (c *Cluster) EmitBytes() int {
 	n := 0
 	for s := range c.emit {

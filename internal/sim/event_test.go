@@ -435,10 +435,10 @@ func TestEventRoundAllocs(t *testing.T) {
 }
 
 // TestEventAsyncPoisonSparesBodiesInFlight: the end-of-period flush leaves
-// the last instant's arrivals on the hop queue, and an arrival's gossip is
-// the ring's body, which envelopes still in the air may share. Poisoning
-// must reach it through the ring's spent list only — never through the
-// queue. The system is small on purpose: with fewer processes than phases,
+// the last instant's arrivals on the hop queue, and an arrival's gossip
+// lives in its sender's arena, shared with envelopes still in the air.
+// Poisoning must reach it through the arena, when it recycles the
+// gossip's generation — never through the queue or the ring. The system is small on purpose: with fewer processes than phases,
 // most periods end on an arrival rather than on a tick (at N=10,000 some
 // process always ticks at the period's last instant, and the flush finds
 // nothing).

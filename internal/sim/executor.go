@@ -62,19 +62,22 @@ import (
 // are executor shards (shardRange). A tick cuts its gossip header, the
 // gossip's lists and its targets, each at its exact length, from its
 // shard's arena, so the shards never share one and the tick phase needs no
-// lock. A period's emissions are dead once the period has been handled
-// (Fig. 1(b)): the sequential loss/crash filter has routed them, every
-// handle phase has read them, the span merge has drained the response
-// buffers, and the in-flight ring has deep-copied what it parks for a later
-// period. So RunRound resets the arenas last — after poisonRecycled and
-// the network's EndPeriod — and an arena keeps what its busiest period
-// needed. All executor buffers (outboxes, inboxes, response spans, the
+// lock. An emission is dead once every message that carries it has been
+// handled (Fig. 1(b)): the sequential loss/crash filter has routed them,
+// every handle phase has read them, the span merge has drained the response
+// buffers, and whatever the in-flight ring parked has arrived, at the
+// latest G-1 periods later (netmodel.Model.Generations). So each arena
+// keeps G generations, and RunRound rotates the arenas last — after
+// poisonRecycled and the network's EndPeriod — taking back the generation
+// of G periods ago; an arena keeps what its G busiest periods needed. All
+// executor buffers (outboxes, inboxes, response spans, the
 // hop queues, the arenas) are retained across rounds, phase closures are
 // built once, and the workers are persistent goroutines signalled over
 // channels, so a steady-state round performs no allocation at all (see
-// TestExecutorRoundAllocs). PoisonRecycled overwrites the recycled buffers
-// with sentinels at the end of every round, before the arenas are reset,
-// to catch any future consumer that holds them longer than the round.
+// TestExecutorRoundAllocs). PoisonRecycled overwrites the recycled message
+// slots with sentinels at the end of every round, and the arenas poison
+// every gossip they take back, to catch any consumer that holds them
+// longer than they live.
 
 // effectiveWorkers resolves the Workers option to a shard count in [1, n]:
 // 0 means one shard and a negative value GOMAXPROCS.
@@ -151,7 +154,7 @@ type shardedExecutor struct {
 	lo, hi  []int // shard s owns process indices [lo[s], hi[s])
 	shardOf []int // process index -> shard
 
-	tickBufs [][]proto.Message // per-shard tick outboxes (shard 0: see tickShard)
+	tickBufs [][]proto.Message // per-shard tick outboxes (shard 0's: the async tick's; see tickShard)
 	inboxes  [][]routed        // per-shard surviving messages, queue order
 	groups   []destGroups      // per-shard scratch of handleShard's grouping
 	resps    [][]proto.Message // per-shard response buffers
@@ -170,8 +173,6 @@ type shardedExecutor struct {
 	aOrder []int   // position -> process index
 	aHit   []int32 // per process: the wave of this period that last routed it a delivery
 	waves  int32   // waves so far in this period, the current one included
-
-	poison bool // overwrite recycled buffers with sentinels after each round
 }
 
 // shardRange is shard s's process indices [lo, hi) when n processes are
@@ -207,7 +208,6 @@ func newShardedExecutor(c *Cluster, w int) *shardedExecutor {
 		cursors:  make([]int, w),
 		pool:     new(workerPool),
 		wg:       new(sync.WaitGroup),
-		poison:   c.opts.PoisonRecycled,
 	}
 	n := len(c.ids)
 	for s := 0; s < w; s++ {
@@ -258,14 +258,10 @@ func (e *shardedExecutor) parallel(fn func(s int)) {
 // first in merge order, so it appends straight onto the hop queue, behind
 // whatever arrivals are already there, and a one-shard round never copies
 // its emissions; the other shards touch only their own outboxes meanwhile.
-// Under PoisonRecycled shard 0 keeps an outbox too: the hop queue is
-// rewritten by the chase, and the end-of-round poisoning needs every tick
-// gossip reachable.
 func (e *shardedExecutor) tickShard(s int) {
 	c := e.c
-	direct := s == 0 && !e.poison
 	buf := e.tickBufs[s][:0]
-	if direct {
+	if s == 0 {
 		buf = e.queue
 	}
 	for i := e.lo[s]; i < e.hi[s]; i++ {
@@ -274,7 +270,7 @@ func (e *shardedExecutor) tickShard(s int) {
 		}
 		buf = c.procs[i].TickAppend(c.now, buf)
 	}
-	if direct {
+	if s == 0 {
 		e.queue = buf
 	} else {
 		e.tickBufs[s] = buf
@@ -478,44 +474,28 @@ func (e *shardedExecutor) mergeResponses() {
 	}
 }
 
-// poisonMessages overwrites the message slots — and, through their shared
-// pointers, the gossip contents — of a recycled buffer with sentinels
-// (netmodel.Sentinel): any late consumer surfaces as a loud divergence from
-// the reference walk instead of a silent heisenbug.
-func poisonMessages(msgs []proto.Message) {
-	for i := range msgs {
-		if g := msgs[i].Gossip; g != nil {
-			netmodel.PoisonGossip(g)
-		}
-	}
-	poisonSlots(msgs)
-}
-
-// poisonSlots overwrites only the message slots of a recycled buffer. It is
-// for buffers that hold copies of envelopes: their gossips belong to
-// whoever emitted them — an engine, reached through its outbox, or the
-// in-flight ring, where a body stays live for as long as one envelope
-// still in the air carries it.
+// poisonSlots overwrites the message slots of a recycled buffer with
+// sentinels (netmodel.Sentinel): any late consumer surfaces as a loud
+// divergence from the reference walk instead of a silent heisenbug.
 func poisonSlots(msgs []proto.Message) {
 	for i := range msgs {
 		msgs[i] = proto.Message{From: netmodel.Sentinel, To: netmodel.Sentinel}
 	}
 }
 
-// poisonRecycled overwrites every buffer this period recycled — the
-// outboxes (and, through them, the tick gossips in the shards' arenas), and
-// the executor-owned response and queue slots
-// — with sentinel values; the delay ring poisons its just-drained arrivals
-// itself, in RunRound's EndPeriod. The hop queues hold copies of emissions,
-// of responses and of arrivals, and an arrival's gossip may still be in the
-// air for another receiver: only their slots are overwritten. Correct
-// phases never read any of it after the period, so poisoned runs must stay
-// bit-for-bit identical to unpoisoned ones; the reuse property tests assert
-// exactly that.
+// poisonRecycled overwrites the message slots of every buffer this period
+// recycled — the outboxes, the response buffers and the hop queues — with
+// sentinel values. What the slots reference is not theirs to poison: a
+// gossip may still be in the air for another receiver, and its shard's
+// arena poisons it when it takes it back (proto.EmitArena.SetPoison); the
+// delay ring poisons its just-drained requests and replies itself, in
+// RunRound's EndPeriod. Correct phases never read any of it after the
+// period, so poisoned runs must stay bit-for-bit identical to unpoisoned
+// ones; the reuse property tests assert exactly that.
 func (e *shardedExecutor) poisonRecycled() {
 	for s := 0; s < e.workers; s++ {
-		poisonMessages(e.tickBufs[s])
-		poisonMessages(e.resps[s])
+		poisonSlots(e.tickBufs[s])
+		poisonSlots(e.resps[s])
 	}
 	poisonSlots(e.queue)
 	poisonSlots(e.next)

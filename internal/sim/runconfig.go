@@ -77,13 +77,13 @@ type RunConfig struct {
 	// clock (0 = defaultPeriodMs). Setting it with ClockRounds is a
 	// configuration error: the round clock has no sub-round time.
 	PeriodMs int
-	// PoisonRecycled is a debug mode of the executor: at the end of every
-	// round (or async period) the recycled emission buffers (the tick
-	// gossips in the shards' arenas, the executor's outbox/response slots,
-	// and the drained in-flight delay buckets) are overwritten with sentinel
-	// values, so any consumer that still aliases them past the round
-	// diverges loudly from the cloning reference walk instead of reading
-	// stale data silently. Results must be identical with the flag on — the reuse
+	// PoisonRecycled is a debug mode of the executor: recycled storage is
+	// overwritten with sentinel values — at the end of every round (or
+	// async period) the executor's outbox, response and queue slots and the
+	// requests and replies drained from the in-flight ring, and every gossip
+	// a shard's arena takes back when it recycles a generation — so any
+	// consumer that still aliases it diverges loudly from the cloning
+	// reference walk instead of reading stale data silently. Results must be identical with the flag on — the reuse
 	// property tests assert this.
 	PoisonRecycled bool
 	// EmissionReuse is ignored.

@@ -226,8 +226,10 @@ type Cluster struct {
 	exec      *shardedExecutor // runs every round and period, on 1..W shards
 	poolToken *poolToken       // finalized with the cluster; see poolCleanup
 	// emit holds one emission arena per executor shard: every engine of
-	// shard s (shardRange) cuts its emissions from emit[s], and RunRound
-	// resets them all once the period is over.
+	// shard s (shardRange) cuts its emissions from emit[s]. Each keeps one
+	// generation per period a message can be in flight
+	// (netmodel.Model.Generations), and RunRound rotates them all once the
+	// period is over.
 	emit []proto.EmitArena
 	// arrivalDests holds the destination indices of the arrivals the last
 	// settleArrivals put on the queue, and arrivalLedgers the ledgers the
@@ -310,6 +312,12 @@ func NewCluster(opts Options) (*Cluster, error) {
 	}
 	viewRNG := root.Split()
 	c.emit = make([]proto.EmitArena, effectiveWorkers(opts.Workers, opts.N))
+	for s := range c.emit {
+		c.emit[s].SetGenerations(c.network.Generations())
+		if opts.PoisonRecycled {
+			c.emit[s].SetPoison(netmodel.PoisonGossip)
+		}
+	}
 	if opts.Protocol == Lpbcast {
 		if err := c.buildEngines(root, viewRNG); err != nil {
 			return nil, err
@@ -464,8 +472,9 @@ func (c *Cluster) RunRound() {
 		c.exec.poisonRecycled()
 	}
 	// The delay ring poisons what the period drained, and takes back its
-	// oldest generation, only now, after every consumer is done; then the
-	// period's emissions go back to the shards' arenas.
+	// oldest generation, only now, after every consumer is done; then each
+	// shard's arena takes back the emissions of the oldest period it holds,
+	// whose every message has arrived.
 	c.network.EndPeriod(c.nowMs)
 	for s := range c.emit {
 		c.emit[s].Reset()
