@@ -110,7 +110,10 @@ func TestPbcastEngineLimits(t *testing.T) {
 	if eng.Knows(EventID{Origin: 1, Seq: 1}) {
 		t.Error("fresh engine knows an event")
 	}
-	ev := eng.Publish([]byte("x"))
+	ev, err := eng.Publish([]byte("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !eng.Knows(ev.ID) {
 		t.Error("published event unknown")
 	}

@@ -573,13 +573,13 @@ func digestContainsCase() benchCase {
 			d := buffer.NewCompactDigest()
 			gen := rng.New(7)
 			for o := 1; o <= 250; o++ {
-				for seq := uint64(1); seq <= 8; seq++ {
+				for seq := uint32(1); seq <= 8; seq++ {
 					d.Add(proto.EventID{Origin: proto.ProcessID(o), Seq: seq})
 				}
 			}
 			ids := make([]proto.EventID, 1024)
 			for i := range ids {
-				ids[i] = proto.EventID{Origin: proto.ProcessID(1 + gen.Intn(250)), Seq: uint64(1 + gen.Intn(8))}
+				ids[i] = proto.EventID{Origin: proto.ProcessID(1 + gen.Intn(250)), Seq: uint32(1 + gen.Intn(8))}
 				if i%10 == 0 {
 					ids[i].Seq = 9
 				}
@@ -615,7 +615,7 @@ func digestScanColdCase() benchCase {
 			before := readHeap()
 			for i := range digests {
 				for o := 1; o <= 250; o++ {
-					for seq := uint64(1); seq <= 8; seq++ {
+					for seq := uint32(1); seq <= 8; seq++ {
 						digests[i].Add(proto.EventID{Origin: proto.ProcessID(o), Seq: seq})
 					}
 				}
@@ -625,7 +625,7 @@ func digestScanColdCase() benchCase {
 			for i := range scans {
 				scans[i] = make([]proto.EventID, digestLen)
 				for j := range scans[i] {
-					scans[i][j] = proto.EventID{Origin: proto.ProcessID(1 + gen.Intn(250)), Seq: uint64(1 + gen.Intn(8))}
+					scans[i][j] = proto.EventID{Origin: proto.ProcessID(1 + gen.Intn(250)), Seq: uint32(1 + gen.Intn(8))}
 					if j%20 == 0 {
 						scans[i][j].Seq = 9
 					}
@@ -677,7 +677,7 @@ func archiveStoreFullCase(payload int) benchCase {
 			}
 			before := readHeap()
 			a := buffer.NewArchive(200)
-			seq := uint64(0)
+			seq := uint32(0)
 			store := func() {
 				seq++
 				a.Store(proto.Event{ID: proto.EventID{Origin: proto.ProcessID(seq % 250), Seq: seq}, Payload: payloads[seq%256]})
@@ -705,7 +705,7 @@ func archiveLookupCase() benchCase {
 			a := buffer.NewArchive(200)
 			ids := make([]proto.EventID, 256)
 			for i := range ids {
-				ids[i] = proto.EventID{Origin: proto.ProcessID(i % 250), Seq: uint64(i + 1)}
+				ids[i] = proto.EventID{Origin: proto.ProcessID(i % 250), Seq: uint32(i + 1)}
 				a.Store(proto.Event{ID: ids[i]})
 			}
 			hits := 0
@@ -736,7 +736,7 @@ func archiveServeCase(name string, ids int) benchCase {
 		fn: func(b *testing.B) {
 			a := buffer.NewArchive(200)
 			const stored = 30_000
-			for seq := uint64(1); seq <= stored; seq++ {
+			for seq := uint32(1); seq <= stored; seq++ {
 				a.Store(proto.Event{ID: proto.EventID{Origin: proto.ProcessID(seq % 250), Seq: seq}})
 			}
 			gen := rng.New(7)
@@ -751,9 +751,9 @@ func archiveServeCase(name string, ids int) benchCase {
 					case r >= 89:
 						depth += 20
 					}
-					seq := uint64(stored - depth)
+					seq := uint32(stored - depth)
 					if ids > 3 && j < ids-1 {
-						seq = uint64(1 + gen.Intn(stored-200)) // evicted
+						seq = uint32(1 + gen.Intn(stored-200)) // evicted
 					}
 					reqs[i][j] = proto.EventID{Origin: proto.ProcessID(seq % 250), Seq: seq}
 				}
@@ -990,7 +990,7 @@ func liveSuite(quick bool) []benchCase {
 							Gossip: &proto.Gossip{
 								From:   1,
 								Subs:   []proto.ProcessID{1},
-								Digest: []proto.EventID{{Origin: 1, Seq: uint64(k + 1)}},
+								Digest: []proto.EventID{{Origin: 1, Seq: uint32(k + 1)}},
 							},
 						})
 					}

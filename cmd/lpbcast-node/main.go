@@ -16,6 +16,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -38,7 +39,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("lpbcast-node", flag.ContinueOnError)
 	var (
-		idFlag   = fs.Uint64("id", 1, "process id (unique, non-zero; ids below 2^32 keep the archive at 8 bytes a delivered id)")
+		idFlag   = fs.Uint64("id", 1, "process id, unique, from 1 to 2^32-1")
 		bind     = fs.String("bind", "127.0.0.1:0", "UDP bind address")
 		join     = fs.String("join", "", "bootstrap contact as id=host:port (empty for the first node)")
 		interval = fs.Duration("interval", 200*time.Millisecond, "gossip period T")
@@ -51,8 +52,8 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *idFlag == 0 {
-		return fmt.Errorf("-id must be non-zero")
+	if *idFlag == 0 || *idFlag > math.MaxUint32 {
+		return fmt.Errorf("-id must be from 1 to 2^32-1, got %d", *idFlag)
 	}
 	if *protocol != "lpbcast" && *protocol != "pbcast" {
 		return fmt.Errorf("-protocol must be lpbcast or pbcast, got %q", *protocol)
@@ -199,7 +200,7 @@ func parsePeer(s string) (lpbcast.ProcessID, string, error) {
 	if !ok {
 		return 0, "", fmt.Errorf("bad -join %q, want id=host:port", s)
 	}
-	id, err := strconv.ParseUint(idStr, 10, 64)
+	id, err := strconv.ParseUint(idStr, 10, 32)
 	if err != nil || id == 0 {
 		return 0, "", fmt.Errorf("bad peer id %q", idStr)
 	}

@@ -8,7 +8,7 @@ func TestParsePeer(t *testing.T) {
 	if err != nil || id != 3 || addr != "127.0.0.1:9000" {
 		t.Fatalf("parsePeer = %v %q %v", id, addr, err)
 	}
-	cases := []string{"", "127.0.0.1:9000", "x=127.0.0.1:9000", "0=127.0.0.1:9000"}
+	cases := []string{"", "127.0.0.1:9000", "x=127.0.0.1:9000", "0=127.0.0.1:9000", "4294967297=127.0.0.1:9000"}
 	for _, c := range cases {
 		if _, _, err := parsePeer(c); err == nil {
 			t.Errorf("parsePeer(%q) accepted", c)
@@ -23,6 +23,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-id", "nope"}); err == nil {
 		t.Fatal("bad id accepted")
+	}
+	if err := run([]string{"-id", "4294967297"}); err == nil {
+		t.Fatal("id past 2^32-1 accepted")
 	}
 	if err := run([]string{"-id", "1", "-bind", "not-an-address"}); err == nil {
 		t.Fatal("bad bind accepted")

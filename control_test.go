@@ -316,7 +316,7 @@ func TestClusterNodeBounds(t *testing.T) {
 	if got := cluster.Node(3); got != nil {
 		t.Fatalf("Node(3) = %v, want nil", got)
 	}
-	if got := cluster.Node(ProcessID(1 << 62)); got != nil {
+	if got := cluster.Node(ProcessID(1 << 31)); got != nil {
 		t.Fatalf("Node(huge) = %v, want nil", got)
 	}
 	if got := cluster.Node(1); got == nil || got.ID() != 1 {

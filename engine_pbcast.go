@@ -71,7 +71,7 @@ type pbcastEngine struct {
 	n *pbcast.Node
 }
 
-func (p *pbcastEngine) Publish(payload []byte) Event { return p.n.Publish(payload) }
+func (p *pbcastEngine) Publish(payload []byte) (Event, error) { return p.n.Publish(payload) }
 
 func (p *pbcastEngine) TickAppend(now uint64, out []Message) []Message {
 	return p.n.TickAppend(now, out)

@@ -2,7 +2,6 @@ package buffer
 
 import (
 	"encoding/binary"
-	"math"
 	"slices"
 	"unsafe"
 
@@ -402,31 +401,18 @@ func (b *IDBuffer) Grow(n int) { b.inner.Grow(n) }
 // end finds among the newest |eventIds|m entries; a long request is resolved
 // against a table Serve builds in one pass over the window.
 //
-// A ring entry is one word. An id fits when its origin is below 2^32 and
-// its sequence number is from 1 to 2^32-1 — every id the simulator, the bus,
-// a cluster and the benchmark make — and is held as origin<<32 | seq, whose
-// low half is never 0. The word 0 marks a wide id, held whole at the same
-// position of a side ring. What the ring cannot hold sits behind one side
-// pointer, side, nil until first needed:
+// A ring entry is one word, origin<<32 | seq. The payloads sit behind one
+// side pointer, side, nil until the first non-empty payload arrives, which
+// keeps the header at 56 bytes, which every idle engine of a large system
+// carries.
 //
-//   - pay, the payloads, nil until the first non-empty payload arrives;
-//   - wide, the wide ids, nil until the first wide id arrives, and dropped
-//     again when a lap of the ring — every position written once, ending
-//     at the last — stores none.
-//
-// One pointer for both keeps the header at 56 bytes, which every idle
-// engine of a large system carries.
-//
-// An archive of fitting, payload-less notifications — every one the
-// simulator makes — holds 8 bytes an entry; one that carries payloads
-// holds 24. Wide ids cost 16 bytes an entry more while the ring holds one:
-// an archive of wide, payload-less ids holds 24, where a ring of whole ids
-// held 16.
+// An archive of payload-less notifications — every one the simulator
+// makes — holds 8 bytes an entry; one that carries payloads holds 24.
 //
 // Archive is not safe for concurrent use.
 type Archive struct {
-	ring  []uint64     // entry i, oldest first, is ring[pos(i)]: a packed id, or 0 for a wide one
-	side  *archiveSide // nil until a payload or a wide id is stored
+	ring  []uint64     // entry i, oldest first, is ring[pos(i)], a packed id
+	side  *archiveSide // nil until a payload is stored
 	head  uint32       // ring position of the oldest entry; 0 until the ring first wraps
 	n     uint32
 	serve int // Lookup and Serve answer from the newest serve entries
@@ -438,13 +424,10 @@ type Archive struct {
 // served entry's position + 1 with bit 31, so that must stay below 2^31.
 const MaxArchiveRing = served - 1
 
-// archiveSide is what an archive's ring cannot hold. Each of its rings is
-// nil, or as long as the id ring.
+// archiveSide is what an archive's ring cannot hold: the payloads, a ring
+// as long as the id ring.
 type archiveSide struct {
-	pay  []payloadRef    // pay[p] is the payload of entry p
-	wide []proto.EventID // wide[p] is the id of entry p when ring[p] is 0
-	// lapWide says a wide id was stored in the current lap of the ring.
-	lapWide bool
+	pay []payloadRef // pay[p] is the payload of entry p
 }
 
 // payloadRef is a retained payload in 16 bytes where a slice header takes
@@ -458,14 +441,8 @@ type payloadRef struct {
 
 func (r payloadRef) bytes() []byte { return unsafe.Slice(r.first, r.n) } // nil for the zero payloadRef
 
-// pack returns id as a ring word, and whether it fits one: 0 and false for
-// a wide id.
-func pack(id proto.EventID) (uint64, bool) {
-	if id.Origin > math.MaxUint32 || id.Seq-1 >= math.MaxUint32 { // seq 0 wraps past the bound too
-		return 0, false
-	}
-	return uint64(id.Origin)<<32 | id.Seq, true
-}
+// pack returns id as a ring word.
+func pack(id proto.EventID) uint64 { return uint64(id.Origin)<<32 | uint64(id.Seq) }
 
 // NewArchive creates an archive that holds and serves the newest max
 // notifications; max <= 0 disables archiving entirely (Lookup always
@@ -496,10 +473,7 @@ func (a *Archive) pos(i uint32) uint32 {
 // id returns the id held at ring position p.
 func (a *Archive) id(p int) proto.EventID {
 	w := a.ring[p]
-	if w == 0 {
-		return a.side.wide[p]
-	}
-	return proto.EventID{Origin: proto.ProcessID(w >> 32), Seq: w & math.MaxUint32}
+	return proto.EventID{Origin: proto.ProcessID(w >> 32), Seq: uint32(w)}
 }
 
 // Store appends e's id as the newest entry, writing over the oldest once the
@@ -522,47 +496,15 @@ func (a *Archive) Store(e proto.Event) {
 		p = a.head
 		a.head = a.pos(1)
 	}
-	w, fits := pack(e.ID)
-	a.ring[p] = w
-	if a.side != nil || !fits || len(e.Payload) > 0 {
-		a.storeSide(p, e, fits)
-	}
-}
-
-// storeSide writes what ring position p's word does not hold — e's id if
-// it is wide, its payload — making the side and its rings on first use, and
-// ends a lap at the ring's last position: a lap that stored no wide id
-// wrote over every one, so it drops the wide ring, and the side with it
-// once the side holds nothing.
-func (a *Archive) storeSide(p uint32, e proto.Event, fits bool) {
-	s := a.side
-	if s == nil {
-		s = &archiveSide{}
-		a.side = s
-	}
-	if !fits {
-		if s.wide == nil {
-			s.wide = make([]proto.EventID, len(a.ring))
+	a.ring[p] = pack(e.ID)
+	switch {
+	case len(e.Payload) > 0:
+		if a.side == nil {
+			a.side = &archiveSide{pay: make([]payloadRef, len(a.ring))}
 		}
-		s.wide[p] = e.ID
-		s.lapWide = true
-	}
-	if len(e.Payload) > 0 {
-		if s.pay == nil {
-			s.pay = make([]payloadRef, len(a.ring))
-		}
-		s.pay[p] = payloadRef{&e.Payload[0], len(e.Payload)}
-	} else if s.pay != nil {
-		s.pay[p] = payloadRef{} // the overwritten payload is garbage from here on
-	}
-	if int(p) == a.hold-1 { // a lap of the full ring ends
-		if !s.lapWide {
-			s.wide = nil
-		}
-		s.lapWide = false
-		if s.wide == nil && s.pay == nil {
-			a.side = nil
-		}
+		a.side.pay[p] = payloadRef{&e.Payload[0], len(e.Payload)}
+	case a.side != nil:
+		a.side.pay[p] = payloadRef{} // the overwritten payload is garbage from here on
 	}
 }
 
@@ -574,45 +516,31 @@ func (a *Archive) grow() {
 	copy(ring, a.ring)
 	a.ring = ring
 	if s := a.side; s != nil {
-		s.pay = resized(s.pay, n)
-		s.wide = resized(s.wide, n)
+		pay := make([]payloadRef, n)
+		copy(pay, s.pay)
+		s.pay = pay
 	}
-}
-
-// resized returns a copy of side ring s of length n, nil for a nil s.
-func resized[T any](s []T, n int) []T {
-	if s == nil {
-		return nil
-	}
-	t := make([]T, n)
-	copy(t, s)
-	return t
 }
 
 // find returns the ring position of the newest copy of id among the newest w
-// entries, or -1, scanning from the newest end. A fitting id is one word
-// compare an entry; a wide one matches the entries that are 0 and then its
-// side-ring entry.
+// entries, or -1, scanning from the newest end: one word compare an entry.
 func (a *Archive) find(id proto.EventID, w int) int {
 	w = min(w, int(a.n))
 	if w <= 0 {
 		return -1
 	}
-	key, fits := pack(id)
-	if !fits && (a.side == nil || a.side.wide == nil) {
-		return -1
-	}
+	key := pack(id)
 	top := int(a.head) + int(a.n) // one past the newest entry, unwrapped
 	if top > len(a.ring) {
 		top -= len(a.ring)
 	}
 	for p := top - 1; p >= max(0, top-w); p-- {
-		if a.ring[p] == key && (fits || a.side.wide[p] == id) {
+		if a.ring[p] == key {
 			return p
 		}
 	}
 	for p := len(a.ring) - 1; p >= len(a.ring)-(w-top); p-- { // the wrapped rest, if any
-		if a.ring[p] == key && (fits || a.side.wide[p] == id) {
+		if a.ring[p] == key {
 			return p
 		}
 	}
@@ -651,7 +579,7 @@ func (a *Archive) Lookup(id proto.EventID) (proto.Event, bool) {
 
 // event returns the archived event id, held at ring position p.
 func (a *Archive) event(id proto.EventID, p int) proto.Event {
-	if a.side == nil || a.side.pay == nil {
+	if a.side == nil {
 		return proto.Event{ID: id}
 	}
 	return proto.Event{ID: id, Payload: a.side.pay[p].bytes()}

@@ -2,7 +2,6 @@ package buffer
 
 import (
 	"cmp"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -20,26 +19,17 @@ import (
 // Compared to the flat window, membership information about an in-order
 // prefix of each origin's stream costs O(1) instead of O(prefix length).
 //
-// The origins live inline in one open-addressed table of 8-byte slots, a
-// 32-bit origin and a 32-bit watermark, so Contains of an id at or below
-// its watermark is one multiplicative hash and, almost always, one cache
-// line. Every origin the simulator, the bus and a cluster number is below
-// 2^32, and an honest watermark is a count of events. What a slot cannot
-// hold sits behind one side pointer, side, allocated when first needed:
-//
-//   - ahead, a map keyed by origin of what an origin has delivered above
-//     its watermark — almost always nothing: a loaded process holds such a
-//     delivery for well under one origin in a hundred — a 64-bit window just
-//     above the watermark and, for a sequence number more than 64 past it,
-//     an ascending overflow list. An origin has an entry only while it has
-//     such a delivery, and the map is not read at all while it is empty.
-//   - wide, a table of 16-byte slots, 64-bit origin and watermark, for the
-//     origins past 2^32-1 and for the watermarks that reach wideMark: such
-//     an origin's slot holds wideMark, "at least this", and the watermark
-//     itself is in wide.
-//
-// Both tables take any length (a home slot is the high word of hash ×
-// length) and grow by a quarter.
+// The origins live inline in one open-addressed table of 8-byte slots, an
+// origin and its watermark, so Contains of an id at or below its watermark
+// is one multiplicative hash and, almost always, one cache line. What an
+// origin has delivered above its watermark — almost always nothing: a
+// loaded process holds such a delivery for well under one origin in a
+// hundred — sits in one side map, ahead, made when first needed: a 64-bit
+// window just above the watermark and, for a sequence number more than 64
+// past it, an ascending overflow list. An origin has an entry only while
+// it has such a delivery, and the map is not read at all while it is
+// empty. The table takes any length (a home slot is the high word of hash
+// × length) and grows by a quarter.
 //
 // There are two reads. Contains answers for one id. AppendMissing answers
 // for a gossip's whole digest, in two loops: the first loads the home slot
@@ -51,52 +41,29 @@ import (
 //
 // The zero value is an empty digest: the table materializes on the first
 // Add, so constructing a process's digest costs nothing. The header stays
-// at 40 bytes — the table's slice and count, 32, and side, 8 — because
+// at 40 bytes — the table's slice and count, 32, and the map, 8 — because
 // every idle engine of a large system carries one.
 type CompactDigest struct {
-	narrow table[uint32] // the origins below 2^32
-	side   *digestSide   // nil until an origin has a delivery ahead or is wide
-}
-
-// digestSide is what a digest's table cannot hold.
-type digestSide struct {
-	// ahead holds, per origin, the deliveries above its watermark; an
-	// origin has an entry only while it has one, so it is empty almost always.
+	slots []slot // open-addressed, linear probing, at most 3/4 full
+	n     int    // origins held
+	// ahead holds, per origin, the deliveries above its watermark; nil
+	// until the first such delivery, and an origin has an entry only while
+	// it has one, so it is empty almost always.
 	ahead map[proto.ProcessID]aheadSet
-	wide  table[uint64] // origins past 2^32-1, and watermarks from wideMark
-	// beyond counts the origins past 2^32-1: wide.n less the narrow
-	// origins whose watermark reached wideMark.
-	beyond int
 }
 
-// wideMark in a narrow slot says the origin's watermark is at least 2^32-1
-// and is held in the side's wide table. An id at or below it is still
-// settled by the slot alone.
-const wideMark = math.MaxUint32
-
-// slot is one origin's state in a table of width K. A slot is in use
-// exactly when its origin is not 0 — NilProcess, which Add refuses; nothing
-// is ever removed.
-type slot[K uint32 | uint64] struct {
-	origin    K
-	watermark K // all seq in [1..watermark] delivered
-}
-
-// originSlot is a slot of the digest's own table: 8 bytes.
-type originSlot = slot[uint32]
-
-// table is an open-addressed table of slots: linear probing, any length, at
-// most 3/4 full.
-type table[K uint32 | uint64] struct {
-	slots []slot[K]
-	n     int // origins held
+// slot is one origin's state: 8 bytes. A slot is in use exactly when its
+// origin is not 0 — NilProcess, which Add refuses; nothing is ever removed.
+type slot struct {
+	origin    proto.ProcessID
+	watermark uint32 // all seq in [1..watermark] delivered
 }
 
 // aheadSet is what one origin has delivered above its watermark; never
 // stored empty.
 type aheadSet struct {
 	window uint64   // bit i: seq watermark+1+i delivered; bit 0 stays clear
-	far    []uint64 // ascending seqs delivered past watermark+64, at most maxFar
+	far    []uint32 // ascending seqs delivered past watermark+64, at most maxFar
 }
 
 // maxFar bounds an origin's overflow list, as maxWatermarkExpansion bounds
@@ -124,8 +91,8 @@ const maxFar = 1024
 // and the list is absorbed. Without the fold either kind of origin fills the
 // list and is refused from then on: deaf to every later id. A list ever
 // further ahead of a watermark above 0 — a hostile flood — still refuses.
-func folds(w uint64, far []uint64) bool {
-	return len(far) == maxFar && (w == 0 || far[0]-w <= 2*64)
+func folds(w uint64, far []uint32) bool {
+	return len(far) == maxFar && (w == 0 || uint64(far[0])-w <= 2*64)
 }
 
 // NewCompactDigest creates an empty digest.
@@ -145,135 +112,72 @@ func homeSlot(origin proto.ProcessID, n int) uint64 {
 
 // find returns origin's slot, or the empty slot it would occupy; nil only
 // while the table is unallocated.
-func (t *table[K]) find(origin K) *slot[K] {
-	if len(t.slots) == 0 {
+func (d *CompactDigest) find(origin proto.ProcessID) *slot {
+	if len(d.slots) == 0 {
 		return nil
 	}
-	for i := homeSlot(proto.ProcessID(origin), len(t.slots)); ; {
-		if s := &t.slots[i]; s.origin == origin || s.origin == 0 {
+	for i := homeSlot(origin, len(d.slots)); ; {
+		if s := &d.slots[i]; s.origin == origin || s.origin == 0 {
 			return s
 		}
-		if i++; i == uint64(len(t.slots)) {
+		if i++; i == uint64(len(d.slots)) {
 			i = 0
 		}
 	}
 }
 
-// insert returns origin's slot, claiming one if origin is new, and reports
-// whether it was.
-func (t *table[K]) insert(origin K) (*slot[K], bool) {
-	s := t.find(origin)
+// insert returns origin's slot, claiming one if origin is new.
+func (d *CompactDigest) insert(origin proto.ProcessID) *slot {
+	s := d.find(origin)
 	if s != nil && s.origin != 0 {
-		return s, false
+		return s
 	}
-	if (t.n+1)*4 > len(t.slots)*3 {
-		t.grow()
-		s = t.find(origin)
+	if (d.n+1)*4 > len(d.slots)*3 {
+		d.grow()
+		s = d.find(origin)
 	}
 	s.origin = origin
-	t.n++
-	return s, true
+	d.n++
+	return s
 }
 
 // grow lengthens the table by a quarter — and by what the allocator's size
 // class adds, which append returns as capacity — and reinserts every origin.
-func (t *table[K]) grow() {
-	old := t.slots
-	t.slots = append([]slot[K](nil), make([]slot[K], len(old)+len(old)/4+2)...)
-	t.slots = t.slots[:cap(t.slots)]
+func (d *CompactDigest) grow() {
+	old := d.slots
+	d.slots = append([]slot(nil), make([]slot, len(old)+len(old)/4+2)...)
+	d.slots = d.slots[:cap(d.slots)]
 	for i := range old {
 		if old[i].origin != 0 {
-			*t.find(old[i].origin) = old[i]
+			*d.find(old[i].origin) = old[i]
 		}
 	}
-}
-
-// sideStore returns the side, allocating it on first use.
-func (d *CompactDigest) sideStore() *digestSide {
-	if d.side == nil {
-		d.side = &digestSide{}
-	}
-	return d.side
-}
-
-// aheads returns the side map, nil while there is no side.
-func (d *CompactDigest) aheads() map[proto.ProcessID]aheadSet {
-	if d.side == nil {
-		return nil
-	}
-	return d.side.ahead
 }
 
 // holdsAhead reports whether origin has a delivery above its watermark.
 func (d *CompactDigest) holdsAhead(origin proto.ProcessID) bool {
-	ahead := d.aheads()
-	if len(ahead) == 0 {
+	if len(d.ahead) == 0 {
 		return false
 	}
-	_, held := ahead[origin]
+	_, held := d.ahead[origin]
 	return held
-}
-
-// mark returns origin's watermark and whether the digest tracks origin.
-func (d *CompactDigest) mark(origin proto.ProcessID) (uint64, bool) {
-	if origin <= math.MaxUint32 {
-		s := d.narrow.find(uint32(origin))
-		if s == nil || s.origin == 0 {
-			return 0, false
-		}
-		if s.watermark != wideMark {
-			return uint64(s.watermark), true
-		}
-	}
-	// Past 2^32-1, or a slot at wideMark: the wide table holds the watermark.
-	if d.side == nil {
-		return 0, false
-	}
-	ws := d.side.wide.find(uint64(origin))
-	if ws == nil || ws.origin == 0 {
-		return 0, false
-	}
-	return ws.watermark, true
-}
-
-// setMark stores w as origin's watermark: in its narrow slot s while it
-// lies below wideMark, else in its wide slot ws, which a narrow origin
-// claims the first time its watermark reaches wideMark.
-func (d *CompactDigest) setMark(origin proto.ProcessID, s *originSlot, ws *slot[uint64], w uint64) {
-	if ws == nil {
-		if w < wideMark {
-			s.watermark = uint32(w)
-			return
-		}
-		s.watermark = wideMark
-		ws, _ = d.sideStore().wide.insert(uint64(origin))
-	}
-	ws.watermark = w
 }
 
 // Contains reports whether id has been recorded. Sequence numbering starts
 // at 1; seq 0 is never contained.
 func (d *CompactDigest) Contains(id proto.EventID) bool {
-	if id.Origin <= math.MaxUint32 {
-		// 1 <= Seq <= the slot's watermark: a free slot's is 0, and a slot
-		// at wideMark holds at least that much.
-		if s := d.narrow.find(uint32(id.Origin)); s != nil && id.Seq-1 < uint64(s.watermark) {
-			return true
-		}
-	}
-	w, ok := d.mark(id.Origin)
-	if !ok || id.Seq == 0 {
+	s := d.find(id.Origin)
+	if s == nil || s.origin == 0 || id.Seq == 0 {
 		return false
 	}
-	if id.Seq <= w {
+	if id.Seq <= s.watermark {
 		return true
 	}
-	ahead := d.aheads()
-	if len(ahead) == 0 {
+	if len(d.ahead) == 0 {
 		return false
 	}
-	a := ahead[id.Origin]
-	if off := id.Seq - w - 1; off < 64 {
+	a := d.ahead[id.Origin]
+	if off := id.Seq - s.watermark - 1; off < 64 {
 		return a.window>>off&1 != 0
 	}
 	i, ok := slices.BinarySearch(a.far, id.Seq)
@@ -294,13 +198,12 @@ const missingBlock = 64
 // no branch hangs on what it loads, so the loads of a whole block are in
 // flight together. The second settles, against the copies the first made
 // (the loads are real data flow, nothing can elide them), the common case
-// of an id at or below its origin's watermark — a slot at wideMark holds at
-// least that much, and no narrow slot matches an origin past 2^32-1 — and
-// asks Contains — of a table now in cache — about the rest: a home slot
-// that is another origin's, a sequence number above the watermark.
+// of an id at or below its origin's watermark, and asks Contains — of a
+// table now in cache — about the rest: a home slot that is another
+// origin's, a sequence number above the watermark.
 func (d *CompactDigest) AppendMissing(dst, ids []proto.EventID) []proto.EventID {
-	var home [missingBlock]originSlot
-	slots := d.narrow.slots
+	var home [missingBlock]slot
+	slots := d.slots
 	for len(ids) > 0 {
 		blk := ids[:min(len(ids), missingBlock)]
 		ids = ids[len(blk):]
@@ -313,7 +216,7 @@ func (d *CompactDigest) AppendMissing(dst, ids []proto.EventID) []proto.EventID 
 			if id.Origin == proto.NilProcess || id.Seq == 0 {
 				continue
 			}
-			if uint64(home[j].origin) == uint64(id.Origin) && id.Seq <= uint64(home[j].watermark) {
+			if home[j].origin == id.Origin && id.Seq <= home[j].watermark {
 				continue
 			}
 			if !d.Contains(id) {
@@ -327,46 +230,25 @@ func (d *CompactDigest) AppendMissing(dst, ids []proto.EventID) []proto.EventID 
 // Add records id, reporting whether it was new. Contiguous sparse entries
 // are absorbed into the watermark. Seq 0 and NilProcess make no id.
 func (d *CompactDigest) Add(id proto.EventID) bool {
-	if id.Origin <= math.MaxUint32 {
-		// The in-order delivery, almost every Add: a free slot's origin is
-		// 0, and seq 0 follows no watermark.
-		s := d.narrow.find(uint32(id.Origin))
-		if s != nil && s.origin != 0 && id.Seq == uint64(s.watermark)+1 && s.watermark < wideMark-1 && !d.holdsAhead(id.Origin) {
-			s.watermark++
-			return true
-		}
-	}
 	if id.Seq == 0 || id.Origin == proto.NilProcess {
 		return false
 	}
 	// A new origin is claimed at once: any seq >= 1 is new to it, so the
 	// insert is certain.
-	var s *originSlot
-	var ws *slot[uint64] // origin's wide slot, if its watermark lives there
-	var w uint64
-	if id.Origin <= math.MaxUint32 {
-		s, _ = d.narrow.insert(uint32(id.Origin))
-		if w = uint64(s.watermark); w == wideMark {
-			ws = d.side.wide.find(uint64(id.Origin))
-			w = ws.watermark
-		}
-	} else {
-		side := d.sideStore()
-		var fresh bool
-		if ws, fresh = side.wide.insert(uint64(id.Origin)); fresh {
-			side.beyond++
-		}
-		w = ws.watermark
-	}
-	if id.Seq <= w {
+	s := d.insert(id.Origin)
+	if id.Seq <= s.watermark {
 		return false
 	}
-	var a aheadSet
-	held := false
-	if ahead := d.aheads(); len(ahead) != 0 {
-		a, held = ahead[id.Origin]
+	if id.Seq-1 == s.watermark && !d.holdsAhead(id.Origin) {
+		// The in-order delivery, almost every Add.
+		s.watermark++
+		return true
 	}
-	if off := id.Seq - w - 1; off < 64 {
+	// The window's arithmetic is in 64 bits: the watermark plus an offset
+	// may pass 2^32-1 before the window is known to hold nothing there.
+	w := uint64(s.watermark)
+	a, held := d.ahead[id.Origin]
+	if off := uint64(id.Seq) - w - 1; off < 64 {
 		if a.window>>off&1 != 0 {
 			return false
 		}
@@ -387,8 +269,8 @@ func (d *CompactDigest) Add(id proto.EventID) bool {
 	// just below its first entry, and the list drains into the window.
 	for {
 		k := 0
-		for ; k < len(a.far) && a.far[k]-w-1 < 64; k++ {
-			a.window |= 1 << (a.far[k] - w - 1)
+		for ; k < len(a.far) && uint64(a.far[k])-w-1 < 64; k++ {
+			a.window |= 1 << (uint64(a.far[k]) - w - 1)
 		}
 		if k == len(a.far) {
 			a.far = nil
@@ -400,26 +282,25 @@ func (d *CompactDigest) Add(id proto.EventID) bool {
 			w += uint64(run)
 			a.window >>= run
 		} else if folds(w, a.far) {
-			w, a.window = a.far[0]-1, 0
+			w, a.window = uint64(a.far[0])-1, 0
 		} else {
 			break
 		}
 	}
-	d.setMark(id.Origin, s, ws, w)
+	s.watermark = uint32(w) // every seq the window passed over is a uint32
 	switch {
 	case a.window != 0 || len(a.far) != 0:
-		side := d.sideStore()
-		if side.ahead == nil {
-			side.ahead = make(map[proto.ProcessID]aheadSet)
+		if d.ahead == nil {
+			d.ahead = make(map[proto.ProcessID]aheadSet)
 		}
-		side.ahead[id.Origin] = a
-	case held && len(d.side.ahead) == 1:
+		d.ahead[id.Origin] = a
+	case held && len(d.ahead) == 1:
 		// The last gap closed. A delete would leave a tombstone where the
 		// map has grown past one group, and a map that fills and drains
 		// over and over would grow with them; clear resets them.
-		clear(d.side.ahead)
+		clear(d.ahead)
 	case held: // the gap closed
-		delete(d.side.ahead, id.Origin)
+		delete(d.ahead, id.Origin)
 	}
 	return true
 }
@@ -429,24 +310,21 @@ func (d *CompactDigest) Add(id proto.EventID) bool {
 // as the gap between this and a flat buffer's length.
 func (d *CompactDigest) SparseLen() int {
 	n := 0
-	for _, a := range d.aheads() {
+	for _, a := range d.ahead {
 		n += bits.OnesCount64(a.window) + len(a.far)
 	}
 	return n
 }
 
 // Origins returns the number of tracked origins.
-func (d *CompactDigest) Origins() int {
-	if d.side == nil {
-		return d.narrow.n
-	}
-	return d.narrow.n + d.side.beyond
-}
+func (d *CompactDigest) Origins() int { return d.n }
 
 // Watermark returns the contiguous delivered prefix for origin.
-func (d *CompactDigest) Watermark(origin proto.ProcessID) uint64 {
-	w, _ := d.mark(origin)
-	return w
+func (d *CompactDigest) Watermark(origin proto.ProcessID) uint32 {
+	if s := d.find(origin); s != nil && s.origin == origin {
+		return s.watermark
+	}
+	return 0
 }
 
 // AppendSparse appends to dst every id retained above its origin's
@@ -454,10 +332,10 @@ func (d *CompactDigest) Watermark(origin proto.ProcessID) uint64 {
 // extended slice. With room in dst it allocates nothing.
 func (d *CompactDigest) AppendSparse(dst []proto.EventID) []proto.EventID {
 	n := len(dst)
-	for origin, a := range d.aheads() {
+	for origin, a := range d.ahead {
 		next := d.Watermark(origin) + 1
 		for w := a.window; w != 0; w &= w - 1 {
-			dst = append(dst, proto.EventID{Origin: origin, Seq: next + uint64(bits.TrailingZeros64(w))})
+			dst = append(dst, proto.EventID{Origin: origin, Seq: next + uint32(bits.TrailingZeros64(w))})
 		}
 		for _, seq := range a.far {
 			dst = append(dst, proto.EventID{Origin: origin, Seq: seq})
@@ -472,16 +350,9 @@ func (d *CompactDigest) AppendSparse(dst []proto.EventID) []proto.EventID {
 // extended slice. With room in dst it allocates nothing.
 func (d *CompactDigest) AppendWatermarks(dst []proto.EventID) []proto.EventID {
 	n := len(dst)
-	for _, s := range d.narrow.slots {
-		if s.watermark > 0 && s.watermark != wideMark { // never so in a free slot; wideMark's in wide
-			dst = append(dst, proto.EventID{Origin: proto.ProcessID(s.origin), Seq: uint64(s.watermark)})
-		}
-	}
-	if d.side != nil {
-		for _, s := range d.side.wide.slots {
-			if s.watermark > 0 {
-				dst = append(dst, proto.EventID{Origin: proto.ProcessID(s.origin), Seq: s.watermark})
-			}
+	for _, s := range d.slots {
+		if s.watermark > 0 { // never so in a free slot
+			dst = append(dst, proto.EventID{Origin: s.origin, Seq: s.watermark})
 		}
 	}
 	slices.SortFunc(dst[n:], compareIDs)

@@ -48,7 +48,7 @@ func NewFIFO[V any](key func(V) proto.EventID) *FIFO[V] {
 func (f *FIFO[V]) Init(key func(V) proto.EventID) { f.key = key }
 
 func hashID(id proto.EventID) uint32 {
-	return uint32((uint64(id.Origin)*0x9e3779b97f4a7c15 ^ id.Seq*0xc2b2ae3d27d4eb4f) >> 32)
+	return uint32((uint64(id.Origin)*0x9e3779b97f4a7c15 ^ uint64(id.Seq)*0xc2b2ae3d27d4eb4f) >> 32)
 }
 
 // pos returns the ring position of entry i <= len(ring), oldest first.

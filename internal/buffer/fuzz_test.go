@@ -1,7 +1,6 @@
 package buffer
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/proto"
@@ -10,33 +9,33 @@ import (
 // FuzzCompactDigest checks the property the oracle checks, on sequences the
 // fuzzer writes: for any list of adds, membership questions and batched
 // reads, over a few origins, with sequence numbers around the origin's
-// watermark, 2^40 past it and around 2^32, the table SHALL answer as the map
-// of maps does — every Add, every Contains around the id, Watermark,
-// Origins, SparseLen, AppendSparse, AppendWatermarks, and AppendMissing over
-// every id named so far.
+// watermark, 2^30 past it and at the top of the sequence space, the table
+// SHALL answer as the map of maps does — every Add, every Contains around
+// the id, Watermark, Origins, SparseLen, AppendSparse, AppendWatermarks, and
+// AppendMissing over every id named so far.
 //
 // The input is an op list of two bytes each. Byte 0: bits 0–2 and bit 5
-// pick the origin (NilProcess, which is refused, two that share a home slot
-// past 2^32, two that share their low bits, the largest id; 2^32-1, the
-// largest a narrow slot holds, two below 2^32 that share a home slot,
-// 2^32+1 and 2^32-2 either side of the edge, 2, 3 and 2^31), bits 3–4 the op (0, 1 add; 2 contains; 3
-// append-missing). Byte 1 places the sequence number against the origin's
-// current watermark: below 192 it is watermark-64+b (seq 0 when that would
-// be negative), so either side of the watermark, the whole window and its
-// far edge; from 192 it is watermark+2^40+b-192, sixty-four ids only the
-// overflow set can hold, near enough each other to repeat. With bit 6 of
-// byte 0 set it is 2^32-129+b whatever the watermark: ids either side of
-// wideMark.
+// pick the origin (NilProcess, which is refused, two that share a home
+// slot, two that share their low bits, the largest id; 2^31+1, two more
+// that share that home slot, 2^31-1, 2^32-2, 2, 3 and 2^31), bits 3–4 the
+// op (0, 1 add; 2 contains; 3 append-missing). Byte 1 places the sequence
+// number against the origin's current watermark: below 192 it is
+// watermark-64+b (seq 0 when that would be negative), so either side of the
+// watermark, the whole window and its far edge; from 192 it is
+// watermark+2^30+b-192, sixty-four ids only the overflow set can hold, near
+// enough each other to repeat (proto.MaxSeq where that would pass it). With
+// bit 6 of byte 0 set it is proto.MaxSeq-255+b whatever the watermark: ids
+// at the top of the sequence space.
 func FuzzCompactDigest(f *testing.F) {
 	origins := [16]proto.ProcessID{
-		proto.NilProcess, 1, sharedHome(1), sharedHome(2), 1 << 32, 2 << 32, 7, ^proto.ProcessID(0),
-		math.MaxUint32, narrowHome(0), narrowHome(1), 1<<32 + 1, 1<<32 - 2, 2, 3, 1 << 31,
+		proto.NilProcess, 1, narrowHome(1), narrowHome(2), 1 << 20, 2 << 20, 7, ^proto.ProcessID(0),
+		1<<31 + 1, narrowHome(0), narrowHome(3), 1<<31 - 1, 1<<32 - 2, 2, 3, 1 << 31,
 	}
 	const add, contains, missing = 0, 2, 3
 	op := func(kind, origin int, b byte) []byte { return []byte{byte(kind<<3 | origin&7 | origin&8<<2), b} }
 
 	// The oracle's scripted sequence (twoFarSets): two origins sharing a home
-	// hold 70, 71 and 2^40, then one delivers 1..7 and absorbs two of them.
+	// hold 70, 71 and 2^30, then one delivers 1..7 and absorbs two of them.
 	var two []byte
 	for _, b := range []byte{64 + 70, 64 + 71, 192} {
 		two = append(append(two, op(add, 2, b)...), op(add, 3, b)...)
@@ -47,7 +46,7 @@ func FuzzCompactDigest(f *testing.F) {
 	f.Add(append(two, op(missing, 0, 0)...))
 
 	// TestCompactDigestWindowEdges' walk: seq 0, ten in order, the window's
-	// last positions, the first two overflow positions and 2^40 (each twice),
+	// last positions, the first two overflow positions and 2^30 (each twice),
 	// the window filled, then the one delivery that absorbs it all.
 	edges := op(add, 1, 64)
 	for seq := 1; seq <= 10; seq++ {
@@ -69,10 +68,10 @@ func FuzzCompactDigest(f *testing.F) {
 	}
 	f.Add(append(grow, op(missing, 0, 0)...))
 
-	// Ids either side of wideMark at narrow and wide origins, in and past
-	// the reach of the window, then read back.
+	// Ids at the top of the sequence space, in and past the reach of the
+	// window, then read back.
 	var edge []byte
-	for _, o := range []int{8, 9, 10, 4} {
+	for _, o := range []int{8, 9, 10, 7} {
 		for _, b := range []byte{0, 127, 128, 129, 255} {
 			edge = append(edge, op(add, o, b)...)
 			edge[len(edge)-2] |= 1 << 6
@@ -88,11 +87,11 @@ func FuzzCompactDigest(f *testing.F) {
 			id := proto.EventID{Origin: origins[ops[0]&7|ops[0]>>2&8]}
 			switch wm, b := p.want.Watermark(id.Origin), uint64(ops[1]); {
 			case ops[0]&(1<<6) != 0:
-				id.Seq = wideMark - 128 + b
+				id.Seq = uint32(proto.MaxSeq - 255 + b)
 			case b >= 192:
-				id.Seq = wm + 1<<40 + b - 192
+				id.Seq = uint32(min(wm+1<<30+b-192, proto.MaxSeq))
 			case wm+b >= 64:
-				id.Seq = wm + b - 64
+				id.Seq = uint32(min(wm+b-64, proto.MaxSeq))
 			}
 			named = append(named, id)
 			switch ops[0] >> 3 & 3 {
@@ -127,11 +126,10 @@ func FuzzCompactDigest(f *testing.F) {
 // bits 0–1 the op (0, 1 store; 2 lookup; 3 a run of 1+b%64 fresh stores,
 // which grows and wraps the ring), bits 2–3 the payload (nil; empty;
 // 1+b%100 bytes), bits 4–7 the id: below 10 the next fresh one; 10 and 11
-// an id either side of the ring word's fit rule — in a run a fresh wide one,
-// origin 2^32 and up, otherwise the edge origin b%4 (archiveEdgeOrigins,
-// 2^63+5 moved up by b/32) with the edge seq b/4%8 (archiveEdgeSeqs); from
-// 12 the b%seq-th fitting one stored so far: held, or long evicted. Byte 1
-// is b.
+// an id at the edges of a ring word — in a run a fresh one, otherwise the
+// origin b%4 of 0, 2, 2^31 and 2^32-1 with the seq b/4%4 of 0, 1, 2^32-2
+// and 2^32-1; from 12 the b%seq-th fresh one stored so far: held, or long
+// evicted. Byte 1 is b.
 func FuzzArchive(f *testing.F) {
 	archiveBounds := []int{-1, 0, 1, 2, 3, 7, 8, 9, 60, 200}
 	archiveWindows := []int{0, 3, 60, 300}
@@ -156,18 +154,12 @@ func FuzzArchive(f *testing.F) {
 	f.Add(append(grow, op(lookup, none, again, 3)...))
 	// A bound of 1: every store evicts, repeats of held and evicted ids.
 	f.Add([]byte{2, op(store, bytes, fresh, 9)[0], 9, op(store, bytes, again, 0)[0], 0, op(run, bytes, fresh, 5)[0], 5, op(store, none, again, 1)[0], 1})
-	// A full ring of 60 wide ids that wraps, then a full lap of fitting
-	// ones, which drops the wide ring; then the edge ids, with payloads.
-	wide := []byte{8}
-	wide = append(wide, op(run, none, edge, 63)...)
-	wide = append(wide, op(lookup, none, edge, 2)...)
-	for i := 0; i < 2; i++ { // 128 stores: from position 4 on, a lap from 0 to 59 among them
-		wide = append(wide, op(run, none, fresh, 63)...)
-	}
+	// The edge ids in a ring of 60, with payloads.
+	edges := []byte{8}
 	for b := 0; b < 32; b++ {
-		wide = append(append(wide, op(store, bytes, edge, byte(b*9))...), op(lookup, none, edge, byte(b*7))...)
+		edges = append(append(edges, op(store, bytes, edge, byte(b*9))...), op(lookup, none, edge, byte(b*7))...)
 	}
-	f.Add(wide)
+	f.Add(edges)
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) == 0 {
@@ -175,23 +167,17 @@ func FuzzArchive(f *testing.F) {
 		}
 		b0 := int(ops[0])
 		p := newFIFOPair(t, 0, archiveBounds[b0%len(archiveBounds)], archiveWindows[b0/len(archiveBounds)%len(archiveWindows)])
-		next := uint64(0)
+		edgeOrigins := []proto.ProcessID{0, 2, 1 << 31, 1<<32 - 1}
+		edgeSeqs := []uint32{0, 1, 1<<32 - 2, 1<<32 - 1}
+		next := uint32(0)
 		event := func(a, b byte, anew bool) proto.Event {
 			seq := next + 1
 			if !anew && a>>4 >= again && next > 0 {
-				seq = 1 + uint64(b)%next
+				seq = 1 + uint32(b)%next
 			}
 			ev := proto.Event{ID: proto.EventID{Origin: proto.ProcessID(1 + seq%3), Seq: seq}}
-			switch k := a >> 4; {
-			case k < edge || k >= again:
-			case anew:
-				ev.ID.Origin += 1 << 32
-			default:
-				o := archiveEdgeOrigins[b%4]
-				if o > 1<<63 {
-					o += proto.ProcessID(b / 32)
-				}
-				ev.ID = proto.EventID{Origin: o, Seq: archiveEdgeSeqs[b/4%8]}
+			if k := a >> 4; !anew && k >= edge && k < again {
+				ev.ID = proto.EventID{Origin: edgeOrigins[b%4], Seq: edgeSeqs[b/4%4]}
 			}
 			switch a >> 2 & 3 {
 			case none:

@@ -86,7 +86,7 @@ func TestKeyedListOracle(t *testing.T) {
 		if cap(l.items) != 0 || l.idx != nil {
 			t.Fatalf("a list never added to holds %d slots, index %v", cap(l.items), l.idx != nil)
 		}
-		next, op, grown, everLong, flood := uint64(0), 0, 0, false, false
+		next, op, grown, everLong, flood := uint32(0), 0, 0, false, false
 		check := func(what string, probes ...proto.EventID) {
 			t.Helper()
 			if !slices.EqualFunc(l.items, ref.items, func(a, b proto.Event) bool { return a.ID == b.ID }) {
@@ -172,10 +172,10 @@ func TestKeyedListOracle(t *testing.T) {
 					truncate(bound)
 				}
 			case k < 14: // an id offered before: held, or long gone
-				add(proto.EventID{Origin: proto.ProcessID(1 + gen.Intn(3)), Seq: 1 + uint64(gen.Intn(int(next)+1))})
+				add(proto.EventID{Origin: proto.ProcessID(1 + gen.Intn(3)), Seq: 1 + uint32(gen.Intn(int(next)+1))})
 			case k < 17:
 				op++
-				id := proto.EventID{Origin: proto.ProcessID(1 + gen.Intn(3)), Seq: 1 + uint64(gen.Intn(int(next)+1))}
+				id := proto.EventID{Origin: proto.ProcessID(1 + gen.Intn(3)), Seq: 1 + uint32(gen.Intn(int(next)+1))}
 				if len(ref.items) > 0 && gen.Intn(2) == 0 {
 					id = ref.items[gen.Intn(len(ref.items))].ID
 				}
@@ -212,8 +212,8 @@ func TestKeyedListBounded(t *testing.T) {
 		var l KeyedList[proto.EventID, proto.Event]
 		l.Init(eventKey)
 		r := rng.New(uint64(bound))
-		seq := uint64(0)
-		for ; seq < uint64(5*bound+20); seq++ {
+		seq := uint32(0)
+		for ; seq < uint32(5*bound+20); seq++ {
 			ev := proto.Event{ID: proto.EventID{Origin: 3, Seq: seq + 1}}
 			if !l.AddBounded(ev, bound) || l.AddBounded(ev, bound) {
 				t.Fatalf("bound %d: AddBounded(%v) refused a fresh id or took it twice", bound, ev.ID)
@@ -226,7 +226,7 @@ func TestKeyedListBounded(t *testing.T) {
 		if cap(l.items) != bound {
 			t.Fatalf("bound %d: %d slots after %d adds", bound, cap(l.items), seq)
 		}
-		for grown, held := bound, l.Len(); seq < uint64(8*bound+40); seq++ {
+		for grown, held := bound, l.Len(); seq < uint32(8*bound+40); seq++ {
 			if !l.AddBounded(proto.Event{ID: proto.EventID{Origin: 3, Seq: seq + 1}}, bound) {
 				t.Fatalf("bound %d: a fresh id refused", bound)
 			}

@@ -76,16 +76,6 @@ import (
 // long, the flat window's membership one id short, and the ring built
 // without the eventIds window.
 //
-// Of the archive's ring words and its wide ring (TestArchiveWideOracle,
-// FuzzArchive's seed of a wide lap, TestHostileWideIDsArchiveBounded), each
-// caught: an id with seq 0 packed as if it fits; seq 2^32-1 taken as wide;
-// origin 2^32 taken as fitting; a wide query matched against a narrow word
-// (the stale side entry at a position a fitting id wrote over); the wide
-// ring dropped at a lap's end while one wide entry remains, never dropped,
-// or kept because the lap's wide mark is never cleared; the lap's end taken
-// one position early; the wide ring not grown with the id ring; the side
-// kept once it holds neither ring; AppendNewest's wrapped rest one short.
-//
 // Of the side map and the overflow list's bound: an origin's entry kept
 // after its gap closed (the side-map check in add); maxFar ignored, the
 // newcomer dropped where a kept id lies further, or an id past a full list
@@ -117,11 +107,11 @@ func (d *refDigest) Contains(id proto.EventID) bool {
 	if id.Seq == 0 {
 		return false
 	}
-	if id.Seq <= od.watermark {
+	if uint64(id.Seq) <= od.watermark {
 		return true
 	}
-	_, ok = od.sparse[id.Seq]
-	return ok || od.refuses(id.Seq)
+	_, ok = od.sparse[uint64(id.Seq)]
+	return ok || od.refuses(uint64(id.Seq))
 }
 
 // refuses is the one rule added since: while maxFar ids more than 64 past
@@ -174,22 +164,23 @@ func (d *refDigest) Add(id proto.EventID) bool {
 		return false
 	}
 	od := d.origins[id.Origin] // zero value for a new origin
-	if id.Seq <= od.watermark {
+	seq := uint64(id.Seq)
+	if seq <= od.watermark {
 		return false
 	}
-	if _, dup := od.sparse[id.Seq]; dup {
+	if _, dup := od.sparse[seq]; dup {
 		return false
 	}
-	if od.refuses(id.Seq) {
+	if od.refuses(seq) {
 		return false
 	}
-	if id.Seq == od.watermark+1 {
+	if seq == od.watermark+1 {
 		od.watermark++
 	} else {
 		if od.sparse == nil {
 			od.sparse = make(map[uint64]struct{})
 		}
-		od.sparse[id.Seq] = struct{}{}
+		od.sparse[seq] = struct{}{}
 		// The rule's other half: past maxFar such ids the furthest goes,
 		// and the horizon falls to the new furthest.
 		far, top := 0, uint64(0)
@@ -232,10 +223,10 @@ func (d *refDigest) appendLists(sparse, watermarks []proto.EventID) ([]proto.Eve
 	n, m := len(sparse), len(watermarks)
 	for origin, od := range d.origins {
 		for s := range od.sparse {
-			sparse = append(sparse, proto.EventID{Origin: origin, Seq: s})
+			sparse = append(sparse, proto.EventID{Origin: origin, Seq: uint32(s)})
 		}
 		if od.watermark > 0 {
-			watermarks = append(watermarks, proto.EventID{Origin: origin, Seq: od.watermark})
+			watermarks = append(watermarks, proto.EventID{Origin: origin, Seq: uint32(od.watermark)})
 		}
 	}
 	byID := func(a, b proto.EventID) bool { return a.Origin < b.Origin || a.Origin == b.Origin && a.Seq < b.Seq }
@@ -349,21 +340,10 @@ type digestPair struct {
 	ids, missing, wantMissing []proto.EventID // the batched read's scratch
 }
 
-// hashMulInverse undoes the table's hash: origin hashMulInverse*h hashes to
-// h, so origins can be made to order for any home slot.
-const hashMulInverse = 0xf1de83e19937733d
-
-// sharedHome returns the k-th of a family of origins whose hashes agree in
-// their top 40 bits: they share a home slot in a table of any size. All but
-// a few are past 2^32, so they live in the side's wide table.
-func sharedHome(k int) proto.ProcessID {
-	return proto.ProcessID((0xabcdef0123<<24 | uint64(k)) * hashMulInverse)
-}
-
-// narrowHomes is a family of 1 100 origins below 2^32 found by search: the
-// smallest whose hashes have their top 12 bits set, so that each has the
-// last slot as its home in a table of any length up to 4 096, and a probe
-// from it wraps at once. The inverse that makes sharedHome gives wide ids.
+// narrowHomes is a family of 1 100 origins found by search: the smallest
+// whose hashes have their top 12 bits set, so that each has the last slot
+// as its home in a table of any length up to 4 096, and a probe from it
+// wraps at once.
 var narrowHomes = sync.OnceValue(func() []proto.ProcessID {
 	var homes []proto.ProcessID
 	for o := uint64(1); len(homes) < 1100; o++ {
@@ -394,9 +374,9 @@ func (p *digestPair) probe(r *rng.Source, origins []proto.ProcessID, offsets []u
 		wm := p.want.Watermark(id.Origin)
 		switch r.Intn(4) {
 		case 0:
-			id.Seq = uint64(r.Intn(int(wm) + 2)) // at or below the watermark, 0 included
+			id.Seq = uint32(r.Intn(int(wm) + 2)) // at or below the watermark, 0 included
 		default:
-			id.Seq = wm + offsets[r.Intn(len(offsets))]
+			id.Seq = uint32(wm + offsets[r.Intn(len(offsets))])
 		}
 		ids = append(ids, id)
 	}
@@ -408,7 +388,7 @@ func (p *digestPair) probe(r *rng.Source, origins []proto.ProcessID, offsets []u
 // per id, and checks that what dst held stays in front.
 func (p *digestPair) checkMissing(ids []proto.EventID) {
 	p.t.Helper()
-	kept := proto.EventID{Origin: 1<<63 | 1, Seq: 1<<63 | 1}
+	kept := proto.EventID{Origin: 1<<31 | 1, Seq: 1<<31 | 1}
 	p.missing = p.got.AppendMissing(append(p.missing[:0], kept), ids)
 	want := append(p.wantMissing[:0], kept)
 	for _, id := range ids {
@@ -442,31 +422,27 @@ func (p *digestPair) add(id proto.EventID, whole bool) {
 	if g, w := p.got.Add(id), p.want.Add(id); g != w {
 		p.t.Fatalf("seed %d op %d: Add(%v) = %v, reference %v", p.seed, p.op, id, g, w)
 	}
-	// The id itself, its neighbours, and the edges of the window and of
-	// the overflow set around the origin's watermark.
+	// The id itself, its neighbours, the edges of the window and of the
+	// overflow set around the origin's watermark, and the last seq.
 	wm := p.want.Watermark(id.Origin)
-	for _, seq := range []uint64{id.Seq, id.Seq - 1, id.Seq + 1, 0, 1, wm, wm + 1, wm + 2, wm + 63, wm + 64, wm + 65, wm + 66, wm + 1<<40, wideMark - 1, wideMark, wideMark + 1} {
-		q := proto.EventID{Origin: id.Origin, Seq: seq}
+	for _, seq := range []uint64{uint64(id.Seq), uint64(id.Seq) - 1, uint64(id.Seq) + 1, 0, 1, wm, wm + 1, wm + 2, wm + 63, wm + 64, wm + 65, wm + 66, wm + 1<<30, proto.MaxSeq - 1, proto.MaxSeq} {
+		if seq > proto.MaxSeq {
+			continue
+		}
+		q := proto.EventID{Origin: id.Origin, Seq: uint32(seq)}
 		if g, w := p.got.Contains(q), p.want.Contains(q); g != w {
 			p.t.Fatalf("seed %d op %d: after Add(%v) Contains(%v) = %v, reference %v", p.seed, p.op, id, q, g, w)
 		}
 	}
-	if g := p.got.Watermark(id.Origin); g != wm {
+	if g := p.got.Watermark(id.Origin); uint64(g) != wm {
 		p.t.Fatalf("seed %d op %d: Watermark(%d) = %d, reference %d", p.seed, p.op, id.Origin, g, wm)
 	}
 	if g, w := p.got.Origins(), p.want.Origins(); g != w {
 		p.t.Fatalf("seed %d op %d: Origins = %d, reference %d", p.seed, p.op, g, w)
 	}
-	_, held := p.got.aheads()[id.Origin]
+	_, held := p.got.ahead[id.Origin]
 	if ahead := len(p.want.origins[id.Origin].sparse) != 0; held != ahead {
 		p.t.Fatalf("seed %d op %d: after Add(%v) the side map holds the origin: %v, want %v", p.seed, p.op, id, held, ahead)
-	}
-	if _, tracked := p.want.origins[id.Origin]; tracked && id.Origin <= math.MaxUint32 {
-		// A narrow origin keeps its slot; the slot says wideMark exactly
-		// when the watermark has reached it.
-		if s := p.got.narrow.find(uint32(id.Origin)); s == nil || uint64(s.origin) != uint64(id.Origin) || (s.watermark == wideMark) != (wm >= wideMark) {
-			p.t.Fatalf("seed %d op %d: after Add(%v) origin %d's slot is %+v at watermark %d", p.seed, p.op, id, id.Origin, s, wm)
-		}
 	}
 	if !whole {
 		return
@@ -474,7 +450,7 @@ func (p *digestPair) add(id proto.EventID, whole bool) {
 	if g, w := p.got.SparseLen(), p.want.SparseLen(); g != w {
 		p.t.Fatalf("seed %d op %d: SparseLen = %d, reference %d", p.seed, p.op, g, w)
 	}
-	kept := proto.EventID{Origin: 1<<63 | 1, Seq: 1<<63 | 1}
+	kept := proto.EventID{Origin: 1<<31 | 1, Seq: 1<<31 | 1}
 	sparse, watermarks := p.want.appendLists(nil, nil)
 	ahead := 0
 	for i, id := range sparse {
@@ -488,8 +464,8 @@ func (p *digestPair) add(id proto.EventID, whole bool) {
 	if g := p.got.AppendWatermarks([]proto.EventID{kept}); g[0] != kept || !slices.Equal(g[1:], watermarks) {
 		p.t.Fatalf("seed %d op %d: AppendWatermarks = %v, reference %v after %v", p.seed, p.op, g[1:], watermarks, kept)
 	}
-	if len(p.got.aheads()) != ahead {
-		p.t.Fatalf("seed %d op %d: %d side-map entries, %d origins hold ids above their watermark", p.seed, p.op, len(p.got.aheads()), ahead)
+	if len(p.got.ahead) != ahead {
+		p.t.Fatalf("seed %d op %d: %d side-map entries, %d origins hold ids above their watermark", p.seed, p.op, len(p.got.ahead), ahead)
 	}
 }
 
@@ -501,19 +477,17 @@ func (p *digestPair) add(id proto.EventID, whole bool) {
 // all occur; the origin universes run from one origin (origin 0, which is
 // refused, among them, ids that share their low bits, and ids that share a
 // home slot whatever the table's length) to enough to cross every growth
-// step up to a thousand tracked origins. A new origin's first id is past
-// the window four times in fifteen, so origins whose only record sits in
-// the overflow set are carried through those steps too. Seeds 1–160 draw
-// their universes mostly past 2^32, from the side's wide table; seeds
-// 161–320 draw them all below, from the digest's own table: small ids,
-// random ones, ids that share a home slot (narrowHome), and ids counting
-// down from 2^32-1 in steps that keep their low bits equal.
+// step up to a thousand tracked origins: small ids, random ones, ids that
+// share a home slot (narrowHome), and ids counting down from 2^32-1 in
+// steps that keep their low bits equal. A new origin's first id is past the
+// window four times in fifteen, so origins whose only record sits in the
+// overflow set are carried through those steps too.
 //
 // Scripted sequences come first: two origins sharing a home slot both hold
 // ids past their windows, one of them absorbs its way up to them, and the
 // other's set must not move (twoFarSets); a full overflow list that is
-// refused, then folds (fullFarList); and the edge between the two tables
-// (wideEdges).
+// refused, then folds (fullFarList); and the top of the sequence space
+// (topEdge).
 //
 // Before the first op and after every one the batched read, AppendMissing,
 // is compared with one reference Contains per id over a fresh list of ids
@@ -521,33 +495,26 @@ func (p *digestPair) add(id proto.EventID, whole bool) {
 // either side of one and of three blocks.
 func TestCompactDigestOracle(t *testing.T) {
 	t.Parallel()
-	offsets := []uint64{1, 1, 1, 1, 2, 2, 3, 5, 17, 63, 64, 65, 66, 130, 1 << 40}
+	offsets := []uint64{1, 1, 1, 1, 2, 2, 3, 5, 17, 63, 64, 65, 66, 130, 1 << 30}
 	lengths := []int{0, 1, 63, 64, 65, 200}
 	twoFarSets(t)
 	fullFarList(t)
-	wideEdges(t)
-	for seed := uint64(1); seed <= 320; seed++ {
+	topEdge(t)
+	for seed := uint64(161); seed <= 320; seed++ {
 		r := rng.New(seed)
 		probes := rng.New(seed ^ 0x5eed) // its own stream: the ops stay what they were
 		universe := []int{1, 3, 40, 1100}[seed%4]
 		origins := make([]proto.ProcessID, universe)
-		narrow := seed > 160
 		for i := range origins {
-			switch k := r.Intn(4); {
-			case k == 0:
+			switch r.Intn(4) {
+			case 0:
 				origins[i] = proto.ProcessID(i) // origin 0 included
-			case k == 1 && narrow:
+			case 1:
 				origins[i] = proto.ProcessID(r.Uint64() >> 32)
-			case k == 1:
-				origins[i] = proto.ProcessID(r.Uint64())
-			case k == 2 && narrow:
+			case 2:
 				origins[i] = narrowHome(i)
-			case k == 2:
-				origins[i] = sharedHome(i)
-			case narrow:
-				origins[i] = proto.ProcessID(math.MaxUint32 - uint64(i)<<20) // equal low bits, 2^32-1 first
 			default:
-				origins[i] = proto.ProcessID(uint64(i) << 32) // equal low bits
+				origins[i] = proto.ProcessID(math.MaxUint32 - uint64(i)<<20) // equal low bits, 2^32-1 first
 			}
 		}
 		p := digestPair{t: t, seed: seed}
@@ -565,14 +532,14 @@ func TestCompactDigestOracle(t *testing.T) {
 			default:
 				seq = wm + offsets[r.Intn(len(offsets))]
 			}
-			p.add(proto.EventID{Origin: origin, Seq: seq}, universe <= 3 || i%(universe/8) == 0 || i == ops-1)
+			p.add(proto.EventID{Origin: origin, Seq: uint32(min(seq, proto.MaxSeq))}, universe <= 3 || i%(universe/8) == 0 || i == ops-1)
 			p.checkMissing(p.probe(probes, origins, offsets, lengths[i%len(lengths)]))
 		}
 	}
 }
 
 // twoFarSets is the oracle's scripted sequence. Origins a and b share a home
-// slot; both record ids 70, 71 and 2^40 before anything else, so each is an
+// slot; both record ids 70, 71 and 2^30 before anything else, so each is an
 // origin whose only record is its overflow set. Then a delivers 1..7: at
 // watermark 6 its window reaches 70, at 7 it reaches 71, and both leave a's
 // set while b's, compared in full after every op, stays as it was. Thirty
@@ -580,19 +547,19 @@ func TestCompactDigestOracle(t *testing.T) {
 func twoFarSets(t *testing.T) {
 	t.Helper()
 	p := digestPair{t: t}
-	a, b := sharedHome(1), sharedHome(2)
-	for _, seq := range []uint64{70, 71, 1 << 40} {
+	a, b := narrowHome(1), narrowHome(2)
+	for _, seq := range []uint32{70, 71, 1 << 30} {
 		p.add(proto.EventID{Origin: a, Seq: seq}, true)
 		p.add(proto.EventID{Origin: b, Seq: seq}, true)
 	}
-	for seq := uint64(1); seq <= 7; seq++ {
+	for seq := uint32(1); seq <= 7; seq++ {
 		p.add(proto.EventID{Origin: a, Seq: seq}, true)
 	}
 	for k := 3; k < 33; k++ {
-		p.add(proto.EventID{Origin: sharedHome(k), Seq: 1}, true)
+		p.add(proto.EventID{Origin: narrowHome(k), Seq: 1}, true)
 	}
 	far := map[proto.ProcessID]int{}
-	for origin, a := range p.got.aheads() {
+	for origin, a := range p.got.ahead {
 		far[origin] = len(a.far)
 	}
 	if len(far) != 2 || far[a] != 1 || far[b] != 3 || p.got.SparseLen() != 6 {
@@ -613,106 +580,80 @@ func twoFarSets(t *testing.T) {
 func fullFarList(t *testing.T) {
 	t.Helper()
 	p := digestPair{t: t}
-	a, b := sharedHome(3), sharedHome(4)
+	a, b := narrowHome(3), narrowHome(4)
 	p.add(proto.EventID{Origin: b, Seq: 200}, true)
-	p.add(proto.EventID{Origin: b, Seq: 1 << 40}, true)
+	p.add(proto.EventID{Origin: b, Seq: 1 << 30}, true)
 	p.add(proto.EventID{Origin: a, Seq: 1}, true)
 	for i := 0; i < 1100; i++ {
-		id := proto.EventID{Origin: a, Seq: 300 + uint64(i*37%1100)}
+		id := proto.EventID{Origin: a, Seq: 300 + uint32(i*37%1100)}
 		p.add(id, i%50 == 0 || i >= 1020 && i <= 1030)
 		if i%10 == 0 {
 			p.add(id, false)
 		}
 	}
-	if !p.got.Contains(proto.EventID{Origin: a, Seq: 1399}) || len(p.got.aheads()[a].far) != maxFar {
+	if !p.got.Contains(proto.EventID{Origin: a, Seq: 1399}) || len(p.got.ahead[a].far) != maxFar {
 		t.Fatalf("after 1 100 ids ahead: %d kept, 1399 held %v; want a full list that holds 1399",
-			len(p.got.aheads()[a].far), p.got.Contains(proto.EventID{Origin: a, Seq: 1399}))
+			len(p.got.ahead[a].far), p.got.Contains(proto.EventID{Origin: a, Seq: 1399}))
 	}
-	for seq := uint64(2); seq <= 1399; seq++ {
+	for seq := uint32(2); seq <= 1399; seq++ {
 		p.add(proto.EventID{Origin: a, Seq: seq}, seq%50 == 0 || seq >= 170 && seq <= 174 || seq >= 1322 && seq <= 1326)
 	}
-	if w := p.got.Watermark(a); w != 1399 || len(p.got.aheads()) != 1 {
-		t.Fatalf("after the full list: watermark %d, %d side-map entries; want 1399 and b's alone", w, len(p.got.aheads()))
+	if w := p.got.Watermark(a); w != 1399 || len(p.got.ahead) != 1 {
+		t.Fatalf("after the full list: watermark %d, %d side-map entries; want 1399 and b's alone", w, len(p.got.ahead))
 	}
 }
 
-// wideEdges is the oracle's third scripted sequence, at the edge between
-// the digest's table and the side's wide one, every op compared in full:
+// topEdge is the oracle's third scripted sequence, at the top of the
+// sequence space, where the window's arithmetic would pass 2^32-1; every
+// op is compared in full:
 //
-//   - origins 2^32-1, the last a narrow slot holds, and 2^32, the first the
-//     wide table holds, side by side, each with ids in order, in its window
-//     and past it;
-//   - a narrow origin whose first 1 024 ids, 2^32-10 and then 2^32+100
-//     onwards, fill its overflow list at watermark 0: the list folds, the
-//     watermark rises to 2^32-10, just below wideMark, and ids in order
-//     then carry it across wideMark and on through the list, to 2^32+1 122;
-//   - a narrow origin sent 1 100 ids counting down from 2^40, as
-//     TestHostileFarAheadDeliveredOnce sends them: its full list folds the
-//     watermark from 0 to 2^40;
-//   - a narrow origin whose 1 024 ids in a row fold and absorb at once, to
-//     2^32-5 with nothing ahead, so that ids in order cross wideMark on
-//     Add's fast path;
-//   - narrow and wide origins interleaved by origin in AppendWatermarks and
-//     AppendSparse, and the batched read over ids either side of wideMark
-//     and of a wide origin whose low 32 bits and home slot are a narrow
-//     origin's.
-func wideEdges(t *testing.T) {
+//   - an origin whose first 1 024 ids, the last up to proto.MaxSeq, fill
+//     its overflow list at watermark 0: the list folds, and the watermark
+//     rises to MaxSeq with nothing ahead;
+//   - an origin whose 1 024 ids in a row fold and absorb to MaxSeq-4, so
+//     that ids in order reach MaxSeq on Add's fast path;
+//   - an origin folded to MaxSeq-67 that then holds MaxSeq-3 in its
+//     window's last bit and MaxSeq-2 and MaxSeq in its overflow list, and
+//     absorbs them all as the ids below arrive in order;
+//   - the batched read over ids at and around each origin's watermark and
+//     the last seq.
+func topEdge(t *testing.T) {
 	t.Helper()
 	p := digestPair{t: t}
-	edge, next, wide := proto.ProcessID(math.MaxUint32), proto.ProcessID(1<<32), proto.ProcessID(1<<40)
-	crosser, folded, smooth := narrowHome(0), narrowHome(1), narrowHome(2) // one home slot
-	for _, id := range []proto.EventID{
-		{Origin: edge, Seq: 1}, {Origin: next, Seq: 1}, {Origin: edge, Seq: 3}, {Origin: next, Seq: 3},
-		{Origin: next, Seq: 70}, {Origin: edge, Seq: 70}, {Origin: 5, Seq: 2}, {Origin: wide, Seq: 1},
-		{Origin: edge, Seq: 2}, {Origin: 5, Seq: 1 << 40}, {Origin: 5, Seq: 1},
-	} {
-		p.add(id, true)
+	folded, smooth, windowed := narrowHome(0), narrowHome(1), narrowHome(2) // one home slot
+	if got := foldStream(&p, folded, proto.MaxSeq-1023, proto.MaxSeq); got != 1024 {
+		t.Fatalf("%d of the last 1 024 ids were new", got)
 	}
-	p.add(proto.EventID{Origin: crosser, Seq: wideMark - 9}, true)
-	for k := uint64(0); k < maxFar-1; k++ {
-		p.add(proto.EventID{Origin: crosser, Seq: 1<<32 + 100 + k}, k%100 == 0 || k >= maxFar-3)
-	}
-	if w, s := p.got.Watermark(crosser), p.got.narrow.find(uint32(crosser)); w != wideMark-9 || s.watermark != wideMark-9 {
-		t.Fatalf("after the fold: watermark %d, slot %+v; want %d in the slot", w, s, wideMark-9)
-	}
-	for seq := uint64(wideMark - 8); seq <= 1<<32+99; seq++ {
-		p.add(proto.EventID{Origin: crosser, Seq: seq}, seq <= 1<<32 || seq%16 == 0)
-	}
-	if w, s := p.got.Watermark(crosser), p.got.narrow.find(uint32(crosser)); w != 1<<32+1122 || s.watermark != wideMark || p.got.side.wide.find(uint64(crosser)).watermark != w {
-		t.Fatalf("after the crossing: watermark %d, slot %+v; want %d in the wide table", w, s, uint64(1<<32+1122))
-	}
-	for i := uint64(0); i < 1100; i++ {
-		p.add(proto.EventID{Origin: folded, Seq: 1<<40 - i}, i%100 == 0 || i >= maxFar-2 && i <= maxFar)
-	}
-	if w := p.got.Watermark(folded); w != 1<<40 {
-		t.Fatalf("after the descending flood: watermark %d, want 2^40", w)
-	}
-	// 1 024 ids in a row fold and absorb at once, leaving nothing ahead, so
-	// the ids in order from 2^32-4 cross wideMark on Add's fast path.
-	for seq := uint64(1<<32 - 1028); seq < 1<<32-4; seq++ {
+	for seq := uint32(proto.MaxSeq - 1027); seq < proto.MaxSeq-3; seq++ {
 		p.add(proto.EventID{Origin: smooth, Seq: seq}, false)
 	}
-	for seq := uint64(1<<32 - 4); seq <= 1<<32+4; seq++ {
-		p.add(proto.EventID{Origin: smooth, Seq: seq}, true)
+	for seq := uint64(proto.MaxSeq - 3); seq <= proto.MaxSeq; seq++ {
+		p.add(proto.EventID{Origin: smooth, Seq: uint32(seq)}, true)
 	}
-	p.add(proto.EventID{Origin: crosser, Seq: 1<<32 + 1124}, true) // one ahead of a wide watermark
-	// A wide origin whose home in the narrow table is origin 5's slot, and
-	// whose low 32 bits are 5: the batched read must not take 5's slot for it.
-	n, alias := len(p.got.narrow.slots), proto.ProcessID(5+1<<32)
-	for homeSlot(alias, n) != homeSlot(5, n) {
-		alias += 1 << 32
+	for seq := uint32(proto.MaxSeq - 1090); seq <= proto.MaxSeq-67; seq++ {
+		p.add(proto.EventID{Origin: windowed, Seq: seq}, false)
 	}
-	ids := []proto.EventID{{Origin: alias, Seq: 1}}
-	for _, origin := range []proto.ProcessID{edge, next, wide, crosser, folded, smooth, 5} {
+	if w := p.got.Watermark(windowed); w != proto.MaxSeq-67 {
+		t.Fatalf("after the fold: watermark %d, want %d", w, uint32(proto.MaxSeq-67))
+	}
+	for _, seq := range []uint32{proto.MaxSeq, proto.MaxSeq - 2, proto.MaxSeq - 3} {
+		p.add(proto.EventID{Origin: windowed, Seq: seq}, true)
+	}
+	for seq := uint64(proto.MaxSeq - 66); seq <= proto.MaxSeq; seq++ {
+		p.add(proto.EventID{Origin: windowed, Seq: uint32(seq)}, seq%8 == 0 || seq >= proto.MaxSeq-4)
+	}
+	var ids []proto.EventID
+	for _, origin := range []proto.ProcessID{folded, smooth, windowed, 5} {
 		wm := p.want.Watermark(origin)
-		for _, seq := range []uint64{1, wideMark - 1, wideMark, wideMark + 1, wm - 1, wm, wm + 1, wm + 2, wm + 70} {
-			ids = append(ids, proto.EventID{Origin: origin, Seq: seq})
+		for _, seq := range []uint64{1, wm - 1, wm, wm + 1, proto.MaxSeq - 1, proto.MaxSeq} {
+			ids = append(ids, proto.EventID{Origin: origin, Seq: uint32(seq)})
 		}
 	}
 	p.checkMissing(ids)
-	want := []proto.EventID{{Origin: 5, Seq: 2}, {Origin: crosser, Seq: 1<<32 + 1122}, {Origin: folded, Seq: 1 << 40}, {Origin: smooth, Seq: 1<<32 + 4}, {Origin: edge, Seq: 3}, {Origin: next, Seq: 1}, {Origin: wide, Seq: 1}}
-	if got := p.got.AppendWatermarks(nil); !slices.Equal(got, want) {
-		t.Fatalf("AppendWatermarks = %v, want %v", got, want)
+	for _, origin := range []proto.ProcessID{folded, smooth, windowed} {
+		if w := p.got.Watermark(origin); w != proto.MaxSeq || p.got.holdsAhead(origin) {
+			t.Fatalf("origin %d: watermark %d, ids ahead %v; want MaxSeq and none", origin, w, p.got.holdsAhead(origin))
+		}
 	}
 }
 
@@ -722,7 +663,7 @@ func foldStream(p *digestPair, a proto.ProcessID, from, to uint64) int {
 	p.t.Helper()
 	fresh := 0
 	for seq := from; seq <= to; seq++ {
-		id := proto.EventID{Origin: a, Seq: seq}
+		id := proto.EventID{Origin: a, Seq: uint32(seq)}
 		if p.got.Contains(id) {
 			p.t.Fatalf("%v held before it arrived", id)
 		}
@@ -750,21 +691,21 @@ func TestCompactDigestPermanentGap(t *testing.T) {
 	t.Parallel()
 	for _, hole := range []uint64{1, 5} {
 		p := digestPair{t: t}
-		a := sharedHome(7)
-		p.add(proto.EventID{Origin: sharedHome(8), Seq: 70}, true) // a neighbour ahead throughout
+		a := narrowHome(7)
+		p.add(proto.EventID{Origin: narrowHome(8), Seq: 70}, true) // a neighbour ahead throughout
 		if foldStream(&p, a, 1, hole-1) != int(hole-1) {
 			t.Fatalf("hole %d: the ids before it were not all new", hole)
 		}
 		if got := foldStream(&p, a, hole+1, hole+3000); got != 3000 {
 			t.Fatalf("hole %d: %d of the 3 000 ids after it were new", hole, got)
 		}
-		if w := p.got.Watermark(a); w != hole+3000 || len(p.got.aheads()) != 1 {
-			t.Fatalf("hole %d: watermark %d, %d side-map entries; want %d and the neighbour's alone", hole, w, len(p.got.aheads()), hole+3000)
+		if w := p.got.Watermark(a); uint64(w) != hole+3000 || len(p.got.ahead) != 1 {
+			t.Fatalf("hole %d: watermark %d, %d side-map entries; want %d and the neighbour's alone", hole, w, len(p.got.ahead), hole+3000)
 		}
-		if !p.got.Contains(proto.EventID{Origin: a, Seq: hole}) {
+		if !p.got.Contains(proto.EventID{Origin: a, Seq: uint32(hole)}) {
 			t.Fatalf("hole %d: the hole is not counted as delivered", hole)
 		}
-		p.add(proto.EventID{Origin: a, Seq: hole}, true)
+		p.add(proto.EventID{Origin: a, Seq: uint32(hole)}, true)
 	}
 }
 
@@ -777,45 +718,35 @@ func TestCompactDigestPermanentGap(t *testing.T) {
 func TestCompactDigestFirstHeardMidStream(t *testing.T) {
 	t.Parallel()
 	p := digestPair{t: t}
-	a := sharedHome(9)
+	a := narrowHome(9)
 	if got := foldStream(&p, a, 500, 3499); got != 3000 {
 		t.Fatalf("%d of the 3 000 ids from 500 were new", got)
 	}
-	if w := p.got.Watermark(a); w != 3499 || len(p.got.aheads()) != 0 {
-		t.Fatalf("watermark %d, %d side-map entries; want 3499 and none", w, len(p.got.aheads()))
+	if w := p.got.Watermark(a); w != 3499 || len(p.got.ahead) != 0 {
+		t.Fatalf("watermark %d, %d side-map entries; want 3499 and none", w, len(p.got.ahead))
 	}
-	for _, seq := range []uint64{1, 64, 499} {
+	for _, seq := range []uint32{1, 64, 499} {
 		p.add(proto.EventID{Origin: a, Seq: seq}, true)
 	}
 }
 
 // TestSharedHomeOrigins pins what the oracle's third kind of origin is for:
 // the family really does collide, in a table of every length up to 4096
-// slots — past what a thousand origins grow it to. Hashes that agree in
-// their top 40 bits scale to the same slot unless a slot boundary falls
-// between them, which for these lengths and this prefix none does.
+// slots — past what a thousand origins grow it to.
 func TestSharedHomeOrigins(t *testing.T) {
-	if m := uint64(hashMul); m*hashMulInverse != 1 {
-		t.Fatalf("hashMulInverse is not the inverse of hashMul")
-	}
-	for _, family := range []struct {
-		name string
-		of   func(int) proto.ProcessID
-	}{{"sharedHome", sharedHome}, {"narrowHome", narrowHome}} {
-		for n := 1; n <= 4096; n++ {
-			home := homeSlot(family.of(0), n)
-			if home >= uint64(n) {
-				t.Fatalf("home slot %d in a table of %d", home, n)
-			}
-			for k := 1; k < 1100; k++ {
-				if h := homeSlot(family.of(k), n); h != home {
-					t.Fatalf("%s(%d) has home slot %d of %d, %s(0) has %d", family.name, k, h, n, family.name, home)
-				}
+	for n := 1; n <= 4096; n++ {
+		home := homeSlot(narrowHome(0), n)
+		if home >= uint64(n) {
+			t.Fatalf("home slot %d in a table of %d", home, n)
+		}
+		for k := 1; k < 1100; k++ {
+			if h := homeSlot(narrowHome(k), n); h != home {
+				t.Fatalf("narrowHome(%d) has home slot %d of %d, narrowHome(0) has %d", k, h, n, home)
 			}
 		}
 	}
-	if last := narrowHome(1099); last > math.MaxUint32 || narrowHome(0) == proto.NilProcess {
-		t.Fatalf("narrowHome spans %d..%d, want origins in [1, 2^32)", narrowHome(0), last)
+	if narrowHome(0) == proto.NilProcess {
+		t.Fatalf("narrowHome starts at origin 0")
 	}
 }
 
@@ -825,7 +756,7 @@ func TestAppendMissingAllocs(t *testing.T) {
 	var d CompactDigest
 	ids := make([]proto.EventID, 200)
 	for i := range ids {
-		ids[i] = proto.EventID{Origin: proto.ProcessID(1 + i%50), Seq: uint64(1 + i%7)}
+		ids[i] = proto.EventID{Origin: proto.ProcessID(1 + i%50), Seq: uint32(1 + i%7)}
 		if i%3 != 0 {
 			d.Add(ids[i])
 		}
@@ -848,7 +779,7 @@ func TestAppendMissingAllocs(t *testing.T) {
 func TestDigestEmissionAllocs(t *testing.T) {
 	var d CompactDigest
 	for o := 1; o <= 250; o++ {
-		for seq := uint64(1); seq <= 8; seq++ {
+		for seq := uint32(1); seq <= 8; seq++ {
 			if o%7 != 0 || seq != 4 {
 				d.Add(proto.EventID{Origin: proto.ProcessID(o), Seq: seq})
 			}
@@ -872,18 +803,18 @@ func TestDigestEmissionAllocs(t *testing.T) {
 // that crosses the bitmap boundary and pulls the overflow set back in.
 func TestCompactDigestWindowEdges(t *testing.T) {
 	t.Parallel()
-	for _, origin := range []proto.ProcessID{sharedHome(0), 7} {
+	for _, origin := range []proto.ProcessID{narrowHome(0), 7} {
 		p := digestPair{t: t}
-		id := func(seq uint64) proto.EventID { return proto.EventID{Origin: origin, Seq: seq} }
+		id := func(seq uint32) proto.EventID { return proto.EventID{Origin: origin, Seq: seq} }
 		p.add(id(0), true)
-		for seq := uint64(1); seq <= 10; seq++ {
+		for seq := uint32(1); seq <= 10; seq++ {
 			p.add(id(seq), true) // watermark 10
 		}
-		for _, past := range []uint64{63, 64, 65, 1 << 40} {
+		for _, past := range []uint32{63, 64, 65, 1 << 30} {
 			p.add(id(10+past), true)
 			p.add(id(10+past), true) // duplicate in window, at its edge, in the overflow set
 		}
-		for seq := uint64(12); seq <= 10+66; seq++ {
+		for seq := uint32(12); seq <= 10+66; seq++ {
 			p.add(id(seq), true) // fills the window and two overflow positions
 		}
 		// One delivery absorbs all 64 window positions; the slide must take
@@ -892,7 +823,7 @@ func TestCompactDigestWindowEdges(t *testing.T) {
 		if got := p.got.Watermark(origin); got != 76 {
 			t.Fatalf("origin %d: watermark %d after the absorbing delivery, want 76", origin, got)
 		}
-		if got := p.got.SparseLen(); got != 1 { // 10 + 2^40 stays out of reach
+		if got := p.got.SparseLen(); got != 1 { // 10 + 2^30 stays out of reach
 			t.Fatalf("origin %d: SparseLen %d, want 1", origin, got)
 		}
 	}
@@ -984,13 +915,6 @@ type fifoPair struct {
 	refArch refArchive
 	window  int  // the archive's second window (Init's window), read as eventIds is
 	paid    bool // the archive has accepted a non-empty payload
-	wided   bool // the archive has accepted a wide id
-	// stores counts the archive's stores: the k-th, from 0, writes ring
-	// position k mod hold, and a lap ends at position hold-1. lapWide says
-	// the current lap stored a wide id, lapEnded that the last store ended
-	// a lap.
-	stores            int
-	lapWide, lapEnded bool
 
 	heldIDs, heldArch []proto.EventID // what each held before this op
 }
@@ -1034,23 +958,7 @@ func (p *fifoPair) store(ev proto.Event) {
 func (p *fifoPair) storeBoth(ev proto.Event) {
 	p.arch.Store(ev)
 	p.refArch.Store(ev)
-	p.lapEnded = false
-	if hold := p.refArch.hold; hold > 0 {
-		p.paid = p.paid || len(ev.Payload) > 0
-		if !fitsWord(ev.ID) {
-			p.wided, p.lapWide = true, true
-		}
-		if p.stores%hold == hold-1 {
-			p.lapEnded = true
-		}
-		p.stores++
-	}
-}
-
-// fitsWord is the archive's fit rule: an origin below 2^32 and a sequence
-// number from 1 to 2^32-1.
-func fitsWord(id proto.EventID) bool {
-	return id.Origin < 1<<32 && id.Seq >= 1 && id.Seq < 1<<32
+	p.paid = p.paid || p.refArch.hold > 0 && len(ev.Payload) > 0
 }
 
 // samePayload reports whether the archive answered with the reference's
@@ -1068,54 +976,25 @@ func sameEvent(got, want proto.Event) bool {
 	return got.ID == want.ID && samePayload(got.Payload, want.Payload)
 }
 
-// checkSideRing: the id ring holds each live fitting id as the word
-// origin<<32 | seq and each wide one as 0. The payload ring is nil until a
-// non-empty payload is accepted, then as long as the id ring, and it holds
-// nothing outside the live window. The wide ring is nil until a wide id is
-// accepted, then as long as the id ring; every 0 word of the live window
-// has its entry; and at the end of a lap it is there exactly when the lap
-// stored a wide id. The side is nil while both rings are.
+// checkSideRing: the id ring holds each live id as the word origin<<32 |
+// seq. The side, and its payload ring, is nil until a non-empty payload is
+// accepted, then as long as the id ring, and the payload ring holds nothing
+// outside the live window.
 func (p *fifoPair) checkSideRing() {
 	p.t.Helper()
 	a := &p.arch
 	for i, e := range p.refArch.events {
-		w, want := a.ring[a.pos(uint32(i))], uint64(0)
-		if fitsWord(e.ID) {
-			want = uint64(e.ID.Origin)<<32 | e.ID.Seq
-		}
-		if w != want {
+		if w, want := a.ring[a.pos(uint32(i))], uint64(e.ID.Origin)<<32|uint64(e.ID.Seq); w != want {
 			p.t.Fatalf("seed %d op %d: entry %d (%v) is the word %#x, want %#x", p.seed, p.op, i, e.ID, w, want)
 		}
-		if w == 0 && (a.side == nil || a.side.wide == nil) {
-			p.t.Fatalf("seed %d op %d: entry %d (%v) is wide, but there is no wide ring", p.seed, p.op, i, e.ID)
-		}
-	}
-	if p.lapEnded {
-		if has := a.side != nil && a.side.wide != nil; has != p.lapWide {
-			p.t.Fatalf("seed %d op %d: a lap ends with a wide ring %v, but it stored a wide id %v", p.seed, p.op, has, p.lapWide)
-		}
-		p.lapWide, p.lapEnded = false, false
 	}
 	if a.side == nil {
-		if p.paid || p.wided && p.lapWide {
-			p.t.Fatalf("seed %d op %d: no side, but a payload (%v) or a wide id this lap (%v) was archived", p.seed, p.op, p.paid, p.lapWide)
-		}
-		return
-	}
-	pay, wide := a.side.pay, a.side.wide
-	if pay == nil && wide == nil {
-		p.t.Fatalf("seed %d op %d: a side that holds neither ring", p.seed, p.op)
-	}
-	if wide != nil && (!p.wided || len(wide) != len(a.ring)) {
-		p.t.Fatalf("seed %d op %d: wide ring of %d slots beside an id ring of %d (a wide id archived: %v)",
-			p.seed, p.op, len(wide), len(a.ring), p.wided)
-	}
-	if pay == nil {
 		if p.paid {
-			p.t.Fatalf("seed %d op %d: a payload was archived, but there is no payload ring", p.seed, p.op)
+			p.t.Fatalf("seed %d op %d: a payload was archived, but there is no side", p.seed, p.op)
 		}
 		return
 	}
+	pay := a.side.pay
 	if !p.paid || len(pay) != len(a.ring) {
 		p.t.Fatalf("seed %d op %d: payload ring of %d slots beside an id ring of %d (a payload archived: %v)",
 			p.seed, p.op, len(pay), len(a.ring), p.paid)
@@ -1247,7 +1126,7 @@ func TestFIFOOracle(t *testing.T) {
 		bound := bounds[seed%uint64(len(bounds))]
 		window := windows[seed/uint64(len(bounds))%uint64(len(windows))]
 		p := newFIFOPair(t, seed, bound, window)
-		next := uint64(0)
+		next := uint32(0)
 		origins := 1 + r.Intn(5)
 		ops := 600
 		if bound == 200 {
@@ -1262,7 +1141,7 @@ func TestFIFOOracle(t *testing.T) {
 					p.truncate(bound)
 				}
 			case k < 34: // an id added before: still held, or evicted long ago
-				p.add(proto.EventID{Origin: proto.ProcessID(r.Intn(origins)), Seq: 1 + uint64(r.Intn(int(next)+1))})
+				p.add(proto.EventID{Origin: proto.ProcessID(r.Intn(origins)), Seq: 1 + uint32(r.Intn(int(next)+1))})
 				p.truncate(bound)
 			case k < 36:
 				p.truncate(bounds[r.Intn(len(bounds))])
@@ -1321,7 +1200,7 @@ func TestArchivePayloadOracle(t *testing.T) {
 			serve = 60
 		}
 		p := newFIFOPair(t, seed, serve, 200)
-		next := uint64(0)
+		next := uint32(0)
 		for i := 0; i < first+250; i++ {
 			ev := proto.Event{ID: proto.EventID{Origin: proto.ProcessID(1 + r.Intn(3))}}
 			switch {
@@ -1334,7 +1213,7 @@ func TestArchivePayloadOracle(t *testing.T) {
 				ev.Payload = []byte{byte(first)}
 			default:
 				if r.Intn(8) == 0 {
-					ev.ID.Seq = 1 + uint64(r.Intn(int(next)))
+					ev.ID.Seq = 1 + uint32(r.Intn(int(next)))
 				} else {
 					next++
 					ev.ID.Seq = next
@@ -1346,88 +1225,6 @@ func TestArchivePayloadOracle(t *testing.T) {
 		if !p.paid || p.arch.side == nil || len(p.arch.side.pay) != 200 {
 			t.Fatalf("first payload after %d: no payload ring of 200 slots", first)
 		}
-	}
-}
-
-// archiveEdgeOrigins and archiveEdgeSeqs make ids either side of the
-// archive's fit rule: 2^32-1, the largest origin that fits, 2^32 and 2^63+5
-// past it, and 2, a small one; seq 0, which never fits, 1 and 2^32-2 inside,
-// 2^32-1, the largest that fits, and 2^32, 2^32+1, 2^40 and 2^40+3 past it.
-// Any origin with any seq is an id: the pair 2^32-1, 2^32-1 is the last that
-// fits.
-var (
-	archiveEdgeOrigins = []proto.ProcessID{1<<32 - 1, 1 << 32, 1<<63 + 5, 2}
-	archiveEdgeSeqs    = []uint64{0, 1<<32 - 1, 1 << 32, 1 << 40, 1<<40 + 3, 1, 1<<32 - 2, 1<<32 + 1}
-)
-
-// TestArchiveWideOracle holds the archive to refArchive over ids that do
-// and do not fit a ring word (fifoPair.check, and checkSideRing's account of
-// the id ring's words and the wide ring). Each sequence runs stretches of up
-// to two laps of one kind: fresh fitting ids, fresh wide ones (origin 2^32
-// and up), the edge ids above drawn at random — repeats of them included —
-// or ids stored before, fitting or wide, held or long evicted. So the wide
-// ring is made, kept across laps that store one, dropped after a lap that
-// stores none and made again, many times per sequence, at bounds from 1 to
-// 200 and serving windows shorter than, equal to and longer than the other.
-// Odd seeds carry payloads, so the wide ring comes and goes beside a
-// payload ring that stays.
-func TestArchiveWideOracle(t *testing.T) {
-	t.Parallel()
-	bounds := []int{1, 2, 7, 60, 200}
-	windows := []int{0, 60, 300}
-	remade := 0
-	for seed := uint64(1); seed <= 30; seed++ {
-		r := rng.New(seed)
-		bound := bounds[seed%uint64(len(bounds))]
-		p := newFIFOPair(t, seed, bound, windows[seed/uint64(len(bounds))%uint64(len(windows))])
-		hold := p.refArch.hold
-		var stored []proto.EventID
-		next, made, dropped, had := uint64(0), 0, 0, false
-		for stretch := 0; p.op < max(800, 8*hold) || stretch%4 != 0; stretch++ {
-			kind, length := stretch%4, 1+r.Intn(2*hold)
-			if kind == 3 { // holds a whole lap, wherever it starts
-				length = 2 * hold
-			}
-			for i := 0; i < length; i++ {
-				var id proto.EventID
-				switch kind {
-				case 0:
-					next++
-					id = proto.EventID{Origin: proto.ProcessID(1<<32 + r.Intn(4)), Seq: next}
-				case 1:
-					id = proto.EventID{
-						Origin: archiveEdgeOrigins[r.Intn(len(archiveEdgeOrigins))],
-						Seq:    archiveEdgeSeqs[r.Intn(len(archiveEdgeSeqs))],
-					}
-				case 2:
-					id = stored[r.Intn(len(stored))]
-				default:
-					next++
-					id = proto.EventID{Origin: proto.ProcessID(r.Intn(4)), Seq: next}
-				}
-				stored = append(stored, id)
-				ev := proto.Event{ID: id}
-				if seed%2 == 1 {
-					ev.Payload = payloadOf(r)
-				}
-				p.store(ev)
-				has := p.arch.side != nil && p.arch.side.wide != nil
-				switch {
-				case has && !had:
-					made++
-				case had && !has:
-					dropped++
-				}
-				had = has
-			}
-		}
-		if dropped < 1 {
-			t.Fatalf("seed %d: wide ring made %d times and never dropped", seed, made)
-		}
-		remade += made - 1
-	}
-	if remade < 30 {
-		t.Fatalf("the wide ring was made again after a drop %d times in all, want at least 30", remade)
 	}
 }
 
@@ -1444,21 +1241,21 @@ func TestFIFOBounded(t *testing.T) {
 		f.Init(idKey)
 		var ref refIDBuffer
 		ref.inner.Init(idKey)
-		check := func(op string, seq uint64) {
+		check := func(op string, seq uint32) {
 			t.Helper()
 			want := ref.AppendIDs(nil)
 			if got := f.AppendItems(nil); !slices.Equal(got, want) {
 				t.Fatalf("bound %d, %s %d: holds %v, reference %v", bound, op, seq, got, want)
 			}
-			for back := uint64(0); back <= seq && back < 2*uint64(bound)+4; back += 1 + back/8 {
+			for back := uint32(0); back <= seq && back < 2*uint32(bound)+4; back += 1 + back/8 {
 				id := proto.EventID{Origin: 3, Seq: seq - back}
 				if g, w := f.Contains(id), ref.Contains(id); g != w {
 					t.Fatalf("bound %d, %s %d: Contains(%v) = %v, reference %v", bound, op, seq, id, g, w)
 				}
 			}
 		}
-		seq := uint64(0)
-		for ; seq < uint64(5*bound+20); seq++ {
+		seq := uint32(0)
+		for ; seq < uint32(5*bound+20); seq++ {
 			id := proto.EventID{Origin: 3, Seq: seq + 1}
 			if g, w := f.AddBounded(id, bound), ref.Add(id); g != w {
 				t.Fatalf("bound %d: AddBounded(%v) = %v, reference %v", bound, id, g, w)
@@ -1477,7 +1274,7 @@ func TestFIFOBounded(t *testing.T) {
 		if len(f.ring) != bound {
 			t.Fatalf("bound %d: ring of %d slots after %d adds", bound, len(f.ring), seq)
 		}
-		for grown := bound; seq < uint64(8*bound+40); seq++ {
+		for grown := bound; seq < uint32(8*bound+40); seq++ {
 			id := proto.EventID{Origin: 3, Seq: seq + 1}
 			if !f.AddBounded(id, bound) || !ref.Add(id) {
 				t.Fatalf("bound %d: a fresh id refused", bound)
@@ -1504,7 +1301,7 @@ func TestFIFOIndexWrap(t *testing.T) {
 		idxLen := uint32(2 * ring)
 		sized := FIFO[proto.EventID]{idx: make([]fifoRef, idxLen)} // lends idxHome its length
 		byHome := map[uint32][]proto.EventID{}
-		for seq := uint64(1); len(byHome[idxLen-1]) < 4 || len(byHome[idxLen-2]) < 4 || len(byHome[0]) < 3 || len(byHome[1]) < 3; seq++ {
+		for seq := uint32(1); len(byHome[idxLen-1]) < 4 || len(byHome[idxLen-2]) < 4 || len(byHome[0]) < 3 || len(byHome[1]) < 3; seq++ {
 			id := proto.EventID{Origin: 5, Seq: seq}
 			h := sized.idxHome(hashID(id))
 			byHome[h] = append(byHome[h], id)

@@ -120,7 +120,7 @@ func TestWeightedEventEvictionZeroAlloc(t *testing.T) {
 	g := &proto.Gossip{From: 2, Subs: []proto.ProcessID{2}, Events: make([]proto.Event, 1)}
 	msg := proto.Message{Kind: proto.GossipMsg, From: 2, To: 1, Gossip: g}
 	var out []proto.Message
-	seq := uint64(0)
+	seq := uint32(0)
 	receive := func() {
 		seq++
 		g.Events[0].ID = proto.EventID{Origin: 2, Seq: seq}

@@ -212,7 +212,7 @@ type Engine struct {
 	sink    EventSink // interface alternative to deliver (see NewIn)
 	rng     *rng.Source
 
-	nextSeq      uint64
+	nextSeq      uint32
 	ticks        uint64
 	eventWeights map[proto.EventID]int // duplicate counts (weighted eviction)
 	stats        Stats
@@ -351,8 +351,12 @@ func (e *Engine) Knows(id proto.EventID) bool { return e.knows(id) }
 
 // Publish broadcasts a new notification (LPB-CAST): the event receives the
 // next local sequence number, is delivered locally, and becomes eligible
-// for the next outgoing gossip.
-func (e *Engine) Publish(payload []byte) proto.Event {
+// for the next outgoing gossip. Past sequence number proto.MaxSeq it
+// refuses with proto.ErrSeqExhausted.
+func (e *Engine) Publish(payload []byte) (proto.Event, error) {
+	if e.nextSeq == proto.MaxSeq {
+		return proto.Event{}, proto.ErrSeqExhausted
+	}
 	e.nextSeq++
 	ev := proto.Event{ID: proto.EventID{Origin: e.self, Seq: e.nextSeq}}
 	if len(payload) > 0 {
@@ -361,7 +365,7 @@ func (e *Engine) Publish(payload []byte) proto.Event {
 	e.stats.EventsPublished++
 	e.deliverEvent(ev)
 	e.bufferForForwarding(ev)
-	return ev
+	return ev, nil
 }
 
 // deliverEvent hands ev to the application and records its id: in the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/buffer"
@@ -24,6 +25,16 @@ func newEngine(t *testing.T, self proto.ProcessID, mutate func(*Config)) (*Engin
 
 func gossipTo(e *Engine, g proto.Gossip, now uint64) []proto.Message {
 	return e.HandleMessageAppend(proto.Message{Kind: proto.GossipMsg, From: g.From, To: e.Self(), Gossip: &g}, now, nil)
+}
+
+// publish is Publish for a test far from the last sequence number.
+func publish(t testing.TB, e *Engine, payload []byte) proto.Event {
+	t.Helper()
+	ev, err := e.Publish(payload)
+	if err != nil {
+		t.Fatalf("Publish: %v", err)
+	}
+	return ev
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -80,7 +91,7 @@ func TestNewRejectsNilRNG(t *testing.T) {
 func TestPublishDeliversLocally(t *testing.T) {
 	t.Parallel()
 	e, delivered := newEngine(t, 1, nil)
-	ev := e.Publish([]byte("hello"))
+	ev := publish(t, e, []byte("hello"))
 	if ev.ID.Origin != 1 || ev.ID.Seq != 1 {
 		t.Fatalf("event id = %v", ev.ID)
 	}
@@ -90,7 +101,7 @@ func TestPublishDeliversLocally(t *testing.T) {
 	if !e.Knows(ev.ID) {
 		t.Fatal("published event not recorded")
 	}
-	ev2 := e.Publish(nil)
+	ev2 := publish(t, e, nil)
 	if ev2.ID.Seq != 2 {
 		t.Fatalf("second seq = %d", ev2.ID.Seq)
 	}
@@ -99,11 +110,29 @@ func TestPublishDeliversLocally(t *testing.T) {
 	}
 }
 
+// TestPublishRefusesPastMaxSeq: the last sequence number is published, and
+// the publish after it is refused with ErrSeqExhausted, delivering and
+// buffering nothing.
+func TestPublishRefusesPastMaxSeq(t *testing.T) {
+	t.Parallel()
+	e, delivered := newEngine(t, 1, nil)
+	e.nextSeq = proto.MaxSeq - 1
+	if ev := publish(t, e, nil); ev.ID.Seq != proto.MaxSeq {
+		t.Fatalf("last publish got seq %d, want %d", ev.ID.Seq, uint32(proto.MaxSeq))
+	}
+	if _, err := e.Publish([]byte("x")); !errors.Is(err, proto.ErrSeqExhausted) {
+		t.Fatalf("publish past the last seq: %v, want ErrSeqExhausted", err)
+	}
+	if s := e.Stats(); len(*delivered) != 1 || e.PendingEvents() != 1 || s.EventsPublished != 1 {
+		t.Fatalf("after the refusal: %d delivered, %d buffered, %d published; want 1 each", len(*delivered), e.PendingEvents(), s.EventsPublished)
+	}
+}
+
 func TestPublishCopiesPayload(t *testing.T) {
 	t.Parallel()
 	e, delivered := newEngine(t, 1, nil)
 	buf := []byte("abc")
-	e.Publish(buf)
+	publish(t, e, buf)
 	buf[0] = 'z'
 	if string((*delivered)[0].Payload) != "abc" {
 		t.Fatal("Publish aliased caller payload")
@@ -148,7 +177,7 @@ func TestTickEmitsToFanoutTargets(t *testing.T) {
 		t.Fatalf("tick with empty view emitted %v", msgs)
 	}
 	e.Seed([]proto.ProcessID{2, 3, 4, 5, 6})
-	ev := e.Publish([]byte("x"))
+	ev := publish(t, e, []byte("x"))
 	msgs := e.TickAppend(2, nil)
 	if len(msgs) != 3 {
 		t.Fatalf("emitted %d messages, want fanout 3", len(msgs))
@@ -255,7 +284,7 @@ func TestDigestDuplicateDeliversOnce(t *testing.T) {
 	}
 
 	var long []proto.EventID
-	for seq := uint64(1); seq <= 100; seq++ {
+	for seq := uint32(1); seq <= 100; seq++ {
 		long = append(long, proto.EventID{Origin: 3, Seq: seq}, proto.EventID{Origin: 3, Seq: seq})
 	}
 	gossipTo(e, proto.Gossip{From: 3, Digest: long, DigestWatermarks: []proto.EventID{{Origin: 3, Seq: 2}}}, 2)
@@ -275,7 +304,7 @@ func TestRetransmitRoundTrip(t *testing.T) {
 	t.Parallel()
 	// p2 published and archived an event; p1 sees its digest and pulls it.
 	p2, _ := newEngine(t, 2, nil)
-	ev := p2.Publish([]byte("payload"))
+	ev := publish(t, p2, []byte("payload"))
 	p2.Seed([]proto.ProcessID{1, 3, 4})
 	gossips := p2.TickAppend(1, nil)
 
@@ -312,7 +341,7 @@ func TestRetransmitRequestCap(t *testing.T) {
 	})
 	digest := make([]proto.EventID, 10)
 	for i := range digest {
-		digest[i] = proto.EventID{Origin: 2, Seq: uint64(i + 1)}
+		digest[i] = proto.EventID{Origin: 2, Seq: uint32(i + 1)}
 	}
 	reqs := gossipTo(e, proto.Gossip{From: 2, Digest: digest}, 1)
 	if len(reqs) != 1 || len(reqs[0].Request) != 2 {
@@ -345,7 +374,7 @@ func TestRetransmitRequestRepeats(t *testing.T) {
 	e, _ := newEngine(t, 1, nil)
 	archived := make([]proto.EventID, 200) // DefaultConfig's ArchiveSize
 	for i := range archived {
-		archived[i] = e.Publish(make([]byte, 64)).ID
+		archived[i] = publish(t, e, make([]byte, 64)).ID
 	}
 	serve := func(req []proto.EventID) (reply []proto.Event, served, misses uint64) {
 		t.Helper()
@@ -449,7 +478,7 @@ func TestEventsBufferBounded(t *testing.T) {
 	e, _ := newEngine(t, 1, func(c *Config) { c.MaxEvents = 5 })
 	evs := make([]proto.Event, 20)
 	for i := range evs {
-		evs[i] = proto.Event{ID: proto.EventID{Origin: 2, Seq: uint64(i + 1)}}
+		evs[i] = proto.Event{ID: proto.EventID{Origin: 2, Seq: uint32(i + 1)}}
 	}
 	gossipTo(e, proto.Gossip{From: 2, Events: evs}, 1)
 	if e.PendingEvents() > 5 {
@@ -466,10 +495,10 @@ func TestFlatDigestWindowEviction(t *testing.T) {
 	// but delivered ids are never forgotten for dedup purposes.
 	e, delivered := newEngine(t, 1, func(c *Config) { c.MaxEventIDs = 3 })
 	var ids []proto.EventID
-	for i := uint64(1); i <= 5; i++ {
+	for i := uint32(1); i <= 5; i++ {
 		ev := proto.Event{ID: proto.EventID{Origin: 2, Seq: i}}
 		ids = append(ids, ev.ID)
-		gossipTo(e, proto.Gossip{From: 2, Events: []proto.Event{ev}}, i)
+		gossipTo(e, proto.Gossip{From: 2, Events: []proto.Event{ev}}, uint64(i))
 	}
 	if e.DigestLen() != 3 {
 		t.Fatalf("digest window len = %d, want 3", e.DigestLen())
@@ -500,10 +529,10 @@ func TestFlatDigestPseudocodeFaithful(t *testing.T) {
 		c.DedupMemory = false
 	})
 	var ids []proto.EventID
-	for i := uint64(1); i <= 5; i++ {
+	for i := uint32(1); i <= 5; i++ {
 		ev := proto.Event{ID: proto.EventID{Origin: 2, Seq: i}}
 		ids = append(ids, ev.ID)
-		gossipTo(e, proto.Gossip{From: 2, Events: []proto.Event{ev}}, i)
+		gossipTo(e, proto.Gossip{From: 2, Events: []proto.Event{ev}}, uint64(i))
 	}
 	if e.Knows(ids[0]) || e.Knows(ids[1]) {
 		t.Fatal("oldest ids not evicted")
@@ -522,10 +551,10 @@ func TestCompactDigestMode(t *testing.T) {
 	t.Parallel()
 	e, _ := newEngine(t, 1, func(c *Config) { c.DigestMode = CompactDigest })
 	// Deliver 1..100 in order from origin 2: digest must stay compact.
-	for i := uint64(1); i <= 100; i++ {
+	for i := uint32(1); i <= 100; i++ {
 		gossipTo(e, proto.Gossip{From: 2, Events: []proto.Event{
 			{ID: proto.EventID{Origin: 2, Seq: i}},
-		}}, i)
+		}}, uint64(i))
 	}
 	if e.DigestLen() != 0 {
 		t.Fatalf("compact digest retains %d sparse ids for an in-order stream", e.DigestLen())
@@ -600,7 +629,7 @@ func TestHostileFarAheadDeliveredOnce(t *testing.T) {
 	}
 	flood := make([]proto.Event, n)
 	for i := range flood {
-		flood[i] = proto.Event{ID: proto.EventID{Origin: 9, Seq: 1<<40 - uint64(i)}}
+		flood[i] = proto.Event{ID: proto.EventID{Origin: 9, Seq: 1<<30 - uint32(i)}}
 	}
 	gossipTo(engines[1], proto.Gossip{From: 9, Events: flood}, 0)
 	for now := uint64(1); now <= 8; now++ {
@@ -639,15 +668,15 @@ func TestLostFirstEventNotDeaf(t *testing.T) {
 	t.Parallel()
 	e, delivered := newEngine(t, 1, nil)
 	const n = 3000
-	for seq := uint64(2); seq <= n+1; seq += 10 {
+	for seq := uint32(2); seq <= n+1; seq += 10 {
 		g := proto.Gossip{From: 9}
 		for s := seq; s < seq+10 && s <= n+1; s++ {
 			g.Events = append(g.Events, proto.Event{ID: proto.EventID{Origin: 9, Seq: s}})
 		}
 		g.Events = append(g.Events, g.Events[0]) // a duplicate within the gossip
-		gossipTo(e, g, seq)
+		gossipTo(e, g, uint64(seq))
 		if seq > 2 {
-			gossipTo(e, proto.Gossip{From: 8, Events: g.Events[:3]}, seq) // and across gossips
+			gossipTo(e, proto.Gossip{From: 8, Events: g.Events[:3]}, uint64(seq)) // and across gossips
 		}
 	}
 	got := map[proto.EventID]int{}
@@ -696,7 +725,7 @@ func TestTwoEngineConvergence(t *testing.T) {
 	p2, got2 := newEngine(t, 2, nil)
 	p1.Seed([]proto.ProcessID{2})
 	p2.Seed([]proto.ProcessID{1})
-	ev := p1.Publish([]byte("news"))
+	ev := publish(t, p1, []byte("news"))
 	engines := map[proto.ProcessID]*Engine{1: p1, 2: p2}
 	for now := uint64(1); now <= 3; now++ {
 		var wire []proto.Message
@@ -742,7 +771,7 @@ func BenchmarkHandleGossip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gg := g
-		gg.Events = []proto.Event{{ID: proto.EventID{Origin: 2, Seq: uint64(i + 1)}}}
+		gg.Events = []proto.Event{{ID: proto.EventID{Origin: 2, Seq: uint32(i + 1)}}}
 		e.HandleMessageAppend(proto.Message{Kind: proto.GossipMsg, From: 2, To: 1, Gossip: &gg}, uint64(i), nil)
 	}
 }
@@ -754,7 +783,7 @@ func BenchmarkTick(b *testing.B) {
 	}
 	e.Seed([]proto.ProcessID{2, 3, 4, 5, 6, 7, 8})
 	for i := 0; i < b.N; i++ {
-		e.Publish([]byte("payload"))
+		publish(b, e, []byte("payload"))
 		_ = e.TickAppend(uint64(i), nil)
 	}
 }
@@ -800,7 +829,7 @@ func TestLoggerThirdPhase(t *testing.T) {
 	// digest and must pull from the logger, not from p2.
 	logger, _ := newEngine(t, 9, func(c *Config) { c.ArchiveSize = 1 << 16 })
 	p2, _ := newEngine(t, 2, nil)
-	ev := p2.Publish([]byte("logged"))
+	ev := publish(t, p2, []byte("logged"))
 	// The logger received the event through normal gossip at some point.
 	gossipTo(logger, proto.Gossip{From: 2, Events: []proto.Event{ev.Clone()}}, 1)
 
@@ -841,7 +870,7 @@ func TestWeightedEventEviction(t *testing.T) {
 		c.WeightedEventEviction = true
 		c.MaxEvents = 3
 	})
-	mk := func(seq uint64) proto.Event { return proto.Event{ID: proto.EventID{Origin: 2, Seq: seq}} }
+	mk := func(seq uint32) proto.Event { return proto.Event{ID: proto.EventID{Origin: 2, Seq: seq}} }
 	// Three events buffered; event 1 arrives three more times (widely
 	// disseminated), the others never again.
 	gossipTo(e, proto.Gossip{From: 2, Events: []proto.Event{mk(1), mk(2), mk(3)}}, 1)
@@ -876,10 +905,10 @@ func TestWeightedEventEvictionTieBreak(t *testing.T) {
 		c.WeightedEventEviction = true
 		c.MaxEvents = 2
 	})
-	for i := uint64(1); i <= 10; i++ {
+	for i := uint32(1); i <= 10; i++ {
 		gossipTo(e, proto.Gossip{From: 2, Events: []proto.Event{
 			{ID: proto.EventID{Origin: 2, Seq: i}},
-		}}, i)
+		}}, uint64(i))
 	}
 	if e.PendingEvents() != 2 {
 		t.Fatalf("pending = %d", e.PendingEvents())

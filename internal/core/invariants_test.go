@@ -40,7 +40,7 @@ func checkInvariants(t *testing.T, e *Engine) {
 func randomMessage(r *rng.Source) proto.Message {
 	pid := func() proto.ProcessID { return proto.ProcessID(r.Intn(12)) } // includes 0 and self
 	id := func() proto.EventID {
-		return proto.EventID{Origin: pid(), Seq: uint64(r.Intn(30))} // includes seq 0
+		return proto.EventID{Origin: pid(), Seq: uint32(r.Intn(30))} // includes seq 0
 	}
 	m := proto.Message{From: pid(), To: 1}
 	switch r.Intn(5) {
@@ -115,7 +115,7 @@ func TestEngineInvariantsUnderRandomTraffic(t *testing.T) {
 				now := uint64(step)
 				switch r.Intn(10) {
 				case 0:
-					e.Publish([]byte{byte(step)})
+					publish(t, e, []byte{byte(step)})
 				case 1:
 					_ = e.TickAppend(now, nil)
 				case 2:
@@ -172,7 +172,7 @@ func TestEngineQuickProperty(t *testing.T) {
 		}
 		sent := map[proto.EventID]bool{}
 		for i, s := range seqs {
-			id := proto.EventID{Origin: 2, Seq: uint64(s%50) + 1}
+			id := proto.EventID{Origin: 2, Seq: uint32(s%50) + 1}
 			sent[id] = true
 			g := proto.Gossip{From: 2, Events: []proto.Event{{ID: id, Payload: []byte{payloadByte}}}}
 			e.HandleMessageAppend(proto.Message{Kind: proto.GossipMsg, From: 2, To: 1, Gossip: &g}, uint64(i), nil)

@@ -149,7 +149,7 @@ func TestRetransmitTimeoutLogger(t *testing.T) {
 func TestRetransmitTimeoutCap(t *testing.T) {
 	t.Parallel()
 	e := timeoutEngine(t, 1, func(c *Config) { c.MaxRetransmitPerGossip = 2 })
-	for seq := uint64(1); seq <= 3; seq++ {
+	for seq := uint32(1); seq <= 3; seq++ {
 		requestMissing(t, e, 2, proto.EventID{Origin: 9, Seq: seq}, 0)
 	}
 	first := retransmitRequests(e.TickAppend(2, nil))

@@ -108,7 +108,7 @@ func loadedEngine(t *testing.T, payload []byte) (*Engine, func()) {
 	g := &proto.Gossip{From: 2, Subs: []proto.ProcessID{2}, Events: make([]proto.Event, 35)}
 	msg := proto.Message{Kind: proto.GossipMsg, From: 2, To: 1, Gossip: g}
 	var out, ticked []proto.Message
-	seq, now := uint64(0), uint64(0)
+	seq, now := uint32(0), uint64(0)
 	receive := func() {
 		for i := range g.Events {
 			if i%origins == 0 {
@@ -137,9 +137,9 @@ func loadedEngine(t *testing.T, payload []byte) (*Engine, func()) {
 // until every buffer is at its high-water mark: the events list is no larger
 // than the 32-slot class it used to be given at construction; eventIds and
 // the archive are one ring of max(ArchiveSize, |eventIds|m) 8-byte words,
-// with no side for the payloads these notifications do not carry or for
-// the wide ids they do not have, and no other store of delivered ids beside
-// it; and 1 000 further receptions allocate nothing.
+// with no side for the payloads these notifications do not carry, and no
+// other store of delivered ids beside it; and 1 000 further receptions
+// allocate nothing.
 func TestLoadedBuffersStopAtBound(t *testing.T) {
 	cfg := DefaultConfig()
 	e, receive := loadedEngine(t, nil)
@@ -156,10 +156,10 @@ func TestLoadedBuffersStopAtBound(t *testing.T) {
 		t.Errorf("archive ring of %d slots of %d bytes, want %d of 8", got, ring.Type().Elem().Size(), want)
 	}
 	if !storage(e, "archive", "side").IsNil() {
-		t.Errorf("payload-less notifications with fitting ids made a side")
+		t.Errorf("payload-less notifications made a side")
 	}
-	if size := unsafe.Sizeof(*e.archive); size > 72 {
-		t.Errorf("the archive's header takes %d bytes, want at most 72", size)
+	if size := unsafe.Sizeof(*e.archive); size > 56 {
+		t.Errorf("the archive's header takes %d bytes, want at most 56", size)
 	}
 	delivered := e.Stats().EventsDelivered
 	if allocs := testing.AllocsPerRun(1000, receive); allocs != 0 {

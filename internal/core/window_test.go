@@ -56,7 +56,7 @@ func checkWindows(t *testing.T, cfg Config, seed uint64) {
 	var (
 		ref    []proto.Event // the reference: every delivery, in order
 		sent   []proto.EventID
-		seqs   [5]uint64
+		seqs   [5]uint32
 		redone int // deliveries of an id delivered before
 	)
 	newest := func(w int) []proto.Event { return ref[len(ref)-max(0, min(w, len(ref))):] }
@@ -118,7 +118,7 @@ func checkWindows(t *testing.T, cfg Config, seed uint64) {
 		for k := 1 + r.Intn(40); k > 0; k-- {
 			switch c := r.Intn(8); {
 			case c == 0 || len(ref) == 0:
-				req = append(req, proto.EventID{Origin: 99, Seq: uint64(1 + r.Intn(9))})
+				req = append(req, proto.EventID{Origin: 99, Seq: uint32(1 + r.Intn(9))})
 			case c < 4:
 				req = append(req, ref[len(ref)-1-r.Intn(min(len(ref), 60))].ID)
 			default:

@@ -190,7 +190,7 @@ func (s *Server) handleNodes(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 	raw := r.PathValue("id")
-	id, err := strconv.ParseUint(raw, 10, 64)
+	id, err := strconv.ParseUint(raw, 10, 32) // a process id is 32 bits: refused past them, never truncated
 	if err != nil || id == 0 {
 		writeError(w, http.StatusBadRequest, "bad node id %q", raw)
 		return

@@ -158,6 +158,7 @@ func TestNodeSnapshotAndErrors(t *testing.T) {
 	get(t, srv, "/nodes/99", http.StatusNotFound, nil)
 	get(t, srv, "/nodes/abc", http.StatusBadRequest, nil)
 	get(t, srv, "/nodes/0", http.StatusBadRequest, nil)
+	get(t, srv, "/nodes/4294967297", http.StatusBadRequest, nil) // node 1, were it truncated to 32 bits
 }
 
 func TestStatsAggregates(t *testing.T) {
@@ -318,7 +319,7 @@ func TestCollectorEviction(t *testing.T) {
 	for i := 0; i < maxTrackedEvents+1; i++ {
 		col.Record(trace.Event{
 			Kind: trace.KindDeliver, Node: 1,
-			EventID: proto.EventID{Origin: 1, Seq: uint64(i + 1)},
+			EventID: proto.EventID{Origin: 1, Seq: uint32(i + 1)},
 			When:    base,
 		})
 	}

@@ -1,10 +1,9 @@
-// Package idmap maps wire-level process identities (proto.ProcessID,
-// uint64) onto dense uint32 indices. The paper's identifiers are opaque
+// Package idmap maps wire-level process identities (proto.ProcessID, sparse
+// uint32 ids) onto dense uint32 indices. The paper's identifiers are opaque
 // and ordered (§3.1) and stay the public identity everywhere a message is
 // named; the simulator fabric, crash tables, and per-process handle
 // arrays instead key their hot structures on the compact index, which
-// turns map lookups into array loads and halves the width of identity
-// columns. Indices are recycled through a free list when processes leave,
+// turns map lookups into array loads. Indices are recycled through a free list when processes leave,
 // so a churning system's tables stay bounded by the peak live population
 // rather than by the total number of identities ever seen.
 //
@@ -28,10 +27,10 @@ type Index = uint32
 const NilIndex = ^Index(0)
 
 // poisonID marks a recycled slot in the reverse table while poisoning is
-// on: any read of a released index resolves to an id no live process can
-// have, so stale-index bugs surface as loud mismatches instead of silent
-// aliasing.
-const poisonID = proto.ProcessID(^uint64(0))
+// on: any read of a released index resolves to the largest id, which no
+// simulated process has (the simulator numbers processes from 1), so
+// stale-index bugs surface as loud mismatches instead of silent aliasing.
+const poisonID = ^proto.ProcessID(0)
 
 // denseBound is the largest id served by the forward array; ids at or
 // above it fall back to the sparse map. The bound keeps one huge rogue id

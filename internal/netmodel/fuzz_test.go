@@ -48,9 +48,9 @@ func netGossip(a *proto.EmitArena, from proto.ProcessID, round uint64) *proto.Go
 	g := a.Gossip()
 	g.From = from
 	g.Digest = a.IDs(1)
-	g.Digest[0] = proto.EventID{Origin: from, Seq: round}
+	g.Digest[0] = proto.EventID{Origin: from, Seq: uint32(round)}
 	g.Events = a.Events(1)
-	g.Events[0] = proto.Event{ID: proto.EventID{Origin: from, Seq: round + 1}, Payload: []byte{byte(from), 1, 2}}
+	g.Events[0] = proto.Event{ID: proto.EventID{Origin: from, Seq: uint32(round) + 1}, Payload: []byte{byte(from), 1, 2}}
 	return g
 }
 
@@ -107,7 +107,7 @@ func checkNet(t *testing.T, ops []byte, clock Clock) {
 			msgs, owners := m.Drain(at, nil, nil)
 			for i := range msgs {
 				if g := msgs[i].Gossip; g != nil && (g.From != msgs[i].From || len(g.Digest) != 1 || g.Digest[0].Origin != g.From ||
-					g.Digest[0].Seq+uint64(m.Generations()) <= now || len(g.Events) != 1 || g.Events[0].ID.Seq != g.Digest[0].Seq+1) {
+					uint64(g.Digest[0].Seq)+uint64(m.Generations()) <= now || len(g.Events) != 1 || g.Events[0].ID.Seq != g.Digest[0].Seq+1) {
 					t.Fatalf("round %d: a gossip from %d arrived as %+v", now, msgs[i].From, g)
 				}
 				v := verdicts >> (i % 4 * 2)
@@ -134,7 +134,7 @@ func checkNet(t *testing.T, ops []byte, clock Clock) {
 		known, alive := v%8 != 0, v%8 != 0 && v%8 != 1
 		instant = min(instant+uint64(b>>4), now*period)
 		settle(instant-1, v)
-		msg := proto.Message{Kind: proto.RetransmitRequestMsg, From: from, To: to, Request: []proto.EventID{{Origin: from, Seq: now}}}
+		msg := proto.Message{Kind: proto.RetransmitRequestMsg, From: from, To: to, Request: []proto.EventID{{Origin: from, Seq: uint32(now)}}}
 		if b%4 == 0 {
 			msg = proto.Message{Kind: proto.GossipMsg, From: from, To: to, Gossip: netGossip(&arena, from, now)}
 		}

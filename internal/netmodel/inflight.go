@@ -163,13 +163,13 @@ func (q *inflightQueue) poisonSpent() {
 	q.spent = q.spent[:0]
 }
 
-// Sentinel marks poisoned buffer contents: no real process carries the
-// all-ones id, so any late consumer of a recycled buffer surfaces as a loud
+// Sentinel marks poisoned buffer contents: no simulated process carries the
+// all-ones id (the simulator numbers processes from 1), so any late consumer of a recycled buffer surfaces as a loud
 // divergence from a reference run instead of a silent heisenbug.
-const Sentinel = proto.ProcessID(^uint64(0))
+const Sentinel = ^proto.ProcessID(0)
 
 // SentinelEventID marks poisoned event slots.
-var SentinelEventID = proto.EventID{Origin: Sentinel, Seq: ^uint64(0)}
+var SentinelEventID = proto.EventID{Origin: Sentinel, Seq: proto.MaxSeq}
 
 // PoisonGossip overwrites a gossip's contents with sentinels.
 func PoisonGossip(g *proto.Gossip) {

@@ -244,7 +244,7 @@ func (p *ringPair) quiescent() {
 func randEvents(r *rng.Source, max int) []proto.Event {
 	evs := make([]proto.Event, r.Intn(max+1))
 	for i := range evs {
-		evs[i].ID = proto.EventID{Origin: proto.ProcessID(1 + r.Intn(50)), Seq: 1 + uint64(r.Intn(1000))}
+		evs[i].ID = proto.EventID{Origin: proto.ProcessID(1 + r.Intn(50)), Seq: 1 + uint32(r.Intn(1000))}
 		switch r.Intn(3) {
 		case 0: // nil payload (an event assumed from a digest)
 		case 1:
@@ -262,7 +262,7 @@ func randEvents(r *rng.Source, max int) []proto.Event {
 func randIDs(r *rng.Source, max int) []proto.EventID {
 	ids := make([]proto.EventID, r.Intn(max+1))
 	for i := range ids {
-		ids[i] = proto.EventID{Origin: proto.ProcessID(1 + r.Intn(50)), Seq: 1 + uint64(r.Intn(1000))}
+		ids[i] = proto.EventID{Origin: proto.ProcessID(1 + r.Intn(50)), Seq: 1 + uint32(r.Intn(1000))}
 	}
 	return ids
 }

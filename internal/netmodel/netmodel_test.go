@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/fault"
 	"repro/internal/pool"
@@ -71,7 +72,7 @@ func TestArrivalSettlesIntoItsLedger(t *testing.T) {
 	m := New(Config{Delay: fault.FixedDelay{Rounds: 2}}, Clock{}, rng.New(1), rng.New(2))
 	var a, b stats.NetStats
 	send := func(to proto.ProcessID, ledger *stats.NetStats) {
-		msg := proto.Message{Kind: proto.RetransmitRequestMsg, From: 1, To: to, Request: []proto.EventID{{Origin: 1, Seq: uint64(to)}}}
+		msg := proto.Message{Kind: proto.RetransmitRequestMsg, From: 1, To: to, Request: []proto.EventID{{Origin: 1, Seq: uint32(to)}}}
 		if m.Classify(&msg, 1, 1, true, true, ledger) {
 			t.Fatal("a 2-round delay delivered in the send round")
 		}
@@ -100,7 +101,7 @@ func TestArrivalSettlesIntoItsLedger(t *testing.T) {
 		if msg.To%2 == 1 {
 			want = &b
 		}
-		if ledgers[i] != want || msg.Request[0].Seq != uint64(msg.To) {
+		if ledgers[i] != want || msg.Request[0].Seq != uint32(msg.To) {
 			t.Fatalf("arrival %d (to %d) came back with the wrong ledger or contents", i, msg.To)
 		}
 		// The destination of the last one crashed while it was in the air.
@@ -151,20 +152,23 @@ func TestMulticastFilter(t *testing.T) {
 // TestRetainedBytesFollowTraffic states ROADMAP item 5's contract for the
 // network model. For any message the ring carries, however long, the
 // storage the ring keeps once 2·G quiet periods have passed SHALL be within
-// one chunk per slab (pool.BumpChunkBytes for each of a generation's eight)
-// of what a ring that never carried it keeps: the ring follows the traffic,
+// one chunk per slab (pool.BumpChunkBytes for each generation's one slab of
+// envelopes, G of them) of what a ring that never carried it keeps: the
+// ring follows the traffic,
 // not the largest message. The message here is one 10⁴-event reply with
 // 64-byte payloads (about 1 MB) beside the same gossip traffic in both
 // rings, measured as the live heap each ring keeps.
 func TestRetainedBytesFollowTraffic(t *testing.T) {
+	slabs := 0
 	retained := func(reply bool) int64 {
 		m := New(Config{Delay: fault.FixedDelay{Rounds: 2}}, Clock{}, rng.New(1), rng.New(2))
-		gens := uint64(len(m.fl.gens))
+		slabs = len(m.fl.gens)
+		gens := uint64(slabs)
 		g := &proto.Gossip{From: 1, Subs: []proto.ProcessID{2, 3},
 			Events: []proto.Event{{ID: proto.EventID{Origin: 1, Seq: 1}, Payload: make([]byte, 64)}}}
 		big := proto.Message{Kind: proto.RetransmitReplyMsg, From: 1, To: 2, Reply: make([]proto.Event, 10_000)}
 		for i := range big.Reply {
-			big.Reply[i] = proto.Event{ID: proto.EventID{Origin: 1, Seq: uint64(i)}, Payload: make([]byte, 64)}
+			big.Reply[i] = proto.Event{ID: proto.EventID{Origin: 1, Seq: uint32(i)}, Payload: make([]byte, 64)}
 		}
 		var ledger stats.NetStats
 		for round := uint64(1); round <= 3*gens; round++ {
@@ -196,8 +200,29 @@ func TestRetainedBytesFollowTraffic(t *testing.T) {
 	retained(false) // the first run also pays for what the runtime sets up once
 	without, with := retained(false), retained(true)
 	t.Logf("the ring keeps %d B, and %d B once it carried the reply", without, with)
-	if limit := int64(8 * pool.BumpChunkBytes); with-without > limit {
+	if limit := int64(slabs * pool.BumpChunkBytes); with-without > limit {
 		t.Fatalf("a ring that carried one 10⁴-event reply keeps %d B more than one that did not, past one chunk per slab (%d B)", with-without, limit)
+	}
+}
+
+// TestEnvelopeSizes pins the sizes that every list of ids the engines hold
+// and every envelope the ring parks rest on: an event id is 8 bytes (a
+// 32-bit origin and sequence number), an event 32, a message at most 96 and
+// an in-flight envelope at most 112. A field moved into padding, or an id
+// made wide again, fails here and not only in the heap figures.
+func TestEnvelopeSizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		size, max uintptr
+	}{
+		{"proto.EventID", unsafe.Sizeof(proto.EventID{}), 8},
+		{"proto.Event", unsafe.Sizeof(proto.Event{}), 32},
+		{"proto.Message", unsafe.Sizeof(proto.Message{}), 96},
+		{"flSlot", unsafe.Sizeof(flSlot{}), 112},
+	} {
+		if c.size > c.max {
+			t.Errorf("%s takes %d bytes, want at most %d", c.name, c.size, c.max)
+		}
 	}
 }
 

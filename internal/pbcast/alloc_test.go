@@ -56,7 +56,7 @@ func TestTickAppendNoAllocPerMessage(t *testing.T) {
 // system — must be allocation-free.
 func TestHandleMessageAppendZeroAllocKnownDigest(t *testing.T) {
 	n := totalNode(t, DefaultConfig())
-	ev := n.Publish(nil)
+	ev := publish(t, n, nil)
 	dup := proto.Message{
 		Kind:   proto.GossipMsg,
 		From:   2,
@@ -125,7 +125,7 @@ func TestEmissionReuseDrawEquivalence(t *testing.T) {
 			} else {
 				n.Seed(all)
 			}
-			n.Publish([]byte("seed"))
+			publish(t, n, []byte("seed"))
 			return n
 		}
 		plain, reuse := build(), build()

@@ -142,7 +142,7 @@ type Node struct {
 	rng     *rng.Source
 
 	pendingReplies []proto.Message // solicited retransmissions, flushed on the next tick
-	nextSeq        uint64
+	nextSeq        uint32
 	stats          Stats
 
 	// emit is where TickAppend cuts its digest gossip and targets from
@@ -243,8 +243,12 @@ func (n *Node) ViewCap() int {
 // Publish broadcasts a new message. The returned event carries the node's
 // next sequence number. Dissemination starts with the next digest gossip;
 // the caller may additionally run a first-phase unreliable multicast by
-// delivering the event to other nodes via HandleFirstPhase.
-func (n *Node) Publish(payload []byte) proto.Event {
+// delivering the event to other nodes via HandleFirstPhase. Past sequence
+// number proto.MaxSeq it refuses with proto.ErrSeqExhausted.
+func (n *Node) Publish(payload []byte) (proto.Event, error) {
+	if n.nextSeq == proto.MaxSeq {
+		return proto.Event{}, proto.ErrSeqExhausted
+	}
 	n.nextSeq++
 	ev := proto.Event{ID: proto.EventID{Origin: n.self, Seq: n.nextSeq}}
 	if len(payload) > 0 {
@@ -252,7 +256,7 @@ func (n *Node) Publish(payload []byte) proto.Event {
 	}
 	n.stats.MessagesPublished++
 	n.receiveMessage(ev, 0)
-	return ev
+	return ev, nil
 }
 
 // HandleFirstPhase injects a message received through the unreliable

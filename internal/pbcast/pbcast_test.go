@@ -1,6 +1,7 @@
 package pbcast
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/proto"
@@ -19,6 +20,33 @@ func newNode(t *testing.T, self proto.ProcessID, mutate func(*Config)) (*Node, *
 		t.Fatalf("New: %v", err)
 	}
 	return n, &delivered
+}
+
+// publish is Publish for a test far from the last sequence number.
+func publish(t testing.TB, n *Node, payload []byte) proto.Event {
+	t.Helper()
+	ev, err := n.Publish(payload)
+	if err != nil {
+		t.Fatalf("Publish: %v", err)
+	}
+	return ev
+}
+
+// TestPublishRefusesPastMaxSeq: the last sequence number is published, and
+// the publish after it is refused with ErrSeqExhausted, storing nothing.
+func TestPublishRefusesPastMaxSeq(t *testing.T) {
+	t.Parallel()
+	n, delivered := newNode(t, 1, nil)
+	n.nextSeq = proto.MaxSeq - 1
+	if ev := publish(t, n, nil); ev.ID.Seq != proto.MaxSeq {
+		t.Fatalf("last publish got seq %d, want %d", ev.ID.Seq, uint32(proto.MaxSeq))
+	}
+	if _, err := n.Publish([]byte("x")); !errors.Is(err, proto.ErrSeqExhausted) {
+		t.Fatalf("publish past the last seq: %v, want ErrSeqExhausted", err)
+	}
+	if len(*delivered) != 1 || n.Stats().MessagesPublished != 1 {
+		t.Fatalf("after the refusal: %d delivered, %d published; want 1 each", len(*delivered), n.Stats().MessagesPublished)
+	}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -68,7 +96,7 @@ func TestViewModeString(t *testing.T) {
 func TestPublishDeliversLocally(t *testing.T) {
 	t.Parallel()
 	n, delivered := newNode(t, 1, nil)
-	ev := n.Publish([]byte("m"))
+	ev := publish(t, n, []byte("m"))
 	if len(*delivered) != 1 || (*delivered)[0].ID != ev.ID {
 		t.Fatalf("delivered = %v", *delivered)
 	}
@@ -98,7 +126,7 @@ func TestTickGossipsDigest(t *testing.T) {
 	t.Parallel()
 	n, _ := newNode(t, 1, nil)
 	n.Seed([]proto.ProcessID{2, 3, 4, 5, 6})
-	ev := n.Publish([]byte("x"))
+	ev := publish(t, n, []byte("x"))
 	msgs := n.TickAppend(1, nil)
 	if len(msgs) != 5 {
 		t.Fatalf("sent %d gossips, want fanout 5", len(msgs))
@@ -161,7 +189,7 @@ func TestPullRoundTripTakesOneTick(t *testing.T) {
 	p2, delivered := newNode(t, 2, nil)
 	p1.Seed([]proto.ProcessID{2})
 	p2.Seed([]proto.ProcessID{1})
-	ev := p1.Publish([]byte("pull me"))
+	ev := publish(t, p1, []byte("pull me"))
 
 	gossips := p1.TickAppend(1, nil)
 	var requests []proto.Message
@@ -243,7 +271,7 @@ func TestRepetitionLimitStopsAdvertising(t *testing.T) {
 	t.Parallel()
 	n, _ := newNode(t, 1, func(c *Config) { c.Repetitions = 2 })
 	n.Seed([]proto.ProcessID{2, 3, 4, 5, 6})
-	n.Publish([]byte("x"))
+	publish(t, n, []byte("x"))
 	for round := uint64(1); round <= 2; round++ {
 		msgs := n.TickAppend(round, nil)
 		if len(msgs[0].Gossip.Digest) != 1 {
@@ -260,7 +288,7 @@ func TestUnlimitedWhenZero(t *testing.T) {
 	t.Parallel()
 	n, _ := newNode(t, 1, func(c *Config) { c.HopLimit = 0; c.Repetitions = 0 })
 	n.Seed([]proto.ProcessID{2, 3, 4, 5, 6})
-	n.Publish([]byte("x"))
+	publish(t, n, []byte("x"))
 	for round := uint64(1); round <= 10; round++ {
 		msgs := n.TickAppend(round, nil)
 		if len(msgs[0].Gossip.Digest) != 1 {
@@ -274,7 +302,7 @@ func TestStoreEviction(t *testing.T) {
 	n, _ := newNode(t, 1, func(c *Config) { c.MaxStore = 3 })
 	var ids []proto.EventID
 	for i := 0; i < 5; i++ {
-		ev := n.Publish([]byte{byte(i)})
+		ev := publish(t, n, []byte{byte(i)})
 		ids = append(ids, ev.ID)
 	}
 	if n.Delivered(ids[0]) || n.Delivered(ids[1]) {
@@ -368,7 +396,7 @@ func TestSmallClusterConverges(t *testing.T) {
 		node.Seed(seeds)
 		nodes[i] = node
 	}
-	ev := nodes[0].Publish([]byte("to all"))
+	ev := publish(t, nodes[0], []byte("to all"))
 	for round := uint64(1); round <= 12; round++ {
 		var wire []proto.Message
 		for _, node := range nodes {
@@ -396,7 +424,7 @@ func BenchmarkTickWithStore(b *testing.B) {
 	}
 	n.Seed([]proto.ProcessID{2, 3, 4, 5, 6, 7})
 	for i := 0; i < 60; i++ {
-		n.Publish([]byte("x"))
+		publish(b, n, []byte("x"))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

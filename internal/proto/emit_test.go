@@ -94,7 +94,7 @@ func TestEmitArenaGenerations(t *testing.T) {
 			poisoned := map[ProcessID]int{} // by the period that cut the gossip, its From
 			if poisoning {
 				a.SetPoison(func(x *Gossip) {
-					if x.From == NilProcess || len(x.Digest) != 2 || x.Digest[1].Seq != uint64(x.From) {
+					if x.From == NilProcess || len(x.Digest) != 2 || x.Digest[1].Seq != uint32(x.From) {
 						t.Fatalf("G=%d: a gossip was poisoned after its contents were gone: %+v", g, x)
 					}
 					poisoned[x.From]++
@@ -110,7 +110,7 @@ func TestEmitArenaGenerations(t *testing.T) {
 				x := a.Gossip()
 				x.From = ProcessID(period)
 				x.Digest = a.IDs(2)
-				x.Digest[1] = EventID{Origin: 1, Seq: uint64(period)}
+				x.Digest[1] = EventID{Origin: 1, Seq: uint32(period)}
 				x.Subs = a.PIDs(3)
 				x.Subs[2] = ProcessID(period)
 				cuts = append(cuts, cut{x, x.Digest})
@@ -120,7 +120,7 @@ func TestEmitArenaGenerations(t *testing.T) {
 					// cut from again after.
 					alive, recycled := period-p < g, period-p == g
 					switch {
-					case alive && (c.g.From != ProcessID(p+1) || c.ids[1].Seq != uint64(p+1) || c.g.Subs[2] != ProcessID(p+1)):
+					case alive && (c.g.From != ProcessID(p+1) || c.ids[1].Seq != uint32(p+1) || c.g.Subs[2] != ProcessID(p+1)):
 						t.Fatalf("G=%d poisoning=%v: period %d's gossip changed by the end of period %d: %+v", g, poisoning, p+1, period, c.g)
 					case recycled && (c.g.From != NilProcess || c.ids[1] != EventID{}):
 						t.Fatalf("G=%d poisoning=%v: period %d's gossip was not zeroed by the end of period %d: %+v", g, poisoning, p+1, period, c.g)

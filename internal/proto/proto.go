@@ -8,26 +8,41 @@
 // cycles.
 package proto
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"math"
+)
 
 // ProcessID identifies a process. The paper's system model (§3.1) requires
-// ordered distinct identifiers; uint64 gives us both ordering and cheap map
-// keys. ID 0 is reserved as "no process".
-type ProcessID uint64
+// ordered distinct identifiers; uint32 gives both ordering and cheap map
+// keys, and halves every list of ids the engines hold. ID 0 is reserved as
+// "no process". An id past 2^32-1 is unrepresentable: the wire decoder and
+// every parser of a user-given id refuse one.
+type ProcessID uint32
 
 // NilProcess is the zero ProcessID, used to mean "no process".
 const NilProcess ProcessID = 0
 
 // String implements fmt.Stringer.
-func (p ProcessID) String() string { return fmt.Sprintf("p%d", uint64(p)) }
+func (p ProcessID) String() string { return fmt.Sprintf("p%d", uint32(p)) }
 
 // EventID uniquely identifies a notification. Per §3.2 the identifier
 // "include[s] the identifier of the originator", which enables the
-// per-sender digest optimization: Origin plus a per-origin sequence number.
+// per-sender digest optimization: Origin plus a per-origin sequence number,
+// 8 bytes in all. Sequence numbers start at 1 and end at MaxSeq: Publish
+// refuses to go past it, and the wire decoder refuses a larger one.
 type EventID struct {
 	Origin ProcessID
-	Seq    uint64
+	Seq    uint32
 }
+
+// MaxSeq is the last sequence number an origin can publish.
+const MaxSeq = math.MaxUint32
+
+// ErrSeqExhausted is returned by a Publish past MaxSeq. A process that has
+// published that many events re-subscribes under a new id (§3.4).
+var ErrSeqExhausted = errors.New("sequence numbers exhausted: publish under a new process id")
 
 // String implements fmt.Stringer.
 func (id EventID) String() string {
@@ -156,16 +171,17 @@ func (k MessageKind) String() string {
 	}
 }
 
-// Message is the envelope put on the wire between processes.
+// Message is the envelope put on the wire between processes. The ids and
+// the kind come first and share 16 bytes, so the envelope is 96.
 type Message struct {
-	Kind MessageKind
 	From ProcessID
 	To   ProcessID
+	// Subscriber is set for SubscribeMsg: the joining process.
+	Subscriber ProcessID
+	Kind       MessageKind
 
 	// Gossip is set for GossipMsg.
 	Gossip *Gossip
-	// Subscriber is set for SubscribeMsg: the joining process.
-	Subscriber ProcessID
 	// Request is set for RetransmitRequestMsg: identifiers wanted.
 	Request []EventID
 	// Reply is set for RetransmitReplyMsg: the retransmitted events.

@@ -392,11 +392,11 @@ func (s *Subscription) publish(payload []byte) (proto.Event, error) {
 		b.mu.Unlock()
 		return proto.Event{}, errors.New("pubsub: member no longer exists")
 	}
-	ev := m.engine.Publish(payload)
+	ev, err := m.engine.Publish(payload)
 	// Publish delivers locally right away; hand the notification to the
 	// publisher's own handler outside the lock.
 	b.flushLocked()
-	return ev, nil
+	return ev, err
 }
 
 // leaveGraceRounds is how many gossip rounds a leaving member keeps

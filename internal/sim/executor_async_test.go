@@ -167,7 +167,10 @@ func TestAsyncForwardsWithinPeriod(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ev := c.Process(0).(*core.Engine).Publish(nil)
+			ev, err := c.PublishAt(0)
+			if err != nil {
+				t.Fatal(err)
+			}
 			c.RunRound()
 			total += float64(c.DeliveredCount(ev.ID))
 			c.Close()

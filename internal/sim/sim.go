@@ -528,9 +528,12 @@ func (c *Cluster) settleArrivals(at uint64, msgs []proto.Message, dests []int) (
 func (c *Cluster) PublishAt(i int) (proto.Event, error) {
 	switch p := c.procs[i].(type) {
 	case *core.Engine:
-		return p.Publish(nil), nil
+		return p.Publish(nil)
 	case *pbcast.Node:
-		ev := p.Publish(nil)
+		ev, err := p.Publish(nil)
+		if err != nil {
+			return ev, err
+		}
 		if c.opts.FirstPhaseDelivery > 0 {
 			for j, q := range c.procs {
 				if j == i {

@@ -102,7 +102,10 @@ func TestClusterDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev := c.Process(0).(*core.Engine).Publish(nil)
+		ev, err := c.PublishAt(0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < 6; i++ {
 			c.RunRound()
 		}
@@ -124,7 +127,9 @@ func TestClusterSeedsChangeOutcome(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Process(0).(*core.Engine).Publish(nil)
+		if _, err := c.PublishAt(0); err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < 4; i++ {
 			c.RunRound()
 		}
@@ -242,7 +247,10 @@ func TestAsyncRoundDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev := c.Process(0).(*core.Engine).Publish(nil)
+		ev, err := c.PublishAt(0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < 4; i++ {
 			c.RunRound()
 		}
@@ -267,7 +275,10 @@ func TestAsyncSpreadsFasterThanSync(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ev := c.Process(0).(*core.Engine).Publish(nil)
+			ev, err := c.PublishAt(0)
+			if err != nil {
+				t.Fatal(err)
+			}
 			c.RunRound()
 			c.RunRound()
 			total += float64(c.DeliveredCount(ev.ID))

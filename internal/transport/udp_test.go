@@ -122,7 +122,7 @@ func TestUDPSendBatchPacksDatagrams(t *testing.T) {
 				Digest: []proto.EventID{{Origin: 1, Seq: 7}},
 			}},
 			proto.Message{Kind: proto.RetransmitRequestMsg, From: 1, To: id,
-				Request: []proto.EventID{{Origin: 9, Seq: uint64(i + 1)}}},
+				Request: []proto.EventID{{Origin: 9, Seq: uint32(i + 1)}}},
 		)
 	}
 	if err := src.SendBatch(burst); err != nil {
@@ -144,7 +144,7 @@ func TestUDPSendBatchPacksDatagrams(t *testing.T) {
 		if m1.Kind != proto.GossipMsg || m2.Kind != proto.RetransmitRequestMsg {
 			t.Fatalf("peer %d got kinds %v, %v (order must survive packing)", i, m1.Kind, m2.Kind)
 		}
-		if m2.Request[0].Seq != uint64(i+1) {
+		if m2.Request[0].Seq != uint32(i+1) {
 			t.Fatalf("peer %d got request %+v", i, m2.Request)
 		}
 		if received := p.Stats().Received; received != 2 {
@@ -180,7 +180,7 @@ func TestUDPSendBatchSplitsOversizedBursts(t *testing.T) {
 	for i := 0; i < 6; i++ { // ~120 KiB total, > one 64 KiB datagram
 		burst = append(burst, proto.Message{
 			Kind: proto.RetransmitReplyMsg, From: 1, To: 2,
-			Reply: []proto.Event{{ID: proto.EventID{Origin: 1, Seq: uint64(i + 1)}, Payload: payload}},
+			Reply: []proto.Event{{ID: proto.EventID{Origin: 1, Seq: uint32(i + 1)}, Payload: payload}},
 		})
 	}
 	if err := a.SendBatch(burst); err != nil {
@@ -188,7 +188,7 @@ func TestUDPSendBatchSplitsOversizedBursts(t *testing.T) {
 	}
 	for i := 0; i < len(burst); i++ {
 		got := recvOne(t, b, 2*time.Second)
-		if got.Reply[0].ID.Seq != uint64(i+1) {
+		if got.Reply[0].ID.Seq != uint32(i+1) {
 			t.Fatalf("message %d out of order: %+v", i, got.Reply[0].ID)
 		}
 	}
@@ -374,17 +374,17 @@ func longBurst(k int) []proto.Message {
 	for i := 0; i < 12; i++ {
 		g.Subs = append(g.Subs, proto.ProcessID(100*k+i+1))
 		g.Unsubs = append(g.Unsubs, proto.Unsubscription{Process: proto.ProcessID(i + 1), Stamp: uint64(k)})
-		g.Events = append(g.Events, proto.Event{ID: proto.EventID{Origin: 1, Seq: uint64(100*k + i + 1)}, Payload: []byte{byte(k), byte(i), 7}})
-		g.Digest = append(g.Digest, proto.EventID{Origin: 2, Seq: uint64(100*k + i + 1)})
-		g.DigestWatermarks = append(g.DigestWatermarks, proto.EventID{Origin: proto.ProcessID(i + 1), Seq: uint64(k + 1)})
+		g.Events = append(g.Events, proto.Event{ID: proto.EventID{Origin: 1, Seq: uint32(100*k + i + 1)}, Payload: []byte{byte(k), byte(i), 7}})
+		g.Digest = append(g.Digest, proto.EventID{Origin: 2, Seq: uint32(100*k + i + 1)})
+		g.DigestWatermarks = append(g.DigestWatermarks, proto.EventID{Origin: proto.ProcessID(i + 1), Seq: uint32(k + 1)})
 	}
 	return []proto.Message{
 		{Kind: proto.GossipMsg, From: 1, To: 2, Gossip: g},
 		{Kind: proto.RetransmitReplyMsg, From: 1, To: 2,
-			Reply:     []proto.Event{{ID: proto.EventID{Origin: 3, Seq: uint64(k + 1)}, Payload: []byte("again")}},
+			Reply:     []proto.Event{{ID: proto.EventID{Origin: 3, Seq: uint32(k + 1)}, Payload: []byte("again")}},
 			ReplyHops: []uint32{uint32(k)}},
 		{Kind: proto.RetransmitRequestMsg, From: 1, To: 2,
-			Request: []proto.EventID{{Origin: 5, Seq: uint64(k + 1)}}},
+			Request: []proto.EventID{{Origin: 5, Seq: uint32(k + 1)}}},
 	}
 }
 

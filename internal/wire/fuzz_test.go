@@ -8,7 +8,8 @@ import (
 )
 
 // decodeSeeds is FuzzDecode's corpus: real encodings of every message kind,
-// a container of them, and the shortest rejects.
+// a container of them, the shortest rejects, and a request whose origin is
+// past 2^32-1.
 func decodeSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	msgs := []proto.Message{
@@ -32,7 +33,11 @@ func decodeSeeds(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return append(seeds, batch, []byte{}, []byte{'L', 1, 1}, []byte{'L', 2, 1})
+	wide, err := Encode(wideMessages()[3])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return append(seeds, batch, []byte{}, []byte{'L', 1, 1}, []byte{'L', 2, 1}, widened(tb, wide))
 }
 
 // containerSeeds is FuzzDecodeContainer's corpus.

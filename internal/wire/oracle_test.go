@@ -38,7 +38,7 @@ func (e *encoder) pid(p proto.ProcessID) { e.uvarint(uint64(p)) }
 
 func (e *encoder) eventID(id proto.EventID) {
 	e.pid(id.Origin)
-	e.uvarint(id.Seq)
+	e.uvarint(uint64(id.Seq))
 }
 
 func (e *encoder) event(ev proto.Event) {
@@ -229,7 +229,7 @@ func firstDifference(a, b []byte) int {
 
 // propertyMessage is the message TestRoundTripProperty builds from its
 // generated arguments.
-func propertyMessage(from, to, origin uint16, seq uint64, payload []byte, subsRaw []uint16, stamps []uint32) proto.Message {
+func propertyMessage(from, to, origin uint16, seq uint32, payload []byte, subsRaw []uint16, stamps []uint32) proto.Message {
 	subs := make([]proto.ProcessID, len(subsRaw))
 	for i, s := range subsRaw {
 		subs[i] = proto.ProcessID(s)
@@ -270,7 +270,7 @@ func TestEncoderOracleProperty(t *testing.T) {
 	t.Parallel()
 	p := &Packer{Budget: transportBudget}
 	var burst []proto.Message
-	if err := quick.Check(func(from, to, origin uint16, seq uint64, payload []byte, subsRaw []uint16, stamps []uint32) bool {
+	if err := quick.Check(func(from, to, origin uint16, seq uint32, payload []byte, subsRaw []uint16, stamps []uint32) bool {
 		m := propertyMessage(from, to, origin, seq, payload, subsRaw, stamps)
 		checkAgainstReference(t, p, []proto.Message{m})
 		burst = append(burst, m)
@@ -341,7 +341,7 @@ func TestEncoderOracleFrameLengths(t *testing.T) {
 func TestEncoderOracleBudgetSplit(t *testing.T) {
 	t.Parallel()
 	p := &Packer{Budget: transportBudget}
-	reply := func(seq uint64, size int) proto.Message {
+	reply := func(seq uint32, size int) proto.Message {
 		return proto.Message{Kind: proto.RetransmitReplyMsg, From: 1, To: 2,
 			Reply: []proto.Event{{ID: proto.EventID{Origin: 1, Seq: seq}, Payload: make([]byte, size)}}}
 	}
@@ -398,7 +398,7 @@ func TestEncodeBatchMatchesReference(t *testing.T) {
 		var frames [][]byte
 		for i := 0; i < 2+r.Intn(6); i++ {
 			m := proto.Message{Kind: proto.RetransmitReplyMsg, From: 1, To: 2,
-				Reply: []proto.Event{{ID: proto.EventID{Origin: 1, Seq: uint64(i + 1)}, Payload: make([]byte, r.Intn(30000))}}}
+				Reply: []proto.Event{{ID: proto.EventID{Origin: 1, Seq: uint32(i + 1)}, Payload: make([]byte, r.Intn(30000))}}}
 			f, err := refEncode(m)
 			if err != nil {
 				t.Fatal(err)

@@ -58,6 +58,9 @@ const (
 // content.
 var ErrTruncated = errors.New("wire: truncated message")
 
+// ErrWideID is returned for a process id or sequence number past 2^32-1.
+var ErrWideID = errors.New("wire: id past 2^32-1")
+
 // ErrBadMagic is returned for messages not starting with the magic byte.
 var ErrBadMagic = errors.New("wire: bad magic byte")
 
@@ -80,7 +83,7 @@ func appendPID(dst []byte, p proto.ProcessID) []byte {
 }
 
 func appendEventID(dst []byte, id proto.EventID) []byte {
-	return binary.AppendUvarint(appendPID(dst, id.Origin), id.Seq)
+	return binary.AppendUvarint(appendPID(dst, id.Origin), uint64(id.Seq))
 }
 
 func appendEvents(dst []byte, evs []proto.Event) []byte {
@@ -327,8 +330,18 @@ func (d *decoder) count(limit, width int) (int, error) {
 	return int(v), nil
 }
 
-func (d *decoder) pid() (proto.ProcessID, error) {
+// u32 reads a process id or a sequence number: a value past 2^32-1 is
+// refused, for no id can hold it.
+func (d *decoder) u32() (uint32, error) {
 	v, err := d.uvarint()
+	if err == nil && v > math.MaxUint32 {
+		return 0, ErrWideID
+	}
+	return uint32(v), err
+}
+
+func (d *decoder) pid() (proto.ProcessID, error) {
+	v, err := d.u32()
 	return proto.ProcessID(v), err
 }
 
@@ -337,7 +350,7 @@ func (d *decoder) eventID() (proto.EventID, error) {
 	if err != nil {
 		return proto.EventID{}, err
 	}
-	seq, err := d.uvarint()
+	seq, err := d.u32()
 	if err != nil {
 		return proto.EventID{}, err
 	}
@@ -496,12 +509,15 @@ func (d *decoder) message(m *proto.Message) error {
 	return nil
 }
 
-// Decode parses a message previously produced by Encode.
+// Decode parses a message previously produced by Encode. On error it
+// returns the zero Message, nothing of what it read.
 func Decode(buf []byte) (proto.Message, error) {
 	var m proto.Message
 	d := decoder{buf: buf}
-	err := d.message(&m)
-	return m, err
+	if err := d.message(&m); err != nil {
+		return proto.Message{}, err
+	}
+	return m, nil
 }
 
 // DecodeBatch parses a datagram holding either a single version-1 frame or

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -136,6 +138,95 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// wideMessages sets, in each message, one process id or sequence number to
+// 2^32-1, the largest an id holds, where the wire may carry larger: the
+// header's ids, the subscriber, the gossip's sender, a sub, an unsub, an
+// event's, a digest id's and a watermark's origin and seq, and a request's
+// and a reply's. Every other id is below 128, so that value's uvarint is
+// found once in the message's encoding.
+func wideMessages() []proto.Message {
+	const top = proto.ProcessID(proto.MaxSeq)
+	gossip := func(set func(g *proto.Gossip)) *proto.Gossip {
+		g := &proto.Gossip{From: 7, Subs: []proto.ProcessID{7}, Unsubs: []proto.Unsubscription{{Process: 4, Stamp: 1 << 40}},
+			Events: []proto.Event{{ID: proto.EventID{Origin: 7, Seq: 1}, Payload: []byte("x")}},
+			Digest: []proto.EventID{{Origin: 7, Seq: 1}}, DigestWatermarks: []proto.EventID{{Origin: 7, Seq: 1}}}
+		set(g)
+		return g
+	}
+	gossips := []func(g *proto.Gossip){
+		func(g *proto.Gossip) { g.From = top },
+		func(g *proto.Gossip) { g.Subs[0] = top },
+		func(g *proto.Gossip) { g.Unsubs[0].Process = top },
+		func(g *proto.Gossip) { g.Events[0].ID.Origin = top },
+		func(g *proto.Gossip) { g.Events[0].ID.Seq = proto.MaxSeq },
+		func(g *proto.Gossip) { g.Digest[0].Origin = top },
+		func(g *proto.Gossip) { g.Digest[0].Seq = proto.MaxSeq },
+		func(g *proto.Gossip) { g.DigestWatermarks[0].Origin = top },
+		func(g *proto.Gossip) { g.DigestWatermarks[0].Seq = proto.MaxSeq },
+	}
+	msgs := []proto.Message{
+		{Kind: proto.SubscribeMsg, From: top, To: 2, Subscriber: 1},
+		{Kind: proto.SubscribeMsg, From: 1, To: top, Subscriber: 1},
+		{Kind: proto.SubscribeMsg, From: 1, To: 2, Subscriber: top},
+		{Kind: proto.RetransmitRequestMsg, From: 1, To: 2, Request: []proto.EventID{{Origin: top, Seq: 2}}},
+		{Kind: proto.RetransmitRequestMsg, From: 1, To: 2, Request: []proto.EventID{{Origin: 3, Seq: proto.MaxSeq}}},
+		{Kind: proto.RetransmitReplyMsg, From: 1, To: 2, Reply: []proto.Event{{ID: proto.EventID{Origin: top, Seq: 2}}}},
+		{Kind: proto.RetransmitReplyMsg, From: 1, To: 2, Reply: []proto.Event{{ID: proto.EventID{Origin: 3, Seq: proto.MaxSeq}}}},
+	}
+	for _, set := range gossips {
+		msgs = append(msgs, proto.Message{Kind: proto.GossipMsg, From: 1, To: 2, Gossip: gossip(set)})
+	}
+	return msgs
+}
+
+// widened returns buf with the uvarint of 2^32-1 it holds once replaced by
+// the uvarint of 2^32, as long.
+func widened(tb testing.TB, buf []byte) []byte {
+	tb.Helper()
+	top, past := binary.AppendUvarint(nil, proto.MaxSeq), binary.AppendUvarint(nil, proto.MaxSeq+1)
+	if bytes.Count(buf, top) != 1 || len(top) != len(past) {
+		tb.Fatalf("%x holds 2^32-1 %d times", buf, bytes.Count(buf, top))
+	}
+	return bytes.Replace(buf, top, past, 1)
+}
+
+// TestDecodeRefusesWideIDs: for any well-framed datagram whose process id
+// or sequence number — in the header, the subscriber, the gossip's sender,
+// a sub, an unsub, an event, the digest, the watermarks, a request or a
+// reply — is past 2^32-1, every decoder SHALL refuse it with ErrWideID,
+// without a panic and without handing out any part of the message: Decode
+// returns the zero Message, and a container keeps the frames before it
+// alone, on the heap and in an arena. The same datagram at 2^32-1 decodes.
+func TestDecodeRefusesWideIDs(t *testing.T) {
+	t.Parallel()
+	before := proto.Message{Kind: proto.SubscribeMsg, From: 5, To: 6, Subscriber: 5}
+	var arena Arena
+	for i, m := range wideMessages() {
+		buf, err := Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Decode(buf); err != nil || !reflect.DeepEqual(got, m) {
+			t.Fatalf("message %d at 2^32-1: decoded %+v, %v; want %+v", i, got, err, m)
+		}
+		wide := widened(t, buf)
+		if got, err := Decode(wide); !errors.Is(err, ErrWideID) || !reflect.DeepEqual(got, proto.Message{}) {
+			t.Fatalf("message %d past 2^32-1: Decode = %+v, %v; want the zero Message, ErrWideID", i, got, err)
+		}
+		batch, err := EncodeBatch([]proto.Message{before, m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch = widened(t, batch)
+		if got, err := DecodeBatch(batch, nil); !errors.Is(err, ErrWideID) || !reflect.DeepEqual(got, []proto.Message{before}) {
+			t.Fatalf("message %d past 2^32-1 in a container: DecodeBatch = %+v, %v; want the frame before it, ErrWideID", i, got, err)
+		}
+		if got, err := arena.DecodeBatch(batch); !errors.Is(err, ErrWideID) || !reflect.DeepEqual(got, []proto.Message{before}) {
+			t.Fatalf("message %d past 2^32-1 in a container: Arena.DecodeBatch = %+v, %v; want the frame before it, ErrWideID", i, got, err)
+		}
+	}
+}
+
 func TestDecodeRejectsTruncations(t *testing.T) {
 	t.Parallel()
 	buf, err := Encode(sampleGossip())
@@ -206,7 +297,7 @@ func TestDecodeMutatedMessagesNeverPanic(t *testing.T) {
 
 func TestRoundTripProperty(t *testing.T) {
 	t.Parallel()
-	if err := quick.Check(func(from, to, origin uint16, seq uint64, payload []byte, subsRaw []uint16, stamps []uint32) bool {
+	if err := quick.Check(func(from, to, origin uint16, seq uint32, payload []byte, subsRaw []uint16, stamps []uint32) bool {
 		m := propertyMessage(from, to, origin, seq, payload, subsRaw, stamps)
 		buf, err := Encode(m)
 		if err != nil {
@@ -231,11 +322,11 @@ func TestEncodedSizeIsCompact(t *testing.T) {
 		g.Subs = append(g.Subs, proto.ProcessID(i+1))
 	}
 	for i := 0; i < 60; i++ {
-		g.Digest = append(g.Digest, proto.EventID{Origin: proto.ProcessID(i%8 + 1), Seq: uint64(i)})
+		g.Digest = append(g.Digest, proto.EventID{Origin: proto.ProcessID(i%8 + 1), Seq: uint32(i)})
 	}
 	for i := 0; i < 40; i++ {
 		g.Events = append(g.Events, proto.Event{
-			ID:      proto.EventID{Origin: 1, Seq: uint64(i)},
+			ID:      proto.EventID{Origin: 1, Seq: uint32(i)},
 			Payload: []byte("0123456789abcdef"),
 		})
 	}

@@ -250,7 +250,7 @@ func payloadOutlivesDatagram(t *testing.T, trs []Transport) {
 		return len(kept)
 	}
 	for k := 1; k <= datagrams; k++ {
-		ev := Event{ID: EventID{Origin: 2, Seq: uint64(k)}, Payload: payload(k)}
+		ev := Event{ID: EventID{Origin: 2, Seq: uint32(k)}, Payload: payload(k)}
 		g := &Gossip{From: 2, Subs: []ProcessID{2}, Events: []Event{ev}}
 		if err := trs[1].Send(Message{Kind: GossipMsgKind, From: 2, To: 1, Gossip: g}); err != nil {
 			t.Fatal(err)
@@ -327,7 +327,7 @@ func TestNodeCloseUnderFlood(t *testing.T) {
 	flooded := make(chan struct{})
 	go func() {
 		defer close(flooded)
-		for seq := uint64(1); ; seq++ {
+		for seq := uint32(1); ; seq++ {
 			select {
 			case <-stop:
 				return

@@ -62,6 +62,11 @@ type (
 // NilProcess is the zero ProcessID ("no process").
 const NilProcess = proto.NilProcess
 
+// ErrSeqExhausted is returned by a Publish past the last sequence number,
+// 2^32-1. A process that has published that many events re-subscribes
+// under a new id (§3.4).
+var ErrSeqExhausted = proto.ErrSeqExhausted
+
 // MessageKind discriminates wire-level messages.
 type MessageKind = proto.MessageKind
 
@@ -253,8 +258,9 @@ func WithArchiveSize(n int) Option {
 // their emissions to the caller's scratch slice, and all gossip messages
 // of one round may share a read-only *Gossip.
 type Engine interface {
-	// Publish broadcasts a new notification and delivers it locally.
-	Publish(payload []byte) Event
+	// Publish broadcasts a new notification and delivers it locally, or
+	// refuses past the last sequence number (ErrSeqExhausted).
+	Publish(payload []byte) (Event, error)
 	// TickAppend performs one periodic gossip emission, appending the
 	// outgoing messages to out.
 	TickAppend(now uint64, out []Message) []Message
@@ -575,7 +581,7 @@ func (n *Node) Publish(payload []byte) (Event, error) {
 	if n.closed {
 		return Event{}, errors.New("lpbcast: node closed")
 	}
-	return n.engine.Publish(payload), nil
+	return n.engine.Publish(payload)
 }
 
 // Join sends a subscription request to a known member (§3.4) and seeds the
