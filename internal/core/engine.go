@@ -203,7 +203,7 @@ type Deliverer func(e proto.Event)
 // Engine is not safe for concurrent use; drivers serialize access.
 type Engine struct {
 	self    proto.ProcessID
-	cfg     Config
+	cfg     *Config // read in place: engines built from one Pools share it
 	mem     *membership.Manager
 	events  *buffer.EventBuffer
 	compact *buffer.CompactDigest
@@ -256,8 +256,8 @@ const maxPullRoom = 4
 // is new; the difference of a longer one spills to the heap.
 const digestDiffRoom = 64
 
-// New creates an engine for process self. deliver may be nil (deliveries
-// are then only counted).
+// New creates an engine for process self, in one allocation with a copy of
+// cfg of its own. deliver may be nil (deliveries are then only counted).
 func New(self proto.ProcessID, cfg Config, deliver Deliverer, r *rng.Source) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -265,31 +265,22 @@ func New(self proto.ProcessID, cfg Config, deliver Deliverer, r *rng.Source) (*E
 	if r == nil {
 		return nil, errors.New("core: rng source must not be nil")
 	}
-	mem, err := membership.NewManager(self, cfg.Membership, r.Split())
-	if err != nil {
+	b := &struct {
+		engineSlot
+		cfg Config
+	}{cfg: cfg}
+	if err := b.init(self, &b.cfg, r, nil); err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		self:    self,
-		cfg:     cfg,
-		mem:     mem,
-		events:  buffer.NewEventBuffer(),
-		archive: new(buffer.Archive),
-		deliver: deliver,
-		rng:     r,
-	}
-	e.archive.Init(cfg.ArchiveSize, cfg.flatWindow())
-	if cfg.DigestMode == CompactDigest || cfg.DedupMemory {
-		e.compact = buffer.NewCompactDigest()
-	}
-	return e, nil
+	b.eng.deliver = deliver
+	return &b.eng, nil
 }
 
 // Self returns the engine's process id.
 func (e *Engine) Self() proto.ProcessID { return e.self }
 
 // Config returns the engine configuration.
-func (e *Engine) Config() Config { return e.cfg }
+func (e *Engine) Config() Config { return *e.cfg }
 
 // Stats returns a snapshot of the activity counters.
 func (e *Engine) Stats() Stats { return e.stats }

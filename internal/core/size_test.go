@@ -2,10 +2,12 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
 	"repro/internal/buffer"
+	"repro/internal/membership"
 	"repro/internal/proto"
 	"repro/internal/rng"
 )
@@ -212,6 +214,143 @@ func TestOnePayloadCopyPerDelivery(t *testing.T) {
 		archived, _ := e.archive.Lookup(ev.ID)
 		if &archived.Payload[0] != &ev.Payload[0] {
 			t.Fatalf("%v: the reply copied the archived payload", ev.ID)
+		}
+	}
+}
+
+// TestIdleEngineFootprint pins two rows of a process's memory budget, both
+// per-process state that is not the protocol's own: a pooled engine's slot
+// holds no copy of its configuration (engines share one), and a Uniform
+// view is a list of 4-byte ids, (l + |subs|m + 2)·4 bytes at DefaultConfig,
+// with no weights beside it however much membership it merges. A Weighted
+// view's weights are made with it, at the list's size, so its merges stay
+// allocation-free.
+func TestIdleEngineFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(engineSlot{}); size > 690 {
+		t.Errorf("an engine slot takes %d bytes, want at most 690", size)
+	}
+	for _, policy := range []membership.Policy{membership.Uniform, membership.Weighted} {
+		t.Run(policy.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Membership.Policy = policy
+			var pools Pools
+			e, err := NewIn(1, cfg, nil, *rng.New(3), &pools)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mc := cfg.Membership
+			room := mc.MaxView + mc.MaxSubs + 2
+			list := storage(e, "mem", "view", "list")
+			if got, want := list.Cap()*int(list.Type().Elem().Size()), room*4; got != want {
+				t.Errorf("the view's list holds %d bytes, want %d", got, want)
+			}
+			weights := storage(e, "mem", "view", "weights")
+			checkWeights := func(when string) {
+				switch {
+				case policy == membership.Uniform && !weights.IsNil():
+					t.Errorf("a Uniform view made weights %s", when)
+				case policy == membership.Weighted && weights.Cap() != room:
+					t.Errorf("a Weighted view's weights hold %d entries %s, want %d", weights.Cap(), when, room)
+				}
+			}
+			checkWeights("at construction")
+			gen := rng.New(4)
+			subs := make([]proto.ProcessID, mc.MaxSubs+1)
+			merge := func() {
+				for i := range subs {
+					subs[i] = proto.ProcessID(2 + gen.Intn(3*mc.MaxView)) // known and unknown ids alike
+				}
+				e.Membership().ApplySubs(subs)
+			}
+			if allocs := testing.AllocsPerRun(1000, merge); allocs != 0 {
+				t.Errorf("a merge allocates %v times, want 0", allocs)
+			}
+			if got := list.Cap(); got != room {
+				t.Errorf("the view's list grew to %d entries, want %d", got, room)
+			}
+			checkWeights("after 1 001 merges")
+		})
+	}
+}
+
+// TestPoolsShareConfig: engines built from one Pools with equal Configs read
+// one copy of it, their managers its Membership; a Config that differs in any
+// one field, of Config or of membership.Config, gets a copy of its own. The
+// fields are walked by reflection, so a field added to either Config that
+// Config.equal does not compare fails here.
+func TestPoolsShareConfig(t *testing.T) {
+	build := func(p *Pools, self proto.ProcessID, cfg Config) *Engine {
+		t.Helper()
+		e, err := NewIn(self, cfg, nil, *rng.New(uint64(self)), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := storage(e, "mem", "cfg").Pointer(); got != uintptr(unsafe.Pointer(&e.cfg.Membership)) {
+			t.Errorf("%v: the manager reads a Config of its own", self)
+		}
+		return e
+	}
+	clone := func(c Config) Config {
+		c.Membership.Prioritary = slices.Clone(c.Membership.Prioritary)
+		return c
+	}
+	base := DefaultConfig()
+	base.Membership.Prioritary = []proto.ProcessID{7, 8}
+	withPull := clone(base)
+	withPull.Retransmit = true
+
+	var pools Pools
+	caller := clone(base)
+	e1 := build(&pools, 1, caller)
+	caller.Membership.Prioritary[0] = 9
+	if e1.Config().Membership.Prioritary[0] != 7 {
+		t.Fatal("the shared Config aliases the caller's Prioritary")
+	}
+	if e2 := build(&pools, 2, clone(base)); e2.cfg != e1.cfg {
+		t.Fatal("two engines built with equal Configs hold a copy each")
+	}
+
+	var fields [][]int // index paths into Config, membership.Config's fields inlined
+	ct := reflect.TypeOf(Config{})
+	for i := 0; i < ct.NumField(); i++ {
+		if f := ct.Field(i); f.Type == reflect.TypeOf(membership.Config{}) {
+			for j := 0; j < f.Type.NumField(); j++ {
+				fields = append(fields, []int{i, j})
+			}
+		} else {
+			fields = append(fields, []int{i})
+		}
+	}
+	for _, path := range fields {
+		name := ct.FieldByIndex(path).Name
+		changed := false
+		for _, from := range []Config{base, withPull} { // Logger and RetransmitTimeout need Retransmit; AssumeFromDigest excludes it
+			cfg := clone(from)
+			switch f := reflect.ValueOf(&cfg).Elem().FieldByIndex(path); f.Kind() {
+			case reflect.Int:
+				f.SetInt(f.Int() + 1)
+			case reflect.Uint32, reflect.Uint64:
+				f.SetUint(f.Uint() + 1)
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
+			case reflect.Slice: // Prioritary: same length, other contents
+				f.Index(f.Len() - 1).SetUint(f.Index(f.Len()-1).Uint() + 1)
+			default:
+				t.Fatalf("Config field %s of kind %s: teach Config.equal and this test to change it", name, f.Kind())
+			}
+			if cfg.Validate() != nil {
+				continue
+			}
+			changed = true
+			var p Pools
+			shared := build(&p, 1, clone(from))
+			own := build(&p, 2, cfg)
+			if own.cfg == shared.cfg || !reflect.DeepEqual(own.Config(), cfg) {
+				t.Errorf("a Config differing in %s only shares the first engine's", name)
+			}
+		}
+		if !changed {
+			t.Errorf("no valid Config differs from the bases in %s alone: the test exercised nothing", name)
 		}
 	}
 }

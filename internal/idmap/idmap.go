@@ -30,6 +30,8 @@ const NilIndex = ^Index(0)
 // on: any read of a released index resolves to the largest id, which no
 // simulated process has (the simulator numbers processes from 1), so
 // stale-index bugs surface as loud mismatches instead of silent aliasing.
+// With poisoning on, Add refuses it; with poisoning off it is an id like
+// any other.
 const poisonID = ^proto.ProcessID(0)
 
 // denseBound is the largest id served by the forward array; ids at or
@@ -101,10 +103,14 @@ func (t *Table) growFwd(id proto.ProcessID) {
 
 // Add returns id's index, assigning the next one (recycled first) if id
 // is new. Adding NilProcess panics: "no process" must never occupy a
-// slot.
+// slot. So does adding 2³²−1 with poisoning on, where that id marks a
+// recycled slot.
 func (t *Table) Add(id proto.ProcessID) Index {
 	if id == proto.NilProcess {
 		panic("idmap: Add(NilProcess)")
+	}
+	if t.poison && id == poisonID {
+		panic("idmap: Add(2³²−1) with poisoning on")
 	}
 	if ix, ok := t.Lookup(id); ok {
 		return ix
@@ -155,11 +161,8 @@ func (t *Table) ID(ix Index) proto.ProcessID {
 		return proto.NilProcess
 	}
 	id := t.rev[ix]
-	if id == poisonID {
-		if t.poison {
-			panic(fmt.Sprintf("idmap: ID(%d) resolves a recycled slot", ix))
-		}
-		return proto.NilProcess
+	if t.poison && id == poisonID {
+		panic(fmt.Sprintf("idmap: ID(%d) resolves a recycled slot", ix))
 	}
 	return id
 }

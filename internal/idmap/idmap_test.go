@@ -61,6 +61,33 @@ func TestTableAddNilPanics(t *testing.T) {
 	tb.Add(proto.NilProcess)
 }
 
+// TestTableMaxID: 2³²−1 is the mark of a recycled slot only while poisoning
+// is on, where Add refuses it as it refuses NilProcess; with poisoning off
+// it is a live id that resolves to itself.
+func TestTableMaxID(t *testing.T) {
+	const maxID = ^proto.ProcessID(0)
+	var tb Table
+	ix := tb.Add(maxID)
+	if got := tb.ID(ix); got != maxID {
+		t.Fatalf("ID of a live 2³²−1 = %v, want %v", got, maxID)
+	}
+	if got, ok := tb.Lookup(maxID); !ok || got != ix {
+		t.Fatalf("Lookup(2³²−1) = %d, %v, want %d, true", got, ok, ix)
+	}
+	if !tb.Release(maxID) || tb.ID(ix) != proto.NilProcess {
+		t.Fatal("a released 2³²−1 still resolves")
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Add(2³²−1) with poisoning on did not panic")
+		}
+	}()
+	var poisoned Table
+	poisoned.SetPoisonRecycled(true)
+	poisoned.Add(maxID)
+}
+
 func TestTableSparseFallback(t *testing.T) {
 	var tb Table
 	big := proto.ProcessID(denseBound) + 17

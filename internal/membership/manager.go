@@ -95,7 +95,7 @@ func (c Config) Validate() error {
 // access.
 type Manager struct {
 	self   proto.ProcessID
-	cfg    Config
+	cfg    *Config // read in place: many managers may share one
 	view   *View
 	subs   *buffer.PIDList
 	unsubs *buffer.UnsubList
@@ -105,35 +105,26 @@ type Manager struct {
 	unsubscribed bool
 }
 
-// NewManager creates a membership manager for process self. The prioritary
-// processes from cfg are pre-inserted into the view.
+// NewManager creates a membership manager for process self, with its own
+// copy of cfg beside it. The prioritary processes from cfg are pre-inserted
+// into the view.
 func NewManager(self proto.ProcessID, cfg Config, r *rng.Source) (*Manager, error) {
-	if err := cfg.Validate(); err != nil {
+	b := &struct {
+		ManagerBlock
+		cfg Config
+	}{cfg: cfg}
+	if err := b.Init(self, &b.cfg, r, nil); err != nil {
 		return nil, err
 	}
-	if self == proto.NilProcess {
-		return nil, errors.New("membership: self must be a valid process id")
-	}
-	if r == nil {
-		return nil, errors.New("membership: rng source must not be nil")
-	}
-	m := &Manager{
-		self:   self,
-		cfg:    cfg,
-		view:   NewView(self),
-		subs:   buffer.NewPIDList(),
-		unsubs: buffer.NewUnsubList(),
-		rng:    r,
-	}
-	m.presize(nil)
-	return m, nil
+	return &b.M, nil
 }
 
 // presize grows the view and subs to their transient high-water mark (the
 // configured bound plus one gossip's worth of inflow) — they are full from
 // the first round and every reception churns them, so they never reallocate
-// in steady state — and installs the prioritary set. unSubs starts empty
-// like the engine's event buffers: most processes never meet an
+// in steady state — makes the view's weights under the Weighted policy, the
+// only reader of a weight, and installs the prioritary set. unSubs starts
+// empty like the engine's event buffers: most processes never meet an
 // unsubscription, and one that does grows the list on demand.
 func (m *Manager) presize(p *Pools) {
 	inflow := m.cfg.MaxSubs + 2
@@ -143,6 +134,9 @@ func (m *Manager) presize(p *Pools) {
 	} else {
 		m.view.Grow(m.cfg.MaxView + inflow)
 		m.subs.Grow(m.cfg.MaxSubs + m.cfg.MaxView + inflow)
+	}
+	if m.cfg.Policy == Weighted {
+		m.view.weigh()
 	}
 	for _, q := range m.cfg.Prioritary {
 		if q != m.self {
@@ -162,7 +156,7 @@ func (m *Manager) presize(p *Pools) {
 func (m *Manager) Self() proto.ProcessID { return m.self }
 
 // Config returns the manager's configuration.
-func (m *Manager) Config() Config { return m.cfg }
+func (m *Manager) Config() Config { return *m.cfg }
 
 // View returns the current view members (copy).
 func (m *Manager) View() []proto.ProcessID { return m.view.Processes() }
@@ -173,7 +167,8 @@ func (m *Manager) ViewLen() int { return m.view.Len() }
 // ViewContains reports whether p is currently in the view.
 func (m *Manager) ViewContains(p proto.ProcessID) bool { return m.view.Contains(p) }
 
-// ViewEntries exposes the weighted entries (copy) for diagnostics.
+// ViewEntries exposes the view's entries with their weights (copy) for
+// diagnostics.
 func (m *Manager) ViewEntries() []Entry { return m.view.Entries() }
 
 // Seed merges bootstrap members into the view (used at join time, before
@@ -221,8 +216,8 @@ func (m *Manager) ApplyUnsubs(unsubs []proto.Unsubscription, now uint64) {
 func (m *Manager) ApplySubs(subs []proto.ProcessID) {
 	v, fresh := m.view, m.view.Len()
 	var inView buffer.PIDFilter
-	for i := range v.list {
-		inView.Add(v.list[i].Process)
+	for _, p := range v.list {
+		inView.Add(p)
 	}
 	inSubs := m.subs.Filter()
 	for _, p := range subs {
@@ -234,11 +229,11 @@ func (m *Manager) ApplySubs(subs []proto.ProcessID) {
 			i = v.indexOf(p)
 		}
 		if i < 0 {
-			v.list = append(v.list, Entry{Process: p, Weight: 1})
+			v.push(p)
 			inView.Add(p)
 			m.subs.AddIn(p, &inSubs)
 		} else if m.cfg.Policy == Weighted {
-			v.list[i].Weight++
+			v.bumpAt(i)
 		}
 	}
 	m.truncate(fresh, &inSubs)

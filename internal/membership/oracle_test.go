@@ -2,6 +2,7 @@ package membership
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/buffer"
@@ -340,14 +341,10 @@ func oracleConfigs() []Config {
 // diffOracle reports the first difference between the manager and the
 // reference, or "".
 func diffOracle(m *Manager, o *oracleManager) string {
-	same := len(m.view.list) == len(o.view.list)
-	for i := 0; same && i < len(o.view.list); i++ {
-		same = m.view.list[i] == o.view.list[i]
+	if got := m.view.Entries(); !slices.Equal(got, o.view.list) {
+		return fmt.Sprintf("view %v, want %v", got, o.view.list)
 	}
-	if !same {
-		return fmt.Sprintf("view %v, want %v", m.view.list, o.view.list)
-	}
-	same = m.subs.Len() == len(o.subs.items)
+	same := m.subs.Len() == len(o.subs.items)
 	for i := 0; same && i < len(o.subs.items); i++ {
 		same = m.subs.At(i) == o.subs.items[i]
 	}
@@ -367,12 +364,18 @@ func diffOracle(m *Manager, o *oracleManager) string {
 // runOracleSequence drives one random op sequence through both
 // implementations and returns a description of the first divergence.
 func runOracleSequence(seed uint64, cfg Config, ops int) string {
-	gen := rng.New(seed)
-	m, err := NewManager(1, cfg, rng.New(seed^0xabcdef))
+	return runOracleOps(rng.New(seed), seed^0xabcdef, cfg, ops)
+}
+
+// runOracleOps is runOracleSequence with the ops drawn from gen, whose
+// draws choose every op and argument, and both managers' streams seeded
+// with seed.
+func runOracleOps(gen interface{ Intn(int) int }, seed uint64, cfg Config, ops int) string {
+	m, err := NewManager(1, cfg, rng.New(seed))
 	if err != nil {
 		return err.Error()
 	}
-	o := newOracleManager(1, cfg, rng.New(seed^0xabcdef))
+	o := newOracleManager(1, cfg, rng.New(seed))
 	// The sequence's id universe: the scale workload's (incoming ids nearly
 	// always absent from a view of l) or a group barely larger than the
 	// view (nearly always present). One op in eight draws from the other.
@@ -418,6 +421,12 @@ func runOracleSequence(seed uint64, cfg Config, ops int) string {
 			if got, want := m.Unsubscribe(now), o.Unsubscribe(now); got != want {
 				return fmt.Sprintf("step %d %s(%v) = %v, want %v", step, op, arg, got, want)
 			}
+		case k == 4: // under Uniform, the first present id makes the weights mid-run
+			p := pid()
+			op, arg = "Bump", p
+			if got, want := m.view.Bump(p), o.view.Bump(p); got != want {
+				return fmt.Sprintf("step %d %s(%v) = %v, want %v", step, op, arg, got, want)
+			}
 		default:
 			ps := make([]proto.ProcessID, gen.Intn(cfg.MaxSubs+2))
 			for i := range ps {
@@ -437,8 +446,9 @@ func runOracleSequence(seed uint64, cfg Config, ops int) string {
 // TestMergeMatchesOracle is the model-based check of the draw-identity
 // contract (ROADMAP 4(c), membership.View): after every op of 12 000
 // random sequences (1 200 with -short) the manager's view order and
-// weights, subs order, unSubs and RNG state equal the reference's. A
-// failure prints the seed and config index that replay it.
+// weights (Entries, which reads a view without weights as all 1), subs
+// order, unSubs and RNG state equal the reference's. A failure prints the
+// seed and config index that replay it.
 func TestMergeMatchesOracle(t *testing.T) {
 	t.Parallel()
 	cfgs := oracleConfigs()
@@ -452,4 +462,44 @@ func TestMergeMatchesOracle(t *testing.T) {
 			t.Fatalf("seed %#x config %d (%+v): %s", seed, ci, cfgs[ci], d)
 		}
 	}
+}
+
+// opBytes turns a fuzzer's bytes into the draws runOracleOps makes: each
+// draw reads as many bytes as n−1 has, and reads zeros once they run out.
+type opBytes []byte
+
+func (b *opBytes) Intn(n int) int {
+	v := 0
+	for k := n - 1; k > 0; k >>= 8 {
+		v <<= 8
+		if len(*b) > 0 {
+			v |= int((*b)[0])
+			*b = (*b)[1:]
+		}
+	}
+	return v % n
+}
+
+// FuzzManager is TestMergeMatchesOracle on op lists the fuzzer writes: the
+// first byte picks one of oracleConfigs (both policies, with and without a
+// prioritary set), seed seeds both managers' streams, and ops decodes into
+// Seed, ApplyUnsubs, RemoveFromView, Unsubscribe, Bump and ApplySubs calls,
+// after each of which the manager must equal the reference.
+func FuzzManager(f *testing.F) {
+	cfgs := oracleConfigs()
+	for ci := range cfgs {
+		gen := rng.New(uint64(ci))
+		ops := make([]byte, 64*(ci+1))
+		for i := range ops {
+			ops[i] = byte(gen.Intn(256))
+		}
+		f.Add(byte(ci), uint64(ci), ops)
+	}
+	f.Fuzz(func(t *testing.T, pick byte, seed uint64, ops []byte) {
+		ci := int(pick) % len(cfgs)
+		gen := opBytes(ops)
+		if d := runOracleOps(&gen, seed, cfgs[ci], len(ops)/2); d != "" {
+			t.Fatalf("config %d (%+v): %s", ci, cfgs[ci], d)
+		}
+	})
 }

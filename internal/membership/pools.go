@@ -9,21 +9,16 @@ import (
 	"repro/internal/rng"
 )
 
-// Pools groups the arenas backing the membership state that is sized at
-// construction: view entry lists (Entries) and subs buffers, with the
-// prioritary set beside them (PIDs). Like all pools it is shard-local — one
-// per construction worker, never shared.
+// Pools groups the arena backing the membership state that is sized at
+// construction: view lists and subs buffers, with the prioritary set beside
+// them. Like all pools it is shard-local — one per construction worker,
+// never shared.
 type Pools struct {
-	PIDs    pool.Arena[proto.ProcessID]
-	Entries pool.Arena[Entry]
+	PIDs pool.Arena[proto.ProcessID]
 }
 
 // Stats aggregates the pools' counters.
-func (p *Pools) Stats() pool.Stats {
-	s := p.PIDs.Stats()
-	s.Add(p.Entries.Stats())
-	return s
-}
+func (p *Pools) Stats() pool.Stats { return p.PIDs.Stats() }
 
 // ManagerBlock is a Manager together with the view and buffer state it
 // manages, laid out as one contiguous block so a pooled allocation (or an
@@ -39,9 +34,10 @@ type ManagerBlock struct {
 
 // Init prepares a zero-value block in place, wiring the Manager to the
 // block's own view and buffers and pre-sizing them from pools (which may
-// be nil to fall back to plain allocation). It mirrors NewManager's
-// validation and behaviour exactly.
-func (b *ManagerBlock) Init(self proto.ProcessID, cfg Config, r *rng.Source, p *Pools) error {
+// be nil to fall back to plain allocation). The Manager reads cfg in place
+// for as long as it lives, so blocks built with one configuration share it;
+// NewManager is Init with a copy of its own.
+func (b *ManagerBlock) Init(self proto.ProcessID, cfg *Config, r *rng.Source, p *Pools) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}

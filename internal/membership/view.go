@@ -15,6 +15,7 @@ package membership
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/buffer"
@@ -23,27 +24,33 @@ import (
 	"repro/internal/rng"
 )
 
-// Entry is one view slot: a known process and its awareness weight. The
-// weight counts how often the process was (re-)announced to us — a proxy
-// for "how well known" it is (§6.1). Uniform policy ignores weights.
+// Entry is a view member and its awareness weight, as Entries reports them.
+// The weight counts how often the process was (re-)announced to us — a
+// proxy for "how well known" it is (§6.1). Uniform policy ignores weights.
 type Entry struct {
 	Process proto.ProcessID
 	Weight  int
 }
 
-// View is a bounded, duplicate-free set of processes with per-entry
-// weights. It never contains its owner. Membership tests are linear scans
-// over the entry list: a view holds at most l plus one gossip's inflow
-// (a few dozen entries), where a packed scan beats a hash map — and the
-// scan structure never reallocates under the per-message add/evict churn
-// the way map metadata does, which is what keeps large simulations
-// allocation-free in steady state. Truncation needs no candidate lists:
-// it counts the evictable entries, draws once and walks to the victim.
+// View is a bounded, duplicate-free set of processes, a list of ids of 4
+// bytes each. It never contains its owner. Membership tests are linear scans
+// over the list: a view holds at most l plus one gossip's inflow (a few
+// dozen entries), where a packed scan beats a hash map — and the scan
+// structure never reallocates under the per-message add/evict churn the way
+// map metadata does, which is what keeps large simulations allocation-free
+// in steady state. Truncation needs no candidate lists: it counts the
+// evictable entries, draws once and walks to the victim.
+//
+// Awareness weights live in a side list parallel to the ids, which exists
+// only where a weight can differ from 1: the Weighted policy makes it at
+// construction, a Bump on first use. Without it every entry weighs 1, so a
+// Uniform view carries ids alone.
 //
 // View is not safe for concurrent use.
 type View struct {
-	owner proto.ProcessID
-	list  []Entry
+	owner   proto.ProcessID
+	list    []proto.ProcessID
+	weights []int // parallel to list; nil while every weight is 1
 
 	removed  []proto.ProcessID // reused by TruncateUniform/TruncateWeighted (return value)
 	keepBits idmap.Bitset      // reused by truncate (kept positions), prioritary sets only
@@ -62,38 +69,55 @@ func (v *View) Init(owner proto.ProcessID) { v.owner = owner }
 // Owner returns the owning process.
 func (v *View) Owner() proto.ProcessID { return v.owner }
 
-// Grow pre-allocates the entry list for at least n entries. A view is full
-// from the first round and every reception appends to it, so sizing it to
-// its transient bound (l plus one gossip's subscription inflow) at
-// construction keeps the per-message ApplySubs/truncate path from ever
-// reallocating.
+// Grow pre-allocates the list for at least n entries. A view is full from
+// the first round and every reception appends to it, so sizing it to its
+// transient bound (l plus one gossip's subscription inflow) at construction
+// keeps the per-message ApplySubs/truncate path from ever reallocating.
 func (v *View) Grow(n int) { v.GrowIn(n, nil) }
 
-// GrowIn is Grow with the entry list drawn from a pooled arena (a nil p
-// falls back to the heap), so pre-sizing thousands of per-process views
-// costs amortized chunk allocations instead of one heap allocation each.
+// GrowIn is Grow with the list drawn from a pooled arena (a nil p falls
+// back to the heap), so pre-sizing thousands of per-process views costs
+// amortized chunk allocations instead of one heap allocation each.
 func (v *View) GrowIn(n int, p *Pools) {
 	if cap(v.list) >= n {
 		return
 	}
-	var list []Entry
+	var list []proto.ProcessID
 	if p != nil {
-		list = p.Entries.Make(n)[:len(v.list)]
+		list = p.PIDs.Make(n)[:len(v.list)]
 	} else {
-		list = make([]Entry, len(v.list), n)
+		list = make([]proto.ProcessID, len(v.list), n)
 	}
 	copy(list, v.list)
 	v.list = list
 }
 
-// indexOf returns p's position in the entry list, or -1.
-func (v *View) indexOf(p proto.ProcessID) int {
-	for i := range v.list {
-		if v.list[i].Process == p {
-			return i
-		}
+// weigh makes the weights exist, every present entry at 1, with room for
+// the list's capacity: the Weighted policy's construction and a first Bump.
+func (v *View) weigh() {
+	v.weights = make([]int, len(v.list), cap(v.list))
+	for i := range v.weights {
+		v.weights[i] = 1
 	}
-	return -1
+}
+
+// weight returns the weight of the entry at position i.
+func (v *View) weight(i int) int {
+	if v.weights == nil {
+		return 1
+	}
+	return v.weights[i]
+}
+
+// indexOf returns p's position in the list, or -1.
+func (v *View) indexOf(p proto.ProcessID) int { return slices.Index(v.list, p) }
+
+// push appends p, absent and not the owner, at weight 1.
+func (v *View) push(p proto.ProcessID) {
+	v.list = append(v.list, p)
+	if v.weights != nil {
+		v.weights = append(v.weights, 1)
+	}
 }
 
 // Add inserts p with weight 1, reporting whether it was added. Adding the
@@ -105,7 +129,7 @@ func (v *View) Add(p proto.ProcessID) bool {
 	if v.indexOf(p) >= 0 {
 		return false
 	}
-	v.list = append(v.list, Entry{Process: p, Weight: 1})
+	v.push(p)
 	return true
 }
 
@@ -126,42 +150,47 @@ func (v *View) Len() int { return len(v.list) }
 
 // Processes returns a copy of the member identifiers in internal order.
 func (v *View) Processes() []proto.ProcessID {
-	if len(v.list) == 0 {
-		return nil
-	}
-	out := make([]proto.ProcessID, len(v.list))
-	for i, e := range v.list {
-		out[i] = e.Process
-	}
-	return out
+	return append([]proto.ProcessID(nil), v.list...)
 }
 
-// Entries returns a copy of the entries in internal order.
+// Entries returns the entries with their weights, in internal order.
 func (v *View) Entries() []Entry {
 	if len(v.list) == 0 {
 		return nil
 	}
-	return append([]Entry(nil), v.list...)
+	out := make([]Entry, len(v.list))
+	for i, p := range v.list {
+		out[i] = Entry{Process: p, Weight: v.weight(i)}
+	}
+	return out
 }
 
 // Weight returns p's awareness weight (0 if absent).
 func (v *View) Weight(p proto.ProcessID) int {
 	if i := v.indexOf(p); i >= 0 {
-		return v.list[i].Weight
+		return v.weight(i)
 	}
 	return 0
 }
 
 // Bump increments p's awareness weight, reporting whether p was present.
 // Called when an incoming subs list re-announces a process we already know
-// (§6.1: "the weight of pj is increased").
+// (§6.1: "the weight of pj is increased"). A view without weights makes
+// them here.
 func (v *View) Bump(p proto.ProcessID) bool {
 	i := v.indexOf(p)
-	if i < 0 {
-		return false
+	if i >= 0 {
+		v.bumpAt(i)
 	}
-	v.list[i].Weight++
-	return true
+	return i >= 0
+}
+
+// bumpAt increments the weight of the entry at position i.
+func (v *View) bumpAt(i int) {
+	if v.weights == nil {
+		v.weigh()
+	}
+	v.weights[i]++
 }
 
 // Pick returns k distinct members chosen uniformly at random — the gossip
@@ -174,7 +203,7 @@ func (v *View) Pick(k int, r *rng.Source) []proto.ProcessID {
 	idxs := r.Sample(len(v.list), k)
 	out := make([]proto.ProcessID, len(idxs))
 	for i, j := range idxs {
-		out[i] = v.list[j].Process
+		out[i] = v.list[j]
 	}
 	return out
 }
@@ -193,20 +222,22 @@ func (v *View) AppendPick(dst []proto.ProcessID, k int, r *rng.Source) []proto.P
 	}
 	var room [pickRoom]int
 	for _, j := range r.SampleAppend(room[:0], len(v.list), k) {
-		dst = append(dst, v.list[j].Process)
+		dst = append(dst, v.list[j])
 	}
 	return dst
 }
 
-// removeAt deletes the entry at position i and returns it.
-func (v *View) removeAt(i int) Entry {
-	e := v.list[i]
-	last := len(v.list) - 1
-	if i != last {
-		v.list[i] = v.list[last]
-	}
+// removeAt deletes the entry at position i, moving the last into its place,
+// and returns its id.
+func (v *View) removeAt(i int) proto.ProcessID {
+	p, last := v.list[i], len(v.list)-1
+	v.list[i] = v.list[last]
 	v.list = v.list[:last]
-	return e
+	if v.weights != nil {
+		v.weights[i] = v.weights[last]
+		v.weights = v.weights[:last]
+	}
+	return p
 }
 
 // TruncateUniform removes uniformly chosen entries until Len() <= max,
@@ -263,7 +294,7 @@ func (v *View) truncate(max int, keep []proto.ProcessID, weighted bool, fresh in
 		v.keepBits.Grow(len(v.list))
 		for i := range v.list {
 			for _, k := range keep {
-				if v.list[i].Process == k {
+				if v.list[i] == k {
 					v.keepBits.Set(i)
 					kept++
 					break
@@ -283,7 +314,7 @@ func (v *View) truncate(max int, keep []proto.ProcessID, weighted bool, fresh in
 				if kept > 0 && v.keepBits.Get(i) {
 					continue
 				}
-				switch w := v.list[i].Weight; {
+				switch w := v.weight(i); {
 				case n == 0 || w > best:
 					best, n = w, 1
 				case w == best:
@@ -298,7 +329,7 @@ func (v *View) truncate(max int, keep []proto.ProcessID, weighted bool, fresh in
 		if weighted || kept > 0 {
 			k := victim
 			for victim = 0; ; victim++ {
-				if kept > 0 && v.keepBits.Get(victim) || weighted && v.list[victim].Weight != best {
+				if kept > 0 && v.keepBits.Get(victim) || weighted && v.weight(victim) != best {
 					continue
 				}
 				if k--; k < 0 {
@@ -312,12 +343,12 @@ func (v *View) truncate(max int, keep []proto.ProcessID, weighted bool, fresh in
 		}
 		wasFresh := freshBits>>uint(victim)&1 != 0
 		freshBits = freshBits&^(1<<uint(victim)) | freshBits>>uint(last)&1<<uint(victim)
-		switch e := v.removeAt(victim); {
+		switch p := v.removeAt(victim); {
 		case wasFresh: // buffered by the caller already
 		case subs != nil:
-			subs.AddIn(e.Process, inSubs)
+			subs.AddIn(p, inSubs)
 		default:
-			v.removed = append(v.removed, e.Process)
+			v.removed = append(v.removed, p)
 		}
 	}
 }
