@@ -596,24 +596,6 @@ func BenchmarkAblationFirstPhase(b *testing.B) {
 	})
 }
 
-// BenchmarkExtensionChurn runs the §3.4 churn experiment: joins and
-// graceful leaves at a steady rate while the membership stays connected.
-func BenchmarkExtensionChurn(b *testing.B) {
-	var res sim.ChurnResult
-	for i := 0; i < b.N; i++ {
-		o := sim.DefaultChurnOptions(60)
-		o.Seed = 17
-		var err error
-		res, err = sim.ChurnExperiment(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(res.FinalComponents), "final-components")
-	b.ReportMetric(res.FinalInDegreeMean, "final-indegree-mean")
-	b.ReportMetric(float64(res.StaleReferences), "stale-refs")
-}
-
 // BenchmarkExtensionLoadFlatness validates §3.3's constant-load claim: the
 // coefficient of variation of per-round message counts is zero regardless
 // of event rate.

@@ -167,10 +167,6 @@ func (m *Manager) ViewLen() int { return m.view.Len() }
 // ViewContains reports whether p is currently in the view.
 func (m *Manager) ViewContains(p proto.ProcessID) bool { return m.view.Contains(p) }
 
-// ViewEntries exposes the view's entries with their weights (copy) for
-// diagnostics.
-func (m *Manager) ViewEntries() []Entry { return m.view.Entries() }
-
 // Seed merges bootstrap members into the view (used at join time, before
 // any gossip has been received), truncating to the view bound. Members
 // evicted by the truncation spill into subs, which is bounded in turn.

@@ -1,6 +1,6 @@
 // Package netmodel is the one place the deterministic harnesses — the
-// simulator's clusters, the pub/sub Bus and the churn loop — decide what the
-// network does to a message: the paper's §4.1 failure model (loss ε, crashed
+// simulator's clusters and the pub/sub Bus — decide what the network does
+// to a message: the paper's §4.1 failure model (loss ε, crashed
 // processes) with per-link topologies, delays and scheduled partitions.
 //
 // Classify applies one filter order: unknown destination, partition, crash,

@@ -29,6 +29,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/idmap"
+	"repro/internal/membership"
 	"repro/internal/netmodel"
 	"repro/internal/proto"
 	"repro/internal/rng"
@@ -600,6 +601,21 @@ func (b *Bus) TopicSize(topic string) int {
 		return len(b.activeTopicMembers(ts))
 	}
 	return 0
+}
+
+// Graph snapshots the views of a topic's active members (those not in
+// their leave grace) for membership analyses. The views are unfiltered: a
+// member that has left stays visible wherever a view still names it.
+func (b *Bus) Graph(topic string) membership.Graph {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	g := membership.Graph{}
+	if ts, ok := b.topics[topic]; ok {
+		for _, pid := range b.activeTopicMembers(ts) {
+			g[pid] = b.lookupMember(pid).engine.View()
+		}
+	}
+	return g
 }
 
 // Topics lists topics with at least one member, sorted.
