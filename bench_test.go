@@ -137,7 +137,8 @@ func BenchmarkFigure5aSimVsAnalysis(b *testing.B) {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
-			scale := benchScale().WithWorkers(v.workers)
+			scale := benchScale()
+			scale.Workers = v.workers
 			var tbl *stats.Table
 			for i := 0; i < b.N; i++ {
 				var err error
@@ -359,8 +360,8 @@ func mixViews(b *testing.B, policy membership.Policy, rounds int) float64 {
 		}
 		var msgs []msg
 		for _, m := range managers {
-			for _, t := range m.Targets(3) {
-				msgs = append(msgs, msg{int(t) - 1, m.MakeSubs()})
+			for _, t := range m.AppendTargets(nil, 3) {
+				msgs = append(msgs, msg{int(t) - 1, m.AppendSubs(nil)})
 			}
 		}
 		for _, mg := range msgs {

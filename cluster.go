@@ -195,9 +195,9 @@ func (c *Cluster) N() int { return len(c.nodes) }
 // Network returns the underlying in-process network.
 func (c *Cluster) Network() *Network { return c.network }
 
-// AwaitDelivery waits until at least count of fn's accepted events have
-// been delivered at node id, polling until timeout. It is a convenience
-// for tests and examples.
+// AwaitDelivery waits until node id has delivered event want, polling until
+// timeout, and reports whether it did. It is a convenience for tests and
+// examples.
 func (c *Cluster) AwaitDelivery(id ProcessID, want EventID, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	node := c.Node(id)

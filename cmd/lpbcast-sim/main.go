@@ -15,9 +15,8 @@
 // The -matrix flag runs a scenario sweep instead of the figures: a
 // semicolon-separated grid of n (system sizes), f (fanouts), eps (loss
 // probabilities), tau (crash fractions), delay (delay-model specs —
-// "fixed:2", "uniform:1-4" in whole rounds, "ms:fixed:30" in virtual
-// milliseconds on the event clock; a bare integer is the deprecated
-// whole-rounds shorthand), topics (pub/sub topic counts — cells with
+// "fixed:2", "uniform:1-4" in whole rounds, "ms:fixed:30",
+// "ms:uniform:10-40" in virtual milliseconds on the event clock), topics (pub/sub topic counts — cells with
 // topics > 1 run a Zipf-popularity pubsub workload and trace the hottest
 // topic), proto (lpbcast, pbcast/partial, pbcast/total), rounds, repeats
 // and seed. Cells run concurrently and the sweep is

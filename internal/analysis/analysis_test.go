@@ -381,16 +381,16 @@ func TestFigureTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f3b.Series[0].Len() != 10 {
-		t.Errorf("Fig.3b has %d points", f3b.Series[0].Len())
+	if len(f3b.Series[0].X) != 10 {
+		t.Errorf("Fig.3b has %d points", len(f3b.Series[0].X))
 	}
 	f4 := Figure4()
 	if len(f4.Series) != 3 {
 		t.Errorf("Fig.4 has %d series", len(f4.Series))
 	}
 	eq5 := Equation5Table(50, 3)
-	if eq5.Series[0].Len() != 4 {
-		t.Errorf("Eq.5 table has %d points", eq5.Series[0].Len())
+	if len(eq5.Series[0].X) != 4 {
+		t.Errorf("Eq.5 table has %d points", len(eq5.Series[0].X))
 	}
 	// Tables must render.
 	for _, tbl := range []interface{ Render() string }{f2, f3a, f3b, f4, eq5} {
@@ -423,13 +423,13 @@ func TestLossSensitivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := tbl.Series[0]
-	if s.Len() != 4 {
-		t.Fatalf("points = %d", s.Len())
+	if len(s.X) != 4 {
+		t.Fatalf("points = %d", len(s.X))
 	}
 	// Rounds must increase with loss, and gracefully: even 50% loss only
 	// costs a few extra rounds (gossip redundancy).
 	prev := -1.0
-	for i := 0; i < s.Len(); i++ {
+	for i := 0; i < len(s.X); i++ {
 		if s.Y[i] < prev {
 			t.Fatalf("rounds decreased with more loss: %v", s.Y)
 		}

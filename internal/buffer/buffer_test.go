@@ -14,9 +14,16 @@ import (
 
 func pid(n uint32) proto.ProcessID { return proto.ProcessID(n) }
 
+// newPIDKeyed returns an empty list of process ids keyed by themselves.
+func newPIDKeyed() *KeyedList[proto.ProcessID, proto.ProcessID] {
+	l := &KeyedList[proto.ProcessID, proto.ProcessID]{}
+	l.Init(func(p proto.ProcessID) proto.ProcessID { return p })
+	return l
+}
+
 func TestKeyedListAddContains(t *testing.T) {
 	t.Parallel()
-	l := NewKeyedList(func(p proto.ProcessID) proto.ProcessID { return p })
+	l := newPIDKeyed()
 	if !l.Add(1) {
 		t.Fatal("first Add returned false")
 	}
@@ -33,11 +40,11 @@ func TestKeyedListAddContains(t *testing.T) {
 
 func TestKeyedListOrder(t *testing.T) {
 	t.Parallel()
-	l := NewKeyedList(func(p proto.ProcessID) proto.ProcessID { return p })
+	l := newPIDKeyed()
 	for i := uint32(1); i <= 5; i++ {
 		l.Add(pid(i))
 	}
-	items := l.Items()
+	items := l.AppendItems(nil)
 	for i, v := range items {
 		if v != pid(uint32(i+1)) {
 			t.Fatalf("order broken: %v", items)
@@ -50,7 +57,7 @@ func TestKeyedListOrder(t *testing.T) {
 
 func TestKeyedListRemove(t *testing.T) {
 	t.Parallel()
-	l := NewKeyedList(func(p proto.ProcessID) proto.ProcessID { return p })
+	l := newPIDKeyed()
 	l.Add(1)
 	l.Add(2)
 	l.Add(3)
@@ -63,7 +70,7 @@ func TestKeyedListRemove(t *testing.T) {
 	if l.Contains(2) || l.Len() != 2 {
 		t.Fatal("Remove did not remove")
 	}
-	items := l.Items()
+	items := l.AppendItems(nil)
 	if items[0] != 1 || items[1] != 3 {
 		t.Fatalf("order after remove: %v", items)
 	}
@@ -72,7 +79,7 @@ func TestKeyedListRemove(t *testing.T) {
 func TestKeyedListTruncateRandomDiscard(t *testing.T) {
 	t.Parallel()
 	r := rng.New(1)
-	l := NewKeyedList(func(p proto.ProcessID) proto.ProcessID { return p })
+	l := newPIDKeyed()
 	for i := uint32(1); i <= 20; i++ {
 		l.Add(pid(i))
 	}
@@ -81,7 +88,7 @@ func TestKeyedListTruncateRandomDiscard(t *testing.T) {
 	}
 	// The survivors are distinct members of the original set, in their
 	// original order.
-	items := l.Items()
+	items := l.AppendItems(nil)
 	if len(items) != 5 {
 		t.Fatalf("Len after truncate = %d", len(items))
 	}
@@ -100,7 +107,7 @@ func TestKeyedListTruncateRandomDiscard(t *testing.T) {
 
 func TestKeyedListClear(t *testing.T) {
 	t.Parallel()
-	l := NewKeyedList(func(p proto.ProcessID) proto.ProcessID { return p })
+	l := newPIDKeyed()
 	l.Add(1)
 	l.Add(2)
 	l.Clear()
@@ -119,7 +126,7 @@ func TestKeyedListInvariants(t *testing.T) {
 	// items are duplicate-free.
 	r := rng.New(3)
 	if err := quick.Check(func(ops []uint16) bool {
-		l := NewKeyedList(func(p proto.ProcessID) proto.ProcessID { return p })
+		l := newPIDKeyed()
 		for _, op := range ops {
 			p := pid(uint32(op % 32))
 			switch op % 4 {
@@ -132,7 +139,7 @@ func TestKeyedListInvariants(t *testing.T) {
 			}
 		}
 		seen := map[proto.ProcessID]bool{}
-		for _, v := range l.Items() {
+		for _, v := range l.AppendItems(nil) {
 			if seen[v] || !l.Contains(v) {
 				return false
 			}
@@ -146,14 +153,15 @@ func TestKeyedListInvariants(t *testing.T) {
 
 func TestUnsubListStampRefresh(t *testing.T) {
 	t.Parallel()
-	l := NewUnsubList()
+	var l UnsubList
+	l.Init()
 	l.Add(proto.Unsubscription{Process: 1, Stamp: 10})
 	l.Add(proto.Unsubscription{Process: 1, Stamp: 5}) // older: ignored
-	if got := l.Items()[0].Stamp; got != 10 {
+	if got := l.AppendItems(nil)[0].Stamp; got != 10 {
 		t.Fatalf("stamp = %d, want 10", got)
 	}
 	l.Add(proto.Unsubscription{Process: 1, Stamp: 20}) // newer: refresh
-	if got := l.Items()[0].Stamp; got != 20 {
+	if got := l.AppendItems(nil)[0].Stamp; got != 20 {
 		t.Fatalf("stamp = %d, want 20", got)
 	}
 	if l.Len() != 1 {
@@ -163,13 +171,14 @@ func TestUnsubListStampRefresh(t *testing.T) {
 
 func TestUnsubListExpire(t *testing.T) {
 	t.Parallel()
-	l := NewUnsubList()
+	var l UnsubList
+	l.Init()
 	l.Add(proto.Unsubscription{Process: 1, Stamp: 10})
 	l.Add(proto.Unsubscription{Process: 2, Stamp: 90})
 	if n := l.Expire(100, 50); n != 1 {
 		t.Fatalf("Expire dropped %d, want 1", n)
 	}
-	if l.Contains(1) || !l.Contains(2) {
+	if l.inner.Contains(1) || !l.inner.Contains(2) {
 		t.Fatal("wrong entry expired")
 	}
 	// TTL larger than now: nothing can be obsolete.
@@ -180,7 +189,8 @@ func TestUnsubListExpire(t *testing.T) {
 
 func TestEventBuffer(t *testing.T) {
 	t.Parallel()
-	b := NewEventBuffer()
+	var b EventBuffer
+	b.Init()
 	e := proto.Event{ID: proto.EventID{Origin: 1, Seq: 1}, Payload: []byte("x")}
 	if !b.AddBounded(e, 30) || b.AddBounded(e, 30) {
 		t.Fatal("AddBounded/dup behaviour wrong")
@@ -197,7 +207,8 @@ func TestEventBuffer(t *testing.T) {
 func TestEventBufferTruncateRandom(t *testing.T) {
 	t.Parallel()
 	r := rng.New(4)
-	b := NewEventBuffer()
+	var b EventBuffer
+	b.Init()
 	for i := uint32(1); i <= 30; i++ {
 		b.AddBounded(proto.Event{ID: proto.EventID{Origin: 1, Seq: i}}, 30)
 	}
@@ -700,9 +711,10 @@ func TestCompactDigestCompactionSavesSpace(t *testing.T) {
 func TestPIDList(t *testing.T) {
 	t.Parallel()
 	l := NewPIDList()
-	l.Add(3)
-	l.Add(3)
-	l.Add(4)
+	f := l.Filter()
+	l.AddIn(3, &f)
+	l.AddIn(3, &f)
+	l.AddIn(4, &f)
 	if l.Len() != 2 {
 		t.Fatalf("Len = %d", l.Len())
 	}
@@ -726,7 +738,7 @@ func BenchmarkCompactDigestAddInOrder(b *testing.B) {
 func BenchmarkKeyedListTruncateRandom(b *testing.B) {
 	r := rng.New(1)
 	for i := 0; i < b.N; i++ {
-		l := NewKeyedList(func(p proto.ProcessID) proto.ProcessID { return p })
+		l := newPIDKeyed()
 		for j := uint32(0); j < 40; j++ {
 			l.Add(pid(j))
 		}

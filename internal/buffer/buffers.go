@@ -58,15 +58,6 @@ func (l *PIDList) indexOf(p proto.ProcessID) int {
 	return -1
 }
 
-// Add appends p unless present, reporting whether it was added.
-func (l *PIDList) Add(p proto.ProcessID) bool {
-	if l.indexOf(p) >= 0 {
-		return false
-	}
-	l.items = append(l.items, p)
-	return true
-}
-
 // Filter returns a filter holding every buffered identifier.
 func (l *PIDList) Filter() (f PIDFilter) {
 	for _, p := range l.items {
@@ -75,17 +66,15 @@ func (l *PIDList) Filter() (f PIDFilter) {
 	return f
 }
 
-// AddIn is Add for a caller holding f, a filter of the list's content kept
-// up to date here: an identifier the filter rules out is appended unscanned.
+// AddIn appends p unless present, for a caller holding f, a filter of the
+// list's content kept up to date here: an identifier the filter rules out is
+// appended unscanned.
 func (l *PIDList) AddIn(p proto.ProcessID, f *PIDFilter) {
 	if !f.Has(p) || l.indexOf(p) < 0 {
 		l.items = append(l.items, p)
 		f.Add(p)
 	}
 }
-
-// Contains reports whether p is buffered.
-func (l *PIDList) Contains(p proto.ProcessID) bool { return l.indexOf(p) >= 0 }
 
 // Remove deletes p, preserving the order of the rest. It reports whether
 // an element was removed.
@@ -106,14 +95,6 @@ func (l *PIDList) Len() int { return len(l.items) }
 
 // At returns the i-th identifier in insertion order.
 func (l *PIDList) At(i int) proto.ProcessID { return l.items[i] }
-
-// Items returns a copy of the identifiers in insertion order.
-func (l *PIDList) Items() []proto.ProcessID {
-	if len(l.items) == 0 {
-		return nil
-	}
-	return append([]proto.ProcessID(nil), l.items...)
-}
 
 // AppendItems appends the identifiers in insertion order to dst.
 func (l *PIDList) AppendItems(dst []proto.ProcessID) []proto.ProcessID {
@@ -215,13 +196,6 @@ type UnsubList struct {
 	inner KeyedList[proto.ProcessID, proto.Unsubscription]
 }
 
-// NewUnsubList creates an empty UnsubList.
-func NewUnsubList() *UnsubList {
-	l := &UnsubList{}
-	l.Init()
-	return l
-}
-
 // Init prepares a zero-value UnsubList in place, allocation-free.
 func (l *UnsubList) Init() { l.inner.Init(unsubKey) }
 
@@ -253,14 +227,8 @@ func (l *UnsubList) AddAll(us []proto.Unsubscription, keep func(proto.Unsubscrip
 	}
 }
 
-// Contains reports whether an unsubscription for p is buffered.
-func (l *UnsubList) Contains(p proto.ProcessID) bool { return l.inner.Contains(p) }
-
 // Len returns the number of buffered unsubscriptions.
 func (l *UnsubList) Len() int { return l.inner.Len() }
-
-// Items returns a copy of the unsubscriptions in insertion order.
-func (l *UnsubList) Items() []proto.Unsubscription { return l.inner.Items() }
 
 // AppendItems appends the unsubscriptions in insertion order to dst.
 func (l *UnsubList) AppendItems(dst []proto.Unsubscription) []proto.Unsubscription {
@@ -293,20 +261,10 @@ func (l *UnsubList) Expire(now, ttl uint64) int {
 	return dropped
 }
 
-// Remove deletes the unsubscription for p, if any.
-func (l *UnsubList) Remove(p proto.ProcessID) bool { return l.inner.Remove(p) }
-
 // EventBuffer is the bounded events buffer: notifications received for the
 // first time since the last outgoing gossip, truncated randomly.
 type EventBuffer struct {
 	inner KeyedList[proto.EventID, proto.Event]
-}
-
-// NewEventBuffer creates an empty EventBuffer.
-func NewEventBuffer() *EventBuffer {
-	b := &EventBuffer{}
-	b.Init()
-	return b
 }
 
 // Init prepares a zero-value EventBuffer in place, allocation-free.
@@ -371,21 +329,10 @@ func (b *IDBuffer) Add(id proto.EventID) bool { return b.inner.Add(id) }
 // Contains reports whether id is buffered.
 func (b *IDBuffer) Contains(id proto.EventID) bool { return b.inner.Contains(id) }
 
-// Len returns the number of buffered identifiers.
-func (b *IDBuffer) Len() int { return b.inner.Len() }
-
-// AppendIDs appends the identifiers, oldest first, to dst.
-func (b *IDBuffer) AppendIDs(dst []proto.EventID) []proto.EventID {
-	return b.inner.AppendItems(dst)
-}
-
 // TruncateOldestDiscard evicts oldest identifiers until Len() <= max
 // ("remove oldest element from eventIds"), returning only the count, so
 // it allocates nothing.
 func (b *IDBuffer) TruncateOldestDiscard(max int) int { return b.inner.TruncateOldest(max) }
-
-// Grow pre-allocates capacity for n identifiers.
-func (b *IDBuffer) Grow(n int) { b.inner.Grow(n) }
 
 // Archive is the ring of a process's delivered notifications, newest last:
 // the eventIds window of the flat digest is its newest |eventIds|m entries,

@@ -185,8 +185,8 @@ func (f *FIFO[V]) Len() int { return int(f.n) }
 // At returns the i-th element, oldest first.
 func (f *FIFO[V]) At(i int) V { return f.ring[f.pos(uint32(i))] }
 
-// AppendItems appends the elements, oldest first, to dst.
-func (f *FIFO[V]) AppendItems(dst []V) []V {
+// appendItems appends the elements, oldest first, to dst.
+func (f *FIFO[V]) appendItems(dst []V) []V {
 	if end := int(f.head + f.n); end > len(f.ring) {
 		dst = slices.Grow(dst, int(f.n)) // one allocation at most, though the ring wraps
 		return append(append(dst, f.ring[f.head:]...), f.ring[:end-len(f.ring)]...)
@@ -210,9 +210,9 @@ func (f *FIFO[V]) TruncateOldest(max int) (evicted int) {
 	return evicted
 }
 
-// Grow pre-allocates room for at least n elements, so a bounded list sized
+// grow pre-allocates room for at least n elements, so a bounded list sized
 // to its configuration bound up front never reallocates on the hot path.
-func (f *FIFO[V]) Grow(n int) {
+func (f *FIFO[V]) grow(n int) {
 	if len(f.ring) < n {
 		f.resize(make([]V, n))
 	}

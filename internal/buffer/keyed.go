@@ -47,15 +47,8 @@ type KeyedList[K comparable, V any] struct {
 	items []V
 }
 
-// NewKeyedList creates a list whose elements are identified by key.
-func NewKeyedList[K comparable, V any](key func(V) K) *KeyedList[K, V] {
-	l := &KeyedList[K, V]{}
-	l.Init(key)
-	return l
-}
-
-// Init prepares a zero-value list in place — the allocation-free sibling
-// of NewKeyedList for lists embedded in pooled blocks.
+// Init prepares a zero-value list, whose elements are identified by key,
+// in place, allocation-free.
 func (l *KeyedList[K, V]) Init(key func(V) K) {
 	l.key = key
 }
@@ -189,14 +182,6 @@ func (l *KeyedList[K, V]) Remove(k K) bool {
 
 // Len returns the number of elements.
 func (l *KeyedList[K, V]) Len() int { return len(l.items) }
-
-// Items returns a copy of the elements in insertion order.
-func (l *KeyedList[K, V]) Items() []V {
-	if len(l.items) == 0 {
-		return nil
-	}
-	return append([]V(nil), l.items...)
-}
 
 // AppendItems appends the elements in insertion order to dst,
 // allocation-free when dst has capacity.

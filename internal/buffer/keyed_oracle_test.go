@@ -267,7 +267,8 @@ func TestUnsubListAddAllOracle(t *testing.T) {
 	for seed := uint64(1); seed <= 60; seed++ {
 		gen := rng.New(seed)
 		got, want := rng.New(seed^0x5eed), rng.New(seed^0x5eed)
-		l := NewUnsubList()
+		l := &UnsubList{}
+		l.Init()
 		var ref refUnsubList
 		now := uint64(100)
 		for op := 0; op < 200; op++ {
@@ -308,7 +309,7 @@ func TestUnsubListAddAllOracle(t *testing.T) {
 				}
 			}
 			now += uint64(gen.Intn(3))
-			if items := l.Items(); !slices.Equal(items, ref) {
+			if items := l.AppendItems(nil); !slices.Equal(items, ref) {
 				t.Fatalf("seed %d op %d: entries %v, reference %v", seed, op, items, ref)
 			}
 			if got.State() != want.State() {
@@ -319,7 +320,7 @@ func TestUnsubListAddAllOracle(t *testing.T) {
 			}
 			for p := proto.ProcessID(1); p <= 400; p++ {
 				held := slices.ContainsFunc(ref, func(u proto.Unsubscription) bool { return u.Process == p })
-				if l.Contains(p) != held {
+				if l.inner.Contains(p) != held {
 					t.Fatalf("seed %d op %d: Contains(%d) = %v, reference %v", seed, op, p, !held, held)
 				}
 			}

@@ -1024,16 +1024,16 @@ func (p *fifoPair) truncate(max int) {
 // once anything is held, and a few of them alone.
 func (p *fifoPair) check(probe proto.EventID) {
 	p.t.Helper()
-	if g, w := p.ids.Len(), p.refIDs.Len(); g != w {
-		p.t.Fatalf("seed %d op %d: IDBuffer.Len = %d, reference %d", p.seed, p.op, g, w)
+	if g, w := p.ids.inner.Len(), p.refIDs.Len(); g != w {
+		p.t.Fatalf("seed %d op %d: IDBuffer's FIFO.Len = %d, reference %d", p.seed, p.op, g, w)
 	}
 	if g, w := p.arch.Len(), p.refArch.Len(); g != w {
 		p.t.Fatalf("seed %d op %d: Archive.Len = %d, reference %d", p.seed, p.op, g, w)
 	}
 	before, beforeArch := p.heldIDs, p.heldArch // the evictees are among them
 	want := p.refIDs.AppendIDs(nil)
-	if got := p.ids.AppendIDs(nil); !slices.Equal(got, want) {
-		p.t.Fatalf("seed %d op %d: AppendIDs = %v, reference %v", p.seed, p.op, got, want)
+	if got := p.ids.inner.appendItems(nil); !slices.Equal(got, want) {
+		p.t.Fatalf("seed %d op %d: IDBuffer's FIFO.appendItems = %v, reference %v", p.seed, p.op, got, want)
 	}
 	for i, id := range want {
 		if got := p.ids.inner.At(i); got != id {
@@ -1146,7 +1146,7 @@ func TestFIFOOracle(t *testing.T) {
 			case k < 36:
 				p.truncate(bounds[r.Intn(len(bounds))])
 			default:
-				p.ids.Grow(r.Intn(300))
+				p.ids.inner.grow(r.Intn(300))
 				p.check(proto.EventID{})
 			}
 		}
@@ -1244,7 +1244,7 @@ func TestFIFOBounded(t *testing.T) {
 		check := func(op string, seq uint32) {
 			t.Helper()
 			want := ref.AppendIDs(nil)
-			if got := f.AppendItems(nil); !slices.Equal(got, want) {
+			if got := f.appendItems(nil); !slices.Equal(got, want) {
 				t.Fatalf("bound %d, %s %d: holds %v, reference %v", bound, op, seq, got, want)
 			}
 			for back := uint32(0); back <= seq && back < 2*uint32(bound)+4; back += 1 + back/8 {
@@ -1315,7 +1315,7 @@ func TestFIFOIndexWrap(t *testing.T) {
 		run = append(run, byHome[idxLen-1][3], byHome[idxLen-2][3])
 		for rot := 0; rot < 3; rot++ {
 			p := newFIFOPair(t, uint64(rot), ring, 0)
-			p.ids.Grow(ring)
+			p.ids.inner.grow(ring)
 			for i := range run {
 				p.add(run[(i+rot*5)%len(run)])
 			}

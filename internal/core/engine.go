@@ -198,6 +198,11 @@ type Stats struct {
 // or copy it before writing to it.
 type Deliverer func(e proto.Event)
 
+// deliverFunc is a Deliverer as the EventSink an engine holds.
+type deliverFunc Deliverer
+
+func (f deliverFunc) DeliverEvent(e proto.Event) { f(e) }
+
 // Engine is one process's lpbcast protocol state machine.
 //
 // Engine is not safe for concurrent use; drivers serialize access.
@@ -208,8 +213,7 @@ type Engine struct {
 	events  *buffer.EventBuffer
 	compact *buffer.CompactDigest
 	archive *buffer.Archive // delivered ids, newest last: the flat digest and the retransmission store
-	deliver Deliverer
-	sink    EventSink // interface alternative to deliver (see NewIn)
+	sink    EventSink       // nil: deliveries are only counted
 	rng     *rng.Source
 
 	nextSeq      uint32
@@ -272,7 +276,9 @@ func New(self proto.ProcessID, cfg Config, deliver Deliverer, r *rng.Source) (*E
 	if err := b.init(self, &b.cfg, r, nil); err != nil {
 		return nil, err
 	}
-	b.eng.deliver = deliver
+	if deliver != nil {
+		b.eng.sink = deliverFunc(deliver)
+	}
 	return &b.eng, nil
 }
 
@@ -325,20 +331,16 @@ func (c Config) flatWindow() int {
 	return 0
 }
 
-// knows reports whether id has been delivered (is in eventIds). With
-// DedupMemory the compact structure remembers every delivery; otherwise
-// only the flat window — the newest |eventIds|m entries of the archive's
-// ring, scanned — does, and old identifiers are forgotten.
-func (e *Engine) knows(id proto.EventID) bool {
+// Knows reports whether the engine remembers delivering id (it is in
+// eventIds). With DedupMemory the compact structure remembers every
+// delivery; otherwise only the flat window — the newest |eventIds|m entries
+// of the archive's ring, scanned — does, and old identifiers are forgotten.
+func (e *Engine) Knows(id proto.EventID) bool {
 	if e.compact != nil {
 		return e.compact.Contains(id)
 	}
 	return e.archive.ContainsNewest(id, e.cfg.MaxEventIDs)
 }
-
-// Knows reports whether the engine currently remembers delivering id.
-// Note that with the flat digest old identifiers are eventually evicted.
-func (e *Engine) Knows(id proto.EventID) bool { return e.knows(id) }
 
 // Publish broadcasts a new notification (LPB-CAST): the event receives the
 // next local sequence number, is delivered locally, and becomes eligible
@@ -368,9 +370,7 @@ func (e *Engine) deliverEvent(ev proto.Event) {
 		e.compact.Add(ev.ID)
 	}
 	e.archive.Store(ev)
-	if e.deliver != nil {
-		e.deliver(ev)
-	} else if e.sink != nil {
+	if e.sink != nil {
 		e.sink.DeliverEvent(ev)
 	}
 }
@@ -466,7 +466,7 @@ func (e *Engine) handleGossip(out []proto.Message, g *proto.Gossip, now uint64) 
 		if !validID(ev.ID) {
 			continue // malformed: sequence numbers start at 1
 		}
-		if e.knows(ev.ID) {
+		if e.Knows(ev.ID) {
 			e.stats.DuplicatesDropped++
 			e.noteDuplicate(ev.ID)
 			continue
@@ -480,7 +480,7 @@ func (e *Engine) handleGossip(out []proto.Message, g *proto.Gossip, now uint64) 
 	// are first cut down to the ones the dedup memory does not hold, in one
 	// batched read (buffer.CompactDigest.AppendMissing) instead of one probe
 	// per id; without that memory the flat window is asked id by id. Either
-	// way seen asks knows again before it acts: the difference is taken
+	// way seen asks Knows again before it acts: the difference is taken
 	// before anything is delivered, and a digest may repeat an id or name it
 	// under a watermark as well. The request is allocated once, on the first
 	// miss, with room for the entries still to be offered (a watermark entry
@@ -494,7 +494,7 @@ func (e *Engine) handleGossip(out []proto.Message, g *proto.Gossip, now uint64) 
 	var missing []proto.EventID
 	room := len(g.DigestWatermarks) + len(unknown)
 	seen := func(id proto.EventID) {
-		if !validID(id) || e.knows(id) {
+		if !validID(id) || e.Knows(id) {
 			return
 		}
 		switch {
@@ -597,7 +597,7 @@ func (e *Engine) retransmitTimedOut(now uint64, a *proto.EmitArena, out []proto.
 	kept, rearmed := e.pending[:0], e.scratchRearmed[:0]
 	for _, p := range e.pending {
 		switch {
-		case e.knows(p.id): // answered (or assumed) since the request went out
+		case e.Knows(p.id): // answered (or assumed) since the request went out
 		case p.deadline > now || max > 0 && len(req) >= max:
 			kept = append(kept, p)
 		default:
@@ -633,7 +633,7 @@ func (e *Engine) expandWatermark(wm proto.EventID, seen func(proto.EventID)) {
 	budget := maxWatermarkExpansion
 	for seq := wm.Seq; seq >= 1 && budget > 0; seq-- {
 		id := proto.EventID{Origin: wm.Origin, Seq: seq}
-		if e.knows(id) {
+		if e.Knows(id) {
 			// The compact digest is contiguous below the local watermark,
 			// so the first known id ends the unknown suffix.
 			if e.compact != nil && seq <= e.compact.Watermark(wm.Origin) {
@@ -681,7 +681,7 @@ func (e *Engine) handleRetransmitReply(m proto.Message) {
 		if !validID(ev.ID) {
 			continue
 		}
-		if e.knows(ev.ID) {
+		if e.Knows(ev.ID) {
 			e.stats.DuplicatesDropped++
 			continue
 		}

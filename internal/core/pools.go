@@ -10,9 +10,9 @@ import (
 	"repro/internal/rng"
 )
 
-// EventSink is the interface form of Deliverer: implementing it on a
-// per-process record lets a driver receive deliveries without allocating
-// a closure per engine (a pointer-shaped interface value costs nothing).
+// EventSink receives an engine's deliveries (New wraps its Deliverer in one):
+// implementing it on a per-process record lets a driver receive deliveries
+// without a closure per engine (a pointer-shaped interface value is free).
 type EventSink interface {
 	DeliverEvent(e proto.Event)
 }

@@ -77,13 +77,12 @@ func Unit(m DelayModel) DelayUnit {
 // matrix sweep's delay= key and the CLI:
 //
 //	""              no delay (nil model)
-//	"2"             FixedDelay{2} rounds — the deprecated bare-integer form
 //	"fixed:2"       FixedDelay{2} rounds
 //	"uniform:1-4"   UniformDelay{1,4} rounds
 //	"ms:fixed:30"   Millis{FixedDelay{30}} — 30 ms of virtual time
-//	"ms:uniform:10-40", "ms:30"  likewise, millisecond-valued
+//	"ms:uniform:10-40"  likewise, millisecond-valued
 //
-// A spec that names an exactly-zero delay ("0", "fixed:0", "ms:0", ...)
+// A spec that names an exactly-zero delay ("fixed:0", "ms:fixed:0")
 // returns a nil model: zero delay is the simulator's no-delay fast path,
 // and representing it as nil keeps such runs bit-identical to runs that
 // never mention delay (the delay RNG stream is only split when a model is
@@ -116,11 +115,7 @@ func ParseDelaySpec(s string) (DelayModel, error) {
 		}
 		m = UniformDelay{Min: lo, Max: hi}
 	default:
-		v, err := strconv.Atoi(rest)
-		if err != nil {
-			return nil, fmt.Errorf("fault: delay spec %q: want an integer, fixed:N, uniform:A-B, or an ms: prefix on either", s)
-		}
-		m = FixedDelay{Rounds: v}
+		return nil, fmt.Errorf("fault: delay spec %q: want fixed:N, uniform:A-B, or an ms: prefix on either", s)
 	}
 	if f, ok := m.(FixedDelay); ok && f.Rounds == 0 {
 		return nil, nil

@@ -12,19 +12,15 @@ func TestParseDelaySpec(t *testing.T) {
 	}{
 		{"", nil},
 		{"  ", nil},
-		{"0", nil},
 		{"fixed:0", nil},
-		{"ms:0", nil},
 		{"ms:fixed:0", nil},
-		{"2", FixedDelay{Rounds: 2}},
-		{" 3 ", FixedDelay{Rounds: 3}},
 		{"fixed:2", FixedDelay{Rounds: 2}},
+		{" fixed:3 ", FixedDelay{Rounds: 3}},
 		{"uniform:1-4", UniformDelay{Min: 1, Max: 4}},
 		{"ms:fixed:30", Millis{Model: FixedDelay{Rounds: 30}}},
 		{"ms:uniform:10-40", Millis{Model: UniformDelay{Min: 10, Max: 40}}},
-		{"ms:30", Millis{Model: FixedDelay{Rounds: 30}}},
 		// Range errors are deferred to Validate, not parse errors.
-		{"-2", FixedDelay{Rounds: -2}},
+		{"fixed:-2", FixedDelay{Rounds: -2}},
 		{"uniform:4-1", UniformDelay{Min: 4, Max: 1}},
 	}
 	for _, tc := range cases {
@@ -42,6 +38,13 @@ func TestParseDelaySpec(t *testing.T) {
 func TestParseDelaySpecErrors(t *testing.T) {
 	for _, in := range []string{
 		"x",
+		// The bare-integer forms are refused, zero included.
+		"0",
+		"2",
+		" 3 ",
+		"-2",
+		"ms:0",
+		"ms:30",
 		"fixed:",
 		"fixed:a",
 		"uniform:1",

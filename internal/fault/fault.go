@@ -125,18 +125,6 @@ func (s *CrashSchedule) CrashedCount(now uint64) int {
 	return n
 }
 
-// CrashedProcesses returns the sorted ids crashed at time now.
-func (s *CrashSchedule) CrashedProcesses(now uint64) []proto.ProcessID {
-	var out []proto.ProcessID
-	for ix, t := range s.times {
-		if p := s.idx.ID(idmap.Index(ix)); p != proto.NilProcess && now >= t {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // SampleCrashes schedules a fraction tau of processes (chosen uniformly
 // without replacement) to crash at uniformly random times in [0, horizon].
 // This realizes the paper's τ = f/n crash bound for a run of the given

@@ -105,9 +105,9 @@ func TestCrashedCountAndList(t *testing.T) {
 	if s.CrashedCount(15) != 1 {
 		t.Fatalf("count at 15 = %d", s.CrashedCount(15))
 	}
-	got := s.CrashedProcesses(25)
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("processes = %v", got)
+	if s.CrashedCount(25) != 2 || !s.Crashed(1, 25) || !s.Crashed(3, 25) || s.Crashed(2, 25) {
+		t.Fatalf("at 25: count %d, crashed 1/2/3 = %v/%v/%v",
+			s.CrashedCount(25), s.Crashed(1, 25), s.Crashed(2, 25), s.Crashed(3, 25))
 	}
 }
 

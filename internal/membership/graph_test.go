@@ -147,8 +147,8 @@ func TestManagersConvergeToConnectedGraph(t *testing.T) {
 		}
 		var msgs []msg
 		for _, m := range managers {
-			for _, target := range m.Targets(3) {
-				msgs = append(msgs, msg{to: int(target) - 1, subs: m.MakeSubs()})
+			for _, target := range m.AppendTargets(nil, 3) {
+				msgs = append(msgs, msg{to: int(target) - 1, subs: m.AppendSubs(nil)})
 			}
 		}
 		pick.Shuffle(len(msgs), func(i, j int) { msgs[i], msgs[j] = msgs[j], msgs[i] })
@@ -219,8 +219,8 @@ func TestConvergenceFromArbitraryConnectedTopologies(t *testing.T) {
 				}
 				var msgs []msg
 				for _, m := range managers {
-					for _, target := range m.Targets(3) {
-						msgs = append(msgs, msg{int(target) - 1, m.MakeSubs()})
+					for _, target := range m.AppendTargets(nil, 3) {
+						msgs = append(msgs, msg{int(target) - 1, m.AppendSubs(nil)})
 					}
 				}
 				for _, mg := range msgs {

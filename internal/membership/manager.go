@@ -280,28 +280,15 @@ func (m *Manager) truncateSubs() {
 	}
 }
 
-// MakeSubs builds the subscriptions to attach to an outgoing gossip:
-// the buffered subs plus the sender itself (Fig. 1(b): "gossip.subs ←
-// subs ∪ {pi}"). The returned slice is freshly allocated; hot paths use
-// AppendSubs, of which this is a thin wrapper.
-func (m *Manager) MakeSubs() []proto.ProcessID {
-	return m.AppendSubs(make([]proto.ProcessID, 0, m.subs.Len()+1))
-}
-
-// Targets picks f distinct gossip targets uniformly from the view.
-func (m *Manager) Targets(f int) []proto.ProcessID {
-	return m.view.Pick(f, m.rng)
-}
-
-// AppendTargets appends f distinct gossip targets to dst, allocation-free
-// when dst has capacity (the live node's per-round scratch path). Random
-// draws match Targets exactly.
+// AppendTargets appends f distinct gossip targets, chosen uniformly from
+// the view, to dst, allocation-free when dst has capacity.
 func (m *Manager) AppendTargets(dst []proto.ProcessID, f int) []proto.ProcessID {
 	return m.view.AppendPick(dst, f, m.rng)
 }
 
-// AppendSubs appends MakeSubs' subscriptions to dst without allocating
-// when dst has capacity.
+// AppendSubs appends the subscriptions to attach to an outgoing gossip to
+// dst: the buffered subs plus the sender itself (Fig. 1(b): "gossip.subs ←
+// subs ∪ {pi}"), without allocating when dst has capacity.
 func (m *Manager) AppendSubs(dst []proto.ProcessID) []proto.ProcessID {
 	if !m.unsubscribed {
 		dst = append(dst, m.self)
@@ -316,10 +303,6 @@ func (m *Manager) AppendUnsubs(dst []proto.Unsubscription, now uint64) []proto.U
 	m.unsubs.Expire(now, m.cfg.UnsubTTL)
 	return m.unsubs.AppendItems(dst)
 }
-
-// RemoveFromView drops p (e.g. after repeated send failures in a live
-// deployment). It reports whether p was present.
-func (m *Manager) RemoveFromView(p proto.ProcessID) bool { return m.view.Remove(p) }
 
 // ErrUnsubRefused is returned by Unsubscribe while the local unSubs buffer
 // is too full for the local unsubscription to survive truncation (§3.4).

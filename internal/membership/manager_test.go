@@ -151,9 +151,9 @@ func TestMakeSubsIncludesSelf(t *testing.T) {
 	t.Parallel()
 	m := newTestManager(t, DefaultConfig())
 	m.ApplySubs([]proto.ProcessID{2})
-	subs := m.MakeSubs()
+	subs := m.AppendSubs(nil)
 	if len(subs) != 2 || subs[0] != 1 {
-		t.Fatalf("MakeSubs = %v, want [1 2]", subs)
+		t.Fatalf("AppendSubs = %v, want [1 2]", subs)
 	}
 }
 
@@ -166,7 +166,7 @@ func TestMakeSubsAfterUnsubscribe(t *testing.T) {
 	if !m.Unsubscribed() {
 		t.Fatal("Unsubscribed() = false")
 	}
-	subs := m.MakeSubs()
+	subs := m.AppendSubs(nil)
 	for _, p := range subs {
 		if p == 1 {
 			t.Fatal("unsubscribed process still announces itself")
@@ -201,9 +201,9 @@ func TestTargetsDistinct(t *testing.T) {
 	t.Parallel()
 	m := newTestManager(t, DefaultConfig())
 	m.ApplySubs([]proto.ProcessID{2, 3, 4, 5, 6, 7, 8})
-	ts := m.Targets(3)
+	ts := m.AppendTargets(nil, 3)
 	if len(ts) != 3 {
-		t.Fatalf("Targets(3) = %v", ts)
+		t.Fatalf("AppendTargets(nil, 3) = %v", ts)
 	}
 	seen := map[proto.ProcessID]bool{}
 	for _, p := range ts {
@@ -289,7 +289,7 @@ func TestViewNeverExceedsBoundUnderChurn(t *testing.T) {
 				{Process: proto.ProcessID(2 + r.Intn(60)), Stamp: now},
 			}, now)
 		case 2:
-			_ = m.MakeSubs()
+			_ = m.AppendSubs(nil)
 			_ = m.AppendUnsubs(nil, now)
 		}
 		if m.ViewLen() > cfg.MaxView {
@@ -308,8 +308,8 @@ func TestRemoveFromView(t *testing.T) {
 	t.Parallel()
 	m := newTestManager(t, DefaultConfig())
 	m.ApplySubs([]proto.ProcessID{2})
-	if !m.RemoveFromView(2) || m.RemoveFromView(2) {
-		t.Fatal("RemoveFromView behaviour wrong")
+	if !m.view.Remove(2) || m.view.Remove(2) || m.ViewContains(2) {
+		t.Fatal("removing 2 from the manager's view: behaviour wrong")
 	}
 }
 

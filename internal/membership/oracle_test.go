@@ -205,14 +205,15 @@ type oracleManager struct {
 	cfg          Config
 	view         oracleView
 	subs         oraclePIDList
-	unsubs       *buffer.UnsubList
+	unsubs       buffer.UnsubList
 	keep         []proto.ProcessID
 	rng          *rng.Source
 	unsubscribed bool
 }
 
 func newOracleManager(self proto.ProcessID, cfg Config, r *rng.Source) *oracleManager {
-	m := &oracleManager{self: self, cfg: cfg, unsubs: buffer.NewUnsubList(), rng: r}
+	m := &oracleManager{self: self, cfg: cfg, rng: r}
+	m.unsubs.Init()
 	m.view.owner = self
 	for _, q := range cfg.Prioritary {
 		if q != self {
@@ -300,8 +301,6 @@ func (m *oracleManager) truncateSubs() {
 	}
 }
 
-func (m *oracleManager) RemoveFromView(p proto.ProcessID) bool { return m.view.Remove(p) }
-
 func (m *oracleManager) Unsubscribe(now uint64) error {
 	if m.cfg.UnsubRefusalLen > 0 && m.unsubs.Len() >= m.cfg.UnsubRefusalLen {
 		return ErrUnsubRefused
@@ -349,11 +348,11 @@ func diffOracle(m *Manager, o *oracleManager) string {
 		same = m.subs.At(i) == o.subs.items[i]
 	}
 	if !same {
-		return fmt.Sprintf("subs %v, want %v", m.subs.Items(), o.subs.items)
+		return fmt.Sprintf("subs %v, want %v", m.subs.AppendItems(nil), o.subs.items)
 	}
 	if m.unsubs.Len() != o.unsubs.Len() || m.unsubscribed != o.unsubscribed {
 		return fmt.Sprintf("unsubs %v (left %v), want %v (left %v)",
-			m.unsubs.Items(), m.unsubscribed, o.unsubs.Items(), o.unsubscribed)
+			m.unsubs.AppendItems(nil), m.unsubscribed, o.unsubs.AppendItems(nil), o.unsubscribed)
 	}
 	if m.rng.State() != o.rng.State() {
 		return fmt.Sprintf("rng state %#x, want %#x", m.rng.State(), o.rng.State())
@@ -412,8 +411,8 @@ func runOracleOps(gen interface{ Intn(int) int }, seed uint64, cfg Config, ops i
 			o.ApplyUnsubs(us, now)
 		case k == 2:
 			p := pid()
-			op, arg = "RemoveFromView", p
-			if got, want := m.RemoveFromView(p), o.RemoveFromView(p); got != want {
+			op, arg = "view.Remove", p
+			if got, want := m.view.Remove(p), o.view.Remove(p); got != want {
 				return fmt.Sprintf("step %d %s(%v) = %v, want %v", step, op, arg, got, want)
 			}
 		case k == 3 && gen.Intn(4) == 0:
@@ -483,7 +482,7 @@ func (b *opBytes) Intn(n int) int {
 // FuzzManager is TestMergeMatchesOracle on op lists the fuzzer writes: the
 // first byte picks one of oracleConfigs (both policies, with and without a
 // prioritary set), seed seeds both managers' streams, and ops decodes into
-// Seed, ApplyUnsubs, RemoveFromView, Unsubscribe, Bump and ApplySubs calls,
+// Seed, ApplyUnsubs, view.Remove, Unsubscribe, Bump and ApplySubs calls,
 // after each of which the manager must equal the reference.
 func FuzzManager(f *testing.F) {
 	cfgs := oracleConfigs()

@@ -193,29 +193,15 @@ func (v *View) bumpAt(i int) {
 	v.weights[i]++
 }
 
-// Pick returns k distinct members chosen uniformly at random — the gossip
-// target selection of Fig. 1(b). If k >= Len() all members are returned in
-// random order.
-func (v *View) Pick(k int, r *rng.Source) []proto.ProcessID {
-	if k <= 0 || len(v.list) == 0 {
-		return nil
-	}
-	idxs := r.Sample(len(v.list), k)
-	out := make([]proto.ProcessID, len(idxs))
-	for i, j := range idxs {
-		out[i] = v.list[j]
-	}
-	return out
-}
-
 // pickRoom is the stack room AppendPick samples into: a fanout, not a view.
 // Past it the sample spills to the heap, where rng.SampleAppend keeps its
 // bookkeeping for a k that large anyway.
 const pickRoom = 16
 
-// AppendPick appends Pick(k, r)'s choices to dst, sampling the indices into
-// room on its own stack so the steady-state emission path does not
-// allocate. It consumes the same random draws as Pick.
+// AppendPick appends k distinct members chosen uniformly at random — the
+// gossip target selection of Fig. 1(b) — to dst; if k >= Len() all members
+// are appended in random order. It samples the indices into room on its own
+// stack so the steady-state emission path does not allocate.
 func (v *View) AppendPick(dst []proto.ProcessID, k int, r *rng.Source) []proto.ProcessID {
 	if k <= 0 || len(v.list) == 0 {
 		return dst

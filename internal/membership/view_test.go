@@ -74,22 +74,22 @@ func TestViewPick(t *testing.T) {
 	for i := uint64(2); i <= 11; i++ {
 		v.Add(proto.ProcessID(i))
 	}
-	got := v.Pick(3, r)
+	got := v.AppendPick(nil, 3, r)
 	if len(got) != 3 {
-		t.Fatalf("Pick(3) returned %d", len(got))
+		t.Fatalf("AppendPick(3) returned %d", len(got))
 	}
 	seen := map[proto.ProcessID]bool{}
 	for _, p := range got {
 		if seen[p] || !v.Contains(p) {
-			t.Fatalf("Pick returned invalid set %v", got)
+			t.Fatalf("AppendPick returned invalid set %v", got)
 		}
 		seen[p] = true
 	}
-	if got := v.Pick(100, r); len(got) != 10 {
-		t.Fatalf("Pick(100) returned %d, want all 10", len(got))
+	if got := v.AppendPick(nil, 100, r); len(got) != 10 {
+		t.Fatalf("AppendPick(100) returned %d, want all 10", len(got))
 	}
-	if got := v.Pick(0, r); got != nil {
-		t.Fatalf("Pick(0) = %v", got)
+	if got := v.AppendPick(nil, 0, r); got != nil {
+		t.Fatalf("AppendPick(0) = %v", got)
 	}
 }
 
@@ -97,8 +97,8 @@ func TestViewPickEmpty(t *testing.T) {
 	t.Parallel()
 	r := rng.New(1)
 	v := NewView(1)
-	if got := v.Pick(3, r); got != nil {
-		t.Fatalf("Pick on empty view = %v", got)
+	if got := v.AppendPick(nil, 3, r); got != nil {
+		t.Fatalf("AppendPick on empty view = %v", got)
 	}
 }
 

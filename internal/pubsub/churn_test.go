@@ -28,6 +28,9 @@ type churnRow struct {
 	// orphans is how many active members end outside the largest
 	// component: pinned for the rows with a topology, 0 for the others.
 	orphans int
+	// lateStale is how many stale view references lateStale reads: pinned
+	// for the rows with a topology, 0 for the others.
+	lateStale int
 }
 
 // churnResult is what a churn scenario measures on the topic's view graph.
@@ -38,6 +41,8 @@ type churnResult struct {
 	stale                          int
 	// orphans are the active members outside the largest final component.
 	orphans []proto.ProcessID
+	// leftAt is the bus round each leaver cancelled in.
+	leftAt map[proto.ProcessID]uint64
 }
 
 func (r churnResult) String() string {
@@ -124,12 +129,46 @@ func TestBusGraph(t *testing.T) {
 	}
 }
 
+// churnTopic is the one topic a churn row runs on.
+const churnTopic = "churn"
+
+// staleHorizon is how long a view may keep naming a member that left: its
+// leave grace and its unsubscription's TTL together.
+var staleHorizon = uint64(leaveGraceRounds) + churnEngine().Membership.UnsubTTL
+
+// staleRefs counts the references in the views of g, at bus round now, to
+// members that left more than staleHorizon rounds before.
+func staleRefs(g membership.Graph, leftAt map[proto.ProcessID]uint64, now uint64) int {
+	n := 0
+	for _, view := range g {
+		for _, q := range view {
+			if at, ok := leftAt[q]; ok && now > at+staleHorizon {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// lateStale steps b on, churn-free, until the last leave runChurn measured in
+// res is more than staleHorizon rounds old, and counts the stale references
+// then: the read at which every leave of the row can be stale.
+func lateStale(b *Bus, res churnResult) int {
+	var last uint64
+	for _, at := range res.leftAt {
+		last = max(last, at)
+	}
+	for b.Now() <= last+staleHorizon {
+		b.Step()
+	}
+	return staleRefs(b.Graph(churnTopic), res.leftAt, b.Now())
+}
+
 // runChurn drives one row on a fresh bus and measures it. Leavers are drawn
 // from a stream of the row's seed; a refused cancel (the unSubs buffer is
 // full, §3.4) is counted and the leaves wait for the next round.
 func runChurn(t *testing.T, row churnRow) (churnResult, *Bus) {
 	t.Helper()
-	const topic = "churn"
 	b := newTestBus(t, Config{
 		Seed:       row.seed,
 		Epsilon:    0.05,
@@ -140,7 +179,7 @@ func runChurn(t *testing.T, row churnRow) (churnResult, *Bus) {
 	var active []*Subscription
 	clients := 0
 	subscribe := func() {
-		sub, err := b.NewClient(fmt.Sprintf("c%d", clients)).Subscribe(topic, nil)
+		sub, err := b.NewClient(fmt.Sprintf("c%d", clients)).Subscribe(churnTopic, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,8 +191,7 @@ func runChurn(t *testing.T, row churnRow) (churnResult, *Bus) {
 	}
 	b.StepN(10)
 
-	var res churnResult
-	leftAt := map[proto.ProcessID]uint64{}
+	res := churnResult{leftAt: map[proto.ProcessID]uint64{}}
 	pick := rng.New(row.seed)
 	for r := 0; r < row.rounds; r++ {
 		for j := 0; j < row.joins; j++ {
@@ -169,18 +207,18 @@ func runChurn(t *testing.T, row churnRow) (churnResult, *Bus) {
 				res.refused++
 				break
 			}
-			leftAt[active[i].pid] = b.Now()
+			res.leftAt[active[i].pid] = b.Now()
 			active = append(active[:i], active[i+1:]...)
 			res.left++
 		}
 		b.Step()
-		if c := len(activeGraph(b.Graph(topic)).Components()); c > res.maxComponents {
+		if c := len(activeGraph(b.Graph(churnTopic)).Components()); c > res.maxComponents {
 			res.maxComponents = c
 		}
 	}
 	b.StepN(5)
 
-	raw := b.Graph(topic)
+	raw := b.Graph(churnTopic)
 	g := activeGraph(raw)
 	comps := g.Components()
 	res.final = len(g)
@@ -197,16 +235,7 @@ func runChurn(t *testing.T, row churnRow) (churnResult, *Bus) {
 			res.orphans = append(res.orphans, c...)
 		}
 	}
-	// Stale references: views naming a member that left longer ago than its
-	// grace and its unsubscription's TTL together.
-	horizon := uint64(leaveGraceRounds) + churnEngine().Membership.UnsubTTL
-	for _, view := range raw {
-		for _, q := range view {
-			if at, ok := leftAt[q]; ok && b.Now() > at+horizon {
-				res.stale++
-			}
-		}
-	}
+	res.stale = staleRefs(raw, res.leftAt, b.Now())
 	return res, b
 }
 
@@ -218,10 +247,10 @@ func churnRows() []churnRow {
 		name: "steady", n: 60, joins: 1, leaves: 1, rounds: 40, seed: 1,
 		minJoined: 40, minLeft: 30, minFinal: 40, maxFinal: 80,
 	}
-	wan := func(seed uint64, orphans int) churnRow {
+	wan := func(seed uint64, orphans, lateStale int) churnRow {
 		r := steady
 		r.name = fmt.Sprintf("wan/seed=%d", seed)
-		r.seed, r.orphans = seed, orphans
+		r.seed, r.orphans, r.lateStale = seed, orphans, lateStale
 		r.topology = fault.TwoCluster{
 			Split: 30,
 			Local: fault.LinkProfile{Epsilon: -1},
@@ -234,22 +263,27 @@ func churnRows() []churnRow {
 		steady,
 		{name: "shrinking", n: 80, leaves: 2, rounds: 30, seed: 23, minLeft: 30, minFinal: 20, maxFinal: 79},
 		{name: "growing", n: 20, joins: 2, rounds: 30, seed: 29, minJoined: 60, minFinal: 80, maxFinal: 80},
-		wan(1, 0), wan(23, 1), wan(31, 3),
+		wan(1, 0, 0), wan(23, 1, 1), wan(31, 3, 14),
 	}
 }
 
 // TestBusChurn measures the §3.4 membership under continuous joins and
 // graceful leaves on the topic's view graph: the population follows joins
 // and leaves, views stay useful (mean in-degree near l), and no active view
-// names a member that left longer ago than grace + UnsubTTL. Without a
-// topology the graph stays connected: at most two components while it
-// churns (a join still propagating), one once churn stops.
+// names a member that left longer ago than grace + UnsubTTL, neither 5
+// quiet rounds after churn nor once every leave is that old (lateStale; the
+// first read comes before any leave can be stale). Without a topology the
+// graph stays connected: at most two components while it churns (a join
+// still propagating), one once churn stops.
 //
-// The wan rows pin a finding instead of connectivity: a join request lost
-// to the WAN's delay or cut orphans its joiner — an empty view, a view
-// naming only a departed member, or an island with a joiner that joined
-// through it — and nothing re-sends a join, so the orphan stays isolated.
-// Every other active member stays in the largest component.
+// The wan rows pin two findings instead. A join request lost to the WAN's
+// delay or cut orphans its joiner — an empty view, a view naming only a
+// departed member, or an island with a joiner that joined through it — and
+// nothing re-sends a join, so the orphan stays isolated; every other active
+// member stays in the largest component. And after the cut some views
+// still name departed members once every leave is past grace + UnsubTTL,
+// where no ε-only row has any: §3.4's TTL bounds how long an
+// unsubscription travels, not how long a stale id does.
 func TestBusChurn(t *testing.T) {
 	t.Parallel()
 	for _, row := range churnRows() {
@@ -270,6 +304,12 @@ func TestBusChurn(t *testing.T) {
 			}
 			if err := b.TotalNetStats().Conserved(); err != nil {
 				t.Error(err)
+			}
+			// Read again once every leave is past the horizon, after the
+			// reading TestBusChurnPinned pins.
+			if late := lateStale(b, res); late != row.lateStale {
+				t.Errorf("%d stale view references once every leave is %d rounds old, want %d: %v",
+					late, staleHorizon+1, row.lateStale, res)
 			}
 			if row.topology == nil {
 				if res.maxComponents > 2 {

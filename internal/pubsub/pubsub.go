@@ -228,9 +228,6 @@ type Subscription struct {
 	cancelled bool
 }
 
-// Topic returns the subscribed topic.
-func (s *Subscription) Topic() string { return s.topic }
-
 // Subscribe joins the topic's lpbcast group. The returned subscription
 // receives every notification published on the topic (with probabilistic
 // reliability, like any gossip member). Subscribing twice to the same

@@ -71,15 +71,6 @@ func (s *Source) SplitInto(dst *Source) {
 	dst.state = mix64(a ^ (b * golden))
 }
 
-// SplitN derives n independent child streams.
-func (s *Source) SplitN(n int) []*Source {
-	out := make([]*Source, n)
-	for i := range out {
-		out[i] = s.Split()
-	}
-	return out
-}
-
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (s *Source) Intn(n int) int {
 	if n <= 0 {
@@ -236,30 +227,6 @@ func (s *Source) SampleAppend(dst []int, n, k int) []int {
 	return dst
 }
 
-// NormFloat64 returns a normally distributed float64 with mean 0 and
-// standard deviation 1, using the polar Box–Muller method.
-func (s *Source) NormFloat64() float64 {
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
-		if q == 0 || q >= 1 {
-			continue
-		}
-		return u * math.Sqrt(-2*math.Log(q)/q)
-	}
-}
-
-// ExpFloat64 returns an exponentially distributed float64 with rate 1.
-func (s *Source) ExpFloat64() float64 {
-	for {
-		u := s.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // Zipf samples ranks from a bounded Zipf (power-law) distribution:
 // rank k in [0, n) is drawn with probability proportional to 1/(k+1)^s.
 // It models the skewed topic popularity of large pub/sub deployments —
@@ -296,10 +263,7 @@ func NewZipf(n int, s float64) *Zipf {
 	return &Zipf{cdf: cdf}
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Draw returns the next rank in [0, N()), consuming one Float64 from r.
+// Draw returns the next rank in [0, n), consuming one Float64 from r.
 func (z *Zipf) Draw(r *Source) int {
 	u := r.Float64()
 	lo, hi := 0, len(z.cdf)-1

@@ -5,15 +5,17 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/pbcast"
 	"repro/internal/pool"
 	"repro/internal/proto"
 	"repro/internal/rng"
 )
 
 // procSink is one process's delivery sink: a pointer to it is the
-// core.EventSink interface value the engine holds, so routing deliveries
-// to the recorder costs no per-process closure. The sinks live in one
-// contiguous slice on the Cluster.
+// core.EventSink interface value an engine holds, so routing deliveries
+// to the recorder costs no per-process closure (a pbcast node holds its
+// DeliverEvent method value). The sinks live in one contiguous slice on the
+// Cluster.
 type procSink struct {
 	c   *Cluster
 	pid proto.ProcessID
@@ -22,14 +24,17 @@ type procSink struct {
 // DeliverEvent implements core.EventSink.
 func (s *procSink) DeliverEvent(ev proto.Event) { s.c.deliverFn(s.pid, ev) }
 
-// buildEngines constructs the lpbcast engines through pooled allocation
-// (core.NewIn), in the executor's shards (shardRange), and binds each to
+// buildEngines constructs the processes — lpbcast engines through pooled
+// allocation (core.NewIn), pbcast nodes with pbcast.New — in the executor's
+// shards (shardRange), delivering through their procSinks, and binds each to
 // its shard's emission arena while it is still in cache. Determinism is
-// preserved by phase separation: every engine stream is pre-split from the
-// root sequentially in pid order, shards then construct engines from their
-// private streams and shard-local pools (no RNG involved), and the initial
-// views are seeded sequentially in pid order so viewRNG's draw order
-// matches the historical one-loop construction exactly.
+// preserved by phase separation: every process stream is pre-split from the
+// root sequentially in pid order (SplitInto draws as Split does), shards
+// then construct processes from their private streams and shard-local pools,
+// each drawing only from its own stream (pbcast.New splits its membership
+// stream from it), and the initial views are set sequentially in pid order
+// so viewRNG's draw order matches the historical one-loop construction
+// exactly.
 func (c *Cluster) buildEngines(root, viewRNG *rng.Source) error {
 	n := c.opts.N
 	c.sinks = make([]procSink, n)
@@ -40,24 +45,43 @@ func (c *Cluster) buildEngines(root, viewRNG *rng.Source) error {
 	}
 	c.procs = make([]Process, n)
 	w := len(c.emit)
-	c.pools = make([]*core.Pools, w)
+	lp := c.opts.Protocol == Lpbcast
+	if lp {
+		c.pools = make([]*core.Pools, w)
+	}
+	pcfg := c.opts.Pbcast
+	if c.opts.Protocol == PbcastTotal {
+		pcfg.Mode = pbcast.TotalView
+	}
 	errs := make([]error, w)
 	var wg sync.WaitGroup
 	for s := 0; s < w; s++ {
 		lo, hi := shardRange(s, w, n)
-		p := &core.Pools{}
-		c.pools[s] = p
+		var p *core.Pools
+		if lp {
+			p = &core.Pools{}
+			c.pools[s] = p
+		}
 		wg.Add(1)
 		go func(s, lo, hi int, p *core.Pools) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				eng, err := core.NewIn(c.ids[i], c.opts.Lpbcast, &c.sinks[i], srcs[i], p)
+				var proc interface {
+					Process
+					SetEmitArena(*proto.EmitArena)
+				}
+				var err error
+				if lp {
+					proc, err = core.NewIn(c.ids[i], c.opts.Lpbcast, &c.sinks[i], srcs[i], p)
+				} else {
+					proc, err = pbcast.New(c.ids[i], pcfg, c.sinks[i].DeliverEvent, &srcs[i])
+				}
 				if err != nil {
 					errs[s] = fmt.Errorf("sim: process %v: %w", c.ids[i], err)
 					return
 				}
-				eng.SetEmitArena(&c.emit[s])
-				c.procs[i] = eng
+				proc.SetEmitArena(&c.emit[s])
+				c.procs[i] = proc
 			}
 		}(s, lo, hi, p)
 	}
@@ -68,7 +92,16 @@ func (c *Cluster) buildEngines(root, viewRNG *rng.Source) error {
 		}
 	}
 	for i := 0; i < n; i++ {
-		c.procs[i].(*core.Engine).Seed(c.uniformView(i, c.opts.Lpbcast.Membership.MaxView, viewRNG))
+		switch p := c.procs[i].(type) {
+		case *core.Engine:
+			p.Seed(c.uniformView(i, c.opts.Lpbcast.Membership.MaxView, viewRNG))
+		case *pbcast.Node:
+			if pcfg.Mode == pbcast.TotalView {
+				p.SetTotalView(c.ids)
+			} else {
+				p.Seed(c.uniformView(i, pcfg.Membership.MaxView, viewRNG))
+			}
+		}
 	}
 	return nil
 }

@@ -401,7 +401,7 @@ func TestDelayOptionsValidate(t *testing.T) {
 // name) instead of silently sweeping a flat zero-delay network.
 func TestMatrixRejectsNegativeDelay(t *testing.T) {
 	t.Parallel()
-	cells, err := RunMatrix(MatrixSpec{Ns: []int{50}, DelaySpecs: []string{"-2"}, Rounds: 4, Repeats: 1})
+	cells, err := RunMatrix(MatrixSpec{Ns: []int{50}, DelaySpecs: []string{"fixed:-2"}, Rounds: 4, Repeats: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestMatrixRejectsNegativeDelay(t *testing.T) {
 	if got := cells[0].Err.Error(); !strings.Contains(got, "negative fixed delay") {
 		t.Errorf("cell error %q does not name the negative delay", got)
 	}
-	if got := cells[0].Name(); !strings.Contains(got, "d=-2") {
+	if got := cells[0].Name(); !strings.Contains(got, "d=fixed:-2") {
 		t.Errorf("cell name %q hides the delay dimension", got)
 	}
 }

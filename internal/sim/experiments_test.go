@@ -23,14 +23,11 @@ func TestInfectionExperimentValidation(t *testing.T) {
 }
 
 // TestScenarioValidate checks the per-experiment parameters of a run: the
-// rounds, rate and clock that each experiment family's entry point
+// rounds and rate that each experiment family's entry point
 // validates on top of the cluster Options (those rows live in
 // TestOptionsValidate).
 func TestScenarioValidate(t *testing.T) {
 	t.Parallel()
-	topics := func() TopicOptions {
-		return TopicOptions{Subscribers: 40, Topics: 4, ZipfS: 1, Seed: 1}
-	}
 	cases := []struct {
 		name    string
 		run     func() error
@@ -43,15 +40,9 @@ func TestScenarioValidate(t *testing.T) {
 			return err
 		}, "reliability"},
 		{"topics", func() error {
-			_, err := TopicExperiment(topics(), 3, 1)
+			_, err := TopicExperiment(TopicOptions{Subscribers: 40, Topics: 4, ZipfS: 1, Seed: 1}, 3, 1)
 			return err
 		}, ""},
-		{"topics on event clock", func() error {
-			opts := topics()
-			opts.Clock = ClockEvent
-			_, err := TopicExperiment(opts, 3, 1)
-			return err
-		}, "ClockRounds"},
 		{"negative rounds", func() error {
 			_, err := InfectionExperiment(DefaultOptions(64), -1, 1)
 			return err

@@ -24,12 +24,6 @@ type FigureScale struct {
 	RunConfig
 }
 
-// WithWorkers returns a copy of the scale using w executor workers.
-func (s FigureScale) WithWorkers(w int) FigureScale {
-	s.Workers = w
-	return s
-}
-
 // FullScale is the paper-faithful setting.
 func FullScale() FigureScale {
 	return FigureScale{Repeats: 10, PublishRounds: 20, DrainRounds: 12}

@@ -71,7 +71,7 @@ func TestResilienceSweepTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Series[0].Len() != 2 || tbl.Render() == "" {
+	if len(tbl.Series[0].X) != 2 || tbl.Render() == "" {
 		t.Fatalf("bad table: %+v", tbl)
 	}
 }

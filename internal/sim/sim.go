@@ -213,7 +213,7 @@ type Cluster struct {
 	procs     []Process
 	ids       []proto.ProcessID
 	index     idmap.Table // pid ↔ dense process index
-	sinks     []procSink  // per-process delivery sinks (lpbcast path)
+	sinks     []procSink  // per-process delivery sinks
 	pools     []*core.Pools
 	network   *netmodel.Model
 	crashes   *fault.CrashSchedule
@@ -318,40 +318,8 @@ func NewCluster(opts Options) (*Cluster, error) {
 			c.emit[s].SetPoison(netmodel.PoisonGossip)
 		}
 	}
-	if opts.Protocol == Lpbcast {
-		if err := c.buildEngines(root, viewRNG); err != nil {
-			return nil, err
-		}
-	} else {
-		for i := 0; i < opts.N; i++ {
-			pid := c.ids[i]
-			var node *pbcast.Node
-			var err error
-			switch opts.Protocol {
-			case PbcastPartial:
-				node, err = pbcast.New(pid, opts.Pbcast, c.deliverer(pid), root.Split())
-				if err == nil {
-					node.Seed(c.uniformView(i, opts.Pbcast.Membership.MaxView, viewRNG))
-				}
-			case PbcastTotal:
-				cfg := opts.Pbcast
-				cfg.Mode = pbcast.TotalView
-				node, err = pbcast.New(pid, cfg, c.deliverer(pid), root.Split())
-				if err == nil {
-					node.SetTotalView(c.ids)
-				}
-			}
-			if err != nil {
-				return nil, fmt.Errorf("sim: process %v: %w", pid, err)
-			}
-			c.procs = append(c.procs, node)
-		}
-		for s := range c.emit {
-			lo, hi := shardRange(s, len(c.emit), opts.N)
-			for _, p := range c.procs[lo:hi] {
-				p.(*pbcast.Node).SetEmitArena(&c.emit[s])
-			}
-		}
+	if err := c.buildEngines(root, viewRNG); err != nil {
+		return nil, err
 	}
 
 	if opts.Tau > 0 {
@@ -380,11 +348,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 		c.RunRound()
 	}
 	return c, nil
-}
-
-// deliverer returns the per-process delivery callback.
-func (c *Cluster) deliverer(pid proto.ProcessID) func(ev proto.Event) {
-	return func(ev proto.Event) { c.deliverFn(pid, ev) }
 }
 
 // uniformView draws l distinct members (excluding process i itself), or

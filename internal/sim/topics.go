@@ -19,7 +19,8 @@ import (
 //
 // Unlike the process-cluster Options there is no crash fraction τ: the
 // pubsub substrate models voluntary churn (Cancel + unsubscription
-// gossip), not crash failures.
+// gossip), not crash failures. Nor is there a RunConfig: the Bus steps
+// whole rounds on one goroutine.
 type TopicOptions struct {
 	// Subscribers is the total number of (client, topic) subscriptions.
 	Subscribers int
@@ -42,11 +43,6 @@ type TopicOptions struct {
 	// WarmupRounds lets membership gossip mix the topic groups before
 	// the traced publication.
 	WarmupRounds int
-	// RunConfig is the shared execution configuration. The pubsub Bus
-	// steps whole rounds on one goroutine, so only ClockRounds is
-	// accepted and Workers is ignored; the embed exists so Scenario can
-	// thread one run-config through every experiment family uniformly.
-	RunConfig
 }
 
 // TopicExperiment traces the dissemination of one event on the hottest
@@ -62,12 +58,6 @@ func TopicExperiment(opts TopicOptions, rounds, repeats int) (InfectionResult, e
 	}
 	if opts.WarmupRounds < 0 {
 		return InfectionResult{}, fmt.Errorf("sim: WarmupRounds %d must be non-negative", opts.WarmupRounds)
-	}
-	if err := opts.RunConfig.validateRun(); err != nil {
-		return InfectionResult{}, err
-	}
-	if opts.Clock != ClockRounds {
-		return InfectionResult{}, fmt.Errorf("sim: topic experiments step the pubsub Bus in whole rounds; Clock must be ClockRounds")
 	}
 	// The workload's popularity draws use the experiment seed directly,
 	// so every repeat deploys the same population shape and only the

@@ -1,7 +1,7 @@
 // Package stats provides the small statistics toolkit used by the
 // simulation and benchmark harnesses: scalar summaries, per-round series,
-// histograms, and plain-text table rendering in the style of the paper's
-// gnuplot figures.
+// network counters, and plain-text table rendering in the style of the
+// paper's gnuplot figures.
 package stats
 
 import (
@@ -75,23 +75,6 @@ func Percentile(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Mean returns the arithmetic mean of xs (NaN for an empty sample).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) float64 {
-	return Summarize(xs).Stddev
-}
-
 // Series is a named sequence of (x, y) points — one curve of a figure.
 type Series struct {
 	Name string
@@ -104,9 +87,6 @@ func (s *Series) Add(x, y float64) {
 	s.X = append(s.X, x)
 	s.Y = append(s.Y, y)
 }
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.X) }
 
 // YAt returns the y value at the first point whose x equals x, and whether
 // such a point exists.
@@ -176,82 +156,3 @@ func (t *Table) Render() string {
 	}
 	return b.String()
 }
-
-// Histogram is a fixed-width bucket histogram over [Min, Max).
-type Histogram struct {
-	Min, Max float64
-	Buckets  []int
-	under    int
-	over     int
-	count    int
-}
-
-// NewHistogram creates a histogram with n buckets spanning [min, max).
-func NewHistogram(min, max float64, n int) *Histogram {
-	if n <= 0 || max <= min {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Min: min, Max: max, Buckets: make([]int, n)}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(x float64) {
-	h.count++
-	switch {
-	case x < h.Min:
-		h.under++
-	case x >= h.Max:
-		h.over++
-	default:
-		i := int((x - h.Min) / (h.Max - h.Min) * float64(len(h.Buckets)))
-		if i >= len(h.Buckets) { // rounding at the upper edge
-			i = len(h.Buckets) - 1
-		}
-		h.Buckets[i]++
-	}
-}
-
-// Count returns the total number of observations, including out-of-range.
-func (h *Histogram) Count() int { return h.count }
-
-// OutOfRange returns observations below Min and at or above Max.
-func (h *Histogram) OutOfRange() (under, over int) { return h.under, h.over }
-
-// Fraction returns the fraction of in-range observations in bucket i.
-func (h *Histogram) Fraction(i int) float64 {
-	in := h.count - h.under - h.over
-	if in == 0 {
-		return 0
-	}
-	return float64(h.Buckets[i]) / float64(in)
-}
-
-// Counter accumulates a running mean/max without storing samples.
-type Counter struct {
-	n   int
-	sum float64
-	max float64
-}
-
-// Observe records one value.
-func (c *Counter) Observe(x float64) {
-	if c.n == 0 || x > c.max {
-		c.max = x
-	}
-	c.n++
-	c.sum += x
-}
-
-// N returns the number of observations.
-func (c *Counter) N() int { return c.n }
-
-// Mean returns the running mean (NaN when empty).
-func (c *Counter) Mean() float64 {
-	if c.n == 0 {
-		return math.NaN()
-	}
-	return c.sum / float64(c.n)
-}
-
-// Max returns the largest observation (zero when empty).
-func (c *Counter) Max() float64 { return c.max }

@@ -99,13 +99,10 @@ func TestPercentileMonotone(t *testing.T) {
 
 func TestMeanStddev(t *testing.T) {
 	t.Parallel()
-	if !math.IsNaN(Mean(nil)) {
-		t.Error("Mean(nil) should be NaN")
-	}
-	if got := Mean([]float64{2, 4}); got != 3 {
+	if got := Summarize([]float64{2, 4}).Mean; got != 3 {
 		t.Errorf("Mean = %v, want 3", got)
 	}
-	if got := Stddev([]float64{5, 5, 5}); got != 0 {
+	if got := Summarize([]float64{5, 5, 5}).Stddev; got != 0 {
 		t.Errorf("Stddev of constant sample = %v, want 0", got)
 	}
 }
@@ -115,8 +112,8 @@ func TestSeries(t *testing.T) {
 	var s Series
 	s.Add(1, 10)
 	s.Add(2, 20)
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
+	if len(s.X) != 2 || len(s.Y) != 2 {
+		t.Fatalf("len = %d/%d, want 2", len(s.X), len(s.Y))
 	}
 	if y, ok := s.YAt(2); !ok || y != 20 {
 		t.Errorf("YAt(2) = %v,%v", y, ok)
@@ -157,70 +154,6 @@ func TestTableRenderEmpty(t *testing.T) {
 	tbl := &Table{}
 	if out := tbl.Render(); !strings.Contains(out, "x") {
 		t.Errorf("empty table render = %q", out)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	t.Parallel()
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Observe(float64(i) + 0.5)
-	}
-	h.Observe(-1)
-	h.Observe(11)
-	if h.Count() != 12 {
-		t.Errorf("Count = %d, want 12", h.Count())
-	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 1 {
-		t.Errorf("OutOfRange = %d,%d want 1,1", under, over)
-	}
-	for i := range h.Buckets {
-		if h.Buckets[i] != 1 {
-			t.Errorf("bucket %d = %d, want 1", i, h.Buckets[i])
-		}
-		if got := h.Fraction(i); math.Abs(got-0.1) > 1e-12 {
-			t.Errorf("Fraction(%d) = %v, want 0.1", i, got)
-		}
-	}
-}
-
-func TestHistogramUpperEdge(t *testing.T) {
-	t.Parallel()
-	h := NewHistogram(0, 1, 4)
-	h.Observe(math.Nextafter(1, 0)) // just below Max
-	if h.Buckets[3] != 1 {
-		t.Errorf("upper-edge value landed in %v", h.Buckets)
-	}
-}
-
-func TestHistogramPanicsOnBadShape(t *testing.T) {
-	t.Parallel()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic for inverted bounds")
-		}
-	}()
-	NewHistogram(1, 0, 4)
-}
-
-func TestCounter(t *testing.T) {
-	t.Parallel()
-	var c Counter
-	if !math.IsNaN(c.Mean()) {
-		t.Error("empty counter mean should be NaN")
-	}
-	c.Observe(2)
-	c.Observe(4)
-	c.Observe(-1)
-	if c.N() != 3 {
-		t.Errorf("N = %d", c.N())
-	}
-	if got := c.Mean(); math.Abs(got-5.0/3) > 1e-12 {
-		t.Errorf("Mean = %v", got)
-	}
-	if c.Max() != 4 {
-		t.Errorf("Max = %v", c.Max())
 	}
 }
 
