@@ -111,13 +111,8 @@ type Bus struct {
 	// under churn the member table stays bounded by the peak concurrent
 	// membership instead of growing with every subscription ever made.
 	index   idmap.Table
-	members []*member // members[ix] for live index ix, nil otherwise
-	// order holds the registered pids in ascending order (pids are
-	// assigned monotonically, so append and targeted removal keep it
-	// sorted); Step ticks members in this deterministic order without
-	// sorting or allocating.
-	order  []proto.ProcessID
-	topics map[string]*topicState
+	members []*member // members[ix] for live index ix, nil otherwise; Step ticks them in slot order
+	topics  map[string]*topicState
 	// queue/next and their parallel tally slices are the retained hop
 	// buffers of the batched dispatch loop: tally[i] is the ledger — its
 	// topic's NetStats — that accounts queue[i]. Retention plus the
@@ -137,7 +132,9 @@ type Bus struct {
 	pending    []delivery
 	flushPos   int
 	delivering bool
-	removals   []proto.ProcessID // per-Step scratch for grace-expired members
+	// leavers are the members in their leave grace, in Cancel order; each
+	// Step's end counts their grace down and removes those it runs out for.
+	leavers []*member
 }
 
 // delivery is one handler invocation waiting for the lock to be released.
@@ -294,7 +291,6 @@ func (b *Bus) join(client, topic string, h Handler) (*Subscription, error) {
 	m.topic = ts
 	existing := b.activeTopicMembers(ts)
 	b.insertMember(pid, m)
-	b.order = append(b.order, pid)
 	ts.pids = append(ts.pids, pid)
 	if len(existing) > 0 {
 		// Send the subscription to one existing member, which gossips it
@@ -306,7 +302,6 @@ func (b *Bus) join(client, topic string, h Handler) (*Subscription, error) {
 			// in members and the topic list, gossiping forever and
 			// overcounting TopicSize while the caller saw only an error.
 			b.dropMember(pid)
-			b.order = b.order[:len(b.order)-1]
 			ts.pids = ts.pids[:len(ts.pids)-1]
 			if created {
 				delete(b.topics, topic)
@@ -432,6 +427,7 @@ func (s *Subscription) Cancel() error {
 			return err
 		}
 		m.leaving = leaveGraceRounds
+		b.leavers = append(b.leavers, m)
 	}
 	b.mu.Unlock()
 
@@ -446,11 +442,12 @@ func (s *Subscription) Cancel() error {
 
 // Step advances every topic group one gossip round: delayed messages due
 // this round arrive first (in deterministic enqueue order), every member
-// emits its periodic gossip into the bus's emission arena, leave grace
-// periods tick down, and the batched dispatch loop routes the round's
-// traffic with bounded response chasing. Once it is routed, the ring takes
-// back its oldest generation of envelopes and the arena its oldest
-// generation of emissions.
+// emits its periodic gossip into the bus's emission arena in slot order,
+// and the batched dispatch loop routes the round's traffic with bounded
+// response chasing. Once it is routed, the ring takes back its oldest
+// generation of envelopes and the arena its oldest generation of
+// emissions. Then, at the period boundary, leave grace periods tick down
+// and the members whose grace ran out are removed.
 // Handlers run after the round's protocol work, with no locks held.
 func (b *Bus) Step() {
 	b.mu.Lock()
@@ -462,28 +459,29 @@ func (b *Bus) stepLocked() {
 	b.now++
 	queue, tally := b.network.Drain(b.now, b.queue[:0], b.qTally[:0])
 	pre := len(queue)
-	removals := b.removals[:0]
-	for _, pid := range b.order {
-		m := b.lookupMember(pid)
+	for _, m := range b.members {
+		if m == nil {
+			continue
+		}
 		queue = m.engine.TickAppend(b.now, queue)
 		for len(tally) < len(queue) {
 			tally = append(tally, &m.topic.net)
 		}
-		if m.leaving > 0 {
-			m.leaving--
-			if m.leaving == 0 {
-				removals = append(removals, pid)
-			}
-		}
-	}
-	b.removals = removals
-	for _, pid := range removals {
-		b.removeMember(pid)
 	}
 	b.queue, b.qTally = queue, tally
 	b.dispatchLocked(pre)
 	b.network.EndPeriod(b.now)
 	b.emit.Reset()
+	kept := b.leavers[:0]
+	for _, m := range b.leavers {
+		if m.leaving--; m.leaving == 0 {
+			b.removeMember(m.pid)
+		} else {
+			kept = append(kept, m)
+		}
+	}
+	clear(b.leavers[len(kept):])
+	b.leavers = kept
 }
 
 // StepN advances n gossip rounds.
@@ -578,9 +576,6 @@ func (b *Bus) removeMember(pid proto.ProcessID) {
 		tr.Record(trace.Event{Kind: trace.KindLeave, Node: pid, N: int(b.now)})
 	}
 	b.dropMember(pid)
-	if i := sort.Search(len(b.order), func(i int) bool { return b.order[i] >= pid }); i < len(b.order) && b.order[i] == pid {
-		b.order = append(b.order[:i], b.order[i+1:]...)
-	}
 	ts := m.topic
 	for i, p := range ts.pids {
 		if p == pid {
