@@ -922,7 +922,7 @@ func pubsubInfectionCase(quick bool) benchCase {
 		gate:      true,
 		maxAllocs: -1,
 		fn: func(b *testing.B) {
-			opts := sim.TopicOptions{
+			opts := pubsub.TopicOptions{
 				Subscribers:  subs,
 				Topics:       topics,
 				ZipfS:        1.0,
@@ -934,7 +934,7 @@ func pubsubInfectionCase(quick bool) benchCase {
 			opts.Engine.AssumeFromDigest = true
 			var infected, population float64
 			for i := 0; i < b.N; i++ {
-				res, err := sim.TopicExperiment(opts, 12, 1)
+				res, err := pubsub.TopicExperiment(opts, 12, 1)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -51,6 +51,7 @@ import (
 
 	"repro/internal/golden"
 	"repro/internal/prof"
+	"repro/internal/pubsub"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -129,7 +130,7 @@ func run(args []string) (err error) {
 			rc.Workers = *workers
 		}
 		spec.RunConfig = rc
-		cells, err := sim.RunMatrix(spec)
+		cells, err := sim.RunMatrix(spec, pubsub.TopicCell)
 		if err != nil {
 			return err
 		}

@@ -118,10 +118,10 @@ func TestBusGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := b.Graph("t")
-	if _, ok := g[subs[0].pid]; ok || len(g) != 7 {
+	if _, ok := g[subs[0].m.pid]; ok || len(g) != 7 {
 		t.Fatalf("graph in the leaver's grace has %d members, the leaver among them: %v", len(g), g)
 	}
-	if deg := g.InDegrees()[subs[0].pid]; deg == 0 {
+	if deg := g.InDegrees()[subs[0].m.pid]; deg == 0 {
 		t.Errorf("no view names the leaver a step after it cancelled: %v", g)
 	}
 	if len(b.Graph("none")) != 0 {
@@ -207,7 +207,7 @@ func runChurn(t *testing.T, row churnRow) (churnResult, *Bus) {
 				res.refused++
 				break
 			}
-			res.leftAt[active[i].pid] = b.Now()
+			res.leftAt[active[i].m.pid] = b.Now()
 			active = append(active[:i], active[i+1:]...)
 			res.left++
 		}

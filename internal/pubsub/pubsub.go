@@ -4,15 +4,16 @@
 // group, unsubscribing is leaving it, and publishing disseminates a
 // notification through the topic's gossip.
 //
-// The Bus runs on the runtime-v2 seams the simulator executors use: every
-// member engine emits through the zero-alloc append paths into one emission
-// arena the bus resets after each step, all topics share one batched
-// routing loop, and the network between members is the simulator's one
-// network model (internal/netmodel):
-// the same filter, the same in-flight ring, the same rules, on the round
-// clock. Each topic accounts its traffic in a stats.NetStats ledger that
-// satisfies the same conservation invariant as the simulator's, including
-// TruncatedChase for responses cut off by the chase cap.
+// The Bus keeps topics, clients, handlers, leave grace counters and one
+// stats.NetStats ledger per topic; the simulator drives the engines. All
+// members of all topics are processes of one sim.Cluster built empty: a
+// subscription adds its engine to the cluster (counting its traffic in its
+// topic's ledger) and routes its join request through the cluster, a
+// finished leave removes it, and a Step is one RunRound — the executor's
+// synchronous round on one shard and the round clock, with its emission
+// arena, its network model (internal/netmodel), its response chase and its
+// poisoning. Each topic's ledger satisfies the same conservation invariant
+// as the simulator's, TruncatedChase included.
 //
 // The package is deliberately deterministic: a Bus advances in explicit
 // gossip rounds (Step), which makes the dynamic-membership behaviour easy
@@ -28,11 +29,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/idmap"
 	"repro/internal/membership"
-	"repro/internal/netmodel"
 	"repro/internal/proto"
 	"repro/internal/rng"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -41,12 +41,6 @@ import (
 // no Bus locks held, so they may call Publish, Subscribe, or Cancel —
 // including on the client that is being delivered to.
 type Handler func(topic string, ev proto.Event)
-
-// defaultMaxChase bounds the same-round response cascade (retransmit
-// requests triggering replies triggering requests, ...) as a safety valve
-// against protocol bugs; well-behaved engines drain in one or two hops.
-// Matches the simulator's maxChase.
-const defaultMaxChase = 16
 
 // Config shapes a Bus.
 type Config struct {
@@ -62,10 +56,6 @@ type Config struct {
 	Delay      fault.DelayModel
 	Topology   fault.Topology
 	Partitions []fault.Partition
-	// MaxChase overrides the same-round response chase cap (0 = the
-	// default 16). Responses still queued when the cap hits are counted
-	// in the topic's NetStats.TruncatedChase.
-	MaxChase int
 	// Engine is the per-member lpbcast configuration. Zero value means
 	// core.DefaultConfig with retransmission enabled (so payloads survive
 	// loss).
@@ -80,50 +70,27 @@ type Config struct {
 	Tracer trace.Tracer
 }
 
-// network is the configuration's network model.
-func (cfg Config) network() netmodel.Config {
-	return netmodel.Config{Epsilon: cfg.Epsilon, Topology: cfg.Topology, Delay: cfg.Delay, Partitions: cfg.Partitions}
-}
-
-// topicState is one topic group: its member list and its network
-// accounting. The state outlives its members — a fully-unsubscribed
-// topic keeps its NetStats — so counters never reset behind a caller's
-// back; Topics only lists topics with at least one member.
+// topicState is one topic group: its members, in subscription order, and
+// its network accounting. The state outlives its members — a
+// fully-unsubscribed topic keeps its NetStats — so counters never reset
+// behind a caller's back; Topics only lists topics with at least one
+// member.
 type topicState struct {
-	name string
-	pids []proto.ProcessID
-	net  stats.NetStats
+	name    string
+	members []*member
+	net     stats.NetStats
 }
 
-// Bus hosts topic groups and routes gossip between their members.
+// Bus hosts topic groups and steps their members on one simulated cluster.
 //
 // Bus is safe for concurrent use; Step serializes protocol activity.
 type Bus struct {
-	mu       sync.Mutex
-	cfg      Config
-	root     *rng.Source
-	network  *netmodel.Model
-	maxChase int
-	now      uint64
-	nextPID  proto.ProcessID
-	// index maps live pids onto dense slots in members. Pids are assigned
-	// monotonically forever, but leaves release their slots for reuse, so
-	// under churn the member table stays bounded by the peak concurrent
-	// membership instead of growing with every subscription ever made.
-	index   idmap.Table
-	members []*member // members[ix] for live index ix, nil otherwise; Step ticks them in slot order
+	mu      sync.Mutex
+	cfg     Config
+	root    *rng.Source
+	cluster *sim.Cluster // every member's engine, in the slot its subscription got
+	nextPID proto.ProcessID
 	topics  map[string]*topicState
-	// queue/next and their parallel tally slices are the retained hop
-	// buffers of the batched dispatch loop: tally[i] is the ledger — its
-	// topic's NetStats — that accounts queue[i]. Retention plus the
-	// shared emission arena makes a steady round allocation-free.
-	queue, next    []proto.Message
-	qTally, nTally []*stats.NetStats
-	// emit is every member's emission arena, one generation per step a
-	// message can be in flight (netmodel.Model.Generations): a Step routes
-	// all it emits, the in-flight ring parks what is delayed without
-	// copying it, and the Step's end takes back the oldest generation.
-	emit proto.EmitArena
 	// pending is the deferred-delivery queue: engine callbacks append
 	// here under mu, and flushLocked drains it with the lock released so
 	// handlers can reenter the Bus. delivering guards against nested
@@ -148,15 +115,14 @@ type delivery struct {
 type member struct {
 	pid     proto.ProcessID
 	topic   *topicState
-	engine  *core.Engine
+	engine  *core.Engine // nil once the member has left
 	handler Handler
-	client  string
 	leaving int // grace rounds left after Cancel; 0 = active
 }
 
 // NewBus creates an empty bus, validating the configuration: the engine
-// config, the chase cap, and the network (netmodel.Config.Validate on the
-// round clock, with an unbounded horizon — the Bus runs open-ended).
+// config and the network (netmodel.Config.Validate on the round clock,
+// with an unbounded horizon — the Bus runs open-ended).
 func NewBus(cfg Config) (*Bus, error) {
 	if cfg.Engine.Fanout == 0 { // treat zero value as "use defaults"
 		cfg.Engine = core.DefaultConfig()
@@ -166,39 +132,19 @@ func NewBus(cfg Config) (*Bus, error) {
 	if err := cfg.Engine.Validate(); err != nil {
 		return nil, fmt.Errorf("pubsub: engine config: %w", err)
 	}
-	if cfg.MaxChase < 0 {
-		return nil, fmt.Errorf("pubsub: MaxChase %d must be non-negative", cfg.MaxChase)
-	}
-	network := cfg.network()
-	if err := network.Validate(netmodel.Clock{}); err != nil {
+	// Stream discipline mirrors the simulator's: the root splits happen in
+	// a fixed order that depends only on the options — the cluster's loss
+	// stream, then its delay stream when a delay model is in force — then
+	// one split per subscription, so a Bus's whole history is a pure
+	// function of its seed and the operation sequence.
+	root := rng.New(cfg.Seed)
+	cluster, err := sim.NewEmptyCluster(sim.Options{
+		Epsilon: cfg.Epsilon, Delay: cfg.Delay, Topology: cfg.Topology, Partitions: cfg.Partitions,
+	}, root)
+	if err != nil {
 		return nil, fmt.Errorf("pubsub: %w", err)
 	}
-
-	root := rng.New(cfg.Seed)
-	b := &Bus{
-		cfg:      cfg,
-		root:     root,
-		maxChase: cfg.MaxChase,
-		nextPID:  1,
-		topics:   make(map[string]*topicState),
-	}
-	if b.maxChase == 0 {
-		b.maxChase = defaultMaxChase
-	}
-	// Stream discipline mirrors the simulator's: the root splits happen in
-	// a fixed order that depends only on the options, then one split per
-	// subscription, so a Bus's whole history is a pure function of its
-	// seed and the operation sequence. The delay stream is split only when
-	// a delay model is in force, keeping zero-delay buses bit-identical to
-	// pre-delay versions.
-	lossRNG := root.Split()
-	var delayRNG *rng.Source
-	if network.EffectiveDelay() != nil {
-		delayRNG = root.Split()
-	}
-	b.network = netmodel.New(network, netmodel.Clock{}, lossRNG, delayRNG)
-	b.emit.SetGenerations(b.network.Generations())
-	return b, nil
+	return &Bus{cfg: cfg, root: root, cluster: cluster, nextPID: 1, topics: make(map[string]*topicState)}, nil
 }
 
 // Client is a named participant that can subscribe and publish.
@@ -219,7 +165,7 @@ func (b *Bus) NewClient(name string) *Client {
 type Subscription struct {
 	client *Client
 	topic  string
-	pid    proto.ProcessID
+	m      *member
 
 	mu        sync.Mutex
 	cancelled bool
@@ -238,7 +184,7 @@ func (c *Client) Subscribe(topic string, h Handler) (*Subscription, error) {
 		c.mu.Unlock()
 		return nil, fmt.Errorf("pubsub: %q already subscribed to %q", c.name, topic)
 	}
-	sub, err := c.bus.join(c.name, topic, h)
+	sub, err := c.bus.join(topic, h)
 	if err != nil {
 		c.mu.Unlock()
 		return nil, err
@@ -254,19 +200,17 @@ func (c *Client) Subscribe(topic string, h Handler) (*Subscription, error) {
 }
 
 // join creates the topic member and bootstraps it via an existing member
-// (§3.4: a joiner contacts a process already in Π). On any failure the
-// registration is rolled back completely — no ghost member keeps
-// gossiping, and TopicSize is unchanged.
-func (b *Bus) join(client, topic string, h Handler) (*Subscription, error) {
+// (§3.4: a joiner contacts a process already in Π). The member joins the
+// cluster only once its join request exists, so a failed join leaves no
+// ghost member gossiping and TopicSize unchanged.
+func (b *Bus) join(topic string, h Handler) (*Subscription, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	pid := b.nextPID
-	b.nextPID++
-	m := &member{pid: pid, handler: h, client: client}
-	eng, err := core.New(pid, b.cfg.Engine, func(ev proto.Event) {
+	m := &member{pid: b.nextPID, handler: h}
+	eng, err := core.New(m.pid, b.cfg.Engine, func(ev proto.Event) {
 		if m.leaving == 0 {
 			if tr := b.cfg.Tracer; tr != nil {
-				tr.Record(trace.Event{Kind: trace.KindDeliver, Node: m.pid, EventID: ev.ID, N: int(b.now)})
+				tr.Record(trace.Event{Kind: trace.KindDeliver, Node: m.pid, EventID: ev.ID, N: int(b.cluster.Now())})
 			}
 			if m.handler != nil {
 				b.pending = append(b.pending, delivery{ts: m.topic, h: m.handler, ev: ev})
@@ -274,86 +218,44 @@ func (b *Bus) join(client, topic string, h Handler) (*Subscription, error) {
 		}
 	}, b.root.Split())
 	if err != nil {
-		b.nextPID--
 		return nil, err
 	}
-	// Every member emits into the bus's arena, which Step rotates once
-	// every message cut from its oldest generation has arrived.
-	eng.SetEmitArena(&b.emit)
-	m.engine = eng
-
 	ts, ok := b.topics[topic]
-	created := !ok
-	if created {
+	if !ok {
 		ts = &topicState{name: topic}
-		b.topics[topic] = ts
 	}
-	m.topic = ts
+	var join proto.Message
 	existing := b.activeTopicMembers(ts)
-	b.insertMember(pid, m)
-	ts.pids = append(ts.pids, pid)
 	if len(existing) > 0 {
 		// Send the subscription to one existing member, which gossips it
 		// on the joiner's behalf.
-		contact := existing[b.root.Intn(len(existing))]
-		join, err := eng.JoinVia(contact)
-		if err != nil {
-			// Roll back the half-registration: without this the pid stayed
-			// in members and the topic list, gossiping forever and
-			// overcounting TopicSize while the caller saw only an error.
-			b.dropMember(pid)
-			ts.pids = ts.pids[:len(ts.pids)-1]
-			if created {
-				delete(b.topics, topic)
-			}
-			b.nextPID--
+		if join, err = eng.JoinVia(existing[b.root.Intn(len(existing))].pid); err != nil {
 			return nil, err
 		}
+	}
+	b.nextPID++
+	b.topics[topic] = ts
+	m.topic, m.engine = ts, eng
+	ts.members = append(ts.members, m)
+	b.cluster.Add(eng, &ts.net)
+	if len(existing) > 0 {
 		// The join request is network traffic like any other: it runs
 		// through partition, loss, and delay filtering and is accounted
 		// to the topic.
-		b.queue = append(b.queue[:0], join)
-		b.qTally = append(b.qTally[:0], &ts.net)
-		b.dispatchLocked(0)
+		b.cluster.Route(join)
 	}
 	if tr := b.cfg.Tracer; tr != nil {
-		tr.Record(trace.Event{Kind: trace.KindJoinSent, Node: pid, N: int(b.now)})
+		tr.Record(trace.Event{Kind: trace.KindJoinSent, Node: m.pid, N: int(b.cluster.Now())})
 	}
-	return &Subscription{topic: topic, pid: pid}, nil
-}
-
-// lookupMember resolves a pid to its member record through the dense
-// index; nil means the pid has left (or never existed).
-func (b *Bus) lookupMember(pid proto.ProcessID) *member {
-	if ix, ok := b.index.Lookup(pid); ok {
-		return b.members[ix]
-	}
-	return nil
-}
-
-// insertMember assigns pid a dense slot and installs its record.
-func (b *Bus) insertMember(pid proto.ProcessID, m *member) {
-	ix := b.index.Add(pid)
-	for uint64(len(b.members)) <= uint64(ix) {
-		b.members = append(b.members, nil)
-	}
-	b.members[ix] = m
-}
-
-// dropMember releases pid's slot for reuse by a future subscription.
-func (b *Bus) dropMember(pid proto.ProcessID) {
-	if ix, ok := b.index.Lookup(pid); ok {
-		b.members[ix] = nil
-		b.index.Release(pid)
-	}
+	return &Subscription{topic: topic, m: m}, nil
 }
 
 // activeTopicMembers lists non-leaving members of a topic.
-func (b *Bus) activeTopicMembers(ts *topicState) []proto.ProcessID {
-	var out []proto.ProcessID
-	for _, pid := range ts.pids {
-		if m := b.lookupMember(pid); m != nil && m.leaving == 0 {
-			out = append(out, pid)
+func (b *Bus) activeTopicMembers(ts *topicState) []*member {
+	var out []*member
+	for _, m := range ts.members {
+		if m.leaving == 0 {
+			out = append(out, m)
 		}
 	}
 	return out
@@ -380,12 +282,11 @@ func (s *Subscription) publish(payload []byte) (proto.Event, error) {
 	}
 	b := s.client.bus
 	b.mu.Lock()
-	m := b.lookupMember(s.pid)
-	if m == nil {
+	if s.m.engine == nil {
 		b.mu.Unlock()
 		return proto.Event{}, errors.New("pubsub: member no longer exists")
 	}
-	ev, err := m.engine.Publish(payload)
+	ev, err := s.m.engine.Publish(payload)
 	// Publish delivers locally right away; hand the notification to the
 	// publisher's own handler outside the lock.
 	b.flushLocked()
@@ -418,8 +319,8 @@ func (s *Subscription) Cancel() error {
 
 	b := c.bus
 	b.mu.Lock()
-	if m := b.lookupMember(s.pid); m != nil {
-		if err := m.engine.Unsubscribe(b.now); err != nil {
+	if m := s.m; m.engine != nil {
+		if err := m.engine.Unsubscribe(b.cluster.Now()); err != nil {
 			// Refused (unSubs buffer full, §3.4): nothing has been
 			// mutated, so there is nothing to roll back; the caller can
 			// retry later and the subscription stays fully live.
@@ -440,48 +341,27 @@ func (s *Subscription) Cancel() error {
 	return nil
 }
 
-// Step advances every topic group one gossip round: delayed messages due
-// this round arrive first (in deterministic enqueue order), every member
-// emits its periodic gossip into the bus's emission arena in slot order,
-// and the batched dispatch loop routes the round's traffic with bounded
-// response chasing. Once it is routed, the ring takes back its oldest
-// generation of envelopes and the arena its oldest generation of
-// emissions. Then, at the period boundary, leave grace periods tick down
-// and the members whose grace ran out are removed.
+// Step advances every topic group one gossip round: one RunRound of the
+// cluster, in which delayed messages due this round arrive first, every
+// member emits its periodic gossip in slot order, and the round's traffic
+// is routed with bounded response chasing. Then, at the period boundary,
+// leave grace periods tick down and the members whose grace ran out are
+// removed.
 // Handlers run after the round's protocol work, with no locks held.
 func (b *Bus) Step() {
 	b.mu.Lock()
-	b.stepLocked()
-	b.flushLocked()
-}
-
-func (b *Bus) stepLocked() {
-	b.now++
-	queue, tally := b.network.Drain(b.now, b.queue[:0], b.qTally[:0])
-	pre := len(queue)
-	for _, m := range b.members {
-		if m == nil {
-			continue
-		}
-		queue = m.engine.TickAppend(b.now, queue)
-		for len(tally) < len(queue) {
-			tally = append(tally, &m.topic.net)
-		}
-	}
-	b.queue, b.qTally = queue, tally
-	b.dispatchLocked(pre)
-	b.network.EndPeriod(b.now)
-	b.emit.Reset()
+	b.cluster.RunRound()
 	kept := b.leavers[:0]
 	for _, m := range b.leavers {
 		if m.leaving--; m.leaving == 0 {
-			b.removeMember(m.pid)
+			b.removeMember(m)
 		} else {
 			kept = append(kept, m)
 		}
 	}
 	clear(b.leavers[len(kept):])
 	b.leavers = kept
+	b.flushLocked()
 }
 
 // StepN advances n gossip rounds.
@@ -489,47 +369,6 @@ func (b *Bus) StepN(n int) {
 	for i := 0; i < n; i++ {
 		b.Step()
 	}
-}
-
-// dispatchLocked delivers b.queue, chasing same-round responses up to the
-// chase cap. Every message runs through the network model
-// (netmodel.Model.Classify) but the first pre, this round's delayed
-// arrivals: they passed the filter when sent, so they settle their
-// in-flight accounting (netmodel.Arrive) and go straight to their
-// receivers. The destination may have completed its leave while one was in
-// the air — an unknown destination now, as it is for a fresh message: views
-// keep naming members for a while after they leave, and their traffic is
-// accounted, not silently dropped. Responses still queued when the cap hits
-// are counted per topic in TruncatedChase — the old silent 8-hop drop broke
-// conservation exactly here.
-func (b *Bus) dispatchLocked(pre int) {
-	queue, next := b.queue, b.next
-	tally, ntally := b.qTally, b.nTally
-	for hop := 0; len(queue) > 0 && hop < b.maxChase; hop++ {
-		next, ntally = next[:0], ntally[:0]
-		for pos, msg := range queue {
-			dst := b.lookupMember(msg.To)
-			if pos < pre {
-				if !netmodel.Arrive(tally[pos], dst != nil, true) {
-					continue
-				}
-			} else if !b.network.Classify(&msg, b.now, b.now, dst != nil, true, tally[pos]) {
-				continue
-			}
-			next = dst.engine.HandleMessageAppend(msg, b.now, next)
-			for len(ntally) < len(next) {
-				ntally = append(ntally, &dst.topic.net)
-			}
-		}
-		queue, next = next, queue
-		tally, ntally = ntally, tally
-		pre = 0
-	}
-	for _, ledger := range tally[:len(queue)] {
-		ledger.TruncatedChase++
-	}
-	b.queue, b.next = queue, next
-	b.qTally, b.nTally = tally, ntally
 }
 
 // flush acquires the bus lock and drains the deferred-delivery queue.
@@ -565,21 +404,18 @@ func (b *Bus) flushLocked() {
 	b.mu.Unlock()
 }
 
-// removeMember drops a member from routing and its topic list. The
-// topicState itself is retained so the topic's NetStats survive.
-func (b *Bus) removeMember(pid proto.ProcessID) {
-	m := b.lookupMember(pid)
-	if m == nil {
-		return
-	}
+// removeMember takes a member out of the cluster and its topic's list.
+// The topicState itself is retained so the topic's NetStats survive.
+func (b *Bus) removeMember(m *member) {
 	if tr := b.cfg.Tracer; tr != nil {
-		tr.Record(trace.Event{Kind: trace.KindLeave, Node: pid, N: int(b.now)})
+		tr.Record(trace.Event{Kind: trace.KindLeave, Node: m.pid, N: int(b.cluster.Now())})
 	}
-	b.dropMember(pid)
+	b.cluster.Remove(m.pid)
+	m.engine = nil
 	ts := m.topic
-	for i, p := range ts.pids {
-		if p == pid {
-			ts.pids = append(ts.pids[:i], ts.pids[i+1:]...)
+	for i, p := range ts.members {
+		if p == m {
+			ts.members = append(ts.members[:i], ts.members[i+1:]...)
 			break
 		}
 	}
@@ -603,8 +439,8 @@ func (b *Bus) Graph(topic string) membership.Graph {
 	defer b.mu.Unlock()
 	g := membership.Graph{}
 	if ts, ok := b.topics[topic]; ok {
-		for _, pid := range b.activeTopicMembers(ts) {
-			g[pid] = b.lookupMember(pid).engine.View()
+		for _, m := range b.activeTopicMembers(ts) {
+			g[m.pid] = m.engine.View()
 		}
 	}
 	return g
@@ -616,7 +452,7 @@ func (b *Bus) Topics() []string {
 	defer b.mu.Unlock()
 	out := make([]string, 0, len(b.topics))
 	for t, ts := range b.topics {
-		if len(ts.pids) > 0 {
+		if len(ts.members) > 0 {
 			out = append(out, t)
 		}
 	}
@@ -651,5 +487,5 @@ func (b *Bus) TotalNetStats() stats.NetStats {
 func (b *Bus) Now() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.now
+	return b.cluster.Now()
 }

@@ -1,4 +1,4 @@
-package sim
+package pubsub
 
 import (
 	"testing"
@@ -9,6 +9,9 @@ import (
 func TestTopicExperimentValidation(t *testing.T) {
 	t.Parallel()
 	good := TopicOptions{Subscribers: 40, Topics: 4, ZipfS: 1, Seed: 1}
+	if _, err := TopicExperiment(good, 3, 1); err != nil {
+		t.Errorf("valid options refused: %v", err)
+	}
 	if _, err := TopicExperiment(good, 0, 1); err == nil {
 		t.Error("rounds=0 accepted")
 	}
@@ -83,66 +86,5 @@ func TestTopicExperimentDeterministic(t *testing.T) {
 		if a.PerRound[i] != b.PerRound[i] {
 			t.Fatalf("traces diverge at round %d: %v vs %v", i, a.PerRound, b.PerRound)
 		}
-	}
-}
-
-func TestRunMatrixTopicCells(t *testing.T) {
-	t.Parallel()
-	spec := MatrixSpec{
-		Ns:       []int{60},
-		Fanouts:  []int{3},
-		Epsilons: []float64{0.01},
-		Topics:   []int{1, 6},
-		Rounds:   10,
-		Repeats:  1,
-		Seed:     2,
-	}
-	cells, err := RunMatrix(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 2 {
-		t.Fatalf("got %d cells, want 2", len(cells))
-	}
-	for _, c := range cells {
-		if c.Err != nil {
-			t.Fatalf("cell %s: %v", c.Name(), c.Err)
-		}
-	}
-	flat, topic := cells[0], cells[1]
-	if flat.Topics != 1 || topic.Topics != 6 {
-		t.Fatalf("unexpected cell order: %+v", cells)
-	}
-	if topic.Result.Population <= 0 {
-		t.Errorf("topic cell reported no population")
-	}
-	if flat.Result.Population != 0 {
-		t.Errorf("flat cell reported population %d, want 0", flat.Result.Population)
-	}
-	if name := topic.Name(); name != "lpbcast,F=3,eps=0.01,tau=0.01,topics=6" {
-		t.Errorf("topic cell name = %q", name)
-	}
-	// The table renders both series without conflating targets.
-	tbl := MatrixTable(cells)
-	if len(tbl.Series) != 2 {
-		t.Errorf("table has %d series, want 2", len(tbl.Series))
-	}
-}
-
-func TestRunMatrixTopicCellsRejectNonLpbcast(t *testing.T) {
-	t.Parallel()
-	spec := MatrixSpec{
-		Ns:        []int{40},
-		Topics:    []int{4},
-		Protocols: []Protocol{PbcastTotal},
-		Rounds:    5,
-		Repeats:   1,
-	}
-	cells, err := RunMatrix(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 1 || cells[0].Err == nil {
-		t.Fatalf("pbcast topic cell did not error: %+v", cells)
 	}
 }

@@ -166,15 +166,15 @@ func (e *shardedExecutor) tick(i int) {
 }
 
 // asyncRoute runs m, the message at (or bound for) queue position pos,
-// through the network model and its counters (netmodel.Model.Classify) and
-// reports whether it survived; a survivor is binned into the destination
+// through the network model and its sender's counters
+// (netmodel.Model.Classify) and reports whether it survived; a survivor is binned into the destination
 // shard's inbox (asyncBin). Calls happen in deterministic walk/merge order, so
 // the shared loss stream's draw order is schedule-defined, exactly like the
 // synchronous round's sequential filter phase.
 func (e *shardedExecutor) asyncRoute(pos int, m proto.Message) bool {
 	c := e.c
 	di, known, alive := c.verdict(m.To)
-	if !c.network.Classify(&m, c.now, c.nowMs, known, alive, &c.net) {
+	if !c.network.Classify(&m, c.now, c.nowMs, known, alive, c.ledger(m.From)) {
 		return false
 	}
 	e.asyncBin(pos, di)
@@ -201,8 +201,9 @@ func (e *shardedExecutor) asyncBin(pos, di int) {
 // (handleShard) — and chases
 // same-wave responses hop by hop under the shared maxChase cap: responses
 // are reassembled in trigger order by the cursor merge, filtered
-// sequentially (consuming loss draws in merge order), and handled in turn. Responses still raw when the cap
-// hits are counted as truncated. The synchronous round's boundary and every
+// sequentially (consuming loss draws in merge order), and handled in turn.
+// Responses still raw when the cap hits are counted as truncated in their
+// senders' ledgers. The synchronous round's boundary and every
 // arrival instant run this same barrier; nothing queued is no barrier.
 func (e *shardedExecutor) asyncBarrier() {
 	c := e.c
@@ -216,7 +217,9 @@ func (e *shardedExecutor) asyncBarrier() {
 			return
 		}
 		if hop+1 >= maxChase {
-			c.net.TruncatedChase += uint64(len(e.next))
+			for _, m := range e.next {
+				c.ledger(m.From).TruncatedChase++
+			}
 			return
 		}
 		e.queue, e.next = e.next, e.queue

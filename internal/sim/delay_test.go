@@ -401,7 +401,7 @@ func TestDelayOptionsValidate(t *testing.T) {
 // name) instead of silently sweeping a flat zero-delay network.
 func TestMatrixRejectsNegativeDelay(t *testing.T) {
 	t.Parallel()
-	cells, err := RunMatrix(MatrixSpec{Ns: []int{50}, DelaySpecs: []string{"fixed:-2"}, Rounds: 4, Repeats: 1})
+	cells, err := RunMatrix(MatrixSpec{Ns: []int{50}, DelaySpecs: []string{"fixed:-2"}, Rounds: 4, Repeats: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -265,8 +265,8 @@ func (e *shardedExecutor) tickShard(s int) {
 		buf = e.queue
 	}
 	for i := e.lo[s]; i < e.hi[s]; i++ {
-		if c.crashes.Crashed(c.ids[i], c.now) {
-			continue
+		if c.procs[i] == nil || c.crashes.Crashed(c.ids[i], c.now) {
+			continue // an empty slot, or a crashed process
 		}
 		buf = c.procs[i].TickAppend(c.now, buf)
 	}
@@ -311,8 +311,8 @@ func (e *shardedExecutor) byDestination(s int) []int32 {
 		return nil
 	}
 	g := &e.groups[s]
-	if g.count == nil {
-		g.count = make([]int32, e.hi[s]-e.lo[s])
+	if n := e.hi[s] - e.lo[s]; len(g.count) < n { // a cluster built empty grows
+		g.count = append(g.count, make([]int32, n-len(g.count))...)
 	}
 	lo := int32(e.lo[s])
 	firsts := g.firsts[:0]

@@ -39,10 +39,6 @@ func TestScenarioValidate(t *testing.T) {
 			_, err := ReliabilityExperiment(opts)
 			return err
 		}, "reliability"},
-		{"topics", func() error {
-			_, err := TopicExperiment(TopicOptions{Subscribers: 40, Topics: 4, ZipfS: 1, Seed: 1}, 3, 1)
-			return err
-		}, ""},
 		{"negative rounds", func() error {
 			_, err := InfectionExperiment(DefaultOptions(64), -1, 1)
 			return err

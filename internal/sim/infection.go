@@ -11,7 +11,8 @@ type InfectionResult struct {
 	// Runs is the number of repetitions averaged.
 	Runs int
 	// Population is the size of the traced group when it differs from
-	// the whole system — a TopicExperiment's hot-topic subscriber count.
+	// the whole system — a pubsub.TopicExperiment's hot-topic subscriber
+	// count.
 	// 0 means the trace spans the full cluster (MatrixTable then targets
 	// the cell's N).
 	Population int

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/stats"
 )
@@ -33,8 +32,9 @@ type MatrixSpec struct {
 	// "ms:uniform:10-40" (virtual milliseconds — the cell automatically
 	// runs on the event clock). Default: {""}.
 	DelaySpecs []string
-	// Topics is the pub/sub dimension: cells with Topics > 1 run a
-	// TopicExperiment — N subscribers spread over that many topic groups
+	// Topics is the pub/sub dimension: cells with Topics > 1 run the
+	// RunMatrix caller's TopicCell (pubsub.TopicCell: a pubsub.TopicExperiment) —
+	// N subscribers spread over that many topic groups
 	// by a Zipf(1) popularity draw on a pubsub.Bus — instead of a flat
 	// process cluster. Only the lpbcast protocol supports topic cells
 	// (the Bus hosts core engines), and the crash dimension Tau is
@@ -157,39 +157,18 @@ func cellOptions(spec MatrixSpec, cell MatrixCell, idx int) (Options, error) {
 	return o, nil
 }
 
-// runTopicCell executes a pub/sub grid point: the cell's N subscribers
-// spread over its topic count by a Zipf(1) popularity draw, the traced
-// event published on the hottest topic. The §5.2 comparability choice
-// (AssumeFromDigest) carries over; Tau does not apply (see
-// MatrixSpec.Topics).
-func runTopicCell(spec MatrixSpec, cell MatrixCell, idx int) (InfectionResult, error) {
-	if cell.Protocol != Lpbcast {
-		return InfectionResult{}, fmt.Errorf("sim: topic cells require lpbcast, not %s", cell.Protocol)
-	}
-	opts := TopicOptions{
-		Subscribers:  cell.N,
-		Topics:       cell.Topics,
-		ZipfS:        1.0,
-		Seed:         spec.Seed + uint64(idx)*1_000_003,
-		Epsilon:      cell.Epsilon,
-		WarmupRounds: 5,
-	}
-	d, err := fault.ParseDelaySpec(cell.Delay)
-	if err != nil {
-		return InfectionResult{}, fmt.Errorf("sim: cell %s: %w", cell.Name(), err)
-	}
-	opts.Delay = d
-	opts.Engine = core.DefaultConfig()
-	opts.Engine.Fanout = cell.Fanout
-	opts.Engine.AssumeFromDigest = true
-	return TopicExperiment(opts, spec.Rounds, spec.Repeats)
-}
+// TopicCell runs a pub/sub grid point of a sweep (MatrixSpec.Topics > 1):
+// spec is the sweep with its defaults filled and idx the cell's index in
+// the sweep's order. pubsub.TopicCell is the one the tools pass; it lives
+// with the Bus, which steps on this package's executor.
+type TopicCell func(spec MatrixSpec, cell MatrixCell, idx int) (InfectionResult, error)
 
 // RunMatrix sweeps the grid, running up to spec.Concurrency cells at a
-// time. The returned slice enumerates the cross product in deterministic
-// order (protocol-major, then fanout, epsilon, tau, delay, topics, and N
+// time, the pub/sub cells through topicCell (nil fails each of them). The
+// returned slice enumerates the cross product in deterministic order
+// (protocol-major, then fanout, epsilon, tau, delay, topics, and N
 // innermost), independent of how the cells were scheduled.
-func RunMatrix(spec MatrixSpec) ([]MatrixCell, error) {
+func RunMatrix(spec MatrixSpec, topicCell TopicCell) ([]MatrixCell, error) {
 	if len(spec.Ns) == 0 {
 		return nil, errors.New("sim: matrix needs at least one system size")
 	}
@@ -224,7 +203,11 @@ func RunMatrix(spec MatrixSpec) ([]MatrixCell, error) {
 			defer func() { <-sem }()
 			cell := &cells[i]
 			if cell.Topics > 1 {
-				cell.Result, cell.Err = runTopicCell(spec, *cell, i)
+				if topicCell == nil {
+					cell.Err = fmt.Errorf("sim: cell %s: no pub/sub runner for topic cells", cell.Name())
+					return
+				}
+				cell.Result, cell.Err = topicCell(spec, *cell, i)
 				return
 			}
 			opts, err := cellOptions(spec, *cell, i)

@@ -17,11 +17,11 @@ func TestRunMatrixDeterministic(t *testing.T) {
 		Seed:      5,
 		RunConfig: RunConfig{Workers: 2},
 	}
-	a, err := RunMatrix(spec)
+	a, err := RunMatrix(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMatrix(spec)
+	b, err := RunMatrix(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestRunMatrixCellOrder(t *testing.T) {
 		Fanouts: []int{3, 5},
 		Rounds:  4,
 		Repeats: 1,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestRunMatrixCellOrder(t *testing.T) {
 
 func TestRunMatrixRequiresSizes(t *testing.T) {
 	t.Parallel()
-	if _, err := RunMatrix(MatrixSpec{}); err == nil {
+	if _, err := RunMatrix(MatrixSpec{}, nil); err == nil {
 		t.Error("empty spec accepted")
 	}
 }
@@ -73,7 +73,7 @@ func TestRunMatrixReportsCellErrors(t *testing.T) {
 	t.Parallel()
 	// Fanout 40 exceeds the default view size l=15: every cell must fail
 	// with a configuration error rather than panic or hang the sweep.
-	cells, err := RunMatrix(MatrixSpec{Ns: []int{60}, Fanouts: []int{40}, Rounds: 3, Repeats: 1})
+	cells, err := RunMatrix(MatrixSpec{Ns: []int{60}, Fanouts: []int{40}, Rounds: 3, Repeats: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestRunMatrixReportsCellErrors(t *testing.T) {
 
 func TestMatrixTable(t *testing.T) {
 	t.Parallel()
-	cells, err := RunMatrix(MatrixSpec{Ns: []int{60, 125}, Rounds: 8, Repeats: 1, RunConfig: RunConfig{Workers: 2}})
+	cells, err := RunMatrix(MatrixSpec{Ns: []int{60, 125}, Rounds: 8, Repeats: 1, RunConfig: RunConfig{Workers: 2}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestMatrixDelaySpecs(t *testing.T) {
 		DelaySpecs: []string{"", "fixed:1", "uniform:0-2", "ms:fixed:30"},
 		Rounds:     6,
 		Repeats:    1,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestMatrixDelaySpecs(t *testing.T) {
 // loudly, with the spec visible in the cell name.
 func TestMatrixRejectsMalformedSpec(t *testing.T) {
 	t.Parallel()
-	cells, err := RunMatrix(MatrixSpec{Ns: []int{60}, DelaySpecs: []string{"warp:9"}, Rounds: 3, Repeats: 1})
+	cells, err := RunMatrix(MatrixSpec{Ns: []int{60}, DelaySpecs: []string{"warp:9"}, Rounds: 3, Repeats: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,8 +51,8 @@ const maxPeriodMs = 1 << 20
 // RunConfig is the execution configuration shared by the process-cluster
 // entry points — Options, FigureScale and MatrixSpec all embed it, so "how
 // the simulation executes" is declared once instead of as per-surface field
-// copies (TopicOptions has none: the pubsub Bus steps whole rounds on one
-// goroutine). It selects the shard count
+// copies (pubsub.TopicOptions has none: the pubsub Bus steps whole rounds
+// on one shard). It selects the shard count
 // (Workers), the time base (Clock, PeriodMs), and the buffer-poisoning
 // debug mode; none of its fields change results, only how and how fast
 // they are computed (Clock changes what a delay model's values can mean

@@ -83,13 +83,28 @@ func (c *seqRef) runRoundSeq() {
 	queue, c.arrivalDests = c.settleArrivals(c.now, c.seqQueue[:0], c.arrivalDests[:0])
 	pre := len(queue)
 	for i := range c.procs {
-		if c.crashes.Crashed(c.ids[i], c.now) {
-			continue
+		if c.procs[i] == nil || c.crashes.Crashed(c.ids[i], c.now) {
+			continue // an empty slot, or a crashed process
 		}
 		queue = append(queue, tickClone(c.procs[i], c.now)...)
 	}
 	c.seqQueue = queue
 	c.dispatchSeq(pre)
+}
+
+// Add is Cluster.Add with p taken out of the arena and of emission reuse,
+// as newSeqRef takes the processes it builds.
+func (c *seqRef) Add(p Process, ledger *NetStats) {
+	c.Cluster.Add(p, ledger)
+	p.(interface{ SetEmitArena(*proto.EmitArena) }).SetEmitArena(nil)
+	p.(interface{ SetEmissionReuse(bool) }).SetEmissionReuse(false)
+}
+
+// Route is Cluster.Route through the reference's dispatch: m is filtered
+// and handled, and its responses chased.
+func (c *seqRef) Route(m proto.Message) {
+	c.seqQueue = append(c.seqQueue[:0], m)
+	c.dispatchSeq(0)
 }
 
 // tickClone is the cloning tick the reference walks were written on: a
@@ -137,7 +152,9 @@ func (c *seqRef) dispatchSeq(pre int) {
 	}
 	// Responses still queued when the chase cap hit would otherwise vanish
 	// without a trace; account for them so the counters stay conservative.
-	c.net.TruncatedChase += uint64(len(queue))
+	for _, m := range queue {
+		c.ledger(m.From).TruncatedChase++
+	}
 	c.seqQueue, c.seqNext = queue, next
 }
 
@@ -146,7 +163,7 @@ func (c *seqRef) dispatchSeq(pre int) {
 // destination's process index when m is delivered now.
 func (c *seqRef) route(m proto.Message) (int, bool) {
 	di, known, alive := c.verdict(m.To)
-	return di, c.network.Classify(&m, c.now, c.nowMs, known, alive, &c.net)
+	return di, c.network.Classify(&m, c.now, c.nowMs, known, alive, c.ledger(m.From))
 }
 
 // asyncSeq is the retained scratch state of the sequential wavefront
@@ -256,7 +273,9 @@ func (c *seqRef) asyncBarrierSeq(a *asyncSeq) {
 			return
 		}
 		if hop+1 >= maxChase {
-			c.net.TruncatedChase += uint64(len(a.raw))
+			for _, m := range a.raw {
+				c.ledger(m.From).TruncatedChase++
+			}
 			return
 		}
 		a.queue, a.dests = a.queue[:0], a.dests[:0]
@@ -287,7 +306,7 @@ func (c *seqRef) runEventRoundSeq() {
 		queue, c.arrivalDests = c.settleArrivals(at, c.seqQueue[:0], c.arrivalDests[:0])
 		pre := len(queue)
 		for i := 0; boundary && i < len(c.procs); i++ {
-			if c.crashes.Crashed(c.ids[i], c.now) {
+			if c.procs[i] == nil || c.crashes.Crashed(c.ids[i], c.now) {
 				continue
 			}
 			queue = append(queue, tickClone(c.procs[i], c.now)...)

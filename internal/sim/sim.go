@@ -231,6 +231,10 @@ type Cluster struct {
 	// (netmodel.Model.Generations), and RunRound rotates them all once the
 	// period is over.
 	emit []proto.EmitArena
+	// ledgers[i] counts the messages process i sends, on a cluster built
+	// empty (NewEmptyCluster); on any other it is nil, and net counts them
+	// all.
+	ledgers []*stats.NetStats
 	// arrivalDests holds the destination indices of the arrivals the last
 	// settleArrivals put on the queue, and arrivalLedgers the ledgers the
 	// ring hands out beside them; both are retained across periods.
@@ -285,16 +289,13 @@ func NewCluster(opts Options) (*Cluster, error) {
 	// same options share every stream whatever their Workers. The delay
 	// stream is split only when a delay model is in force, keeping
 	// zero-delay runs bit-identical to pre-delay versions.
-	network := opts.network()
 	lossRNG := root.Split()
 	c.tickRNG = root.Split()
 	c.mcastRNG = root.Split()
 	var delayRNG *rng.Source
-	if network.EffectiveDelay() != nil {
+	if opts.network().EffectiveDelay() != nil {
 		delayRNG = root.Split()
 	}
-	c.network = netmodel.New(network, opts.netClock(), lossRNG, delayRNG)
-	c.network.SetPoison(opts.PoisonRecycled)
 	c.deliverFn = func(owner proto.ProcessID, ev proto.Event) { c.rec.record(owner, ev) }
 	if tr := opts.Tracer; tr != nil {
 		inner := c.deliverFn
@@ -311,13 +312,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 		c.index.Add(pid)
 	}
 	viewRNG := root.Split()
-	c.emit = make([]proto.EmitArena, effectiveWorkers(opts.Workers, opts.N))
-	for s := range c.emit {
-		c.emit[s].SetGenerations(c.network.Generations())
-		if opts.PoisonRecycled {
-			c.emit[s].SetPoison(netmodel.PoisonGossip)
-		}
-	}
+	c.buildNetwork(lossRNG, delayRNG, effectiveWorkers(opts.Workers, opts.N))
 	if err := c.buildEngines(root, viewRNG); err != nil {
 		return nil, err
 	}
@@ -348,6 +343,103 @@ func NewCluster(opts Options) (*Cluster, error) {
 		c.RunRound()
 	}
 	return c, nil
+}
+
+// buildNetwork builds the cluster's network model on the given loss and
+// delay streams and its w emission arenas, one per executor shard, each
+// keeping one generation per period a message can be in flight.
+func (c *Cluster) buildNetwork(lossRNG, delayRNG *rng.Source, w int) {
+	c.network = netmodel.New(c.opts.network(), c.opts.netClock(), lossRNG, delayRNG)
+	c.network.SetPoison(c.opts.PoisonRecycled)
+	c.emit = make([]proto.EmitArena, w)
+	for s := range c.emit {
+		c.emit[s].SetGenerations(c.network.Generations())
+		if c.opts.PoisonRecycled {
+			c.emit[s].SetPoison(netmodel.PoisonGossip)
+		}
+	}
+}
+
+// NewEmptyCluster builds a cluster with no processes, whose membership
+// the caller changes between periods (Add, Remove): one shard, the
+// synchronous schedule, the round clock and no crashes. Of opts it reads
+// the network (Epsilon, Delay, Topology, Partitions, Horizon) and
+// PoisonRecycled; the rest must be zero. The loss stream and, when a delay
+// model is in force, the delay stream are split from root in that order.
+func NewEmptyCluster(opts Options, root *rng.Source) (*Cluster, error) {
+	if opts.N != 0 || opts.Tau != 0 || opts.Async || opts.Workers > 1 || opts.Clock != ClockRounds {
+		return nil, errors.New("sim: an empty cluster runs one synchronous shard on the round clock, without crashes")
+	}
+	if err := opts.network().Validate(opts.netClock()); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	c := &Cluster{opts: opts, crashes: fault.NewCrashSchedule(), rec: newRecorder(0), periodMs: 1, ledgers: []*stats.NetStats{}}
+	lossRNG := root.Split()
+	var delayRNG *rng.Source
+	if opts.network().EffectiveDelay() != nil {
+		delayRNG = root.Split()
+	}
+	c.buildNetwork(lossRNG, delayRNG, 1)
+	c.exec = newShardedExecutor(c, 1)
+	return c, nil
+}
+
+// Add puts p into a free slot of a cluster built by NewEmptyCluster — the
+// slot a Remove freed last, or a new one — to tick from the next period on.
+// It binds p to the shard's emission arena, when p emits into one, and
+// counts every message p sends in ledger. p's id must be new to the
+// cluster.
+func (c *Cluster) Add(p Process, ledger *stats.NetStats) {
+	pid := p.Self()
+	if c.ledgers == nil {
+		panic("sim: Add on a cluster not built by NewEmptyCluster")
+	}
+	if _, dup := c.index.Lookup(pid); dup {
+		panic(fmt.Sprintf("sim: Add(%v): already a process of the cluster", pid))
+	}
+	ix := int(c.index.Add(pid))
+	if ix == len(c.procs) {
+		c.procs, c.ids, c.ledgers = append(c.procs, nil), append(c.ids, 0), append(c.ledgers, nil)
+		c.exec.shardOf = append(c.exec.shardOf, 0)
+		c.exec.hi[0] = len(c.procs)
+	}
+	c.procs[ix], c.ids[ix], c.ledgers[ix] = p, pid, ledger
+	if e, ok := p.(interface{ SetEmitArena(*proto.EmitArena) }); ok {
+		e.SetEmitArena(&c.emit[0])
+	}
+}
+
+// Remove takes process pid out of the cluster between periods and frees
+// its slot. A message still in flight to it settles as an unknown
+// destination when it arrives.
+func (c *Cluster) Remove(pid proto.ProcessID) {
+	if ix, ok := c.index.Lookup(pid); ok {
+		c.procs[ix], c.ids[ix], c.ledgers[ix] = nil, 0, nil
+		c.index.Release(pid)
+	}
+}
+
+// Route sends m between periods — a join request, say — through the filter
+// and barrier a period's traffic takes: it is classified at the current
+// instant in its sender's ledger, delivered now or parked by the delay
+// model, and the responses are chased.
+func (c *Cluster) Route(m proto.Message) {
+	e := c.exec
+	e.clearInboxes()
+	e.queue = append(e.queue[:0], m)
+	e.asyncRoute(0, m)
+	e.asyncBarrier()
+}
+
+// ledger is the NetStats that counts a message from sender: the sender's
+// own on a cluster built empty, the cluster's on any other.
+func (c *Cluster) ledger(sender proto.ProcessID) *stats.NetStats {
+	if c.ledgers != nil {
+		if ix, ok := c.index.Lookup(sender); ok {
+			return c.ledgers[ix]
+		}
+	}
+	return &c.net
 }
 
 // uniformView draws l distinct members (excluding process i itself), or
@@ -470,11 +562,12 @@ func (c *Cluster) verdict(to proto.ProcessID) (di int, known, alive bool) {
 // messages to crashed destinations leave — and their destination process
 // indices to dests.
 func (c *Cluster) settleArrivals(at uint64, msgs []proto.Message, dests []int) ([]proto.Message, []int) {
-	kept := len(msgs)
+	base := len(msgs)
+	kept := base
 	msgs, c.arrivalLedgers = c.network.Drain(at, msgs, c.arrivalLedgers[:0])
-	for k := kept; k < len(msgs); k++ {
+	for k := base; k < len(msgs); k++ {
 		di, known, alive := c.verdict(msgs[k].To)
-		if netmodel.Arrive(c.arrivalLedgers[k-kept], known, alive) {
+		if netmodel.Arrive(c.arrivalLedgers[k-base], known, alive) {
 			if kept != k {
 				msgs[kept] = msgs[k]
 			}
@@ -526,7 +619,7 @@ func (c *Cluster) Graph() membership.Graph {
 	g := membership.Graph{}
 	for i, p := range c.procs {
 		pid := c.ids[i]
-		if c.crashes.Crashed(pid, c.now) {
+		if p == nil || c.crashes.Crashed(pid, c.now) {
 			continue
 		}
 		switch e := p.(type) {

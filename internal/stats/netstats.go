@@ -41,7 +41,9 @@ type NetStats struct {
 func (s NetStats) Conserved() error {
 	sum := s.Delivered + s.Dropped + s.ToCrashed + s.UnknownDest +
 		s.DroppedInPartition + s.InFlight
-	if s.Sent != sum {
+	// A counter above Sent has wrapped below zero, which the sum, taken
+	// modulo 2⁶⁴, would hide.
+	if max(s.Delivered, s.Dropped, s.ToCrashed, s.UnknownDest, s.DroppedInPartition, s.InFlight) > s.Sent || s.Sent != sum {
 		return fmt.Errorf(
 			"netstats: Sent=%d != Delivered+Dropped+ToCrashed+UnknownDest+DroppedInPartition+InFlight=%d (%+v)",
 			s.Sent, sum, s)
