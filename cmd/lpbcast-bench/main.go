@@ -853,8 +853,8 @@ func setupCase(n int) benchCase {
 
 // pubsubSteadyCase measures one quiescent round of a warmed multi-topic
 // pubsub.Bus: every topic's lpbcast instance ticks, gossip fans out
-// through the shared routing path, and the retained queue/tally buffers
-// absorb the traffic. The absolute two-alloc ceiling is the pub/sub
+// through the simulator's executor, whose retained buffers absorb the
+// traffic. The absolute two-alloc ceiling is the pub/sub
 // acceptance criterion — the Bus must stay on the zero-alloc executor
 // discipline even when the round spans many topic groups. The wan
 // flavor splits the subscribers across a two-cluster topology with 1-2

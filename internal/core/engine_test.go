@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/buffer"
@@ -160,12 +161,12 @@ func TestGossipPhasesUpdateMembership(t *testing.T) {
 	e, _ := newEngine(t, 1, nil)
 	gossipTo(e, proto.Gossip{From: 2, Subs: []proto.ProcessID{2, 3, 4}}, 1)
 	for _, p := range []proto.ProcessID{2, 3, 4} {
-		if !e.Membership().ViewContains(p) {
+		if !slices.Contains(e.View(), p) {
 			t.Fatalf("view missing %v", p)
 		}
 	}
 	gossipTo(e, proto.Gossip{From: 2, Unsubs: []proto.Unsubscription{{Process: 3, Stamp: 2}}}, 2)
-	if e.Membership().ViewContains(3) {
+	if slices.Contains(e.View(), 3) {
 		t.Fatal("unsubscribed process still in view")
 	}
 }
@@ -416,7 +417,7 @@ func TestSubscribeMessageJoins(t *testing.T) {
 	t.Parallel()
 	e, _ := newEngine(t, 1, nil)
 	e.HandleMessageAppend(proto.Message{Kind: proto.SubscribeMsg, From: 9, To: 1, Subscriber: 9}, 1, nil)
-	if !e.Membership().ViewContains(9) {
+	if !slices.Contains(e.View(), 9) {
 		t.Fatal("subscriber not in view")
 	}
 	// The subscription is forwarded with the next gossip.
@@ -443,7 +444,7 @@ func TestJoinVia(t *testing.T) {
 	if msg.Kind != proto.SubscribeMsg || msg.To != 2 || msg.Subscriber != 5 {
 		t.Fatalf("join message = %+v", msg)
 	}
-	if !e.Membership().ViewContains(2) {
+	if !slices.Contains(e.View(), 2) {
 		t.Fatal("contact not seeded into view")
 	}
 	if _, err := e.JoinVia(5); err == nil {

@@ -100,9 +100,6 @@ func NewWheel() *Wheel {
 // popped.
 func (w *Wheel) Now() uint64 { return w.now }
 
-// Len returns the number of pending timers.
-func (w *Wheel) Len() int { return w.count }
-
 // Schedule adds a timer firing at instant at. at must be strictly in the
 // future and within MaxHorizon of Now; violations are scheduler bugs and
 // panic. Kind orders same-instant timers (lower first); among equal kinds,

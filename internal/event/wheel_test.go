@@ -62,8 +62,8 @@ func TestWheelOracle(t *testing.T) {
 			}
 			ref = checkBatch(t, ref, at, w.PopAt(at))
 		}
-		if w.Len() != 0 {
-			t.Fatalf("trial %d: drained wheel still reports %d pending", trial, w.Len())
+		if w.count != 0 {
+			t.Fatalf("trial %d: drained wheel still reports %d pending", trial, w.count)
 		}
 		if len(ref) != 0 {
 			t.Fatalf("trial %d: %d reference timers never popped", trial, len(ref))
@@ -153,8 +153,8 @@ func TestWheelRotationWrap(t *testing.T) {
 	if len(got) != 1 || got[0].Ref != 2 {
 		t.Fatalf("pop across rotation = %+v, want one timer with ref 2", got)
 	}
-	if w.Len() != 0 {
-		t.Fatalf("wheel still reports %d pending", w.Len())
+	if w.count != 0 {
+		t.Fatalf("wheel still reports %d pending", w.count)
 	}
 }
 
@@ -214,8 +214,8 @@ func TestWheelOracleAcrossRotations(t *testing.T) {
 			}
 			ref = checkBatch(t, ref, at, w.PopAt(at))
 		}
-		if w.Len() != 0 || len(ref) != 0 {
-			t.Fatalf("trial %d: %d pending, %d reference timers left", trial, w.Len(), len(ref))
+		if w.count != 0 || len(ref) != 0 {
+			t.Fatalf("trial %d: %d pending, %d reference timers left", trial, w.count, len(ref))
 		}
 	}
 }

@@ -164,9 +164,6 @@ func (m *Manager) View() []proto.ProcessID { return m.view.Processes() }
 // ViewLen returns the current view size.
 func (m *Manager) ViewLen() int { return m.view.Len() }
 
-// ViewContains reports whether p is currently in the view.
-func (m *Manager) ViewContains(p proto.ProcessID) bool { return m.view.Contains(p) }
-
 // Seed merges bootstrap members into the view (used at join time, before
 // any gossip has been received), truncating to the view bound. Members
 // evicted by the truncation spill into subs, which is bounded in turn.

@@ -66,9 +66,6 @@ func NewView(owner proto.ProcessID) *View {
 // of NewView for views embedded in pooled blocks.
 func (v *View) Init(owner proto.ProcessID) { v.owner = owner }
 
-// Owner returns the owning process.
-func (v *View) Owner() proto.ProcessID { return v.owner }
-
 // Grow pre-allocates the list for at least n entries. A view is full from
 // the first round and every reception appends to it, so sizing it to its
 // transient bound (l plus one gossip's subscription inflow) at construction

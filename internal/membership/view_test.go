@@ -11,8 +11,8 @@ import (
 func TestViewAddBasics(t *testing.T) {
 	t.Parallel()
 	v := NewView(1)
-	if v.Owner() != 1 {
-		t.Fatalf("Owner = %v", v.Owner())
+	if v.owner != 1 {
+		t.Fatalf("Owner = %v", v.owner)
 	}
 	if v.Add(1) {
 		t.Fatal("view accepted its owner")

@@ -24,6 +24,7 @@ package pubsub
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -70,7 +71,8 @@ type Config struct {
 	Tracer trace.Tracer
 }
 
-// topicState is one topic group: its members, in subscription order, and
+// topicState is one topic group: its active members (not in their leave
+// grace), in subscription order, how many members are in their grace, and
 // its network accounting. The state outlives its members — a
 // fully-unsubscribed topic keeps its NetStats — so counters never reset
 // behind a caller's back; Topics only lists topics with at least one
@@ -78,6 +80,7 @@ type Config struct {
 type topicState struct {
 	name    string
 	members []*member
+	leaving int
 	net     stats.NetStats
 }
 
@@ -225,11 +228,11 @@ func (b *Bus) join(topic string, h Handler) (*Subscription, error) {
 		ts = &topicState{name: topic}
 	}
 	var join proto.Message
-	existing := b.activeTopicMembers(ts)
-	if len(existing) > 0 {
-		// Send the subscription to one existing member, which gossips it
-		// on the joiner's behalf.
-		if join, err = eng.JoinVia(existing[b.root.Intn(len(existing))].pid); err != nil {
+	existing := len(ts.members) > 0
+	if existing {
+		// Send the subscription to one active member, which gossips it on
+		// the joiner's behalf.
+		if join, err = eng.JoinVia(ts.members[b.root.Intn(len(ts.members))].pid); err != nil {
 			return nil, err
 		}
 	}
@@ -238,7 +241,7 @@ func (b *Bus) join(topic string, h Handler) (*Subscription, error) {
 	m.topic, m.engine = ts, eng
 	ts.members = append(ts.members, m)
 	b.cluster.Add(eng, &ts.net)
-	if len(existing) > 0 {
+	if existing {
 		// The join request is network traffic like any other: it runs
 		// through partition, loss, and delay filtering and is accounted
 		// to the topic.
@@ -248,17 +251,6 @@ func (b *Bus) join(topic string, h Handler) (*Subscription, error) {
 		tr.Record(trace.Event{Kind: trace.KindJoinSent, Node: m.pid, N: int(b.cluster.Now())})
 	}
 	return &Subscription{topic: topic, m: m}, nil
-}
-
-// activeTopicMembers lists non-leaving members of a topic.
-func (b *Bus) activeTopicMembers(ts *topicState) []*member {
-	var out []*member
-	for _, m := range ts.members {
-		if m.leaving == 0 {
-			out = append(out, m)
-		}
-	}
-	return out
 }
 
 // Publish disseminates payload on the topic. The client must be
@@ -329,6 +321,10 @@ func (s *Subscription) Cancel() error {
 		}
 		m.leaving = leaveGraceRounds
 		b.leavers = append(b.leavers, m)
+		ts := m.topic
+		i := slices.Index(ts.members, m)
+		ts.members = slices.Delete(ts.members, i, i+1)
+		ts.leaving++
 	}
 	b.mu.Unlock()
 
@@ -404,21 +400,15 @@ func (b *Bus) flushLocked() {
 	b.mu.Unlock()
 }
 
-// removeMember takes a member out of the cluster and its topic's list.
-// The topicState itself is retained so the topic's NetStats survive.
+// removeMember takes a member whose grace ran out out of the cluster. The
+// topicState itself is retained so the topic's NetStats survive.
 func (b *Bus) removeMember(m *member) {
 	if tr := b.cfg.Tracer; tr != nil {
 		tr.Record(trace.Event{Kind: trace.KindLeave, Node: m.pid, N: int(b.cluster.Now())})
 	}
 	b.cluster.Remove(m.pid)
 	m.engine = nil
-	ts := m.topic
-	for i, p := range ts.members {
-		if p == m {
-			ts.members = append(ts.members[:i], ts.members[i+1:]...)
-			break
-		}
-	}
+	m.topic.leaving--
 }
 
 // TopicSize returns the number of active members of a topic.
@@ -426,7 +416,7 @@ func (b *Bus) TopicSize(topic string) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if ts, ok := b.topics[topic]; ok {
-		return len(b.activeTopicMembers(ts))
+		return len(ts.members)
 	}
 	return 0
 }
@@ -439,7 +429,7 @@ func (b *Bus) Graph(topic string) membership.Graph {
 	defer b.mu.Unlock()
 	g := membership.Graph{}
 	if ts, ok := b.topics[topic]; ok {
-		for _, m := range b.activeTopicMembers(ts) {
+		for _, m := range ts.members {
 			g[m.pid] = m.engine.View()
 		}
 	}
@@ -452,7 +442,7 @@ func (b *Bus) Topics() []string {
 	defer b.mu.Unlock()
 	out := make([]string, 0, len(b.topics))
 	for t, ts := range b.topics {
-		if len(ts.members) > 0 {
+		if len(ts.members)+ts.leaving > 0 {
 			out = append(out, t)
 		}
 	}

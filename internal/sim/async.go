@@ -167,10 +167,11 @@ func (e *shardedExecutor) tick(i int) {
 
 // asyncRoute runs m, the message at (or bound for) queue position pos,
 // through the network model and its sender's counters
-// (netmodel.Model.Classify) and reports whether it survived; a survivor is binned into the destination
-// shard's inbox (asyncBin). Calls happen in deterministic walk/merge order, so
-// the shared loss stream's draw order is schedule-defined, exactly like the
-// synchronous round's sequential filter phase.
+// (netmodel.Model.Classify) and reports whether it survived; a survivor is
+// binned into the destination shard's inbox (asyncBin). Calls happen in
+// deterministic walk/merge order, so the shared loss stream's draw order is
+// schedule-defined, exactly like the synchronous round's sequential filter
+// phase.
 func (e *shardedExecutor) asyncRoute(pos int, m proto.Message) bool {
 	c := e.c
 	di, known, alive := c.verdict(m.To)

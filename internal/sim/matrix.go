@@ -33,9 +33,9 @@ type MatrixSpec struct {
 	// runs on the event clock). Default: {""}.
 	DelaySpecs []string
 	// Topics is the pub/sub dimension: cells with Topics > 1 run the
-	// RunMatrix caller's TopicCell (pubsub.TopicCell: a pubsub.TopicExperiment) —
-	// N subscribers spread over that many topic groups
-	// by a Zipf(1) popularity draw on a pubsub.Bus — instead of a flat
+	// TopicCell passed to RunMatrix (pubsub.TopicCell: a
+	// pubsub.TopicExperiment) — N subscribers spread over that many topic
+	// groups by a Zipf(1) popularity draw on a pubsub.Bus — instead of a flat
 	// process cluster. Only the lpbcast protocol supports topic cells
 	// (the Bus hosts core engines), and the crash dimension Tau is
 	// ignored there: the pubsub substrate models voluntary churn, not

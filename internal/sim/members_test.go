@@ -15,16 +15,6 @@ import (
 // Tests of a cluster built empty (NewEmptyCluster), whose membership
 // changes between periods: the pub/sub Bus's driver.
 
-// newEmpty builds an empty cluster of opts seeded from seed, or fails.
-func newEmpty(t *testing.T, opts Options, seed uint64) *Cluster {
-	t.Helper()
-	c, err := NewEmptyCluster(opts, rng.New(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 // TestNewEmptyClusterValidates: an empty cluster is one synchronous shard
 // on the round clock without crashes, over a valid network.
 func TestNewEmptyClusterValidates(t *testing.T) {
@@ -55,7 +45,10 @@ func TestNewEmptyClusterValidates(t *testing.T) {
 // counters.
 func TestTruncatedChaseLedgers(t *testing.T) {
 	t.Parallel()
-	c := newEmpty(t, Options{}, 1)
+	c, err := NewEmptyCluster(Options{}, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var a, b NetStats
 	c.Add(&chatter{self: 1, peer: 2}, &a)
 	c.Add(&chatter{self: 2, peer: 1}, &a)

@@ -296,6 +296,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if opts.network().EffectiveDelay() != nil {
 		delayRNG = root.Split()
 	}
+	c.buildNetwork(lossRNG, delayRNG, effectiveWorkers(opts.Workers, opts.N))
 	c.deliverFn = func(owner proto.ProcessID, ev proto.Event) { c.rec.record(owner, ev) }
 	if tr := opts.Tracer; tr != nil {
 		inner := c.deliverFn
@@ -312,7 +313,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 		c.index.Add(pid)
 	}
 	viewRNG := root.Split()
-	c.buildNetwork(lossRNG, delayRNG, effectiveWorkers(opts.Workers, opts.N))
 	if err := c.buildEngines(root, viewRNG); err != nil {
 		return nil, err
 	}
@@ -364,8 +364,9 @@ func (c *Cluster) buildNetwork(lossRNG, delayRNG *rng.Source, w int) {
 // the caller changes between periods (Add, Remove): one shard, the
 // synchronous schedule, the round clock and no crashes. Of opts it reads
 // the network (Epsilon, Delay, Topology, Partitions, Horizon) and
-// PoisonRecycled; the rest must be zero. The loss stream and, when a delay
-// model is in force, the delay stream are split from root in that order.
+// PoisonRecycled, and it refuses what it cannot run: N, Tau, Async,
+// Workers > 1 and the event clock. The loss stream and, when a delay model
+// is in force, the delay stream are split from root in that order.
 func NewEmptyCluster(opts Options, root *rng.Source) (*Cluster, error) {
 	if opts.N != 0 || opts.Tau != 0 || opts.Async || opts.Workers > 1 || opts.Clock != ClockRounds {
 		return nil, errors.New("sim: an empty cluster runs one synchronous shard on the round clock, without crashes")

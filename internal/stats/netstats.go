@@ -42,8 +42,11 @@ func (s NetStats) Conserved() error {
 	sum := s.Delivered + s.Dropped + s.ToCrashed + s.UnknownDest +
 		s.DroppedInPartition + s.InFlight
 	// A counter above Sent has wrapped below zero, which the sum, taken
-	// modulo 2⁶⁴, would hide.
-	if max(s.Delivered, s.Dropped, s.ToCrashed, s.UnknownDest, s.DroppedInPartition, s.InFlight) > s.Sent || s.Sent != sum {
+	// modulo 2⁶⁴, can hide.
+	if max(s.Delivered, s.Dropped, s.ToCrashed, s.UnknownDest, s.DroppedInPartition, s.InFlight) > s.Sent {
+		return fmt.Errorf("netstats: a counter exceeds Sent=%d, so it wrapped below zero (%+v)", s.Sent, s)
+	}
+	if s.Sent != sum {
 		return fmt.Errorf(
 			"netstats: Sent=%d != Delivered+Dropped+ToCrashed+UnknownDest+DroppedInPartition+InFlight=%d (%+v)",
 			s.Sent, sum, s)

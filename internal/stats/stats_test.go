@@ -167,3 +167,23 @@ func BenchmarkSummarize(b *testing.B) {
 		_ = Summarize(xs)
 	}
 }
+
+// TestNetStatsConserved: the invariant holds for settled and in-flight
+// messages, fails a lost message, and fails a counter that wrapped below
+// zero even where the wrapped sum comes out equal to Sent.
+func TestNetStatsConserved(t *testing.T) {
+	t.Parallel()
+	ok := NetStats{Sent: 5, Delivered: 2, DeliveredLate: 1, Dropped: 1, InFlight: 2}
+	if err := ok.Conserved(); err != nil {
+		t.Errorf("%+v: %v", ok, err)
+	}
+	for name, s := range map[string]NetStats{
+		"lost":    {Sent: 5, Delivered: 2},
+		"late":    {Sent: 2, Delivered: 1, DeliveredLate: 2, Dropped: 1},
+		"wrapped": {Sent: 2, Delivered: 3, InFlight: ^uint64(0)},
+	} {
+		if s.Conserved() == nil {
+			t.Errorf("%s: %+v passed", name, s)
+		}
+	}
+}
