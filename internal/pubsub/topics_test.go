@@ -6,30 +6,6 @@ import (
 	"repro/internal/fault"
 )
 
-func TestTopicExperimentValidation(t *testing.T) {
-	t.Parallel()
-	good := TopicOptions{Subscribers: 40, Topics: 4, ZipfS: 1, Seed: 1}
-	if _, err := TopicExperiment(good, 3, 1); err != nil {
-		t.Errorf("valid options refused: %v", err)
-	}
-	if _, err := TopicExperiment(good, 0, 1); err == nil {
-		t.Error("rounds=0 accepted")
-	}
-	if _, err := TopicExperiment(good, 5, 0); err == nil {
-		t.Error("repeats=0 accepted")
-	}
-	bad := good
-	bad.Topics = 0
-	if _, err := TopicExperiment(bad, 5, 1); err == nil {
-		t.Error("topics=0 accepted")
-	}
-	bad = good
-	bad.WarmupRounds = -1
-	if _, err := TopicExperiment(bad, 5, 1); err == nil {
-		t.Error("negative warmup accepted")
-	}
-}
-
 func TestTopicExperimentInfectsHotTopic(t *testing.T) {
 	t.Parallel()
 	opts := TopicOptions{

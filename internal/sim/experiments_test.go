@@ -23,8 +23,8 @@ func TestInfectionExperimentValidation(t *testing.T) {
 }
 
 // TestScenarioValidate checks the per-experiment parameters of a run: the
-// rounds and rate that each experiment family's entry point
-// validates on top of the cluster Options (those rows live in
+// rounds, rate and pub/sub runner that each experiment family's entry
+// point validates on top of the cluster Options (those rows live in
 // TestOptionsValidate).
 func TestScenarioValidate(t *testing.T) {
 	t.Parallel()
@@ -39,6 +39,15 @@ func TestScenarioValidate(t *testing.T) {
 			_, err := ReliabilityExperiment(opts)
 			return err
 		}, "reliability"},
+		{"topics", func() error {
+			// A topic cell runs on the pub/sub runner RunMatrix is given;
+			// without one the cell fails rather than running flat.
+			cells, err := RunMatrix(MatrixSpec{Ns: []int{40}, Topics: []int{4}, Rounds: 3, Repeats: 1}, nil)
+			if err != nil {
+				return err
+			}
+			return cells[0].Err
+		}, "pub/sub runner"},
 		{"negative rounds", func() error {
 			_, err := InfectionExperiment(DefaultOptions(64), -1, 1)
 			return err

@@ -7,8 +7,33 @@ import (
 	"repro/internal/sim"
 )
 
-// The pub/sub cells of a sweep, run through pubsub.TopicCell: an external
-// test package, since pubsub imports sim.
+// The pub/sub cells of a sweep, run through pubsub.TopicCell and its
+// pubsub.TopicExperiment: an external test package, since pubsub imports
+// sim.
+
+func TestTopicExperimentValidation(t *testing.T) {
+	t.Parallel()
+	good := pubsub.TopicOptions{Subscribers: 40, Topics: 4, ZipfS: 1, Seed: 1}
+	if _, err := pubsub.TopicExperiment(good, 3, 1); err != nil {
+		t.Errorf("valid options refused: %v", err)
+	}
+	if _, err := pubsub.TopicExperiment(good, 0, 1); err == nil {
+		t.Error("rounds=0 accepted")
+	}
+	if _, err := pubsub.TopicExperiment(good, 5, 0); err == nil {
+		t.Error("repeats=0 accepted")
+	}
+	bad := good
+	bad.Topics = 0
+	if _, err := pubsub.TopicExperiment(bad, 5, 1); err == nil {
+		t.Error("topics=0 accepted")
+	}
+	bad = good
+	bad.WarmupRounds = -1
+	if _, err := pubsub.TopicExperiment(bad, 5, 1); err == nil {
+		t.Error("negative warmup accepted")
+	}
+}
 
 func TestRunMatrixTopicCells(t *testing.T) {
 	t.Parallel()
