@@ -30,9 +30,11 @@ type engineSlot struct {
 	memSrc  rng.Source // membership stream, split from src
 }
 
-// init builds an engine for self in s, reading cfg in place: its random
-// stream is r and the membership stream is split from r into the slot, as
-// both constructors do. The caller has validated cfg.
+// init builds an engine for self in the zeroed slot s, reading cfg in
+// place: its random stream is r and the membership stream is split from r
+// into the slot, as both constructors do. It sets the engine's fields one
+// by one rather than assigning a whole Engine, which would copy the record
+// for nothing. The caller has validated cfg.
 func (s *engineSlot) init(self proto.ProcessID, cfg *Config, r *rng.Source, mp *membership.Pools) error {
 	r.SplitInto(&s.memSrc)
 	if err := s.mgr.Init(self, &cfg.Membership, &s.memSrc, mp); err != nil {
@@ -40,16 +42,11 @@ func (s *engineSlot) init(self proto.ProcessID, cfg *Config, r *rng.Source, mp *
 	}
 	s.events.Init()
 	s.archive.Init(cfg.ArchiveSize, cfg.flatWindow())
-	s.eng = Engine{
-		self:    self,
-		cfg:     cfg,
-		mem:     &s.mgr.M,
-		events:  &s.events,
-		archive: &s.archive,
-		rng:     r,
-	}
+	e := &s.eng
+	e.self, e.cfg, e.rng = self, cfg, r
+	e.mem, e.events, e.archive = &s.mgr.M, &s.events, &s.archive
 	if cfg.DigestMode == CompactDigest || cfg.DedupMemory {
-		s.eng.compact = &s.compact
+		e.compact = &s.compact
 	}
 	return nil
 }
@@ -81,12 +78,13 @@ func (p *Pools) Stats() pool.Stats {
 // bit-identical to a heap-constructed one. sink receives deliveries and
 // may be nil; unlike New's closure parameter it adds no per-engine
 // allocation. Engines built with a cfg equal to the one before share one
-// copy of it, held by the pools.
+// copy of it, held by the pools; only a valid cfg becomes that copy, so a
+// cfg equal to it is not validated again.
 func NewIn(self proto.ProcessID, cfg Config, sink EventSink, src rng.Source, p *Pools) (*Engine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if p.cfg == nil || !p.cfg.equal(&cfg) {
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
 		c := cfg
 		c.Membership.Prioritary = slices.Clone(cfg.Membership.Prioritary)
 		p.cfg = &c

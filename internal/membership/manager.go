@@ -166,13 +166,21 @@ func (m *Manager) ViewLen() int { return m.view.Len() }
 
 // Seed merges bootstrap members into the view (used at join time, before
 // any gossip has been received), truncating to the view bound. Members
-// evicted by the truncation spill into subs, which is bounded in turn.
+// evicted by the truncation spill into subs, which is bounded in turn. Like
+// ApplySubs it merges in one pass behind a filter of the view, scanning the
+// view only for an id the filter cannot rule out.
 func (m *Manager) Seed(ps []proto.ProcessID) {
+	v := m.view
+	inView := v.filter()
 	for _, p := range ps {
-		m.view.Add(p)
+		if p == m.self || p == proto.NilProcess || inView.Has(p) && v.indexOf(p) >= 0 {
+			continue
+		}
+		v.push(p)
+		inView.Add(p)
 	}
 	inSubs := m.subs.Filter()
-	m.truncate(m.view.Len(), &inSubs)
+	m.truncate(v.Len(), &inSubs)
 }
 
 // ApplyUnsubs executes phase 1 of gossip reception: remove unsubscribed
@@ -208,10 +216,7 @@ func (m *Manager) ApplyUnsubs(unsubs []proto.Unsubscription, now uint64) {
 // not looked for again when the truncation evicts it.
 func (m *Manager) ApplySubs(subs []proto.ProcessID) {
 	v, fresh := m.view, m.view.Len()
-	var inView buffer.PIDFilter
-	for _, p := range v.list {
-		inView.Add(p)
-	}
+	inView := v.filter()
 	inSubs := m.subs.Filter()
 	for _, p := range subs {
 		if p == m.self || p == proto.NilProcess {

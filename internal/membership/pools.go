@@ -49,14 +49,9 @@ func (b *ManagerBlock) Init(self proto.ProcessID, cfg *Config, r *rng.Source, p 
 	}
 	b.view.Init(self)
 	b.unsubs.Init()
-	b.M = Manager{
-		self:   self,
-		cfg:    cfg,
-		view:   &b.view,
-		subs:   &b.subs,
-		unsubs: &b.unsubs,
-		rng:    r,
-	}
-	b.M.presize(p)
+	m := &b.M
+	m.self, m.cfg, m.rng = self, cfg, r
+	m.view, m.subs, m.unsubs = &b.view, &b.subs, &b.unsubs
+	m.presize(p)
 	return nil
 }

@@ -109,6 +109,14 @@ func (v *View) weight(i int) int {
 // indexOf returns p's position in the list, or -1.
 func (v *View) indexOf(p proto.ProcessID) int { return slices.Index(v.list, p) }
 
+// filter returns a filter holding every member.
+func (v *View) filter() (f buffer.PIDFilter) {
+	for _, p := range v.list {
+		f.Add(p)
+	}
+	return f
+}
+
 // push appends p, absent and not the owner, at weight 1.
 func (v *View) push(p proto.ProcessID) {
 	v.list = append(v.list, p)

@@ -126,7 +126,8 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 
 // smallSampleK bounds the map-free Sample fast path: at most one swap
 // entry is recorded per draw, so a fixed array of smallSampleK pairs
-// suffices.
+// suffices, and a one-word presence filter over the recorded keys lets a
+// lookup skip the array whenever the key's bit is clear.
 const smallSampleK = 16
 
 // Sample returns k distinct indices drawn uniformly from [0, n) in random
@@ -135,8 +136,9 @@ const smallSampleK = 16
 // Both paths run the same partial Fisher–Yates over a lazily materialized
 // array and consume identical Intn draws, so the returned indices do not
 // depend on which bookkeeping structure is used. For the small k of gossip
-// fanouts the swap table lives in a fixed stack array, keeping the hot
-// emission path at a single allocation (the result slice).
+// fanouts and views the swap table lives in a fixed stack array behind a
+// presence filter, keeping the hot emission path at a single allocation
+// (the result slice).
 func (s *Source) Sample(n, k int) []int {
 	if k >= n {
 		return s.Perm(n)
@@ -172,41 +174,42 @@ func (s *Source) SampleAppend(dst []int, n, k int) []int {
 	}
 	out := dst[base : base+k]
 	if k <= smallSampleK {
-		// Map-free fast path: linear scans over at most k recorded swaps.
-		var keys [smallSampleK]int
-		var vals [smallSampleK]int
+		// Map-free fast path: the swaps recorded so far sit in a stack
+		// array, and bit x&63 of present is set for every recorded key x,
+		// so a lookup scans the array only when its key's bit is set — for
+		// a k much smaller than n, almost never. A key found for j is
+		// rewritten in place.
+		var keys, vals [smallSampleK]int
+		var present uint64
 		used := 0
-		lookup := func(x int) (int, bool) {
-			for p := 0; p < used; p++ {
-				if keys[p] == x {
-					return vals[p], true
+		find := func(x int) int {
+			if present&(1<<(uint(x)&63)) != 0 {
+				for p := 0; p < used; p++ {
+					if keys[p] == x {
+						return p
+					}
 				}
 			}
-			return 0, false
+			return -1
 		}
 		for i := 0; i < k; i++ {
 			j := i + s.Intn(n-i)
-			vj, ok := lookup(j)
-			if !ok {
-				vj = j
+			vj, vi := j, i
+			pj := find(j)
+			if pj >= 0 {
+				vj = vals[pj]
 			}
-			vi, ok := lookup(i)
-			if !ok {
-				vi = i
+			if pi := find(i); pi >= 0 {
+				vi = vals[pi]
 			}
 			out[i] = vj
-			set := false
-			for p := 0; p < used; p++ {
-				if keys[p] == j {
-					vals[p] = vi
-					set = true
-					break
-				}
-			}
-			if !set {
-				keys[used], vals[used] = j, vi
+			if pj < 0 {
+				pj = used
+				keys[pj] = j
+				present |= 1 << (uint(j) & 63)
 				used++
 			}
+			vals[pj] = vi
 		}
 		return dst
 	}

@@ -1,8 +1,10 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -380,6 +382,21 @@ func BenchmarkSample(b *testing.B) {
 	}
 }
 
+// BenchmarkSampleAppend times the two shapes the simulator draws: a view
+// seed (l = 15 of n−1 = 24 999) and a gossip pick (F = 3 of |view| = 15).
+func BenchmarkSampleAppend(b *testing.B) {
+	for _, nk := range [][2]int{{24999, 15}, {15, 3}} {
+		n, k := nk[0], nk[1]
+		b.Run(fmt.Sprintf("n=%d/k=%d", n, k), func(b *testing.B) {
+			s := New(1)
+			var room [smallSampleK]int
+			for i := 0; i < b.N; i++ {
+				_ = s.SampleAppend(room[:0], n, k)
+			}
+		})
+	}
+}
+
 // sampleMapReference is the historical map-based Sample bookkeeping; the
 // fast path must consume the same draws and return the same indices.
 func sampleMapReference(s *Source, n, k int) []int {
@@ -407,25 +424,57 @@ func sampleMapReference(s *Source, n, k int) []int {
 	return out
 }
 
+// checkSampleMatchesMapPath draws Sample(n, k) from fast and the map
+// reference from ref, both at one stream position, and fails unless they
+// return the same indices and leave the streams at the same position.
+func checkSampleMatchesMapPath(t *testing.T, fast, ref *Source, n, k int) {
+	t.Helper()
+	got := fast.Sample(n, k)
+	want := sampleMapReference(ref, n, k)
+	if !slices.Equal(got, want) {
+		t.Fatalf("n=%d k=%d: Sample %v != reference %v", n, k, got, want)
+	}
+	if fast.State() != ref.State() {
+		t.Fatalf("n=%d k=%d: Sample left the stream at %#x, the reference at %#x", n, k, fast.State(), ref.State())
+	}
+}
+
+// TestSampleFastPathMatchesMapPath holds the filtered swap table to the map
+// bookkeeping over random shapes k ∈ 1..16, n ∈ [k+1, 10⁵], half of them
+// with n ≤ 2k, where draws j < k land on recorded swaps.
 func TestSampleFastPathMatchesMapPath(t *testing.T) {
 	t.Parallel()
+	shapes := New(99)
 	for seed := uint64(1); seed <= 50; seed++ {
-		fast := New(seed)
-		ref := New(seed)
-		for _, nk := range [][2]int{{10, 1}, {10, 3}, {125, 3}, {125, 15}, {125, 16}, {40, 16}, {1000, 8}} {
-			n, k := nk[0], nk[1]
-			got := fast.Sample(n, k)
-			want := sampleMapReference(ref, n, k)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d n=%d k=%d: len %d vs %d", seed, n, k, len(got), len(want))
+		fast, ref := New(seed), New(seed)
+		for call := 0; call < 200; call++ {
+			k := 1 + shapes.Intn(smallSampleK)
+			n := k + 1 + shapes.Intn(k) // n ≤ 2k
+			if call%2 == 1 {
+				n = k + 1 + shapes.Intn(100000-k)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d n=%d k=%d: Sample %v != reference %v", seed, n, k, got, want)
-				}
-			}
+			checkSampleMatchesMapPath(t, fast, ref, n, k)
 		}
 	}
+}
+
+// FuzzSample holds Sample to the map bookkeeping on fuzzer-chosen shapes:
+// every k up to 2·smallSampleK (both bookkeeping paths and the k ≥ n
+// permutation) and n up to 10⁵.
+func FuzzSample(f *testing.F) {
+	f.Add(uint64(1), uint32(10), uint8(3))
+	f.Add(uint64(2), uint32(17), uint8(16))
+	f.Add(uint64(3), uint32(24999), uint8(15))
+	f.Add(uint64(4), uint32(40), uint8(20))
+	f.Add(uint64(5), uint32(5), uint8(9))
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint32, kRaw uint8) {
+		n := 1 + int(nRaw%100000)
+		k := int(kRaw % (2*smallSampleK + 1))
+		fast, ref := New(seed), New(seed)
+		for call := 0; call < 3; call++ {
+			checkSampleMatchesMapPath(t, fast, ref, n, k)
+		}
+	})
 }
 
 func TestSampleNoAllocSmallK(t *testing.T) {

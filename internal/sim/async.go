@@ -1,7 +1,8 @@
 package sim
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/proto"
 )
@@ -81,13 +82,22 @@ func asyncLookahead(n int) int {
 }
 
 // phaseOrder returns the process indices in ascending (phase, index) order:
-// the event clock's walk through a period.
+// the event clock's walk through a period. It sorts the keys phase<<32 |
+// index in the result itself and masks the phases off: the keys are
+// distinct, so the order is stable by construction. A phase is at most
+// maxPeriodMs (2²⁰) and an index below 2³², so a key needs a 64-bit int.
 func phaseOrder(phase []uint64) []int {
-	order := make([]int, len(phase))
-	for i := range order {
-		order[i] = i
+	if bits.UintSize < 64 {
+		panic("sim: the event clock's phase order needs a 64-bit int")
 	}
-	sort.SliceStable(order, func(a, b int) bool { return phase[order[a]] < phase[order[b]] })
+	order := make([]int, len(phase))
+	for i, p := range phase {
+		order[i] = int(p<<32) | i
+	}
+	slices.Sort(order)
+	for i := range order {
+		order[i] = int(uint32(order[i]))
+	}
 	return order
 }
 

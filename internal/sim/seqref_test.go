@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/proto"
@@ -29,6 +30,10 @@ import (
 type seqRef struct {
 	*Cluster
 	seqAsync *asyncSeq // sequential wavefront scratch (Async)
+	// eventOrder is the event clock's walk order, computed apart from the
+	// executor's phaseOrder (refPhaseOrder) once: phases are drawn at
+	// NewCluster and never change.
+	eventOrder []int
 	// seqQueue/seqNext are the synchronous walk's retained hop buffers;
 	// they just recycle envelope capacity.
 	seqQueue, seqNext []proto.Message
@@ -49,11 +54,22 @@ func newSeqRef(opts Options) (*seqRef, error) {
 		p.(interface{ SetEmitArena(*proto.EmitArena) }).SetEmitArena(nil)
 		p.(interface{ SetEmissionReuse(bool) }).SetEmissionReuse(false)
 	}
-	r := &seqRef{Cluster: c}
+	r := &seqRef{Cluster: c, eventOrder: refPhaseOrder(c.phase)}
 	for i := 0; i < warmup; i++ {
 		r.RunRound()
 	}
 	return r, nil
+}
+
+// refPhaseOrder returns the process indices stably sorted by phase: the
+// event clock's (phase, index) walk order, as the reference computes it.
+func refPhaseOrder(phase []uint64) []int {
+	order := make([]int, len(phase))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return phase[order[a]] < phase[order[b]] })
+	return order
 }
 
 // RunRound advances the reference one gossip period: Cluster.RunRound with
@@ -345,7 +361,7 @@ func (c *seqRef) runEventPeriodAsyncSeq() {
 		c.seqAsync = a
 	}
 	base := (c.now - 1) * c.periodMs
-	a.order = phaseOrder(c.phase)
+	a.order = c.eventOrder
 	lookahead := asyncLookahead(n)
 
 	front := 0

@@ -34,6 +34,25 @@ func wanWaveOptions(n int) Options {
 	return o
 }
 
+// TestPhaseOrder holds phaseOrder to the reference's stable sort by phase
+// over random phases in [1, PeriodMs], PeriodMs from 1 (every phase tied) to
+// maxPeriodMs, and up to 10⁴ processes.
+func TestPhaseOrder(t *testing.T) {
+	t.Parallel()
+	r := rng.New(46)
+	for _, periodMs := range []int{1, 2, 3, 10, 100, 1000, maxPeriodMs} {
+		for _, n := range []int{0, 1, 2, 17, 1000, 10000} {
+			phase := make([]uint64, n)
+			for i := range phase {
+				phase[i] = 1 + uint64(r.Intn(periodMs))
+			}
+			if got, want := phaseOrder(phase), refPhaseOrder(phase); !slices.Equal(got, want) {
+				t.Fatalf("PeriodMs %d, n %d: phaseOrder differs from the stable sort", periodMs, n)
+			}
+		}
+	}
+}
+
 // roundWaveOptions is the default round-clock async cluster of n processes.
 func roundWaveOptions(n int) Options {
 	o := DefaultOptions(n)
