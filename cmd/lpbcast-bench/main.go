@@ -410,8 +410,10 @@ func executorSuite(quick, big bool) []benchCase {
 		steady(0, 2, false, false, sim.ClockEvent),
 		steady(benchWorkers(), 2, false, false, sim.ClockEvent),
 		loadedCase(quick),
-		mergeCase("absent-heavy", 25_000),
-		mergeCase("present-heavy", 20),
+		mergeCase("merge", "absent-heavy", 25_000),
+		mergeCase("merge", "present-heavy", 20),
+		mergeCase("unsub-merge", "absent-heavy", 25_000),
+		mergeCase("unsub-merge", "present-heavy", 20),
 		subsTruncateCase(),
 		digestContainsCase(),
 		digestScanColdCase(),
@@ -496,15 +498,15 @@ func loadedCase(quick bool) benchCase {
 	}
 }
 
-// mergeCase is the membership layer's cell: one op is phase 2 of gossip
-// reception (Fig. 1(a)) — membership.Manager.ApplySubs on 16 incoming
-// subscriptions at l=15 — with ids drawn from a population of universe
-// processes: 25 000 makes nearly every id new to the view (the idle process
-// of a large system), 20 nearly every id known. The ceiling is absolute:
-// the merge and both truncations run on retained buffers.
-func mergeCase(mix string, universe int) benchCase {
+// mergeCase is a membership layer cell, its ids drawn from universe
+// processes: 25 000 makes nearly every id new (the idle process of a large
+// system), 20 nearly every id known. A merge op is phase 2 of gossip reception
+// (Fig. 1(a)), Manager.ApplySubs of 16 subscriptions at l=15; an unsub-merge
+// op is phase 1, ApplyUnsubs of 15 unsubscriptions stamped now at
+// |unSubs|m = 15 beside a full view and subs. The ceiling is absolute.
+func mergeCase(cell, mix string, universe int) benchCase {
 	return benchCase{
-		name: "membership/merge/" + mix,
+		name: "membership/" + cell + "/" + mix,
 		gate: true, maxAllocs: 0,
 		fn: func(b *testing.B) {
 			gen := rng.New(7)
@@ -512,16 +514,29 @@ func mergeCase(mix string, universe int) benchCase {
 			if err != nil {
 				b.Fatal(err)
 			}
-			gossips := make([][]proto.ProcessID, 64)
-			for i := range gossips {
-				gossips[i] = make([]proto.ProcessID, 16)
-				for j := range gossips[i] {
-					gossips[i][j] = proto.ProcessID(1 + gen.Intn(universe))
-				}
+			ids := make([]proto.ProcessID, 64*16)
+			for i := range ids {
+				ids[i] = proto.ProcessID(1 + gen.Intn(universe))
 			}
+			if cell == "unsub-merge" { // fill the view and subs
+				members := make([]proto.ProcessID, 30)
+				for i := range members {
+					members[i] = proto.ProcessID(30_000 + gen.Intn(25_000))
+				}
+				m.ApplySubs(members)
+			}
+			unsubs := make([]proto.Unsubscription, 15)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.ApplySubs(gossips[i%len(gossips)])
+				gossip := ids[i%64*16:][:16]
+				if cell == "merge" {
+					m.ApplySubs(gossip)
+					continue
+				}
+				for j := range unsubs {
+					unsubs[j] = proto.Unsubscription{Process: 1 + gossip[j], Stamp: uint64(i)}
+				}
+				m.ApplyUnsubs(unsubs, uint64(i))
 			}
 		},
 	}
@@ -552,8 +567,7 @@ func subsTruncateCase() benchCase {
 			for i := 0; i < b.N; i++ {
 				fill := ids[i%64*from:][:from]
 				for _, id := range fill[l.Len():] {
-					var none buffer.PIDFilter // rules the id out: a plain append
-					l.AddIn(proto.ProcessID(1+id), &none)
+					l.PushUnless(proto.ProcessID(1+id), false) // distinct: a plain append
 				}
 				l.TruncateRandomDiscard(to, gen)
 			}

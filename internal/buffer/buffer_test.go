@@ -711,12 +711,12 @@ func TestCompactDigestCompactionSavesSpace(t *testing.T) {
 func TestPIDList(t *testing.T) {
 	t.Parallel()
 	l := NewPIDList()
-	f := l.Filter()
-	l.AddIn(3, &f)
-	l.AddIn(3, &f)
-	l.AddIn(4, &f)
-	if l.Len() != 2 {
-		t.Fatalf("Len = %d", l.Len())
+	for _, p := range []proto.ProcessID{3, 4, 5} {
+		l.PushUnless(p, false)
+	}
+	l.PushUnless(3, true)
+	if !l.Remove(4) || l.Remove(4) || l.Len() != 2 || l.At(0) != 3 || l.At(1) != 5 {
+		t.Fatalf("after Remove(4) twice: %v, want [3 5]", l.AppendItems(nil))
 	}
 }
 

@@ -16,31 +16,12 @@ func unsubKey(u proto.Unsubscription) proto.ProcessID { return u.Process }
 func eventKey(e proto.Event) proto.EventID            { return e.ID }
 func idKey(id proto.EventID) proto.EventID            { return id }
 
-// PIDFilter is a 256-bit, one-hash presence filter over process ids, small
-// enough to be built on the caller's stack once per received gossip: Has
-// never misses an id that was added and rules out most that were not, which
-// spares an absent id — nearly every id, in a system much larger than a
-// view — the scan that would only confirm it.
-type PIDFilter [4]uint64
-
-func (f *PIDFilter) bit(p proto.ProcessID) (word uint64, mask uint64) {
-	h := uint64(p) * 0x9e3779b97f4a7c15 >> 56
-	return h >> 6, 1 << (h & 63)
-}
-
-// Add records p.
-func (f *PIDFilter) Add(p proto.ProcessID) { w, m := f.bit(p); f[w] |= m }
-
-// Has reports whether p may have been added.
-func (f *PIDFilter) Has(p proto.ProcessID) bool { w, m := f.bit(p); return f[w]&m != 0 }
-
 // PIDList is a bounded, duplicate-free list of process identifiers — the
-// representation of the subs buffer. Unlike the generic KeyedList it is
-// backed by a plain slice with linear membership scans: a subs buffer
-// holds at most |subs|m plus one gossip's inflow (a few dozen entries),
-// where a scan over packed uint64s outruns a hash map — and, decisively
-// for the zero-alloc hot path, a slice at its high-water capacity never
-// reallocates, while map metadata keeps growing under delete/insert churn.
+// representation of the subs buffer: a plain slice, which at its high-water
+// capacity never reallocates under the per-message add/evict churn. It keeps
+// no index of its own. Its owner, membership.Manager, answers "is p
+// buffered?" from the index it builds of view and subs for each received
+// gossip, and appends only what that index rules out (PushUnless).
 type PIDList struct {
 	items []proto.ProcessID
 }
@@ -58,22 +39,15 @@ func (l *PIDList) indexOf(p proto.ProcessID) int {
 	return -1
 }
 
-// Filter returns a filter holding every buffered identifier.
-func (l *PIDList) Filter() (f PIDFilter) {
-	for _, p := range l.items {
-		f.Add(p)
+// PushUnless appends p unless held, the caller's exact answer to whether the
+// list holds it, without a branch on held: the answers for a gossip's
+// evictees follow no pattern a branch predictor could learn.
+func (l *PIDList) PushUnless(p proto.ProcessID, held bool) {
+	n := len(l.items) + 1
+	if held {
+		n-- // a conditional move
 	}
-	return f
-}
-
-// AddIn appends p unless present, for a caller holding f, a filter of the
-// list's content kept up to date here: an identifier the filter rules out is
-// appended unscanned.
-func (l *PIDList) AddIn(p proto.ProcessID, f *PIDFilter) {
-	if !f.Has(p) || l.indexOf(p) < 0 {
-		l.items = append(l.items, p)
-		f.Add(p)
-	}
+	l.items = append(l.items, p)[:n]
 }
 
 // Remove deletes p, preserving the order of the rest. It reports whether
@@ -199,17 +173,22 @@ type UnsubList struct {
 // Init prepares a zero-value UnsubList in place, allocation-free.
 func (l *UnsubList) Init() { l.inner.Init(unsubKey) }
 
-// Add inserts u, or refreshes the stamp of an existing entry if u is newer.
-// It reports whether the set of processes changed.
+// Add inserts u, or replaces an older held unsubscription of its process,
+// moving to the end. It reports whether the set of processes changed. Its
+// one scan compares processes directly.
 func (l *UnsubList) Add(u proto.Unsubscription) bool {
-	if cur, ok := l.inner.Get(u.Process); ok {
-		if u.Stamp > cur.Stamp {
-			l.inner.Remove(u.Process)
-			l.inner.Add(u)
+	in := &l.inner
+	for i, held := range in.items {
+		if held.Process == u.Process {
+			if u.Stamp > held.Stamp {
+				copy(in.items[i:], in.items[i+1:])
+				in.items[len(in.items)-1] = u
+			}
+			return false
 		}
-		return false
 	}
-	return l.inner.Add(u)
+	in.push(u.Process, u, 0)
+	return true
 }
 
 // AddAll adds the unsubscriptions of us that keep accepts (it sees each

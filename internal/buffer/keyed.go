@@ -101,6 +101,13 @@ func (l *KeyedList[K, V]) AddBounded(v V, bound int) bool {
 	if l.contains(k) {
 		return false
 	}
+	l.push(k, v, bound)
+	return true
+}
+
+// push appends v, whose key k the caller knows to be absent, growing the
+// storage as AddBounded does.
+func (l *KeyedList[K, V]) push(k K, v V, bound int) {
 	if len(l.items) == cap(l.items) {
 		l.items = append(make([]V, 0, grown(cap(l.items), bound)), l.items...)
 	}
@@ -110,7 +117,6 @@ func (l *KeyedList[K, V]) AddBounded(v V, bound int) bool {
 	} else if len(l.items) > smallMax {
 		l.buildIdx()
 	}
-	return true
 }
 
 // merge adds the elements of vs that keep accepts (it sees each once, in
@@ -147,19 +153,6 @@ func (l *KeyedList[K, V]) merge(vs []V, keep func(V) bool, newer func(held, v V)
 // Contains reports whether an element with key k is present.
 func (l *KeyedList[K, V]) Contains(k K) bool {
 	return l.contains(k)
-}
-
-// Get returns the element with key k.
-func (l *KeyedList[K, V]) Get(k K) (V, bool) {
-	if l.idx == nil || l.contains(k) {
-		for _, v := range l.items {
-			if l.key(v) == k {
-				return v, true
-			}
-		}
-	}
-	var zero V
-	return zero, false
 }
 
 // Remove deletes the element with key k, preserving the order of the rest.
@@ -235,7 +228,9 @@ func (l *KeyedList[K, V]) TruncateRandomDiscard(max int, r *rng.Source) int {
 	if k <= batchMax {
 		for len(l.items) > max {
 			i := r.Intn(len(l.items))
-			delete(l.idx, l.key(l.items[i]))
+			if l.idx != nil {
+				delete(l.idx, l.key(l.items[i]))
+			}
 			l.items = append(l.items[:i], l.items[i+1:]...)
 		}
 	} else {

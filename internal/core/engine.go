@@ -455,11 +455,9 @@ func (e *Engine) HandleMessageAppend(m proto.Message, now uint64, out []proto.Me
 func (e *Engine) handleGossip(out []proto.Message, g *proto.Gossip, now uint64) []proto.Message {
 	e.stats.GossipsReceived++
 
-	// Phase 1: unsubscriptions update view and unSubs.
-	e.mem.ApplyUnsubs(g.Unsubs, now)
-
-	// Phase 2: subscriptions update view and subs.
-	e.mem.ApplySubs(g.Subs)
+	// Phases 1 and 2: unsubscriptions update view and unSubs, then
+	// subscriptions update view and subs.
+	e.mem.Receive(g.Unsubs, g.Subs, now)
 
 	// Phase 3: fresh notifications are delivered and staged for forwarding.
 	for _, ev := range g.Events {

@@ -39,3 +39,45 @@ func BenchmarkApplySubs(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkApplyUnsubs times phase 1 of gossip reception at the paper's
+// bounds (l=15, |unSubs|m = 15, 15 unsubscriptions per gossip, each stamped
+// with the op's own time so that none is obsolete) on the same two
+// extremes: ids drawn from 25 000 processes, so that nearly every one is new
+// to unSubs, is appended and evicted again, and ids drawn from a 20-member
+// group, so that nearly every one refreshes a buffered unsubscription. The
+// view and subs are kept full from other processes. cmd/lpbcast-bench
+// carries the same two as its membership/unsub-merge cells.
+func BenchmarkApplyUnsubs(b *testing.B) {
+	for _, c := range []struct {
+		name     string
+		universe int
+	}{{"absent-heavy", 25_000}, {"present-heavy", 20}} {
+		b.Run(c.name, func(b *testing.B) {
+			gen := rng.New(7)
+			m, err := NewManager(1, DefaultConfig(), gen.Split())
+			if err != nil {
+				b.Fatal(err)
+			}
+			ids := make([]proto.ProcessID, 64*16)
+			for i := range ids {
+				ids[i] = proto.ProcessID(1 + gen.Intn(c.universe))
+			}
+			members := make([]proto.ProcessID, 30)
+			for i := range members {
+				members[i] = proto.ProcessID(30_000 + gen.Intn(25_000))
+			}
+			m.ApplySubs(members)
+			unsubs := make([]proto.Unsubscription, 15)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				gossip := ids[i%64*16:][:16]
+				for j := range unsubs {
+					unsubs[j] = proto.Unsubscription{Process: 1 + gossip[j], Stamp: uint64(i)}
+				}
+				m.ApplyUnsubs(unsubs, uint64(i))
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package membership
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/buffer"
 	"repro/internal/proto"
@@ -94,13 +95,13 @@ func (c Config) Validate() error {
 // Manager is not safe for concurrent use; the protocol engine serializes
 // access.
 type Manager struct {
-	self   proto.ProcessID
-	cfg    *Config // read in place: many managers may share one
-	view   *View
-	subs   *buffer.PIDList
-	unsubs *buffer.UnsubList
-	keep   []proto.ProcessID // prioritary set, usually empty; nil allocs
-	rng    *rng.Source
+	self    proto.ProcessID
+	cfg     *Config // read in place: many managers may share one
+	view    *View
+	subs    *buffer.PIDList
+	unsubs  *buffer.UnsubList
+	scratch []uint64 // an index past indexRoom slots (Manager.index); nil at the paper's bounds
+	rng     *rng.Source
 
 	unsubscribed bool
 }
@@ -125,7 +126,9 @@ func NewManager(self proto.ProcessID, cfg Config, r *rng.Source) (*Manager, erro
 // in steady state — makes the view's weights under the Weighted policy, the
 // only reader of a weight, and installs the prioritary set. unSubs starts
 // empty like the engine's event buffers: most processes never meet an
-// unsubscription, and one that does grows the list on demand.
+// unsubscription, and one that does grows the list on demand. Truncation
+// keeps the configured prioritary set; the owner, which it may name, is
+// never in the view.
 func (m *Manager) presize(p *Pools) {
 	inflow := m.cfg.MaxSubs + 2
 	if p != nil {
@@ -139,15 +142,9 @@ func (m *Manager) presize(p *Pools) {
 		m.view.weigh()
 	}
 	for _, q := range m.cfg.Prioritary {
-		if q != m.self {
-			if p != nil && m.keep == nil {
-				m.keep = p.PIDs.Make(len(m.cfg.Prioritary))[:0]
-			}
-			m.keep = append(m.keep, q)
-			m.view.Add(q)
-		}
+		m.view.Add(q) // refuses the owner
 	}
-	if len(m.keep) > 0 { // the kept-position marks exist only beside a prioritary set
+	if len(m.cfg.Prioritary) > 0 { // the kept-position marks exist only beside a prioritary set
 		m.view.keepBits.Grow(m.cfg.MaxView + inflow)
 	}
 }
@@ -164,30 +161,58 @@ func (m *Manager) View() []proto.ProcessID { return m.view.Processes() }
 // ViewLen returns the current view size.
 func (m *Manager) ViewLen() int { return m.view.Len() }
 
+// index returns an index of the view and subs with room for n more ids, in
+// room while they fit, else in the manager's scratch, which is kept at the
+// size an honest gossip needs (view at l, subs at |subs|m, another's subs and
+// their sender): a hostile gossip's larger table is left to the collector.
+func (m *Manager) index(room *[indexRoom]uint64, n int) pidIndex {
+	tab := room[:]
+	if ids := m.view.Len() + m.subs.Len() + n; 2*ids > indexRoom {
+		size := indexSize(ids)
+		heap := m.scratch[:min(size, cap(m.scratch))] // a separate name keeps room off the heap
+		if len(heap) == size {
+			clear(heap)
+		} else if heap = make([]uint64, size); size <= indexSize(m.cfg.MaxView+2*m.cfg.MaxSubs+1) {
+			m.scratch = heap
+		}
+		tab = heap
+	}
+	x := newIndex(tab)
+	for _, p := range m.view.list { // distinct, into an empty table
+		*x.slot(p) = uint64(p) | inView
+	}
+	for i, ln := 0, m.subs.Len(); i < ln; i++ {
+		p := m.subs.At(i)
+		*x.slot(p) |= uint64(p) | inSubs
+	}
+	return x
+}
+
 // Seed merges bootstrap members into the view (used at join time, before
 // any gossip has been received), truncating to the view bound. Members
-// evicted by the truncation spill into subs, which is bounded in turn. Like
-// ApplySubs it merges in one pass behind a filter of the view, scanning the
-// view only for an id the filter cannot rule out.
+// evicted by the truncation spill into subs, which is bounded in turn. It is
+// ApplySubs' pass, except that a member new to the view does not enter subs
+// and a known one is not bumped.
 func (m *Manager) Seed(ps []proto.ProcessID) {
-	v := m.view
-	inView := v.filter()
-	for _, p := range ps {
-		if p == m.self || p == proto.NilProcess || inView.Has(p) && v.indexOf(p) >= 0 {
-			continue
-		}
-		v.push(p)
-		inView.Add(p)
-	}
-	inSubs := m.subs.Filter()
-	m.truncate(v.Len(), &inSubs)
+	var room [indexRoom]uint64
+	m.merge(m.index(&room, len(ps)), ps, true)
 }
 
 // ApplyUnsubs executes phase 1 of gossip reception: remove unsubscribed
 // processes from the view, buffer the unsubscriptions for forwarding, and
 // truncate the buffer randomly. Obsolete unsubscriptions (older than the
-// TTL relative to now) are ignored and expired.
+// TTL relative to now) are ignored and expired. Receive's phase 2 with no
+// subscriptions changes nothing.
 func (m *Manager) ApplyUnsubs(unsubs []proto.Unsubscription, now uint64) {
+	m.Receive(unsubs, nil, now)
+}
+
+// Receive executes phases 1 and 2 of gossip reception (Fig. 1(a)), as
+// ApplyUnsubs and then ApplySubs would, on one index x of view and subs,
+// which phase 1 keeps exact: only a process x shows in a list is sought there.
+func (m *Manager) Receive(unsubs []proto.Unsubscription, subs []proto.ProcessID, now uint64) {
+	var room [indexRoom]uint64
+	x := m.index(&room, len(subs))
 	m.unsubs.AddAll(unsubs, func(u proto.Unsubscription) bool {
 		if u.Process == m.self && !m.unsubscribed {
 			// Somebody is circulating our own unsubscription; we are still
@@ -198,51 +223,56 @@ func (m *Manager) ApplyUnsubs(unsubs []proto.Unsubscription, now uint64) {
 		if m.cfg.UnsubTTL > 0 && now >= m.cfg.UnsubTTL && u.Stamp < now-m.cfg.UnsubTTL {
 			return false // obsolete
 		}
-		m.view.Remove(u.Process)
-		m.subs.Remove(u.Process)
+		s := x.slot(u.Process)
+		if *s&inView != 0 {
+			m.view.Remove(u.Process)
+		}
+		if *s&inSubs != 0 {
+			m.subs.Remove(u.Process)
+		}
+		*s &^= inView | inSubs
 		return true
 	})
 	m.unsubs.Expire(now, m.cfg.UnsubTTL)
 	m.unsubs.TruncateRandomDiscard(m.cfg.MaxUnsubs, m.rng)
+	m.merge(x, subs, false)
 }
 
 // ApplySubs executes phase 2 of gossip reception: merge new subscriptions
 // into the view and the subs forwarding buffer, truncate the view to l
 // moving evicted members into subs, and truncate subs randomly. In the
 // Weighted policy, re-announced known processes get their awareness weight
-// bumped. An incoming id costs at most one scan of the view (find and bump
-// in place, or append) and none when the filters rule it out, which in a
-// system much larger than l they nearly always do; an id buffered here is
-// not looked for again when the truncation evicts it.
+// bumped. An incoming id or an evictee costs one probe of an index of view
+// and subs built for the call; only a bump scans, for its entry's position.
 func (m *Manager) ApplySubs(subs []proto.ProcessID) {
-	v, fresh := m.view, m.view.Len()
-	inView := v.filter()
-	inSubs := m.subs.Filter()
-	for _, p := range subs {
+	var room [indexRoom]uint64
+	m.merge(m.index(&room, len(subs)), subs, false)
+}
+
+// merge is phase 2 on the index x, or Seed's merge when seeding. It ends by
+// enforcing |view| <= l, moving evictees that x does not show in subs into
+// it so they remain "eligible for being forwarded with the next gossip"
+// (Fig. 1(a)), then |subs| <= |subs|m.
+func (m *Manager) merge(x pidIndex, ps []proto.ProcessID, seeding bool) {
+	for _, p := range ps {
 		if p == m.self || p == proto.NilProcess {
 			continue
 		}
-		i := -1
-		if inView.Has(p) {
-			i = v.indexOf(p)
+		s := x.slot(p)
+		if *s&inView != 0 {
+			if m.cfg.Policy == Weighted && !seeding {
+				m.view.bumpAt(m.view.indexOf(p))
+			}
+			continue
 		}
-		if i < 0 {
-			v.push(p)
-			inView.Add(p)
-			m.subs.AddIn(p, &inSubs)
-		} else if m.cfg.Policy == Weighted {
-			v.bumpAt(i)
+		m.view.push(p)
+		*s |= uint64(p) | inView
+		if !seeding {
+			m.subs.PushUnless(p, *s&inSubs != 0)
+			*s |= inSubs
 		}
 	}
-	m.truncate(fresh, &inSubs)
-}
-
-// truncate enforces |view| <= l, moving evictees into subs so they remain
-// "eligible for being forwarded with the next gossip" (Fig. 1(a)), then
-// |subs| <= |subs|m. View entries from position fresh up are in subs
-// already; inSubs is a filter of subs.
-func (m *Manager) truncate(fresh int, inSubs *buffer.PIDFilter) {
-	m.view.truncate(m.cfg.MaxView, m.keep, m.cfg.Policy == Weighted, fresh, m.rng, m.subs, inSubs)
+	m.view.truncate(m.cfg.MaxView, m.cfg.Prioritary, m.cfg.Policy == Weighted, m.rng, m.subs, x)
 	m.truncateSubs()
 }
 
@@ -330,3 +360,47 @@ func (m *Manager) SubsLen() int { return m.subs.Len() }
 
 // UnsubsLen returns the current unSubs buffer size (diagnostics).
 func (m *Manager) UnsubsLen() int { return m.unsubs.Len() }
+
+// pidIndex is the exact index one received gossip is handled on: an
+// open-addressed table (linear probing, Fibonacci hashing) of the ids of the
+// receiver's view and subs, each with a view bit and a subs bit, at most half
+// full. Every membership question of reception phases 1–2 (Fig. 1(a)) is one
+// probe into it. A slot holds id | bits<<32, 0 when empty (NilProcess is
+// never indexed); nothing is deleted, a process leaving both lists keeps its
+// slot with both bits clear.
+type pidIndex struct {
+	tab   []uint64
+	shift uint // 64 − log2(len(tab))
+}
+
+// The bits of a slot beside its id.
+const (
+	inView uint64 = 1 << 32
+	inSubs uint64 = 1 << 33
+)
+
+// indexRoom is the number of slots, 2 KB, an index takes on its builder's
+// stack: 128 ids, where view, subs and one gossip's subs at the paper's bounds
+// are 46, so a probe nearly always ends at its first slot. A larger index
+// lives in the manager's scratch (Manager.index).
+const indexRoom = 256
+
+// indexSize is the number of slots, a power of two, for an index of n ids.
+func indexSize(n int) int { return max(indexRoom, 1<<bits.Len(uint(2*n-1))) }
+
+// newIndex returns an empty index over tab, whose length is a power of two.
+func newIndex(tab []uint64) pidIndex {
+	return pidIndex{tab: tab, shift: 64 - uint(bits.TrailingZeros(uint(len(tab))))}
+}
+
+// slot returns p's slot, or the empty slot where p goes. A probe ends at an
+// id that is 0 or p, that is where id·(id^p) = 0: one branch, taken at the
+// first slot whether p is held or not.
+func (x pidIndex) slot(p proto.ProcessID) *uint64 {
+	mask := len(x.tab) - 1
+	for i := int(uint64(p) * 0x9e3779b97f4a7c15 >> x.shift); ; i = (i + 1) & mask {
+		if id := uint64(uint32(x.tab[i&mask])); id*(id^uint64(p)) == 0 {
+			return &x.tab[i&mask]
+		}
+	}
+}

@@ -73,7 +73,7 @@ func TestApplySubsAddsAndTruncates(t *testing.T) {
 	if m.ViewLen() != 3 {
 		t.Fatalf("view size = %d, want 3", m.ViewLen())
 	}
-	if m.view.Contains(1) {
+	if holds(m.view, 1) {
 		t.Fatal("self in view")
 	}
 	if m.SubsLen() > cfg.MaxSubs {
@@ -106,7 +106,7 @@ func TestApplyUnsubsRemovesFromView(t *testing.T) {
 	m := newTestManager(t, DefaultConfig())
 	m.ApplySubs([]proto.ProcessID{2, 3, 4})
 	m.ApplyUnsubs([]proto.Unsubscription{{Process: 3, Stamp: 10}}, 10)
-	if m.view.Contains(3) {
+	if holds(m.view, 3) {
 		t.Fatal("unsubscribed process still in view")
 	}
 	if m.UnsubsLen() != 1 {
@@ -126,7 +126,7 @@ func TestApplyUnsubsObsoleteIgnored(t *testing.T) {
 	m := newTestManager(t, cfg)
 	m.ApplySubs([]proto.ProcessID{2})
 	m.ApplyUnsubs([]proto.Unsubscription{{Process: 2, Stamp: 10}}, 100)
-	if !m.view.Contains(2) {
+	if !holds(m.view, 2) {
 		t.Fatal("obsolete unsubscription was applied")
 	}
 	if m.UnsubsLen() != 0 {
@@ -220,14 +220,14 @@ func TestPrioritaryPreInsertedAndProtected(t *testing.T) {
 	cfg.MaxView = 3
 	cfg.Prioritary = []proto.ProcessID{100, 101}
 	m := newTestManager(t, cfg)
-	if !m.view.Contains(100) || !m.view.Contains(101) {
+	if !holds(m.view, 100) || !holds(m.view, 101) {
 		t.Fatal("prioritary processes not pre-inserted")
 	}
 	// Flood with subscriptions: prioritaries must survive every truncation.
 	for i := uint64(2); i < 50; i++ {
 		m.ApplySubs([]proto.ProcessID{proto.ProcessID(i)})
 	}
-	if !m.view.Contains(100) || !m.view.Contains(101) {
+	if !holds(m.view, 100) || !holds(m.view, 101) {
 		t.Fatal("prioritary process evicted")
 	}
 	if m.ViewLen() != 3 {
@@ -248,11 +248,11 @@ func TestWeightedPolicyBumpsAndEvictsHeavy(t *testing.T) {
 	}
 	// Adding a 4th entry forces eviction of exactly the heavy one.
 	m.ApplySubs([]proto.ProcessID{5})
-	if m.view.Contains(2) {
+	if holds(m.view, 2) {
 		t.Fatal("heaviest entry survived weighted truncation")
 	}
 	for _, p := range []proto.ProcessID{3, 4, 5} {
-		if !m.view.Contains(p) {
+		if !holds(m.view, p) {
 			t.Fatalf("light entry %v evicted", p)
 		}
 	}
@@ -308,7 +308,7 @@ func TestRemoveFromView(t *testing.T) {
 	t.Parallel()
 	m := newTestManager(t, DefaultConfig())
 	m.ApplySubs([]proto.ProcessID{2})
-	if !m.view.Remove(2) || m.view.Remove(2) || m.view.Contains(2) {
+	if !m.view.Remove(2) || m.view.Remove(2) || holds(m.view, 2) {
 		t.Fatal("removing 2 from the manager's view: behaviour wrong")
 	}
 }
@@ -372,6 +372,41 @@ func TestHostileUnsubsLeaveNothing(t *testing.T) {
 	}
 	if r := float64(took[30_000]) / float64(took[3_000]); r >= 30 && !raceEnabled {
 		t.Errorf("naming 3·10⁴ processes twice took %v, 3·10³ %v: %.0f times as long, want under 30", took[30_000], took[3_000], r)
+	}
+}
+
+// TestHostileSubsLeaveNothing: a gossip whose subs list is hundreds of views
+// long is indexed in a table made for it, which the manager does not keep.
+// At the paper's bounds an honest gossip's index fits the stack and the
+// manager keeps no scratch; at l = 60, |subs|m = 70 it does not, and the
+// manager keeps the scratch that an honest gossip needs and no more.
+func TestHostileSubsLeaveNothing(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct{ view, subs, kept int }{{15, 15, 0}, {60, 70, 512}} {
+		cfg := DefaultConfig()
+		cfg.MaxView, cfg.MaxSubs = c.view, c.subs
+		m := newTestManager(t, cfg)
+		gen := rng.New(5)
+		gossip := func(n int) []proto.ProcessID {
+			ps := make([]proto.ProcessID, n)
+			for i := range ps {
+				ps[i] = proto.ProcessID(2 + gen.Intn(1_000_000))
+			}
+			return ps
+		}
+		for i := 0; i < 3; i++ {
+			m.Receive(nil, gossip(c.subs+1), 0)
+		}
+		if got := cap(m.scratch); got != c.kept {
+			t.Errorf("l=%d |subs|m=%d: honest gossips left a scratch of %d slots, want %d", c.view, c.subs, got, c.kept)
+		}
+		m.Receive(nil, gossip(10_000), 0)
+		if got := cap(m.scratch); got != c.kept {
+			t.Errorf("l=%d |subs|m=%d: a gossip of 10 000 subscriptions left a scratch of %d slots, want %d", c.view, c.subs, got, c.kept)
+		}
+		if m.ViewLen() != c.view || m.SubsLen() != c.subs {
+			t.Errorf("l=%d |subs|m=%d: view %d, subs %d after the flood", c.view, c.subs, m.ViewLen(), m.SubsLen())
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/buffer"
 	"repro/internal/idmap"
 	"repro/internal/proto"
 	"repro/internal/rng"
@@ -13,11 +12,13 @@ import (
 
 // The reference below is gossip reception's membership half as it stood
 // before the one-pass merge: Contains-then-Add per incoming id, an identity
-// candidate list rebuilt per eviction, a subs scan per evictee. It is kept
-// verbatim (only renamed) because it defines the draw-identity contract
+// candidate list rebuilt per eviction, a subs scan per evictee, and unSubs as
+// a plain list refreshed by removing and re-appending. It is kept verbatim
+// (only renamed; the unSubs list was buffer.UnsubList until that list got a
+// reference of its own here) because it defines the draw-identity contract
 // (docs/ARCHITECTURE.md): Manager may find a victim any way it likes, but
 // it must consume the draws this code consumes, in this order, and leave
-// view, weights and subs in this order. Do not optimise it.
+// view, weights, subs and unSubs in this order. Do not optimise it.
 //
 // Mutations of the Weighted truncateSubs (weights read once per call into a
 // side list) seen caught, each printing seed and config: the victim's weight
@@ -200,12 +201,49 @@ func (l *oraclePIDList) TruncateRandomDiscard(max int, r *rng.Source) int {
 	return n
 }
 
+// oracleUnsubList is unSubs: one unsubscription a process, a newer stamp
+// replacing the held one at the end of the list.
+type oracleUnsubList struct{ items []proto.Unsubscription }
+
+func (l *oracleUnsubList) Add(u proto.Unsubscription) {
+	for i, held := range l.items {
+		if held.Process == u.Process {
+			if u.Stamp > held.Stamp {
+				l.items = append(l.items[:i], l.items[i+1:]...)
+				l.items = append(l.items, u)
+			}
+			return
+		}
+	}
+	l.items = append(l.items, u)
+}
+
+func (l *oracleUnsubList) Len() int { return len(l.items) }
+
+func (l *oracleUnsubList) Expire(now, ttl uint64) {
+	if now < ttl {
+		return
+	}
+	for i := len(l.items) - 1; i >= 0; i-- {
+		if l.items[i].Stamp < now-ttl {
+			l.items = append(l.items[:i], l.items[i+1:]...)
+		}
+	}
+}
+
+func (l *oracleUnsubList) TruncateRandomDiscard(max int, r *rng.Source) {
+	for len(l.items) > max {
+		i := r.Intn(len(l.items))
+		l.items = append(l.items[:i], l.items[i+1:]...)
+	}
+}
+
 type oracleManager struct {
 	self         proto.ProcessID
 	cfg          Config
 	view         oracleView
 	subs         oraclePIDList
-	unsubs       buffer.UnsubList
+	unsubs       oracleUnsubList
 	keep         []proto.ProcessID
 	rng          *rng.Source
 	unsubscribed bool
@@ -213,7 +251,6 @@ type oracleManager struct {
 
 func newOracleManager(self proto.ProcessID, cfg Config, r *rng.Source) *oracleManager {
 	m := &oracleManager{self: self, cfg: cfg, rng: r}
-	m.unsubs.Init()
 	m.view.owner = self
 	for _, q := range cfg.Prioritary {
 		if q != self {
@@ -313,10 +350,13 @@ func (m *oracleManager) Unsubscribe(now uint64) error {
 // oracleConfigs spans both policies, with and without a prioritary set,
 // over the paper's bounds, bounds small enough that every call truncates
 // both buffers, and bounds whose transient view passes 64 positions (where
-// a position bitmask of one word runs out, and where the batched subs
-// truncation hands over to the per-eviction loop). The last, Weighted only,
-// lets subs pass 128 entries before it is truncated: the weights read once
-// per call then outgrow their place on the stack.
+// the batched subs truncation hands over to the per-eviction loop, and where
+// a view truncation takes more than one batch of draws). The {60, 70} rows
+// index a gossip in the manager's scratch, the others on the stack, and
+// runOracleOps' hostile gossip needs a table made for it.
+// The last two rows let subs pass 128 entries before it is truncated: under
+// Weighted the weights read once per call then outgrow their place on the
+// stack.
 func oracleConfigs() []Config {
 	mk := func(view, subs int, pol Policy, prio []proto.ProcessID) Config {
 		cfg := DefaultConfig()
@@ -333,8 +373,8 @@ func oracleConfigs() []Config {
 			}
 		}
 	}
-	// One row only: the reference scans the view per entry per eviction.
-	return append(out, mk(60, 70, Weighted, nil))
+	// One row a policy: the reference scans the view per entry per eviction.
+	return append(out, mk(60, 70, Weighted, nil), mk(60, 70, Uniform, nil))
 }
 
 // diffOracle reports the first difference between the manager and the
@@ -350,9 +390,8 @@ func diffOracle(m *Manager, o *oracleManager) string {
 	if !same {
 		return fmt.Sprintf("subs %v, want %v", m.subs.AppendItems(nil), o.subs.items)
 	}
-	if m.unsubs.Len() != o.unsubs.Len() || m.unsubscribed != o.unsubscribed {
-		return fmt.Sprintf("unsubs %v (left %v), want %v (left %v)",
-			m.unsubs.AppendItems(nil), m.unsubscribed, o.unsubs.AppendItems(nil), o.unsubscribed)
+	if got := m.unsubs.AppendItems(nil); !slices.Equal(got, o.unsubs.items) || m.unsubscribed != o.unsubscribed {
+		return fmt.Sprintf("unsubs %v (left %v), want %v (left %v)", got, m.unsubscribed, o.unsubs.items, o.unsubscribed)
 	}
 	if m.rng.State() != o.rng.State() {
 		return fmt.Sprintf("rng state %#x, want %#x", m.rng.State(), o.rng.State())
@@ -426,6 +465,23 @@ func runOracleOps(gen interface{ Intn(int) int }, seed uint64, cfg Config, ops i
 			if got, want := m.view.Bump(p), o.view.Bump(p); got != want {
 				return fmt.Sprintf("step %d %s(%v) = %v, want %v", step, op, arg, got, want)
 			}
+		case k == 5: // both phases on one index, now and then a hostile gossip
+			us := make([]proto.Unsubscription, gen.Intn(4))
+			ps := make([]proto.ProcessID, gen.Intn(cfg.MaxSubs+2))
+			if gen.Intn(32) == 0 { // past smallMax unsubscriptions, subs three views long
+				us = make([]proto.Unsubscription, 65+gen.Intn(64))
+				ps = make([]proto.ProcessID, 3*cfg.MaxView)
+			}
+			for i := range us {
+				us[i] = proto.Unsubscription{Process: pid(), Stamp: now - uint64(gen.Intn(int(now)+1))}
+			}
+			for i := range ps {
+				ps[i] = pid()
+			}
+			op, arg = fmt.Sprintf("Receive@%d", now), [2]any{us, ps}
+			m.Receive(us, ps, now)
+			o.ApplyUnsubs(us, now)
+			o.ApplySubs(ps)
 		default:
 			ps := make([]proto.ProcessID, gen.Intn(cfg.MaxSubs+2))
 			for i := range ps {

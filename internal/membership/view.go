@@ -33,13 +33,14 @@ type Entry struct {
 }
 
 // View is a bounded, duplicate-free set of processes, a list of ids of 4
-// bytes each. It never contains its owner. Membership tests are linear scans
-// over the list: a view holds at most l plus one gossip's inflow (a few
-// dozen entries), where a packed scan beats a hash map — and the scan
-// structure never reallocates under the per-message add/evict churn the way
-// map metadata does, which is what keeps large simulations allocation-free
-// in steady state. Truncation needs no candidate lists: it counts the
-// evictable entries, draws once and walks to the victim.
+// bytes each. It never contains its owner, and it keeps no index: a list at
+// its high-water capacity never reallocates under the per-message add/evict
+// churn, which keeps large simulations allocation-free in steady state. Its
+// owner, Manager, answers the membership questions of gossip reception from
+// an index of view and subs it builds for each received gossip (pidIndex);
+// the exported Add, Remove, Weight and Bump scan the list. Truncation needs no
+// candidate lists: it counts the evictable entries, draws and walks to the
+// victim.
 //
 // Awareness weights live in a side list parallel to the ids, which exists
 // only where a weight can differ from 1: the Weighted policy makes it at
@@ -109,14 +110,6 @@ func (v *View) weight(i int) int {
 // indexOf returns p's position in the list, or -1.
 func (v *View) indexOf(p proto.ProcessID) int { return slices.Index(v.list, p) }
 
-// filter returns a filter holding every member.
-func (v *View) filter() (f buffer.PIDFilter) {
-	for _, p := range v.list {
-		f.Add(p)
-	}
-	return f
-}
-
 // push appends p, absent and not the owner, at weight 1.
 func (v *View) push(p proto.ProcessID) {
 	v.list = append(v.list, p)
@@ -137,9 +130,6 @@ func (v *View) Add(p proto.ProcessID) bool {
 	v.push(p)
 	return true
 }
-
-// Contains reports whether p is in the view.
-func (v *View) Contains(p proto.ProcessID) bool { return v.indexOf(p) >= 0 }
 
 // Remove deletes p, reporting whether it was present.
 func (v *View) Remove(p proto.ProcessID) bool {
@@ -239,7 +229,7 @@ func (v *View) removeAt(i int) proto.ProcessID {
 // Truncate* method again, and do not retain it.
 func (v *View) TruncateUniform(max int, keep []proto.ProcessID, r *rng.Source) []proto.ProcessID {
 	v.removed = v.removed[:0]
-	v.truncate(max, keep, false, len(v.list), r, nil, nil)
+	v.truncate(max, keep, false, r, nil, pidIndex{})
 	return v.removed
 }
 
@@ -250,7 +240,7 @@ func (v *View) TruncateUniform(max int, keep []proto.ProcessID, r *rng.Source) [
 // follows TruncateUniform's scratch-reuse contract.
 func (v *View) TruncateWeighted(max int, keep []proto.ProcessID, r *rng.Source) []proto.ProcessID {
 	v.removed = v.removed[:0]
-	v.truncate(max, keep, true, len(v.list), r, nil, nil)
+	v.truncate(max, keep, true, r, nil, pidIndex{})
 	return v.removed
 }
 
@@ -265,17 +255,17 @@ func (v *View) TruncateWeighted(max int, keep []proto.ProcessID, r *rng.Source) 
 // the list. Nothing here allocates: kept positions are marked in a bitset
 // retained on the View and follow the swap-removals by a bit move.
 //
-// An evictee goes straight into subs, the owner's forwarding buffer with its
-// filter inSubs (Fig. 1(a): it stays "eligible for being forwarded"); AddIn
-// draws nothing, so the draws are those of evicting first and buffering
-// after. The exported forms pass no subs and collect the evictees in the
-// slice they return, which only a view truncated that way ever grows.
+// A uniform draw's bound, the number of candidates, falls by one an eviction
+// whatever is evicted, so uniform draws are taken first, 32 at a time, and
+// the evictions follow (draws before moves); a weighted bound depends on the
+// weights the last eviction left, so weighted draws alternate with them.
 //
-// Entries at positions fresh and up are the caller's own appends, which it
-// has buffered in subs already: they are evicted like any other but not
-// buffered again (a one-word position mask tracks them through the swaps;
-// past position 63 an entry is simply handed on like an old one).
-func (v *View) truncate(max int, keep []proto.ProcessID, weighted bool, fresh int, r *rng.Source, subs *buffer.PIDList, inSubs *buffer.PIDFilter) {
+// An evictee goes straight into subs, the owner's forwarding buffer, unless
+// the index x shows it there (Fig. 1(a): it stays "eligible for being
+// forwarded"); that draws nothing. x is read, not updated: nothing reads it
+// after. The exported forms pass no subs and no index and collect the
+// evictees in the slice they return, which only they ever grow.
+func (v *View) truncate(max int, keep []proto.ProcessID, weighted bool, r *rng.Source, subs *buffer.PIDList, x pidIndex) {
 	if max < 0 {
 		max = 0
 	}
@@ -293,12 +283,10 @@ func (v *View) truncate(max int, keep []proto.ProcessID, weighted bool, fresh in
 			}
 		}
 	}
-	var freshBits uint64 // shifts past bit 63 yield 0: such positions read as old
-	for i := fresh; i < len(v.list) && i < 64; i++ {
-		freshBits |= 1 << uint(i)
-	}
+	var draws [32]int
 	for len(v.list) > max {
 		n, best := len(v.list)-kept, 0
+		k := min(n, len(v.list)-max, len(draws))
 		if weighted {
 			n = 0
 			for i := range v.list {
@@ -312,34 +300,34 @@ func (v *View) truncate(max int, keep []proto.ProcessID, weighted bool, fresh in
 					n++
 				}
 			}
+			k = min(n, 1)
 		}
-		if n == 0 {
+		if k == 0 {
 			break
 		}
-		victim := r.Intn(n)
-		if weighted || kept > 0 {
-			k := victim
-			for victim = 0; ; victim++ {
-				if kept > 0 && v.keepBits.Get(victim) || weighted && v.weight(victim) != best {
-					continue
-				}
-				if k--; k < 0 {
-					break
+		for j := range draws[:k] {
+			draws[j] = r.Intn(n - j)
+		}
+		for _, victim := range draws[:k] {
+			if weighted || kept > 0 {
+				c := victim
+				for victim = 0; ; victim++ {
+					if kept > 0 && v.keepBits.Get(victim) || weighted && v.weight(victim) != best {
+						continue
+					}
+					if c--; c < 0 {
+						break
+					}
 				}
 			}
-		}
-		last := len(v.list) - 1
-		if kept > 0 {
-			v.keepBits.Move(last, victim)
-		}
-		wasFresh := freshBits>>uint(victim)&1 != 0
-		freshBits = freshBits&^(1<<uint(victim)) | freshBits>>uint(last)&1<<uint(victim)
-		switch p := v.removeAt(victim); {
-		case wasFresh: // buffered by the caller already
-		case subs != nil:
-			subs.AddIn(p, inSubs)
-		default:
-			v.removed = append(v.removed, p)
+			if kept > 0 {
+				v.keepBits.Move(len(v.list)-1, victim)
+			}
+			if p := v.removeAt(victim); subs != nil {
+				subs.PushUnless(p, *x.slot(p)&inSubs != 0)
+			} else {
+				v.removed = append(v.removed, p)
+			}
 		}
 	}
 }

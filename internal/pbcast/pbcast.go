@@ -391,8 +391,7 @@ func (n *Node) HandleMessageAppend(m proto.Message, now uint64, out []proto.Mess
 func (n *Node) handleGossip(out []proto.Message, g *proto.Gossip, now uint64) []proto.Message {
 	n.stats.GossipsReceived++
 	if n.mem != nil {
-		n.mem.ApplyUnsubs(g.Unsubs, now)
-		n.mem.ApplySubs(g.Subs)
+		n.mem.Receive(g.Unsubs, g.Subs, now)
 	}
 	var missing []proto.EventID
 	for _, id := range g.Digest {

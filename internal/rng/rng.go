@@ -126,8 +126,8 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 
 // smallSampleK bounds the map-free Sample fast path: at most one swap
 // entry is recorded per draw, so a fixed array of smallSampleK pairs
-// suffices, and a one-word presence filter over the recorded keys lets a
-// lookup skip the array whenever the key's bit is clear.
+// suffices, and presence filters over the recorded keys (one word hashed,
+// one exact below 64) let a lookup skip the array whenever its bit is clear.
 const smallSampleK = 16
 
 // Sample returns k distinct indices drawn uniformly from [0, n) in random
@@ -176,14 +176,16 @@ func (s *Source) SampleAppend(dst []int, n, k int) []int {
 	if k <= smallSampleK {
 		// Map-free fast path: the swaps recorded so far sit in a stack
 		// array, and bit x&63 of present is set for every recorded key x,
-		// so a lookup scans the array only when its key's bit is set — for
-		// a k much smaller than n, almost never. A key found for j is
+		// so a lookup of j scans the array only when its key's bit is set —
+		// for a k much smaller than n, almost never. A lookup of i < k uses
+		// low, bit x of which is set for every recorded key x < 64: exact,
+		// so it scans only for a key that is there. A key found for j is
 		// rewritten in place.
 		var keys, vals [smallSampleK]int
-		var present uint64
+		var present, low uint64
 		used := 0
-		find := func(x int) int {
-			if present&(1<<(uint(x)&63)) != 0 {
+		find := func(x int, filter uint64) int {
+			if filter&(1<<(uint(x)&63)) != 0 {
 				for p := 0; p < used; p++ {
 					if keys[p] == x {
 						return p
@@ -195,11 +197,11 @@ func (s *Source) SampleAppend(dst []int, n, k int) []int {
 		for i := 0; i < k; i++ {
 			j := i + s.Intn(n-i)
 			vj, vi := j, i
-			pj := find(j)
+			pj := find(j, present)
 			if pj >= 0 {
 				vj = vals[pj]
 			}
-			if pi := find(i); pi >= 0 {
+			if pi := find(i, low); pi >= 0 {
 				vi = vals[pi]
 			}
 			out[i] = vj
@@ -207,6 +209,7 @@ func (s *Source) SampleAppend(dst []int, n, k int) []int {
 				pj = used
 				keys[pj] = j
 				present |= 1 << (uint(j) & 63)
+				low |= 1 << uint(j) // 0 for j >= 64
 				used++
 			}
 			vals[pj] = vi
