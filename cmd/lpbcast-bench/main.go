@@ -324,12 +324,16 @@ func benchWorkers() int {
 // not milliseconds).
 func executorSuite(quick, big bool) []benchCase {
 	n, warm := 2_000, 300
+	// The out-of-cache cell: at n = 25 000 the processes' state is tens of
+	// megabytes, far past any cache, where the n = 2 000 cells nearly fit.
+	bigN, bigWarm := 25_000, 60
 	infectionN := 10_000
 	if quick {
 		n, warm = 200, 60
+		bigN, bigWarm = 1_000, 20
 		infectionN = 500
 	}
-	steady := func(workers int, maxAllocs int64, async, delayed bool, clock sim.Clock) benchCase {
+	steady := func(n, warm, workers int, maxAllocs int64, async, delayed bool, clock sim.Clock) benchCase {
 		label := "workers=1"
 		if workers != 0 {
 			label = "workers=max"
@@ -389,26 +393,29 @@ func executorSuite(quick, big bool) []benchCase {
 		// The whole steady matrix — one shard and many alike — runs in
 		// emission-reuse mode over retained buffers, so every cell carries
 		// the absolute zero-alloc ceiling.
-		steady(0, 2, false, false, sim.ClockRounds),
-		steady(benchWorkers(), 2, false, false, sim.ClockRounds),
+		steady(n, warm, 0, 2, false, false, sim.ClockRounds),
+		steady(n, warm, benchWorkers(), 2, false, false, sim.ClockRounds),
+		// The same round out of cache, under the same ceiling: its handle
+		// phase walks each shard's receivers in memory order.
+		steady(bigN, bigWarm, benchWorkers(), 2, false, false, sim.ClockRounds),
 		// The async pair measures the wavefront period — ticks in one
 		// sequential walk per wave, each wave's deliveries handled on the
 		// shards — on one shard and on many, under the same zero-alloc
 		// ceiling as its synchronous sibling.
-		steady(0, 2, true, false, sim.ClockRounds),
-		steady(benchWorkers(), 2, true, false, sim.ClockRounds),
+		steady(n, warm, 0, 2, true, false, sim.ClockRounds),
+		steady(n, warm, benchWorkers(), 2, true, false, sim.ClockRounds),
 		// The delayed pair routes WAN traffic through the in-flight delay
 		// ring (two-cluster topology, 1-3 round WAN delay). Both flavors
 		// carry the absolute ceiling, so the ring can never silently start
 		// allocating in steady state.
-		steady(0, 2, false, true, sim.ClockRounds),
-		steady(benchWorkers(), 2, false, true, sim.ClockRounds),
+		steady(n, warm, 0, 2, false, true, sim.ClockRounds),
+		steady(n, warm, benchWorkers(), 2, false, true, sim.ClockRounds),
 		// The event pair runs the same steady state on millisecond virtual
 		// time: a millisecond uniform delay model lands arrivals at up to
 		// 100 instants inside each period, each its own barrier. Both flavors
 		// carry the absolute zero-alloc ceiling, matching the round clock.
-		steady(0, 2, false, false, sim.ClockEvent),
-		steady(benchWorkers(), 2, false, false, sim.ClockEvent),
+		steady(n, warm, 0, 2, false, false, sim.ClockEvent),
+		steady(n, warm, benchWorkers(), 2, false, false, sim.ClockEvent),
 		loadedCase(quick),
 		mergeCase("merge", "absent-heavy", 25_000),
 		mergeCase("merge", "present-heavy", 20),

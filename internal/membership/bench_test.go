@@ -81,3 +81,27 @@ func BenchmarkApplyUnsubs(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSeed times the join-time merge of l = 15 distinct ids, drawn
+// from 25 000 processes, into an empty view (emptied again between ops,
+// inside the timing). It seeds one manager, which stays in cache; a
+// cluster's build seeds each of n managers once, out of cache.
+func BenchmarkSeed(b *testing.B) {
+	gen := rng.New(7)
+	m, err := NewManager(1, DefaultConfig(), gen.Split())
+	if err != nil {
+		b.Fatal(err)
+	}
+	views := make([][]proto.ProcessID, 64)
+	for i := range views {
+		for _, k := range gen.Sample(25_000, m.cfg.MaxView) {
+			views[i] = append(views[i], proto.ProcessID(2+k)) // neither nil nor the owner
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.view.list = m.view.list[:0]
+		m.Seed(views[i%len(views)])
+	}
+}

@@ -49,8 +49,9 @@ import (
 //     processes in. The handling-order contract (docs/ARCHITECTURE.md)
 //     fixes only one process's order, queue order; across processes within
 //     a hop it is unspecified, and handleShard visits a shard's inbox
-//     grouped by destination so that an engine's several gossips of one
-//     hop are handled back to back.
+//     grouped by destination, in ascending process index, so that an
+//     engine's several gossips of one hop are handled back to back and the
+//     shard's engines are visited in the order their state was laid out.
 //
 // Delivery recording is a commutative set-union (see recorder), so the
 // only shared mutable state touched concurrently is behind its lock.
@@ -290,24 +291,33 @@ func (e *shardedExecutor) emitTicks() {
 // destGroups is one shard's scratch for grouping a hop's inbox by
 // destination. Everything in it is grown on first use and retained, and
 // count is all zeros between hops — each hop clears exactly the entries it
-// touched — so a barrier costs O(len(inbox)) whatever the shard's size.
+// touched — so a hop of m messages to k processes costs O(m + k log k),
+// whatever the shard's size.
 type destGroups struct {
 	count  []int32    // per process of the shard: its messages this hop, then its group's next free place
-	firsts []int32    // the processes addressed this hop, in first-touch order
+	dests  []int32    // the processes addressed this hop, ascending
 	order  []int32    // inbox indices in handling order
 	spanAt []int32    // inbox index -> 1 + index of the span it produced
 	sorted []respSpan // the spans back in queue order; swapped with the shard's span list
 }
 
 // byDestination returns shard s's inbox indices in handling order: grouped
-// by destination process, groups in order of their first message, each
-// group in queue order. It is a counting scatter, two passes over the inbox
-// and none over the shard. A hop whose destinations are all distinct — the
-// usual arrival instant of the event clock — is handled as it is queued,
-// and the result is nil.
+// by destination process, groups in ascending process index, each group in
+// queue order. A shard's engine slots (pool.Slab chunks) and their views'
+// and subs' lists (the shard's arena) were built in process index order
+// (buildEngines), so this walks the receivers' state in memory order, which
+// the hardware prefetcher follows; at scale that state is far larger than
+// the cache. It is a counting scatter, two passes over the inbox and a sort
+// of the addressed processes, none over the shard. A hop already in that
+// order — destinations distinct and ascending, like most arrival instants
+// of the event clock — is handled as it is queued, and the result is nil.
 func (e *shardedExecutor) byDestination(s int) []int32 {
 	inbox := e.inboxes[s]
-	if len(inbox) < 2 {
+	inOrder := true
+	for j := 1; j < len(inbox) && inOrder; j++ {
+		inOrder = inbox[j-1].di < inbox[j].di
+	}
+	if inOrder {
 		return nil
 	}
 	g := &e.groups[s]
@@ -315,38 +325,37 @@ func (e *shardedExecutor) byDestination(s int) []int32 {
 		g.count = append(g.count, make([]int32, n-len(g.count))...)
 	}
 	lo := int32(e.lo[s])
-	firsts := g.firsts[:0]
+	dests := g.dests[:0]
 	for _, r := range inbox {
 		if g.count[r.di-lo] == 0 {
-			firsts = append(firsts, r.di-lo)
+			dests = append(dests, r.di-lo)
 		}
 		g.count[r.di-lo]++
 	}
-	g.firsts = firsts
-	var order []int32
-	if len(firsts) < len(inbox) {
-		next := int32(0)
-		for _, k := range firsts {
-			next, g.count[k] = next+g.count[k], next
-		}
-		order = slices.Grow(g.order[:0], len(inbox))[:len(inbox)]
-		for j, r := range inbox {
-			order[g.count[r.di-lo]] = int32(j)
-			g.count[r.di-lo]++
-		}
-		g.order = order
+	slices.Sort(dests)
+	g.dests = dests
+	next := int32(0)
+	for _, k := range dests {
+		next, g.count[k] = next+g.count[k], next
 	}
-	for _, k := range firsts {
+	order := slices.Grow(g.order[:0], len(inbox))[:len(inbox)]
+	for j, r := range inbox {
+		order[g.count[r.di-lo]] = int32(j)
+		g.count[r.di-lo]++
+	}
+	g.order = order
+	for _, k := range dests {
 		g.count[k] = 0
 	}
 	return order
 }
 
 // handleShard processes shard s's surviving messages, recording response
-// spans. The messages are handled grouped by destination (byDestination):
-// an engine that receives several gossips in one hop — F(1-ε) of them on
-// average — meets the second and third with its view, buffers and digest
-// still in cache. That is within the handling-order contract
+// spans. The messages are handled grouped by destination, processes in
+// ascending index (byDestination): an engine that receives several gossips
+// in one hop — F(1-ε) of them on average — meets the second and third with
+// its view, buffers and digest still in cache, and the next engine's state
+// lies just after its own. That is within the handling-order contract
 // (docs/ARCHITECTURE.md): one process's messages keep their queue order,
 // and processes do not observe each other within a hop. The spans, which
 // come out in handling order, go back into queue order before
