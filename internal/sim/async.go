@@ -167,44 +167,51 @@ func (e *shardedExecutor) runAsyncPeriod() {
 func (e *shardedExecutor) tick(i int) {
 	c := e.c
 	emit := c.procs[i].TickAppend(c.now, e.tickBufs[0][:0])
-	for _, m := range emit {
-		if e.asyncRoute(len(e.queue), m) {
-			e.queue = append(e.queue, m)
+	for k := range emit {
+		if e.asyncRoute(len(e.queue), &emit[k]) {
+			e.queue = append(e.queue, emit[k])
 		}
 	}
 	e.tickBufs[0] = emit
 }
 
-// asyncRoute runs m, the message at (or bound for) queue position pos,
+// asyncRoute runs m, the message at (or bound for) position pos,
 // through the network model and its sender's counters
 // (netmodel.Model.Classify) and reports whether it survived; a survivor is
 // binned into the destination shard's inbox (asyncBin). Calls happen in
 // deterministic walk/merge order, so the shared loss stream's draw order is
 // schedule-defined, exactly like the synchronous round's sequential filter
 // phase.
-func (e *shardedExecutor) asyncRoute(pos int, m proto.Message) bool {
+func (e *shardedExecutor) asyncRoute(pos int, m *proto.Message) bool {
 	c := e.c
 	di, known, alive := c.verdict(m.To)
-	if !c.network.Classify(&m, c.now, c.nowMs, known, alive, c.ledger(m.From)) {
+	if !c.network.Classify(m, c.now, c.nowMs, known, alive, c.ledger(m.From)) {
 		return false
 	}
-	e.asyncBin(pos, di)
+	e.asyncBin(pos, di, m)
 	return true
 }
 
-// asyncBin queues the delivery at queue position pos for the shard of its
+// asyncBin queues m, the delivery at position pos, for the shard of its
 // destination di, behind what the shard's inbox already holds: an inbox is
 // in queue order, which is what lets handleShard group it by destination
 // and still hand each process its messages, and mergeResponses the spans,
-// in that order. In an async period it also stamps di with the current
-// wave, which ends the wave's walk at di's position if the walk has not
-// passed it.
-func (e *shardedExecutor) asyncBin(pos, di int) {
+// in that order. Every survivor passes here, routed now or landed from the
+// delay ring, and the entry carries m's gossip when m is canonical (see
+// routed). In an async period it also stamps di with the current wave,
+// which ends the wave's walk at di's position if the walk has not passed
+// it.
+func (e *shardedExecutor) asyncBin(pos, di int, m *proto.Message) {
 	if e.aHit != nil {
 		e.aHit[di] = e.waves
 	}
+	r := routed{pos: int32(pos), di: int32(di)}
+	if g := m.Gossip; m.Kind == proto.GossipMsg && g != nil && m.From == g.From && m.To == e.c.ids[di] &&
+		m.Subscriber == 0 && m.Request == nil && m.Reply == nil && m.ReplyHops == nil {
+		r.g = g
+	}
 	s := e.shardOf[di]
-	e.inboxes[s] = append(e.inboxes[s], routed{pos: int32(pos), di: int32(di)})
+	e.inboxes[s] = append(e.inboxes[s], r)
 }
 
 // asyncBarrier handles the wave's surviving deliveries — each shard
@@ -215,11 +222,11 @@ func (e *shardedExecutor) asyncBin(pos, di int) {
 // sequentially (consuming loss draws in merge order), and handled in turn.
 // Responses still raw when the cap hits are counted as truncated in their
 // senders' ledgers. The synchronous round's boundary and every
-// arrival instant run this same barrier; nothing queued is no barrier.
+// arrival instant run this same barrier; nothing binned is no barrier.
 func (e *shardedExecutor) asyncBarrier() {
 	c := e.c
-	if len(e.queue) == 0 {
-		return
+	if !slices.ContainsFunc(e.inboxes, func(in []routed) bool { return len(in) > 0 }) {
+		return // nothing was binned
 	}
 	for hop := 0; ; hop++ {
 		e.parallel(e.handleFn)
@@ -236,7 +243,7 @@ func (e *shardedExecutor) asyncBarrier() {
 		e.queue, e.next = e.next, e.queue
 		e.clearInboxes()
 		for pos := range e.queue {
-			e.asyncRoute(pos, e.queue[pos])
+			e.asyncRoute(pos, &e.queue[pos])
 		}
 	}
 }

@@ -32,9 +32,11 @@ import (
 //  1. Tick phase — every alive process emits its periodic gossip. Each
 //     engine draws only from its own split RNG and touches only its own
 //     state, so ticks of distinct processes commute. Shards are contiguous
-//     index ranges and each shard appends into its own outbox in index
-//     order; concatenating the outboxes in shard order yields the queue a
-//     single walk over all processes builds.
+//     index ranges and each shard appends in index order — shard 0 onto
+//     the hop queue, the others into their own outboxes — so the queue and
+//     then the outboxes, in shard order, hold the hop a single walk over
+//     all processes emits. The filter routes the outboxes where they are,
+//     positions running on past the queue; nothing is concatenated.
 //  2. Barrier — the network applies crash filtering and Bernoulli loss,
 //     then receivers handle their messages, and same-instant responses are
 //     chased hop by hop (asyncBarrier, shared with the wavefront). The loss
@@ -43,10 +45,12 @@ import (
 //     cheap). Handling, the expensive part, is fanned out: survivors are
 //     binned per destination shard preserving queue order, each worker
 //     handles only its own processes' messages (per-engine state again),
-//     and every response span is tagged with the triggering message's queue
+//     and every response span is tagged with the triggering message's
 //     position so the next hop's queue is reassembled in trigger order
 //     whatever the shard count — and whatever order the shard handled its
-//     processes in. The handling-order contract (docs/ARCHITECTURE.md)
+//     processes in. A gossip in its canonical form travels in its inbox
+//     entry (routed), so the handle walk reads nothing in the sender's
+//     order for it. The handling-order contract (docs/ARCHITECTURE.md)
 //     fixes only one process's order, queue order; across processes within
 //     a hop it is unspecified, and handleShard visits a shard's inbox
 //     grouped by destination, in ascending process index, so that an
@@ -71,8 +75,9 @@ import (
 // keeps G generations, and RunRound rotates the arenas last — after
 // poisonRecycled and the network's EndPeriod — taking back the generation
 // of G periods ago; an arena keeps what its G busiest periods needed. All
-// executor buffers (outboxes, inboxes, response spans, the
-// hop queues, the arenas) are retained across rounds, phase closures are
+// executor buffers (the outboxes of shards 1..W-1, the inboxes and their
+// grouping scratch, the response buffers and spans, the two hop queues,
+// the arenas) are retained across rounds, phase closures are
 // built once, and the workers are persistent goroutines signalled over
 // channels, so a steady-state round performs no allocation at all (see
 // TestExecutorRoundAllocs). PoisonRecycled overwrites the recycled message
@@ -89,18 +94,22 @@ func effectiveWorkers(workers, n int) int {
 	return max(1, min(workers, n))
 }
 
-// routed is a queue message that survived filtering, bound for the process
-// at index di. pos is its position in the hop's message queue, which orders
-// response merging across shards. Both fit 32 bits with room to spare: a
-// hop's queue is at most a few messages per process.
+// routed is a hop's message that survived filtering, bound for the process
+// at index di. pos is its position in the hop, which orders response
+// merging across shards; both fit 32 bits, a hop being a few messages per
+// process. g is set when the message is exactly the canonical gossip
+// Message{Kind: GossipMsg, From: g.From, To: ids[di], Gossip: g}, as every
+// gossip an engine emits is: handleShard rebuilds it from the entry rather
+// than read its slot, which lies in the sender's order.
 type routed struct {
 	pos, di int32
+	g       *proto.Gossip
 }
 
-// respSpan records that handling the message at queue position pos
-// appended responses [start, end) to its shard's response buffer.
+// respSpan records that handling the message at position pos appended
+// responses [start, end) to its shard's response buffer.
 type respSpan struct {
-	pos, start, end int
+	pos, start, end int32
 }
 
 // workerPool owns the executor's persistent worker channels — none when
@@ -155,7 +164,7 @@ type shardedExecutor struct {
 	lo, hi  []int // shard s owns process indices [lo[s], hi[s])
 	shardOf []int // process index -> shard
 
-	tickBufs [][]proto.Message // per-shard tick outboxes (shard 0's: the async tick's; see tickShard)
+	tickBufs [][]proto.Message // per-shard tick outboxes, routed in place (shard 0's: the async tick's; see tickShard)
 	inboxes  [][]routed        // per-shard surviving messages, queue order
 	groups   []destGroups      // per-shard scratch of handleShard's grouping
 	resps    [][]proto.Message // per-shard response buffers
@@ -256,9 +265,10 @@ func (e *shardedExecutor) parallel(fn func(s int)) {
 }
 
 // tickShard emits shard s's gossips in process index order. Shard 0 is
-// first in merge order, so it appends straight onto the hop queue, behind
-// whatever arrivals are already there, and a one-shard round never copies
-// its emissions; the other shards touch only their own outboxes meanwhile.
+// first in shard order, so it appends straight onto the hop queue, behind
+// whatever arrivals are already there, and one shard keeps no outbox beside
+// its two hop queues (one would cost a loaded round of 1 000 about 114 B a
+// process); runRound routes the other shards' outboxes where they are.
 func (e *shardedExecutor) tickShard(s int) {
 	c := e.c
 	buf := e.tickBufs[s][:0]
@@ -278,14 +288,22 @@ func (e *shardedExecutor) tickShard(s int) {
 	}
 }
 
-// emitTicks runs the tick phase and leaves every alive process's gossip on
-// the hop queue in process index order (shard order), behind what the
-// queue already holds.
-func (e *shardedExecutor) emitTicks() {
-	e.parallel(e.tickFn)
-	for s := 0; s < e.workers; s++ {
-		e.queue = append(e.queue, e.tickBufs[s]...)
+// slot is the message at position pos of a barrier's hop. The queue holds
+// a hop's first positions; on the synchronous boundary (runRound) the
+// outboxes of shards 1..W-1, in shard order, hold the positions past it.
+// Every later hop lies wholly in the queue.
+func (e *shardedExecutor) slot(pos int) *proto.Message {
+	if pos < len(e.queue) {
+		return &e.queue[pos]
 	}
+	pos -= len(e.queue)
+	for _, out := range e.tickBufs[1:] {
+		if pos < len(out) {
+			return &out[pos]
+		}
+		pos -= len(out)
+	}
+	panic("sim: a routed position past the hop")
 }
 
 // destGroups is one shard's scratch for grouping a hop's inbox by
@@ -357,9 +375,10 @@ func (e *shardedExecutor) byDestination(s int) []int32 {
 // its view, buffers and digest still in cache, and the next engine's state
 // lies just after its own. That is within the handling-order contract
 // (docs/ARCHITECTURE.md): one process's messages keep their queue order,
-// and processes do not observe each other within a hop. The spans, which
-// come out in handling order, go back into queue order before
-// mergeResponses reads them.
+// and processes do not observe each other within a hop. A gossip is handed
+// over as it was binned, from its inbox entry; anything else is read from
+// its slot. The spans, which come out in handling order, go back into
+// queue order before mergeResponses reads them.
 func (e *shardedExecutor) handleShard(s int) {
 	c := e.c
 	inbox := e.inboxes[s]
@@ -372,10 +391,14 @@ func (e *shardedExecutor) handleShard(s int) {
 		}
 		r := inbox[j]
 		start := len(resp)
-		resp = c.procs[r.di].HandleMessageAppend(e.queue[r.pos], c.now, resp)
+		if r.g != nil {
+			resp = c.procs[r.di].HandleMessageAppend(proto.Message{Kind: proto.GossipMsg, From: r.g.From, To: c.ids[r.di], Gossip: r.g}, c.now, resp)
+		} else {
+			resp = c.procs[r.di].HandleMessageAppend(*e.slot(int(r.pos)), c.now, resp)
+		}
 		if len(resp) > start {
 			// pos holds the inbox index until the spans are back in order.
-			spans = append(spans, respSpan{pos: j, start: start, end: len(resp)})
+			spans = append(spans, respSpan{pos: int32(j), start: int32(start), end: int32(len(resp))})
 		}
 	}
 	e.resps[s] = resp
@@ -398,7 +421,7 @@ func (e *shardedExecutor) handleShard(s int) {
 		spans, g.sorted = sorted, spans
 	}
 	for k := range spans {
-		spans[k].pos = int(inbox[spans[k].pos].pos)
+		spans[k].pos = inbox[spans[k].pos].pos
 	}
 	e.spans[s] = spans
 }
@@ -414,10 +437,16 @@ func (e *shardedExecutor) runRound() {
 	// enqueue order, with their arrival accounting applied), then the ticks
 	// in process index order, filtered in queue order; one chase for both.
 	e.land(pEnd)
-	pre := len(e.queue)
-	e.emitTicks()
-	for pos := pre; pos < len(e.queue); pos++ {
-		e.asyncRoute(pos, e.queue[pos])
+	pos := len(e.queue)
+	e.parallel(e.tickFn)
+	for ; pos < len(e.queue); pos++ {
+		e.asyncRoute(pos, &e.queue[pos])
+	}
+	for _, out := range e.tickBufs[1:] {
+		for k := range out {
+			e.asyncRoute(pos, &out[k])
+			pos++
+		}
 	}
 	e.asyncBarrier()
 }
@@ -432,7 +461,7 @@ func (e *shardedExecutor) land(at uint64) {
 	e.clearInboxes()
 	e.queue, c.arrivalDests = c.settleArrivals(at, e.queue[:0], c.arrivalDests[:0])
 	for pos, di := range c.arrivalDests {
-		e.asyncBin(pos, di)
+		e.asyncBin(pos, di, &e.queue[pos])
 	}
 }
 

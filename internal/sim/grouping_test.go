@@ -26,12 +26,15 @@ func (p *handleProbe) TickAppend(_ uint64, out []proto.Message) []proto.Message 
 
 func (p *handleProbe) HandleMessageAppend(m proto.Message, _ uint64, out []proto.Message) []proto.Message {
 	tag := int(m.Subscriber)
+	if m.Gossip != nil { // a canonical gossip carries its tag in its header
+		tag = int(m.Gossip.Subs[0])
+	}
 	p.got = append(p.got, tag)
 	*p.shard = append(*p.shard, p.di)
 	if !answered(tag) {
 		return out
 	}
-	reply := proto.Message{From: p.id, Subscriber: m.Subscriber}
+	reply := proto.Message{From: p.id, Subscriber: proto.ProcessID(tag)}
 	return append(out, reply, reply)
 }
 
@@ -55,7 +58,9 @@ type groupingHop struct {
 // other is. All hops of one worker count run on one executor, back to back,
 // so whatever one barrier leaves in the scratch meets the next. The second
 // cluster's shards are more than 64 processes wide, and its hops address
-// processes at 64-bit word edges of a shard.
+// processes at 64-bit word edges of a shard. Every hop runs in three forms:
+// its messages read from their queue slots, canonical gossips handed over
+// from their inbox entries (routed.g), and the two alternating.
 //
 // Mutations this test was seen to catch: the groups left in first-touch
 // order; the spans left in handling order; a group filled back to front (one
@@ -137,7 +142,8 @@ func checkGrouping(t *testing.T, n, workers int, hops []groupingHop) {
 		probes[i] = &handleProbe{id: c.ids[i], di: i, shard: &shardLogs[e.shardOf[i]]}
 		c.procs[i] = probes[i]
 	}
-	for _, hop := range hops {
+	for k := range 3 * len(hops) {
+		hop, form := hops[k%len(hops)], k/len(hops) // 0: slots, 1: gossips, 2: both
 		for _, p := range probes {
 			p.got = p.got[:0]
 		}
@@ -151,11 +157,18 @@ func checkGrouping(t *testing.T, n, workers int, hops []groupingHop) {
 		want := make([][]int, n)             // per destination: tags in queue order
 		var wantNext []int                   // tags answered, in queue order, twice each
 		shardDests := make([][]int, workers) // per shard: destinations in queue order
+		fromEntry := 0                       // canonical gossips binned
 		for _, di := range hop.dests {
 			e.queue = append(e.queue, proto.Message{Subscriber: proto.ProcessID(1 << 20)})
 			tag := len(e.queue)
-			e.queue = append(e.queue, proto.Message{To: c.ids[di], Subscriber: proto.ProcessID(tag)})
-			e.asyncBin(tag, di)
+			m := proto.Message{To: c.ids[di], Subscriber: proto.ProcessID(tag)}
+			if form == 1 || form == 2 && tag%4 == 1 {
+				g := &proto.Gossip{From: c.ids[0], Subs: []proto.ProcessID{proto.ProcessID(tag)}}
+				m = proto.Message{Kind: proto.GossipMsg, From: g.From, To: c.ids[di], Gossip: g}
+				fromEntry++
+			}
+			e.queue = append(e.queue, m)
+			e.asyncBin(tag, di, &e.queue[tag])
 			want[di] = append(want[di], tag)
 			if answered(tag) {
 				wantNext = append(wantNext, tag, tag)
@@ -163,20 +176,31 @@ func checkGrouping(t *testing.T, n, workers int, hops []groupingHop) {
 			s := e.shardOf[di]
 			shardDests[s] = append(shardDests[s], di)
 		}
+		held := 0
+		for _, inbox := range e.inboxes {
+			for _, r := range inbox {
+				if r.g != nil {
+					held++
+				}
+			}
+		}
+		if held != fromEntry {
+			t.Fatalf("%s (form %d): %d inbox entries carry their gossip, want %d", hop.name, form, held, fromEntry)
+		}
 		e.parallel(e.handleFn)
 		e.mergeResponses()
 
 		for di, p := range probes {
 			if !slices.Equal(p.got, want[di]) {
-				t.Fatalf("%s: process %d handled %v, queue order is %v", hop.name, di, p.got, want[di])
+				t.Fatalf("%s (form %d): process %d handled %v, queue order is %v", hop.name, form, di, p.got, want[di])
 			}
 		}
 		for s, log := range shardLogs {
 			if !slices.IsSorted(log) {
-				t.Fatalf("%s: shard %d handled its processes out of index order: %v", hop.name, s, log)
+				t.Fatalf("%s (form %d): shard %d handled its processes out of index order: %v", hop.name, form, s, log)
 			}
-			if !slices.IsSortedFunc(e.spans[s], func(a, b respSpan) int { return a.pos - b.pos }) {
-				t.Fatalf("%s: shard %d spans not ascending by pos: %v", hop.name, s, e.spans[s])
+			if !slices.IsSortedFunc(e.spans[s], func(a, b respSpan) int { return int(a.pos - b.pos) }) {
+				t.Fatalf("%s (form %d): shard %d spans not ascending by pos: %v", hop.name, form, s, e.spans[s])
 			}
 			// The inbox is still binned: ask again which path the hop took.
 			asQueued := true // destinations distinct and ascending
@@ -184,7 +208,7 @@ func checkGrouping(t *testing.T, n, workers int, hops []groupingHop) {
 				asQueued = asQueued && shardDests[s][k-1] < shardDests[s][k]
 			}
 			if got := e.byDestination(s) == nil; got != asQueued {
-				t.Fatalf("%s: shard %d destinations %v: handled as queued %v, want %v", hop.name, s, shardDests[s], got, asQueued)
+				t.Fatalf("%s (form %d): shard %d destinations %v: handled as queued %v, want %v", hop.name, form, s, shardDests[s], got, asQueued)
 			}
 		}
 		var next []int
@@ -192,11 +216,11 @@ func checkGrouping(t *testing.T, n, workers int, hops []groupingHop) {
 			next = append(next, int(m.Subscriber))
 		}
 		if !slices.Equal(next, wantNext) {
-			t.Fatalf("%s: next hop %v, trigger order is %v", hop.name, next, wantNext)
+			t.Fatalf("%s (form %d): next hop %v, trigger order is %v", hop.name, form, next, wantNext)
 		}
 		for s := range e.groups {
 			if i := slices.IndexFunc(e.groups[s].count, func(v int32) bool { return v != 0 }); i >= 0 {
-				t.Fatalf("%s: shard %d leaves count[%d] = %d behind", hop.name, s, i, e.groups[s].count[i])
+				t.Fatalf("%s (form %d): shard %d leaves count[%d] = %d behind", hop.name, form, s, i, e.groups[s].count[i])
 			}
 		}
 	}

@@ -428,7 +428,7 @@ func (c *Cluster) Route(m proto.Message) {
 	e := c.exec
 	e.clearInboxes()
 	e.queue = append(e.queue[:0], m)
-	e.asyncRoute(0, m)
+	e.asyncRoute(0, &e.queue[0])
 	e.asyncBarrier()
 }
 
