@@ -369,8 +369,8 @@ func mixViews(b *testing.B, policy membership.Policy, rounds int) float64 {
 		}
 	}
 	g := membership.Graph{}
-	for _, m := range managers {
-		g[m.Self()] = m.View()
+	for i, m := range managers {
+		g[proto.ProcessID(i+1)] = m.View()
 	}
 	_, stddev, _, _ := g.InDegreeStats()
 	if g.Partitioned() {

@@ -1,6 +1,5 @@
-// Package analysis implements the paper's stochastic evaluation (§4 and
-// Appendix A): the infection Markov chain of equations 1–3, the
-// expected-value recursion of Appendix A, and the partitioning
+// Package analysis implements the paper's stochastic evaluation (§4): the
+// infection Markov chain of equations 1–3 and the partitioning
 // probabilities of equations 4–5. Combinatorial terms are computed in log
 // space (math.Lgamma) so the vanishing probabilities of Fig. 4 (~1e-14)
 // and the huge round counts of eq. 5 (~1e12) do not underflow.
@@ -82,9 +81,6 @@ func NewChain(params Params) (*Chain, error) {
 	}
 	return c, nil
 }
-
-// Params returns the chain's parameters.
-func (c *Chain) Params() Params { return c.params }
 
 // lnFactTable precomputes ln k! for k in [0, n].
 func lnFactTable(n int) []float64 {
@@ -183,23 +179,6 @@ func (c *Chain) ExpectedInfected(rounds int) []float64 {
 	return out
 }
 
-// ExpectedInfectedApprox returns the Appendix A approximation: the
-// recursion E(j(i)) = n - (n-i) q^i applied t times, rounding at each step
-// as the appendix prescribes.
-func (c *Chain) ExpectedInfectedApprox(rounds int) []float64 {
-	n := float64(c.params.N)
-	q := 1 - c.params.InfectProb()
-	out := make([]float64, rounds+1)
-	cur := 1.0
-	out[0] = cur
-	for r := 1; r <= rounds; r++ {
-		cur = n - (n-cur)*math.Pow(q, cur)
-		cur = math.Round(cur)
-		out[r] = cur
-	}
-	return out
-}
-
 // RoundsToInfect returns the (fractionally interpolated) number of rounds
 // until the expected number of infected processes reaches frac*n — the
 // y axis of Fig. 3(b) with frac = 0.99. maxRounds bounds the search; if
@@ -245,23 +224,6 @@ func PartitionProbability(i, n, l int) float64 {
 	return math.Exp(lnPsi)
 }
 
-// PartitionProbabilityLoose is the looser variant of equation 4 obtained
-// by letting each view be drawn from the whole subset rather than the
-// subset minus the owner (C(i,l) and C(n-i,l) in place of C(i-1,l) and
-// C(n-i-1,l)). The printed equation yields Ψ(4,50,3) ≈ 1.2e-17, while the
-// paper's Figure 4 peaks near 3e-14 — which this variant reproduces
-// (≈7e-14). Both bounds share the exact same shape: monotonically
-// decreasing in n and l, and vanishing with growing partition size.
-func PartitionProbabilityLoose(i, n, l int) float64 {
-	if i < l+1 || i > n || n-i < l {
-		return 0
-	}
-	lnPsi := lnChooseFloat(n, i) +
-		float64(i)*(lnChooseFloat(i, l)-lnChooseFloat(n-1, l)) +
-		float64(n-i)*(lnChooseFloat(n-i, l)-lnChooseFloat(n-1, l))
-	return math.Exp(lnPsi)
-}
-
 // PartitionSum returns Σ_{i=l+1}^{n/2} Ψ(i, n, l) — the per-round
 // partition probability used by equation 5.
 func PartitionSum(n, l int) float64 {
@@ -292,19 +254,4 @@ func RoundsToPartition(n, l int, prob float64) float64 {
 		return math.Inf(1)
 	}
 	return prob / sum
-}
-
-// MessageOverhead estimates the total number of gossip messages the whole
-// system sends while a broadcast reaches frac of n processes: n·F messages
-// per round times the expected number of rounds. The redundancy ratio
-// against the theoretical minimum of n-1 point-to-point messages is the
-// price gossip pays for decentralized fault-tolerance (§2.2, [19]).
-func (c *Chain) MessageOverhead(frac float64, maxRounds int) (messages float64, ratio float64, ok bool) {
-	rounds, ok := c.RoundsToInfect(frac, maxRounds)
-	if !ok {
-		return 0, 0, false
-	}
-	messages = float64(c.params.N) * float64(c.params.Fanout) * rounds
-	ratio = messages / float64(c.params.N-1)
-	return messages, ratio, true
 }

@@ -169,7 +169,7 @@ func TestAppendixARecursionTracksChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	exact := chain.ExpectedInfected(10)
-	approx := chain.ExpectedInfectedApprox(10)
+	approx := expectedInfectedApprox(chain, 10)
 	for r := range exact {
 		diff := math.Abs(exact[r] - approx[r])
 		if diff > 0.15*125 {
@@ -272,7 +272,7 @@ func TestPartitionProbabilityMagnitude(t *testing.T) {
 	}
 	// The loose variant reproduces the paper's Figure 4 magnitude (~3e-14
 	// at the peak; the variant computes ≈7e-14).
-	pl := PartitionProbabilityLoose(4, 50, 3)
+	pl := partitionProbabilityLoose(4, 50, 3)
 	if pl < 1e-15 || pl > 1e-12 {
 		t.Errorf("loose Ψ(4,50,3) = %v, want ~1e-13..1e-14", pl)
 	}
@@ -285,13 +285,13 @@ func TestPartitionProbabilityLooseShape(t *testing.T) {
 	t.Parallel()
 	// Same monotonicity as the printed bound.
 	for i := 5; i <= 20; i++ {
-		p50 := PartitionProbabilityLoose(i, 50, 3)
-		p125 := PartitionProbabilityLoose(i, 125, 3)
+		p50 := partitionProbabilityLoose(i, 50, 3)
+		p125 := partitionProbabilityLoose(i, 125, 3)
 		if p50 < p125 {
 			t.Errorf("i=%d: loose Ψ not decreasing in n", i)
 		}
 	}
-	if PartitionProbabilityLoose(3, 50, 3) != 0 {
+	if partitionProbabilityLoose(3, 50, 3) != 0 {
 		t.Error("loose Ψ(i≤l) != 0")
 	}
 }
@@ -451,7 +451,7 @@ func TestMessageOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msgs, ratio, ok := chain.MessageOverhead(0.99, 30)
+	msgs, ratio, ok := messageOverhead(chain, 0.99, 30)
 	if !ok {
 		t.Fatal("overhead not computable")
 	}
@@ -466,7 +466,53 @@ func TestMessageOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := dead.MessageOverhead(0.99, 5); ok {
+	if _, _, ok := messageOverhead(dead, 0.99, 5); ok {
 		t.Error("dead network produced an overhead figure")
 	}
+}
+
+// expectedInfectedApprox is the Appendix A approximation the chain is held
+// to: the recursion E(j(i)) = n - (n-i) q^i applied t times, rounding at
+// each step as the appendix prescribes.
+func expectedInfectedApprox(c *Chain, rounds int) []float64 {
+	n := float64(c.params.N)
+	q := 1 - c.params.InfectProb()
+	out := make([]float64, rounds+1)
+	cur := 1.0
+	out[0] = cur
+	for r := 1; r <= rounds; r++ {
+		cur = n - (n-cur)*math.Pow(q, cur)
+		cur = math.Round(cur)
+		out[r] = cur
+	}
+	return out
+}
+
+// partitionProbabilityLoose is the looser variant of equation 4 obtained
+// by letting each view be drawn from the whole subset rather than the
+// subset minus the owner (C(i,l) and C(n-i,l) in place of C(i-1,l) and
+// C(n-i-1,l)). The printed equation yields Ψ(4,50,3) ≈ 1.2e-17, while the
+// paper's Figure 4 peaks near 3e-14, which this variant reproduces
+// (≈7e-14). Both bounds share the same shape.
+func partitionProbabilityLoose(i, n, l int) float64 {
+	if i < l+1 || i > n || n-i < l {
+		return 0
+	}
+	lnPsi := lnChooseFloat(n, i) +
+		float64(i)*(lnChooseFloat(i, l)-lnChooseFloat(n-1, l)) +
+		float64(n-i)*(lnChooseFloat(n-i, l)-lnChooseFloat(n-1, l))
+	return math.Exp(lnPsi)
+}
+
+// messageOverhead estimates the gossip messages the whole system sends
+// while a broadcast reaches frac of n processes: n·F messages a round times
+// the expected rounds, and their ratio to the n-1 point-to-point minimum
+// (§2.2, [19]).
+func messageOverhead(c *Chain, frac float64, maxRounds int) (messages float64, ratio float64, ok bool) {
+	rounds, ok := c.RoundsToInfect(frac, maxRounds)
+	if !ok {
+		return 0, 0, false
+	}
+	messages = float64(c.params.N) * float64(c.params.Fanout) * rounds
+	return messages, messages / float64(c.params.N-1), true
 }

@@ -24,10 +24,10 @@ func newPIDKeyed() *KeyedList[proto.ProcessID, proto.ProcessID] {
 func TestKeyedListAddContains(t *testing.T) {
 	t.Parallel()
 	l := newPIDKeyed()
-	if !l.Add(1) {
+	if !l.AddBounded(1, 0) {
 		t.Fatal("first Add returned false")
 	}
-	if l.Add(1) {
+	if l.AddBounded(1, 0) {
 		t.Fatal("duplicate Add returned true")
 	}
 	if !l.Contains(1) || l.Contains(2) {
@@ -42,7 +42,7 @@ func TestKeyedListOrder(t *testing.T) {
 	t.Parallel()
 	l := newPIDKeyed()
 	for i := uint32(1); i <= 5; i++ {
-		l.Add(pid(i))
+		l.AddBounded(pid(i), 0)
 	}
 	items := l.AppendItems(nil)
 	for i, v := range items {
@@ -58,9 +58,9 @@ func TestKeyedListOrder(t *testing.T) {
 func TestKeyedListRemove(t *testing.T) {
 	t.Parallel()
 	l := newPIDKeyed()
-	l.Add(1)
-	l.Add(2)
-	l.Add(3)
+	l.AddBounded(1, 0)
+	l.AddBounded(2, 0)
+	l.AddBounded(3, 0)
 	if !l.Remove(2) {
 		t.Fatal("Remove(2) = false")
 	}
@@ -81,7 +81,7 @@ func TestKeyedListTruncateRandomDiscard(t *testing.T) {
 	r := rng.New(1)
 	l := newPIDKeyed()
 	for i := uint32(1); i <= 20; i++ {
-		l.Add(pid(i))
+		l.AddBounded(pid(i), 0)
 	}
 	if removed := l.TruncateRandomDiscard(5, r); removed != 15 {
 		t.Fatalf("removed %d elements", removed)
@@ -108,13 +108,13 @@ func TestKeyedListTruncateRandomDiscard(t *testing.T) {
 func TestKeyedListClear(t *testing.T) {
 	t.Parallel()
 	l := newPIDKeyed()
-	l.Add(1)
-	l.Add(2)
+	l.AddBounded(1, 0)
+	l.AddBounded(2, 0)
 	l.Clear()
 	if l.Len() != 0 || l.Contains(1) {
 		t.Fatal("Clear did not clear")
 	}
-	l.Add(1) // reusable after clear
+	l.AddBounded(1, 0) // reusable after clear
 	if l.Len() != 1 {
 		t.Fatal("list unusable after Clear")
 	}
@@ -131,7 +131,7 @@ func TestKeyedListInvariants(t *testing.T) {
 			p := pid(uint32(op % 32))
 			switch op % 4 {
 			case 0, 1:
-				l.Add(p)
+				l.AddBounded(p, 0)
 			case 2:
 				l.Remove(p)
 			case 3:
@@ -740,7 +740,7 @@ func BenchmarkKeyedListTruncateRandom(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		l := newPIDKeyed()
 		for j := uint32(0); j < 40; j++ {
-			l.Add(pid(j))
+			l.AddBounded(pid(j), 0)
 		}
 		l.TruncateRandomDiscard(30, r)
 	}

@@ -34,11 +34,11 @@ const smallMax = 64
 // and map lookups once past smallMax. The lists evicted oldest-first
 // (eventIds and the archive, one ring) are rings instead.
 //
-// A list holds no storage until its first Add and doubles on demand. Its
-// bound is a maximum, enforced by the caller's truncation after each inflow,
-// so growth ends once bound plus inflow fits — exactly there when the bound
-// travels with the call (AddBounded) — and a list that never meets an element
-// (events and unSubs of an idle process) costs nothing.
+// A list holds no storage until its first element and doubles on demand.
+// Its bound is a maximum, enforced by the caller's truncation after each
+// inflow, so growth ends once bound plus inflow fits — exactly there when
+// the bound travels with the call (AddBounded) — and a list that never
+// meets an element (events and unSubs of an idle process) costs nothing.
 //
 // KeyedList is not safe for concurrent use.
 type KeyedList[K comparable, V any] struct {
@@ -90,12 +90,10 @@ func grown(n, bound int) int {
 	return g
 }
 
-// Add appends v unless an element with the same key is present. It reports
-// whether the element was added.
-func (l *KeyedList[K, V]) Add(v V) bool { return l.AddBounded(v, 0) }
-
-// AddBounded is Add for a caller that truncates to under bound before it
-// adds again: the list's storage stops growing at bound slots (see grown).
+// AddBounded appends v unless an element with the same key is present, and
+// reports whether it was added. Its caller truncates to under bound before
+// it adds again: the list's storage stops growing at bound slots (see
+// grown); a bound of 0 sets no stop.
 func (l *KeyedList[K, V]) AddBounded(v V, bound int) bool {
 	k := l.key(v)
 	if l.contains(k) {
@@ -120,7 +118,7 @@ func (l *KeyedList[K, V]) push(k K, v V, bound int) {
 }
 
 // merge adds the elements of vs that keep accepts (it sees each once, in
-// order) as Add would one at a time, except that v replaces the held
+// order) as AddBounded would one at a time, except that v replaces the held
 // element with its key, moving to the end, when newer(held, v). Every
 // element that adds or replaces is appended, and one pass then keeps each
 // key's last: linear, where removing at each refresh is quadratic in a
@@ -188,9 +186,7 @@ func (l *KeyedList[K, V]) At(i int) V { return l.items[i] }
 // Clear removes all elements.
 func (l *KeyedList[K, V]) Clear() {
 	l.items = l.items[:0]
-	for k := range l.idx {
-		delete(l.idx, k)
-	}
+	clear(l.idx)
 }
 
 // TruncateRandomDiscard removes uniformly chosen elements until

@@ -255,7 +255,7 @@ type refIDBuffer struct {
 	inner KeyedList[proto.EventID, proto.EventID]
 }
 
-func (b *refIDBuffer) Add(id proto.EventID) bool      { return b.inner.Add(id) }
+func (b *refIDBuffer) Add(id proto.EventID) bool      { return b.inner.AddBounded(id, 0) }
 func (b *refIDBuffer) Contains(id proto.EventID) bool { return b.inner.Contains(id) }
 func (b *refIDBuffer) Len() int                       { return b.inner.Len() }
 func (b *refIDBuffer) AppendIDs(dst []proto.EventID) []proto.EventID {

@@ -285,9 +285,6 @@ func New(self proto.ProcessID, cfg Config, deliver Deliverer, r *rng.Source) (*E
 // Self returns the engine's process id.
 func (e *Engine) Self() proto.ProcessID { return e.self }
 
-// Config returns the engine configuration.
-func (e *Engine) Config() Config { return *e.cfg }
-
 // Stats returns a snapshot of the activity counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
@@ -314,9 +311,6 @@ func (e *Engine) SetEmitArena(a *proto.EmitArena) { e.emit.Bind(a) }
 // enables this; off, each tick cuts from a fresh arena, so an emission stays
 // valid for as long as anything holds it.
 func (e *Engine) SetEmissionReuse(on bool) { e.emit.SetReuse(on) }
-
-// Membership exposes the membership manager for diagnostics and tests.
-func (e *Engine) Membership() *membership.Manager { return e.mem }
 
 // Seed bootstraps the view with known members (used before the first
 // gossip arrives, e.g. from a static seed list).

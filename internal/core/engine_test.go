@@ -704,7 +704,7 @@ func TestHandleMessageIgnoresMalformed(t *testing.T) {
 		t.Fatal("unknown kind produced output")
 	}
 	e.HandleMessageAppend(proto.Message{Kind: proto.SubscribeMsg, Subscriber: 1}, 1, nil) // self-subscribe: no-op
-	if e.Membership().ViewLen() != 0 {
+	if e.mem.ViewLen() != 0 {
 		t.Fatal("self-subscription entered view")
 	}
 }
@@ -749,7 +749,7 @@ func TestTwoEngineConvergence(t *testing.T) {
 func TestMembershipConfigExposed(t *testing.T) {
 	t.Parallel()
 	e, _ := newEngine(t, 1, nil)
-	if e.Config().Fanout != 3 || e.Self() != 1 {
+	if e.cfg.Fanout != 3 || e.Self() != 1 {
 		t.Fatal("accessors wrong")
 	}
 }

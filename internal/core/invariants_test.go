@@ -13,14 +13,14 @@ import (
 // every list has a maximum size).
 func checkInvariants(t *testing.T, e *Engine) {
 	t.Helper()
-	cfg := e.Config()
-	if got := e.Membership().ViewLen(); got > cfg.Membership.MaxView {
+	cfg := e.cfg
+	if got := e.mem.ViewLen(); got > cfg.Membership.MaxView {
 		t.Fatalf("view %d exceeds l=%d", got, cfg.Membership.MaxView)
 	}
-	if got := e.Membership().SubsLen(); got > cfg.Membership.MaxSubs {
+	if got := e.mem.SubsLen(); got > cfg.Membership.MaxSubs {
 		t.Fatalf("subs %d exceeds bound %d", got, cfg.Membership.MaxSubs)
 	}
-	if got := e.Membership().UnsubsLen(); got > cfg.Membership.MaxUnsubs {
+	if got := e.mem.UnsubsLen(); got > cfg.Membership.MaxUnsubs {
 		t.Fatalf("unsubs %d exceeds bound %d", got, cfg.Membership.MaxUnsubs)
 	}
 	if got := e.PendingEvents(); got > cfg.MaxEvents {

@@ -261,7 +261,7 @@ func TestIdleEngineFootprint(t *testing.T) {
 				for i := range subs {
 					subs[i] = proto.ProcessID(2 + gen.Intn(3*mc.MaxView)) // known and unknown ids alike
 				}
-				e.Membership().ApplySubs(subs)
+				e.mem.ApplySubs(subs)
 			}
 			if allocs := testing.AllocsPerRun(1000, merge); allocs != 0 {
 				t.Errorf("a merge allocates %v times, want 0", allocs)
@@ -304,7 +304,7 @@ func TestPoolsShareConfig(t *testing.T) {
 	caller := clone(base)
 	e1 := build(&pools, 1, caller)
 	caller.Membership.Prioritary[0] = 9
-	if e1.Config().Membership.Prioritary[0] != 7 {
+	if e1.cfg.Membership.Prioritary[0] != 7 {
 		t.Fatal("the shared Config aliases the caller's Prioritary")
 	}
 	if e2 := build(&pools, 2, clone(base)); e2.cfg != e1.cfg {
@@ -346,7 +346,7 @@ func TestPoolsShareConfig(t *testing.T) {
 			var p Pools
 			shared := build(&p, 1, clone(from))
 			own := build(&p, 2, cfg)
-			if own.cfg == shared.cfg || !reflect.DeepEqual(own.Config(), cfg) {
+			if own.cfg == shared.cfg || !reflect.DeepEqual(*own.cfg, cfg) {
 				t.Errorf("a Config differing in %s only shares the first engine's", name)
 			}
 		}

@@ -534,12 +534,13 @@ func TestPartitionHammer(t *testing.T) {
 		work.Add(1)
 		go func(i int, ep *transport.Endpoint) {
 			defer work.Done()
+			self := proto.ProcessID(i + 1) // eps[i] is attached as i+1
 			for j := 0; j < 300; j++ {
 				dst := proto.ProcessID((i+j)%peers + 1)
-				if dst == ep.ID() {
+				if dst == self {
 					dst = proto.ProcessID(i%peers) + 1
 				}
-				_ = ep.Send(subscribeMsg(ep.ID(), dst))
+				_ = ep.Send(subscribeMsg(self, dst))
 			}
 		}(i, ep)
 	}

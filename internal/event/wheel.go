@@ -31,17 +31,15 @@ import (
 	"slices"
 )
 
+// The horizon bounds how far past Now a timer may be scheduled: level k of
+// the wheel spans windows of 256^(k+1) instants, so three levels address
+// 2^24 instants ahead before slot indices would become ambiguous.
 const (
 	slotBits  = 8
 	slotCount = 1 << slotBits // 256 slots per level
 	numLevels = 3
 	slotMask  = slotCount - 1
 )
-
-// MaxHorizon bounds how far past Now a timer may be scheduled: level k of
-// the wheel spans windows of 256^(k+1) instants, so three levels address
-// ~2^24 instants ahead before slot indices would become ambiguous.
-const MaxHorizon = 1 << (slotBits * numLevels)
 
 // Timer is one due entry returned by PopAt.
 type Timer struct {
@@ -101,9 +99,9 @@ func NewWheel() *Wheel {
 func (w *Wheel) Now() uint64 { return w.now }
 
 // Schedule adds a timer firing at instant at. at must be strictly in the
-// future and within MaxHorizon of Now; violations are scheduler bugs and
-// panic. Kind orders same-instant timers (lower first); among equal kinds,
-// earlier-scheduled timers fire first.
+// future and within the horizon (2^24 instants) of Now; violations are
+// scheduler bugs and panic. Kind orders same-instant timers (lower first);
+// among equal kinds, earlier-scheduled timers fire first.
 func (w *Wheel) Schedule(at uint64, kind uint8, ref uint32) {
 	if at <= w.now {
 		panic(fmt.Sprintf("event: schedule at %d not after now %d", at, w.now))
@@ -224,7 +222,7 @@ func (w *Wheel) Next() (uint64, bool) {
 	if s := w.levels[2].scan(int((w.now>>(2*slotBits))&slotMask) + 1); s >= 0 {
 		return w.minInSlot(2, s), true
 	}
-	// The top level wraps: a timer within MaxHorizon of now can land in a
+	// The top level wraps: a timer within the horizon of now can land in a
 	// slot at or below the current index, one full rotation ahead. Those
 	// wrapped slots hold strictly later windows than the unwrapped range
 	// scanned above, so checking them second preserves ordering. (Lower

@@ -7,6 +7,9 @@ import (
 	"repro/internal/rng"
 )
 
+// maxHorizon is how far past Now a timer may be scheduled (see slotBits).
+const maxHorizon = 1 << (slotBits * numLevels)
+
 // refTimer mirrors Timer for the oracle.
 type refTimer struct {
 	at, seq uint64
@@ -133,15 +136,15 @@ func TestWheelCascadeOrder(t *testing.T) {
 }
 
 // TestWheelRotationWrap pins the top-level wrap: once now sits in the last
-// slot of a 2^24 rotation, a timer scheduled within MaxHorizon lands in a
+// slot of a 2^24 rotation, a timer scheduled within maxHorizon lands in a
 // level-2 slot at or below the current index — the next rotation — and
 // Next must find it there instead of panicking with pending timers.
 func TestWheelRotationWrap(t *testing.T) {
 	w := NewWheel()
-	w.Schedule(MaxHorizon-1, 0, 1) // park now on the rotation's last instant
+	w.Schedule(maxHorizon-1, 0, 1) // park now on the rotation's last instant
 	at, ok := w.Next()
-	if !ok || at != MaxHorizon-1 {
-		t.Fatalf("Next = %d,%v want %d", at, ok, uint64(MaxHorizon-1))
+	if !ok || at != maxHorizon-1 {
+		t.Fatalf("Next = %d,%v want %d", at, ok, uint64(maxHorizon-1))
 	}
 	w.PopAt(at)
 	want := w.Now() + 2 // first instant past the boundary: wrapped slot 0
@@ -167,12 +170,12 @@ func TestWheelOracleAcrossRotations(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		w := NewWheel()
 		// Walk now to just below the (trial+1)-th rotation boundary.
-		start := uint64(trial+1)*MaxHorizon - uint64(1+r.Intn(1<<18))
+		start := uint64(trial+1)*maxHorizon - uint64(1+r.Intn(1<<18))
 		// Step by a whole window less than the horizon: place admits at most
-		// 255 level-2 windows ahead, so MaxHorizon-1 overshoots when now sits
+		// 255 level-2 windows ahead, so maxHorizon-1 overshoots when now sits
 		// high inside its window.
 		for w.Now() < start {
-			next := min(start, w.Now()+MaxHorizon-65536)
+			next := min(start, w.Now()+maxHorizon-65536)
 			w.Schedule(next, 0, 0)
 			w.PopAt(next)
 		}
@@ -186,7 +189,7 @@ func TestWheelOracleAcrossRotations(t *testing.T) {
 				case 1:
 					delta = 256 + uint64(r.Intn(65536-256))
 				case 2:
-					delta = 65536 + uint64(r.Intn(MaxHorizon-2*65536)) // up to the wrap
+					delta = 65536 + uint64(r.Intn(maxHorizon-2*65536)) // up to the wrap
 				case 3:
 					delta = 1 + uint64(r.Intn(8))
 				}
@@ -236,10 +239,10 @@ func TestWheelScheduleGuards(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("Schedule beyond MaxHorizon did not panic")
+				t.Error("Schedule beyond maxHorizon did not panic")
 			}
 		}()
-		w.Schedule(10+MaxHorizon, 0, 0)
+		w.Schedule(10+maxHorizon, 0, 0)
 	}()
 }
 

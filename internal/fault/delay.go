@@ -37,18 +37,6 @@ func delayBetween(min, max int, r *rng.Source) int {
 	return min + r.Intn(max-min+1)
 }
 
-// NoDelay delivers every message in its send round — the zero model.
-type NoDelay struct{}
-
-// Delay implements DelayModel.
-func (NoDelay) Delay(_, _ proto.ProcessID, _ uint64, _ *rng.Source) int { return 0 }
-
-// MaxDelay implements DelayModel.
-func (NoDelay) MaxDelay() int { return 0 }
-
-// Validate implements DelayModel.
-func (NoDelay) Validate() error { return nil }
-
 // FixedDelay delays every message by the same number of rounds.
 type FixedDelay struct {
 	Rounds int

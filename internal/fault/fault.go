@@ -1,8 +1,8 @@
 // Package fault provides the failure models of the paper's system model
 // (§4.1): stochastically independent message loss bounded by ε, and
-// process crashes bounded by a fraction τ of the system per run. Burst
-// loss and scheduled crashes extend the model for the WAN example and the
-// failure-injection tests.
+// process crashes bounded by a fraction τ of the system per run.
+// Scheduled crashes, partitions, topologies and delay models extend it for
+// the WAN examples and the failure-injection tests.
 package fault
 
 import (
@@ -20,12 +20,6 @@ type LossModel interface {
 	Drop(src, dst proto.ProcessID, now uint64) bool
 }
 
-// NoLoss never drops messages.
-type NoLoss struct{}
-
-// Drop implements LossModel.
-func (NoLoss) Drop(_, _ proto.ProcessID, _ uint64) bool { return false }
-
 // Bernoulli drops each message independently with probability Epsilon —
 // the paper's ε (0.05 in all experiments).
 type Bernoulli struct {
@@ -42,39 +36,6 @@ func NewBernoulli(epsilon float64, r *rng.Source) *Bernoulli {
 func (b *Bernoulli) Drop(_, _ proto.ProcessID, _ uint64) bool {
 	return b.Rand.Bool(b.Epsilon)
 }
-
-// Burst alternates between a good state with loss pGood and a bad state
-// with loss pBad (a two-state Gilbert–Elliott channel), transitioning with
-// the given per-message probabilities. It models correlated WAN loss.
-type Burst struct {
-	pGood, pBad           float64
-	toBadProb, toGoodProb float64
-	bad                   bool
-	rand                  *rng.Source
-}
-
-// NewBurst creates a Gilbert–Elliott loss model starting in the good state.
-func NewBurst(pGood, pBad, toBad, toGood float64, r *rng.Source) *Burst {
-	return &Burst{pGood: pGood, pBad: pBad, toBadProb: toBad, toGoodProb: toGood, rand: r}
-}
-
-// Drop implements LossModel.
-func (b *Burst) Drop(_, _ proto.ProcessID, _ uint64) bool {
-	if b.bad {
-		if b.rand.Bool(b.toGoodProb) {
-			b.bad = false
-		}
-	} else if b.rand.Bool(b.toBadProb) {
-		b.bad = true
-	}
-	if b.bad {
-		return b.rand.Bool(b.pBad)
-	}
-	return b.rand.Bool(b.pGood)
-}
-
-// InBadState reports whether the channel is currently bursting.
-func (b *Burst) InBadState() bool { return b.bad }
 
 // CrashSchedule decides which processes are crashed at a given time. It
 // is keyed on dense indices from an idmap.Table, so the per-message

@@ -8,16 +8,6 @@ import (
 	"repro/internal/rng"
 )
 
-func TestNoLoss(t *testing.T) {
-	t.Parallel()
-	var m NoLoss
-	for i := 0; i < 100; i++ {
-		if m.Drop(1, 2, uint64(i)) {
-			t.Fatal("NoLoss dropped a message")
-		}
-	}
-}
-
 func TestBernoulliRate(t *testing.T) {
 	t.Parallel()
 	m := NewBernoulli(0.05, rng.New(1))
@@ -45,31 +35,6 @@ func TestBernoulliZeroAndOne(t *testing.T) {
 		if !always.Drop(1, 2, 0) {
 			t.Fatal("epsilon=1 delivered")
 		}
-	}
-}
-
-func TestBurstTransitionsAndRates(t *testing.T) {
-	t.Parallel()
-	m := NewBurst(0.01, 0.9, 0.02, 0.2, rng.New(3))
-	const draws = 300000
-	drops := 0
-	sawBad := false
-	for i := 0; i < draws; i++ {
-		if m.Drop(1, 2, uint64(i)) {
-			drops++
-		}
-		if m.InBadState() {
-			sawBad = true
-		}
-	}
-	if !sawBad {
-		t.Fatal("burst model never entered bad state")
-	}
-	got := float64(drops) / draws
-	// Stationary bad fraction = toBad/(toBad+toGood) ≈ 0.0909; expected
-	// loss ≈ 0.0909*0.9 + 0.909*0.01 ≈ 0.0909.
-	if got < 0.05 || got > 0.15 {
-		t.Errorf("burst drop rate = %v, want within [0.05, 0.15]", got)
 	}
 }
 

@@ -120,9 +120,6 @@ func TestTopologyLossRates(t *testing.T) {
 func TestDelayModels(t *testing.T) {
 	t.Parallel()
 	r := rng.New(7)
-	if d := (NoDelay{}); d.Delay(1, 2, 0, r) != 0 || d.MaxDelay() != 0 || d.Validate() != nil {
-		t.Error("NoDelay misbehaves")
-	}
 	if d := (FixedDelay{Rounds: 3}); d.Delay(1, 2, 0, r) != 3 || d.MaxDelay() != 3 {
 		t.Error("FixedDelay misbehaves")
 	}

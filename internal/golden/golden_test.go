@@ -106,12 +106,13 @@ func dumpMismatch(t *testing.T, name string, got []byte) {
 
 // TestLookup pins the registry surface the CLI record/replay path uses.
 func TestLookup(t *testing.T) {
-	names := Names()
-	if len(names) < 8 {
-		t.Fatalf("registry has %d scenarios, want >= 8", len(names))
+	ss := Scenarios()
+	if len(ss) < 8 {
+		t.Fatalf("registry has %d scenarios, want >= 8", len(ss))
 	}
 	seen := map[string]bool{}
-	for _, n := range names {
+	for _, s := range ss {
+		n := s.Name
 		if seen[n] {
 			t.Fatalf("duplicate scenario name %q", n)
 		}

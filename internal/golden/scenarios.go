@@ -42,16 +42,6 @@ func Lookup(name string) (Scenario, bool) {
 	return Scenario{}, false
 }
 
-// Names lists the registered scenario names, in tape order.
-func Names() []string {
-	ss := Scenarios()
-	out := make([]string, len(ss))
-	for i, s := range ss {
-		out[i] = s.Name
-	}
-	return out
-}
-
 // wanPartitionHeal cuts the WAN link of a two-datacenter topology for
 // rounds [8,16) while notifications publish on both sides, then heals.
 // Cross-side dissemination stalls during the cut and recovers through the

@@ -19,7 +19,7 @@ func ExampleTable() {
 	fmt.Println(a, b, t.Len())
 
 	// Key hot per-process state on the dense index, not the id.
-	state := make([]string, t.Cap())
+	state := make([]string, t.Len()) // nothing released yet: every index is below Len
 	state[a] = "seen"
 
 	t.Release(proto.ProcessID(7))

@@ -14,25 +14,14 @@
 // records these indices address.
 package idmap
 
-import (
-	"fmt"
+import "repro/internal/proto"
 
-	"repro/internal/proto"
-)
-
-// Index is a dense process index. Valid indices are [0, Table.Cap()).
+// Index is a dense process index. A table's indices run from 0 up to its
+// peak live population.
 type Index = uint32
 
 // NilIndex marks "no index" in forward tables.
 const NilIndex = ^Index(0)
-
-// poisonID marks a recycled slot in the reverse table while poisoning is
-// on: any read of a released index resolves to the largest id, which no
-// simulated process has (the simulator numbers processes from 1), so
-// stale-index bugs surface as loud mismatches instead of silent aliasing.
-// With poisoning on, Add refuses it; with poisoning off it is an id like
-// any other.
-const poisonID = ^proto.ProcessID(0)
 
 // denseBound is the largest id served by the forward array; ids at or
 // above it fall back to the sparse map. The bound keeps one huge rogue id
@@ -52,7 +41,6 @@ type Table struct {
 	free       []Index                   // recycled indices, LIFO
 	live       int
 	sparseOnly bool
-	poison     bool
 }
 
 // SetSparseOnly forces every id through the map fallback — a debug mode
@@ -64,12 +52,6 @@ func (t *Table) SetSparseOnly(on bool) {
 	}
 	t.sparseOnly = on
 }
-
-// SetPoisonRecycled enables recycle poisoning: released slots are stamped
-// with a sentinel id, and resolving a released index via ID panics
-// instead of returning stale data — mirroring the simulator's
-// PoisonRecycled buffer debugging.
-func (t *Table) SetPoisonRecycled(on bool) { t.poison = on }
 
 // Reserve pre-sizes the table for ids in [1, maxID] and that many live
 // processes, so a bulk build performs O(1) backing allocations.
@@ -103,14 +85,10 @@ func (t *Table) growFwd(id proto.ProcessID) {
 
 // Add returns id's index, assigning the next one (recycled first) if id
 // is new. Adding NilProcess panics: "no process" must never occupy a
-// slot. So does adding 2³²−1 with poisoning on, where that id marks a
-// recycled slot.
+// slot.
 func (t *Table) Add(id proto.ProcessID) Index {
 	if id == proto.NilProcess {
 		panic("idmap: Add(NilProcess)")
-	}
-	if t.poison && id == poisonID {
-		panic("idmap: Add(2³²−1) with poisoning on")
 	}
 	if ix, ok := t.Lookup(id); ok {
 		return ix
@@ -154,17 +132,12 @@ func (t *Table) Lookup(id proto.ProcessID) (Index, bool) {
 }
 
 // ID resolves an index back to its process id. Resolving an index that
-// was released (and not reassigned) returns NilProcess — or panics with
-// poisoning on, since touching a recycled slot is always a bug.
+// was released (and not reassigned) returns NilProcess.
 func (t *Table) ID(ix Index) proto.ProcessID {
 	if uint64(ix) >= uint64(len(t.rev)) {
 		return proto.NilProcess
 	}
-	id := t.rev[ix]
-	if t.poison && id == poisonID {
-		panic(fmt.Sprintf("idmap: ID(%d) resolves a recycled slot", ix))
-	}
-	return id
+	return t.rev[ix]
 }
 
 // Release returns id's index to the free list for reuse by a future Add.
@@ -179,11 +152,7 @@ func (t *Table) Release(id proto.ProcessID) bool {
 	} else {
 		delete(t.sparse, id)
 	}
-	if t.poison {
-		t.rev[ix] = poisonID
-	} else {
-		t.rev[ix] = proto.NilProcess
-	}
+	t.rev[ix] = proto.NilProcess
 	t.free = append(t.free, ix)
 	t.live--
 	return true
@@ -191,8 +160,3 @@ func (t *Table) Release(id proto.ProcessID) bool {
 
 // Len returns the number of live (assigned, unreleased) ids.
 func (t *Table) Len() int { return t.live }
-
-// Cap returns the index-space high-water mark: the smallest n such that
-// every index ever assigned is < n. Under churn with recycling, Cap stays
-// bounded by the peak concurrent population.
-func (t *Table) Cap() int { return len(t.rev) }

@@ -26,8 +26,8 @@ func TestTableBasic(t *testing.T) {
 	if id := tb.ID(a); id != proto.ProcessID(5) {
 		t.Fatalf("ID(%d) = %d, want 5", a, id)
 	}
-	if tb.Len() != 2 || tb.Cap() != 2 {
-		t.Fatalf("Len,Cap = %d,%d, want 2,2", tb.Len(), tb.Cap())
+	if tb.Len() != 2 || len(tb.rev) != 2 {
+		t.Fatalf("Len,high-water = %d,%d, want 2,2", tb.Len(), len(tb.rev))
 	}
 	if !tb.Release(proto.ProcessID(5)) {
 		t.Fatal("Release(5) = false")
@@ -46,8 +46,8 @@ func TestTableBasic(t *testing.T) {
 	if c != a {
 		t.Fatalf("Add after Release = %d, want recycled %d", c, a)
 	}
-	if tb.Cap() != 2 {
-		t.Fatalf("Cap grew to %d despite recycling", tb.Cap())
+	if len(tb.rev) != 2 {
+		t.Fatalf("index space grew to %d despite recycling", len(tb.rev))
 	}
 }
 
@@ -61,9 +61,7 @@ func TestTableAddNilPanics(t *testing.T) {
 	tb.Add(proto.NilProcess)
 }
 
-// TestTableMaxID: 2³²−1 is the mark of a recycled slot only while poisoning
-// is on, where Add refuses it as it refuses NilProcess; with poisoning off
-// it is a live id that resolves to itself.
+// TestTableMaxID: 2³²−1 is a live id that resolves to itself.
 func TestTableMaxID(t *testing.T) {
 	const maxID = ^proto.ProcessID(0)
 	var tb Table
@@ -77,15 +75,6 @@ func TestTableMaxID(t *testing.T) {
 	if !tb.Release(maxID) || tb.ID(ix) != proto.NilProcess {
 		t.Fatal("a released 2³²−1 still resolves")
 	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Add(2³²−1) with poisoning on did not panic")
-		}
-	}()
-	var poisoned Table
-	poisoned.SetPoisonRecycled(true)
-	poisoned.Add(maxID)
 }
 
 func TestTableSparseFallback(t *testing.T) {
@@ -124,7 +113,7 @@ func TestTableSparseOnlyMatchesDense(t *testing.T) {
 			t.Fatalf("step %d: Add(%d) index diverged", step, id)
 		}
 		live[id] = true
-		if dense.Len() != sparse.Len() || dense.Cap() != sparse.Cap() {
+		if dense.Len() != sparse.Len() || len(dense.rev) != len(sparse.rev) {
 			t.Fatalf("step %d: shape diverged", step)
 		}
 	}
@@ -170,11 +159,11 @@ func TestTableChurnBounded(t *testing.T) {
 			t.Fatalf("step %d: Len = %d, want %d", step, tb.Len(), len(live))
 		}
 	}
-	if tb.Cap() > peak {
-		t.Fatalf("index space grew to %d under churn, peak live was %d", tb.Cap(), peak)
+	if len(tb.rev) > peak {
+		t.Fatalf("index space grew to %d under churn, peak live was %d", len(tb.rev), peak)
 	}
-	if int(next) < 10*tb.Cap() {
-		t.Fatalf("test churned too few ids (%d) to exercise recycling against cap %d", next, tb.Cap())
+	if int(next) < 10*len(tb.rev) {
+		t.Fatalf("test churned too few ids (%d) to exercise recycling against cap %d", next, len(tb.rev))
 	}
 	// Every live id still resolves both ways.
 	for id, ix := range live {
@@ -184,34 +173,6 @@ func TestTableChurnBounded(t *testing.T) {
 		if got := tb.ID(ix); got != id {
 			t.Fatalf("post-churn ID(%d) = %d, want %d", ix, got, id)
 		}
-	}
-}
-
-// TestTablePoisonRecycled mirrors the buffer layer's PoisonRecycled mode:
-// resolving a released-but-not-reassigned index must panic loudly rather
-// than return stale data.
-func TestTablePoisonRecycled(t *testing.T) {
-	var tb Table
-	tb.SetPoisonRecycled(true)
-	ix := tb.Add(proto.ProcessID(3))
-	tb.Add(proto.ProcessID(4))
-	if !tb.Release(proto.ProcessID(3)) {
-		t.Fatal("Release failed")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("ID of poisoned slot did not panic")
-			}
-		}()
-		tb.ID(ix)
-	}()
-	// Reassignment heals the slot.
-	if got := tb.Add(proto.ProcessID(8)); got != ix {
-		t.Fatalf("recycled Add = %d, want %d", got, ix)
-	}
-	if id := tb.ID(ix); id != proto.ProcessID(8) {
-		t.Fatalf("ID after reassignment = %d, want 8", id)
 	}
 }
 

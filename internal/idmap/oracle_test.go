@@ -47,8 +47,7 @@ func (r *refTable) release(id proto.ProcessID) bool {
 // oracleIDs is the id population the oracle draws from: ids served by the
 // forward array (kept low: an id just below its bound would grow the array
 // to 64 MB), ids at and past its bound (the sparse map), and the top of the
-// id space. 2³²−1 is left out: with poisoning on it marks a recycled slot,
-// and Add refuses it (TestTableMaxID).
+// id space but its last, which TestTableOracle's second pass adds.
 func oracleIDs() []proto.ProcessID {
 	var ids []proto.ProcessID
 	for id := proto.ProcessID(1); id <= 48; id++ {
@@ -62,32 +61,32 @@ func oracleIDs() []proto.ProcessID {
 
 // TestTableOracle drives seeded random sequences of Add (fresh and
 // duplicate ids), Release (live and absent ids), Lookup, ID, Len and Reserve
-// on a dense table and a SetSparseOnly one in lockstep, with poisoning off
-// and on, and after every op holds both to refTable: the live ids and their
-// indices form a bijection below Cap; a released index is the next one a
-// fresh Add hands out (the free list is LIFO); both tables hand out the same
-// index sequence; and a released index resolves to NilProcess, or with
-// poisoning on makes ID panic.
+// on a dense table and a SetSparseOnly one in lockstep, over the population
+// of oracleIDs and then over it with 2³²−1 added, and after every op holds
+// both to refTable: the live ids and their indices form a bijection below
+// the index high-water mark; a released index is the next one a fresh Add
+// hands out (the free list is LIFO); both tables hand out the same index
+// sequence; and a released index resolves to NilProcess.
 func TestTableOracle(t *testing.T) {
 	t.Parallel()
-	ids := oracleIDs()
-	for _, poison := range []bool{false, true} {
+	for _, withMax := range []bool{false, true} {
+		ids := oracleIDs()
+		if withMax {
+			ids = append(ids, ^proto.ProcessID(0))
+		}
 		for seed := uint64(1); seed <= 24; seed++ {
-			if msg := runTableOracle(seed, poison, ids); msg != "" {
-				t.Fatalf("poison=%v seed %d: %s", poison, seed, msg)
+			if msg := runTableOracle(seed, ids); msg != "" {
+				t.Fatalf("withMax=%v seed %d: %s", withMax, seed, msg)
 			}
 		}
 	}
 }
 
-func runTableOracle(seed uint64, poison bool, ids []proto.ProcessID) string {
+func runTableOracle(seed uint64, ids []proto.ProcessID) string {
 	r := rng.New(seed)
 	var dense, sparse Table
 	sparse.SetSparseOnly(true)
 	tables := []*Table{&dense, &sparse}
-	for _, tb := range tables {
-		tb.SetPoisonRecycled(poison)
-	}
 	ref := refTable{idx: map[proto.ProcessID]Index{}, id: map[Index]proto.ProcessID{}}
 	// Each seed draws from its own slice of the population, small enough
 	// that adds meet live ids and releases meet absent ones.
@@ -134,7 +133,7 @@ func runTableOracle(seed uint64, poison bool, ids []proto.ProcessID) string {
 		case k < 9:
 			ix := Index(r.Intn(int(ref.cap) + 3))
 			what = fmt.Sprintf("ID(%d)", ix)
-			if msg := checkID(tables, &ref, ix, poison); msg != "" {
+			if msg := checkID(tables, &ref, ix); msg != "" {
 				return fmt.Sprintf("op %d %s", op, msg)
 			}
 		default:
@@ -144,7 +143,7 @@ func runTableOracle(seed uint64, poison bool, ids []proto.ProcessID) string {
 				tb.Reserve(maxID, n)
 			}
 		}
-		if msg := checkTables(tables, &ref, poison); msg != "" {
+		if msg := checkTables(tables, &ref); msg != "" {
 			return fmt.Sprintf("after op %d %s: %s", op, what, msg)
 		}
 	}
@@ -152,18 +151,15 @@ func runTableOracle(seed uint64, poison bool, ids []proto.ProcessID) string {
 }
 
 // checkID compares ID(ix) on every table with the reference: the live id,
-// or for any other index NilProcess — except a released index below Cap
-// with poisoning on, where ID must panic.
-func checkID(tables []*Table, ref *refTable, ix Index, poison bool) string {
+// or for any other index NilProcess, and never a panic.
+func checkID(tables []*Table, ref *refTable, ix Index) string {
 	want, live := ref.id[ix]
 	for i, tb := range tables {
 		got, panicked := idOrPanic(tb, ix)
 		switch {
 		case live && (panicked || got != want):
 			return fmt.Sprintf("ID(%d) on table %d = %v (panicked %v), want live %v", ix, i, got, panicked, want)
-		case !live && poison && ix < ref.cap && !panicked:
-			return fmt.Sprintf("ID(%d) of a released index on poisoned table %d = %v, want a panic", ix, i, got)
-		case !live && !(poison && ix < ref.cap) && (panicked || got != proto.NilProcess):
+		case !live && (panicked || got != proto.NilProcess):
 			return fmt.Sprintf("ID(%d) on table %d = %v (panicked %v), want NilProcess", ix, i, got, panicked)
 		}
 	}
@@ -179,27 +175,27 @@ func idOrPanic(tb *Table, ix Index) (id proto.ProcessID, panicked bool) {
 	return tb.ID(ix), false
 }
 
-// checkTables holds every table to the reference: Len and Cap, every live id
-// at its index and back, no index outside [0, Cap), and every released
-// index resolving to no id.
-func checkTables(tables []*Table, ref *refTable, poison bool) string {
+// checkTables holds every table to the reference: Len and the index
+// high-water mark, every live id at its index and back, no index past the
+// mark, and every released index resolving to no id.
+func checkTables(tables []*Table, ref *refTable) string {
 	for i, tb := range tables {
-		if tb.Len() != len(ref.idx) || tb.Cap() != int(ref.cap) {
-			return fmt.Sprintf("table %d Len,Cap = %d,%d, want %d,%d", i, tb.Len(), tb.Cap(), len(ref.idx), ref.cap)
+		if tb.Len() != len(ref.idx) || len(tb.rev) != int(ref.cap) {
+			return fmt.Sprintf("table %d Len,high-water = %d,%d, want %d,%d", i, tb.Len(), len(tb.rev), len(ref.idx), ref.cap)
 		}
 		for id, want := range ref.idx {
-			if got, ok := tb.Lookup(id); !ok || got != want || got >= Index(tb.Cap()) {
-				return fmt.Sprintf("table %d Lookup(%v) = %d,%v, want %d,true below Cap %d", i, id, got, ok, want, tb.Cap())
+			if got, ok := tb.Lookup(id); !ok || got != want || got >= Index(len(tb.rev)) {
+				return fmt.Sprintf("table %d Lookup(%v) = %d,%v, want %d,true below %d", i, id, got, ok, want, len(tb.rev))
 			}
 		}
 	}
 	for _, ix := range ref.free {
-		if msg := checkID(tables, ref, ix, poison); msg != "" {
+		if msg := checkID(tables, ref, ix); msg != "" {
 			return msg
 		}
 	}
 	for ix := range ref.id {
-		if msg := checkID(tables, ref, ix, poison); msg != "" {
+		if msg := checkID(tables, ref, ix); msg != "" {
 			return msg
 		}
 	}

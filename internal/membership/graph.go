@@ -111,17 +111,3 @@ func (g Graph) InDegreeStats() (mean, stddev float64, min, max int) {
 	stddev = math.Sqrt(variance)
 	return mean, stddev, min, max
 }
-
-// IsolatedProcesses returns processes that appear in no view at all —
-// nobody knows them, so no gossip will ever reach them.
-func (g Graph) IsolatedProcesses() []proto.ProcessID {
-	deg := g.InDegrees()
-	var out []proto.ProcessID
-	for p, d := range deg {
-		if d == 0 {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/proto"
@@ -113,10 +114,23 @@ func TestIsolatedProcesses(t *testing.T) {
 		2: {1},
 		3: {1}, // 3 knows others but nobody knows 3
 	}
-	iso := g.IsolatedProcesses()
+	iso := isolatedProcesses(g)
 	if len(iso) != 1 || iso[0] != 3 {
 		t.Fatalf("isolated = %v", iso)
 	}
+}
+
+// isolatedProcesses returns the processes that appear in no view at all:
+// nobody knows them, so no gossip will ever reach them.
+func isolatedProcesses(g Graph) []proto.ProcessID {
+	var out []proto.ProcessID
+	for p, d := range g.InDegrees() {
+		if d == 0 {
+			out = append(out, p)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
 func TestManagersConvergeToConnectedGraph(t *testing.T) {
@@ -158,7 +172,7 @@ func TestManagersConvergeToConnectedGraph(t *testing.T) {
 	}
 	g := Graph{}
 	for _, m := range managers {
-		g[m.Self()] = m.View()
+		g[m.self] = m.View()
 	}
 	if g.Partitioned() {
 		t.Fatalf("membership partitioned after gossip: %d components", len(g.Components()))
@@ -229,7 +243,7 @@ func TestConvergenceFromArbitraryConnectedTopologies(t *testing.T) {
 			}
 			g := Graph{}
 			for _, m := range managers {
-				g[m.Self()] = m.View()
+				g[m.self] = m.View()
 			}
 			if g.Partitioned() {
 				t.Fatalf("%s topology partitioned after mixing", name)
@@ -246,7 +260,7 @@ func TestConvergenceFromArbitraryConnectedTopologies(t *testing.T) {
 				t.Errorf("%s: in-degree stddev %v far from random-graph shape", name, stddev)
 			}
 			// Path lengths over reachable pairs must be random-graph short.
-			plen, _, _ := g.AveragePathLength()
+			plen, _, _ := g.averagePathLength()
 			if plen > 4 {
 				t.Errorf("%s: average path length %v too long for n=50, l=6", name, plen)
 			}

@@ -149,12 +149,6 @@ func (m *Manager) presize(p *Pools) {
 	}
 }
 
-// Self returns the owning process id.
-func (m *Manager) Self() proto.ProcessID { return m.self }
-
-// Config returns the manager's configuration.
-func (m *Manager) Config() Config { return *m.cfg }
-
 // View returns the current view members (copy).
 func (m *Manager) View() []proto.ProcessID { return m.view.Processes() }
 
@@ -351,9 +345,6 @@ func (m *Manager) Unsubscribe(now uint64) error {
 	m.unsubs.Add(proto.Unsubscription{Process: m.self, Stamp: now})
 	return nil
 }
-
-// Unsubscribed reports whether this process has started leaving.
-func (m *Manager) Unsubscribed() bool { return m.unsubscribed }
 
 // SubsLen returns the current subs buffer size (diagnostics).
 func (m *Manager) SubsLen() int { return m.subs.Len() }

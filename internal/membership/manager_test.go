@@ -163,7 +163,7 @@ func TestMakeSubsAfterUnsubscribe(t *testing.T) {
 	if err := m.Unsubscribe(10); err != nil {
 		t.Fatalf("Unsubscribe: %v", err)
 	}
-	if !m.Unsubscribed() {
+	if !m.unsubscribed {
 		t.Fatal("Unsubscribed() = false")
 	}
 	subs := m.AppendSubs(nil)
@@ -192,7 +192,7 @@ func TestUnsubscribeRefusal(t *testing.T) {
 	if !errors.Is(err, ErrUnsubRefused) {
 		t.Fatalf("Unsubscribe = %v, want ErrUnsubRefused", err)
 	}
-	if m.Unsubscribed() {
+	if m.unsubscribed {
 		t.Fatal("refused unsubscription still marked the process as leaving")
 	}
 }

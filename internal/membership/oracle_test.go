@@ -28,9 +28,24 @@ import (
 // a draw; the weights read for the wrong entries; the weights read for the
 // first 128 entries only (caught by the one config whose subs passes 128).
 
+// An entry is a view member and its awareness weight.
+type entry struct {
+	Process proto.ProcessID
+	Weight  int
+}
+
+// entries returns v's members with their weights, in internal order.
+func entries(v *View) []entry {
+	var out []entry
+	for i, p := range v.list {
+		out = append(out, entry{Process: p, Weight: v.weight(i)})
+	}
+	return out
+}
+
 type oracleView struct {
 	owner       proto.ProcessID
-	list        []Entry
+	list        []entry
 	candScratch []int
 	bestScratch []int
 	removed     []proto.ProcessID
@@ -53,7 +68,7 @@ func (v *oracleView) Add(p proto.ProcessID) bool {
 	if v.indexOf(p) >= 0 {
 		return false
 	}
-	v.list = append(v.list, Entry{Process: p, Weight: 1})
+	v.list = append(v.list, entry{Process: p, Weight: 1})
 	return true
 }
 
@@ -88,7 +103,7 @@ func (v *oracleView) Bump(p proto.ProcessID) bool {
 	return true
 }
 
-func (v *oracleView) removeAt(i int) Entry {
+func (v *oracleView) removeAt(i int) entry {
 	e := v.list[i]
 	last := len(v.list) - 1
 	if i != last {
@@ -380,7 +395,7 @@ func oracleConfigs() []Config {
 // diffOracle reports the first difference between the manager and the
 // reference, or "".
 func diffOracle(m *Manager, o *oracleManager) string {
-	if got := m.view.Entries(); !slices.Equal(got, o.view.list) {
+	if got := entries(m.view); !slices.Equal(got, o.view.list) {
 		return fmt.Sprintf("view %v, want %v", got, o.view.list)
 	}
 	same := m.subs.Len() == len(o.subs.items)
@@ -462,7 +477,7 @@ func runOracleOps(gen interface{ Intn(int) int }, seed uint64, cfg Config, ops i
 		case k == 4: // under Uniform, the first present id makes the weights mid-run
 			p := pid()
 			op, arg = "Bump", p
-			if got, want := m.view.Bump(p), o.view.Bump(p); got != want {
+			if got, want := bump(m.view, p), o.view.Bump(p); got != want {
 				return fmt.Sprintf("step %d %s(%v) = %v, want %v", step, op, arg, got, want)
 			}
 		case k == 5: // both phases on one index, now and then a hostile gossip

@@ -24,28 +24,20 @@ import (
 	"repro/internal/rng"
 )
 
-// Entry is a view member and its awareness weight, as Entries reports them.
-// The weight counts how often the process was (re-)announced to us — a
-// proxy for "how well known" it is (§6.1). Uniform policy ignores weights.
-type Entry struct {
-	Process proto.ProcessID
-	Weight  int
-}
-
 // View is a bounded, duplicate-free set of processes, a list of ids of 4
 // bytes each. It never contains its owner, and it keeps no index: a list at
 // its high-water capacity never reallocates under the per-message add/evict
 // churn, which keeps large simulations allocation-free in steady state. Its
 // owner, Manager, answers the membership questions of gossip reception from
 // an index of view and subs it builds for each received gossip (pidIndex);
-// the exported Add, Remove, Weight and Bump scan the list. Truncation needs no
+// the exported Add, Remove and Weight scan the list. Truncation needs no
 // candidate lists: it counts the evictable entries, draws and walks to the
 // victim.
 //
 // Awareness weights live in a side list parallel to the ids, which exists
 // only where a weight can differ from 1: the Weighted policy makes it at
-// construction, a Bump on first use. Without it every entry weighs 1, so a
-// Uniform view carries ids alone.
+// construction. Without it every entry weighs 1, so a Uniform view carries
+// ids alone.
 //
 // View is not safe for concurrent use.
 type View struct {
@@ -53,7 +45,7 @@ type View struct {
 	list    []proto.ProcessID
 	weights []int // parallel to list; nil while every weight is 1
 
-	removed  []proto.ProcessID // reused by TruncateUniform/TruncateWeighted (return value)
+	removed  []proto.ProcessID // reused by TruncateUniform (return value)
 	keepBits idmap.Bitset      // reused by truncate (kept positions), prioritary sets only
 }
 
@@ -91,7 +83,7 @@ func (v *View) GrowIn(n int, p *Pools) {
 }
 
 // weigh makes the weights exist, every present entry at 1, with room for
-// the list's capacity: the Weighted policy's construction and a first Bump.
+// the list's capacity: the Weighted policy's construction.
 func (v *View) weigh() {
 	v.weights = make([]int, len(v.list), cap(v.list))
 	for i := range v.weights {
@@ -148,18 +140,6 @@ func (v *View) Processes() []proto.ProcessID {
 	return append([]proto.ProcessID(nil), v.list...)
 }
 
-// Entries returns the entries with their weights, in internal order.
-func (v *View) Entries() []Entry {
-	if len(v.list) == 0 {
-		return nil
-	}
-	out := make([]Entry, len(v.list))
-	for i, p := range v.list {
-		out[i] = Entry{Process: p, Weight: v.weight(i)}
-	}
-	return out
-}
-
 // Weight returns p's awareness weight (0 if absent).
 func (v *View) Weight(p proto.ProcessID) int {
 	if i := v.indexOf(p); i >= 0 {
@@ -168,25 +148,9 @@ func (v *View) Weight(p proto.ProcessID) int {
 	return 0
 }
 
-// Bump increments p's awareness weight, reporting whether p was present.
-// Called when an incoming subs list re-announces a process we already know
-// (§6.1: "the weight of pj is increased"). A view without weights makes
-// them here.
-func (v *View) Bump(p proto.ProcessID) bool {
-	i := v.indexOf(p)
-	if i >= 0 {
-		v.bumpAt(i)
-	}
-	return i >= 0
-}
-
-// bumpAt increments the weight of the entry at position i.
-func (v *View) bumpAt(i int) {
-	if v.weights == nil {
-		v.weigh()
-	}
-	v.weights[i]++
-}
+// bumpAt increments the weight of the entry at position i. Only the
+// Weighted policy bumps, and it makes the weights at construction.
+func (v *View) bumpAt(i int) { v.weights[i]++ }
 
 // pickRoom is the stack room AppendPick samples into: a fanout, not a view.
 // Past it the sample spills to the heap, where rng.SampleAppend keeps its
@@ -225,22 +189,11 @@ func (v *View) removeAt(i int) proto.ProcessID {
 // never evicting processes in keep (the prioritary set, usually empty or
 // a handful of ids). Removed processes are returned (they stay eligible
 // for forwarding via subs, per Fig. 1(a) phase 2). The returned slice is
-// scratch reused by the next truncation: consume it before calling any
-// Truncate* method again, and do not retain it.
+// scratch reused by the next truncation: consume it before calling
+// TruncateUniform again, and do not retain it.
 func (v *View) TruncateUniform(max int, keep []proto.ProcessID, r *rng.Source) []proto.ProcessID {
 	v.removed = v.removed[:0]
 	v.truncate(max, keep, false, r, nil, pidIndex{})
-	return v.removed
-}
-
-// TruncateWeighted removes the highest-weight entries first (ties broken
-// uniformly) until Len() <= max — the §6.1 heuristic: well-known entries
-// "are more probable of being known by many other processes" and are
-// evicted first. Entries in keep are never evicted. The returned slice
-// follows TruncateUniform's scratch-reuse contract.
-func (v *View) TruncateWeighted(max int, keep []proto.ProcessID, r *rng.Source) []proto.ProcessID {
-	v.removed = v.removed[:0]
-	v.truncate(max, keep, true, r, nil, pidIndex{})
 	return v.removed
 }
 
@@ -263,8 +216,8 @@ func (v *View) TruncateWeighted(max int, keep []proto.ProcessID, r *rng.Source) 
 // An evictee goes straight into subs, the owner's forwarding buffer, unless
 // the index x shows it there (Fig. 1(a): it stays "eligible for being
 // forwarded"); that draws nothing. x is read, not updated: nothing reads it
-// after. The exported forms pass no subs and no index and collect the
-// evictees in the slice they return, which only they ever grow.
+// after. TruncateUniform passes no subs and no index and collects the
+// evictees in the slice it returns, which only it ever grows.
 func (v *View) truncate(max int, keep []proto.ProcessID, weighted bool, r *rng.Source, subs *buffer.PIDList, x pidIndex) {
 	if max < 0 {
 		max = 0

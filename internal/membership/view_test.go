@@ -12,6 +12,28 @@ import (
 // holds reports whether p is in v.
 func holds(v *View, p proto.ProcessID) bool { return slices.Contains(v.list, p) }
 
+// bump raises p's awareness weight as a re-announcement under the Weighted
+// policy does, reporting whether p was present. A view without weights (a
+// Uniform one) gets them here, every present entry at 1.
+func bump(v *View, p proto.ProcessID) bool {
+	i := v.indexOf(p)
+	if i >= 0 {
+		if v.weights == nil {
+			v.weigh()
+		}
+		v.bumpAt(i)
+	}
+	return i >= 0
+}
+
+// truncateWeighted is the Weighted policy's view truncation with no subs
+// beside it; it returns the evictees.
+func truncateWeighted(v *View, max int, keep []proto.ProcessID, r *rng.Source) []proto.ProcessID {
+	v.removed = v.removed[:0]
+	v.truncate(max, keep, true, r, nil, pidIndex{})
+	return v.removed
+}
+
 func TestViewAddBasics(t *testing.T) {
 	t.Parallel()
 	v := NewView(1)
@@ -60,10 +82,10 @@ func TestViewWeights(t *testing.T) {
 	if v.Weight(2) != 1 {
 		t.Fatalf("initial weight = %d, want 1", v.Weight(2))
 	}
-	if !v.Bump(2) || v.Weight(2) != 2 {
+	if !bump(v, 2) || v.Weight(2) != 2 {
 		t.Fatal("Bump failed")
 	}
-	if v.Bump(9) {
+	if bump(v, 9) {
 		t.Fatal("Bump of absent process returned true")
 	}
 	if v.Weight(9) != 0 {
@@ -163,9 +185,9 @@ func TestTruncateWeightedEvictsHeavy(t *testing.T) {
 	v.Add(3)
 	v.Add(4)
 	for i := 0; i < 5; i++ {
-		v.Bump(3) // 3 is the best-known entry
+		bump(v, 3) // 3 is the best-known entry
 	}
-	removed := v.TruncateWeighted(2, nil, r)
+	removed := truncateWeighted(v, 2, nil, r)
 	if len(removed) != 1 || removed[0] != 3 {
 		t.Fatalf("removed %v, want [3]", removed)
 	}
@@ -180,7 +202,7 @@ func TestTruncateWeightedTieBreaksRandomly(t *testing.T) {
 		v.Add(2)
 		v.Add(3)
 		v.Add(4)
-		removed := v.TruncateWeighted(2, nil, r)
+		removed := truncateWeighted(v, 2, nil, r)
 		victims[removed[0]]++
 	}
 	for _, p := range []proto.ProcessID{2, 3, 4} {
@@ -212,15 +234,10 @@ func TestViewNeverContainsOwnerProperty(t *testing.T) {
 	}
 }
 
-func TestViewEntriesCopy(t *testing.T) {
+func TestViewProcessesCopy(t *testing.T) {
 	t.Parallel()
 	v := NewView(1)
 	v.Add(2)
-	es := v.Entries()
-	es[0].Weight = 99
-	if v.Weight(2) != 1 {
-		t.Fatal("Entries aliased internal state")
-	}
 	ps := v.Processes()
 	ps[0] = 42
 	if !holds(v, 2) {
@@ -255,7 +272,7 @@ func TestTruncateKeepAllocFree(t *testing.T) {
 		for i := uint64(2); i <= 40; i++ {
 			v.Add(proto.ProcessID(i))
 		}
-		v.TruncateWeighted(5, keep, r)
+		truncateWeighted(v, 5, keep, r)
 	}
 	cycle() // warm the retained scratch and bitset
 	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {

@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/membership"
 	"repro/internal/proto"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -421,21 +420,6 @@ func (b *Bus) TopicSize(topic string) int {
 	return 0
 }
 
-// Graph snapshots the views of a topic's active members (those not in
-// their leave grace) for membership analyses. The views are unfiltered: a
-// member that has left stays visible wherever a view still names it.
-func (b *Bus) Graph(topic string) membership.Graph {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	g := membership.Graph{}
-	if ts, ok := b.topics[topic]; ok {
-		for _, m := range ts.members {
-			g[m.pid] = m.engine.View()
-		}
-	}
-	return g
-}
-
 // Topics lists topics with at least one member, sorted.
 func (b *Bus) Topics() []string {
 	b.mu.Lock()
@@ -471,11 +455,4 @@ func (b *Bus) TotalNetStats() stats.NetStats {
 		total.Merge(ts.net)
 	}
 	return total
-}
-
-// Now returns the current gossip round.
-func (b *Bus) Now() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.cluster.Now()
 }

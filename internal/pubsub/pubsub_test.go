@@ -347,12 +347,12 @@ func TestBusWithLossStillDelivers(t *testing.T) {
 func TestNowAdvances(t *testing.T) {
 	t.Parallel()
 	b := newTestBus(t, Config{Seed: 8})
-	if b.Now() != 0 {
+	if b.cluster.Now() != 0 {
 		t.Fatal("fresh bus not at round 0")
 	}
 	b.StepN(3)
-	if b.Now() != 3 {
-		t.Fatalf("Now = %d", b.Now())
+	if b.cluster.Now() != 3 {
+		t.Fatalf("Now = %d", b.cluster.Now())
 	}
 }
 
@@ -670,7 +670,7 @@ func busScenario(t *testing.T, seed uint64) ([]string, *Bus) {
 	var tape []string
 	handler := func(name string) Handler {
 		return func(topic string, ev proto.Event) {
-			tape = append(tape, fmt.Sprintf("r%d %s %s %v", b.Now(), name, topic, ev.ID))
+			tape = append(tape, fmt.Sprintf("r%d %s %s %v", b.cluster.Now(), name, topic, ev.ID))
 		}
 	}
 	clients := map[string]*Client{}

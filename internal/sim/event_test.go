@@ -355,7 +355,7 @@ func TestEventMsDelaySemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.RunRound() // period 1: ticks at 100ms, arrivals due 130ms — in flight
-	if got := c.NowMs(); got != 100 {
+	if got := c.nowMs; got != 100 {
 		t.Errorf("after one period NowMs = %d, want 100", got)
 	}
 	if got := c.DeliveredCount(ev.ID); got != 1 {
@@ -399,7 +399,7 @@ func TestEventLongPeriodCrossesWheelRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 		tape, nets := tapeOf(t, c, rounds)
-		if got, want := c.NowMs(), uint64(rounds)*maxPeriodMs; got != want {
+		if got, want := c.nowMs, uint64(rounds)*maxPeriodMs; got != want {
 			t.Errorf("workers=%d: NowMs = %d, want %d", workers, got, want)
 		}
 		c.Close()

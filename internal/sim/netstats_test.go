@@ -239,7 +239,7 @@ func TestBurstLossWithScheduledCrashes(t *testing.T) {
 				defer c.Close()
 				// Identical burst channel and crash schedule in every
 				// executor: a bursty WAN plus twelve mid-run crashes.
-				c.network.Loss = fault.NewBurst(0.02, 0.8, 0.02, 0.2, rng.New(77))
+				c.network.Loss = &burstLoss{pGood: 0.02, pBad: 0.8, toBad: 0.02, toGood: 0.2, rand: rng.New(77)}
 				for i := 0; i < 12; i++ {
 					c.crashes.CrashAt(c.ids[(i*9)%120], uint64(2+i%6))
 				}
@@ -271,6 +271,29 @@ func TestBurstLossWithScheduledCrashes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// burstLoss alternates between a good state with loss pGood and a bad
+// state with loss pBad (a two-state Gilbert–Elliott channel), changing
+// state with the given per-message probabilities: correlated WAN loss.
+type burstLoss struct {
+	pGood, pBad, toBad, toGood float64
+	bad                        bool
+	rand                       *rng.Source
+}
+
+func (b *burstLoss) Drop(_, _ proto.ProcessID, _ uint64) bool {
+	if b.bad {
+		if b.rand.Bool(b.toGood) {
+			b.bad = false
+		}
+	} else if b.rand.Bool(b.toBad) {
+		b.bad = true
+	}
+	if b.bad {
+		return b.rand.Bool(b.pBad)
+	}
+	return b.rand.Bool(b.pGood)
 }
 
 // eventAt returns the single traced event id of a cluster that published

@@ -480,10 +480,6 @@ func (c *Cluster) N() int { return c.opts.N }
 // Now returns the current round number.
 func (c *Cluster) Now() uint64 { return c.now }
 
-// NowMs returns the current virtual instant: milliseconds on the event
-// clock; on the round clock, whose period is one instant, the round number.
-func (c *Cluster) NowMs() uint64 { return c.nowMs }
-
 // NetStats returns the cumulative network counters.
 func (c *Cluster) NetStats() NetStats { return c.net }
 

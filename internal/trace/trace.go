@@ -24,7 +24,6 @@ const (
 	KindGossipSent Kind = iota + 1
 	KindGossipReceived
 	KindDeliver
-	KindDuplicate
 	KindRetransmitRequest
 	KindRetransmitServed
 	KindJoinSent
@@ -41,8 +40,6 @@ func (k Kind) String() string {
 		return "gossip-received"
 	case KindDeliver:
 		return "deliver"
-	case KindDuplicate:
-		return "duplicate"
 	case KindRetransmitRequest:
 		return "retransmit-request"
 	case KindRetransmitServed:
@@ -178,10 +175,3 @@ func (m Multi) Record(e Event) {
 		t.Record(e)
 	}
 }
-
-// Func adapts a function to the Tracer interface. The function must be
-// safe for concurrent use.
-type Func func(Event)
-
-// Record implements Tracer.
-func (f Func) Record(e Event) { f(e) }

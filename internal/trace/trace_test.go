@@ -22,7 +22,7 @@ func sample(kind Kind, n int) Event {
 func TestKindStrings(t *testing.T) {
 	t.Parallel()
 	kinds := []Kind{
-		KindGossipSent, KindGossipReceived, KindDeliver, KindDuplicate,
+		KindGossipSent, KindGossipReceived, KindDeliver,
 		KindRetransmitRequest, KindRetransmitServed, KindJoinSent,
 		KindLeave, KindViewChange,
 	}
@@ -122,12 +122,17 @@ func TestCounters(t *testing.T) {
 	}
 }
 
+// funcTracer adapts a function to the Tracer interface.
+type funcTracer func(Event)
+
+func (f funcTracer) Record(e Event) { f(e) }
+
 func TestMultiAndFunc(t *testing.T) {
 	t.Parallel()
 	c := NewCounters()
 	var calls int
 	var mu sync.Mutex
-	m := Multi{c, Func(func(Event) {
+	m := Multi{c, funcTracer(func(Event) {
 		mu.Lock()
 		calls++
 		mu.Unlock()

@@ -429,9 +429,6 @@ func (ep *Endpoint) stop() {
 	ep.d.done.Wait()
 }
 
-// ID returns the endpoint's process id.
-func (ep *Endpoint) ID() proto.ProcessID { return ep.id }
-
 // ForeverMillis is the To bound of a partition that never heals on its
 // own: cut until ClearPartitions.
 const ForeverMillis = math.MaxUint64

@@ -82,8 +82,8 @@ func TestInprocDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.ID() != 1 {
-		t.Fatalf("ID = %v", a.ID())
+	if a.id != 1 {
+		t.Fatalf("id = %v", a.id)
 	}
 	if err := a.Send(subscribeMsg(1, 2)); err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestInprocConcurrentSenders(t *testing.T) {
 			burst := make([]proto.Message, per)
 			for i := 0; i < bursts; i++ {
 				for j := range burst {
-					burst[j] = subscribeMsg(ep.ID(), 100)
+					burst[j] = subscribeMsg(ep.id, 100)
 				}
 				_ = ep.SendBatch(burst)
 			}

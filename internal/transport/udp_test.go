@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"math"
 	"net"
 	"reflect"
 	"sync"
@@ -261,14 +262,17 @@ func TestUDPSendBatchUnknownPeer(t *testing.T) {
 func TestUDPContainerInterop(t *testing.T) {
 	t.Parallel()
 	_, b := newUDPPair(t)
-	datagram, err := wire.EncodeBatch([]proto.Message{
+	pack := wire.Packer{Budget: math.MaxInt}
+	for _, m := range []proto.Message{
 		{Kind: proto.SubscribeMsg, From: 3, To: 2, Subscriber: 3},
 		{Kind: proto.RetransmitRequestMsg, From: 3, To: 2,
 			Request: []proto.EventID{{Origin: 1, Seq: 1}}},
-	})
-	if err != nil {
-		t.Fatal(err)
+	} {
+		if _, _, err := pack.Add(&m); err != nil {
+			t.Fatal(err)
+		}
 	}
+	datagram, _ := pack.Finish()
 	raw, err := net.Dial("udp", b.LocalAddr())
 	if err != nil {
 		t.Fatal(err)

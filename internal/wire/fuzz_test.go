@@ -29,7 +29,7 @@ func decodeSeeds(tb testing.TB) [][]byte {
 		}
 		seeds = append(seeds, buf)
 	}
-	batch, err := EncodeBatch(msgs)
+	batch, err := encodeBatch(msgs)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -104,15 +104,15 @@ func FuzzDecode(f *testing.F) {
 		}
 		// The container decoder must hold the same invariants: no panics,
 		// and anything accepted re-encodes to the same batch.
-		msgs, err := DecodeBatch(data, nil)
+		msgs, err := decodeBatch(data, nil, nil)
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}
-		buf2, err := EncodeBatch(msgs)
+		buf2, err := encodeBatch(msgs)
 		if err != nil {
 			t.Fatalf("decoded batch does not re-encode: %+v: %v", msgs, err)
 		}
-		msgs2, err := DecodeBatch(buf2, nil)
+		msgs2, err := decodeBatch(buf2, nil, nil)
 		if err != nil {
 			t.Fatalf("re-encoded batch does not decode: %v", err)
 		}
@@ -135,16 +135,16 @@ func FuzzDecodeContainer(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msgs, err := DecodeBatch(data, nil)
+		msgs, err := decodeBatch(data, nil, nil)
 		if err != nil {
 			return // rejection is fine; panics and hangs are not
 		}
 		// Canonical round-trip through the batch encoder.
-		buf2, err := EncodeBatch(msgs)
+		buf2, err := encodeBatch(msgs)
 		if err != nil {
 			t.Fatalf("accepted batch does not re-encode: %+v: %v", msgs, err)
 		}
-		msgs2, err := DecodeBatch(buf2, nil)
+		msgs2, err := decodeBatch(buf2, nil, nil)
 		if err != nil {
 			t.Fatalf("re-encoded batch does not decode: %v", err)
 		}
@@ -155,7 +155,7 @@ func FuzzDecodeContainer(f *testing.F) {
 		// decode — the UDP read loop reuses its scratch across datagrams.
 		scratch := make([]proto.Message, 0, 8)
 		scratch = append(scratch, proto.Message{Kind: proto.SubscribeMsg, Subscriber: 42})
-		msgs3, err := DecodeBatch(data, scratch[:0])
+		msgs3, err := decodeBatch(data, scratch[:0], nil)
 		if err != nil {
 			t.Fatalf("scratch decode rejected what fresh decode accepted: %v", err)
 		}
@@ -173,18 +173,18 @@ func FuzzDecodeArena(f *testing.F) {
 	for _, seed := range append(decodeSeeds(f), containerSeeds(f)...) {
 		f.Add(seed)
 	}
-	valid, err := EncodeBatch(sampleBatch())
+	valid, err := encodeBatch(sampleBatch())
 	if err != nil {
 		f.Fatal(err)
 	}
-	want, err := DecodeBatch(valid, nil)
+	want, err := decodeBatch(valid, nil, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
 
 	var kept Arena // lives across inputs, as the transport's does across datagrams
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ref, refErr := DecodeBatch(data, nil)
+		ref, refErr := decodeBatch(data, nil, nil)
 		var fresh Arena
 		for _, a := range []*Arena{&fresh, &kept} {
 			got, err := a.DecodeBatch(data)

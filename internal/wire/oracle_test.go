@@ -290,7 +290,7 @@ func TestEncoderOracleCorpus(t *testing.T) {
 	t.Parallel()
 	p := &Packer{Budget: transportBudget}
 	for _, seed := range append(decodeSeeds(t), containerSeeds(t)...) {
-		msgs, err := DecodeBatch(seed, nil)
+		msgs, err := decodeBatch(seed, nil, nil)
 		if err != nil {
 			continue
 		}
@@ -388,8 +388,8 @@ func TestEncoderOracleBudgetSplit(t *testing.T) {
 	}
 }
 
-// TestEncodeBatchMatchesReference: EncodeBatch is the Packer without a
-// budget, so it must equal PackFrames over reference frames, past 64 KB too.
+// TestEncodeBatchMatchesReference: the Packer without a budget (encodeBatch)
+// must equal PackFrames over reference frames, past 64 KB too.
 func TestEncodeBatchMatchesReference(t *testing.T) {
 	t.Parallel()
 	r := rand.New(rand.NewSource(7))
@@ -409,15 +409,15 @@ func TestEncodeBatchMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := EncodeBatch(msgs)
+		got, err := encodeBatch(msgs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("round %d: EncodeBatch differs from PackFrames over %d frames", round, len(frames))
+			t.Fatalf("round %d: encodeBatch differs from PackFrames over %d frames", round, len(frames))
 		}
 	}
-	if _, err := EncodeBatch(make([]proto.Message, MaxBatchLen+1)); err == nil {
-		t.Error("EncodeBatch accepted more than MaxBatchLen messages")
+	if _, err := encodeBatch(make([]proto.Message, MaxBatchLen+1)); err == nil {
+		t.Error("encodeBatch accepted more than MaxBatchLen messages")
 	}
 }

@@ -24,8 +24,8 @@
 // caller's buffer and a Packer builds a datagram in a buffer it keeps, so a
 // sender that holds one allocates nothing; Arena.DecodeBatch cuts every
 // list, payload and Gossip of a datagram from storage the Arena keeps, so a
-// receiver that recycles one allocates nothing either. Encode, EncodeBatch,
-// Decode and DecodeBatch are those two with fresh storage.
+// receiver that recycles one allocates nothing either. Encode and Decode
+// are those two for one frame, with fresh storage.
 package wire
 
 import (
@@ -267,26 +267,6 @@ func (p *Packer) datagram(end int) []byte {
 	return p.buf[h:end]
 }
 
-// EncodeBatch serializes a burst of messages bound for one destination. A
-// single message keeps the plain version-1 frame (so pre-batch receivers
-// stay compatible); two or more are packed into a container frame.
-func EncodeBatch(msgs []proto.Message) ([]byte, error) {
-	if len(msgs) == 0 {
-		return nil, errors.New("wire: empty batch")
-	}
-	if len(msgs) > MaxBatchLen {
-		return nil, fmt.Errorf("wire: batch of %d frames exceeds limit %d", len(msgs), MaxBatchLen)
-	}
-	p := Packer{Budget: math.MaxInt}
-	for i := range msgs {
-		if _, _, err := p.Add(&msgs[i]); err != nil {
-			return nil, err
-		}
-	}
-	d, _ := p.Finish()
-	return d, nil
-}
-
 // decoder reads one frame or container. Its lists come from mem, or from
 // the heap when mem is nil.
 type decoder struct {
@@ -520,13 +500,6 @@ func Decode(buf []byte) (proto.Message, error) {
 	return m, nil
 }
 
-// DecodeBatch parses a datagram holding either a single version-1 frame or
-// a version-2 container, appending the contained messages to out. On error
-// the returned slice holds the messages decoded before the failure.
-func DecodeBatch(buf []byte, out []proto.Message) ([]proto.Message, error) {
-	return decodeBatch(buf, out, nil)
-}
-
 // appendDecoded decodes the version-1 frame f into the next slot of out.
 func appendDecoded(out []proto.Message, f []byte, mem *Arena) ([]proto.Message, error) {
 	out = append(out, proto.Message{})
@@ -538,7 +511,10 @@ func appendDecoded(out []proto.Message, f []byte, mem *Arena) ([]proto.Message, 
 	return out, nil
 }
 
-// decodeBatch is DecodeBatch with the storage to cut lists from.
+// decodeBatch parses a datagram holding either a single version-1 frame or
+// a version-2 container, appending the contained messages to out and
+// cutting their lists from mem (the heap when mem is nil). On error the
+// returned slice holds the messages decoded before the failure.
 func decodeBatch(buf []byte, out []proto.Message, mem *Arena) ([]proto.Message, error) {
 	if len(buf) < 2 {
 		return out, ErrTruncated

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -12,6 +14,27 @@ import (
 
 	"repro/internal/proto"
 )
+
+// encodeBatch packs msgs into one datagram with a Packer of no budget, as
+// a sender does: one message is a plain version-1 frame, two or more a
+// container. It refuses an empty batch and one past MaxBatchLen frames.
+func encodeBatch(msgs []proto.Message) ([]byte, error) {
+	p := Packer{Budget: math.MaxInt}
+	for i := range msgs {
+		full, _, err := p.Add(&msgs[i])
+		if err != nil {
+			return nil, err
+		}
+		if full != nil {
+			return nil, fmt.Errorf("wire: batch of %d frames exceeds limit %d", len(msgs), MaxBatchLen)
+		}
+	}
+	d, _ := p.Finish()
+	if d == nil {
+		return nil, errors.New("wire: empty batch")
+	}
+	return d, nil
+}
 
 func sampleGossip() proto.Message {
 	return proto.Message{
@@ -213,12 +236,12 @@ func TestDecodeRefusesWideIDs(t *testing.T) {
 		if got, err := Decode(wide); !errors.Is(err, ErrWideID) || !reflect.DeepEqual(got, proto.Message{}) {
 			t.Fatalf("message %d past 2^32-1: Decode = %+v, %v; want the zero Message, ErrWideID", i, got, err)
 		}
-		batch, err := EncodeBatch([]proto.Message{before, m})
+		batch, err := encodeBatch([]proto.Message{before, m})
 		if err != nil {
 			t.Fatal(err)
 		}
 		batch = widened(t, batch)
-		if got, err := DecodeBatch(batch, nil); !errors.Is(err, ErrWideID) || !reflect.DeepEqual(got, []proto.Message{before}) {
+		if got, err := decodeBatch(batch, nil, nil); !errors.Is(err, ErrWideID) || !reflect.DeepEqual(got, []proto.Message{before}) {
 			t.Fatalf("message %d past 2^32-1 in a container: DecodeBatch = %+v, %v; want the frame before it, ErrWideID", i, got, err)
 		}
 		if got, err := arena.DecodeBatch(batch); !errors.Is(err, ErrWideID) || !reflect.DeepEqual(got, []proto.Message{before}) {
@@ -351,11 +374,11 @@ func sampleBatch() []proto.Message {
 func TestBatchRoundTrip(t *testing.T) {
 	t.Parallel()
 	msgs := sampleBatch()
-	buf, err := EncodeBatch(msgs)
+	buf, err := encodeBatch(msgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeBatch(buf, nil)
+	got, err := decodeBatch(buf, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +392,7 @@ func TestBatchOfOneStaysVersionOne(t *testing.T) {
 	// The compat contract: a single-message batch emits a plain v1 frame
 	// readable by pre-batch receivers...
 	m := sampleGossip()
-	buf, err := EncodeBatch([]proto.Message{m})
+	buf, err := encodeBatch([]proto.Message{m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,12 +405,12 @@ func TestBatchOfOneStaysVersionOne(t *testing.T) {
 	}
 	// ...and DecodeBatch accepts v1 frames, so batch-capable receivers read
 	// pre-batch senders.
-	got, err := DecodeBatch(buf, nil)
+	got, err := decodeBatch(buf, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || !reflect.DeepEqual(m, got[0]) {
-		t.Fatalf("DecodeBatch(v1 frame) = %+v", got)
+		t.Fatalf("decodeBatch(v1 frame) = %+v", got)
 	}
 }
 
@@ -395,7 +418,7 @@ func TestDecodeRejectsContainerFrame(t *testing.T) {
 	t.Parallel()
 	// A v1-only Decode must cleanly reject a container rather than
 	// misparse it.
-	buf, err := EncodeBatch(sampleBatch())
+	buf, err := encodeBatch(sampleBatch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +429,7 @@ func TestDecodeRejectsContainerFrame(t *testing.T) {
 
 func TestBatchRejectsGarbage(t *testing.T) {
 	t.Parallel()
-	if _, err := EncodeBatch(nil); err == nil {
+	if _, err := encodeBatch(nil); err == nil {
 		t.Error("encoded empty batch")
 	}
 	if _, err := PackFrames(nil); err == nil {
@@ -415,34 +438,34 @@ func TestBatchRejectsGarbage(t *testing.T) {
 	if _, err := PackFrames(make([][]byte, MaxBatchLen+1)); err == nil {
 		t.Error("packed oversized frame list")
 	}
-	if _, err := DecodeBatch(nil, nil); err == nil {
+	if _, err := decodeBatch(nil, nil, nil); err == nil {
 		t.Error("decoded empty buffer")
 	}
-	if _, err := DecodeBatch([]byte{'X', versionBatch}, nil); err == nil {
+	if _, err := decodeBatch([]byte{'X', versionBatch}, nil, nil); err == nil {
 		t.Error("decoded bad magic")
 	}
 	// Container announcing one frame but holding none.
-	if _, err := DecodeBatch([]byte{'L', versionBatch, 1}, nil); err == nil {
+	if _, err := decodeBatch([]byte{'L', versionBatch, 1}, nil, nil); err == nil {
 		t.Error("decoded truncated container")
 	}
 	// Empty container.
-	if _, err := DecodeBatch([]byte{'L', versionBatch, 0}, nil); err == nil {
+	if _, err := decodeBatch([]byte{'L', versionBatch, 0}, nil, nil); err == nil {
 		t.Error("decoded empty container")
 	}
 }
 
 func TestBatchTruncationsNeverPanic(t *testing.T) {
 	t.Parallel()
-	buf, err := EncodeBatch(sampleBatch())
+	buf, err := encodeBatch(sampleBatch())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < len(buf); i++ {
-		if _, err := DecodeBatch(buf[:i], nil); err == nil {
+		if _, err := decodeBatch(buf[:i], nil, nil); err == nil {
 			t.Fatalf("container prefix of length %d decoded successfully", i)
 		}
 	}
-	if _, err := DecodeBatch(append(buf, 0xFF), nil); err == nil {
+	if _, err := decodeBatch(append(buf, 0xFF), nil, nil); err == nil {
 		t.Fatal("trailing byte after container accepted")
 	}
 }
@@ -451,7 +474,7 @@ func BenchmarkEncodeBatch(b *testing.B) {
 	msgs := sampleBatch()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := EncodeBatch(msgs); err != nil {
+		if _, err := encodeBatch(msgs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -516,7 +539,7 @@ func TestDecodeAllocatesInProportion(t *testing.T) {
 	}
 	inputs = append(inputs, big, big[:len(big)/2])
 	r := rand.New(rand.NewSource(3))
-	base, err := EncodeBatch(sampleBatch())
+	base, err := encodeBatch(sampleBatch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,7 +569,7 @@ func TestDecodeAllocatesInProportion(t *testing.T) {
 		// 64 B a wire byte covers the costliest element (an event: 40 B for
 		// three bytes) under a doubling slice; 512 B an error's text.
 		limit := uint64(64*len(data) + 512)
-		if got := allocated(limit, func() { _, _ = DecodeBatch(data, nil) }); got > limit {
+		if got := allocated(limit, func() { _, _ = decodeBatch(data, nil, nil) }); got > limit {
 			t.Errorf("DecodeBatch of %d bytes (% x…) allocated %d B, limit %d", len(data), data[:min(len(data), 12)], got, limit)
 		}
 		if got := allocated(limit, func() { _, _ = new(Arena).DecodeBatch(data) }); got > limit {
@@ -559,7 +582,7 @@ func TestDecodeAllocatesInProportion(t *testing.T) {
 		}
 	}
 	for _, data := range hostileCounts() {
-		if _, err := DecodeBatch(data, nil); err == nil {
+		if _, err := decodeBatch(data, nil, nil); err == nil {
 			t.Errorf("% x decoded", data)
 		}
 	}
