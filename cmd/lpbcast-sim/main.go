@@ -24,8 +24,8 @@
 // latency across network topologies (flat, two-cluster WAN, hierarchical).
 //
 // The -clock flag selects the simulator's time base (rounds or event); the
-// event clock runs gossip periods and link delays on a virtual-time timer
-// wheel, with -period-ms setting the period length in virtual ms.
+// event clock runs gossip periods in virtual milliseconds, -period-ms of
+// them a period, and lands each delayed message at its arrival instant.
 //
 // The golden-tape flags drive the internal/golden scenario suite instead
 // of the figures:

@@ -192,6 +192,21 @@ type Stats struct {
 	EventsOverflowed   uint64 // notifications evicted from events by |events|m
 }
 
+// Add merges o into s (for aggregating the counters of many engines).
+func (s *Stats) Add(o Stats) {
+	s.GossipsSent += o.GossipsSent
+	s.GossipsReceived += o.GossipsReceived
+	s.EventsPublished += o.EventsPublished
+	s.EventsDelivered += o.EventsDelivered
+	s.DuplicatesDropped += o.DuplicatesDropped
+	s.AssumedFromDigest += o.AssumedFromDigest
+	s.RetransmitRequests += o.RetransmitRequests
+	s.RetransmitServed += o.RetransmitServed
+	s.RetransmitMisses += o.RetransmitMisses
+	s.RetransmitTimeouts += o.RetransmitTimeouts
+	s.EventsOverflowed += o.EventsOverflowed
+}
+
 // Deliverer receives events exactly once each (LPB-DELIVER). Events
 // assumed from a digest (AssumeFromDigest) have a nil payload. The payload
 // is the engine's one copy, which it also archives and forwards: read it,

@@ -216,16 +216,7 @@ func (s *Server) aggregate() (core.Stats, uint64, int) {
 		}
 		n++
 		dropped += snap.DroppedDeliveries
-		agg.GossipsSent += snap.Stats.GossipsSent
-		agg.GossipsReceived += snap.Stats.GossipsReceived
-		agg.EventsPublished += snap.Stats.EventsPublished
-		agg.EventsDelivered += snap.Stats.EventsDelivered
-		agg.DuplicatesDropped += snap.Stats.DuplicatesDropped
-		agg.AssumedFromDigest += snap.Stats.AssumedFromDigest
-		agg.RetransmitRequests += snap.Stats.RetransmitRequests
-		agg.RetransmitServed += snap.Stats.RetransmitServed
-		agg.RetransmitMisses += snap.Stats.RetransmitMisses
-		agg.EventsOverflowed += snap.Stats.EventsOverflowed
+		agg.Add(snap.Stats)
 	}
 	return agg, dropped, n
 }

@@ -58,9 +58,18 @@ func stdlib() (*token.FileSet, types.Importer) {
 	return fset, std
 }
 
+// skipUnderRace skips a rule under the race detector (see raceDetector).
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceDetector {
+		t.Skip("the design rules run without -race: go test ./internal/designrules")
+	}
+}
+
 // repo type-checks both modules of the repository once per test binary.
 func repo(t *testing.T) *program {
 	t.Helper()
+	skipUnderRace(t)
 	repoOnce.Do(func() {
 		fs, imp := stdlib()
 		loaded, loadErr = load(fs, imp, filepath.Join("..", ".."), filepath.Join("..", "..", "benchmark"))
@@ -118,6 +127,7 @@ func TestRuleCKnobs(t *testing.T) {
 // clock read in a period package, and a map range whose order reaches a
 // draw. Each rule must report its breach.
 func TestRulesFireOnPlanted(t *testing.T) {
+	skipUnderRace(t)
 	fs, imp := stdlib()
 	p, err := load(fs, imp, filepath.Join("testdata", "planted"))
 	if err != nil {

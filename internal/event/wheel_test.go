@@ -7,8 +7,8 @@ import (
 	"repro/internal/rng"
 )
 
-// maxHorizon is how far past Now a timer may be scheduled (see slotBits).
-const maxHorizon = 1 << (slotBits * numLevels)
+// maxHorizon is how far past Now a timer may be scheduled.
+const maxHorizon = horizon
 
 // refTimer mirrors Timer for the oracle.
 type refTimer struct {
@@ -65,8 +65,8 @@ func TestWheelOracle(t *testing.T) {
 			}
 			ref = checkBatch(t, ref, at, w.PopAt(at))
 		}
-		if w.count != 0 {
-			t.Fatalf("trial %d: drained wheel still reports %d pending", trial, w.count)
+		if len(w.heap) != 0 {
+			t.Fatalf("trial %d: drained wheel still reports %d pending", trial, len(w.heap))
 		}
 		if len(ref) != 0 {
 			t.Fatalf("trial %d: %d reference timers never popped", trial, len(ref))
@@ -156,8 +156,8 @@ func TestWheelRotationWrap(t *testing.T) {
 	if len(got) != 1 || got[0].Ref != 2 {
 		t.Fatalf("pop across rotation = %+v, want one timer with ref 2", got)
 	}
-	if w.count != 0 {
-		t.Fatalf("wheel still reports %d pending", w.count)
+	if len(w.heap) != 0 {
+		t.Fatalf("wheel still reports %d pending", len(w.heap))
 	}
 }
 
@@ -217,8 +217,8 @@ func TestWheelOracleAcrossRotations(t *testing.T) {
 			}
 			ref = checkBatch(t, ref, at, w.PopAt(at))
 		}
-		if w.count != 0 || len(ref) != 0 {
-			t.Fatalf("trial %d: %d pending, %d reference timers left", trial, w.count, len(ref))
+		if len(w.heap) != 0 || len(ref) != 0 {
+			t.Fatalf("trial %d: %d pending, %d reference timers left", trial, len(w.heap), len(ref))
 		}
 	}
 }

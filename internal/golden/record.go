@@ -383,29 +383,10 @@ func writeClusterCheckpoint(w *tapeWriter, c *sim.Cluster) {
 	for i := 0; i < c.N(); i++ {
 		switch p := c.Process(i).(type) {
 		case *core.Engine:
-			s := p.Stats()
-			es.GossipsSent += s.GossipsSent
-			es.GossipsReceived += s.GossipsReceived
-			es.EventsPublished += s.EventsPublished
-			es.EventsDelivered += s.EventsDelivered
-			es.DuplicatesDropped += s.DuplicatesDropped
-			es.AssumedFromDigest += s.AssumedFromDigest
-			es.RetransmitRequests += s.RetransmitRequests
-			es.RetransmitServed += s.RetransmitServed
-			es.RetransmitMisses += s.RetransmitMisses
-			es.RetransmitTimeouts += s.RetransmitTimeouts
-			es.EventsOverflowed += s.EventsOverflowed
+			es.Add(p.Stats())
 			engines++
 		case *pbcast.Node:
-			s := p.Stats()
-			ps.GossipsSent += s.GossipsSent
-			ps.GossipsReceived += s.GossipsReceived
-			ps.MessagesPublished += s.MessagesPublished
-			ps.MessagesDelivered += s.MessagesDelivered
-			ps.DuplicatesDropped += s.DuplicatesDropped
-			ps.Solicitations += s.Solicitations
-			ps.Retransmissions += s.Retransmissions
-			ps.HopLimitRefusals += s.HopLimitRefusals
+			ps.Add(p.Stats())
 			nodes++
 		}
 	}

@@ -119,6 +119,18 @@ type Stats struct {
 	HopLimitRefusals  uint64
 }
 
+// Add merges o into s (for aggregating the counters of many nodes).
+func (s *Stats) Add(o Stats) {
+	s.GossipsSent += o.GossipsSent
+	s.GossipsReceived += o.GossipsReceived
+	s.MessagesPublished += o.MessagesPublished
+	s.MessagesDelivered += o.MessagesDelivered
+	s.DuplicatesDropped += o.DuplicatesDropped
+	s.Solicitations += o.Solicitations
+	s.Retransmissions += o.Retransmissions
+	s.HopLimitRefusals += o.HopLimitRefusals
+}
+
 // storedMsg is a message held for anti-entropy serving.
 type storedMsg struct {
 	event      proto.Event

@@ -132,7 +132,7 @@ func (e *shardedExecutor) runAsyncPeriod() {
 		// routed a delivery to, or at a tick whose instant a pending
 		// arrival instant does not come after: the delivery or the arrival
 		// lands first, and the tick sees it next wave. The arrival check
-		// reads only the ring's wheel, a pure function of the simulation
+		// reads only the ring's scheduler, a pure function of the simulation
 		// state.
 		e.waves++
 		e.queue = e.queue[:0]

@@ -19,7 +19,7 @@ import (
 // (seqref_test.go).
 //
 // Time. Both schedules walk the period's instants in order: every instant
-// with delayed arrivals pending (the in-flight ring's wheel names them) is
+// with delayed arrivals pending (the in-flight ring's scheduler names them) is
 // a barrier of its own, at its true virtual time, and ticks are positions
 // in that walk — the period boundary for every synchronous tick, a fixed
 // phase offset for an async one. The round clock is the same walk with one

@@ -13,8 +13,8 @@ const (
 	ClockRounds Clock = iota
 	// ClockEvent is the millisecond virtual-time base: a gossip period is
 	// PeriodMs instants, and the cluster walks the instants that have
-	// delayed arrivals pending — the in-flight ring's markers on a
-	// hierarchical timer wheel (internal/event) — in order, ticks at their
+	// delayed arrivals pending — the in-flight ring's markers in a binary
+	// heap of timers (internal/event) — in order, ticks at their
 	// positions in that walk. One RunRound still advances exactly one
 	// gossip period, so experiment loops are unchanged. Round-granular
 	// delay models keep their semantics (and reproduce round-clock results
@@ -44,8 +44,10 @@ func (c Clock) String() string {
 // ClockEvent is selected without an explicit PeriodMs.
 const defaultPeriodMs = 100
 
-// maxPeriodMs bounds the configured period so every timer a period
-// schedules stays far inside the wheel's horizon.
+// maxPeriodMs bounds the configured period. The in-flight ring parks its
+// scheduler at every period boundary, so an arrival marker lies at most a
+// period plus the delay span (netmodel.MaxSpanMs) past the scheduler's now,
+// far inside its 2²⁴-instant horizon.
 const maxPeriodMs = 1 << 20
 
 // RunConfig is the execution configuration shared by the process-cluster
