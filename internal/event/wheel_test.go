@@ -17,9 +17,10 @@ type refTimer struct {
 	ref     uint32
 }
 
-// TestWheelOracle checks the wheel's pop order against a sort by
-// (at, kind, seq) over randomized schedules spanning all three levels,
-// interleaving pops with fresh schedules so cascades happen mid-flight.
+// TestWheelOracle checks the heap's pop order against a sort by
+// (at, kind, seq) over randomized schedules from one instant to about 2^22
+// past Now, with same-instant pileups, interleaving pops with fresh
+// schedules so the heap is reordered while timers are pending.
 func TestWheelOracle(t *testing.T) {
 	r := rng.New(7)
 	for trial := 0; trial < 20; trial++ {
@@ -30,11 +31,11 @@ func TestWheelOracle(t *testing.T) {
 				var delta uint64
 				switch r.Intn(4) {
 				case 0:
-					delta = 1 + uint64(r.Intn(255)) // level 0
+					delta = 1 + uint64(r.Intn(255)) // under 256 instants
 				case 1:
-					delta = 256 + uint64(r.Intn(65536-256)) // level 1
+					delta = 256 + uint64(r.Intn(65536-256)) // under 2^16
 				case 2:
-					delta = 65536 + uint64(r.Intn(1<<22)) // level 2
+					delta = 65536 + uint64(r.Intn(1<<22)) // up to 2^16 + 2^22
 				case 3:
 					delta = 1 + uint64(r.Intn(8)) // same-instant pileups
 				}
@@ -45,8 +46,8 @@ func TestWheelOracle(t *testing.T) {
 			}
 		}
 		schedule(200)
-		// Pop roughly half the pending instants, rescheduling more as we
-		// go so entries cascade across boundaries while lists are live.
+		// Pop some of the pending instants, scheduling more as we go, so
+		// pushes and pops interleave while timers are pending.
 		for pops := 0; pops < 50; pops++ {
 			at, ok := w.Next()
 			if !ok {
@@ -108,20 +109,21 @@ func checkBatch(t *testing.T, ref []refTimer, at uint64, got []Timer) []refTimer
 	return rest
 }
 
-// TestWheelCascadeOrder pins the canonical tie order across a cascade: an
-// entry scheduled early for instant T lands in level 1 and cascades, while
-// a later-scheduled entry for T inserts directly into level 0 — the pop
-// must still come out in schedule (seq) order, not wheel-internal order.
+// TestWheelCascadeOrder pins the canonical tie order of one instant's
+// timers scheduled at different Nows: one for T scheduled at Now 0, then,
+// once a pop has moved Now to 256, one more of the same kind and one of a
+// lower kind. The batch comes out lower kind first, then in schedule (seq)
+// order, whatever places the timers took in the heap.
 func TestWheelCascadeOrder(t *testing.T) {
 	w := NewWheel()
-	const target = 700         // level 1 relative to now=0
-	w.Schedule(target, 1, 100) // cascades: scheduled first
-	w.Schedule(256, 0, 0)      // advances now across the boundary
+	const target = 700         // 700 instants past now=0
+	w.Schedule(target, 1, 100) // scheduled first
+	w.Schedule(256, 0, 0)      // popped next: now moves to 256
 	if at, ok := w.Next(); !ok || at != 256 {
 		t.Fatalf("Next = %d,%v want 256", at, ok)
 	}
 	w.PopAt(256)
-	w.Schedule(target, 1, 200) // direct level-0 insert: scheduled second
+	w.Schedule(target, 1, 200) // scheduled second, at now=256
 	w.Schedule(target, 0, 300) // lower kind fires first despite later seq
 	if at, ok := w.Next(); !ok || at != target {
 		t.Fatalf("Next = %d,%v want %d", at, ok, target)
@@ -135,19 +137,19 @@ func TestWheelCascadeOrder(t *testing.T) {
 	}
 }
 
-// TestWheelRotationWrap pins the top-level wrap: once now sits in the last
-// slot of a 2^24 rotation, a timer scheduled within maxHorizon lands in a
-// level-2 slot at or below the current index — the next rotation — and
-// Next must find it there instead of panicking with pending timers.
+// TestWheelRotationWrap pins a schedule made once Now has reached
+// maxHorizon-1, the last instant below 2^24: a timer two instants later,
+// past 2^24, is what Next reports and PopAt returns alone, leaving the heap
+// empty.
 func TestWheelRotationWrap(t *testing.T) {
 	w := NewWheel()
-	w.Schedule(maxHorizon-1, 0, 1) // park now on the rotation's last instant
+	w.Schedule(maxHorizon-1, 0, 1) // park now on the last instant below 2^24
 	at, ok := w.Next()
 	if !ok || at != maxHorizon-1 {
 		t.Fatalf("Next = %d,%v want %d", at, ok, uint64(maxHorizon-1))
 	}
 	w.PopAt(at)
-	want := w.Now() + 2 // first instant past the boundary: wrapped slot 0
+	want := w.Now() + 2 // the first instant past 2^24
 	w.Schedule(want, 0, 2)
 	if at, ok := w.Next(); !ok || at != want {
 		t.Fatalf("Next across rotation = %d,%v want %d", at, ok, want)
@@ -161,19 +163,18 @@ func TestWheelRotationWrap(t *testing.T) {
 	}
 }
 
-// TestWheelOracleAcrossRotations reruns the randomized oracle with now
-// parked just below a top-level rotation boundary and deltas spanning the
-// full horizon, so schedules and cascades straddle the wrap while lists
-// are live.
+// TestWheelOracleAcrossRotations reruns the randomized oracle with Now
+// parked just below a multiple of the horizon, (trial+1)·2^24, and deltas up
+// to nearly the whole horizon, so schedules and pops straddle that multiple
+// while timers are pending.
 func TestWheelOracleAcrossRotations(t *testing.T) {
 	r := rng.New(11)
 	for trial := 0; trial < 10; trial++ {
 		w := NewWheel()
-		// Walk now to just below the (trial+1)-th rotation boundary.
+		// Walk now to just below (trial+1)·maxHorizon.
 		start := uint64(trial+1)*maxHorizon - uint64(1+r.Intn(1<<18))
-		// Step by a whole window less than the horizon: place admits at most
-		// 255 level-2 windows ahead, so maxHorizon-1 overshoots when now sits
-		// high inside its window.
+		// Step by 65 536 instants less than the horizon, so every walking
+		// schedule lies well inside it.
 		for w.Now() < start {
 			next := min(start, w.Now()+maxHorizon-65536)
 			w.Schedule(next, 0, 0)
@@ -189,7 +190,7 @@ func TestWheelOracleAcrossRotations(t *testing.T) {
 				case 1:
 					delta = 256 + uint64(r.Intn(65536-256))
 				case 2:
-					delta = 65536 + uint64(r.Intn(maxHorizon-2*65536)) // up to the wrap
+					delta = 65536 + uint64(r.Intn(maxHorizon-2*65536)) // up to 65 536 short of the horizon
 				case 3:
 					delta = 1 + uint64(r.Intn(8))
 				}

@@ -9,9 +9,10 @@ import (
 
 // This file implements the deterministic in-flight queue behind the delay
 // model: a ring of future-instant buckets — bucket (t mod span+1) holds
-// exactly the messages arriving at instant t — pre-sized once, beside a
-// timer wheel (internal/event) that holds one arrival marker per pending
-// instant, which is how due names the next instant without scanning
+// exactly the messages arriving at instant t — pre-sized once, beside the
+// event scheduler (internal/event, a binary min-heap of timers) that holds
+// one arrival marker per pending instant, which is how due names the next
+// instant without scanning
 // buckets. Classify enqueues in the harness's deterministic order and drain
 // empties a bucket front to back, so the delayed path inherits the
 // harness's determinism.
@@ -44,8 +45,8 @@ type flBucket struct {
 	head, tail *flSlot
 }
 
-// inflightQueue is the ring of future-instant buckets, the wheel of their
-// arrival markers, and the generations their storage is cut from. A nil
+// inflightQueue is the ring of future-instant buckets, the scheduler of
+// their arrival markers, and the generations their storage is cut from. A nil
 // queue is the zero-delay network: nothing is ever pending in it.
 type inflightQueue struct {
 	buckets   []flBucket
@@ -81,12 +82,12 @@ func (q *inflightQueue) due(limit uint64) (uint64, bool) {
 	return at, ok && at <= limit
 }
 
-// park advances the wheel to instant at, popping the marker due there if
-// there is one. Callers walk pending instants in order (due), so nothing
-// pending predates at. Every period ends with the wheel parked at its
-// boundary: a marker is scheduled relative to the wheel's own now, which
-// must not fall a wheel horizon behind the cluster's through a long stretch
-// without delayed traffic.
+// park advances the scheduler to instant at, popping the marker due there
+// if there is one. Callers walk pending instants in order (due), so nothing
+// pending predates at. Every period ends with the scheduler parked at its
+// boundary: a marker is scheduled relative to the scheduler's own now, which
+// must not fall the scheduler's horizon (2^24 instants) behind the
+// cluster's through a long stretch without delayed traffic.
 func (q *inflightQueue) park(at uint64) {
 	if q != nil && q.wheel.Now() < at {
 		q.wheel.PopAt(at)
@@ -105,7 +106,7 @@ func (q *inflightQueue) enqueue(m *proto.Message, ledger *stats.NetStats, at, pe
 	b := q.bucket(at)
 	if b.tail == nil {
 		b.head = s
-		q.wheel.Schedule(at, 0, 0) // markers are the wheel's one timer kind
+		q.wheel.Schedule(at, 0, 0) // markers are the scheduler's one timer kind
 	} else {
 		b.tail.next = s
 	}
@@ -137,7 +138,7 @@ func (q *inflightQueue) drain(now uint64, dst []proto.Message, ledgers []*stats.
 
 // endPeriod closes the period whose last instant is at, once every consumer
 // of its arrivals is done: it poisons what the period spent (in the debug
-// mode), parks the wheel at at, and resets the generation the next period
+// mode), parks the scheduler at at, and resets the generation the next period
 // parks into — every message of the period that last used it has arrived
 // by now.
 func (q *inflightQueue) endPeriod(at uint64) {

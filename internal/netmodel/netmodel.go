@@ -306,7 +306,7 @@ func (m *Model) Drain(at uint64, msgs []proto.Message, ledgers []*stats.NetStats
 
 // EndPeriod closes a gossip period whose last instant is at, once every
 // consumer of the period's arrivals is done: it poisons their requests and
-// replies (in SetPoison's debug mode), advances the ring's wheel to at, and
+// replies (in SetPoison's debug mode), advances the ring's scheduler to at, and
 // takes back the envelopes of the oldest period's messages, which have all
 // arrived. A harness calls it exactly once per period.
 func (m *Model) EndPeriod(at uint64) {

@@ -56,6 +56,10 @@ import (
 //     grouped by destination, in ascending process index, so that an
 //     engine's several gossips of one hop are handled back to back and the
 //     shard's engines are visited in the order their state was laid out.
+//     The gossips' own first lines sit in the senders' arenas; the walk
+//     loads them a block of touchBlock entries ahead (readAhead), so their
+//     cache misses overlap. That read changes nothing: it writes only a
+//     per-shard sum, and every gossip it reads is alive until the hop ends.
 //
 // Delivery recording is a commutative set-union (see recorder), so the
 // only shared mutable state touched concurrently is behind its lock.
@@ -317,6 +321,9 @@ type destGroups struct {
 	order  []int32    // inbox indices in handling order
 	spanAt []int32    // inbox index -> 1 + index of the span it produced
 	sorted []respSpan // the spans back in queue order; swapped with the shard's span list
+	// touched sums every word readAhead loaded, so that the compiler cannot
+	// drop the loads as dead code. Nothing reads it.
+	touched uint64
 }
 
 // byDestination returns shard s's inbox indices in handling order: grouped
@@ -368,6 +375,43 @@ func (e *shardedExecutor) byDestination(s int) []int32 {
 	return order
 }
 
+// touchBlock is how many inbox entries, in handling order, make one block of
+// handleShard's read-ahead. A block of 32 measured no better.
+const touchBlock = 16
+
+// readAhead is handleShard's read-ahead at handling position k, the start
+// of a block: it loads the gossip headers of the next block's entries, and
+// the first element of Subs, Events and Digest of this block's, whose
+// headers the call one block earlier loaded. Those lie in the senders'
+// emission arenas, out of cache at scale; every address is known a hop
+// ahead, so their misses overlap here instead of each stalling its
+// handler in turn. It returns the sum of the words it loaded.
+func readAhead(inbox []routed, order []int32, k int) (sum uint64) {
+	for b := k; b < min(k+2*touchBlock, len(inbox)); b++ {
+		j := b
+		if order != nil {
+			j = int(order[b])
+		}
+		g := inbox[j].g
+		switch {
+		case g == nil: // read from its slot when handled
+		case b >= k+touchBlock:
+			sum += uint64(g.From) + uint64(len(g.Digest))
+		default:
+			if len(g.Subs) > 0 {
+				sum += uint64(g.Subs[0])
+			}
+			if len(g.Events) > 0 {
+				sum += uint64(g.Events[0].ID.Seq)
+			}
+			if len(g.Digest) > 0 {
+				sum += uint64(g.Digest[0].Seq)
+			}
+		}
+	}
+	return sum
+}
+
 // handleShard processes shard s's surviving messages, recording response
 // spans. The messages are handled grouped by destination, processes in
 // ascending index (byDestination): an engine that receives several gossips
@@ -377,17 +421,26 @@ func (e *shardedExecutor) byDestination(s int) []int32 {
 // (docs/ARCHITECTURE.md): one process's messages keep their queue order,
 // and processes do not observe each other within a hop. A gossip is handed
 // over as it was binned, from its inbox entry; anything else is read from
-// its slot. The spans, which come out in handling order, go back into
-// queue order before mergeResponses reads them.
+// its slot. Every touchBlock entries the walk reads ahead in handling order
+// (readAhead), which the contract leaves free: it is a pure read of gossips
+// the emission arenas keep alive until the hop is handled, summed into the
+// shard's destGroups.touched, which nothing reads. The spans, which come out
+// in handling order, go back into queue order before mergeResponses reads
+// them.
 func (e *shardedExecutor) handleShard(s int) {
 	c := e.c
 	inbox := e.inboxes[s]
 	order := e.byDestination(s)
 	resp := e.resps[s][:0]
 	spans := e.spans[s][:0]
-	for j := range inbox {
+	var touched uint64
+	for k := range inbox {
+		if k%touchBlock == 0 {
+			touched += readAhead(inbox, order, k)
+		}
+		j := k
 		if order != nil {
-			j = int(order[j])
+			j = int(order[k])
 		}
 		r := inbox[j]
 		start := len(resp)
@@ -402,6 +455,7 @@ func (e *shardedExecutor) handleShard(s int) {
 		}
 	}
 	e.resps[s] = resp
+	e.groups[s].touched += touched
 	if order != nil && len(spans) > 0 {
 		// An inbox is in queue order, so ascending inbox index is ascending
 		// pos: place every span at its message's index and sweep.

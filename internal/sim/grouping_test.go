@@ -58,7 +58,10 @@ type groupingHop struct {
 // other is. All hops of one worker count run on one executor, back to back,
 // so whatever one barrier leaves in the scratch meets the next. The second
 // cluster's shards are more than 64 processes wide, and its hops address
-// processes at 64-bit word edges of a shard. Every hop runs in three forms:
+// processes at 64-bit word edges of a shard. Both clusters take hops of 1 to
+// 3·touchBlock+2 messages (a shard, on the wide one, in ascending and in
+// stepping-back order) around the block edges of handleShard's read-ahead.
+// Every hop runs in three forms:
 // its messages read from their queue slots, canonical gossips handed over
 // from their inbox entries (routed.g), and the two alternating.
 //
@@ -115,6 +118,29 @@ func TestHandleShardGrouping(t *testing.T) {
 			{"word edges, one step back", edges(0, 127, 0)},
 			{"random, long", random(800, 260)},
 		}},
+	}
+	// perShard is a hop of m messages to each shard starting at one of los,
+	// interleaved across the shards: to the shard's processes lo, lo+1, ...
+	// when ascending, otherwise to a few of them, repeated and stepping back.
+	perShard := func(m int, ascending bool, los ...int) []int {
+		var out []int
+		for k := 0; k < m; k++ {
+			for _, lo := range los {
+				if ascending {
+					out = append(out, lo+k)
+				} else {
+					out = append(out, lo+(m-1-k)*7%13)
+				}
+			}
+		}
+		return out
+	}
+	// The block edges of handleShard's read-ahead.
+	for _, m := range []int{1, touchBlock - 1, touchBlock, touchBlock + 1, 2*touchBlock + 1, 3*touchBlock + 2} {
+		clusters[0].hops = append(clusters[0].hops, groupingHop{fmt.Sprintf("block edges, %d random", m), random(m, 11)})
+		clusters[1].hops = append(clusters[1].hops,
+			groupingHop{fmt.Sprintf("block edges, %d a shard ascending", m), perShard(m, true, 0, 130)},
+			groupingHop{fmt.Sprintf("block edges, %d a shard out of order", m), perShard(m, false, 0, 130)})
 	}
 	for _, cl := range clusters {
 		for _, workers := range cl.workers {

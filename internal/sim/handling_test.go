@@ -226,7 +226,10 @@ func sameSlice[T any](a, b []T) bool {
 // canonical form, routed.g) or reads the message from its position: in
 // the queue, in a tick outbox past it, or in the delay ring's arrivals.
 // Each row runs on 1, 2 and 3 shards of a 7-process cluster, against the
-// plain queue-order walk of exactScript.want.
+// plain queue-order walk of exactScript.want; the block-edge rows
+// (blockEdgeHop) hand every shard hops of 1 to 3·touchBlock+2 deliveries,
+// as queued and grouped, with slot-read entries on the read-ahead's block
+// edges.
 //
 // Mutations this test was seen to catch: asyncBin without the From check
 // (the relayed gossip is handed over with its header's From); slot off by
@@ -338,11 +341,64 @@ func TestHandlingIsExact(t *testing.T) {
 			})
 		}
 	}
+	// The block edges of handleShard's read-ahead, on shards of 50 to 150
+	// processes: every shard is handed m deliveries, m around multiples of
+	// touchBlock.
+	for _, m := range []int{1, touchBlock - 1, touchBlock, touchBlock + 1, 2*touchBlock + 1, 3*touchBlock + 2} {
+		for _, inOrder := range []bool{true, false} {
+			for _, w := range []int{1, 2, 3} {
+				t.Run(fmt.Sprintf("block edges/m=%d/in order=%v/workers=%d", m, inOrder, w), func(t *testing.T) {
+					x := newExactScript(3*(3*touchBlock+2), w)
+					x.fromEntry = blockEdgeHop(x, m, inOrder)
+					if err := x.run(w); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
+	}
+}
+
+// blockEdgeHop has process 0 emit one hop in period 1: m deliveries to
+// every shard, interleaved across shards. They go to the shard's processes
+// lo, lo+1, ... when inOrder, so that the shard handles them as queued, and
+// otherwise to a few of its processes, repeated and stepping back, so that
+// it handles them grouped. Each gossip has a header of its own with one
+// element in each list the read-ahead loads. At the block edges of a
+// shard's inbox (positions k·touchBlock−1 and k·touchBlock, k >= 1) the
+// delivery is a pull, a reply or a nil gossip in turn, each read from its
+// slot. It returns how many deliveries carry their gossip in their entry.
+func blockEdgeHop(x *exactScript, m int, inOrder bool) (held int) {
+	from := x.ids[0]
+	edge := 0
+	for k := 0; k < m; k++ {
+		for s := range x.lo {
+			di := x.lo[s] + k
+			if !inOrder {
+				di = x.lo[s] + (m-1-k)*7%13
+			}
+			to := x.ids[di]
+			if k%touchBlock == touchBlock-1 || k > 0 && k%touchBlock == 0 {
+				x.emit(1, 0, [...]proto.Message{
+					{Kind: proto.RetransmitRequestMsg, From: from, To: to, Request: []proto.EventID{{Origin: to, Seq: 2}}},
+					{Kind: proto.RetransmitReplyMsg, From: from, To: to, Reply: []proto.Event{{ID: proto.EventID{Origin: from, Seq: 3}}}},
+					{Kind: proto.GossipMsg, From: from, To: to},
+				}[edge%3])
+				edge++
+				continue
+			}
+			g := &proto.Gossip{From: from, Subs: []proto.ProcessID{to},
+				Events: []proto.Event{{ID: proto.EventID{Origin: from, Seq: 1}}}, Digest: []proto.EventID{{Origin: to, Seq: 1}}}
+			x.emit(1, 0, proto.Message{Kind: proto.GossipMsg, From: from, To: to, Gossip: g})
+			held++
+		}
+	}
+	return held
 }
 
 // FuzzHandlingIsExact runs fuzzer-written scripts through the executor and
 // the plain walk: 1 to 3 shards of 3 to 10 processes, up to three periods,
-// each process emitting up to three messages a period of random kind and
+// each process emitting up to seven messages a period of random kind and
 // form — canonical gossips and every way to miss that form, subscriptions,
 // requests, replies, to members or to an unknown process — whole shards
 // silent in a period, and answers that chase further hops.
@@ -350,6 +406,17 @@ func FuzzHandlingIsExact(f *testing.F) {
 	f.Add([]byte{0, 4, 0, 0, 1, 0, 1, 2, 0, 2, 1, 0, 3})
 	f.Add([]byte{2, 7, 2, 1, 3, 0, 1, 6, 5, 2, 3, 7, 1, 4, 2, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{1, 0, 1, 2, 2, 7, 0, 3, 6, 1, 4, 2, 0, 9, 9, 9, 1, 1, 1, 2, 2, 2})
+	// Ten processes on two shards emit seven messages each: a hop of 70, more
+	// than two read-ahead blocks a shard, with pulls, replies and nil
+	// gossips among the canonical gossips.
+	long := []byte{1, 7, 0, 0}
+	for i := range 10 {
+		long = append(long, 7)
+		for k := range 7 {
+			long = append(long, byte(i+3*k)%10, []byte{0, 0, 5, 0, 6, 0, 3}[k])
+		}
+	}
+	f.Add(long)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		at := 0
 		next := func(k int) int {
@@ -394,7 +461,7 @@ func FuzzHandlingIsExact(f *testing.F) {
 			silent := next(1 << w) // a bit per shard: it emits nothing this period
 			for s := 0; s < w; s++ {
 				for i := x.lo[s]; i < x.hi[s]; i++ {
-					for k := next(4); k > 0 && silent&(1<<s) == 0; k-- {
+					for k := next(8); k > 0 && silent&(1<<s) == 0; k-- {
 						x.emit(p, i, message(i))
 					}
 				}
