@@ -40,6 +40,11 @@ type bufferReporter interface {
 func (n *Node) Occupancy() (occ Occupancy, ok bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	return n.occupancyLocked()
+}
+
+// occupancyLocked is Occupancy with n.mu already held.
+func (n *Node) occupancyLocked() (Occupancy, bool) {
 	br, ok := n.engine.(bufferReporter)
 	if !ok {
 		return Occupancy{}, false
@@ -71,14 +76,8 @@ func controlSnapshot(n *Node) ctl.Snapshot {
 		Stats:             n.engine.Stats(),
 		DroppedDeliveries: n.dropped,
 	}
-	br, ok := n.engine.(bufferReporter)
-	if ok {
-		snap.Buffers = &ctl.Buffers{
-			PendingEvents: br.PendingEvents(),
-			DigestLen:     br.DigestLen(),
-			SubsLen:       br.SubsLen(),
-			UnsubsLen:     br.UnsubsLen(),
-		}
+	if occ, ok := n.occupancyLocked(); ok {
+		snap.Buffers = &occ
 	}
 	n.mu.Unlock()
 	return snap

@@ -1,7 +1,8 @@
 // Package designrules holds the design rules the repository checks on
 // itself: every exported name under internal/ has a production use
 // (Rule A), nothing inside a simulated period reads the world (Rule B),
-// and the configuration knobs are counted (Rule C). It holds only tests.
+// the configuration knobs are counted (Rule C), and every knob is set and
+// read by production code (Rule D). It holds only tests.
 package designrules
 
 import (

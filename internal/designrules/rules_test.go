@@ -3,6 +3,7 @@ package designrules
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -433,28 +434,166 @@ func funcName(d ast.Decl) string {
 	return types.ExprString(t) + "." + fd.Name.Name
 }
 
+// knobStructs calls fn with every struct type of pk whose name ends in
+// Config, Options or Spec: the structs whose fields Rules C and D call
+// knobs.
+func knobStructs(pk *pkg, fn func(name string, st *types.Struct)) {
+	scope := pk.types.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Spec")) {
+			continue
+		}
+		if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+			fn(name, st)
+		}
+	}
+}
+
 // knobs is Rule C: the exported, non-embedded fields of every struct type
 // whose name ends in Config, Options or Spec, across every loaded package,
 // and the number of such structs.
 func knobs(p *program) (fields, structs int) {
 	for _, pk := range p.order {
-		scope := pk.types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Spec")) {
-				continue
-			}
-			st, ok := tn.Type().Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
+		knobStructs(pk, func(_ string, st *types.Struct) {
 			structs++
 			for i := 0; i < st.NumFields(); i++ {
 				if f := st.Field(i); f.Exported() && !f.Embedded() {
 					fields++
 				}
 			}
-		}
+		})
 	}
 	return fields, structs
+}
+
+// unsetKnobs is Rule D: the knobs (Rule C's fields) of the structs under
+// the module's internal/ directory that production code in the loaded
+// modules does not both write and read, as "sim.Options.RingSeed (no
+// write)", sorted. A write is a composite-literal key, an assignment or
+// ++/-- (a write to a.B.C writes B and C), or an address taken (&x.F); a
+// write inside the field's own package's Default* functions or
+// withDefaults does not count, as those only supply the one value in use.
+// Every other use is a read. A field named in allow is not reported; stale
+// lists the entries of allow that name no knob, or a knob that is written
+// and read without them.
+func unsetKnobs(p *program, allow map[string]string) (out, stale []string) {
+	fields := map[*types.Var]string{}
+	byName := map[string]*types.Var{}
+	for _, pk := range p.order {
+		rel, ok := p.rel(pk.path)
+		if !ok {
+			continue
+		}
+		knobStructs(pk, func(name string, st *types.Struct) {
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !f.Embedded() {
+					fields[f] = rel + "." + name + "." + f.Name()
+					byName[fields[f]] = f
+				}
+			}
+		})
+	}
+	written, read := map[*types.Var]bool{}, map[*types.Var]bool{}
+	for _, pk := range p.order {
+		for _, f := range pk.files {
+			for _, d := range f.Decls {
+				writes := writtenIdents(d)
+				defaults := false
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					defaults = strings.HasPrefix(fd.Name.Name, "Default") || fd.Name.Name == "withDefaults"
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					v, ok := origin(pk.info.Uses[id]).(*types.Var)
+					if _, knob := fields[v]; !ok || !knob {
+						return true
+					}
+					switch {
+					case !writes[id]:
+						read[v] = true
+					case !defaults || v.Pkg() != pk.types:
+						written[v] = true
+					}
+					return true
+				})
+			}
+		}
+	}
+	for name := range allow {
+		v, ok := byName[name]
+		switch {
+		case !ok:
+			stale = append(stale, name+" (no such knob)")
+		case written[v] && read[v]:
+			stale = append(stale, name+" (written and read without the allowlist)")
+		}
+	}
+	for v, name := range fields {
+		if _, ok := allow[name]; ok {
+			continue
+		}
+		switch {
+		case !written[v] && !read[v]:
+			out = append(out, name+" (no write, no read)")
+		case !written[v]:
+			out = append(out, name+" (no write)")
+		case !read[v]:
+			out = append(out, name+" (no read)")
+		}
+	}
+	sort.Strings(out)
+	sort.Strings(stale)
+	return out, stale
+}
+
+// writtenIdents returns the selector identifiers d writes through: the
+// keys of its composite literals, and every selector of an assignment's
+// left side, a ++/-- operand or an & operand (x.B.C: B and C).
+func writtenIdents(d ast.Decl) map[*ast.Ident]bool {
+	w := map[*ast.Ident]bool{}
+	mark := func(x ast.Expr) {
+		for {
+			switch e := x.(type) {
+			case *ast.ParenExpr:
+				x = e.X
+			case *ast.StarExpr:
+				x = e.X
+			case *ast.SelectorExpr:
+				w[e.Sel] = true
+				x = e.X
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(d, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok != token.DEFINE {
+				for _, l := range n.Lhs {
+					mark(l)
+				}
+			}
+		case *ast.IncDecStmt:
+			mark(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				mark(n.X)
+			}
+		case *ast.CompositeLit:
+			for _, el := range n.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						w[id] = true
+					}
+				}
+			}
+		}
+		return true
+	})
+	return w
 }

@@ -1,4 +1,4 @@
-// Package core is a period package with one breach of each rule.
+// Package core is a period package with a breach of each rule.
 package core
 
 import (
@@ -7,11 +7,17 @@ import (
 	"planted/internal/rng"
 )
 
-// Config has two knobs.
+// Config has four knobs: only the default and a test set Warmup, and
+// nothing reads Label.
 type Config struct {
 	Fanout int
 	Rounds int
+	Warmup int
+	Label  string
 }
+
+// DefaultConfig is the configuration a caller starts from.
+func DefaultConfig() Config { return Config{Fanout: 1, Rounds: 1, Warmup: 1} }
 
 // Engine gossips to the peers it has seen.
 type Engine struct {
@@ -34,7 +40,7 @@ func New(cfg Config, seed uint64) *Engine {
 func (e *Engine) Run() int {
 	start := time.Now()
 	sum := 0
-	for r := 0; r < e.cfg.Rounds; r++ {
+	for r := 0; r < e.cfg.Warmup+e.cfg.Rounds; r++ {
 		for p := range e.seen {
 			if e.src.Intn(e.cfg.Fanout) == 0 {
 				sum += p

@@ -35,28 +35,17 @@ const denseBound = 1 << 24
 //
 // Table is not safe for concurrent use.
 type Table struct {
-	fwd        []Index                   // fwd[id] = index, NilIndex when absent
-	sparse     map[proto.ProcessID]Index // ids >= denseBound (or forced)
-	rev        []proto.ProcessID         // rev[index] = id
-	free       []Index                   // recycled indices, LIFO
-	live       int
-	sparseOnly bool
-}
-
-// SetSparseOnly forces every id through the map fallback — a debug mode
-// for equivalence tests pinning that the dense fast path and the sparse
-// path are interchangeable. It must be called on an empty table.
-func (t *Table) SetSparseOnly(on bool) {
-	if t.live != 0 || len(t.rev) != 0 {
-		panic("idmap: SetSparseOnly on a non-empty table")
-	}
-	t.sparseOnly = on
+	fwd    []Index                   // fwd[id] = index, NilIndex when absent
+	sparse map[proto.ProcessID]Index // ids >= denseBound
+	rev    []proto.ProcessID         // rev[index] = id
+	free   []Index                   // recycled indices, LIFO
+	live   int
 }
 
 // Reserve pre-sizes the table for ids in [1, maxID] and that many live
 // processes, so a bulk build performs O(1) backing allocations.
 func (t *Table) Reserve(maxID proto.ProcessID, n int) {
-	if !t.sparseOnly && maxID < denseBound && uint64(len(t.fwd)) <= uint64(maxID) {
+	if maxID < denseBound && uint64(len(t.fwd)) <= uint64(maxID) {
 		t.growFwd(maxID)
 	}
 	if cap(t.rev) < n {
@@ -103,7 +92,7 @@ func (t *Table) Add(id proto.ProcessID) Index {
 		t.rev = append(t.rev, id)
 	}
 	t.live++
-	if !t.sparseOnly && id < denseBound {
+	if id < denseBound {
 		if uint64(len(t.fwd)) <= uint64(id) {
 			t.growFwd(id)
 		}
@@ -119,7 +108,7 @@ func (t *Table) Add(id proto.ProcessID) Index {
 
 // Lookup returns id's index, if assigned.
 func (t *Table) Lookup(id proto.ProcessID) (Index, bool) {
-	if !t.sparseOnly && id < denseBound {
+	if id < denseBound {
 		if uint64(id) < uint64(len(t.fwd)) {
 			if ix := t.fwd[id]; ix != NilIndex {
 				return ix, true
@@ -147,7 +136,7 @@ func (t *Table) Release(id proto.ProcessID) bool {
 	if !ok {
 		return false
 	}
-	if !t.sparseOnly && id < denseBound {
+	if id < denseBound {
 		t.fwd[id] = NilIndex
 	} else {
 		delete(t.sparse, id)

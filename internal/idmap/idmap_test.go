@@ -95,30 +95,6 @@ func TestTableSparseFallback(t *testing.T) {
 	}
 }
 
-func TestTableSparseOnlyMatchesDense(t *testing.T) {
-	var dense, sparse Table
-	sparse.SetSparseOnly(true)
-	rng := rand.New(rand.NewSource(42))
-	live := map[proto.ProcessID]bool{}
-	for step := 0; step < 5000; step++ {
-		id := proto.ProcessID(rng.Intn(400) + 1)
-		if live[id] && rng.Intn(3) == 0 {
-			if !dense.Release(id) || !sparse.Release(id) {
-				t.Fatalf("step %d: Release(%d) disagreed", step, id)
-			}
-			delete(live, id)
-			continue
-		}
-		if dense.Add(id) != sparse.Add(id) {
-			t.Fatalf("step %d: Add(%d) index diverged", step, id)
-		}
-		live[id] = true
-		if dense.Len() != sparse.Len() || len(dense.rev) != len(sparse.rev) {
-			t.Fatalf("step %d: shape diverged", step)
-		}
-	}
-}
-
 // TestTableChurnBounded is the churn property: under sustained
 // subscribe/unsubscribe/crash cycles the index space must stay bounded by
 // the peak concurrent population, and no recycled index may alias a live

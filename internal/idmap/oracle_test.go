@@ -61,12 +61,12 @@ func oracleIDs() []proto.ProcessID {
 
 // TestTableOracle drives seeded random sequences of Add (fresh and
 // duplicate ids), Release (live and absent ids), Lookup, ID, Len and Reserve
-// on a dense table and a SetSparseOnly one in lockstep, over the population
-// of oracleIDs and then over it with 2³²−1 added, and after every op holds
-// both to refTable: the live ids and their indices form a bijection below
-// the index high-water mark; a released index is the next one a fresh Add
-// hands out (the free list is LIFO); both tables hand out the same index
-// sequence; and a released index resolves to NilProcess.
+// on a table, over the population of oracleIDs (the forward array's ids
+// and the sparse map's) and then over it with 2³²−1 added, and after every
+// op holds it to refTable: the live ids and their indices form a bijection
+// below the index high-water mark; a released index is the next one a
+// fresh Add hands out (the free list is LIFO); and a released index
+// resolves to NilProcess.
 func TestTableOracle(t *testing.T) {
 	t.Parallel()
 	for _, withMax := range []bool{false, true} {
@@ -84,9 +84,7 @@ func TestTableOracle(t *testing.T) {
 
 func runTableOracle(seed uint64, ids []proto.ProcessID) string {
 	r := rng.New(seed)
-	var dense, sparse Table
-	sparse.SetSparseOnly(true)
-	tables := []*Table{&dense, &sparse}
+	var tb Table
 	ref := refTable{idx: map[proto.ProcessID]Index{}, id: map[Index]proto.ProcessID{}}
 	// Each seed draws from its own slice of the population, small enough
 	// that adds meet live ids and releases meet absent ones.
@@ -109,59 +107,49 @@ func runTableOracle(seed uint64, ids []proto.ProcessID) string {
 			if !dup && want != next {
 				return fmt.Sprintf("op %d %s: reference handed out %d, not the top of its free list %d", op, what, want, next)
 			}
-			for i, tb := range tables {
-				if got := tb.Add(id); got != want {
-					return fmt.Sprintf("op %d %s on table %d = %d, want %d (dup %v)", op, what, i, got, want, dup)
-				}
+			if got := tb.Add(id); got != want {
+				return fmt.Sprintf("op %d %s = %d, want %d (dup %v)", op, what, got, want, dup)
 			}
 		case k < 7:
 			what = fmt.Sprintf("Release(%v)", id)
 			want := ref.release(id)
-			for i, tb := range tables {
-				if got := tb.Release(id); got != want {
-					return fmt.Sprintf("op %d %s on table %d = %v, want %v", op, what, i, got, want)
-				}
+			if got := tb.Release(id); got != want {
+				return fmt.Sprintf("op %d %s = %v, want %v", op, what, got, want)
 			}
 		case k < 8:
 			what = fmt.Sprintf("Lookup(%v)", id)
 			want, wantOK := ref.idx[id]
-			for i, tb := range tables {
-				if got, ok := tb.Lookup(id); ok != wantOK || (ok && got != want) {
-					return fmt.Sprintf("op %d %s on table %d = %d,%v, want %d,%v", op, what, i, got, ok, want, wantOK)
-				}
+			if got, ok := tb.Lookup(id); ok != wantOK || (ok && got != want) {
+				return fmt.Sprintf("op %d %s = %d,%v, want %d,%v", op, what, got, ok, want, wantOK)
 			}
 		case k < 9:
 			ix := Index(r.Intn(int(ref.cap) + 3))
 			what = fmt.Sprintf("ID(%d)", ix)
-			if msg := checkID(tables, &ref, ix); msg != "" {
+			if msg := checkID(&tb, &ref, ix); msg != "" {
 				return fmt.Sprintf("op %d %s", op, msg)
 			}
 		default:
 			maxID, n := pool[r.Intn(len(pool))], r.Intn(80)
 			what = fmt.Sprintf("Reserve(%v, %d)", maxID, n)
-			for _, tb := range tables {
-				tb.Reserve(maxID, n)
-			}
+			tb.Reserve(maxID, n)
 		}
-		if msg := checkTables(tables, &ref); msg != "" {
+		if msg := checkTable(&tb, &ref); msg != "" {
 			return fmt.Sprintf("after op %d %s: %s", op, what, msg)
 		}
 	}
 	return ""
 }
 
-// checkID compares ID(ix) on every table with the reference: the live id,
-// or for any other index NilProcess, and never a panic.
-func checkID(tables []*Table, ref *refTable, ix Index) string {
+// checkID compares ID(ix) with the reference: the live id, or for any
+// other index NilProcess, and never a panic.
+func checkID(tb *Table, ref *refTable, ix Index) string {
 	want, live := ref.id[ix]
-	for i, tb := range tables {
-		got, panicked := idOrPanic(tb, ix)
-		switch {
-		case live && (panicked || got != want):
-			return fmt.Sprintf("ID(%d) on table %d = %v (panicked %v), want live %v", ix, i, got, panicked, want)
-		case !live && (panicked || got != proto.NilProcess):
-			return fmt.Sprintf("ID(%d) on table %d = %v (panicked %v), want NilProcess", ix, i, got, panicked)
-		}
+	got, panicked := idOrPanic(tb, ix)
+	switch {
+	case live && (panicked || got != want):
+		return fmt.Sprintf("ID(%d) = %v (panicked %v), want live %v", ix, got, panicked, want)
+	case !live && (panicked || got != proto.NilProcess):
+		return fmt.Sprintf("ID(%d) = %v (panicked %v), want NilProcess", ix, got, panicked)
 	}
 	return ""
 }
@@ -175,27 +163,25 @@ func idOrPanic(tb *Table, ix Index) (id proto.ProcessID, panicked bool) {
 	return tb.ID(ix), false
 }
 
-// checkTables holds every table to the reference: Len and the index
+// checkTable holds the table to the reference: Len and the index
 // high-water mark, every live id at its index and back, no index past the
 // mark, and every released index resolving to no id.
-func checkTables(tables []*Table, ref *refTable) string {
-	for i, tb := range tables {
-		if tb.Len() != len(ref.idx) || len(tb.rev) != int(ref.cap) {
-			return fmt.Sprintf("table %d Len,high-water = %d,%d, want %d,%d", i, tb.Len(), len(tb.rev), len(ref.idx), ref.cap)
-		}
-		for id, want := range ref.idx {
-			if got, ok := tb.Lookup(id); !ok || got != want || got >= Index(len(tb.rev)) {
-				return fmt.Sprintf("table %d Lookup(%v) = %d,%v, want %d,true below %d", i, id, got, ok, want, len(tb.rev))
-			}
+func checkTable(tb *Table, ref *refTable) string {
+	if tb.Len() != len(ref.idx) || len(tb.rev) != int(ref.cap) {
+		return fmt.Sprintf("Len,high-water = %d,%d, want %d,%d", tb.Len(), len(tb.rev), len(ref.idx), ref.cap)
+	}
+	for id, want := range ref.idx {
+		if got, ok := tb.Lookup(id); !ok || got != want || got >= Index(len(tb.rev)) {
+			return fmt.Sprintf("Lookup(%v) = %d,%v, want %d,true below %d", id, got, ok, want, len(tb.rev))
 		}
 	}
 	for _, ix := range ref.free {
-		if msg := checkID(tables, ref, ix); msg != "" {
+		if msg := checkID(tb, ref, ix); msg != "" {
 			return msg
 		}
 	}
 	for ix := range ref.id {
-		if msg := checkID(tables, ref, ix); msg != "" {
+		if msg := checkID(tb, ref, ix); msg != "" {
 			return msg
 		}
 	}

@@ -32,11 +32,9 @@ type TopicOptions struct {
 	Seed uint64
 	// Epsilon is the per-message Bernoulli loss probability.
 	Epsilon float64
-	// Delay, Topology, and Partitions configure the network exactly as on
-	// Config (see netmodel.Config), on the Bus's round clock.
-	Delay      fault.DelayModel
-	Topology   fault.Topology
-	Partitions []fault.Partition
+	// Delay is the network's delay model, as on Config (see
+	// netmodel.Config), on the Bus's round clock.
+	Delay fault.DelayModel
 	// Engine is the per-member lpbcast configuration (zero value: the
 	// Bus's retransmitting default).
 	Engine core.Config
@@ -76,12 +74,10 @@ func TopicExperiment(opts TopicOptions, rounds, repeats int) (sim.InfectionResul
 	population := 0
 	for rep := 0; rep < repeats; rep++ {
 		bus, err := NewBus(Config{
-			Seed:       opts.Seed + uint64(rep)*1_000_003,
-			Epsilon:    opts.Epsilon,
-			Delay:      opts.Delay,
-			Topology:   opts.Topology,
-			Partitions: opts.Partitions,
-			Engine:     opts.Engine,
+			Seed:    opts.Seed + uint64(rep)*1_000_003,
+			Epsilon: opts.Epsilon,
+			Delay:   opts.Delay,
+			Engine:  opts.Engine,
 		})
 		if err != nil {
 			return sim.InfectionResult{}, err

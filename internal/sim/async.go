@@ -161,35 +161,29 @@ func (e *shardedExecutor) runAsyncPeriod() {
 	c.nowMs = pEnd
 }
 
-// tick runs process i's tick and routes its messages in emission order;
-// the survivors join the wave's queue. Shard 0's outbox is the emission's
-// scratch.
+// tick runs process i's tick onto the wave's queue and routes its messages
+// where they lie, in emission order.
 func (e *shardedExecutor) tick(i int) {
-	c := e.c
-	emit := c.procs[i].TickAppend(c.now, e.tickBufs[0][:0])
-	for k := range emit {
-		if e.asyncRoute(len(e.queue), &emit[k]) {
-			e.queue = append(e.queue, emit[k])
-		}
+	pos := len(e.queue)
+	e.queue = e.c.procs[i].TickAppend(e.c.now, e.queue)
+	for ; pos < len(e.queue); pos++ {
+		e.asyncRoute(pos, &e.queue[pos])
 	}
-	e.tickBufs[0] = emit
 }
 
-// asyncRoute runs m, the message at (or bound for) position pos,
-// through the network model and its sender's counters
-// (netmodel.Model.Classify) and reports whether it survived; a survivor is
-// binned into the destination shard's inbox (asyncBin). Calls happen in
-// deterministic walk/merge order, so the shared loss stream's draw order is
-// schedule-defined, exactly like the synchronous round's sequential filter
-// phase.
-func (e *shardedExecutor) asyncRoute(pos int, m *proto.Message) bool {
+// asyncRoute runs m, the message at position pos of the hop, through the
+// network model and its sender's counters (netmodel.Model.Classify) and
+// bins it into the destination shard's inbox (asyncBin) if it survives; a
+// message that does not stays in its slot, and nothing reads it. Calls
+// happen in deterministic walk/merge order, so the shared loss stream's
+// draw order is schedule-defined, exactly like the synchronous round's
+// sequential filter phase.
+func (e *shardedExecutor) asyncRoute(pos int, m *proto.Message) {
 	c := e.c
 	di, known, alive := c.verdict(m.To)
-	if !c.network.Classify(m, c.now, c.nowMs, known, alive, c.ledger(m.From)) {
-		return false
+	if c.network.Classify(m, c.now, c.nowMs, known, alive, c.ledger(m.From)) {
+		e.asyncBin(pos, di, m)
 	}
-	e.asyncBin(pos, di, m)
-	return true
 }
 
 // asyncBin queues m, the delivery at position pos, for the shard of its

@@ -68,9 +68,8 @@ func TestParallelDelayMatchesSequentialInfection(t *testing.T) {
 			opts := DefaultOptions(250)
 			opts.Seed = 17
 			opts.Lpbcast.AssumeFromDigest = true
-			opts.WarmupRounds = 2
 			tc.mut(&opts)
-			assertMatchesRef(t, "delayed infection", opts, 12, 2, shardCounts(4)...)
+			assertWarmMatchesRef(t, "delayed infection", opts, 2, 12, 2, shardCounts(4)...)
 		})
 	}
 }
@@ -123,9 +122,8 @@ func TestParallelDelayAsyncMatchesSequential(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			opts := asyncOpts(250, 17)
-			opts.WarmupRounds = 2
 			tc.mut(&opts)
-			assertMatchesRef(t, "delayed async infection", opts, 10, 2, shardCounts(4)...)
+			assertWarmMatchesRef(t, "delayed async infection", opts, 2, 10, 2, shardCounts(4)...)
 		})
 	}
 }
@@ -231,11 +229,10 @@ func TestEmissionReuseMatchesCloneReference(t *testing.T) {
 				opts.Seed = 77
 				opts.Async = async
 				opts.Lpbcast.AssumeFromDigest = true
-				opts.WarmupRounds = 2
 				if delayed {
 					opts.Topology = wanTopologyFor(200)
 				}
-				assertMatchesRef(t, "emission reuse", opts, 10, 2, shardCounts(runtime.GOMAXPROCS(0))...)
+				assertWarmMatchesRef(t, "emission reuse", opts, 2, 10, 2, shardCounts(runtime.GOMAXPROCS(0))...)
 			})
 		}
 	}

@@ -22,6 +22,7 @@ type stepper interface {
 	N() int
 	Process(i int) Process
 	HasDelivered(pid proto.ProcessID, id proto.EventID) bool
+	Close()
 }
 
 // eventTape runs one cluster for rounds periods and returns the traced
@@ -244,11 +245,10 @@ func TestEventShardedMatchesSequential(t *testing.T) {
 			t.Parallel()
 			opts := DefaultOptions(250)
 			opts.Seed = 17
-			opts.WarmupRounds = 2
 			opts.Lpbcast.AssumeFromDigest = true
 			tc.mut(&opts)
 			opts.Clock = ClockEvent
-			assertMatchesRef(t, "event infection", opts, 10, 2, 0, 1, 2, 3, 8, 250)
+			assertWarmMatchesRef(t, "event infection", opts, 2, 10, 2, 0, 1, 2, 3, 8, 250)
 		})
 	}
 }
@@ -319,10 +319,9 @@ func TestEventAsyncMatchesSequential(t *testing.T) {
 			t.Parallel()
 			for _, seed := range []uint64{1, 17} {
 				opts := asyncOpts(250, seed)
-				opts.WarmupRounds = 2
 				tc.mut(&opts)
 				opts.Clock = ClockEvent
-				ref := assertMatchesRef(t, fmt.Sprintf("async event seed=%d", seed), opts, 10, 2, 0, 1, 3, 8)
+				ref := assertWarmMatchesRef(t, fmt.Sprintf("async event seed=%d", seed), opts, 2, 10, 2, 0, 1, 3, 8)
 				if last := ref.PerRound[len(ref.PerRound)-1]; last < 250*0.9 {
 					t.Errorf("seed=%d: only %v of 250 infected; dissemination failed", seed, last)
 				}

@@ -168,7 +168,7 @@ type shardedExecutor struct {
 	lo, hi  []int // shard s owns process indices [lo[s], hi[s])
 	shardOf []int // process index -> shard
 
-	tickBufs [][]proto.Message // per-shard tick outboxes, routed in place (shard 0's: the async tick's; see tickShard)
+	tickBufs [][]proto.Message // shards 1..W-1's tick outboxes, routed in place (shard 0 ticks onto the queue; see tickShard)
 	inboxes  [][]routed        // per-shard surviving messages, queue order
 	groups   []destGroups      // per-shard scratch of handleShard's grouping
 	resps    [][]proto.Message // per-shard response buffers
@@ -506,16 +506,20 @@ func (e *shardedExecutor) runRound() {
 }
 
 // land starts the barrier of instant at: the queue and the inboxes are
-// emptied, and the instant's delayed arrivals — already filtered at send
-// time, settled here — take the queue's first positions, binned straight
-// to their destination shards.
+// emptied, and the in-flight bucket of the instant takes the queue's first
+// positions in its deterministic enqueue order. Each arrival — already
+// filtered at send time — is settled where it lies (netmodel.Arrive), and
+// a survivor binned straight to its destination shard; one to a process
+// crashed or removed since stays in its slot, and nothing reads it.
 func (e *shardedExecutor) land(at uint64) {
 	c := e.c
 	c.nowMs = at
 	e.clearInboxes()
-	e.queue, c.arrivalDests = c.settleArrivals(at, e.queue[:0], c.arrivalDests[:0])
-	for pos, di := range c.arrivalDests {
-		e.asyncBin(pos, di, &e.queue[pos])
+	e.queue, c.arrivalLedgers = c.network.Drain(at, e.queue[:0], c.arrivalLedgers[:0])
+	for pos := range e.queue {
+		if di, known, alive := c.verdict(e.queue[pos].To); netmodel.Arrive(c.arrivalLedgers[pos], known, alive) {
+			e.asyncBin(pos, di, &e.queue[pos])
+		}
 	}
 }
 

@@ -30,8 +30,7 @@ func TestParallelAsyncMatchesSequentialInfection(t *testing.T) {
 				t.Parallel()
 				opts := asyncOpts(250, seed)
 				opts.Protocol = protocol
-				opts.WarmupRounds = 2
-				assertMatchesRef(t, "async infection", opts, 8, 2, shardCounts(4)...)
+				assertWarmMatchesRef(t, "async infection", opts, 2, 8, 2, shardCounts(4)...)
 			})
 		}
 	}
@@ -110,10 +109,9 @@ func TestParallelAsyncReuseNoUseAfterRecycle(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			opts := asyncOpts(200, 77)
-			opts.WarmupRounds = 2
 			tc.mut(&opts)
 			opts.PoisonRecycled = true
-			assertMatchesRef(t, "async poisoned reuse", opts, 10, 2, shardCounts(4)...)
+			assertWarmMatchesRef(t, "async poisoned reuse", opts, 2, 10, 2, shardCounts(4)...)
 		})
 	}
 }

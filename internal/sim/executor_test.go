@@ -41,8 +41,7 @@ func TestParallelMatchesSequentialInfection(t *testing.T) {
 				opts.Seed = seed
 				opts.Protocol = protocol
 				opts.Lpbcast.AssumeFromDigest = true
-				opts.WarmupRounds = 2
-				assertMatchesRef(t, "infection", opts, 8, 2, shardCounts(4)...)
+				assertWarmMatchesRef(t, "infection", opts, 2, 8, 2, shardCounts(4)...)
 			})
 		}
 	}
@@ -115,10 +114,9 @@ func TestParallelReuseNoUseAfterRecycle(t *testing.T) {
 			t.Parallel()
 			opts := DefaultOptions(200)
 			opts.Seed = 77
-			opts.WarmupRounds = 2
 			tc.mut(&opts)
 			opts.PoisonRecycled = true
-			assertMatchesRef(t, "poisoned reuse", opts, 10, 2, shardCounts(4)...)
+			assertWarmMatchesRef(t, "poisoned reuse", opts, 2, 10, 2, shardCounts(4)...)
 		})
 	}
 }
@@ -370,10 +368,12 @@ func TestParallelViewInvariants(t *testing.T) {
 				opts.Protocol = protocol
 				opts.Tau = 0.02
 				opts.Workers = 8
-				opts.WarmupRounds = 3
 				cluster, err := NewCluster(opts)
 				if err != nil {
 					t.Fatal(err)
+				}
+				for range 3 {
+					cluster.RunRound() // warm-up: the views mix before the publication
 				}
 				if _, err := cluster.PublishAt(0); err != nil {
 					t.Fatal(err)

@@ -51,6 +51,9 @@ type exactScript struct {
 	route   []proto.Message // handed to Cluster.Route before the first period
 	periods int
 	delayed bool // every message takes one period: fault.FixedDelay{Rounds: 1}
+	// leaves is the period before which process leaver leaves the cluster,
+	// or 0: it ticks no more, and what is sent to it is handed to no one.
+	leaves, leaver int
 	// fromEntry is how many of the last hop's inbox entries must carry
 	// their gossip (routed.g), or -1 for no check.
 	fromEntry int
@@ -123,6 +126,9 @@ func (x *exactScript) want() [][]proto.Message {
 	}
 	var inFlight []proto.Message
 	for p := 1; p <= x.periods; p++ {
+		if p == x.leaves {
+			delete(index, x.ids[x.leaver])
+		}
 		var ticks []proto.Message
 		for _, sp := range x.procs {
 			if p <= len(sp.ticks) {
@@ -165,7 +171,13 @@ func (x *exactScript) run(w int) error {
 	for _, m := range x.route {
 		c.Route(m)
 	}
-	for p := 0; p < x.periods; p++ {
+	for p := 1; p <= x.periods; p++ {
+		if p == x.leaves {
+			// What Cluster.Remove does on a cluster built empty, which
+			// alone keeps per-sender ledgers.
+			c.index.Release(c.ids[x.leaver])
+			c.procs[x.leaver], c.ids[x.leaver] = nil, 0
+		}
 		c.RunRound()
 	}
 	for i, want := range x.want() {
@@ -315,6 +327,20 @@ func TestHandlingIsExact(t *testing.T) {
 			x.emit(2, 4, proto.Message{Kind: proto.GossipMsg, From: x.ids[4], To: x.ids[1], Gossip: x.gossips[6]})
 			// Process 5 answers the request, its first arrival, in period 2;
 			// the answer lands in period 3.
+			x.procs[5].resps = []proto.Message{{Kind: proto.RetransmitReplyMsg, From: x.ids[5], To: x.ids[2],
+				Reply: []proto.Event{{ID: proto.EventID{Origin: x.ids[5], Seq: 1}}}}}
+		}},
+		{"arrival to a process that left, between two live ones", func(x *exactScript) {
+			// One instant's bucket holds, in order, a gossip to process 3,
+			// one to process 4, which leaves before it lands, and a request
+			// to process 5, read from its slot. Process 5's answer and
+			// process 6's gossip of period 2 land in period 3.
+			x.delayed, x.periods, x.leaves, x.leaver = true, 3, 2, 4
+			x.emit(1, 0, x.gossip(0, 3))
+			x.emit(1, 1, x.gossip(1, 4))
+			x.emit(1, 2, proto.Message{Kind: proto.RetransmitRequestMsg, From: x.ids[2], To: x.ids[5],
+				Request: []proto.EventID{{Origin: x.ids[5], Seq: 1}}})
+			x.emit(2, 6, x.gossip(6, 3))
 			x.procs[5].resps = []proto.Message{{Kind: proto.RetransmitReplyMsg, From: x.ids[5], To: x.ids[2],
 				Reply: []proto.Event{{ID: proto.EventID{Origin: x.ids[5], Seq: 1}}}}}
 		}},

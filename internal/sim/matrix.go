@@ -56,8 +56,6 @@ type MatrixSpec struct {
 	// Clock to ClockEvent for its cells. The embed keeps the historical
 	// spec.Workers spelling working unchanged.
 	RunConfig
-	// Concurrency bounds how many cells run at once. Default: GOMAXPROCS.
-	Concurrency int
 }
 
 // withDefaults fills the optional dimensions.
@@ -88,9 +86,6 @@ func (s MatrixSpec) withDefaults() MatrixSpec {
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
-	}
-	if s.Concurrency <= 0 {
-		s.Concurrency = runtime.GOMAXPROCS(0)
 	}
 	return s
 }
@@ -163,8 +158,8 @@ func cellOptions(spec MatrixSpec, cell MatrixCell, idx int) (Options, error) {
 // with the Bus, which steps on this package's executor.
 type TopicCell func(spec MatrixSpec, cell MatrixCell, idx int) (InfectionResult, error)
 
-// RunMatrix sweeps the grid, running up to spec.Concurrency cells at a
-// time, the pub/sub cells through topicCell (nil fails each of them). The
+// RunMatrix sweeps the grid, running up to GOMAXPROCS cells at a time, the
+// pub/sub cells through topicCell (nil fails each of them). The
 // returned slice enumerates the cross product in deterministic order
 // (protocol-major, then fanout, epsilon, tau, delay, topics, and N
 // innermost), independent of how the cells were scheduled.
@@ -193,7 +188,7 @@ func RunMatrix(spec MatrixSpec, topicCell TopicCell) ([]MatrixCell, error) {
 		}
 	}
 
-	sem := make(chan struct{}, spec.Concurrency)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	wg.Add(len(cells))
 	for i := range cells {

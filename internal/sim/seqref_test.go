@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/netmodel"
 	"repro/internal/proto"
 	"repro/internal/rng"
 )
@@ -37,14 +38,15 @@ type seqRef struct {
 	// seqQueue/seqNext are the synchronous walk's retained hop buffers;
 	// they just recycle envelope capacity.
 	seqQueue, seqNext []proto.Message
+	// arrivalDests holds the destination indices of the arrivals the last
+	// settleArrivals put on seqQueue.
+	arrivalDests []int
 }
 
 // newSeqRef builds the cluster opts describes, unbinds its engines from the
 // executor's arenas and takes them out of emission reuse, so every tick cuts
-// from a fresh arena, and runs the warmup rounds through the reference.
+// from a fresh arena.
 func newSeqRef(opts Options) (*seqRef, error) {
-	warmup := opts.WarmupRounds
-	opts.WarmupRounds = 0
 	opts.Workers = 1
 	c, err := NewCluster(opts)
 	if err != nil {
@@ -54,11 +56,7 @@ func newSeqRef(opts Options) (*seqRef, error) {
 		p.(interface{ SetEmitArena(*proto.EmitArena) }).SetEmitArena(nil)
 		p.(interface{ SetEmissionReuse(bool) }).SetEmissionReuse(false)
 	}
-	r := &seqRef{Cluster: c, eventOrder: refPhaseOrder(c.phase)}
-	for i := 0; i < warmup; i++ {
-		r.RunRound()
-	}
-	return r, nil
+	return &seqRef{Cluster: c, eventOrder: refPhaseOrder(c.phase)}, nil
 }
 
 // refPhaseOrder returns the process indices stably sorted by phase: the
@@ -121,6 +119,28 @@ func (c *seqRef) Add(p Process, ledger *NetStats) {
 func (c *seqRef) Route(m proto.Message) {
 	c.seqQueue = append(c.seqQueue[:0], m)
 	c.dispatchSeq(0)
+}
+
+// settleArrivals empties the in-flight bucket of instant at in its
+// deterministic enqueue order, settles each message's accounting
+// (netmodel.Arrive), and appends the survivors to msgs — closing the gaps the
+// messages to crashed destinations leave — and their destination process
+// indices to dests.
+func (c *seqRef) settleArrivals(at uint64, msgs []proto.Message, dests []int) ([]proto.Message, []int) {
+	base := len(msgs)
+	kept := base
+	msgs, c.arrivalLedgers = c.network.Drain(at, msgs, c.arrivalLedgers[:0])
+	for k := base; k < len(msgs); k++ {
+		di, known, alive := c.verdict(msgs[k].To)
+		if netmodel.Arrive(c.arrivalLedgers[k-base], known, alive) {
+			if kept != k {
+				msgs[kept] = msgs[k]
+			}
+			kept++
+			dests = append(dests, di)
+		}
+	}
+	return msgs[:kept], dests
 }
 
 // tickClone is the cloning tick the reference walks were written on: a
@@ -403,9 +423,10 @@ func (c *seqRef) runEventPeriodAsyncSeq() {
 	c.nowMs = c.now * c.periodMs
 }
 
-// refInfectionExperiment is InfectionExperiment with every cluster stepped
-// by the reference.
-func refInfectionExperiment(opts Options, rounds, repeats int) (InfectionResult, error) {
+// warmInfection is InfectionExperiment on the clusters build makes, each
+// stepped warmup periods between its construction and the traced
+// publication.
+func warmInfection(build func(Options) (stepper, error), opts Options, warmup, rounds, repeats int) (InfectionResult, error) {
 	if opts.Horizon == 0 {
 		opts.Horizon = uint64(rounds)
 	}
@@ -413,9 +434,12 @@ func refInfectionExperiment(opts Options, rounds, repeats int) (InfectionResult,
 	for rep := 0; rep < repeats; rep++ {
 		o := opts
 		o.Seed = opts.Seed + uint64(rep)*1_000_003
-		cluster, err := newSeqRef(o)
+		cluster, err := build(o)
 		if err != nil {
 			return InfectionResult{}, err
+		}
+		for range warmup {
+			cluster.RunRound()
 		}
 		traced, err := cluster.PublishAt(0)
 		if err != nil {
@@ -426,6 +450,7 @@ func refInfectionExperiment(opts Options, rounds, repeats int) (InfectionResult,
 			cluster.RunRound()
 			sum[r] += float64(cluster.DeliveredCount(traced.ID))
 		}
+		cluster.Close()
 	}
 	for i := range sum {
 		sum[i] /= float64(repeats)
@@ -506,14 +531,21 @@ func shardCounts(own int) []int {
 // recycles nothing.
 func assertMatchesRef(t *testing.T, label string, opts Options, rounds, repeats int, workers ...int) InfectionResult {
 	t.Helper()
-	ref, err := refInfectionExperiment(opts, rounds, repeats)
+	return assertWarmMatchesRef(t, label, opts, 0, rounds, repeats, workers...)
+}
+
+// assertWarmMatchesRef is assertMatchesRef with every cluster stepped
+// warmup periods before the traced publication.
+func assertWarmMatchesRef(t *testing.T, label string, opts Options, warmup, rounds, repeats int, workers ...int) InfectionResult {
+	t.Helper()
+	ref, err := warmInfection(func(o Options) (stepper, error) { return newSeqRef(o) }, opts, warmup, rounds, repeats)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range workers {
 		o := opts
 		o.Workers = w
-		got, err := InfectionExperiment(o, rounds, repeats)
+		got, err := warmInfection(func(o Options) (stepper, error) { return NewCluster(o) }, o, warmup, rounds, repeats)
 		if err != nil {
 			t.Fatal(err)
 		}

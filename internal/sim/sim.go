@@ -93,9 +93,6 @@ type Options struct {
 	// Horizon is the number of rounds used when sampling crash times; the
 	// experiment runners set it to their round count.
 	Horizon uint64
-	// WarmupRounds lets membership gossip mix the views before the
-	// measured part of the experiment starts.
-	WarmupRounds int
 	// FirstPhaseDelivery, for the pbcast protocols, is the per-receiver
 	// delivery probability of the unreliable first-phase multicast (IP
 	// multicast in Bimodal Multicast). 0 disables the first phase — the
@@ -182,9 +179,6 @@ func (o Options) Validate() error {
 	if o.FirstPhaseDelivery < 0 || o.FirstPhaseDelivery > 1 {
 		return fmt.Errorf("sim: FirstPhaseDelivery %v out of [0,1]", o.FirstPhaseDelivery)
 	}
-	if o.WarmupRounds < 0 {
-		return fmt.Errorf("sim: WarmupRounds %d must be non-negative", o.WarmupRounds)
-	}
 	if err := o.RunConfig.validateRun(); err != nil {
 		return err
 	}
@@ -235,10 +229,8 @@ type Cluster struct {
 	// empty (NewEmptyCluster); on any other it is nil, and net counts them
 	// all.
 	ledgers []*stats.NetStats
-	// arrivalDests holds the destination indices of the arrivals the last
-	// settleArrivals put on the queue, and arrivalLedgers the ledgers the
-	// ring hands out beside them; both are retained across periods.
-	arrivalDests   []int
+	// arrivalLedgers holds the ledgers the ring hands out beside the
+	// arrivals of the last instant drained, retained across periods.
 	arrivalLedgers []*stats.NetStats
 	// viewIdxScratch/viewPIDScratch back uniformView: initial views are
 	// drawn one process at a time through shared scratch, so seeding n
@@ -263,15 +255,8 @@ type Cluster struct {
 	phase []uint64
 }
 
-// forceSparseIndex is a test hook: when set, the cluster's pid table
-// routes every lookup through idmap's sparse fallback instead of the dense
-// forward array, so equivalence tests can pin the two paths against each
-// other.
-var forceSparseIndex bool
-
 // NewCluster builds a cluster of n processes with uniformly random initial
-// views of size l (the analysis' uniform-view assumption, §4.1), then runs
-// the configured warmup rounds.
+// views of size l (the analysis' uniform-view assumption, §4.1).
 func NewCluster(opts Options) (*Cluster, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -282,7 +267,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 		crashes: fault.NewCrashSchedule(),
 		rec:     newRecorder(opts.N),
 	}
-	c.index.SetSparseOnly(forceSparseIndex)
 	c.index.Reserve(proto.ProcessID(opts.N), opts.N)
 	// Stream discipline: the root splits happen in a fixed order that
 	// depends only on the options, never on the shard count, so runs of the
@@ -338,10 +322,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 	}
 
 	c.exec = newShardedExecutor(c, len(c.emit))
-
-	for i := 0; i < opts.WarmupRounds; i++ {
-		c.RunRound()
-	}
 	return c, nil
 }
 
@@ -551,28 +531,6 @@ func (c *Cluster) runRoundBody() {
 func (c *Cluster) verdict(to proto.ProcessID) (di int, known, alive bool) {
 	ix, known := c.index.Lookup(to)
 	return int(ix), known, known && !c.crashes.Crashed(to, c.now)
-}
-
-// settleArrivals empties the in-flight bucket of instant at in its
-// deterministic enqueue order, settles each message's accounting
-// (netmodel.Arrive), and appends the survivors to msgs — closing the gaps the
-// messages to crashed destinations leave — and their destination process
-// indices to dests.
-func (c *Cluster) settleArrivals(at uint64, msgs []proto.Message, dests []int) ([]proto.Message, []int) {
-	base := len(msgs)
-	kept := base
-	msgs, c.arrivalLedgers = c.network.Drain(at, msgs, c.arrivalLedgers[:0])
-	for k := base; k < len(msgs); k++ {
-		di, known, alive := c.verdict(msgs[k].To)
-		if netmodel.Arrive(c.arrivalLedgers[k-base], known, alive) {
-			if kept != k {
-				msgs[kept] = msgs[k]
-			}
-			kept++
-			dests = append(dests, di)
-		}
-	}
-	return msgs[:kept], dests
 }
 
 // PublishAt publishes a fresh event at process index i (0-based) through

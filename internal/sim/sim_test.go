@@ -35,7 +35,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"bad pbcast", func(o *Options) { o.Protocol = PbcastPartial; o.Pbcast.Fanout = 0 }, "pbcast: Fanout"},
 		{"first phase above 1", func(o *Options) { o.FirstPhaseDelivery = 1.5 }, "FirstPhaseDelivery"},
 		{"first phase negative", func(o *Options) { o.FirstPhaseDelivery = -0.1 }, "FirstPhaseDelivery"},
-		{"negative warmup", func(o *Options) { o.WarmupRounds = -1 }, "WarmupRounds"},
 		{"event clock", func(o *Options) { o.Clock = ClockEvent }, ""},
 		{"unknown clock", func(o *Options) { o.Clock = Clock(9) }, "unknown clock"},
 		{"negative period", func(o *Options) { o.PeriodMs = -1 }, "PeriodMs"},
@@ -319,21 +318,5 @@ func TestRecorderIgnoresForeignOwners(t *testing.T) {
 	r.record(99, ev) // out of range owner
 	if r.count(ev.ID) != 0 {
 		t.Fatal("foreign owner counted")
-	}
-}
-
-func TestWarmupRoundsAdvanceClock(t *testing.T) {
-	t.Parallel()
-	o := DefaultOptions(20)
-	o.WarmupRounds = 3
-	c, err := NewCluster(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Now() != 3 {
-		t.Fatalf("Now = %d, want 3", c.Now())
-	}
-	if c.N() != 20 {
-		t.Fatalf("N = %d", c.N())
 	}
 }
